@@ -11,8 +11,9 @@ Six questions the store and perf layers have to answer honestly:
 * what does out-of-core construction cost over ``FlowCube.build`` as the
   same database is split into 1 / 4 / 16 partitions (wall time + peak
   traced allocation, which is where out-of-core should win);
-* how do parallel partition scans (``jobs``) move store mining and cube
-  construction relative to the in-memory baselines;
+* what store mining costs over the in-memory miner, and how parallel
+  partition scans (``jobs``) move cube construction relative to the
+  in-memory baseline;
 * what does the aggregate-once roll-up measure engine buy over the
   direct per-item-level builder (in memory and out-of-core, across
   worker-pool sizes), given that both produce byte-identical cubes;
@@ -20,8 +21,8 @@ Six questions the store and perf layers have to answer honestly:
   workload re-reads cells it has already materialised;
 * what the binary storage backend buys over the JSON layout on the same
   data: cold cube open (store handle plus key catalogs for every
-  cuboid, zero cell bytes read), cold index-first slice, the pooled
-  pack pass decoding partitions, and bytes on disk — with the two
+  cuboid, zero cell bytes read), cold index-first slice, the miner's
+  encode pass decoding partitions, and bytes on disk — with the two
   formats' cubes asserted byte-identical under ``cube_to_json``, a
   legacy ``FCHEAP01`` (JSON-in-heap) row for the generation headline,
   and a zero-copy tripwire that *fails the run* if a cold open ever
@@ -97,8 +98,7 @@ MIN_SUPPORT = 0.05
 CACHE_SIZE = 64
 JOBS_SWEEP = (1, 2, 4)
 REPEATS = 3
-#: Scale sweep: database sizes for ``--scale`` (paths per database).
-SCALE_SWEEP = (10_000, 30_000, 100_000)
+#: Partitions of the 10k-path storage-format and append points.
 SCALE_PARTITIONS = 8
 #: Database size for the full-run storage-format comparison point.
 FORMATS_SCALE_PATHS = 10_000
@@ -199,8 +199,8 @@ def _kernel_section(database, repeats: int) -> dict:
 def _sweep_pool(jobs: int) -> tuple[WorkerPool | None, float]:
     """(started pool or None for serial, spawn seconds paid once).
 
-    The sweep's steady-state rows all reuse this one pool, so fork and
-    shm-attach cost appears exactly once per sweep point — reported as
+    The sweep's steady-state rows all reuse this one pool, so fork cost
+    appears exactly once per sweep point — reported as
     ``pool_spawn_seconds`` next to, never inside, the build timings.
     """
     if jobs <= 1:
@@ -211,12 +211,13 @@ def _sweep_pool(jobs: int) -> tuple[WorkerPool | None, float]:
 
 
 def _jobs_section(store, database, repeats: int, jobs_sweep) -> dict:
-    """Store mining and cube construction across worker-pool sizes.
+    """Store mining once, cube construction across worker-pool sizes.
 
+    Mining runs in-process whatever ``jobs`` says, so it gets one row.
     Every ``jobs > 1`` sweep point forks its persistent pool once and
-    reuses it across all repeats of all three timed operations, so the
-    rows measure steady-state builds; the one-time fork/attach cost is
-    the separate ``pool_spawn_seconds`` column.
+    reuses it across all repeats of both timed builds, so the rows
+    measure steady-state builds; the one-time fork cost is the separate
+    ``pool_spawn_seconds`` column.
     """
     mine_baseline, _ = _best(
         lambda: shared_mine(database, min_support=MIN_SUPPORT), repeats
@@ -227,31 +228,13 @@ def _jobs_section(store, database, repeats: int, jobs_sweep) -> dict:
         ),
         repeats,
     )
-    mining = []
+    mine_seconds, _ = _best(
+        lambda: shared_mine_store(store, min_support=MIN_SUPPORT), repeats
+    )
     building = []
     for jobs in jobs_sweep:
         pool, spawn_seconds = _sweep_pool(jobs)
         try:
-            mine_stats = BuildStats()
-            seconds, _ = _best(
-                lambda: shared_mine_store(
-                    store,
-                    min_support=MIN_SUPPORT,
-                    build_stats=mine_stats,
-                    jobs=jobs,
-                    pool=pool,
-                ),
-                repeats,
-            )
-            mining.append(
-                {
-                    "jobs": jobs,
-                    "seconds": round(seconds, 4),
-                    "pool_spawn_seconds": round(spawn_seconds, 4),
-                    "vs_in_memory": round(seconds / mine_baseline, 2),
-                    "pool": dict(mine_stats.pool),
-                }
-            )
             seconds, _ = _best(
                 lambda: build_cube(
                     store,
@@ -287,7 +270,8 @@ def _jobs_section(store, database, repeats: int, jobs_sweep) -> dict:
         "n_partitions": len(store.catalog.partitions),
         "shared_mine": {
             "in_memory_seconds": round(mine_baseline, 4),
-            "sweep": mining,
+            "store_seconds": round(mine_seconds, 4),
+            "vs_in_memory": round(mine_seconds / mine_baseline, 2),
         },
         "build_cube": {
             "in_memory_seconds": round(build_baseline, 4),
@@ -553,55 +537,6 @@ def _query_section(store: PartitionedPathStore, database, repeats: int) -> dict:
     }
 
 
-def _scale_section(scales, jobs: int = 2) -> list[dict]:
-    """Serial vs pooled shared mining as the database grows (``--scale``).
-
-    One row per database size: a serial baseline and a pooled run on one
-    persistent pool, parity-checked (identical supports) against the
-    baseline.  ``pool_spawn_seconds`` is the pool's one-time fork cost;
-    ``pooled_seconds`` is the steady-state mining time on the started
-    pool.  Single runs — at these sizes mining seconds dwarf timer noise.
-    """
-    rows = []
-    for n_paths in scales:
-        database = generate_path_database(scaled_config(n_paths))
-        with tempfile.TemporaryDirectory() as tmp:
-            store = _make_store(Path(tmp) / "wh", database, SCALE_PARTITIONS)
-            start = time.perf_counter()
-            serial = shared_mine_store(store, min_support=MIN_SUPPORT)
-            serial_seconds = time.perf_counter() - start
-            pool, spawn_seconds = _sweep_pool(jobs)
-            stats = BuildStats()
-            try:
-                start = time.perf_counter()
-                pooled = shared_mine_store(
-                    store,
-                    min_support=MIN_SUPPORT,
-                    build_stats=stats,
-                    jobs=jobs,
-                    pool=pool,
-                )
-                pooled_seconds = time.perf_counter() - start
-            finally:
-                if pool is not None:
-                    pool.close()
-            assert pooled.supports == serial.supports
-            rows.append(
-                {
-                    "n_paths": n_paths,
-                    "n_patterns": len(serial.supports),
-                    "serial_seconds": round(serial_seconds, 4),
-                    "pooled_seconds": round(pooled_seconds, 4),
-                    "pooled_jobs": jobs,
-                    "pool_spawn_seconds": round(spawn_seconds, 4),
-                    "speedup": round(serial_seconds / pooled_seconds, 2),
-                    "pool": dict(stats.pool),
-                    "parity": True,
-                }
-            )
-    return rows
-
-
 def _disk_bytes(directory: Path) -> int:
     """Total bytes of every file under *directory* (0 when absent)."""
     if not directory.exists():
@@ -664,9 +599,10 @@ def _formats_section(
     * ``cold_slice_seconds`` — a fresh handle plus one index-first
       slice, so the per-cell read path (heap ``pread`` vs one JSON file
       per cell) is measured on cells that are actually materialised;
-    * ``pack_pass_seconds`` — the fused scan1+pack phase of a pooled
-      shared-mine, which is where partition decode speed lands during a
-      build (bulk ``frombytes`` arenas vs CSV parsing);
+    * ``encode_pass_seconds`` — the ``encode`` phase of a store mine
+      (partition read + encode + intern), which is where partition
+      decode speed lands during a build (bulk ``frombytes`` arenas vs
+      CSV parsing);
     * bytes on disk for the partition files and the cube directory.
 
     The two cubes must render byte-identically under ``cube_to_json`` —
@@ -698,24 +634,14 @@ def _formats_section(
             store.ingest(database)
             read_seconds, _ = _best(store.load_all, repeats)
 
-            # The pack pass: scan1 decode + shared-memory pack.  The
-            # miner times it into its "count" phase bucket, which the
-            # first scan dominates at these candidate counts; the
-            # fastest run's breakdown is reported.
-            pool, _ = _sweep_pool(2)
+            # The fastest run's phase breakdown is reported.
             mine_seconds, best_stats = math.inf, None
-            try:
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    mined = shared_mine_store(
-                        store, min_support=min_support, jobs=2, pool=pool
-                    )
-                    elapsed = time.perf_counter() - start
-                    if elapsed < mine_seconds:
-                        mine_seconds, best_stats = elapsed, mined.stats
-            finally:
-                if pool is not None:
-                    pool.close()
+            for _ in range(repeats):
+                start = time.perf_counter()
+                mined = shared_mine_store(store, min_support=min_support)
+                elapsed = time.perf_counter() - start
+                if elapsed < mine_seconds:
+                    mine_seconds, best_stats = elapsed, mined.stats
 
             build_seconds, built = _best(
                 lambda: build_cube(
@@ -755,8 +681,8 @@ def _formats_section(
             rows[store_format] = {
                 "partition_read_seconds": round(read_seconds, 4),
                 "mine_seconds": round(mine_seconds, 4),
-                "pack_pass_seconds": round(
-                    best_stats.phase_seconds.get("count", 0.0), 4
+                "encode_pass_seconds": round(
+                    best_stats.phase_seconds.get("encode", 0.0), 4
                 ),
                 "build_seconds": round(build_seconds, 4),
                 "cold_open_seconds": round(open_seconds, 5),
@@ -830,9 +756,9 @@ def _formats_section(
                 / binary_row["cold_slice_seconds"],
                 2,
             ),
-            "pack_pass": round(
-                json_row["pack_pass_seconds"]
-                / binary_row["pack_pass_seconds"],
+            "encode_pass": round(
+                json_row["encode_pass_seconds"]
+                / binary_row["encode_pass_seconds"],
                 2,
             ),
             "partition_read": round(
@@ -1037,23 +963,12 @@ def _append_section(quick: bool, repeats: int) -> dict:
     return {"points": points}
 
 
-def _shm_segments() -> set[str]:
-    """Names currently live under ``/dev/shm`` (POSIX shared memory)."""
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-POSIX-shm platform
-        return set()
-    return {entry.name for entry in root.iterdir()}
-
-
 def _pool_smoke(database) -> dict:
-    """One jobs=2 pooled build, checked for the two pool failure modes.
+    """One jobs=2 pooled build, checked for the out-of-core contract.
 
-    Raises if the build held more than one transaction database live at
-    once (the out-of-core contract) or if any shared-memory segment
-    survived the build (an shm leak) — this is the CI tripwire the
-    ``--quick`` run fails on.
+    Raises if the build held more than one partition database live at
+    once — this is the CI tripwire the ``--quick`` run fails on.
     """
-    before = _shm_segments()
     with tempfile.TemporaryDirectory() as tmp:
         store = _make_store(Path(tmp) / "wh", database, 4)
         stats = BuildStats()
@@ -1064,23 +979,19 @@ def _pool_smoke(database) -> dict:
             stats=stats,
             jobs=2,
         )
-    leaked = sorted(_shm_segments() - before)
     if stats.max_live_transaction_dbs > 1:
         raise AssertionError(
             "pooled build held "
             f"{stats.max_live_transaction_dbs} transaction databases live"
         )
-    if leaked:
-        raise AssertionError(f"shared-memory segments leaked: {leaked}")
     return {
         "jobs": 2,
         "max_live_transaction_dbs": stats.max_live_transaction_dbs,
-        "shm_leaked": 0,
         "pool": dict(stats.pool),
     }
 
 
-def run_suite(quick: bool = False, scales=()) -> dict:
+def run_suite(quick: bool = False) -> dict:
     repeats = 1 if quick else REPEATS
     partition_counts = (4,) if quick else PARTITION_COUNTS
     jobs_sweep = (1, 4) if quick else JOBS_SWEEP
@@ -1144,7 +1055,7 @@ def run_suite(quick: bool = False, scales=()) -> dict:
                 }
             )
     # The pool tripwire runs in every mode — quick included — and raises
-    # (failing CI) on a live-transaction-db or shm-segment leak.
+    # (failing CI) when a build held two partitions live.
     report["pool_smoke"] = _pool_smoke(database)
     # The storage-format sweep runs in every mode too (parity asserted);
     # the full run adds the 10k-path point, where the cold-open gap —
@@ -1170,8 +1081,6 @@ def run_suite(quick: bool = False, scales=()) -> dict:
     # mode (raises on divergence or a rewritten base heap); the full run
     # adds the 10k-path acceptance point.
     report["append"] = _append_section(quick, repeats)
-    if scales:
-        report["scale"] = _scale_section(scales)
     return report
 
 
@@ -1298,22 +1207,13 @@ def main(argv: list[str] | None = None) -> int:
         "--quick",
         action="store_true",
         help="CI smoke: single repeat, 4 partitions only, jobs 1 and 4, "
-        "plus the pooled-build leak tripwire",
+        "plus the pooled-build live-partition tripwire",
     )
     parser.add_argument(
         "--append",
         action="store_true",
         help="run only the append-vs-rebuild sweep (both sizes) and merge "
         "the section into an existing BENCH_store.json",
-    )
-    parser.add_argument(
-        "--scale",
-        nargs="?",
-        const=",".join(str(n) for n in SCALE_SWEEP),
-        default=None,
-        metavar="N1,N2,...",
-        help="also run the serial-vs-pooled scale sweep at these database "
-        f"sizes (bare --scale means {','.join(str(n) for n in SCALE_SWEEP)})",
     )
     args = parser.parse_args(argv)
     if args.append:
@@ -1333,10 +1233,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(section, indent=2))
         print(f"\nmerged append section into {args.out}")
         return 0
-    scales = ()
-    if args.scale:
-        scales = tuple(int(n) for n in args.scale.split(",") if n.strip())
-    report = run_suite(quick=args.quick, scales=scales)
+    report = run_suite(quick=args.quick)
     Path(args.out).write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )

@@ -40,9 +40,8 @@ class EncodingMemo:
 
     A :class:`TransactionDatabase` memoises the per-dimension-value and
     per-path item closures it builds — but only within itself.  A build
-    that encodes one partition after another (the serial scan passes,
-    the shared pack pass, a worker process crunching its affine
-    partitions) re-derives identical closures for every partition, since
+    that encodes one partition after another (the store miner's encode
+    pass) re-derives identical closures for every partition, since
     partitions of one store draw from the same small vocabulary.
     Passing the same memo to each database hoists the caches to the
     scan: each distinct dimension value and discretised path is encoded

@@ -29,10 +29,9 @@ fast counting paths run on:
   AND + iterate-set-bits over the index with no cell IO for non-matching
   cells, plus the LRU query cache with hit/miss/derivation counters;
 * :mod:`repro.perf.pool` — the persistent fork-once
-  :class:`~repro.perf.pool.WorkerPool` the out-of-core builders run their
-  ``jobs=N`` passes on, with interned transaction rows shared zero-copy
-  through :class:`~repro.perf.pool.SharedRows` segments and per-pool
-  spawn/shm/busy accounting in :class:`~repro.perf.pool.PoolStats`.
+  :class:`~repro.perf.pool.WorkerPool` the out-of-core cube builder runs
+  its ``jobs=N`` passes on, with per-pool spawn/busy accounting in
+  :class:`~repro.perf.pool.PoolStats`.
 
 The kernels are exact: for every miner the bitmap path is kept behind a
 ``kernel=`` switch next to the original tid-set path, the measure engines
@@ -55,7 +54,6 @@ from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.measure_rollup import ENGINES, build_rollup, derivation_plan
 from repro.perf.pool import (
     PoolStats,
-    SharedRows,
     WorkerPool,
     oversubscription_warning,
     resolve_jobs,
@@ -78,7 +76,6 @@ __all__ = [
     "ItemInterner",
     "PoolStats",
     "QueryCache",
-    "SharedRows",
     "WorkerPool",
     "build_rollup",
     "cell_index",

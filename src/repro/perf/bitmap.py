@@ -10,16 +10,18 @@ C over machine words.  For a database of ``n`` transactions every mask
 is at most ``n`` bits, so an AND touches ``n / 64`` words regardless of
 how many candidates share them.
 
-Two counting entry points cover the two scan shapes in the system:
+Two counting entry points:
 
 * :func:`count_candidates_bitmap` mirrors
   :func:`~repro.mining.apriori.count_candidates_tidset` — parent-mask
-  intersection for level-wise in-memory mining;
+  intersection; the level-wise miner's counter, in memory and over a
+  store alike;
 * :func:`count_candidates_masks` mirrors
   :func:`~repro.mining.apriori.count_candidates` — a self-contained
-  single pass for per-partition scans, where parents' masks from other
-  partitions are unavailable: it builds the partition's item masks
-  locally and k-way-ANDs each candidate.
+  single pass that builds the transactions' item masks locally and
+  k-way-ANDs each candidate.  No miner calls it since the store miner
+  went resident; it stays exported for the parity test and the
+  benchmark harness's span table.
 
 Both produce exactly the supports of their set-based counterparts; the
 test suite asserts the parity.

@@ -1,15 +1,12 @@
-"""Persistent shared-memory worker pools for out-of-core builds.
+"""Persistent worker pools for out-of-core builds.
 
 The PR-2 ``jobs=N`` machinery created its process pools inside each
-build, and every task paid pickling for whatever state it touched.  At
-small scales the spawn + serialisation overhead dwarfed the partition
-work and made parallel builds *slower* than serial ones.  This module is
-the replacement: a fork-once pool that outlives a single pass — and, when
-the caller wants, a single build — plus a shared-memory transaction layout
-that lets every worker read the interned mining rows without any
-per-task pickling.
+build.  At small scales the spawn overhead dwarfed the partition work
+and made parallel builds *slower* than serial ones.  This module is the
+replacement: a fork-once pool that outlives a single pass — and, when
+the caller wants, a single build.
 
-Three pieces:
+Two pieces:
 
 * :class:`WorkerPool` — ``jobs`` single-worker
   :class:`~concurrent.futures.ProcessPoolExecutor` slots created once
@@ -20,28 +17,15 @@ Three pieces:
   wrapper, so the pool accounts ``worker_busy_seconds`` next to the
   coordinator's wall clock, and the one-off fork cost is recorded in
   ``spawn_seconds`` where the benchmarks can subtract it.
-* :class:`SharedRows` — interned transaction rows
-  (:class:`~repro.perf.interning.InternedTransactions`-shaped: sorted
-  dense-id ``array('i')`` rows, grouped by partition) packed into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment.  Workers
-  attach by *name* (a tiny string task) and read rows as zero-copy
-  ``memoryview`` casts — no row is ever pickled.  Per-item tid bitmaps
-  are derived from the attached rows worker-side and cached across the
-  level-wise passes (they are plain big ints and cannot alias shared
-  memory, but they are built exactly once per partition per build).
-* :class:`PoolStats` — spawn count/seconds, shared segment bytes, task
-  batches, and worker busy seconds; builders fold it into
+* :class:`PoolStats` — spawn count/seconds, task batches, and worker
+  busy seconds; builders fold it into
   :class:`~repro.store.builder.BuildStats` and the benchmarks persist it.
 
 The pool is deliberately generic: tasks are module-level callables
 (picklable by reference) executed against a per-process context dict
 (:func:`worker_context`), so the store builder can register partition
-scans, mining counts, and exception batches without this package
-importing the store layer (``repro.perf`` stays a leaf package).
-
-Lifecycle contract: :meth:`WorkerPool.close` — or the context-manager
-exit — always unlinks every shared segment, even when a worker raised
-mid-pass; the test suite asserts ``/dev/shm`` comes back clean.
+scans and exception batches without this package importing the store
+layer (``repro.perf`` stays a leaf package).
 """
 
 from __future__ import annotations
@@ -49,31 +33,20 @@ from __future__ import annotations
 import os
 import threading
 import time
-from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from multiprocessing import get_context, shared_memory
+from dataclasses import dataclass
+from multiprocessing import get_context
 
 from repro.errors import StoreError
 
 __all__ = [
     "PoolStats",
-    "SharedRows",
     "WorkerPool",
-    "cached_masks",
-    "cached_setrows",
-    "count_ids_masks",
-    "count_ids_scan",
     "oversubscription_warning",
     "resolve_jobs",
-    "shared_rows",
     "worker_context",
 ]
-
-#: Prefix of every shared-memory segment this module creates; the leak
-#: checks in the benchmarks scan ``/dev/shm`` for it.
-SHM_PREFIX = "fcube"
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -113,8 +86,6 @@ class PoolStats:
         spawn_seconds: Wall clock spent creating and warming the workers
             — the cost the persistent pool pays once and per-build pools
             paid every time.
-        shm_segments: Shared-memory segments created (lifetime total).
-        shm_bytes: Bytes placed in shared memory (lifetime total).
         task_batches: Tasks submitted (each is one batched unit of work —
             a partition pass, a cell batch, a broadcast).
         worker_busy_seconds: Sum of in-worker execution time across all
@@ -124,8 +95,6 @@ class PoolStats:
     jobs: int = 0
     spawn_count: int = 0
     spawn_seconds: float = 0.0
-    shm_segments: int = 0
-    shm_bytes: int = 0
     task_batches: int = 0
     worker_busy_seconds: float = 0.0
 
@@ -135,247 +104,9 @@ class PoolStats:
             "jobs": self.jobs,
             "spawn_count": self.spawn_count,
             "spawn_seconds": round(self.spawn_seconds, 4),
-            "shm_segments": self.shm_segments,
-            "shm_bytes": self.shm_bytes,
             "task_batches": self.task_batches,
             "worker_busy_seconds": round(self.worker_busy_seconds, 4),
         }
-
-
-# ----------------------------------------------------------------------
-# shared-memory row storage
-# ----------------------------------------------------------------------
-#
-# Layout of one segment (little-endian, natively aligned):
-#
-#   [0]              int64   n_partitions
-#   [1]              int64   n_rows (total)
-#   parts            int64[n_partitions + 1]   row-index boundaries
-#   offsets          int64[n_rows + 1]         item-index boundaries
-#   data             int32[total_items]        sorted dense item ids
-#
-# Rows are recovered as memoryview slices of ``data`` — attaching a
-# segment allocates the views lazily and copies nothing.
-
-_HEADER = 2  # int64 slots before the partition table
-
-
-def _pack_sizes(part_rows: Sequence[int], total_items: int) -> int:
-    n_rows = sum(part_rows)
-    n64 = _HEADER + (len(part_rows) + 1) + (n_rows + 1)
-    return n64 * 8 + total_items * 4
-
-
-class SharedRows:
-    """Interned transaction rows in one shared-memory segment.
-
-    Create with :meth:`pack` (coordinator side), attach with
-    :meth:`attach` (worker side).  Both sides expose the same read API:
-    :meth:`rows` yields one partition's rows as ``memoryview('i')``
-    slices in transaction order, zero-copy.
-    """
-
-    def __init__(
-        self, shm: shared_memory.SharedMemory, owner: bool
-    ) -> None:
-        self._shm = shm
-        self._owner = owner
-        # Cast only the header slice: the full buffer's byte length is
-        # not necessarily a multiple of 8 (the data tail is int32).
-        head = shm.buf[: _HEADER * 8].cast("q")
-        n_parts = head[0]
-        n_rows = head[1]
-        head.release()
-        parts_end = _HEADER + n_parts + 1
-        offsets_end = parts_end + n_rows + 1
-        self._parts = shm.buf[_HEADER * 8 : parts_end * 8].cast("q")
-        self._offsets = shm.buf[parts_end * 8 : offsets_end * 8].cast("q")
-        self._data = shm.buf[offsets_end * 8 :].cast("i")
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def pack(
-        cls,
-        partitions: Sequence[Sequence[array]],
-        name: str | None = None,
-    ) -> "SharedRows":
-        """Pack per-partition interned rows into a fresh segment.
-
-        Args:
-            partitions: One list of sorted ``array('i')`` rows per
-                partition, in partition order (the builder feeds one
-                partition at a time, so only one partition's rows are
-                ever live on the Python heap alongside the segment).
-            name: Optional explicit segment name (tests); defaults to a
-                kernel-assigned one under :data:`SHM_PREFIX`.
-        """
-        part_rows = [len(rows) for rows in partitions]
-        total_items = sum(
-            len(row) for rows in partitions for row in rows
-        )
-        nbytes = _pack_sizes(part_rows, total_items)
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(nbytes, _HEADER * 8), name=name
-        )
-        head = shm.buf[: _HEADER * 8].cast("q")
-        n_parts = len(partitions)
-        n_rows = sum(part_rows)
-        head[0] = n_parts
-        head[1] = n_rows
-        head.release()
-        parts_end = _HEADER + n_parts + 1
-        offsets_end = parts_end + n_rows + 1
-        parts = shm.buf[_HEADER * 8 : parts_end * 8].cast("q")
-        offsets = shm.buf[parts_end * 8 : offsets_end * 8].cast("q")
-        data = shm.buf[offsets_end * 8 :].cast("i")
-        row_index = 0
-        item_index = 0
-        parts[0] = 0
-        offsets[0] = 0
-        for part_id, rows in enumerate(partitions):
-            for row in rows:
-                n = len(row)
-                data[item_index : item_index + n] = memoryview(row)
-                item_index += n
-                row_index += 1
-                offsets[row_index] = item_index
-            parts[part_id + 1] = row_index
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedRows":
-        """Attach an existing segment by name (worker side, zero-copy).
-
-        The attaching process must not let its resource tracker adopt the
-        segment: the creator owns the unlink, and forked workers share
-        the creator's tracker process, so stray register/unregister pairs
-        from attachers corrupt its accounting (the tracker's cache is a
-        set).  ``SharedMemory`` registers unconditionally on attach, so
-        registration is suppressed for the duration of the constructor.
-        """
-        try:  # pragma: no cover - tracker internals, version-dependent
-            from multiprocessing import resource_tracker
-
-            original = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-        except Exception:
-            original = None
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            if original is not None:
-                resource_tracker.register = original
-        return cls(shm, owner=False)
-
-    # -- reads ----------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    @property
-    def n_partitions(self) -> int:
-        return len(self._parts) - 1
-
-    def n_rows(self, partition: int) -> int:
-        return self._parts[partition + 1] - self._parts[partition]
-
-    def rows(self, partition: int) -> Iterable[memoryview]:
-        """One partition's rows, zero-copy, in transaction order."""
-        offsets = self._offsets
-        data = self._data
-        for row_index in range(
-            self._parts[partition], self._parts[partition + 1]
-        ):
-            yield data[offsets[row_index] : offsets[row_index + 1]]
-
-    def item_masks(self, partition: int, n_items: int) -> list[int]:
-        """Per-item tid bitmaps over one partition's rows.
-
-        The id-space twin of :func:`repro.perf.bitmap.item_masks`,
-        reading straight from the segment.  Workers cache the result per
-        partition for the lifetime of the build (masks are what every
-        level-wise counting pass consumes).
-        """
-        masks = [0] * n_items
-        bit = 1
-        for row in self.rows(partition):
-            for item_id in row:
-                masks[item_id] |= bit
-            bit <<= 1
-        return masks
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Release the mapping (and the segment itself for the owner)."""
-        # memoryview casts pin the underlying buffer; drop them first.
-        self._parts.release()
-        self._offsets.release()
-        self._data.release()
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already gone (double close)
-                pass
-
-
-# ----------------------------------------------------------------------
-# id-space counting kernels (consume SharedRows)
-# ----------------------------------------------------------------------
-
-def count_ids_masks(
-    masks: Sequence[int], flat: array, lengths: array
-) -> array:
-    """Support of flattened id-candidates via AND + popcount.
-
-    The shared-memory twin of
-    :func:`~repro.perf.bitmap.count_candidates_masks`: candidates arrive
-    as one flat ``array('i')`` plus per-candidate lengths (no tuples to
-    pickle), supports leave as one ``array('q')`` aligned with candidate
-    order (no Counter of itemsets to pickle).
-    """
-    out = array("q", bytes(8 * len(lengths)))
-    cursor = 0
-    for index, length in enumerate(lengths):
-        mask = masks[flat[cursor]]
-        if mask:
-            for position in range(cursor + 1, cursor + length):
-                mask &= masks[flat[position]]
-                if not mask:
-                    break
-            if mask:
-                out[index] = mask.bit_count()
-        cursor += length
-    return out
-
-
-def count_ids_scan(
-    rows: Sequence[frozenset], flat: array, lengths: array
-) -> array:
-    """The subset-test twin of :func:`count_ids_masks` (``kernel="scan"``).
-
-    Walks the transactions exactly like
-    :func:`repro.mining.apriori.count_candidates` does, in id space over
-    frozenset rows the worker materialised once from the shared segment.
-    """
-    candidates: list[tuple] = []
-    cursor = 0
-    for length in lengths:
-        candidates.append(tuple(flat[cursor : cursor + length]))
-        cursor += length
-    out = array("q", bytes(8 * len(candidates)))
-    for row in rows:
-        for index, candidate in enumerate(candidates):
-            for item_id in candidate:
-                if item_id not in row:
-                    break
-            else:
-                out[index] += 1
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +119,9 @@ _WORKER: dict = {}
 def worker_context() -> dict:
     """The per-process scratch dict task functions share.
 
-    Keys the pool itself maintains:
-
-    * ``"shared"`` — segment key → attached :class:`SharedRows`;
-    * everything else belongs to the client (the store builder keeps its
-      open store handle, partition cache, alphabet, masks, and exception
-      index cache here — state that makes fork-once pay off).
+    Every key belongs to the client (the store builder keeps its open
+    store handle, partition cache, and exception index cache here —
+    state that makes fork-once pay off).
     """
     return _WORKER
 
@@ -407,7 +135,6 @@ def _worker_init(initializer, initargs) -> None:
     if tracemalloc.is_tracing():
         tracemalloc.stop()
     _WORKER.clear()
-    _WORKER["shared"] = {}
     if initializer is not None:
         initializer(*initargs)
 
@@ -420,66 +147,6 @@ def _run_timed(func: Callable, args: tuple) -> tuple[float, object]:
 
 def _task_ping() -> bool:
     return True
-
-
-def _task_attach(key: object, name: str) -> int:
-    shared = _WORKER["shared"]
-    if key not in shared:
-        shared[key] = SharedRows.attach(name)
-    return shared[key].nbytes
-
-
-def _task_detach(key: object) -> bool:
-    rows = _WORKER["shared"].pop(key, None)
-    if rows is not None:
-        rows.close()
-    # Derived per-partition state (masks, frozenset rows, client caches)
-    # lives in slots keyed ``(kind, key)`` by convention; drop them all so
-    # a reused key can never serve stale data to the next build.
-    for slot in [
-        slot
-        for slot in _WORKER
-        if isinstance(slot, tuple) and len(slot) == 2 and slot[1] == key
-    ]:
-        del _WORKER[slot]
-    return rows is not None
-
-
-def shared_rows(key: object) -> SharedRows:
-    """The attached segment registered under *key* (worker side)."""
-    try:
-        return _WORKER["shared"][key]
-    except KeyError:
-        raise StoreError(
-            f"no shared row segment {key!r} attached in this worker"
-        )
-
-
-def cached_masks(key: object, partition: int, n_items: int) -> list[int]:
-    """Per-partition item masks from a shared segment, cached per process.
-
-    Masks depend on the alphabet size, which only grows between passes of
-    one mining run; the cache keys on ``(partition, n_items)`` so a stale
-    smaller-alphabet entry can never serve a later pass.
-    """
-    cache = _WORKER.setdefault(("masks", key), {})
-    entry = cache.get(partition)
-    if entry is None or len(entry) < n_items:
-        entry = shared_rows(key).item_masks(partition, n_items)
-        cache[partition] = entry
-    return entry
-
-
-def cached_setrows(key: object, partition: int) -> list[frozenset]:
-    """One partition's rows as frozensets (the scan kernel's shape)."""
-    cache = _WORKER.setdefault(("setrows", key), {})
-    entry = cache.get(partition)
-    if entry is None:
-        entry = [
-            frozenset(row) for row in shared_rows(key).rows(partition)
-        ]
-        cache[partition] = entry
-    return entry
 
 
 # ----------------------------------------------------------------------
@@ -515,7 +182,6 @@ class WorkerPool:
         self._initializer = initializer
         self._initargs = initargs
         self._slots: list[ProcessPoolExecutor] | None = None
-        self._segments: dict[object, SharedRows] = {}
         self._stats_lock = threading.Lock()
         self.stats = PoolStats(jobs=self.jobs)
 
@@ -551,21 +217,10 @@ class WorkerPool:
         return self._slots is not None
 
     def close(self) -> None:
-        """Shut the workers down and unlink every shared segment."""
-        try:
-            if self._slots is not None:
-                for key in list(self._segments):
-                    try:
-                        self._broadcast_nowait(_task_detach, key)
-                    except Exception:  # workers may already be dead
-                        pass
-                for slot in self._slots:
-                    slot.shutdown(wait=True, cancel_futures=True)
-        finally:
-            self._slots = None
-            for rows in self._segments.values():
-                rows.close()  # owner: unlinks
-            self._segments.clear()
+        """Shut the workers down (idempotent)."""
+        slots, self._slots = self._slots, None
+        for slot in slots or ():
+            slot.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -604,53 +259,7 @@ class WorkerPool:
         inner.add_done_callback(_done)
         return outer
 
-    def _broadcast_nowait(self, func: Callable, *args) -> list[Future]:
-        return [self.submit(slot, func, *args) for slot in range(self.jobs)]
-
     def broadcast(self, func: Callable, *args) -> list:
         """Run ``func(*args)`` once on every worker; results by slot."""
-        return [f.result() for f in self._broadcast_nowait(func, *args)]
-
-    def map_partitions(
-        self, partition_ids: Sequence[int], func: Callable, *args
-    ):
-        """One task per partition, affine-routed, results in input order."""
-        futures = [
-            self.submit(partition_id, func, partition_id, *args)
-            for partition_id in partition_ids
-        ]
-        for future in futures:
-            yield future.result()
-
-    # -- shared memory --------------------------------------------------
-    def share_rows(
-        self, key: object, partitions: Sequence[Sequence[array]]
-    ) -> SharedRows:
-        """Pack rows into shared memory and attach every worker to them.
-
-        Replacing an existing *key* releases the old segment first.  The
-        returned handle is owned by the pool — callers must not close it;
-        :meth:`release_rows` or :meth:`close` will.
-        """
-        self.release_rows(key)
-        rows = SharedRows.pack(partitions)
-        self._segments[key] = rows
-        self.stats.shm_segments += 1
-        self.stats.shm_bytes += rows.nbytes
-        self.broadcast(_task_attach, key, rows.name)
-        return rows
-
-    def release_rows(self, key: object) -> None:
-        """Detach workers from *key*'s segment and unlink it."""
-        rows = self._segments.pop(key, None)
-        if rows is None:
-            return
-        if self._slots is not None:
-            try:
-                self.broadcast(_task_detach, key)
-            except Exception:
-                pass
-        rows.close()
-
-    def shared_keys(self) -> list:
-        return list(self._segments)
+        futures = [self.submit(slot, func, *args) for slot in range(self.jobs)]
+        return [future.result() for future in futures]

@@ -11,8 +11,8 @@ removes that assumption end to end:
   (:class:`~repro.store.partition.BloomSummary`);
 * :func:`~repro.store.builder.build_cube` /
   :func:`~repro.store.builder.shared_mine_store` — out-of-core cube
-  construction and Algorithm 1, one partition in memory at a time,
-  with ``jobs=N`` passes running on a persistent shared-memory
+  construction and Algorithm 1, one partition decoded at a time, with
+  the cube's ``jobs=N`` passes running on a persistent
   :class:`~repro.perf.pool.WorkerPool` (re-exported here) that callers
   can keep across builds;
 * :class:`~repro.store.cube_store.CubeStore` — the materialised cube
@@ -27,7 +27,6 @@ from repro.perf.pool import PoolStats, WorkerPool, resolve_jobs
 from repro.store.append import append_records
 from repro.store.binfmt import DEFAULT_STORE_FORMAT, STORE_FORMATS
 from repro.store.builder import (
-    POOL_MODES,
     STORE_KERNELS,
     BuildStats,
     build_cube,
@@ -47,7 +46,6 @@ from repro.store.pathstore import PartitionedPathStore
 __all__ = [
     "CELL_FORMATS",
     "DEFAULT_STORE_FORMAT",
-    "POOL_MODES",
     "STORE_FORMATS",
     "STORE_KERNELS",
     "BloomSummary",

@@ -1,22 +1,25 @@
 """Out-of-core flowcube construction over a partitioned store.
 
 The in-memory pipeline (:meth:`~repro.core.flowcube.FlowCube.build`,
-:func:`~repro.mining.shared.shared_mine`) assumes the whole path database —
-and, for Shared, the whole encoded transaction database D' — fits in
-memory.  This module re-runs the same algorithms *partition at a time*
-against a :class:`~repro.store.pathstore.PartitionedPathStore`:
+:func:`~repro.mining.shared.shared_mine`) starts from a whole decoded
+path database.  This module runs the same algorithms against a
+:class:`~repro.store.pathstore.PartitionedPathStore`, decoding *one
+partition at a time*:
 
-* :func:`shared_mine_store` is Algorithm 1 with every database pass split
-  into per-partition scans.  Each scan encodes exactly one partition into
-  a :class:`~repro.encoding.transactions.TransactionDatabase`, counts
-  candidates against it — with the interned bitmap counter
-  (:func:`~repro.perf.bitmap.count_candidates_masks`, the default
-  ``kernel="bitmap"``) or the textbook subset-test counter
-  (:func:`~repro.mining.apriori.count_candidates`, ``kernel="scan"``) —
-  and merges the partial supports into a running
-  :class:`collections.Counter`.  Supports are additive over a disjoint
-  partitioning of D', so the result is *exactly* :func:`shared_mine`'s —
-  the test suite asserts equality.
+* :func:`shared_mine_store` is Algorithm 1 the way the paper states it:
+  **one** pass transforms the path database into the encoded transaction
+  database D', and the level-wise passes run over D'.  The pass reads
+  each partition once, encodes it into a
+  :class:`~repro.encoding.transactions.TransactionDatabase` (one alive
+  at a time, inside the live-count bracket), interns its transactions
+  into compact id rows, and drops it.  The rows concatenate in
+  partition order into one
+  :class:`~repro.perf.interning.InternedTransactions`, and
+  :func:`~repro.mining.shared.mine_interned` — the one id-space miner,
+  the same call :func:`shared_mine` makes — mines them.  Row *t* is
+  transaction *t* of the concatenated store, so supports, mining
+  counters and result order are *exactly* the in-memory miner's — the
+  test suite asserts equality.
 
 * :func:`build_cube` materialises the iceberg cube.  The default
   ``engine="rollup"`` performs a single roll-up scan — membership and
@@ -30,44 +33,45 @@ against a :class:`~repro.store.pathstore.PartitionedPathStore`:
   order, so group insertion order, ``record_ids`` tuples, path order,
   and the exception-mining inputs all coincide.
 
-Both entry points accept ``jobs``: with ``jobs > 1`` the per-partition
-scans of each pass run on a persistent fork-once
-:class:`~repro.perf.pool.WorkerPool` (one batched task per partition per
-pass, routed to its affine worker slot).  Callers may pass their own
-``pool=`` to amortise the fork across many builds — benchmark sweeps and
-repeated CLI builds reuse one pool — and the default mining
-``pool_mode="shared"`` interns the transaction rows once, coordinator
-side, into a :mod:`multiprocessing.shared_memory` segment every worker
-attaches zero-copy: the level-wise counting passes then ship only dense
-candidate-id arrays and support-count arrays, never pickled transactions
-or item dataclasses.  Partial results merge in partition order, and
-every merge is either a ``Counter`` sum or an
-extend-in-partition-order, so parallel runs are bit-identical to serial
-ones — the parity is asserted by the tests.
+What is resident.  A mine holds, next to the one decoded + encoded
+partition, the interned D': one ``array('i')`` per record (4 B per item
+occurrence plus the array header) and, inside the miner, one
+``n_records``-bit tid-mask per item and per live candidate of the
+current level.  Measured at 2 000 paths: 276 items → 69 KB of item
+masks, peak RSS within 1 MB of the disk-resident miner it replaced.
+At 100 000 paths a mask is ~12.5 KB: ~3.5 MB of item masks, ~17 MB of
+id rows (~22 ids, ~170 B per record), and — the term that dominates —
+~90 MB for the widest candidate level (≈ 7 200 candidates at δ = 2 %).
+So the mine is O(encoded database) in *compact ids* plus O(widest
+level × n_records bits), never O(decoded database); the cube passes
+stay O(one partition + cells).
+:class:`BuildStats.max_live_transaction_dbs` *proves* the one-partition
+claim for the decoded/encoded form: every partition read — decoded for
+the cube passes, encoded for the mining pass — is bracketed by a
+live-count tracker, and the recorded per-process peak is asserted to be
+1 in the tests.
 
-Peak memory is O(one partition + counters/cells) per process, never
-O(database), and :class:`BuildStats.max_live_transaction_dbs` *proves*
-the one-partition claim: every partition read — decoded for the cube
-passes, encoded for the mining passes — is bracketed by a live-count
-tracker, and the recorded per-process peak is asserted to be 1 in the
-tests.
+:func:`build_cube` accepts ``jobs``: with ``jobs > 1`` the per-partition
+scans of each pass and the per-cell exception pass run on a persistent
+fork-once :class:`~repro.perf.pool.WorkerPool` (one batched task per
+partition per pass, routed to its affine worker slot).  Callers may pass
+their own ``pool=`` to amortise the fork across many builds.  Partial
+results merge in partition order, and every merge is an
+extend-in-partition-order, so parallel runs are bit-identical to serial
+ones — the parity is asserted by the tests.  Mining never forks: its
+only record-linear cost is the encode pass.
 
 Partition decode cost follows the store's format transparently: every
 scan goes through :func:`~repro.store.partition.read_partition`, so on
-a ``"binary"`` store (the default) the fused scan1+pack pass and the
-worker-side re-reads deserialise columnar arenas with bulk
-``array.frombytes`` instead of parsing CSV text — the per-pass decode
-drops from per-field Python to a handful of C calls, coordinator and
-workers alike.
+a ``"binary"`` store (the default) partitions deserialise from columnar
+arenas with bulk ``array.frombytes`` instead of parsing CSV text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import time
 from array import array
-from collections import Counter
 from datetime import datetime, timezone
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -85,28 +89,11 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.encoding.transactions import EncodingMemo, TransactionDatabase
 from repro.errors import CubeError
-from repro.mining.apriori import count_candidates, generate_candidates
 from repro.mining.result import FlowMiningResult, item_sort_key
-from repro.mining.shared import (
-    high_level_projection,
-    next_precount_length,
-    precount_prune,
-    shared_pair_filter,
-    top_path_level_id,
-)
+from repro.mining.shared import mine_interned
 from repro.mining.stats import MiningStats
-from repro.perf.bitmap import count_candidates_masks
-from repro.perf.interning import ItemInterner
-from repro.perf.pool import (
-    WorkerPool,
-    cached_masks,
-    cached_setrows,
-    count_ids_masks,
-    count_ids_scan,
-    resolve_jobs,
-    shared_rows,
-    worker_context,
-)
+from repro.perf.interning import InternedTransactions, ItemInterner
+from repro.perf.pool import WorkerPool, resolve_jobs, worker_context
 from repro.perf.measure_rollup import (
     ENGINES,
     assemble_cuboids,
@@ -119,21 +106,14 @@ from repro.perf.measure_rollup import (
 from repro.store.pathstore import PartitionedPathStore
 
 __all__ = [
-    "POOL_MODES",
     "STORE_KERNELS",
     "BuildStats",
     "build_cube",
     "shared_mine_store",
 ]
 
-#: Per-partition counting kernels accepted by :func:`shared_mine_store`.
+#: Per-cell exception kernels accepted by :func:`build_cube`.
 STORE_KERNELS = ("bitmap", "scan")
-
-#: Mining-pass transaction residency under ``jobs > 1``: ``"shared"``
-#: interns rows once into a shared-memory segment all workers attach;
-#: ``"plain"`` keeps the PR-2 behaviour (each worker re-encodes its
-#: affine partitions from disk) for hosts without usable ``/dev/shm``.
-POOL_MODES = ("shared", "plain")
 
 
 @dataclass
@@ -143,7 +123,8 @@ class BuildStats:
     Attributes:
         partitions: Partition files in the store when the build started.
         records: Total path records scanned (per full pass).
-        scans: Partition files read across the whole build.
+        scans: Partition files read across the whole build (one per
+            partition per mine, one per partition per cube pass).
         max_live_transaction_dbs: Peak number of partition databases —
             decoded :class:`~repro.core.path_database.PathDatabase` or
             encoded :class:`TransactionDatabase` — alive at once in any
@@ -166,8 +147,8 @@ class BuildStats:
             paid (zero when it reused an already-started pool).
         pool: Lifetime counters of the :class:`~repro.perf.pool.WorkerPool`
             the build ran on (:meth:`~repro.perf.pool.PoolStats.as_dict`
-            snapshot: spawn count/seconds, shm segments/bytes, task
-            batches, worker busy seconds); empty for serial builds.
+            snapshot: spawn count/seconds, task batches, worker busy
+            seconds); empty for serial builds.
     """
 
     partitions: int = 0
@@ -244,59 +225,6 @@ class _LiveTracker:
 # picklable partial result; the drivers merge partials in partition
 # order.  Keeping the bodies pure is what makes serial and parallel runs
 # provably identical.
-
-def _high_projection(
-    transaction: frozenset, path_lattice: PathLattice, top_id: int | None
-) -> tuple:
-    """One transaction's sorted high-abstraction-level item projection."""
-    projected = {
-        high_level_projection(item, path_lattice, top_id)
-        for item in transaction
-    }
-    projected.discard(None)
-    return tuple(sorted(projected, key=item_sort_key))
-
-
-def _mine_scan1_partition(
-    transactions: Sequence[frozenset],
-    path_lattice: PathLattice,
-    top_id: int | None,
-    next_precount: int | None,
-) -> tuple[Counter, Counter | None]:
-    """Scan 1 over one partition: item counts + optional pre-count table."""
-    counts: Counter = Counter()
-    table: Counter | None = Counter() if next_precount is not None else None
-    for transaction in transactions:
-        counts.update(transaction)
-        if next_precount is not None:
-            high = _high_projection(transaction, path_lattice, top_id)
-            for combo in itertools.combinations(high, next_precount):
-                table[frozenset(combo)] += 1
-    return counts, table
-
-
-def _mine_count_partition(
-    transactions: Sequence[frozenset],
-    candidates: Sequence[tuple],
-    kernel: str,
-    path_lattice: PathLattice,
-    top_id: int | None,
-    next_precount: int | None,
-) -> tuple[Counter, Counter | None]:
-    """One level-wise pass over one partition: candidate supports."""
-    if kernel == "bitmap":
-        support = count_candidates_masks(transactions, candidates)
-    else:
-        support = count_candidates(transactions, candidates, None)
-    table: Counter | None = None
-    if next_precount is not None:
-        table = Counter()
-        for transaction in transactions:
-            high = _high_projection(transaction, path_lattice, top_id)
-            for combo in itertools.combinations(high, next_precount):
-                table[frozenset(combo)] += 1
-    return support, table
-
 
 def _membership_partition(
     database, levels: Sequence[ItemLevel], hierarchies
@@ -398,9 +326,8 @@ def _roll_up(dims: tuple, item_level: ItemLevel, hierarchies) -> CellKey:
 # by :class:`~repro.perf.pool.WorkerPool` against the per-process context
 # dict (:func:`~repro.perf.pool.worker_context`).  The pool is persistent
 # — it may outlive this build and serve the next one — so a build never
-# assumes fresh workers: it *binds* its store with a broadcast task, and
-# every derived cache is keyed by the shared-segment key the bind/attach
-# cycle invalidates.
+# assumes fresh workers: it *binds* its store with a broadcast task,
+# which also drops the one-slot partition cache.
 
 
 def _task_bind_store(store_dir: str, path_lattice: PathLattice) -> bool:
@@ -414,114 +341,26 @@ def _task_bind_store(store_dir: str, path_lattice: PathLattice) -> bool:
     ctx["store"] = PartitionedPathStore.open(store_dir)
     ctx["lattice"] = path_lattice
     ctx["cached"] = None
-    # One encoding memo per worker per build: every partition this
-    # worker encodes shares the ancestor-closure caches.
-    ctx["memo"] = EncodingMemo()
     return True
 
 
-def _task_bind_alphabet(key: object, items: list) -> int:
-    """Install the mining alphabet (id → item) for a shared segment.
-
-    The only per-build payload that ships actual item dataclasses — once
-    per worker, not once per task — so shared-mode count passes can
-    reconstruct high-level projections for the pre-count tables.
-    """
-    worker_context()[("alphabet", key)] = items
-    return len(items)
-
-
-def _worker_partition(partition_id: int, encode: bool):
+def _worker_partition(partition_id: int):
     """The task's partition, via a one-slot per-process cache.
 
-    Consecutive tasks for the same partition (common: each level-wise
-    pass touches every partition) reuse the loaded — and, for mining
-    tasks, encoded — data instead of re-reading the file.  The slot is
-    dropped *before* a different partition is loaded, so each worker
-    still holds at most one partition at any instant (the gauge's
-    per-process invariant).
+    Consecutive tasks for the same partition (the direct engine's
+    membership pass, then its aggregation pass) reuse the loaded data
+    instead of re-reading the file.  The slot is dropped *before* a
+    different partition is loaded, so each worker still holds at most
+    one partition at any instant (the gauge's per-process invariant).
     """
     ctx = worker_context()
     cached = ctx["cached"]
-    if cached is None or cached["partition_id"] != partition_id:
+    if cached is None or cached[0] != partition_id:
         ctx["cached"] = None  # drop before loading: ≤ 1 live
         store: PartitionedPathStore = ctx["store"]
-        cached = {
-            "partition_id": partition_id,
-            "database": store.load_partition(partition_id),
-            "transactions": None,
-        }
+        cached = (partition_id, store.load_partition(partition_id))
         ctx["cached"] = cached
-    if encode and cached["transactions"] is None:
-        encoded = TransactionDatabase(
-            cached["database"],
-            ctx["lattice"],
-            include_top_level=False,
-            memo=ctx.get("memo"),
-        )
-        cached["transactions"] = [t.items for t in encoded.transactions]
-    return cached
-
-
-def _cached_high_projections(
-    key: object, partition_id: int, top_id: int | None
-) -> list[tuple]:
-    """One shared partition's high-level projections, cached per process.
-
-    Decoded from the zero-copy id rows through the broadcast alphabet
-    exactly once per partition per build; the pre-count passes are the
-    only consumers.  The cache slot is keyed by the segment key, so
-    detaching the segment (new build, new data) drops it.
-    """
-    ctx = worker_context()
-    cache = ctx.setdefault(("highproj", key), {})
-    entry = cache.get(partition_id)
-    if entry is None:
-        alphabet = ctx[("alphabet", key)]
-        path_lattice = ctx["lattice"]
-        entry = [
-            _high_projection(
-                [alphabet[item_id] for item_id in row], path_lattice, top_id
-            )
-            for row in shared_rows(key).rows(partition_id)
-        ]
-        cache[partition_id] = entry
-    return entry
-
-
-def _task_count_shared(
-    partition_id: int,
-    key: object,
-    flat: array,
-    lengths: array,
-    kernel: str,
-    next_precount: int | None,
-    top_id: int | None,
-    n_items: int,
-) -> tuple[array, Counter | None]:
-    """One level-wise counting pass over one shared-memory partition.
-
-    Candidates arrive as a flat id array + per-candidate lengths (nothing
-    but machine ints crosses the pipe); supports leave as one
-    ``array('q')`` aligned with candidate order.  The transaction rows
-    themselves never travel — they are read from the attached segment,
-    through per-partition mask / frozenset caches that persist across the
-    level-wise passes.
-    """
-    if kernel == "bitmap":
-        masks = cached_masks(key, partition_id, n_items)
-        support = count_ids_masks(masks, flat, lengths)
-    else:
-        support = count_ids_scan(
-            cached_setrows(key, partition_id), flat, lengths
-        )
-    table: Counter | None = None
-    if next_precount is not None:
-        table = Counter()
-        for high in _cached_high_projections(key, partition_id, top_id):
-            for combo in itertools.combinations(high, next_precount):
-                table[frozenset(combo)] += 1
-    return support, table
+    return cached[1]
 
 
 def _task_exceptions(
@@ -558,23 +397,11 @@ def _task_exceptions(
 
 
 def _task_scan(kind: str, partition_id: int, payload: tuple):
-    """One partition of one pass (the disk-resident task shapes)."""
+    """One partition of one cube-building pass."""
     ctx = worker_context()
     store: PartitionedPathStore = ctx["store"]
     path_lattice: PathLattice = ctx["lattice"]
-    cached = _worker_partition(partition_id, encode=kind in ("scan1", "count"))
-    database = cached["database"]
-    if kind == "scan1":
-        top_id, next_precount = payload
-        return _mine_scan1_partition(
-            cached["transactions"], path_lattice, top_id, next_precount
-        )
-    if kind == "count":
-        top_id, candidates, kernel, next_precount = payload
-        return _mine_count_partition(
-            cached["transactions"], candidates, kernel, path_lattice, top_id,
-            next_precount,
-        )
+    database = _worker_partition(partition_id)
     if kind == "membership":
         (levels,) = payload
         return _membership_partition(database, levels, store.schema.dimensions)
@@ -682,135 +509,29 @@ def _pooled_exception_pass(
     return run
 
 
-def _share_mining_rows(
-    store: PartitionedPathStore,
-    pool: WorkerPool,
-    key: object,
-    path_lattice: PathLattice,
-    top_id: int | None,
-    next_precount: int | None,
-    tracker: _LiveTracker,
-    build_stats: BuildStats | None,
-) -> tuple[Counter, Counter | None, ItemInterner]:
-    """Scan 1 fused with the shared-memory pack pass.
-
-    One serial read of each partition (the only file pass shared-mode
-    mining ever makes): encode, count singletons, pre-count the first
-    projection table, and intern every transaction into dense id rows.
-    The rows then go into one shared segment all workers attach, and the
-    alphabet (id → item) is broadcast once so workers can decode for
-    later pre-count tables.  Only the compact id arrays outlive a
-    partition on the coordinator's heap — the encoded database itself
-    stays one-at-a-time, which is what the tracker gauge asserts.
-    """
-    interner = ItemInterner()
-    counts: Counter = Counter()
-    table: Counter | None = Counter() if next_precount is not None else None
-    id_rows: list[list[array]] = []
-    memo = EncodingMemo()
-    for _, database in store.iter_partitions():
-        tracker.enter()
-        try:
-            if build_stats is not None:
-                build_stats.scans += 1
-            encoded = TransactionDatabase(
-                database, path_lattice, include_top_level=False, memo=memo
-            )
-            part_rows = []
-            for transaction in encoded.transactions:
-                items = transaction.items
-                counts.update(items)
-                if next_precount is not None:
-                    high = _high_projection(items, path_lattice, top_id)
-                    for combo in itertools.combinations(high, next_precount):
-                        table[frozenset(combo)] += 1
-                part_rows.append(interner.encode(items))
-            id_rows.append(part_rows)
-        finally:
-            tracker.exit()
-    pool.share_rows(key, id_rows)
-    pool.broadcast(_task_bind_alphabet, key, interner.items)
-    return counts, table, interner
-
-
-def _count_pass_shared(
-    store: PartitionedPathStore,
-    pool: WorkerPool,
-    key: object,
-    interner: ItemInterner,
-    candidates: Sequence[tuple],
-    kernel: str,
-    next_precount: int | None,
-    top_id: int | None,
-) -> Iterator[tuple[Counter, Counter | None]]:
-    """One level-wise counting pass over the shared rows, per partition.
-
-    Candidates are flattened into id arrays once, coordinator side; each
-    partition's ``array('q')`` support vector comes back aligned with
-    candidate order and is re-keyed to the item-space tuples here, so the
-    caller merges exactly what the disk-resident pass would have yielded
-    (zero-support candidates stay absent, Counter semantics supply the 0).
-    """
-    flat = array("i")
-    lengths = array("i")
-    for candidate in candidates:
-        lengths.append(len(candidate))
-        flat.extend([interner.id_of(item) for item in candidate])
-    n_items = len(interner)
-    for part_support, part_table in pool.map_partitions(
-        store.partition_ids(), _task_count_shared, key, flat, lengths,
-        kernel, next_precount, top_id, n_items,
-    ):
-        support: Counter = Counter()
-        for index, value in enumerate(part_support):
-            if value:
-                support[candidates[index]] = value
-        yield support, part_table
-
-
 def _scan_partitions(
     store: PartitionedPathStore,
     pool: WorkerPool | None,
     tracker: _LiveTracker,
-    build_stats: BuildStats | None,
+    build_stats: BuildStats,
     kind: str,
     payload: tuple,
     path_lattice: PathLattice,
 ) -> Iterator:
     """Run one pass over every partition, yielding partials in order.
 
-    Serial (``pool is None``): partitions are loaded — and, for the
-    mining passes, encoded — one at a time inside the tracker bracket.
-    Parallel: one task per partition, routed to its affine pool slot;
-    results are consumed in partition order (each worker holds one live
-    partition, so the tracker records the per-process peak of 1).
+    Serial (``pool is None``): partitions are loaded one at a time
+    inside the tracker bracket.  Parallel: one task per partition,
+    routed to its affine pool slot; results are consumed in partition
+    order (each worker holds one live partition, so the tracker records
+    the per-process peak of 1).
     """
-    encode = kind in ("scan1", "count")
     if pool is None:
-        memo = EncodingMemo()
         for _, database in store.iter_partitions():
             tracker.enter()
             try:
-                if build_stats is not None:
-                    build_stats.scans += 1
-                if encode:
-                    encoded = TransactionDatabase(
-                        database, path_lattice, include_top_level=False,
-                        memo=memo,
-                    )
-                    transactions = [t.items for t in encoded.transactions]
-                    if kind == "scan1":
-                        top_id, next_precount = payload
-                        yield _mine_scan1_partition(
-                            transactions, path_lattice, top_id, next_precount
-                        )
-                    else:
-                        top_id, candidates, kernel, next_precount = payload
-                        yield _mine_count_partition(
-                            transactions, candidates, kernel, path_lattice,
-                            top_id, next_precount,
-                        )
-                elif kind == "membership":
+                build_stats.scans += 1
+                if kind == "membership":
                     (levels,) = payload
                     yield _membership_partition(
                         database, levels, store.schema.dimensions
@@ -836,8 +557,7 @@ def _scan_partitions(
         ]
         for future in futures:
             result = future.result()
-            if build_stats is not None:
-                build_stats.scans += 1
+            build_stats.scans += 1
             # Each worker process holds at most one live partition.
             tracker.enter()
             tracker.exit()
@@ -851,19 +571,22 @@ def shared_mine_store(
     max_length: int | None = None,
     precount_lengths: tuple[int, ...] = (2,),
     build_stats: BuildStats | None = None,
-    kernel: str = "bitmap",
     jobs: int = 1,
     pool: WorkerPool | None = None,
-    pool_mode: str = "shared",
 ) -> FlowMiningResult:
-    """Algorithm 1 over a partitioned store, one partition in memory at a time.
+    """Algorithm 1 over a partitioned store: encode once, mine resident.
 
-    Level-wise structure, candidate generation, and every pruning rule are
-    identical to :func:`~repro.mining.shared.shared_mine`; only the
-    counting strategy differs — each logical pass over D' becomes a
-    sequence of per-partition scans whose partial supports merge by
-    Counter addition.  Supports are additive over the disjoint partition
-    of D', so the mined result is exactly the in-memory one.
+    One file pass decodes and encodes each partition in turn — exactly
+    one :class:`TransactionDatabase` alive at a time, one
+    :class:`EncodingMemo` for the pass — and interns its transactions
+    into dense id rows appended, in partition order, to a single
+    :class:`~repro.perf.interning.InternedTransactions`.  The level-wise
+    passes then run :func:`~repro.mining.shared.mine_interned`, the same
+    kernel :func:`~repro.mining.shared.shared_mine` runs, over those
+    resident rows; no partition is read twice.  Row *t* of the
+    concatenation is transaction *t* of the concatenated store, so the
+    supports, the mining counters and the iteration order of
+    ``segments_by_cell()`` are exactly the in-memory miner's.
 
     Args:
         store: The partitioned path store (the database D).
@@ -871,38 +594,26 @@ def shared_mine_store(
         min_support: δ, fractional (<1) or absolute, resolved against the
             store's total record count.
         max_length: Optional bound on pattern length.
-        precount_lengths: As in ``shared_mine``; high-level projections
-            are recomputed per scan instead of cached per transaction, so
-            pre-counting stays O(partition) in memory.
-        build_stats: Optional :class:`BuildStats` to fill (partition scans
-            and the live-partition peak).
-        kernel: Per-partition counting — ``"bitmap"`` (default, local
-            item masks + k-way AND) or ``"scan"`` (subset tests);
-            identical supports.
-        jobs: Partition scans run on a worker pool of this size when
-            ``> 1`` (default 1 = serial; ``0`` resolves to
-            ``cpu_count - 1``); results are identical either way.
-        pool: An already-running :class:`~repro.perf.pool.WorkerPool` to
-            run on instead of forking a build-owned one — the pool is
-            left running for the caller's next build.  Overrides *jobs*.
-        pool_mode: ``"shared"`` (default) interns the transaction rows
-            once into shared memory (workers read zero-copy, count passes
-            ship only id/support arrays); ``"plain"`` keeps the
-            disk-resident behaviour where each worker re-encodes its
-            affine partitions.  Identical results.
+        precount_lengths: As in ``shared_mine``.
+        build_stats: Optional :class:`BuildStats` to fill: one scan per
+            partition, the live-partition peak, and the miner's
+            ``encode`` / ``precount`` / ``count`` / ``join`` / ``prune``
+            phase buckets (partition read + encode + intern under
+            ``encode``).
+        jobs: Validated like :func:`build_cube`'s (``0`` resolves to
+            ``cpu_count - 1``; negatives and non-integers raise
+            :class:`~repro.errors.StoreError`) and otherwise unused:
+            mining runs in the calling process and forks nothing — the
+            only record-linear cost is the encode pass, and the
+            level-wise passes over the resident masks are too short to
+            repay a fork.
+        pool: Accepted so callers can pass this function and
+            :func:`build_cube` the same keyword arguments; unused.
 
     Returns:
         A :class:`~repro.mining.result.FlowMiningResult`.
     """
-    if kernel not in STORE_KERNELS:
-        raise ValueError(
-            f"unknown counting kernel {kernel!r}; expected {STORE_KERNELS}"
-        )
-    if pool_mode not in POOL_MODES:
-        raise ValueError(
-            f"unknown pool mode {pool_mode!r}; expected {POOL_MODES}"
-        )
-    jobs = resolve_jobs(jobs)
+    resolve_jobs(jobs)
     stats = MiningStats()
     started = time.perf_counter()
     if path_lattice is None:
@@ -912,115 +623,41 @@ def shared_mine_store(
         build_stats.partitions = len(store.catalog.partitions)
         build_stats.records = len(store)
     threshold = resolve_min_support(min_support, len(store))
-    top_id = top_path_level_id(path_lattice)
 
-    pool, pool_owned = _ensure_pool(store, path_lattice, jobs, pool, build_stats)
-    use_shm = pool is not None and pool_mode == "shared"
-    shm_key = str(store.directory)
-    interner: ItemInterner | None = None
-    try:
-        # --- Scan 1: single-item counts + pre-count of min(precount) -----
-        phase = time.perf_counter()
-        precounts: dict[int, Counter] = {}
-        next_precount = next_precount_length(precount_lengths, 1)
-        if use_shm:
-            # Fused with the shared-memory pack: the one and only file
-            # pass of a shared-mode mine.
-            counts, merged_table, interner = _share_mining_rows(
-                store, pool, shm_key, path_lattice, top_id, next_precount,
-                tracker, build_stats,
+    interner = ItemInterner(sort_key=item_sort_key)
+    rows: list[array] = []
+    memo = EncodingMemo()
+    for _, database in store.iter_partitions():
+        tracker.enter()
+        try:
+            if build_stats is not None:
+                build_stats.scans += 1
+            encoded = TransactionDatabase(
+                database, path_lattice, include_top_level=False, memo=memo
             )
-        else:
-            counts = Counter()
-            merged_table = Counter() if next_precount is not None else None
-            for part_counts, part_table in _scan_partitions(
-                store, pool, tracker, build_stats,
-                "scan1", (top_id, next_precount), path_lattice,
-            ):
-                counts.update(part_counts)
-                if part_table is not None:
-                    merged_table.update(part_table)
-        if merged_table is not None:
-            precounts[next_precount] = merged_table
-        stats.add_phase("count", time.perf_counter() - phase)
-        stats.scans += 1
-        stats.candidates_per_length[1] = len(counts)
-        if next_precount in precounts:
-            stats.precounted_patterns += len(precounts[next_precount])
-
-        frequent_sorted = sorted(
-            ((item,) for item, n in counts.items() if n >= threshold),
-            key=lambda t: item_sort_key(t[0]),
-        )
-        stats.frequent_per_length[1] = len(frequent_sorted)
-        supports: dict[frozenset, int] = {
-            frozenset(t): counts[t[0]] for t in frequent_sorted
-        }
-
-        # --- Level-wise loop: one partitioned scan per candidate length --
-        length = 1
-        while frequent_sorted and (max_length is None or length < max_length):
-            phase = time.perf_counter()
-            candidates = generate_candidates(
-                frequent_sorted, shared_pair_filter, stats, item_sort_key
+            rows.extend(
+                interner.encode(transaction.items)
+                for transaction in encoded.transactions
             )
-            stats.add_phase("join", time.perf_counter() - phase)
-            phase = time.perf_counter()
-            candidates = precount_prune(
-                candidates, precounts, threshold, path_lattice, top_id, stats
-            )
-            stats.add_phase("prune", time.perf_counter() - phase)
-            if not candidates:
-                break
-            next_precount = next_precount_length(precount_lengths, length + 1)
-            if next_precount in precounts:
-                next_precount = None
-            phase = time.perf_counter()
-            support: Counter = Counter()
-            merged_table = Counter() if next_precount is not None else None
-            if use_shm:
-                partials = _count_pass_shared(
-                    store, pool, shm_key, interner, candidates, kernel,
-                    next_precount, top_id,
-                )
-            else:
-                partials = _scan_partitions(
-                    store, pool, tracker, build_stats,
-                    "count", (top_id, candidates, kernel, next_precount),
-                    path_lattice,
-                )
-            for part_support, part_table in partials:
-                # Partial supports over a disjoint slice of D' — merging
-                # the per-partition Counters is exact.
-                support.update(part_support)
-                if part_table is not None:
-                    merged_table.update(part_table)
-            if merged_table is not None:
-                precounts[next_precount] = merged_table
-                stats.precounted_patterns += len(merged_table)
-            stats.add_phase("count", time.perf_counter() - phase)
-            stats.scans += 1
-            stats.candidates_per_length[length + 1] += len(candidates)
-            length += 1
-            frequent_sorted = [c for c in candidates if support[c] >= threshold]
-            stats.frequent_per_length[length] += len(frequent_sorted)
-            for itemset in frequent_sorted:
-                supports[frozenset(itemset)] = support[itemset]
-    finally:
-        if pool is not None:
-            pool.release_rows(shm_key)
-            if pool_owned:
-                pool.close()
+        finally:
+            tracker.exit()
+    stats.add_phase("encode", time.perf_counter() - started)
 
+    supports_by_ids = mine_interned(
+        InternedTransactions(interner, rows), threshold, path_lattice,
+        max_length, precount_lengths, stats,
+    )
     stats.elapsed_seconds = time.perf_counter() - started
     if build_stats is not None:
         build_stats.max_live_transaction_dbs = max(
             build_stats.max_live_transaction_dbs, tracker.peak
         )
         build_stats.elapsed_seconds += stats.elapsed_seconds
-        _finalise_pool_stats(build_stats, pool)
-    return FlowMiningResult(
-        supports=supports,
+        for phase, seconds in stats.phase_seconds.items():
+            build_stats.add_phase(phase, seconds)
+    return FlowMiningResult.from_interned(
+        supports_by_ids,
+        interner,
         threshold=threshold,
         n_transactions=len(store),
         schema=store.schema,
@@ -1047,7 +684,6 @@ def build_cube(
     jobs: int = 1,
     engine: str = "rollup",
     pool: WorkerPool | None = None,
-    pool_mode: str = "shared",
 ):
     """Materialise the iceberg flowcube of a partitioned store.
 
@@ -1092,15 +728,13 @@ def build_cube(
             persisted and dropped as soon as it is built, keeping the
             output out-of-core too.
         stats: Optional :class:`BuildStats` to fill.
-        kernel: ``"bitmap"`` (default) or ``"scan"`` — selects both the
-            counting kernel :func:`shared_mine_store` uses when
-            *use_shared* is set and the per-cell exception kernel
-            (:mod:`repro.perf.exception_kernel` vs the per-path re-scan).
-            Identical cubes either way.
-        jobs: Partition scans (membership, aggregation, the optional
-            Shared pre-mine, and the per-cell exception pass) run on a
-            worker pool of this size when ``> 1`` (``0`` resolves to
-            ``cpu_count - 1``); the built cube is identical either way.
+        kernel: ``"bitmap"`` (default) or ``"scan"`` — the per-cell
+            exception kernel (:mod:`repro.perf.exception_kernel` vs the
+            per-path re-scan).  Identical cubes either way.
+        jobs: Partition scans (membership, aggregation) and the
+            per-cell exception pass run on a worker pool of this size
+            when ``> 1`` (``0`` resolves to ``cpu_count - 1``); the
+            built cube is identical either way.
         engine: ``"rollup"`` (default) or ``"direct"``; both engines —
             serial or parallel, in-memory or out-of-core — produce
             byte-identical serialised cubes (asserted by the property
@@ -1109,9 +743,6 @@ def build_cube(
             run every parallel pass on — overrides *jobs*, stays running
             afterwards.  Without it, ``jobs > 1`` forks a build-owned
             pool closed before returning.
-        pool_mode: Mining-row residency for the Shared pre-mine —
-            ``"shared"`` (default, shared-memory rows) or ``"plain"``
-            (workers re-encode from disk); see :func:`shared_mine_store`.
 
     Returns:
         The :class:`FlowCube`, or *into* (flushed) when a cube store was
@@ -1124,10 +755,6 @@ def build_cube(
     if kernel not in STORE_KERNELS:
         raise CubeError(
             f"unknown kernel {kernel!r}; expected one of {STORE_KERNELS}"
-        )
-    if pool_mode not in POOL_MODES:
-        raise CubeError(
-            f"unknown pool mode {pool_mode!r}; expected one of {POOL_MODES}"
         )
     jobs = resolve_jobs(jobs)
     started = time.perf_counter()
@@ -1159,9 +786,6 @@ def build_cube(
                 path_lattice,
                 min_support=min_support,
                 build_stats=build_stats,
-                kernel=kernel,
-                pool=pool,
-                pool_mode=pool_mode,
             ).segments_by_cell()
 
         if engine == "rollup":

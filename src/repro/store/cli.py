@@ -216,19 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "run partition scans on N persistent worker processes "
-            "(default 1: serial; 0: cpu_count - 1)"
-        ),
-    )
-    build.add_argument(
-        "--pool",
-        choices=("shared", "plain"),
-        default="shared",
-        help=(
-            "mining-row residency under --jobs: 'shared' interns "
-            "transactions once into shared memory (workers read "
-            "zero-copy); 'plain' re-encodes partitions in each worker "
-            "(identical output)"
+            "run the cube's partition scans and exception pass on N "
+            "persistent worker processes (default 1: serial; 0: "
+            "cpu_count - 1); --shared pre-mining always runs in-process"
         ),
     )
     build.add_argument(
@@ -246,10 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("bitmap", "scan"),
         default="bitmap",
         help=(
-            "counting kernel for Shared pre-mining and the per-cell "
-            "exception pass: 'bitmap' answers every count with an AND + "
-            "popcount over tid bitmaps; 'scan' re-walks the paths "
-            "(identical output)"
+            "kernel of the per-cell exception pass: 'bitmap' answers "
+            "every count with an AND + popcount over tid bitmaps; "
+            "'scan' re-walks the paths (identical output)"
         ),
     )
 
@@ -540,7 +529,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         jobs=jobs,
         engine=args.engine,
         kernel=args.kernel,
-        pool_mode=args.pool,
     )
     print(
         f"built {stats.cells} cells in {stats.cuboids} cuboids from "

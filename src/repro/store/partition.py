@@ -156,25 +156,35 @@ def summarise_partition(database: PathDatabase) -> dict[str, BloomSummary]:
 
     Every dimension value and stage location is inserted together with its
     full ancestor chain (excluding the apex ``*``), so queries phrased at
-    any hierarchy level prune correctly.
+    any hierarchy level prune correctly.  :meth:`BloomSummary.add` is
+    idempotent and keeps no counts, so each column's distinct values are
+    collected first and every distinct concept is hashed once — the bits
+    are those of adding per record.
     """
     schema = database.schema
     summaries: dict[str, BloomSummary] = {
         f"dim:{h.name}": BloomSummary() for h in schema.dimensions
     }
     summaries[LOCATION_SUMMARY] = BloomSummary()
+    dim_values: list[set[str]] = [set() for _ in schema.dimensions]
+    locations: set[str] = set()
     for record in database:
-        for hierarchy, value in zip(schema.dimensions, record.dims):
-            summary = summaries[f"dim:{hierarchy.name}"]
-            for concept in hierarchy.ancestors(value, include_self=True):
-                if concept != "*":
-                    summary.add(concept)
-        location_summary = summaries[LOCATION_SUMMARY]
+        for values, value in zip(dim_values, record.dims):
+            values.add(value)
         for stage in record.path:
-            chain = schema.location.ancestors(stage.location, include_self=True)
-            for concept in chain:
-                if concept != "*":
-                    location_summary.add(concept)
+            locations.add(stage.location)
+    columns = [
+        (summaries[f"dim:{h.name}"], h, values)
+        for h, values in zip(schema.dimensions, dim_values)
+    ]
+    columns.append((summaries[LOCATION_SUMMARY], schema.location, locations))
+    for summary, hierarchy, values in columns:
+        concepts: set[str] = set()
+        for value in values:
+            concepts.update(hierarchy.ancestors(value, include_self=True))
+        concepts.discard("*")
+        for concept in concepts:
+            summary.add(concept)
     return summaries
 
 

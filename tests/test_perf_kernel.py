@@ -1,14 +1,16 @@
 """The interned bitmap counting kernel and parallel partition scans.
 
-The whole perf layer rests on one contract: a kernel or a worker pool is
-an *implementation detail* — every counting strategy and every ``jobs``
-setting must produce byte-identical mining results, down to the
-per-length candidate/frequent counters.  These tests pin that contract:
+The whole perf layer rests on one contract: a kernel, a residency or a
+worker pool is an *implementation detail* — every counting strategy and
+every ``jobs`` setting must produce byte-identical mining results, down
+to the per-length candidate/frequent counters.  These tests pin that
+contract:
 
 * property tests drive ``shared_mine`` with both kernels and ``apriori``
   with both counting modes over random databases;
-* ``shared_mine_store`` is checked parallel-vs-serial (and vs in-memory),
-  including the ≤ 1 live-partition gauge;
+* ``shared_mine_store`` is checked against in-memory ``shared_mine``
+  (both kernels) over partitioning × format × δ × pre-count × length
+  bound, with one read per partition and the ≤ 1 live-partition gauge;
 * the interning and bitmap primitives are unit-tested directly;
 * ``jobs`` validation and the CLI ``--jobs`` flag fail loudly on bad
   values.
@@ -17,15 +19,19 @@ per-length candidate/frequent counters.  These tests pin that contract:
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lattice import PathLattice
+from repro.core.path_database import PathDatabase
 from repro.encoding.transactions import TransactionDatabase
 from repro.errors import StoreError
 from repro.mining import MiningStats, apriori, count_candidates, shared_mine
+from repro.mining.shared import KERNELS
 from repro.perf.bitmap import count_candidates_masks, item_masks
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.store import (
@@ -122,26 +128,102 @@ def test_shared_mine_reuses_encoded_database(database):
 
 
 # ----------------------------------------------------------------------
-# store mining: parallel vs serial vs in-memory
+# store mining: the resident miner vs in-memory, on every axis
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kernel", ["bitmap", "scan"])
-def test_store_mining_parallel_equals_serial(store, database, kernel):
-    reference = shared_mine(database, min_support=MIN_SUPPORT)
-    for jobs in (1, 2):
-        build_stats = BuildStats()
-        result = shared_mine_store(
-            store,
-            min_support=MIN_SUPPORT,
-            kernel=kernel,
-            jobs=jobs,
-            build_stats=build_stats,
+def _assert_same_mining(mined, database, **options):
+    """Store result == in-memory ``shared_mine``, bitmap and tidset oracle."""
+    for kernel in KERNELS:
+        reference = shared_mine(database, kernel=kernel, **options)
+        assert mined.supports == reference.supports
+        assert mined.threshold == reference.threshold
+        assert mined.stats.counters_equal(reference.stats)
+        assert list(mined.segments_by_cell().items()) == list(
+            reference.segments_by_cell().items()
         )
-        assert result.supports == reference.supports
-        assert result.stats.counters_equal(reference.stats)
-        # Out-of-core invariant: never more than one live partition per
-        # process, serial or parallel.
-        assert build_stats.max_live_transaction_dbs == 1
+
+
+@given(
+    database=path_databases(),
+    n_partitions=st.sampled_from([1, 3, 8]),
+    store_format=st.sampled_from(["binary", "json"]),
+    min_support=st.one_of(
+        st.integers(min_value=3, max_value=8), st.sampled_from([0.15, 0.25])
+    ),
+    precount_lengths=st.sampled_from([(), (2,), (2, 3)]),
+    max_length=st.sampled_from([None, 1, 2]),
+)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_store_mining_equals_in_memory(
+    database, n_partitions, store_format, min_support, precount_lengths,
+    max_length,
+):
+    options = {
+        "min_support": min_support,
+        "precount_lengths": precount_lengths,
+        "max_length": max_length,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        s = PartitionedPathStore.init(
+            Path(tmp) / "wh",
+            database.schema,
+            partition_size=math.ceil(len(database) / n_partitions),
+            store_format=store_format,
+        )
+        s.ingest(database)
+        build_stats = BuildStats()
+        mined = shared_mine_store(s, build_stats=build_stats, **options)
+        s.close()
+    assert build_stats.scans == build_stats.partitions
+    assert build_stats.max_live_transaction_dbs == 1
+    _assert_same_mining(mined, database, **options)
+
+
+def test_store_mining_reads_each_partition_once(store, database, monkeypatch):
+    """One encode pass, nothing forked, the in-memory miner's phase buckets."""
+    import repro.store.pathstore as pathstore
+
+    reads = []
+    read_partition = pathstore.read_partition
+
+    def counting(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_partition(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathstore, "read_partition", counting)
+    build_stats = BuildStats()
+    mined = shared_mine_store(
+        store, min_support=MIN_SUPPORT, jobs=2, build_stats=build_stats
+    )
+    assert reads == [meta.filename for meta in store.catalog.partitions]
+    assert build_stats.scans == len(reads) == 3
+    assert build_stats.max_live_transaction_dbs == 1
+    # ``jobs`` is validated but spawns nothing: no pool ran.
+    assert build_stats.pool == {}
+    reference = shared_mine(database, min_support=MIN_SUPPORT)
+    assert (
+        set(build_stats.phase_seconds)
+        == set(mined.stats.phase_seconds)
+        == set(reference.stats.phase_seconds)
+        == {"encode", "precount", "count", "join", "prune"}
+    )
+
+
+@pytest.mark.parametrize("n_records", [0, 1])
+def test_store_mining_on_degenerate_stores(tmp_path, database, n_records):
+    tiny = PathDatabase(database.schema, database.records[:n_records])
+    s = PartitionedPathStore.init(tmp_path / "wh", tiny.schema)
+    s.ingest(tiny)
+    build_stats = BuildStats()
+    mined = shared_mine_store(s, min_support=1, build_stats=build_stats)
+    assert build_stats.scans == n_records
+    assert build_stats.max_live_transaction_dbs == n_records
+    assert bool(mined.supports) == bool(n_records)
+    _assert_same_mining(mined, tiny, min_support=1)
 
 
 def test_build_cube_parallel_equals_serial(store, database):

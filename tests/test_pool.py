@@ -1,24 +1,20 @@
-"""The persistent worker pool: parity hammer and shm lifecycle.
+"""The persistent worker pool: parity hammer and worker failures.
 
 The pool's contract mirrors the kernel contract one layer up: forked
-workers, shared-memory row segments, and batched per-partition tasks are
-*implementation details* — every ``jobs`` count, every ``pool_mode``,
-and every kernel×engine combination must produce byte-identical cubes
-with identical per-cell exception lists.  And because the segments live
-in ``/dev/shm`` outside the process, their lifecycle is absolute: they
-unlink on pool close even when a worker raised mid-build.
+workers and batched per-partition tasks are *implementation details* —
+every ``jobs`` count and every kernel×engine combination must produce
+byte-identical cubes with identical per-cell exception lists, and a
+worker that raises takes neither the pool nor its other slots down.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from pathlib import Path
 
 import pytest
 
 from repro.core.serialization import cube_to_json
-from repro.perf.pool import PoolStats, SharedRows, WorkerPool
+from repro.perf.pool import PoolStats, WorkerPool
 from repro.store import BuildStats, PartitionedPathStore, build_cube
 from repro.synth import GeneratorConfig, generate_path_database, scaled_config
 
@@ -34,13 +30,6 @@ CONFIG = GeneratorConfig(
     seed=5,
 )
 MIN_SUPPORT = 0.1
-
-
-def _shm_names() -> set[str]:
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-POSIX-shm platform
-        return set()
-    return {entry.name for entry in root.iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -97,17 +86,8 @@ def test_pooled_builds_are_byte_identical(store, reference, jobs, engine, kernel
         assert stats.pool["task_batches"] > 0
 
 
-@pytest.mark.parametrize("pool_mode", ["shared", "plain"])
-def test_pool_modes_agree(store, reference, pool_mode):
-    cube = build_cube(
-        store, min_support=MIN_SUPPORT, jobs=2, pool_mode=pool_mode
-    )
-    assert cube_to_json(cube) == reference[0]
-
-
 def test_external_pool_reused_across_builds(store, reference):
     """One caller-owned pool serves consecutive builds of both engines."""
-    before = _shm_names()
     pool = WorkerPool(2).start()
     try:
         spawned = pool.stats.spawn_count
@@ -119,58 +99,37 @@ def test_external_pool_reused_across_builds(store, reference):
         assert pool.stats.spawn_count == spawned  # no respawn per build
     finally:
         pool.close()
-    assert _shm_names() - before == set()
 
 
-def test_bad_pool_mode_rejected(store):
-    with pytest.raises(Exception, match="pool mode"):
-        build_cube(store, min_support=MIN_SUPPORT, pool_mode="mmap")
+def test_use_shared_build_matches_premined_segments(store):
+    """``use_shared`` mines in-process even when the cube runs on a pool."""
+    serial = build_cube(store, min_support=MIN_SUPPORT, use_shared=True)
+    stats = BuildStats()
+    pooled = build_cube(
+        store, min_support=MIN_SUPPORT, use_shared=True, jobs=2, stats=stats
+    )
+    assert cube_to_json(pooled) == cube_to_json(serial)
+    assert _exception_lists(pooled) == _exception_lists(serial)
+    assert stats.max_live_transaction_dbs == 1
 
 
 # ----------------------------------------------------------------------
-# shared-memory lifecycle
+# worker failures
 # ----------------------------------------------------------------------
-
-def test_shared_rows_roundtrip():
-    partitions = [
-        [array("i", [0, 2, 5]), array("i", [1])],
-        [],
-        [array("i", [3, 4])],
-    ]
-    before = _shm_names()
-    rows = SharedRows.pack(partitions)
-    try:
-        assert [list(r) for r in rows.rows(0)] == [[0, 2, 5], [1]]
-        assert list(rows.rows(1)) == []
-        assert [list(r) for r in rows.rows(2)] == [[3, 4]]
-        attached = SharedRows.attach(rows.name)
-        assert [list(r) for r in attached.rows(0)] == [[0, 2, 5], [1]]
-        attached.close()
-        masks = rows.item_masks(0, 6)
-        assert [m.bit_count() for m in masks] == [1, 1, 1, 0, 0, 1]
-    finally:
-        rows.close()
-    assert _shm_names() - before == set()
-
 
 def _boom(partition_id: int) -> None:
     raise RuntimeError(f"worker exploded on partition {partition_id}")
 
 
-def test_shm_unlinks_when_worker_raises():
-    """A worker exception must not leak the pool's shared segments."""
-    before = _shm_names()
+def test_pool_survives_a_raising_worker():
     pool = WorkerPool(2).start()
     try:
-        pool.share_rows("rows", [[array("i", [1, 2])], [array("i", [3])]])
-        assert len(_shm_names() - before) == 1
         with pytest.raises(RuntimeError, match="worker exploded"):
             pool.submit(0, _boom, 0).result()
-        # The pool survives the raise: the other slot still answers.
-        assert list(pool.map_partitions([1], _echo)) == [1]
+        # Both slots still answer, the raising one included.
+        assert pool.broadcast(_echo, 7) == [7, 7]
     finally:
         pool.close()
-    assert _shm_names() - before == set()
 
 
 def _echo(partition_id: int) -> int:
@@ -188,8 +147,6 @@ def test_pool_stats_snapshot():
         "jobs",
         "spawn_count",
         "spawn_seconds",
-        "shm_segments",
-        "shm_bytes",
         "task_batches",
         "worker_busy_seconds",
     }

@@ -1,6 +1,6 @@
 """Property tests for the persistence layer (hypothesis).
 
-Two serialisation contracts the store depends on:
+Three contracts the store depends on:
 
 * the CSV interchange format survives *adversarial* values — dimension
   values and locations containing commas, quotes, newlines, and the path
@@ -8,10 +8,16 @@ Two serialisation contracts the store depends on:
 * ``cube_to_json`` / ``cube_from_json`` is a fixed point: serialising a
   deserialised cube reproduces the exact same JSON text (exceptions,
   redundancy marks, and duration levels included), which is what lets the
-  cube store deduplicate and diff persisted cells.
+  cube store deduplicate and diff persisted cells;
+* the partition summaries, built from each column's *distinct* values,
+  carry exactly the bits of inserting every record's ancestor chain one
+  by one, so ``select_partitions`` prunes the same partition files.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path as FsPath
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,6 +29,8 @@ from repro.core.path_database import PathDatabase, PathSchema
 from repro.core.redundancy import prune_redundant
 from repro.core.serialization import cube_from_json, cube_to_json
 from repro.core.stage import Stage
+from repro.store import BloomSummary, PartitionedPathStore
+from repro.store.partition import LOCATION_SUMMARY, summarise_partition
 from tests.test_properties import path_databases
 
 # ----------------------------------------------------------------------
@@ -75,6 +83,90 @@ def test_csv_roundtrip_survives_adversarial_values(database):
     assert list(restored) == list(database)
     # The serialisation itself is a fixed point too.
     assert restored.to_csv() == text
+
+
+# ----------------------------------------------------------------------
+# partition summaries: distinct-value build == per-record build
+# ----------------------------------------------------------------------
+
+@st.composite
+def grouped_databases(draw):
+    """Adversarial leaf values under adversarial level-1 groups."""
+    names = draw(st.lists(_VALUE, min_size=4, max_size=10, unique=True))
+    n_groups = draw(st.integers(min_value=1, max_value=len(names) // 2))
+    groups, leaves = names[:n_groups], names[n_groups:]
+    parent = {
+        leaf: draw(st.sampled_from(groups)) for leaf in leaves
+    }
+    edges = [(group, leaf) for leaf, group in parent.items()]
+    schema = PathSchema(
+        dimensions=(ConceptHierarchy.from_edges("d0", edges),),
+        location=ConceptHierarchy.from_edges("location", edges),
+        duration=ConceptHierarchy.flat("duration", ["0", "1"]),
+    )
+    records = []
+    for record_id in range(1, draw(st.integers(min_value=1, max_value=9)) + 1):
+        stages = [
+            Stage(draw(st.sampled_from(leaves)), draw(_DURATION))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        ]
+        records.append(
+            PathRecord(record_id, (draw(st.sampled_from(leaves)),), Path(stages))
+        )
+    return PathDatabase(schema, records)
+
+
+def _summarise_per_record(database) -> dict[str, BloomSummary]:
+    """The reference: every record's every ancestor, added one by one."""
+    schema = database.schema
+    summaries = {f"dim:{h.name}": BloomSummary() for h in schema.dimensions}
+    summaries[LOCATION_SUMMARY] = BloomSummary()
+    for record in database:
+        for hierarchy, value in zip(schema.dimensions, record.dims):
+            for concept in hierarchy.ancestors(value, include_self=True):
+                if concept != "*":
+                    summaries[f"dim:{hierarchy.name}"].add(concept)
+        for stage in record.path:
+            for concept in schema.location.ancestors(
+                stage.location, include_self=True
+            ):
+                if concept != "*":
+                    summaries[LOCATION_SUMMARY].add(concept)
+    return summaries
+
+
+@given(grouped_databases(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_summaries_match_the_per_record_reference(database, partition_size):
+    reference = _summarise_per_record(database)
+    summaries = summarise_partition(database)
+    assert list(summaries) == list(reference)
+    assert all(
+        summaries[name].to_dict() == reference[name].to_dict()
+        for name in reference
+    )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = PartitionedPathStore.init(
+            FsPath(tmp) / "wh", database.schema, partition_size=partition_size
+        )
+        store.ingest(database)
+        partitions = [
+            (meta.partition_id, _summarise_per_record(part))
+            for meta, part in store.iter_partitions()
+        ]
+        for concept in database.schema.location:
+            if concept == "*":
+                continue
+            assert store.select_partitions(d0=concept) == [
+                pid for pid, ref in partitions
+                if ref["dim:d0"].might_contain(concept)
+            ]
+            assert store.select_partitions(location=concept) == [
+                pid for pid, ref in partitions
+                if ref[LOCATION_SUMMARY].might_contain(concept)
+            ]
+        store.close()
 
 
 # ----------------------------------------------------------------------
