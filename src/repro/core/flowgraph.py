@@ -156,43 +156,42 @@ class FlowGraph:
         Exceptions are holistic (Lemma 4.3) and are *not* merged; re-mine
         them over the merged cell's paths.
 
+        Each graph is walked in prefix order, so a node's parent is always
+        merged before it: a prefix this graph lacks is created in one step
+        under its (already present) parent with *copies* of the child's
+        tallies, never aliasing them.
+
         Returns:
             ``self`` (mutated in place), for chaining.
         """
+        index = self._index
+        roots = self._roots
+        new = FlowGraphNode.__new__
         for other in others:
             self.n_paths += other.n_paths
-            for node in other.nodes():
-                target = self._index.get(node.prefix)
+            for prefix, node in sorted(other._index.items()):
+                target = index.get(prefix)
                 if target is None:
-                    target = self._grow_chain(node.prefix)
-                target.count += node.count
-                for counts, additions in (
-                    (target.duration_counts, node.duration_counts),
-                    (target.transition_counts, node.transition_counts),
-                ):
-                    if counts:
-                        for key, n in additions.items():
-                            counts[key] = counts.get(key, 0) + n
-                    else:  # fresh chain node: bulk-copy at C speed
-                        counts.update(additions)
-        return self
-
-    def _grow_chain(self, prefix: tuple[str, ...]) -> FlowGraphNode:
-        """Create (and index) the node chain for *prefix*, zero counts."""
-        node: FlowGraphNode | None = None
-        for end in range(1, len(prefix) + 1):
-            partial = prefix[:end]
-            existing = self._index.get(partial)
-            if existing is None:
-                existing = FlowGraphNode(partial)
-                self._index[partial] = existing
-                if end == 1:
-                    self._roots[partial[0]] = existing
+                    target = new(FlowGraphNode)
+                    target.prefix = prefix
+                    target.count = node.count
+                    target.duration_counts = node.duration_counts.copy()
+                    target.transition_counts = node.transition_counts.copy()
+                    target.children = {}
+                    index[prefix] = target
+                    if len(prefix) == 1:
+                        roots[prefix[0]] = target
+                    else:
+                        index[prefix[:-1]].children[prefix[-1]] = target
                 else:
-                    self._index[partial[:-1]].children[partial[-1]] = existing
-            node = existing
-        assert node is not None
-        return node
+                    target.count += node.count
+                    counts = target.duration_counts
+                    for key, n in node.duration_counts.items():
+                        counts[key] = counts.get(key, 0) + n
+                    counts = target.transition_counts
+                    for key, n in node.transition_counts.items():
+                        counts[key] = counts.get(key, 0) + n
+        return self
 
     # ------------------------------------------------------------------
     # lookups
@@ -217,6 +216,17 @@ class FlowGraph:
     def nodes(self) -> Iterator[FlowGraphNode]:
         """All nodes, shortest prefixes first (BFS-compatible order)."""
         return iter(sorted(self._index.values(), key=lambda n: n.prefix))
+
+    def canonical_nodes(self) -> list[FlowGraphNode]:
+        """All nodes by ``(len(prefix), prefix)``: the serialisation order.
+
+        Level by level, so every node follows its parent; both
+        :func:`~repro.core.serialization.flowgraph_to_dict` and the
+        binary cell codec write nodes in this order.
+        """
+        return sorted(
+            self._index.values(), key=lambda n: (len(n.prefix), n.prefix)
+        )
 
     def __len__(self) -> int:
         return len(self._index)

@@ -27,6 +27,7 @@ from repro.errors import CubeError
 
 __all__ = [
     "exceptions_from_dicts",
+    "exceptions_to_dicts",
     "flowgraph_to_dict",
     "flowgraph_from_dict",
     "cube_to_json",
@@ -56,26 +57,34 @@ def flowgraph_to_dict(graph: FlowGraph) -> dict:
                 "durations": _sorted_mapping(node.duration_counts),
                 "transitions": _sorted_mapping(node.transition_counts),
             }
-            for node in sorted(
-                graph.nodes(), key=lambda n: (len(n.prefix), n.prefix)
-            )
+            for node in graph.canonical_nodes()
         ],
-        "exceptions": [
-            {
-                "node_prefix": list(exc.node_prefix),
-                "condition": [
-                    {"prefix": list(prefix), "duration": duration}
-                    for prefix, duration in exc.condition
-                ],
-                "kind": exc.kind,
-                "support": exc.support,
-                "baseline": _sorted_mapping(exc.baseline),
-                "conditional": _sorted_mapping(exc.conditional),
-                "deviation": exc.deviation,
-            }
-            for exc in graph.exceptions
-        ],
+        "exceptions": exceptions_to_dicts(graph.exceptions),
     }
+
+
+def exceptions_to_dicts(exceptions) -> list[dict]:
+    """Plain-dict form of a flowgraph's exception list (sorted mappings).
+
+    Shared by :func:`flowgraph_to_dict` and the binary cell codec
+    (:func:`repro.store.binfmt.encode_cell`), which stores the list as a
+    JSON blob inside the ``FCHEAP02`` record.
+    """
+    return [
+        {
+            "node_prefix": list(exc.node_prefix),
+            "condition": [
+                {"prefix": list(prefix), "duration": duration}
+                for prefix, duration in exc.condition
+            ],
+            "kind": exc.kind,
+            "support": exc.support,
+            "baseline": _sorted_mapping(exc.baseline),
+            "conditional": _sorted_mapping(exc.conditional),
+            "deviation": exc.deviation,
+        }
+        for exc in exceptions
+    ]
 
 
 def _sorted_mapping(mapping) -> dict:

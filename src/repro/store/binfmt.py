@@ -22,11 +22,16 @@ diagrams):
   (``strings.bin``): one mmap'd vocabulary for every partition, with
   ``FCPART02`` partitions carrying only a small local→global remap
   arena instead of a private copy of the location/product strings;
-* :func:`encode_cell_payload` / :func:`decode_cell_payload` /
-  :func:`decode_cell_parts` — the compact ``FCHEAP02`` cell codec:
-  varint-packed flowgraph counters with a parent-ordinal node
-  encoding, bulk ``int32`` record ids, and (optionally zlib'd) JSON
-  exception lists, byte-identical through ``cube_to_json``;
+* :func:`encode_cell` / :func:`encode_cell_payload` /
+  :func:`decode_cell_parts` / :func:`decode_cell_payload` — the compact
+  ``FCHEAP02`` cell codec: varint-packed flowgraph counters with a
+  parent-ordinal node encoding, bulk ``int32`` record ids, and
+  (optionally zlib'd) JSON exception lists, byte-identical through
+  ``cube_to_json``.  Both directions have a one-pass form between
+  bytes and *live* objects (``encode_cell`` / ``decode_cell_parts``,
+  what builds, appends and queries run) and a form over the payload
+  dict (what ``convert``/``migrate`` and the JSON backends speak); the
+  record layout itself is written down once, in ``_encode_record``;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
   masks: ``cells.idx`` stays mmap'd and each ``(cuboid, dim, value)``
   bitmap is decoded with one ``int.from_bytes`` over the map the first
@@ -49,8 +54,15 @@ Framing rules shared by the ``int64`` codecs:
 The cell heap (``cells.bin``) is an append-only blob of
 ``<q``-length-prefixed payloads after :data:`HEAP_MAGIC` (generation 1,
 JSON payloads) or :data:`HEAP_MAGIC_V2` (generation 2,
-:func:`encode_cell_payload` binary payloads), addressed only through
+:func:`encode_cell` binary payloads), addressed only through
 the index offsets.
+
+Benchmark note: ``benchmarks/flowbench`` traces
+:func:`encode_cell_payload` as ``binfmt.encode_cell_s`` /
+``append.encode_cell_s``.  Builds and appends of binary stores no
+longer call it (they call :func:`encode_cell`), so both read 0 there
+and the encoder's time is self time of ``cube_store.put_cuboid_s`` /
+``cube_store.merge_cells_s``: compare the *sums* across commits.
 """
 
 from __future__ import annotations
@@ -67,6 +79,12 @@ from pathlib import Path as FsPath
 from repro.core.flowgraph import FlowGraph, FlowGraphNode
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
+from repro.core.serialization import (
+    exceptions_from_dicts,
+    exceptions_to_dicts,
+    flowgraph_from_dict,
+    flowgraph_to_dict,
+)
 from repro.core.stage import Stage
 from repro.errors import StoreError
 
@@ -83,8 +101,10 @@ __all__ = [
     "LazyMaskMap",
     "MaskArena",
     "StringTable",
+    "cell_payload",
     "decode_cell_parts",
     "decode_cell_payload",
+    "encode_cell",
     "encode_cell_payload",
     "heap_generation",
     "pack_cell_index",
@@ -127,7 +147,7 @@ INDEX_MAGIC = b"FCCIDX01"
 HEAP_MAGIC = b"FCHEAP01"
 
 #: Leading 8 bytes of a generation-2 cell-heap blob
-#: (:func:`encode_cell_payload` binary payloads).
+#: (:func:`encode_cell` binary payloads).
 HEAP_MAGIC_V2 = b"FCHEAP02"
 
 #: Endianness sentinel: stored as the first header word; a reader on a
@@ -434,13 +454,6 @@ class _NotStructured(Exception):
     """Payload shape falls outside the structured codec → store raw JSON."""
 
 
-def _append_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
 def _decode_varints(stream: bytes) -> list[int]:
     values: list[int] = []
     append = values.append
@@ -466,101 +479,102 @@ def _json_bytes(payload) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def _checked_count(value) -> int:
-    """A non-negative true ``int`` (bools and floats force the raw path)."""
-    if type(value) is not int or value < 0:
-        raise _NotStructured
-    return value
+def _varint_stream(values: list[int]) -> tuple[bytes, int]:
+    """Non-negative ints → ``(varint stream, _HEAP2_PURE or 0)``.
+
+    More than four in five values of a real cell are below 128; a stream
+    of nothing else is a single C-level ``bytes(values)``, and the loop
+    below spends a continuation step only on the multi-byte values.
+    """
+    if max(values) < 0x80:
+        return bytes(values), _HEAP2_PURE
+    out = bytearray()
+    append = out.append
+    for value in values:
+        while value >= 0x80:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
+    return bytes(out), 0
 
 
-def _encode_structured(payload: dict) -> bytes:
-    if not isinstance(payload, dict) or tuple(payload) != _PAYLOAD_KEYS:
-        raise _NotStructured
-    flowgraph = payload["flowgraph"]
-    if not isinstance(flowgraph, dict) or tuple(flowgraph) != _FLOWGRAPH_KEYS:
-        raise _NotStructured
-    strings: dict[str, int] = {}
+def _encode_record(
+    key, item_level, path_level, record_ids, redundant, n_paths, nodes, exceptions
+) -> bytes:
+    """Assemble one structured ``FCHEAP02`` record — the only writer.
 
-    def sid(value: str) -> int:
-        if type(value) is not str:
-            raise _NotStructured
-        ref = strings.get(value)
-        if ref is None:
-            ref = len(strings)
-            strings[value] = ref
-        return ref
+    Layout: flags byte | :data:`_HEAP2_HEAD` (stream length, blob
+    length, record-id count) | varint stream | UTF-8 string blob |
+    little-endian ``int32`` record ids | optional
+    :data:`_HEAP2_EXC_LEN` + (zlib'd when smaller) JSON exception blob.
+    The stream is ``n_strings, len(string)…`` followed by the cell: key
+    refs, item level, path-level id, redundant, ``n_paths``, and per
+    node *parent ordinal + 1* (0 for a root), last-location ref, count
+    and the two ``(ref, count)`` tallies.
 
-    body = bytearray()
-    key = payload["key"]
-    item_level = payload["item_level"]
-    record_ids = payload["record_ids"]
-    nodes = flowgraph["nodes"]
-    exceptions = flowgraph["exceptions"]
-    if not (
-        isinstance(key, (list, tuple))
-        and isinstance(item_level, (list, tuple))
-        and isinstance(record_ids, (list, tuple))
-        and isinstance(nodes, list)
-        and isinstance(exceptions, list)
-    ):
-        raise _NotStructured
-    redundant = payload["redundant"]
+    *nodes* is a list of ``(prefix tuple, count, duration pairs,
+    transition pairs)``, written in the order given, and *exceptions*
+    the plain-dict list.  The two feeders — :func:`encode_cell` from
+    live objects, :func:`encode_cell_payload` from the payload dict —
+    own that order and the container shapes; this function owns every
+    value check and raises :class:`_NotStructured` for what the layout
+    cannot carry: a string that is not a ``str``, a count that is not a
+    non-negative true ``int``, a record id outside ``[0, 2**31)``, a
+    node whose parent was not written before it.
+    """
     if redundant is not True and redundant is not False:
         raise _NotStructured
-    _append_varint(body, len(key))
+    strings: dict[str, int] = {}
+    body = [len(key)]
+    push = body.append
     for part in key:
-        _append_varint(body, sid(part))
-    _append_varint(body, len(item_level))
-    for level in item_level:
-        _append_varint(body, _checked_count(level))
-    _append_varint(body, _checked_count(payload["path_level"]))
-    body.append(1 if redundant else 0)
-    _append_varint(body, _checked_count(flowgraph["n_paths"]))
-    _append_varint(body, len(nodes))
+        if type(part) is not str:
+            raise _NotStructured
+        push(strings.setdefault(part, len(strings)))
+    push(len(item_level))
+    body.extend(item_level)
+    push(path_level)
+    push(1 if redundant else 0)
+    push(n_paths)
+    push(len(nodes))
     ordinals: dict[tuple, int] = {}
-    for node in nodes:
-        if not isinstance(node, dict) or tuple(node) != _NODE_KEYS:
-            raise _NotStructured
-        prefix = node["prefix"]
-        if not isinstance(prefix, (list, tuple)) or not prefix:
-            raise _NotStructured
-        prefix = tuple(prefix)
+    for prefix, count, durations, transitions in nodes:
         if len(prefix) == 1:
-            _append_varint(body, 0)
+            push(0)
         else:
             parent = ordinals.get(prefix[:-1])
             if parent is None:
                 raise _NotStructured
-            _append_varint(body, parent + 1)
+            push(parent + 1)
         ordinals[prefix] = len(ordinals)
-        _append_varint(body, sid(prefix[-1]))
-        _append_varint(body, _checked_count(node["count"]))
-        for mapping in (node["durations"], node["transitions"]):
-            if not isinstance(mapping, dict):
-                raise _NotStructured
-            _append_varint(body, len(mapping))
-            for text, count in mapping.items():
-                _append_varint(body, sid(text))
-                _append_varint(body, _checked_count(count))
-    rid_arena = array("i")
+        location = prefix[-1]
+        if type(location) is not str:
+            raise _NotStructured
+        push(strings.setdefault(location, len(strings)))
+        push(count)
+        for tally in (durations, transitions):
+            push(len(tally))
+            for text, n in tally:
+                if type(text) is not str:
+                    raise _NotStructured
+                push(strings.setdefault(text, len(strings)))
+                push(n)
+    # Refs and lengths are ints by construction; one C-level pass checks
+    # the counts that came from outside (bool and float are not int).
+    if set(map(type, body)) != {int} or min(body) < 0:
+        raise _NotStructured
     try:
-        for rid in record_ids:
-            if type(rid) is not int or rid < 0:
-                raise _NotStructured
-            rid_arena.append(rid)
-    except OverflowError:
+        rid_arena = array("i", record_ids)
+    except (OverflowError, TypeError):
         raise _NotStructured from None
+    if rid_arena and (
+        min(rid_arena) < 0 or set(map(type, record_ids)) != {int}
+    ):
+        raise _NotStructured
     if not _LITTLE_ENDIAN:
         rid_arena.byteswap()
-    head = bytearray()
-    _append_varint(head, len(strings))
     chunks = [text.encode("utf-8") for text in strings]
-    for chunk in chunks:
-        _append_varint(head, len(chunk))
-    stream = bytes(head) + bytes(body)
-    flags = 0
-    if not stream or max(stream) < 0x80:
-        flags |= _HEAP2_PURE
+    stream, flags = _varint_stream([len(chunks), *map(len, chunks), *body])
     exc_blob = b""
     if exceptions:
         flags |= _HEAP2_EXC
@@ -586,25 +600,145 @@ def _encode_structured(payload: dict) -> bytes:
     return b"".join(parts)
 
 
-def encode_cell_payload(payload: dict) -> bytes:
-    """Encode one cell payload as a generation-2 (``FCHEAP02``) record.
+def _raw_record(payload: dict) -> bytes:
+    """The verbatim-JSON record for a payload outside the structured codec."""
+    return bytes((_HEAP2_RAW,)) + _json_bytes(payload)
 
-    Canonical payloads — the exact dict shape
-    :meth:`~repro.store.cube_store.CubeStore.put_cell` writes — pack into
-    one flags byte, a varint stream (parent-ordinal node encoding: each
-    node stores its parent's ordinal and last location instead of the
-    whole prefix), a per-cell UTF-8 string blob, a bulk little-endian
-    ``int32`` record-id arena, and an optional (zlib'd when smaller)
-    JSON exception blob.  Any payload outside that shape — foreign key
-    order, bool/float counters, out-of-range record ids — falls back to
-    a verbatim JSON record (:data:`_HEAP2_RAW`), so
-    ``decode(encode(p)) == p`` holds for *every* JSON-compatible
-    payload, byte-identical through ``cube_to_json``.
+
+def cell_payload(
+    key, item_level, path_level, record_ids, redundant, flowgraph
+) -> dict:
+    """The logical cell payload dict (what the JSON backends store).
+
+    *item_level* is the level tuple, *path_level* the lattice id.
+    """
+    return {
+        "key": list(key),
+        "item_level": list(item_level),
+        "path_level": path_level,
+        "record_ids": list(record_ids),
+        "redundant": redundant,
+        "flowgraph": flowgraph_to_dict(flowgraph),
+    }
+
+
+def encode_cell(
+    key, item_level, path_level, record_ids, redundant, flowgraph
+) -> bytes:
+    """Encode one live cell as a generation-2 (``FCHEAP02``) record.
+
+    The write-side twin of :func:`decode_cell_parts`: one pass from the
+    :class:`~repro.core.flowgraph.FlowGraph` to bytes, in the canonical
+    order :func:`~repro.core.serialization.flowgraph_to_dict` defines
+    (nodes by ``(len(prefix), prefix)``, tallies by sorted key), without
+    building the payload dict.  Byte-identical to
+    ``encode_cell_payload(cell_payload(...))`` for every input — a cell
+    the structured codec cannot carry becomes the same verbatim-JSON
+    record, built from that dict.
+    """
+    record_ids = tuple(record_ids)
+    nodes = []
+    for node in flowgraph.canonical_nodes():
+        durations = node.duration_counts
+        transitions = node.transition_counts
+        # Four tallies in five hold a single entry: nothing to sort.
+        nodes.append(
+            (
+                node.prefix,
+                node.count,
+                durations.items()
+                if len(durations) == 1
+                else sorted(durations.items()),
+                transitions.items()
+                if len(transitions) == 1
+                else sorted(transitions.items()),
+            )
+        )
+    try:
+        return _encode_record(
+            key,
+            item_level,
+            path_level,
+            record_ids,
+            redundant,
+            flowgraph.n_paths,
+            nodes,
+            exceptions_to_dicts(flowgraph.exceptions),
+        )
+    except _NotStructured:
+        return _raw_record(
+            cell_payload(
+                key, item_level, path_level, record_ids, redundant, flowgraph
+            )
+        )
+
+
+def encode_cell_payload(payload: dict) -> bytes:
+    """Encode one cell payload dict as a generation-2 (``FCHEAP02``) record.
+
+    The dict-fed twin of :func:`encode_cell` (``convert``/``migrate``
+    read payload dicts out of JSON cells and generation-1 heaps): it
+    checks the container shapes — the exact dict
+    :func:`cell_payload` builds — and hands the values, in the order the
+    dict gives them, to the same record writer.  Any payload outside
+    that shape — foreign key order, bool/float counters, out-of-range
+    record ids — falls back to a verbatim JSON record
+    (:data:`_HEAP2_RAW`), so ``decode(encode(p)) == p`` holds for
+    *every* JSON-compatible payload, byte-identical through
+    ``cube_to_json``.
     """
     try:
-        return _encode_structured(payload)
+        if not isinstance(payload, dict) or tuple(payload) != _PAYLOAD_KEYS:
+            raise _NotStructured
+        flowgraph = payload["flowgraph"]
+        if not isinstance(flowgraph, dict) or tuple(flowgraph) != _FLOWGRAPH_KEYS:
+            raise _NotStructured
+        key = payload["key"]
+        item_level = payload["item_level"]
+        record_ids = payload["record_ids"]
+        exceptions = flowgraph["exceptions"]
+        if not (
+            isinstance(key, (list, tuple))
+            and isinstance(item_level, (list, tuple))
+            and isinstance(record_ids, (list, tuple))
+            and isinstance(flowgraph["nodes"], list)
+            and isinstance(exceptions, list)
+        ):
+            raise _NotStructured
+        nodes = []
+        for node in flowgraph["nodes"]:
+            if not isinstance(node, dict) or tuple(node) != _NODE_KEYS:
+                raise _NotStructured
+            prefix = node["prefix"]
+            durations = node["durations"]
+            transitions = node["transitions"]
+            if not (
+                isinstance(prefix, (list, tuple))
+                and prefix
+                and isinstance(durations, dict)
+                and isinstance(transitions, dict)
+            ):
+                raise _NotStructured
+            nodes.append(
+                (
+                    tuple(prefix),
+                    node["count"],
+                    durations.items(),
+                    transitions.items(),
+                )
+            )
+        return _encode_record(
+            key,
+            item_level,
+            payload["path_level"],
+            record_ids,
+            payload["redundant"],
+            flowgraph["n_paths"],
+            nodes,
+            exceptions,
+        )
     except _NotStructured:
-        return bytes((_HEAP2_RAW,)) + _json_bytes(payload)
+        return _raw_record(payload)
 
 
 def _split_heap2(buffer: bytes, flags: int):
@@ -725,8 +859,6 @@ def decode_cell_parts(buffer: bytes):
     stream, with the 1- and 2-entry tally dicts (the overwhelmingly
     common sizes) special-cased to dict literals.
     """
-    from repro.core.serialization import exceptions_from_dicts, flowgraph_from_dict
-
     try:
         flags = buffer[0]
         if flags & _HEAP2_RAW:

@@ -18,11 +18,16 @@ in one of two on-disk backends selected per store:
         cell-000000.json      one cell: coordinates + flowgraph payload
         ...
 
-Both backends store the *same logical* cell payload (the dict produced
-with :func:`~repro.core.serialization.flowgraph_to_dict`) — the binary
-heap packs it with the compact ``FCHEAP02`` codec
-(:func:`~repro.store.binfmt.encode_cell_payload`; legacy ``FCHEAP01``
-heaps with raw JSON payloads stay readable) and moves the index into
+Both backends store the *same logical* cell payload
+(:func:`~repro.store.binfmt.cell_payload`, the flowgraph as
+:func:`~repro.core.serialization.flowgraph_to_dict` gives it).  Only
+the backends that store JSON ever build that dict: the binary heap
+writes each live cell straight to a compact ``FCHEAP02`` record
+(:func:`~repro.store.binfmt.encode_cell`, byte-identical to
+:func:`~repro.store.binfmt.encode_cell_payload` of the dict, which
+``convert``/``migrate`` feed; legacy ``FCHEAP01`` heaps with raw JSON
+payloads stay readable and writable), one joined buffer per cuboid,
+and moves the index into
 the packed ``cells.idx`` arena, so opening a million-cell cube costs
 one mmap per store instead of a million stats — zero heap bytes are
 read on open, and the per-cuboid catalog masks stay lazy byte spans
@@ -57,7 +62,6 @@ from repro.core.lattice import ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathSchema
 from repro.core.serialization import (
     flowgraph_from_dict,
-    flowgraph_to_dict,
     path_level_from_dict,
     path_level_to_dict,
 )
@@ -111,6 +115,24 @@ Coords = tuple[ItemLevel, int, CellKey]
 Entry = tuple
 
 
+def _codec_args(coords: Coords, cell: Cell) -> tuple:
+    """*cell* stored at *coords*, as the arguments the cell codecs take."""
+    item_level, level_id, key = coords
+    return (
+        key,
+        item_level.levels,
+        level_id,
+        cell.record_ids,
+        cell.redundant,
+        cell.flowgraph,
+    )
+
+
+def _cell_payload(coords: Coords, cell: Cell) -> dict:
+    """The payload dict of *cell* stored at *coords* (JSON-storing backends)."""
+    return binfmt.cell_payload(*_codec_args(coords, cell))
+
+
 class _JsonCells:
     """One-JSON-file-per-cell backend (the portable interchange layout)."""
 
@@ -135,6 +157,13 @@ class _JsonCells:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload), encoding="utf-8")
         return (filename, int(n_paths), bool(redundant))
+
+    def put_cells(self, cells) -> list[Entry]:
+        """Persist live ``(coords, cell)`` pairs, one file each."""
+        return [
+            self.put(_cell_payload(coords, cell), cell.n_paths, cell.redundant)
+            for coords, cell in cells
+        ]
 
     def read(self, entry: Entry) -> dict:
         path = self.directory / CELLS_DIR / entry[0]
@@ -192,8 +221,9 @@ class _JsonCells:
 class _HeapCells:
     """Packed cell heap: one ``cells.bin`` blob + mmap'd ``cells.idx``.
 
-    Writes append length-prefixed payloads to a per-pid staging file
-    (seeded with a copy of the live heap when mutating an already-built
+    Writes append length-prefixed payloads — a whole batch of cells as
+    one joined buffer — to a per-pid staging file (seeded with a copy of
+    the live heap when mutating an already-built
     cube); :meth:`finalise` renames heap → index → meta-last, so a
     reader never sees an index pointing past the heap.  Reads go
     through ``os.pread`` on the staging handle while a build is open,
@@ -201,8 +231,9 @@ class _HeapCells:
 
     Two heap generations coexist behind the one ``"binary"`` format:
     generation 1 (``FCHEAP01``) holds JSON payloads, generation 2
-    (``FCHEAP02``, the default for new heaps) holds
-    :func:`~repro.store.binfmt.encode_cell_payload` records.  The
+    (``FCHEAP02``, the default for new heaps) holds the binary records
+    of :func:`~repro.store.binfmt.encode_cell` (live cells) /
+    :func:`~repro.store.binfmt.encode_cell_payload` (payload dicts).  The
     generation is sniffed lazily from the heap magic on the first
     payload read — a cold open touches ``cells.idx`` only, which is
     itself mmap'd with the catalog masks left as
@@ -374,38 +405,77 @@ class _HeapCells:
         return binfmt.encode_cell_payload(payload)
 
     def put(self, payload: dict, n_paths: int, redundant: bool) -> Entry:
-        data = self._encode(payload)
-        if self._delta_staging is not None:
-            self._delta_staging.write(HEAP_LENGTH_STRUCT.pack(len(data)))
-            self._delta_staging.write(data)
-            entry = (
-                binfmt.pack_segment_offset(
-                    self._delta_segment,
-                    self._delta_offset + HEAP_LENGTH_STRUCT.size,
-                ),
-                len(data),
-                int(n_paths),
-                bool(redundant),
-            )
-            self._delta_offset += HEAP_LENGTH_STRUCT.size + len(data)
-            return entry
-        self._ensure_staging()
-        return self.put_raw(data, n_paths, redundant)
+        """Append one payload *dict* (``convert`` / ``migrate``)."""
+        if self._delta_staging is None:
+            self._ensure_staging()
+        return self._append([(self._encode(payload), n_paths, redundant)])[0]
 
-    def put_raw(self, data: bytes, n_paths: int, redundant: bool) -> Entry:
-        """Byte-exact append of an already-encoded payload (compaction)."""
+    def _encode_cell(self, coords: Coords, cell: Cell) -> bytes:
+        """One live cell's record in this heap's generation.
+
+        Generation 2 goes straight from the live flowgraph to bytes
+        (:func:`~repro.store.binfmt.encode_cell`); only a generation-1
+        heap, which stores JSON, builds the payload dict.
+        """
+        if self._generation == 1:
+            return self._encode(_cell_payload(coords, cell))
+        return binfmt.encode_cell(*_codec_args(coords, cell))
+
+    def put_cells(self, cells) -> list[Entry]:
+        """Encode live ``(coords, cell)`` pairs and append them in one write."""
+        if not cells:
+            return []  # nothing to write: do not stage a copy of the heap
+        if self._delta_staging is None:
+            self._ensure_staging()
+        encode = self._encode_cell
+        return self._append(
+            [
+                (encode(coords, cell), cell.n_paths, cell.redundant)
+                for coords, cell in cells
+            ]
+        )
+
+    def put_raw(self, records) -> list[Entry]:
+        """Byte-exact append of already-encoded ``(payload, n_paths,
+        redundant)`` records (compaction copies a cuboid at a time)."""
         if self._staging is None:
             raise StoreError("put_raw requires a staged heap (begin first)")
-        self._staging.write(HEAP_LENGTH_STRUCT.pack(len(data)))
-        self._staging.write(data)
-        entry = (
-            self._offset + HEAP_LENGTH_STRUCT.size,
-            len(data),
-            int(n_paths),
-            bool(redundant),
-        )
-        self._offset += HEAP_LENGTH_STRUCT.size + len(data)
-        return entry
+        return self._append(records)
+
+    def _append(self, records) -> list[Entry]:
+        """Frame ``(payload bytes, n_paths, redundant)`` records and append
+        them — to the staged delta segment when one is open, else to the
+        staged heap — as one joined buffer.
+
+        Delta entries carry the segment id in the offset's high bits
+        (:func:`~repro.store.binfmt.pack_segment_offset`).
+        """
+        delta = self._delta_staging is not None
+        if delta:
+            handle, position = self._delta_staging, self._delta_offset
+            segment_id = self._delta_segment
+        else:
+            handle, position, segment_id = self._staging, self._offset, 0
+        tag = binfmt.pack_segment_offset(segment_id, 0)
+        frame = HEAP_LENGTH_STRUCT.pack
+        chunks: list[bytes] = []
+        entries: list[Entry] = []
+        for data, n_paths, redundant in records:
+            length = len(data)
+            position += HEAP_LENGTH_STRUCT.size
+            chunks.append(frame(length))
+            chunks.append(data)
+            entries.append(
+                (tag | position, length, int(n_paths), bool(redundant))
+            )
+            position += length
+        binfmt.pack_segment_offset(segment_id, position)  # span check
+        handle.write(b"".join(chunks))
+        if delta:
+            self._delta_offset = position
+        else:
+            self._offset = position
+        return entries
 
     def raw_payload(self, entry: Entry) -> bytes:
         """The entry's encoded payload bytes, verbatim."""
@@ -896,27 +966,29 @@ class CubeStore:
     # ------------------------------------------------------------------
     def put_cell(self, cell: Cell) -> None:
         """Persist one cell (its paths are not stored, only the measure)."""
-        with self._lock:
-            lattice = self._require_built()
-            level_id = lattice.index_of(cell.path_level)
-            payload = {
-                "key": list(cell.key),
-                "item_level": list(cell.item_level.levels),
-                "path_level": level_id,
-                "record_ids": list(cell.record_ids),
-                "redundant": cell.redundant,
-                "flowgraph": flowgraph_to_dict(cell.flowgraph),
-            }
-            entry = self._cells.put(payload, cell.n_paths, cell.redundant)
-            self._index.setdefault(
-                (cell.item_level, level_id), {}
-            )[cell.key] = entry
-            self._bump_version()
+        self.put_cuboid((cell,))
 
     def put_cuboid(self, cuboid) -> None:
-        """Persist every cell of an in-memory cuboid."""
-        for cell in cuboid:
-            self.put_cell(cell)
+        """Persist every cell of an in-memory cuboid (any iterable of cells).
+
+        One lock hold, one path-level resolution, one backend write and
+        one version bump for the whole batch.
+        """
+        with self._lock:
+            lattice = self._require_built()
+            batch: list[tuple[Coords, Cell]] = []
+            path_level = level_id = None
+            for cell in cuboid:
+                if cell.path_level is not path_level:
+                    path_level = cell.path_level
+                    level_id = lattice.index_of(path_level)
+                batch.append(((cell.item_level, level_id, cell.key), cell))
+            if not batch:
+                return
+            entries = self._cells.put_cells(batch)
+            for ((item_level, level_id, key), _), entry in zip(batch, entries):
+                self._index.setdefault((item_level, level_id), {})[key] = entry
+            self._bump_version()
 
     # ------------------------------------------------------------------
     # incremental maintenance (delta segments)
@@ -959,20 +1031,10 @@ class CubeStore:
         The swap is in-memory until :meth:`flush` publishes it.
         """
         with self._lock:
-            lattice = self._require_built()
-            written: dict[Coords, Entry] = {}
-            for (item_level, level_id, key), cell in cells.items():
-                payload = {
-                    "key": list(key),
-                    "item_level": list(item_level.levels),
-                    "path_level": level_id,
-                    "record_ids": list(cell.record_ids),
-                    "redundant": cell.redundant,
-                    "flowgraph": flowgraph_to_dict(cell.flowgraph),
-                }
-                written[(item_level, level_id, key)] = self._cells.put(
-                    payload, cell.n_paths, cell.redundant
-                )
+            self._require_built()
+            written: dict[Coords, Entry] = dict(
+                zip(cells, self._cells.put_cells(cells.items()))
+            )
             new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
             for item_level, level_id, keys in layout:
                 if not keys:
@@ -1017,15 +1079,21 @@ class CubeStore:
             done = 0
             new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
             for coords, entries in self._index.items():
-                fresh: dict[CellKey, Entry] = {}
-                for key, entry in entries.items():
-                    fresh[key] = new.put_raw(
-                        old.raw_payload(entry), entry[-2], entry[-1]
+                new_index[coords] = dict(
+                    zip(
+                        entries,
+                        new.put_raw(
+                            [
+                                (old.raw_payload(entry), entry[-2], entry[-1])
+                                for entry in entries.values()
+                            ]
+                        ),
                     )
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                new_index[coords] = fresh
+                )
+                if progress is not None:
+                    for step in range(done + 1, done + len(entries) + 1):
+                        progress(step, total)
+                done += len(entries)
             self._index = new_index
             self._cells = new
             self._cache.clear()

@@ -17,27 +17,50 @@ Four contracts:
   files;
 * **read behaviour over the heap**: the LRU fronts binary cells the
   same way it fronts JSON cell files, and ``maybe_reload`` notices a
-  cross-handle rebuild through the single-read meta signature.
+  cross-handle rebuild through the single-read meta signature;
+* **one record writer, two feeders** (hypothesis): the live-cell encoder
+  and the payload-dict encoder produce the same ``FCHEAP02`` bytes for
+  every cell, including every verbatim-JSON fallback;
+* **pinned bytes**: the heap, index and delta segment of the paper
+  example hash to constants, so format drift cannot pass unnoticed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.flowgraph import FlowGraph
+from repro.core.flowgraph_exceptions import FlowException
 from repro.core.hierarchy import ConceptHierarchy
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.core.serialization import cube_to_json
+from repro.core.serialization import cube_to_json, flowgraph_to_dict
 from repro.core.stage import Stage
 from repro.errors import StoreError
-from repro.store import CubeStore, PartitionedPathStore, build_cube
+from repro.store import (
+    CubeStore,
+    PartitionedPathStore,
+    append_records,
+    build_cube,
+)
 from repro.store.binfmt import (
+    _HEAP2_EXC,
+    _HEAP2_EXC_ZLIB,
+    _HEAP2_PURE,
+    _HEAP2_RAW,
     INDEX_MAGIC,
     ORDER_TAG,
+    cell_payload,
+    decode_cell_parts,
+    decode_cell_payload,
+    encode_cell,
+    encode_cell_payload,
     pack_cell_index,
     pack_partition,
     unpack_cell_index,
@@ -208,6 +231,176 @@ def test_cell_index_rejects_corruption():
 
 
 # ----------------------------------------------------------------------
+# FCHEAP02 cell codec: one record writer, two feeders (hypothesis)
+# ----------------------------------------------------------------------
+
+#: Path weights on both sides of the one-, two- and three-byte varints.
+_WEIGHT = st.sampled_from([1, 2, 100, 127, 128, 300, 16383, 16384, 70000])
+_EXCEPTION = st.builds(
+    FlowException,
+    node_prefix=st.lists(_VALUE, min_size=1, max_size=3).map(tuple),
+    condition=st.lists(
+        st.tuples(st.lists(_VALUE, min_size=1, max_size=2).map(tuple), _VALUE),
+        max_size=2,
+    ).map(tuple),
+    kind=st.sampled_from(["duration", "transition"]),
+    support=st.integers(min_value=1, max_value=500),
+    baseline=st.dictionaries(_VALUE, st.floats(0, 1), max_size=3),
+    conditional=st.dictionaries(_VALUE, st.floats(0, 1), max_size=3),
+    deviation=st.floats(0, 1),
+)
+
+
+@st.composite
+def live_cells(draw):
+    """``encode_cell`` arguments: coordinates, record ids, a live graph."""
+    key = tuple(draw(st.lists(_VALUE, max_size=3)))
+    item_level = tuple(
+        draw(st.integers(min_value=0, max_value=200)) for _ in key
+    )
+    locations = draw(st.lists(_VALUE, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(_VALUE, min_size=1, max_size=5, unique=True))
+    stage = st.tuples(st.sampled_from(locations), st.sampled_from(labels))
+    graph = FlowGraph()
+    for path in draw(st.lists(st.lists(stage, min_size=1, max_size=4), max_size=6)):
+        graph.add_path(tuple(path), draw(_WEIGHT))
+    # A node with many duration labels: tallies of every size, and a
+    # per-cell string table on either side of 127 entries.
+    for i in range(draw(st.sampled_from([0, 0, 3, 120, 140]))):
+        graph.add_path(((locations[0], f"d{i}"),))
+    graph.exceptions = draw(st.lists(_EXCEPTION, max_size=2))
+    return (
+        key,
+        item_level,
+        draw(st.integers(min_value=0, max_value=200)),
+        tuple(draw(st.lists(st.integers(0, 2**31 - 1), max_size=6))),
+        draw(st.booleans()),
+        graph,
+    )
+
+
+def _assert_feeders_agree(cell) -> bytes:
+    """Live bytes == dict-fed bytes, and both decoders read them back."""
+    payload = cell_payload(*cell)
+    record = encode_cell(*cell)
+    assert record == encode_cell_payload(payload)
+    assert decode_cell_payload(record) == payload
+    record_ids, redundant, graph = decode_cell_parts(record)
+    assert list(record_ids) == payload["record_ids"]
+    assert redundant is payload["redundant"]
+    assert flowgraph_to_dict(graph) == payload["flowgraph"]
+    return record
+
+
+@given(live_cells())
+@settings(max_examples=150, deadline=None)
+def test_live_encoder_matches_the_dict_encoder(cell):
+    record = _assert_feeders_agree(cell)
+    assert not record[0] & _HEAP2_RAW
+    graph = cell[-1]
+    assert bool(record[0] & _HEAP2_EXC) == bool(graph.exceptions)
+
+
+def _single_node_cell(n_labels: int, weight: int):
+    """One node ``L`` whose string table holds ``n_labels + 2`` strings."""
+    graph = FlowGraph()
+    for i in range(n_labels):
+        graph.add_path((("L", f"d{i}"),), weight)
+    return ((), (), 0, (), False, graph)
+
+
+@pytest.mark.parametrize(
+    ("n_labels", "weight", "pure"),
+    [
+        (1, 127, True),  # every value fits one byte
+        (1, 128, False),  # a two-byte count
+        (1, 16383, False),
+        (1, 16384, False),  # a three-byte count
+        (125, 1, True),  # 127 strings: the table size still fits one byte
+        (126, 1, False),  # 128 strings
+        (16381, 1, False),  # 16 383 strings: two-byte refs
+        (16382, 1, False),  # 16 384 strings: a three-byte table size
+    ],
+)
+def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
+    record = _assert_feeders_agree(_single_node_cell(n_labels, weight))
+    assert bool(record[0] & _HEAP2_PURE) is pure
+
+
+def test_exception_blob_is_zlibbed_only_when_smaller():
+    graph = FlowGraph([(("a", "1"),)])
+    graph.exceptions = [
+        FlowException(("a",), (), "duration", 1, {"1": 1.0}, {"1": 0.5}, 0.5)
+    ]
+    record = _assert_feeders_agree((("k",), (1,), 0, (3,), False, graph))
+    assert record[0] & _HEAP2_EXC and record[0] & _HEAP2_EXC_ZLIB
+    # Only a hand-made payload has an exception list too short to shrink.
+    payload = cell_payload(("k",), (1,), 0, (3,), False, graph)
+    payload["flowgraph"]["exceptions"] = [0]
+    record = encode_cell_payload(payload)
+    assert record[0] & _HEAP2_EXC and not record[0] & _HEAP2_EXC_ZLIB
+    assert decode_cell_payload(record) == payload
+
+
+class _Label(str):
+    """Equal to, but not exactly, a ``str``: outside the structured codec."""
+
+
+def _fallback_cell(case: str):
+    graph = FlowGraph([(("a", "1"), ("b", "2"))])
+    key, record_ids, redundant = ("x", "y"), (1, 2), False
+    if case == "record id 2**31":
+        record_ids = (1, 2**31)
+    elif case == "negative record id":
+        record_ids = (-1,)
+    elif case == "bool count":
+        graph.node(("a",)).duration_counts["1"] = True
+    elif case == "float count":
+        graph.node(("a", "b")).count = 1.0
+    elif case == "negative count":
+        graph.n_paths = -1
+    elif case == "non-str key part":
+        key = ("x", 7)
+    elif case == "str-subclass label":
+        graph.node(("a",)).duration_counts = {_Label("1"): 1}
+    elif case == "non-bool redundant":
+        redundant = 1
+    elif case == "orphan prefix":
+        del graph._index[("a",)]  # noqa: SLF001 - hand-broken graph
+    return (key, (0, 1), 2, record_ids, redundant, graph)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "record id 2**31",
+        "negative record id",
+        "bool count",
+        "float count",
+        "negative count",
+        "non-str key part",
+        "str-subclass label",
+        "non-bool redundant",
+        "orphan prefix",
+    ],
+)
+def test_every_fallback_is_the_same_raw_record_from_both_feeders(case):
+    cell = _fallback_cell(case)
+    payload = cell_payload(*cell)
+    raw = bytes((_HEAP2_RAW,)) + json.dumps(
+        payload, separators=(",", ":")
+    ).encode("utf-8")
+    assert encode_cell(*cell) == raw
+    assert encode_cell_payload(payload) == raw
+    assert decode_cell_payload(raw) == json.loads(raw[1:])
+    if case != "orphan prefix":  # no graph can be rebuilt around a hole
+        record_ids, redundant, graph = decode_cell_parts(raw)
+        assert list(record_ids) == payload["record_ids"]
+        assert redundant == payload["redundant"]
+        assert flowgraph_to_dict(graph) == payload["flowgraph"]
+
+
+# ----------------------------------------------------------------------
 # byte-identical cubes across formats × engine × kernel × jobs
 # ----------------------------------------------------------------------
 
@@ -342,6 +535,30 @@ def test_migration_survives_mixed_suffix_stores(tmp_path, example_database):
     assert PartitionedPathStore.open(tmp_path / "s").load_all().to_csv() == before
 
 
+def test_put_cell_into_a_cold_generation_1_heap_keeps_its_codec(
+    tmp_path, example_database
+):
+    # The heap generation is sniffed lazily; a write that precedes every
+    # read must still sniff it before choosing the record codec.
+    store = PartitionedPathStore.init(
+        tmp_path / "s", example_database.schema, partition_size=3
+    )
+    store.ingest(example_database)
+    cube = build_cube(
+        store, min_support=2, compute_exceptions=False, into=store.cube_store()
+    )
+    cube.convert("binary", generation=1)
+    expected = cube_to_json(cube)
+    cell = next(iter(cube.cuboids[0]))
+    cube.close()
+    cold = PartitionedPathStore.open(tmp_path / "s").cube_store()
+    cold.put_cell(cell)  # rewrites the cell in place, nothing read yet
+    cold.flush()
+    reopened = PartitionedPathStore.open(tmp_path / "s").cube_store()
+    assert reopened.describe()["heap_generation"] == 1
+    assert cube_to_json(reopened) == expected
+
+
 # ----------------------------------------------------------------------
 # CubeStore behaviour over the heap backend
 # ----------------------------------------------------------------------
@@ -472,3 +689,62 @@ def test_meta_format_field_defaults_to_json_for_legacy_cubes(
     assert legacy.cell_format == "json"
     assert legacy.n_cells() > 0
     next(iter(legacy.cuboids[0]))  # cells still materialise
+
+
+# ----------------------------------------------------------------------
+# pinned on-disk bytes
+# ----------------------------------------------------------------------
+
+#: SHA-256 of the paper example's cube files, generated on the commit
+#: before the one-pass write codec (exceptions off, so no zlib output —
+#: which may differ between zlib builds — is hashed).  A change here is
+#: a format change: bump the heap/index generation instead.
+PINNED_SHA256 = {
+    "built cells.bin": (
+        "73e77522088687ae8a80097501429c3a126aa5d34593cbc2883c05b91662c266"
+    ),
+    "built cells.idx": (
+        "77c4fcf16a09a680ba7d49387143ec57d46792bad0611cd3218a7aa5c82cf67d"
+    ),
+    "appended cells.delta.001.bin": (
+        "b7ae529b4b3590be28861c7ce6dd6306e9ab78914be26f7904f1a5e30fde8611"
+    ),
+    "appended cells.delta.idx": (
+        "78631731522044df015c6e4348ae438ffab77802d2d219855a61c4f36579f9de"
+    ),
+    "compacted cells.bin": (
+        "3d4a24ec0b0ed15009def7a26ede05683f9f2f6cfb0a76c9c08fc64b52975b3e"
+    ),
+    "compacted cells.idx": (
+        "af3d359b55b619828d5f33b9bf5274f10886e96fe76a6bfabe347b3e1bded6e2"
+    ),
+}
+
+
+@pytest.mark.skipif(
+    sys.byteorder != "little", reason="cells.idx arenas are native-endian"
+)
+def test_cube_files_hash_to_the_pinned_digests(tmp_path, example_database):
+    rows = list(example_database)
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", example_database.schema, partition_size=3
+    )
+    store.ingest(PathDatabase(example_database.schema, rows[:6], validate=False))
+    cube = build_cube(
+        store, min_support=2, compute_exceptions=False, into=store.cube_store()
+    )
+    directory = tmp_path / "wh" / "cube"
+    seen = {}
+
+    def digest(stage, *names):
+        for name in names:
+            seen[f"{stage} {name}"] = hashlib.sha256(
+                (directory / name).read_bytes()
+            ).hexdigest()
+
+    digest("built", "cells.bin", "cells.idx")
+    append_records(store, rows[6:], cube=cube, compact_after=0)
+    digest("appended", "cells.delta.001.bin", "cells.delta.idx")
+    assert cube.compact() > 0
+    digest("compacted", "cells.bin", "cells.idx")
+    assert seen == PINNED_SHA256

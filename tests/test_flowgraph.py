@@ -1,6 +1,8 @@
 """Unit tests for flowgraphs (repro.core.flowgraph) — incl. Figure 3 data."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DURATION_VALUE,
@@ -9,7 +11,9 @@ from repro.core import (
     PathLevel,
     TERMINATE,
     aggregate_path,
+    flowgraph_to_dict,
 )
+from repro.core.flowgraph import FlowGraphNode
 from repro.errors import CubeError
 
 
@@ -126,3 +130,106 @@ class TestDerived:
     def test_expected_duration_ignores_star(self):
         graph = FlowGraph([(("a", "*"),)])
         assert graph.expected_remaining_duration(("a",)) == 0.0
+
+
+# ----------------------------------------------------------------------
+# merge (Lemma 4.2) against the previous implementation, kept as oracle
+# ----------------------------------------------------------------------
+
+def _oracle_merge(graph: FlowGraph, others) -> FlowGraph:
+    """``FlowGraph.merge`` as it was before the one-step node creation:
+    children walked through a key sort, missing prefixes grown link by
+    link, tallies added entry by entry."""
+    index, roots = graph._index, graph._roots  # noqa: SLF001
+
+    def grow_chain(prefix):
+        node = None
+        for end in range(1, len(prefix) + 1):
+            partial = prefix[:end]
+            existing = index.get(partial)
+            if existing is None:
+                existing = FlowGraphNode(partial)
+                index[partial] = existing
+                if end == 1:
+                    roots[partial[0]] = existing
+                else:
+                    index[partial[:-1]].children[partial[-1]] = existing
+            node = existing
+        return node
+
+    for other in others:
+        graph.n_paths += other.n_paths
+        for node in sorted(other._index.values(), key=lambda n: n.prefix):  # noqa: SLF001
+            target = index.get(node.prefix)
+            if target is None:
+                target = grow_chain(node.prefix)
+            target.count += node.count
+            for counts, additions in (
+                (target.duration_counts, node.duration_counts),
+                (target.transition_counts, node.transition_counts),
+            ):
+                if counts:
+                    for key, n in additions.items():
+                        counts[key] = counts.get(key, 0) + n
+                else:
+                    counts.update(additions)
+    return graph
+
+
+def _shape(graph: FlowGraph) -> dict:
+    """Content *and* every iteration order a caller can observe."""
+    return {
+        "dict": flowgraph_to_dict(graph),
+        "nodes": [n.prefix for n in graph.nodes()],
+        "index": list(graph._index),  # noqa: SLF001
+        "roots": [root.prefix for root in graph.roots],
+        "children": {n.prefix: list(n.children) for n in graph.nodes()},
+        "tallies": {
+            n.prefix: (list(n.duration_counts.items()),
+                       list(n.transition_counts.items()))
+            for n in graph.nodes()
+        },
+        "paths": list(graph.enumerate_paths()),
+    }
+
+
+_STAGE = st.tuples(st.sampled_from("abcd"), st.sampled_from("123"))
+_PATHS = st.lists(
+    st.lists(_STAGE, min_size=1, max_size=4).map(tuple), max_size=12
+)
+
+
+@given(_PATHS, st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_merge_is_indistinguishable_from_the_oracle(paths, ways, data):
+    parts = [[] for _ in range(ways)]
+    for path in paths:  # a disjoint split of the path multiset
+        parts[data.draw(st.integers(0, ways - 1))].append(path)
+    children = [FlowGraph(part) for part in parts]
+    before = [_shape(child) for child in children]
+
+    merged = FlowGraph().merge(children)
+    assert _shape(merged) == _shape(_oracle_merge(FlowGraph(), children))
+    assert flowgraph_to_dict(merged) == flowgraph_to_dict(FlowGraph(paths))
+
+    # Into a non-empty graph: the first part is the target, not a child.
+    target = FlowGraph(parts[0]).merge(children[1:])
+    assert _shape(target) == _shape(
+        _oracle_merge(FlowGraph(parts[0]), children[1:])
+    )
+
+    # Copied tallies are never shared: growing the merged graphs leaves
+    # every child exactly as it was.
+    for graph in (merged, target):
+        for path in paths:
+            graph.add_path(path, 5)
+    assert [_shape(child) for child in children] == before
+
+
+def test_merge_of_nothing_changes_nothing(paper_graph):
+    before = _shape(paper_graph)
+    assert paper_graph.merge([]) is paper_graph
+    assert paper_graph.merge(iter(())) is paper_graph
+    assert paper_graph.merge([FlowGraph()]) is paper_graph
+    assert _shape(paper_graph) == before
+    assert len(FlowGraph().merge([])) == 0
