@@ -4,8 +4,11 @@ What CI's serve-smoke job runs: build the built-in retail example store
 with the CLI, start the server as a real subprocess on a free port, and
 script a round trip over the JSON API — cube listing, a slice, a
 roll-up, a drill-down, a point query, and the stats report — asserting
-status codes and the shape of every payload.  The server is then asked
-to shut down with SIGINT and must exit cleanly.
+status codes and the shape of every payload.  Two requests that touch
+every matching cell's measure (a ``measure=true`` slice and
+``/exceptions``) are compared byte-for-byte with what this process
+renders from the scan kernel's cells.  The server is then asked to shut
+down with SIGINT and must exit cleanly.
 
 Usage:  python scripts/serve_smoke.py [workdir]
 
@@ -24,6 +27,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.serialization import flowgraph_to_dict
+from repro.query.api import FlowCubeQuery
+from repro.serve import CubeTenant, slice_payload
+from repro.serve.http import encode_json
+
 CLI = [sys.executable, "-m", "repro.store.cli"]
 ADDRESS = re.compile(r"at http://([\d.]+):(\d+)")
 
@@ -32,16 +40,21 @@ def cli(*args: str) -> None:
     subprocess.run([*CLI, *args], check=True)
 
 
-def request(host, port, method, path, body=None):
+def request_bytes(host, port, method, path, body=None):
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
         payload = json.dumps(body) if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
         conn.request(method, path, payload, headers)
         response = conn.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
     finally:
         conn.close()
+
+
+def request(host, port, method, path, body=None):
+    status, raw = request_bytes(host, port, method, path, body)
+    return status, json.loads(raw)
 
 
 def wait_for_address(process) -> tuple[str, int]:
@@ -105,6 +118,50 @@ def round_trip(host: str, port: int) -> None:
     assert stats["server"]["requests"] >= 8, stats
 
 
+def measure_parity(host: str, port: int, store: Path) -> None:
+    """The routes that decode every matching cell, against the scan kernel."""
+    dims = {"product": "clothing"}
+    tenant = CubeTenant.mount("wh", store)
+    try:
+        cells = FlowCubeQuery(tenant.cube_store, kernel="scan").slice_cells(
+            None, **dims
+        )
+        assert cells, "the parity cut matches no cell"
+        status, served = request_bytes(
+            host, port, "POST", "/cubes/wh/slice",
+            {"cut": "product:clothing", "measure": True},
+        )
+        assert status == 200, served
+        expected = encode_json(slice_payload(tenant, dims, None, cells, True))
+        assert served == expected, "measure=true slice differs from the scan kernel"
+
+        status, served = request_bytes(
+            host, port, "GET", "/cubes/wh/exceptions?cut=product:clothing"
+        )
+        assert status == 200, served
+        reports = [
+            {
+                "key": list(cell.key),
+                "item_level": list(cell.item_level.levels),
+                "exceptions": flowgraph_to_dict(cell.flowgraph)["exceptions"],
+            }
+            for cell in cells
+            if cell.flowgraph.exceptions
+        ]
+        assert reports, "the parity cut carries no exception"
+        expected = encode_json(
+            {
+                "cube": "wh",
+                "cut": "product:clothing",
+                "n_cells": len(reports),
+                "cells": reports,
+            }
+        )
+        assert served == expected, "/exceptions differs from the scan kernel"
+    finally:
+        tenant.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     workdir = Path(argv[0]) if argv else Path(tempfile.mkdtemp("serve-smoke"))
@@ -121,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         host, port = wait_for_address(process)
         round_trip(host, port)
+        measure_parity(host, port, store)
     finally:
         process.send_signal(signal.SIGINT)
         exit_code = process.wait(timeout=15)

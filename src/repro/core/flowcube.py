@@ -46,7 +46,16 @@ CellKey = tuple[str, ...]
 
 @dataclass
 class Cell:
-    """One cell of a cuboid: coordinates, member paths, and the measure."""
+    """One cell of a cuboid: coordinates, member paths, and the measure.
+
+    ``key`` / ``item_level`` / ``path_level`` / ``n_paths`` /
+    ``redundant`` are the *index fields*: selection (slice, dice,
+    listings) reads nothing else.  ``record_ids`` and ``flowgraph`` are
+    the *measure*; a cube that keeps cells on disk
+    (:class:`~repro.store.cube_store.StoredCell`) may defer decoding
+    them until first read, so code that only selects must not touch
+    them.
+    """
 
     key: CellKey
     item_level: ItemLevel
@@ -97,6 +106,10 @@ class Cuboid:
                 f"cell {key!r} is not materialised in cuboid "
                 f"{self.item_level.levels!r}"
             ) from None
+
+    def cells_for(self, keys: Iterable[CellKey]) -> list[Cell]:
+        """The cells at *keys*, in order (a store batches this read)."""
+        return [self.cell(key) for key in keys]
 
 
 class FlowCube:

@@ -330,8 +330,7 @@ class FlowCubeQuery:
                 continue
             if self.kernel == "index":
                 catalog = self._catalog(cuboid)
-                for key in catalog.matching_keys(constraints):
-                    yield cuboid.cell(key)
+                yield from cuboid.cells_for(catalog.matching_keys(constraints))
             else:
                 for cell in cuboid:
                     if all(

@@ -32,7 +32,10 @@ Read handling is deliberately layered: a warm request is answered from
 the tenant's rendered-response cache (bytes out, zero query work); a
 cooler one from the query cache; a cold one runs the bitmap index
 kernel — and, for ``"derive": true`` queries, the roll-up planner — and
-pays cell-file IO only for matching cells.  Every cache key folds in the
+pays cell-file IO only for matching cells, whose measure is decoded
+only if the response renders it (``measure``, ``/flowgraph``,
+``/exceptions``, ``/query``, ``derive``): a default slice answers from
+the index fields alone.  Every cache key folds in the
 store version, and each tenant request first ``stat``\\ s the cube's meta
 file, so a rebuild by another process invalidates all three layers at
 once.
@@ -45,7 +48,7 @@ import time
 from collections.abc import Iterable
 
 from repro import __version__
-from repro.core.serialization import flowgraph_to_dict
+from repro.core.serialization import exceptions_to_dicts, flowgraph_to_dict
 from repro.errors import (
     CubeError,
     FlowCubeError,
@@ -61,19 +64,36 @@ from repro.serve.tenant import CubeTenant
 __all__ = ["SlicerApp", "cell_payload", "slice_payload"]
 
 
+def _cell_payloads(tenant: CubeTenant, cells: Iterable, measure: bool) -> list:
+    """*cells* as the API renders them (index fields, optional measure).
+
+    Without *measure* only a cell's index fields are read, so stored
+    cells are rendered undecoded; the path-level id is resolved once per
+    distinct level, not per cell.
+    """
+    index_of = tenant.cube_store.path_lattice.index_of
+    path_level = level_id = None
+    payloads = []
+    for cell in cells:
+        if cell.path_level is not path_level:
+            path_level = cell.path_level
+            level_id = index_of(path_level)
+        out: dict = {
+            "key": list(cell.key),
+            "item_level": list(cell.item_level.levels),
+            "path_level": level_id,
+            "n_paths": cell.n_paths,
+            "redundant": cell.redundant,
+        }
+        if measure:
+            out["flowgraph"] = flowgraph_to_dict(cell.flowgraph)
+        payloads.append(out)
+    return payloads
+
+
 def cell_payload(tenant: CubeTenant, cell, measure: bool = False) -> dict:
     """One cell as the API renders it (index fields, optional measure)."""
-    lattice = tenant.cube_store.path_lattice
-    out: dict = {
-        "key": list(cell.key),
-        "item_level": list(cell.item_level.levels),
-        "path_level": lattice.index_of(cell.path_level),
-        "n_paths": cell.n_paths,
-        "redundant": cell.redundant,
-    }
-    if measure:
-        out["flowgraph"] = flowgraph_to_dict(cell.flowgraph)
-    return out
+    return _cell_payloads(tenant, (cell,), measure)[0]
 
 
 def slice_payload(
@@ -89,7 +109,7 @@ def slice_payload(
     independently computed cells and assert byte-equality against the
     server's response.
     """
-    cells = [cell_payload(tenant, cell, measure) for cell in cells]
+    cells = _cell_payloads(tenant, cells, measure)
     return {
         "cube": tenant.name,
         "cut": format_cut(dims),
@@ -471,9 +491,7 @@ class SlicerApp:
                 "cube": tenant.name,
                 "dimension": dimension,
                 "n_cells": len(children),
-                "cells": [
-                    cell_payload(tenant, child, measure) for child in children
-                ],
+                "cells": _cell_payloads(tenant, children, measure),
             }
 
         return self._cached(tenant, key, build, request)
@@ -540,7 +558,7 @@ class SlicerApp:
             cells = tenant.query.slice_cells(path_level, **dims)
             reports = []
             for cell in cells:
-                exceptions = flowgraph_to_dict(cell.flowgraph)["exceptions"]
+                exceptions = exceptions_to_dicts(cell.flowgraph.exceptions)
                 if exceptions:
                     reports.append(
                         {

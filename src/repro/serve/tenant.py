@@ -3,8 +3,8 @@
 A :class:`CubeTenant` owns everything one cube needs to be served
 concurrently and repeatedly:
 
-* a :class:`~repro.store.cube_store.CubeStore` read handle (cell-file
-  materialisation behind its locked LRU cache);
+* a :class:`~repro.store.cube_store.CubeStore` read handle (cell reads
+  behind its locked LRU cache; measures decode on first touch);
 * two long-lived :class:`~repro.query.api.FlowCubeQuery` façades — plain
   and ``derive=True`` — reused across requests, both drawing bitmap key
   catalogs from one shared :class:`~repro.perf.query_kernel.CatalogPool`
@@ -184,6 +184,7 @@ class CubeTenant:
             "query_cache": self.query.cache_stats(),
             "derive_cache": self.derive_query.cache_stats(),
             "cell_cache": self.cube_store.cache_stats(),
+            "io": self.cube_store.io_counters(),
             "catalog_pool": self.catalogs.stats(),
             "response_cache": self._responses.stats(),
         }

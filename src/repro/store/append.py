@@ -50,7 +50,11 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.lattice import ItemLattice, ItemLevel
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
-from repro.store.cube_store import CubeStore, _new_append_stats
+from repro.store.cube_store import (
+    CubeStore,
+    _new_append_stats,
+    entry_n_paths,
+)
 
 __all__ = ["append_records"]
 
@@ -201,7 +205,10 @@ def _merge_batch(
             entries = index.get((item_level, level_id))
             if entries:
                 order = list(entries)
-                size = {key: entry[-2] for key, entry in entries.items()}
+                size = {
+                    key: entry_n_paths(entry)
+                    for key, entry in entries.items()
+                }
                 break
         existing_order.append(order)
         sizes.append(size)

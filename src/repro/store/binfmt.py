@@ -110,6 +110,7 @@ __all__ = [
     "pack_cell_index",
     "pack_partition",
     "pack_segment_offset",
+    "raw_record",
     "split_segment_offset",
     "unpack_cell_index",
     "unpack_partition",
@@ -454,6 +455,18 @@ class _NotStructured(Exception):
     """Payload shape falls outside the structured codec → store raw JSON."""
 
 
+#: What decoding a damaged record can raise: every one is reported as the
+#: typed ``StoreError("corrupt cell payload: …")``.
+_CORRUPT = (
+    IndexError,
+    KeyError,
+    TypeError,
+    ValueError,
+    struct.error,
+    zlib.error,
+)
+
+
 def _decode_varints(stream: bytes) -> list[int]:
     values: list[int] = []
     append = values.append
@@ -600,9 +613,20 @@ def _encode_record(
     return b"".join(parts)
 
 
+def raw_record(payload_json: bytes) -> bytes:
+    """Frame a cell payload's JSON text as a verbatim (``RAW``) record.
+
+    What the structured codec falls back to — and how the JSON-storing
+    backends (generation-1 heap, one file per cell) present a stored
+    payload to :func:`decode_cell_parts`, so every backend's cell is
+    decoded by the one function.
+    """
+    return bytes((_HEAP2_RAW,)) + payload_json
+
+
 def _raw_record(payload: dict) -> bytes:
     """The verbatim-JSON record for a payload outside the structured codec."""
-    return bytes((_HEAP2_RAW,)) + _json_bytes(payload)
+    return raw_record(_json_bytes(payload))
 
 
 def cell_payload(
@@ -844,7 +868,7 @@ def decode_cell_payload(buffer: bytes) -> dict:
                 "exceptions": exceptions,
             },
         }
-    except (IndexError, ValueError, struct.error) as exc:
+    except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
 
@@ -937,7 +961,7 @@ def decode_cell_parts(buffer: bytes):
         if exceptions:
             graph.exceptions = exceptions_from_dicts(exceptions)
         return list(rid_arena), redundant, graph
-    except (IndexError, ValueError, struct.error) as exc:
+    except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
 

@@ -32,9 +32,12 @@ the packed ``cells.idx`` arena, so opening a million-cell cube costs
 one mmap per store instead of a million stats — zero heap bytes are
 read on open, and the per-cuboid catalog masks stay lazy byte spans
 over the index map until a query ANDs them.  ``cube_to_json`` output
-is byte-identical across backends and generations.  A cell's
-flowgraph is only *materialised* (parsed and rebuilt) when a query
-first touches it; the store fronts every read with a bounded
+is byte-identical across backends and generations.  A read hands out a
+:class:`StoredCell`: the index fields (key, levels, ``n_paths``,
+``redundant``) straight from the index entry plus a copy of the cell's
+record bytes, and the measure (``record_ids``, ``flowgraph``) is decoded
+from those bytes the first time it is touched — slicing and listing
+decode nothing.  The store fronts every read with a bounded
 :class:`~repro.store.cache.LRUCache` whose hit/miss/eviction counters
 make serving behaviour observable.  :meth:`CubeStore.convert` switches
 a built cube between backends in place (``flowcube-store migrate``).
@@ -44,6 +47,13 @@ The store exposes the same lookup surface as
 ``flowgraph_for`` / ``cuboids``), so
 :class:`~repro.query.api.FlowCubeQuery` works over either without caring
 which one it was given.
+
+Benchmark note: ``benchmarks/flowbench`` traces :meth:`CubeStore.cell`
+as ``cube_store.cell_read_ms``.  Slices read a cuboid's matching cells
+through :meth:`CubeStore.cuboid_cells` instead, so in the miss stage
+that span reads 0 and the read is self time of
+``query.slice_cells_ms``: compare the *sum* of the two (plus
+``app.slice_payload_ms``) across commits.
 """
 
 from __future__ import annotations
@@ -53,15 +63,16 @@ import mmap
 import os
 import shutil
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path as FsPath
 
 from repro.core.flowcube import Cell, CellKey
 from repro.core.lattice import ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathSchema
 from repro.core.serialization import (
-    flowgraph_from_dict,
+    flowgraph_to_dict,
     path_level_from_dict,
     path_level_to_dict,
 )
@@ -70,7 +81,7 @@ from repro.store import binfmt
 from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC
 from repro.store.cache import LRUCache
 
-__all__ = ["CELL_FORMATS", "CubeStore", "StoredCuboid"]
+__all__ = ["CELL_FORMATS", "CubeStore", "StoredCell", "StoredCuboid"]
 
 META_FILENAME = "cube.json"
 CELLS_DIR = "cells"
@@ -110,9 +121,19 @@ Coords = tuple[ItemLevel, int, CellKey]
 #: An index entry.  The representation is backend-specific —
 #: ``(filename, n_paths, redundant)`` for JSON cells, ``(heap offset,
 #: payload length, n_paths, redundant)`` for the packed heap — but the
-#: last two slots are common, so shared code reads ``entry[-2]``
-#: (n_paths) and ``entry[-1]`` (redundant) without dispatching.
+#: last two slots are common, so shared code reads them through
+#: :func:`entry_n_paths` / :func:`entry_redundant` without dispatching.
 Entry = tuple
+
+#: The cell's path count, as the index entry records it.
+entry_n_paths = itemgetter(-2)
+#: The cell's redundancy mark, as the index entry records it.
+entry_redundant = itemgetter(-1)
+
+
+def _new_io_counters() -> dict[str, int]:
+    """Fresh read-path telemetry (see :meth:`CubeStore.io_counters`)."""
+    return {"heap_bytes_read": 0, "mask_bits_decoded": 0, "cells_decoded": 0}
 
 
 def _codec_args(coords: Coords, cell: Cell) -> tuple:
@@ -144,6 +165,8 @@ class _JsonCells:
         #: Precomputed per-cuboid catalog masks; the JSON layout stores
         #: none, so catalogs are derived from the keys on demand.
         self.cell_masks: dict = {}
+        #: Read-path telemetry; only ``cells_decoded`` ever moves here.
+        self.io_counters = _new_io_counters()
 
     def begin(self) -> None:
         """Reset for a fresh build (file numbering restarts at 0)."""
@@ -165,11 +188,18 @@ class _JsonCells:
             for coords, cell in cells
         ]
 
-    def read(self, entry: Entry) -> dict:
+    def _payload_json(self, entry: Entry) -> bytes:
         path = self.directory / CELLS_DIR / entry[0]
         if not path.exists():
             raise StoreError(f"cell file {path} is missing")
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_bytes()
+
+    def read(self, entry: Entry) -> dict:
+        return json.loads(self._payload_json(entry))
+
+    def record(self, entry: Entry) -> bytes:
+        """The cell file's payload, framed as a ``RAW`` record."""
+        return binfmt.raw_record(self._payload_json(entry))
 
     def finalise(self, index) -> dict:
         """Meta-payload contribution; JSON keeps the cell index inline."""
@@ -238,8 +268,9 @@ class _HeapCells:
     payload read — a cold open touches ``cells.idx`` only, which is
     itself mmap'd with the catalog masks left as
     :class:`~repro.store.binfmt.LazyMaskMap` spans.  ``io_counters``
-    tallies heap bytes read and mask bitmaps decoded; the benchmark
-    tripwire asserts both stay zero across an open.
+    tallies heap bytes read, mask bitmaps decoded and cells decoded;
+    the benchmark tripwire asserts the first two stay zero across an
+    open.
     """
 
     format = "binary"
@@ -268,11 +299,9 @@ class _HeapCells:
         #: (item level, path-level id) -> per-dimension catalog masks:
         #: lazy mmap-backed views handed out by :meth:`load`.
         self.cell_masks: dict = {}
-        #: Read-path telemetry (shared with the mask arena).
-        self.io_counters: dict[str, int] = {
-            "heap_bytes_read": 0,
-            "mask_bits_decoded": 0,
-        }
+        #: Read-path telemetry (shared with the mask arena and with
+        #: every :class:`StoredCell` read through this backend).
+        self.io_counters = _new_io_counters()
 
     @property
     def heap_path(self) -> FsPath:
@@ -525,15 +554,13 @@ class _HeapCells:
             return json.loads(data)
         return binfmt.decode_cell_payload(data)
 
-    def read_parts(self, entry: Entry):
-        """``(record_ids, redundant, flowgraph)`` for generation-2 heaps.
-
-        ``None`` for generation 1, where the caller materialises from
-        the payload dict instead.
-        """
-        if self.generation != 2:
-            return None
-        return binfmt.decode_cell_parts(self._raw(entry))
+    def record(self, entry: Entry) -> bytes:
+        """The entry's cell as bytes :func:`~repro.store.binfmt.decode_cell_parts`
+        takes: the heap record itself for generation 2, the JSON payload
+        framed as a ``RAW`` record for generation 1."""
+        generation = self.generation
+        data = self._raw(entry)
+        return binfmt.raw_record(data) if generation == 1 else data
 
     def _view(self) -> mmap.mmap:
         if self._mmap is None:
@@ -764,11 +791,95 @@ class _HeapCells:
         self._discard_delta_files()
 
 
+class StoredCell(Cell):
+    """A cell as a store hands it out: index fields now, measure on first touch.
+
+    ``key`` / ``item_level`` / ``path_level`` / ``n_paths`` /
+    ``redundant`` are plain attributes filled from the index entry, so
+    selecting and listing cells (slice, dice, ``/cuboids``) decodes
+    nothing.  ``record_ids`` and ``flowgraph`` — the measure — are
+    decoded together, once, by
+    :func:`~repro.store.binfmt.decode_cell_parts` the first time either
+    is read.
+
+    The cell is a self-contained snapshot: it owns the record *bytes*
+    the store copied out under its lock at read time, never an offset
+    into a heap, so it decodes the same measure after the store has
+    reloaded, appended, compacted or closed.  A damaged record surfaces
+    as :class:`~repro.errors.StoreError` at that first touch, and at
+    every later one (nothing is cached on failure).
+
+    Two threads that race on the first touch both decode; they compute
+    equal measures and the last assignment stays, and ``cells_decoded``
+    (telemetry, not guarded by the store lock) may then read one short.
+    """
+
+    def __init__(
+        self,
+        key: CellKey,
+        item_level: ItemLevel,
+        path_level: PathLevel,
+        n_paths: int,
+        redundant: bool,
+        record: bytes,
+        counters: dict[str, int],
+    ) -> None:
+        self.key = key
+        self.item_level = item_level
+        self.path_level = path_level
+        self.redundant = redundant
+        self._n_paths = n_paths
+        self._record = record
+        self._counters = counters
+        self._measure: tuple | None = None
+
+    @property
+    def n_paths(self) -> int:
+        """Number of paths aggregated in the cell (from the index)."""
+        return self._n_paths
+
+    def _touch(self) -> tuple:
+        measure = self._measure
+        if measure is None:
+            record_ids, _, flowgraph = binfmt.decode_cell_parts(self._record)
+            measure = self._measure = (tuple(record_ids), flowgraph)
+            self._counters["cells_decoded"] += 1
+        return measure
+
+    @property
+    def record_ids(self) -> tuple[int, ...]:
+        return self._touch()[0]
+
+    @property
+    def flowgraph(self):
+        return self._touch()[1]
+
+    def __eq__(self, other: object) -> bool:
+        """Field-wise equality with any :class:`Cell`, index fields first
+        (cells at different coordinates never decode); flowgraphs, which
+        compare by identity, are compared in serialised form."""
+        if not isinstance(other, Cell):
+            return NotImplemented
+        return (
+            self.key == other.key
+            and self.item_level == other.item_level
+            and self.path_level == other.path_level
+            and self.redundant == other.redundant
+            and self.paths == other.paths
+            and self.record_ids == other.record_ids
+            and (
+                self.flowgraph is other.flowgraph
+                or flowgraph_to_dict(self.flowgraph)
+                == flowgraph_to_dict(other.flowgraph)
+            )
+        )
+
+
 class StoredCuboid:
     """A lazy view of one persisted cuboid.
 
-    Iteration and lookups materialise cells through the store's cache;
-    nothing is loaded up front.  Mirrors the read surface of
+    Iteration and lookups read cells through the store's cache; nothing
+    is loaded up front.  Mirrors the read surface of
     :class:`~repro.core.flowcube.Cuboid`.
     """
 
@@ -811,6 +922,10 @@ class StoredCuboid:
                 f"{self.item_level.levels!r}"
             )
         return self._store.cell(self.item_level, key, self.path_level)
+
+    def cells_for(self, keys: Iterable[CellKey]) -> list[Cell]:
+        """The cells at *keys*, in order, as one batched store read."""
+        return self._store.cuboid_cells(self.item_level, self.path_level, keys)
 
 
 class CubeStore:
@@ -1084,7 +1199,11 @@ class CubeStore:
                         entries,
                         new.put_raw(
                             [
-                                (old.raw_payload(entry), entry[-2], entry[-1])
+                                (
+                                    old.raw_payload(entry),
+                                    entry_n_paths(entry),
+                                    entry_redundant(entry),
+                                )
                                 for entry in entries.values()
                             ]
                         ),
@@ -1276,13 +1395,13 @@ class CubeStore:
         ``heap_bytes_read`` counts payload bytes pulled out of
         ``cells.bin``; ``mask_bits_decoded`` counts catalog bitmaps
         decoded from the ``cells.idx`` map.  Both stay zero across a
-        cold open — the benchmark tripwire asserts exactly that.  JSON
-        stores have no such files and report zeros.
+        cold open — the benchmark tripwire asserts exactly that — and
+        across every JSON store, which has no such files.
+        ``cells_decoded`` counts cells whose measure was decoded (first
+        touch of a :class:`StoredCell`): a cell can be *read* — its
+        bytes copied, ``heap_bytes_read`` moved — and never decoded.
         """
-        counters = getattr(self._cells, "io_counters", None)
-        if counters is None:
-            return {"heap_bytes_read": 0, "mask_bits_decoded": 0}
-        return dict(counters)
+        return dict(self._cells.io_counters)
 
     def needs_upgrade(self) -> bool:
         """Whether the cell heap predates the latest binary generation."""
@@ -1348,7 +1467,9 @@ class CubeStore:
                 fresh: dict[CellKey, Entry] = {}
                 for key, entry in entries.items():
                     payload = old.read(entry)
-                    fresh[key] = new.put(payload, entry[-2], entry[-1])
+                    fresh[key] = new.put(
+                        payload, entry_n_paths(entry), entry_redundant(entry)
+                    )
                     if check and new.read(fresh[key]) != payload:
                         raise StoreError(
                             f"conversion parity check failed for cell {key!r}"
@@ -1371,67 +1492,61 @@ class CubeStore:
             return done
 
     # ------------------------------------------------------------------
-    # reads (cache-fronted, lazily materialising)
+    # reads (cache-fronted; the measure decodes on first touch)
     # ------------------------------------------------------------------
     def cell(
         self, item_level: ItemLevel, key: CellKey, path_level: PathLevel
     ) -> Cell:
-        """The cell at the coordinates, materialised through the cache."""
+        """The cell at the coordinates, read through the cache."""
+        return self.cuboid_cells(item_level, path_level, (key,))[0]
+
+    def cuboid_cells(
+        self,
+        item_level: ItemLevel,
+        path_level: PathLevel,
+        keys: Iterable[CellKey],
+    ) -> list[Cell]:
+        """The cells of one cuboid at *keys*, in order, through the cache.
+
+        One lock hold and one cuboid resolution for the whole batch.
+        Each cell not in the cache is a :class:`StoredCell` over the
+        record bytes copied out here, under the lock — whatever happens
+        to the heap afterwards, the cell decodes this read's measure.
+        """
         with self._lock:
             lattice = self._require_built()
             level_id = lattice.index_of(path_level)
-            coords: Coords = (item_level, level_id, key)
-            cached = self._cache.get(coords)
-            if cached is not None:
-                return cached
             entries = self._index.get((item_level, level_id))
             if entries is None:
                 raise CubeError(
                     f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
                 )
-            entry = entries.get(key)
-            if entry is None:
-                raise CubeError(
-                    f"cell {key!r} is not materialised in cuboid "
-                    f"{item_level.levels!r}"
-                )
-            cell = self._materialise(item_level, path_level, key, entry)
-            self._cache.put(coords, cell)
-            return cell
-
-    def _materialise(
-        self,
-        item_level: ItemLevel,
-        path_level: PathLevel,
-        key: CellKey,
-        entry: Entry,
-    ) -> Cell:
-        reader = getattr(self._cells, "read_parts", None)
-        if reader is not None:
-            parts = reader(entry)
-            if parts is not None:
-                # Generation-2 heaps decode straight to graph objects,
-                # skipping the payload-dict intermediate entirely.
-                record_ids, redundant, flowgraph = parts
-                return Cell(
-                    key=key,
-                    item_level=item_level,
-                    path_level=path_level,
-                    record_ids=tuple(record_ids),
-                    flowgraph=flowgraph,
-                    paths=(),
-                    redundant=redundant,
-                )
-        payload = self._cells.read(entry)
-        return Cell(
-            key=key,
-            item_level=item_level,
-            path_level=path_level,
-            record_ids=tuple(int(i) for i in payload["record_ids"]),
-            flowgraph=flowgraph_from_dict(payload["flowgraph"]),
-            paths=(),
-            redundant=bool(payload["redundant"]),
-        )
+            cache = self._cache
+            record = self._cells.record
+            counters = self._cells.io_counters
+            cells: list[Cell] = []
+            for key in keys:
+                coords: Coords = (item_level, level_id, key)
+                cell = cache.get(coords)
+                if cell is None:
+                    entry = entries.get(key)
+                    if entry is None:
+                        raise CubeError(
+                            f"cell {key!r} is not materialised in cuboid "
+                            f"{item_level.levels!r}"
+                        )
+                    cell = StoredCell(
+                        key,
+                        item_level,
+                        path_level,
+                        entry_n_paths(entry),
+                        entry_redundant(entry),
+                        record(entry),
+                        counters,
+                    )
+                    cache.put(coords, cell)
+                cells.append(cell)
+            return cells
 
     def has_cuboid(self, item_level: ItemLevel, path_level: PathLevel) -> bool:
         lattice = self._require_built()
@@ -1482,7 +1597,7 @@ class CubeStore:
             raise CubeError(
                 f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
             )
-        return {key: entry[-2] for key, entry in entries.items()}
+        return {key: entry_n_paths(entry) for key, entry in entries.items()}
 
     @property
     def cuboids(self) -> tuple[StoredCuboid, ...]:
@@ -1507,7 +1622,7 @@ class CubeStore:
             return cuboids
 
     def cells(self) -> Iterator[Cell]:
-        """Every persisted cell, materialised through the cache."""
+        """Every persisted cell, read through the cache."""
         for cuboid in self.cuboids:
             yield from cuboid
 

@@ -5,8 +5,8 @@ The load-bearing assertions:
 * the ``"index"`` slice kernel yields exactly the seed ``"scan"`` kernel's
   cells (same cells, same order) over both the in-memory cube and the
   store, across a hypothesis grid of δ and materialised-level subsets;
-* slicing a :class:`CubeStore` materialises *only* the matching cells —
-  pinned by a counting hook on ``CubeStore._materialise``;
+* slicing a :class:`CubeStore` reads *only* the matching cells —
+  pinned by a counting hook on ``StoredCell.__init__``;
 * a derived cuboid is byte-identical (``cube_to_json``) to a directly
   built one whenever the source cuboid is unpruned, and — under a real
   iceberg threshold — to a direct build over the records covered by the
@@ -40,7 +40,7 @@ from repro.query.api import FlowCubeQuery
 from repro.query.planner import derive_cell, derive_cuboid, plan_derivation
 from repro.store import PartitionedPathStore, build_cube
 from repro.store.cli import main
-from repro.store.cube_store import CubeStore
+from repro.store.cube_store import StoredCell
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.test_properties import path_databases
 
@@ -152,26 +152,26 @@ def test_slice_over_store_materialises_only_matching_cells(
     h0 = database.schema.dimensions[0]
     value = sorted(h0.concepts_at_level(1))[0]
     reads: list[tuple] = []
-    original = CubeStore._materialise
+    original = StoredCell.__init__
 
-    def counting(self, item_level, path_level, key, entry):
+    def counting(self, key, item_level, *rest):
         reads.append((item_level, key))
-        return original(self, item_level, path_level, key, entry)
+        original(self, key, item_level, *rest)
 
-    monkeypatch.setattr(CubeStore, "_materialise", counting)
+    monkeypatch.setattr(StoredCell, "__init__", counting)
 
     cold = store.cube_store()
     index_cells = list(FlowCubeQuery(cold).slice(d0=value))
     index_reads = list(reads)
     # Index-first: the predicate ran on the key catalog, so exactly the
-    # yielded cells were parsed from disk — nothing else.
+    # yielded cells were read from disk — nothing else.
     assert len(index_reads) == len(index_cells)
     assert set(index_reads) == set(_cell_ids(index_cells))
 
     reads.clear()
     cold_scan = store.cube_store()
     scan_cells = list(FlowCubeQuery(cold_scan, kernel="scan").slice(d0=value))
-    # The scan kernel parses every cell of the sliced path level.
+    # The scan kernel reads every cell of the sliced path level.
     assert len(reads) > len(scan_cells)
     assert _cell_ids(index_cells) == _cell_ids(scan_cells)
 

@@ -1,0 +1,575 @@
+"""Stored cells: index fields now, the measure on first touch.
+
+What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
+
+* selecting cells decodes nothing — a default slice through
+  ``SlicerApp.handle`` makes zero ``binfmt.decode_cell_parts`` calls,
+  ``measure=true`` makes exactly one per matching cell, and repeats (or
+  another route over the same cells) make none;
+* over every backend and store state, a stored cell equals the cell an
+  eager decode of its record gives, and the index's ``n_paths`` /
+  ``redundant`` agree with the record's;
+* a cell is a snapshot: it decodes the measure it was read with after
+  the store has been appended to, compacted, reloaded and closed;
+* a damaged record is a typed ``StoreError`` at first touch, and a typed
+  status — never a traceback — on every serve route that touches the
+  measure;
+* ``/exceptions`` renders the bytes it rendered when it serialised the
+  whole flowgraph to read one field.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import pickle
+import tempfile
+from pathlib import Path as FsPath
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.flowcube import Cell, FlowCube
+from repro.core.lattice import ItemLattice
+from repro.core.path import PathRecord
+from repro.core.path_database import PathDatabase, example_path_database
+from repro.core.redundancy import prune_redundant
+from repro.core.serialization import cube_to_json, flowgraph_to_dict
+from repro.core.similarity import tv_similarity
+from repro.errors import StoreError
+from repro.query.api import FlowCubeQuery
+from repro.serve import CubeTenant, SlicerApp
+from repro.serve.cuts import format_cut
+from repro.serve.http import encode_json
+from repro.store import (
+    BuildStats,
+    PartitionedPathStore,
+    append_records,
+    binfmt,
+    build_cube,
+    shared_mine_store,
+)
+from repro.store.cube_store import (
+    CubeStore,
+    StoredCell,
+    entry_n_paths,
+    entry_redundant,
+)
+from repro.synth import GeneratorConfig, generate_path_database
+from tests.test_properties import path_databases
+from tests.test_serve import get, post
+
+CONFIG = GeneratorConfig(
+    n_paths=150,
+    n_dims=2,
+    dim_fanouts=(2, 3),
+    n_location_groups=3,
+    locations_per_group=2,
+    n_sequences=8,
+    max_path_length=4,
+    max_duration=3,
+    seed=5,
+)
+BASE_ROWS = 120
+#: (store format, heap generation or None) for every cell backend.
+BACKENDS = [("binary", 2), ("binary", 1), ("json", None)]
+#: Record ids from here up do not fit the structured codec's int32
+#: arena, so every cell holding one is stored as a ``RAW`` record.
+RAW_ID_FLOOR = 2**31
+
+
+def build_store(directory, schema, rows, fmt="binary", generation=None, **build):
+    """A store over *rows* with its cube built (and, on request, rewritten
+    as a generation-1 heap)."""
+    store = PartitionedPathStore.init(
+        directory, schema, partition_size=40, store_format=fmt
+    )
+    store.ingest(PathDatabase(schema, rows, validate=False))
+    cube = store.cube_store()
+    build.setdefault("min_support", 0.05)
+    build_cube(store, into=cube, stats=BuildStats(), **build)
+    if generation == 1:
+        cube.convert("binary", generation=1)
+    return store, cube
+
+
+@pytest.fixture(scope="module")
+def database():
+    return generate_path_database(CONFIG)
+
+
+@pytest.fixture()
+def store_dir(tmp_path, database):
+    store, cube = build_store(tmp_path / "wh", database.schema, list(database))
+    cube.close()
+    store.close()
+    return tmp_path / "wh"
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Every record handed to ``binfmt.decode_cell_parts``, in call order."""
+    calls: list[bytes] = []
+    original = binfmt.decode_cell_parts
+
+    def counting(buffer):
+        calls.append(bytes(buffer))
+        return original(buffer)
+
+    monkeypatch.setattr(binfmt, "decode_cell_parts", counting)
+    return calls
+
+
+def stored_entries(cube: CubeStore):
+    """``(item_level, path_level, key, entry)`` for every persisted cell."""
+    for (item_level, level_id), entries in cube._index.items():
+        for key, entry in entries.items():
+            yield item_level, cube.path_lattice[level_id], key, entry
+
+
+# ----------------------------------------------------------------------
+# (a) what decodes, and how often
+# ----------------------------------------------------------------------
+
+def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
+    store_dir, decodes
+):
+    tenant = CubeTenant.mount("wh", store_dir)
+    app = SlicerApp([tenant])
+    cut = {"cut": "d0:d0_0"}
+
+    plain = post(app, "/cubes/wh/slice", cut)
+    assert plain.status == 200
+    n_cells = json.loads(plain.body)["n_cells"]
+    assert n_cells > 1
+    assert decodes == []
+    counters = tenant.cube_store.io_counters()
+    assert counters["heap_bytes_read"] > 0  # read ...
+    assert counters["cells_decoded"] == 0  # ... and not decoded
+    assert post(app, "/cubes/wh/slice", cut).body == plain.body
+    assert decodes == []
+
+    full = post(app, "/cubes/wh/slice", {**cut, "measure": True})
+    assert full.status == 200
+    assert json.loads(full.body)["n_cells"] == n_cells
+    assert len(decodes) == n_cells
+    assert len(set(decodes)) == n_cells  # one call per cell, none twice
+    assert tenant.cube_store.io_counters()["cells_decoded"] == n_cells
+
+    # Repeats, and another route over the same cells, find them decoded.
+    assert post(app, "/cubes/wh/slice", {**cut, "measure": True}).body == full.body
+    assert post(app, "/cubes/wh/slice", cut).body == plain.body
+    assert get(app, "/cubes/wh/exceptions", {"cut": "d0:d0_0"}).status == 200
+    assert len(decodes) == n_cells
+    stats = json.loads(get(app, "/stats").body)["cubes"]["wh"]
+    assert stats["io"]["cells_decoded"] == n_cells
+    assert stats["io"]["heap_bytes_read"] == counters["heap_bytes_read"]
+    tenant.close()
+
+
+def test_index_fields_never_touch_the_measure(store_dir, decodes):
+    with PartitionedPathStore.open(store_dir) as store:
+        cube = store.cube_store()
+        cells = list(cube.cells())
+        assert cells and all(type(cell) is StoredCell for cell in cells)
+        for cell in cells:
+            assert isinstance(cell, Cell)
+            assert cell.paths == ()
+            assert cell.n_paths > 0 and cell.redundant is False
+            assert repr(cell) == f"Cell({cell.key!r}, n={cell.n_paths}, redundant=False)"
+            assert not hasattr(cell, "no_such_field")
+        # Cells at different coordinates compare unequal on the index alone.
+        assert cells[0] != cells[1]
+        assert decodes == []
+        cube.close()
+
+
+def test_copy_pickle_and_equality_decode_at_most_once(store_dir, decodes):
+    with PartitionedPathStore.open(store_dir) as store:
+        cube = store.cube_store()
+        cell = next(iter(cube.cells()))
+
+        # Untouched: copies carry the record, not a decoded measure.
+        clone = copy.copy(cell)
+        thawed = pickle.loads(pickle.dumps(cell))
+        assert decodes == []
+        assert hasattr(cell, "flowgraph")
+        assert len(decodes) == 1
+        graph = cell.flowgraph
+        assert cell.flowgraph is graph and cell.record_ids is cell.record_ids
+        assert len(decodes) == 1
+
+        # Each copy is its own cell: one decode of the same record each.
+        assert clone == cell and thawed == cell and cell == thawed
+        assert decodes == [decodes[0]] * 3
+        assert thawed.flowgraph is not graph
+
+        # Touched: the decoded measure travels with the copy.
+        assert copy.copy(cell).flowgraph is graph
+        again = pickle.loads(pickle.dumps(cell))
+        assert again == cell and again.n_paths == cell.n_paths
+        assert len(decodes) == 3
+        cube.close()
+
+
+# ----------------------------------------------------------------------
+# (b) stored cell == eager decode, over every backend and store state
+# ----------------------------------------------------------------------
+
+def assert_cells_match_records(cube: CubeStore) -> None:
+    """Every stored cell equals the eager decode of its own record."""
+    seen = 0
+    for item_level, path_level, key, entry in stored_entries(cube):
+        record_ids, redundant, flowgraph = binfmt.decode_cell_parts(
+            cube._cells.record(entry)
+        )
+        eager = Cell(
+            key=key,
+            item_level=item_level,
+            path_level=path_level,
+            record_ids=tuple(record_ids),
+            flowgraph=flowgraph,
+            paths=(),
+            redundant=bool(redundant),
+        )
+        stored = cube.cell(item_level, key, path_level)
+        assert stored == eager and eager == stored
+        assert stored.n_paths == entry_n_paths(entry) == len(stored.record_ids)
+        assert stored.redundant == entry_redundant(entry) == bool(redundant)
+        seen += 1
+    assert seen == cube.n_cells() > 0
+
+
+@given(
+    database=path_databases(),
+    backend=st.sampled_from(BACKENDS),
+    exceptions=st.booleans(),
+    raw=st.booleans(),
+)
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_stored_cells_equal_eager_decode_across_backends_and_states(
+    database, backend, exceptions, raw
+):
+    fmt, generation = backend
+    offset = RAW_ID_FLOOR if raw else 0
+    rows = [
+        PathRecord(record.record_id + offset, record.dims, record.path)
+        for record in database
+    ]
+    split = len(rows) * 3 // 4
+    reference = FlowCube.build(
+        PathDatabase(database.schema, rows, validate=False),
+        min_support=2,
+        compute_exceptions=exceptions,
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        store, cube = build_store(
+            FsPath(scratch) / "wh",
+            database.schema,
+            rows[:split],
+            fmt,
+            generation,
+            min_support=2,
+            compute_exceptions=exceptions,
+        )
+        assert_cells_match_records(cube)  # built
+        if generation == 2:  # the fallback arm is really what is stored
+            first = next(stored_entries(cube))[3]
+            assert bool(cube._cells.raw_payload(first)[0] & 0x01) == raw
+
+        append_records(store, rows[split:], cube=cube, compact_after=0)
+        assert_cells_match_records(cube)  # appended (delta segment)
+        assert cube_to_json(cube) == cube_to_json(reference)
+
+        cube.compact()
+        assert_cells_match_records(cube)  # compacted
+        assert cube_to_json(cube) == cube_to_json(reference)
+        cold = store.cube_store()
+        assert_cells_match_records(cold)
+        assert cube_to_json(cold) == cube_to_json(reference)
+        cold.close()
+        cube.close()
+        store.close()
+
+
+@pytest.mark.parametrize("fmt, generation", BACKENDS)
+def test_index_redundant_marks_agree_with_the_record(
+    tmp_path, database, fmt, generation
+):
+    """Redundancy marks reach a stored cell from the index entry."""
+    memory = FlowCube.build(database, min_support=0.05)
+    assert prune_redundant(memory, threshold=0.6, metric=tv_similarity) > 0
+    cube = CubeStore(tmp_path / "cube", database.schema, cell_format=fmt)
+    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    for cuboid in memory.cuboids:
+        cube.put_cuboid(cuboid)
+    cube.flush()
+    if generation == 1:
+        cube.convert("binary", generation=1)
+    cold = CubeStore(tmp_path / "cube", database.schema)
+    assert_cells_match_records(cold)
+    marks = {
+        (cell.item_level, cell.path_level, cell.key): cell.redundant
+        for cell in memory.cells()
+    }
+    assert {
+        (cell.item_level, cell.path_level, cell.key): cell.redundant
+        for cell in cold.cells()
+    } == marks
+    assert cube_to_json(cold) == cube_to_json(memory)
+    cold.close()
+    cube.close()
+
+
+# ----------------------------------------------------------------------
+# (c) a cell is a snapshot of the read that produced it
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("fmt, generation", BACKENDS)
+def test_held_cells_survive_append_compact_reload_and_close(
+    tmp_path, database, fmt, generation
+):
+    rows = list(database)
+    store, writer = build_store(
+        tmp_path / "wh", database.schema, rows[:BASE_ROWS], fmt, generation
+    )
+    before = {
+        (cell.item_level, cell.path_level, cell.key): (
+            cell.record_ids,
+            flowgraph_to_dict(cell.flowgraph),
+        )
+        for cell in writer.cells()
+    }
+
+    # A reader (its own handle, as a server has) holds a slice undecoded
+    # while the writer appends, compacts, and the reader reloads + closes.
+    reader = store.cube_store()
+    held = FlowCubeQuery(reader).slice_cells(None)
+    assert len(held) > 1
+    stats = append_records(store, rows[BASE_ROWS:], cube=writer, compact_after=0)
+    assert stats["updated"] > 0
+    writer.compact()
+    assert reader.maybe_reload()
+    after = FlowCubeQuery(reader).slice_cells(None)
+    reader.close()
+    writer.close()
+    store.close()
+
+    changed = 0
+    for cell in held:
+        coords = (cell.item_level, cell.path_level, cell.key)
+        assert (cell.record_ids, flowgraph_to_dict(cell.flowgraph)) == before[coords]
+    for cell in after:  # read after the reload, touched after the close
+        coords = (cell.item_level, cell.path_level, cell.key)
+        if coords in before and before[coords][0] != cell.record_ids:
+            assert cell.record_ids[: len(before[coords][0])] == before[coords][0]
+            assert cell.flowgraph.n_paths == cell.n_paths == len(cell.record_ids)
+            changed += 1
+    assert changed > 0
+
+
+# ----------------------------------------------------------------------
+# (d) damage is a typed error at first touch
+# ----------------------------------------------------------------------
+
+def corrupt_every_record(directory: FsPath) -> None:
+    """Set a high bit in each record's varint-stream length, so every
+    record's head points past its end (same file size, index untouched)."""
+    with PartitionedPathStore.open(directory) as store:
+        cube = store.cube_store()
+        offsets = [entry[0] for *_, entry in stored_entries(cube)]
+        cube.close()
+    heap = directory / "cube" / "cells.bin"
+    data = bytearray(heap.read_bytes())
+    for offset in offsets:
+        data[offset + 4] ^= 0x40  # flags byte, then "<III": top byte of the first
+    heap.write_bytes(bytes(data))
+
+
+def test_flipped_heap_byte_is_a_store_error_at_first_touch(store_dir):
+    corrupt_every_record(store_dir)
+    with PartitionedPathStore.open(store_dir) as store:
+        cube = store.cube_store()
+        cells = FlowCubeQuery(cube).slice_cells(None)  # selection still works
+        assert cells
+        cell = cells[0]
+        assert cell.n_paths > 0
+        for touch in (
+            lambda: cell.flowgraph,
+            lambda: cell.record_ids,
+            lambda: hasattr(cell, "flowgraph"),
+            lambda: cell == cells[0],
+            lambda: cell.flowgraph,  # failure is not cached as success
+        ):
+            with pytest.raises(StoreError, match="corrupt cell payload"):
+                touch()
+        assert cube.io_counters()["cells_decoded"] == 0
+        assert pickle.loads(pickle.dumps(cell)).n_paths == cell.n_paths
+        cube.close()
+
+
+def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
+    """Flip each byte of an exception-bearing record in turn — as the
+    structured record a generation-2 heap holds and as the ``RAW``-framed
+    JSON the other backends hand out: the touch either decodes (no
+    checksum yet) or raises ``StoreError``, never a ``zlib.error`` /
+    ``KeyError`` / ``TypeError`` from inside the codec."""
+    example = example_path_database()
+    store, cube = build_store(
+        tmp_path / "wh", example.schema, list(example), min_support=2
+    )
+    for item_level, path_level, key, entry in stored_entries(cube):
+        if cube.cell(item_level, key, path_level).flowgraph.exceptions:
+            break
+    else:
+        pytest.fail("the example cube has no exception-bearing cell")
+    structured = cube._cells.raw_payload(entry)
+    framed = binfmt.raw_record(
+        json.dumps(binfmt.decode_cell_payload(structured)).encode()
+    )
+    for record in (structured, framed):
+        outcomes = {"decoded": 0, "typed": 0}
+        for position in range(len(record)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(record)
+                damaged[position] ^= mask
+                cell = StoredCell(
+                    key, item_level, path_level, 1, False, bytes(damaged),
+                    {"cells_decoded": 0},
+                )
+                try:
+                    cell.flowgraph
+                except StoreError as exc:
+                    assert "corrupt cell payload" in str(exc)
+                    outcomes["typed"] += 1
+                else:
+                    outcomes["decoded"] += 1
+        assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
+    # Valid JSON of the wrong shape (a clobbered cell file) is damage too.
+    for text in (b"[]", b"null", b'{"record_ids": 3}'):
+        with pytest.raises(StoreError, match="corrupt cell payload"):
+            binfmt.decode_cell_parts(binfmt.raw_record(text))
+    cube.close()
+    store.close()
+
+
+def test_measure_routes_map_damage_to_a_typed_status(tmp_path, database):
+    """Every route that touches the measure answers 400 + a JSON error."""
+    # One item level is left out, so ``derive`` has work to do.
+    lattice = ItemLattice([h.depth for h in database.schema.dimensions])
+    store, cube = build_store(
+        tmp_path / "wh",
+        database.schema,
+        list(database),
+        item_levels=[level for level in lattice if level.levels != (1, 0)],
+    )
+    cube.close()
+    store.close()
+    corrupt_every_record(tmp_path / "wh")
+    tenant = CubeTenant.mount("wh", tmp_path / "wh")
+    app = SlicerApp([tenant])
+    cut = "d0:d0_0"
+
+    assert post(app, "/cubes/wh/slice", {"cut": cut}).status == 200
+    damaged = [
+        post(app, "/cubes/wh/slice", {"cut": cut, "measure": True}),
+        get(app, "/cubes/wh/flowgraph", {"cut": "d1:d1_0"}),
+        get(app, "/cubes/wh/exceptions", {"cut": cut}),
+        post(app, "/cubes/wh/query", {"cut": "d1:d1_0"}),
+        post(app, "/cubes/wh/query", {"cut": cut, "derive": True}),
+        post(app, "/cubes/wh/rollup",
+             {"cut": "d1:d1_0", "dimension": "d1", "measure": True}),
+        post(app, "/cubes/wh/drilldown", {"dimension": "d1", "measure": True}),
+    ]
+    for response in damaged:
+        assert response.status == 400, response.body
+        assert "corrupt cell payload" in json.loads(response.body)["error"]
+    # Nothing was cached under a good key, and the server still answers.
+    assert post(app, "/cubes/wh/slice", {"cut": cut}).status == 200
+    tenant.close()
+
+
+# ----------------------------------------------------------------------
+# /exceptions renders the same bytes from the exception list alone
+# ----------------------------------------------------------------------
+
+def exceptions_oracle(tenant: CubeTenant, dims: dict) -> bytes:
+    """The response the route rendered when it serialised whole graphs."""
+    cells = FlowCubeQuery(tenant.cube_store, kernel="scan").slice_cells(
+        None, **dims
+    )
+    reports = [
+        {
+            "key": list(cell.key),
+            "item_level": list(cell.item_level.levels),
+            "exceptions": flowgraph_to_dict(cell.flowgraph)["exceptions"],
+        }
+        for cell in cells
+        if cell.flowgraph.exceptions
+    ]
+    return encode_json(
+        {
+            "cube": tenant.name,
+            "cut": format_cut(dims),
+            "n_cells": len(reports),
+            "cells": reports,
+        }
+    )
+
+
+def test_exceptions_route_bytes_unchanged_on_the_paper_example(tmp_path):
+    example = example_path_database()
+    store, cube = build_store(
+        tmp_path / "wh", example.schema, list(example), min_support=2
+    )
+    cube.close()
+    store.close()
+    tenant = CubeTenant.mount("wh", tmp_path / "wh")
+    app = SlicerApp([tenant])
+    for dims in ({}, {"product": "clothing"}, {"brand": "nike"}):
+        response = get(
+            app, "/cubes/wh/exceptions", {"cut": format_cut(dims)} if dims else {}
+        )
+        assert response.status == 200
+        assert response.body == exceptions_oracle(tenant, dims)
+    assert json.loads(get(app, "/cubes/wh/exceptions").body)["n_cells"] > 0
+    tenant.close()
+
+
+def test_exceptions_route_bytes_unchanged_on_an_iceberg_store(
+    tmp_path, database
+):
+    """Shared-mined segments, (ε, δ) exceptions, an iceberg δ: the
+    flowbench ``iceberg`` pipeline at test scale."""
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", database.schema, partition_size=40
+    )
+    store.ingest(database)
+    stats = BuildStats()
+    mined = shared_mine_store(store, min_support=6, build_stats=stats)
+    cube = build_cube(
+        store,
+        min_support=6,
+        segments_by_cell=mined.segments_by_cell(),
+        into=store.cube_store(),
+        stats=stats,
+    )
+    cube.close()
+    store.close()
+    tenant = CubeTenant.mount("wh", tmp_path / "wh")
+    app = SlicerApp([tenant])
+    seen = 0
+    for dims in ({}, {"d0": "d0_0"}, {"d0": "d0_1", "d1": "d1_0"}):
+        response = get(
+            app, "/cubes/wh/exceptions", {"cut": format_cut(dims)} if dims else {}
+        )
+        assert response.status == 200
+        assert response.body == exceptions_oracle(tenant, dims)
+        seen += json.loads(response.body)["n_cells"]
+    assert seen > 0
+    tenant.close()

@@ -100,10 +100,12 @@ def _downgrade_to_generation_one(directory, schema) -> None:
 # IO counters: the zero-copy contract
 # ----------------------------------------------------------------------
 
+UNTOUCHED = {"heap_bytes_read": 0, "mask_bits_decoded": 0, "cells_decoded": 0}
+
 def test_cold_open_reads_zero_heap_bytes_and_masks(built_dir):
     store = PartitionedPathStore.open(built_dir)
     cube = store.cube_store()
-    assert cube.io_counters() == {"heap_bytes_read": 0, "mask_bits_decoded": 0}
+    assert cube.io_counters() == UNTOUCHED
 
     # Enumerating cuboids and building a key catalog from the lazy mask
     # views still reads nothing: the masks stay byte spans over the map.
@@ -112,7 +114,7 @@ def test_cold_open_reads_zero_heap_bytes_and_masks(built_dir):
     catalog = CuboidKeyCatalog(
         biggest.keys, store.schema.dimensions, biggest.value_masks
     )
-    assert cube.io_counters() == {"heap_bytes_read": 0, "mask_bits_decoded": 0}
+    assert cube.io_counters() == UNTOUCHED
 
     # ANDing a constraint decodes masks; the heap is still untouched.
     value = biggest.keys[0][0]
@@ -121,11 +123,15 @@ def test_cold_open_reads_zero_heap_bytes_and_masks(built_dir):
     assert counters["mask_bits_decoded"] > 0
     assert counters["heap_bytes_read"] == 0
 
-    # Materialising cells finally pays heap IO — per cell, not per open.
+    # Reading cells finally pays heap IO — per cell, not per open — and
+    # still decodes nothing until a measure is touched.
     query = FlowCubeQuery(cube)
     cells = query.slice_cells(None, **{store.schema.dimension_names[0]: value})
     assert cells
     assert cube.io_counters()["heap_bytes_read"] > 0
+    assert cube.io_counters()["cells_decoded"] == 0
+    assert cells[0].flowgraph.n_paths == cells[0].n_paths
+    assert cube.io_counters()["cells_decoded"] == 1
     cube.close()
     store.close()
 
@@ -152,14 +158,14 @@ def test_cold_open_with_pending_deltas_reads_zero_heap_bytes(
 
     cold = store.cube_store()
     assert cold.delta_segments == [1]
-    assert cold.io_counters() == {"heap_bytes_read": 0, "mask_bits_decoded": 0}
+    assert cold.io_counters() == UNTOUCHED
 
     cuboids = cold.cuboids
     biggest = max(cuboids, key=len)
     catalog = CuboidKeyCatalog(
         biggest.keys, store.schema.dimensions, biggest.value_masks
     )
-    assert cold.io_counters() == {"heap_bytes_read": 0, "mask_bits_decoded": 0}
+    assert cold.io_counters() == UNTOUCHED
     assert catalog.match_mask([(0, biggest.keys[0][0])]) != 0
     counters = cold.io_counters()
     assert counters["mask_bits_decoded"] > 0
