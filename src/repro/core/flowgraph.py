@@ -119,19 +119,21 @@ class FlowGraph:
         if not path:
             raise CubeError("cannot add an empty path to a flowgraph")
         self.n_paths += weight
+        # Walk the tree by location (strings cache their hash); a prefix
+        # tuple is only built — and hashed into ``_index`` — for a node
+        # this call creates.
         parent: FlowGraphNode | None = None
-        prefix: tuple[str, ...] = ()
-        index = self._index
+        siblings = self._roots
         for location, duration in path:
-            prefix = prefix + (location,)
-            node = index.get(prefix)
+            node = siblings.get(location)
             if node is None:
+                prefix = (
+                    (location,) if parent is None
+                    else parent.prefix + (location,)
+                )
                 node = FlowGraphNode(prefix)
-                index[prefix] = node
-                if parent is None:
-                    self._roots[location] = node
-                else:
-                    parent.children[location] = node
+                self._index[prefix] = node
+                siblings[location] = node
             node.count += weight
             counts = node.duration_counts
             counts[duration] = counts.get(duration, 0) + weight
@@ -139,6 +141,7 @@ class FlowGraph:
                 counts = parent.transition_counts
                 counts[location] = counts.get(location, 0) + weight
             parent = node
+            siblings = node.children
         assert parent is not None
         counts = parent.transition_counts
         counts[TERMINATE] = counts.get(TERMINATE, 0) + weight

@@ -14,7 +14,8 @@ fast counting paths run on:
   tid-list packed into one Python big int, so a candidate's support is
   ``(mask_a & mask_b).bit_count()`` instead of a set intersection;
 * :mod:`repro.perf.measure_rollup` — the aggregate-once measure engine:
-  one record scan materialises the base item levels' weighted paths, and
+  one record scan materialises the base item levels' weighted paths
+  (each distinct path aggregated once, then interned to an int id), and
   every ancestor cuboid's cells derive by merging child cells along the
   item lattice (``FlowGraph.merge``), with the holistic exception pass
   re-run per cell;

@@ -11,28 +11,39 @@ to end:
 
 1. **Scan once** (:func:`scan_records`): one pass over the records computes
    cell membership and weighted base paths for the *root* item levels only.
-   Each record's path is aggregated exactly once per path level — shared
-   across root levels — and identical aggregated paths dedupe into
-   ``(path, weight)`` pairs as they are counted.
-2. **Derive ancestors** (:func:`derive_levels`): every other requested item
+   RFID items move in bulk, so a path database holds far fewer distinct
+   paths than records: an :class:`AggregationMemo` aggregates each
+   *distinct* path once per path level per build — shared across root
+   levels, records and partitions — and identical aggregated paths dedupe
+   into ``(path, weight)`` pairs as they are counted.
+2. **Paths become ids** (:func:`merge_scan`): partials fold into the
+   build's totals in partition order, and this is the single door where an
+   aggregated path — a nested ``((location, duration), …)`` tuple whose
+   hash is recomputed on every dict probe — is interned into a
+   :class:`PathTable` and replaced by a small int.  From here on a cell's
+   multiset is ``{path id: weight}``.
+3. **Derive ancestors** (:func:`derive_levels`): every other requested item
    level's per-cell data is rolled up from an already-materialised strict
    descendant chosen by :func:`derivation_plan` — record ids concatenate,
-   path weights add, and iceberg-surviving cells get flowgraphs either by
-   :meth:`FlowGraph.merge` of their children's graphs or by expanding
+   path-id weights add, and iceberg-surviving cells get flowgraphs either
+   by :meth:`FlowGraph.merge` of their children's graphs or by expanding
    their merged weighted multiset (equivalent by Lemma 4.2; sub-iceberg
    cells never pay for a graph).  No record is touched again.
-3. **Assemble** (:func:`assemble_cuboids`): iceberg filtering, cell
+4. **Assemble** (:func:`assemble_cuboids`): iceberg filtering, cell
    construction, and the per-cell holistic exception pass, in exactly the
-   direct builder's cuboid and cell order.
+   direct builder's cuboid and cell order.  Ids turn back into tuples only
+   here and in :func:`_cell_graph` — where a cell leaves the engine — and
+   every cell shares the table's one tuple object per distinct path.
 
 Parity with the direct engine is exact: counts are integers, distributions
 are ratios of identical integers, and exceptions are re-mined per cell from
 the weighted paths then canonically sorted, so serialised cubes are
 byte-identical across engines (asserted by the property tests).  The
-out-of-core builder (:func:`repro.store.builder.build_cube`) reuses
-:func:`scan_records` per partition and :func:`merge_scan` to fold partials
-in partition order, which reproduces the single-scan insertion orders
-exactly — so in-memory, serial, and ``jobs=N`` roll-up builds all agree.
+out-of-core builder (:func:`repro.store.builder.build_cube`) runs
+:func:`scan_records` per partition and :func:`merge_scan` folds the
+partials in partition order, which reproduces the single-scan insertion
+orders exactly (ids are handed out in first-seen order and never order
+anything) — so in-memory, serial, and ``jobs=N`` roll-up builds all agree.
 """
 
 from __future__ import annotations
@@ -51,12 +62,16 @@ from repro.core.flowgraph_exceptions import (
     serial_exception_pass,
 )
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
+from repro.core.path import Path
 from repro.errors import CubeError
 
 __all__ = [
     "ENGINES",
+    "AggregationMemo",
+    "PathTable",
     "LevelData",
     "derivation_plan",
+    "roll_up_key",
     "scan_records",
     "merge_scan",
     "derive_levels",
@@ -68,9 +83,66 @@ __all__ = [
 #: Measure engines accepted by ``FlowCube.build`` / ``build_cube``.
 ENGINES = ("rollup", "direct")
 
-#: One cell's weighted path multiset: distinct path -> multiplicity,
-#: insertion-ordered (first-seen record order for root levels).
-WeightedCell = dict[AggregatedPath, int]
+#: One cell's weighted path multiset as :func:`scan_records` returns it:
+#: distinct aggregated path -> multiplicity, insertion-ordered (first-seen
+#: record order).  Plain tuples, so a partial pickles across the pool.
+ScannedCell = dict[AggregatedPath, int]
+
+#: One cell's weighted path multiset inside the engine: path id (into the
+#: build's :class:`PathTable`, per path level) -> multiplicity, in the same
+#: first-seen order.  An int key hashes to itself; the tuple it stands for
+#: re-hashes every nested stage on every probe.
+WeightedCell = dict[int, int]
+
+
+class AggregationMemo:
+    """Each distinct path's aggregation at every level of one path lattice.
+
+    Items move in bulk, so records heavily share paths; aggregation depends
+    on the path and the level only.  One memo serves one build (every
+    partition of a serial scan; one per worker process, rebound with the
+    store) or one append, so each distinct path is aggregated once per path
+    level however many records, root levels or partitions carry it.  It
+    holds one reference per distinct path seen — the same order of memory
+    as the finest level's multisets.
+    """
+
+    def __init__(self, path_lattice: PathLattice) -> None:
+        self.path_levels: tuple[PathLevel, ...] = tuple(path_lattice)
+        self._by_path: dict[Path, list[AggregatedPath]] = {}
+
+    def aggregated(self, path: Path) -> list[AggregatedPath]:
+        """*path* aggregated to each path level, indexed by level id.
+
+        Goes through this module's :func:`aggregate_path` binding, which
+        the tests monkeypatch to count calls.
+        """
+        out = self._by_path.get(path)
+        if out is None:
+            out = self._by_path[path] = [
+                aggregate_path(path, path_level)
+                for path_level in self.path_levels
+            ]
+        return out
+
+
+class PathTable:
+    """The roll-up's id space for aggregated paths, one per path level.
+
+    ``paths[level_id][pid]`` is the aggregated path interned as ``pid`` at
+    that level and ``ids[level_id]`` the reverse map.  Ids are dense and
+    handed out in first-seen order by :func:`merge_scan`; nothing is ever
+    ordered by id, so the insertion orders the parity contract rests on
+    are those of the multisets themselves.
+    """
+
+    def __init__(self, n_path_levels: int) -> None:
+        self.ids: list[dict[AggregatedPath, int]] = [
+            {} for _ in range(n_path_levels)
+        ]
+        self.paths: list[list[AggregatedPath]] = [
+            [] for _ in range(n_path_levels)
+        ]
 
 
 @dataclass
@@ -90,7 +162,8 @@ class LevelData:
 
     Attributes:
         groups: Cell key -> member record ids.
-        weighted: Per path level: cell key -> weighted path multiset.
+        weighted: Per path level: cell key -> weighted multiset of path
+            ids (``{pid: weight}``, see :class:`PathTable`).
         graphs: Per path level: cell key -> the cell's flowgraph, for
             keys meeting the iceberg threshold only.
     """
@@ -131,46 +204,50 @@ def derivation_plan(
     return plan
 
 
+def roll_up_key(
+    dims: Sequence[str], item_level: ItemLevel, hierarchies: Sequence
+) -> CellKey:
+    """The cell key of *dims* (leaf values or a deeper key) at *item_level*."""
+    return tuple(
+        hierarchy.ancestor_at_level(value, level)
+        for hierarchy, value, level in zip(hierarchies, dims, item_level)
+    )
+
+
 def scan_records(
     records: Iterable,
-    path_lattice: PathLattice,
+    aggregation: AggregationMemo,
     root_levels: Sequence[ItemLevel],
     hierarchies: Sequence,
-) -> tuple[list[dict[CellKey, list[int]]], list[list[dict[CellKey, WeightedCell]]]]:
+) -> tuple[list[dict[CellKey, list[int]]], list[list[dict[CellKey, ScannedCell]]]]:
     """One pass over *records*: membership and weighted paths per root level.
 
-    Each record's path is aggregated exactly once per path level — via this
-    module's :func:`aggregate_path` binding, which the tests monkeypatch to
-    assert the aggregate-once guarantee — and the result is shared across
-    all root levels.  Cell keys are memoised per distinct ``record.dims``.
+    Each *distinct* path is aggregated once per path level for the life of
+    *aggregation* — the memo a build shares across its partitions — and
+    the result is shared across all root levels.  Cell keys are memoised
+    per distinct ``record.dims``.  The partial is keyed by plain tuples, so
+    a worker can pickle it back; :func:`merge_scan` interns it.
 
     Returns:
         ``(groups, weighted)`` lists indexed like *root_levels*: per-level
         record-id groups and, per path level, the weighted path multisets.
     """
-    path_levels = tuple(path_lattice)
+    n_path_levels = len(aggregation.path_levels)
+    aggregated_of = aggregation.aggregated
     groups: list[dict[CellKey, list[int]]] = [{} for _ in root_levels]
-    weighted: list[list[dict[CellKey, WeightedCell]]] = [
-        [{} for _ in path_levels] for _ in root_levels
+    weighted: list[list[dict[CellKey, ScannedCell]]] = [
+        [{} for _ in range(n_path_levels)] for _ in root_levels
     ]
     keys_cache: dict[tuple, list[CellKey]] = {}
     for record in records:
         keys = keys_cache.get(record.dims)
         if keys is None:
             keys = [
-                tuple(
-                    hierarchy.ancestor_at_level(value, target)
-                    for hierarchy, value, target in zip(
-                        hierarchies, record.dims, root_level
-                    )
-                )
+                roll_up_key(record.dims, root_level, hierarchies)
                 for root_level in root_levels
             ]
             keys_cache[record.dims] = keys
-        aggregated = [
-            aggregate_path(record.path, path_level)
-            for path_level in path_levels
-        ]
+        aggregated = aggregated_of(record.path)
         for index, key in enumerate(keys):
             groups[index].setdefault(key, []).append(record.record_id)
             per_level = weighted[index]
@@ -184,47 +261,60 @@ def merge_scan(
     groups: list[dict[CellKey, list[int]]],
     weighted: list[list[dict[CellKey, WeightedCell]]],
     part_groups: list[dict[CellKey, list[int]]],
-    part_weighted: list[list[dict[CellKey, WeightedCell]]],
+    part_weighted: list[list[dict[CellKey, ScannedCell]]],
+    table: PathTable,
 ) -> None:
-    """Fold one partition's :func:`scan_records` partial into the totals.
+    """Fold one :func:`scan_records` partial into the totals, interning paths.
 
     Partitions preserve record order, so merging partials in partition
     order reproduces the single-scan first-seen key orders, record-id
     orders, and path insertion orders exactly — the out-of-core roll-up
-    build is therefore bit-identical to the in-memory one.
+    build is therefore bit-identical to the in-memory one, which folds its
+    one partial through here too.  This is where aggregated paths become
+    ids: each is looked up in *table* (interned on first sight) and the
+    totals count weights per id.
     """
     for merged, part in zip(groups, part_groups):
         for key, ids in part.items():
             merged.setdefault(key, []).extend(ids)
     for merged_levels, part_levels in zip(weighted, part_weighted):
-        for merged_cells, part_cells in zip(merged_levels, part_levels):
-            for key, paths in part_cells.items():
+        for level_id, part_cells in enumerate(part_levels):
+            merged_cells = merged_levels[level_id]
+            ids = table.ids[level_id]
+            paths = table.paths[level_id]
+            for key, part_paths in part_cells.items():
                 cell = merged_cells.setdefault(key, {})
-                for path, weight in paths.items():
-                    cell[path] = cell.get(path, 0) + weight
+                for path, weight in part_paths.items():
+                    pid = ids.setdefault(path, len(paths))
+                    if pid == len(paths):
+                        paths.append(path)
+                    cell[pid] = cell.get(pid, 0) + weight
 
 
-def _cell_graph(paths: WeightedCell) -> FlowGraph:
-    """One cell's flowgraph, expanded from its weighted path multiset."""
+def _cell_graph(
+    weights: WeightedCell, paths: Sequence[AggregatedPath]
+) -> FlowGraph:
+    """One cell's flowgraph, expanded from its weighted path-id multiset."""
     graph = FlowGraph()
-    for path, weight in paths.items():
-        graph.add_path(path, weight)
+    for pid, weight in weights.items():
+        graph.add_path(paths[pid], weight)
     return graph
 
 
 def _root_graphs(
     groups: dict[CellKey, list[int]],
     weighted_levels: list[dict[CellKey, WeightedCell]],
+    table: PathTable,
     threshold: float,
 ) -> list[dict[CellKey, FlowGraph]]:
     """Flowgraphs for each root cell at or above the iceberg *threshold*."""
     return [
         {
-            key: _cell_graph(paths)
-            for key, paths in cells.items()
+            key: _cell_graph(weights, paths)
+            for key, weights in cells.items()
             if not len(groups[key]) < threshold
         }
-        for cells in weighted_levels
+        for cells, paths in zip(weighted_levels, table.paths)
     ]
 
 
@@ -232,16 +322,16 @@ def _derive_level(
     level: ItemLevel,
     source: LevelData,
     hierarchies: Sequence,
-    n_path_levels: int,
+    table: PathTable,
     threshold: float,
 ) -> LevelData:
     """Roll *source*'s per-cell data up to the ancestor *level*.
 
     Every source key maps to exactly one parent key, so parent cells are
-    disjoint unions of child cells: record ids concatenate, path weights
-    add, and flowgraphs merge (Lemma 4.2).  Iterating source keys in their
-    first-seen record order makes each derived dict's key order match what
-    a direct record scan at *level* would have produced.
+    disjoint unions of child cells: record ids concatenate, path-id
+    weights add, and flowgraphs merge (Lemma 4.2).  Iterating source keys
+    in their first-seen record order makes each derived dict's key order
+    match what a direct record scan at *level* would have produced.
 
     Flowgraphs are only built for parent keys that pass the iceberg
     *threshold*.  When every child brings a stored graph the parent's is
@@ -254,10 +344,7 @@ def _derive_level(
     key_map: dict[CellKey, CellKey] = {}
     groups: dict[CellKey, list[int]] = {}
     for child_key, record_ids in source.groups.items():
-        parent_key = tuple(
-            hierarchy.ancestor_at_level(value, target)
-            for hierarchy, value, target in zip(hierarchies, child_key, level)
-        )
+        parent_key = roll_up_key(child_key, level, hierarchies)
         key_map[child_key] = parent_key
         groups.setdefault(parent_key, []).extend(record_ids)
     alive = {
@@ -266,14 +353,14 @@ def _derive_level(
     }
     weighted: list[dict[CellKey, WeightedCell]] = []
     graphs: list[dict[CellKey, FlowGraph]] = []
-    for level_id in range(n_path_levels):
+    for level_id, paths in enumerate(table.paths):
         cells: dict[CellKey, WeightedCell] = {}
         children: dict[CellKey, list[CellKey]] = {key: [] for key in alive}
-        for child_key, paths in source.weighted[level_id].items():
+        for child_key, weights in source.weighted[level_id].items():
             parent_key = key_map[child_key]
             cell = cells.setdefault(parent_key, {})
-            for path, weight in paths.items():
-                cell[path] = cell.get(path, 0) + weight
+            for pid, weight in weights.items():
+                cell[pid] = cell.get(pid, 0) + weight
             if parent_key in alive:
                 children[parent_key].append(child_key)
         source_graphs = source.graphs[level_id]
@@ -285,7 +372,7 @@ def _derive_level(
                         source_graphs[child_key] for child_key in child_keys
                     )
                     if all(ck in source_graphs for ck in child_keys)
-                    else _cell_graph(cells[key])
+                    else _cell_graph(cells[key], paths)
                 )
                 for key, child_keys in children.items()
             }
@@ -299,10 +386,14 @@ def derive_levels(
     weighted_by_root: list[list[dict[CellKey, WeightedCell]]],
     root_levels: Sequence[ItemLevel],
     hierarchies: Sequence,
-    n_path_levels: int,
+    table: PathTable,
     threshold: float,
 ) -> dict[ItemLevel, LevelData]:
-    """Materialise :class:`LevelData` for every planned level, roots first."""
+    """Materialise :class:`LevelData` for every planned level, roots first.
+
+    *groups_by_root* / *weighted_by_root* are :func:`merge_scan`'s totals
+    and *table* the :class:`PathTable` their path ids index.
+    """
     index_of_root = {level: i for i, level in enumerate(root_levels)}
     data: dict[ItemLevel, LevelData] = {}
     for level, source in plan:
@@ -312,12 +403,12 @@ def derive_levels(
                 groups=groups_by_root[i],
                 weighted=weighted_by_root[i],
                 graphs=_root_graphs(
-                    groups_by_root[i], weighted_by_root[i], threshold
+                    groups_by_root[i], weighted_by_root[i], table, threshold
                 ),
             )
         else:
             data[level] = _derive_level(
-                level, data[source], hierarchies, n_path_levels, threshold
+                level, data[source], hierarchies, table, threshold
             )
     return data
 
@@ -353,6 +444,7 @@ def assemble_cuboids(
     levels: Sequence[ItemLevel],
     path_lattice: PathLattice,
     data: Mapping[ItemLevel, LevelData],
+    table: PathTable,
     threshold: int,
     min_support: float,
     min_deviation: float,
@@ -367,12 +459,17 @@ def assemble_cuboids(
     """Yield finished cuboids in the direct builder's (item, path) order.
 
     Applies the iceberg threshold, builds cells from the derived weighted
-    paths and flowgraphs, and runs the holistic exception pass per cuboid
-    batch through *exception_pass* — a ``run(batch)`` callable over
-    ``(graph, weighted, segments)`` triples (see
-    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`; the
-    out-of-core builder substitutes a pool-fanned runner).  Defaults to a
-    fresh serial runner over *kernel*.
+    multisets and flowgraphs — path ids turn back into *table*'s tuples
+    here, for ``Cell.paths`` and the exception triples — and runs the
+    holistic exception pass per cuboid batch through *exception_pass* — a
+    ``run(batch)`` callable over ``(graph, weighted, segments)`` triples
+    (see :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
+    the out-of-core builder substitutes a pool-fanned runner).  Defaults
+    to a fresh serial runner over *kernel*.
+
+    Membership is path-level independent, so the iceberg test and the
+    member-id sort run once per item level and the level's cuboids share
+    each surviving cell's ``record_ids`` tuple.
     """
     if exception_pass is None and compute_exceptions:
         exception_pass = serial_exception_pass(
@@ -380,19 +477,26 @@ def assemble_cuboids(
         )
     for item_level in levels:
         level_data = data[item_level]
+        members = {
+            key: tuple(sorted(record_ids))
+            for key, record_ids in level_data.groups.items()
+            if not len(record_ids) < threshold  # iceberg condition
+        }
         for level_id, path_level in enumerate(path_lattice):
             cuboid = Cuboid(item_level, path_level)
+            paths = table.paths[level_id]
+            cells = level_data.weighted[level_id]
             batch = []
-            for key, record_ids in level_data.groups.items():
-                if len(record_ids) < threshold:
-                    continue  # iceberg condition
-                weighted = tuple(level_data.weighted[level_id][key].items())
+            for key, record_ids in members.items():
+                weighted = tuple(
+                    [(paths[pid], weight) for pid, weight in cells[key].items()]
+                )
                 graph = level_data.graphs[level_id][key]
                 cell = Cell(
                     key=key,
                     item_level=item_level,
                     path_level=path_level,
-                    record_ids=tuple(sorted(record_ids)),
+                    record_ids=record_ids,
                     flowgraph=graph,
                     paths=weighted,
                 )
@@ -459,16 +563,25 @@ def build_rollup(
     root_levels = [level for level, source in plan if source is None]
 
     phase = perf_counter()
-    groups_by_root, weighted_by_root = scan_records(
-        database, path_lattice, root_levels, hierarchies
+    table = PathTable(len(path_lattice))
+    groups_by_root: list[dict[CellKey, list[int]]] = [{} for _ in root_levels]
+    weighted_by_root: list[list[dict[CellKey, WeightedCell]]] = [
+        [{} for _ in path_lattice] for _ in root_levels
+    ]
+    part_groups, part_weighted = scan_records(
+        database, AggregationMemo(path_lattice), root_levels, hierarchies
     )
+    merge_scan(
+        groups_by_root, weighted_by_root, part_groups, part_weighted, table
+    )
+    del part_groups, part_weighted
     if stats is not None:
         stats.add_phase("aggregate", perf_counter() - phase)
 
     phase = perf_counter()
     data = derive_levels(
         plan, groups_by_root, weighted_by_root, root_levels, hierarchies,
-        len(path_lattice), threshold,
+        table, threshold,
     )
     prune_to_iceberg(data, threshold)
     del groups_by_root, weighted_by_root
@@ -478,8 +591,8 @@ def build_rollup(
         else None
     )
     for cuboid in assemble_cuboids(
-        levels, path_lattice, data, threshold, min_support, min_deviation,
-        compute_exceptions, segments_by_cell, kernel=kernel,
+        levels, path_lattice, data, table, threshold, min_support,
+        min_deviation, compute_exceptions, segments_by_cell, kernel=kernel,
         exception_pass=runner,
     ):
         cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid  # noqa: SLF001

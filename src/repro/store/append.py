@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 
-from repro.core.aggregation import aggregate_path, weight_paths
+from repro.core.aggregation import AggregatedPath, weight_paths
 from repro.core.flowcube import Cell, CellKey
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
@@ -50,6 +50,7 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.lattice import ItemLattice, ItemLevel
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
+from repro.perf.measure_rollup import AggregationMemo, roll_up_key
 from repro.store.cube_store import (
     CubeStore,
     _new_append_stats,
@@ -57,13 +58,6 @@ from repro.store.cube_store import (
 )
 
 __all__ = ["append_records"]
-
-
-def _roll_up(dims, item_level: ItemLevel, hierarchies) -> CellKey:
-    return tuple(
-        hierarchy.ancestor_at_level(value, level)
-        for hierarchy, value, level in zip(hierarchies, dims, item_level)
-    )
 
 
 def _require_fresh(cube: CubeStore, store) -> dict:
@@ -190,7 +184,7 @@ def _merge_batch(
     for item_level in levels:
         groups: dict[CellKey, list[PathRecord]] = {}
         for record in rows:
-            key = _roll_up(record.dims, item_level, hierarchies)
+            key = roll_up_key(record.dims, item_level, hierarchies)
             groups.setdefault(key, []).append(record)
         batch_groups.append(groups)
 
@@ -263,7 +257,7 @@ def _merge_batch(
                 hits: list[tuple[int, CellKey]] = []
                 keys: list[tuple[int, CellKey]] = []
                 for i in sweep_levels:
-                    key = _roll_up(dims, levels[i], hierarchies)
+                    key = roll_up_key(dims, levels[i], hierarchies)
                     keys.append((i, key))
                     if key in candidate_keys[i]:
                         hits.append((i, key))
@@ -366,15 +360,18 @@ def _merge_batch(
     # ------------------------------------------------------------------
     # materialise the dirty cells, in canonical cuboid order
     # ------------------------------------------------------------------
-    agg_cache: dict[tuple[int, int], Path] = {}
+    # Each distinct path is aggregated once (the memo); a record's id
+    # then finds its path's levels without re-hashing the path — with
+    # exceptions on, every member of every dirty cell comes through here.
+    aggregation = AggregationMemo(lattice)
+    levels_of: dict[int, list[AggregatedPath]] = {}
 
-    def aggregated(record_id: int, level_id: int) -> Path:
-        memo_key = (record_id, level_id)
-        path = agg_cache.get(memo_key)
-        if path is None:
-            path = aggregate_path(paths[record_id], lattice[level_id])
-            agg_cache[memo_key] = path
-        return path
+    def aggregated(record_id: int, level_id: int) -> AggregatedPath:
+        by_level = levels_of.get(record_id)
+        if by_level is None:
+            by_level = aggregation.aggregated(paths[record_id])
+            levels_of[record_id] = by_level
+        return by_level[level_id]
 
     dirty: dict[tuple[ItemLevel, int, CellKey], Cell] = {}
     layout: list[tuple[ItemLevel, int, list[CellKey]]] = []

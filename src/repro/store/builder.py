@@ -23,9 +23,10 @@ partition at a time*:
 
 * :func:`build_cube` materialises the iceberg cube.  The default
   ``engine="rollup"`` performs a single roll-up scan — membership and
-  weighted base paths for the root item levels only, merged in partition
-  order — and derives every other level's cells by merging child cells
-  (:mod:`repro.perf.measure_rollup`).  ``engine="direct"`` keeps the
+  weighted base paths for the root item levels only, each distinct path
+  aggregated once, merged in partition order into multisets of interned
+  path ids — and derives every other level's cells by merging child
+  cells (:mod:`repro.perf.measure_rollup`).  ``engine="direct"`` keeps the
   original two scan families: a membership pass grouping record ids into
   cells (ids only — no paths are retained), then one aggregation pass per
   item level that rebuilds the iceberg cells' aggregated paths.  Cells
@@ -44,7 +45,10 @@ id rows (~22 ids, ~170 B per record), and — the term that dominates —
 ~90 MB for the widest candidate level (≈ 7 200 candidates at δ = 2 %).
 So the mine is O(encoded database) in *compact ids* plus O(widest
 level × n_records bits), never O(decoded database); the cube passes
-stay O(one partition + cells).
+stay O(one partition + cells) — the roll-up scan's
+:class:`~repro.perf.measure_rollup.AggregationMemo` adds one reference
+per *distinct* path (2 479 of flowbench ``records``' 10 000), the order
+of memory the finest path level's multisets already take.
 :class:`BuildStats.max_live_transaction_dbs` *proves* the one-partition
 claim for the decoded/encoded form: every partition read — decoded for
 the cube passes, encoded for the mining pass — is bracketed by a
@@ -96,11 +100,14 @@ from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.pool import WorkerPool, resolve_jobs, worker_context
 from repro.perf.measure_rollup import (
     ENGINES,
+    AggregationMemo,
+    PathTable,
     assemble_cuboids,
     derivation_plan,
     derive_levels,
     merge_scan,
     prune_to_iceberg,
+    roll_up_key,
     scan_records,
 )
 from repro.store.pathstore import PartitionedPathStore
@@ -239,7 +246,7 @@ def _membership_partition(
         keys = keys_cache.get(record.dims)
         if keys is None:
             keys = [
-                _roll_up(record.dims, item_level, hierarchies)
+                roll_up_key(record.dims, item_level, hierarchies)
                 for item_level in levels
             ]
             keys_cache[record.dims] = keys
@@ -258,7 +265,7 @@ def _aggregate_partition(
     """One item level's aggregated paths for the iceberg cells."""
     paths_by_cell: dict[tuple[CellKey, int], list] = {}
     for record in database:
-        key = _roll_up(record.dims, item_level, hierarchies)
+        key = roll_up_key(record.dims, item_level, hierarchies)
         if key not in iceberg_keys:
             continue
         for level_id, path_level in enumerate(path_lattice):
@@ -289,7 +296,7 @@ def _aggregate_batch_partition(
         keys = keys_cache.get(record.dims)
         if keys is None:
             keys = [
-                _roll_up(record.dims, item_level, hierarchies)
+                roll_up_key(record.dims, item_level, hierarchies)
                 for item_level, _ in spec
             ]
             keys_cache[record.dims] = keys
@@ -311,13 +318,6 @@ def _aggregate_batch_partition(
     return out
 
 
-def _roll_up(dims: tuple, item_level: ItemLevel, hierarchies) -> CellKey:
-    return tuple(
-        hierarchy.ancestor_at_level(value, level)
-        for hierarchy, value, level in zip(hierarchies, dims, item_level)
-    )
-
-
 # ----------------------------------------------------------------------
 # the worker side
 # ----------------------------------------------------------------------
@@ -335,11 +335,13 @@ def _task_bind_store(store_dir: str, path_lattice: PathLattice) -> bool:
 
     Re-opens the store unconditionally — the catalog may have grown since
     a previous build through the same pool — and drops the one-slot
-    partition cache, which could alias a prior build's data.
+    partition cache, which could alias a prior build's data, and the
+    aggregation memo, whose entries belong to the previous path lattice.
     """
     ctx = worker_context()
     ctx["store"] = PartitionedPathStore.open(store_dir)
     ctx["lattice"] = path_lattice
+    ctx["aggregation"] = AggregationMemo(path_lattice)
     ctx["cached"] = None
     return True
 
@@ -408,7 +410,8 @@ def _task_scan(kind: str, partition_id: int, payload: tuple):
     if kind == "rollup_scan":
         (root_levels,) = payload
         return scan_records(
-            database, path_lattice, root_levels, store.schema.dimensions
+            database, ctx["aggregation"], root_levels,
+            store.schema.dimensions,
         )
     if kind == "aggregate_batch":
         # One task covers every item level: loading and iterating the
@@ -527,6 +530,7 @@ def _scan_partitions(
     the per-process peak of 1).
     """
     if pool is None:
+        aggregation = AggregationMemo(path_lattice)  # one for every partition
         for _, database in store.iter_partitions():
             tracker.enter()
             try:
@@ -539,7 +543,7 @@ def _scan_partitions(
                 elif kind == "rollup_scan":
                     (root_levels,) = payload
                     yield scan_records(
-                        database, path_lattice, root_levels,
+                        database, aggregation, root_levels,
                         store.schema.dimensions,
                     )
                 else:
@@ -1013,6 +1017,7 @@ def _build_cube_rollup(
             else serial_exception_pass(min_support, min_deviation, kernel)
         )
     phase = time.perf_counter()
+    table = PathTable(len(path_lattice))
     groups_by_root: list[dict[CellKey, list[int]]] = [
         {} for _ in root_levels
     ]
@@ -1024,7 +1029,8 @@ def _build_cube_rollup(
         "rollup_scan", (root_levels,), path_lattice,
     ):
         merge_scan(
-            groups_by_root, weighted_by_root, part_groups, part_weighted
+            groups_by_root, weighted_by_root, part_groups, part_weighted,
+            table,
         )
     build_stats.add_phase("aggregate", time.perf_counter() - phase)
 
@@ -1042,13 +1048,13 @@ def _build_cube_rollup(
     phase = time.perf_counter()
     data = derive_levels(
         plan, groups_by_root, weighted_by_root, root_levels,
-        store.schema.dimensions, len(path_lattice), threshold,
+        store.schema.dimensions, table, threshold,
     )
     prune_to_iceberg(data, threshold)
     del groups_by_root, weighted_by_root
     for cuboid in assemble_cuboids(
-        levels, path_lattice, data, threshold, min_support, min_deviation,
-        compute_exceptions, segments_by_cell, kernel=kernel,
+        levels, path_lattice, data, table, threshold, min_support,
+        min_deviation, compute_exceptions, segments_by_cell, kernel=kernel,
         exception_pass=exception_pass,
     ):
         build_stats.cuboids += 1

@@ -14,7 +14,9 @@ from repro.core import (
     flowgraph_to_dict,
 )
 from repro.core.flowgraph import FlowGraphNode
+from repro.core.serialization import flowgraph_from_dict
 from repro.errors import CubeError
+from repro.store.binfmt import decode_cell_parts, encode_cell
 
 
 @pytest.fixture
@@ -233,3 +235,108 @@ def test_merge_of_nothing_changes_nothing(paper_graph):
     assert paper_graph.merge([FlowGraph()]) is paper_graph
     assert _shape(paper_graph) == before
     assert len(FlowGraph().merge([])) == 0
+
+
+# ----------------------------------------------------------------------
+# add_path's tree walk against the previous prefix-indexed walk
+# ----------------------------------------------------------------------
+
+def _oracle_add_path(graph: FlowGraph, path, weight: int = 1) -> None:
+    """``FlowGraph.add_path`` as it was: every stage builds ``prefix +
+    (location,)`` and finds its node through ``_index``."""
+    index, roots = graph._index, graph._roots  # noqa: SLF001
+    graph.n_paths += weight
+    parent = None
+    prefix = ()
+    for location, duration in path:
+        prefix = prefix + (location,)
+        node = index.get(prefix)
+        if node is None:
+            node = FlowGraphNode(prefix)
+            index[prefix] = node
+            if parent is None:
+                roots[location] = node
+            else:
+                parent.children[location] = node
+        node.count += weight
+        counts = node.duration_counts
+        counts[duration] = counts.get(duration, 0) + weight
+        if parent is not None:
+            counts = parent.transition_counts
+            counts[location] = counts.get(location, 0) + weight
+        parent = node
+    counts = parent.transition_counts
+    counts[TERMINATE] = counts.get(TERMINATE, 0) + weight
+
+
+def _assert_links_agree(graph: FlowGraph) -> None:
+    """``_index``, ``roots`` and ``children`` describe one and the same tree."""
+    index = graph._index  # noqa: SLF001
+    reached = {}
+    stack = [(root.prefix[0], root, ()) for root in graph.roots]
+    while stack:
+        location, node, parent_prefix = stack.pop()
+        assert node.prefix == parent_prefix + (location,)
+        assert index[node.prefix] is node
+        reached[node.prefix] = node
+        stack.extend(
+            (child_location, child, node.prefix)
+            for child_location, child in node.children.items()
+        )
+    assert reached.keys() == index.keys()
+
+
+def _decoded(graph: FlowGraph) -> FlowGraph:
+    """*graph* through the FCHEAP02 cell codec, as a store hands it out."""
+    record = encode_cell(("k",), (1,), 0, (1, 2), False, graph)
+    return decode_cell_parts(record)[2]
+
+
+#: Ways a graph comes into being before ``add_path`` grows it further.
+_ORIGINS = {
+    "built": FlowGraph,
+    "merged": lambda paths: FlowGraph().merge(
+        [FlowGraph(paths[::2]), FlowGraph(paths[1::2])]
+    ),
+    "decoded": lambda paths: _decoded(FlowGraph(paths)),
+    "from_dict": lambda paths: flowgraph_from_dict(
+        flowgraph_to_dict(FlowGraph(paths))
+    ),
+}
+
+
+def test_add_path_revisiting_a_location():
+    # A→B→A: the second A is a different node (prefix A/B/A), found under
+    # B's children, not the root A.
+    path = (("a", "1"), ("b", "2"), ("a", "3"))
+    graph = FlowGraph()
+    graph.add_path(path, 2)
+    graph.add_path((("a", "1"), ("b", "1")))
+    graph.add_path(path)
+    oracle = FlowGraph()
+    for args in ((path, 2), ((("a", "1"), ("b", "1")), 1), (path, 1)):
+        _oracle_add_path(oracle, *args)
+    assert _shape(graph) == _shape(oracle)
+    _assert_links_agree(graph)
+    assert [n.prefix for n in graph.nodes()] == [
+        ("a",), ("a", "b"), ("a", "b", "a"),
+    ]
+    assert graph.node(("a",)).count == 4
+    assert graph.node(("a", "b", "a")).count == 3
+    assert graph.node(("a", "b", "a")) is not graph.node(("a",))
+    assert graph.node(("a",)).duration_counts == {"1": 4}
+    assert graph.node(("a", "b", "a")).duration_counts == {"3": 3}
+
+
+@pytest.mark.parametrize("origin", sorted(_ORIGINS))
+@given(_PATHS, _PATHS, st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_add_path_matches_the_prefix_walk(origin, seed_paths, more, weight):
+    make = _ORIGINS[origin]
+    graph, oracle = make(seed_paths), make(seed_paths)
+    for path in more:
+        graph.add_path(path, weight)
+        _oracle_add_path(oracle, path, weight)
+    assert _shape(graph) == _shape(oracle)
+    assert flowgraph_to_dict(graph) == flowgraph_to_dict(oracle)
+    _assert_links_agree(graph)

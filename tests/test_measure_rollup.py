@@ -9,9 +9,9 @@ The load-bearing assertions:
 * **FlowGraph.merge** is a proper algebraic measure: it conserves weight,
   is associative, and renormalises distributions exactly as building one
   graph over the union would;
-* **Aggregate-once** — a counting hook proves each record's path is
-  aggregated exactly once per path level per build, however many item
-  levels are materialised.
+* **Aggregate-once** — a counting hook proves each *distinct* path is
+  aggregated exactly once per path level per build, however many
+  records, item levels or partitions carry it.
 """
 
 from __future__ import annotations
@@ -256,20 +256,42 @@ def _counting_hook(monkeypatch):
     return calls
 
 
+def _with_duplicated_paths():
+    """STORE_CONFIG's database twice over: every path at least doubled."""
+    from repro.core.path import PathRecord
+    from repro.core.path_database import PathDatabase
+
+    base = generate_path_database(STORE_CONFIG)
+    records = list(base) + [
+        PathRecord(len(base) + r.record_id, r.dims, r.path) for r in base
+    ]
+    database = PathDatabase(base.schema, records)
+    distinct = len({record.path for record in database})
+    assert distinct <= len(base) < len(database)
+    return database, distinct
+
+
 def test_rollup_aggregates_once_per_path_level(monkeypatch):
-    database = generate_path_database(STORE_CONFIG)
+    database, distinct = _with_duplicated_paths()
     calls = _counting_hook(monkeypatch)
     cube = FlowCube.build(database, min_support=0.1, engine="rollup")
     n_item_levels = len(list(cube.item_lattice))
     assert n_item_levels >= 3
-    # Exactly once per record per path level — independent of item levels.
-    assert calls["n"] == len(database) * len(cube.path_lattice)
+    # Exactly once per distinct path per path level — independent of how
+    # many records share the path and of the item levels.
+    assert calls["n"] == distinct * len(cube.path_lattice)
 
 
 def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
-    from repro.store import build_cube
+    from repro.store import PartitionedPathStore, build_cube
 
-    database, store = _store(tmp_path)
+    database, distinct = _with_duplicated_paths()
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", database.schema, partition_size=30
+    )
+    store.ingest(database)
+    # Every path recurs in a later partition: the memo spans the scan.
+    assert len(store.catalog.partitions) >= 2
     calls = _counting_hook(monkeypatch)
     cube = build_cube(store, min_support=0.1, engine="rollup", jobs=1)
-    assert calls["n"] == len(database) * len(cube.path_lattice)
+    assert calls["n"] == distinct * len(cube.path_lattice)

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.core.lattice import PathLattice
 from repro.core.serialization import cube_to_json
 from repro.perf.pool import PoolStats, WorkerPool
 from repro.store import BuildStats, PartitionedPathStore, build_cube
@@ -99,6 +100,41 @@ def test_external_pool_reused_across_builds(store, reference):
         assert pool.stats.spawn_count == spawned  # no respawn per build
     finally:
         pool.close()
+
+
+def test_reused_pool_rebinds_the_path_lattice(store):
+    """Nothing path-lattice-bound survives in a worker between builds.
+
+    The two lattices hold the same levels in opposite order, so a worker
+    that kept the first build's aggregation memo would hand the second
+    build the wrong level's paths without raising.
+    """
+    default = PathLattice.paper_default(store.schema.location)
+    lattices = [default, PathLattice(reversed(list(default)))]
+    assert len(default) > 1
+    pool = WorkerPool(2).start()
+    try:
+        reused = [
+            cube_to_json(
+                build_cube(
+                    store, path_lattice=lattice, min_support=MIN_SUPPORT,
+                    pool=pool,
+                )
+            )
+            for lattice in lattices
+        ]
+    finally:
+        pool.close()
+    fresh = [
+        cube_to_json(
+            build_cube(
+                store, path_lattice=lattice, min_support=MIN_SUPPORT, jobs=2
+            )
+        )
+        for lattice in lattices
+    ]
+    assert reused == fresh
+    assert reused[0] != reused[1]
 
 
 def test_use_shared_build_matches_premined_segments(store):
