@@ -8,7 +8,7 @@ flow of one segment deviates from its parent category (redundancy analysis).
 Run:  python examples/retail_flow_analysis.py
 """
 
-from repro.core import FlowCube, ItemLevel, prune_redundant, tv_similarity
+from repro.core import ItemLevel, prune_redundant, tv_similarity
 from repro.query import FlowCubeQuery, lead_time_deviations, typical_paths
 from repro.synth import GeneratorConfig, generate_path_database
 

@@ -20,7 +20,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.core.lattice import DURATION_ANY, PathLevel
 from repro.core.path import Path
-from repro.core.stage import Stage
 
 __all__ = [
     "DURATION_ANY_LABEL",

@@ -34,7 +34,13 @@ from repro.core.flowgraph_exceptions import (
     mine_exceptions_weighted,
     resolve_min_support,
 )
-from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
+from repro.core.lattice import (
+    ItemLattice,
+    ItemLevel,
+    PathLattice,
+    PathLevel,
+    roll_up_key,
+)
 from repro.core.path_database import PathDatabase
 from repro.errors import CubeError
 
@@ -279,12 +285,7 @@ class FlowCube:
         hierarchies = self.database.schema.dimensions
         groups: dict[CellKey, list[int]] = {}
         for record in self.database:
-            key = tuple(
-                hierarchy.ancestor_at_level(value, level)
-                for hierarchy, value, level in zip(
-                    hierarchies, record.dims, item_level
-                )
-            )
+            key = roll_up_key(record.dims, item_level, hierarchies)
             groups.setdefault(key, []).append(record.record_id)
         return groups
 

@@ -40,18 +40,11 @@ from repro.core.flowgraph_exceptions import (
     mine_exceptions_weighted,
     resolve_min_support,
 )
-from repro.core.lattice import ItemLevel
+from repro.core.lattice import ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import CubeError
 
 __all__ = ["append_batch"]
-
-
-def _roll_up(dims, item_level: ItemLevel, hierarchies) -> tuple[str, ...]:
-    return tuple(
-        hierarchy.ancestor_at_level(value, level)
-        for hierarchy, value, level in zip(hierarchies, dims, item_level)
-    )
 
 
 def append_batch(
@@ -104,7 +97,7 @@ def append_batch(
             continue
         groups: dict[tuple[str, ...], list[PathRecord]] = {}
         for record in batch:
-            key = _roll_up(record.dims, cuboid.item_level, hierarchies)
+            key = roll_up_key(record.dims, cuboid.item_level, hierarchies)
             groups.setdefault(key, []).append(record)
         batch_groups[cuboid.item_level] = groups
 

@@ -21,12 +21,13 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.core.hierarchy import ANY, ConceptHierarchy
+from repro.core.hierarchy import ConceptHierarchy
 from repro.errors import LevelError
 
 __all__ = [
     "ItemLevel",
     "ItemLattice",
+    "roll_up_key",
     "LocationView",
     "PathLevel",
     "PathLattice",
@@ -85,6 +86,16 @@ class ItemLevel:
                 lowered[i] = level + 1
                 out.append(ItemLevel(lowered))
         return tuple(out)
+
+
+def roll_up_key(
+    dims: Sequence[str], item_level: ItemLevel, hierarchies: Sequence
+) -> tuple[str, ...]:
+    """The cell key of *dims* (leaf values or a deeper key) at *item_level*."""
+    return tuple(
+        hierarchy.ancestor_at_level(value, level)
+        for hierarchy, value, level in zip(hierarchies, dims, item_level)
+    )
 
 
 class ItemLattice:

@@ -34,10 +34,14 @@ fast counting paths run on:
   its ``jobs=N`` passes on, with per-pool spawn/busy accounting in
   :class:`~repro.perf.pool.PoolStats`.
 
-The kernels are exact: for every miner the bitmap path is kept behind a
-``kernel=`` switch next to the original tid-set path, the measure engines
-sit behind an ``engine=`` switch, and the test suite asserts identical
-supports, identical statistics, and byte-identical serialised cubes.
+The kernels are exact.  The in-memory entry points keep each kernel's
+reference next to it — ``kernel=`` on the miners,
+:func:`~repro.core.flowgraph_exceptions.mine_exceptions_weighted` and
+:class:`~repro.query.api.FlowCubeQuery`, ``engine=`` on
+:meth:`FlowCube.build <repro.core.flowcube.FlowCube.build>` — and the test
+suite asserts identical supports, identical statistics, and
+byte-identical serialised cubes against them.  :mod:`repro.store` has no
+such switch: it runs the roll-up engine and the bitmap kernels only.
 """
 
 from repro.perf.bitmap import (

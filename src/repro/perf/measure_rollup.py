@@ -61,7 +61,13 @@ from repro.core.flowgraph_exceptions import (
     resolve_min_support,
     serial_exception_pass,
 )
-from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
+from repro.core.lattice import (
+    ItemLattice,
+    ItemLevel,
+    PathLattice,
+    PathLevel,
+    roll_up_key,
+)
 from repro.core.path import Path
 from repro.errors import CubeError
 
@@ -71,7 +77,6 @@ __all__ = [
     "PathTable",
     "LevelData",
     "derivation_plan",
-    "roll_up_key",
     "scan_records",
     "merge_scan",
     "derive_levels",
@@ -202,16 +207,6 @@ def derivation_plan(
         plan.append((level, source))
         placed.append(level)
     return plan
-
-
-def roll_up_key(
-    dims: Sequence[str], item_level: ItemLevel, hierarchies: Sequence
-) -> CellKey:
-    """The cell key of *dims* (leaf values or a deeper key) at *item_level*."""
-    return tuple(
-        hierarchy.ancestor_at_level(value, level)
-        for hierarchy, value, level in zip(hierarchies, dims, item_level)
-    )
 
 
 def scan_records(

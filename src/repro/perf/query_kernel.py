@@ -2,8 +2,8 @@
 
 The seed read path answered ``FlowCubeQuery.slice`` by iterating *every*
 cell of every cuboid and testing the key predicate afterwards — over a
-:class:`~repro.store.cube_store.CubeStore` that means JSON-parsing every
-cell file whether or not the cell matches.  This module turns the
+:class:`~repro.store.cube_store.CubeStore` that means reading every
+cell's record whether or not the cell matches.  This module turns the
 predicate into index arithmetic, the same big-int bitmap idiom as the
 counting kernel (:mod:`repro.perf.bitmap`):
 

@@ -52,7 +52,7 @@ from repro.core.flowgraph_exceptions import (
     mine_exceptions_weighted,
     resolve_min_support,
 )
-from repro.core.lattice import ItemLevel, PathLevel
+from repro.core.lattice import ItemLevel, PathLevel, roll_up_key
 from repro.errors import QueryError
 
 __all__ = [
@@ -172,13 +172,6 @@ def plan_derivation(
     )
 
 
-def _rollup_key(hierarchies, key: CellKey, target: ItemLevel) -> CellKey:
-    return tuple(
-        hierarchy.ancestor_at_level(value, level)
-        for hierarchy, value, level in zip(hierarchies, key, target)
-    )
-
-
 def _derived_cell(
     cube,
     plan: DerivationPlan,
@@ -235,7 +228,7 @@ def derive_cuboid(
     source_cuboid = cube.cuboid(plan.source, plan.path_level)
     groups: dict[CellKey, list[Cell]] = {}
     for child in source_cuboid:
-        parent_key = _rollup_key(hierarchies, child.key, plan.item_level)
+        parent_key = roll_up_key(child.key, plan.item_level, hierarchies)
         groups.setdefault(parent_key, []).append(child)
     derived = Cuboid(plan.item_level, plan.path_level)
     for parent_key, children in groups.items():
@@ -264,7 +257,7 @@ def derive_cell(
     child_keys = [
         child_key
         for child_key in _cuboid_keys(source_cuboid)
-        if _rollup_key(hierarchies, child_key, plan.item_level) == key
+        if roll_up_key(child_key, plan.item_level, hierarchies) == key
     ]
     children = [source_cuboid.cell(child_key) for child_key in child_keys]
     if sum(child.n_paths for child in children) < plan.threshold:

@@ -1,8 +1,8 @@
-"""Run the slicer on a background thread — embedding, tests, benchmarks.
+"""Run the slicer on a background thread — embedding and tests.
 
 The CLI serves on the main thread (``asyncio.run``); everything else —
-the pytest suite, ``benchmarks/bench_serve.py``, a notebook — wants a
-server it can start, talk to over a real socket, and tear down.
+the pytest suite, a notebook — wants a server it can start, talk to over
+a real socket, and tear down.
 :class:`ServerThread` wraps one event loop on one daemon thread, exposes
 the bound address once the listener is up, and shuts the loop down
 cleanly from the outside.

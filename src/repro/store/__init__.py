@@ -4,9 +4,8 @@ The in-memory pipeline assumes the path database fits in RAM; this package
 removes that assumption end to end:
 
 * :class:`~repro.store.pathstore.PartitionedPathStore` — the path database
-  as size-bounded partition files (columnar binary by default, CSV as
-  the portable interchange format — see :mod:`repro.store.binfmt`)
-  under a JSON catalog (:class:`~repro.store.catalog.Catalog`) with
+  as size-bounded columnar partition files (see
+  :mod:`repro.store.binfmt`) under a JSON catalog (:class:`~repro.store.catalog.Catalog`) with
   schema fingerprints and Bloom-style partition summaries
   (:class:`~repro.store.partition.BloomSummary`);
 * :func:`~repro.store.builder.build_cube` /
@@ -16,22 +15,20 @@ removes that assumption end to end:
   :class:`~repro.perf.pool.WorkerPool` (re-exported here) that callers
   can keep across builds;
 * :class:`~repro.store.cube_store.CubeStore` — the materialised cube
-  persisted cell by cell (packed mmap'd heap or one JSON file per
-  cell), lazily rebuilt behind a bounded
+  persisted cell by cell in a packed mmap'd heap, lazily decoded
+  behind a bounded
   :class:`~repro.store.cache.LRUCache`;
 * ``flowcube-store`` (:mod:`repro.store.cli`) — init / ingest / build /
-  query / stats / migrate.
+  append / compact / query / stats / serve.
+
+The store builds one way (roll-up scan, bitmap exception kernel) and
+reads and writes one layout; the reference implementations the tests
+compare it against live in :mod:`repro.core` and :mod:`repro.query`.
 """
 
 from repro.perf.pool import PoolStats, WorkerPool, resolve_jobs
 from repro.store.append import append_records
-from repro.store.binfmt import DEFAULT_STORE_FORMAT, STORE_FORMATS
-from repro.store.builder import (
-    STORE_KERNELS,
-    BuildStats,
-    build_cube,
-    shared_mine_store,
-)
+from repro.store.builder import BuildStats, build_cube, shared_mine_store
 from repro.store.cache import LRUCache
 from repro.store.catalog import (
     Catalog,
@@ -39,15 +36,11 @@ from repro.store.catalog import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.store.cube_store import CELL_FORMATS, CubeStore, StoredCuboid
+from repro.store.cube_store import CubeStore, StoredCuboid
 from repro.store.partition import BloomSummary, PartitionMeta
 from repro.store.pathstore import PartitionedPathStore
 
 __all__ = [
-    "CELL_FORMATS",
-    "DEFAULT_STORE_FORMAT",
-    "STORE_FORMATS",
-    "STORE_KERNELS",
     "BloomSummary",
     "BuildStats",
     "Catalog",

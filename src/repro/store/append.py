@@ -22,8 +22,8 @@ the store's *persisted* cube without rebuilding it:
   :class:`~repro.perf.pool.WorkerPool` fan-out the builder uses, so an
   appended cube is byte-identical (``cube_to_json``) to a from-scratch
   rebuild over the extended store.
-* **Durability** — on the binary backend, dirty cells land in an
-  append-only ``cells.delta.NNN.bin`` segment plus a full index overlay
+* **Durability** — dirty cells land in an append-only
+  ``cells.delta.NNN.bin`` segment plus a full index overlay
   (``cells.delta.idx``); the base ``cells.bin`` is never rewritten.
   The meta publish is the commit point.  Once ``compact_after``
   segments pile up, :meth:`CubeStore.compact` folds them back into a
@@ -47,10 +47,10 @@ from repro.core.flowgraph_exceptions import (
     resolve_min_support,
     serial_exception_pass,
 )
-from repro.core.lattice import ItemLattice, ItemLevel
+from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
-from repro.perf.measure_rollup import AggregationMemo, roll_up_key
+from repro.perf.measure_rollup import AggregationMemo
 from repro.store.cube_store import (
     CubeStore,
     _new_append_stats,
@@ -91,7 +91,6 @@ def append_records(
     *,
     cube: CubeStore | None = None,
     recompute_exceptions: bool = True,
-    kernel: str = "bitmap",
     jobs: int = 1,
     pool=None,
     compact_after: int | None = 16,
@@ -107,7 +106,6 @@ def append_records(
         recompute_exceptions: Re-mine (ε, δ) exceptions in dirty cells.
             Forced off when the cube was built without exceptions, so an
             append never diverges from what a rebuild would produce.
-        kernel: Exception kernel, ``"bitmap"`` or ``"scan"``.
         jobs: Fan the dirty-cell exception pass over a worker pool of
             this size (``1`` = serial).
         pool: An already-running :class:`~repro.perf.pool.WorkerPool`
@@ -151,7 +149,7 @@ def append_records(
         )
         store.ingest(rows)  # raises before the cube is touched
         result = _merge_batch(
-            store, cube, rows, build_stats, mine, kernel, jobs, pool
+            store, cube, rows, build_stats, mine, jobs, pool
         )
         result["compacted"] = 0
         if compact_after and len(cube.delta_segments) >= compact_after:
@@ -163,9 +161,7 @@ def append_records(
             cube.close()
 
 
-def _merge_batch(
-    store, cube, rows, build_stats, mine, kernel, jobs, pool
-) -> dict:
+def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
     schema = store.schema
     hierarchies = schema.dimensions
     lattice = cube.path_lattice
@@ -443,11 +439,11 @@ def _merge_batch(
         try:
             if run_pool is not None:
                 run = _pooled_exception_pass(
-                    run_pool, cube.min_support, cube.min_deviation, kernel
+                    run_pool, cube.min_support, cube.min_deviation
                 )
             else:
                 run = serial_exception_pass(
-                    cube.min_support, cube.min_deviation, kernel=kernel
+                    cube.min_support, cube.min_deviation
                 )
             run(triples)
         finally:
@@ -457,9 +453,8 @@ def _merge_batch(
     # ------------------------------------------------------------------
     # publish: delta segment -> index overlay -> meta (the commit point)
     # ------------------------------------------------------------------
-    engaged = False
     if dirty:
-        engaged = cube.begin_delta()
+        cube.begin_delta()
     if dirty or demoted_cells:
         cube.merge_cells(dirty, layout)
 
@@ -472,7 +467,7 @@ def _merge_batch(
     counters["cells_demoted"] += demoted_cells
     counters["still_below_delta"] += below
     counters["delta_segments"] = len(cube.delta_segments) + (
-        1 if engaged else 0
+        1 if dirty else 0
     )
     build_stats["records"] = len(store)
     build_stats["partitions"] = len(store.catalog.partitions)

@@ -1,15 +1,14 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
-CSV partitions and one-JSON-file-per-cell cap the store's scale: every
-pack pass re-parses text, and opening a cube costs one ``stat`` +
-``json.loads`` per cell.  This module defines the two compact binary
-layouts behind the ``"binary"`` store format (see DESIGN.md for byte
-diagrams):
+The store reads and writes one layout — ``FCPART02`` partitions over a
+shared ``FCSTRS01`` string table, an ``FCHEAP02`` cell heap addressed
+through an ``FCCIDX01`` index — and this module defines it (see
+DESIGN.md for byte diagrams):
 
 * :func:`pack_partition` / :func:`unpack_partition` — a columnar
-  partition file (``part-XXXXX.bin``): one interned string table plus
-  ``int64`` reference/offset arenas and a ``float64`` duration arena,
-  so :func:`~repro.store.partition.read_partition` rebuilds a
+  partition file (``part-XXXXX.bin``): ``int64`` reference/offset arenas
+  and a ``float64`` duration arena, so
+  :func:`~repro.store.partition.read_partition` rebuilds a
   :class:`~repro.core.path_database.PathDatabase` with bulk
   ``array.frombytes`` decodes instead of per-field text parsing;
 * :func:`pack_cell_index` / :func:`unpack_cell_index` — the cell-heap
@@ -19,23 +18,28 @@ diagrams):
   its whole in-memory index with a handful of C-speed ``zip`` passes
   and *zero* cell-payload IO;
 * :class:`StringTable` — the shared per-store intern table
-  (``strings.bin``): one mmap'd vocabulary for every partition, with
-  ``FCPART02`` partitions carrying only a small local→global remap
-  arena instead of a private copy of the location/product strings;
-* :func:`encode_cell` / :func:`encode_cell_payload` /
-  :func:`decode_cell_parts` / :func:`decode_cell_payload` — the compact
-  ``FCHEAP02`` cell codec: varint-packed flowgraph counters with a
+  (``strings.bin``): one mmap'd vocabulary for every partition, each
+  partition carrying only a small local→global remap arena instead of
+  a private copy of the location/product strings;
+* :func:`encode_cell` / :func:`decode_cell_parts` — the compact
+  ``FCHEAP02`` cell codec the store runs: one pass between bytes and
+  *live* objects, varint-packed flowgraph counters with a
   parent-ordinal node encoding, bulk ``int32`` record ids, and
-  (optionally zlib'd) JSON exception lists, byte-identical through
-  ``cube_to_json``.  Both directions have a one-pass form between
-  bytes and *live* objects (``encode_cell`` / ``decode_cell_parts``,
-  what builds, appends and queries run) and a form over the payload
-  dict (what ``convert``/``migrate`` and the JSON backends speak); the
-  record layout itself is written down once, in ``_encode_record``;
+  (optionally zlib'd) JSON exception lists.  :func:`encode_cell_payload`
+  / :func:`decode_cell_payload` are the same codec over the payload
+  dict (:func:`cell_payload`): nothing in the store calls them; they are
+  the reference the tests compare the one-pass forms against, byte for
+  byte.  The record layout itself is written down once, in
+  ``_encode_record``;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
   masks: ``cells.idx`` stays mmap'd and each ``(cuboid, dim, value)``
   bitmap is decoded with one ``int.from_bytes`` over the map the first
   time a query actually ANDs it, never during open.
+
+Earlier releases also wrote CSV partitions, one JSON file per cell, and
+a first generation of partition and heap files (the ``RETIRED_*``
+magics).  No reader or writer for them survives: meeting one raises
+:func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
 Framing rules shared by the ``int64`` codecs:
 
@@ -52,17 +56,15 @@ Framing rules shared by the ``int64`` codecs:
   reader touches only the pages it needs.
 
 The cell heap (``cells.bin``) is an append-only blob of
-``<q``-length-prefixed payloads after :data:`HEAP_MAGIC` (generation 1,
-JSON payloads) or :data:`HEAP_MAGIC_V2` (generation 2,
-:func:`encode_cell` binary payloads), addressed only through
-the index offsets.
+``<q``-length-prefixed :func:`encode_cell` records after
+:data:`HEAP_MAGIC_V2`, addressed only through the index offsets.
 
 Benchmark note: ``benchmarks/flowbench`` traces
 :func:`encode_cell_payload` as ``binfmt.encode_cell_s`` /
-``append.encode_cell_s``.  Builds and appends of binary stores no
-longer call it (they call :func:`encode_cell`), so both read 0 there
-and the encoder's time is self time of ``cube_store.put_cuboid_s`` /
-``cube_store.merge_cells_s``: compare the *sums* across commits.
+``append.encode_cell_s``.  No store path calls it (builds and appends
+call :func:`encode_cell`), so both read 0 and the encoder's time is
+self time of ``cube_store.put_cuboid_s`` / ``cube_store.merge_cells_s``:
+compare the *sums* across commits.
 """
 
 from __future__ import annotations
@@ -89,48 +91,45 @@ from repro.core.stage import Stage
 from repro.errors import StoreError
 
 __all__ = [
-    "DEFAULT_STORE_FORMAT",
-    "HEAP_MAGIC",
     "HEAP_MAGIC_V2",
     "INDEX_MAGIC",
-    "PARTITION_MAGIC",
+    "LAYOUT_NAME",
     "PARTITION_MAGIC_V2",
-    "STORE_FORMATS",
+    "RETIRED_HEAP_MAGIC",
+    "RETIRED_PARTITION_MAGIC",
     "STRINGS_FILENAME",
     "STRINGS_MAGIC",
     "LazyMaskMap",
     "MaskArena",
     "StringTable",
     "cell_payload",
+    "check_heap_magic",
+    "check_layout_name",
     "decode_cell_parts",
     "decode_cell_payload",
     "encode_cell",
     "encode_cell_payload",
-    "heap_generation",
     "pack_cell_index",
     "pack_partition",
     "pack_segment_offset",
-    "raw_record",
+    "retired_layout",
     "split_segment_offset",
     "unpack_cell_index",
     "unpack_partition",
 ]
 
-#: Store-level format names: ``"binary"`` (columnar partitions + cell
-#: heap) and ``"json"`` (CSV partitions + one JSON file per cell — the
-#: portable interchange layout).
-STORE_FORMATS = ("binary", "json")
+#: What ``catalog.json`` and ``cube.json`` record under ``"format"``.  It
+#: names the one layout this module defines; any other value (or none)
+#: marks a store written in a retired layout.
+LAYOUT_NAME = "binary"
 
-#: New stores default to the compact binary layout.
-DEFAULT_STORE_FORMAT = "binary"
+#: Leading 8 bytes of a retired columnar partition file (private
+#: per-partition string table); compared against only to reject it.
+RETIRED_PARTITION_MAGIC = b"FCPART01"
 
-#: Leading 8 bytes of a generation-1 columnar partition file (private
-#: per-partition string table).
-PARTITION_MAGIC = b"FCPART01"
-
-#: Leading 8 bytes of a generation-2 columnar partition file: string
-#: references resolve through the shared store table via a
-#: local→global remap arena.
+#: Leading 8 bytes of a columnar partition file: string references
+#: resolve through the shared store table via a local→global remap
+#: arena.
 PARTITION_MAGIC_V2 = b"FCPART02"
 
 #: Leading 8 bytes of the shared per-store string table
@@ -144,11 +143,11 @@ STRINGS_FILENAME = "strings.bin"
 #: Leading 8 bytes of a cell-heap index file (``cells.idx``).
 INDEX_MAGIC = b"FCCIDX01"
 
-#: Leading 8 bytes of a generation-1 cell-heap blob (JSON payloads).
-HEAP_MAGIC = b"FCHEAP01"
+#: Leading 8 bytes of a retired cell-heap blob (JSON payloads);
+#: compared against only to reject it.
+RETIRED_HEAP_MAGIC = b"FCHEAP01"
 
-#: Leading 8 bytes of a generation-2 cell-heap blob
-#: (:func:`encode_cell` binary payloads).
+#: Leading 8 bytes of a cell-heap blob (:func:`encode_cell` records).
 HEAP_MAGIC_V2 = b"FCHEAP02"
 
 #: Endianness sentinel: stored as the first header word; a reader on a
@@ -211,9 +210,43 @@ def _pack_strings(strings: Iterable[str]) -> tuple[bytes, bytes, int]:
     return offsets.tobytes(), blob + b"\x00" * _pad8(len(blob)), len(blob)
 
 
-def _check_magic(buffer: bytes, magic: bytes, what: str) -> None:
-    if len(buffer) < len(magic) or buffer[: len(magic)] != magic:
-        raise StoreError(f"not a {what}: bad magic")
+def retired_layout(what, layout: str) -> StoreError:
+    """The error for *what* (a file or store) kept in a layout no longer read."""
+    return StoreError(
+        f"{what} is in the retired {layout} layout, which this release "
+        "neither reads nor writes; the last one that did is PR 15 of this "
+        "repository (1.0.0, commit 660f825) — convert the store there with "
+        "`flowcube-store migrate --to binary`, or re-ingest and rebuild"
+    )
+
+
+def check_layout_name(value, what) -> None:
+    """Reject a meta file whose ``"format"`` is not :data:`LAYOUT_NAME`.
+
+    Files written before the field existed were in the json layout.
+    """
+    if value == LAYOUT_NAME:
+        return
+    if value is None or value == "json":
+        raise retired_layout(what, "json")
+    raise StoreError(f"{what} names an unknown store format {value!r}")
+
+
+def _check_magic(
+    buffer: bytes, magic: bytes, what: str, retired: bytes | None = None
+) -> None:
+    """Reject a buffer not leading with *magic*, naming a *retired* one."""
+    lead = bytes(buffer[: len(magic)])
+    if lead == magic:
+        return
+    if lead == retired:
+        raise retired_layout(what, lead.decode("ascii"))
+    raise StoreError(f"not a {what}: bad magic")
+
+
+def check_heap_magic(lead: bytes, path) -> None:
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP02``."""
+    _check_magic(lead, HEAP_MAGIC_V2, f"cell heap {path}", RETIRED_HEAP_MAGIC)
 
 
 def _read_header(buffer: bytes, offset: int, count: int, what: str) -> array:
@@ -613,26 +646,16 @@ def _encode_record(
     return b"".join(parts)
 
 
-def raw_record(payload_json: bytes) -> bytes:
-    """Frame a cell payload's JSON text as a verbatim (``RAW``) record.
-
-    What the structured codec falls back to — and how the JSON-storing
-    backends (generation-1 heap, one file per cell) present a stored
-    payload to :func:`decode_cell_parts`, so every backend's cell is
-    decoded by the one function.
-    """
-    return bytes((_HEAP2_RAW,)) + payload_json
-
-
 def _raw_record(payload: dict) -> bytes:
-    """The verbatim-JSON record for a payload outside the structured codec."""
-    return raw_record(_json_bytes(payload))
+    """The verbatim-JSON (``RAW``) record for a payload outside the
+    structured codec."""
+    return bytes((_HEAP2_RAW,)) + _json_bytes(payload)
 
 
 def cell_payload(
     key, item_level, path_level, record_ids, redundant, flowgraph
 ) -> dict:
-    """The logical cell payload dict (what the JSON backends store).
+    """The logical cell payload dict the dict-level codec speaks.
 
     *item_level* is the level tuple, *path_level* the lattice id.
     """
@@ -649,7 +672,7 @@ def cell_payload(
 def encode_cell(
     key, item_level, path_level, record_ids, redundant, flowgraph
 ) -> bytes:
-    """Encode one live cell as a generation-2 (``FCHEAP02``) record.
+    """Encode one live cell as an ``FCHEAP02`` record.
 
     The write-side twin of :func:`decode_cell_parts`: one pass from the
     :class:`~repro.core.flowgraph.FlowGraph` to bytes, in the canonical
@@ -698,18 +721,16 @@ def encode_cell(
 
 
 def encode_cell_payload(payload: dict) -> bytes:
-    """Encode one cell payload dict as a generation-2 (``FCHEAP02``) record.
+    """Encode one cell payload dict as an ``FCHEAP02`` record.
 
-    The dict-fed twin of :func:`encode_cell` (``convert``/``migrate``
-    read payload dicts out of JSON cells and generation-1 heaps): it
-    checks the container shapes — the exact dict
-    :func:`cell_payload` builds — and hands the values, in the order the
-    dict gives them, to the same record writer.  Any payload outside
-    that shape — foreign key order, bool/float counters, out-of-range
-    record ids — falls back to a verbatim JSON record
-    (:data:`_HEAP2_RAW`), so ``decode(encode(p)) == p`` holds for
-    *every* JSON-compatible payload, byte-identical through
-    ``cube_to_json``.
+    The dict-fed twin of :func:`encode_cell`, kept as its reference: it
+    checks the container shapes — the exact dict :func:`cell_payload`
+    builds — and hands the values, in the order the dict gives them, to
+    the same record writer.  Any payload outside that shape — foreign
+    key order, bool/float counters, out-of-range record ids — falls back
+    to a verbatim JSON record (:data:`_HEAP2_RAW`), so
+    ``decode(encode(p)) == p`` holds for *every* JSON-compatible
+    payload, byte-identical through ``cube_to_json``.
     """
     try:
         if not isinstance(payload, dict) or tuple(payload) != _PAYLOAD_KEYS:
@@ -800,11 +821,11 @@ def _split_heap2(buffer: bytes, flags: int):
 
 
 def decode_cell_payload(buffer: bytes) -> dict:
-    """Decode a generation-2 heap record back into its payload dict.
+    """Decode an ``FCHEAP02`` record back into its payload dict.
 
-    The result compares (and JSON-serialises) identically to what
-    ``json.loads`` returns for the generation-1 record of the same cell
-    — the parity contract ``migrate``/``convert`` assert per cell.
+    The dict-level reference for :func:`decode_cell_parts`: the result
+    compares (and JSON-serialises) identically to the payload dict
+    :func:`cell_payload` builds for the same cell.
     """
     try:
         flags = buffer[0]
@@ -873,7 +894,7 @@ def decode_cell_payload(buffer: bytes) -> dict:
 
 
 def decode_cell_parts(buffer: bytes):
-    """Decode a generation-2 record straight into live query objects.
+    """Decode an ``FCHEAP02`` record straight into live query objects.
 
     Returns ``(record_ids, redundant, flowgraph)`` without ever building
     the payload dict: nodes are constructed directly from the varint
@@ -963,15 +984,6 @@ def decode_cell_parts(buffer: bytes):
         return list(rid_arena), redundant, graph
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
-
-
-def heap_generation(magic: bytes) -> int:
-    """Heap generation for the leading 8 bytes of ``cells.bin``."""
-    if magic == HEAP_MAGIC:
-        return 1
-    if magic == HEAP_MAGIC_V2:
-        return 2
-    raise StoreError("not a cell heap: bad magic")
 
 
 # --------------------------------------------------------------------------
@@ -1087,36 +1099,23 @@ class LazyMaskMap:
 # --------------------------------------------------------------------------
 
 
-def pack_partition(
-    database: PathDatabase, strings: StringTable | None = None
-) -> bytes:
+def pack_partition(database: PathDatabase, strings: StringTable) -> bytes:
     """Encode *database* as one columnar partition blob.
 
-    Without *strings* — the generation-1 layout, a self-contained file
-    (all arenas 8-byte aligned)::
-
-        FCPART01 | header i64[6] | string offsets i64[S+1] | utf8 blob ⌈8⌉
-        | record_ids i64[R] | dim refs i64[R*D] | path offsets i64[R+1]
-        | stage location refs i64[T] | stage durations f64[T]
-
-    header = [ORDER_TAG, n_records R, n_dims D, n_strings S,
-    blob byte length, total stages T].  Dimension values and stage
-    locations share one interned string table, so repeated concepts and
-    locations cost 8 bytes per reference; durations are exact IEEE
-    doubles (no ``repr`` round-trip).
-
-    With *strings* — the generation-2 layout: the private string table
-    is replaced by a local→global **remap arena** into the shared store
-    table (every value is interned into *strings*, which the caller
-    saves as ``strings.bin``)::
+    Every dimension value and stage location is interned into *strings*,
+    the store's shared table (which the caller saves as ``strings.bin``
+    before the partition lands); the file carries a local→global
+    **remap arena** into it (all arenas 8-byte aligned)::
 
         FCPART02 | header i64[6] | remap i64[S]
         | record_ids i64[R] | dim refs i64[R*D] | path offsets i64[R+1]
         | stage location refs i64[T] | stage durations f64[T]
 
-    header = [ORDER_TAG, R, D, n_locals S, 0 (reserved), T]; dim and
-    location refs stay partition-local (dense, decode-once), and the
-    remap arena resolves them through the shared vocabulary.
+    header = [ORDER_TAG, n_records R, n_dims D, n_locals S, 0 (reserved),
+    total stages T].  Dim and location refs stay partition-local (dense,
+    decode-once), so repeated concepts and locations cost 8 bytes per
+    reference; durations are exact IEEE doubles (no ``repr``
+    round-trip).
     """
     interned: dict[str, int] = {}
     record_ids = array("q")
@@ -1136,15 +1135,7 @@ def pack_partition(
             durations.append(stage.duration)
         total_stages += len(record.path)
         path_offsets.append(total_stages)
-    if strings is None:
-        magic = PARTITION_MAGIC
-        offsets_bytes, blob_bytes, blob_len = _pack_strings(interned)
-        table_bytes = offsets_bytes + blob_bytes
-    else:
-        magic = PARTITION_MAGIC_V2
-        blob_len = 0
-        remap = array("q", [strings.intern(value) for value in interned])
-        table_bytes = remap.tobytes()
+    remap = array("q", [strings.intern(value) for value in interned])
     header = array(
         "q",
         [
@@ -1152,15 +1143,15 @@ def pack_partition(
             len(database),
             database.schema.n_dimensions,
             len(interned),
-            blob_len,
+            0,
             total_stages,
         ],
     )
     return b"".join(
         (
-            magic,
+            PARTITION_MAGIC_V2,
             header.tobytes(),
-            table_bytes,
+            remap.tobytes(),
             record_ids.tobytes(),
             dim_refs.tobytes(),
             path_offsets.tobytes(),
@@ -1171,15 +1162,15 @@ def pack_partition(
 
 
 def unpack_partition(
-    buffer, schema: PathSchema, strings: StringTable | None = None
+    buffer, schema: PathSchema, strings: StringTable | None
 ) -> PathDatabase:
     """Decode a :func:`pack_partition` blob back into a database.
 
-    Accepts either generation (dispatch on the magic); generation-2
-    buffers additionally need the store's shared :class:`StringTable`.
-    *buffer* may be ``bytes`` or a ``memoryview`` over an mmap'd file —
-    every arena is sliced exactly, so a mapped read touches only the
-    pages the decode needs.
+    *strings* is the store's shared :class:`StringTable` (``None`` when
+    the store has no ``strings.bin``, which is an error here).  *buffer*
+    may be ``bytes`` or a ``memoryview`` over an mmap'd file — every
+    arena is sliced exactly, so a mapped read touches only the pages the
+    decode needs.
 
     The whole decode is bulk work — ``frombytes`` per arena, one
     ``zip`` transpose for the dim tuples, one ``map`` over
@@ -1189,33 +1180,24 @@ def unpack_partition(
     already-validated database.
     """
     what = "columnar partition"
-    if len(buffer) >= 8 and buffer[:8] == PARTITION_MAGIC_V2:
-        shared = True
-    else:
-        _check_magic(buffer, PARTITION_MAGIC, what)
-        shared = False
-    header = _read_header(buffer, len(PARTITION_MAGIC), 6, what)
-    _, n_records, n_dims, n_strings, blob_len, total_stages = header
+    _check_magic(buffer, PARTITION_MAGIC_V2, what, RETIRED_PARTITION_MAGIC)
+    header = _read_header(buffer, len(PARTITION_MAGIC_V2), 6, what)
+    _, n_records, n_dims, n_strings, _, total_stages = header
     if n_dims != schema.n_dimensions:
         raise StoreError(
             f"partition has {n_dims} dimensions, schema expects "
             f"{schema.n_dimensions}"
         )
-    offset = len(PARTITION_MAGIC) + 6 * _I64
-    if shared:
-        if strings is None:
-            raise StoreError(
-                "partition references the shared string table, but the "
-                "store has no strings.bin"
-            )
-        remap = _read_i64(buffer, offset, n_strings, what)
-        offset += n_strings * _I64
-        table_get = strings.get
-        strings = [table_get(ref) for ref in remap]
-    else:
-        strings, offset = _read_strings(
-            buffer, offset, n_strings, blob_len, what
+    if strings is None:
+        raise StoreError(
+            "partition references the shared string table, but the "
+            "store has no strings.bin"
         )
+    offset = len(PARTITION_MAGIC_V2) + 6 * _I64
+    remap = _read_i64(buffer, offset, n_strings, what)
+    offset += n_strings * _I64
+    table_get = strings.get
+    strings = [table_get(ref) for ref in remap]
     record_ids = _read_i64(buffer, offset, n_records, what)
     offset += n_records * _I64
     dim_refs = _read_i64(buffer, offset, n_records * n_dims, what)

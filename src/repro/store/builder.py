@@ -21,18 +21,18 @@ partition at a time*:
   counters and result order are *exactly* the in-memory miner's — the
   test suite asserts equality.
 
-* :func:`build_cube` materialises the iceberg cube.  The default
-  ``engine="rollup"`` performs a single roll-up scan — membership and
-  weighted base paths for the root item levels only, each distinct path
-  aggregated once, merged in partition order into multisets of interned
-  path ids — and derives every other level's cells by merging child
-  cells (:mod:`repro.perf.measure_rollup`).  ``engine="direct"`` keeps the
-  original two scan families: a membership pass grouping record ids into
-  cells (ids only — no paths are retained), then one aggregation pass per
-  item level that rebuilds the iceberg cells' aggregated paths.  Cells
-  come out identical either way because partitions preserve record
-  order, so group insertion order, ``record_ids`` tuples, path order,
-  and the exception-mining inputs all coincide.
+* :func:`build_cube` materialises the iceberg cube with a single roll-up
+  scan — membership and weighted base paths for the root item levels
+  only, each distinct path aggregated once, merged in partition order
+  into multisets of interned path ids — and derives every other level's
+  cells by merging child cells (:mod:`repro.perf.measure_rollup`).
+  Partitions preserve record order, so group insertion order,
+  ``record_ids`` tuples, path order, and the exception-mining inputs
+  coincide with the in-memory builders'.  This is the store's only
+  engine and its exception pass has one kernel (the bitmap one); the
+  reference arms the tests compare against — :meth:`FlowCube.build`'s
+  ``"direct"`` per-cell rebuild and the ``"scan"`` exception kernel —
+  live in :mod:`repro.core`.
 
 What is resident.  A mine holds, next to the one decoded + encoded
 partition, the interned D': one ``array('i')`` per record (4 B per item
@@ -56,19 +56,18 @@ live-count tracker, and the recorded per-process peak is asserted to be
 1 in the tests.
 
 :func:`build_cube` accepts ``jobs``: with ``jobs > 1`` the per-partition
-scans of each pass and the per-cell exception pass run on a persistent
-fork-once :class:`~repro.perf.pool.WorkerPool` (one batched task per
-partition per pass, routed to its affine worker slot).  Callers may pass
-their own ``pool=`` to amortise the fork across many builds.  Partial
-results merge in partition order, and every merge is an
-extend-in-partition-order, so parallel runs are bit-identical to serial
-ones — the parity is asserted by the tests.  Mining never forks: its
-only record-linear cost is the encode pass.
+roll-up scan and the per-cell exception pass run on a persistent
+fork-once :class:`~repro.perf.pool.WorkerPool` (one task per partition,
+routed to its affine worker slot).  Callers may pass their own ``pool=``
+to amortise the fork across many builds.  Partial results merge in
+partition order, and every merge is an extend-in-partition-order, so
+parallel runs are bit-identical to serial ones — the parity is asserted
+by the tests.  Mining never forks: its only record-linear cost is the
+encode pass.
 
-Partition decode cost follows the store's format transparently: every
-scan goes through :func:`~repro.store.partition.read_partition`, so on
-a ``"binary"`` store (the default) partitions deserialise from columnar
-arenas with bulk ``array.frombytes`` instead of parsing CSV text.
+Every scan goes through :func:`~repro.store.partition.read_partition`:
+partitions deserialise from columnar ``FCPART02`` arenas with bulk
+``array.frombytes``.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.core.aggregation import aggregate_path, weight_paths
-from repro.core.flowcube import Cell, CellKey, Cuboid, FlowCube
+from repro.core.flowcube import CellKey, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
     Segment,
@@ -99,7 +97,6 @@ from repro.mining.stats import MiningStats
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.pool import WorkerPool, resolve_jobs, worker_context
 from repro.perf.measure_rollup import (
-    ENGINES,
     AggregationMemo,
     PathTable,
     assemble_cuboids,
@@ -107,21 +104,15 @@ from repro.perf.measure_rollup import (
     derive_levels,
     merge_scan,
     prune_to_iceberg,
-    roll_up_key,
     scan_records,
 )
 from repro.store.pathstore import PartitionedPathStore
 
 __all__ = [
-    "STORE_KERNELS",
     "BuildStats",
     "build_cube",
     "shared_mine_store",
 ]
-
-#: Per-cell exception kernels accepted by :func:`build_cube`.
-STORE_KERNELS = ("bitmap", "scan")
-
 
 @dataclass
 class BuildStats:
@@ -143,8 +134,7 @@ class BuildStats:
             precision); stamped by :func:`build_cube` so the persisted
             cube carries build provenance.
         elapsed_seconds: Wall-clock time of the build.
-        phase_seconds: Wall-clock per build phase — ``membership`` (the
-            direct engine's id-grouping pass), ``aggregate`` (record
+        phase_seconds: Wall-clock per build phase — ``aggregate`` (record
             scanning / path aggregation), ``materialize`` (measure
             derivation and cell assembly), and ``exceptions`` (the
             per-cell holistic exception pass, serial or pool-fanned) —
@@ -225,100 +215,6 @@ class _LiveTracker:
 
 
 # ----------------------------------------------------------------------
-# per-partition scan bodies (shared by the serial and parallel paths)
-# ----------------------------------------------------------------------
-#
-# Each function below consumes exactly one partition and returns a plain,
-# picklable partial result; the drivers merge partials in partition
-# order.  Keeping the bodies pure is what makes serial and parallel runs
-# provably identical.
-
-def _membership_partition(
-    database, levels: Sequence[ItemLevel], hierarchies
-) -> list[dict[CellKey, list[int]]]:
-    """Record ids grouped per cell, one dict per requested item level."""
-    groups: list[dict[CellKey, list[int]]] = [{} for _ in levels]
-    # Records heavily share dimension-value tuples, and a roll-up only
-    # depends on those, so the per-level cell keys are memoised per
-    # distinct ``record.dims``.
-    keys_cache: dict[tuple, list[CellKey]] = {}
-    for record in database:
-        keys = keys_cache.get(record.dims)
-        if keys is None:
-            keys = [
-                roll_up_key(record.dims, item_level, hierarchies)
-                for item_level in levels
-            ]
-            keys_cache[record.dims] = keys
-        for index in range(len(levels)):
-            groups[index].setdefault(keys[index], []).append(record.record_id)
-    return groups
-
-
-def _aggregate_partition(
-    database,
-    item_level: ItemLevel,
-    iceberg_keys: frozenset,
-    path_lattice: PathLattice,
-    hierarchies,
-) -> dict[tuple[CellKey, int], list]:
-    """One item level's aggregated paths for the iceberg cells."""
-    paths_by_cell: dict[tuple[CellKey, int], list] = {}
-    for record in database:
-        key = roll_up_key(record.dims, item_level, hierarchies)
-        if key not in iceberg_keys:
-            continue
-        for level_id, path_level in enumerate(path_lattice):
-            paths_by_cell.setdefault((key, level_id), []).append(
-                aggregate_path(record.path, path_level)
-            )
-    return paths_by_cell
-
-
-def _aggregate_batch_partition(
-    database,
-    spec: Sequence[tuple[ItemLevel, frozenset]],
-    path_lattice: PathLattice,
-    hierarchies,
-) -> list[dict[tuple[CellKey, int], list]]:
-    """Every item level's aggregated paths in one partition sweep.
-
-    Produces, per spec entry, exactly :func:`_aggregate_partition`'s dict
-    (same keys, same append order), but aggregates each record's path
-    once per *path* level instead of once per (item level, path level) —
-    the aggregation doesn't depend on the item level — and memoises
-    roll-ups per distinct ``record.dims`` as in the membership pass.
-    """
-    out: list[dict[tuple[CellKey, int], list]] = [{} for _ in spec]
-    keys_cache: dict[tuple, list[CellKey]] = {}
-    n_path_levels = len(path_lattice)
-    for record in database:
-        keys = keys_cache.get(record.dims)
-        if keys is None:
-            keys = [
-                roll_up_key(record.dims, item_level, hierarchies)
-                for item_level, _ in spec
-            ]
-            keys_cache[record.dims] = keys
-        aggregated = None
-        for index, (_, iceberg_keys) in enumerate(spec):
-            key = keys[index]
-            if key not in iceberg_keys:
-                continue
-            if aggregated is None:
-                aggregated = [
-                    aggregate_path(record.path, path_level)
-                    for path_level in path_lattice
-                ]
-            bucket = out[index]
-            for level_id in range(n_path_levels):
-                bucket.setdefault((key, level_id), []).append(
-                    aggregated[level_id]
-                )
-    return out
-
-
-# ----------------------------------------------------------------------
 # the worker side
 # ----------------------------------------------------------------------
 #
@@ -326,47 +222,24 @@ def _aggregate_batch_partition(
 # by :class:`~repro.perf.pool.WorkerPool` against the per-process context
 # dict (:func:`~repro.perf.pool.worker_context`).  The pool is persistent
 # — it may outlive this build and serve the next one — so a build never
-# assumes fresh workers: it *binds* its store with a broadcast task,
-# which also drops the one-slot partition cache.
+# assumes fresh workers: it *binds* its store with a broadcast task.
 
 
 def _task_bind_store(store_dir: str, path_lattice: PathLattice) -> bool:
     """Point this worker at a store (broadcast once per build).
 
     Re-opens the store unconditionally — the catalog may have grown since
-    a previous build through the same pool — and drops the one-slot
-    partition cache, which could alias a prior build's data, and the
-    aggregation memo, whose entries belong to the previous path lattice.
+    a previous build through the same pool — and starts a fresh
+    aggregation memo, whose entries belong to one path lattice.
     """
     ctx = worker_context()
     ctx["store"] = PartitionedPathStore.open(store_dir)
-    ctx["lattice"] = path_lattice
     ctx["aggregation"] = AggregationMemo(path_lattice)
-    ctx["cached"] = None
     return True
 
 
-def _worker_partition(partition_id: int):
-    """The task's partition, via a one-slot per-process cache.
-
-    Consecutive tasks for the same partition (the direct engine's
-    membership pass, then its aggregation pass) reuse the loaded data
-    instead of re-reading the file.  The slot is dropped *before* a
-    different partition is loaded, so each worker still holds at most
-    one partition at any instant (the gauge's per-process invariant).
-    """
-    ctx = worker_context()
-    cached = ctx["cached"]
-    if cached is None or cached[0] != partition_id:
-        ctx["cached"] = None  # drop before loading: ≤ 1 live
-        store: PartitionedPathStore = ctx["store"]
-        cached = (partition_id, store.load_partition(partition_id))
-        ctx["cached"] = cached
-    return cached[1]
-
-
 def _task_exceptions(
-    batch: list, min_support: float, min_deviation: float, kernel: str
+    batch: list, min_support: float, min_deviation: float
 ) -> list:
     """Mine one batch of cells' exceptions inside a worker process.
 
@@ -391,37 +264,21 @@ def _task_exceptions(
                 min_support=min_support,
                 min_deviation=min_deviation,
                 segments=segments,
-                kernel=kernel,
                 index_cache=index_cache,
             )
         )
     return out
 
 
-def _task_scan(kind: str, partition_id: int, payload: tuple):
-    """One partition of one cube-building pass."""
+def _task_scan(partition_id: int, root_levels: tuple):
+    """One partition of the roll-up scan (the partition dies on return,
+    so each worker holds at most one)."""
     ctx = worker_context()
     store: PartitionedPathStore = ctx["store"]
-    path_lattice: PathLattice = ctx["lattice"]
-    database = _worker_partition(partition_id)
-    if kind == "membership":
-        (levels,) = payload
-        return _membership_partition(database, levels, store.schema.dimensions)
-    if kind == "rollup_scan":
-        (root_levels,) = payload
-        return scan_records(
-            database, ctx["aggregation"], root_levels,
-            store.schema.dimensions,
-        )
-    if kind == "aggregate_batch":
-        # One task covers every item level: loading and iterating the
-        # partition once per level would drown this scale of work in
-        # per-task dispatch and file reads.
-        (spec,) = payload
-        return _aggregate_batch_partition(
-            database, spec, path_lattice, store.schema.dimensions
-        )
-    raise ValueError(f"unknown worker task kind {kind!r}")
+    return scan_records(
+        store.load_partition(partition_id), ctx["aggregation"], root_levels,
+        store.schema.dimensions,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -460,17 +317,8 @@ def _ensure_pool(
     return pool, owned
 
 
-def _finalise_pool_stats(build_stats: BuildStats, pool: WorkerPool | None):
-    """Snapshot the pool's lifetime counters into the build's stats."""
-    if pool is not None:
-        build_stats.pool = pool.stats.as_dict()
-
-
 def _pooled_exception_pass(
-    pool: WorkerPool,
-    min_support: float,
-    min_deviation: float,
-    kernel: str,
+    pool: WorkerPool, min_support: float, min_deviation: float
 ):
     """Per-cell exception mining fanned out over the worker pool.
 
@@ -499,7 +347,7 @@ def _pooled_exception_pass(
                     chunk,
                     pool.submit(
                         slot, _task_exceptions, payload, min_support,
-                        min_deviation, kernel,
+                        min_deviation,
                     ),
                 )
             )
@@ -517,11 +365,10 @@ def _scan_partitions(
     pool: WorkerPool | None,
     tracker: _LiveTracker,
     build_stats: BuildStats,
-    kind: str,
-    payload: tuple,
+    root_levels: tuple,
     path_lattice: PathLattice,
 ) -> Iterator:
-    """Run one pass over every partition, yielding partials in order.
+    """The roll-up scan over every partition, yielding partials in order.
 
     Serial (``pool is None``): partitions are loaded one at a time
     inside the tracker bracket.  Parallel: one task per partition,
@@ -535,28 +382,15 @@ def _scan_partitions(
             tracker.enter()
             try:
                 build_stats.scans += 1
-                if kind == "membership":
-                    (levels,) = payload
-                    yield _membership_partition(
-                        database, levels, store.schema.dimensions
-                    )
-                elif kind == "rollup_scan":
-                    (root_levels,) = payload
-                    yield scan_records(
-                        database, aggregation, root_levels,
-                        store.schema.dimensions,
-                    )
-                else:
-                    item_level, iceberg_keys = payload
-                    yield _aggregate_partition(
-                        database, item_level, iceberg_keys, path_lattice,
-                        store.schema.dimensions,
-                    )
+                yield scan_records(
+                    database, aggregation, root_levels,
+                    store.schema.dimensions,
+                )
             finally:
                 tracker.exit()
     else:
         futures = [
-            pool.submit(partition_id, _task_scan, kind, partition_id, payload)
+            pool.submit(partition_id, _task_scan, partition_id, root_levels)
             for partition_id in store.partition_ids()
         ]
         for future in futures:
@@ -684,9 +518,7 @@ def build_cube(
     use_shared: bool = False,
     into=None,
     stats: BuildStats | None = None,
-    kernel: str = "bitmap",
     jobs: int = 1,
-    engine: str = "rollup",
     pool: WorkerPool | None = None,
 ):
     """Materialise the iceberg flowcube of a partitioned store.
@@ -695,21 +527,15 @@ def build_cube(
     the concatenated store (same cuboids, cell keys, record ids,
     flowgraphs, and exceptions) while reading one partition at a time.
 
-    With the default ``engine="rollup"`` (the aggregate-once engine of
-    :mod:`repro.perf.measure_rollup`) there is a single *roll-up scan*:
+    There is a single *roll-up scan* (:mod:`repro.perf.measure_rollup`):
     each partition is read once, producing membership groups and weighted
-    base paths for the root item levels only; every other level's cells
-    derive in memory by merging child cells along the item lattice, and no
-    partition is read again.  With ``engine="direct"`` the original two
-    scan families run:
-
-    1. *Membership pass* — one scan grouping record ids per cell for every
-       requested item level (ids only; partitions preserve record order,
-       so the groups' insertion order matches the in-memory builder's).
-    2. *Aggregation pass per item level* — re-scan the partitions and
-       aggregate paths only for cells that met the iceberg threshold,
-       then assemble that level's cuboids and (optionally) mine each
-       cell's flowgraph exceptions.
+    base paths for the *root* item levels only; partials merge in
+    partition order (:func:`merge_scan`), which makes them identical to
+    an in-memory single scan.  Every other level's cells derive in memory
+    by merging child cells along the item lattice, so the whole build
+    costs one pass regardless of how many item levels are materialised.
+    The pool outlives the scan: assembly re-uses its idle workers to fan
+    the per-cell exception pass out across cells.
 
     Args:
         store: The partitioned path store.
@@ -732,17 +558,9 @@ def build_cube(
             persisted and dropped as soon as it is built, keeping the
             output out-of-core too.
         stats: Optional :class:`BuildStats` to fill.
-        kernel: ``"bitmap"`` (default) or ``"scan"`` — the per-cell
-            exception kernel (:mod:`repro.perf.exception_kernel` vs the
-            per-path re-scan).  Identical cubes either way.
-        jobs: Partition scans (membership, aggregation) and the
-            per-cell exception pass run on a worker pool of this size
-            when ``> 1`` (``0`` resolves to ``cpu_count - 1``); the
-            built cube is identical either way.
-        engine: ``"rollup"`` (default) or ``"direct"``; both engines —
-            serial or parallel, in-memory or out-of-core — produce
-            byte-identical serialised cubes (asserted by the property
-            tests).
+        jobs: The partition scan and the per-cell exception pass run on
+            a worker pool of this size when ``> 1`` (``0`` resolves to
+            ``cpu_count - 1``); the built cube is identical either way.
         pool: An already-running :class:`~repro.perf.pool.WorkerPool` to
             run every parallel pass on — overrides *jobs*, stays running
             afterwards.  Without it, ``jobs > 1`` forks a build-owned
@@ -752,14 +570,6 @@ def build_cube(
         The :class:`FlowCube`, or *into* (flushed) when a cube store was
         given.
     """
-    if engine not in ENGINES:
-        raise CubeError(
-            f"unknown measure engine {engine!r}; expected one of {ENGINES}"
-        )
-    if kernel not in STORE_KERNELS:
-        raise CubeError(
-            f"unknown kernel {kernel!r}; expected one of {STORE_KERNELS}"
-        )
     jobs = resolve_jobs(jobs)
     started = time.perf_counter()
     build_stats = stats if stats is not None else BuildStats()
@@ -792,292 +602,81 @@ def build_cube(
                 build_stats=build_stats,
             ).segments_by_cell()
 
-        if engine == "rollup":
-            return _build_cube_rollup(
-                store, path_lattice, levels, item_lattice, threshold,
-                min_support, min_deviation, compute_exceptions,
-                segments_by_cell, into, build_stats, pool, started, kernel,
+        plan = derivation_plan(levels)
+        root_levels = tuple(level for level, source in plan if source is None)
+        tracker = _LiveTracker()
+        exception_pass = None
+        if compute_exceptions:
+            exception_pass = (
+                _pooled_exception_pass(pool, min_support, min_deviation)
+                if pool is not None
+                else serial_exception_pass(min_support, min_deviation)
             )
-        return _build_cube_direct(
-            store, path_lattice, levels, item_lattice, threshold,
-            min_support, min_deviation, compute_exceptions,
-            segments_by_cell, into, build_stats, pool, started, kernel,
+        phase = time.perf_counter()
+        table = PathTable(len(path_lattice))
+        groups_by_root: list[dict[CellKey, list[int]]] = [
+            {} for _ in root_levels
+        ]
+        weighted_by_root: list[list[dict]] = [
+            [{} for _ in path_lattice] for _ in root_levels
+        ]
+        for part_groups, part_weighted in _scan_partitions(
+            store, pool, tracker, build_stats, root_levels, path_lattice
+        ):
+            merge_scan(
+                groups_by_root, weighted_by_root, part_groups, part_weighted,
+                table,
+            )
+        build_stats.add_phase("aggregate", time.perf_counter() - phase)
+
+        if into is not None:
+            into.create(
+                path_lattice, min_support, min_deviation, item_levels=levels
+            )
+            cube = None
+        else:
+            cube = FlowCube(
+                store.load_all(), item_lattice, path_lattice, min_support,
+                min_deviation,
+            )
+
+        phase = time.perf_counter()
+        data = derive_levels(
+            plan, groups_by_root, weighted_by_root, root_levels,
+            store.schema.dimensions, table, threshold,
         )
-    finally:
-        if pool_owned:
-            pool.close()
-
-
-def _build_cube_direct(
-    store: PartitionedPathStore,
-    path_lattice: PathLattice,
-    levels: list[ItemLevel],
-    item_lattice: ItemLattice,
-    threshold: int,
-    min_support: float,
-    min_deviation: float,
-    compute_exceptions: bool,
-    segments_by_cell,
-    into,
-    build_stats: BuildStats,
-    pool: WorkerPool | None,
-    started: float,
-    kernel: str = "bitmap",
-):
-    """``build_cube``'s direct engine body: membership, then aggregation.
-
-    The original two scan families (see :func:`build_cube`).  The pool —
-    when one is running — carries every partition task and the per-cell
-    exception fan-out; its lifetime belongs to the caller.
-    """
-    tracker = _LiveTracker()
-    exception_pass = None
-    if compute_exceptions:
-        exception_pass = (
-            _pooled_exception_pass(pool, min_support, min_deviation, kernel)
-            if pool is not None
-            else serial_exception_pass(min_support, min_deviation, kernel)
-        )
-    # --- Membership pass: record ids per cell, for every item level ------
-    phase = time.perf_counter()
-    groups: dict[ItemLevel, dict[CellKey, list[int]]] = {
-        item_level: {} for item_level in levels
-    }
-    for part_groups in _scan_partitions(
-        store, pool, tracker, build_stats,
-        "membership", (levels,), path_lattice,
-    ):
-        # Merging in partition order preserves both first-seen key
-        # order and per-cell record order, so the groups are exactly
-        # the single-scan ones.
-        for index, item_level in enumerate(levels):
-            merged = groups[item_level]
-            for key, ids in part_groups[index].items():
-                merged.setdefault(key, []).extend(ids)
-    build_stats.add_phase("membership", time.perf_counter() - phase)
-
-    if into is not None:
-        into.create(
-            path_lattice, min_support, min_deviation, item_levels=levels
-        )
-        cube = None
-    else:
-        cube = FlowCube(
-            store.load_all(), item_lattice, path_lattice, min_support,
-            min_deviation,
-        )
-
-    # --- Aggregation: rebuild the iceberg cells' paths --------------------
-    #
-    # (key, path-level id) -> that cell's aggregated paths, in record
-    # order — partitions arrive in id order, so order matches the
-    # in-memory builder's per-cell tuple exactly.  Serial mode scans
-    # once per item level (paths for one level in memory at a time);
-    # parallel mode batches all levels into one task per partition —
-    # trading parent-side memory for 1/n_levels of the file reads and
-    # task dispatches — and merges to the same per-level dicts.
-    iceberg_by_level = [
-        {
-            key: ids
-            for key, ids in groups[item_level].items()
-            if len(ids) >= threshold
-        }
-        for item_level in levels
-    ]
-
-    def assemble_level(
-        item_level: ItemLevel,
-        iceberg: dict[CellKey, list[int]],
-        paths_by_cell: dict[tuple[CellKey, int], list],
-    ) -> None:
-        for level_id, path_level in enumerate(path_lattice):
-            cuboid = Cuboid(item_level, path_level)
-            batch = []
-            for key, record_ids in iceberg.items():
-                weighted = weight_paths(
-                    paths_by_cell.get((key, level_id), ())
-                )
-                graph = FlowGraph()
-                for path, weight in weighted:
-                    graph.add_path(path, weight)
-                cell = Cell(
-                    key=key,
-                    item_level=item_level,
-                    path_level=path_level,
-                    record_ids=tuple(record_ids),
-                    flowgraph=graph,
-                    paths=weighted,
-                )
-                if compute_exceptions:
-                    segments = None
-                    if segments_by_cell is not None:
-                        segments = segments_by_cell.get(
-                            (item_level, path_level, key)
-                        )
-                    batch.append((graph, weighted, segments))
-                cuboid.cells[key] = cell
-            if batch:
-                exception_pass(batch)
+        prune_to_iceberg(data, threshold)
+        del groups_by_root, weighted_by_root
+        for cuboid in assemble_cuboids(
+            levels, path_lattice, data, table, threshold, min_support,
+            min_deviation, compute_exceptions, segments_by_cell,
+            exception_pass=exception_pass,
+        ):
             build_stats.cuboids += 1
             build_stats.cells += len(cuboid)
             if into is not None:
                 into.put_cuboid(cuboid)
-                # The cuboid (paths, graphs and all) is garbage from
-                # here: the output side of the build is out-of-core too.
             else:
-                cube._cuboids[(item_level, path_level)] = cuboid
-
-    phase = time.perf_counter()
-    if pool is None:
-        for item_level, iceberg in zip(levels, iceberg_by_level):
-            paths_by_cell: dict[tuple[CellKey, int], list] = {}
-            for part_paths in _scan_partitions(
-                store, pool, tracker, build_stats,
-                "aggregate", (item_level, frozenset(iceberg)),
-                path_lattice,
-            ):
-                for cell_key, paths in part_paths.items():
-                    paths_by_cell.setdefault(cell_key, []).extend(paths)
-            assemble_level(item_level, iceberg, paths_by_cell)
-    else:
-        spec = tuple(
-            (item_level, frozenset(iceberg))
-            for item_level, iceberg in zip(levels, iceberg_by_level)
+                cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid  # noqa: SLF001
+        exception_seconds = (
+            exception_pass.seconds if exception_pass is not None else 0.0
         )
-        merged: list[dict[tuple[CellKey, int], list]] = [
-            {} for _ in levels
-        ]
-        for part_batch in _scan_partitions(
-            store, pool, tracker, build_stats,
-            "aggregate_batch", (spec,), path_lattice,
-        ):
-            for index, part_paths in enumerate(part_batch):
-                target = merged[index]
-                for cell_key, paths in part_paths.items():
-                    target.setdefault(cell_key, []).extend(paths)
-        for item_level, iceberg, paths_by_cell in zip(
-            levels, iceberg_by_level, merged
-        ):
-            assemble_level(item_level, iceberg, paths_by_cell)
-    exception_seconds = (
-        exception_pass.seconds if exception_pass is not None else 0.0
-    )
-    if compute_exceptions:
-        build_stats.add_phase("exceptions", exception_seconds)
-    build_stats.add_phase(
-        "materialize", time.perf_counter() - phase - exception_seconds
-    )
-
-    build_stats.max_live_transaction_dbs = max(
-        build_stats.max_live_transaction_dbs, tracker.peak
-    )
-    build_stats.elapsed_seconds += time.perf_counter() - started
-    _finalise_pool_stats(build_stats, pool)
-    if into is not None:
-        into.flush(build_stats=build_stats)
-        return into
-    return cube
-
-
-def _build_cube_rollup(
-    store: PartitionedPathStore,
-    path_lattice: PathLattice,
-    levels: list[ItemLevel],
-    item_lattice: ItemLattice,
-    threshold: int,
-    min_support: float,
-    min_deviation: float,
-    compute_exceptions: bool,
-    segments_by_cell,
-    into,
-    build_stats: BuildStats,
-    pool: WorkerPool | None,
-    started: float,
-    kernel: str = "bitmap",
-):
-    """``build_cube``'s roll-up engine body: one scan, then pure merges.
-
-    A single ``rollup_scan`` pass reads each partition once, computing
-    membership and weighted base paths for the *root* item levels; partial
-    results merge in partition order (:func:`merge_scan`), which makes
-    them identical to an in-memory single scan.  Every remaining level
-    derives by merging child cells — no further partition reads — so the
-    whole build costs one pass regardless of how many item levels are
-    materialised.  The pool outlives the scan: assembly re-uses its idle
-    workers to fan the per-cell exception pass out across cells.
-    """
-    plan = derivation_plan(levels)
-    root_levels = tuple(level for level, source in plan if source is None)
-    tracker = _LiveTracker()
-    exception_pass = None
-    if compute_exceptions:
-        exception_pass = (
-            _pooled_exception_pass(pool, min_support, min_deviation, kernel)
-            if pool is not None
-            else serial_exception_pass(min_support, min_deviation, kernel)
-        )
-    phase = time.perf_counter()
-    table = PathTable(len(path_lattice))
-    groups_by_root: list[dict[CellKey, list[int]]] = [
-        {} for _ in root_levels
-    ]
-    weighted_by_root: list[list[dict]] = [
-        [{} for _ in path_lattice] for _ in root_levels
-    ]
-    for part_groups, part_weighted in _scan_partitions(
-        store, pool, tracker, build_stats,
-        "rollup_scan", (root_levels,), path_lattice,
-    ):
-        merge_scan(
-            groups_by_root, weighted_by_root, part_groups, part_weighted,
-            table,
-        )
-    build_stats.add_phase("aggregate", time.perf_counter() - phase)
-
-    if into is not None:
-        into.create(
-            path_lattice, min_support, min_deviation, item_levels=levels
-        )
-        cube = None
-    else:
-        cube = FlowCube(
-            store.load_all(), item_lattice, path_lattice, min_support,
-            min_deviation,
+        if compute_exceptions:
+            build_stats.add_phase("exceptions", exception_seconds)
+        build_stats.add_phase(
+            "materialize", time.perf_counter() - phase - exception_seconds
         )
 
-    phase = time.perf_counter()
-    data = derive_levels(
-        plan, groups_by_root, weighted_by_root, root_levels,
-        store.schema.dimensions, table, threshold,
-    )
-    prune_to_iceberg(data, threshold)
-    del groups_by_root, weighted_by_root
-    for cuboid in assemble_cuboids(
-        levels, path_lattice, data, table, threshold, min_support,
-        min_deviation, compute_exceptions, segments_by_cell, kernel=kernel,
-        exception_pass=exception_pass,
-    ):
-        build_stats.cuboids += 1
-        build_stats.cells += len(cuboid)
+        build_stats.max_live_transaction_dbs = max(
+            build_stats.max_live_transaction_dbs, tracker.peak
+        )
+        build_stats.elapsed_seconds += time.perf_counter() - started
+        if pool is not None:
+            build_stats.pool = pool.stats.as_dict()
         if into is not None:
-            into.put_cuboid(cuboid)
-        else:
-            cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid  # noqa: SLF001
-    exception_seconds = (
-        exception_pass.seconds if exception_pass is not None else 0.0
-    )
-    if compute_exceptions:
-        build_stats.add_phase("exceptions", exception_seconds)
-    build_stats.add_phase(
-        "materialize", time.perf_counter() - phase - exception_seconds
-    )
-
-    build_stats.max_live_transaction_dbs = max(
-        build_stats.max_live_transaction_dbs, tracker.peak
-    )
-    build_stats.elapsed_seconds += time.perf_counter() - started
-    _finalise_pool_stats(build_stats, pool)
-    if into is not None:
-        into.flush(build_stats=build_stats)
-        return into
-    return cube
+            into.flush(build_stats=build_stats)
+            return into
+        return cube
+    finally:
+        if pool_owned:
+            pool.close()

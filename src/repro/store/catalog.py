@@ -8,10 +8,9 @@
 * a SHA-256 *schema fingerprint* — ingest refuses data whose schema does
   not hash to the catalog's fingerprint, so partition files can never mix
   incompatible hierarchies,
-* the store *format* — ``"binary"`` (columnar partitions + packed cell
-  heap, the default for new stores) or ``"json"`` (CSV partitions +
-  one-JSON-file-per-cell cubes, the portable interchange layout);
-  catalogs written before the format field default to ``"json"``,
+* the store *format* — always ``"binary"`` (:data:`~repro.store.binfmt.LAYOUT_NAME`);
+  a catalog that says anything else, or nothing, was written in a
+  retired layout and is rejected on load,
 * one :class:`~repro.store.partition.PartitionMeta` entry per partition
   file (row counts, record-id ranges, Bloom summaries), and
 * an ``extra`` mapping for tool state (e.g. the synthetic generator
@@ -27,7 +26,7 @@ from pathlib import Path as FsPath
 from repro.core.hierarchy import ANY, ConceptHierarchy
 from repro.core.path_database import PathSchema
 from repro.errors import StoreError
-from repro.store.binfmt import DEFAULT_STORE_FORMAT, STORE_FORMATS
+from repro.store.binfmt import LAYOUT_NAME, check_layout_name
 from repro.store.partition import PartitionMeta
 
 __all__ = [
@@ -118,7 +117,6 @@ class Catalog:
         partition_size: Maximum rows per partition file.
         partitions: Existing partition entries (empty for a new store).
         extra: Free-form tool state persisted alongside the catalog.
-        store_format: ``"binary"`` or ``"json"`` (see module docs).
     """
 
     def __init__(
@@ -128,16 +126,9 @@ class Catalog:
         partition_size: int,
         partitions: list[PartitionMeta] | None = None,
         extra: dict | None = None,
-        store_format: str = DEFAULT_STORE_FORMAT,
     ) -> None:
         if partition_size < 1:
             raise StoreError(f"partition size must be >= 1, got {partition_size}")
-        if store_format not in STORE_FORMATS:
-            raise StoreError(
-                f"unknown store format {store_format!r}; "
-                f"expected one of {STORE_FORMATS}"
-            )
-        self.store_format = store_format
         self.directory = FsPath(directory)
         self.schema = schema
         self.fingerprint = schema_fingerprint(schema)
@@ -159,7 +150,7 @@ class Catalog:
             "schema": schema_to_dict(self.schema),
             "fingerprint": self.fingerprint,
             "partition_size": self.partition_size,
-            "format": self.store_format,
+            "format": LAYOUT_NAME,
             "partitions": [meta.to_dict() for meta in self.partitions],
             "extra": self.extra,
         }
@@ -183,6 +174,7 @@ class Catalog:
                 f"unsupported catalog version {payload.get('version')!r} "
                 f"(this build reads version {CATALOG_VERSION})"
             )
+        check_layout_name(payload.get("format"), f"store catalog {path}")
         schema = schema_from_dict(payload["schema"])
         catalog = cls(
             directory=FsPath(directory),
@@ -193,7 +185,6 @@ class Catalog:
                 for entry in payload.get("partitions", [])
             ],
             extra=payload.get("extra", {}),
-            store_format=payload.get("format", "json"),
         )
         if catalog.fingerprint != payload["fingerprint"]:
             raise StoreError(
@@ -230,7 +221,7 @@ class Catalog:
             "partitions": len(self.partitions),
             "records": self.total_records,
             "partition_size": self.partition_size,
-            "format": self.store_format,
+            "format": LAYOUT_NAME,
             "dimensions": list(self.schema.dimension_names),
             "fingerprint": self.fingerprint[:12],
         }

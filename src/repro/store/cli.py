@@ -9,7 +9,6 @@ A thin operational shell around the partitioned store::
     flowcube-store compact ./wh
     flowcube-store query ./wh -d d0=d0_0
     flowcube-store stats ./wh
-    flowcube-store migrate ./wh --to json
     flowcube-store serve --cubes wh=./wh --host 127.0.0.1 --port 8642
 
 ``init`` fixes the schema (the example retail schema or a synthetic one);
@@ -31,10 +30,7 @@ query-cache counters are folded into ``cube/query_stats.json`` so
 ``stats`` can report serving behaviour across invocations; ``serve``
 mounts one or more built stores as named tenants of the asyncio HTTP
 slicer (:mod:`repro.serve`) and answers slice/rollup/drilldown/query,
-flowgraph and exception reports, and cache statistics as a JSON API;
-``migrate`` converts a store (partitions and any built cube) between
-the compact binary layout and the portable JSON/CSV interchange layout
-in place, parity-checking every converted file.
+flowgraph and exception reports, and cache statistics as a JSON API.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from repro.perf.pool import oversubscription_warning, resolve_jobs
 from repro.perf.query_kernel import load_query_stats, merge_query_stats
 from repro.query.api import FlowCubeQuery
 from repro.query.render import render_text
-from repro.store.binfmt import DEFAULT_STORE_FORMAT, STORE_FORMATS
 from repro.store.builder import BuildStats, build_cube
 from repro.store.pathstore import PartitionedPathStore
 from repro.synth.generator import GeneratorConfig, generate_path_database
@@ -97,17 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use a Section 6.1 synthetic schema",
     )
     init.add_argument("--partition-size", type=int, default=512)
-    init.add_argument(
-        "--format",
-        choices=STORE_FORMATS,
-        default=DEFAULT_STORE_FORMAT,
-        dest="store_format",
-        help=(
-            "on-disk layout: 'binary' (columnar partitions + packed "
-            "cell heap, the default) or 'json' (CSV partitions + "
-            "JSON cells, the portable interchange format)"
-        ),
-    )
     init.add_argument("--n-dims", type=int, default=5)
     init.add_argument(
         "--fanouts",
@@ -172,12 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     append.add_argument(
-        "--kernel",
-        choices=("bitmap", "scan"),
-        default="bitmap",
-        help="per-cell exception kernel (identical output)",
-    )
-    append.add_argument(
         "--compact-after",
         type=int,
         default=16,
@@ -221,26 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "cpu_count - 1); --shared pre-mining always runs in-process"
         ),
     )
-    build.add_argument(
-        "--engine",
-        choices=("rollup", "direct"),
-        default="rollup",
-        help=(
-            "measure engine: 'rollup' scans records once and derives "
-            "ancestor cuboids by merging child cells; 'direct' re-scans "
-            "per item level (identical output)"
-        ),
-    )
-    build.add_argument(
-        "--kernel",
-        choices=("bitmap", "scan"),
-        default="bitmap",
-        help=(
-            "kernel of the per-cell exception pass: 'bitmap' answers "
-            "every count with an AND + popcount over tid bitmaps; "
-            "'scan' re-walks the paths (identical output)"
-        ),
-    )
 
     query = sub.add_parser("query", help="render one cell's flowgraph")
     query.add_argument("store")
@@ -271,24 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="catalog, cube, and cache statistics")
     stats.add_argument("store")
-
-    migrate = sub.add_parser(
-        "migrate",
-        help="convert a store between the binary and json layouts in place",
-    )
-    migrate.add_argument("store")
-    migrate.add_argument(
-        "--to",
-        choices=STORE_FORMATS,
-        required=True,
-        dest="target",
-        help="target layout for partitions and any built cube",
-    )
-    migrate.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the per-file round-trip parity verification",
-    )
 
     serve = sub.add_parser(
         "serve", help="serve built cubes over HTTP (JSON slicer API)"
@@ -382,12 +322,10 @@ def _cmd_init(args: argparse.Namespace) -> int:
         schema,
         partition_size=args.partition_size,
         extra=extra,
-        store_format=args.store_format,
     )
     print(
         f"initialised {extra['source']} store at {store.directory} "
-        f"({args.store_format} format, partition size "
-        f"{store.partition_size}, "
+        f"(partition size {store.partition_size}, "
         f"fingerprint {store.catalog.fingerprint[:12]})"
     )
     return 0
@@ -465,7 +403,6 @@ def _cmd_append(args: argparse.Namespace) -> int:
         rows,
         cube=cube_store,
         recompute_exceptions=not args.no_exceptions,
-        kernel=args.kernel,
         jobs=jobs,
         compact_after=args.compact_after,
     )
@@ -527,8 +464,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         into=cube_store,
         stats=stats,
         jobs=jobs,
-        engine=args.engine,
-        kernel=args.kernel,
     )
     print(
         f"built {stats.cells} cells in {stats.cuboids} cuboids from "
@@ -606,56 +541,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    store = PartitionedPathStore.open(args.store)
-    check = not args.no_check
-    if store.store_format == args.target:
-        # Same format ≠ nothing to do: a binary store written by an
-        # older release may still hold generation-1 partition files
-        # (FCPART01 private string tables) or a generation-1 cell heap
-        # (FCHEAP01 JSON payloads); migrate upgrades those in place.
-        needs_upgrade = args.target == "binary" and (
-            store.partitions_need_upgrade()
-            or store.cube_store().needs_upgrade()
-        )
-        if not needs_upgrade:
-            print(
-                f"store at {store.directory} is already in "
-                f"{args.target} format"
-            )
-            return 0
-    parity = "parity-checked" if check else "unchecked"
-    print(f"migrating {store.directory} to {args.target} ({parity})")
-
-    def partition_progress(done: int, total: int, filename: str) -> None:
-        print(f"  partition {done}/{total}: {filename}", flush=True)
-
-    result = store.migrate_partitions(
-        args.target, progress=partition_progress, check=check
-    )
-    print(
-        f"partitions: {result['partitions']} converted, "
-        f"{result['skipped']} already {args.target}"
-    )
-    cube_store = store.cube_store()
-    if cube_store.is_built:
-        total = cube_store.n_cells()
-        step = max(1, total // 10)
-
-        def cell_progress(done: int, n: int) -> None:
-            if done % step == 0 or done == n:
-                print(f"  cube cells {done}/{n}", flush=True)
-
-        converted = cube_store.convert(
-            args.target, progress=cell_progress, check=check
-        )
-        print(f"cube: {converted} cell(s) converted")
-    else:
-        print("cube: none built, nothing to convert")
-    print(f"done: store format is now {args.target}")
-    return 0
-
-
 def _parse_cube_mounts(entries: list[str]) -> dict[str, str]:
     """``NAME=PATH`` (or bare ``PATH``) entries into a tenant mapping."""
     cubes: dict[str, str] = {}
@@ -719,7 +604,6 @@ _COMMANDS = {
     "build": _cmd_build,
     "query": _cmd_query,
     "stats": _cmd_stats,
-    "migrate": _cmd_migrate,
     "serve": _cmd_serve,
 }
 

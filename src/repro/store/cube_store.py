@@ -1,46 +1,29 @@
 """The lazy on-disk flowcube store.
 
-A :class:`CubeStore` persists a materialised flowcube *cell by cell*,
-in one of two on-disk backends selected per store:
-
-``"binary"`` (the default for new cubes)::
+A :class:`CubeStore` persists a materialised flowcube *cell by cell*::
 
     cube/
       cube.json               δ/ε, the path lattice, build provenance
-      cells.bin               packed heap: length-prefixed cell payloads
+      cells.bin               packed heap: length-prefixed cell records
       cells.idx               columnar key/offset index (binfmt codec)
 
-``"json"`` (the portable interchange layout)::
-
-    cube/
-      cube.json               ... plus the full cell index inline
-      cells/
-        cell-000000.json      one cell: coordinates + flowgraph payload
-        ...
-
-Both backends store the *same logical* cell payload
-(:func:`~repro.store.binfmt.cell_payload`, the flowgraph as
-:func:`~repro.core.serialization.flowgraph_to_dict` gives it).  Only
-the backends that store JSON ever build that dict: the binary heap
-writes each live cell straight to a compact ``FCHEAP02`` record
-(:func:`~repro.store.binfmt.encode_cell`, byte-identical to
-:func:`~repro.store.binfmt.encode_cell_payload` of the dict, which
-``convert``/``migrate`` feed; legacy ``FCHEAP01`` heaps with raw JSON
-payloads stay readable and writable), one joined buffer per cuboid,
-and moves the index into
-the packed ``cells.idx`` arena, so opening a million-cell cube costs
-one mmap per store instead of a million stats — zero heap bytes are
-read on open, and the per-cuboid catalog masks stay lazy byte spans
-over the index map until a query ANDs them.  ``cube_to_json`` output
-is byte-identical across backends and generations.  A read hands out a
+The heap holds one compact ``FCHEAP02`` record per cell, written
+straight from the live cell (:func:`~repro.store.binfmt.encode_cell`),
+one joined buffer per cuboid; the index lives in the packed
+``cells.idx`` arena, so opening a million-cell cube costs one mmap
+instead of a million stats — zero heap bytes are read on open, and the
+per-cuboid catalog masks stay lazy byte spans over the index map until
+a query ANDs them.  This is the only layout the store reads or writes:
+a ``cube.json`` naming another ``"format"`` (or none) and a heap
+leading with the retired generation's magic are refused with a
+:class:`~repro.errors.StoreError`, never decoded.  A read hands out a
 :class:`StoredCell`: the index fields (key, levels, ``n_paths``,
 ``redundant``) straight from the index entry plus a copy of the cell's
 record bytes, and the measure (``record_ids``, ``flowgraph``) is decoded
 from those bytes the first time it is touched — slicing and listing
 decode nothing.  The store fronts every read with a bounded
 :class:`~repro.store.cache.LRUCache` whose hit/miss/eviction counters
-make serving behaviour observable.  :meth:`CubeStore.convert` switches
-a built cube between backends in place (``flowcube-store migrate``).
+make serving behaviour observable.
 
 The store exposes the same lookup surface as
 :class:`~repro.core.flowcube.FlowCube` (``cuboid`` / ``cell`` /
@@ -78,13 +61,12 @@ from repro.core.serialization import (
 )
 from repro.errors import CubeError, StoreError
 from repro.store import binfmt
-from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC
+from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC_V2, LAYOUT_NAME
 from repro.store.cache import LRUCache
 
-__all__ = ["CELL_FORMATS", "CubeStore", "StoredCell", "StoredCuboid"]
+__all__ = ["CubeStore", "StoredCell", "StoredCuboid"]
 
 META_FILENAME = "cube.json"
-CELLS_DIR = "cells"
 HEAP_FILENAME = "cells.bin"
 INDEX_FILENAME = "cells.idx"
 #: Full cell index over base heap + delta segments; authoritative (and
@@ -112,23 +94,18 @@ def _new_append_stats() -> dict:
         "last_compaction": None,
     }
 
-#: Cube cell backends; same names as the store-level formats.
-CELL_FORMATS = binfmt.STORE_FORMATS
-
 #: Index coordinates: (item level, path-level id, cell key).
 Coords = tuple[ItemLevel, int, CellKey]
 
-#: An index entry.  The representation is backend-specific —
-#: ``(filename, n_paths, redundant)`` for JSON cells, ``(heap offset,
-#: payload length, n_paths, redundant)`` for the packed heap — but the
-#: last two slots are common, so shared code reads them through
-#: :func:`entry_n_paths` / :func:`entry_redundant` without dispatching.
-Entry = tuple
+#: An index entry: ``(heap offset, record length, n_paths, redundant)``,
+#: the offset's high bits naming the delta segment
+#: (:func:`~repro.store.binfmt.pack_segment_offset`).
+Entry = tuple[int, int, int, bool]
 
 #: The cell's path count, as the index entry records it.
-entry_n_paths = itemgetter(-2)
+entry_n_paths = itemgetter(2)
 #: The cell's redundancy mark, as the index entry records it.
-entry_redundant = itemgetter(-1)
+entry_redundant = itemgetter(3)
 
 
 def _new_io_counters() -> dict[str, int]:
@@ -136,116 +113,16 @@ def _new_io_counters() -> dict[str, int]:
     return {"heap_bytes_read": 0, "mask_bits_decoded": 0, "cells_decoded": 0}
 
 
-def _codec_args(coords: Coords, cell: Cell) -> tuple:
-    """*cell* stored at *coords*, as the arguments the cell codecs take."""
-    item_level, level_id, key = coords
-    return (
-        key,
-        item_level.levels,
-        level_id,
-        cell.record_ids,
-        cell.redundant,
-        cell.flowgraph,
-    )
-
-
-def _cell_payload(coords: Coords, cell: Cell) -> dict:
-    """The payload dict of *cell* stored at *coords* (JSON-storing backends)."""
-    return binfmt.cell_payload(*_codec_args(coords, cell))
-
-
-class _JsonCells:
-    """One-JSON-file-per-cell backend (the portable interchange layout)."""
-
-    format = "json"
-
-    def __init__(self, directory: FsPath) -> None:
-        self.directory = directory
-        self.n_files = 0
-        #: Precomputed per-cuboid catalog masks; the JSON layout stores
-        #: none, so catalogs are derived from the keys on demand.
-        self.cell_masks: dict = {}
-        #: Read-path telemetry; only ``cells_decoded`` ever moves here.
-        self.io_counters = _new_io_counters()
-
-    def begin(self) -> None:
-        """Reset for a fresh build (file numbering restarts at 0)."""
-        self.n_files = 0
-        (self.directory / CELLS_DIR).mkdir(parents=True, exist_ok=True)
-
-    def put(self, payload: dict, n_paths: int, redundant: bool) -> Entry:
-        filename = f"cell-{self.n_files:06d}.json"
-        self.n_files += 1
-        path = self.directory / CELLS_DIR / filename
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return (filename, int(n_paths), bool(redundant))
-
-    def put_cells(self, cells) -> list[Entry]:
-        """Persist live ``(coords, cell)`` pairs, one file each."""
-        return [
-            self.put(_cell_payload(coords, cell), cell.n_paths, cell.redundant)
-            for coords, cell in cells
-        ]
-
-    def _payload_json(self, entry: Entry) -> bytes:
-        path = self.directory / CELLS_DIR / entry[0]
-        if not path.exists():
-            raise StoreError(f"cell file {path} is missing")
-        return path.read_bytes()
-
-    def read(self, entry: Entry) -> dict:
-        return json.loads(self._payload_json(entry))
-
-    def record(self, entry: Entry) -> bytes:
-        """The cell file's payload, framed as a ``RAW`` record."""
-        return binfmt.raw_record(self._payload_json(entry))
-
-    def finalise(self, index) -> dict:
-        """Meta-payload contribution; JSON keeps the cell index inline."""
-        cells = []
-        for (item_level, level_id), entries in index.items():
-            for key, entry in entries.items():
-                cells.append(
-                    {
-                        "item_level": list(item_level.levels),
-                        "path_level": level_id,
-                        "key": list(key),
-                        "file": entry[0],
-                        "n_paths": entry[1],
-                        "redundant": entry[2],
-                    }
-                )
-        return {"n_files": self.n_files, "cells": cells}
-
-    def load(self, payload: dict, schema: PathSchema):
-        """Rebuild the index from the inline ``cells`` list."""
-        self.n_files = int(payload.get("n_files", len(payload["cells"])))
-        index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
-        for entry in payload["cells"]:
-            item_level = ItemLevel(entry["item_level"])
-            level_id = int(entry["path_level"])
-            index.setdefault((item_level, level_id), {})[
-                tuple(entry["key"])
-            ] = (
-                entry["file"],
-                int(entry["n_paths"]),
-                bool(entry["redundant"]),
-            )
-        return index
-
-    def close(self, materialise: bool = True) -> None:
-        pass
-
-    def discard_files(self) -> None:
-        cells_dir = self.directory / CELLS_DIR
-        if cells_dir.exists():
-            for stale in cells_dir.glob("cell-*.json"):
-                stale.unlink()
-            try:
-                cells_dir.rmdir()
-            except OSError:
-                pass  # non-cell files present; leave the directory
+def _map_heap(path: FsPath) -> tuple:
+    """Open and map one heap file read-only → ``(handle, mmap)``, refusing
+    a foreign or retired magic before anything is decoded."""
+    handle = open(path, "rb")
+    try:
+        binfmt.check_heap_magic(handle.read(8), path)
+        return handle, mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except BaseException:
+        handle.close()
+        raise
 
 
 class _HeapCells:
@@ -259,24 +136,13 @@ class _HeapCells:
     through ``os.pread`` on the staging handle while a build is open,
     and through one shared read-only mmap afterwards.
 
-    Two heap generations coexist behind the one ``"binary"`` format:
-    generation 1 (``FCHEAP01``) holds JSON payloads, generation 2
-    (``FCHEAP02``, the default for new heaps) holds the binary records
-    of :func:`~repro.store.binfmt.encode_cell` (live cells) /
-    :func:`~repro.store.binfmt.encode_cell_payload` (payload dicts).  The
-    generation is sniffed lazily from the heap magic on the first
-    payload read — a cold open touches ``cells.idx`` only, which is
-    itself mmap'd with the catalog masks left as
+    The heap's magic is checked the first time the heap is mapped or
+    copied, never at open — a cold open touches ``cells.idx`` only,
+    which is itself mmap'd with the catalog masks left as
     :class:`~repro.store.binfmt.LazyMaskMap` spans.  ``io_counters``
     tallies heap bytes read, mask bitmaps decoded and cells decoded;
-    the benchmark tripwire asserts the first two stay zero across an
-    open.
+    the first two stay zero across an open.
     """
-
-    format = "binary"
-
-    #: Heap generation written by new builds.
-    LATEST_GENERATION = 2
 
     def __init__(self, directory: FsPath, n_dims: int) -> None:
         self.directory = directory
@@ -288,7 +154,6 @@ class _HeapCells:
         self._index_mmap: mmap.mmap | None = None
         self._index_file = None
         self._mask_arena: binfmt.MaskArena | None = None
-        self._generation: int | None = None
         #: Published delta segment ids, in append order (meta-sourced).
         self.delta_segments: list[int] = []
         self._delta_staging = None
@@ -326,46 +191,15 @@ class _HeapCells:
     def delta_path(self, segment_id: int) -> FsPath:
         return self.directory / delta_segment_filename(segment_id)
 
-    @staticmethod
-    def _magic_for(generation: int) -> bytes:
-        return HEAP_MAGIC if generation == 1 else binfmt.HEAP_MAGIC_V2
-
-    @property
-    def generation(self) -> int:
-        """The live heap's generation, sniffed from its magic on demand."""
-        if self._generation is None:
-            if self._staging is not None:
-                self._staging.flush()
-                magic = os.pread(self._staging.fileno(), 8, 0)
-            elif self.heap_path.exists():
-                with open(self.heap_path, "rb") as handle:
-                    magic = handle.read(8)
-            else:
-                return self.LATEST_GENERATION
-            self._generation = binfmt.heap_generation(magic)
-        return self._generation
-
-    def needs_upgrade(self) -> bool:
-        """True when the published heap predates :data:`LATEST_GENERATION`."""
-        return (
-            self.heap_path.exists()
-            and self.generation < self.LATEST_GENERATION
-        )
-
-    def begin(self, generation: int | None = None) -> None:
-        """Start a fresh heap in the staging file.
-
-        *generation* pins the heap codec (1 = JSON payloads, 2 = binary
-        records); new heaps default to :data:`LATEST_GENERATION`.
-        """
+    def begin(self) -> None:
+        """Start a fresh heap in the staging file."""
         self._drop_mmap()
         self._abort_staging()
         self._abort_delta_staging()
         self.cell_masks = {}
-        self._generation = generation or self.LATEST_GENERATION
         self.directory.mkdir(parents=True, exist_ok=True)
         self._staging = open(self._staging_path, "w+b")
-        self._staging.write(self._magic_for(self._generation))
+        self._staging.write(HEAP_MAGIC_V2)
         self._offset = 8
 
     def begin_delta(self) -> int:
@@ -388,11 +222,10 @@ class _HeapCells:
                 "build the cube before appending"
             )
         self._abort_delta_staging()
-        # Delta payloads must match the base heap's codec.
-        self._generation = self.generation
+        self._view()  # refuse to append to a heap this release cannot read
         self._delta_segment = self._next_segment_id()
         self._delta_staging = open(self._delta_staging_path, "w+b")
-        self._delta_staging.write(self._magic_for(self._generation))
+        self._delta_staging.write(HEAP_MAGIC_V2)
         self._delta_offset = 8
         return self._delta_segment
 
@@ -411,44 +244,17 @@ class _HeapCells:
         return highest + 1
 
     def _ensure_staging(self) -> None:
-        """Open the staging file, seeding it from the live heap.
-
-        Appends must match the seeded heap's codec, so the generation is
-        pinned from the copied magic before the first :meth:`put`.
-        """
+        """Open the staging file, seeding it from the live heap."""
         if self._staging is not None:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.heap_path.exists():
-            self._generation = self.generation  # sniff before staging opens
+            self._view()  # never extend a heap this release cannot read
             shutil.copyfile(self.heap_path, self._staging_path)
         else:
-            self._generation = self._generation or self.LATEST_GENERATION
-            self._staging_path.write_bytes(self._magic_for(self._generation))
+            self._staging_path.write_bytes(HEAP_MAGIC_V2)
         self._staging = open(self._staging_path, "a+b")
         self._offset = os.path.getsize(self._staging_path)
-
-    def _encode(self, payload: dict) -> bytes:
-        if self._generation == 1:
-            return json.dumps(payload).encode("utf-8")
-        return binfmt.encode_cell_payload(payload)
-
-    def put(self, payload: dict, n_paths: int, redundant: bool) -> Entry:
-        """Append one payload *dict* (``convert`` / ``migrate``)."""
-        if self._delta_staging is None:
-            self._ensure_staging()
-        return self._append([(self._encode(payload), n_paths, redundant)])[0]
-
-    def _encode_cell(self, coords: Coords, cell: Cell) -> bytes:
-        """One live cell's record in this heap's generation.
-
-        Generation 2 goes straight from the live flowgraph to bytes
-        (:func:`~repro.store.binfmt.encode_cell`); only a generation-1
-        heap, which stores JSON, builds the payload dict.
-        """
-        if self._generation == 1:
-            return self._encode(_cell_payload(coords, cell))
-        return binfmt.encode_cell(*_codec_args(coords, cell))
 
     def put_cells(self, cells) -> list[Entry]:
         """Encode live ``(coords, cell)`` pairs and append them in one write."""
@@ -456,17 +262,28 @@ class _HeapCells:
             return []  # nothing to write: do not stage a copy of the heap
         if self._delta_staging is None:
             self._ensure_staging()
-        encode = self._encode_cell
+        encode = binfmt.encode_cell
         return self._append(
             [
-                (encode(coords, cell), cell.n_paths, cell.redundant)
-                for coords, cell in cells
+                (
+                    encode(
+                        key,
+                        item_level.levels,
+                        level_id,
+                        cell.record_ids,
+                        cell.redundant,
+                        cell.flowgraph,
+                    ),
+                    cell.n_paths,
+                    cell.redundant,
+                )
+                for (item_level, level_id, key), cell in cells
             ]
         )
 
     def put_raw(self, records) -> list[Entry]:
-        """Byte-exact append of already-encoded ``(payload, n_paths,
-        redundant)`` records (compaction copies a cuboid at a time)."""
+        """Byte-exact append of already-encoded ``(record, n_paths,
+        redundant)`` triples (compaction copies a cuboid at a time)."""
         if self._staging is None:
             raise StoreError("put_raw requires a staged heap (begin first)")
         return self._append(records)
@@ -506,28 +323,24 @@ class _HeapCells:
             self._offset = position
         return entries
 
-    def raw_payload(self, entry: Entry) -> bytes:
-        """The entry's encoded payload bytes, verbatim."""
-        return self._raw(entry)
-
     def _segment_view(self, segment_id: int) -> mmap.mmap:
         pair = self._segment_views.get(segment_id)
         if pair is None:
             path = self.delta_path(segment_id)
             if not path.exists():
                 raise StoreError(f"delta segment {path} is missing")
-            handle = open(path, "rb")
-            pair = (handle, mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
-            self._segment_views[segment_id] = pair
+            pair = self._segment_views[segment_id] = _map_heap(path)
         return pair[1]
 
-    def _raw(self, entry: Entry) -> bytes:
+    def record(self, entry: Entry) -> bytes:
+        """A copy of the entry's cell record — the bytes
+        :func:`~repro.store.binfmt.decode_cell_parts` takes — verbatim."""
         packed, length = entry[0], entry[1]
         segment_id, offset = binfmt.split_segment_offset(packed)
         if segment_id == 0:
             if self._staging is not None:
-                # Mid-build reads (e.g. a migration parity check) hit the
-                # staging file; pread leaves the append position alone.
+                # Mid-build reads hit the staging file; pread leaves the
+                # append position alone.
                 self._staging.flush()
                 data = os.pread(self._staging.fileno(), length, offset)
             else:
@@ -547,29 +360,11 @@ class _HeapCells:
         self.io_counters["heap_bytes_read"] += length
         return data
 
-    def read(self, entry: Entry) -> dict:
-        generation = self.generation
-        data = self._raw(entry)
-        if generation == 1:
-            return json.loads(data)
-        return binfmt.decode_cell_payload(data)
-
-    def record(self, entry: Entry) -> bytes:
-        """The entry's cell as bytes :func:`~repro.store.binfmt.decode_cell_parts`
-        takes: the heap record itself for generation 2, the JSON payload
-        framed as a ``RAW`` record for generation 1."""
-        generation = self.generation
-        data = self._raw(entry)
-        return binfmt.raw_record(data) if generation == 1 else data
-
     def _view(self) -> mmap.mmap:
         if self._mmap is None:
             if not self.heap_path.exists():
                 raise StoreError(f"cell heap {self.heap_path} is missing")
-            self._mmap_file = open(self.heap_path, "rb")
-            self._mmap = mmap.mmap(
-                self._mmap_file.fileno(), 0, access=mmap.ACCESS_READ
-            )
+            self._mmap_file, self._mmap = _map_heap(self.heap_path)
         return self._mmap
 
     def _index_blob(self, index) -> bytes:
@@ -626,9 +421,7 @@ class _HeapCells:
         elif not self.heap_path.exists():
             # An empty cube flushed without a single put still publishes
             # a (magic-only) heap so the pair of files stays consistent.
-            self._staging_path.write_bytes(
-                self._magic_for(self._generation or self.LATEST_GENERATION)
-            )
+            self._staging_path.write_bytes(HEAP_MAGIC_V2)
             os.replace(self._staging_path, self.heap_path)
         out = {"n_cells": sum(len(entries) for entries in index.values())}
         referenced = self._referenced_segments(index)
@@ -642,10 +435,6 @@ class _HeapCells:
             # meta commit — the previous meta still references them.
             self.delta_segments = []
         return out
-
-    def sweep_stale_deltas(self) -> None:
-        """Unlink delta files no published meta references any more."""
-        self._discard_delta_files()
 
     def _finalise_delta(self, index) -> dict:
         segment_id = self._delta_segment
@@ -667,7 +456,7 @@ class _HeapCells:
         temp.write_bytes(blob)
         os.replace(temp, destination)
 
-    def load(self, payload: dict, schema: PathSchema):
+    def load(self, payload: dict):
         """Rebuild the whole index from ``cells.idx`` — zero heap IO.
 
         The index file is mmap'd and stays mapped: keys and entries are
@@ -687,7 +476,6 @@ class _HeapCells:
         self._abort_delta_staging()
         self._drop_segments()
         self._drop_index()
-        self._generation = None
         self.delta_segments = [
             int(segment_id)
             for segment_id in payload.get("delta_segments", [])
@@ -750,7 +538,7 @@ class _HeapCells:
         self._delta_segment = None
         self._delta_staging_path.unlink(missing_ok=True)
 
-    def _discard_delta_files(self) -> None:
+    def discard_delta_files(self) -> None:
         """Unlink every delta segment, overlay, and staging temp."""
         self._drop_segments()
         self._abort_delta_staging()
@@ -788,7 +576,7 @@ class _HeapCells:
         self.close(materialise=False)
         self.heap_path.unlink(missing_ok=True)
         self.index_path.unlink(missing_ok=True)
-        self._discard_delta_files()
+        self.discard_delta_files()
 
 
 class StoredCell(Cell):
@@ -897,8 +685,8 @@ class StoredCuboid:
         self._keys = keys
         self._key_set = frozenset(keys)
         #: Per-dimension ``{value: cell-ordinal bitmap}`` decoded from
-        #: the binary cell index (``None`` when the backend stores
-        #: none); lets key catalogs skip their per-cell index pass.
+        #: the cell index (``None`` once an in-memory merge superseded
+        #: it); lets key catalogs skip their per-cell index pass.
         self.value_masks = value_masks
 
     def __len__(self) -> int:
@@ -936,9 +724,6 @@ class CubeStore:
         schema: The owning store's path schema; path levels in the meta
             file are rebound against ``schema.location`` on load.
         cache_size: LRU capacity, in cells.
-        cell_format: Backend for cubes *created* through this handle
-            (``"binary"`` or ``"json"``); defaults to binary.  Opening
-            an existing cube always adopts its on-disk format.
     """
 
     def __init__(
@@ -946,13 +731,7 @@ class CubeStore:
         directory: FsPath | str,
         schema: PathSchema,
         cache_size: int = 128,
-        cell_format: str = binfmt.DEFAULT_STORE_FORMAT,
     ) -> None:
-        if cell_format not in CELL_FORMATS:
-            raise StoreError(
-                f"unknown cell format {cell_format!r}; "
-                f"expected one of {CELL_FORMATS}"
-            )
         self.directory = FsPath(directory)
         self.schema = schema
         self.min_support: float | None = None
@@ -965,8 +744,7 @@ class CubeStore:
         #: :meth:`BuildStats.as_dict` snapshot of the build that produced
         #: the persisted cube, when the builder passed one to :meth:`flush`.
         self.build_stats: dict | None = None
-        self._default_format = cell_format
-        self._cells: _JsonCells | _HeapCells = self._make_backend(cell_format)
+        self._cells = self._new_heap()
         self._cache: LRUCache = LRUCache(cache_size)
         #: (item level, path-level id) -> {cell key -> index entry}.
         self._index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
@@ -989,10 +767,9 @@ class CubeStore:
         if text is not None:
             self._load_meta(signature, text)
 
-    def _make_backend(self, cell_format: str) -> _JsonCells | _HeapCells:
-        if cell_format == "binary":
-            return _HeapCells(self.directory, self.schema.n_dimensions)
-        return _JsonCells(self.directory)
+    def _new_heap(self) -> _HeapCells:
+        """A fresh backend object (its own maps, handles and counters)."""
+        return _HeapCells(self.directory, self.schema.n_dimensions)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1001,11 +778,6 @@ class CubeStore:
     def is_built(self) -> bool:
         """Whether a build has ever written (and flushed) into this store."""
         return self.path_lattice is not None
-
-    @property
-    def cell_format(self) -> str:
-        """The active cell backend, ``"binary"`` or ``"json"``."""
-        return self._cells.format
 
     def _bump_version(self) -> None:
         """Advance the mutation counter and push it to every subscriber."""
@@ -1031,14 +803,11 @@ class CubeStore:
         path_lattice: PathLattice,
         min_support: float,
         min_deviation: float,
-        cell_format: str | None = None,
         item_levels=None,
     ) -> "CubeStore":
         """Start a fresh cube, discarding any previously indexed cells.
 
         Args:
-            cell_format: Backend for the new cube; defaults to the
-                handle's configured format.
             item_levels: The item levels this build materialises;
                 persisted so later appends know the cube's extent.
         """
@@ -1053,17 +822,10 @@ class CubeStore:
             self._index.clear()
             self._cache.clear()
             self.directory.mkdir(parents=True, exist_ok=True)
-            # A rebuild drops the previous build's files — of *both*
-            # backends, so switching formats leaves no orphans behind.
+            # A rebuild drops the previous build's files.
             self._cells.close()
-            for backend in (
-                _JsonCells(self.directory),
-                _HeapCells(self.directory, self.schema.n_dimensions),
-            ):
-                backend.discard_files()
-            self._cells = self._make_backend(
-                cell_format or self._default_format
-            )
+            self._cells = self._new_heap()
+            self._cells.discard_files()
             self._cells.begin()
             self._bump_version()
         return self
@@ -1110,26 +872,16 @@ class CubeStore:
     # ------------------------------------------------------------------
     @property
     def delta_segments(self) -> list[int]:
-        """Published delta segment ids pending compaction (binary only)."""
-        return list(getattr(self._cells, "delta_segments", ()))
+        """Published delta segment ids pending compaction."""
+        return list(self._cells.delta_segments)
 
-    def begin_delta(self) -> bool:
-        """Stage subsequent cell writes as an append-only delta segment.
-
-        Returns whether delta staging is engaged: True for the binary
-        backend (writes land in ``cells.delta.NNN.bin`` instead of a
-        rewritten ``cells.bin``), False for the JSON backend, whose
-        per-cell files are naturally append-only (updated cells get
-        fresh file names; the old files are orphaned until the next
-        rebuild sweeps them).
-        """
+    def begin_delta(self) -> None:
+        """Stage subsequent cell writes as an append-only delta segment:
+        they land in ``cells.delta.NNN.bin`` instead of a rewritten
+        ``cells.bin``."""
         with self._lock:
             self._require_built()
-            starter = getattr(self._cells, "begin_delta", None)
-            if starter is None:
-                return False
-            starter()
-            return True
+            self._cells.begin_delta()
 
     def merge_cells(self, cells, layout) -> None:
         """Write *cells* and swap the index to the merged *layout*.
@@ -1185,11 +937,11 @@ class CubeStore:
         with self._lock:
             self._require_built()
             old = self._cells
-            pending = list(getattr(old, "delta_segments", ()))
-            if not isinstance(old, _HeapCells) or not pending:
+            pending = list(old.delta_segments)
+            if not pending:
                 return 0
-            new = self._make_backend("binary")
-            new.begin(old.generation)
+            new = self._new_heap()
+            new.begin()
             total = self.n_cells()
             done = 0
             new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
@@ -1200,7 +952,7 @@ class CubeStore:
                         new.put_raw(
                             [
                                 (
-                                    old.raw_payload(entry),
+                                    old.record(entry),
                                     entry_n_paths(entry),
                                     entry_redundant(entry),
                                 )
@@ -1232,9 +984,8 @@ class CubeStore:
                     "cells": done,
                 }
             self.flush()
-            # Same story as a same-format convert: the heap and index
-            # paths were republished in place; only release the
-            # superseded maps (finalise already unlinked the segments).
+            # The heap and index paths were republished in place; only
+            # release the superseded maps (the flush swept the segments).
             old.close(materialise=False)
             return done
 
@@ -1253,7 +1004,7 @@ class CubeStore:
             if build_stats is not None:
                 self.build_stats = build_stats.as_dict()
             payload = {
-                "format": self._cells.format,
+                "format": LAYOUT_NAME,
                 "min_support": self.min_support,
                 "min_deviation": self.min_deviation,
                 "path_lattice": [
@@ -1285,9 +1036,7 @@ class CubeStore:
             if "delta_segments" not in payload:
                 # The committed meta references no delta segments: any
                 # on disk are now unreachable and safe to sweep.
-                sweeper = getattr(self._cells, "sweep_stale_deltas", None)
-                if sweeper is not None:
-                    sweeper()
+                self._cells.discard_delta_files()
             self._bump_version()
 
     def _read_meta(self) -> tuple[tuple[int, int] | None, str | None]:
@@ -1331,6 +1080,10 @@ class CubeStore:
                     )
             self._meta_signature = signature
             payload = json.loads(text)
+            binfmt.check_layout_name(
+                payload.get("format"),
+                f"cube meta {self.directory / META_FILENAME}",
+            )
             self.min_support = payload["min_support"]
             self.min_deviation = payload["min_deviation"]
             self.path_lattice = PathLattice(
@@ -1345,9 +1098,9 @@ class CubeStore:
                 else [ItemLevel(levels) for levels in raw_levels]
             )
             self._cells.close()
-            self._cells = self._make_backend(payload.get("format", "json"))
+            self._cells = self._new_heap()
             self._cache.clear()
-            self._index = self._cells.load(payload, self.schema)
+            self._index = self._cells.load(payload)
             self._bump_version()
 
     def maybe_reload(self) -> bool:
@@ -1395,101 +1148,12 @@ class CubeStore:
         ``heap_bytes_read`` counts payload bytes pulled out of
         ``cells.bin``; ``mask_bits_decoded`` counts catalog bitmaps
         decoded from the ``cells.idx`` map.  Both stay zero across a
-        cold open — the benchmark tripwire asserts exactly that — and
-        across every JSON store, which has no such files.
+        cold open.
         ``cells_decoded`` counts cells whose measure was decoded (first
         touch of a :class:`StoredCell`): a cell can be *read* — its
         bytes copied, ``heap_bytes_read`` moved — and never decoded.
         """
         return dict(self._cells.io_counters)
-
-    def needs_upgrade(self) -> bool:
-        """Whether the cell heap predates the latest binary generation."""
-        checker = getattr(self._cells, "needs_upgrade", None)
-        return bool(checker()) if checker is not None else False
-
-    # ------------------------------------------------------------------
-    # format conversion
-    # ------------------------------------------------------------------
-    def convert(
-        self,
-        cell_format: str,
-        progress=None,
-        check: bool = True,
-        generation: int | None = None,
-    ) -> int:
-        """Rewrite the built cube's cells in *cell_format*, in place.
-
-        Every payload is read through the current backend and appended
-        through the target one; with *check* on, each payload is read
-        back from the new backend and compared before the old files are
-        dropped.  The meta file is republished last, so a crash leaves
-        the previous build intact and readable.
-
-        Args:
-            cell_format: ``"binary"`` or ``"json"``.
-            progress: Optional ``callback(done, total)`` fired per cell.
-            check: Verify every payload round-trips identically.
-            generation: Target heap generation for ``"binary"``
-                (1 = ``FCHEAP01`` JSON payloads, 2 = ``FCHEAP02``
-                binary records); defaults to the latest.  Lets
-                ``migrate`` upgrade a generation-1 heap in place, and
-                tests/benchmarks write legacy heaps deliberately.
-
-        Returns:
-            The number of cells converted (0 when already in the target
-            format and generation).
-        """
-        with self._lock:
-            self._require_built()
-            if cell_format not in CELL_FORMATS:
-                raise StoreError(
-                    f"unknown cell format {cell_format!r}; "
-                    f"expected one of {CELL_FORMATS}"
-                )
-            old = self._cells
-            same_format = old.format == cell_format
-            if same_format and cell_format != "binary":
-                return 0
-            if same_format:
-                target = generation or _HeapCells.LATEST_GENERATION
-                if old.generation == target:
-                    return 0
-            new = self._make_backend(cell_format)
-            if isinstance(new, _HeapCells):
-                new.begin(generation)
-            else:
-                new.begin()
-            total = self.n_cells()
-            done = 0
-            new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
-            for coords, entries in self._index.items():
-                fresh: dict[CellKey, Entry] = {}
-                for key, entry in entries.items():
-                    payload = old.read(entry)
-                    fresh[key] = new.put(
-                        payload, entry_n_paths(entry), entry_redundant(entry)
-                    )
-                    if check and new.read(fresh[key]) != payload:
-                        raise StoreError(
-                            f"conversion parity check failed for cell {key!r}"
-                        )
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                new_index[coords] = fresh
-            self._index = new_index
-            self._cells = new
-            self._cache.clear()
-            self.flush()
-            if same_format:
-                # A generation rewrite republished the *same* heap and
-                # index paths; dropping "old's" files would delete the
-                # fresh ones.  Just release the superseded maps.
-                old.close(materialise=False)
-            else:
-                old.discard_files()
-            return done
 
     # ------------------------------------------------------------------
     # reads (cache-fronted; the measure decodes on first touch)
@@ -1681,15 +1345,14 @@ class CubeStore:
         """Summary statistics for reporting."""
         out: dict[str, object] = {
             "built": self.is_built,
-            "format": self.cell_format,
+            "format": LAYOUT_NAME,
             "cuboids": len(self._index),
             "cells": self.n_cells(),
             "min_support": self.min_support,
             "min_deviation": self.min_deviation,
             "cache": self.cache_stats(),
         }
-        if self.cell_format == "binary" and self.is_built:
-            out["heap_generation"] = self._cells.generation
+        if self.is_built:
             out["delta_segments"] = len(self.delta_segments)
             out["io"] = self.io_counters()
         if self.build_stats is not None:

@@ -1,14 +1,9 @@
 """Partition files of the on-disk path store.
 
 A partitioned store splits a :class:`~repro.core.path_database.PathDatabase`
-into size-bounded *partitions*, each persisted as one file in the
-store's format — a columnar binary blob (``part-XXXXX.bin``, see
-:mod:`repro.store.binfmt`) for ``"binary"`` stores, or a CSV file
-(``part-XXXXX.csv``, the portable interchange format of
-:meth:`PathDatabase.to_csv`) for ``"json"`` stores.
-:func:`write_partition` / :func:`read_partition` dispatch on the file
-suffix, so mixed stores mid-migration stay readable.  Every partition
-carries a :class:`PartitionMeta` catalog entry holding
+into size-bounded *partitions*, each persisted as one columnar binary
+blob (``part-XXXXX.bin``, see :mod:`repro.store.binfmt`).  Every
+partition carries a :class:`PartitionMeta` catalog entry holding
 
 * the row count and the (min, max) record-id range, and
 * one :class:`BloomSummary` per path-independent dimension plus one for
@@ -32,26 +27,16 @@ from pathlib import Path as FsPath
 
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import StoreError
-from repro.store.binfmt import (
-    PARTITION_MAGIC,
-    StringTable,
-    pack_partition,
-    unpack_partition,
-)
+from repro.store.binfmt import StringTable, retired_layout, unpack_partition
 
 __all__ = [
     "BloomSummary",
     "PartitionMeta",
     "LOCATION_SUMMARY",
     "partition_filename",
-    "partition_generation",
     "summarise_partition",
-    "write_partition",
     "read_partition",
 ]
-
-#: File suffix per store format (``"binary"`` / ``"json"``).
-_FORMAT_SUFFIXES = {"binary": ".bin", "json": ".csv"}
 
 #: Summary key used for the stage-location column (dimension summaries are
 #: keyed ``dim:<name>`` so a dimension literally named "location" cannot
@@ -188,71 +173,38 @@ def summarise_partition(database: PathDatabase) -> dict[str, BloomSummary]:
     return summaries
 
 
-def partition_filename(partition_id: int, store_format: str) -> str:
-    """The canonical partition filename for *store_format*."""
-    suffix = _FORMAT_SUFFIXES.get(store_format)
-    if suffix is None:
-        raise StoreError(f"unknown store format {store_format!r}")
-    return f"part-{partition_id:05d}{suffix}"
-
-
-def write_partition(
-    path: FsPath, database: PathDatabase, strings: StringTable | None = None
-) -> None:
-    """Persist one partition, binary (``.bin``) or CSV by suffix.
-
-    With *strings*, binary partitions are written in the generation-2
-    shared-vocabulary layout (``FCPART02``); the caller is responsible
-    for saving the table (``strings.bin``) **before** the catalog points
-    at the new file.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".bin":
-        path.write_bytes(pack_partition(database, strings))
-    else:
-        path.write_text(database.to_csv(), encoding="utf-8")
+def partition_filename(partition_id: int) -> str:
+    """The canonical partition filename."""
+    return f"part-{partition_id:05d}.bin"
 
 
 def read_partition(
-    path: FsPath, schema: PathSchema, strings: StringTable | None = None
+    path: FsPath, schema: PathSchema, strings: StringTable | None
 ) -> PathDatabase:
     """Load one partition file back into a :class:`PathDatabase`.
 
-    Binary partitions are mmap'd and decoded through memoryview slices
-    — each arena's ``frombytes`` reads straight out of the page cache
-    with no intermediate whole-file ``bytes`` copy.  The map is
-    transient: everything the database needs is materialised before the
-    view is released, so nothing pins the file afterwards.
+    The file is mmap'd and decoded through memoryview slices — each
+    arena's ``frombytes`` reads straight out of the page cache with no
+    intermediate whole-file ``bytes`` copy.  The map is transient:
+    everything the database needs is materialised before the view is
+    released, so nothing pins the file afterwards.
     """
+    if path.suffix != ".bin":
+        raise retired_layout(f"partition file {path}", "CSV partition")
     if not path.exists():
         raise StoreError(f"partition file {path} is missing")
-    if path.suffix == ".bin":
-        with open(path, "rb") as handle:
-            try:
-                mapped = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            except (OSError, ValueError) as exc:
-                raise StoreError(
-                    f"cannot map partition file {path}: {exc}"
-                ) from None
-            try:
-                view = memoryview(mapped)
-                try:
-                    return unpack_partition(view, schema, strings)
-                finally:
-                    view.release()
-            finally:
-                mapped.close()
-    return PathDatabase.from_csv(schema, path.read_text(encoding="utf-8"))
-
-
-def partition_generation(path: FsPath) -> int:
-    """Layout generation of one ``.bin`` partition file (1 or 2).
-
-    Used by ``migrate`` to spot generation-1 files that need rewriting
-    even when the store format is already ``"binary"``.
-    """
     with open(path, "rb") as handle:
-        magic = handle.read(8)
-    return 1 if magic == PARTITION_MAGIC else 2
+        try:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:
+            raise StoreError(
+                f"cannot map partition file {path}: {exc}"
+            ) from None
+        try:
+            view = memoryview(mapped)
+            try:
+                return unpack_partition(view, schema, strings)
+            finally:
+                view.release()
+        finally:
+            mapped.close()

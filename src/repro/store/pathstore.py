@@ -5,9 +5,10 @@ A :class:`PartitionedPathStore` is a directory::
     store/
       catalog.json            schema + fingerprint + format + partitions
       partitions/
+        strings.bin           the shared string table
         part-00000.bin        <= partition_size rows each; columnar
-        part-00001.bin           binary (default) or ``.csv`` for
-        ...                      ``"json"``-format stores
+        part-00001.bin           binary (FCPART02)
+        ...
       cube/                   (optional) the persisted flowcube, see
         ...                   :mod:`repro.store.cube_store`
 
@@ -25,7 +26,6 @@ memory, which is the contract the out-of-core builder
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path as FsPath
 
@@ -34,22 +34,18 @@ from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import StoreError
 from repro.store.binfmt import (
-    DEFAULT_STORE_FORMAT,
-    STORE_FORMATS,
+    LAYOUT_NAME,
     STRINGS_FILENAME,
     StringTable,
     pack_partition,
-    unpack_partition,
 )
 from repro.store.catalog import Catalog, schema_fingerprint
 from repro.store.partition import (
     LOCATION_SUMMARY,
     PartitionMeta,
     partition_filename,
-    partition_generation,
     read_partition,
     summarise_partition,
-    write_partition,
 )
 
 __all__ = ["PartitionedPathStore"]
@@ -60,11 +56,11 @@ PARTITIONS_DIR = "partitions"
 class PartitionedPathStore:
     """A path database persisted as size-bounded partition files.
 
-    Binary stores share one vocabulary across partitions: the store's
+    Partitions share one vocabulary: the store's
     :class:`~repro.store.binfmt.StringTable` (``partitions/strings.bin``)
-    is mmap'd on first use, generation-2 partitions resolve their refs
-    through it, and :meth:`close` (or the context-manager exit) releases
-    the map — the store never relies on GC to drop file handles.
+    is mmap'd on first use, every partition resolves its refs through
+    it, and :meth:`close` (or the context-manager exit) releases the map
+    — the store never relies on GC to drop file handles.
     """
 
     def __init__(self, directory: FsPath, catalog: Catalog) -> None:
@@ -82,11 +78,8 @@ class PartitionedPathStore:
 
     @property
     def strings(self) -> StringTable | None:
-        """The shared string table, or ``None`` when the store has none.
-
-        Loaded (mmap'd) lazily: a store whose partitions are all
-        generation 1 — or a ``"json"`` store — never opens the file.
-        """
+        """The shared string table (mmap'd lazily), or ``None`` while the
+        store has none — before its first ingest."""
         if not self._strings_loaded:
             self._strings_loaded = True
             if self._strings_path.exists():
@@ -135,19 +128,22 @@ class PartitionedPathStore:
         schema: PathSchema,
         partition_size: int = 512,
         extra: dict | None = None,
-        store_format: str = DEFAULT_STORE_FORMAT,
+        store_format: str = LAYOUT_NAME,
     ) -> "PartitionedPathStore":
-        """Create an empty store at *directory* (which must not have one)."""
+        """Create an empty store at *directory* (which must not have one).
+
+        *store_format* selects nothing: it is accepted for callers that
+        still name the one layout, and any other value is refused.
+        """
+        if store_format != LAYOUT_NAME:
+            raise StoreError(
+                f"unknown store format {store_format!r}; stores are "
+                f"written in the {LAYOUT_NAME!r} layout only"
+            )
         directory = FsPath(directory)
         if (directory / "catalog.json").exists():
             raise StoreError(f"a store already exists at {directory}")
-        catalog = Catalog(
-            directory,
-            schema,
-            partition_size,
-            extra=extra,
-            store_format=store_format,
-        )
+        catalog = Catalog(directory, schema, partition_size, extra=extra)
         catalog.save()
         return cls(directory, catalog)
 
@@ -167,11 +163,6 @@ class PartitionedPathStore:
     @property
     def partition_size(self) -> int:
         return self.catalog.partition_size
-
-    @property
-    def store_format(self) -> str:
-        """The catalog's storage format, ``"binary"`` or ``"json"``."""
-        return self.catalog.store_format
 
     def __len__(self) -> int:
         return self.catalog.total_records
@@ -232,9 +223,7 @@ class PartitionedPathStore:
             partition_id = self.catalog.next_partition_id()
             meta = PartitionMeta(
                 partition_id=partition_id,
-                filename=partition_filename(
-                    partition_id, self.catalog.store_format
-                ),
+                filename=partition_filename(partition_id),
                 n_records=len(chunk),
                 min_record_id=chunk[0].record_id,
                 max_record_id=chunk[-1].record_id,
@@ -249,17 +238,13 @@ class PartitionedPathStore:
     def _write_partition_file(
         self, path: FsPath, database: PathDatabase
     ) -> None:
-        """Write one partition, routing binary files through the shared
-        table (which is saved *before* the partition that references it
-        hits disk)."""
-        if path.suffix == ".bin":
-            table = self._writable_strings()
-            payload = pack_partition(database, table)
-            self._save_strings(table)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(payload)
-        else:
-            write_partition(path, database)
+        """Write one partition through the shared table (which is saved
+        *before* the partition that references it hits disk)."""
+        table = self._writable_strings()
+        payload = pack_partition(database, table)
+        self._save_strings(table)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload)
 
     def append(
         self,
@@ -301,7 +286,6 @@ class PartitionedPathStore:
         records: Iterable[PathRecord],
         cube=None,
         recompute_exceptions: bool = True,
-        kernel: str = "bitmap",
         jobs: int = 1,
         pool=None,
         compact_after: int | None = 16,
@@ -319,7 +303,6 @@ class PartitionedPathStore:
             cube: An open :class:`~repro.store.cube_store.CubeStore`
                 handle to update, or ``None`` to open one for the call.
             recompute_exceptions: Re-mine exceptions in dirty cells.
-            kernel: Exception kernel (``"bitmap"`` / ``"scan"``).
             jobs: Worker-pool width for the dirty-cell exception pass.
             pool: An already-running pool to reuse (overrides *jobs*).
             compact_after: Fold delta segments into a clean heap once
@@ -335,7 +318,6 @@ class PartitionedPathStore:
             records,
             cube=cube,
             recompute_exceptions=recompute_exceptions,
-            kernel=kernel,
             jobs=jobs,
             pool=pool,
             compact_after=compact_after,
@@ -406,121 +388,6 @@ class PartitionedPathStore:
         return selected
 
     # ------------------------------------------------------------------
-    # format migration
-    # ------------------------------------------------------------------
-    def migrate_partitions(
-        self,
-        store_format: str,
-        progress=None,
-        check: bool = True,
-    ) -> dict[str, int]:
-        """Convert every partition file to *store_format* in place.
-
-        Each partition is decoded with its current codec, re-encoded with
-        the target one, and — with *check* on — read back and compared
-        via the CSV interchange rendering before the old file is removed
-        (a failed parity check aborts with both files intact).  The
-        catalog is saved after every converted partition — before the
-        old file is unlinked — so a crash mid-migration leaves a
-        readable mixed-suffix store that a rerun finishes; the format
-        flag itself flips in one final save.
-
-        A ``"binary"`` target also upgrades generation-1 (``FCPART01``,
-        private string table) files to the shared-vocabulary generation-2
-        layout: same filename, rewritten through an atomic temp+rename
-        after the shared table is saved.
-
-        Args:
-            store_format: ``"binary"`` or ``"json"``.
-            progress: Optional ``callback(done, total, filename)`` fired
-                after each converted partition.
-            check: Verify the round-trip before deleting the original.
-
-        Returns:
-            ``{"partitions": <converted count>, "skipped": <already in
-            the target format>}``.
-        """
-        if store_format not in STORE_FORMATS:
-            raise StoreError(
-                f"unknown store format {store_format!r}; "
-                f"expected one of {STORE_FORMATS}"
-            )
-        total = len(self.catalog.partitions)
-        converted = skipped = 0
-        for meta in self.catalog.partitions:
-            target = partition_filename(meta.partition_id, store_format)
-            old_path = self._partition_path(meta)
-            if meta.filename == target:
-                if (
-                    store_format != "binary"
-                    or partition_generation(old_path) != 1
-                ):
-                    skipped += 1
-                    continue
-                # In-place generation upgrade: decode the self-contained
-                # v1 file, re-encode against the shared table, and swap
-                # atomically (the table is saved first, so the new file
-                # never references ids the store cannot resolve).
-                database = read_partition(old_path, self.schema)
-                table = self._writable_strings()
-                payload = pack_partition(database, table)
-                self._save_strings(table)
-                if check:
-                    # Parity straight off the payload bytes (the temp
-                    # file's .tmp suffix would misdispatch a file read).
-                    replica = unpack_partition(payload, self.schema, table)
-                    if replica.to_csv() != database.to_csv():
-                        raise StoreError(
-                            f"migration parity check failed for {meta.filename}"
-                        )
-                temp = old_path.parent / (old_path.name + ".tmp")
-                temp.write_bytes(payload)
-                os.replace(temp, old_path)
-                converted += 1
-                if progress is not None:
-                    progress(converted + skipped, total, target)
-                continue
-            database = read_partition(old_path, self.schema, self.strings)
-            new_path = self.directory / PARTITIONS_DIR / target
-            self._write_partition_file(new_path, database)
-            if check:
-                replica = read_partition(new_path, self.schema, self.strings)
-                if replica.to_csv() != database.to_csv():
-                    new_path.unlink(missing_ok=True)
-                    raise StoreError(
-                        f"migration parity check failed for {meta.filename}"
-                    )
-            meta.filename = target
-            # Persist before dropping the original: a crash here leaves
-            # at worst an orphan old-suffix file, never a catalog entry
-            # pointing at a deleted partition.
-            self.catalog.save()
-            old_path.unlink()
-            converted += 1
-            if progress is not None:
-                progress(converted + skipped, total, target)
-        self.catalog.store_format = store_format
-        self.catalog.save()
-        if store_format == "json":
-            # No binary partition references the shared table any more.
-            table, self._strings = self._strings, None
-            self._strings_loaded = False
-            if table is not None:
-                table.close()
-            self._strings_path.unlink(missing_ok=True)
-        return {"partitions": converted, "skipped": skipped}
-
-    def partitions_need_upgrade(self) -> bool:
-        """True when a ``"binary"`` store still has generation-1 files."""
-        if self.store_format != "binary":
-            return False
-        return any(
-            meta.filename.endswith(".bin")
-            and partition_generation(self._partition_path(meta)) == 1
-            for meta in self.catalog.partitions
-        )
-
-    # ------------------------------------------------------------------
     # the cube side of the store
     # ------------------------------------------------------------------
     def cube_store(self, cache_size: int = 128):
@@ -528,40 +395,18 @@ class PartitionedPathStore:
 
         The cube lives under ``<store>/cube``; it is empty until a build
         writes into it (``flowcube-store build`` or
-        :func:`repro.store.builder.build_cube` with ``into=``).  New
-        cubes are written in the catalog's storage format.
+        :func:`repro.store.builder.build_cube` with ``into=``).
         """
         from repro.store.cube_store import CubeStore
 
         return CubeStore(
-            self.directory / "cube",
-            self.schema,
-            cache_size=cache_size,
-            cell_format=self.catalog.store_format,
+            self.directory / "cube", self.schema, cache_size=cache_size
         )
 
     def describe(self) -> dict[str, object]:
-        """Catalog-level summary statistics.
-
-        Binary stores also report the partition-file generation split
-        (``FCPART01`` self-contained vs ``FCPART02`` shared-vocabulary)
-        and the shared string table's size, so ``flowcube-store stats``
-        shows at a glance whether a ``migrate --to binary`` upgrade
-        pass is still pending.
-        """
+        """Catalog-level summary statistics, plus the shared string
+        table's size."""
         out = self.catalog.describe()
-        if self.store_format == "binary":
-            generations = {1: 0, 2: 0}
-            for meta in self.catalog.partitions:
-                if meta.filename.endswith(".bin"):
-                    generation = partition_generation(
-                        self._partition_path(meta)
-                    )
-                    generations[generation] += 1
-            out["partition_generations"] = {
-                str(generation): count
-                for generation, count in generations.items()
-            }
-            table = self.strings
-            out["shared_strings"] = len(table) if table is not None else 0
+        table = self.strings
+        out["shared_strings"] = len(table) if table is not None else 0
         return out

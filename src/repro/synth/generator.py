@@ -20,7 +20,7 @@ location sequence, then a Zipf-distributed random duration per stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class GeneratorConfig:
 def scaled_config(n_paths: int, seed: int = 11) -> GeneratorConfig:
     """A scale-sweep preset: *n_paths* records over a fixed-shape schema.
 
-    The benchmark scale sweep (``bench_store.py --scale``) needs database
+    The benchmark workloads (``benchmarks/flowbench``) need database
     size to be the only variable: the hierarchy shapes, sequence pool,
     and skews stay constant so the pattern count (and therefore the
     mining work per record) grows with N rather than with schema width.

@@ -1,10 +1,11 @@
 """Incremental store append (repro.store.append): delta-merge parity.
 
 The load-bearing contract: appending a batch to a persisted cube and
-querying it is **byte-identical** (``cube_to_json``) to rebuilding the
-cube from scratch over the extended store — across both build engines,
-both exception kernels, both storage formats, and serial/pooled
-re-mining; before *and* after compaction; warm handle and cold reopen.
+querying it is **byte-identical** (``cube_to_json``) to the reference
+in-memory build over the extended database — ``FlowCube.build`` with
+the direct engine and the scan exception kernel — under serial and
+pooled re-mining; before *and* after compaction; warm handle and cold
+reopen.
 
 The durability contracts ride along: appends never rewrite the base
 ``cells.bin``; a crash between the delta-segment publish and the meta
@@ -19,7 +20,8 @@ import json
 
 import pytest
 
-from repro.core.path import Path, PathRecord
+from repro.core.flowcube import FlowCube
+from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
 from repro.core.serialization import cube_to_json
 from repro.errors import StoreError
@@ -59,12 +61,9 @@ def split(database):
     return rows[:BASE_ROWS], rows[BASE_ROWS:]
 
 
-def _base_store(directory, database, rows, fmt, engine, **build_kwargs):
+def _base_store(directory, database, rows, **build_kwargs):
     store = PartitionedPathStore.init(
-        directory,
-        database.schema,
-        partition_size=PARTITION_SIZE,
-        store_format=fmt,
+        directory, database.schema, partition_size=PARTITION_SIZE
     )
     store.ingest(PathDatabase(database.schema, rows, validate=False))
     cube = store.cube_store()
@@ -73,27 +72,26 @@ def _base_store(directory, database, rows, fmt, engine, **build_kwargs):
         min_support=build_kwargs.pop("min_support", MIN_SUPPORT),
         into=cube,
         stats=BuildStats(),
-        engine=engine,
         **build_kwargs,
     )
     return store, cube
 
 
 @pytest.fixture(scope="module")
-def rebuilt_reference(tmp_path_factory, database):
-    """``cube_to_json`` of a from-scratch rebuild, cached per (engine, fmt)."""
-    root = tmp_path_factory.mktemp("append-reference")
+def rebuilt_reference(database):
+    """``cube_to_json`` of the reference in-memory build over the whole
+    database (direct engine, scan kernel), cached per build options."""
     cache: dict[tuple, str] = {}
 
-    def reference(engine: str, fmt: str, **build_kwargs) -> str:
-        key = (engine, fmt, tuple(sorted(build_kwargs.items())))
+    def reference(**build_kwargs) -> str:
+        key = tuple(sorted(build_kwargs.items()))
         if key not in cache:
-            directory = root / f"ref-{len(cache)}"
-            _, cube = _base_store(
-                directory, database, list(database), fmt, engine,
-                **build_kwargs,
+            build_kwargs.setdefault("min_support", MIN_SUPPORT)
+            cache[key] = cube_to_json(
+                FlowCube.build(
+                    database, engine="direct", kernel="scan", **build_kwargs
+                )
             )
-            cache[key] = cube_to_json(cube)
         return cache[key]
 
     return reference
@@ -103,33 +101,28 @@ def rebuilt_reference(tmp_path_factory, database):
 # the parity grid
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["rollup", "direct"])
-@pytest.mark.parametrize("kernel", ["bitmap", "scan"])
-@pytest.mark.parametrize("fmt", ["binary", "json"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_append_matches_rebuild_byte_identical(
-    tmp_path, database, split, rebuilt_reference, engine, kernel, fmt, jobs
+    tmp_path, database, split, rebuilt_reference, jobs
 ):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, fmt, engine)
+    store, cube = _base_store(tmp_path / "wh", database, base)
     stats = append_records(
-        store, batch, cube=cube, kernel=kernel, jobs=jobs, compact_after=0
+        store, batch, cube=cube, jobs=jobs, compact_after=0
     )
     assert stats["ingested"] == len(batch)
     assert stats["updated"] > 0
-    expected = rebuilt_reference(engine, fmt)
+    expected = rebuilt_reference()
     assert cube_to_json(cube) == expected
 
     # Cold reopen reads the delta overlay, not stale base state.
     cube.close()
     cold = store.cube_store()
     assert cube_to_json(cold) == expected
-    if fmt == "binary":
-        assert cold.delta_segments == [1]
+    assert cold.delta_segments == [1]
 
     # Compaction folds the segments without changing a byte.
-    folded = cold.compact()
-    assert (folded > 0) == (fmt == "binary")
+    assert cold.compact() > 0
     assert cube_to_json(cold) == expected
     assert cold.delta_segments == []
     assert cube_to_json(store.cube_store()) == expected
@@ -137,7 +130,7 @@ def test_append_matches_rebuild_byte_identical(
 
 def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     heap = store.directory / "cube" / "cells.bin"
     before = (heap.stat().st_mtime_ns, heap.stat().st_size, heap.read_bytes())
     append_records(store, batch, cube=cube, compact_after=0)
@@ -153,14 +146,12 @@ def test_append_without_exceptions_matches_rebuild(
     """Bloom-pruned promotion path: no full sweep, still byte-identical."""
     base, batch = split
     store, cube = _base_store(
-        tmp_path / "wh", database, base, "binary", "rollup",
+        tmp_path / "wh", database, base,
         compute_exceptions=False, min_support=6,
     )
     stats = append_records(store, batch, cube=cube, compact_after=0)
     assert stats["created"] > 0  # this split promotes keys at δ=6
-    expected = rebuilt_reference(
-        "rollup", "binary", compute_exceptions=False, min_support=6
-    )
+    expected = rebuilt_reference(compute_exceptions=False, min_support=6)
     assert cube_to_json(cube) == expected
     cube.compact()
     assert cube_to_json(cube) == expected
@@ -171,12 +162,11 @@ def test_fractional_delta_append_demotes_to_rebuild_state(
 ):
     base, batch = split
     store, cube = _base_store(
-        tmp_path / "wh", database, base, "binary", "rollup",
-        min_support=0.08,
+        tmp_path / "wh", database, base, min_support=0.08
     )
     stats = append_records(store, batch, cube=cube, compact_after=0)
     assert stats["demoted"] > 0
-    expected = rebuilt_reference("rollup", "binary", min_support=0.08)
+    expected = rebuilt_reference(min_support=0.08)
     assert cube_to_json(cube) == expected
 
 
@@ -185,17 +175,17 @@ def test_iceberg_promotion_lands_in_rebuild_order(
 ):
     base, batch = split
     store, cube = _base_store(
-        tmp_path / "wh", database, base, "binary", "rollup", min_support=6
+        tmp_path / "wh", database, base, min_support=6
     )
     stats = append_records(store, batch, cube=cube, compact_after=0)
     assert stats["created"] > 0 and stats["promoted"] > 0
-    expected = rebuilt_reference("rollup", "binary", min_support=6)
+    expected = rebuilt_reference(min_support=6)
     assert cube_to_json(cube) == expected
 
 
 def test_auto_compaction_trips_at_threshold(tmp_path, database, split):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     first, second = batch[:15], batch[15:]
     r1 = append_records(store, first, cube=cube, compact_after=2)
     assert r1["compacted"] == 0 and cube.delta_segments == [1]
@@ -216,7 +206,7 @@ def test_append_counters_persist_and_surface_in_stats(
     tmp_path, capsys, database, split
 ):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     append_records(store, batch, cube=cube, compact_after=0)
     cube.close()
 
@@ -237,7 +227,7 @@ def test_append_counters_persist_and_surface_in_stats(
 
 def test_append_bumps_the_build_version(tmp_path, database, split):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     before = cube.build_version
     append_records(store, batch, cube=cube, compact_after=0)
     assert cube.build_version != before
@@ -247,7 +237,7 @@ def test_id_collision_rejected_before_touching_the_cube(
     tmp_path, database, split
 ):
     base, _ = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     snapshot = cube_to_json(cube)
     colliding = [PathRecord(0, base[0].dims, base[0].path)]
     with pytest.raises(StoreError, match="high-water mark"):
@@ -259,7 +249,7 @@ def test_id_collision_rejected_before_touching_the_cube(
 
 def test_stale_cube_refused(tmp_path, database, split):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     store.ingest(
         PathDatabase(database.schema, batch[:5], validate=False)
     )  # out-of-band ingest the cube never saw
@@ -279,7 +269,7 @@ def test_unbuilt_cube_refused(tmp_path, database, split):
 
 def test_empty_batch_is_a_noop(tmp_path, database, split):
     base, _ = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     snapshot = cube_to_json(cube)
     stats = append_records(store, [], cube=cube)
     assert stats["ingested"] == 0 and stats["updated"] == 0
@@ -301,7 +291,7 @@ def test_interrupted_append_leaves_old_cube_readable(
     refuse the stale cube, and let a rebuild sweep the orphans.
     """
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     before_json = cube_to_json(cube)
     meta_path = store.directory / "cube" / "cube.json"
     old_meta = meta_path.read_bytes()
@@ -330,12 +320,12 @@ def test_interrupted_append_leaves_old_cube_readable(
         store, min_support=MIN_SUPPORT, into=rebuilt, stats=BuildStats()
     )
     assert not list((store.directory / "cube").glob("cells.delta.*"))
-    assert cube_to_json(rebuilt) == rebuilt_reference("rollup", "binary")
+    assert cube_to_json(rebuilt) == rebuilt_reference()
 
 
 def test_fresh_segment_ids_skip_crash_orphans(tmp_path, database, split):
     base, batch = split
-    store, cube = _base_store(tmp_path / "wh", database, base, "binary", "rollup")
+    store, cube = _base_store(tmp_path / "wh", database, base)
     orphan = store.directory / "cube" / "cells.delta.007.bin"
     orphan.write_bytes(b"FCHEAP02")  # a crashed append's leftover
     append_records(store, batch, cube=cube, compact_after=0)

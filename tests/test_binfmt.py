@@ -1,6 +1,6 @@
-"""The binary storage backend: codecs, cell heap, migration, parity.
+"""The storage layout: codecs, cell heap, pinned bytes.
 
-Four contracts:
+The contracts:
 
 * **codec round-trips** (hypothesis): the columnar partition codec
   agrees with the CSV interchange round-trip on adversarial values —
@@ -9,15 +9,9 @@ Four contracts:
   full-buffer-``cast('q')`` bug class) — and the cell-index codec is
   an exact fixed point for arbitrary cuboid layouts including empty
   cuboids and empty indexes;
-* **byte-identical cubes**: ``cube_to_json`` of a cube built from a
-  binary store equals the one built from a JSON/CSV store, across
-  engine × kernel × jobs;
-* **in-place migration**: ``flowcube-store migrate`` converts
-  partitions and cells both ways, parity-checked, leaving no orphan
-  files;
-* **read behaviour over the heap**: the LRU fronts binary cells the
-  same way it fronts JSON cell files, and ``maybe_reload`` notices a
-  cross-handle rebuild through the single-read meta signature;
+* **read behaviour over the heap**: the LRU fronts the heap's cells,
+  and ``maybe_reload`` notices a cross-handle rebuild through the
+  single-read meta signature;
 * **one record writer, two feeders** (hypothesis): the live-cell encoder
   and the payload-dict encoder produce the same ``FCHEAP02`` bytes for
   every cell, including every verbatim-JSON fallback;
@@ -40,7 +34,7 @@ from repro.core.flowgraph_exceptions import FlowException
 from repro.core.hierarchy import ConceptHierarchy
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.core.serialization import cube_to_json, flowgraph_to_dict
+from repro.core.serialization import flowgraph_to_dict
 from repro.core.stage import Stage
 from repro.errors import StoreError
 from repro.store import (
@@ -56,6 +50,7 @@ from repro.store.binfmt import (
     _HEAP2_RAW,
     INDEX_MAGIC,
     ORDER_TAG,
+    StringTable,
     cell_payload,
     decode_cell_parts,
     decode_cell_payload,
@@ -66,7 +61,6 @@ from repro.store.binfmt import (
     unpack_cell_index,
     unpack_partition,
 )
-from repro.store.cli import main
 
 # ----------------------------------------------------------------------
 # partition codec (hypothesis)
@@ -119,14 +113,19 @@ def binary_databases(draw):
 def test_partition_codec_agrees_with_csv_roundtrip(database):
     # The contract: decoding pack_partition's blob yields exactly what
     # writing and re-reading the CSV interchange format yields (which
-    # floats every duration), so the two partition layouts are
-    # interchangeable underneath the store.
+    # floats every duration): the partition layout loses nothing the
+    # interchange format keeps.
     via_csv = PathDatabase.from_csv(database.schema, database.to_csv())
-    via_binary = unpack_partition(pack_partition(database), database.schema)
+    table = StringTable()
+    via_binary = unpack_partition(
+        pack_partition(database, table), database.schema, table
+    )
     assert list(via_binary) == list(via_csv)
     assert via_binary.to_csv() == via_csv.to_csv()
     # Packing is deterministic and a fixed point over its own decode.
-    assert pack_partition(via_binary) == pack_partition(via_csv)
+    assert pack_partition(via_binary, StringTable()) == pack_partition(
+        via_csv, StringTable()
+    )
 
 
 def test_partition_codec_rejects_garbage_and_foreign_endianness():
@@ -138,17 +137,18 @@ def test_partition_codec_rejects_garbage_and_foreign_endianness():
         ),
         [PathRecord(1, ("x",), Path([Stage("a", 1.0)]))],
     )
-    blob = pack_partition(database)
+    table = StringTable()
+    blob = pack_partition(database, table)
     with pytest.raises(StoreError):
-        unpack_partition(b"not a partition", database.schema)
+        unpack_partition(b"not a partition", database.schema, table)
     with pytest.raises(StoreError):
-        unpack_partition(blob[:40], database.schema)  # truncated header
+        unpack_partition(blob[:40], database.schema, table)  # truncated header
     # Byte-swap the ORDER_TAG word: a foreign-endian file must be
     # rejected, not silently mis-decoded.
     swapped = bytearray(blob)
     swapped[8:16] = blob[8:16][::-1]
     with pytest.raises(StoreError):
-        unpack_partition(bytes(swapped), database.schema)
+        unpack_partition(bytes(swapped), database.schema, table)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +401,7 @@ def test_every_fallback_is_the_same_raw_record_from_both_feeders(case):
 
 
 # ----------------------------------------------------------------------
-# byte-identical cubes across formats × engine × kernel × jobs
+# CubeStore behaviour over the heap backend
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -410,158 +410,6 @@ def example_database():
 
     return example_path_database()
 
-
-@pytest.mark.parametrize("engine", ["rollup", "direct"])
-@pytest.mark.parametrize("kernel", ["bitmap", "scan"])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cube_json_identical_across_formats(
-    tmp_path, example_database, engine, kernel, jobs
-):
-    rendered = {}
-    for store_format in ("binary", "json"):
-        directory = tmp_path / store_format
-        store = PartitionedPathStore.init(
-            directory,
-            example_database.schema,
-            partition_size=3,
-            store_format=store_format,
-        )
-        store.ingest(example_database)
-        build_cube(
-            store,
-            min_support=0.25,
-            min_deviation=2.0,
-            into=store.cube_store(),
-            engine=engine,
-            kernel=kernel,
-            jobs=jobs,
-        )
-        cold = PartitionedPathStore.open(directory).cube_store()
-        assert cold.cell_format == store_format
-        rendered[store_format] = cube_to_json(cold)
-    assert rendered["binary"] == rendered["json"]
-
-
-# ----------------------------------------------------------------------
-# in-place migration
-# ----------------------------------------------------------------------
-
-def _file_names(directory):
-    # The shared string table (strings.bin) is store-level metadata, not
-    # a partition file — the per-partition assertions ignore it.
-    if not directory.exists():
-        return []
-    return sorted(
-        p.name for p in directory.iterdir() if p.name != "strings.bin"
-    )
-
-
-def test_migrate_cli_round_trip(tmp_path, capsys, example_database):
-    target = str(tmp_path / "wh")
-    assert main(["init", target, "--example", "--partition-size", "3",
-                 "--format", "json"]) == 0
-    assert main(["ingest", target, "--example"]) == 0
-    assert main(["build", target, "--min-support", "0.25",
-                 "--min-deviation", "2.0"]) == 0
-    store = PartitionedPathStore.open(target)
-    baseline = cube_to_json(store.cube_store())
-    capsys.readouterr()
-
-    assert main(["migrate", target, "--to", "binary"]) == 0
-    output = capsys.readouterr().out
-    assert "partition" in output and "cube" in output and "binary" in output
-    migrated = PartitionedPathStore.open(target)
-    assert migrated.store_format == "binary"
-    assert all(
-        name.endswith(".bin")
-        for name in _file_names(tmp_path / "wh" / "partitions")
-    )
-    cube_dir = tmp_path / "wh" / "cube"
-    names = _file_names(cube_dir)
-    assert "cells.bin" in names and "cells.idx" in names
-    assert not list((cube_dir / "cells").glob("*.json")) if (
-        cube_dir / "cells"
-    ).exists() else True
-    assert cube_to_json(migrated.cube_store()) == baseline
-
-    # Migrating an already-binary store is a cheap no-op.
-    assert main(["migrate", target, "--to", "binary"]) == 0
-    assert "already" in capsys.readouterr().out
-
-    # And back: the portable layout returns, still byte-identical.
-    assert main(["migrate", target, "--to", "json"]) == 0
-    back = PartitionedPathStore.open(target)
-    assert back.store_format == "json"
-    assert all(
-        name.endswith(".csv")
-        for name in _file_names(tmp_path / "wh" / "partitions")
-    )
-    names = _file_names(cube_dir)
-    assert "cells.bin" not in names and "cells.idx" not in names
-    assert cube_to_json(back.cube_store()) == baseline
-
-
-def test_migration_survives_mixed_suffix_stores(tmp_path, example_database):
-    # A store interrupted mid-migration has partitions in both formats;
-    # reads dispatch per file, and a rerun finishes the job.
-    store = PartitionedPathStore.init(
-        tmp_path / "s",
-        example_database.schema,
-        partition_size=2,
-        store_format="json",
-    )
-    store.ingest(example_database)
-    before = store.load_all().to_csv()
-
-    calls = []
-
-    def interrupt(done, total, filename):
-        calls.append(filename)
-        if done == 2:
-            raise KeyboardInterrupt
-
-    with pytest.raises(KeyboardInterrupt):
-        store.migrate_partitions("binary", progress=interrupt)
-    reopened = PartitionedPathStore.open(tmp_path / "s")
-    suffixes = {
-        name[-4:] for name in _file_names(tmp_path / "s" / "partitions")
-    }
-    assert suffixes == {".bin", ".csv"}
-    assert reopened.load_all().to_csv() == before  # mixed reads work
-    total = len(_file_names(tmp_path / "s" / "partitions"))
-    result = reopened.migrate_partitions("binary")
-    assert result["skipped"] == 2 and result["partitions"] == total - 2
-    assert reopened.store_format == "binary"
-    assert PartitionedPathStore.open(tmp_path / "s").load_all().to_csv() == before
-
-
-def test_put_cell_into_a_cold_generation_1_heap_keeps_its_codec(
-    tmp_path, example_database
-):
-    # The heap generation is sniffed lazily; a write that precedes every
-    # read must still sniff it before choosing the record codec.
-    store = PartitionedPathStore.init(
-        tmp_path / "s", example_database.schema, partition_size=3
-    )
-    store.ingest(example_database)
-    cube = build_cube(
-        store, min_support=2, compute_exceptions=False, into=store.cube_store()
-    )
-    cube.convert("binary", generation=1)
-    expected = cube_to_json(cube)
-    cell = next(iter(cube.cuboids[0]))
-    cube.close()
-    cold = PartitionedPathStore.open(tmp_path / "s").cube_store()
-    cold.put_cell(cell)  # rewrites the cell in place, nothing read yet
-    cold.flush()
-    reopened = PartitionedPathStore.open(tmp_path / "s").cube_store()
-    assert reopened.describe()["heap_generation"] == 1
-    assert cube_to_json(reopened) == expected
-
-
-# ----------------------------------------------------------------------
-# CubeStore behaviour over the heap backend
-# ----------------------------------------------------------------------
 
 def _built_binary_store(tmp_path, database, cache_size=128):
     store = PartitionedPathStore.init(
@@ -582,7 +430,6 @@ def test_lru_over_binary_cells(tmp_path, example_database):
     cube_store = CubeStore(
         tmp_path / "s" / "cube", example_database.schema, cache_size=2
     )
-    assert cube_store.cell_format == "binary"
     cuboid = max(cube_store.cuboids, key=len)
     keys = cuboid.keys[:3]
     assert len(keys) == 3
@@ -663,32 +510,6 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
     assert reader.version > version
     assert reader.min_support == 0.5
     assert reader.maybe_reload() is False
-
-
-def test_meta_format_field_defaults_to_json_for_legacy_cubes(
-    tmp_path, example_database
-):
-    # A cube written by the JSON backend minus the "format" field (the
-    # pre-binary layout) still opens as JSON cells.
-    store = PartitionedPathStore.init(
-        tmp_path / "s",
-        example_database.schema,
-        partition_size=3,
-        store_format="json",
-    )
-    store.ingest(example_database)
-    build_cube(
-        store, min_support=0.25, min_deviation=2.0, into=store.cube_store()
-    )
-    meta_path = tmp_path / "s" / "cube" / "cube.json"
-    payload = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert payload["format"] == "json"
-    del payload["format"]
-    meta_path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-    legacy = PartitionedPathStore.open(tmp_path / "s").cube_store()
-    assert legacy.cell_format == "json"
-    assert legacy.n_cells() > 0
-    next(iter(legacy.cuboids[0]))  # cells still materialise
 
 
 # ----------------------------------------------------------------------

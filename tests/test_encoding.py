@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import PathLattice
 from repro.encoding import (
     DimItem,
     StageItem,

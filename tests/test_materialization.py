@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    FlowCube,
     ItemLevel,
     MaterializationPlan,
     plan_between_layers,

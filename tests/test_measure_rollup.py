@@ -214,8 +214,8 @@ def test_out_of_core_rollup_byte_identical(tmp_path):
 
     database, store = _store(tmp_path)
     direct = FlowCube.build(database, min_support=0.1, engine="direct")
-    serial = build_cube(store, min_support=0.1, engine="rollup", jobs=1)
-    parallel = build_cube(store, min_support=0.1, engine="rollup", jobs=2)
+    serial = build_cube(store, min_support=0.1, jobs=1)
+    parallel = build_cube(store, min_support=0.1, jobs=2)
     expected = cube_to_json(direct)
     assert cube_to_json(serial) == expected
     assert cube_to_json(parallel) == expected
@@ -293,5 +293,5 @@ def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
     # Every path recurs in a later partition: the memo spans the scan.
     assert len(store.catalog.partitions) >= 2
     calls = _counting_hook(monkeypatch)
-    cube = build_cube(store, min_support=0.1, engine="rollup", jobs=1)
+    cube = build_cube(store, min_support=0.1, jobs=1)
     assert calls["n"] == distinct * len(cube.path_lattice)

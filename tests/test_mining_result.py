@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ItemLevel, PathLattice
+from repro.core import ItemLevel
 from repro.encoding import DimItem, StageItem
 from repro.mining import FlowMiningResult, MiningStats, item_sort_key, shared_mine
 

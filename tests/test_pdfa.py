@@ -1,7 +1,5 @@
 """Tests for PDFA induction and PDFA-based flowgraph similarity."""
 
-import math
-
 import pytest
 
 from repro.core import FlowGraph

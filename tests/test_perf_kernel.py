@@ -146,7 +146,6 @@ def _assert_same_mining(mined, database, **options):
 @given(
     database=path_databases(),
     n_partitions=st.sampled_from([1, 3, 8]),
-    store_format=st.sampled_from(["binary", "json"]),
     min_support=st.one_of(
         st.integers(min_value=3, max_value=8), st.sampled_from([0.15, 0.25])
     ),
@@ -159,8 +158,7 @@ def _assert_same_mining(mined, database, **options):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_store_mining_equals_in_memory(
-    database, n_partitions, store_format, min_support, precount_lengths,
-    max_length,
+    database, n_partitions, min_support, precount_lengths, max_length
 ):
     options = {
         "min_support": min_support,
@@ -172,7 +170,6 @@ def test_store_mining_equals_in_memory(
             Path(tmp) / "wh",
             database.schema,
             partition_size=math.ceil(len(database) / n_partitions),
-            store_format=store_format,
         )
         s.ingest(database)
         build_stats = BuildStats()

@@ -2,17 +2,19 @@
 
 The pool's contract mirrors the kernel contract one layer up: forked
 workers and batched per-partition tasks are *implementation details* —
-every ``jobs`` count and every kernel×engine combination must produce
-byte-identical cubes with identical per-cell exception lists, and a
-worker that raises takes neither the pool nor its other slots down.
+every ``jobs`` count must produce a cube byte-identical to the
+in-memory reference build, with identical per-cell exception lists, and
+a worker that raises takes neither the pool nor its other slots down.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import pytest
 
+from repro.core.flowcube import FlowCube
 from repro.core.lattice import PathLattice
 from repro.core.serialization import cube_to_json
 from repro.perf.pool import PoolStats, WorkerPool
@@ -56,9 +58,12 @@ def _exception_lists(cube):
 
 
 @pytest.fixture(scope="module")
-def reference(store):
-    """The serial rollup/bitmap build everything else must match."""
-    cube = build_cube(store, min_support=MIN_SUPPORT)
+def reference(database):
+    """The in-memory reference build (direct engine, scan kernel) every
+    store build must match."""
+    cube = FlowCube.build(
+        database, min_support=MIN_SUPPORT, engine="direct", kernel="scan"
+    )
     return cube_to_json(cube), _exception_lists(cube)
 
 
@@ -67,35 +72,26 @@ def reference(store):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize("engine", ["direct", "rollup"])
-@pytest.mark.parametrize("kernel", ["bitmap", "scan"])
-def test_pooled_builds_are_byte_identical(store, reference, jobs, engine, kernel):
+def test_pooled_builds_are_byte_identical(store, reference, jobs):
     stats = BuildStats()
-    cube = build_cube(
-        store,
-        min_support=MIN_SUPPORT,
-        stats=stats,
-        kernel=kernel,
-        engine=engine,
-        jobs=jobs,
-    )
+    cube = build_cube(store, min_support=MIN_SUPPORT, stats=stats, jobs=jobs)
     assert cube_to_json(cube) == reference[0]
     assert _exception_lists(cube) == reference[1]
     assert stats.max_live_transaction_dbs <= 1
     if jobs > 1:
         assert stats.pool["jobs"] == jobs
         assert stats.pool["task_batches"] > 0
+    # The build-owned pool is joined before build_cube returns.
+    assert multiprocessing.active_children() == []
 
 
 def test_external_pool_reused_across_builds(store, reference):
-    """One caller-owned pool serves consecutive builds of both engines."""
+    """One caller-owned pool serves consecutive builds."""
     pool = WorkerPool(2).start()
     try:
         spawned = pool.stats.spawn_count
-        for engine in ("rollup", "direct"):
-            cube = build_cube(
-                store, min_support=MIN_SUPPORT, engine=engine, pool=pool
-            )
+        for _ in range(2):
+            cube = build_cube(store, min_support=MIN_SUPPORT, pool=pool)
             assert cube_to_json(cube) == reference[0]
         assert pool.stats.spawn_count == spawned  # no respawn per build
     finally:

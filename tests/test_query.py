@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FlowCube, FlowGraph, ItemLevel, PathLattice
+from repro.core import FlowCube, FlowGraph, ItemLevel
 from repro.errors import QueryError
 from repro.query import (
     FlowCubeQuery,

@@ -1,0 +1,205 @@
+"""Retired layouts are rejected, never decoded.
+
+The store reads and writes one layout.  What earlier releases also
+wrote — json-format catalogs and cube metas (including the ones that
+predate the ``"format"`` field), ``FCHEAP01`` heaps, ``FCPART01``
+partitions, CSV partition files — has no reader left, so each case is
+hand-crafted here from bytes on top of a store the current writer made,
+and must surface as a :class:`~repro.errors.StoreError` that names the
+layout and the last release that read it.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.core.path_database import example_path_database
+from repro.core.serialization import cube_to_json
+from repro.errors import StoreError
+from repro.store import PartitionedPathStore, append_records, build_cube
+from repro.store.binfmt import (
+    HEAP_MAGIC_V2,
+    PARTITION_MAGIC_V2,
+    RETIRED_HEAP_MAGIC,
+    RETIRED_PARTITION_MAGIC,
+    StringTable,
+    unpack_partition,
+)
+
+#: What every rejection says after naming the layout.
+LAST_READER = "the last one that did is PR 15"
+
+
+@pytest.fixture()
+def built_dir(tmp_path):
+    """A built store over the first six example records."""
+    example = example_path_database()
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", example.schema, partition_size=3
+    )
+    store.ingest(list(example)[:6])
+    build_cube(
+        store, min_support=2, compute_exceptions=False, into=store.cube_store()
+    ).close()
+    store.close()
+    return tmp_path / "wh"
+
+
+def _rewrite_json(path, edit) -> None:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def _set_magic(path, magic: bytes) -> None:
+    data = path.read_bytes()
+    path.write_bytes(magic + data[len(magic):])
+
+
+def _retired(layout: str) -> str:
+    return rf"retired {layout} layout.*{LAST_READER}"
+
+
+# ----------------------------------------------------------------------
+# meta files: "format" must say binary
+# ----------------------------------------------------------------------
+
+#: A meta file of the json era either says so or predates the field.
+json_era_metas = pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload.update(format="json"),
+        lambda payload: payload.pop("format"),
+    ],
+    ids=["json", "unmarked"],
+)
+
+
+@json_era_metas
+def test_json_catalog_is_rejected_on_open(built_dir, edit):
+    _rewrite_json(built_dir / "catalog.json", edit)
+    with pytest.raises(StoreError, match=_retired("json")) as caught:
+        PartitionedPathStore.open(built_dir)
+    assert "catalog.json" in str(caught.value)
+
+
+@json_era_metas
+def test_json_cube_meta_is_rejected_on_open(built_dir, edit):
+    _rewrite_json(built_dir / "cube" / "cube.json", edit)
+    with PartitionedPathStore.open(built_dir) as store:
+        with pytest.raises(StoreError, match=_retired("json")) as caught:
+            store.cube_store()
+    assert "cube.json" in str(caught.value)
+
+
+def test_unknown_format_names_are_rejected_too(built_dir, tmp_path):
+    _rewrite_json(
+        built_dir / "catalog.json", lambda payload: payload.update(format="orc")
+    )
+    with pytest.raises(StoreError, match="unknown store format 'orc'"):
+        PartitionedPathStore.open(built_dir)
+    schema = example_path_database().schema
+    with pytest.raises(StoreError, match="'binary' layout only"):
+        PartitionedPathStore.init(tmp_path / "new", schema, store_format="json")
+    assert not (tmp_path / "new").exists()
+
+
+# ----------------------------------------------------------------------
+# FCHEAP01: refused at first read, and never written into
+# ----------------------------------------------------------------------
+
+def test_retired_heap_is_rejected_at_first_read(built_dir):
+    heap = built_dir / "cube" / "cells.bin"
+    assert heap.read_bytes()[:8] == HEAP_MAGIC_V2
+    _set_magic(heap, RETIRED_HEAP_MAGIC)
+    with PartitionedPathStore.open(built_dir) as store:
+        cube = store.cube_store()  # a cold open reads the index only
+        assert cube.n_cells() > 0
+        cuboid = cube.cuboids[0]
+        with pytest.raises(StoreError, match=_retired("FCHEAP01")) as caught:
+            cuboid.cell(cuboid.keys[0])
+        assert "cells.bin" in str(caught.value)
+        assert cube.io_counters()["heap_bytes_read"] == 0
+        cube.close()
+
+
+def test_writes_into_a_retired_heap_fail_the_same_way(built_dir):
+    with PartitionedPathStore.open(built_dir) as store:
+        cube = store.cube_store()
+        cell = next(iter(cube.cuboids[0]))
+        cell.flowgraph  # decode now: the heap is about to be retired
+        cube.close()
+    heap = built_dir / "cube" / "cells.bin"
+    _set_magic(heap, RETIRED_HEAP_MAGIC)
+    before = heap.read_bytes()
+    example = example_path_database()
+    with PartitionedPathStore.open(built_dir) as store:
+        cold = store.cube_store()
+        with pytest.raises(StoreError, match=_retired("FCHEAP01")):
+            cold.put_cell(cell)  # nothing read yet: the write must check
+        with pytest.raises(StoreError, match=_retired("FCHEAP01")):
+            cold.begin_delta()
+        cold.close()
+        with pytest.raises(StoreError, match=_retired("FCHEAP01")):
+            append_records(store, list(example)[6:], compact_after=0)
+    assert heap.read_bytes() == before
+    assert sorted(p.name for p in (built_dir / "cube").iterdir()) == [
+        "cells.bin", "cells.idx", "cube.json",
+    ]
+
+
+def test_retired_delta_segment_is_rejected_at_first_read(built_dir):
+    example = example_path_database()
+    with PartitionedPathStore.open(built_dir) as store:
+        cube = store.cube_store()
+        append_records(store, list(example)[6:], cube=cube, compact_after=0)
+        expected = cube_to_json(cube)
+        cube.close()
+        segment = built_dir / "cube" / "cells.delta.001.bin"
+        _set_magic(segment, RETIRED_HEAP_MAGIC)
+        cold = store.cube_store()
+        with pytest.raises(StoreError, match=_retired("FCHEAP01")):
+            cube_to_json(cold)
+        cold.close()
+        _set_magic(segment, HEAP_MAGIC_V2)
+        with store.cube_store() as healed:
+            assert cube_to_json(healed) == expected
+
+
+# ----------------------------------------------------------------------
+# partitions: FCPART01 and CSV files
+# ----------------------------------------------------------------------
+
+def test_retired_partition_magic_is_rejected_at_first_read(built_dir):
+    part = built_dir / "partitions" / "part-00000.bin"
+    assert part.read_bytes()[:8] == PARTITION_MAGIC_V2
+    _set_magic(part, RETIRED_PARTITION_MAGIC)
+    with PartitionedPathStore.open(built_dir) as store:  # the catalog is fine
+        with pytest.raises(StoreError, match=_retired("FCPART01")):
+            store.load_partition(0)
+        assert len(store.load_partition(1)) == 3  # its neighbour still reads
+        with pytest.raises(StoreError, match=_retired("FCPART01")):
+            build_cube(store, min_support=2, compute_exceptions=False)
+    schema = example_path_database().schema
+    with pytest.raises(StoreError, match=_retired("FCPART01")):
+        unpack_partition(part.read_bytes(), schema, StringTable())
+
+
+def test_csv_partition_entry_is_rejected_at_first_read(built_dir):
+    # What the retired writer left behind: the interchange CSV rendering.
+    (built_dir / "partitions" / "part-00000.csv").write_text(
+        example_path_database().to_csv(), encoding="utf-8"
+    )
+
+    def point_at_csv(payload):
+        payload["partitions"][0]["filename"] = "part-00000.csv"
+
+    _rewrite_json(built_dir / "catalog.json", point_at_csv)
+    with PartitionedPathStore.open(built_dir) as store:
+        with pytest.raises(StoreError, match=_retired("CSV partition")) as caught:
+            store.load_partition(0)
+        assert "part-00000.csv" in str(caught.value)
+        with pytest.raises(StoreError, match=_retired("CSV partition")):
+            store.load_all()

@@ -6,7 +6,7 @@ What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
   ``SlicerApp.handle`` makes zero ``binfmt.decode_cell_parts`` calls,
   ``measure=true`` makes exactly one per matching cell, and repeats (or
   another route over the same cells) make none;
-* over every backend and store state, a stored cell equals the cell an
+* over every store state, a stored cell equals the cell an
   eager decode of its record gives, and the index's ``n_paths`` /
   ``redundant`` agree with the record's;
 * a cell is a snapshot: it decodes the measure it was read with after
@@ -72,25 +72,23 @@ CONFIG = GeneratorConfig(
     seed=5,
 )
 BASE_ROWS = 120
-#: (store format, heap generation or None) for every cell backend.
-BACKENDS = [("binary", 2), ("binary", 1), ("json", None)]
 #: Record ids from here up do not fit the structured codec's int32
 #: arena, so every cell holding one is stored as a ``RAW`` record.
 RAW_ID_FLOOR = 2**31
 
 
-def build_store(directory, schema, rows, fmt="binary", generation=None, **build):
-    """A store over *rows* with its cube built (and, on request, rewritten
-    as a generation-1 heap)."""
-    store = PartitionedPathStore.init(
-        directory, schema, partition_size=40, store_format=fmt
-    )
+def raw_record(payload_json: bytes) -> bytes:
+    """A cell payload's JSON text framed as a verbatim (``RAW``) record."""
+    return bytes((binfmt._HEAP2_RAW,)) + payload_json
+
+
+def build_store(directory, schema, rows, **build):
+    """A store over *rows* with its cube built."""
+    store = PartitionedPathStore.init(directory, schema, partition_size=40)
     store.ingest(PathDatabase(schema, rows, validate=False))
     cube = store.cube_store()
     build.setdefault("min_support", 0.05)
     build_cube(store, into=cube, stats=BuildStats(), **build)
-    if generation == 1:
-        cube.convert("binary", generation=1)
     return store, cube
 
 
@@ -214,7 +212,7 @@ def test_copy_pickle_and_equality_decode_at_most_once(store_dir, decodes):
 
 
 # ----------------------------------------------------------------------
-# (b) stored cell == eager decode, over every backend and store state
+# (b) stored cell == eager decode, over every store state
 # ----------------------------------------------------------------------
 
 def assert_cells_match_records(cube: CubeStore) -> None:
@@ -243,7 +241,6 @@ def assert_cells_match_records(cube: CubeStore) -> None:
 
 @given(
     database=path_databases(),
-    backend=st.sampled_from(BACKENDS),
     exceptions=st.booleans(),
     raw=st.booleans(),
 )
@@ -252,10 +249,9 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_stored_cells_equal_eager_decode_across_backends_and_states(
-    database, backend, exceptions, raw
+def test_stored_cells_equal_eager_decode_across_store_states(
+    database, exceptions, raw
 ):
-    fmt, generation = backend
     offset = RAW_ID_FLOOR if raw else 0
     rows = [
         PathRecord(record.record_id + offset, record.dims, record.path)
@@ -266,21 +262,21 @@ def test_stored_cells_equal_eager_decode_across_backends_and_states(
         PathDatabase(database.schema, rows, validate=False),
         min_support=2,
         compute_exceptions=exceptions,
+        engine="direct",
+        kernel="scan",
     )
     with tempfile.TemporaryDirectory() as scratch:
         store, cube = build_store(
             FsPath(scratch) / "wh",
             database.schema,
             rows[:split],
-            fmt,
-            generation,
             min_support=2,
             compute_exceptions=exceptions,
         )
         assert_cells_match_records(cube)  # built
-        if generation == 2:  # the fallback arm is really what is stored
-            first = next(stored_entries(cube))[3]
-            assert bool(cube._cells.raw_payload(first)[0] & 0x01) == raw
+        # the fallback arm is really what is stored
+        first = next(stored_entries(cube))[3]
+        assert bool(cube._cells.record(first)[0] & 0x01) == raw
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
@@ -297,20 +293,15 @@ def test_stored_cells_equal_eager_decode_across_backends_and_states(
         store.close()
 
 
-@pytest.mark.parametrize("fmt, generation", BACKENDS)
-def test_index_redundant_marks_agree_with_the_record(
-    tmp_path, database, fmt, generation
-):
+def test_index_redundant_marks_agree_with_the_record(tmp_path, database):
     """Redundancy marks reach a stored cell from the index entry."""
     memory = FlowCube.build(database, min_support=0.05)
     assert prune_redundant(memory, threshold=0.6, metric=tv_similarity) > 0
-    cube = CubeStore(tmp_path / "cube", database.schema, cell_format=fmt)
+    cube = CubeStore(tmp_path / "cube", database.schema)
     cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
     for cuboid in memory.cuboids:
         cube.put_cuboid(cuboid)
     cube.flush()
-    if generation == 1:
-        cube.convert("binary", generation=1)
     cold = CubeStore(tmp_path / "cube", database.schema)
     assert_cells_match_records(cold)
     marks = {
@@ -330,13 +321,12 @@ def test_index_redundant_marks_agree_with_the_record(
 # (c) a cell is a snapshot of the read that produced it
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("fmt, generation", BACKENDS)
 def test_held_cells_survive_append_compact_reload_and_close(
-    tmp_path, database, fmt, generation
+    tmp_path, database
 ):
     rows = list(database)
     store, writer = build_store(
-        tmp_path / "wh", database.schema, rows[:BASE_ROWS], fmt, generation
+        tmp_path / "wh", database.schema, rows[:BASE_ROWS]
     )
     before = {
         (cell.item_level, cell.path_level, cell.key): (
@@ -415,8 +405,8 @@ def test_flipped_heap_byte_is_a_store_error_at_first_touch(store_dir):
 
 def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
     """Flip each byte of an exception-bearing record in turn — as the
-    structured record a generation-2 heap holds and as the ``RAW``-framed
-    JSON the other backends hand out: the touch either decodes (no
+    structured record the heap normally holds and as the ``RAW``-framed
+    JSON the codec falls back to: the touch either decodes (no
     checksum yet) or raises ``StoreError``, never a ``zlib.error`` /
     ``KeyError`` / ``TypeError`` from inside the codec."""
     example = example_path_database()
@@ -428,8 +418,8 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
             break
     else:
         pytest.fail("the example cube has no exception-bearing cell")
-    structured = cube._cells.raw_payload(entry)
-    framed = binfmt.raw_record(
+    structured = cube._cells.record(entry)
+    framed = raw_record(
         json.dumps(binfmt.decode_cell_payload(structured)).encode()
     )
     for record in (structured, framed):
@@ -453,7 +443,7 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
     # Valid JSON of the wrong shape (a clobbered cell file) is damage too.
     for text in (b"[]", b"null", b'{"record_ids": 3}'):
         with pytest.raises(StoreError, match="corrupt cell payload"):
-            binfmt.decode_cell_parts(binfmt.raw_record(text))
+            binfmt.decode_cell_parts(raw_record(text))
     cube.close()
     store.close()
 

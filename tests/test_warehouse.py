@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PathDatabase, RawReading
+from repro.core import RawReading
 from repro.core.stage import StageRecord
 from repro.errors import CleaningError, GenerationError
 from repro.warehouse import (

@@ -1,4 +1,4 @@
-"""The zero-copy read path: generations, lazy masks, lifecycle, admin.
+"""The zero-copy read path: lazy masks, lifecycle, admin.
 
 The load-bearing assertions:
 
@@ -6,12 +6,6 @@ The load-bearing assertions:
   catalog masks (``CubeStore.io_counters``); the first slice decodes
   only the masks it ANDs, and heap bytes are paid only per materialised
   cell;
-* the three cell-payload generations — JSON files, ``FCHEAP01`` (JSON
-  in the heap), ``FCHEAP02`` (binary records) — convert into each other
-  in place with ``cube_to_json`` byte-identical throughout, and
-  ``flowcube-store migrate --to binary`` upgrades a legacy
-  generation-1 store (``FCPART01`` partitions, no ``strings.bin``,
-  ``FCHEAP01`` heap) even though the format already reads "binary";
 * a reload (``maybe_reload``) materialises still-referenced lazy mask
   views out of the superseded index map before closing it, so catalogs
   built against the old build keep answering;
@@ -24,27 +18,21 @@ The load-bearing assertions:
 from __future__ import annotations
 
 import gc
-import json
 import os
 
 import pytest
 
 from repro.core.path import PathRecord
-from repro.core.serialization import cube_to_json
 from repro.errors import StoreError
 from repro.perf.query_kernel import CuboidKeyCatalog
 from repro.query.api import FlowCubeQuery
 from repro.store import PartitionedPathStore, build_cube
 from repro.store.binfmt import (
-    HEAP_MAGIC,
-    HEAP_MAGIC_V2,
     STRINGS_FILENAME,
     StringTable,
     pack_partition,
     unpack_partition,
 )
-from repro.store.cli import main
-from repro.store.partition import partition_generation, write_partition
 from repro.synth import GeneratorConfig, generate_path_database
 
 CONFIG = GeneratorConfig(
@@ -68,7 +56,7 @@ def database():
 
 @pytest.fixture()
 def built_dir(tmp_path, database):
-    """A built binary store (the default, generation-2 layout)."""
+    """A built store."""
     directory = tmp_path / "wh"
     store = PartitionedPathStore.init(
         directory, database.schema, partition_size=30, store_format="binary"
@@ -77,23 +65,6 @@ def built_dir(tmp_path, database):
     build_cube(store, min_support=MIN_SUPPORT, into=store.cube_store())
     store.close()
     return directory
-
-
-def _heap_magic(directory) -> bytes:
-    with open(directory / "cube" / "cells.bin", "rb") as handle:
-        return handle.read(8)
-
-
-def _downgrade_to_generation_one(directory, schema) -> None:
-    """Rewrite a built binary store as a PR-8-era generation-1 store."""
-    store = PartitionedPathStore.open(directory)
-    for meta in store.catalog.partitions:
-        path = directory / "partitions" / meta.filename
-        database = store.load_partition(meta.partition_id)
-        write_partition(path, database)  # no table -> FCPART01
-    store.cube_store().convert("binary", generation=1)
-    store.close()
-    (directory / "partitions" / STRINGS_FILENAME).unlink()
 
 
 # ----------------------------------------------------------------------
@@ -181,82 +152,13 @@ def test_cold_open_with_pending_deltas_reads_zero_heap_bytes(
     store.close()
 
 
-def test_describe_reports_generation_and_io(built_dir):
+def test_describe_reports_shared_strings_and_io(built_dir):
     store = PartitionedPathStore.open(built_dir)
     report = store.describe()
-    assert report["partition_generations"] == {"1": 0, "2": 4}
     assert report["shared_strings"] > 0
     cube_report = store.cube_store().describe()
-    assert cube_report["heap_generation"] == 2
     assert cube_report["io"]["heap_bytes_read"] == 0
     store.close()
-
-
-# ----------------------------------------------------------------------
-# heap generations: FCHEAP01 <-> FCHEAP02 <-> JSON files
-# ----------------------------------------------------------------------
-
-def test_generation_round_trip_is_byte_identical(built_dir):
-    store = PartitionedPathStore.open(built_dir)
-    cube = store.cube_store()
-    baseline = cube_to_json(cube)
-    n_cells = cube.n_cells()
-    assert _heap_magic(built_dir) == HEAP_MAGIC_V2
-
-    # Down to generation 1 (JSON payloads in the heap)...
-    assert cube.convert("binary", generation=1) == n_cells
-    assert _heap_magic(built_dir) == HEAP_MAGIC
-    assert cube.needs_upgrade()
-    assert cube_to_json(cube) == baseline
-
-    # ...through the portable JSON layout...
-    assert cube.convert("json") == n_cells
-    assert cube_to_json(cube) == baseline
-
-    # ...and back up to generation 2.
-    assert cube.convert("binary") == n_cells
-    assert _heap_magic(built_dir) == HEAP_MAGIC_V2
-    assert not cube.needs_upgrade()
-    assert cube.convert("binary") == 0  # already latest: a no-op
-    assert cube_to_json(cube) == baseline
-
-    # A cold reader of the final store agrees byte for byte.
-    cold = PartitionedPathStore.open(built_dir).cube_store()
-    assert cold.describe()["heap_generation"] == 2
-    assert cube_to_json(cold) == baseline
-
-
-def test_migrate_cli_upgrades_legacy_binary_store(
-    built_dir, database, capsys
-):
-    baseline = cube_to_json(
-        PartitionedPathStore.open(built_dir).cube_store()
-    )
-    _downgrade_to_generation_one(built_dir, database.schema)
-    legacy = PartitionedPathStore.open(built_dir)
-    assert legacy.partitions_need_upgrade()
-    assert legacy.cube_store().needs_upgrade()
-    assert cube_to_json(legacy.cube_store()) == baseline  # still readable
-    legacy.close()
-    capsys.readouterr()
-
-    # Same-format migrate is NOT a no-op here: it upgrades in place.
-    assert main(["migrate", str(built_dir), "--to", "binary"]) == 0
-    assert "migrating" in capsys.readouterr().out
-    upgraded = PartitionedPathStore.open(built_dir)
-    assert not upgraded.partitions_need_upgrade()
-    assert (built_dir / "partitions" / STRINGS_FILENAME).exists()
-    for meta in upgraded.catalog.partitions:
-        assert partition_generation(
-            built_dir / "partitions" / meta.filename
-        ) == 2
-    assert _heap_magic(built_dir) == HEAP_MAGIC_V2
-    assert cube_to_json(upgraded.cube_store()) == baseline
-    upgraded.close()
-
-    # Now it really is a no-op.
-    assert main(["migrate", str(built_dir), "--to", "binary"]) == 0
-    assert "already in binary format" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
