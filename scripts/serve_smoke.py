@@ -7,8 +7,11 @@ roll-up, a drill-down, a point query, and the stats report — asserting
 status codes and the shape of every payload.  Two requests that touch
 every matching cell's measure (a ``measure=true`` slice and
 ``/exceptions``) are compared byte-for-byte with what this process
-renders from the scan kernel's cells.  The server is then asked to shut
-down with SIGINT and must exit cleanly.
+renders from the scan kernel's cells.  ``flowcube-store query -d …`` must
+print the ``text`` the server's ``/flowgraph`` returns for the same cut
+(one parser, one executor behind both), and a malformed request must be
+refused with a 400.  The server is then asked to shut down with SIGINT and
+must exit cleanly.
 
 Usage:  python scripts/serve_smoke.py [workdir]
 
@@ -162,6 +165,28 @@ def measure_parity(host: str, port: int, store: Path) -> None:
         tenant.close()
 
 
+def one_plan(host: str, port: int, store: Path) -> None:
+    """The CLI and the server answer the same request from the same plan."""
+    status, served = request(
+        host, port, "GET", "/cubes/wh/flowgraph?cut=product:clothing"
+    )
+    assert status == 200, served
+    printed = subprocess.run(
+        [*CLI, "query", str(store), "-d", "product=clothing"],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    assert printed == (
+        "flowgraph measure of product=clothing:\n" + served["text"] + "\n"
+    ), "flowcube-store query differs from the /flowgraph text"
+
+    status, refused = request(
+        host, port, "POST", "/cubes/wh/slice", {"path_level": 1.7}
+    )
+    assert status == 400 and "path_level" in refused["error"], refused
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     workdir = Path(argv[0]) if argv else Path(tempfile.mkdtemp("serve-smoke"))
@@ -179,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         host, port = wait_for_address(process)
         round_trip(host, port)
         measure_parity(host, port, store)
+        one_plan(host, port, store)
     finally:
         process.send_signal(signal.SIGINT)
         exit_code = process.wait(timeout=15)

@@ -140,6 +140,9 @@ class FlowCube:
         self.min_support = min_support
         self.min_deviation = min_deviation
         self._cuboids: dict[tuple[ItemLevel, PathLevel], Cuboid] = {}
+        #: Mutation counter (the ``CubeStore.version`` contract): bumped by
+        #: whatever changes cells in place, folded into every query cache key.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # construction

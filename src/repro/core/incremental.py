@@ -211,6 +211,7 @@ def append_batch(
                     min_support=cube.min_support,
                     min_deviation=cube.min_deviation,
                 )
+    cube.version += 1
     return {
         "updated": updated,
         "created": created,

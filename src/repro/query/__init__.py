@@ -1,4 +1,8 @@
-"""OLAP querying, flow analysis, and rendering over flowcubes."""
+"""OLAP querying, flow analysis, and rendering over flowcubes.
+
+:class:`FlowCubeQuery` holds the operators; a :class:`Plan` is one parsed
+request for any of them (what the CLI and the HTTP slicer build and run).
+"""
 
 from repro.query.analysis import (
     TypicalPath,
@@ -8,6 +12,7 @@ from repro.query.analysis import (
     typical_paths,
 )
 from repro.query.api import QUERY_KERNELS, FlowCubeQuery
+from repro.query.plan import Plan
 from repro.query.planner import (
     DerivationPlan,
     derive_cell,
@@ -21,6 +26,7 @@ __all__ = [
     "QUERY_KERNELS",
     "DerivationPlan",
     "FlowCubeQuery",
+    "Plan",
     "TypicalPath",
     "compare_flowgraphs",
     "derive_cell",

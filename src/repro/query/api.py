@@ -18,19 +18,24 @@ The read path is index-first: slice/dice runs on the bitmap key catalogs
 of :mod:`repro.perf.query_kernel` (predicates answered by AND over
 per-(dimension, concept) masks before any cell is materialised), answers
 are memoised in a :class:`~repro.perf.query_kernel.QueryCache`, and —
-with ``derive=True`` — non-materialised coordinates are answered by the
+when asked to derive — non-materialised coordinates are answered by the
 roll-up planner (:mod:`repro.query.planner`) instead of raising.
+
+The keyword operators are the library front-end; ``flowcube-store query``
+and the HTTP slicer parse their request into a
+:class:`~repro.query.plan.Plan` and run it on one of these objects.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator
 
 from repro.core.flowcube import Cell, CellKey, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import ItemLevel, PathLevel
 from repro.errors import QueryError
-from repro.perf.query_kernel import CatalogPool, CuboidKeyCatalog, QueryCache
+from repro.perf.query_kernel import CatalogPool, QueryCache
 from repro.query.planner import (
     DerivationPlan,
     derive_cell,
@@ -73,7 +78,7 @@ class FlowCubeQuery:
         catalogs: Optional shared :class:`CatalogPool`.  A server keeps
             one pool per tenant so the bitmap key catalogs survive across
             requests (and query objects) instead of being rebuilt; when
-            omitted, catalogs are memoised per query object as before.
+            omitted, the query object owns a pool of its own.
 
     One query object may be shared by concurrent threads (the serving
     layer reuses a single façade per tenant): the answer cache and the
@@ -106,16 +111,11 @@ class FlowCubeQuery:
         self._hierarchies = self._schema.dimensions
         self._dims: dict[str, int] = {}
         self._default_path_level: PathLevel | None = None
-        #: (item level, path level) -> (cell count, key catalog); used
-        #: only when no shared pool was given.
-        self._catalogs: dict[
-            tuple[ItemLevel, PathLevel], tuple[int, CuboidKeyCatalog]
-        ] = {}
         #: (cube version, item level, path level) -> plan; the version in
         #: the key keeps plans from outliving a store mutation.
         self._plans: dict[tuple, DerivationPlan | None] = {}
         self._cache = QueryCache(cache_size)
-        self._pool = catalogs
+        self._pool = catalogs if catalogs is not None else CatalogPool()
 
     # ------------------------------------------------------------------
     # coordinate helpers
@@ -157,10 +157,6 @@ class FlowCubeQuery:
             )
         return self._default_path_level
 
-    def _version(self) -> object:
-        """The cube's mutation counter, folded into every cache key."""
-        return getattr(self.cube, "version", 0)
-
     # ------------------------------------------------------------------
     # derivation (roll-up planner)
     # ------------------------------------------------------------------
@@ -169,7 +165,7 @@ class FlowCubeQuery:
     ) -> DerivationPlan | None:
         """The planner's choice for a coordinate (memoised), or ``None``."""
         level = path_level or self.default_path_level()
-        coords = (self._version(), item_level, level)
+        coords = (self.cube.version, item_level, level)
         if coords not in self._plans:
             self._plans[coords] = plan_derivation(self.cube, item_level, level)
         return self._plans[coords]
@@ -189,7 +185,7 @@ class FlowCubeQuery:
     def _derived_cell(
         self, item_level: ItemLevel, key: CellKey, level: PathLevel
     ) -> Cell:
-        cache_key = ("cell", self._version(), item_level, key, level)
+        cache_key = ("cell", self.cube.version, item_level, key, level)
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
@@ -211,7 +207,7 @@ class FlowCubeQuery:
         :mod:`repro.query.planner` for the exactness contract.
         """
         level = path_level or self.default_path_level()
-        cache_key = ("cuboid", self._version(), item_level, level)
+        cache_key = ("cuboid", self.cube.version, item_level, level)
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
@@ -223,29 +219,23 @@ class FlowCubeQuery:
         self._cache.put(cache_key, cuboid)
         return cuboid
 
+    def deriving(self) -> "FlowCubeQuery":
+        """This façade with ``derive=True`` (itself, if it already is).
+
+        A shallow copy sharing the answer cache, the catalog pool and every
+        memo — how a :class:`~repro.query.plan.Plan` that asks to derive
+        runs on a façade built without.
+        """
+        if self.derive:
+            return self
+        twin = copy.copy(self)
+        twin.derive = True
+        return twin
+
     def _cell_at(
         self, item_level: ItemLevel, key: CellKey, level: PathLevel
     ) -> Cell:
         """Cell lookup that falls back to derivation when enabled."""
-        if self.cube.has_cuboid(item_level, level):
-            return self.cube.cell(item_level, key, level)
-        if self.derive:
-            return self._derived_cell(item_level, key, level)
-        return self.cube.cell(item_level, key, level)  # raises CubeError
-
-    # ------------------------------------------------------------------
-    # core operations
-    # ------------------------------------------------------------------
-    def cell(self, path_level: PathLevel | None = None, **dims: str) -> Cell:
-        """The cell at the named coordinates.
-
-        Raises :class:`~repro.errors.QueryError` when the cell fell below
-        the iceberg threshold (it was never materialised).  With
-        ``derive=True`` a missing *cuboid* is answered by the roll-up
-        planner instead.
-        """
-        item_level, key = self.coordinates(**dims)
-        level = path_level or self.default_path_level()
         if not self.cube.has_cuboid(item_level, level):
             if self.derive:
                 return self._derived_cell(item_level, key, level)
@@ -261,21 +251,38 @@ class FlowCubeQuery:
             )
         return cuboid.cell(key)
 
+    # ------------------------------------------------------------------
+    # core operations
+    # ------------------------------------------------------------------
+    def cell(self, path_level: PathLevel | None = None, **dims: str) -> Cell:
+        """The cell at the named coordinates.
+
+        Raises :class:`~repro.errors.QueryError` when the cell fell below
+        the iceberg threshold (it was never materialised).  With
+        ``derive=True`` a missing *cuboid* is answered by the roll-up
+        planner instead.
+        """
+        item_level, key = self.coordinates(**dims)
+        return self._cell_at(
+            item_level, key, path_level or self.default_path_level()
+        )
+
     def flowgraph(
         self, path_level: PathLevel | None = None, **dims: str
     ) -> FlowGraph:
         """The measure at the named coordinates, with redundancy inference."""
         item_level, key = self.coordinates(**dims)
         level = path_level or self.default_path_level()
-        cache_key = ("flowgraph", self._version(), item_level, key, level)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached
-        if self.derive and not self.cube.has_cuboid(item_level, level):
-            graph = self._derived_cell(item_level, key, level).flowgraph
-        else:
+        if not self.cube.has_cuboid(item_level, level):
+            # Derived measures are memoised with their cell, never under
+            # the key below: a façade that does not derive shares its
+            # cache with a twin that does, and must still refuse.
+            return self._cell_at(item_level, key, level).flowgraph
+        cache_key = ("flowgraph", self.cube.version, item_level, key, level)
+        graph = self._cache.get(cache_key)
+        if graph is None:
             graph = self.cube.flowgraph_for(item_level, key, level)
-        self._cache.put(cache_key, graph)
+            self._cache.put(cache_key, graph)
         return graph
 
     def slice(
@@ -310,7 +317,7 @@ class FlowCubeQuery:
             constraints.append((index, value))
         cache_key = (
             "slice",
-            self._version(),
+            self.cube.version,
             level,
             tuple(sorted(constraints)),
             self.kernel,
@@ -329,7 +336,11 @@ class FlowCubeQuery:
             if cuboid.path_level != level:
                 continue
             if self.kernel == "index":
-                catalog = self._catalog(cuboid)
+                # The pool rebuilds a catalog when the cube's version or
+                # the cuboid's size changes.
+                catalog = self._pool.catalog(
+                    cuboid, self._hierarchies, self.cube.version
+                )
                 yield from cuboid.cells_for(catalog.matching_keys(constraints))
             else:
                 for cell in cuboid:
@@ -338,33 +349,6 @@ class FlowCubeQuery:
                         for index, value in constraints
                     ):
                         yield cell
-
-    def _catalog(self, cuboid) -> CuboidKeyCatalog:
-        """The cuboid's bitmap key catalog, rebuilt when its size changes.
-
-        With a shared :class:`CatalogPool` the lookup (and invalidation,
-        via the cube version) happens in the pool, so catalogs are reused
-        across every query object mounted on the same cube.
-        """
-        if self._pool is not None:
-            return self._pool.catalog(
-                cuboid, self._hierarchies, self._version()
-            )
-        coords = (cuboid.item_level, cuboid.path_level)
-        n_cells = len(cuboid)
-        cached = self._catalogs.get(coords)
-        if cached is not None and cached[0] == n_cells:
-            return cached[1]
-        keys = getattr(cuboid, "keys", None)
-        if keys is None:  # in-memory Cuboid
-            keys = tuple(cuboid.cells)
-        # Store cuboids hand over their precomputed value masks (lazy
-        # spans over the mmap'd index), sparing the per-cell index pass.
-        catalog = CuboidKeyCatalog(
-            keys, self._hierarchies, getattr(cuboid, "value_masks", None)
-        )
-        self._catalogs[coords] = (n_cells, catalog)
-        return catalog
 
     def _matches(self, dim: int, wanted: str, actual: str) -> bool:
         if actual == "*":

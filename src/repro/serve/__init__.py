@@ -13,10 +13,11 @@ The pieces, bottom-up:
 * :mod:`repro.serve.cuts` — the declarative cut syntax
   (``product:outerwear|brand:nike``) every query-carrying endpoint
   accepts, modeled on DataBrewery cubes' slicer;
-* :mod:`repro.serve.tenant` — per-cube serving state: long-lived query
-  façades, a shared bitmap-catalog pool, a rendered-response byte cache,
+* :mod:`repro.serve.tenant` — per-cube serving state: one long-lived
+  query façade, its bitmap-catalog pool, a rendered-response byte cache,
   and store-version invalidation wiring;
-* :mod:`repro.serve.app` — the routes.
+* :mod:`repro.serve.app` — the routes: each cut-carrying request is
+  parsed into a :class:`~repro.query.plan.Plan`, keyed, run, rendered.
 
 :func:`create_app` / :func:`run` are the programmatic entry points; the
 CLI front is ``flowcube-store serve``.

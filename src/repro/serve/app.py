@@ -25,20 +25,24 @@ ability to detach a cube's files.
 Constraints arrive as a *cut* string (``product:outerwear|brand:nike``,
 see :mod:`repro.serve.cuts`) in the ``cut=`` query parameter or the
 ``"cut"`` body field; an explicit ``"dims"`` object merges over it.
-``path_level`` selects a path-lattice index (default: most detailed).
-``"measure": true`` includes each cell's full flowgraph payload.
+``path_level`` selects a path-lattice index (default: most detailed),
+``"measure": true`` includes each cell's full flowgraph payload, and
+``"derive": true`` lets the roll-up planner answer non-materialised
+coordinates.
 
-Read handling is deliberately layered: a warm request is answered from
-the tenant's rendered-response cache (bytes out, zero query work); a
-cooler one from the query cache; a cold one runs the bitmap index
-kernel — and, for ``"derive": true`` queries, the roll-up planner — and
-pays cell-file IO only for matching cells, whose measure is decoded
-only if the response renders it (``measure``, ``/flowgraph``,
-``/exceptions``, ``/query``, ``derive``): a default slice answers from
-the index fields alone.  Every cache key folds in the
-store version, and each tenant request first ``stat``\\ s the cube's meta
-file, so a rebuild by another process invalidates all three layers at
-once.
+The six cut-carrying routes share one lifecycle.  *Parse*: the merged
+parameters become one :class:`~repro.query.plan.Plan`, the only place a
+malformed request is refused (400).  *Key*: ``plan.key``, the build
+version and the store's mutation counter make the ``ETag``, so a matching
+``If-None-Match`` is a 304 before anything else; a warm key is answered
+from the tenant's rendered-response cache (bytes out, zero query work).
+*Run*: a cold one executes on the tenant's query façade — query cache,
+bitmap index kernel, cell-file IO for matching cells only — where what
+the cube does not hold surfaces as a 404.  *Render*: :data:`RENDER` has
+one payload function per operation; a cell's measure is decoded only if
+the payload renders it, so a default slice answers from the index fields
+alone.  Each tenant request first ``stat``\\ s the cube's meta file, so a
+rebuild by another process invalidates every layer at once.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ from repro.errors import (
     ServeError,
     StoreError,
 )
+from repro.query.plan import Plan
 from repro.query.render import render_text
-from repro.serve.cuts import format_cut, parse_cut
+from repro.serve.cuts import format_cut
 from repro.serve.http import Request, Response, encode_json, if_none_match
 from repro.serve.tenant import CubeTenant
 
@@ -117,6 +122,77 @@ def slice_payload(
         "n_cells": len(cells),
         "cells": cells,
     }
+
+
+def _cell_report(tenant: CubeTenant, plan: Plan, cell) -> dict:
+    """The ``/query`` body: the cell, and how it was derived if it was."""
+    payload = {
+        "cube": tenant.name,
+        "cut": format_cut(plan.dims),
+        "derived": not tenant.cube_store.has_cuboid(
+            cell.item_level, cell.path_level
+        ),
+        "cell": cell_payload(tenant, cell, measure=True),
+    }
+    if payload["derived"] and (
+        source := tenant.query.plan_for(cell.item_level, cell.path_level)
+    ) is not None:
+        payload["derivation"] = {
+            "source": list(source.source.levels),
+            "distance": source.distance,
+            "source_cells": source.source_cells,
+            "exact": source.exact,
+        }
+    return payload
+
+
+def _exception_report(tenant: CubeTenant, plan: Plan, cells) -> dict:
+    reports = [
+        {
+            "key": list(cell.key),
+            "item_level": list(cell.item_level.levels),
+            "exceptions": found,
+        }
+        for cell in cells
+        if (found := exceptions_to_dicts(cell.flowgraph.exceptions))
+    ]
+    return {
+        "cube": tenant.name,
+        "cut": format_cut(plan.dims),
+        "n_cells": len(reports),
+        "cells": reports,
+    }
+
+
+#: Plan operation -> ``(tenant, plan, what plan.run returned) -> payload``.
+RENDER = {
+    "slice": lambda tenant, plan, cells: slice_payload(
+        tenant, dict(plan.dims), plan.path_level, cells, plan.measure
+    ),
+    "cell": _cell_report,
+    "flowgraph": lambda tenant, plan, graph: {
+        "cube": tenant.name,
+        "cut": format_cut(plan.dims),
+        "n_paths": graph.n_paths,
+        "flowgraph": flowgraph_to_dict(graph),
+        "text": render_text(graph),
+    },
+    "exceptions": _exception_report,
+    "rollup": lambda tenant, plan, parent: {
+        "cube": tenant.name,
+        "dimension": plan.dimension,
+        "cell": cell_payload(tenant, parent, plan.measure),
+    },
+    "drilldown": lambda tenant, plan, children: {
+        "cube": tenant.name,
+        "dimension": plan.dimension,
+        "n_cells": len(children),
+        "cells": _cell_payloads(tenant, children, plan.measure),
+    },
+}
+
+#: Route verb -> plan operation (``/query`` is the point lookup).
+ROUTES = {op: op for op in RENDER if op != "cell"} | {"query": "cell"}
 
 
 class SlicerApp:
@@ -180,8 +256,6 @@ class SlicerApp:
             return Response.json({"error": "unauthorized"}, 401)
         try:
             return self._route(request)
-        except ServeError as exc:
-            return Response.json({"error": str(exc)}, 400)
         except (QueryError, CubeError) as exc:
             return Response.json({"error": str(exc)}, 404)
         except FlowCubeError as exc:
@@ -221,23 +295,21 @@ class SlicerApp:
         if len(segments) > 3:
             raise QueryError(f"no route for {request.path!r}")
         verb = segments[2]
-        handlers = {
-            "cuboids": self._cuboids,
-            "slice": self._slice,
-            "rollup": self._rollup,
-            "drilldown": self._drilldown,
-            "query": self._query,
-            "flowgraph": self._flowgraph,
-            "exceptions": self._exceptions,
-        }
-        handler = handlers.get(verb)
-        if handler is None:
+        if verb == "cuboids":
+            return self._cuboids(tenant)
+        if verb not in ROUTES:
             raise QueryError(f"no route for {request.path!r}")
-        if verb in ("rollup", "drilldown", "query") and request.method != (
-            "POST"
-        ):
-            return Response.json({"error": "use POST"}, 405)
-        return handler(tenant, request)
+        post_only = verb in ("rollup", "drilldown", "query")
+        allowed = ("POST",) if post_only else ("GET", "POST")
+        if request.method not in allowed:
+            return Response.json(
+                {"error": "use " + " or ".join(allowed)}, 405
+            )
+        # Merged request parameters: query string under a JSON body.
+        params: dict = dict(request.query)
+        if request.method == "POST":
+            params.update(request.json())
+        return self._answer(tenant, Plan.parse(ROUTES[verb], params), request)
 
     # ------------------------------------------------------------------
     # admin: runtime mount / unmount
@@ -302,45 +374,6 @@ class SlicerApp:
         return Response.json({"unmounted": name})
 
     # ------------------------------------------------------------------
-    # request parsing helpers
-    # ------------------------------------------------------------------
-    def _params(self, request: Request) -> dict:
-        """Merged request parameters: query string under a JSON body."""
-        params: dict = dict(request.query)
-        if request.method == "POST":
-            params.update(request.json())
-        return params
-
-    def _dims(self, params: dict) -> dict[str, str]:
-        dims = parse_cut(str(params.get("cut", "") or ""))
-        extra = params.get("dims", {})
-        if not isinstance(extra, dict):
-            raise ServeError('"dims" must be an object of dimension:value')
-        for name, value in extra.items():
-            dims[str(name)] = str(value)
-        return dims
-
-    def _path_level(self, tenant: CubeTenant, params: dict):
-        """(path-level id or None, PathLevel or None) from parameters."""
-        raw = params.get("path_level")
-        if raw is None or raw == "":
-            return None, None
-        try:
-            level_id = int(raw)
-        except (TypeError, ValueError):
-            raise ServeError(f"bad path_level {raw!r}; expected an integer")
-        lattice = tenant.cube_store.path_lattice
-        if lattice is None or not 0 <= level_id < len(lattice):
-            raise QueryError(f"no path level {level_id} in the cube")
-        return level_id, lattice[level_id]
-
-    def _flag(self, params: dict, name: str) -> bool:
-        value = params.get(name, False)
-        if isinstance(value, str):
-            return value.lower() in ("1", "true", "yes")
-        return bool(value)
-
-    # ------------------------------------------------------------------
     # server-level endpoints
     # ------------------------------------------------------------------
     def _info(self) -> Response:
@@ -371,7 +404,7 @@ class SlicerApp:
     # ------------------------------------------------------------------
     # cube endpoints
     # ------------------------------------------------------------------
-    def _cuboids(self, tenant: CubeTenant, request: Request) -> Response:
+    def _cuboids(self, tenant: CubeTenant) -> Response:
         lattice = tenant.cube_store.path_lattice
         payload = []
         for cuboid in tenant.cube_store.cuboids:
@@ -385,10 +418,10 @@ class SlicerApp:
         payload.sort(key=lambda c: (c["path_level"], c["item_level"]))
         return Response.json({"cube": tenant.name, "cuboids": payload})
 
-    def _cached(
-        self, tenant: CubeTenant, key: tuple, build, request: Request | None = None
+    def _answer(
+        self, tenant: CubeTenant, plan: Plan, request: Request
     ) -> Response:
-        """Serve rendered bytes from the tenant's response cache.
+        """Answer *plan*: 304, cached bytes, or run and render it.
 
         Every cacheable answer carries an ``ETag`` derived from the
         cube's build version, the store's mutation counter, and the
@@ -399,179 +432,19 @@ class SlicerApp:
         validator alone proves the client's copy is current.
         """
         version = tenant.version  # pinned before any rendering (see below)
+        key = plan.key
         etag = tenant.etag(key)
         headers = {"ETag": etag}
         if self._max_age is not None:
             headers["Cache-Control"] = f"max-age={self._max_age}"
-        if request is not None and if_none_match(
-            request.headers.get("if-none-match"), etag
-        ):
+        if if_none_match(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers=headers)
         body = tenant.cached_response(key)
         if body is None:
-            body = encode_json(build())
-            # Store under the version observed *before* build() ran: if a
+            result = plan.run(tenant.query)
+            body = encode_json(RENDER[plan.op](tenant, plan, result))
+            # Store under the version observed *before* the plan ran: if a
             # writer mutated concurrently, the entry lands under the old
             # (now unreachable) key instead of poisoning the current one.
             tenant.store_response(key, body, version=version)
         return Response(body=body, headers=headers)
-
-    def _slice(self, tenant: CubeTenant, request: Request) -> Response:
-        params = self._params(request)
-        dims = self._dims(params)
-        level_id, path_level = self._path_level(tenant, params)
-        measure = self._flag(params, "measure")
-        key = ("slice", tuple(sorted(dims.items())), level_id, measure)
-
-        def build():
-            cells = tenant.query.slice_cells(path_level, **dims)
-            return slice_payload(tenant, dims, level_id, cells, measure)
-
-        return self._cached(tenant, key, build, request)
-
-    def _point_cell(
-        self, tenant: CubeTenant, params: dict
-    ):
-        """The cell a rollup/drilldown request anchors on."""
-        dims = self._dims(params)
-        _, path_level = self._path_level(tenant, params)
-        derive = self._flag(params, "derive")
-        facade = tenant.derive_query if derive else tenant.query
-        return facade, facade.cell(path_level, **dims), dims
-
-    def _rollup(self, tenant: CubeTenant, request: Request) -> Response:
-        params = self._params(request)
-        dimension = params.get("dimension")
-        if not dimension:
-            raise ServeError('rollup needs a "dimension" to roll up along')
-        measure = self._flag(params, "measure")
-        dims = self._dims(params)
-        level_id, _ = self._path_level(tenant, params)
-        key = (
-            "rollup",
-            tuple(sorted(dims.items())),
-            level_id,
-            str(dimension),
-            self._flag(params, "derive"),
-            measure,
-        )
-
-        def build():
-            facade, cell, _ = self._point_cell(tenant, params)
-            parent = facade.roll_up(cell, str(dimension))
-            return {
-                "cube": tenant.name,
-                "dimension": dimension,
-                "cell": cell_payload(tenant, parent, measure),
-            }
-
-        return self._cached(tenant, key, build, request)
-
-    def _drilldown(self, tenant: CubeTenant, request: Request) -> Response:
-        params = self._params(request)
-        dimension = params.get("dimension")
-        if not dimension:
-            raise ServeError('drilldown needs a "dimension" to drill along')
-        measure = self._flag(params, "measure")
-        dims = self._dims(params)
-        level_id, _ = self._path_level(tenant, params)
-        key = (
-            "drilldown",
-            tuple(sorted(dims.items())),
-            level_id,
-            str(dimension),
-            self._flag(params, "derive"),
-            measure,
-        )
-
-        def build():
-            facade, cell, _ = self._point_cell(tenant, params)
-            children = facade.drill_down(cell, str(dimension))
-            return {
-                "cube": tenant.name,
-                "dimension": dimension,
-                "n_cells": len(children),
-                "cells": _cell_payloads(tenant, children, measure),
-            }
-
-        return self._cached(tenant, key, build, request)
-
-    def _query(self, tenant: CubeTenant, request: Request) -> Response:
-        params = self._params(request)
-        dims = self._dims(params)
-        level_id, path_level = self._path_level(tenant, params)
-        derive = self._flag(params, "derive")
-        facade = tenant.derive_query if derive else tenant.query
-        key = ("query", tuple(sorted(dims.items())), level_id, derive)
-
-        def build():
-            item_level, _ = facade.coordinates(**dims)
-            level = path_level or facade.default_path_level()
-            materialised = tenant.cube_store.has_cuboid(item_level, level)
-            cell = facade.cell(path_level, **dims)
-            payload = {
-                "cube": tenant.name,
-                "cut": format_cut(dims),
-                "derived": not materialised,
-                "cell": cell_payload(tenant, cell, measure=True),
-            }
-            if not materialised:
-                plan = facade.plan_for(item_level, level)
-                if plan is not None:
-                    payload["derivation"] = {
-                        "source": list(plan.source.levels),
-                        "distance": plan.distance,
-                        "source_cells": plan.source_cells,
-                        "exact": plan.exact,
-                    }
-            return payload
-
-        return self._cached(tenant, key, build, request)
-
-    def _flowgraph(self, tenant: CubeTenant, request: Request) -> Response:
-        params = self._params(request)
-        dims = self._dims(params)
-        level_id, path_level = self._path_level(tenant, params)
-        derive = self._flag(params, "derive")
-        facade = tenant.derive_query if derive else tenant.query
-        key = ("flowgraph", tuple(sorted(dims.items())), level_id, derive)
-
-        def build():
-            graph = facade.flowgraph(path_level, **dims)
-            return {
-                "cube": tenant.name,
-                "cut": format_cut(dims),
-                "n_paths": graph.n_paths,
-                "flowgraph": flowgraph_to_dict(graph),
-                "text": render_text(graph),
-            }
-
-        return self._cached(tenant, key, build, request)
-
-    def _exceptions(self, tenant: CubeTenant, request: Request) -> Response:
-        params = self._params(request)
-        dims = self._dims(params)
-        level_id, path_level = self._path_level(tenant, params)
-        key = ("exceptions", tuple(sorted(dims.items())), level_id)
-
-        def build():
-            cells = tenant.query.slice_cells(path_level, **dims)
-            reports = []
-            for cell in cells:
-                exceptions = exceptions_to_dicts(cell.flowgraph.exceptions)
-                if exceptions:
-                    reports.append(
-                        {
-                            "key": list(cell.key),
-                            "item_level": list(cell.item_level.levels),
-                            "exceptions": exceptions,
-                        }
-                    )
-            return {
-                "cube": tenant.name,
-                "cut": format_cut(dims),
-                "n_cells": len(reports),
-                "cells": reports,
-            }
-
-        return self._cached(tenant, key, build, request)

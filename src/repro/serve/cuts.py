@@ -5,55 +5,13 @@ constraints separated by ``|``, each ``dimension:value``::
 
     product:outerwear|location:l3
 
-parses to ``{"product": "outerwear", "location": "l3"}`` — the keyword
-form every :class:`~repro.query.api.FlowCubeQuery` operation takes.
-Values are hierarchy concepts at any abstraction level (the query layer
-resolves the item level from where the concept sits), so one syntax
-covers slice, dice, point lookups, and the cut halves of roll-up /
-drill-down requests.  The HTTP layer accepts a cut either as the
-``cut=`` query parameter (GET) or the ``"cut"`` body field (POST);
-explicit ``"dims"`` objects merge over it.
+parses to ``{"product": "outerwear", "location": "l3"}``.  Values are
+hierarchy concepts at any abstraction level, so one syntax covers slice,
+dice, point lookups and the anchor cell of a roll-up or drill-down.  It
+is one of the spellings :meth:`repro.query.plan.Plan.parse` reads
+constraints from, so it is defined there; this is its serving-side name.
 """
 
-from __future__ import annotations
-
-from repro.errors import ServeError
+from repro.query.plan import format_cut, parse_cut
 
 __all__ = ["parse_cut", "format_cut"]
-
-#: Separates dimension constraints inside one cut string.
-CUT_SEPARATOR = "|"
-
-#: Separates a dimension name from its wanted concept.
-VALUE_SEPARATOR = ":"
-
-
-def parse_cut(cut: str) -> dict[str, str]:
-    """Parse ``"dim:value|dim2:value2"`` into a constraints mapping.
-
-    Raises :class:`~repro.errors.ServeError` on empty parts, a missing
-    ``:``, or the same dimension named twice (the algebra has no useful
-    meaning for conflicting point constraints on one dimension).
-    """
-    dims: dict[str, str] = {}
-    if not cut:
-        return dims
-    for part in cut.split(CUT_SEPARATOR):
-        name, separator, value = part.partition(VALUE_SEPARATOR)
-        name = name.strip()
-        value = value.strip()
-        if not separator or not name or not value:
-            raise ServeError(
-                f"bad cut element {part!r}; expected dimension:value"
-            )
-        if name in dims:
-            raise ServeError(f"dimension {name!r} appears twice in the cut")
-        dims[name] = value
-    return dims
-
-
-def format_cut(dims: dict[str, str]) -> str:
-    """The canonical cut string for a constraints mapping (sorted)."""
-    return CUT_SEPARATOR.join(
-        f"{name}{VALUE_SEPARATOR}{value}" for name, value in sorted(dims.items())
-    )

@@ -5,10 +5,11 @@ concurrently and repeatedly:
 
 * a :class:`~repro.store.cube_store.CubeStore` read handle (cell reads
   behind its locked LRU cache; measures decode on first touch);
-* two long-lived :class:`~repro.query.api.FlowCubeQuery` façades — plain
-  and ``derive=True`` — reused across requests, both drawing bitmap key
-  catalogs from one shared :class:`~repro.perf.query_kernel.CatalogPool`
-  so no request ever rebuilds an index another request already paid for;
+* one long-lived :class:`~repro.query.api.FlowCubeQuery` façade and query
+  cache (``derive`` travels in each request's plan, not in the façade),
+  drawing bitmap key catalogs from one
+  :class:`~repro.perf.query_kernel.CatalogPool`, so no request ever
+  rebuilds an index another request already paid for;
 * a response cache holding final rendered JSON *bytes* keyed by the
   canonical request, so a warm hit skips querying and serialisation
   entirely;
@@ -40,7 +41,7 @@ class CubeTenant:
         name: Tenant name — the ``{name}`` segment of every cube route.
         store: The partitioned path store whose ``cube/`` directory holds
             the built flowcube.
-        cache_size: Capacity of the cell cache and each query cache.
+        cache_size: Capacity of the cell cache and of the query cache.
         response_cache_size: Capacity of the rendered-response cache.
     """
 
@@ -62,12 +63,6 @@ class CubeTenant:
         self.catalogs = CatalogPool()
         self.query = FlowCubeQuery(
             self.cube_store,
-            cache_size=cache_size,
-            catalogs=self.catalogs,
-        )
-        self.derive_query = FlowCubeQuery(
-            self.cube_store,
-            derive=True,
             cache_size=cache_size,
             catalogs=self.catalogs,
         )
@@ -124,9 +119,7 @@ class CubeTenant:
         """Rendered response bytes for a canonical request key, if warm."""
         return self._responses.get((self.version,) + key)
 
-    def store_response(
-        self, key: tuple, body: bytes, version: int | None = None
-    ) -> None:
+    def store_response(self, key: tuple, body: bytes, version: int) -> None:
         """Cache rendered bytes under the store version they were built at.
 
         *version* must be the mutation counter the caller observed
@@ -136,8 +129,6 @@ class CubeTenant:
         (the writer bumps and clears between the render and the put) and
         be served as current from then on.
         """
-        if version is None:
-            version = self.version
         self._responses.put((version,) + key, body)
 
     def etag(self, key: tuple) -> str:
@@ -182,7 +173,6 @@ class CubeTenant:
             "store_version": self.version,
             "invalidations": self.invalidations,
             "query_cache": self.query.cache_stats(),
-            "derive_cache": self.derive_query.cache_stats(),
             "cell_cache": self.cube_store.cache_stats(),
             "io": self.cube_store.io_counters(),
             "catalog_pool": self.catalogs.stats(),
@@ -192,13 +182,12 @@ class CubeTenant:
     def flush_stats(self) -> None:
         """Persist this tenant's query-cache counters for the CLI.
 
-        Folds both façades' counters into the cube's ``query_stats.json``
+        Folds the façade's counters into the cube's ``query_stats.json``
         (the same file ``flowcube-store query`` accumulates into), so
         ``flowcube-store stats`` reports serving behaviour after the
         server exits.  The merge is atomic and lock-guarded, so CLI
         invocations running concurrently cannot interleave.
         """
-        for facade in (self.query, self.derive_query):
-            stats = facade.cache_stats()
-            if stats["hits"] or stats["misses"] or stats["derivations"]:
-                merge_query_stats(self.cube_store.directory, stats)
+        stats = self.query.cache_stats()
+        if stats["hits"] or stats["misses"] or stats["derivations"]:
+            merge_query_stats(self.cube_store.directory, stats)

@@ -23,7 +23,8 @@ built cube (:mod:`repro.store.append`) — touched cells land in
 append-only ``cells.delta.NNN.bin`` segments instead of a heap rewrite,
 auto-compacting once ``--compact-after`` segments pile up; ``compact``
 folds pending delta segments back into a clean base heap on demand;
-``query`` renders a cell's flowgraph measure — with
+``query`` renders a cell's flowgraph measure — the HTTP slicer's
+``/flowgraph`` request, same :class:`~repro.query.plan.Plan` — with
 ``--derive``, coordinates whose cuboid was not materialised are merged
 from the cheapest materialised descendant (the roll-up planner), and the
 query-cache counters are folded into ``cube/query_stats.json`` so
@@ -49,6 +50,7 @@ from repro.errors import FlowCubeError, StoreError
 from repro.perf.pool import oversubscription_warning, resolve_jobs
 from repro.perf.query_kernel import load_query_stats, merge_query_stats
 from repro.query.api import FlowCubeQuery
+from repro.query.plan import Plan
 from repro.query.render import render_text
 from repro.store.builder import BuildStats, build_cube
 from repro.store.pathstore import PartitionedPathStore
@@ -481,16 +483,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_dims(pairs: list[str]) -> dict[str, str]:
-    dims: dict[str, str] = {}
-    for pair in pairs:
-        name, separator, value = pair.partition("=")
-        if not separator or not name or not value:
-            raise StoreError(f"bad -d constraint {pair!r}; expected NAME=VALUE")
-        dims[name] = value
-    return dims
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
     cube_store = store.cube_store(cache_size=args.cache_size)
@@ -499,26 +491,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"no cube has been built at {store.directory} "
             "(run `flowcube-store build` first)"
         )
-    query = FlowCubeQuery(cube_store, derive=args.derive)
-    path_level = None
-    if args.path_level is not None:
-        lattice = cube_store.path_lattice
-        if lattice is None or not 0 <= args.path_level < len(lattice):
-            raise StoreError(f"no path level {args.path_level} in the cube")
-        path_level = lattice[args.path_level]
-    dims = _parse_dims(args.dim)
-    graph = query.flowgraph(path_level, **dims)
-    label = ", ".join(f"{k}={v}" for k, v in dims.items()) or "the apex cell"
+    plan = Plan.parse(
+        "flowgraph",
+        {"path_level": args.path_level, "derive": args.derive},
+        pairs=args.dim,
+    )
+    query = FlowCubeQuery(cube_store)
+    graph = plan.run(query)
+    label = ", ".join(f"{k}={v}" for k, v in plan.dims) or "the apex cell"
     stats = query.cache_stats()
     if stats["derivations"]:
-        item_level, _ = query.coordinates(**dims)
-        plan = query.plan_for(item_level, path_level)
-        note = "" if plan is None or plan.exact else (
+        item_level, _ = query.coordinates(**dict(plan.dims))
+        lattice = cube_store.path_lattice
+        level = None if plan.path_level is None else lattice[plan.path_level]
+        source = query.plan_for(item_level, level)
+        note = "" if source is None or source.exact else (
             " (iceberg-pruned source: derived counts are lower bounds)"
         )
         print(
-            f"derived from cuboid {plan.source.levels!r} "
-            f"({plan.source_cells} cells, lattice distance {plan.distance})"
+            f"derived from cuboid {source.source.levels!r} "
+            f"({source.source_cells} cells, lattice distance {source.distance})"
             f"{note}"
         )
     print(f"flowgraph measure of {label}:")

@@ -7,7 +7,9 @@ that stops resolving, or a keyword the harness passes that stops
 binding, otherwise shows up only when the benchmark job runs.  This
 file resolves every traced callable the way ``Tracer.install`` does and
 binds the call shapes the harness uses against the live signatures; in
-the other direction it pins what the store no longer offers.
+the other direction it pins what the store no longer offers.  On the read
+side it also drives one traced in-process miss, because a serve span that
+is never entered reads 0 in the benchmark without failing anything.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import inspect
 
 import pytest
 
-from benchmarks.flowbench.tracing import SPANS
+from benchmarks.flowbench.tracing import SPANS, Tracer
 from repro.core.flowgraph_exceptions import mine_exceptions_weighted
 from repro.query.api import FlowCubeQuery
+from repro.serve import CubeTenant, Request, create_app, slice_payload
 from repro.store import (
     CubeStore,
     PartitionedPathStore,
@@ -27,6 +30,8 @@ from repro.store import (
     build_cube,
     shared_mine_store,
 )
+from repro.synth import generate_path_database
+from tests.test_serve import CONFIG, MIN_SUPPORT
 
 
 @pytest.mark.parametrize(
@@ -90,3 +95,87 @@ def test_the_store_takes_no_engine_or_kernel(function):
 
 def test_the_cube_store_converts_nothing():
     assert not hasattr(CubeStore, "convert")
+
+
+# ----------------------------------------------------------------------
+# the read side: what layers.py / gates.py / stages.py reach for
+# ----------------------------------------------------------------------
+
+READ_SHAPES = [
+    (slice_payload, 4, {}),  # (tenant, dims, None, cells)
+    (CubeTenant.mount, 2, {}),  # (name, directory)
+    (create_app, 1, {}),  # ({name: directory})
+    (
+        Request,
+        0,
+        {"method": "", "path": "", "query": {}, "headers": {}, "body": b""},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "function, n_positional, keywords",
+    READ_SHAPES,
+    ids=[shape[0].__qualname__ for shape in READ_SHAPES],
+)
+def test_harness_read_shapes_still_bind(function, n_positional, keywords):
+    inspect.signature(function).bind(*[None] * n_positional, **keywords)
+
+
+@pytest.fixture(scope="module")
+def served_store(tmp_path_factory):
+    database = generate_path_database(CONFIG)
+    directory = tmp_path_factory.mktemp("contract") / "wh"
+    store = PartitionedPathStore.init(directory, database.schema)
+    store.ingest(database)
+    build_cube(store, min_support=MIN_SUPPORT, into=store.cube_store())
+    return directory
+
+
+def test_tenant_surface_the_harness_reads(served_store):
+    app = create_app({"wh": served_store})
+    tenant = app.tenants["wh"]
+    try:
+        assert tenant.cube_store.io_counters()["heap_bytes_read"] >= 0
+        assert tenant.catalogs.stats()["builds"] == 0
+        assert tenant.invalidations == 0
+        stats = tenant.stats()
+        # stages.caches_empty: a fresh mount has touched no cache layer.
+        for layer in ("query_cache", "cell_cache", "response_cache"):
+            assert stats[layer]["hits"] == 0 and stats[layer]["misses"] == 0
+        assert stats["catalog_pool"]["builds"] == 0
+    finally:
+        tenant.close()
+
+
+def test_traced_miss_enters_every_serve_layer_once(served_store):
+    """No flowbench serve row may silently read 0 after a refactor."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        app = create_app({"wh": served_store})
+        try:
+            with tracer.span("stage:miss") as root:
+                response = app.handle(
+                    Request(
+                        method="POST",
+                        path="/cubes/wh/slice",
+                        query={},
+                        headers={"content-type": "application/json"},
+                        body=b'{"cut": "d0:d0_0"}',
+                    )
+                )
+        finally:
+            app.tenants["wh"].close()
+    finally:
+        tracer.remove()
+    assert response.status == 200
+    _, calls, _ = tracer.stage_table(root)
+    for layer in (
+        "cuts.parse_cut",
+        "query.slice_cells",
+        "app.slice_payload",
+        "http.encode_json",
+        "app.handle",
+    ):
+        assert calls.get(layer) == 1, (layer, calls)

@@ -123,3 +123,38 @@ class TestAppendBatch:
             pytest.skip("cell not marked at this threshold")
         append_batch(cube, [new_record(500)])
         assert not target.redundant
+
+
+def test_held_query_facade_sees_the_appended_batch():
+    """A ``FlowCubeQuery`` kept across ``append_batch`` answers fresh.
+
+    ``FlowCube`` used to carry no mutation counter, so every query-side
+    cache key folded in a constant and a held façade kept serving the
+    pre-append default slice (cells summing to 1,015 paths, not 1,075).
+    """
+    from repro.core import PathDatabase
+    from repro.query import FlowCubeQuery
+    from repro.synth import generate_path_database
+    from tests.test_serve import CONFIG
+
+    database = generate_path_database(CONFIG)
+    records = list(database)
+    cube = FlowCube.build(
+        PathDatabase(database.schema, records[:60]),
+        min_support=2,
+        compute_exceptions=False,
+    )
+    held = FlowCubeQuery(cube)
+    before = held.slice_cells(None)
+    assert cube.version == 0
+    stats = append_batch(cube, records[60:], recompute_exceptions=False)
+    assert stats["created"] == 56
+    assert cube.version == 1  # the CubeStore.version contract
+    fresh = FlowCubeQuery(cube).slice_cells(None)
+    after = held.slice_cells(None)
+    assert [cell.key for cell in after] == [cell.key for cell in fresh]
+    assert sum(cell.n_paths for cell in after) == 1075
+    assert len(after) > len(before)
+    # An empty batch changes nothing and invalidates nothing.
+    append_batch(cube, [])
+    assert cube.version == 1

@@ -249,9 +249,10 @@ def test_catalog_pool_shared_between_facades(app, tenant):
     post(app, "/cubes/wh/slice", {"cut": "d0:d0_0"})
     stats = tenant.catalogs.stats()
     assert stats["builds"] >= 1
-    # The derive façade reuses the same pool: no new catalog builds for
-    # the same cuboids at the same version.
-    tenant.derive_query.slice_cells(None, d0="d0_0")
+    # A second façade handed the tenant's pool reuses it: no new catalog
+    # builds for the same cuboids at the same version.
+    other = FlowCubeQuery(tenant.cube_store, catalogs=tenant.catalogs)
+    other.slice_cells(None, d0="d0_0")
     assert tenant.catalogs.stats()["builds"] == stats["builds"]
     assert tenant.catalogs.stats()["hits"] > stats["hits"]
 
@@ -428,7 +429,10 @@ def test_query_derives_non_materialised(tmp_path, database):
     assert derived["derivation"]["source"] == list(base.levels)
     assert derived["derivation"]["distance"] >= 1
     stats = body_of(get(app, "/stats"))
-    assert stats["cubes"]["partial"]["derive_cache"]["derivations"] >= 1
+    # One façade, one query cache: derivations are counted there.
+    partial = stats["cubes"]["partial"]
+    assert partial["query_cache"]["derivations"] >= 1
+    assert "derive_cache" not in partial
 
 
 def test_flowgraph_and_exceptions_reports(app, tenant):
@@ -449,7 +453,6 @@ def test_stats_endpoint_layers(app):
     tenant_stats = stats["cubes"]["wh"]
     for layer in (
         "query_cache",
-        "derive_cache",
         "cell_cache",
         "catalog_pool",
         "response_cache",
