@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
@@ -44,6 +43,7 @@ try:  # POSIX advisory locking for cross-process stats merges
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
+from repro import publish
 from repro.core.hierarchy import ConceptHierarchy
 
 __all__ = [
@@ -377,9 +377,10 @@ def merge_query_stats(
 
     The merge is atomic under concurrency: an exclusive lock serialises
     the whole read-modify-write (so no increment is lost between racing
-    workers), the new snapshot is written to a uniquely named temp file,
-    and the temp is renamed over ``query_stats.json`` — a reader can
-    never observe partial JSON.
+    workers, and makes this process's temp name the only one in use),
+    and the new snapshot is renamed over ``query_stats.json``
+    (:func:`~repro.publish.publish_file`) — a reader can never observe
+    partial JSON.
     """
     directory = FsPath(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -391,17 +392,8 @@ def merge_query_stats(
         merged["size"] = stats.get("size", merged.get("size", 0))
         total = merged["hits"] + merged["misses"]
         merged["hit_rate"] = merged["hits"] / total if total else 0.0
-        fd, temp_name = tempfile.mkstemp(
-            prefix=QUERY_STATS_FILENAME + ".", suffix=".tmp", dir=directory
+        publish.publish_file(
+            directory / QUERY_STATS_FILENAME,
+            json.dumps(merged, indent=1).encode("utf-8"),
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(merged, indent=1))
-            os.replace(temp_name, directory / QUERY_STATS_FILENAME)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
     return merged

@@ -71,13 +71,13 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 import struct
 import zlib
 from array import array
 from collections.abc import Iterable, Sequence
 from pathlib import Path as FsPath
 
+from repro import publish
 from repro.core.flowgraph import FlowGraph, FlowGraphNode
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
@@ -432,12 +432,10 @@ class StringTable:
         strings = [self.get(ref) for ref in range(len(self._strings))]
         offsets_bytes, blob_bytes, blob_len = _pack_strings(strings)
         header = array("q", [ORDER_TAG, len(strings), blob_len])
-        path = FsPath(path)
-        temp = path.parent / (path.name + ".tmp")
-        temp.write_bytes(
-            b"".join((STRINGS_MAGIC, header.tobytes(), offsets_bytes, blob_bytes))
+        publish.publish_file(
+            FsPath(path),
+            b"".join((STRINGS_MAGIC, header.tobytes(), offsets_bytes, blob_bytes)),
         )
-        os.replace(temp, path)
         self._n_disk = len(strings)
 
     def close(self) -> None:

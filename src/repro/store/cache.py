@@ -1,10 +1,12 @@
 """A bounded LRU cache fronting cube-store reads.
 
-The :class:`~repro.store.cube_store.CubeStore` persists every cell as its
-own file and only materialises a flowgraph when a query first touches it.
-This cache keeps the hot cells in memory, bounded by entry count, and
-exposes hit/miss/eviction counters so serving behaviour is observable —
-the ``flowcube-store stats`` verb and the store benchmark report them.
+The :class:`~repro.store.cube_store.CubeStore` keeps every cell as one
+record in a packed heap and hands out
+:class:`~repro.store.cube_store.StoredCell` snapshots that decode their
+flowgraph when a query first touches it.  This cache keeps the hot
+cells in memory, bounded by entry count, and exposes hit/miss/eviction
+counters so serving behaviour is observable — ``flowcube-store stats``,
+the slicer's ``/stats`` and ``benchmarks/flowbench`` report them.
 """
 
 from __future__ import annotations

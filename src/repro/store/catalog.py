@@ -23,6 +23,7 @@ import hashlib
 import json
 from pathlib import Path as FsPath
 
+from repro import publish
 from repro.core.hierarchy import ANY, ConceptHierarchy
 from repro.core.path_database import PathSchema
 from repro.errors import StoreError
@@ -155,9 +156,9 @@ class Catalog:
             "extra": self.extra,
         }
         self.directory.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        temp.replace(self.path)
+        publish.publish_file(
+            self.path, json.dumps(payload, indent=1).encode("utf-8")
+        )
 
     @classmethod
     def load(cls, directory: FsPath) -> "Catalog":

@@ -6,6 +6,8 @@ A :class:`CubeStore` persists a materialised flowcube *cell by cell*::
       cube.json               δ/ε, the path lattice, build provenance
       cells.bin               packed heap: length-prefixed cell records
       cells.idx               columnar key/offset index (binfmt codec)
+      cells.delta.NNN.bin     heap segment N: the cells an append rewrote
+      cells.delta.idx         the full index while delta segments pend
 
 The heap holds one compact ``FCHEAP02`` record per cell, written
 straight from the live cell (:func:`~repro.store.binfmt.encode_cell`),
@@ -44,7 +46,6 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import shutil
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
@@ -59,6 +60,7 @@ from repro.core.serialization import (
     path_level_from_dict,
     path_level_to_dict,
 )
+from repro import publish
 from repro.errors import CubeError, StoreError
 from repro.store import binfmt
 from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC_V2, LAYOUT_NAME
@@ -113,32 +115,121 @@ def _new_io_counters() -> dict[str, int]:
     return {"heap_bytes_read": 0, "mask_bits_decoded": 0, "cells_decoded": 0}
 
 
-def _map_heap(path: FsPath) -> tuple:
-    """Open and map one heap file read-only → ``(handle, mmap)``, refusing
-    a foreign or retired magic before anything is decoded."""
-    handle = open(path, "rb")
-    try:
-        binfmt.check_heap_magic(handle.read(8), path)
-        return handle, mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except BaseException:
-        handle.close()
-        raise
+class _Segment:
+    """One heap file: ``cells.bin`` (segment 0) or ``cells.delta.NNN.bin``.
+
+    *Staged* (being written): the magic and every appended record go to
+    the file's :func:`~repro.publish.staging_path`, reads are
+    ``os.pread`` on that handle, and :meth:`publish` renames it into
+    place.  *Published* (read-only): the file is mapped on the first
+    read, which is also where its magic is checked — never at open.
+    """
+
+    def __init__(
+        self, path: FsPath, segment_id: int, stage: bool = False
+    ) -> None:
+        self.path = path
+        self.segment_id = segment_id
+        self._handle = None
+        self._map: mmap.mmap | None = None
+        #: Append position while staged; 0 once published.
+        self._end = 0
+        if stage:
+            self._handle = open(publish.staging_path(path), "w+b")
+            self._handle.write(HEAP_MAGIC_V2)
+            self._end = len(HEAP_MAGIC_V2)
+
+    def append(self, records) -> list[Entry]:
+        """Frame ``(payload bytes, n_paths, redundant)`` records and append
+        them as one joined buffer.
+
+        The entries carry the segment id in the offset's high bits
+        (:func:`~repro.store.binfmt.pack_segment_offset`).
+        """
+        position = self._end
+        tag = binfmt.pack_segment_offset(self.segment_id, 0)
+        frame = HEAP_LENGTH_STRUCT.pack
+        chunks: list[bytes] = []
+        entries: list[Entry] = []
+        for data, n_paths, redundant in records:
+            length = len(data)
+            position += HEAP_LENGTH_STRUCT.size
+            chunks.append(frame(length))
+            chunks.append(data)
+            entries.append(
+                (tag | position, length, int(n_paths), bool(redundant))
+            )
+            position += length
+        binfmt.pack_segment_offset(self.segment_id, position)  # span check
+        self._handle.write(b"".join(chunks))
+        self._end = position
+        return entries
+
+    def read(self, offset: int, length: int) -> bytes:
+        if self._end:
+            # Mid-write reads hit the staging file; pread leaves the
+            # append position alone.
+            self._handle.flush()
+            return os.pread(self._handle.fileno(), length, offset)
+        view = self._map
+        if view is None:
+            view = self.view()
+        return view[offset : offset + length]
+
+    def view(self) -> mmap.mmap:
+        """The published file's read-only map, refusing a foreign or
+        retired magic before anything is decoded."""
+        if self._map is None:
+            if not self.path.exists():
+                what = "delta segment" if self.segment_id else "cell heap"
+                raise StoreError(f"{what} {self.path} is missing")
+            self._handle = open(self.path, "rb")
+            try:
+                binfmt.check_heap_magic(self._handle.read(8), self.path)
+                self._map = mmap.mmap(
+                    self._handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except BaseException:
+                self.close()
+                raise
+        return self._map
+
+    def publish(self) -> None:
+        """Rename the staged file into place; read-only from here on."""
+        self._handle.close()
+        self._handle, self._end = None, 0
+        publish.publish_file(self.path, publish.staging_path(self.path))
+
+    def close(self) -> None:
+        """Release the map and handle; a staged file is abandoned."""
+        if self._map is not None:
+            self._map.close()
+            self._map = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        if self._end:
+            self._end = 0
+            publish.staging_path(self.path).unlink(missing_ok=True)
 
 
 class _HeapCells:
-    """Packed cell heap: one ``cells.bin`` blob + mmap'd ``cells.idx``.
+    """Packed cell heap: ``cells.bin`` + delta segments + the mmap'd index.
 
-    Writes append length-prefixed payloads — a whole batch of cells as
-    one joined buffer — to a per-pid staging file (seeded with a copy of
-    the live heap when mutating an already-built
-    cube); :meth:`finalise` renames heap → index → meta-last, so a
-    reader never sees an index pointing past the heap.  Reads go
-    through ``os.pread`` on the staging handle while a build is open,
-    and through one shared read-only mmap afterwards.
+    The segment id packed into every index entry is the only thing that
+    tells heap files apart, so the backend is ``{segment id: segment}``
+    plus at most one segment being written; a load, a rebuild and a
+    compaction each start from a fresh object.  Writes append
+    length-prefixed payloads — a whole batch of cells as one joined
+    buffer — to that staged segment: segment 0 during a build or a
+    compaction (:meth:`begin`), a fresh delta otherwise
+    (:meth:`begin_delta`, which a write to a published cube implies).
+    :meth:`finalise` publishes segment → index, and the caller the meta
+    file last — the commit point; DESIGN §5 tabulates what a reader
+    sees between the renames.
 
-    The heap's magic is checked the first time the heap is mapped or
-    copied, never at open — a cold open touches ``cells.idx`` only,
-    which is itself mmap'd with the catalog masks left as
+    A cold open touches the index file only, which is itself mmap'd
+    with the catalog masks left as
     :class:`~repro.store.binfmt.LazyMaskMap` spans.  ``io_counters``
     tallies heap bytes read, mask bitmaps decoded and cells decoded;
     the first two stay zero across an open.
@@ -147,20 +238,16 @@ class _HeapCells:
     def __init__(self, directory: FsPath, n_dims: int) -> None:
         self.directory = directory
         self.n_dims = n_dims
-        self._staging = None
-        self._offset = 0
-        self._mmap: mmap.mmap | None = None
-        self._mmap_file = None
+        #: segment id -> heap file (0 = ``cells.bin``); published ones
+        #: are registered, and mapped, on first read.
+        self._segments: dict[int, _Segment] = {}
+        #: The staged segment writes go to, if any (also in _segments).
+        self._writing: _Segment | None = None
         self._index_mmap: mmap.mmap | None = None
         self._index_file = None
         self._mask_arena: binfmt.MaskArena | None = None
         #: Published delta segment ids, in append order (meta-sourced).
         self.delta_segments: list[int] = []
-        self._delta_staging = None
-        self._delta_segment: int | None = None
-        self._delta_offset = 0
-        #: segment id -> (file handle, read-only mmap), opened lazily.
-        self._segment_views: dict[int, tuple] = {}
         #: (item level, path-level id) -> per-dimension catalog masks:
         #: lazy mmap-backed views handed out by :meth:`load`.
         self.cell_masks: dict = {}
@@ -169,65 +256,70 @@ class _HeapCells:
         self.io_counters = _new_io_counters()
 
     @property
-    def heap_path(self) -> FsPath:
-        return self.directory / HEAP_FILENAME
-
-    @property
     def index_path(self) -> FsPath:
         return self.directory / INDEX_FILENAME
-
-    @property
-    def _staging_path(self) -> FsPath:
-        return self.directory / f"{HEAP_FILENAME}.{os.getpid()}.tmp"
 
     @property
     def overlay_path(self) -> FsPath:
         return self.directory / DELTA_INDEX_FILENAME
 
-    @property
-    def _delta_staging_path(self) -> FsPath:
-        return self.directory / f"cells.delta.bin.{os.getpid()}.tmp"
-
-    def delta_path(self, segment_id: int) -> FsPath:
+    def _segment_path(self, segment_id: int) -> FsPath:
+        if segment_id == 0:
+            return self.directory / HEAP_FILENAME
         return self.directory / delta_segment_filename(segment_id)
 
-    def begin(self) -> None:
-        """Start a fresh heap in the staging file."""
-        self._drop_mmap()
-        self._abort_staging()
-        self._abort_delta_staging()
-        self.cell_masks = {}
+    def _segment(self, segment_id: int) -> _Segment:
+        segment = self._segments.get(segment_id)
+        if segment is None:
+            segment = self._segments[segment_id] = _Segment(
+                self._segment_path(segment_id), segment_id
+            )
+        return segment
+
+    def _stage(self, segment_id: int) -> None:
+        """Open segment *segment_id* for writing (the one place a heap
+        file is)."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._staging = open(self._staging_path, "w+b")
-        self._staging.write(HEAP_MAGIC_V2)
-        self._offset = 8
+        self._writing = self._segments[segment_id] = _Segment(
+            self._segment_path(segment_id), segment_id, stage=True
+        )
+
+    def begin(self) -> None:
+        """Start a fresh base heap in the staging file.
+
+        Both callers — a rebuild and a compaction — supersede whatever
+        an earlier writer left half-done, so a crashed writer's staging
+        files (never ``query_stats.json.*``: serving processes write
+        those concurrently) are swept here.
+        """
+        for pattern in ("cells.*.tmp", f"{META_FILENAME}.*.tmp"):
+            for stale in self.directory.glob(pattern):
+                stale.unlink(missing_ok=True)
+        self._stage(0)
 
     def begin_delta(self) -> int:
         """Start an append-only delta segment over the published heap.
 
-        Subsequent :meth:`put` calls land in a staged
-        ``cells.delta.NNN.bin`` file instead of rewriting ``cells.bin``;
-        their index entries carry the segment id in the offset's high
-        bits (:func:`~repro.store.binfmt.pack_segment_offset`).
-        Returns the new segment's id.
+        Subsequent writes land in a staged ``cells.delta.NNN.bin`` file
+        instead of rewriting ``cells.bin``; a delta already being
+        written is joined, not restarted.  Returns the segment's id.
         """
-        if self._staging is not None:
+        if self._writing is not None:
+            if self._writing.segment_id == 0:
+                raise StoreError(
+                    "cannot stage a delta segment while a full heap "
+                    "rebuild is in progress"
+                )
+            return self._writing.segment_id
+        base = self._segment(0)
+        if not base.path.exists():
             raise StoreError(
-                "cannot stage a delta segment while a full heap rebuild "
-                "is in progress"
-            )
-        if not self.heap_path.exists():
-            raise StoreError(
-                f"cell heap {self.heap_path} is missing; "
+                f"cell heap {base.path} is missing; "
                 "build the cube before appending"
             )
-        self._abort_delta_staging()
-        self._view()  # refuse to append to a heap this release cannot read
-        self._delta_segment = self._next_segment_id()
-        self._delta_staging = open(self._delta_staging_path, "w+b")
-        self._delta_staging.write(HEAP_MAGIC_V2)
-        self._delta_offset = 8
-        return self._delta_segment
+        base.view()  # refuse to append to a heap this release cannot read
+        self._stage(self._next_segment_id())
+        return self._writing.segment_id
 
     def _next_segment_id(self) -> int:
         """One past the highest referenced *or on-disk* segment id.
@@ -243,27 +335,16 @@ class _HeapCells:
                 highest = max(highest, int(stem))
         return highest + 1
 
-    def _ensure_staging(self) -> None:
-        """Open the staging file, seeding it from the live heap."""
-        if self._staging is not None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if self.heap_path.exists():
-            self._view()  # never extend a heap this release cannot read
-            shutil.copyfile(self.heap_path, self._staging_path)
-        else:
-            self._staging_path.write_bytes(HEAP_MAGIC_V2)
-        self._staging = open(self._staging_path, "a+b")
-        self._offset = os.path.getsize(self._staging_path)
-
     def put_cells(self, cells) -> list[Entry]:
-        """Encode live ``(coords, cell)`` pairs and append them in one write."""
+        """Encode live ``(coords, cell)`` pairs and append them in one
+        write — to a fresh delta segment when nothing is staged, so
+        mutating a published cube costs O(dirty cells)."""
         if not cells:
-            return []  # nothing to write: do not stage a copy of the heap
-        if self._delta_staging is None:
-            self._ensure_staging()
+            return []  # nothing to write: do not stage a segment
+        if self._writing is None:
+            self.begin_delta()
         encode = binfmt.encode_cell
-        return self._append(
+        return self._writing.append(
             [
                 (
                     encode(
@@ -284,88 +365,23 @@ class _HeapCells:
     def put_raw(self, records) -> list[Entry]:
         """Byte-exact append of already-encoded ``(record, n_paths,
         redundant)`` triples (compaction copies a cuboid at a time)."""
-        if self._staging is None:
+        if self._writing is None:
             raise StoreError("put_raw requires a staged heap (begin first)")
-        return self._append(records)
-
-    def _append(self, records) -> list[Entry]:
-        """Frame ``(payload bytes, n_paths, redundant)`` records and append
-        them — to the staged delta segment when one is open, else to the
-        staged heap — as one joined buffer.
-
-        Delta entries carry the segment id in the offset's high bits
-        (:func:`~repro.store.binfmt.pack_segment_offset`).
-        """
-        delta = self._delta_staging is not None
-        if delta:
-            handle, position = self._delta_staging, self._delta_offset
-            segment_id = self._delta_segment
-        else:
-            handle, position, segment_id = self._staging, self._offset, 0
-        tag = binfmt.pack_segment_offset(segment_id, 0)
-        frame = HEAP_LENGTH_STRUCT.pack
-        chunks: list[bytes] = []
-        entries: list[Entry] = []
-        for data, n_paths, redundant in records:
-            length = len(data)
-            position += HEAP_LENGTH_STRUCT.size
-            chunks.append(frame(length))
-            chunks.append(data)
-            entries.append(
-                (tag | position, length, int(n_paths), bool(redundant))
-            )
-            position += length
-        binfmt.pack_segment_offset(segment_id, position)  # span check
-        handle.write(b"".join(chunks))
-        if delta:
-            self._delta_offset = position
-        else:
-            self._offset = position
-        return entries
-
-    def _segment_view(self, segment_id: int) -> mmap.mmap:
-        pair = self._segment_views.get(segment_id)
-        if pair is None:
-            path = self.delta_path(segment_id)
-            if not path.exists():
-                raise StoreError(f"delta segment {path} is missing")
-            pair = self._segment_views[segment_id] = _map_heap(path)
-        return pair[1]
+        return self._writing.append(records)
 
     def record(self, entry: Entry) -> bytes:
         """A copy of the entry's cell record — the bytes
         :func:`~repro.store.binfmt.decode_cell_parts` takes — verbatim."""
-        packed, length = entry[0], entry[1]
-        segment_id, offset = binfmt.split_segment_offset(packed)
-        if segment_id == 0:
-            if self._staging is not None:
-                # Mid-build reads hit the staging file; pread leaves the
-                # append position alone.
-                self._staging.flush()
-                data = os.pread(self._staging.fileno(), length, offset)
-            else:
-                data = self._view()[offset : offset + length]
-        elif (
-            self._delta_staging is not None
-            and segment_id == self._delta_segment
-        ):
-            self._delta_staging.flush()
-            data = os.pread(self._delta_staging.fileno(), length, offset)
-        else:
-            data = self._segment_view(segment_id)[offset : offset + length]
+        length = entry[1]
+        segment_id, offset = binfmt.split_segment_offset(entry[0])
+        segment = self._segments.get(segment_id) or self._segment(segment_id)
+        data = segment.read(offset, length)
         if len(data) != length:
             raise StoreError(
-                f"cell heap {self.heap_path} is truncated at byte {offset}"
+                f"cell heap {segment.path} is truncated at byte {offset}"
             )
         self.io_counters["heap_bytes_read"] += length
         return data
-
-    def _view(self) -> mmap.mmap:
-        if self._mmap is None:
-            if not self.heap_path.exists():
-                raise StoreError(f"cell heap {self.heap_path} is missing")
-            self._mmap_file, self._mmap = _map_heap(self.heap_path)
-        return self._mmap
 
     def _index_blob(self, index) -> bytes:
         def cuboid_rows():
@@ -381,80 +397,40 @@ class _HeapCells:
 
         return binfmt.pack_cell_index(cuboid_rows(), self.n_dims)
 
-    @staticmethod
-    def _referenced_segments(index) -> list[int]:
-        """Delta segment ids the index entries still address, sorted."""
-        seen: set[int] = set()
-        for entries in index.values():
-            for entry in entries.values():
-                segment_id = entry[0] >> binfmt.SEGMENT_SHIFT
-                if segment_id:
-                    seen.add(segment_id)
-        return sorted(seen)
-
     def finalise(self, index) -> dict:
         """Publish the staged writes, return meta fields.
 
-        With a staged *delta segment*: rename the segment, then rewrite
-        the full index into the ``cells.delta.idx`` overlay, and report
-        ``delta_segments`` for the meta file — the meta publish (by the
-        caller, last) is the commit point, so a crash anywhere before it
-        leaves readers on the previous build exactly.
-
-        Otherwise (a full heap build): rename order — heap, then index,
-        then (by the caller) the meta file — keeps every published index
-        consistent with a heap that already contains its payloads.  When
-        the fresh heap supersedes every delta segment, the segments and
-        overlay are unlinked; when entries still address deltas (e.g. a
-        metadata-only flush of a delta-bearing cube), the index goes to
-        the overlay and the segments stay.
+        Order: the written segment (if any), then the full index, then
+        — by the caller — the meta file, which is the commit point; the
+        records an index addresses are on disk before the index is.  The
+        index goes to the ``cells.delta.idx`` overlay when any entry
+        addresses a delta segment (the meta then lists
+        ``delta_segments``: every one published since the last
+        compaction), else to ``cells.idx`` — the fresh heap of a
+        rebuild or compaction superseded every delta, and the caller
+        sweeps them *after* the meta commit, because the previous meta
+        still references them.
         """
-        if self._delta_staging is not None:
-            return self._finalise_delta(index)
         blob = self._index_blob(index)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if self._staging is not None:
-            self._staging.close()
-            self._staging = None
-            self._drop_mmap()
-            os.replace(self._staging_path, self.heap_path)
-        elif not self.heap_path.exists():
-            # An empty cube flushed without a single put still publishes
-            # a (magic-only) heap so the pair of files stays consistent.
-            self._staging_path.write_bytes(HEAP_MAGIC_V2)
-            os.replace(self._staging_path, self.heap_path)
+        segment, self._writing = self._writing, None
+        if segment is not None:
+            segment.publish()
+            if segment.segment_id:
+                self.delta_segments = [
+                    *self.delta_segments, segment.segment_id
+                ]
         out = {"n_cells": sum(len(entries) for entries in index.values())}
-        referenced = self._referenced_segments(index)
-        if referenced:
-            self.delta_segments = referenced
-            self._replace_file(self.overlay_path, blob)
-            out["delta_segments"] = list(referenced)
+        if any(
+            entry[0] >> binfmt.SEGMENT_SHIFT
+            for entries in index.values()
+            for entry in entries.values()
+        ):
+            publish.publish_file(self.overlay_path, blob)
+            out["delta_segments"] = list(self.delta_segments)
         else:
-            self._replace_file(self.index_path, blob)
-            # Superseded segments are swept by the caller *after* the
-            # meta commit — the previous meta still references them.
+            publish.publish_file(self.index_path, blob)
             self.delta_segments = []
         return out
-
-    def _finalise_delta(self, index) -> dict:
-        segment_id = self._delta_segment
-        staging, self._delta_staging = self._delta_staging, None
-        self._delta_segment = None
-        staging.close()
-        blob = self._index_blob(index)
-        os.replace(self._delta_staging_path, self.delta_path(segment_id))
-        self._replace_file(self.overlay_path, blob)
-        if segment_id not in self.delta_segments:
-            self.delta_segments = [*self.delta_segments, segment_id]
-        return {
-            "n_cells": sum(len(entries) for entries in index.values()),
-            "delta_segments": list(self.delta_segments),
-        }
-
-    def _replace_file(self, destination: FsPath, blob: bytes) -> None:
-        temp = self.directory / f"{destination.name}.{os.getpid()}.tmp"
-        temp.write_bytes(blob)
-        os.replace(temp, destination)
 
     def load(self, payload: dict):
         """Rebuild the whole index from ``cells.idx`` — zero heap IO.
@@ -471,11 +447,6 @@ class _HeapCells:
         mmaps on first touch, so a cold open of a delta-bearing store
         still reads zero heap bytes.
         """
-        self._drop_mmap()
-        self._abort_staging()
-        self._abort_delta_staging()
-        self._drop_segments()
-        self._drop_index()
         self.delta_segments = [
             int(segment_id)
             for segment_id in payload.get("delta_segments", [])
@@ -512,48 +483,18 @@ class _HeapCells:
         return index
 
     def close(self, materialise: bool = True) -> None:
-        """Release every map and handle.
+        """Release every map and handle; abandon a staged segment.
 
         With *materialise* (the reload path), masks still referenced by
         live catalogs are decoded out of the index map before it is
         closed, so an in-flight query keeps answering; a final
         (user-initiated) close passes False and later mask reads raise.
         """
-        self._drop_mmap()
-        self._abort_staging()
-        self._abort_delta_staging()
-        self._drop_segments()
+        segments, self._segments = self._segments, {}
+        self._writing = None
+        for segment in segments.values():
+            segment.close()
         self._drop_index(materialise)
-
-    def _drop_segments(self) -> None:
-        views, self._segment_views = self._segment_views, {}
-        for handle, view in views.values():
-            view.close()
-            handle.close()
-
-    def _abort_delta_staging(self) -> None:
-        if self._delta_staging is not None:
-            self._delta_staging.close()
-            self._delta_staging = None
-        self._delta_segment = None
-        self._delta_staging_path.unlink(missing_ok=True)
-
-    def discard_delta_files(self) -> None:
-        """Unlink every delta segment, overlay, and staging temp."""
-        self._drop_segments()
-        self._abort_delta_staging()
-        if self.directory.exists():
-            for stale in self.directory.glob("cells.delta.*"):
-                stale.unlink(missing_ok=True)
-        self.delta_segments = []
-
-    def _drop_mmap(self) -> None:
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._mmap_file is not None:
-            self._mmap_file.close()
-            self._mmap_file = None
 
     def _drop_index(self, materialise: bool = True) -> None:
         arena, self._mask_arena = self._mask_arena, None
@@ -566,15 +507,17 @@ class _HeapCells:
             self._index_file.close()
             self._index_file = None
 
-    def _abort_staging(self) -> None:
-        if self._staging is not None:
-            self._staging.close()
-            self._staging = None
-        self._staging_path.unlink(missing_ok=True)
+    def discard_delta_files(self) -> None:
+        """Unlink every delta segment, overlay, and staging temp."""
+        for segment_id in [sid for sid in self._segments if sid]:
+            self._segments.pop(segment_id).close()
+        for stale in self.directory.glob("cells.delta.*"):
+            stale.unlink(missing_ok=True)
+        self.delta_segments = []
 
     def discard_files(self) -> None:
         self.close(materialise=False)
-        self.heap_path.unlink(missing_ok=True)
+        self._segment_path(0).unlink(missing_ok=True)
         self.index_path.unlink(missing_ok=True)
         self.discard_delta_files()
 
@@ -821,7 +764,6 @@ class CubeStore:
             self.build_stats = None
             self._index.clear()
             self._cache.clear()
-            self.directory.mkdir(parents=True, exist_ok=True)
             # A rebuild drops the previous build's files.
             self._cells.close()
             self._cells = self._new_heap()
@@ -927,10 +869,20 @@ class CubeStore:
 
         Every index entry's payload is copied byte-exact (no codec
         round-trip) into a freshly staged heap in index order, then
-        published heap → ``cells.idx`` → meta — the same ordering as a
-        build, so a crash mid-compaction leaves the delta-bearing cube
-        fully readable.  The superseded segments and overlay are
-        unlinked only after the meta commit.
+        published heap → ``cells.idx`` → meta, the same ordering as a
+        build; the superseded segments and overlay are unlinked only
+        after the meta commit.
+
+        A compaction killed while staging leaves the delta-bearing cube
+        untouched, and one killed after the meta commit leaves the
+        compacted cube plus unreferenced segment files.  In between it
+        is **not** crash-safe: the new heap replaces ``cells.bin`` in
+        place while the committed meta still resolves through the
+        overlay, whose base-heap offsets now point into the wrong file,
+        so until the meta rename lands a reader gets a typed
+        :class:`~repro.errors.StoreError` (corrupt cell payload) and a
+        rebuild is the repair (``tests/test_publish_points.py`` pins
+        the window; DESIGN §5 has the table).
 
         Returns the number of cells copied (0 when nothing is pending).
         """
@@ -1018,20 +970,12 @@ class CubeStore:
             payload.update(self._cells.finalise(self._index))
             if self.build_stats is not None:
                 payload["build_stats"] = self.build_stats
-            self.directory.mkdir(parents=True, exist_ok=True)
-            meta = self.directory / META_FILENAME
-            temp = self.directory / (
-                f"{META_FILENAME}.{os.getpid()}.tmp"
+            # The signature must describe *this* write, so it comes
+            # from the stat publish_file took before the rename.
+            stat = publish.publish_file(
+                self.directory / META_FILENAME,
+                json.dumps(payload, indent=1).encode("utf-8"),
             )
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, indent=1))
-                handle.flush()
-                # The signature must describe *this* write: fstat the
-                # temp file before the rename (both survive it) rather
-                # than stat the destination after, where a concurrent
-                # flush could already have replaced it again.
-                stat = os.fstat(handle.fileno())
-            temp.replace(meta)
             self._meta_signature = (stat.st_mtime_ns, stat.st_size)
             if "delta_segments" not in payload:
                 # The committed meta references no delta segments: any

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from pathlib import Path as FsPath
 
+from repro import publish
 from repro.core.incremental import append_batch
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
@@ -244,7 +245,7 @@ class PartitionedPathStore:
         payload = pack_partition(database, table)
         self._save_strings(table)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+        publish.publish_file(path, payload)
 
     def append(
         self,

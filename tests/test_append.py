@@ -16,6 +16,7 @@ skip over orphaned files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -138,6 +139,38 @@ def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     assert before == after
     assert (store.directory / "cube" / "cells.delta.001.bin").exists()
     assert (store.directory / "cube" / "cells.delta.idx").exists()
+
+    # A plain write to a published cube is an append too: with no writer
+    # open it stages a delta segment — O(dirty cells), not a heap copy.
+    store, cube = _base_store(tmp_path / "put", database, base)
+    cube.close()
+    reference = FlowCube.build(
+        PathDatabase(database.schema, base, validate=False),
+        min_support=MIN_SUPPORT, engine="direct", kernel="scan",
+    )
+    cell = next(iter(reference.cuboids[0]))
+    coords = (cell.item_level, cell.key, cell.path_level)
+    heap = store.directory / "cube" / "cells.bin"
+    before = (heap.stat().st_mtime_ns, heap.read_bytes())
+    writer, reader = store.cube_store(), store.cube_store()
+    assert not reader.cell(*coords).redundant
+    writer.put_cell(dataclasses.replace(cell, redundant=True))
+    writer.flush()
+    assert (heap.stat().st_mtime_ns, heap.read_bytes()) == before
+    segment = store.directory / "cube" / "cells.delta.001.bin"
+    assert 8 < segment.stat().st_size < len(before[1]) // 10
+    assert reader.maybe_reload() and reader.delta_segments == [1]
+    assert reader.cell(*coords).redundant
+    writer.put_cell(cell)  # and back: a second flush, a second segment
+    writer.flush()
+    assert (heap.stat().st_mtime_ns, heap.read_bytes()) == before
+    assert writer.delta_segments == [1, 2]
+    assert writer.compact() > 0 and writer.delta_segments == []
+    assert not list((store.directory / "cube").glob("cells.delta.*"))
+    assert reader.maybe_reload()
+    for handle in (writer, reader, store.cube_store()):
+        assert cube_to_json(handle) == cube_to_json(reference)
+        handle.close()
 
 
 def test_append_without_exceptions_matches_rebuild(
