@@ -3,7 +3,9 @@
 The store reads and writes one layout — ``FCPART02`` partitions over a
 shared ``FCSTRS01`` string table, an ``FCHEAP02`` cell heap addressed
 through an ``FCCIDX01`` index — and this module defines it (see
-DESIGN.md for byte diagrams):
+DESIGN.md for byte diagrams).  The three sectioned containers are each
+one :class:`Layout` table that their writer and their reader both go
+through, and every published file is opened by :func:`map_file`:
 
 * :func:`pack_partition` / :func:`unpack_partition` — a columnar
   partition file (``part-XXXXX.bin``): ``int64`` reference/offset arenas
@@ -41,7 +43,8 @@ a first generation of partition and heap files (the ``RETIRED_*``
 magics).  No reader or writer for them survives: meeting one raises
 :func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
-Framing rules shared by the ``int64`` codecs:
+Framing rules of the sectioned containers, which :meth:`Layout.pack`
+and :meth:`Layout.open` alone implement:
 
 * all integers are native-endian ``int64`` (``array('q')``), durations
   native ``float64`` (``array('d')``); the header leads with
@@ -198,16 +201,15 @@ def _pad8(n: int) -> int:
     return (-n) % 8
 
 
-def _pack_strings(strings: Iterable[str]) -> tuple[bytes, bytes, int]:
-    """Intern table → (offsets arena, padded UTF-8 blob, blob length)."""
+def _pack_strings(strings: Iterable[str]) -> tuple[array, bytes]:
+    """Intern table → the :data:`_STRING_SECTIONS` pair (offsets, blob)."""
     encoded = [s.encode("utf-8") for s in strings]
     offsets = array("q", [0])
     position = 0
     for chunk in encoded:
         position += len(chunk)
         offsets.append(position)
-    blob = b"".join(encoded)
-    return offsets.tobytes(), blob + b"\x00" * _pad8(len(blob)), len(blob)
+    return offsets, b"".join(encoded)
 
 
 def retired_layout(what, layout: str) -> StoreError:
@@ -232,9 +234,7 @@ def check_layout_name(value, what) -> None:
     raise StoreError(f"{what} names an unknown store format {value!r}")
 
 
-def _check_magic(
-    buffer: bytes, magic: bytes, what: str, retired: bytes | None = None
-) -> None:
+def _check_magic(buffer, magic: bytes, what: str, retired: bytes | None) -> None:
     """Reject a buffer not leading with *magic*, naming a *retired* one."""
     lead = bytes(buffer[: len(magic)])
     if lead == magic:
@@ -249,52 +249,129 @@ def check_heap_magic(lead: bytes, path) -> None:
     _check_magic(lead, HEAP_MAGIC_V2, f"cell heap {path}", RETIRED_HEAP_MAGIC)
 
 
-def _read_header(buffer: bytes, offset: int, count: int, what: str) -> array:
-    header = _read_i64(buffer, offset, count, what)
-    if header[0] != ORDER_TAG:
-        raise StoreError(
-            f"cannot read {what}: byte-order tag mismatch "
-            "(file written on a host with different endianness?)"
-        )
-    return header
+def map_file(path, what: str) -> mmap.mmap:
+    """Map the published file at *path* read-only — the one place a
+    store file is opened for reading.
+
+    The map keeps its own duplicate of the descriptor, so its
+    ``close()`` (or leaving a ``with`` block) releases everything.  A
+    missing, unreadable, unmappable or empty file is a
+    :class:`StoreError` naming *what* it was.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except FileNotFoundError:
+        raise StoreError(f"{what} {path} is missing") from None
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"cannot map {what} {path}: {exc}") from None
 
 
-def _read_i64(buffer: bytes, offset: int, count: int, what: str) -> array:
-    """Decode exactly *count* int64s at *offset* (never a full-buffer cast)."""
-    end = offset + count * _I64
-    if end > len(buffer):
-        raise StoreError(f"corrupt {what}: truncated at byte {offset}")
-    out = array("q")
-    out.frombytes(buffer[offset:end])
-    return out
+def _mask_width(n_cells: int) -> int:
+    """Bytes one catalog mask of an *n_cells* cuboid occupies (⌈8⌉)."""
+    n_bytes = (n_cells + 7) >> 3
+    return n_bytes + _pad8(n_bytes)
 
 
-def _read_f64(buffer: bytes, offset: int, count: int, what: str) -> array:
-    end = offset + count * _I64
-    if end > len(buffer):
-        raise StoreError(f"corrupt {what}: truncated at byte {offset}")
-    out = array("d")
-    out.frombytes(buffer[offset:end])
-    return out
+def _mask_bytes(cuboid_table: array, mask_counts: array, n_dims: int) -> int:
+    """Total bytes of ``FCCIDX01``'s mask bits: every (cuboid, dimension,
+    value) mask at its cuboid's :func:`_mask_width`."""
+    total = 0
+    for row, n_cells in enumerate(cuboid_table[:: 2 + n_dims]):
+        n_masks = sum(mask_counts[row * n_dims : (row + 1) * n_dims])
+        total += n_masks * _mask_width(n_cells)
+    return total
 
 
-def _read_strings(
-    buffer: bytes, offset: int, n_strings: int, blob_len: int, what: str
-) -> tuple[list[str], int]:
-    """Decode the intern table; returns (strings, offset past the blob)."""
-    offsets = _read_i64(buffer, offset, n_strings + 1, what)
-    blob_start = offset + (n_strings + 1) * _I64
-    blob_end = blob_start + blob_len
-    if blob_end > len(buffer):
-        raise StoreError(f"corrupt {what}: truncated string blob")
-    blob = buffer[blob_start:blob_end]
-    if not isinstance(blob, bytes):
-        blob = bytes(blob)
-    strings = [
-        blob[offsets[i] : offsets[i + 1]].decode("utf-8")
-        for i in range(n_strings)
-    ]
-    return strings, blob_end + _pad8(blob_len)
+#: What a section's count expression may call besides arithmetic.
+_COUNT_FUNCTIONS = {"__builtins__": {}, "sum": sum, "mask_bytes": _mask_bytes}
+
+
+class Layout:
+    """One sectioned container file, written down once as data.
+
+    *magic* | header (:data:`ORDER_TAG`, then one word per entry of
+    *fields*; ``None`` is a reserved word, written as given and never
+    interpreted) | *sections*.  A section is ``(name, type, count)``:
+    *type* is ``"q"``, ``"d"`` or ``"B"`` (bytes, zero-padded to 8) and
+    *count* an expression over the header fields and the sections before
+    it (``sum(mask_counts)`` is why a count may read an earlier section).
+    DESIGN.md §5 draws the same tables as byte diagrams;
+    ``tests/test_binfmt.py`` holds the two together.
+    """
+
+    def __init__(self, magic, retired, what, fields, sections) -> None:
+        self.magic = magic
+        self.retired = retired
+        self.what = what
+        self.fields = fields
+        self.sections = sections
+        self._counts = [
+            compile(count, f"<{what} {name}>", "eval")
+            for name, _, count in sections
+        ]
+
+    def pack(self, header, *sections) -> bytes:
+        """Frame *header* (one value per field) and one array or bytes
+        object per section."""
+        parts = [self.magic, array("q", [ORDER_TAG, *header]).tobytes()]
+        for (_, code, _), section in zip(self.sections, sections, strict=True):
+            if code == "B":
+                parts.append(bytes(section))
+                parts.append(b"\x00" * _pad8(len(section)))
+            else:
+                parts.append(section.tobytes())
+        return b"".join(parts)
+
+    def open(self, buffer) -> dict:
+        """Check and decode *buffer* (``bytes``, ``memoryview`` or map)
+        into ``{field: value, section: array}``.
+
+        A byte section comes back as its ``(start, end)`` span, so a
+        mapped reader touches no page it does not decode.  A wrong or
+        retired magic, a foreign byte order, a negative header field and
+        a count that overruns the buffer are each a :class:`StoreError`;
+        nothing past the failing field or section is read.
+        """
+        what = self.what
+        _check_magic(buffer, self.magic, what, self.retired)
+        size = len(buffer)
+        offset = len(self.magic)
+        end = offset + (1 + len(self.fields)) * _I64
+        if end > size:
+            raise StoreError(f"corrupt {what}: truncated header")
+        header = array("q")
+        header.frombytes(buffer[offset:end])
+        if header[0] != ORDER_TAG:
+            raise StoreError(
+                f"cannot read {what}: byte-order tag mismatch "
+                "(file written on a host with different endianness?)"
+            )
+        out = dict(zip(self.fields, header[1:]))
+        out.pop(None, None)
+        for field, value in out.items():
+            if value < 0:
+                raise StoreError(f"corrupt {what}: negative {field}")
+        for (name, code, _), count in zip(self.sections, self._counts):
+            offset = end
+            n = eval(count, _COUNT_FUNCTIONS, out)  # noqa: S307 - our table
+            end = offset + (n if code == "B" else n * _I64)
+            if n < 0 or end > size:
+                raise StoreError(f"corrupt {what}: truncated {name}")
+            if code == "B":
+                out[name] = (offset, end)
+                end += _pad8(n)
+            else:
+                section = out[name] = array(code)
+                section.frombytes(buffer[offset:end])
+        return out
+
+
+#: The string-table pair of sections ``FCSTRS01`` and ``FCCIDX01`` share.
+_STRING_SECTIONS = (
+    ("str_offsets", "q", "n_strings + 1"),
+    ("blob", "B", "blob_len"),
+)
 
 
 def _key_tuples(
@@ -312,14 +389,21 @@ def _key_tuples(
 # --------------------------------------------------------------------------
 
 
+#: ``strings.bin``: global id → UTF-8 bytes ``blob[str_offsets[id] :
+#: str_offsets[id + 1]]``.
+STRINGS_LAYOUT = Layout(
+    STRINGS_MAGIC,
+    None,
+    "string table",
+    ("n_strings", "blob_len"),
+    _STRING_SECTIONS,
+)
+
+
 class StringTable:
     """The shared per-store intern table backing ``FCPART02`` partitions.
 
-    On disk (``strings.bin``)::
-
-        FCSTRS01 | header i64[3] | string offsets i64[S+1] | utf8 blob ⌈8⌉
-
-    header = [ORDER_TAG, n_strings S, blob byte length].  The table is
+    On disk (``strings.bin``) it is :data:`STRINGS_LAYOUT`.  The table is
     **append-only**: global ids are stable across saves, so a reader
     holding an older map keeps resolving every id it has ever seen while
     a writer interns new vocabulary and atomically replaces the file.
@@ -333,7 +417,6 @@ class StringTable:
 
     __slots__ = (
         "_blob_start",
-        "_file",
         "_ids",
         "_mm",
         "_offsets",
@@ -345,7 +428,6 @@ class StringTable:
         self._strings: list[str | None] = []
         self._ids: dict[str, int] | None = {}
         self._mm: mmap.mmap | None = None
-        self._file = None
         self._offsets: array | None = None
         self._blob_start = 0
         self._n_disk = 0
@@ -394,58 +476,36 @@ class StringTable:
     @classmethod
     def load(cls, path) -> "StringTable":
         """Map ``strings.bin`` at *path* (validating magic and byte order)."""
-        what = "string table"
+        mapped = map_file(path, "string table")
         try:
-            handle = open(path, "rb")
-        except OSError as exc:
-            raise StoreError(f"cannot open string table {path}: {exc}") from None
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            handle.close()
-            raise StoreError(f"cannot map string table {path}: {exc}") from None
-        try:
-            _check_magic(mapped, STRINGS_MAGIC, what)
-            header = _read_header(mapped, len(STRINGS_MAGIC), 3, what)
-            _, n_strings, blob_len = header
-            offset = len(STRINGS_MAGIC) + 3 * _I64
-            offsets = _read_i64(mapped, offset, n_strings + 1, what)
-            blob_start = offset + (n_strings + 1) * _I64
-            if blob_start + blob_len > len(mapped):
-                raise StoreError(f"corrupt {what}: truncated string blob")
+            opened = STRINGS_LAYOUT.open(mapped)
         except StoreError:
             mapped.close()
-            handle.close()
             raise
         table = cls()
         table._mm = mapped
-        table._file = handle
-        table._offsets = offsets
-        table._blob_start = blob_start
-        table._strings = [None] * n_strings
-        table._n_disk = n_strings
+        table._offsets = opened["str_offsets"]
+        table._blob_start = opened["blob"][0]
+        table._strings = [None] * opened["n_strings"]
+        table._n_disk = opened["n_strings"]
         table._ids = None
         return table
 
     def save(self, path) -> None:
         """Atomically (re)write the table at *path* (temp + rename)."""
         strings = [self.get(ref) for ref in range(len(self._strings))]
-        offsets_bytes, blob_bytes, blob_len = _pack_strings(strings)
-        header = array("q", [ORDER_TAG, len(strings), blob_len])
+        offsets, blob = _pack_strings(strings)
         publish.publish_file(
             FsPath(path),
-            b"".join((STRINGS_MAGIC, header.tobytes(), offsets_bytes, blob_bytes)),
+            STRINGS_LAYOUT.pack((len(strings), len(blob)), offsets, blob),
         )
         self._n_disk = len(strings)
 
     def close(self) -> None:
-        """Release the map and file handle (ids already decoded stay valid)."""
+        """Release the map (ids already decoded stay valid)."""
         mapped, self._mm = self._mm, None
-        handle, self._file = self._file, None
         if mapped is not None:
             mapped.close()
-        if handle is not None:
-            handle.close()
 
     def __enter__(self) -> "StringTable":
         return self
@@ -1097,23 +1157,35 @@ class LazyMaskMap:
 # --------------------------------------------------------------------------
 
 
+#: ``part-XXXXX.bin``.  ``remap`` resolves the partition-local string
+#: refs (dense, decode-once: a repeated concept or location costs 8
+#: bytes per reference) to global ids in the store's shared table;
+#: ``dim_refs`` is row-major, ``path_offsets`` each record's range of
+#: stages, ``durations`` exact IEEE doubles (no ``repr`` round-trip).
+PARTITION_LAYOUT = Layout(
+    PARTITION_MAGIC_V2,
+    RETIRED_PARTITION_MAGIC,
+    "columnar partition",
+    ("n_records", "n_dims", "n_locals", None, "total_stages"),
+    (
+        ("remap", "q", "n_locals"),
+        ("record_ids", "q", "n_records"),
+        ("dim_refs", "q", "n_records * n_dims"),
+        ("path_offsets", "q", "n_records + 1"),
+        ("stage_locs", "q", "total_stages"),
+        ("durations", "d", "total_stages"),
+    ),
+)
+
+
 def pack_partition(database: PathDatabase, strings: StringTable) -> bytes:
-    """Encode *database* as one columnar partition blob.
+    """Encode *database* as one columnar partition blob
+    (:data:`PARTITION_LAYOUT`).
 
     Every dimension value and stage location is interned into *strings*,
     the store's shared table (which the caller saves as ``strings.bin``
-    before the partition lands); the file carries a local→global
-    **remap arena** into it (all arenas 8-byte aligned)::
-
-        FCPART02 | header i64[6] | remap i64[S]
-        | record_ids i64[R] | dim refs i64[R*D] | path offsets i64[R+1]
-        | stage location refs i64[T] | stage durations f64[T]
-
-    header = [ORDER_TAG, n_records R, n_dims D, n_locals S, 0 (reserved),
-    total stages T].  Dim and location refs stay partition-local (dense,
-    decode-once), so repeated concepts and locations cost 8 bytes per
-    reference; durations are exact IEEE doubles (no ``repr``
-    round-trip).
+    before the partition lands); the file carries only the local→global
+    remap arena into it.
     """
     interned: dict[str, int] = {}
     record_ids = array("q")
@@ -1134,28 +1206,15 @@ def pack_partition(database: PathDatabase, strings: StringTable) -> bytes:
         total_stages += len(record.path)
         path_offsets.append(total_stages)
     remap = array("q", [strings.intern(value) for value in interned])
-    header = array(
-        "q",
-        [
-            ORDER_TAG,
-            len(database),
-            database.schema.n_dimensions,
-            len(interned),
-            0,
-            total_stages,
-        ],
-    )
-    return b"".join(
-        (
-            PARTITION_MAGIC_V2,
-            header.tobytes(),
-            remap.tobytes(),
-            record_ids.tobytes(),
-            dim_refs.tobytes(),
-            path_offsets.tobytes(),
-            location_refs.tobytes(),
-            durations.tobytes(),
-        )
+    n_dims = database.schema.n_dimensions
+    return PARTITION_LAYOUT.pack(
+        (len(database), n_dims, len(interned), 0, total_stages),
+        remap,
+        record_ids,
+        dim_refs,
+        path_offsets,
+        location_refs,
+        durations,
     )
 
 
@@ -1177,10 +1236,9 @@ def unpack_partition(
     skipped: partitions are written by :func:`pack_partition` from an
     already-validated database.
     """
-    what = "columnar partition"
-    _check_magic(buffer, PARTITION_MAGIC_V2, what, RETIRED_PARTITION_MAGIC)
-    header = _read_header(buffer, len(PARTITION_MAGIC_V2), 6, what)
-    _, n_records, n_dims, n_strings, _, total_stages = header
+    opened = PARTITION_LAYOUT.open(buffer)
+    n_records = opened["n_records"]
+    n_dims = opened["n_dims"]
     if n_dims != schema.n_dimensions:
         raise StoreError(
             f"partition has {n_dims} dimensions, schema expects "
@@ -1191,25 +1249,14 @@ def unpack_partition(
             "partition references the shared string table, but the "
             "store has no strings.bin"
         )
-    offset = len(PARTITION_MAGIC_V2) + 6 * _I64
-    remap = _read_i64(buffer, offset, n_strings, what)
-    offset += n_strings * _I64
     table_get = strings.get
-    strings = [table_get(ref) for ref in remap]
-    record_ids = _read_i64(buffer, offset, n_records, what)
-    offset += n_records * _I64
-    dim_refs = _read_i64(buffer, offset, n_records * n_dims, what)
-    offset += n_records * n_dims * _I64
-    path_offsets = _read_i64(buffer, offset, n_records + 1, what)
-    offset += (n_records + 1) * _I64
-    location_refs = _read_i64(buffer, offset, total_stages, what)
-    offset += total_stages * _I64
-    duration_values = _read_f64(buffer, offset, total_stages, what)
+    strings = [table_get(ref) for ref in opened["remap"]]
+    record_ids = opened["record_ids"]
+    path_offsets = opened["path_offsets"]
 
-    dim_tuples = _key_tuples(strings, dim_refs, n_dims, n_records)
-    stages = list(
-        map(Stage, map(strings.__getitem__, location_refs), duration_values)
-    )
+    dim_tuples = _key_tuples(strings, opened["dim_refs"], n_dims, n_records)
+    locations = map(strings.__getitem__, opened["stage_locs"])
+    stages = list(map(Stage, locations, opened["durations"]))
     records = []
     append = records.append
     for i in range(n_records):
@@ -1226,6 +1273,39 @@ def unpack_partition(
 # --------------------------------------------------------------------------
 
 
+#: ``cells.idx`` / ``cells.delta.idx``.  ``cuboid_table`` rows are
+#: ``[n_cells, path_level_id, item_level…]``; the per-cell columns
+#: (``key_refs`` into the string table, heap ``offsets`` / ``lengths``,
+#: ``n_paths``, ``redundant``) are grouped by cuboid in table order, so
+#: a reader slices each cuboid's run without per-cell bookkeeping.
+#:
+#: The trailing three sections precompute what
+#: :class:`~repro.perf.query_kernel.CuboidKeyCatalog` would otherwise
+#: derive cell by cell: ``mask_counts`` holds, per (cuboid, dimension),
+#: the number of distinct values; ``mask_refs`` each one's string ref;
+#: ``mask_bits`` each one's little-endian bitmap of the cell *ordinals*
+#: holding it, ``⌈cuboid cells / 8⌉`` bytes zero-padded to 8 — one
+#: ``int.from_bytes`` per value instead of a Python pass over every cell.
+INDEX_LAYOUT = Layout(
+    INDEX_MAGIC,
+    None,
+    "cell index",
+    ("n_cuboids", "n_cells", "n_dims", "n_strings", "blob_len"),
+    (
+        *_STRING_SECTIONS,
+        ("cuboid_table", "q", "n_cuboids * (2 + n_dims)"),
+        ("key_refs", "q", "n_cells * n_dims"),
+        ("offsets", "q", "n_cells"),
+        ("lengths", "q", "n_cells"),
+        ("n_paths", "q", "n_cells"),
+        ("redundant", "B", "n_cells"),
+        ("mask_counts", "q", "n_cuboids * n_dims"),
+        ("mask_refs", "q", "sum(mask_counts)"),
+        ("mask_bits", "B", "mask_bytes(cuboid_table, mask_counts, n_dims)"),
+    ),
+)
+
+
 def pack_cell_index(
     cuboids: Iterable[
         tuple[
@@ -1236,33 +1316,12 @@ def pack_cell_index(
     ],
     n_dims: int,
 ) -> bytes:
-    """Encode every cuboid's key/offset columns as one ``cells.idx`` blob.
+    """Encode every cuboid's key/offset columns as one ``cells.idx`` blob
+    (:data:`INDEX_LAYOUT`).
 
     *cuboids* yields ``(item_level_ids, path_level_id, cells)`` where
     each cell is ``(key, heap offset, payload length, n_paths,
-    redundant)``.  Layout::
-
-        FCCIDX01 | header i64[6] | string offsets i64[S+1] | utf8 blob ⌈8⌉
-        | cuboid table i64[C*(2+D)] | key refs i64[N*D]
-        | offsets i64[N] | lengths i64[N] | n_paths i64[N]
-        | redundant u8[N] ⌈8⌉
-        | mask counts i64[C*D] | mask value refs i64[M]
-        | mask bits (per mask, ⌈cuboid cells / 8⌉ bytes ⌈8⌉)
-
-    header = [ORDER_TAG, n_cuboids C, n_cells N, n_dims D, n_strings S,
-    blob byte length].  Cuboid table rows are ``[n_cells,
-    path_level_id, item_level…]``; the global columns are grouped by
-    cuboid in table order, so a reader slices each cuboid's run without
-    any per-cell bookkeeping.
-
-    The trailing masks section precomputes what
-    :class:`~repro.perf.query_kernel.CuboidKeyCatalog` would otherwise
-    derive cell by cell: for every (cuboid, dimension, distinct value),
-    a little-endian bitmap of the cell *ordinals* holding that value.
-    M is the total distinct-value count; each mask occupies the
-    cuboid's ``⌈cells/8⌉`` bytes zero-padded to 8, so a reader
-    reconstructs every catalog with one ``int.from_bytes`` per value
-    instead of a Python pass over every cell.
+    redundant)``.
     """
     interned: dict[str, int] = {}
     cuboid_table = array("q")
@@ -1299,51 +1358,42 @@ def pack_cell_index(
             )
         cuboid_table.extend(row)
         n_cells += count
-        n_bytes = (count + 7) >> 3
-        padded = n_bytes + _pad8(n_bytes)
+        width = _mask_width(count)
         for per_dim in buckets:
             mask_counts.append(len(per_dim))
             for ref, positions in per_dim.items():
                 mask_refs.append(ref)
-                bits = bytearray(padded)
+                bits = bytearray(width)
                 for position in positions:
                     bits[position >> 3] |= 1 << (position & 7)
                 mask_bits.append(bytes(bits))
-    offsets_bytes, blob_bytes, blob_len = _pack_strings(interned)
-    header = array(
-        "q",
-        [ORDER_TAG, n_cuboids, n_cells, n_dims, len(interned), blob_len],
-    )
-    return b"".join(
-        (
-            INDEX_MAGIC,
-            header.tobytes(),
-            offsets_bytes,
-            blob_bytes,
-            cuboid_table.tobytes(),
-            key_refs.tobytes(),
-            offsets.tobytes(),
-            lengths.tobytes(),
-            n_paths_column.tobytes(),
-            bytes(redundant_column),
-            b"\x00" * _pad8(len(redundant_column)),
-            mask_counts.tobytes(),
-            mask_refs.tobytes(),
-            *mask_bits,
-        )
+    string_offsets, blob = _pack_strings(interned)
+    return INDEX_LAYOUT.pack(
+        (n_cuboids, n_cells, n_dims, len(interned), len(blob)),
+        string_offsets,
+        blob,
+        cuboid_table,
+        key_refs,
+        offsets,
+        lengths,
+        n_paths_column,
+        redundant_column,
+        mask_counts,
+        mask_refs,
+        b"".join(mask_bits),
     )
 
 
 def unpack_cell_index(
     buffer,
-    mask_arena: MaskArena | None = None,
+    mask_arena: MaskArena,
 ) -> list[
     tuple[
         tuple[int, ...],
         int,
         list[tuple[str, ...]],
         list[tuple[int, int, int, bool]],
-        list,
+        list[LazyMaskMap],
     ]
 ]:
     """Decode ``cells.idx`` → ``[(item_level_ids, path_level_id, keys,
@@ -1355,81 +1405,51 @@ def unpack_cell_index(
     key refs, one ``zip`` transpose rebuilds the key tuples, one
     four-column ``zip`` materialises the entry tuples.
 
-    Without *mask_arena* each catalog mask is decoded eagerly (a single
-    ``int.from_bytes`` per value).  With it — an arena wrapping the
-    same (typically mmap'd) *buffer* — masks come back as
-    :class:`LazyMaskMap` views holding only byte spans: the open does
-    **zero** mask decoding, and each bitmap streams out of the map the
-    first time a query ANDs it.
+    *mask_arena* wraps the same (typically mmap'd) *buffer*: masks come
+    back as its :class:`LazyMaskMap` views holding only byte spans, so
+    the open does **zero** mask decoding and each bitmap streams out of
+    the map the first time a query ANDs it.
     """
-    what = "cell index"
-    _check_magic(buffer, INDEX_MAGIC, what)
-    header = _read_header(buffer, len(INDEX_MAGIC), 6, what)
-    _, n_cuboids, n_cells, n_dims, n_strings, blob_len = header
-    offset = len(INDEX_MAGIC) + 6 * _I64
-    strings, offset = _read_strings(buffer, offset, n_strings, blob_len, what)
-    cuboid_table = _read_i64(buffer, offset, n_cuboids * (2 + n_dims), what)
-    offset += n_cuboids * (2 + n_dims) * _I64
-    key_refs = _read_i64(buffer, offset, n_cells * n_dims, what)
-    offset += n_cells * n_dims * _I64
-    heap_offsets = _read_i64(buffer, offset, n_cells, what)
-    offset += n_cells * _I64
-    heap_lengths = _read_i64(buffer, offset, n_cells, what)
-    offset += n_cells * _I64
-    n_paths_column = _read_i64(buffer, offset, n_cells, what)
-    offset += n_cells * _I64
-    if offset + n_cells > len(buffer):
-        raise StoreError(f"corrupt {what}: truncated redundant column")
-    redundant_column = buffer[offset : offset + n_cells]
-    offset += n_cells + _pad8(n_cells)
-    mask_counts = _read_i64(buffer, offset, n_cuboids * n_dims, what)
-    offset += n_cuboids * n_dims * _I64
-    total_masks = sum(mask_counts)
-    mask_refs = _read_i64(buffer, offset, total_masks, what)
-    offset += total_masks * _I64
+    opened = INDEX_LAYOUT.open(buffer)
+    n_dims = opened["n_dims"]
+    n_cells = opened["n_cells"]
+    string_offsets = opened["str_offsets"]
+    blob = bytes(buffer[slice(*opened["blob"])])
+    strings = [
+        blob[string_offsets[i] : string_offsets[i + 1]].decode("utf-8")
+        for i in range(opened["n_strings"])
+    ]
+    cuboid_table = opened["cuboid_table"]
+    mask_counts = opened["mask_counts"]
+    mask_refs = opened["mask_refs"]
 
-    keys = _key_tuples(strings, key_refs, n_dims, n_cells)
+    keys = _key_tuples(strings, opened["key_refs"], n_dims, n_cells)
     entries = list(
         zip(
-            heap_offsets,
-            heap_lengths,
-            n_paths_column,
-            map(bool, redundant_column),
+            opened["offsets"],
+            opened["lengths"],
+            opened["n_paths"],
+            map(bool, buffer[slice(*opened["redundant"])]),
         )
     )
     out = []
     position = 0
-    row = 0
     mask_row = 0
     mask_at = 0
+    offset = opened["mask_bits"][0]
     width = 2 + n_dims
-    for _ in range(n_cuboids):
+    for row in range(0, len(cuboid_table), width):
         count = cuboid_table[row]
         path_level_id = cuboid_table[row + 1]
         item_level = tuple(cuboid_table[row + 2 : row + width])
-        row += width
-        n_bytes = (count + 7) >> 3
-        padded = n_bytes + _pad8(n_bytes)
-        masks: list = []
-        for dim in range(n_dims):
-            n_values = mask_counts[mask_row + dim]
-            end = offset + n_values * padded
-            if end > len(buffer):
-                raise StoreError(f"corrupt {what}: truncated mask bits")
-            if mask_arena is None:
-                per_dim: dict[str, int] = {}
-                for ref in mask_refs[mask_at : mask_at + n_values]:
-                    per_dim[strings[ref]] = int.from_bytes(
-                        buffer[offset : offset + padded], "little"
-                    )
-                    offset += padded
-                masks.append(per_dim)
-            else:
-                spans: dict[str, tuple[int, int]] = {}
-                for ref in mask_refs[mask_at : mask_at + n_values]:
-                    spans[strings[ref]] = (offset, offset + padded)
-                    offset += padded
-                masks.append(mask_arena.new_map(spans))
+        padded = _mask_width(count)
+        masks = []
+        for n_values in mask_counts[mask_row : mask_row + n_dims]:
+            spans: dict[str, tuple[int, int]] = {}
+            for ref in mask_refs[mask_at : mask_at + n_values]:
+                spans[strings[ref]] = (offset, offset + padded)
+                offset += padded
+            masks.append(mask_arena.new_map(spans))
             mask_at += n_values
         mask_row += n_dims
         out.append(

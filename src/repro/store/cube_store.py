@@ -180,18 +180,14 @@ class _Segment:
         """The published file's read-only map, refusing a foreign or
         retired magic before anything is decoded."""
         if self._map is None:
-            if not self.path.exists():
-                what = "delta segment" if self.segment_id else "cell heap"
-                raise StoreError(f"{what} {self.path} is missing")
-            self._handle = open(self.path, "rb")
+            what = "delta segment" if self.segment_id else "cell heap"
+            mapped = binfmt.map_file(self.path, what)
             try:
-                binfmt.check_heap_magic(self._handle.read(8), self.path)
-                self._map = mmap.mmap(
-                    self._handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            except BaseException:
-                self.close()
+                binfmt.check_heap_magic(mapped[:8], self.path)
+            except StoreError:
+                mapped.close()
                 raise
+            self._map = mapped
         return self._map
 
     def publish(self) -> None:
@@ -244,7 +240,6 @@ class _HeapCells:
         #: The staged segment writes go to, if any (also in _segments).
         self._writing: _Segment | None = None
         self._index_mmap: mmap.mmap | None = None
-        self._index_file = None
         self._mask_arena: binfmt.MaskArena | None = None
         #: Published delta segment ids, in append order (meta-sourced).
         self.delta_segments: list[int] = []
@@ -454,21 +449,7 @@ class _HeapCells:
         index_path = (
             self.overlay_path if self.delta_segments else self.index_path
         )
-        if not index_path.exists():
-            raise StoreError(
-                f"cube meta names the binary backend but {index_path} "
-                "is missing"
-            )
-        try:
-            self._index_file = open(index_path, "rb")
-            self._index_mmap = mmap.mmap(
-                self._index_file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (OSError, ValueError) as exc:
-            self._drop_index()
-            raise StoreError(
-                f"cannot map cell index {index_path}: {exc}"
-            ) from None
+        self._index_mmap = binfmt.map_file(index_path, "cell index")
         self._mask_arena = binfmt.MaskArena(
             self._index_mmap, self.io_counters
         )
@@ -503,9 +484,6 @@ class _HeapCells:
         if self._index_mmap is not None:
             self._index_mmap.close()
             self._index_mmap = None
-        if self._index_file is not None:
-            self._index_file.close()
-            self._index_file = None
 
     def discard_delta_files(self) -> None:
         """Unlink every delta segment, overlay, and staging temp."""

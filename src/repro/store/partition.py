@@ -21,13 +21,17 @@ touching them.
 from __future__ import annotations
 
 import hashlib
-import mmap
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import StoreError
-from repro.store.binfmt import StringTable, retired_layout, unpack_partition
+from repro.store.binfmt import (
+    StringTable,
+    map_file,
+    retired_layout,
+    unpack_partition,
+)
 
 __all__ = [
     "BloomSummary",
@@ -191,20 +195,5 @@ def read_partition(
     """
     if path.suffix != ".bin":
         raise retired_layout(f"partition file {path}", "CSV partition")
-    if not path.exists():
-        raise StoreError(f"partition file {path} is missing")
-    with open(path, "rb") as handle:
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            raise StoreError(
-                f"cannot map partition file {path}: {exc}"
-            ) from None
-        try:
-            view = memoryview(mapped)
-            try:
-                return unpack_partition(view, schema, strings)
-            finally:
-                view.release()
-        finally:
-            mapped.close()
+    with map_file(path, "partition file") as mapped, memoryview(mapped) as view:
+        return unpack_partition(view, schema, strings)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -10,7 +12,23 @@ from repro.core import (
     PathLattice,
     example_path_database,
 )
+from repro.core.serialization import cube_to_json
 from repro.synth import GeneratorConfig, generate_path_database
+
+
+def stored_cube_json(cube) -> str:
+    """``cube_to_json`` modulo empty cuboids — what a store is compared by.
+
+    A store holds only cuboids that hold a cell; the in-memory build also
+    keeps a cuboid whose item level has no frequent cell (its
+    ``append_batch`` promotes into it).  Everything else — cuboid order,
+    cells, measures, thresholds — must match byte for byte (DESIGN §5
+    "Parity contract"; ``benchmarks/flowbench/gates.py::cube_bytes`` is
+    the same rule).
+    """
+    payload = json.loads(cube_to_json(cube))
+    payload["cuboids"] = [c for c in payload["cuboids"] if c["cells"]]
+    return json.dumps(payload)
 
 
 @pytest.fixture(scope="session")

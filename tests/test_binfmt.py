@@ -16,14 +16,21 @@ The contracts:
   and the payload-dict encoder produce the same ``FCHEAP02`` bytes for
   every cell, including every verbatim-JSON fallback;
 * **pinned bytes**: the heap, index and delta segment of the paper
-  example hash to constants, so format drift cannot pass unnoticed.
+  example hash to constants, so format drift cannot pass unnoticed;
+* **one table per container** (generated from ``binfmt``'s three
+  :class:`~repro.store.binfmt.Layout` tables): every corrupt header
+  count and every truncation is a typed ``StoreError`` naming the field
+  or section, and DESIGN.md's byte diagrams carry the tables' rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
+from array import array
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
@@ -48,8 +55,12 @@ from repro.store.binfmt import (
     _HEAP2_EXC_ZLIB,
     _HEAP2_PURE,
     _HEAP2_RAW,
+    INDEX_LAYOUT,
     INDEX_MAGIC,
     ORDER_TAG,
+    PARTITION_LAYOUT,
+    STRINGS_LAYOUT,
+    MaskArena,
     StringTable,
     cell_payload,
     decode_cell_parts,
@@ -191,7 +202,7 @@ def cell_indexes(draw):
 def test_cell_index_codec_is_a_fixed_point(case):
     cuboids, n_dims = case
     blob = pack_cell_index(cuboids, n_dims)
-    decoded = unpack_cell_index(blob)
+    decoded = unpack_cell_index(blob, MaskArena(blob))
     assert len(decoded) == len(cuboids)
     for (item_level, level_id, cells), got in zip(cuboids, decoded):
         got_levels, got_level_id, got_keys, got_entries, got_masks = got
@@ -209,7 +220,7 @@ def test_cell_index_codec_is_a_fixed_point(case):
                 expected[dim][value] = expected[dim].get(value, 0) | (
                     1 << ordinal
                 )
-        assert got_masks == expected
+        assert [dict(masks.items()) for masks in got_masks] == expected
     # Deterministic encode.
     assert pack_cell_index(cuboids, n_dims) == blob
 
@@ -220,14 +231,179 @@ def test_cell_index_rejects_corruption():
     )
     assert blob[:8] == INDEX_MAGIC
     with pytest.raises(StoreError):
-        unpack_cell_index(blob[: len(blob) - 8])
+        unpack_cell_index(blob[: len(blob) - 8], MaskArena(blob))
     with pytest.raises(StoreError):
-        unpack_cell_index(b"FCWRONG!" + blob[8:])
+        unpack_cell_index(b"FCWRONG!" + blob[8:], MaskArena(blob))
     swapped = bytearray(blob)
     swapped[8:16] = blob[8:16][::-1]
     assert int.from_bytes(blob[8:16], "little") == ORDER_TAG
     with pytest.raises(StoreError):
-        unpack_cell_index(bytes(swapped))
+        unpack_cell_index(bytes(swapped), MaskArena(blob))
+
+
+# ----------------------------------------------------------------------
+# one table per container: corruption, truncation, the DESIGN diagrams
+# ----------------------------------------------------------------------
+
+LAYOUTS = {
+    "FCSTRS01": STRINGS_LAYOUT,
+    "FCPART02": PARTITION_LAYOUT,
+    "FCCIDX01": INDEX_LAYOUT,
+}
+_HEADER_START = 8  # every magic is eight bytes
+
+
+@pytest.fixture(scope="module")
+def packed(tmp_path_factory, example_database):
+    """``{magic: (blob, read)}`` — one packed example per container, no
+    section empty, and the public reader that takes its bytes."""
+    database = example_database
+    table = StringTable()
+    partition = pack_partition(database, table)
+    strings_path = tmp_path_factory.mktemp("strings") / "strings.bin"
+    table.save(strings_path)
+    strings = strings_path.read_bytes()
+    index = pack_cell_index(
+        [
+            ((0, 1), 0, [(("a", "x"), 8, 4, 2, False), (("b", "x"), 20, 4, 3, True)]),
+            ((1, 1), 1, [(("c", "y"), 32, 5, 2, False)]),
+        ],
+        2,
+    )
+
+    def load_strings(blob):
+        strings_path.write_bytes(blob)
+        StringTable.load(strings_path).close()
+
+    return {
+        "FCSTRS01": (strings, load_strings),
+        "FCPART02": (
+            partition,
+            lambda blob: unpack_partition(blob, database.schema, table),
+        ),
+        "FCCIDX01": (
+            index,
+            lambda blob: unpack_cell_index(blob, MaskArena(blob)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("value", [-1, -3, 2**40])
+@pytest.mark.parametrize(
+    ("magic", "word", "field"),
+    [
+        (magic, word, field)
+        for magic, layout in LAYOUTS.items()
+        for word, field in enumerate(layout.fields, start=1)
+        if field is not None  # the reserved word is not interpreted
+    ],
+)
+def test_a_corrupt_header_count_is_typed_never_decoded(
+    packed, magic, word, field, value
+):
+    blob, read = packed[magic]
+    read(blob)  # the example itself is sound
+    at = _HEADER_START + 8 * word
+    patched = blob[:at] + array("q", [value]).tobytes() + blob[at + 8 :]
+    with pytest.raises(StoreError, match="corrupt"):
+        read(patched)
+
+
+def test_the_reserved_partition_word_is_written_zero_and_not_read(packed):
+    blob, read = packed["FCPART02"]
+    at = _HEADER_START + 8 * (1 + PARTITION_LAYOUT.fields.index(None))
+    assert blob[at : at + 8] == bytes(8)
+    patched = blob[:at] + array("q", [-3]).tobytes() + blob[at + 8 :]
+    assert read(patched).to_csv() == read(blob).to_csv()
+
+
+def section_ends(layout, blob) -> list[tuple[str, int]]:
+    """``(name, offset one past its last byte)`` for the header and every
+    section of *blob*, from the table and the decoded sections alone."""
+    opened = layout.open(blob)
+    end = _HEADER_START + 8 * (1 + len(layout.fields))
+    ends = [("header", end)]
+    for name, code, _ in layout.sections:
+        start = end + (-end) % 8  # byte sections are zero-padded to 8
+        if code == "B":
+            assert opened[name][0] == start
+            end = opened[name][1]
+        else:
+            end = start + 8 * len(opened[name])
+        assert end > start, f"the example leaves {name} empty"
+        ends.append((name, end))
+    return ends
+
+
+@pytest.mark.parametrize("magic", LAYOUTS)
+def test_every_truncation_names_the_section_it_cuts(packed, magic):
+    layout = LAYOUTS[magic]
+    blob, _ = packed[magic]
+    ends = section_ends(layout, blob)
+    assert ends[-1][1] + (-ends[-1][1]) % 8 == len(blob)
+    for _, boundary in ends:
+        for length in (boundary - 1, boundary):
+            cut = next((name for name, end in ends if end > length), None)
+            if cut is None:
+                layout.open(blob[:length])  # the last section is whole
+                continue
+            with pytest.raises(StoreError, match=f"truncated {cut}$"):
+                layout.open(blob[:length])
+
+
+@pytest.mark.parametrize("magic", LAYOUTS)
+def test_foreign_files_are_refused_as_before(packed, magic):
+    layout = LAYOUTS[magic]
+    blob, read = packed[magic]
+    with pytest.raises(StoreError, match=f"^not a {layout.what}: bad magic$"):
+        read(b"FCWRONG!" + blob[8:])
+    swapped = blob[:8] + blob[8:16][::-1] + blob[16:]
+    with pytest.raises(StoreError, match="byte-order tag mismatch"):
+        read(swapped)
+    if layout.retired is not None:
+        retired = layout.retired.decode("ascii")  # only FCPART01 today
+        with pytest.raises(StoreError, match=f"retired {retired} layout"):
+            read(layout.retired + blob[8:])
+
+
+_TYPE_NAMES = {"q": "i64", "d": "f64", "B": "u8"}
+
+
+def diagram_rows(layout) -> list[str]:
+    """The table as DESIGN.md draws it: one ``name  type[count]`` row per
+    section under the magic and the header row."""
+    fields = ", ".join(
+        "0 (reserved)" if field is None else field for field in layout.fields
+    )
+    rows = [
+        f'"{layout.magic.decode("ascii")}"',
+        f"header i64[{1 + len(layout.fields)}] order tag, {fields}",
+    ]
+    rows += [
+        f"{name} {_TYPE_NAMES[code]}[{count}]"
+        for name, code, count in layout.sections
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("magic", LAYOUTS)
+def test_design_diagrams_carry_the_tables_rows_in_order(magic):
+    design = (FsPath(__file__).resolve().parents[1] / "DESIGN.md").read_text(
+        encoding="utf-8"
+    )
+    start = design.index("### Storage formats")
+    text = design[start : design.index("\n### ", start + 1)]
+    at = 0
+    for row in diagram_rows(LAYOUTS[magic]):
+        # Spacing, line breaks and trailing commentary are the diagram's.
+        pattern = r"\s+".join(re.escape(word) for word in row.split())
+        found = re.compile(pattern).search(text, at)
+        assert found, (
+            f"DESIGN.md §5 'Storage formats' has no row {row!r} after "
+            f"offset {at} of the section: the {magic} diagram and "
+            "binfmt's Layout table disagree"
+        )
+        at = found.end()
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""One publish function, checked without running anything.
+"""One publish function and one open, checked without running anything.
 
 Every file that becomes visible under a store directory goes through
 :func:`repro.publish.publish_file`; ``tests/test_publish_points.py``
 enumerates the store's crash windows by counting its calls, which only
 means something while no second way to rename or write a file in place
-exists.  This walks the source tree's syntax and fails on one.
+exists.  This walks the source tree's syntax and fails on one — and,
+on the read side, on a second place that maps a file or frames a
+sectioned container.
 """
 
 from __future__ import annotations
@@ -29,8 +31,17 @@ HINT = (
 )
 
 
-def calls_with_scope(path):
-    """Every call in *path* as ``(node, dotted enclosing scope)``."""
+OPEN_HINT = (
+    "map files with repro.store.binfmt.map_file and frame sectioned "
+    "containers with binfmt.Layout.pack / Layout.open: those are where "
+    "the integrity PR's per-section CRC field and its verification go, "
+    "and what `flowcube-store verify` will walk"
+)
+
+
+def calls_with_scope(path, kind=ast.Call):
+    """Every call (or other *kind* of node) in *path* as ``(node, dotted
+    enclosing scope)``."""
     found = []
 
     def visit(node, scope):
@@ -40,7 +51,7 @@ def calls_with_scope(path):
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call):
+            if isinstance(child, kind):
                 found.append((child, scope))
             visit(child, inner)
 
@@ -112,3 +123,29 @@ def test_the_store_writes_files_only_through_publish_file():
     assert not in_place, (
         f"files are written onto their final name at {in_place}; {HINT}"
     )
+
+
+def test_one_function_maps_files():
+    maps = [
+        (where(path, call), scope)
+        for path in sorted(SRC.rglob("*.py"))
+        for call, scope in calls_with_scope(path)
+        if ast.unparse(call.func) == "mmap.mmap"
+    ]
+    assert [scope for _, scope in maps] == ["map_file"], (
+        f"files are mapped at {maps}; {OPEN_HINT}"
+    )
+    assert maps[0][0].startswith("src/repro/store/binfmt.py:")
+
+
+def test_only_the_layout_table_reads_and_writes_the_order_tag():
+    uses = [
+        (where(path, name), scope)
+        for path in sorted(SRC.rglob("*.py"))
+        for name, scope in calls_with_scope(path, ast.Name)
+        if name.id == "ORDER_TAG" and isinstance(name.ctx, ast.Load)
+    ]
+    assert sorted({scope for _, scope in uses}) == [
+        "Layout.open",
+        "Layout.pack",
+    ], f"container headers are framed at {uses}; {OPEN_HINT}"

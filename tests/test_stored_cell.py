@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path as FsPath
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.flowcube import Cell, FlowCube
@@ -57,6 +57,7 @@ from repro.store.cube_store import (
     entry_redundant,
 )
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import stored_cube_json
 from tests.test_properties import path_databases
 from tests.test_serve import get, post
 
@@ -239,10 +240,31 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     assert seen == cube.n_cells() > 0
 
 
+#: At δ = 2 this draw of ``path_databases()`` has no frequent cell at
+#: item level (3, 3): the in-memory build keeps four empty cuboids there
+#: and the store holds none.
+EMPTY_ITEM_LEVEL = GeneratorConfig(
+    n_paths=20,
+    n_dims=2,
+    dim_fanouts=(2, 2, 2),
+    n_location_groups=3,
+    locations_per_group=2,
+    n_sequences=4,
+    max_path_length=4,
+    max_duration=3,
+    seed=452,
+)
+
+
 @given(
     database=path_databases(),
     exceptions=st.booleans(),
     raw=st.booleans(),
+)
+@example(
+    database=generate_path_database(EMPTY_ITEM_LEVEL),
+    exceptions=False,
+    raw=False,
 )
 @settings(
     max_examples=12,
@@ -265,6 +287,7 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         engine="direct",
         kernel="scan",
     )
+    expected = stored_cube_json(reference)
     with tempfile.TemporaryDirectory() as scratch:
         store, cube = build_store(
             FsPath(scratch) / "wh",
@@ -280,14 +303,14 @@ def test_stored_cells_equal_eager_decode_across_store_states(
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
-        assert cube_to_json(cube) == cube_to_json(reference)
+        assert stored_cube_json(cube) == expected
 
         cube.compact()
         assert_cells_match_records(cube)  # compacted
-        assert cube_to_json(cube) == cube_to_json(reference)
+        assert stored_cube_json(cube) == expected
         cold = store.cube_store()
         assert_cells_match_records(cold)
-        assert cube_to_json(cold) == cube_to_json(reference)
+        assert stored_cube_json(cold) == expected
         cold.close()
         cube.close()
         store.close()
