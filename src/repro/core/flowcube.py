@@ -188,7 +188,7 @@ class FlowCube:
                 tests validate the roll-up engine against.  Both produce
                 byte-identical serialised cubes.
             kernel: Exception-pass kernel — ``"bitmap"`` (AND+popcount over
-                per-cell tid-sets, :mod:`repro.perf.exception_kernel`; the
+                path-id bit sets, :mod:`repro.perf.exception_kernel`; the
                 default) or ``"scan"`` (per-path re-scan).  Identical
                 exception lists either way.
             stats: Optional stats sink with an ``add_phase(name, seconds)``

@@ -18,9 +18,10 @@ from the Shared algorithm's output, or mines them locally with the built-in
 level-wise miner (:func:`mine_frequent_segments`) when none are supplied.
 
 Two interchangeable kernels implement the pass (``kernel=`` on the
-``mine_exceptions*`` entry points): ``"bitmap"`` (the default) indexes the
-cell once into big-int tid-sets and answers every support and conditional
-count with an AND + weighted popcount (:mod:`repro.perf.exception_kernel`);
+``mine_exceptions*`` entry points): ``"bitmap"`` (the default) indexes each
+distinct path once into big-int bit sets over path ids and answers every
+support and conditional count with an AND + weighted popcount
+(:mod:`repro.perf.exception_kernel`);
 ``"scan"`` is the direct per-path implementation in this module.  Both
 produce identical exception lists — same supports, distributions, and
 canonical order — enforced by the parity property tests.
@@ -303,8 +304,9 @@ def mine_exceptions(
         max_segment_length: Bound for the local miner.
         kernel: ``"bitmap"`` (AND+popcount over tid-sets, the default) or
             ``"scan"`` (per-path re-scan) — identical results.
-        index_cache: Optional dict shared across calls so cells with the
-            same path multiset reuse one bitmap index (bitmap kernel only).
+        index_cache: Optional dict shared across calls so paths are
+            indexed once and cells with the same path multiset reuse one
+            bitmap index (bitmap kernel only).
 
     The exceptions are also attached to ``graph.exceptions``, in the
     canonical :func:`exception_sort_key` order.
@@ -490,9 +492,16 @@ def serial_exception_pass(
     Returns a callable ``run(batch)`` where *batch* is a list of
     ``(graph, weighted, segments)`` triples; it mines each cell in place
     (attaching ``graph.exceptions``) and accumulates wall time spent in
-    ``run.seconds`` for the builders' ``"exceptions"`` phase bucket.  One
-    bitmap index cache spans the runner's lifetime, so lattice cells that
-    roll up to identical path multisets share an index across cuboids.
+    ``run.seconds`` for the builders' ``"exceptions"`` phase bucket.
+    *weighted* is anything that iterates as ``(path, weight)`` pairs.  The
+    roll-up and the store append pass a
+    :class:`~repro.perf.exception_kernel.PidCell` — the cell's
+    ``{pid: weight}`` plus its path level's postings — which the bitmap
+    kernel indexes without touching a path; plain pairs (the direct
+    engine) are interned into the one index cache that spans the runner's
+    lifetime.  Either way a distinct path's stages are walked once, and
+    lattice cells that roll up to identical path multisets share an index
+    across cuboids.
 
     The parallel counterpart (fanning a batch out over the ``jobs=N``
     worker pools) lives in :mod:`repro.store.builder`.

@@ -18,12 +18,13 @@ fast counting paths run on:
   (each distinct path aggregated once, then interned to an int id), and
   every ancestor cuboid's cells derive by merging child cells along the
   item lattice (``FlowGraph.merge``), with the holistic exception pass
-  re-run per cell;
+  re-run per cell over the same ids;
 * :mod:`repro.perf.exception_kernel` — the holistic pass itself as
-  AND+popcount: one per-cell bitmap index over the deduplicated
-  ``(path, weight)`` multiset answers segment supports and every
-  conditional transition/duration count, with indexes shared across cells
-  by path-multiset fingerprint;
+  AND+popcount over the roll-up's path ids: per-path-level postings
+  (bit *pid* ⇔ path *pid*) built once per level, a cell a ``{pid: weight}``
+  view over them answering segment supports and every conditional
+  transition/duration count, with views shared across cells by
+  path-multiset fingerprint;
 * :mod:`repro.perf.query_kernel` — the read path's counterpart: per-cuboid
   key catalogs packing cell ordinals into (dimension, concept) bitmaps
   with hierarchy descendant-closure masks, so slice/dice predicates are
@@ -51,6 +52,8 @@ from repro.perf.bitmap import (
 )
 from repro.perf.exception_kernel import (
     CellExceptionIndex,
+    PathPostings,
+    PidCell,
     cell_index,
     mine_exceptions_bitmap,
     mine_segments_bitmap,
@@ -79,6 +82,8 @@ __all__ = [
     "CuboidKeyCatalog",
     "InternedTransactions",
     "ItemInterner",
+    "PathPostings",
+    "PidCell",
     "PoolStats",
     "QueryCache",
     "WorkerPool",

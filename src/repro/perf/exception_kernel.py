@@ -5,26 +5,47 @@ Python loop per (segment × path) pair twice over: the level-wise segment
 miner subset-tests every candidate against every transaction, and the
 exception pass re-walks every weighted path per frequent segment to count
 conditional outcomes.  Both are counting problems over the *same* small
-universe — the cell's deduplicated ``(path, weight)`` multiset — which is
-exactly the shape the PR 2 bitmap kernel (:mod:`repro.perf.bitmap`) solves
-with big-int tid-sets.
+universe — distinct aggregated paths — which is exactly the shape the PR 2
+bitmap kernel (:mod:`repro.perf.bitmap`) solves with big-int tid-sets.
 
-:class:`CellExceptionIndex` indexes a cell once.  Bit *t* of every mask
-refers to the *t*-th distinct path; multiplicities are grouped into
-per-weight class masks, so every count is an AND followed by a weighted
-popcount (:meth:`CellExceptionIndex.count`: one
-``weight * bit_count()`` term per distinct multiplicity, collapsing to a
-single term when all weights are equal).  Four mask families cover the
-whole pass:
+The bit space is the path-id space of the roll-up
+(:class:`~repro.perf.measure_rollup.PathTable`): bit *pid* of every mask
+is the path interned as *pid* at its path level.  Items move in bulk, so a
+level holds far fewer distinct paths than its cells hold between them, and
+the stage walk is paid once per path, not once per cell:
 
-* **exact stage constraints** ``(location prefix, duration)`` — the
-  Apriori alphabet, interned to dense ids with the PR 2
-  :class:`~repro.perf.interning.ItemInterner` and packed with
-  :func:`~repro.perf.bitmap.item_masks`;
-* **location prefixes** — what a ``*``-duration constraint matches;
-* **per-(depth, next location) / per-(depth, duration) outcomes** — the
-  conditional counts of transition/duration exceptions;
-* **cumulative path-length masks** — the ``TERMINATE`` outcome.
+* :class:`PathPostings` — **level-wide**, built once per path level (and
+  extended when more pids are interned).  It owns the stage interner and
+  the four mask families that cover the whole pass:
+
+  * **exact stage constraints** ``(location prefix, duration)`` — the
+    Apriori alphabet, interned to dense ids with the PR 2
+    :class:`~repro.perf.interning.ItemInterner`; ``rows[pid]`` is the
+    path's item-id row;
+  * **location prefixes** — what a ``*``-duration constraint matches;
+  * **per-(depth, next location) / per-(depth, duration) outcomes** — the
+    conditional counts of transition/duration exceptions;
+  * **cumulative path-length masks** — the ``TERMINATE`` outcome.
+
+* :class:`CellExceptionIndex` — **per cell**, a view over the postings:
+  the cell's mask, its per-weight class masks (multiplicities are grouped,
+  so every count is an AND followed by a weighted popcount —
+  :meth:`CellExceptionIndex.count`: one ``weight * bit_count()`` term per
+  distinct multiplicity, collapsing to a single term when all weights are
+  equal), its total, and its mining / result caches.  Indexing a cell is
+  one ``classes[w] |= 1 << pid`` per distinct path.  A level-wide mask is
+  AND-ed with the cell mask once, at a segment's first constraint; every
+  mask derived from it stays inside the cell.
+
+There are two doors and one kernel.  The roll-up and the store append hand
+the pass a :class:`PidCell` — the cell's ``{pid: weight}`` plus its
+level's postings — and share those postings across every cell of the
+level.  Everything else (``mine_exceptions_weighted(graph, [(path,
+weight), …])``: the direct engine, in-memory appends, the pool workers)
+comes through the tuple door of :func:`cell_index`, which interns its
+pairs into a private postings and runs the same code.  A ``PidCell``
+iterates — and pickles — as its ``(path, weight)`` pairs, so the scan
+kernel and the pool boundary see exactly what they always did.
 
 :func:`mine_segments_bitmap` reruns the level-wise miner on tid-sets: a
 candidate is a frequent segment extended by one frequent 1-constraint
@@ -45,18 +66,22 @@ derived float distributions, deviations, and the canonically-sorted
 exception lists are identical — and serialised cubes stay byte-identical
 (property-tested in ``tests/test_exception_kernel.py``).
 
-Indexes are shared across cells through an optional cache keyed by the
-path-multiset fingerprint (:func:`cell_index`): lattice cells that roll up
-to identical multisets — common near the apex — reuse one index, its mined
-segment masks, and (when segments are mined locally) whole cached
-exception lists.
+Views are shared across cells through the postings' fingerprint cache,
+keyed by ``frozenset({pid: weight}.items())`` — int pairs, not nested
+tuples: lattice cells that roll up to identical multisets — common near
+the apex — reuse one view, its mined segment masks, and (when segments
+are mined locally) whole cached exception lists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from repro.core.aggregation import DURATION_ANY_LABEL, WeightedPath
+from repro.core.aggregation import (
+    DURATION_ANY_LABEL,
+    AggregatedPath,
+    WeightedPath,
+)
 from repro.core.flowgraph import TERMINATE, FlowGraph
 from repro.core.flowgraph_exceptions import (
     FlowException,
@@ -65,147 +90,159 @@ from repro.core.flowgraph_exceptions import (
     exception_sort_key,
     resolve_min_support,
 )
-from repro.perf.bitmap import item_masks
 from repro.perf.interning import ItemInterner
 
 __all__ = [
+    "PathPostings",
+    "PidCell",
     "CellExceptionIndex",
     "cell_index",
     "mine_segments_bitmap",
     "mine_exceptions_bitmap",
 ]
 
-class CellExceptionIndex:
-    """One cell's deduplicated path multiset as big-int tid bitmaps.
 
-    Built once per distinct multiset; every question the exception pass
-    asks — segment support, conditional transition counts, conditional
-    duration counts — becomes an AND of masks plus a weighted popcount.
+class PathPostings:
+    """One path level's distinct paths as big-int bitmaps over path ids.
+
+    Bit *pid* of every mask is ``paths[pid]``.  *paths* and *ids* are the
+    level's id space — a :class:`~repro.perf.measure_rollup.PathTable`
+    shares its own lists and dicts in, so ids it hands out are indexed
+    here the next time a cell asks (:meth:`index`); left out, the postings
+    own a private id space (the tuple door).  Masks only ever gain bits,
+    so a view taken before an extension stays valid.
 
     Attributes:
+        paths: Path id → aggregated path.
+        ids: The reverse map (see :meth:`intern`).
         interner: Exact stage constraint → dense id (the Apriori alphabet).
-        exact: Per interned constraint id, the tid mask of paths
-            satisfying it (``item_masks`` layout).
-        prefixes: Location prefix → tid mask of paths whose own location
+        rows: Per indexed pid, the item ids of the path's stages.
+        exact: Per interned constraint id, the mask of paths satisfying it.
+        prefixes: Location prefix → mask of paths whose own location
             chain starts with it — what a ``*``-duration constraint tests.
-        transitions: Stage depth → {next location → tid mask of paths
-            whose stage at that depth is the location}.
-        durations: Stage depth → {duration label → tid mask of paths with
+        transitions: Stage depth → {next location → mask of paths whose
+            stage at that depth is the location}.
+        durations: Stage depth → {duration label → mask of paths with
             that label at the depth}.
-        weights: Per tid, the path's multiplicity.  Counting never walks
-            this array — paths are grouped by multiplicity into per-weight
-            class masks, so a weighted popcount is a handful of
-            ``weight * (mask & class).bit_count()`` terms.
-        total: Sum of all weights (the cell's path count).
-        mining_cache: ``(min_support, max_length)`` → mined
-            ``(segments, masks)`` pair (see :func:`mine_segments_bitmap`).
-        result_cache: ``(min_support, min_deviation, max_length)`` → the
-            finished exception tuple, for locally-mined runs.
+        star_mixed: Paths carrying a concrete duration at a prefix where
+            some path of the level carries ``*`` (see
+            :class:`CellExceptionIndex`).
+        indexes: Fingerprint ``frozenset({pid: weight}.items())`` → the
+            shared :class:`CellExceptionIndex`.
     """
 
     __slots__ = (
+        "paths",
+        "ids",
         "interner",
+        "rows",
         "exact",
         "prefixes",
         "transitions",
         "durations",
-        "weights",
-        "total",
-        "_uniform",
-        "_classes",
+        "star_mixed",
+        "indexes",
+        "_star_prefixes",
+        "_lengths",
         "_terminate",
-        "_star_mixed",
-        "mining_cache",
-        "result_cache",
     )
 
-    def __init__(self, weighted: Sequence[WeightedPath]) -> None:
-        interner = ItemInterner()
-        rows: list[list[int]] = []
-        prefixes: dict[tuple[str, ...], int] = {}
-        transitions: dict[int, dict[str, int]] = {}
-        durations: dict[int, dict[str, int]] = {}
-        lengths: dict[int, int] = {}
-        weights: list[int] = []
-        classes: dict[int, int] = {}
-        max_len = 0
-        bit = 1
-        for path, weight in weighted:
-            weights.append(weight)
-            classes[weight] = classes.get(weight, 0) | bit
+    def __init__(
+        self,
+        paths: list[AggregatedPath] | None = None,
+        ids: dict[AggregatedPath, int] | None = None,
+    ) -> None:
+        self.paths = [] if paths is None else paths
+        self.ids = {} if ids is None else ids
+        self.interner = ItemInterner()
+        self.rows: list[list[int]] = []
+        self.exact: list[int] = []
+        self.prefixes: dict[tuple[str, ...], int] = {}
+        self.transitions: dict[int, dict[str, int]] = {}
+        self.durations: dict[int, dict[str, int]] = {}
+        self.star_mixed = 0
+        self.indexes: dict[frozenset, CellExceptionIndex] = {}
+        self._star_prefixes: set[tuple[str, ...]] = set()
+        self._lengths: dict[int, int] = {}
+        self._terminate: list[int] = [0]
+
+    def intern(self, path: AggregatedPath) -> int:
+        """*path*'s id, handing out the next dense one on first sight."""
+        paths = self.paths
+        pid = self.ids.setdefault(path, len(paths))
+        if pid == len(paths):
+            paths.append(path)
+        return pid
+
+    def index(self, weights: dict[int, int]) -> CellExceptionIndex:
+        """The view of the cell ``{pid: weight}``, shared by fingerprint.
+
+        Cells store each distinct path once, so the frozenset of the
+        multiset's items determines it exactly, and every count the pass
+        derives is invariant to their order.
+        """
+        if len(self.rows) < len(self.paths):
+            self._index_new_paths()
+        key = frozenset(weights.items())
+        index = self.indexes.get(key)
+        if index is None:
+            index = self.indexes[key] = CellExceptionIndex(self, weights)
+        return index
+
+    def _index_new_paths(self) -> None:
+        """Walk the stages of every path interned since the last call."""
+        paths = self.paths
+        rows = self.rows
+        intern = self.interner.intern
+        exact = self.exact
+        prefixes = self.prefixes
+        transitions = self.transitions
+        durations = self.durations
+        star_prefixes = self._star_prefixes
+        lengths = self._lengths
+        for pid in range(len(rows), len(paths)):
+            bit = 1 << pid
             row: list[int] = []
             prefix: tuple[str, ...] = ()
-            for depth, (location, duration) in enumerate(path):
+            for depth, (location, duration) in enumerate(paths[pid]):
                 prefix += (location,)
-                row.append(interner.intern((prefix, duration)))
+                item_id = intern((prefix, duration))
+                row.append(item_id)
+                if item_id < len(exact):
+                    exact[item_id] |= bit
+                else:
+                    exact.append(bit)
+                if duration == DURATION_ANY_LABEL:
+                    if prefix not in star_prefixes:
+                        # The first "*" here: every path already through
+                        # the prefix carries a concrete duration at it.
+                        star_prefixes.add(prefix)
+                        self.star_mixed |= prefixes.get(prefix, 0)
+                elif star_prefixes and prefix in star_prefixes:
+                    self.star_mixed |= bit
                 prefixes[prefix] = prefixes.get(prefix, 0) | bit
                 at_depth = transitions.setdefault(depth, {})
                 at_depth[location] = at_depth.get(location, 0) | bit
                 labels = durations.setdefault(depth, {})
                 labels[duration] = labels.get(duration, 0) | bit
             rows.append(row)
-            n = len(path)
-            lengths[n] = lengths.get(n, 0) | bit
-            if n > max_len:
-                max_len = n
-            bit <<= 1
+            lengths[len(row)] = lengths.get(len(row), 0) | bit
         # terminate[d] = paths of length <= d: a path "terminates at" the
         # node of depth d exactly when it has no stage at index d.
         terminate: list[int] = []
         cumulative = 0
-        for depth in range(max_len + 1):
+        for depth in range(max(lengths, default=0) + 1):
             cumulative |= lengths.get(depth, 0)
             terminate.append(cumulative)
-        self.interner = interner
-        self.exact = item_masks(rows, len(interner))
-        self.prefixes = prefixes
-        self.transitions = transitions
-        self.durations = durations
-        self.weights = weights
-        self.total = sum(weights)
-        self._uniform = next(iter(classes)) if len(classes) == 1 else (
-            1 if not classes else None
-        )
-        self._classes = list(classes.items())
         self._terminate = terminate
-        # The segment miners count a "*"-duration stage as an exact item,
-        # but the exception pass treats the constraint as a wildcard
-        # (``_satisfies``).  The two agree unless the multiset mixes "*"
-        # with concrete durations at the same prefix — flag that case so
-        # the pass knows when a mined mask can't stand in for the
-        # wildcard one.
-        self._star_mixed = any(
-            item[1] == DURATION_ANY_LABEL
-            and self.exact[item_id] != prefixes[item[0]]
-            for item_id, item in enumerate(interner.items)
-        )
-        self.mining_cache: dict = {}
-        self.result_cache: dict = {}
-
-    # ------------------------------------------------------------------
-    # counting
-    # ------------------------------------------------------------------
-    def count(self, mask: int) -> int:
-        """Weighted popcount: total multiplicity of the mask's paths."""
-        if not mask:
-            return 0
-        uniform = self._uniform
-        if uniform is not None:
-            return uniform * mask.bit_count()
-        total = 0
-        for weight, class_mask in self._classes:
-            hit = mask & class_mask
-            if hit:
-                total += weight * hit.bit_count()
-        return total
 
     def terminate_mask(self, depth: int) -> int:
-        """Tid mask of paths with no stage at index *depth*."""
+        """Mask of paths with no stage at index *depth*."""
         terminate = self._terminate
         return terminate[depth] if depth < len(terminate) else terminate[-1]
 
     def constraint_mask(self, constraint: SegmentConstraint) -> int:
-        """Tid mask of paths satisfying one stage constraint.
+        """Mask of paths satisfying one stage constraint.
 
         Mirrors ``_satisfies`` exactly: a ``*`` duration matches any label
         at the stage (the location-prefix mask), anything else needs the
@@ -220,40 +257,156 @@ class CellExceptionIndex:
             return self.exact[interner.id_of(constraint)]
         return 0
 
+
+class PidCell:
+    """One cell's weighted multiset in its level's path-id space.
+
+    What the roll-up and the store append hand the exception pass:
+    *weights* is the cell's ``{pid: weight}`` and *postings* the level's
+    :class:`PathPostings`, so the bitmap kernel indexes the cell without
+    touching a path.  It iterates, and pickles, as the ``(path, weight)``
+    pairs it stands for — the scan kernel and the pool boundary need no
+    branch.
+    """
+
+    __slots__ = ("weights", "postings")
+
+    def __init__(self, weights: dict[int, int], postings: PathPostings) -> None:
+        self.weights = weights
+        self.postings = postings
+
+    def __iter__(self) -> Iterator[WeightedPath]:
+        paths = self.postings.paths
+        return iter(
+            [(paths[pid], weight) for pid, weight in self.weights.items()]
+        )
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+class CellExceptionIndex:
+    """One cell as a view over its level's :class:`PathPostings`.
+
+    Built once per distinct multiset; every question the exception pass
+    asks — segment support, conditional transition counts, conditional
+    duration counts — becomes an AND of masks plus a weighted popcount.
+
+    Attributes:
+        postings: The level-wide masks the view counts against.
+        weights: The cell's ``{pid: weight}``.
+        mask: The cell's paths.  Level-wide masks are AND-ed with it
+            once, at a segment's first constraint.
+        total: Sum of all weights (the cell's path count).
+        mining_cache: ``(min_support, max_length)`` → mined
+            ``(segments, masks)`` pair (see :func:`mine_segments_bitmap`).
+        result_cache: ``(min_support, min_deviation, max_length)`` → the
+            finished exception tuple, for locally-mined runs.
+
+    Counting never walks the weights — paths are grouped by multiplicity
+    into per-weight class masks, so a weighted popcount is a handful of
+    ``weight * (mask & class).bit_count()`` terms.
+    """
+
+    __slots__ = (
+        "postings",
+        "weights",
+        "mask",
+        "total",
+        "_uniform",
+        "_classes",
+        "_star_mixed",
+        "mining_cache",
+        "result_cache",
+    )
+
+    def __init__(self, postings: PathPostings, weights: dict[int, int]) -> None:
+        classes: dict[int, int] = {}
+        for pid, weight in weights.items():
+            classes[weight] = classes.get(weight, 0) | (1 << pid)
+        mask = 0
+        for class_mask in classes.values():
+            mask |= class_mask
+        self.postings = postings
+        self.weights = weights
+        self.mask = mask
+        self.total = sum(weights.values())
+        self._uniform = next(iter(classes)) if len(classes) == 1 else (
+            1 if not classes else None
+        )
+        self._classes = list(classes.items())
+        # The segment miners count a "*"-duration stage as an exact item,
+        # but the exception pass treats the constraint as a wildcard
+        # (``_satisfies``).  The two agree unless the multiset mixes "*"
+        # with concrete durations at the same prefix — flag that case so
+        # the pass knows when a mined mask can't stand in for the
+        # wildcard one.  The level-wide mask may flag a cell whose own
+        # paths never carry the "*" (the flagged branch recounts through
+        # the wildcard masks, which is always right); it cannot miss one,
+        # because both of a mixing cell's paths are indexed by now.
+        self._star_mixed = bool(postings.star_mixed & mask)
+        self.mining_cache: dict = {}
+        self.result_cache: dict = {}
+
+    # ------------------------------------------------------------------
+    # counting
+    # ------------------------------------------------------------------
+    def count(self, mask: int) -> int:
+        """Weighted popcount: total multiplicity of the mask's paths.
+
+        *mask* must lie inside the cell (see :meth:`segment_mask`).
+        """
+        if not mask:
+            return 0
+        uniform = self._uniform
+        if uniform is not None:
+            return uniform * mask.bit_count()
+        total = 0
+        for weight, class_mask in self._classes:
+            hit = mask & class_mask
+            if hit:
+                total += weight * hit.bit_count()
+        return total
+
     def segment_mask(self, segment: Segment) -> int:
-        """Tid mask of paths satisfying every constraint of *segment*."""
-        mask = self.constraint_mask(segment[0])
-        for constraint in segment[1:]:
+        """Mask of the cell's paths satisfying every constraint of *segment*."""
+        constraint_mask = self.postings.constraint_mask
+        mask = self.mask
+        for constraint in segment:
             if not mask:
                 break
-            mask &= self.constraint_mask(constraint)
+            mask &= constraint_mask(constraint)
         return mask
 
 
 def cell_index(
-    weighted: Sequence[WeightedPath], cache: dict | None = None
+    weighted: Sequence[WeightedPath] | PidCell, cache: dict | None = None
 ) -> CellExceptionIndex:
-    """The cell's index, shared via *cache* by path-multiset fingerprint.
+    """The cell's index: a view over its level's, or *cache*'s, postings.
 
-    The fingerprint is the frozenset of ``(path, weight)`` pairs: cells
-    store each distinct path once (the PR 3 weighted dedupe), so the
-    frozenset determines the multiset exactly, and every count the pass
-    derives is invariant to pair order — lattice cells that roll up to
-    identical multisets share one index, its mined segment masks, and its
-    cached exception lists.  Inputs that *do* repeat a pair (legal for the
-    public ``mine_exceptions`` entry points) would collapse under the
-    fingerprint, so they bypass the cache.
+    A :class:`PidCell` brings its own postings.  ``(path, weight)`` pairs
+    are interned into a private one — kept in *cache* when the caller
+    shares one across cells, so a path's stages are walked once however
+    many cells carry it — with the weights of a repeated path (legal for
+    the public ``mine_exceptions`` entry points) summed.
     """
+    if isinstance(weighted, PidCell):
+        return weighted.postings.index(weighted.weights)
     if cache is None:
-        return CellExceptionIndex(weighted)
-    key = frozenset(weighted)
-    if len(key) != len(weighted):
-        return CellExceptionIndex(weighted)
-    index = cache.get(key)
-    if index is None:
-        index = CellExceptionIndex(weighted)
-        cache[key] = index
-    return index
+        postings = PathPostings()
+    else:
+        postings = cache.get("postings")
+        if postings is None:
+            postings = cache["postings"] = PathPostings()
+    intern = postings.intern
+    weights: dict[int, int] = {}
+    for path, weight in weighted:
+        pid = intern(path)
+        weights[pid] = weights.get(pid, 0) + weight
+    return postings.index(weights)
 
 
 def mine_segments_bitmap(
@@ -286,7 +439,11 @@ def mine_segments_bitmap(
     if cached is not None:
         return cached
     threshold = resolve_min_support(min_support, index.total)
-    exact = index.exact
+    postings = index.postings
+    exact = postings.exact
+    items = postings.interner.items
+    rows = postings.rows
+    cell_mask = index.mask
     # Inline the weighted popcount (see ``CellExceptionIndex.count``):
     # the candidate loops below are the hottest counting site in the
     # kernel, and a per-candidate method call costs as much as the AND.
@@ -295,8 +452,10 @@ def mine_segments_bitmap(
     result: dict[Segment, int] = {}
     masks: dict[Segment, int] = {}
     frequent_items: list[tuple[SegmentConstraint, int]] = []
-    for item_id, item in enumerate(index.interner.items):
-        mask = exact[item_id]
+    # The cell's alphabet: the items of its own paths, not the level's.
+    for item_id in sorted(set().union(*[rows[pid] for pid in index.weights])):
+        item = items[item_id]
+        mask = exact[item_id] & cell_mask
         if uniform is not None:
             support = uniform * mask.bit_count()
         else:
@@ -350,7 +509,7 @@ def mine_segments_bitmap(
 
 def mine_exceptions_bitmap(
     graph: FlowGraph,
-    weighted: Sequence[WeightedPath],
+    weighted: Sequence[WeightedPath] | PidCell,
     min_support: float,
     min_deviation: float,
     segments: Iterable[Segment] | None = None,
@@ -360,32 +519,30 @@ def mine_exceptions_bitmap(
     """``mine_exceptions_weighted``'s body under ``kernel="bitmap"``.
 
     Semantics, arguments, and output are exactly the scan kernel's —
-    including attaching the sorted list to ``graph.exceptions``.  With an
-    *index_cache* and locally-mined segments, the finished exception list
-    itself is memoised per ``(δ, ε, max length)``: the exceptions are a
+    including attaching the sorted list to ``graph.exceptions``.  With
+    locally-mined segments the finished exception list itself is memoised
+    on the cell's index per ``(δ, ε, max length)``: the exceptions are a
     pure function of the path multiset (the graph's distributions are
-    derived from the same multiset), so cells sharing a fingerprint share
-    the result outright.
+    derived from the same multiset), so cells sharing an index — through
+    their level's postings, or through *index_cache* at the tuple door —
+    share the result outright.
     """
     index = cell_index(weighted, index_cache)
-    result_key = None
-    if segments is None and index_cache is not None:
-        result_key = (min_support, min_deviation, max_segment_length)
+    local = segments is None
+    result_key = (min_support, min_deviation, max_segment_length)
+    supports: dict[Segment, int] = {}
+    masks: dict[Segment, int] = {}
+    if local:
         cached = index.result_cache.get(result_key)
         if cached is not None:
             exceptions = list(cached)
             graph.exceptions = exceptions
             return exceptions
-    threshold = resolve_min_support(min_support, index.total)
-    local = False
-    supports: dict[Segment, int] = {}
-    masks: dict[Segment, int] = {}
-    if segments is None:
         supports, masks = mine_segments_bitmap(
             index, min_support, max_length=max_segment_length
         )
         segments = supports
-        local = True
+    threshold = resolve_min_support(min_support, index.total)
     count = index.count
     # When every path has the same multiplicity, a weighted popcount is
     # just ``uniform * bit_count()`` — inline it in the hot loops to skip
@@ -456,7 +613,7 @@ def mine_exceptions_bitmap(
                 )
             )
     exceptions.sort(key=exception_sort_key)
-    if result_key is not None:
+    if local:
         index.result_cache[result_key] = tuple(exceptions)
     graph.exceptions = exceptions
     return exceptions
@@ -568,7 +725,8 @@ def _node_invariants(
         return None
     node = graph.node(prefix)
     depth = len(prefix)
-    at_depth = index.transitions.get(depth, {})
+    postings = index.postings
+    at_depth = postings.transitions.get(depth, {})
     children = [
         (
             location,
@@ -582,8 +740,8 @@ def _node_invariants(
         node,
         node.transition_distribution(),
         list(at_depth.items()),
-        index.terminate_mask(depth),
-        list(index.durations.get(depth, {}).items()),
+        postings.terminate_mask(depth),
+        list(postings.durations.get(depth, {}).items()),
         children,
     )
 

@@ -31,9 +31,12 @@ to end:
    cells never pay for a graph).  No record is touched again.
 4. **Assemble** (:func:`assemble_cuboids`): iceberg filtering, cell
    construction, and the per-cell holistic exception pass, in exactly the
-   direct builder's cuboid and cell order.  Ids turn back into tuples only
-   here and in :func:`_cell_graph` — where a cell leaves the engine — and
-   every cell shares the table's one tuple object per distinct path.
+   direct builder's cuboid and cell order.  Ids turn back into tuples for
+   ``Cell.paths`` and in :func:`_cell_graph` only — where a cell leaves
+   the engine — and every cell shares the table's one tuple object per
+   distinct path.  The exception pass is handed the ids themselves: a
+   :class:`~repro.perf.exception_kernel.PidCell` over the cell's
+   ``{pid: weight}`` and the level's postings, which the table owns too.
 
 Parity with the direct engine is exact: counts are integers, distributions
 are ratios of identical integers, and exceptions are re-mined per cell from
@@ -70,6 +73,7 @@ from repro.core.lattice import (
 )
 from repro.core.path import Path
 from repro.errors import CubeError
+from repro.perf.exception_kernel import PathPostings, PidCell
 
 __all__ = [
     "ENGINES",
@@ -106,7 +110,7 @@ class AggregationMemo:
     Items move in bulk, so records heavily share paths; aggregation depends
     on the path and the level only.  One memo serves one build (every
     partition of a serial scan; one per worker process, rebound with the
-    store) or one append, so each distinct path is aggregated once per path
+    store), so each distinct path is aggregated once per path
     level however many records, root levels or partitions carry it.  It
     holds one reference per distinct path seen — the same order of memory
     as the finest level's multisets.
@@ -136,9 +140,17 @@ class PathTable:
 
     ``paths[level_id][pid]`` is the aggregated path interned as ``pid`` at
     that level and ``ids[level_id]`` the reverse map.  Ids are dense and
-    handed out in first-seen order by :func:`merge_scan`; nothing is ever
-    ordered by id, so the insertion orders the parity contract rests on
-    are those of the multisets themselves.
+    handed out in first-seen order (:func:`merge_scan`, :meth:`intern`);
+    nothing is ever ordered by id, so the insertion orders the parity
+    contract rests on are those of the multisets themselves.
+
+    The table owns the id space for both halves of the measure: the
+    algebraic roll-up counts ``{pid: weight}`` cells, and the holistic
+    pass reads the same cells as bit sets — ``postings[level_id]`` is the
+    level's :class:`~repro.perf.exception_kernel.PathPostings`, sharing
+    this table's ``paths`` / ``ids`` and indexing a path's stages the
+    first time a cell is mined after it was interned (never, with
+    exceptions off).
     """
 
     def __init__(self, n_path_levels: int) -> None:
@@ -148,6 +160,14 @@ class PathTable:
         self.paths: list[list[AggregatedPath]] = [
             [] for _ in range(n_path_levels)
         ]
+        self.postings: list[PathPostings] = [
+            PathPostings(paths, ids)
+            for paths, ids in zip(self.paths, self.ids)
+        ]
+
+    def intern(self, level_id: int, path: AggregatedPath) -> int:
+        """The id of *path* at path level *level_id* (next on first sight)."""
+        return self.postings[level_id].intern(path)
 
 
 @dataclass
@@ -455,9 +475,10 @@ def assemble_cuboids(
 
     Applies the iceberg threshold, builds cells from the derived weighted
     multisets and flowgraphs — path ids turn back into *table*'s tuples
-    here, for ``Cell.paths`` and the exception triples — and runs the
-    holistic exception pass per cuboid batch through *exception_pass* — a
-    ``run(batch)`` callable over ``(graph, weighted, segments)`` triples
+    here, for ``Cell.paths`` — and runs the holistic exception pass per
+    cuboid batch through *exception_pass* — a ``run(batch)`` callable over
+    ``(graph, weighted, segments)`` triples whose *weighted* is the cell's
+    ``{pid: weight}`` itself, wrapped with the level's postings
     (see :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
     the out-of-core builder substitutes a pool-fanned runner).  Defaults
     to a fresh serial runner over *kernel*.
@@ -480,11 +501,13 @@ def assemble_cuboids(
         for level_id, path_level in enumerate(path_lattice):
             cuboid = Cuboid(item_level, path_level)
             paths = table.paths[level_id]
+            postings = table.postings[level_id]
             cells = level_data.weighted[level_id]
             batch = []
             for key, record_ids in members.items():
+                weights = cells[key]
                 weighted = tuple(
-                    [(paths[pid], weight) for pid, weight in cells[key].items()]
+                    [(paths[pid], weight) for pid, weight in weights.items()]
                 )
                 graph = level_data.graphs[level_id][key]
                 cell = Cell(
@@ -501,7 +524,7 @@ def assemble_cuboids(
                         segments = segments_by_cell.get(
                             (item_level, path_level, key)
                         )
-                    batch.append((graph, weighted, segments))
+                    batch.append((graph, PidCell(weights, postings), segments))
                 cuboid.cells[key] = cell
             if batch:
                 exception_pass(batch)

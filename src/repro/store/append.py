@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 
-from repro.core.aggregation import AggregatedPath, weight_paths
+from repro.core.aggregation import aggregate_path
 from repro.core.flowcube import Cell, CellKey
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
@@ -50,7 +50,8 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
-from repro.perf.measure_rollup import AggregationMemo
+from repro.perf.exception_kernel import PidCell
+from repro.perf.measure_rollup import PathTable
 from repro.store.cube_store import (
     CubeStore,
     _new_append_stats,
@@ -356,76 +357,80 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
     # ------------------------------------------------------------------
     # materialise the dirty cells, in canonical cuboid order
     # ------------------------------------------------------------------
-    # Each distinct path is aggregated once (the memo); a record's id
-    # then finds its path's levels without re-hashing the path — with
-    # exceptions on, every member of every dirty cell comes through here.
-    aggregation = AggregationMemo(lattice)
-    levels_of: dict[int, list[AggregatedPath]] = {}
+    # Each distinct path is aggregated once per path level and interned
+    # into this append's own id space; a record's id then finds its
+    # path's ids without re-hashing the path — with exceptions on, every
+    # member of every dirty cell comes through here.  A dirty cell's
+    # multiset is {pid: weight}, counted on int keys, and the table's
+    # per-level postings serve every dirty cell of the level.
+    table = PathTable(len(lattice))
+    pids_by_path: dict[Path, list[int]] = {}
+    pids_of: dict[int, list[int]] = {}
 
-    def aggregated(record_id: int, level_id: int) -> AggregatedPath:
-        by_level = levels_of.get(record_id)
+    def pids(record_id: int) -> list[int]:
+        by_level = pids_of.get(record_id)
         if by_level is None:
-            by_level = aggregation.aggregated(paths[record_id])
-            levels_of[record_id] = by_level
-        return by_level[level_id]
+            path = paths[record_id]
+            by_level = pids_by_path.get(path)
+            if by_level is None:
+                by_level = pids_by_path[path] = [
+                    table.intern(level_id, aggregate_path(path, path_level))
+                    for level_id, path_level in enumerate(lattice)
+                ]
+            pids_of[record_id] = by_level
+        return by_level
+
+    def count_pids(record_ids: Iterable[int], level_id: int) -> dict[int, int]:
+        weights: dict[int, int] = {}
+        for record_id in record_ids:
+            pid = pids(record_id)[level_id]
+            weights[pid] = weights.get(pid, 0) + 1
+        return weights
 
     dirty: dict[tuple[ItemLevel, int, CellKey], Cell] = {}
     layout: list[tuple[ItemLevel, int, list[CellKey]]] = []
-    triples: list[tuple[FlowGraph, tuple, None]] = []
+    triples: list[tuple[FlowGraph, PidCell, None]] = []
     updated_cells = created_cells = 0
     for i, item_level in enumerate(levels):
         for level_id in range(len(lattice)):
             layout.append((item_level, level_id, final_order[i]))
             path_level = lattice[level_id]
+            level_paths = table.paths[level_id]
             for key in final_order[i]:
                 if key in updated_keys[i]:
                     old = cube.cell(item_level, key, path_level)
-                    batch_records = batch_groups[i][key]
+                    batch_ids = [r.record_id for r in batch_groups[i][key]]
                     delta = FlowGraph()
-                    for record in batch_records:
-                        delta.add_path(
-                            aggregated(record.record_id, level_id)
-                        )
-                    merged_ids = old.record_ids + tuple(
-                        r.record_id for r in batch_records
-                    )
-                    cell = Cell(
-                        key=key,
-                        item_level=item_level,
-                        path_level=path_level,
-                        record_ids=merged_ids,
-                        flowgraph=old.flowgraph.merge([delta]),
-                        paths=(),
-                        redundant=False,
-                    )
+                    for pid, weight in count_pids(batch_ids, level_id).items():
+                        delta.add_path(level_paths[pid], weight)
+                    record_ids = old.record_ids + tuple(batch_ids)
+                    graph = old.flowgraph.merge([delta])
+                    weights = None
                     updated_cells += 1
                 elif key in promoted[i]:
-                    member_ids = promoted[i][key]
-                    weighted = weight_paths(
-                        aggregated(rid, level_id) for rid in member_ids
-                    )
+                    record_ids = tuple(promoted[i][key])
+                    weights = count_pids(record_ids, level_id)
                     graph = FlowGraph()
-                    for path, weight in weighted:
-                        graph.add_path(path, weight)
-                    cell = Cell(
-                        key=key,
-                        item_level=item_level,
-                        path_level=path_level,
-                        record_ids=tuple(member_ids),
-                        flowgraph=graph,
-                        paths=(),
-                        redundant=False,
-                    )
+                    for pid, weight in weights.items():
+                        graph.add_path(level_paths[pid], weight)
                     created_cells += 1
                 else:
                     continue  # untouched: keep the existing entry verbatim
-                dirty[(item_level, level_id, key)] = cell
+                dirty[(item_level, level_id, key)] = Cell(
+                    key=key,
+                    item_level=item_level,
+                    path_level=path_level,
+                    record_ids=record_ids,
+                    flowgraph=graph,
+                    paths=(),
+                    redundant=False,
+                )
                 if mine:
-                    weighted = weight_paths(
-                        aggregated(rid, level_id)
-                        for rid in cell.record_ids
+                    if weights is None:
+                        weights = count_pids(record_ids, level_id)
+                    triples.append(
+                        (graph, PidCell(weights, table.postings[level_id]), None)
                     )
-                    triples.append((cell.flowgraph, weighted, None))
 
     # ------------------------------------------------------------------
     # re-mine exceptions in the dirty cells only (Lemma 4.3)

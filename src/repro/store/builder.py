@@ -230,11 +230,14 @@ def _task_bind_store(store_dir: str, path_lattice: PathLattice) -> bool:
 
     Re-opens the store unconditionally — the catalog may have grown since
     a previous build through the same pool — and starts a fresh
-    aggregation memo, whose entries belong to one path lattice.
+    aggregation memo, whose entries belong to one path lattice, and a
+    fresh exception-index cache, so a long-lived pool holds the postings
+    and views of its current build (or append) only.
     """
     ctx = worker_context()
     ctx["store"] = PartitionedPathStore.open(store_dir)
     ctx["aggregation"] = AggregationMemo(path_lattice)
+    ctx["exception_indexes"] = {}
     return True
 
 
@@ -243,15 +246,18 @@ def _task_exceptions(
 ) -> list:
     """Mine one batch of cells' exceptions inside a worker process.
 
-    Each entry is ``(weighted, segments)``; the flowgraph is rebuilt
-    worker-side from the weighted multiset — its distributions are pure
-    functions of the multiset (Lemma 4.2), so the baselines match the
-    parent's graph exactly — and only the picklable exception list travels
-    back.  The per-process index cache persists across batches *and*
-    builds (it is content-keyed by path-multiset fingerprint), so cells
-    sharing a fingerprint reuse one bitmap index however they arrive.
+    Each entry is ``(weighted, segments)`` with *weighted* the cell's
+    ``(path, weight)`` pairs (a ``PidCell`` pickles as them); the
+    flowgraph is rebuilt worker-side from the weighted multiset — its
+    distributions are pure functions of the multiset (Lemma 4.2), so the
+    baselines match the parent's graph exactly — and only the picklable
+    exception list travels back.  The per-process index cache persists
+    across the batches of one build (:func:`_task_bind_store` drops it):
+    the pairs are interned into its one postings, so a path's stages are
+    walked once per worker and cells sharing a fingerprint reuse one
+    index however they arrive.
     """
-    index_cache = worker_context().setdefault("exception_indexes", {})
+    index_cache = worker_context()["exception_indexes"]
     out = []
     for weighted, segments in batch:
         graph = FlowGraph()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlowCube, FlowGraph
+from repro.core import FlowCube, FlowGraph, PathLattice, aggregate_path
 from repro.core.flowgraph_exceptions import (
     mine_exceptions_weighted,
     mine_frequent_segments_weighted,
@@ -22,9 +22,11 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.serialization import cube_to_json
 from repro.perf.exception_kernel import (
     CellExceptionIndex,
+    PidCell,
     cell_index,
     mine_segments_bitmap,
 )
+from repro.perf.measure_rollup import PathTable
 from repro.store import PartitionedPathStore, build_cube
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.test_properties import path_databases
@@ -95,7 +97,7 @@ def test_segment_miner_matches_scan_miner(db, min_support):
         weighted = cell.paths
         expected = mine_frequent_segments_weighted(weighted, min_support)
         supports, masks = mine_segments_bitmap(
-            CellExceptionIndex(weighted), min_support
+            cell_index(weighted), min_support
         )
         assert supports == expected
         assert set(masks) == set(supports)
@@ -161,6 +163,24 @@ MIXED_STAR = [
 ]
 
 
+#: A second cell of the same path level that never carries a "*" stage
+#: but shares MIXED_STAR's concrete paths — level-wide, its paths sit at a
+#: prefix where *another* cell's path has "*".
+NO_STAR = [
+    ((("f", "1"), ("w", "2")), 2),
+    ((("f", "2"), ("w", "1")), 7),
+    ((("f", "2"), ("s", "2")), 3),
+]
+
+
+def _pid_cell(table, weighted, level_id=0):
+    """*weighted* as a PidCell of *table*, interning its paths on the way."""
+    return PidCell(
+        {table.intern(level_id, path): weight for path, weight in weighted},
+        table.postings[level_id],
+    )
+
+
 @pytest.mark.parametrize("min_support", [0.05, 0.2, 2, 4, 1.0, 0.999])
 @pytest.mark.parametrize("min_deviation", [0.0, 0.05, 0.3])
 def test_mixed_star_durations_parity(min_support, min_deviation):
@@ -173,6 +193,37 @@ def test_mixed_star_durations_parity(min_support, min_deviation):
         min_support, min_deviation, kernel="bitmap",
     )
     assert scan == bitmap
+
+    # The same cell next to one that does not mix, through one shared
+    # postings: the mixed flag is a per-cell fact read off level-wide
+    # masks.  Either mining order, with the level interned up front (the
+    # build) or as the cells arrive (the postings extend under a live
+    # view), must reproduce the scan kernel cell by cell.
+    cells = (MIXED_STAR, NO_STAR)
+    expected = (
+        scan,
+        mine_exceptions_weighted(
+            _build_graph(NO_STAR), NO_STAR,
+            min_support, min_deviation, kernel="scan",
+        ),
+    )
+    for order in ((0, 1), (1, 0)):
+        for up_front in (True, False):
+            table = PathTable(1)
+            if up_front:
+                for weighted in cells:
+                    _pid_cell(table, weighted)
+            for i in order:
+                cell = _pid_cell(table, cells[i])
+                assert cell.postings is table.postings[0]
+                graph = _build_graph(cells[i])
+                mined = mine_exceptions_weighted(
+                    graph, cell, min_support, min_deviation, kernel="bitmap"
+                )
+                assert mined == expected[i], (order, up_front, i)
+                assert graph.exceptions == expected[i]
+            # Over-flagging NO_STAR is safe; missing MIXED_STAR is not.
+            assert cell_index(_pid_cell(table, MIXED_STAR))._star_mixed
 
 
 def test_external_segments_parity():
@@ -226,11 +277,105 @@ def test_index_cache_shares_by_multiset():
     assert cell_index(weighted, None) is not first
 
 
-def test_index_cache_skips_duplicate_pairs():
-    """Inputs that repeat a (path, weight) pair collapse under the
-    frozenset fingerprint, so they must bypass the cache."""
+def test_index_cache_sums_duplicate_pairs():
+    """Inputs that repeat a (path, weight) pair must not collapse under
+    the fingerprint: the tuple door sums weights per distinct path, so the
+    repeat shares a view with the pair written once at the summed weight —
+    and with nothing lighter."""
     weighted = [((("f", "1"),), 1), ((("f", "1"),), 1)]
     cache: dict = {}
     index = cell_index(weighted, cache)
-    assert not cache
     assert index.total == 2
+    assert isinstance(index, CellExceptionIndex)
+    assert cell_index([((("f", "1"),), 2)], cache) is index
+    assert cell_index([((("f", "1"),), 1)], cache) is not index
+    assert cell_index([((("f", "1"),), 1)], cache).total == 1
+
+
+# ----------------------------------------------------------------------
+# sub-multisets of one level through one shared postings
+# ----------------------------------------------------------------------
+
+def _assert_three_way_parity(
+    weights, table, level_id, min_support, min_deviation, segments
+):
+    """Shared postings, tuple door and scan kernel agree on one cell."""
+    paths = table.paths[level_id]
+    pairs = [(paths[pid], weight) for pid, weight in weights.items()]
+    graphs = [_build_graph(pairs) for _ in range(3)]
+    scan = mine_exceptions_weighted(
+        graphs[0], pairs, min_support, min_deviation,
+        segments=segments, kernel="scan",
+    )
+    door = mine_exceptions_weighted(
+        graphs[1], pairs, min_support, min_deviation,
+        segments=segments, kernel="bitmap",
+    )
+    shared = mine_exceptions_weighted(
+        graphs[2], PidCell(weights, table.postings[level_id]),
+        min_support, min_deviation, segments=segments, kernel="bitmap",
+    )
+    assert door == scan
+    assert shared == scan
+    assert graphs[0].exceptions == graphs[1].exceptions == graphs[2].exceptions
+
+
+@given(
+    path_databases(),
+    st.sampled_from([0.05, 0.3, 2, 1.0]),
+    st.sampled_from([0.0, 0.1]),
+    st.data(),
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_sub_multisets_of_one_level_parity(db, min_support, min_deviation, data):
+    """Any ``{pid: weight}`` drawn from a level mines the same through the
+    level's shared postings, through the tuple door, and under the scan
+    kernel — whatever else the postings hold and whatever was mined
+    through them before."""
+    lattice = PathLattice.paper_default(db.schema.location)
+    table = PathTable(len(lattice))
+    for level_id, path_level in enumerate(lattice):
+        for record in db:
+            table.intern(level_id, aggregate_path(record.path, path_level))
+    for level_id in range(len(lattice)):
+        paths = table.paths[level_id]
+        pids = list(range(len(paths)))
+        some = data.draw(
+            st.lists(st.sampled_from(pids), min_size=1, unique=True),
+            label="some",
+        )
+        rest = [pid for pid in pids if pid not in some]
+        weight = st.integers(min_value=1, max_value=4)
+        multisets = [
+            dict.fromkeys(pids, 1),                       # the whole level
+            {pid: data.draw(weight) for pid in pids},     # ... mixed weights
+            {data.draw(st.sampled_from(pids)): data.draw(weight)},
+            dict.fromkeys(some, data.draw(weight)),       # uniform subset
+            {pid: data.draw(weight) for pid in rest},     # disjoint from it
+            {pid: data.draw(weight) for pid in some[::2] + rest[::2]},
+        ]
+        shared_segments = list(
+            mine_frequent_segments_weighted(
+                [(path, 1) for path in paths], min_support
+            )
+        )
+        for weights in multisets:
+            for segments in (None, shared_segments):
+                _assert_three_way_parity(
+                    weights, table, level_id, min_support, min_deviation,
+                    segments,
+                )
+        # A tuple-door input may repeat a (path, weight) pair; the door
+        # sums the weights, so it still equals the scan kernel.
+        repeated = [(paths[pid], 1) for pid in pids + some]
+        assert mine_exceptions_weighted(
+            _build_graph(repeated), repeated, min_support, min_deviation,
+            kernel="bitmap", index_cache={},
+        ) == mine_exceptions_weighted(
+            _build_graph(repeated), repeated, min_support, min_deviation,
+            kernel="scan",
+        )

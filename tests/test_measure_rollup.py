@@ -295,3 +295,120 @@ def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
     calls = _counting_hook(monkeypatch)
     cube = build_cube(store, min_support=0.1, jobs=1)
     assert calls["n"] == distinct * len(cube.path_lattice)
+
+
+# ----------------------------------------------------------------------
+# the index-once guarantee: the holistic pass works per level, not per cell
+# ----------------------------------------------------------------------
+
+
+def _kernel_hooks(monkeypatch):
+    """Count the kernel's stage interning and postings; keep the tables."""
+    import repro.perf.exception_kernel as exception_kernel
+    import repro.store.append as store_append
+    import repro.store.builder as store_builder
+
+    seen = {"interned": 0, "postings": 0, "tables": []}
+
+    class CountingInterner(exception_kernel.ItemInterner):
+        def intern(self, item):
+            seen["interned"] += 1
+            return super().intern(item)
+
+    real_init = exception_kernel.PathPostings.__init__
+
+    def counted_init(self, *args, **kwargs):
+        seen["postings"] += 1
+        real_init(self, *args, **kwargs)
+
+    class RecordedTable(measure_rollup.PathTable):
+        def __init__(self, n_path_levels):
+            super().__init__(n_path_levels)
+            seen["tables"].append(self)
+
+    monkeypatch.setattr(exception_kernel, "ItemInterner", CountingInterner)
+    monkeypatch.setattr(exception_kernel.PathPostings, "__init__", counted_init)
+    monkeypatch.setattr(store_builder, "PathTable", RecordedTable)
+    monkeypatch.setattr(store_append, "PathTable", RecordedTable)
+    return seen
+
+
+def _level_stages(table):
+    return sum(len(path) for paths in table.paths for path in paths)
+
+
+def test_exception_pass_indexes_once_per_path_level(tmp_path, monkeypatch):
+    """A path's stages are walked once per path level per build and per
+    append — however many cells hold the path — through exactly one
+    postings object per level."""
+    from repro.core.path_database import PathDatabase
+    from repro.store import PartitionedPathStore, append_records, build_cube
+
+    database = generate_path_database(STORE_CONFIG)
+    rows = list(database)
+    base, batch = rows[:100], rows[100:]
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", database.schema, partition_size=30
+    )
+    base_db = PathDatabase(database.schema, base, validate=False)
+    store.ingest(base_db)
+    # What indexing cell by cell walks: every cell's every path.
+    per_cell_stages = sum(
+        len(path)
+        for cell in FlowCube.build(
+            base_db, min_support=0.05, compute_exceptions=False
+        ).cells()
+        for path, _ in cell.paths
+    )
+    seen = _kernel_hooks(monkeypatch)
+
+    cube = store.cube_store()
+    build_cube(store, min_support=0.05, into=cube)
+    n_path_levels = len(cube.path_lattice)
+    (table,) = seen["tables"]
+    assert seen["postings"] == n_path_levels
+    assert 0 < seen["interned"] <= _level_stages(table)
+    assert cube.n_cells() > n_path_levels
+    assert per_cell_stages > 2 * seen["interned"]
+
+    seen.update(interned=0, postings=0, tables=[])
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+    (table,) = seen["tables"]
+    assert stats["updated"] + stats["created"] > n_path_levels
+    assert seen["postings"] == n_path_levels
+    assert 0 < seen["interned"] <= _level_stages(table)
+
+
+def test_tuple_door_needs_no_path_table(monkeypatch):
+    """``mine_exceptions_weighted`` over plain pairs interns them into a
+    private postings: same kernel, no ``PathTable`` in sight."""
+    from repro.core.flowgraph_exceptions import mine_exceptions_weighted
+
+    def refuse(self, n_path_levels):
+        raise AssertionError("the tuple door built a PathTable")
+
+    monkeypatch.setattr(measure_rollup.PathTable, "__init__", refuse)
+    cube = FlowCube.build(
+        generate_path_database(STORE_CONFIG), min_support=0.1,
+        engine="direct", compute_exceptions=False,
+    )
+    mined = 0
+    cache: dict = {}
+    for cell in cube.cells():
+        pairs = list(cell.paths)
+        lists = []
+        for kwargs in (
+            {"kernel": "scan"},
+            {"kernel": "bitmap"},
+            {"kernel": "bitmap", "index_cache": cache},
+        ):
+            graph = FlowGraph()
+            for path, weight in pairs:
+                graph.add_path(path, weight)
+            lists.append(
+                mine_exceptions_weighted(graph, pairs, 0.1, 0.05, **kwargs)
+            )
+        assert lists[0] == lists[1] == lists[2]
+        mined += len(lists[0])
+    assert mined
+    assert len(cache) == 1  # one private postings for the whole run

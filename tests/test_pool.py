@@ -17,7 +17,7 @@ import pytest
 from repro.core.flowcube import FlowCube
 from repro.core.lattice import PathLattice
 from repro.core.serialization import cube_to_json
-from repro.perf.pool import PoolStats, WorkerPool
+from repro.perf.pool import PoolStats, WorkerPool, worker_context
 from repro.store import BuildStats, PartitionedPathStore, build_cube
 from repro.synth import GeneratorConfig, generate_path_database, scaled_config
 
@@ -131,6 +131,40 @@ def test_reused_pool_rebinds_the_path_lattice(store):
     ]
     assert reused == fresh
     assert reused[0] != reused[1]
+
+
+def _cached_fingerprints() -> set:
+    """This worker's cached exception indexes, as path-multiset fingerprints."""
+    postings = worker_context()["exception_indexes"].get("postings")
+    if postings is None:
+        return set()
+    return {
+        frozenset(
+            (postings.paths[pid], weight)
+            for pid, weight in index.weights.items()
+        )
+        for index in postings.indexes.values()
+    }
+
+
+def test_reused_pool_drops_the_exception_index_cache(store, reference):
+    """A worker's index cache lives for one build: a long-lived pool holds
+    the second build's fingerprints only, not every build's so far."""
+    pool = WorkerPool(2).start()
+    try:
+        held = []
+        for min_support in (MIN_SUPPORT, 0.4):
+            cube = build_cube(store, min_support=min_support, pool=pool)
+            if min_support == MIN_SUPPORT:
+                assert cube_to_json(cube) == reference[0]
+            mined = {frozenset(cell.paths) for cell in cube.cells()}
+            cached = set().union(*pool.broadcast(_cached_fingerprints))
+            assert cached == mined
+            held.append(cached)
+        # The first build mined cells the second never saw.
+        assert held[0] - held[1]
+    finally:
+        pool.close()
 
 
 def test_use_shared_build_matches_premined_segments(store):
