@@ -57,6 +57,7 @@ from repro.perf.exception_kernel import (
     cell_index,
     mine_exceptions_bitmap,
     mine_segments_bitmap,
+    pid_cell,
 )
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.measure_rollup import ENGINES, build_rollup, derivation_plan
@@ -99,5 +100,6 @@ __all__ = [
     "mine_exceptions_bitmap",
     "mine_segments_bitmap",
     "oversubscription_warning",
+    "pid_cell",
     "resolve_jobs",
 ]

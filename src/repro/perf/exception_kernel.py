@@ -42,7 +42,7 @@ the pass a :class:`PidCell` — the cell's ``{pid: weight}`` plus its
 level's postings — and share those postings across every cell of the
 level.  Everything else (``mine_exceptions_weighted(graph, [(path,
 weight), …])``: the direct engine, in-memory appends, the pool workers)
-comes through the tuple door of :func:`cell_index`, which interns its
+comes through the tuple door of :func:`pid_cell`, which interns its
 pairs into a private postings and runs the same code.  A ``PidCell``
 iterates — and pickles — as its ``(path, weight)`` pairs, so the scan
 kernel and the pool boundary see exactly what they always did.
@@ -70,7 +70,11 @@ Views are shared across cells through the postings' fingerprint cache,
 keyed by ``frozenset({pid: weight}.items())`` — int pairs, not nested
 tuples: lattice cells that roll up to identical multisets — common near
 the apex — reuse one view, its mined segment masks, and (when segments
-are mined locally) whole cached exception lists.
+are mined locally) whole cached exception lists.  That cache is the only
+edge between postings and views: a view holds no reference back, so a
+path table and everything indexed under it is freed by reference count
+when its build or append lets go — the write side pauses the cyclic
+collector (:mod:`repro.perf.collector`) and must not need it.
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ __all__ = [
     "PathPostings",
     "PidCell",
     "CellExceptionIndex",
+    "pid_cell",
     "cell_index",
     "mine_segments_bitmap",
     "mine_exceptions_bitmap",
@@ -128,7 +133,9 @@ class PathPostings:
             some path of the level carries ``*`` (see
             :class:`CellExceptionIndex`).
         indexes: Fingerprint ``frozenset({pid: weight}.items())`` → the
-            shared :class:`CellExceptionIndex`.
+            shared :class:`CellExceptionIndex`.  The only edge between
+            the two: a view never refers back to its postings, so the
+            level's table dies by reference count with its owner.
     """
 
     __slots__ = (
@@ -295,8 +302,12 @@ class CellExceptionIndex:
     asks — segment support, conditional transition counts, conditional
     duration counts — becomes an AND of masks plus a weighted popcount.
 
+    The view keeps no reference to *postings* (they cache it, and a
+    back-edge would leave a build's whole path table to the cyclic
+    collector); whoever counts against the level-wide masks — a
+    :class:`PidCell` has them in hand — passes them in.
+
     Attributes:
-        postings: The level-wide masks the view counts against.
         weights: The cell's ``{pid: weight}``.
         mask: The cell's paths.  Level-wide masks are AND-ed with it
             once, at a segment's first constraint.
@@ -312,7 +323,6 @@ class CellExceptionIndex:
     """
 
     __slots__ = (
-        "postings",
         "weights",
         "mask",
         "total",
@@ -330,7 +340,6 @@ class CellExceptionIndex:
         mask = 0
         for class_mask in classes.values():
             mask |= class_mask
-        self.postings = postings
         self.weights = weights
         self.mask = mask
         self.total = sum(weights.values())
@@ -371,9 +380,9 @@ class CellExceptionIndex:
                 total += weight * hit.bit_count()
         return total
 
-    def segment_mask(self, segment: Segment) -> int:
+    def segment_mask(self, postings: PathPostings, segment: Segment) -> int:
         """Mask of the cell's paths satisfying every constraint of *segment*."""
-        constraint_mask = self.postings.constraint_mask
+        constraint_mask = postings.constraint_mask
         mask = self.mask
         for constraint in segment:
             if not mask:
@@ -382,10 +391,10 @@ class CellExceptionIndex:
         return mask
 
 
-def cell_index(
+def pid_cell(
     weighted: Sequence[WeightedPath] | PidCell, cache: dict | None = None
-) -> CellExceptionIndex:
-    """The cell's index: a view over its level's, or *cache*'s, postings.
+) -> PidCell:
+    """*weighted* in a path-id space: its level's, or *cache*'s.
 
     A :class:`PidCell` brings its own postings.  ``(path, weight)`` pairs
     are interned into a private one — kept in *cache* when the caller
@@ -394,7 +403,7 @@ def cell_index(
     the public ``mine_exceptions`` entry points) summed.
     """
     if isinstance(weighted, PidCell):
-        return weighted.postings.index(weighted.weights)
+        return weighted
     if cache is None:
         postings = PathPostings()
     else:
@@ -406,15 +415,26 @@ def cell_index(
     for path, weight in weighted:
         pid = intern(path)
         weights[pid] = weights.get(pid, 0) + weight
-    return postings.index(weights)
+    return PidCell(weights, postings)
+
+
+def cell_index(
+    weighted: Sequence[WeightedPath] | PidCell, cache: dict | None = None
+) -> CellExceptionIndex:
+    """The cell's index: a view over the postings of its :func:`pid_cell`."""
+    cell = pid_cell(weighted, cache)
+    return cell.postings.index(cell.weights)
 
 
 def mine_segments_bitmap(
+    postings: PathPostings,
     index: CellExceptionIndex,
     min_support: float,
     max_length: int = 4,
 ) -> tuple[dict[Segment, int], dict[Segment, int]]:
     """Bitmap twin of ``mine_frequent_segments_weighted`` over one index.
+
+    *index* is a view over *postings* (``postings.index(weights)``).
 
     Same thresholds, same frequent segments, but both candidate generation
     and counting exploit the chain structure.  A segment is a chain of
@@ -439,7 +459,6 @@ def mine_segments_bitmap(
     if cached is not None:
         return cached
     threshold = resolve_min_support(min_support, index.total)
-    postings = index.postings
     exact = postings.exact
     items = postings.interner.items
     rows = postings.rows
@@ -527,7 +546,9 @@ def mine_exceptions_bitmap(
     their level's postings, or through *index_cache* at the tuple door —
     share the result outright.
     """
-    index = cell_index(weighted, index_cache)
+    cell = pid_cell(weighted, index_cache)
+    postings = cell.postings
+    index = cell_index(cell)
     local = segments is None
     result_key = (min_support, min_deviation, max_segment_length)
     supports: dict[Segment, int] = {}
@@ -539,7 +560,7 @@ def mine_exceptions_bitmap(
             graph.exceptions = exceptions
             return exceptions
         supports, masks = mine_segments_bitmap(
-            index, min_support, max_length=max_segment_length
+            postings, index, min_support, max_length=max_segment_length
         )
         segments = supports
     threshold = resolve_min_support(min_support, index.total)
@@ -570,7 +591,7 @@ def mine_exceptions_bitmap(
         deepest_prefix = ordered[-1][0]
         at_node = node_cache.get(deepest_prefix, _MISSING)
         if at_node is _MISSING:
-            at_node = _node_invariants(graph, index, deepest_prefix)
+            at_node = _node_invariants(graph, postings, deepest_prefix)
             node_cache[deepest_prefix] = at_node
         if at_node is None:
             continue  # the graph has no such node
@@ -582,13 +603,13 @@ def mine_exceptions_bitmap(
                 # treats it as a wildcard.  The wildcard mask is a
                 # superset of the exact one, so the segment stays
                 # frequent — just recount through the prefix masks.
-                mask = index.segment_mask(ordered)
+                mask = index.segment_mask(postings, ordered)
                 support = count(mask)
             else:
                 mask = masks[ordered]
                 support = supports[ordered]
         else:
-            mask = index.segment_mask(ordered)
+            mask = index.segment_mask(postings, ordered)
             support = count(mask)
             if support < threshold:
                 continue
@@ -712,7 +733,7 @@ def _probe_node(
 
 
 def _node_invariants(
-    graph: FlowGraph, index: CellExceptionIndex, prefix: tuple[str, ...]
+    graph: FlowGraph, postings: PathPostings, prefix: tuple[str, ...]
 ) -> tuple | None:
     """Everything about one deepest node that is segment-independent.
 
@@ -725,7 +746,6 @@ def _node_invariants(
         return None
     node = graph.node(prefix)
     depth = len(prefix)
-    postings = index.postings
     at_depth = postings.transitions.get(depth, {})
     children = [
         (

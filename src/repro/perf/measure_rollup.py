@@ -436,11 +436,14 @@ def prune_to_iceberg(
     Derivation needs *all* child cells to conserve ancestor weights, but
     once every level is derived only iceberg-surviving cells are ever
     read again.  The sub-threshold tail is the bulk of the keys on
-    realistic workloads, and keeping it alive through assembly makes the
+    realistic workloads, so it is dropped here.  Under the in-memory
+    engine (``FlowCube.build(engine="rollup")``, which runs on the
+    default collector) keeping it alive through assembly makes the
     holistic exception pass measurably slower just by inflating the heap
-    the cyclic GC has to traverse — so it is dropped here.  Pruning keeps
-    each dict's insertion order (a subset of it), leaving assembly's cell
-    order untouched.
+    the cyclic GC has to traverse; a store build pauses that collector
+    (:mod:`repro.perf.collector`), and there the prune only releases the
+    memory early.  Pruning keeps each dict's insertion order (a subset
+    of it), leaving assembly's cell order untouched.
     """
     for level_data in data.values():
         groups = {

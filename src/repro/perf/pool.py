@@ -30,6 +30,7 @@ layer (``repro.perf`` stays a leaf package).
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -134,6 +135,11 @@ def _worker_init(initializer, initargs) -> None:
 
     if tracemalloc.is_tracing():
         tracemalloc.stop()
+    # A pool forked inside a collector pause (a build-owned ``jobs > 1``
+    # pool) would run collector-off for life, a caller's long-lived one
+    # collector-on: one pool, two behaviours decided by where ``start()``
+    # happened.  Workers run on the interpreter's default.
+    gc.enable()
     _WORKER.clear()
     if initializer is not None:
         initializer(*initargs)

@@ -50,6 +50,7 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
+from repro.perf import collector
 from repro.perf.exception_kernel import PidCell
 from repro.perf.measure_rollup import PathTable
 from repro.store.cube_store import (
@@ -86,6 +87,7 @@ def _require_fresh(cube: CubeStore, store) -> dict:
     return stats
 
 
+@collector.paused()
 def append_records(
     store,
     records: Iterable[PathRecord],
@@ -97,6 +99,9 @@ def append_records(
     compact_after: int | None = 16,
 ) -> dict:
     """Ingest *records* and delta-merge them into the store's cube.
+
+    Runs with the cyclic collector paused, like the build
+    (:func:`repro.perf.collector.paused`).
 
     Args:
         store: The :class:`~repro.store.pathstore.PartitionedPathStore`.

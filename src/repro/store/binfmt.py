@@ -1097,6 +1097,10 @@ class MaskArena:
         if materialise:
             for mask_map in self._maps:
                 mask_map.materialise()
+        # The maps keep pointing here (a read after close must raise);
+        # letting go of them is what lets a closed index die by reference
+        # count instead of waiting, arena <-> maps, for the cyclic collector.
+        self._maps = []
         self._buffer = None
 
 

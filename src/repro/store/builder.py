@@ -94,6 +94,7 @@ from repro.errors import CubeError
 from repro.mining.result import FlowMiningResult, item_sort_key
 from repro.mining.shared import mine_interned
 from repro.mining.stats import MiningStats
+from repro.perf import collector
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.pool import WorkerPool, resolve_jobs, worker_context
 from repro.perf.measure_rollup import (
@@ -408,6 +409,7 @@ def _scan_partitions(
             yield result
 
 
+@collector.paused()
 def shared_mine_store(
     store: PartitionedPathStore,
     path_lattice: PathLattice | None = None,
@@ -430,7 +432,8 @@ def shared_mine_store(
     resident rows; no partition is read twice.  Row *t* of the
     concatenation is transaction *t* of the concatenated store, so the
     supports, the mining counters and the iteration order of
-    ``segments_by_cell()`` are exactly the in-memory miner's.
+    ``segments_by_cell()`` are exactly the in-memory miner's.  Runs with
+    the cyclic collector paused (:func:`repro.perf.collector.paused`).
 
     Args:
         store: The partitioned path store (the database D).
@@ -510,6 +513,7 @@ def shared_mine_store(
     )
 
 
+@collector.paused()
 def build_cube(
     store: PartitionedPathStore,
     path_lattice: PathLattice | None = None,
@@ -541,7 +545,9 @@ def build_cube(
     by merging child cells along the item lattice, so the whole build
     costs one pass regardless of how many item levels are materialised.
     The pool outlives the scan: assembly re-uses its idle workers to fan
-    the per-cell exception pass out across cells.
+    the per-cell exception pass out across cells.  The whole build runs
+    with the cyclic collector paused (:func:`repro.perf.collector.paused`:
+    nothing it allocates is cyclic; DESIGN §6 item 12).
 
     Args:
         store: The partitioned path store.

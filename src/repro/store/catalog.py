@@ -47,17 +47,23 @@ CATALOG_FILENAME = "catalog.json"
 # schema (de)serialisation
 # ----------------------------------------------------------------------
 
+def _subtree(hierarchy: ConceptHierarchy, concept: str) -> dict:
+    # Module-level, not nested in its caller: a recursive closure is a
+    # function -> cell -> function cycle per call, garbage only the cyclic
+    # collector frees — and the append path saves catalogs with it paused.
+    return {
+        child: _subtree(hierarchy, child)
+        for child in hierarchy.children(concept)
+    }
+
+
 def hierarchy_to_nested(hierarchy: ConceptHierarchy) -> dict:
     """A hierarchy as the nested mapping ``from_nested`` accepts.
 
     Sibling order is preserved, which keeps the digit codes — and hence
     every encoded transaction — identical across a save/load cycle.
     """
-
-    def subtree(concept: str) -> dict:
-        return {child: subtree(child) for child in hierarchy.children(concept)}
-
-    return subtree(ANY)
+    return _subtree(hierarchy, ANY)
 
 
 def schema_to_dict(schema: PathSchema) -> dict:

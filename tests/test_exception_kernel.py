@@ -25,6 +25,7 @@ from repro.perf.exception_kernel import (
     PidCell,
     cell_index,
     mine_segments_bitmap,
+    pid_cell,
 )
 from repro.perf.measure_rollup import PathTable
 from repro.store import PartitionedPathStore, build_cube
@@ -96,8 +97,9 @@ def test_segment_miner_matches_scan_miner(db, min_support):
     for cell in cube.cells():
         weighted = cell.paths
         expected = mine_frequent_segments_weighted(weighted, min_support)
+        interned = pid_cell(weighted)
         supports, masks = mine_segments_bitmap(
-            cell_index(weighted), min_support
+            interned.postings, cell_index(interned), min_support
         )
         assert supports == expected
         assert set(masks) == set(supports)

@@ -9,6 +9,7 @@ a worker that raises takes neither the pool nor its other slots down.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 
@@ -17,6 +18,7 @@ import pytest
 from repro.core.flowcube import FlowCube
 from repro.core.lattice import PathLattice
 from repro.core.serialization import cube_to_json
+from repro.perf import collector
 from repro.perf.pool import PoolStats, WorkerPool, worker_context
 from repro.store import BuildStats, PartitionedPathStore, build_cube
 from repro.synth import GeneratorConfig, generate_path_database, scaled_config
@@ -200,6 +202,24 @@ def test_pool_survives_a_raising_worker():
 
 def _echo(partition_id: int) -> int:
     return partition_id
+
+
+def _collector_enabled() -> bool:
+    return gc.isenabled()
+
+
+def test_workers_run_collector_on_wherever_the_pool_started():
+    """A pool forked inside a collector pause (what a build-owned
+    ``jobs > 1`` pool is) must not inherit the pause for life: every slot
+    runs on the interpreter's default, like a caller's long-lived pool."""
+    assert gc.isenabled()
+    with collector.paused():
+        pool = WorkerPool(2).start()
+    try:
+        assert pool.broadcast(_collector_enabled) == [True, True]
+    finally:
+        pool.close()
+    assert gc.isenabled()
 
 
 def test_pool_stats_snapshot():
