@@ -82,6 +82,12 @@ class Cell:
         """Number of paths aggregated in the cell."""
         return len(self.record_ids)
 
+    @property
+    def exceptions(self) -> list:
+        """The flowgraph's exceptions (a cell that defers its flowgraph
+        may answer without building one)."""
+        return self.flowgraph.exceptions
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Cell({self.key!r}, n={self.n_paths}, redundant={self.redundant})"
 

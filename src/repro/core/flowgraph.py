@@ -196,6 +196,80 @@ class FlowGraph:
                         counts[key] = counts.get(key, 0) + n
         return self
 
+    @classmethod
+    def expand(cls, weighted: Iterable[tuple[AggregatedPath, int]]) -> "FlowGraph":
+        """The flowgraph of a whole weighted multiset, in one pass.
+
+        Counts equal folding the ``(path, weight)`` pairs one by one with
+        :meth:`add_path`; it is cheaper because a multiset shares
+        prefixes: the walk touches one tally per stage (the duration),
+        and everything implied is filled in per *node* afterwards — a
+        node's ``count`` is the sum of its duration tally, a transition
+        count the child's ``count``.  Roots, children and tallies come
+        out in key order — the order the serialised form lists them in —
+        so the graph reads (and renders probability ties) the same
+        whatever order the multiset is in.  This is how a store expands
+        a cell from its persisted vector.
+        """
+        graph = cls()
+        roots = graph._roots
+        index = graph._index
+        new = FlowGraphNode.__new__
+        n_paths = 0
+        for path, weight in weighted:
+            if not path:
+                raise CubeError("cannot add an empty path to a flowgraph")
+            n_paths += weight
+            node = None
+            siblings = roots
+            for location, duration in path:
+                child = siblings.get(location)
+                if child is None:
+                    child = siblings[location] = new(FlowGraphNode)
+                    child.prefix = prefix = (
+                        (location,) if node is None
+                        else node.prefix + (location,)
+                    )
+                    child.count = 0
+                    child.duration_counts = {duration: weight}
+                    child.children = {}
+                    index[prefix] = child
+                else:
+                    counts = child.duration_counts
+                    counts[duration] = counts.get(duration, 0) + weight
+                node = child
+                siblings = node.children
+            node.count += weight  # until the pass below: paths ending here
+        graph.n_paths = n_paths
+        if len(roots) > 1:
+            graph._roots = dict(sorted(roots.items()))
+        # Children were created after their parents: walking the nodes
+        # backwards, every child's count is final before its parent reads
+        # it.  Most nodes have one duration label and at most one child.
+        for node in reversed(index.values()):
+            ended = node.count
+            durations = node.duration_counts
+            if len(durations) == 1:
+                (node.count,) = durations.values()
+            else:
+                node.count = sum(durations.values())
+                node.duration_counts = dict(sorted(durations.items()))
+            children = node.children
+            if not children:
+                node.transition_counts = {TERMINATE: ended}
+                continue
+            transitions = {
+                location: child.count for location, child in children.items()
+            }
+            if ended:
+                transitions[TERMINATE] = ended
+            if len(transitions) > 1:
+                transitions = dict(sorted(transitions.items()))
+                if len(children) > 1:
+                    node.children = dict(sorted(children.items()))
+            node.transition_counts = transitions
+        return graph
+
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------

@@ -24,19 +24,19 @@ to end:
    multiset is ``{path id: weight}``.
 3. **Derive ancestors** (:func:`derive_levels`): every other requested item
    level's per-cell data is rolled up from an already-materialised strict
-   descendant chosen by :func:`derivation_plan` — record ids concatenate,
-   path-id weights add, and iceberg-surviving cells get flowgraphs either
-   by :meth:`FlowGraph.merge` of their children's graphs or by expanding
-   their merged weighted multiset (equivalent by Lemma 4.2; sub-iceberg
-   cells never pay for a graph).  No record is touched again.
+   descendant chosen by :func:`derivation_plan` — record ids concatenate
+   and path-id weights add, which is all of Lemma 4.2: the vector is the
+   distributive part of the measure and the flowgraph a function of it.
+   No record is touched again and no graph is built.
 4. **Assemble** (:func:`assemble_cuboids`): iceberg filtering, cell
    construction, and the per-cell holistic exception pass, in exactly the
-   direct builder's cuboid and cell order.  Ids turn back into tuples for
-   ``Cell.paths`` and in :func:`_cell_graph` only — where a cell leaves
-   the engine — and every cell shares the table's one tuple object per
-   distinct path.  The exception pass is handed the ids themselves: a
-   :class:`~repro.perf.exception_kernel.PidCell` over the cell's
-   ``{pid: weight}`` and the level's postings, which the table owns too.
+   direct builder's cuboid and cell order.  A cell leaves the engine as a
+   :class:`VectorCell` — its ``{pid: weight}`` over the level's path list
+   — whose flowgraph is expanded where one is consumed: by the exception
+   pass (handed a :class:`~repro.perf.exception_kernel.PidCell` over the
+   same vector and the level's postings, which the table owns too), by
+   :func:`expanded` for an in-memory cube, and never by a store build
+   without exceptions, which persists the vector itself.
 
 Parity with the direct engine is exact: counts are integers, distributions
 are ratios of identical integers, and exceptions are re-mined per cell from
@@ -80,6 +80,8 @@ __all__ = [
     "AggregationMemo",
     "PathTable",
     "LevelData",
+    "VectorCell",
+    "expanded",
     "derivation_plan",
     "scan_records",
     "merge_scan",
@@ -150,15 +152,26 @@ class PathTable:
     level's :class:`~repro.perf.exception_kernel.PathPostings`, sharing
     this table's ``paths`` / ``ids`` and indexing a path's stages the
     first time a cell is mined after it was interned (never, with
-    exceptions off).
+    exceptions off).  A persisted cube keeps the table's ``paths`` on
+    disk (:class:`~repro.store.cube_store.CubeStore`): its cell records
+    are vectors over these ids, and an append only ever extends them.
     """
 
     def __init__(self, n_path_levels: int) -> None:
+        self._bind([[] for _ in range(n_path_levels)])
+
+    @classmethod
+    def over(cls, levels: list[list[AggregatedPath]]) -> "PathTable":
+        """The table whose id space is *levels* — path lists a store
+        loaded; they are shared, not copied, so interning extends them."""
+        table = cls.__new__(cls)
+        table._bind(levels)
+        return table
+
+    def _bind(self, levels: list[list[AggregatedPath]]) -> None:
+        self.paths = levels
         self.ids: list[dict[AggregatedPath, int]] = [
-            {} for _ in range(n_path_levels)
-        ]
-        self.paths: list[list[AggregatedPath]] = [
-            [] for _ in range(n_path_levels)
+            {path: pid for pid, path in enumerate(paths)} for paths in levels
         ]
         self.postings: list[PathPostings] = [
             PathPostings(paths, ids)
@@ -176,26 +189,91 @@ class LevelData:
 
     ``groups`` and ``weighted`` carry *all* keys — including sub-iceberg
     ones — because an ancestor's cells must merge *every* child cell to
-    conserve weight.  ``graphs`` is the one threshold-aware structure:
-    flowgraphs cost real work to build and are only ever read for cells
-    that pass the iceberg threshold, so they exist only for those keys —
-    an ancestor whose children carry graphs merges them, any other
-    materialised cell expands its graph from its weighted multiset.  (On
-    the bench workload most keys sit below the threshold; building their
-    graphs anyway made the roll-up engine *slower* than the direct
-    builder.)
+    conserve weight.  Nothing here is threshold-aware and nothing is a
+    flowgraph: a graph is a function of a cell's vector, computed where
+    it is read (:class:`VectorCell`).
 
     Attributes:
         groups: Cell key -> member record ids.
         weighted: Per path level: cell key -> weighted multiset of path
             ids (``{pid: weight}``, see :class:`PathTable`).
-        graphs: Per path level: cell key -> the cell's flowgraph, for
-            keys meeting the iceberg threshold only.
     """
 
     groups: dict[CellKey, list[int]]
     weighted: list[dict[CellKey, WeightedCell]]
-    graphs: list[dict[CellKey, FlowGraph]]
+
+
+class VectorCell(Cell):
+    """A cell held as the distributive part of its measure.
+
+    ``weights`` is the cell's ``{pid: weight}`` and ``level_paths`` the
+    path list the ids index (its level of a :class:`PathTable`).  The
+    flowgraph — the algebraic part, a function of the vector by Lemma
+    4.2 — is expanded at its first read and kept; ``paths`` renders the
+    vector as ``(path, weight)`` pairs.  A store persists the vector and
+    so never reads ``flowgraph`` for an exception-free build.
+    """
+
+    def __init__(
+        self,
+        key: CellKey,
+        item_level: ItemLevel,
+        path_level: PathLevel,
+        record_ids: tuple[int, ...],
+        weights: WeightedCell,
+        level_paths: Sequence[AggregatedPath],
+    ) -> None:
+        self.key = key
+        self.item_level = item_level
+        self.path_level = path_level
+        self.record_ids = record_ids
+        self.redundant = False
+        self.weights = weights
+        self.level_paths = level_paths
+        self._graph: FlowGraph | None = None
+
+    @property
+    def paths(self):
+        level_paths = self.level_paths
+        return tuple(
+            [(level_paths[pid], weight) for pid, weight in self.weights.items()]
+        )
+
+    @property
+    def flowgraph(self) -> FlowGraph:
+        graph = self._graph
+        if graph is None:
+            # Path by path, in the vector's order: an in-memory cube's
+            # graph keeps the direct builder's insertion orders.
+            graph = self._graph = FlowGraph()
+            level_paths = self.level_paths
+            for pid, weight in self.weights.items():
+                graph.add_path(level_paths[pid], weight)
+        return graph
+
+    @property
+    def exceptions(self) -> list:
+        """The mined exceptions, without expanding a graph to ask: a
+        graph nobody read cannot have been mined."""
+        return [] if self._graph is None else self._graph.exceptions
+
+
+def expanded(cuboid: Cuboid) -> Cuboid:
+    """*cuboid* as an in-memory cube keeps it: every :class:`VectorCell`
+    a plain :class:`Cell` with its flowgraph expanded and its multiset
+    as ``(path, weight)`` tuples."""
+    cuboid.cells = {
+        key: Cell(
+            key=key,
+            item_level=cell.item_level,
+            path_level=cell.path_level,
+            record_ids=cell.record_ids,
+            flowgraph=cell.flowgraph,
+            paths=cell.paths,
+        )
+        for key, cell in cuboid.cells.items()
+    }
+    return cuboid
 
 
 def derivation_plan(
@@ -306,55 +384,17 @@ def merge_scan(
                     cell[pid] = cell.get(pid, 0) + weight
 
 
-def _cell_graph(
-    weights: WeightedCell, paths: Sequence[AggregatedPath]
-) -> FlowGraph:
-    """One cell's flowgraph, expanded from its weighted path-id multiset."""
-    graph = FlowGraph()
-    for pid, weight in weights.items():
-        graph.add_path(paths[pid], weight)
-    return graph
-
-
-def _root_graphs(
-    groups: dict[CellKey, list[int]],
-    weighted_levels: list[dict[CellKey, WeightedCell]],
-    table: PathTable,
-    threshold: float,
-) -> list[dict[CellKey, FlowGraph]]:
-    """Flowgraphs for each root cell at or above the iceberg *threshold*."""
-    return [
-        {
-            key: _cell_graph(weights, paths)
-            for key, weights in cells.items()
-            if not len(groups[key]) < threshold
-        }
-        for cells, paths in zip(weighted_levels, table.paths)
-    ]
-
-
 def _derive_level(
-    level: ItemLevel,
-    source: LevelData,
-    hierarchies: Sequence,
-    table: PathTable,
-    threshold: float,
+    level: ItemLevel, source: LevelData, hierarchies: Sequence
 ) -> LevelData:
     """Roll *source*'s per-cell data up to the ancestor *level*.
 
     Every source key maps to exactly one parent key, so parent cells are
-    disjoint unions of child cells: record ids concatenate, path-id
-    weights add, and flowgraphs merge (Lemma 4.2).  Iterating source keys
-    in their first-seen record order makes each derived dict's key order
-    match what a direct record scan at *level* would have produced.
-
-    Flowgraphs are only built for parent keys that pass the iceberg
-    *threshold*.  When every child brings a stored graph the parent's is
-    :meth:`FlowGraph.merge`-d from them; when some children sit below the
-    threshold (and so carry no graph), the parent's graph is expanded
-    from its already-merged weighted multiset instead — equivalent by
-    Lemma 4.2 and cheaper than first materialising each sub-iceberg
-    child's graph only to fold it away.
+    disjoint unions of child cells: record ids concatenate and path-id
+    weights add (Lemma 4.2 on its distributive part).  Iterating source
+    keys in their first-seen record order makes each derived dict's key
+    order — and each vector's pid order — match what a direct record
+    scan at *level* would have produced.
     """
     key_map: dict[CellKey, CellKey] = {}
     groups: dict[CellKey, list[int]] = {}
@@ -362,37 +402,15 @@ def _derive_level(
         parent_key = roll_up_key(child_key, level, hierarchies)
         key_map[child_key] = parent_key
         groups.setdefault(parent_key, []).extend(record_ids)
-    alive = {
-        key for key, record_ids in groups.items()
-        if not len(record_ids) < threshold
-    }
     weighted: list[dict[CellKey, WeightedCell]] = []
-    graphs: list[dict[CellKey, FlowGraph]] = []
-    for level_id, paths in enumerate(table.paths):
+    for source_cells in source.weighted:
         cells: dict[CellKey, WeightedCell] = {}
-        children: dict[CellKey, list[CellKey]] = {key: [] for key in alive}
-        for child_key, weights in source.weighted[level_id].items():
-            parent_key = key_map[child_key]
-            cell = cells.setdefault(parent_key, {})
+        for child_key, weights in source_cells.items():
+            cell = cells.setdefault(key_map[child_key], {})
             for pid, weight in weights.items():
                 cell[pid] = cell.get(pid, 0) + weight
-            if parent_key in alive:
-                children[parent_key].append(child_key)
-        source_graphs = source.graphs[level_id]
         weighted.append(cells)
-        graphs.append(
-            {
-                key: (
-                    FlowGraph().merge(
-                        source_graphs[child_key] for child_key in child_keys
-                    )
-                    if all(ck in source_graphs for ck in child_keys)
-                    else _cell_graph(cells[key], paths)
-                )
-                for key, child_keys in children.items()
-            }
-        )
-    return LevelData(groups=groups, weighted=weighted, graphs=graphs)
+    return LevelData(groups=groups, weighted=weighted)
 
 
 def derive_levels(
@@ -401,13 +419,10 @@ def derive_levels(
     weighted_by_root: list[list[dict[CellKey, WeightedCell]]],
     root_levels: Sequence[ItemLevel],
     hierarchies: Sequence,
-    table: PathTable,
-    threshold: float,
 ) -> dict[ItemLevel, LevelData]:
     """Materialise :class:`LevelData` for every planned level, roots first.
 
-    *groups_by_root* / *weighted_by_root* are :func:`merge_scan`'s totals
-    and *table* the :class:`PathTable` their path ids index.
+    *groups_by_root* / *weighted_by_root* are :func:`merge_scan`'s totals.
     """
     index_of_root = {level: i for i, level in enumerate(root_levels)}
     data: dict[ItemLevel, LevelData] = {}
@@ -415,16 +430,10 @@ def derive_levels(
         if source is None:
             i = index_of_root[level]
             data[level] = LevelData(
-                groups=groups_by_root[i],
-                weighted=weighted_by_root[i],
-                graphs=_root_graphs(
-                    groups_by_root[i], weighted_by_root[i], table, threshold
-                ),
+                groups=groups_by_root[i], weighted=weighted_by_root[i]
             )
         else:
-            data[level] = _derive_level(
-                level, data[source], hierarchies, table, threshold
-            )
+            data[level] = _derive_level(level, data[source], hierarchies)
     return data
 
 
@@ -476,13 +485,15 @@ def assemble_cuboids(
 ) -> Iterator[Cuboid]:
     """Yield finished cuboids in the direct builder's (item, path) order.
 
-    Applies the iceberg threshold, builds cells from the derived weighted
-    multisets and flowgraphs — path ids turn back into *table*'s tuples
-    here, for ``Cell.paths`` — and runs the holistic exception pass per
-    cuboid batch through *exception_pass* — a ``run(batch)`` callable over
-    ``(graph, weighted, segments)`` triples whose *weighted* is the cell's
-    ``{pid: weight}`` itself, wrapped with the level's postings
-    (see :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
+    Applies the iceberg threshold, builds a :class:`VectorCell` per
+    surviving cell straight from the derived ``{pid: weight}`` — no path
+    tuple is touched and no graph built unless *compute_exceptions* —
+    and runs the holistic exception pass per cuboid batch through
+    *exception_pass* — a ``run(batch)`` callable over ``(graph, weighted,
+    segments)`` triples whose *graph* is the cell's, expanded here for
+    the pass, and whose *weighted* is the cell's ``{pid: weight}``
+    itself, wrapped with the level's postings (see
+    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
     the out-of-core builder substitutes a pool-fanned runner).  Defaults
     to a fresh serial runner over *kernel*.
 
@@ -509,17 +520,8 @@ def assemble_cuboids(
             batch = []
             for key, record_ids in members.items():
                 weights = cells[key]
-                weighted = tuple(
-                    [(paths[pid], weight) for pid, weight in weights.items()]
-                )
-                graph = level_data.graphs[level_id][key]
-                cell = Cell(
-                    key=key,
-                    item_level=item_level,
-                    path_level=path_level,
-                    record_ids=record_ids,
-                    flowgraph=graph,
-                    paths=weighted,
+                cell = VectorCell(
+                    key, item_level, path_level, record_ids, weights, paths
                 )
                 if compute_exceptions:
                     segments = None
@@ -527,7 +529,9 @@ def assemble_cuboids(
                         segments = segments_by_cell.get(
                             (item_level, path_level, key)
                         )
-                    batch.append((graph, PidCell(weights, postings), segments))
+                    batch.append(
+                        (cell.flowgraph, PidCell(weights, postings), segments)
+                    )
                 cuboid.cells[key] = cell
             if batch:
                 exception_pass(batch)
@@ -601,8 +605,7 @@ def build_rollup(
 
     phase = perf_counter()
     data = derive_levels(
-        plan, groups_by_root, weighted_by_root, root_levels, hierarchies,
-        table, threshold,
+        plan, groups_by_root, weighted_by_root, root_levels, hierarchies
     )
     prune_to_iceberg(data, threshold)
     del groups_by_root, weighted_by_root
@@ -616,7 +619,9 @@ def build_rollup(
         min_deviation, compute_exceptions, segments_by_cell, kernel=kernel,
         exception_pass=runner,
     ):
-        cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid  # noqa: SLF001
+        cube._cuboids[(cuboid.item_level, cuboid.path_level)] = expanded(  # noqa: SLF001
+            cuboid
+        )
     if stats is not None:
         exception_seconds = runner.seconds if runner is not None else 0.0
         if compute_exceptions:

@@ -4,27 +4,30 @@
 :class:`~repro.store.pathstore.PartitionedPathStore` and folds them into
 the store's *persisted* cube without rebuilding it:
 
-* **Algebraic counters** (Lemma 4.2) — each touched cell's flowgraph is
-  updated by :meth:`~repro.core.flowgraph.FlowGraph.merge`-ing a delta
-  graph built from the batch's aggregated paths; untouched cells are
-  never read, let alone rewritten.
+* **Algebraic counters** (Lemma 4.2) — a stored cell is its ``{path id:
+  weight}`` vector, the distributive part of the flowgraph measure, so an
+  updated cell is *stored vector + batch vector*: integer addition, with
+  no graph decoded, merged or encoded; untouched cells are never read,
+  let alone rewritten.
 * **Iceberg frontier** — promotion candidates (batch keys the cube does
-  not hold) are membership-counted through the partition catalog: with
-  exceptions off the scan is Bloom-pruned to the partitions that might
-  hold a candidate's members (:meth:`select_partitions`); with
-  exceptions on the sweep is a single full pass (Lemma 4.3 needs the
-  touched cells' complete path multisets anyway).  A *fractional* δ
-  resolves against the grown record count, so untouched cells can fall
-  below the frontier — they are demoted from the index without any
-  heap IO, exactly as a rebuild would drop them.
+  not hold) are membership-counted through the partition catalog: the
+  scan is Bloom-pruned to the partitions that might hold a candidate's
+  members (:meth:`select_partitions`), and a batch without a candidate
+  reads no partition at all.  A *fractional* δ resolves against the
+  grown record count, so untouched cells can fall below the frontier —
+  they are demoted from the index without any heap IO, exactly as a
+  rebuild would drop them.
 * **Exceptions** (Lemma 4.3, holistic) — re-mined only for the dirty
-  cells, through the same per-cell kernel and
+  cells, from their vectors over the cube's own path table (whose
+  postings serve every dirty cell of a level) and a flowgraph expanded
+  from the same vector, through the per-cell kernel and
   :class:`~repro.perf.pool.WorkerPool` fan-out the builder uses, so an
   appended cube is byte-identical (``cube_to_json``) to a from-scratch
   rebuild over the extended store.
 * **Durability** — dirty cells land in an append-only
   ``cells.delta.NNN.bin`` segment plus a full index overlay
-  (``cells.delta.idx``); the base ``cells.bin`` is never rewritten.
+  (``cells.delta.idx``), after ``paths.bin`` when the batch brought a
+  path the cube had not seen; the base ``cells.bin`` is never rewritten.
   The meta publish is the commit point.  Once ``compact_after``
   segments pile up, :meth:`CubeStore.compact` folds them back into a
   clean base heap.
@@ -41,7 +44,7 @@ import hashlib
 from collections.abc import Iterable
 
 from repro.core.aggregation import aggregate_path
-from repro.core.flowcube import Cell, CellKey
+from repro.core.flowcube import CellKey
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
     resolve_min_support,
@@ -52,7 +55,7 @@ from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
 from repro.perf import collector
 from repro.perf.exception_kernel import PidCell
-from repro.perf.measure_rollup import PathTable
+from repro.perf.measure_rollup import VectorCell
 from repro.store.cube_store import (
     CubeStore,
     _new_append_stats,
@@ -217,79 +220,39 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
         candidate_keys.append({k for k in batch_groups[i] if k not in existing})
 
     # ------------------------------------------------------------------
-    # one partition sweep: candidate membership + the paths dirty cells
-    # will need (all touched-cell members with exceptions on; candidate
-    # members only — Bloom-pruned — with exceptions off)
+    # one Bloom-pruned partition sweep: who the promotion candidates'
+    # members are (the batch's partitions among them), and their paths
     # ------------------------------------------------------------------
     members: dict[tuple[int, CellKey], list[int]] = {}
     paths: dict[int, Path] = {}
-    first_seen: dict[int, dict[CellKey, None]] = {}
-    sweep_levels = [
-        i
-        for i in range(len(levels))
-        if candidate_keys[i] or (mine and updated_keys[i])
-    ]
+    sweep_levels = [i for i in range(len(levels)) if candidate_keys[i]]
     if sweep_levels:
-        if mine:
-            selected = None  # full pass: Lemma 4.3 needs every member path
-        else:
-            dim_names = schema.dimension_names
-            chosen: set[int] = set()
-            for i in sweep_levels:
-                for key in candidate_keys[i]:
-                    constraints = {
-                        name: part
-                        for name, part, depth in zip(
-                            dim_names, key, levels[i]
-                        )
-                        if depth > 0
-                    }
-                    chosen.update(store.select_partitions(**constraints))
-            selected = sorted(chosen)
+        dim_names = schema.dimension_names
+        chosen: set[int] = set()
+        for i in sweep_levels:
+            for key in candidate_keys[i]:
+                constraints = {
+                    name: part
+                    for name, part, depth in zip(dim_names, key, levels[i])
+                    if depth > 0
+                }
+                chosen.update(store.select_partitions(**constraints))
 
-        # Per distinct dims tuple: whether the record's path is needed,
-        # its candidate hits, and its key per swept level (for the
-        # first-seen cell ordering a rebuild would produce).
-        classify_cache: dict[tuple, tuple] = {}
-
-        def classify(dims: tuple) -> tuple:
-            info = classify_cache.get(dims)
-            if info is None:
-                needs = False
-                hits: list[tuple[int, CellKey]] = []
-                keys: list[tuple[int, CellKey]] = []
-                for i in sweep_levels:
-                    key = roll_up_key(dims, levels[i], hierarchies)
-                    keys.append((i, key))
-                    if key in candidate_keys[i]:
-                        hits.append((i, key))
-                        needs = True
-                    elif key in updated_keys[i]:
-                        needs = mine or needs
-                info = (needs, tuple(hits), tuple(keys))
-                classify_cache[dims] = info
-            return info
-
-        if selected is None:
-            databases = (db for _, db in store.iter_partitions())
-        else:
-            databases = (store.load_partition(pid) for pid in selected)
-        full_scan = selected is None
-        for database in databases:
-            for record in database:
-                needs, hits, keys = classify(record.dims)
-                if full_scan:
-                    for i, key in keys:
-                        if candidate_keys[i]:
-                            first_seen.setdefault(i, {}).setdefault(key)
-                if needs:
-                    paths.setdefault(record.record_id, record.path)
-                for i, key in hits:
-                    members.setdefault((i, key), []).append(record.record_id)
-
-    # Batch paths are always at hand, scan or no scan.
-    for record in rows:
-        paths.setdefault(record.record_id, record.path)
+        # Per distinct dims tuple: the candidates the record belongs to.
+        hits_cache: dict[tuple, list] = {}
+        for partition_id in sorted(chosen):
+            for record in store.load_partition(partition_id):
+                hits = hits_cache.get(record.dims)
+                if hits is None:
+                    hits = hits_cache[record.dims] = []
+                    for i in sweep_levels:
+                        key = roll_up_key(record.dims, levels[i], hierarchies)
+                        if key in candidate_keys[i]:
+                            hits.append((i, key))
+                if hits:
+                    paths[record.record_id] = record.path
+                    for hit in hits:
+                        members.setdefault(hit, []).append(record.record_id)
 
     # ------------------------------------------------------------------
     # resolve the frontier per item level
@@ -310,9 +273,8 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
 
     demoted_cells = 0
     final_order: list[list[CellKey]] = []
-    merged_sizes: list[dict[CellKey, int]] = []
     for i in range(len(levels)):
-        survivors: dict[CellKey, int] = {}
+        survivors: set[CellKey] = set(promoted[i])
         n_levels_present = sum(
             1
             for level_id in range(len(lattice))
@@ -322,39 +284,30 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
             if key in updated_keys[i]:
                 n_paths += len(batch_groups[i][key])
             if n_paths >= threshold:
-                survivors[key] = n_paths
+                survivors.add(key)
             else:
                 demoted_cells += n_levels_present
-                if key in updated_keys[i]:
-                    updated_keys[i].discard(key)
-        for key, member_ids in promoted[i].items():
-            survivors[key] = len(member_ids)
-        merged_sizes.append(survivors)
+                updated_keys[i].discard(key)
 
         if promoted[i]:
-            if i in first_seen:
-                # Full sweep: the rebuild's membership order, verbatim.
-                order = [k for k in first_seen[i] if k in survivors]
-            else:
-                # Pruned sweep: recover each surviving cell's first
-                # member id (ids ascend across ingests, so first-seen
-                # key order ≡ ascending first-id order).
-                first_ids: dict[CellKey, int] = {
-                    key: ids[0] for key, ids in promoted[i].items()
-                }
-                if existing_order[i]:
-                    ref_level = next(
-                        level_id
-                        for level_id in range(len(lattice))
-                        if index.get((levels[i], level_id))
-                    )
-                    for key in existing_order[i]:
-                        if key in survivors and key not in first_ids:
-                            cell = cube.cell(
-                                levels[i], key, lattice[ref_level]
-                            )
-                            first_ids[key] = cell.record_ids[0]
-                order = sorted(survivors, key=first_ids.__getitem__)
+            # A rebuild lists cells in first-membership order; ids ascend
+            # across ingests, so that is ascending first-id order.  The
+            # surviving cells' first ids come from their records — ids
+            # decode without a graph.
+            first_ids: dict[CellKey, int] = {
+                key: ids[0] for key, ids in promoted[i].items()
+            }
+            if existing_order[i]:
+                ref_level = next(
+                    level_id
+                    for level_id in range(len(lattice))
+                    if index.get((levels[i], level_id))
+                )
+                for key in existing_order[i]:
+                    if key in survivors:
+                        cell = cube.cell(levels[i], key, lattice[ref_level])
+                        first_ids[key] = cell.record_ids[0]
+            order = sorted(survivors, key=first_ids.__getitem__)
         else:
             order = [k for k in existing_order[i] if k in survivors]
         final_order.append(order)
@@ -362,79 +315,78 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
     # ------------------------------------------------------------------
     # materialise the dirty cells, in canonical cuboid order
     # ------------------------------------------------------------------
-    # Each distinct path is aggregated once per path level and interned
-    # into this append's own id space; a record's id then finds its
-    # path's ids without re-hashing the path — with exceptions on, every
-    # member of every dirty cell comes through here.  A dirty cell's
-    # multiset is {pid: weight}, counted on int keys, and the table's
-    # per-level postings serve every dirty cell of the level.
-    table = PathTable(len(lattice))
-    pids_by_path: dict[Path, list[int]] = {}
-    pids_of: dict[int, list[int]] = {}
-
-    def pids(record_id: int) -> list[int]:
-        by_level = pids_of.get(record_id)
-        if by_level is None:
-            path = paths[record_id]
-            by_level = pids_by_path.get(path)
-            if by_level is None:
-                by_level = pids_by_path[path] = [
-                    table.intern(level_id, aggregate_path(path, path_level))
-                    for level_id, path_level in enumerate(lattice)
-                ]
-            pids_of[record_id] = by_level
-        return by_level
-
-    def count_pids(record_ids: Iterable[int], level_id: int) -> dict[int, int]:
-        weights: dict[int, int] = {}
-        for record_id in record_ids:
-            pid = pids(record_id)[level_id]
-            weights[pid] = weights.get(pid, 0) + 1
-        return weights
-
-    dirty: dict[tuple[ItemLevel, int, CellKey], Cell] = {}
+    # A dirty cell is a vector over the cube's own path table: the stored
+    # one plus the batch's for an updated cell, the members' for a
+    # promoted one.  Each distinct path is aggregated once per path level
+    # and interned once; only a path the cube has never seen extends the
+    # table (and ``paths.bin``, at the flush below).
+    dirty: dict[tuple[ItemLevel, int, CellKey], VectorCell] = {}
     layout: list[tuple[ItemLevel, int, list[CellKey]]] = []
     triples: list[tuple[FlowGraph, PidCell, None]] = []
     updated_cells = created_cells = 0
+    table = None
+    pids_by_path: dict[Path, list[int]] = {}
+    pids_of: dict[int, list[int]] = {}
+
+    def add(weights: dict[int, int], members, level_id: int) -> None:
+        """Count *members* — ``(record id, path)`` pairs — into *weights*.
+        A record's id finds its path's ids without re-hashing the path."""
+        for record_id, path in members:
+            by_level = pids_of.get(record_id)
+            if by_level is None:
+                by_level = pids_by_path.get(path)
+                if by_level is None:
+                    by_level = pids_by_path[path] = [
+                        table.intern(level, aggregate_path(path, path_level))
+                        for level, path_level in enumerate(lattice)
+                    ]
+                pids_of[record_id] = by_level
+            pid = by_level[level_id]
+            weights[pid] = weights.get(pid, 0) + 1
+
     for i, item_level in enumerate(levels):
         for level_id in range(len(lattice)):
             layout.append((item_level, level_id, final_order[i]))
             path_level = lattice[level_id]
-            level_paths = table.paths[level_id]
             for key in final_order[i]:
                 if key in updated_keys[i]:
                     old = cube.cell(item_level, key, path_level)
-                    batch_ids = [r.record_id for r in batch_groups[i][key]]
-                    delta = FlowGraph()
-                    for pid, weight in count_pids(batch_ids, level_id).items():
-                        delta.add_path(level_paths[pid], weight)
-                    record_ids = old.record_ids + tuple(batch_ids)
-                    graph = old.flowgraph.merge([delta])
-                    weights = None
+                    weights = old.weights
+                    if weights is None:
+                        raise StoreError(
+                            f"cell {key!r} at item level {item_level.levels} "
+                            "was stored without its path multiset; rebuild "
+                            "the cube before appending"
+                        )
+                    members = [
+                        (record.record_id, record.path)
+                        for record in batch_groups[i][key]
+                    ]
+                    record_ids = old.record_ids + tuple(
+                        [record_id for record_id, _ in members]
+                    )
                     updated_cells += 1
                 elif key in promoted[i]:
+                    weights = {}
                     record_ids = tuple(promoted[i][key])
-                    weights = count_pids(record_ids, level_id)
-                    graph = FlowGraph()
-                    for pid, weight in weights.items():
-                        graph.add_path(level_paths[pid], weight)
+                    members = [(rid, paths[rid]) for rid in record_ids]
                     created_cells += 1
                 else:
                     continue  # untouched: keep the existing entry verbatim
-                dirty[(item_level, level_id, key)] = Cell(
-                    key=key,
-                    item_level=item_level,
-                    path_level=path_level,
-                    record_ids=record_ids,
-                    flowgraph=graph,
-                    paths=(),
-                    redundant=False,
+                if table is None:
+                    table = cube.path_table
+                add(weights, members, level_id)
+                cell = dirty[(item_level, level_id, key)] = VectorCell(
+                    key, item_level, path_level, record_ids, weights,
+                    table.paths[level_id],
                 )
                 if mine:
-                    if weights is None:
-                        weights = count_pids(record_ids, level_id)
                     triples.append(
-                        (graph, PidCell(weights, table.postings[level_id]), None)
+                        (
+                            cell.flowgraph,
+                            PidCell(weights, table.postings[level_id]),
+                            None,
+                        )
                     )
 
     # ------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
 The store reads and writes one layout — ``FCPART02`` partitions over a
-shared ``FCSTRS01`` string table, an ``FCHEAP02`` cell heap addressed
-through an ``FCCIDX01`` index — and this module defines it (see
-DESIGN.md for byte diagrams).  The three sectioned containers are each
-one :class:`Layout` table that their writer and their reader both go
-through, and every published file is opened by :func:`map_file`:
+shared ``FCSTRS01`` string table, an ``FCHEAP03`` cell heap addressed
+through an ``FCCIDX01`` index, its records vectors over an ``FCPATH01``
+path table — and this module defines it (see DESIGN.md for byte
+diagrams).  The four sectioned containers are each one :class:`Layout`
+table that their writer and their reader both go through, and every
+published file is opened by :func:`map_file`:
 
 * :func:`pack_partition` / :func:`unpack_partition` — a columnar
   partition file (``part-XXXXX.bin``): ``int64`` reference/offset arenas
@@ -23,24 +24,27 @@ through, and every published file is opened by :func:`map_file`:
   (``strings.bin``): one mmap'd vocabulary for every partition, each
   partition carrying only a small local→global remap arena instead of
   a private copy of the location/product strings;
-* :func:`encode_cell` / :func:`decode_cell_parts` — the compact
-  ``FCHEAP02`` cell codec the store runs: one pass between bytes and
-  *live* objects, varint-packed flowgraph counters with a
-  parent-ordinal node encoding, bulk ``int32`` record ids, and
-  (optionally zlib'd) JSON exception lists.  :func:`encode_cell_payload`
-  / :func:`decode_cell_payload` are the same codec over the payload
-  dict (:func:`cell_payload`): nothing in the store calls them; they are
-  the reference the tests compare the one-pass forms against, byte for
-  byte.  The record layout itself is written down once, in
-  ``_encode_record``;
+* :func:`encode_cell_payload` / :func:`decode_cell_parts` — the
+  ``FCHEAP03`` cell record.  A cell's record is the *distributive* part
+  of its measure: the ``(path id, weight)`` vector the build already
+  holds, its record ids as ascending steps, and an (optionally zlib'd)
+  JSON exception list — all varints but the last.  The flowgraph is a
+  function of the vector (Lemma 4.2) and is expanded by
+  :func:`decode_cell_parts` when a reader first asks for it;
+  :func:`decode_cell_vector` reads ids and vector without it.  The
+  record layout is written down once, in ``_structured_record``; a
+  payload it cannot carry is stored as verbatim JSON (``RAW``);
+* :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
+  (``paths.bin``): the aggregated paths the vectors name, once per cube;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
   masks: ``cells.idx`` stays mmap'd and each ``(cuboid, dim, value)``
   bitmap is decoded with one ``int.from_bytes`` over the map the first
   time a query actually ANDs it, never during open.
 
 Earlier releases also wrote CSV partitions, one JSON file per cell, and
-a first generation of partition and heap files (the ``RETIRED_*``
-magics).  No reader or writer for them survives: meeting one raises
+earlier generations of partition and heap files (the ``RETIRED_*``
+magics; ``FCHEAP02`` persisted each cell's serialised flowgraph).  No
+reader or writer for them survives: meeting one raises
 :func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
 Framing rules of the sectioned containers, which :meth:`Layout.pack`
@@ -59,15 +63,8 @@ and :meth:`Layout.open` alone implement:
   reader touches only the pages it needs.
 
 The cell heap (``cells.bin``) is an append-only blob of
-``<q``-length-prefixed :func:`encode_cell` records after
-:data:`HEAP_MAGIC_V2`, addressed only through the index offsets.
-
-Benchmark note: ``benchmarks/flowbench`` traces
-:func:`encode_cell_payload` as ``binfmt.encode_cell_s`` /
-``append.encode_cell_s``.  No store path calls it (builds and appends
-call :func:`encode_cell`), so both read 0 and the encoder's time is
-self time of ``cube_store.put_cuboid_s`` / ``cube_store.merge_cells_s``:
-compare the *sums* across commits.
+``<q``-length-prefixed :func:`encode_cell_payload` records after
+:data:`HEAP_MAGIC`, addressed only through the index offsets.
 """
 
 from __future__ import annotations
@@ -78,27 +75,30 @@ import struct
 import zlib
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import accumulate, chain
+from operator import ge, gt, sub
 from pathlib import Path as FsPath
 
 from repro import publish
-from repro.core.flowgraph import FlowGraph, FlowGraphNode
+from repro.core.flowgraph import FlowGraph
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.core.serialization import (
     exceptions_from_dicts,
-    exceptions_to_dicts,
     flowgraph_from_dict,
     flowgraph_to_dict,
 )
 from repro.core.stage import Stage
-from repro.errors import StoreError
+from repro.errors import CubeError, StoreError
 
 __all__ = [
-    "HEAP_MAGIC_V2",
+    "HEAP_MAGIC",
     "INDEX_MAGIC",
     "LAYOUT_NAME",
     "PARTITION_MAGIC_V2",
-    "RETIRED_HEAP_MAGIC",
+    "PATHS_LAYOUT",
+    "PATHS_MAGIC",
+    "RETIRED_HEAP_MAGICS",
     "RETIRED_PARTITION_MAGIC",
     "STRINGS_FILENAME",
     "STRINGS_MAGIC",
@@ -110,15 +110,18 @@ __all__ = [
     "check_layout_name",
     "decode_cell_parts",
     "decode_cell_payload",
-    "encode_cell",
+    "decode_cell_vector",
     "encode_cell_payload",
+    "graph_payload",
     "pack_cell_index",
     "pack_partition",
+    "pack_paths",
     "pack_segment_offset",
     "retired_layout",
     "split_segment_offset",
     "unpack_cell_index",
     "unpack_partition",
+    "unpack_paths",
 ]
 
 #: What ``catalog.json`` and ``cube.json`` record under ``"format"``.  It
@@ -146,12 +149,16 @@ STRINGS_FILENAME = "strings.bin"
 #: Leading 8 bytes of a cell-heap index file (``cells.idx``).
 INDEX_MAGIC = b"FCCIDX01"
 
-#: Leading 8 bytes of a retired cell-heap blob (JSON payloads);
-#: compared against only to reject it.
-RETIRED_HEAP_MAGIC = b"FCHEAP01"
+#: Leading 8 bytes of the two retired cell-heap generations (JSON
+#: payloads; serialised flowgraphs); compared against only to reject them.
+RETIRED_HEAP_MAGICS = (b"FCHEAP01", b"FCHEAP02")
 
-#: Leading 8 bytes of a cell-heap blob (:func:`encode_cell` records).
-HEAP_MAGIC_V2 = b"FCHEAP02"
+#: Leading 8 bytes of a cell-heap blob (:func:`encode_cell_payload`
+#: records).
+HEAP_MAGIC = b"FCHEAP03"
+
+#: Leading 8 bytes of a cube's path table (``paths.bin``).
+PATHS_MAGIC = b"FCPATH01"
 
 #: Endianness sentinel: stored as the first header word; a reader on a
 #: host with the opposite byte order decodes a different value and
@@ -212,13 +219,29 @@ def _pack_strings(strings: Iterable[str]) -> tuple[array, bytes]:
     return offsets, b"".join(encoded)
 
 
+#: Retired layout → (the last release that read it, the way out of it);
+#: every layout not listed here went with the first pair.
+_LAST_READERS = {
+    None: (
+        "PR 15 of this repository (1.0.0, commit 660f825)",
+        "convert the store there with `flowcube-store migrate --to binary`, "
+        "or re-ingest and rebuild",
+    ),
+    "FCHEAP02": (
+        "PR 25 of this repository (commit 14ad353)",
+        "rebuild the cube with `flowcube-store build` (the partitions are "
+        "unchanged)",
+    ),
+}
+
+
 def retired_layout(what, layout: str) -> StoreError:
     """The error for *what* (a file or store) kept in a layout no longer read."""
+    release, remedy = _LAST_READERS.get(layout, _LAST_READERS[None])
     return StoreError(
         f"{what} is in the retired {layout} layout, which this release "
-        "neither reads nor writes; the last one that did is PR 15 of this "
-        "repository (1.0.0, commit 660f825) — convert the store there with "
-        "`flowcube-store migrate --to binary`, or re-ingest and rebuild"
+        f"neither reads nor writes; the last one that did is {release} — "
+        f"{remedy}"
     )
 
 
@@ -234,19 +257,21 @@ def check_layout_name(value, what) -> None:
     raise StoreError(f"{what} names an unknown store format {value!r}")
 
 
-def _check_magic(buffer, magic: bytes, what: str, retired: bytes | None) -> None:
+def _check_magic(
+    buffer, magic: bytes, what: str, retired: tuple[bytes, ...]
+) -> None:
     """Reject a buffer not leading with *magic*, naming a *retired* one."""
     lead = bytes(buffer[: len(magic)])
     if lead == magic:
         return
-    if lead == retired:
+    if lead in retired:
         raise retired_layout(what, lead.decode("ascii"))
     raise StoreError(f"not a {what}: bad magic")
 
 
 def check_heap_magic(lead: bytes, path) -> None:
-    """Reject a cell heap (or delta segment) not written as ``FCHEAP02``."""
-    _check_magic(lead, HEAP_MAGIC_V2, f"cell heap {path}", RETIRED_HEAP_MAGIC)
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP03``."""
+    _check_magic(lead, HEAP_MAGIC, f"cell heap {path}", RETIRED_HEAP_MAGICS)
 
 
 def map_file(path, what: str) -> mmap.mmap:
@@ -393,7 +418,7 @@ def _key_tuples(
 #: str_offsets[id + 1]]``.
 STRINGS_LAYOUT = Layout(
     STRINGS_MAGIC,
-    None,
+    (),
     "string table",
     ("n_strings", "blob_len"),
     _STRING_SECTIONS,
@@ -515,50 +540,62 @@ class StringTable:
 
 
 # --------------------------------------------------------------------------
-# FCHEAP02 cell payload codec
+# FCHEAP03 cell record codec
 # --------------------------------------------------------------------------
 
-_HEAP2_RAW = 0x01  # payload is a verbatim JSON blob (shape fell outside codec)
-_HEAP2_EXC = 0x02  # record carries a (JSON) exception list
-_HEAP2_EXC_ZLIB = 0x04  # ... and it is zlib-compressed
-_HEAP2_PURE = 0x08  # varint stream has no continuation bytes (list() decode)
+_RAW = 0x01  # record is the payload dict as verbatim JSON
+_EXC = 0x02  # record carries a (JSON) exception list
+_EXC_ZLIB = 0x04  # ... and it is zlib-compressed
 
-#: Fixed head after the flags byte: varint stream length, strings blob
-#: length, record-id count (record ids follow as little-endian int32).
-_HEAP2_HEAD = struct.Struct("<III")
-_HEAP2_EXC_LEN = struct.Struct("<I")
+#: Fixed head after the flags byte: the byte lengths of the cell's
+#: varints, of the key blob and of the record-id steps.
+_HEAD = struct.Struct("<III")
+_EXC_LEN = struct.Struct("<I")
 
+#: Record ids the structured record carries: ``[0, 2**31)``, ascending.
+_MAX_RECORD_ID = 2**31 - 1
+
+#: The payload dict of a cell that brings its path multiset
+#: (:func:`cell_payload`); any other dict is stored verbatim.
 _PAYLOAD_KEYS = (
     "key",
     "item_level",
     "path_level",
     "record_ids",
     "redundant",
-    "flowgraph",
+    "n_paths",
+    "vector",
+    "exceptions",
 )
-_FLOWGRAPH_KEYS = ("n_paths", "nodes", "exceptions")
-_NODE_KEYS = ("prefix", "count", "durations", "transitions")
 
-_LITTLE_ENDIAN = struct.pack("=H", 1) == struct.pack("<H", 1)
+#: The container types a payload's sequences may have, and the sets the
+#: writer's C-level ``set(map(type, …))`` checks compare against.
+_SEQUENCES = (list, tuple)
+_STR, _INT, _TWO, _PAIRS = {str}, {int}, {2}, set(_SEQUENCES)
 
 
 class _NotStructured(Exception):
-    """Payload shape falls outside the structured codec → store raw JSON."""
+    """Payload falls outside the structured record → store raw JSON."""
 
 
 #: What decoding a damaged record can raise: every one is reported as the
 #: typed ``StoreError("corrupt cell payload: …")``.
 _CORRUPT = (
+    AttributeError,
     IndexError,
     KeyError,
     TypeError,
     ValueError,
     struct.error,
     zlib.error,
+    CubeError,
 )
 
 
 def _decode_varints(stream: bytes) -> list[int]:
+    """A varint stream as ints (a stream of single bytes in one C pass)."""
+    if not stream or max(stream) < 0x80:
+        return list(stream)
     values: list[int] = []
     append = values.append
     pending = 0
@@ -579,19 +616,11 @@ def _decode_varints(stream: bytes) -> list[int]:
     return values
 
 
-def _json_bytes(payload) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
-def _varint_stream(values: list[int]) -> tuple[bytes, int]:
-    """Non-negative ints → ``(varint stream, _HEAP2_PURE or 0)``.
-
-    More than four in five values of a real cell are below 128; a stream
-    of nothing else is a single C-level ``bytes(values)``, and the loop
-    below spends a continuation step only on the multi-byte values.
-    """
+def _varint_stream(values: list[int]) -> bytes:
+    """Non-negative ints → varint bytes (one ``bytes(values)`` when every
+    value fits seven bits)."""
     if max(values) < 0x80:
-        return bytes(values), _HEAP2_PURE
+        return bytes(values)
     out = bytearray()
     append = out.append
     for value in values:
@@ -599,124 +628,43 @@ def _varint_stream(values: list[int]) -> tuple[bytes, int]:
             append((value & 0x7F) | 0x80)
             value >>= 7
         append(value)
-    return bytes(out), 0
+    return bytes(out)
 
 
-def _encode_record(
-    key, item_level, path_level, record_ids, redundant, n_paths, nodes, exceptions
-) -> bytes:
-    """Assemble one structured ``FCHEAP02`` record — the only writer.
-
-    Layout: flags byte | :data:`_HEAP2_HEAD` (stream length, blob
-    length, record-id count) | varint stream | UTF-8 string blob |
-    little-endian ``int32`` record ids | optional
-    :data:`_HEAP2_EXC_LEN` + (zlib'd when smaller) JSON exception blob.
-    The stream is ``n_strings, len(string)…`` followed by the cell: key
-    refs, item level, path-level id, redundant, ``n_paths``, and per
-    node *parent ordinal + 1* (0 for a root), last-location ref, count
-    and the two ``(ref, count)`` tallies.
-
-    *nodes* is a list of ``(prefix tuple, count, duration pairs,
-    transition pairs)``, written in the order given, and *exceptions*
-    the plain-dict list.  The two feeders — :func:`encode_cell` from
-    live objects, :func:`encode_cell_payload` from the payload dict —
-    own that order and the container shapes; this function owns every
-    value check and raises :class:`_NotStructured` for what the layout
-    cannot carry: a string that is not a ``str``, a count that is not a
-    non-negative true ``int``, a record id outside ``[0, 2**31)``, a
-    node whose parent was not written before it.
-    """
-    if redundant is not True and redundant is not False:
-        raise _NotStructured
-    strings: dict[str, int] = {}
-    body = [len(key)]
-    push = body.append
-    for part in key:
-        if type(part) is not str:
-            raise _NotStructured
-        push(strings.setdefault(part, len(strings)))
-    push(len(item_level))
-    body.extend(item_level)
-    push(path_level)
-    push(1 if redundant else 0)
-    push(n_paths)
-    push(len(nodes))
-    ordinals: dict[tuple, int] = {}
-    for prefix, count, durations, transitions in nodes:
-        if len(prefix) == 1:
-            push(0)
-        else:
-            parent = ordinals.get(prefix[:-1])
-            if parent is None:
-                raise _NotStructured
-            push(parent + 1)
-        ordinals[prefix] = len(ordinals)
-        location = prefix[-1]
-        if type(location) is not str:
-            raise _NotStructured
-        push(strings.setdefault(location, len(strings)))
-        push(count)
-        for tally in (durations, transitions):
-            push(len(tally))
-            for text, n in tally:
-                if type(text) is not str:
-                    raise _NotStructured
-                push(strings.setdefault(text, len(strings)))
-                push(n)
-    # Refs and lengths are ints by construction; one C-level pass checks
-    # the counts that came from outside (bool and float are not int).
-    if set(map(type, body)) != {int} or min(body) < 0:
-        raise _NotStructured
-    try:
-        rid_arena = array("i", record_ids)
-    except (OverflowError, TypeError):
-        raise _NotStructured from None
-    if rid_arena and (
-        min(rid_arena) < 0 or set(map(type, record_ids)) != {int}
-    ):
-        raise _NotStructured
-    if not _LITTLE_ENDIAN:
-        rid_arena.byteswap()
-    chunks = [text.encode("utf-8") for text in strings]
-    stream, flags = _varint_stream([len(chunks), *map(len, chunks), *body])
-    exc_blob = b""
-    if exceptions:
-        flags |= _HEAP2_EXC
-        exc_blob = _json_bytes(exceptions)
-        packed = zlib.compress(exc_blob, 6)
-        if len(packed) < len(exc_blob):
-            flags |= _HEAP2_EXC_ZLIB
-            exc_blob = packed
-    blob = b"".join(chunks)
-    try:
-        parts = [
-            bytes((flags,)),
-            _HEAP2_HEAD.pack(len(stream), len(blob), len(rid_arena)),
-            stream,
-            blob,
-            rid_arena.tobytes(),
-        ]
-        if exc_blob:
-            parts.append(_HEAP2_EXC_LEN.pack(len(exc_blob)))
-            parts.append(exc_blob)
-    except struct.error:
-        raise _NotStructured from None
-    return b"".join(parts)
-
-
-def _raw_record(payload: dict) -> bytes:
-    """The verbatim-JSON (``RAW``) record for a payload outside the
-    structured codec."""
-    return bytes((_HEAP2_RAW,)) + _json_bytes(payload)
+def _json_bytes(payload) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def cell_payload(
+    key, item_level, path_level, record_ids, redundant, n_paths, vector, exceptions
+) -> dict:
+    """The payload dict of a cell that brings its path multiset.
+
+    *vector* is the cell's ``(pid, weight)`` pairs in its cube's path-id
+    space, in the multiset's own (first-seen) order — the distributive
+    part of the measure, which is what the heap persists — and
+    *exceptions* the plain-dict exception list
+    (:func:`~repro.core.serialization.exceptions_to_dicts`).  The
+    sequences are taken as given (lists or tuples), not copied.
+    """
+    return {
+        "key": key,
+        "item_level": item_level,
+        "path_level": path_level,
+        "record_ids": record_ids,
+        "redundant": redundant,
+        "n_paths": n_paths,
+        "vector": vector,
+        "exceptions": exceptions,
+    }
+
+
+def graph_payload(
     key, item_level, path_level, record_ids, redundant, flowgraph
 ) -> dict:
-    """The logical cell payload dict the dict-level codec speaks.
-
-    *item_level* is the level tuple, *path_level* the lattice id.
-    """
+    """The payload dict of a cell that arrives *without* its multiset
+    (``put_cell`` of a compacted in-memory cell) or with a path the
+    cube's table cannot carry: the flowgraph itself, stored verbatim."""
     return {
         "key": list(key),
         "item_level": list(item_level),
@@ -727,321 +675,356 @@ def cell_payload(
     }
 
 
-def encode_cell(
-    key, item_level, path_level, record_ids, redundant, flowgraph
-) -> bytes:
-    """Encode one live cell as an ``FCHEAP02`` record.
+def _structured_record(payload) -> bytes:
+    """Assemble one structured ``FCHEAP03`` record — the only writer.
 
-    The write-side twin of :func:`decode_cell_parts`: one pass from the
-    :class:`~repro.core.flowgraph.FlowGraph` to bytes, in the canonical
-    order :func:`~repro.core.serialization.flowgraph_to_dict` defines
-    (nodes by ``(len(prefix), prefix)``, tallies by sorted key), without
-    building the payload dict.  Byte-identical to
-    ``encode_cell_payload(cell_payload(...))`` for every input — a cell
-    the structured codec cannot carry becomes the same verbatim-JSON
-    record, built from that dict.
+    Layout: flags byte | :data:`_HEAD` | cell varints | UTF-8 key blob |
+    record-id step varints | optional :data:`_EXC_LEN` + (zlib'd when
+    smaller) JSON exception blob.  The cell varints are the key (part
+    count, byte length per part), the item level (count, digits), the
+    path-level id, ``redundant``, ``n_paths``, the vector (pair count,
+    then ``pid, weight`` per pair in the order given), the record-id
+    count and the first record id; every later id is written as its
+    distance from the one before, in a run of its own — gaps are small,
+    so that run is almost always single bytes, which decode in one C
+    pass however many members the cell has.
+
+    Raises :class:`_NotStructured` for what the layout cannot carry: a
+    dict that is not exactly :func:`cell_payload`'s, a key part that is
+    not a ``str``, a counter that is not a non-negative true ``int``,
+    record ids that do not ascend strictly inside ``[0, 2**31)``.
     """
-    record_ids = tuple(record_ids)
-    nodes = []
-    for node in flowgraph.canonical_nodes():
-        durations = node.duration_counts
-        transitions = node.transition_counts
-        # Four tallies in five hold a single entry: nothing to sort.
-        nodes.append(
-            (
-                node.prefix,
-                node.count,
-                durations.items()
-                if len(durations) == 1
-                else sorted(durations.items()),
-                transitions.items()
-                if len(transitions) == 1
-                else sorted(transitions.items()),
-            )
-        )
+    if type(payload) is not dict or tuple(payload) != _PAYLOAD_KEYS:
+        raise _NotStructured
+    key, item_level, path_level, record_ids, redundant, n_paths, vector, \
+        exceptions = payload.values()
+    if (
+        type(key) not in _SEQUENCES
+        or type(item_level) not in _SEQUENCES
+        or type(record_ids) not in _SEQUENCES
+        or type(vector) not in _SEQUENCES
+        or type(exceptions) is not list
+        or (redundant is not True and redundant is not False)
+        or set(map(type, key)) - _STR
+        or set(map(type, vector)) - _PAIRS
+        or set(map(len, vector)) - _TWO
+        or set(map(type, record_ids)) - _INT
+    ):
+        raise _NotStructured
+    chunks = [part.encode("utf-8") for part in key]
+    body = [
+        len(chunks), *map(len, chunks), len(item_level), *item_level,
+        path_level, 1 if redundant else 0, n_paths,
+        len(vector), *chain.from_iterable(vector), len(record_ids),
+        *record_ids[:1],
+    ]
+    # Lengths are ints by construction; one C-level pass checks what came
+    # from outside (bool and float are not int).
+    if set(map(type, body)) != _INT or min(body) < 0:
+        raise _NotStructured
+    steps = b""
+    if len(record_ids) > 1:
+        gaps = list(map(sub, record_ids[1:], record_ids))
+        if min(gaps) < 1 or record_ids[-1] > _MAX_RECORD_ID:
+            raise _NotStructured
+        steps = _varint_stream(gaps)
+    elif record_ids and record_ids[0] > _MAX_RECORD_ID:
+        raise _NotStructured
+    stream = _varint_stream(body)
+    flags = 0
+    exc_blob = b""
+    if exceptions:
+        flags = _EXC
+        exc_blob = _json_bytes(exceptions)
+        packed = zlib.compress(exc_blob, 6)
+        if len(packed) < len(exc_blob):
+            flags |= _EXC_ZLIB
+            exc_blob = packed
+    blob = b"".join(chunks)
     try:
-        return _encode_record(
-            key,
-            item_level,
-            path_level,
-            record_ids,
-            redundant,
-            flowgraph.n_paths,
-            nodes,
-            exceptions_to_dicts(flowgraph.exceptions),
-        )
+        parts = [
+            bytes((flags,)),
+            _HEAD.pack(len(stream), len(blob), len(steps)),
+            stream,
+            blob,
+            steps,
+        ]
+        if exc_blob:
+            parts.append(_EXC_LEN.pack(len(exc_blob)))
+            parts.append(exc_blob)
+    except struct.error:
+        raise _NotStructured from None
+    return b"".join(parts)
+
+
+def encode_cell_payload(payload) -> bytes:
+    """Encode one cell payload as an ``FCHEAP03`` record.
+
+    A :func:`cell_payload` dict whose every value the layout can carry
+    becomes a structured record; anything else — :func:`graph_payload`,
+    out-of-range record ids, bool or float counters, any other
+    JSON-compatible value — is stored as verbatim JSON (``RAW``), so
+    ``decode_cell_payload(encode_cell_payload(p)) == p`` for every
+    payload.
+    """
+    try:
+        return _structured_record(payload)
     except _NotStructured:
-        return _raw_record(
-            cell_payload(
-                key, item_level, path_level, record_ids, redundant, flowgraph
-            )
-        )
+        return bytes((_RAW,)) + _json_bytes(payload)
 
 
-def encode_cell_payload(payload: dict) -> bytes:
-    """Encode one cell payload dict as an ``FCHEAP02`` record.
+def _split_record(buffer):
+    """A structured record's ``(values, blob_at, steps_at, end)``: the
+    cell varints decoded, and where the key blob, the record-id steps
+    and whatever follows them (exceptions, if flagged) start."""
+    stream_len, blob_len, steps_len = _HEAD.unpack_from(buffer, 1)
+    blob_at = 1 + _HEAD.size + stream_len
+    steps_at = blob_at + blob_len
+    end = steps_at + steps_len
+    if end > len(buffer):
+        raise StoreError("corrupt cell payload: truncated record")
+    return (
+        _decode_varints(buffer[1 + _HEAD.size : blob_at]),
+        blob_at,
+        steps_at,
+        end,
+    )
 
-    The dict-fed twin of :func:`encode_cell`, kept as its reference: it
-    checks the container shapes — the exact dict :func:`cell_payload`
-    builds — and hands the values, in the order the dict gives them, to
-    the same record writer.  Any payload outside that shape — foreign
-    key order, bool/float counters, out-of-range record ids — falls back
-    to a verbatim JSON record (:data:`_HEAP2_RAW`), so
-    ``decode(encode(p)) == p`` holds for *every* JSON-compatible
-    payload, byte-identical through ``cube_to_json``.
+
+def _exceptions(buffer, end: int) -> list:
+    """The plain-dict exception list after a structured record's runs."""
+    flags = buffer[0]
+    if not flags & _EXC:
+        return []
+    (exc_len,) = _EXC_LEN.unpack_from(buffer, end)
+    blob = buffer[end + _EXC_LEN.size : end + _EXC_LEN.size + exc_len]
+    if len(blob) != exc_len:
+        raise StoreError("corrupt cell payload: truncated exceptions")
+    return json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
+
+
+def _vector(values: list[int]):
+    """``(redundant, n_paths, vector, end)`` of the decoded cell varints,
+    skipping the coordinates in front; *end* indexes the record-id count."""
+    i = 1 + values[0]
+    i += 1 + values[i]
+    n_pairs = values[i + 3]
+    end = i + 4 + 2 * n_pairs
+    vector = list(zip(values[i + 4 : end : 2], values[i + 5 : end : 2]))
+    if len(vector) != n_pairs or end >= len(values):
+        raise StoreError("corrupt cell payload: truncated varints")
+    return bool(values[i + 1]), values[i + 2], vector, end
+
+
+def _record_ids(values: list[int], end: int, steps) -> tuple[int, ...]:
+    """The record ids: the count and first id that close the cell
+    varints, then the ascending steps."""
+    gaps = _decode_varints(steps)
+    n_ids = values[end]
+    if len(values) != end + (2 if n_ids else 1) or len(gaps) != max(n_ids - 1, 0):
+        raise StoreError("corrupt cell payload: record-id count mismatch")
+    if 0 in gaps:
+        raise StoreError("corrupt cell payload: record ids do not ascend")
+    return tuple(accumulate(gaps, initial=values[end + 1])) if n_ids else ()
+
+
+def _raw_payload(buffer) -> dict:
+    payload = json.loads(bytes(buffer[1:]))
+    if not isinstance(payload, dict):
+        raise StoreError("corrupt cell payload: not a payload object")
+    return payload
+
+
+def decode_cell_vector(buffer):
+    """A record's ``(record_ids, redundant, vector)`` — no path table, no
+    :class:`~repro.core.flowgraph.FlowGraph`.
+
+    *vector* is the cell's ``(pid, weight)`` pairs, or ``None`` for a
+    cell stored without its multiset (:func:`graph_payload`).
     """
     try:
-        if not isinstance(payload, dict) or tuple(payload) != _PAYLOAD_KEYS:
-            raise _NotStructured
-        flowgraph = payload["flowgraph"]
-        if not isinstance(flowgraph, dict) or tuple(flowgraph) != _FLOWGRAPH_KEYS:
-            raise _NotStructured
-        key = payload["key"]
-        item_level = payload["item_level"]
-        record_ids = payload["record_ids"]
-        exceptions = flowgraph["exceptions"]
-        if not (
-            isinstance(key, (list, tuple))
-            and isinstance(item_level, (list, tuple))
-            and isinstance(record_ids, (list, tuple))
-            and isinstance(flowgraph["nodes"], list)
-            and isinstance(exceptions, list)
-        ):
-            raise _NotStructured
-        nodes = []
-        for node in flowgraph["nodes"]:
-            if not isinstance(node, dict) or tuple(node) != _NODE_KEYS:
-                raise _NotStructured
-            prefix = node["prefix"]
-            durations = node["durations"]
-            transitions = node["transitions"]
-            if not (
-                isinstance(prefix, (list, tuple))
-                and prefix
-                and isinstance(durations, dict)
-                and isinstance(transitions, dict)
-            ):
-                raise _NotStructured
-            nodes.append(
-                (
-                    tuple(prefix),
-                    node["count"],
-                    durations.items(),
-                    transitions.items(),
-                )
-            )
-        return _encode_record(
-            key,
-            item_level,
-            payload["path_level"],
-            record_ids,
-            payload["redundant"],
-            flowgraph["n_paths"],
-            nodes,
-            exceptions,
-        )
-    except _NotStructured:
-        return _raw_record(payload)
+        if buffer[0] & _RAW:
+            payload = _raw_payload(buffer)
+            vector = payload.get("vector")
+            if vector is not None:
+                vector = [(int(pid), int(weight)) for pid, weight in vector]
+            return tuple(payload["record_ids"]), payload["redundant"], vector
+        values, _, steps_at, end = _split_record(buffer)
+        redundant, _, vector, at = _vector(values)
+        return _record_ids(values, at, buffer[steps_at:end]), redundant, vector
+    except _CORRUPT as exc:
+        raise StoreError(f"corrupt cell payload: {exc}") from None
 
 
-def _split_heap2(buffer: bytes, flags: int):
-    stream_len, blob_len, n_rids = _HEAP2_HEAD.unpack_from(buffer, 1)
-    offset = 1 + _HEAP2_HEAD.size
-    stream = buffer[offset : offset + stream_len]
-    offset += stream_len
-    blob = buffer[offset : offset + blob_len]
-    offset += blob_len
-    rid_end = offset + 4 * n_rids
-    if rid_end > len(buffer):
-        raise StoreError("corrupt cell payload: truncated record ids")
-    rid_arena = array("i")
-    rid_arena.frombytes(buffer[offset:rid_end])
-    if not _LITTLE_ENDIAN:
-        rid_arena.byteswap()
-    exceptions: list = []
-    if flags & _HEAP2_EXC:
-        (exc_len,) = _HEAP2_EXC_LEN.unpack_from(buffer, rid_end)
-        exc = buffer[rid_end + _HEAP2_EXC_LEN.size : rid_end + _HEAP2_EXC_LEN.size + exc_len]
-        if flags & _HEAP2_EXC_ZLIB:
-            exc = zlib.decompress(exc)
-        exceptions = json.loads(exc)
-    if flags & _HEAP2_PURE:
-        values = list(stream)
-    else:
-        values = _decode_varints(stream)
-    n_strings = values[0]
-    strings: list[str] = []
-    position = 0
-    for length in values[1 : 1 + n_strings]:
-        strings.append(blob[position : position + length].decode("utf-8"))
-        position += length
-    return values, 1 + n_strings, strings, rid_arena, exceptions
+def decode_cell_parts(buffer, paths):
+    """A record's ``(redundant, flowgraph)`` — what a reader's first
+    touch of the cell's graph decodes.
 
-
-def decode_cell_payload(buffer: bytes) -> dict:
-    """Decode an ``FCHEAP02`` record back into its payload dict.
-
-    The dict-level reference for :func:`decode_cell_parts`: the result
-    compares (and JSON-serialises) identically to the payload dict
-    :func:`cell_payload` builds for the same cell.
+    The flowgraph is *expanded* from the stored vector
+    (:meth:`~repro.core.flowgraph.FlowGraph.expand` over ``(paths[pid],
+    weight)``: tallies and children in key order, so a served graph does
+    not depend on the order its records arrived in) with the stored
+    exception list attached; *paths* is the cell's level of the cube's
+    path table.  The record ids are not touched
+    (:func:`decode_cell_vector` reads them).  A cell stored without its
+    multiset rebuilds the graph it was stored as.  A pid the table does
+    not hold, like any other damage, is a :class:`StoreError`.
     """
     try:
-        flags = buffer[0]
-        if flags & _HEAP2_RAW:
+        if buffer[0] & _RAW:
+            payload = _raw_payload(buffer)
+            redundant = payload["redundant"]
+            if "flowgraph" in payload:
+                return redundant, flowgraph_from_dict(payload["flowgraph"])
+            vector = payload["vector"]
+            exceptions = payload["exceptions"]
+        else:
+            values, _, _, end = _split_record(buffer)
+            redundant, _, vector, _ = _vector(values)
+            exceptions = _exceptions(buffer, end)
+        if vector and min(vector)[0] < 0:
+            raise IndexError("negative path id")
+        graph = FlowGraph.expand(
+            [(paths[pid], weight) for pid, weight in vector]
+        )
+        if exceptions:
+            graph.exceptions = exceptions_from_dicts(exceptions)
+        return redundant, graph
+    except _CORRUPT as exc:
+        raise StoreError(f"corrupt cell payload: {exc}") from None
+
+
+def decode_cell_payload(buffer) -> dict:
+    """Decode a record back into the payload dict it was encoded from
+    (compares, and JSON-serialises, identically)."""
+    try:
+        if buffer[0] & _RAW:
             return json.loads(bytes(buffer[1:]))
-        values, i, strings, rid_arena, exceptions = _split_heap2(buffer, flags)
-        n_key = values[i]
-        i += 1
-        key = [strings[ref] for ref in values[i : i + n_key]]
-        i += n_key
-        n_item = values[i]
-        i += 1
-        item_level = values[i : i + n_item]
-        i += n_item
-        path_level = values[i]
-        redundant = bool(values[i + 1])
-        n_paths = values[i + 2]
-        n_nodes = values[i + 3]
-        i += 4
-        nodes = []
-        prefixes: list[list[str]] = []
-        for _ in range(n_nodes):
-            parent = values[i]
-            location = strings[values[i + 1]]
-            count = values[i + 2]
-            i += 3
-            if parent:
-                prefix = prefixes[parent - 1] + [location]
-            else:
-                prefix = [location]
-            prefixes.append(prefix)
-            n = values[i]
-            i += 1
-            durations = {}
-            for _ in range(n):
-                durations[strings[values[i]]] = values[i + 1]
-                i += 2
-            n = values[i]
-            i += 1
-            transitions = {}
-            for _ in range(n):
-                transitions[strings[values[i]]] = values[i + 1]
-                i += 2
-            nodes.append(
-                {
-                    "prefix": prefix,
-                    "count": count,
-                    "durations": durations,
-                    "transitions": transitions,
-                }
-            )
+        values, blob_at, steps_at, end = _split_record(buffer)
+        redundant, n_paths, vector, at = _vector(values)
+        record_ids = _record_ids(values, at, buffer[steps_at:end])
+        n_key = values[0]
+        key = []
+        position = blob_at
+        for length in values[1 : 1 + n_key]:
+            key.append(bytes(buffer[position : position + length]).decode("utf-8"))
+            position += length
+        if position != steps_at:
+            raise ValueError("key lengths disagree with the key blob")
+        i = 1 + n_key
+        item_level = values[i + 1 : i + 1 + values[i]]
         return {
             "key": key,
             "item_level": item_level,
-            "path_level": path_level,
-            "record_ids": list(rid_arena),
+            "path_level": values[i + 1 + values[i]],
+            "record_ids": list(record_ids),
             "redundant": redundant,
-            "flowgraph": {
-                "n_paths": n_paths,
-                "nodes": nodes,
-                "exceptions": exceptions,
-            },
+            "n_paths": n_paths,
+            "vector": [list(pair) for pair in vector],
+            "exceptions": _exceptions(buffer, end),
         }
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
 
-def decode_cell_parts(buffer: bytes):
-    """Decode an ``FCHEAP02`` record straight into live query objects.
+# --------------------------------------------------------------------------
+# Path table (paths.bin)
+# --------------------------------------------------------------------------
 
-    Returns ``(record_ids, redundant, flowgraph)`` without ever building
-    the payload dict: nodes are constructed directly from the varint
-    stream (``__new__`` + slot assignment, parents resolved by ordinal),
-    skipping both ``json.loads`` and ``flowgraph_from_dict``.  This is
-    the cold-slice hot path — materialising a cell is one pass over the
-    stream, with the 1- and 2-entry tally dicts (the overwhelmingly
-    common sizes) special-cased to dict literals.
+
+#: ``paths.bin``: the aggregated paths a cube's cell vectors name, once
+#: per cube.  Path *pid* of level *L* is path ``sum(level_counts[:L]) +
+#: pid`` of the file; its stages are ``stage_offsets[p] :
+#: stage_offsets[p + 1]`` of the two ref columns, each ref a string id.
+#: ``lineage`` names the build the table belongs to (``cube.json``
+#: records the same number): a ``create()`` draws a new one, appends and
+#: compactions keep it.
+PATHS_LAYOUT = Layout(
+    PATHS_MAGIC,
+    (),
+    "path table",
+    ("n_levels", "n_paths", "n_stages", "n_strings", "blob_len"),
+    (
+        ("lineage", "q", "1"),
+        ("level_counts", "q", "n_levels"),
+        ("stage_offsets", "q", "n_paths + 1"),
+        ("location_refs", "q", "n_stages"),
+        ("duration_refs", "q", "n_stages"),
+        *_STRING_SECTIONS,
+    ),
+)
+
+
+def pack_paths(lineage: int, levels) -> bytes:
+    """Encode a cube's path table — ``levels[level_id][pid]`` is an
+    aggregated path — as one ``paths.bin`` blob (:data:`PATHS_LAYOUT`)."""
+    interned: dict[str, int] = {}
+    stage_offsets = array("q", [0])
+    location_refs = array("q")
+    duration_refs = array("q")
+    n_stages = 0
+    for paths in levels:
+        for path in paths:
+            for location, duration in path:
+                location_refs.append(interned.setdefault(location, len(interned)))
+                duration_refs.append(interned.setdefault(duration, len(interned)))
+            n_stages += len(path)
+            stage_offsets.append(n_stages)
+    str_offsets, blob = _pack_strings(interned)
+    return PATHS_LAYOUT.pack(
+        (len(levels), len(stage_offsets) - 1, n_stages, len(interned), len(blob)),
+        array("q", [lineage]),
+        array("q", map(len, levels)),
+        stage_offsets,
+        location_refs,
+        duration_refs,
+        str_offsets,
+        blob,
+    )
+
+
+def unpack_paths(buffer) -> tuple[int, list[list[tuple]]]:
+    """Decode a :func:`pack_paths` blob → ``(lineage, levels)``.
+
+    Everything the framing cannot see — counts that disagree, an offset
+    that runs backwards or leaves a path empty, a ref past the string
+    section, bytes that are not UTF-8 — is a :class:`StoreError` too.
     """
+    opened = PATHS_LAYOUT.open(buffer)
+    level_counts = opened["level_counts"]
+    offsets = opened["stage_offsets"]
     try:
-        flags = buffer[0]
-        if flags & _HEAP2_RAW:
-            payload = json.loads(bytes(buffer[1:]))
-            return (
-                payload["record_ids"],
-                payload["redundant"],
-                flowgraph_from_dict(payload["flowgraph"]),
-            )
-        values, i, strings, rid_arena, exceptions = _split_heap2(buffer, flags)
-        n_key = values[i]
-        i += 1 + n_key
-        n_item = values[i]
-        i += 1 + n_item
-        redundant = bool(values[i + 1])
-        n_paths = values[i + 2]
-        n_nodes = values[i + 3]
-        i += 4
-        graph = FlowGraph()
-        graph.n_paths = n_paths
-        index = graph._index  # noqa: SLF001 - same-package rebuild
-        roots = graph._roots  # noqa: SLF001
-        nodes: list[FlowGraphNode] = []
-        new = FlowGraphNode.__new__
-        for _ in range(n_nodes):
-            parent_ordinal = values[i]
-            location = strings[values[i + 1]]
-            node = new(FlowGraphNode)
-            node.count = values[i + 2]
-            i += 3
-            if parent_ordinal:
-                parent = nodes[parent_ordinal - 1]
-                prefix = parent.prefix + (location,)
-                parent.children[location] = node
-            else:
-                prefix = (location,)
-                roots[location] = node
-            node.prefix = prefix
-            n = values[i]
-            i += 1
-            if n == 1:
-                node.duration_counts = {strings[values[i]]: values[i + 1]}
-                i += 2
-            elif n == 2:
-                node.duration_counts = {
-                    strings[values[i]]: values[i + 1],
-                    strings[values[i + 2]]: values[i + 3],
-                }
-                i += 4
-            else:
-                end = i + 2 * n
-                node.duration_counts = {
-                    strings[values[j]]: values[j + 1] for j in range(i, end, 2)
-                }
-                i = end
-            n = values[i]
-            i += 1
-            if n == 1:
-                node.transition_counts = {strings[values[i]]: values[i + 1]}
-                i += 2
-            elif n == 2:
-                node.transition_counts = {
-                    strings[values[i]]: values[i + 1],
-                    strings[values[i + 2]]: values[i + 3],
-                }
-                i += 4
-            else:
-                end = i + 2 * n
-                node.transition_counts = {
-                    strings[values[j]]: values[j + 1] for j in range(i, end, 2)
-                }
-                i = end
-            node.children = {}
-            index[prefix] = node
-            nodes.append(node)
-        if exceptions:
-            graph.exceptions = exceptions_from_dicts(exceptions)
-        return list(rid_arena), redundant, graph
-    except _CORRUPT as exc:
-        raise StoreError(f"corrupt cell payload: {exc}") from None
+        if min(level_counts, default=0) < 0 or sum(level_counts) != opened["n_paths"]:
+            raise ValueError("level counts disagree with n_paths")
+        if offsets[0] != 0 or offsets[-1] != opened["n_stages"]:
+            raise ValueError("stage offsets disagree with n_stages")
+        if any(map(ge, offsets, offsets[1:])):
+            raise ValueError("stage offsets do not ascend")
+        str_offsets = opened["str_offsets"]
+        blob = bytes(buffer[slice(*opened["blob"])])
+        if (
+            str_offsets[0] != 0
+            or str_offsets[-1] != len(blob)
+            or any(map(gt, str_offsets, str_offsets[1:]))
+        ):
+            raise ValueError("string offsets disagree with the blob")
+        strings = [
+            blob[start:end].decode("utf-8")
+            for start, end in zip(str_offsets, str_offsets[1:])
+        ]
+        refs = (opened["location_refs"], opened["duration_refs"])
+        if any(column and min(column) < 0 for column in refs):
+            raise ValueError("negative string ref")
+        stages = list(zip(*(map(strings.__getitem__, column) for column in refs)))
+    except (IndexError, ValueError) as exc:
+        raise StoreError(f"corrupt path table: {exc}") from None
+    paths = [tuple(stages[start:end]) for start, end in zip(offsets, offsets[1:])]
+    levels = []
+    position = 0
+    for count in level_counts:
+        levels.append(paths[position : position + count])
+        position += count
+    return opened["lineage"][0], levels
 
 
 # --------------------------------------------------------------------------
@@ -1168,7 +1151,7 @@ class LazyMaskMap:
 #: stages, ``durations`` exact IEEE doubles (no ``repr`` round-trip).
 PARTITION_LAYOUT = Layout(
     PARTITION_MAGIC_V2,
-    RETIRED_PARTITION_MAGIC,
+    (RETIRED_PARTITION_MAGIC,),
     "columnar partition",
     ("n_records", "n_dims", "n_locals", None, "total_stages"),
     (
@@ -1292,7 +1275,7 @@ def unpack_partition(
 #: ``int.from_bytes`` per value instead of a Python pass over every cell.
 INDEX_LAYOUT = Layout(
     INDEX_MAGIC,
-    None,
+    (),
     "cell index",
     ("n_cuboids", "n_cells", "n_dims", "n_strings", "blob_len"),
     (

@@ -103,6 +103,7 @@ from repro.perf.measure_rollup import (
     assemble_cuboids,
     derivation_plan,
     derive_levels,
+    expanded,
     merge_scan,
     prune_to_iceberg,
     scan_records,
@@ -645,6 +646,8 @@ def build_cube(
             into.create(
                 path_lattice, min_support, min_deviation, item_levels=levels
             )
+            # The cube's records are vectors over the scan's path ids.
+            into.path_table = table
             cube = None
         else:
             cube = FlowCube(
@@ -655,7 +658,7 @@ def build_cube(
         phase = time.perf_counter()
         data = derive_levels(
             plan, groups_by_root, weighted_by_root, root_levels,
-            store.schema.dimensions, table, threshold,
+            store.schema.dimensions,
         )
         prune_to_iceberg(data, threshold)
         del groups_by_root, weighted_by_root
@@ -669,7 +672,9 @@ def build_cube(
             if into is not None:
                 into.put_cuboid(cuboid)
             else:
-                cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid  # noqa: SLF001
+                cube._cuboids[(cuboid.item_level, cuboid.path_level)] = (  # noqa: SLF001
+                    expanded(cuboid)
+                )
         exception_seconds = (
             exception_pass.seconds if exception_pass is not None else 0.0
         )

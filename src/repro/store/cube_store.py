@@ -4,14 +4,18 @@ A :class:`CubeStore` persists a materialised flowcube *cell by cell*::
 
     cube/
       cube.json               δ/ε, the path lattice, build provenance
+      paths.bin               the aggregated paths the cell records name
       cells.bin               packed heap: length-prefixed cell records
       cells.idx               columnar key/offset index (binfmt codec)
       cells.delta.NNN.bin     heap segment N: the cells an append rewrote
       cells.delta.idx         the full index while delta segments pend
 
-The heap holds one compact ``FCHEAP02`` record per cell, written
-straight from the live cell (:func:`~repro.store.binfmt.encode_cell`),
-one joined buffer per cuboid; the index lives in the packed
+The heap holds one compact ``FCHEAP03`` record per cell — the cell's
+``(path id, weight)`` vector, its record ids and its exceptions
+(:func:`~repro.store.binfmt.encode_cell_payload`), not its flowgraph —
+one joined buffer per cuboid; the path ids resolve through the cube's
+path table (``paths.bin``), which is loaded the first time a reader
+asks a cell for its flowgraph and not before; the index lives in the packed
 ``cells.idx`` arena, so opening a million-cell cube costs one mmap
 instead of a million stats — zero heap bytes are read on open, and the
 per-cuboid catalog masks stay lazy byte spans over the index map until
@@ -21,9 +25,9 @@ leading with the retired generation's magic are refused with a
 :class:`~repro.errors.StoreError`, never decoded.  A read hands out a
 :class:`StoredCell`: the index fields (key, levels, ``n_paths``,
 ``redundant``) straight from the index entry plus a copy of the cell's
-record bytes, and the measure (``record_ids``, ``flowgraph``) is decoded
-from those bytes the first time it is touched — slicing and listing
-decode nothing.  The store fronts every read with a bounded
+record bytes; ``record_ids`` decode from those bytes and ``flowgraph``
+is expanded from the stored vector the first time each is touched —
+slicing and listing decode nothing.  The store fronts every read with a bounded
 :class:`~repro.store.cache.LRUCache` whose hit/miss/eviction counters
 make serving behaviour observable.
 
@@ -56,19 +60,23 @@ from repro.core.flowcube import Cell, CellKey
 from repro.core.lattice import ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathSchema
 from repro.core.serialization import (
+    exceptions_to_dicts,
     flowgraph_to_dict,
     path_level_from_dict,
     path_level_to_dict,
 )
 from repro import publish
 from repro.errors import CubeError, StoreError
+from repro.perf.measure_rollup import PathTable
 from repro.store import binfmt
-from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC_V2, LAYOUT_NAME
+from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC, LAYOUT_NAME
 from repro.store.cache import LRUCache
 
 __all__ = ["CubeStore", "StoredCell", "StoredCuboid"]
 
 META_FILENAME = "cube.json"
+#: The aggregated paths the heap's cell vectors name (``FCPATH01``).
+PATHS_FILENAME = "paths.bin"
 HEAP_FILENAME = "cells.bin"
 INDEX_FILENAME = "cells.idx"
 #: Full cell index over base heap + delta segments; authoritative (and
@@ -136,8 +144,8 @@ class _Segment:
         self._end = 0
         if stage:
             self._handle = open(publish.staging_path(path), "w+b")
-            self._handle.write(HEAP_MAGIC_V2)
-            self._end = len(HEAP_MAGIC_V2)
+            self._handle.write(HEAP_MAGIC)
+            self._end = len(HEAP_MAGIC)
 
     def append(self, records) -> list[Entry]:
         """Frame ``(payload bytes, n_paths, redundant)`` records and append
@@ -287,7 +295,9 @@ class _HeapCells:
         files (never ``query_stats.json.*``: serving processes write
         those concurrently) are swept here.
         """
-        for pattern in ("cells.*.tmp", f"{META_FILENAME}.*.tmp"):
+        for pattern in (
+            "cells.*.tmp", f"{PATHS_FILENAME}.*.tmp", f"{META_FILENAME}.*.tmp"
+        ):
             for stale in self.directory.glob(pattern):
                 stale.unlink(missing_ok=True)
         self._stage(0)
@@ -330,43 +340,19 @@ class _HeapCells:
                 highest = max(highest, int(stem))
         return highest + 1
 
-    def put_cells(self, cells) -> list[Entry]:
-        """Encode live ``(coords, cell)`` pairs and append them in one
-        write — to a fresh delta segment when nothing is staged, so
-        mutating a published cube costs O(dirty cells)."""
-        if not cells:
+    def put_records(self, records) -> list[Entry]:
+        """Byte-exact append of encoded ``(record, n_paths, redundant)``
+        triples in one write — to a fresh delta segment when nothing is
+        staged, so mutating a published cube costs O(dirty cells)."""
+        if not records:
             return []  # nothing to write: do not stage a segment
         if self._writing is None:
             self.begin_delta()
-        encode = binfmt.encode_cell
-        return self._writing.append(
-            [
-                (
-                    encode(
-                        key,
-                        item_level.levels,
-                        level_id,
-                        cell.record_ids,
-                        cell.redundant,
-                        cell.flowgraph,
-                    ),
-                    cell.n_paths,
-                    cell.redundant,
-                )
-                for (item_level, level_id, key), cell in cells
-            ]
-        )
-
-    def put_raw(self, records) -> list[Entry]:
-        """Byte-exact append of already-encoded ``(record, n_paths,
-        redundant)`` triples (compaction copies a cuboid at a time)."""
-        if self._writing is None:
-            raise StoreError("put_raw requires a staged heap (begin first)")
         return self._writing.append(records)
 
     def record(self, entry: Entry) -> bytes:
         """A copy of the entry's cell record — the bytes
-        :func:`~repro.store.binfmt.decode_cell_parts` takes — verbatim."""
+        :func:`~repro.store.binfmt.decode_cell_vector` takes — verbatim."""
         length = entry[1]
         segment_id, offset = binfmt.split_segment_offset(entry[0])
         segment = self._segments.get(segment_id) or self._segment(segment_id)
@@ -497,7 +483,66 @@ class _HeapCells:
         self.close(materialise=False)
         self._segment_path(0).unlink(missing_ok=True)
         self.index_path.unlink(missing_ok=True)
+        (self.directory / PATHS_FILENAME).unlink(missing_ok=True)
         self.discard_delta_files()
+
+
+def new_lineage() -> int:
+    """The number a fresh cube's files are tied together by."""
+    return int.from_bytes(os.urandom(7), "little")
+
+
+class StoredPaths:
+    """A cube's path table the way its meta file commits it.
+
+    ``cube.json`` names the table by the *lineage* its ``create()`` drew
+    (appends and compactions keep it, a rebuild draws a new one) and by
+    the per-level path *counts* its cell records may reference.  The file
+    is read, and both are checked, the first time a cell expands its
+    flowgraph — never at open — and a table of another build, or one
+    shorter than committed, is a :class:`~repro.errors.StoreError`
+    rather than a wrong graph.  A *longer* table is the same cube: ids
+    are first-seen and an append only ever extends the file.
+    """
+
+    def __init__(
+        self, path: FsPath, lineage: int | None, counts, levels=None
+    ) -> None:
+        self.path = path
+        self.lineage = lineage
+        self.counts = counts
+        self._levels = levels
+
+    def levels(self) -> list[list]:
+        """``[level_id][pid]`` → aggregated path, loading on first use."""
+        levels = self._levels
+        if levels is None:
+            if self.lineage is None:
+                raise StoreError(
+                    f"cube meta beside {self.path} names no path table; "
+                    "rebuild the cube"
+                )
+            with binfmt.map_file(self.path, "path table") as mapped:
+                lineage, levels = binfmt.unpack_paths(mapped)
+            if lineage != self.lineage:
+                raise StoreError(
+                    f"path table {self.path} belongs to another build of "
+                    f"the cube (lineage {lineage}, cube meta says "
+                    f"{self.lineage}): a rebuild is in progress or was "
+                    "interrupted — rebuild the cube"
+                )
+            if len(levels) != len(self.counts) or any(
+                len(paths) < count
+                for paths, count in zip(levels, self.counts)
+            ):
+                raise StoreError(
+                    f"path table {self.path} holds "
+                    f"{[len(paths) for paths in levels]} paths per level, "
+                    f"fewer than the {list(self.counts)} the cube meta "
+                    "commits; rebuild the cube"
+                )
+            self._levels = levels
+        return levels
 
 
 class StoredCell(Cell):
@@ -506,17 +551,21 @@ class StoredCell(Cell):
     ``key`` / ``item_level`` / ``path_level`` / ``n_paths`` /
     ``redundant`` are plain attributes filled from the index entry, so
     selecting and listing cells (slice, dice, ``/cuboids``) decodes
-    nothing.  ``record_ids`` and ``flowgraph`` — the measure — are
-    decoded together, once, by
-    :func:`~repro.store.binfmt.decode_cell_parts` the first time either
-    is read.
+    nothing.  The measure comes in two touches.  ``record_ids`` (and
+    ``weights``, the stored ``{pid: weight}`` vector) decode from the
+    record alone (:func:`~repro.store.binfmt.decode_cell_vector`: no path
+    table, no graph).  ``flowgraph`` is *expanded* from the vector by
+    :func:`~repro.store.binfmt.decode_cell_parts` over the cell's level
+    of the cube's path table, once, the first time it is read — which
+    is also the first time the table's file is.
 
     The cell is a self-contained snapshot: it owns the record *bytes*
     the store copied out under its lock at read time, never an offset
-    into a heap, so it decodes the same measure after the store has
-    reloaded, appended, compacted or closed.  A damaged record surfaces
-    as :class:`~repro.errors.StoreError` at that first touch, and at
-    every later one (nothing is cached on failure).
+    into a heap, and a reference to the path table those bytes name, so
+    it decodes the same measure after the store has reloaded, appended,
+    compacted or closed.  A damaged record surfaces as
+    :class:`~repro.errors.StoreError` at that first touch, and at every
+    later one (nothing is cached on failure).
 
     Two threads that race on the first touch both decode; they compute
     equal measures and the last assignment stays, and ``cells_decoded``
@@ -532,6 +581,8 @@ class StoredCell(Cell):
         redundant: bool,
         record: bytes,
         counters: dict[str, int],
+        paths: StoredPaths,
+        level_id: int,
     ) -> None:
         self.key = key
         self.item_level = item_level
@@ -540,7 +591,10 @@ class StoredCell(Cell):
         self._n_paths = n_paths
         self._record = record
         self._counters = counters
-        self._measure: tuple | None = None
+        self._paths = paths
+        self._level_id = level_id
+        self._vector: tuple | None = None
+        self._graph = None
 
     @property
     def n_paths(self) -> int:
@@ -548,20 +602,37 @@ class StoredCell(Cell):
         return self._n_paths
 
     def _touch(self) -> tuple:
-        measure = self._measure
-        if measure is None:
-            record_ids, _, flowgraph = binfmt.decode_cell_parts(self._record)
-            measure = self._measure = (tuple(record_ids), flowgraph)
-            self._counters["cells_decoded"] += 1
-        return measure
+        vector = self._vector
+        if vector is None:
+            record_ids, _, pairs = binfmt.decode_cell_vector(self._record)
+            vector = self._vector = (record_ids, pairs)
+        return vector
 
     @property
     def record_ids(self) -> tuple[int, ...]:
         return self._touch()[0]
 
     @property
+    def weights(self) -> dict[int, int] | None:
+        """The stored ``{pid: weight}`` vector (a fresh dict), or
+        ``None`` for a cell that was stored without its multiset."""
+        pairs = self._touch()[1]
+        return None if pairs is None else dict(pairs)
+
+    @property
+    def level_paths(self) -> list:
+        """The path list the vector's ids index."""
+        return self._paths.levels()[self._level_id]
+
+    @property
     def flowgraph(self):
-        return self._touch()[1]
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = binfmt.decode_cell_parts(
+                self._record, self.level_paths
+            )[1]
+            self._counters["cells_decoded"] += 1
+        return graph
 
     def __eq__(self, other: object) -> bool:
         """Field-wise equality with any :class:`Cell`, index fields first
@@ -665,6 +736,12 @@ class CubeStore:
         #: :meth:`BuildStats.as_dict` snapshot of the build that produced
         #: the persisted cube, when the builder passed one to :meth:`flush`.
         self.build_stats: dict | None = None
+        #: The committed path table (file, lineage, per-level counts);
+        #: ``None`` until a cube is created or loaded.
+        self._paths: StoredPaths | None = None
+        #: The same table as the id space writers intern into; built
+        #: over ``_paths``' lists the first time a writer asks.
+        self._table: PathTable | None = None
         self._cells = self._new_heap()
         self._cache: LRUCache = LRUCache(cache_size)
         #: (item level, path-level id) -> {cell key -> index entry}.
@@ -747,8 +824,47 @@ class CubeStore:
             self._cells = self._new_heap()
             self._cells.discard_files()
             self._cells.begin()
+            self._paths = StoredPaths(
+                self.directory / PATHS_FILENAME,
+                new_lineage(),
+                None,
+                levels=[[] for _ in path_lattice],
+            )
+            self._table = None
             self._bump_version()
         return self
+
+    @property
+    def path_table(self) -> PathTable:
+        """The id space the cube's cell vectors are written in.
+
+        Loaded from ``paths.bin`` (and checked against the meta file) the
+        first time a writer — an append, a ``put_cell`` — asks.  A build
+        that scanned into its own table assigns it right after
+        :meth:`create`, so its cells are persisted without translation.
+        """
+        with self._lock:
+            table = self._table
+            if table is None:
+                self._require_built()
+                table = self._table = PathTable.over(self._paths.levels())
+            return table
+
+    @path_table.setter
+    def path_table(self, table: PathTable) -> None:
+        with self._lock:
+            if len(table.paths) != len(self._require_built()):
+                raise StoreError(
+                    f"path table has {len(table.paths)} levels, the cube's "
+                    f"path lattice {len(self.path_lattice)}"
+                )
+            self._table = table
+            # The table and the snapshot cells hold share the level lists.
+            committed = self._paths
+            self._paths = StoredPaths(
+                committed.path, committed.lineage, committed.counts,
+                levels=table.paths,
+            )
 
     def _require_built(self) -> PathLattice:
         if self.path_lattice is None:
@@ -762,8 +878,74 @@ class CubeStore:
     # writes
     # ------------------------------------------------------------------
     def put_cell(self, cell: Cell) -> None:
-        """Persist one cell (its paths are not stored, only the measure)."""
+        """Persist one cell: its multiset as a vector over the cube's path
+        table, or — when it brings none — the flowgraph it has."""
         self.put_cuboid((cell,))
+
+    def _encode(self, cells) -> list[tuple[bytes, int, bool]]:
+        """``(coords, cell)`` pairs as heap ``(record, n_paths,
+        redundant)`` triples.
+
+        A record is the cell's vector in this cube's path-id space
+        (:meth:`_vector`), its record ids and its exceptions; a cell
+        that brings no multiset is stored as the flowgraph it has.
+        """
+        table = self.path_table
+        encode = binfmt.encode_cell_payload
+        records = []
+        for (item_level, level_id, key), cell in cells:
+            vector = self._vector(cell, table, level_id)
+            if vector is None:
+                payload = binfmt.graph_payload(
+                    key, item_level.levels, level_id, cell.record_ids,
+                    cell.redundant, cell.flowgraph,
+                )
+            else:
+                payload = binfmt.cell_payload(
+                    key, item_level.levels, level_id, cell.record_ids,
+                    cell.redundant, cell.n_paths, vector,
+                    exceptions_to_dicts(cell.exceptions),
+                )
+            records.append((encode(payload), cell.n_paths, cell.redundant))
+        return records
+
+    @staticmethod
+    def _vector(cell: Cell, table: PathTable, level_id: int):
+        """*cell*'s ``(pid, weight)`` pairs in *table*'s id space.
+
+        A cell already counted in it (an engine cell of the build or
+        append that owns the table, a cell this handle read) hands its
+        vector over as it is; any other multiset — ``cell.paths``, or a
+        vector over another table — is interned path by path.  ``None``
+        for a cell without a multiset, or with a path the table cannot
+        carry (a stage that is not a pair of ``str``).
+        """
+        own = table.paths[level_id]
+        weights = getattr(cell, "weights", None)
+        if weights is None:
+            pairs = cell.paths
+        else:
+            theirs = cell.level_paths
+            if theirs is own:
+                return list(weights.items())
+            pairs = [(theirs[pid], weight) for pid, weight in weights.items()]
+        if not pairs:
+            return None
+        ids = table.ids[level_id]
+        vector: dict[int, int] = {}
+        for path, weight in pairs:
+            pid = ids.get(path)
+            if pid is None:
+                if not path or any(
+                    type(location) is not str or type(duration) is not str
+                    for location, duration in path
+                ):
+                    return None
+                pid = table.intern(level_id, path)
+            # A weight is stored as it came (a bool or float one sends
+            # the record to the verbatim fallback); a repeated path adds.
+            vector[pid] = vector[pid] + weight if pid in vector else weight
+        return list(vector.items())
 
     def put_cuboid(self, cuboid) -> None:
         """Persist every cell of an in-memory cuboid (any iterable of cells).
@@ -782,7 +964,7 @@ class CubeStore:
                 batch.append(((cell.item_level, level_id, cell.key), cell))
             if not batch:
                 return
-            entries = self._cells.put_cells(batch)
+            entries = self._cells.put_records(self._encode(batch))
             for ((item_level, level_id, key), _), entry in zip(batch, entries):
                 self._index.setdefault((item_level, level_id), {})[key] = entry
             self._bump_version()
@@ -820,7 +1002,7 @@ class CubeStore:
         with self._lock:
             self._require_built()
             written: dict[Coords, Entry] = dict(
-                zip(cells, self._cells.put_cells(cells.items()))
+                zip(cells, self._cells.put_records(self._encode(cells.items())))
             )
             new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
             for item_level, level_id, keys in layout:
@@ -879,7 +1061,7 @@ class CubeStore:
                 new_index[coords] = dict(
                     zip(
                         entries,
-                        new.put_raw(
+                        new.put_records(
                             [
                                 (
                                     old.record(entry),
@@ -945,6 +1127,7 @@ class CubeStore:
                 payload["item_levels"] = [
                     list(level.levels) for level in self.item_levels
                 ]
+            payload["paths"] = self._publish_paths()
             payload.update(self._cells.finalise(self._index))
             if self.build_stats is not None:
                 payload["build_stats"] = self.build_stats
@@ -960,6 +1143,21 @@ class CubeStore:
                 # on disk are now unreachable and safe to sweep.
                 self._cells.discard_delta_files()
             self._bump_version()
+
+    def _publish_paths(self) -> dict:
+        """Publish ``paths.bin`` if this handle interned a path the file
+        does not hold — before the records that name it — and return
+        what the meta file commits: the lineage and per-level counts."""
+        paths = self._paths
+        if self._table is not None or paths.counts is None:
+            levels = self.path_table.paths
+            counts = [len(level) for level in levels]
+            if counts != paths.counts:
+                publish.publish_file(
+                    paths.path, binfmt.pack_paths(paths.lineage, levels)
+                )
+                paths.counts = counts
+        return {"lineage": paths.lineage, "counts": paths.counts}
 
     def _read_meta(self) -> tuple[tuple[int, int] | None, str | None]:
         """One atomic read of the meta file: ``(signature, text)``.
@@ -1019,6 +1217,13 @@ class CubeStore:
                 if raw_levels is None
                 else [ItemLevel(levels) for levels in raw_levels]
             )
+            committed = payload.get("paths") or {}
+            self._paths = StoredPaths(
+                self.directory / PATHS_FILENAME,
+                committed.get("lineage"),
+                committed.get("counts"),
+            )
+            self._table = None
             self._cells.close()
             self._cells = self._new_heap()
             self._cache.clear()
@@ -1110,6 +1315,7 @@ class CubeStore:
             cache = self._cache
             record = self._cells.record
             counters = self._cells.io_counters
+            paths = self._paths
             cells: list[Cell] = []
             for key in keys:
                 coords: Coords = (item_level, level_id, key)
@@ -1129,6 +1335,8 @@ class CubeStore:
                         entry_redundant(entry),
                         record(entry),
                         counters,
+                        paths,
+                        level_id,
                     )
                     cache.put(coords, cell)
                 cells.append(cell)
@@ -1277,6 +1485,16 @@ class CubeStore:
         if self.is_built:
             out["delta_segments"] = len(self.delta_segments)
             out["io"] = self.io_counters()
+            # The path table the records name, from the meta file and a
+            # stat — describing a cube does not load it.
+            try:
+                table_bytes = self._paths.path.stat().st_size
+            except OSError:
+                table_bytes = 0
+            out["paths"] = {
+                "per_level": self._paths.counts,
+                "bytes": table_bytes,
+            }
         if self.build_stats is not None:
             out["version"] = self.build_version
             out["build_stats"] = self.build_stats

@@ -12,12 +12,17 @@ The contracts:
 * **read behaviour over the heap**: the LRU fronts the heap's cells,
   and ``maybe_reload`` notices a cross-handle rebuild through the
   single-read meta signature;
-* **one record writer, two feeders** (hypothesis): the live-cell encoder
-  and the payload-dict encoder produce the same ``FCHEAP02`` bytes for
-  every cell, including every verbatim-JSON fallback;
-* **pinned bytes**: the heap, index and delta segment of the paper
-  example hash to constants, so format drift cannot pass unnoticed;
-* **one table per container** (generated from ``binfmt``'s three
+* **one record writer, one reader** (hypothesis): a cell's payload — its
+  ``(pid, weight)`` vector, record ids, exceptions — round-trips through
+  its ``FCHEAP03`` record to the dict, to the vector and to the expanded
+  flowgraph; the store's write door, fed a live cell, produces the bytes
+  the dict encoder produces, including every verbatim-JSON fallback;
+* **every damaged byte is typed**: flipping each byte and cutting at
+  each length of a record and of a path table yields a decode or a
+  ``StoreError``, never an untyped exception;
+* **pinned bytes**: the path table, heap, index and delta segment of the
+  paper example hash to constants, so format drift cannot pass unnoticed;
+* **one table per container** (generated from ``binfmt``'s four
   :class:`~repro.store.binfmt.Layout` tables): every corrupt header
   count and every truncation is a typed ``StoreError`` naming the field
   or section, and DESIGN.md's byte diagrams carry the tables' rows.
@@ -28,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import struct
 import sys
 from array import array
 from pathlib import Path as FsPath
@@ -36,12 +42,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.flowcube import Cell
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import FlowException
+from repro.core.lattice import ItemLevel
 from repro.core.hierarchy import ConceptHierarchy
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.core.serialization import flowgraph_to_dict
+from repro.core.serialization import (
+    exceptions_from_dicts,
+    exceptions_to_dicts,
+    flowgraph_to_dict,
+)
 from repro.core.stage import Stage
 from repro.errors import StoreError
 from repro.store import (
@@ -49,28 +61,32 @@ from repro.store import (
     PartitionedPathStore,
     append_records,
     build_cube,
+    cube_store,
 )
 from repro.store.binfmt import (
-    _HEAP2_EXC,
-    _HEAP2_EXC_ZLIB,
-    _HEAP2_PURE,
-    _HEAP2_RAW,
+    _EXC,
+    _EXC_ZLIB,
+    _RAW,
     INDEX_LAYOUT,
     INDEX_MAGIC,
     ORDER_TAG,
     PARTITION_LAYOUT,
+    PATHS_LAYOUT,
     STRINGS_LAYOUT,
     MaskArena,
     StringTable,
     cell_payload,
     decode_cell_parts,
     decode_cell_payload,
-    encode_cell,
+    decode_cell_vector,
     encode_cell_payload,
+    graph_payload,
     pack_cell_index,
     pack_partition,
+    pack_paths,
     unpack_cell_index,
     unpack_partition,
+    unpack_paths,
 )
 
 # ----------------------------------------------------------------------
@@ -249,6 +265,7 @@ LAYOUTS = {
     "FCSTRS01": STRINGS_LAYOUT,
     "FCPART02": PARTITION_LAYOUT,
     "FCCIDX01": INDEX_LAYOUT,
+    "FCPATH01": PATHS_LAYOUT,
 }
 _HEADER_START = 8  # every magic is eight bytes
 
@@ -284,6 +301,16 @@ def packed(tmp_path_factory, example_database):
         "FCCIDX01": (
             index,
             lambda blob: unpack_cell_index(blob, MaskArena(blob)),
+        ),
+        "FCPATH01": (
+            pack_paths(
+                7,
+                [
+                    [(("a", "1"), ("b", "2")), (("a", "*"),)],
+                    [(("b", "1"),)],
+                ],
+            ),
+            unpack_paths,
         ),
     }
 
@@ -360,10 +387,10 @@ def test_foreign_files_are_refused_as_before(packed, magic):
     swapped = blob[:8] + blob[8:16][::-1] + blob[16:]
     with pytest.raises(StoreError, match="byte-order tag mismatch"):
         read(swapped)
-    if layout.retired is not None:
-        retired = layout.retired.decode("ascii")  # only FCPART01 today
-        with pytest.raises(StoreError, match=f"retired {retired} layout"):
-            read(layout.retired + blob[8:])
+    for retired in layout.retired:  # only FCPART01 today
+        name = retired.decode("ascii")
+        with pytest.raises(StoreError, match=f"retired {name} layout"):
+            read(retired + blob[8:])
 
 
 _TYPE_NAMES = {"q": "i64", "d": "f64", "B": "u8"}
@@ -407,7 +434,7 @@ def test_design_diagrams_carry_the_tables_rows_in_order(magic):
 
 
 # ----------------------------------------------------------------------
-# FCHEAP02 cell codec: one record writer, two feeders (hypothesis)
+# FCHEAP03 cell record: one writer, one reader (hypothesis)
 # ----------------------------------------------------------------------
 
 #: Path weights on both sides of the one-, two- and three-byte varints.
@@ -428,8 +455,10 @@ _EXCEPTION = st.builds(
 
 
 @st.composite
-def live_cells(draw):
-    """``encode_cell`` arguments: coordinates, record ids, a live graph."""
+def vector_cells(draw):
+    """``(cell_payload arguments, level path list)``: coordinates,
+    ascending record ids, a ``(pid, weight)`` vector in an order of its
+    own over a path list, and an exception list."""
     key = tuple(draw(st.lists(_VALUE, max_size=3)))
     item_level = tuple(
         draw(st.integers(min_value=0, max_value=200)) for _ in key
@@ -437,113 +466,329 @@ def live_cells(draw):
     locations = draw(st.lists(_VALUE, min_size=1, max_size=4, unique=True))
     labels = draw(st.lists(_VALUE, min_size=1, max_size=5, unique=True))
     stage = st.tuples(st.sampled_from(locations), st.sampled_from(labels))
-    graph = FlowGraph()
-    for path in draw(st.lists(st.lists(stage, min_size=1, max_size=4), max_size=6)):
-        graph.add_path(tuple(path), draw(_WEIGHT))
-    # A node with many duration labels: tallies of every size, and a
-    # per-cell string table on either side of 127 entries.
+    paths = draw(
+        st.lists(st.lists(stage, min_size=1, max_size=4).map(tuple), max_size=6)
+    )
+    # A level with many paths: path ids on either side of 127.
     for i in range(draw(st.sampled_from([0, 0, 3, 120, 140]))):
-        graph.add_path(((locations[0], f"d{i}"),))
-    graph.exceptions = draw(st.lists(_EXCEPTION, max_size=2))
-    return (
+        paths.append(((locations[0], f"d{i}"),))
+    paths = list(dict.fromkeys(paths))
+    pids = draw(st.permutations(range(len(paths))))
+    pids = pids[: draw(st.integers(min_value=0, max_value=len(pids)))]
+    vector = [(pid, draw(_WEIGHT)) for pid in pids]
+    record_ids = sorted(
+        set(draw(st.lists(st.integers(0, 2**31 - 1), max_size=6)))
+    )
+    cell = (
         key,
         item_level,
         draw(st.integers(min_value=0, max_value=200)),
-        tuple(draw(st.lists(st.integers(0, 2**31 - 1), max_size=6))),
+        tuple(record_ids),
         draw(st.booleans()),
-        graph,
+        sum(weight for _, weight in vector),
+        vector,
+        exceptions_to_dicts(draw(st.lists(_EXCEPTION, max_size=2))),
     )
+    return cell, paths
 
 
-def _assert_feeders_agree(cell) -> bytes:
-    """Live bytes == dict-fed bytes, and both decoders read them back."""
+def _json_form(payload):
+    """*payload* as JSON hands it back (tuples become lists)."""
+    return json.loads(json.dumps(payload))
+
+
+def _expanded(vector, paths, exceptions=()) -> dict:
+    """What a reader must see: the graph of the vector's paths, serialised."""
+    graph = FlowGraph()
+    for pid, weight in vector:
+        graph.add_path(paths[pid], weight)
+    graph.exceptions = exceptions_from_dicts(list(exceptions))
+    return flowgraph_to_dict(graph)
+
+
+def _assert_round_trip(cell, paths) -> bytes:
+    """Every reader gives back what the writer was given."""
     payload = cell_payload(*cell)
-    record = encode_cell(*cell)
-    assert record == encode_cell_payload(payload)
-    assert decode_cell_payload(record) == payload
-    record_ids, redundant, graph = decode_cell_parts(record)
-    assert list(record_ids) == payload["record_ids"]
+    record = encode_cell_payload(payload)
+    assert decode_cell_payload(record) == _json_form(payload)
+    record_ids, redundant, vector = decode_cell_vector(record)
+    assert record_ids == tuple(payload["record_ids"])
     assert redundant is payload["redundant"]
-    assert flowgraph_to_dict(graph) == payload["flowgraph"]
+    assert vector == [tuple(pair) for pair in payload["vector"]]
+    redundant, graph = decode_cell_parts(record, paths)
+    assert redundant is payload["redundant"]
+    assert graph.n_paths == payload["n_paths"]
+    assert flowgraph_to_dict(graph) == _expanded(
+        vector, paths, payload["exceptions"]
+    )
     return record
 
 
-@given(live_cells())
+@given(vector_cells())
 @settings(max_examples=150, deadline=None)
-def test_live_encoder_matches_the_dict_encoder(cell):
-    record = _assert_feeders_agree(cell)
-    assert not record[0] & _HEAP2_RAW
-    graph = cell[-1]
-    assert bool(record[0] & _HEAP2_EXC) == bool(graph.exceptions)
+def test_a_cell_round_trips_through_its_structured_record(case):
+    cell, paths = case
+    record = _assert_round_trip(cell, paths)
+    assert not record[0] & _RAW
+    assert bool(record[0] & _EXC) == bool(cell[-1])
 
 
-def _single_node_cell(n_labels: int, weight: int):
-    """One node ``L`` whose string table holds ``n_labels + 2`` strings."""
-    graph = FlowGraph()
-    for i in range(n_labels):
-        graph.add_path((("L", f"d{i}"),), weight)
-    return ((), (), 0, (), False, graph)
+_ONE_STAGE = [(("L", f"d{i}"),) for i in range(16385)]
+
+
+@pytest.mark.parametrize("field", ["first record id", "record id step"])
+def test_record_id_varint_widths(field):
+    """127 → 128 and 16 383 → 16 384 each cost exactly one more byte
+    (path ids and weights: ``test_varint_widths_and_the_pure_flag``)."""
+    lengths = []
+    for value in (127, 128, 16383, 16384):
+        record_ids = (value,) if field == "first record id" else (1, 1 + value)
+        cell = ((), (), 0, record_ids, False, 1, [(0, 1)], [])
+        lengths.append(len(_assert_round_trip(cell, _ONE_STAGE)))
+    assert [n - lengths[0] for n in lengths] == [0, 1, 1, 2]
+
+
+def test_exception_blob_is_zlibbed_only_when_smaller():
+    exceptions = exceptions_to_dicts(
+        [FlowException(("a",), (), "duration", 1, {"1": 1.0}, {"1": 0.5}, 0.5)]
+    )
+    paths = [(("a", "1"),)]
+    cell = (("k",), (1,), 0, (3,), False, 1, [(0, 1)], exceptions)
+    record = _assert_round_trip(cell, paths)
+    assert record[0] & _EXC and record[0] & _EXC_ZLIB
+    # Only a hand-made payload has an exception list too short to shrink.
+    payload = cell_payload(*cell[:-1], [0])
+    record = encode_cell_payload(payload)
+    assert record[0] & _EXC and not record[0] & _EXC_ZLIB
+    assert decode_cell_payload(record) == _json_form(payload)
+
+
+class _Label(str):
+    """Equal to, but not exactly, a ``str``: outside the structured record."""
+
+
+_FALLBACK_PATHS = [(("a", "1"), ("b", "2")), (("a", "2"),)]
+
+
+def _fallback_payload(case: str) -> dict:
+    payload = cell_payload(
+        ["x", "y"], [0, 1], 2, [1, 2], False, 3, [[1, 2], [0, 1]], []
+    )
+    if case == "record id 2**31":
+        payload["record_ids"] = [1, 2**31]
+    elif case == "negative record id":
+        payload["record_ids"] = [-1]
+    elif case == "descending record ids":
+        payload["record_ids"] = [2, 1]
+    elif case == "repeated record id":
+        payload["record_ids"] = [1, 1]
+    elif case == "bool record id":
+        payload["record_ids"] = [0, True]
+    elif case == "bool weight":
+        payload["vector"] = [[1, True]]
+    elif case == "float weight":
+        payload["vector"] = [[1, 2.0], [0, 1]]
+    elif case == "negative n_paths":
+        payload["n_paths"] = -1
+    elif case == "pair of three":
+        payload["vector"] = [[1, 2, 3], [0]]
+    elif case == "non-str key part":
+        payload["key"] = ["x", 7]
+    elif case == "str-subclass key part":
+        payload["key"] = ["x", _Label("y")]
+    elif case == "non-bool redundant":
+        payload["redundant"] = 1
+    elif case == "foreign key order":
+        payload = dict(reversed(payload.items()))
+    elif case == "a cell without its multiset":
+        graph = FlowGraph(_FALLBACK_PATHS)
+        payload = graph_payload(("x", "y"), (0, 1), 2, (1, 2), False, graph)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "record id 2**31",
+        "negative record id",
+        "descending record ids",
+        "repeated record id",
+        "bool record id",
+        "bool weight",
+        "float weight",
+        "negative n_paths",
+        "pair of three",
+        "non-str key part",
+        "str-subclass key part",
+        "non-bool redundant",
+        "foreign key order",
+        "a cell without its multiset",
+    ],
+)
+def test_every_fallback_is_the_payload_as_verbatim_json(case):
+    payload = _fallback_payload(case)
+    raw = bytes((_RAW,)) + json.dumps(
+        payload, separators=(",", ":")
+    ).encode("utf-8")
+    assert encode_cell_payload(payload) == raw
+    assert decode_cell_payload(raw) == json.loads(raw[1:])
+    if case == "a cell without its multiset":
+        record_ids, redundant, vector = decode_cell_vector(raw)
+        assert vector is None
+        graph = decode_cell_parts(raw, [])[1]  # needs no path table
+        assert flowgraph_to_dict(graph) == payload["flowgraph"]
+    elif case in ("record id 2**31", "negative record id", "non-str key part"):
+        # The vector still reads: the cell expands (and appends) as ever.
+        record_ids, redundant, vector = decode_cell_vector(raw)
+        assert list(record_ids) == payload["record_ids"]
+        assert vector == [(1, 2), (0, 1)]
+        graph = decode_cell_parts(raw, _FALLBACK_PATHS)[1]
+        assert flowgraph_to_dict(graph) == _expanded(vector, _FALLBACK_PATHS)
+
+
+# ----------------------------------------------------------------------
+# the store's door: a live cell and its payload dict are one record
+# ----------------------------------------------------------------------
+#
+# ``CubeStore._encode`` is what every write goes through: it resolves a
+# live cell's multiset into the cube's path-id space and hands
+# ``encode_cell_payload`` a dict.  The two feeders below are that door
+# (fed a live ``Cell``) and the dict encoder fed ``cell_payload`` /
+# ``graph_payload`` by hand; they must agree byte for byte, structured
+# or not.
+
+_LIVE_LEVEL_ID = 1
+
+
+@pytest.fixture(scope="module")
+def live_cube(tmp_path_factory):
+    """A created (empty) cube whose write door the tests feed."""
+    from repro.core.lattice import PathLattice
+    from repro.core.path_database import example_path_database
+
+    schema = example_path_database().schema
+    cube = CubeStore(tmp_path_factory.mktemp("door") / "cube", schema)
+    cube.create(PathLattice.paper_default(schema.location), 2, 0.1)
+    yield cube
+    cube.close()
+
+
+def _live_cell(key, record_ids, redundant, pairs, exceptions=(), graph=None):
+    """An in-memory cell over *pairs* (``(path, weight)``…); *graph*
+    overrides the flowgraph the pairs fold into."""
+    if graph is None:
+        graph = FlowGraph()
+        for path, weight in pairs:
+            graph.add_path(path, int(weight) if weight > 0 else 1)
+    graph.exceptions = list(exceptions)
+    return Cell(
+        key=key,
+        item_level=ItemLevel([0] * len(key)),
+        path_level=None,
+        record_ids=record_ids,
+        flowgraph=graph,
+        paths=tuple(pairs),
+        redundant=redundant,
+    )
+
+
+def _both_feeders(cube, cell, structured: bool) -> bytes:
+    """The door's bytes for *cell*, checked against the dict encoder's."""
+    coords = (cell.item_level, _LIVE_LEVEL_ID, cell.key)
+    ((record, n_paths, redundant),) = cube._encode([(coords, cell)])
+    assert n_paths == cell.n_paths and redundant == cell.redundant
+    ids = cube.path_table.ids[_LIVE_LEVEL_ID]
+    if all(path in ids for path, _ in cell.paths) and cell.paths:
+        payload = cell_payload(
+            cell.key, cell.item_level.levels, _LIVE_LEVEL_ID, cell.record_ids,
+            cell.redundant, cell.n_paths,
+            [(ids[path], weight) for path, weight in cell.paths],
+            exceptions_to_dicts(cell.flowgraph.exceptions),
+        )
+    else:  # no multiset, or a path the table cannot carry
+        payload = graph_payload(
+            cell.key, cell.item_level.levels, _LIVE_LEVEL_ID, cell.record_ids,
+            cell.redundant, cell.flowgraph,
+        )
+    assert record == encode_cell_payload(payload)
+    assert bool(record[0] & _RAW) is not structured
+    if not structured:
+        assert record == bytes((_RAW,)) + json.dumps(
+            payload, separators=(",", ":")
+        ).encode("utf-8")
+    assert decode_cell_payload(record) == _json_form(payload)
+    return record
+
+
+@given(vector_cells(), st.lists(_EXCEPTION, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_live_encoder_matches_the_dict_encoder(live_cube, case, exceptions):
+    (key, _, _, record_ids, redundant, _, vector, _), paths = case
+    cell = _live_cell(
+        key, record_ids, redundant,
+        [(paths[pid], weight) for pid, weight in vector], exceptions,
+    )
+    record = _both_feeders(live_cube, cell, structured=bool(vector))
+    assert bool(record[0] & _EXC) == bool(exceptions and vector)
+    graph = decode_cell_parts(
+        record, live_cube.path_table.paths[_LIVE_LEVEL_ID]
+    )[1]
+    assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
+
+
+def _boundary_cell(n_labels: int, weight: int):
+    """*n_labels* one-stage paths of *weight* each, in a level whose
+    first three path ids other cells brought: ids 3 … n_labels + 2."""
+    vector = [(3 + i, weight) for i in range(n_labels)]
+    return ((), (), 0, (), False, n_labels * weight, vector, [])
 
 
 @pytest.mark.parametrize(
     ("n_labels", "weight", "pure"),
     [
         (1, 127, True),  # every value fits one byte
-        (1, 128, False),  # a two-byte count
+        (1, 128, False),  # a two-byte weight
         (1, 16383, False),
-        (1, 16384, False),  # a three-byte count
-        (125, 1, True),  # 127 strings: the table size still fits one byte
-        (126, 1, False),  # 128 strings
-        (16381, 1, False),  # 16 383 strings: two-byte refs
-        (16382, 1, False),  # 16 384 strings: a three-byte table size
+        (1, 16384, False),  # a three-byte weight
+        (125, 1, True),  # path ids up to 127: still one byte each
+        (126, 1, False),  # path id 128
+        (16381, 1, False),  # path id 16 383: two-byte ids
+        (16382, 1, False),  # path id 16 384: a three-byte id
     ],
 )
 def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
-    record = _assert_feeders_agree(_single_node_cell(n_labels, weight))
-    assert bool(record[0] & _HEAP2_PURE) is pure
-
-
-def test_exception_blob_is_zlibbed_only_when_smaller():
-    graph = FlowGraph([(("a", "1"),)])
-    graph.exceptions = [
-        FlowException(("a",), (), "duration", 1, {"1": 1.0}, {"1": 0.5}, 0.5)
-    ]
-    record = _assert_feeders_agree((("k",), (1,), 0, (3,), False, graph))
-    assert record[0] & _HEAP2_EXC and record[0] & _HEAP2_EXC_ZLIB
-    # Only a hand-made payload has an exception list too short to shrink.
-    payload = cell_payload(("k",), (1,), 0, (3,), False, graph)
-    payload["flowgraph"]["exceptions"] = [0]
-    record = encode_cell_payload(payload)
-    assert record[0] & _HEAP2_EXC and not record[0] & _HEAP2_EXC_ZLIB
-    assert decode_cell_payload(record) == payload
-
-
-class _Label(str):
-    """Equal to, but not exactly, a ``str``: outside the structured codec."""
+    """A record whose cell varints are all single bytes — *pure* — is
+    decoded by one ``list(bytes)``; the record says so by holding no
+    continuation byte, not by a flag."""
+    record = _assert_round_trip(_boundary_cell(n_labels, weight), _ONE_STAGE)
+    n_cell = struct.unpack_from("<III", record, 1)[0]
+    assert (max(record[13 : 13 + n_cell]) < 0x80) is pure
 
 
 def _fallback_cell(case: str):
-    graph = FlowGraph([(("a", "1"), ("b", "2"))])
-    key, record_ids, redundant = ("x", "y"), (1, 2), False
+    pairs = [((("a", "1"), ("b", "2")), 2), ((("a", "2"),), 1)]
+    key, record_ids, redundant, graph = ("x", "y"), (1, 2, 5), False, None
     if case == "record id 2**31":
         record_ids = (1, 2**31)
     elif case == "negative record id":
         record_ids = (-1,)
     elif case == "bool count":
-        graph.node(("a",)).duration_counts["1"] = True
+        pairs[1] = (pairs[1][0], True)
     elif case == "float count":
-        graph.node(("a", "b")).count = 1.0
+        pairs[0] = (pairs[0][0], 2.0)
     elif case == "negative count":
-        graph.n_paths = -1
+        pairs[1] = (pairs[1][0], -1)
     elif case == "non-str key part":
         key = ("x", 7)
     elif case == "str-subclass label":
-        graph.node(("a",)).duration_counts = {_Label("1"): 1}
+        pairs[1] = ((("a", _Label("9")),), 1)  # a path the table cannot carry
     elif case == "non-bool redundant":
         redundant = 1
     elif case == "orphan prefix":
+        graph = FlowGraph([path for path, _ in pairs])
         del graph._index[("a",)]  # noqa: SLF001 - hand-broken graph
-    return (key, (0, 1), 2, record_ids, redundant, graph)
+        pairs = []  # ... of a cell that arrives without its multiset
+    return _live_cell(key, record_ids, redundant, pairs, graph=graph)
 
 
 @pytest.mark.parametrize(
@@ -560,20 +805,160 @@ def _fallback_cell(case: str):
         "orphan prefix",
     ],
 )
-def test_every_fallback_is_the_same_raw_record_from_both_feeders(case):
+def test_every_fallback_is_the_same_raw_record_from_both_feeders(
+    live_cube, case
+):
     cell = _fallback_cell(case)
-    payload = cell_payload(*cell)
-    raw = bytes((_HEAP2_RAW,)) + json.dumps(
-        payload, separators=(",", ":")
-    ).encode("utf-8")
-    assert encode_cell(*cell) == raw
-    assert encode_cell_payload(payload) == raw
-    assert decode_cell_payload(raw) == json.loads(raw[1:])
-    if case != "orphan prefix":  # no graph can be rebuilt around a hole
-        record_ids, redundant, graph = decode_cell_parts(raw)
-        assert list(record_ids) == payload["record_ids"]
-        assert redundant == payload["redundant"]
-        assert flowgraph_to_dict(graph) == payload["flowgraph"]
+    raw = _both_feeders(live_cube, cell, structured=False)
+    paths = live_cube.path_table.paths[_LIVE_LEVEL_ID]
+    stored_as_graph = case in ("str-subclass label", "orphan prefix")
+    record_ids, redundant, vector = decode_cell_vector(raw)
+    assert record_ids == cell.record_ids and redundant == cell.redundant
+    assert (vector is None) is stored_as_graph
+    if case == "orphan prefix":  # no graph can be rebuilt around a hole
+        with pytest.raises(StoreError, match="corrupt cell payload"):
+            decode_cell_parts(raw, paths)
+    elif case in ("bool count", "float count", "negative count"):
+        pass  # the counts a reader would fold are not counts
+    else:
+        graph = decode_cell_parts(raw, paths)[1]
+        assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
+
+
+# ----------------------------------------------------------------------
+# damage: every flipped or missing byte is typed
+# ----------------------------------------------------------------------
+
+
+def _typed_or_decoded(read, says: str = "") -> str:
+    try:
+        read()
+    except StoreError as exc:
+        assert says in str(exc), exc
+        return "typed"
+    return "decoded"
+
+
+def test_no_damaged_record_escapes_as_an_untyped_error():
+    """Flip each byte and cut at each length of an exception-bearing
+    structured record: every reader decodes (no checksum yet) or raises
+    ``StoreError`` — never ``IndexError`` / ``struct.error`` /
+    ``zlib.error`` from inside the codec."""
+    exceptions = exceptions_to_dicts(
+        [FlowException(("a",), (), "duration", 2, {"1": 1.0}, {"1": 0.5}, 0.5)]
+    )
+    cell = (("k", "ü"), (1, 2), 3, (4, 300, 70000), True, 130,
+            [(1, 128), (0, 2)], exceptions)
+    record = _assert_round_trip(cell, _FALLBACK_PATHS)
+    damaged = [record[:length] for length in range(len(record))]
+    for position in range(len(record)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(record)
+            flipped[position] ^= mask
+            damaged.append(bytes(flipped))
+    outcomes = {"typed": 0, "decoded": 0}
+    for data in damaged:
+        for read in (
+            lambda: decode_cell_vector(data),
+            lambda: decode_cell_parts(data, _FALLBACK_PATHS),
+            lambda: decode_cell_payload(data),
+        ):
+            outcomes[_typed_or_decoded(read, "corrupt cell payload")] += 1
+    assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
+
+
+def _with_runs(record: bytes, cell=lambda s: s, steps=lambda s: s) -> bytes:
+    """*record* with its cell varints and its id-step varints edited."""
+    n_cell, n_blob, n_steps = struct.unpack_from("<III", record, 1)
+    blob_at = 13 + n_cell
+    steps_at = blob_at + n_blob
+    new_cell = cell(record[13:blob_at])
+    new_steps = steps(record[steps_at : steps_at + n_steps])
+    return (
+        record[:1]
+        + struct.pack("<III", len(new_cell), n_blob, len(new_steps))
+        + new_cell
+        + record[blob_at:steps_at]
+        + new_steps
+        + record[steps_at + n_steps :]
+    )
+
+
+def test_named_record_damage_is_named():
+    record = encode_cell_payload(
+        cell_payload(("k",), (1,), 0, (4, 9, 300), False, 3, [(1, 2), (0, 1)], [])
+    )
+    assert decode_cell_vector(record)[0] == (4, 9, 300)
+    assert decode_cell_vector(_with_runs(record)) == decode_cell_vector(record)
+    # The cell varints end: ... n_ids=3, first id 4; the steps are 5, 291.
+    for damaged in (
+        _with_runs(record, cell=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
+        _with_runs(record, steps=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
+    ):
+        with pytest.raises(StoreError, match="dangling varint"):
+            decode_cell_vector(damaged)
+    repeated = _with_runs(record, steps=lambda s: b"\x00" + s[1:])
+    with pytest.raises(StoreError, match="record ids do not ascend"):
+        decode_cell_vector(repeated)
+    for damaged in (
+        _with_runs(record, steps=lambda s: s[:1]),  # a step short
+        _with_runs(record, steps=lambda s: s + b"\x01"),  # one too many
+        _with_runs(record, cell=lambda s: s[:-2] + b"\x09" + s[-1:]),
+        _with_runs(record, cell=lambda s: s + b"\x01"),
+    ):
+        with pytest.raises(StoreError, match="record-id count mismatch"):
+            decode_cell_vector(damaged)
+    # n_pairs says more pairs than the varints hold.
+    overrun = _with_runs(record, cell=lambda s: s[:-7] + b"\x09" + s[-6:])
+    with pytest.raises(StoreError, match="truncated varints"):
+        decode_cell_vector(overrun)
+    # A path id the level's table does not hold is damage, not IndexError.
+    with pytest.raises(StoreError, match="corrupt cell payload"):
+        decode_cell_parts(record, _FALLBACK_PATHS[:1])
+    assert decode_cell_parts(record, _FALLBACK_PATHS)[1].n_paths == 3
+
+
+def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):
+    blob, read = packed["FCPATH01"]
+    lineage, levels = unpack_paths(blob)
+    assert lineage == 7 and [len(paths) for paths in levels] == [2, 1]
+    outcomes = {"typed": 0, "decoded": 0}
+    for position in range(len(blob)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(blob)
+            flipped[position] ^= mask
+            outcomes[_typed_or_decoded(lambda: read(bytes(flipped)))] += 1
+    # Only the zero padding after the last section may go missing unseen.
+    for length in range(section_ends(PATHS_LAYOUT, blob)[-1][1]):
+        assert _typed_or_decoded(lambda: read(blob[:length])) == "typed"
+    assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
+
+
+def _with_section(blob: bytes, name: str, index: int, value: int) -> bytes:
+    """*blob* (a path table) with one word of section *name* replaced."""
+    opened = PATHS_LAYOUT.open(blob)
+    ends = dict(section_ends(PATHS_LAYOUT, blob))
+    at = ends[name] - 8 * len(opened[name]) + 8 * index
+    return blob[:at] + array("q", [value]).tobytes() + blob[at + 8 :]
+
+
+@pytest.mark.parametrize(
+    ("section", "index", "value", "message"),
+    [
+        ("level_counts", 0, 3, "level counts disagree"),
+        ("level_counts", 1, -1, "level counts disagree"),
+        ("stage_offsets", 0, 1, "stage offsets disagree"),
+        ("stage_offsets", 1, 0, "stage offsets do not ascend"),  # empty path
+        ("stage_offsets", 2, 1, "stage offsets do not ascend"),  # backwards
+        ("location_refs", 0, 99, "list index out of range"),  # past the strings
+        ("duration_refs", 1, -1, "negative string ref"),
+        ("str_offsets", 1, 99, "string offsets disagree"),
+    ],
+)
+def test_named_path_table_damage_is_named(packed, section, index, value, message):
+    blob, read = packed["FCPATH01"]
+    with pytest.raises(StoreError, match=f"corrupt path table: {message}"):
+        read(_with_section(blob, section, index, value))
 
 
 # ----------------------------------------------------------------------
@@ -692,28 +1077,38 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 # pinned on-disk bytes
 # ----------------------------------------------------------------------
 
-#: SHA-256 of the paper example's cube files, generated on the commit
-#: before the one-pass write codec (exceptions off, so no zlib output —
-#: which may differ between zlib builds — is hashed).  A change here is
-#: a format change: bump the heap/index generation instead.
+#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP03``
+#: / ``FCPATH01`` replaced the flowgraph heap (exceptions off, so no zlib
+#: output — which may differ between zlib builds — is hashed; the lineage
+#: is fixed below).  A change here is a format change: bump the
+#: generation of the file that moved instead.
 PINNED_SHA256 = {
+    "built paths.bin": (
+        "ef3894fde294bc607824b77e260c081712735577ba1d7bd9c0ae2e81d84028ef"
+    ),
     "built cells.bin": (
-        "73e77522088687ae8a80097501429c3a126aa5d34593cbc2883c05b91662c266"
+        "b3de6b393ebe150196d053bf16b53d405bbf02d897fedeb74dc8adfc9d9666c5"
     ),
     "built cells.idx": (
-        "77c4fcf16a09a680ba7d49387143ec57d46792bad0611cd3218a7aa5c82cf67d"
+        "e4591956eb63d8da37627b26349ef9fd1dbcdca4723770fb99e62bbed86954fe"
+    ),
+    "appended paths.bin": (
+        "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
     "appended cells.delta.001.bin": (
-        "b7ae529b4b3590be28861c7ce6dd6306e9ab78914be26f7904f1a5e30fde8611"
+        "d86f10d8e63ec1642e1271a0d1531adcf9f7a39af3d95dbfc807dd882f949811"
     ),
     "appended cells.delta.idx": (
-        "78631731522044df015c6e4348ae438ffab77802d2d219855a61c4f36579f9de"
+        "75b0500bf813ed7994fdf28aad2aaad2a5e946024da662f9db491e86a7e273e5"
+    ),
+    "compacted paths.bin": (
+        "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
     "compacted cells.bin": (
-        "3d4a24ec0b0ed15009def7a26ede05683f9f2f6cfb0a76c9c08fc64b52975b3e"
+        "1ef688fe6227208f58da3241e3aca13e051fcd1fa4fb24f3dffc2714701366c2"
     ),
     "compacted cells.idx": (
-        "af3d359b55b619828d5f33b9bf5274f10886e96fe76a6bfabe347b3e1bded6e2"
+        "726bfdfc3102efb226f88885ef174e27e91eb8c0f2d71ce24292a0bff122733e"
     ),
 }
 
@@ -721,7 +1116,12 @@ PINNED_SHA256 = {
 @pytest.mark.skipif(
     sys.byteorder != "little", reason="cells.idx arenas are native-endian"
 )
-def test_cube_files_hash_to_the_pinned_digests(tmp_path, example_database):
+def test_cube_files_hash_to_the_pinned_digests(
+    tmp_path, example_database, monkeypatch
+):
+    # The one run-dependent word of the cube's files: the lineage a
+    # create() draws (paths.bin carries it, cube.json names it).
+    monkeypatch.setattr(cube_store, "new_lineage", lambda: 2006)
     rows = list(example_database)
     store = PartitionedPathStore.init(
         tmp_path / "wh", example_database.schema, partition_size=3
@@ -739,9 +1139,10 @@ def test_cube_files_hash_to_the_pinned_digests(tmp_path, example_database):
                 (directory / name).read_bytes()
             ).hexdigest()
 
-    digest("built", "cells.bin", "cells.idx")
+    digest("built", "paths.bin", "cells.bin", "cells.idx")
     append_records(store, rows[6:], cube=cube, compact_after=0)
-    digest("appended", "cells.delta.001.bin", "cells.delta.idx")
+    digest("appended", "paths.bin", "cells.delta.001.bin", "cells.delta.idx")
     assert cube.compact() > 0
-    digest("compacted", "cells.bin", "cells.idx")
+    digest("compacted", "paths.bin", "cells.bin", "cells.idx")
+    assert seen["compacted paths.bin"] == seen["appended paths.bin"]
     assert seen == PINNED_SHA256

@@ -16,7 +16,11 @@ from repro.core import (
 from repro.core.flowgraph import FlowGraphNode
 from repro.core.serialization import flowgraph_from_dict
 from repro.errors import CubeError
-from repro.store.binfmt import decode_cell_parts, encode_cell
+from repro.store.binfmt import (
+    cell_payload,
+    decode_cell_parts,
+    encode_cell_payload,
+)
 
 
 @pytest.fixture
@@ -286,10 +290,16 @@ def _assert_links_agree(graph: FlowGraph) -> None:
     assert reached.keys() == index.keys()
 
 
-def _decoded(graph: FlowGraph) -> FlowGraph:
-    """*graph* through the FCHEAP02 cell codec, as a store hands it out."""
-    record = encode_cell(("k",), (1,), 0, (1, 2), False, graph)
-    return decode_cell_parts(record)[2]
+def _decoded(paths) -> FlowGraph:
+    """The graph of *paths* through the FCHEAP03 cell codec, as a store
+    hands it out: expanded from the stored ``(pid, weight)`` vector."""
+    table = list(dict.fromkeys(paths))
+    vector = [(pid, paths.count(path)) for pid, path in enumerate(table)]
+    record = encode_cell_payload(
+        cell_payload(("k",), (1,), 0, (1, 2), False, len(paths), vector, [])
+    )
+    assert not record[0] & 0x01  # structured, not the verbatim fallback
+    return decode_cell_parts(record, table)[1]
 
 
 #: Ways a graph comes into being before ``add_path`` grows it further.
@@ -298,7 +308,7 @@ _ORIGINS = {
     "merged": lambda paths: FlowGraph().merge(
         [FlowGraph(paths[::2]), FlowGraph(paths[1::2])]
     ),
-    "decoded": lambda paths: _decoded(FlowGraph(paths)),
+    "decoded": _decoded,
     "from_dict": lambda paths: flowgraph_from_dict(
         flowgraph_to_dict(FlowGraph(paths))
     ),

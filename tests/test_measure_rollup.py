@@ -305,7 +305,6 @@ def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
 def _kernel_hooks(monkeypatch):
     """Count the kernel's stage interning and postings; keep the tables."""
     import repro.perf.exception_kernel as exception_kernel
-    import repro.store.append as store_append
     import repro.store.builder as store_builder
 
     seen = {"interned": 0, "postings": 0, "tables": []}
@@ -329,7 +328,6 @@ def _kernel_hooks(monkeypatch):
     monkeypatch.setattr(exception_kernel, "ItemInterner", CountingInterner)
     monkeypatch.setattr(exception_kernel.PathPostings, "__init__", counted_init)
     monkeypatch.setattr(store_builder, "PathTable", RecordedTable)
-    monkeypatch.setattr(store_append, "PathTable", RecordedTable)
     return seen
 
 
@@ -371,12 +369,20 @@ def test_exception_pass_indexes_once_per_path_level(tmp_path, monkeypatch):
     assert cube.n_cells() > n_path_levels
     assert per_cell_stages > 2 * seen["interned"]
 
+    # An append mines over the cube's own table — loaded from paths.bin
+    # by a cold handle, one postings per level — never a private one.
+    cube.close()
     seen.update(interned=0, postings=0, tables=[])
-    stats = append_records(store, batch, cube=cube, compact_after=0)
-    (table,) = seen["tables"]
+    cold = store.cube_store()
+    stats = append_records(store, batch, cube=cold, compact_after=0)
+    assert seen["tables"] == []
     assert stats["updated"] + stats["created"] > n_path_levels
     assert seen["postings"] == n_path_levels
-    assert 0 < seen["interned"] <= _level_stages(table)
+    assert 0 < seen["interned"] <= _level_stages(cold.path_table)
+    assert all(
+        appended[: len(built)] == built
+        for appended, built in zip(cold.path_table.paths, table.paths)
+    )  # ids are first-seen: an append only ever extends the table
 
 
 def test_tuple_door_needs_no_path_table(monkeypatch):

@@ -224,25 +224,40 @@ def run(monkeypatch, operation, directory, kill_after=None):
 TORN = "new cells, old meta"
 SEGMENT_1 = "cells.delta.001.bin"
 SEGMENT_2 = "cells.delta.002.bin"
-BUILD = ["cells.bin", "cells.idx", "cube.json"]
+#: The path table goes first: the records that name a path id land after
+#: the path does.  An append publishes it only when the batch brought a
+#: path the cube had not seen, and only ever *extends* it, so a kill
+#: right after it leaves the old cube readable — byte for byte.
+PATHS = "paths.bin"
+COMPACT = ["cells.bin", "cells.idx", "cube.json"]
+BUILD = [PATHS] + COMPACT
 INGEST = ["part-00003.bin", "catalog.json"]
 
 #: operation -> (start, files published in order, what a fresh reader
 #: sees after a kill at each point).  ``"discard"`` rows come first.
 EXPECTED = {
-    "first build": ("ingested", BUILD, ["old", "old", "new"]),
+    "first build": ("ingested", BUILD, ["old", "old", "old", "new"]),
     # DURABILITY (ROADMAP "Store integrity and fault injection"): a
-    # rebuild unlinks the previous heap and index before it has staged a
-    # byte, so from the discard until the new meta lands the old meta
-    # names files that are gone (a typed error), and once the new index
-    # is in place it is served under the *old* meta's δ/ε/build stats —
-    # neither old nor new.
+    # rebuild unlinks the previous heap, index and path table before it
+    # has staged a byte, so from the discard until the new meta lands the
+    # old meta names files that are gone (a typed error).  Once the new
+    # index is in place the old meta would read the new cells — and
+    # expand them over the *new* build's path table; the lineage the old
+    # meta commits does not match it, so that is a typed error too, never
+    # a graph of the wrong paths.
     "rebuild": (
         "built",
         BUILD,
-        ["error", "error", TORN, "new"],
+        ["error", "error", "error", "error", "new"],
     ),
     "first append": (
+        "built",
+        INGEST + [PATHS, SEGMENT_1, "cells.delta.idx", "cube.json"],
+        ["old", "old", "old", "old", "old", "new"],
+    ),
+    # The same append over the same store, minus the records whose path
+    # the cube had not seen: nothing to add to the table, no publish.
+    "append of known paths": (
         "built",
         INGEST + [SEGMENT_1, "cells.delta.idx", "cube.json"],
         ["old", "old", "old", "old", "new"],
@@ -254,8 +269,8 @@ EXPECTED = {
     "second append": (
         "appended",
         ["part-00004.bin", "catalog.json"]
-        + [SEGMENT_2, "cells.delta.idx", "cube.json"],
-        ["old", "old", "old", TORN, "new"],
+        + [PATHS, SEGMENT_2, "cells.delta.idx", "cube.json"],
+        ["old", "old", "old", "old", TORN, "new"],
     ),
     "demotion-only append": (
         "finest",
@@ -266,12 +281,37 @@ EXPECTED = {
     # the heap rename until the meta rename the committed overlay's
     # offsets point into the wrong heap: a typed error (corrupt cell
     # payload), not the old cube that DESIGN §5 used to promise.
+    # ... and copies records byte for byte: no path table is published.
     "compact": (
         "twice",
-        BUILD,
+        COMPACT,
         ["error", "error", "new"],
     ),
 }
+
+
+def known_paths_batch(directory, rows):
+    """The first batch's records whose aggregated path, at every path
+    level, the built cube's table already holds."""
+    from repro.core.aggregation import aggregate_path
+
+    with PartitionedPathStore.open(directory) as store:
+        cube = store.cube_store()
+        try:
+            lattice = list(cube.path_lattice)
+            known = [set(paths) for paths in cube.path_table.paths]
+        finally:
+            cube.close()
+    batch = [
+        record
+        for record in rows[BASE_ROWS:FIRST_BATCH]
+        if all(
+            aggregate_path(record.path, level) in paths
+            for level, paths in zip(lattice, known)
+        )
+    ]
+    assert 0 < len(batch) < FIRST_BATCH - BASE_ROWS
+    return batch
 
 
 def operations(rows, starts):
@@ -279,6 +319,9 @@ def operations(rows, starts):
         "first build": _build,
         "rebuild": lambda d: _build(d, min_support=0.1),
         "first append": lambda d: _append(d, rows[BASE_ROWS:FIRST_BATCH]),
+        "append of known paths": lambda d: _append(
+            d, known_paths_batch(starts["built"], rows)
+        ),
         "second append": lambda d: _append(d, rows[FIRST_BATCH:]),
         "demotion-only append": lambda d: _append(
             d, demotion_batch(starts["finest"], rows)
@@ -327,12 +370,12 @@ def test_rebuild_and_compaction_sweep_a_dead_writers_staging_files(
         return sorted(path.name for path in cube_dir.iterdir())
 
     def fabricate_orphans():
-        for name in ("cells.bin", "cells.idx", "cube.json"):
+        for name in ("cells.bin", "cells.idx", "cube.json", "paths.bin"):
             (cube_dir / f"{name}.99999.tmp").write_bytes(b"half a file")
 
     fabricate_orphans()
     _build(directory)
-    assert listing() == ["cells.bin", "cells.idx", "cube.json"]
+    assert listing() == ["cells.bin", "cells.idx", "cube.json", "paths.bin"]
 
     # Serving processes publish query_stats.json concurrently with a
     # writer: their temps are not the writer's to sweep.
@@ -343,5 +386,6 @@ def test_rebuild_and_compaction_sweep_a_dead_writers_staging_files(
     assert "cells.bin.99999.tmp" in listing()  # an append supersedes nothing
     _compact(directory)
     assert listing() == [
-        "cells.bin", "cells.idx", "cube.json", "query_stats.json.99999.tmp",
+        "cells.bin", "cells.idx", "cube.json", "paths.bin",
+        "query_stats.json.99999.tmp",
     ]

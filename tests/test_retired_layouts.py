@@ -2,11 +2,11 @@
 
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
-predate the ``"format"`` field), ``FCHEAP01`` heaps, ``FCPART01``
-partitions, CSV partition files — has no reader left, so each case is
-hand-crafted here from bytes on top of a store the current writer made,
-and must surface as a :class:`~repro.errors.StoreError` that names the
-layout and the last release that read it.
+predate the ``"format"`` field), ``FCHEAP01`` and ``FCHEAP02`` heaps,
+``FCPART01`` partitions, CSV partition files — has no reader left, so
+each case is hand-crafted here from bytes on top of a store the current
+writer made, and must surface as a :class:`~repro.errors.StoreError`
+that names the layout and the last release that read it.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from repro.core.serialization import cube_to_json
 from repro.errors import StoreError
 from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.binfmt import (
-    HEAP_MAGIC_V2,
+    HEAP_MAGIC,
     PARTITION_MAGIC_V2,
-    RETIRED_HEAP_MAGIC,
+    RETIRED_HEAP_MAGICS,
     RETIRED_PARTITION_MAGIC,
     StringTable,
     unpack_partition,
@@ -30,6 +30,8 @@ from repro.store.binfmt import (
 
 #: What every rejection says after naming the layout.
 LAST_READER = "the last one that did is PR 15"
+#: The first heap generation (JSON payloads in the heap).
+RETIRED_HEAP_MAGIC = RETIRED_HEAP_MAGICS[0]
 
 
 @pytest.fixture()
@@ -112,7 +114,7 @@ def test_unknown_format_names_are_rejected_too(built_dir, tmp_path):
 
 def test_retired_heap_is_rejected_at_first_read(built_dir):
     heap = built_dir / "cube" / "cells.bin"
-    assert heap.read_bytes()[:8] == HEAP_MAGIC_V2
+    assert heap.read_bytes()[:8] == HEAP_MAGIC
     _set_magic(heap, RETIRED_HEAP_MAGIC)
     with PartitionedPathStore.open(built_dir) as store:
         cube = store.cube_store()  # a cold open reads the index only
@@ -146,7 +148,7 @@ def test_writes_into_a_retired_heap_fail_the_same_way(built_dir):
             append_records(store, list(example)[6:], compact_after=0)
     assert heap.read_bytes() == before
     assert sorted(p.name for p in (built_dir / "cube").iterdir()) == [
-        "cells.bin", "cells.idx", "cube.json",
+        "cells.bin", "cells.idx", "cube.json", "paths.bin",
     ]
 
 
@@ -163,9 +165,41 @@ def test_retired_delta_segment_is_rejected_at_first_read(built_dir):
         with pytest.raises(StoreError, match=_retired("FCHEAP01")):
             cube_to_json(cold)
         cold.close()
-        _set_magic(segment, HEAP_MAGIC_V2)
+        _set_magic(segment, HEAP_MAGIC)
         with store.cube_store() as healed:
             assert cube_to_json(healed) == expected
+
+
+def test_a_flowgraph_heap_is_retired_too(built_dir):
+    """``FCHEAP02`` — each cell's serialised flowgraph — was read until
+    PR 25; its way out is a rebuild, not a conversion: the partitions it
+    was built from are unchanged."""
+    assert RETIRED_HEAP_MAGICS == (b"FCHEAP01", b"FCHEAP02")
+    heap = built_dir / "cube" / "cells.bin"
+    _set_magic(heap, b"FCHEAP02")
+    pattern = (
+        r"retired FCHEAP02 layout.*the last one that did is PR 25.*"
+        r"rebuild the cube"
+    )
+    with PartitionedPathStore.open(built_dir) as store:
+        cube = store.cube_store()  # a cold open reads the index only
+        cuboid = cube.cuboids[0]
+        with pytest.raises(StoreError, match=pattern) as caught:
+            cuboid.cell(cuboid.keys[0])  # the magic is checked when mapped
+        assert "cells.bin" in str(caught.value)
+        assert cube.io_counters()["heap_bytes_read"] == 0
+        with pytest.raises(StoreError, match=pattern):
+            cube.begin_delta()
+        cube.close()
+        with pytest.raises(StoreError, match=pattern):
+            append_records(store, list(example_path_database())[6:])
+        build_cube(
+            store, min_support=2, compute_exceptions=False,
+            into=store.cube_store(),
+        ).close()
+        with store.cube_store() as rebuilt:
+            assert json.loads(cube_to_json(rebuilt))["cuboids"]
+    assert heap.read_bytes()[:8] == HEAP_MAGIC
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
 
 * selecting cells decodes nothing — a default slice through
-  ``SlicerApp.handle`` makes zero ``binfmt.decode_cell_parts`` calls,
-  ``measure=true`` makes exactly one per matching cell, and repeats (or
-  another route over the same cells) make none;
+  ``SlicerApp.handle`` makes zero ``binfmt.decode_cell_parts`` calls
+  (the call that expands a flowgraph from the stored vector) and never
+  opens ``paths.bin``, ``measure=true`` makes exactly one per matching
+  cell, and repeats (or another route over the same cells) make none;
+  reading a cell's record ids or vector expands nothing either;
 * over every store state, a stored cell equals the cell an
   eager decode of its record gives, and the index's ``n_paths`` /
   ``redundant`` agree with the record's;
@@ -13,7 +15,8 @@ What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
   the store has been appended to, compacted, reloaded and closed;
 * a damaged record is a typed ``StoreError`` at first touch, and a typed
   status — never a traceback — on every serve route that touches the
-  measure;
+  measure; so is a path table that belongs to another build of the cube,
+  or is shorter than the cube meta commits;
 * ``/exceptions`` renders the bytes it rendered when it serialised the
   whole flowgraph to read one field.
 """
@@ -51,6 +54,7 @@ from repro.store import (
     shared_mine_store,
 )
 from repro.store.cube_store import (
+    PATHS_FILENAME,
     CubeStore,
     StoredCell,
     entry_n_paths,
@@ -73,14 +77,20 @@ CONFIG = GeneratorConfig(
     seed=5,
 )
 BASE_ROWS = 120
-#: Record ids from here up do not fit the structured codec's int32
-#: arena, so every cell holding one is stored as a ``RAW`` record.
+#: Record ids from here up are outside what the structured record
+#: carries, so every cell holding one is stored as a ``RAW`` record
+#: (its vector inside, as JSON — it expands and appends like any other).
 RAW_ID_FLOOR = 2**31
 
 
 def raw_record(payload_json: bytes) -> bytes:
     """A cell payload's JSON text framed as a verbatim (``RAW``) record."""
-    return bytes((binfmt._HEAP2_RAW,)) + payload_json
+    return bytes((binfmt._RAW,)) + payload_json
+
+
+def level_paths(cube: CubeStore, path_level) -> list:
+    """The path list the records of *path_level*'s cuboids name."""
+    return cube.path_table.paths[cube.path_lattice.index_of(path_level)]
 
 
 def build_store(directory, schema, rows, **build):
@@ -112,9 +122,9 @@ def decodes(monkeypatch):
     calls: list[bytes] = []
     original = binfmt.decode_cell_parts
 
-    def counting(buffer):
+    def counting(buffer, paths):
         calls.append(bytes(buffer))
-        return original(buffer)
+        return original(buffer, paths)
 
     monkeypatch.setattr(binfmt, "decode_cell_parts", counting)
     return calls
@@ -132,8 +142,16 @@ def stored_entries(cube: CubeStore):
 # ----------------------------------------------------------------------
 
 def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
-    store_dir, decodes
+    store_dir, decodes, monkeypatch
 ):
+    mapped: list[str] = []
+    real_map = binfmt.map_file
+
+    def mapping(path, what):
+        mapped.append(FsPath(path).name)
+        return real_map(path, what)
+
+    monkeypatch.setattr(binfmt, "map_file", mapping)
     tenant = CubeTenant.mount("wh", store_dir)
     app = SlicerApp([tenant])
     cut = {"cut": "d0:d0_0"}
@@ -143,6 +161,7 @@ def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
     n_cells = json.loads(plain.body)["n_cells"]
     assert n_cells > 1
     assert decodes == []
+    assert PATHS_FILENAME not in mapped  # the table waits for a graph
     counters = tenant.cube_store.io_counters()
     assert counters["heap_bytes_read"] > 0  # read ...
     assert counters["cells_decoded"] == 0  # ... and not decoded
@@ -155,6 +174,7 @@ def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
     assert len(decodes) == n_cells
     assert len(set(decodes)) == n_cells  # one call per cell, none twice
     assert tenant.cube_store.io_counters()["cells_decoded"] == n_cells
+    assert mapped.count(PATHS_FILENAME) == 1  # ... and is read once
 
     # Repeats, and another route over the same cells, find them decoded.
     assert post(app, "/cubes/wh/slice", {**cut, "measure": True}).body == full.body
@@ -181,6 +201,13 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         # Cells at different coordinates compare unequal on the index alone.
         assert cells[0] != cells[1]
         assert decodes == []
+        # Ids and the stored vector come from the record alone: no graph
+        # is expanded (and no path table loaded) to read them.
+        for cell in cells:
+            assert len(cell.record_ids) == cell.n_paths
+            assert sum(cell.weights.values()) == cell.n_paths
+        assert decodes == []
+        assert cube.io_counters()["cells_decoded"] == 0
         cube.close()
 
 
@@ -220,9 +247,11 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     """Every stored cell equals the eager decode of its own record."""
     seen = 0
     for item_level, path_level, key, entry in stored_entries(cube):
-        record_ids, redundant, flowgraph = binfmt.decode_cell_parts(
-            cube._cells.record(entry)
-        )
+        record = cube._cells.record(entry)
+        record_ids, redundant, _ = binfmt.decode_cell_vector(record)
+        flowgraph = binfmt.decode_cell_parts(
+            record, level_paths(cube, path_level)
+        )[1]
         eager = Cell(
             key=key,
             item_level=item_level,
@@ -299,7 +328,7 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         assert_cells_match_records(cube)  # built
         # the fallback arm is really what is stored
         first = next(stored_entries(cube))[3]
-        assert bool(cube._cells.record(first)[0] & 0x01) == raw
+        assert bool(cube._cells.record(first)[0] & binfmt._RAW) == raw
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
@@ -393,6 +422,7 @@ def test_held_cells_survive_append_compact_reload_and_close(
 def corrupt_every_record(directory: FsPath) -> None:
     """Set a high bit in each record's varint-stream length, so every
     record's head points past its end (same file size, index untouched)."""
+    # flags byte, then "<II": byte 4 is the top byte of the stream length
     with PartitionedPathStore.open(directory) as store:
         cube = store.cube_store()
         offsets = [entry[0] for *_, entry in stored_entries(cube)]
@@ -400,7 +430,7 @@ def corrupt_every_record(directory: FsPath) -> None:
     heap = directory / "cube" / "cells.bin"
     data = bytearray(heap.read_bytes())
     for offset in offsets:
-        data[offset + 4] ^= 0x40  # flags byte, then "<III": top byte of the first
+        data[offset + 4] ^= 0x40
     heap.write_bytes(bytes(data))
 
 
@@ -445,6 +475,7 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
     framed = raw_record(
         json.dumps(binfmt.decode_cell_payload(structured)).encode()
     )
+    level_id = cube.path_lattice.index_of(path_level)
     for record in (structured, framed):
         outcomes = {"decoded": 0, "typed": 0}
         for position in range(len(record)):
@@ -453,20 +484,140 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
                 damaged[position] ^= mask
                 cell = StoredCell(
                     key, item_level, path_level, 1, False, bytes(damaged),
-                    {"cells_decoded": 0},
+                    {"cells_decoded": 0}, cube._paths, level_id,
                 )
-                try:
-                    cell.flowgraph
-                except StoreError as exc:
-                    assert "corrupt cell payload" in str(exc)
-                    outcomes["typed"] += 1
-                else:
-                    outcomes["decoded"] += 1
+                for touch in (
+                    lambda: cell.record_ids,
+                    lambda: cell.weights,
+                    lambda: cell.flowgraph,
+                ):
+                    try:
+                        touch()
+                    except StoreError as exc:
+                        assert "corrupt cell payload" in str(exc)
+                        outcomes["typed"] += 1
+                    else:
+                        outcomes["decoded"] += 1
         assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
     # Valid JSON of the wrong shape (a clobbered cell file) is damage too.
-    for text in (b"[]", b"null", b'{"record_ids": 3}'):
+    for text in (b"[]", b"null", b'{"record_ids": 3}', b'{"vector": [[0]]}'):
         with pytest.raises(StoreError, match="corrupt cell payload"):
-            binfmt.decode_cell_parts(raw_record(text))
+            binfmt.decode_cell_parts(raw_record(text), [])
+        with pytest.raises(StoreError, match="corrupt cell payload"):
+            binfmt.decode_cell_vector(raw_record(text))
+    cube.close()
+    store.close()
+
+
+# ----------------------------------------------------------------------
+# (d') the path table a record names is the cube's own, or a typed error
+# ----------------------------------------------------------------------
+
+def _rewrite_meta(directory: FsPath, edit) -> None:
+    meta = directory / "cube" / "cube.json"
+    payload = json.loads(meta.read_text(encoding="utf-8"))
+    edit(payload)
+    meta.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def _measure_touches(directory: FsPath):
+    """One untouched cell of a fresh handle, and its measure touches."""
+    store = PartitionedPathStore.open(directory)
+    cube = store.cube_store()
+    cell = FlowCubeQuery(cube).slice_cells(None)[0]
+    return store, cube, cell
+
+
+def test_a_path_table_of_another_build_is_never_expanded(store_dir, tmp_path, database):
+    """``cube.json`` names its table by lineage: a rebuild's ``paths.bin``
+    under the old meta (the crash window of a rebuild over a built cube)
+    is a typed error at the first graph, not a wrong graph."""
+    other, cube = build_store(tmp_path / "other", database.schema, list(database))
+    cube.close()
+    other.close()
+    ours = store_dir / "cube" / PATHS_FILENAME
+    theirs = tmp_path / "other" / "cube" / PATHS_FILENAME
+    # Same database, same build: the two tables differ in lineage only.
+    assert binfmt.unpack_paths(ours.read_bytes())[1] == binfmt.unpack_paths(
+        theirs.read_bytes()
+    )[1]
+    ours.write_bytes(theirs.read_bytes())
+    store, cube, cell = _measure_touches(store_dir)
+    assert cell.n_paths == len(cell.record_ids)  # ids need no table
+    for _ in range(2):  # the failure is not cached as success
+        with pytest.raises(StoreError, match="belongs to another build"):
+            cell.flowgraph
+    with pytest.raises(StoreError, match="belongs to another build"):
+        cube.path_table  # a writer is refused the same way
+    assert cube.io_counters()["cells_decoded"] == 0
+    cube.close()
+    store.close()
+
+
+def test_a_path_table_shorter_than_committed_is_never_expanded(store_dir):
+    committed = json.loads(
+        (store_dir / "cube" / "cube.json").read_text(encoding="utf-8")
+    )["paths"]
+    assert committed["counts"] and max(committed["counts"]) > 1
+    file = store_dir / "cube" / PATHS_FILENAME
+    lineage, levels = binfmt.unpack_paths(file.read_bytes())
+    assert lineage == committed["lineage"]
+    assert [len(paths) for paths in levels] == committed["counts"]
+    longest = max(range(len(levels)), key=lambda level: len(levels[level]))
+    levels[longest].pop()
+    file.write_bytes(binfmt.pack_paths(lineage, levels))
+    store, cube, cell = _measure_touches(store_dir)
+    with pytest.raises(StoreError, match="fewer than the .* the cube meta"):
+        cell.flowgraph
+    cube.close()
+    store.close()
+    # A *longer* table is the same cube: ids are first-seen, never reordered.
+    levels[longest] += [((("nowhere", "*"),)), ((("nowhere", "1"),))]
+    file.write_bytes(binfmt.pack_paths(lineage, levels))
+    store, cube, cell = _measure_touches(store_dir)
+    assert cell.flowgraph.n_paths == cell.n_paths
+    cube.close()
+    store.close()
+
+
+def test_a_missing_or_unnamed_path_table_is_typed(store_dir):
+    (store_dir / "cube" / PATHS_FILENAME).unlink()
+    store, cube, cell = _measure_touches(store_dir)
+    with pytest.raises(StoreError, match="path table .* is missing"):
+        cell.flowgraph
+    cube.close()
+    store.close()
+    _rewrite_meta(store_dir, lambda payload: payload.pop("paths"))
+    store, cube, cell = _measure_touches(store_dir)
+    with pytest.raises(StoreError, match="names no path table"):
+        cell.flowgraph
+    cube.close()
+    store.close()
+
+
+def test_a_path_id_past_the_table_is_a_corrupt_payload(store_dir):
+    """A record naming a path its level does not hold (here: the meta and
+    the table both cut back by hand) is damage, not ``IndexError``."""
+    file = store_dir / "cube" / PATHS_FILENAME
+    lineage, levels = binfmt.unpack_paths(file.read_bytes())
+    cut = [paths[:1] for paths in levels]
+    file.write_bytes(binfmt.pack_paths(lineage, cut))
+    _rewrite_meta(
+        store_dir,
+        lambda payload: payload["paths"].update(
+            counts=[len(paths) for paths in cut]
+        ),
+    )
+    store = PartitionedPathStore.open(store_dir)
+    cube = store.cube_store()
+    typed = 0
+    for cell in cube.cells():
+        try:
+            cell.flowgraph
+        except StoreError as exc:
+            assert "corrupt cell payload" in str(exc)
+            typed += 1
+    assert typed > 0
     cube.close()
     store.close()
 

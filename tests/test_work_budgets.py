@@ -1,0 +1,328 @@
+"""Work budgets: how often an operation may call what, as a function of
+its input — performance gates that do not read a clock.
+
+Timing on a shared host cannot gate a small regression; a *count* can.
+Each row below runs one operation with one callable counted (through
+``monkeypatch`` — nothing in ``src/`` is instrumented) and checks the
+count against a bound computed from the input, at two ``repro.synth``
+sizes, so what is asserted is how the work *scales*, not a constant.
+
+The rows are the ones the stored-vector layout makes true: a store build
+persists each cell's ``{pid: weight}`` and never builds a flowgraph it
+does not mine; a default slice expands nothing and never opens
+``paths.bin``; an append adds vectors, reads only the partitions its
+promotion candidates might live in, and expands a graph only to mine it.
+A PR that claims a layer moved adds or tightens a row here.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path as FsPath
+
+import pytest
+
+import repro.perf.measure_rollup as measure_rollup
+import repro.store.pathstore as pathstore
+from repro import publish
+from repro.core.flowgraph import FlowGraph
+from repro.core.lattice import roll_up_key
+from repro.core.path import PathRecord
+from repro.core.path_database import PathDatabase
+from repro.serve import CubeTenant, SlicerApp
+from repro.store import (
+    BuildStats,
+    PartitionedPathStore,
+    append_records,
+    binfmt,
+    build_cube,
+)
+from repro.store.cube_store import PATHS_FILENAME
+from repro.synth import GeneratorConfig, generate_path_database
+from tests.test_publish_points import EXPECTED as CRASH_TABLE
+from tests.test_serve import post
+
+#: Two sizes of one population: a bound must hold at both.
+SIZES = (200, 600)
+MIN_SUPPORT = 4
+N_PARTITIONS = 5
+#: The last tenth of the rows is the appended batch.
+BATCH_SHARE = 10
+
+
+def config(n_paths: int) -> GeneratorConfig:
+    return GeneratorConfig(
+        n_paths=n_paths,
+        n_dims=2,
+        dim_fanouts=(2, 3),
+        n_location_groups=3,
+        locations_per_group=2,
+        n_sequences=10,
+        max_path_length=4,
+        max_duration=3,
+        seed=7,
+    )
+
+
+class Counted:
+    """Count the calls of ``owner.name`` for the life of a ``monkeypatch``."""
+
+    def __init__(self, monkeypatch, owner, name: str) -> None:
+        self.calls: list[tuple] = []
+        real = getattr(owner, name)
+        calls = self.calls
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def __len__(self) -> int:
+        return len(self.calls)
+
+
+def graph_counters(monkeypatch) -> dict[str, Counted]:
+    return {
+        name: Counted(monkeypatch, FlowGraph, name)
+        for name in ("__init__", "add_path", "merge")
+    }
+
+
+def ingested(directory: FsPath, schema, rows) -> PartitionedPathStore:
+    store = PartitionedPathStore.init(
+        directory, schema, partition_size=-(-len(rows) // N_PARTITIONS)
+    )
+    store.ingest(PathDatabase(schema, rows, validate=False))
+    return store
+
+
+def built(directory: FsPath, database, rows, exceptions: bool):
+    store = ingested(directory, database.schema, rows)
+    cube = store.cube_store()
+    build_cube(
+        store,
+        min_support=MIN_SUPPORT,
+        compute_exceptions=exceptions,
+        into=cube,
+        stats=BuildStats(),
+    )
+    return store, cube
+
+
+def base_and_batch(database):
+    rows = list(database)
+    cut = len(rows) - len(rows) // BATCH_SHARE
+    return rows[:cut], rows[cut:]
+
+
+# ----------------------------------------------------------------------
+# build
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_exception_free_build_builds_no_graph(tmp_path, monkeypatch, n_paths):
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    graphs = graph_counters(monkeypatch)
+    aggregated = Counted(monkeypatch, measure_rollup, "aggregate_path")
+    reads = Counted(monkeypatch, pathstore, "read_partition")
+    published = Counted(monkeypatch, publish, "publish_file")
+    cube = build_cube(
+        store, min_support=MIN_SUPPORT, compute_exceptions=False,
+        into=store.cube_store(), stats=BuildStats(),
+    )
+    assert cube.n_cells() > n_paths // 10
+    assert [len(counter) for counter in graphs.values()] == [0, 0, 0]
+    distinct = len({record.path for record in database})
+    assert 0 < len(aggregated) <= distinct * len(cube.path_lattice)
+    assert len(reads) == len(store.catalog.partitions)
+    # The crash table's row, whatever the size of the cube.
+    assert [call[0].name for call in published.calls] == (
+        CRASH_TABLE["first build"][1]
+    )
+    assert cube.io_counters()["cells_decoded"] == 0
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_build_with_exceptions_folds_each_vector_once(
+    tmp_path, monkeypatch, n_paths
+):
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    graphs = graph_counters(monkeypatch)
+    cube = build_cube(
+        store, min_support=MIN_SUPPORT, into=store.cube_store(),
+        stats=BuildStats(),
+    )
+    built_graphs, folded = len(graphs["__init__"]), len(graphs["add_path"])
+    vectors = [len(cell.weights) for cell in cube.cells()]
+    assert built_graphs == len(vectors) == cube.n_cells()
+    assert folded == sum(vectors)
+    assert len(graphs["merge"]) == 0
+    cube.close()
+    store.close()
+
+
+# ----------------------------------------------------------------------
+# read
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_default_slice_expands_nothing_and_measure_expands_each_cell(
+    tmp_path, monkeypatch, n_paths
+):
+    database = generate_path_database(config(n_paths))
+    store, cube = built(tmp_path / "wh", database, list(database), False)
+    cube.close()
+    store.close()
+    expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    mapped = Counted(monkeypatch, binfmt, "map_file")
+    graphs = graph_counters(monkeypatch)
+    tenant = CubeTenant.mount("wh", tmp_path / "wh")
+    app = SlicerApp([tenant])
+    assert tenant.cube_store.io_counters()["heap_bytes_read"] == 0
+    cut = {"cut": "d0:d0_0"}
+
+    plain = post(app, "/cubes/wh/slice", cut)
+    assert plain.status == 200
+    n_cells = json.loads(plain.body)["n_cells"]
+    assert n_cells > 1
+    assert len(expanded) == len(graphs["__init__"]) == 0
+    files = [FsPath(call[0]).name for call in mapped.calls]
+    assert PATHS_FILENAME not in files
+
+    full = post(app, "/cubes/wh/slice", {**cut, "measure": True})
+    assert json.loads(full.body)["n_cells"] == n_cells
+    assert len(expanded) == len(graphs["__init__"]) == n_cells
+    files = [FsPath(call[0]).name for call in mapped.calls]
+    assert files.count(PATHS_FILENAME) == 1
+    tenant.close()
+
+
+# ----------------------------------------------------------------------
+# append
+# ----------------------------------------------------------------------
+
+def candidate_partitions(store, levels, held, batch) -> set[int]:
+    """The partitions Bloom selection keeps for the promotion candidates
+    of *batch*: its keys, per item level, that the cube did not hold."""
+    schema = store.schema
+    chosen: set[int] = set()
+    for item_level in levels:
+        for key in {
+            roll_up_key(record.dims, item_level, schema.dimensions)
+            for record in batch
+        } - held[item_level]:
+            constraints = {
+                name: part
+                for name, part, depth in zip(
+                    schema.dimension_names, key, item_level
+                )
+                if depth > 0
+            }
+            chosen.update(store.select_partitions(**constraints))
+    return chosen
+
+
+def held_keys(cube) -> dict:
+    held: dict = {level: set() for level in cube.item_levels}
+    for cuboid in cube.cuboids:
+        held[cuboid.item_level].update(cuboid.keys)
+    return held
+
+
+@pytest.mark.parametrize("exceptions", [True, False], ids=["mined", "plain"])
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
+    tmp_path, monkeypatch, n_paths, exceptions
+):
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, exceptions)
+    held = held_keys(cube)
+    levels = list(cube.item_levels)
+    graphs = graph_counters(monkeypatch)
+    expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    reads = Counted(monkeypatch, pathstore, "read_partition")
+    published = Counted(monkeypatch, publish, "publish_file")
+
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+
+    dirty = stats["updated"] + stats["created"]
+    assert stats["updated"] > 0 and stats["promoted"] > 0
+    selected = candidate_partitions(store, levels, held, batch)
+    assert 0 < len(reads) <= len(selected)
+    assert len(expanded) == 0  # no stored graph is decoded to be merged
+    assert len(graphs["merge"]) == 0
+    assert cube.io_counters()["cells_decoded"] == 0
+    if exceptions:
+        assert 0 < len(graphs["__init__"]) <= dirty
+    else:
+        assert len(graphs["__init__"]) == len(graphs["add_path"]) == 0
+    names = [call[0].name for call in published.calls]
+    row = CRASH_TABLE["first append"][1]
+    assert names[2:] in (row[2:], row[3:])  # with or without paths.bin
+    assert len(names) <= len(row)
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_append_without_a_candidate_reads_no_partition(
+    tmp_path, monkeypatch, n_paths
+):
+    database = generate_path_database(config(n_paths))
+    rows = list(database)
+    store, cube = built(tmp_path / "wh", database, rows, True)
+    finest = max(cube.item_levels, key=lambda level: sum(level.levels))
+    held = held_keys(cube)
+    # Re-arrivals of records whose finest cell is materialised: every
+    # coarser cell they belong to is too, so nothing can be promoted.
+    top = rows[-1].record_id
+    batch = [
+        PathRecord(top + 1 + n, record.dims, record.path)
+        for n, record in enumerate(
+            [r for r in rows if tuple(r.dims) in held[finest]][:8]
+        )
+    ]
+    assert batch
+    reads = Counted(monkeypatch, pathstore, "read_partition")
+    graphs = graph_counters(monkeypatch)
+    published = Counted(monkeypatch, publish, "publish_file")
+
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+
+    assert stats["updated"] > 0 and stats["promoted"] == 0
+    assert len(reads) == 0  # parent: every partition of the store
+    assert len(graphs["merge"]) == 0
+    assert 0 < len(graphs["__init__"]) <= stats["updated"]
+    # Paths the cube already holds: the table is not republished.
+    assert PATHS_FILENAME not in [call[0].name for call in published.calls]
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_compaction_copies_bytes(tmp_path, monkeypatch, n_paths):
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    append_records(store, batch, cube=cube, compact_after=0)
+    graphs = graph_counters(monkeypatch)
+    decoded = [
+        Counted(monkeypatch, binfmt, name)
+        for name in ("decode_cell_parts", "decode_cell_vector",
+                     "encode_cell_payload")
+    ]
+    published = Counted(monkeypatch, publish, "publish_file")
+    assert cube.compact() == cube.n_cells()
+    assert [len(counter) for counter in decoded] == [0, 0, 0]
+    assert len(graphs["__init__"]) == 0
+    assert [call[0].name for call in published.calls] == (
+        CRASH_TABLE["compact"][1]
+    )
+    cube.close()
+    store.close()
