@@ -21,6 +21,7 @@ __all__ = [
     "GenerationError",
     "CleaningError",
     "StoreError",
+    "MissingFileError",
     "ServeError",
 ]
 
@@ -77,6 +78,14 @@ class CleaningError(FlowCubeError):
 
 class StoreError(FlowCubeError):
     """A persistent path/cube store is missing, corrupt, or misused."""
+
+
+class MissingFileError(StoreError):
+    """A file the store's metadata names is not there.
+
+    To a reader that holds a superseded ``cube.json`` it is a file a
+    writer swept after committing a newer one: the cue to reload.
+    """
 
 
 class ServeError(FlowCubeError):

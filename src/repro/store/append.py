@@ -24,13 +24,14 @@ the store's *persisted* cube without rebuilding it:
   :class:`~repro.perf.pool.WorkerPool` fan-out the builder uses, so an
   appended cube is byte-identical (``cube_to_json``) to a from-scratch
   rebuild over the extended store.
-* **Durability** — dirty cells land in an append-only
-  ``cells.delta.NNN.bin`` segment plus a full index overlay
-  (``cells.delta.idx``), after ``paths.bin`` when the batch brought a
-  path the cube had not seen; the base ``cells.bin`` is never rewritten.
-  The meta publish is the commit point.  Once ``compact_after``
-  segments pile up, :meth:`CubeStore.compact` folds them back into a
-  clean base heap.
+* **Durability** — dirty cells land in a new append-only segment
+  (``cells.delta.G.bin``) plus a new full index (``cells.delta.G.idx``),
+  after a new, longer path table when the batch brought a path the cube
+  had not seen; no file the committed ``cube.json`` lists is rewritten,
+  so a later append is as crash-safe as a first one.  The meta publish
+  is the commit point, and what it no longer lists is swept after it.
+  Once ``compact_after`` segments pile up, :meth:`CubeStore.compact`
+  folds them back into a clean base heap.
 
 The in-memory counterpart (a :class:`~repro.core.flowcube.FlowCube`
 updated in place) is :func:`repro.core.incremental.append_batch`; this
@@ -319,7 +320,7 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
     # one plus the batch's for an updated cell, the members' for a
     # promoted one.  Each distinct path is aggregated once per path level
     # and interned once; only a path the cube has never seen extends the
-    # table (and ``paths.bin``, at the flush below).
+    # table (and its file, republished at the flush below).
     dirty: dict[tuple[ItemLevel, int, CellKey], VectorCell] = {}
     layout: list[tuple[ItemLevel, int, list[CellKey]]] = []
     triples: list[tuple[FlowGraph, PidCell, None]] = []
@@ -413,7 +414,7 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
                 run_pool.close()
 
     # ------------------------------------------------------------------
-    # publish: delta segment -> index overlay -> meta (the commit point)
+    # publish: delta segment -> index -> meta (the commit point)
     # ------------------------------------------------------------------
     if dirty:
         cube.begin_delta()

@@ -89,7 +89,7 @@ from repro.core.serialization import (
     flowgraph_to_dict,
 )
 from repro.core.stage import Stage
-from repro.errors import CubeError, StoreError
+from repro.errors import CubeError, MissingFileError, StoreError
 
 __all__ = [
     "HEAP_MAGIC",
@@ -171,8 +171,8 @@ ORDER_TAG = 0x0102030405060708
 HEAP_LENGTH_STRUCT = struct.Struct("<q")
 
 #: Delta-segment addressing: an index offset is a plain i64, so the high
-#: bits carry the segment id — segment 0 is the base ``cells.bin`` heap,
-#: segment *n* ≥ 1 the append-only ``cells.delta.{n:03d}.bin`` file.
+#: bits carry the segment id — a *slot* ``cube.json`` maps to a file:
+#: slot 0 is a whole heap, slot *n* ≥ 1 the *n*-th append since it.
 #: 48 bits of local offset (256 TiB per segment) and 15 usable segment
 #: bits keep the packed value positive in an i64.
 SEGMENT_SHIFT = 48
@@ -281,13 +281,14 @@ def map_file(path, what: str) -> mmap.mmap:
     The map keeps its own duplicate of the descriptor, so its
     ``close()`` (or leaving a ``with`` block) releases everything.  A
     missing, unreadable, unmappable or empty file is a
-    :class:`StoreError` naming *what* it was.
+    :class:`StoreError` naming *what* it was — a missing one the
+    :class:`MissingFileError` a reader tells a swept file by.
     """
     try:
         with open(path, "rb") as handle:
             return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except FileNotFoundError:
-        raise StoreError(f"{what} {path} is missing") from None
+        raise MissingFileError(f"{what} {path} is missing") from None
     except (OSError, ValueError) as exc:
         raise StoreError(f"cannot map {what} {path}: {exc}") from None
 

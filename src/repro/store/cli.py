@@ -20,7 +20,7 @@ recorded in the catalog, so later ingests reuse the same hierarchies);
 ``cube/`` directory, scanning partitions on ``--jobs`` worker processes
 when asked; ``append`` ingests a batch *and* delta-merges it into the
 built cube (:mod:`repro.store.append`) — touched cells land in
-append-only ``cells.delta.NNN.bin`` segments instead of a heap rewrite,
+append-only ``cells.delta.G.bin`` segments instead of a heap rewrite,
 auto-compacting once ``--compact-after`` segments pile up; ``compact``
 folds pending delta segments back into a clean base heap on demand;
 ``query`` renders a cell's flowgraph measure — the HTTP slicer's

@@ -3,20 +3,32 @@
 A :class:`CubeStore` persists a materialised flowcube *cell by cell*::
 
     cube/
-      cube.json               δ/ε, the path lattice, build provenance
-      paths.bin               the aggregated paths the cell records name
-      cells.bin               packed heap: length-prefixed cell records
-      cells.idx               columnar key/offset index (binfmt codec)
-      cells.delta.NNN.bin     heap segment N: the cells an append rewrote
-      cells.delta.idx         the full index while delta segments pend
+      cube.json               δ/ε, the path lattice, build provenance,
+                              "generation" g and the "files" it commits
+      paths[.G].bin           the aggregated paths the cell records name
+      cells[.G].bin           slot 0: a whole heap of length-prefixed
+                              cell records (a build's or a compaction's)
+      cells.delta.G.bin       slot n ≥ 1: the cells an append rewrote
+      cells[.delta].G.idx     columnar key/offset index (binfmt codec)
+
+**One rule** (DESIGN §5 "Crash consistency"): ``cube.json`` is the only
+name in ``cube/`` a writer ever replaces.  Every other file is published
+once, under a name :func:`cube_filename` stamps with the generation *G*
+of the flush that wrote it, and ``cube.json`` lists the live ones
+(``"files"``).  Every flush — build, rebuild, append, compaction — is
+one sequence under the store's :class:`~repro.publish.WriterLock`: draw
+*G*, publish path table if it grew → segment if staged → index →
+``cube.json`` (the commit), then :meth:`_HeapCells.sweep` unlinks what
+the commit does not list.  A writer killed anywhere leaves the old cube
+or the new one; a reader that loses the race with a sweep reloads.
 
 The heap holds one compact ``FCHEAP03`` record per cell — the cell's
 ``(path id, weight)`` vector, its record ids and its exceptions
 (:func:`~repro.store.binfmt.encode_cell_payload`), not its flowgraph —
 one joined buffer per cuboid; the path ids resolve through the cube's
 path table (``paths.bin``), which is loaded the first time a reader
-asks a cell for its flowgraph and not before; the index lives in the packed
-``cells.idx`` arena, so opening a million-cell cube costs one mmap
+asks a cell for its flowgraph and not before; the index lives in one packed
+arena, so opening a million-cell cube costs one mmap
 instead of a million stats — zero heap bytes are read on open, and the
 per-cuboid catalog masks stay lazy byte spans over the index map until
 a query ANDs them.  This is the only layout the store reads or writes:
@@ -66,7 +78,7 @@ from repro.core.serialization import (
     path_level_to_dict,
 )
 from repro import publish
-from repro.errors import CubeError, StoreError
+from repro.errors import CubeError, MissingFileError, StoreError
 from repro.perf.measure_rollup import PathTable
 from repro.store import binfmt
 from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC, LAYOUT_NAME
@@ -75,18 +87,51 @@ from repro.store.cache import LRUCache
 __all__ = ["CubeStore", "StoredCell", "StoredCuboid"]
 
 META_FILENAME = "cube.json"
-#: The aggregated paths the heap's cell vectors name (``FCPATH01``).
-PATHS_FILENAME = "paths.bin"
+#: Generation 0's heap — and the alias :meth:`_HeapCells.sweep` leaves.
 HEAP_FILENAME = "cells.bin"
-INDEX_FILENAME = "cells.idx"
-#: Full cell index over base heap + delta segments; authoritative (and
-#: present) exactly when the meta file lists ``delta_segments``.
-DELTA_INDEX_FILENAME = "cells.delta.idx"
+#: What a writer's files start with (never ``query_stats.json``: the
+#: serving processes publish that one, concurrently and unlocked).
+WRITER_PREFIXES = ("cells.", "paths.")
 
 
-def delta_segment_filename(segment_id: int) -> str:
-    """File name of append-only delta segment *segment_id* (≥ 1)."""
-    return f"cells.delta.{segment_id:03d}.bin"
+def cube_filename(stem: str, suffix: str, generation: int) -> str:
+    """The one name *generation* may publish a cube file under.
+
+    *stem* is ``paths`` (the path table), ``cells`` (a whole heap, or
+    the index while slot 0 is the only segment) or ``cells.delta`` (an
+    append's segment, or the index while one is live).  Generation 0 is
+    unstamped: ``paths.bin`` / ``cells.bin`` / ``cells.idx``.
+    """
+    if generation == 0:
+        return stem + suffix
+    return f"{stem}.{generation:06d}{suffix}"
+
+
+def name_generation(name: str) -> int:
+    """The generation a published cube file's *name* carries."""
+    return next((int(part) for part in name.split(".") if part.isdigit()), 0)
+
+
+def read_meta(directory: FsPath) -> tuple[tuple[int, int] | None, str | None]:
+    """One atomic read of *directory*'s meta file: ``(signature, text)``.
+
+    ``fstat`` and the content come from one file descriptor, so both
+    describe a single inode — a concurrent ``os.replace`` can swap the
+    directory entry between the two without pairing one build's
+    signature with another's content.
+    """
+    try:
+        fd = os.open(directory / META_FILENAME, os.O_RDONLY)
+    except OSError:
+        return None, None
+    try:
+        stat = os.fstat(fd)
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return (stat.st_mtime_ns, stat.st_size), b"".join(chunks).decode("utf-8")
 
 
 def _new_append_stats() -> dict:
@@ -124,7 +169,7 @@ def _new_io_counters() -> dict[str, int]:
 
 
 class _Segment:
-    """One heap file: ``cells.bin`` (segment 0) or ``cells.delta.NNN.bin``.
+    """One heap file: a whole heap (slot 0) or an append's delta.
 
     *Staged* (being written): the magic and every appended record go to
     the file's :func:`~repro.publish.staging_path`, reads are
@@ -191,6 +236,11 @@ class _Segment:
             what = "delta segment" if self.segment_id else "cell heap"
             mapped = binfmt.map_file(self.path, what)
             try:
+                if self.path.is_symlink():
+                    # Listed files are regular files.  This is the alias
+                    # a sweep left where a generation-0 heap was: to the
+                    # superseded meta that lists the name, a swept file.
+                    raise MissingFileError(f"{what} {self.path} is missing")
                 binfmt.check_heap_magic(mapped[:8], self.path)
             except StoreError:
                 mapped.close()
@@ -218,19 +268,19 @@ class _Segment:
 
 
 class _HeapCells:
-    """Packed cell heap: ``cells.bin`` + delta segments + the mmap'd index.
+    """The cube's files: heap segments, the mmap'd index, their names.
 
-    The segment id packed into every index entry is the only thing that
-    tells heap files apart, so the backend is ``{segment id: segment}``
-    plus at most one segment being written; a load, a rebuild and a
-    compaction each start from a fresh object.  Writes append
-    length-prefixed payloads — a whole batch of cells as one joined
-    buffer — to that staged segment: segment 0 during a build or a
-    compaction (:meth:`begin`), a fresh delta otherwise
+    The *slot* packed into every index entry is the only thing that
+    tells heap files apart, and ``cube.json`` maps each live slot to a
+    file, so the backend is that listing plus at most one segment being
+    written; a load, a rebuild and a compaction each start from a fresh
+    object.  Writes append length-prefixed payloads — a whole batch of
+    cells as one joined buffer — to the staged segment: slot 0 for a
+    build or a compaction, the next free slot for an append
     (:meth:`begin_delta`, which a write to a published cube implies).
-    :meth:`finalise` publishes segment → index, and the caller the meta
-    file last — the commit point; DESIGN §5 tabulates what a reader
-    sees between the renames.
+    Every name comes from :meth:`fresh_name`, so nothing published is
+    ever replaced; :meth:`finalise` publishes segment → index, the
+    caller the meta file — the commit point — and :meth:`sweep` follows.
 
     A cold open touches the index file only, which is itself mmap'd
     with the catalog masks left as
@@ -239,18 +289,26 @@ class _HeapCells:
     the first two stay zero across an open.
     """
 
-    def __init__(self, directory: FsPath, n_dims: int) -> None:
+    def __init__(
+        self, directory: FsPath, n_dims: int, writer: publish.WriterLock
+    ) -> None:
         self.directory = directory
         self.n_dims = n_dims
-        #: segment id -> heap file (0 = ``cells.bin``); published ones
-        #: are registered, and mapped, on first read.
+        self.writer = writer
+        #: The generation the meta file last read or written commits
+        #: (-1: none), and the one drawn for the pending flush, if any.
+        self.generation = -1
+        self._drawn: int | None = None
+        #: What that meta lists (its ``"files"``): the index, the path
+        #: table, and live slot -> heap file.
+        self.files: dict = {"index": None, "paths": None, "segments": {}}
+        #: slot -> heap file object; published ones are registered, and
+        #: mapped, on first read.
         self._segments: dict[int, _Segment] = {}
         #: The staged segment writes go to, if any (also in _segments).
         self._writing: _Segment | None = None
         self._index_mmap: mmap.mmap | None = None
         self._mask_arena: binfmt.MaskArena | None = None
-        #: Published delta segment ids, in append order (meta-sourced).
-        self.delta_segments: list[int] = []
         #: (item level, path-level id) -> per-dimension catalog masks:
         #: lazy mmap-backed views handed out by :meth:`load`.
         self.cell_masks: dict = {}
@@ -259,56 +317,54 @@ class _HeapCells:
         self.io_counters = _new_io_counters()
 
     @property
-    def index_path(self) -> FsPath:
-        return self.directory / INDEX_FILENAME
+    def delta_segments(self) -> list[int]:
+        """Live delta slots (≥ 1), in append order."""
+        return sorted(slot for slot in self.files["segments"] if slot)
 
-    @property
-    def overlay_path(self) -> FsPath:
-        return self.directory / DELTA_INDEX_FILENAME
-
-    def _segment_path(self, segment_id: int) -> FsPath:
-        if segment_id == 0:
-            return self.directory / HEAP_FILENAME
-        return self.directory / delta_segment_filename(segment_id)
+    def fresh_name(self, stem: str, suffix: str) -> str:
+        """A name never used in this directory.  The first call of a
+        flush takes the writer lock and draws the generation: one past
+        the highest committed *or on disk*, so a killed writer's
+        uncommitted files keep their names until a sweep removes them."""
+        self.writer.acquire()
+        if self._drawn is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._drawn = 1 + max(
+                [self.generation]
+                + [
+                    name_generation(name)
+                    for name in os.listdir(self.directory)
+                    if name.startswith(WRITER_PREFIXES)
+                    and not name.endswith(".tmp")
+                ]
+            )
+        return cube_filename(stem, suffix, self._drawn)
 
     def _segment(self, segment_id: int) -> _Segment:
         segment = self._segments.get(segment_id)
         if segment is None:
+            name = self.files["segments"].get(segment_id)
+            if name is None:
+                raise StoreError(
+                    f"the cube meta in {self.directory} lists no heap "
+                    f"segment {segment_id}; rebuild the cube"
+                )
             segment = self._segments[segment_id] = _Segment(
-                self._segment_path(segment_id), segment_id
+                self.directory / name, segment_id
             )
         return segment
 
-    def _stage(self, segment_id: int) -> None:
-        """Open segment *segment_id* for writing (the one place a heap
-        file is)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+    def stage(self, segment_id: int) -> None:
+        """Open slot *segment_id* for writing (the one place a heap file is)."""
+        name = self.fresh_name("cells.delta" if segment_id else "cells", ".bin")
         self._writing = self._segments[segment_id] = _Segment(
-            self._segment_path(segment_id), segment_id, stage=True
+            self.directory / name, segment_id, stage=True
         )
 
-    def begin(self) -> None:
-        """Start a fresh base heap in the staging file.
-
-        Both callers — a rebuild and a compaction — supersede whatever
-        an earlier writer left half-done, so a crashed writer's staging
-        files (never ``query_stats.json.*``: serving processes write
-        those concurrently) are swept here.
-        """
-        for pattern in (
-            "cells.*.tmp", f"{PATHS_FILENAME}.*.tmp", f"{META_FILENAME}.*.tmp"
-        ):
-            for stale in self.directory.glob(pattern):
-                stale.unlink(missing_ok=True)
-        self._stage(0)
-
     def begin_delta(self) -> int:
-        """Start an append-only delta segment over the published heap.
-
-        Subsequent writes land in a staged ``cells.delta.NNN.bin`` file
-        instead of rewriting ``cells.bin``; a delta already being
-        written is joined, not restarted.  Returns the segment's id.
-        """
+        """Start an append-only delta segment — a staged
+        ``cells.delta.G.bin`` beside the heap it amends; one already being
+        written is joined, not restarted.  Returns the segment's slot."""
         if self._writing is not None:
             if self._writing.segment_id == 0:
                 raise StoreError(
@@ -316,29 +372,10 @@ class _HeapCells:
                     "rebuild is in progress"
                 )
             return self._writing.segment_id
-        base = self._segment(0)
-        if not base.path.exists():
-            raise StoreError(
-                f"cell heap {base.path} is missing; "
-                "build the cube before appending"
-            )
-        base.view()  # refuse to append to a heap this release cannot read
-        self._stage(self._next_segment_id())
+        # Refuse to append to a heap this release cannot read.
+        self._segment(0).view()
+        self.stage(max(self.files["segments"]) + 1)
         return self._writing.segment_id
-
-    def _next_segment_id(self) -> int:
-        """One past the highest referenced *or on-disk* segment id.
-
-        Scanning the directory (not just the meta-referenced list) skips
-        over orphan segments left by a crash between the segment rename
-        and the meta publish.
-        """
-        highest = max(self.delta_segments, default=0)
-        for path in self.directory.glob("cells.delta.*.bin"):
-            stem = path.name.split(".")[2]
-            if stem.isdigit():
-                highest = max(highest, int(stem))
-        return highest + 1
 
     def put_records(self, records) -> list[Entry]:
         """Byte-exact append of encoded ``(record, n_paths, redundant)``
@@ -364,78 +401,89 @@ class _HeapCells:
         self.io_counters["heap_bytes_read"] += length
         return data
 
-    def _index_blob(self, index) -> bytes:
-        def cuboid_rows():
-            for (item_level, level_id), entries in index.items():
-                yield (
+    def finalise(self, index, paths_name: str) -> dict:
+        """Publish the staged segment (if any) and the full index, each
+        under a fresh name; return the meta fields that commit them.
+
+        The records an index addresses are on disk before the index is.
+        A whole heap (slot 0) supersedes every live segment; an append's
+        joins them.  Nothing the previous meta lists is touched:
+        :meth:`sweep` unlinks it *after* the caller's commit.
+        """
+        blob = binfmt.pack_cell_index(
+            (
+                (
                     item_level.levels,
                     level_id,
-                    (
-                        (key, e[0], e[1], e[2], e[3])
-                        for key, e in entries.items()
-                    ),
+                    ((key, *entry) for key, entry in entries.items()),
                 )
-
-        return binfmt.pack_cell_index(cuboid_rows(), self.n_dims)
-
-    def finalise(self, index) -> dict:
-        """Publish the staged writes, return meta fields.
-
-        Order: the written segment (if any), then the full index, then
-        — by the caller — the meta file, which is the commit point; the
-        records an index addresses are on disk before the index is.  The
-        index goes to the ``cells.delta.idx`` overlay when any entry
-        addresses a delta segment (the meta then lists
-        ``delta_segments``: every one published since the last
-        compaction), else to ``cells.idx`` — the fresh heap of a
-        rebuild or compaction superseded every delta, and the caller
-        sweeps them *after* the meta commit, because the previous meta
-        still references them.
-        """
-        blob = self._index_blob(index)
+                for (item_level, level_id), entries in index.items()
+            ),
+            self.n_dims,
+        )
         segment, self._writing = self._writing, None
+        segments = self.files["segments"]
         if segment is not None:
             segment.publish()
-            if segment.segment_id:
-                self.delta_segments = [
-                    *self.delta_segments, segment.segment_id
-                ]
-        out = {"n_cells": sum(len(entries) for entries in index.values())}
-        if any(
-            entry[0] >> binfmt.SEGMENT_SHIFT
-            for entries in index.values()
-            for entry in entries.values()
-        ):
-            publish.publish_file(self.overlay_path, blob)
-            out["delta_segments"] = list(self.delta_segments)
-        else:
-            publish.publish_file(self.index_path, blob)
-            self.delta_segments = []
-        return out
+            live = segments if segment.segment_id else {}
+            segments = {**live, segment.segment_id: segment.path.name}
+        stem = "cells.delta" if any(segments) else "cells"
+        self.files = {
+            "index": self.fresh_name(stem, ".idx"),
+            "paths": paths_name,
+            "segments": segments,
+        }
+        publish.publish_file(self.directory / self.files["index"], blob)
+        return {
+            "n_cells": sum(len(entries) for entries in index.values()),
+            "generation": self._drawn,
+            "files": self.files,
+        }
+
+    def sweep(self) -> None:
+        """After the commit: unlink every writer's file — ``cells.*``,
+        ``paths.*``, a dead writer's ``*.tmp`` — the meta does not list.
+        The lock is still held, so whatever else is here belongs to a
+        superseded generation or to a writer that died."""
+        self.generation, self._drawn = self._drawn, None
+        files = self.files
+        listed = {files["index"], files["paths"], *files["segments"].values()}
+        for name in os.listdir(self.directory):
+            if name not in listed and (
+                name.startswith(WRITER_PREFIXES)
+                or (name.startswith(META_FILENAME) and name.endswith(".tmp"))
+            ):
+                (self.directory / name).unlink(missing_ok=True)
+        alias = self.directory / HEAP_FILENAME
+        if not self.delta_segments and not os.path.lexists(alias):
+            # The frozen benchmarks/flowbench/layers.py stats cube/cells.bin
+            # for a compacted heap's size; nothing in src/ opens the alias.
+            alias.symlink_to(files["segments"][0])
 
     def load(self, payload: dict):
-        """Rebuild the whole index from ``cells.idx`` — zero heap IO.
+        """Rebuild the whole index from the listed index file — zero
+        heap IO.
 
         The index file is mmap'd and stays mapped: keys and entries are
         decoded eagerly (cheap columnar ``zip`` passes), while the
-        catalog masks remain byte spans over the map
-        (:class:`~repro.store.binfmt.LazyMaskMap`), each bitmap decoded
-        the first time a query ANDs it.
-
-        When the meta payload lists ``delta_segments``, the
-        ``cells.delta.idx`` overlay *is* the index — same codec, same
-        laziness — and segment-tagged entries resolve through per-delta
-        mmaps on first touch, so a cold open of a delta-bearing store
-        still reads zero heap bytes.
+        catalog masks remain byte spans over the map, each bitmap
+        decoded the first time a query ANDs it.  Slot-tagged entries
+        resolve through the listed segments' maps on first touch.
         """
-        self.delta_segments = [
-            int(segment_id)
-            for segment_id in payload.get("delta_segments", [])
-        ]
-        index_path = (
-            self.overlay_path if self.delta_segments else self.index_path
+        files = payload.get("files")
+        if files is None:
+            raise StoreError(
+                f"cube meta {self.directory / META_FILENAME} lists no "
+                "files: its cube was written in place (the last release "
+                f"that did is PR 26); remove {self.directory} and "
+                "rebuild the cube"
+            )
+        self.generation = int(payload["generation"])
+        slots = {int(slot): name for slot, name in files["segments"].items()}
+        self.files = {**files, "segments": slots}
+        self._index_mmap = binfmt.map_file(
+            self.directory / files["index"], "cell index"
         )
-        self._index_mmap = binfmt.map_file(index_path, "cell index")
         self._mask_arena = binfmt.MaskArena(
             self._index_mmap, self.io_counters
         )
@@ -458,33 +506,15 @@ class _HeapCells:
         (user-initiated) close passes False and later mask reads raise.
         """
         segments, self._segments = self._segments, {}
-        self._writing = None
+        self._writing = self._drawn = None
         for segment in segments.values():
             segment.close()
-        self._drop_index(materialise)
-
-    def _drop_index(self, materialise: bool = True) -> None:
         arena, self._mask_arena = self._mask_arena, None
         if arena is not None:
             arena.close(materialise)
         if self._index_mmap is not None:
             self._index_mmap.close()
             self._index_mmap = None
-
-    def discard_delta_files(self) -> None:
-        """Unlink every delta segment, overlay, and staging temp."""
-        for segment_id in [sid for sid in self._segments if sid]:
-            self._segments.pop(segment_id).close()
-        for stale in self.directory.glob("cells.delta.*"):
-            stale.unlink(missing_ok=True)
-        self.delta_segments = []
-
-    def discard_files(self) -> None:
-        self.close(materialise=False)
-        self._segment_path(0).unlink(missing_ok=True)
-        self.index_path.unlink(missing_ok=True)
-        (self.directory / PATHS_FILENAME).unlink(missing_ok=True)
-        self.discard_delta_files()
 
 
 def new_lineage() -> int:
@@ -502,7 +532,9 @@ class StoredPaths:
     flowgraph — never at open — and a table of another build, or one
     shorter than committed, is a :class:`~repro.errors.StoreError`
     rather than a wrong graph.  A *longer* table is the same cube: ids
-    are first-seen and an append only ever extends the file.
+    are first-seen and an append only ever extends the table — into a
+    new file, so once this one is swept the one the committed meta lists
+    *now*, if of the same lineage, stands in for it.
     """
 
     def __init__(
@@ -522,7 +554,7 @@ class StoredPaths:
                     f"cube meta beside {self.path} names no path table; "
                     "rebuild the cube"
                 )
-            with binfmt.map_file(self.path, "path table") as mapped:
+            with self._map() as mapped:
                 lineage, levels = binfmt.unpack_paths(mapped)
             if lineage != self.lineage:
                 raise StoreError(
@@ -543,6 +575,22 @@ class StoredPaths:
                 )
             self._levels = levels
         return levels
+
+    def _map(self) -> mmap.mmap:
+        """The table's file, or its successor's when a writer swept it."""
+        while True:
+            try:
+                return binfmt.map_file(self.path, "path table")
+            except MissingFileError:
+                _, text = read_meta(self.path.parent)
+                if text is None:
+                    raise
+                payload = json.loads(text)
+                name = payload.get("files", {}).get("paths", self.path.name)
+                lineage = payload["paths"]["lineage"]
+                if name == self.path.name or lineage != self.lineage:
+                    raise
+                self.path = self.path.with_name(name)
 
 
 class StoredCell(Cell):
@@ -742,6 +790,9 @@ class CubeStore:
         #: The same table as the id space writers intern into; built
         #: over ``_paths``' lists the first time a writer asks.
         self._table: PathTable | None = None
+        #: Held from the first staged byte to the sweep after the commit;
+        #: the lockfile sits at the store root, beside ``catalog.json``.
+        self._writer = publish.WriterLock(self.directory.parent)
         self._cells = self._new_heap()
         self._cache: LRUCache = LRUCache(cache_size)
         #: (item level, path-level id) -> {cell key -> index entry}.
@@ -761,13 +812,13 @@ class CubeStore:
         #: :meth:`maybe_reload` compares against disk to notice rebuilds
         #: flushed by *other* processes (e.g. the CLI under a server).
         self._meta_signature: tuple[int, int] | None = None
-        signature, text = self._read_meta()
+        signature, text = read_meta(self.directory)
         if text is not None:
             self._load_meta(signature, text)
 
     def _new_heap(self) -> _HeapCells:
         """A fresh backend object (its own maps, handles and counters)."""
-        return _HeapCells(self.directory, self.schema.n_dimensions)
+        return _HeapCells(self.directory, self.schema.n_dimensions, self._writer)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -803,13 +854,18 @@ class CubeStore:
         min_deviation: float,
         item_levels=None,
     ) -> "CubeStore":
-        """Start a fresh cube, discarding any previously indexed cells.
+        """Start a fresh cube in this handle; the one on disk stands,
+        untouched, until :meth:`flush` commits this one over it.
 
         Args:
             item_levels: The item levels this build materialises;
                 persisted so later appends know the cube's extent.
         """
         with self._lock:
+            cells = self._new_heap()
+            cells.stage(0)  # takes the writer lock, or refuses, first
+            self._cells.close()
+            self._cells = cells
             self.path_lattice = path_lattice
             self.min_support = min_support
             self.min_deviation = min_deviation
@@ -819,13 +875,8 @@ class CubeStore:
             self.build_stats = None
             self._index.clear()
             self._cache.clear()
-            # A rebuild drops the previous build's files.
-            self._cells.close()
-            self._cells = self._new_heap()
-            self._cells.discard_files()
-            self._cells.begin()
             self._paths = StoredPaths(
-                self.directory / PATHS_FILENAME,
+                self.directory / self._cells.fresh_name("paths", ".bin"),
                 new_lineage(),
                 None,
                 levels=[[] for _ in path_lattice],
@@ -975,12 +1026,11 @@ class CubeStore:
     @property
     def delta_segments(self) -> list[int]:
         """Published delta segment ids pending compaction."""
-        return list(self._cells.delta_segments)
+        return self._cells.delta_segments
 
     def begin_delta(self) -> None:
         """Stage subsequent cell writes as an append-only delta segment:
-        they land in ``cells.delta.NNN.bin`` instead of a rewritten
-        ``cells.bin``."""
+        they land in a ``cells.delta.G.bin`` beside the heap they amend."""
         with self._lock:
             self._require_built()
             self._cells.begin_delta()
@@ -1009,40 +1059,29 @@ class CubeStore:
                 if not keys:
                     continue
                 old_entries = self._index.get((item_level, level_id), {})
-                entries: dict[CellKey, Entry] = {}
-                for key in keys:
-                    entry = written.get((item_level, level_id, key))
-                    entries[key] = (
-                        old_entries[key] if entry is None else entry
-                    )
-                new_index[(item_level, level_id)] = entries
+                new_index[(item_level, level_id)] = {
+                    key: written.get((item_level, level_id, key))
+                    or old_entries[key]
+                    for key in keys
+                }
             self._index = new_index
             # The catalog masks decoded from the superseded index no
             # longer describe the merged layout; drop them so catalogs
-            # derive from keys until the next load maps the overlay.
+            # derive from keys until the next load maps the new index.
             self._cells.cell_masks = {}
             self._cache.clear()
             self._bump_version()
 
-    def compact(self, progress=None) -> int:
+    def compact(self) -> int:
         """Fold pending delta segments back into a clean base heap.
 
         Every index entry's payload is copied byte-exact (no codec
-        round-trip) into a freshly staged heap in index order, then
-        published heap → ``cells.idx`` → meta, the same ordering as a
-        build; the superseded segments and overlay are unlinked only
-        after the meta commit.
-
-        A compaction killed while staging leaves the delta-bearing cube
-        untouched, and one killed after the meta commit leaves the
-        compacted cube plus unreferenced segment files.  In between it
-        is **not** crash-safe: the new heap replaces ``cells.bin`` in
-        place while the committed meta still resolves through the
-        overlay, whose base-heap offsets now point into the wrong file,
-        so until the meta rename lands a reader gets a typed
-        :class:`~repro.errors.StoreError` (corrupt cell payload) and a
-        rebuild is the repair (``tests/test_publish_points.py`` pins
-        the window; DESIGN §5 has the table).
+        round-trip) into a freshly staged slot-0 heap in index order,
+        then flushed like any other write: heap → index → meta, each
+        under a fresh name, the superseded files swept only after the
+        meta commit.  A compaction killed before that commit leaves the
+        delta-bearing cube untouched, one killed after it the compacted
+        cube (``tests/test_publish_points.py`` kills it at every point).
 
         Returns the number of cells copied (0 when nothing is pending).
         """
@@ -1053,56 +1092,37 @@ class CubeStore:
             if not pending:
                 return 0
             new = self._new_heap()
-            new.begin()
-            total = self.n_cells()
-            done = 0
+            new.stage(0)
+            done = self.n_cells()
             new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
             for coords, entries in self._index.items():
-                new_index[coords] = dict(
-                    zip(
-                        entries,
-                        new.put_records(
-                            [
-                                (
-                                    old.record(entry),
-                                    entry_n_paths(entry),
-                                    entry_redundant(entry),
-                                )
-                                for entry in entries.values()
-                            ]
-                        ),
-                    )
-                )
-                if progress is not None:
-                    for step in range(done + 1, done + len(entries) + 1):
-                        progress(step, total)
-                done += len(entries)
+                records = [
+                    (old.record(e), entry_n_paths(e), entry_redundant(e))
+                    for e in entries.values()
+                ]
+                new_index[coords] = dict(zip(entries, new.put_records(records)))
             self._index = new_index
             self._cells = new
             self._cache.clear()
             if self.build_stats is not None:
-                counters = self.build_stats.setdefault(
-                    "append", _new_append_stats()
-                )
-                counters["compactions"] = (
-                    int(counters.get("compactions", 0)) + 1
-                )
+                stats = _new_append_stats()
+                counters = self.build_stats.setdefault("append", stats)
+                counters["compactions"] = int(counters.get("compactions", 0)) + 1
                 counters["delta_segments"] = 0
                 counters["last_compaction"] = {
-                    "at": datetime.now(timezone.utc).isoformat(
-                        timespec="seconds"
-                    ),
+                    "at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                     "folded_segments": len(pending),
                     "cells": done,
                 }
             self.flush()
-            # The heap and index paths were republished in place; only
-            # release the superseded maps (the flush swept the segments).
-            old.close(materialise=False)
+            old.close(materialise=False)  # maps of files the flush swept
             return done
 
     def flush(self, build_stats=None) -> None:
-        """Publish the build: cell data first, then the meta file, atomically.
+        """Commit this handle's cube — the one publish sequence: path
+        table (if it grew) → staged segment (if any) → index, each under
+        a fresh name, then the meta file that lists them (the commit),
+        then the sweep.  The writer lock is released here.
 
         Args:
             build_stats: Optional :class:`~repro.store.builder.BuildStats`
@@ -1127,108 +1147,85 @@ class CubeStore:
                 payload["item_levels"] = [
                     list(level.levels) for level in self.item_levels
                 ]
-            payload["paths"] = self._publish_paths()
-            payload.update(self._cells.finalise(self._index))
-            if self.build_stats is not None:
-                payload["build_stats"] = self.build_stats
-            # The signature must describe *this* write, so it comes
-            # from the stat publish_file took before the rename.
-            stat = publish.publish_file(
-                self.directory / META_FILENAME,
-                json.dumps(payload, indent=1).encode("utf-8"),
-            )
-            self._meta_signature = (stat.st_mtime_ns, stat.st_size)
-            if "delta_segments" not in payload:
-                # The committed meta references no delta segments: any
-                # on disk are now unreachable and safe to sweep.
-                self._cells.discard_delta_files()
+            try:
+                payload["paths"] = self._publish_paths()
+                payload.update(
+                    self._cells.finalise(self._index, self._paths.path.name)
+                )
+                if self.build_stats is not None:
+                    payload["build_stats"] = self.build_stats
+                # The signature must describe *this* write, so it comes
+                # from the stat publish_file took before the rename.
+                stat = publish.publish_file(
+                    self.directory / META_FILENAME,
+                    json.dumps(payload, indent=1).encode("utf-8"),
+                )
+                self._meta_signature = (stat.st_mtime_ns, stat.st_size)
+                self._cells.sweep()
+            finally:
+                self._writer.release()
             self._bump_version()
 
     def _publish_paths(self) -> dict:
-        """Publish ``paths.bin`` if this handle interned a path the file
-        does not hold — before the records that name it — and return
-        what the meta file commits: the lineage and per-level counts."""
+        """Publish the path table — whole, under a fresh name — if this
+        handle interned a path the committed file does not hold, before
+        the records that name it, and return what the meta file commits:
+        the lineage and per-level counts."""
         paths = self._paths
         if self._table is not None or paths.counts is None:
             levels = self.path_table.paths
             counts = [len(level) for level in levels]
             if counts != paths.counts:
+                paths.path = self.directory / self._cells.fresh_name(
+                    "paths", ".bin"
+                )
                 publish.publish_file(
                     paths.path, binfmt.pack_paths(paths.lineage, levels)
                 )
                 paths.counts = counts
         return {"lineage": paths.lineage, "counts": paths.counts}
 
-    def _read_meta(self) -> tuple[tuple[int, int] | None, str | None]:
-        """One atomic read of the meta file: ``(signature, text)``.
-
-        Opening once and taking ``fstat`` + the content from the same
-        file descriptor pins both to a single inode — a concurrent
-        ``os.replace`` by another process can swap the directory entry
-        between the two syscalls without desynchronising them (the old
-        per-field ``stat``-then-``read_text`` pair could pair one
-        build's signature with another's content).
-        """
-        try:
-            fd = os.open(self.directory / META_FILENAME, os.O_RDONLY)
-        except OSError:
-            return None, None
-        try:
-            stat = os.fstat(fd)
-            chunks = []
-            while True:
-                chunk = os.read(fd, 1 << 20)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-        signature = (stat.st_mtime_ns, stat.st_size)
-        return signature, b"".join(chunks).decode("utf-8")
-
-    def _load_meta(
-        self,
-        signature: tuple[int, int] | None = None,
-        text: str | None = None,
-    ) -> None:
+    def _load_meta(self, signature: tuple[int, int], text: str) -> None:
+        """Load the cube the meta file — *text*, read at *signature* —
+        commits.  A writer may commit and sweep between that read and
+        the map of the index it lists: the meta is then re-read, once."""
         with self._lock:
-            if text is None:
-                signature, text = self._read_meta()
-                if text is None:
-                    raise StoreError(
-                        f"no cube meta at {self.directory / META_FILENAME}"
-                    )
-            self._meta_signature = signature
-            payload = json.loads(text)
-            binfmt.check_layout_name(
-                payload.get("format"),
-                f"cube meta {self.directory / META_FILENAME}",
-            )
-            self.min_support = payload["min_support"]
-            self.min_deviation = payload["min_deviation"]
-            self.path_lattice = PathLattice(
-                path_level_from_dict(level, self.schema.location)
-                for level in payload["path_lattice"]
-            )
-            self.build_stats = payload.get("build_stats")
-            raw_levels = payload.get("item_levels")
-            self.item_levels = (
-                None
-                if raw_levels is None
-                else [ItemLevel(levels) for levels in raw_levels]
-            )
-            committed = payload.get("paths") or {}
-            self._paths = StoredPaths(
-                self.directory / PATHS_FILENAME,
-                committed.get("lineage"),
-                committed.get("counts"),
-            )
-            self._table = None
-            self._cells.close()
-            self._cells = self._new_heap()
-            self._cache.clear()
-            self._index = self._cells.load(payload)
-            self._bump_version()
+            try:
+                self._load(signature, text)
+            except MissingFileError:
+                latest, text = read_meta(self.directory)
+                if latest in (None, signature):
+                    raise
+                self._load(latest, text)
+
+    def _load(self, signature: tuple[int, int], text: str) -> None:
+        self._meta_signature = signature
+        payload = json.loads(text)
+        binfmt.check_layout_name(
+            payload.get("format"),
+            f"cube meta {self.directory / META_FILENAME}",
+        )
+        self.min_support = payload["min_support"]
+        self.min_deviation = payload["min_deviation"]
+        self.path_lattice = PathLattice(
+            path_level_from_dict(level, self.schema.location)
+            for level in payload["path_lattice"]
+        )
+        self.build_stats = payload.get("build_stats")
+        raw = payload.get("item_levels")
+        self.item_levels = raw and [ItemLevel(levels) for levels in raw]
+        self._table = None
+        self._cells.close()
+        self._cells = self._new_heap()
+        self._cache.clear()
+        self._index = self._cells.load(payload)
+        committed = payload.get("paths") or {}
+        self._paths = StoredPaths(
+            self.directory / self._cells.files["paths"],
+            committed.get("lineage"),
+            committed.get("counts"),
+        )
+        self._bump_version()
 
     def maybe_reload(self) -> bool:
         """Re-read the meta file when another process rewrote it.
@@ -1237,13 +1234,13 @@ class CubeStore:
         may rebuild the cube underneath it; comparing the meta file's
         ``(mtime_ns, size)`` signature against the one last seen detects
         that cheaply.  The signature and the content are taken from one
-        file descriptor (:meth:`_read_meta`), so the comparison and the
+        file descriptor (:func:`read_meta`), so the comparison and the
         subsequent parse always describe the same on-disk build.
         Reloading bumps :attr:`version`, so every subscribed cache
         invalidates.  Returns whether a reload happened.
         """
         with self._lock:
-            signature, text = self._read_meta()
+            signature, text = read_meta(self.directory)
             if text is None or signature == self._meta_signature:
                 return False
             self._load_meta(signature, text)
@@ -1257,11 +1254,13 @@ class CubeStore:
         maps outright — subsequent mask or heap reads raise
         :class:`~repro.errors.StoreError`.  The handle itself stays
         usable: the next :meth:`maybe_reload` / :meth:`_load_meta`
-        reopens the files.
+        reopens the files.  A write that was staged and not flushed is
+        abandoned, and the writer lock released.
         """
         with self._lock:
             self._cells.close(materialise=False)
             self._cache.clear()
+            self._writer.release()
 
     def __enter__(self) -> "CubeStore":
         return self
@@ -1272,10 +1271,9 @@ class CubeStore:
     def io_counters(self) -> dict[str, int]:
         """Snapshot of the backend's read-path telemetry.
 
-        ``heap_bytes_read`` counts payload bytes pulled out of
-        ``cells.bin``; ``mask_bits_decoded`` counts catalog bitmaps
-        decoded from the ``cells.idx`` map.  Both stay zero across a
-        cold open.
+        ``heap_bytes_read`` counts payload bytes pulled out of the heap
+        segments; ``mask_bits_decoded`` counts catalog bitmaps decoded
+        from the index map.  Both stay zero across a cold open.
         ``cells_decoded`` counts cells whose measure was decoded (first
         touch of a :class:`StoredCell`): a cell can be *read* — its
         bytes copied, ``heap_bytes_read`` moved — and never decoded.
@@ -1303,44 +1301,58 @@ class CubeStore:
         Each cell not in the cache is a :class:`StoredCell` over the
         record bytes copied out here, under the lock — whatever happens
         to the heap afterwards, the cell decodes this read's measure.
+        Segments are mapped on first touch, so a handle at a superseded
+        meta can reach for one a writer has swept since: it then reloads
+        and answers, once, from the cube committed now.
         """
+        keys = list(keys)
         with self._lock:
-            lattice = self._require_built()
-            level_id = lattice.index_of(path_level)
-            entries = self._index.get((item_level, level_id))
-            if entries is None:
-                raise CubeError(
-                    f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
-                )
-            cache = self._cache
-            record = self._cells.record
-            counters = self._cells.io_counters
-            paths = self._paths
-            cells: list[Cell] = []
-            for key in keys:
-                coords: Coords = (item_level, level_id, key)
-                cell = cache.get(coords)
-                if cell is None:
-                    entry = entries.get(key)
-                    if entry is None:
-                        raise CubeError(
-                            f"cell {key!r} is not materialised in cuboid "
-                            f"{item_level.levels!r}"
-                        )
-                    cell = StoredCell(
-                        key,
-                        item_level,
-                        path_level,
-                        entry_n_paths(entry),
-                        entry_redundant(entry),
-                        record(entry),
-                        counters,
-                        paths,
-                        level_id,
+            try:
+                return self._read_cells(item_level, path_level, keys)
+            except MissingFileError:
+                if not self.maybe_reload():
+                    raise
+                return self._read_cells(item_level, path_level, keys)
+
+    def _read_cells(
+        self, item_level: ItemLevel, path_level: PathLevel, keys: list
+    ) -> list[Cell]:
+        level_id, entries = self._cuboid_entries(item_level, path_level)
+        cache = self._cache
+        record = self._cells.record
+        counters = self._cells.io_counters
+        paths = self._paths
+        cells: list[Cell] = []
+        for key in keys:
+            coords: Coords = (item_level, level_id, key)
+            cell = cache.get(coords)
+            if cell is None:
+                entry = entries.get(key)
+                if entry is None:
+                    raise CubeError(
+                        f"cell {key!r} is not materialised in cuboid "
+                        f"{item_level.levels!r}"
                     )
-                    cache.put(coords, cell)
-                cells.append(cell)
-            return cells
+                cell = StoredCell(
+                    key, item_level, path_level, entry_n_paths(entry),
+                    entry_redundant(entry), record(entry), counters, paths,
+                    level_id,
+                )
+                cache.put(coords, cell)
+            cells.append(cell)
+        return cells
+
+    def _cuboid_entries(
+        self, item_level: ItemLevel, path_level: PathLevel
+    ) -> tuple[int, dict[CellKey, Entry]]:
+        """``(path-level id, {key: index entry})`` of a materialised cuboid."""
+        level_id = self._require_built().index_of(path_level)
+        entries = self._index.get((item_level, level_id))
+        if entries is None:
+            raise CubeError(
+                f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
+            )
+        return level_id, entries
 
     def has_cuboid(self, item_level: ItemLevel, path_level: PathLevel) -> bool:
         lattice = self._require_built()
@@ -1349,19 +1361,10 @@ class CubeStore:
     def cuboid(
         self, item_level: ItemLevel, path_level: PathLevel
     ) -> StoredCuboid:
-        lattice = self._require_built()
-        coords = (item_level, lattice.index_of(path_level))
-        entries = self._index.get(coords)
-        if entries is None:
-            raise CubeError(
-                f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
-            )
+        level_id, entries = self._cuboid_entries(item_level, path_level)
+        masks = self._cells.cell_masks.get((item_level, level_id))
         return StoredCuboid(
-            self,
-            item_level,
-            path_level,
-            tuple(entries),
-            value_masks=self._cells.cell_masks.get(coords),
+            self, item_level, path_level, tuple(entries), value_masks=masks
         )
 
     @property
@@ -1385,12 +1388,7 @@ class CubeStore:
         self, item_level: ItemLevel, path_level: PathLevel
     ) -> dict[CellKey, int]:
         """Per-cell ``n_paths`` of one cuboid, from the index (no file IO)."""
-        lattice = self._require_built()
-        entries = self._index.get((item_level, lattice.index_of(path_level)))
-        if entries is None:
-            raise CubeError(
-                f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
-            )
+        _, entries = self._cuboid_entries(item_level, path_level)
         return {key: entry_n_paths(entry) for key, entry in entries.items()}
 
     @property
@@ -1400,15 +1398,11 @@ class CubeStore:
             cached = self._cuboids_cache
             if cached is not None and cached[0] == self._version:
                 return cached[1]
+            masks = self._cells.cell_masks
             cuboids = tuple(
                 StoredCuboid(
-                    self,
-                    item_level,
-                    lattice[level_id],
-                    tuple(entries),
-                    value_masks=self._cells.cell_masks.get(
-                        (item_level, level_id)
-                    ),
+                    self, item_level, lattice[level_id], tuple(entries),
+                    value_masks=masks.get((item_level, level_id)),
                 )
                 for (item_level, level_id), entries in self._index.items()
             )
@@ -1483,17 +1477,16 @@ class CubeStore:
             "cache": self.cache_stats(),
         }
         if self.is_built:
+            out["generation"] = self._cells.generation
+            out["files"] = self._cells.files
             out["delta_segments"] = len(self.delta_segments)
             out["io"] = self.io_counters()
             # The path table the records name, from the meta file and a
             # stat — describing a cube does not load it.
-            try:
-                table_bytes = self._paths.path.stat().st_size
-            except OSError:
-                table_bytes = 0
+            table = self._paths.path
             out["paths"] = {
                 "per_level": self._paths.counts,
-                "bytes": table_bytes,
+                "bytes": table.stat().st_size if table.exists() else 0,
             }
         if self.build_stats is not None:
             out["version"] = self.build_version

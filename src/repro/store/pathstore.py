@@ -67,6 +67,8 @@ class PartitionedPathStore:
     def __init__(self, directory: FsPath, catalog: Catalog) -> None:
         self.directory = FsPath(directory)
         self.catalog = catalog
+        #: Held around :meth:`ingest`; the cube side holds the same file.
+        self._writer = publish.WriterLock(self.directory)
         self._strings: StringTable | None = None
         self._strings_loaded = False
 
@@ -204,6 +206,13 @@ class PartitionedPathStore:
             rows = list(records)
         if not rows:
             return []
+        self._writer.acquire()
+        try:
+            return self._ingest(rows, validate)
+        finally:
+            self._writer.release()
+
+    def _ingest(self, rows: list[PathRecord], validate: bool):
         floor = self.catalog.max_record_id
         for record in rows:
             if record.record_id <= floor:

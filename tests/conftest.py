@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,27 @@ from repro.core import (
 )
 from repro.core.serialization import cube_to_json
 from repro.synth import GeneratorConfig, generate_path_database
+
+
+def cube_files(store_dir) -> dict:
+    """The files the committed ``cube.json`` under *store_dir* lists, as
+    paths: ``{"index": …, "paths": …, "segments": {slot: …}}``.
+
+    Every cube file but ``cube.json`` is published under a name of its
+    own generation, so tests read the names back instead of spelling them.
+    """
+    cube_dir = Path(store_dir) / "cube"
+    files = json.loads((cube_dir / "cube.json").read_text(encoding="utf-8"))[
+        "files"
+    ]
+    return {
+        "index": cube_dir / files["index"],
+        "paths": cube_dir / files["paths"],
+        "segments": {
+            int(slot): cube_dir / name
+            for slot, name in files["segments"].items()
+        },
+    }
 
 
 def stored_cube_json(cube) -> str:

@@ -8,10 +8,10 @@ pooled re-mining; before *and* after compaction; warm handle and cold
 reopen.
 
 The durability contracts ride along: appends never rewrite the base
-``cells.bin``; a crash between the delta-segment publish and the meta
-commit leaves the old cube fully readable and the next append refuses
-the now-stale cube; a rebuild sweeps crash orphans; fresh segment ids
-skip over orphaned files.
+heap; a crash between the delta-segment publish and the meta commit
+leaves the old cube fully readable and the next append refuses the
+now-stale cube; a rebuild sweeps crash orphans; fresh generations skip
+over orphaned files.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core.flowcube import FlowCube
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
 from repro.core.serialization import cube_to_json
+from repro import publish
 from repro.errors import StoreError
 from repro.store import (
     BuildStats,
@@ -34,6 +35,7 @@ from repro.store import (
 )
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import cube_files
 
 CONFIG = GeneratorConfig(
     n_paths=150,
@@ -132,13 +134,14 @@ def test_append_matches_rebuild_byte_identical(
 def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     base, batch = split
     store, cube = _base_store(tmp_path / "wh", database, base)
-    heap = store.directory / "cube" / "cells.bin"
+    heap = cube_files(store.directory)["segments"][0]
     before = (heap.stat().st_mtime_ns, heap.stat().st_size, heap.read_bytes())
     append_records(store, batch, cube=cube, compact_after=0)
     after = (heap.stat().st_mtime_ns, heap.stat().st_size, heap.read_bytes())
     assert before == after
-    assert (store.directory / "cube" / "cells.delta.001.bin").exists()
-    assert (store.directory / "cube" / "cells.delta.idx").exists()
+    files = cube_files(store.directory)
+    assert files["segments"][0] == heap and files["segments"][1].exists()
+    assert files["index"].name.startswith("cells.delta.")
 
     # A plain write to a published cube is an append too: with no writer
     # open it stages a delta segment — O(dirty cells), not a heap copy.
@@ -150,14 +153,14 @@ def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     )
     cell = next(iter(reference.cuboids[0]))
     coords = (cell.item_level, cell.key, cell.path_level)
-    heap = store.directory / "cube" / "cells.bin"
+    heap = cube_files(store.directory)["segments"][0]
     before = (heap.stat().st_mtime_ns, heap.read_bytes())
     writer, reader = store.cube_store(), store.cube_store()
     assert not reader.cell(*coords).redundant
     writer.put_cell(dataclasses.replace(cell, redundant=True))
     writer.flush()
     assert (heap.stat().st_mtime_ns, heap.read_bytes()) == before
-    segment = store.directory / "cube" / "cells.delta.001.bin"
+    segment = cube_files(store.directory)["segments"][1]
     assert 8 < segment.stat().st_size < len(before[1]) // 10
     assert reader.maybe_reload() and reader.delta_segments == [1]
     assert reader.cell(*coords).redundant
@@ -314,27 +317,36 @@ def test_empty_batch_is_a_noop(tmp_path, database, split):
 # ----------------------------------------------------------------------
 
 def test_interrupted_append_leaves_old_cube_readable(
-    tmp_path, database, split, rebuilt_reference
+    tmp_path, database, split, rebuilt_reference, monkeypatch
 ):
-    """Crash between the delta/overlay publish and the meta commit.
+    """Crash between the delta/index publish and the meta commit.
 
-    The meta file is the commit point: restoring the pre-append
-    ``cube.json`` (= the crash happened before the rename) must leave
-    the old cube byte-identical on a cold open, make the next append
-    refuse the stale cube, and let a rebuild sweep the orphans.
+    The meta file is the commit point: a writer that dies instead of
+    renaming ``cube.json`` must leave the old cube byte-identical on a
+    cold open, make the next append refuse the stale cube, and let a
+    rebuild sweep the orphans.
     """
     base, batch = split
     store, cube = _base_store(tmp_path / "wh", database, base)
     before_json = cube_to_json(cube)
-    meta_path = store.directory / "cube" / "cube.json"
-    old_meta = meta_path.read_bytes()
+    real_publish = publish.publish_file
 
-    append_records(store, batch, cube=cube, compact_after=0)
+    class Killed(BaseException):
+        pass
+
+    def dying_at_the_commit(destination, source):
+        if destination.name == "cube.json":
+            raise Killed
+        return real_publish(destination, source)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(publish, "publish_file", dying_at_the_commit)
+        with pytest.raises(Killed):
+            append_records(store, batch, cube=cube, compact_after=0)
     cube.close()
-    meta_path.write_bytes(old_meta)  # "crash" before the meta rename
 
-    # Orphaned segment + overlay on disk, but the old state serves.
-    assert (store.directory / "cube" / "cells.delta.001.bin").exists()
+    # Orphaned segment + index on disk, but the old state serves.
+    assert list((store.directory / "cube").glob("cells.delta.*.bin"))
     cold = store.cube_store()
     assert cold.delta_segments == []
     assert cube_to_json(cold) == before_json
@@ -359,10 +371,16 @@ def test_interrupted_append_leaves_old_cube_readable(
 def test_fresh_segment_ids_skip_crash_orphans(tmp_path, database, split):
     base, batch = split
     store, cube = _base_store(tmp_path / "wh", database, base)
-    orphan = store.directory / "cube" / "cells.delta.007.bin"
+    orphan = store.directory / "cube" / "cells.delta.000007.bin"
     orphan.write_bytes(b"FCHEAP02")  # a crashed append's leftover
     append_records(store, batch, cube=cube, compact_after=0)
-    assert cube.delta_segments == [8]
+    # The slot is the next one; the *name* is past the orphan's, which
+    # the sweep after the commit removed.
+    assert cube.delta_segments == [1]
+    files = cube_files(store.directory)
+    assert files["segments"][1].name == "cells.delta.000008.bin"
+    assert files["index"].name == "cells.delta.000008.idx"
+    assert not orphan.exists()
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,7 @@ from repro.store.binfmt import (
     unpack_partition,
     unpack_paths,
 )
+from tests.conftest import cube_files
 
 # ----------------------------------------------------------------------
 # partition codec (hypothesis)
@@ -1014,8 +1015,9 @@ def test_lru_over_binary_cells(tmp_path, example_database):
 def test_cell_sizes_and_describe_need_no_heap(tmp_path, example_database):
     store = _built_binary_store(tmp_path, example_database)
     cube_dir = tmp_path / "s" / "cube"
-    heap = (cube_dir / "cells.bin").read_bytes()
-    (cube_dir / "cells.bin").unlink()
+    heap_file = cube_files(tmp_path / "s")["segments"][0]
+    heap = heap_file.read_bytes()
+    heap_file.unlink()
     # Index-only reads (open, sizes, describe) never touch cell bytes.
     cube_store = CubeStore(cube_dir, example_database.schema)
     cuboid = cube_store.cuboids[0]
@@ -1025,7 +1027,7 @@ def test_cell_sizes_and_describe_need_no_heap(tmp_path, example_database):
     # ... but materialising a cell does, and reports the loss clearly.
     with pytest.raises(StoreError, match="cell heap"):
         cube_store.cell(cuboid.item_level, cuboid.keys[0], cuboid.path_level)
-    (cube_dir / "cells.bin").write_bytes(heap)
+    heap_file.write_bytes(heap)
     assert cube_store.cell(
         cuboid.item_level, cuboid.keys[0], cuboid.path_level
     )
@@ -1081,33 +1083,34 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 #: / ``FCPATH01`` replaced the flowgraph heap (exceptions off, so no zlib
 #: output — which may differ between zlib builds — is hashed; the lineage
 #: is fixed below).  A change here is a format change: bump the
-#: generation of the file that moved instead.
+#: generation of the file that moved instead.  The files are found
+#: through ``cube.json``'s listing: what they are *called* is not format.
 PINNED_SHA256 = {
-    "built paths.bin": (
+    "built paths": (
         "ef3894fde294bc607824b77e260c081712735577ba1d7bd9c0ae2e81d84028ef"
     ),
-    "built cells.bin": (
+    "built heap": (
         "b3de6b393ebe150196d053bf16b53d405bbf02d897fedeb74dc8adfc9d9666c5"
     ),
-    "built cells.idx": (
+    "built index": (
         "e4591956eb63d8da37627b26349ef9fd1dbcdca4723770fb99e62bbed86954fe"
     ),
-    "appended paths.bin": (
+    "appended paths": (
         "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
-    "appended cells.delta.001.bin": (
+    "appended delta": (
         "d86f10d8e63ec1642e1271a0d1531adcf9f7a39af3d95dbfc807dd882f949811"
     ),
-    "appended cells.delta.idx": (
+    "appended index": (
         "75b0500bf813ed7994fdf28aad2aaad2a5e946024da662f9db491e86a7e273e5"
     ),
-    "compacted paths.bin": (
+    "compacted paths": (
         "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
-    "compacted cells.bin": (
+    "compacted heap": (
         "1ef688fe6227208f58da3241e3aca13e051fcd1fa4fb24f3dffc2714701366c2"
     ),
-    "compacted cells.idx": (
+    "compacted index": (
         "726bfdfc3102efb226f88885ef174e27e91eb8c0f2d71ce24292a0bff122733e"
     ),
 }
@@ -1130,19 +1133,24 @@ def test_cube_files_hash_to_the_pinned_digests(
     cube = build_cube(
         store, min_support=2, compute_exceptions=False, into=store.cube_store()
     )
-    directory = tmp_path / "wh" / "cube"
     seen = {}
 
-    def digest(stage, *names):
-        for name in names:
-            seen[f"{stage} {name}"] = hashlib.sha256(
-                (directory / name).read_bytes()
+    def digest(stage, slot, segment):
+        files = cube_files(tmp_path / "wh")
+        assert sorted(files["segments"]) == list(range(slot + 1))
+        for role, path in (
+            ("paths", files["paths"]),
+            (segment, files["segments"][slot]),
+            ("index", files["index"]),
+        ):
+            seen[f"{stage} {role}"] = hashlib.sha256(
+                path.read_bytes()
             ).hexdigest()
 
-    digest("built", "paths.bin", "cells.bin", "cells.idx")
+    digest("built", 0, "heap")
     append_records(store, rows[6:], cube=cube, compact_after=0)
-    digest("appended", "paths.bin", "cells.delta.001.bin", "cells.delta.idx")
+    digest("appended", 1, "delta")
     assert cube.compact() > 0
-    digest("compacted", "paths.bin", "cells.bin", "cells.idx")
-    assert seen["compacted paths.bin"] == seen["appended paths.bin"]
+    digest("compacted", 0, "heap")
+    assert seen["compacted paths"] == seen["appended paths"]
     assert seen == PINNED_SHA256

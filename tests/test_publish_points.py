@@ -5,37 +5,45 @@ The store makes a file visible in exactly one way,
 be *enumerated* instead of hand-picked: for each operation this file
 counts the publishes, then re-runs the operation on a fresh copy of the
 starting store once per publish, raising a ``BaseException`` right after
-it, and asks what a fresh reader sees — the old cube, the new cube, a
-typed :class:`~repro.errors.StoreError`, or anything else (always a
-failure).  The outcomes are pinned in ``EXPECTED`` below, next to the
-order the files are published in.
+it, and asks what a fresh reader sees — the old cube, the new cube, or
+anything else (always a failure).  The outcomes are pinned in
+``EXPECTED`` below, next to the order the files are published in.
 
-Most windows are old-or-new.  The ones that are not are pinned *as they
-are today*, each with a comment: they are the ROADMAP's "Store integrity
-and fault injection" durability item, and the PR that closes them flips
-rows here instead of discovering them.
+Every row reads *old … old, new*: ``cube.json`` is the only name a
+writer replaces, every other cube file goes out under a name of its own
+generation, and what the committed meta does not list is swept after
+the commit.  The same enumeration then goes *inside* the sweep (one kill
+per unlink), over two-operation sequences (a second operation runs to
+completion over whatever the killed one left), and past a reader that
+holds a superseded meta while all of that happens.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import pytest
 
 from repro import publish
 from repro.core.lattice import ItemLevel
+from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
-from repro.core.serialization import cube_to_json
-from repro.errors import StoreError
+from repro.core.serialization import cube_to_json, flowgraph_to_dict
+from repro.errors import CubeError, StoreError
 from repro.store import (
     BuildStats,
     PartitionedPathStore,
     append_records,
     build_cube,
 )
-from repro.store.cube_store import _HeapCells
+from repro.store.cube_store import CubeStore
 from repro.synth import generate_path_database
+from tests.conftest import cube_files
 from tests.test_append import BASE_ROWS, CONFIG, MIN_SUPPORT, PARTITION_SIZE
 
 FIRST_BATCH = 135  # appends: rows[BASE_ROWS:135], then rows[135:]
@@ -142,6 +150,16 @@ def demotion_batch(directory, rows):
     ][:3]
 
 
+def rearrivals(rows):
+    """A batch for a store that has ingested every row: the first few
+    again, under ids past the last."""
+    top = rows[-1].record_id
+    return [
+        PathRecord(top + 1 + n, record.dims, record.path)
+        for n, record in enumerate(rows[:10])
+    ]
+
+
 def observe(directory):
     """What a fresh reader makes of the store: ``(cells, meta)``,
     ``"unbuilt"``, or the :class:`StoreError` type.
@@ -178,23 +196,23 @@ def classify(seen, old, new):
         return "old"
     if seen == new:
         return "new"
-    if seen is StoreError:
-        return "error"
-    if seen[0] == new[0] and seen[1] == old[1]:
-        return TORN
-    raise AssertionError(f"a reader sees neither cube nor a typed error: {seen}")
+    raise AssertionError(f"a reader sees neither the old nor the new cube: {seen}")
 
 
 def run(monkeypatch, operation, directory, kill_after=None):
-    """Run *operation* on *directory*; the names published, in order.
+    """Run *operation* on *directory*; ``(published, unlinked)``: the
+    names it published and the ``cube/`` names it unlinked, in order.
 
-    With *kill_after* = k the k-th publish is the last thing the writer
-    does; k = ``"discard"`` kills right after ``create()`` dropped the
-    previous build's files (not a publish, but a point of no return).
+    *kill_after* is the last thing the writer does: k — its k-th
+    publish; ``("unlink", k)`` — its k-th unlink under ``cube/``;
+    ``"create"`` — the return of ``CubeStore.create()``, which must
+    have touched nothing the committed meta lists.
     """
     published: list[str] = []
+    unlinked: list[str] = []
     real_publish = publish.publish_file
-    real_discard = _HeapCells.discard_files
+    real_unlink = FsPath.unlink
+    real_create = CubeStore.create
 
     def publishing(destination, source):
         stat = real_publish(destination, source)
@@ -203,90 +221,95 @@ def run(monkeypatch, operation, directory, kill_after=None):
             raise Killed
         return stat
 
-    def discarding(self):
-        real_discard(self)
-        if kill_after == "discard":
+    def unlinking(self, missing_ok=False):
+        real_unlink(self, missing_ok=missing_ok)
+        if self.parent.name == "cube":
+            unlinked.append(self.name)
+            if ("unlink", len(unlinked)) == kill_after:
+                raise Killed
+
+    def creating(self, *args, **kwargs):
+        real_create(self, *args, **kwargs)
+        if kill_after == "create":
             raise Killed
+        return self
 
     with monkeypatch.context() as patch:
         patch.setattr(publish, "publish_file", publishing)
-        patch.setattr(_HeapCells, "discard_files", discarding)
+        patch.setattr(FsPath, "unlink", unlinking)
+        patch.setattr(CubeStore, "create", creating)
         try:
             operation(directory)
         except Killed:
             pass
         else:
             assert kill_after is None, f"kill point {kill_after} not reached"
-    return published
+    return published, unlinked
 
 
-#: The index (and heap) of the new cube under the meta file of the old.
-TORN = "new cells, old meta"
-SEGMENT_1 = "cells.delta.001.bin"
-SEGMENT_2 = "cells.delta.002.bin"
-#: The path table goes first: the records that name a path id land after
-#: the path does.  An append publishes it only when the batch brought a
-#: path the cube had not seen, and only ever *extends* it, so a kill
-#: right after it leaves the old cube readable — byte for byte.
-PATHS = "paths.bin"
-COMPACT = ["cells.bin", "cells.idx", "cube.json"]
-BUILD = [PATHS] + COMPACT
+def listed_names(directory) -> dict[str, str]:
+    """``{file name: what it is}`` for what the committed meta lists."""
+    files = cube_files(directory)
+    kinds = {path.name: "segment" for path in files["segments"].values()}
+    kinds[files["paths"].name] = "paths"
+    kinds[files["index"].name] = "index"
+    kinds["cube.json"] = "cube.json"
+    return kinds
+
+
+def assert_directory_is_the_listing(directory):
+    """``cube/`` holds the listed files, the ``cells.bin`` alias of a
+    stamped whole heap, the servers' ``query_stats.json*`` — and nothing
+    else: no orphan, no superseded generation, no dead writer's temp."""
+    files = cube_files(directory)
+    listed = set(listed_names(directory))
+    present = {
+        path.name
+        for path in (directory / "cube").iterdir()
+        if not path.name.startswith("query_stats.json")
+    }
+    assert listed <= present
+    assert present - listed <= {"cells.bin"}
+    if present - listed:
+        alias = directory / "cube" / "cells.bin"
+        assert alias.is_symlink()
+        assert os.readlink(alias) == files["segments"][0].name
+        assert len(files["segments"]) == 1
+
+
+#: One publish order for every flush: the path table if it grew, the
+#: segment if one was staged, the index, the meta file.  Operations
+#: differ in which of the first two they have — and in what the segment
+#: holds: every record (slot 0), or the dirty ones (a delta).
+FLUSH = ["paths", "segment", "index", "cube.json"]
 INGEST = ["part-00003.bin", "catalog.json"]
 
-#: operation -> (start, files published in order, what a fresh reader
-#: sees after a kill at each point).  ``"discard"`` rows come first.
+
+def row(start, published):
+    """Old at every point but the last, which is the commit."""
+    return start, published, ["old"] * (len(published) - 1) + ["new"]
+
+
+#: operation -> (start, files published in order — cube files by what
+#: the committed meta lists them as —, what a fresh reader sees after a
+#: kill at each point).
 EXPECTED = {
-    "first build": ("ingested", BUILD, ["old", "old", "old", "new"]),
-    # DURABILITY (ROADMAP "Store integrity and fault injection"): a
-    # rebuild unlinks the previous heap, index and path table before it
-    # has staged a byte, so from the discard until the new meta lands the
-    # old meta names files that are gone (a typed error).  Once the new
-    # index is in place the old meta would read the new cells — and
-    # expand them over the *new* build's path table; the lineage the old
-    # meta commits does not match it, so that is a typed error too, never
-    # a graph of the wrong paths.
-    "rebuild": (
-        "built",
-        BUILD,
-        ["error", "error", "error", "error", "new"],
-    ),
-    "first append": (
-        "built",
-        INGEST + [PATHS, SEGMENT_1, "cells.delta.idx", "cube.json"],
-        ["old", "old", "old", "old", "old", "new"],
-    ),
+    "first build": row("ingested", FLUSH),
+    # ``create()`` discards nothing: the previous build stands until
+    # the new meta replaces the old.
+    "rebuild": row("built", FLUSH),
+    "first append": row("built", INGEST + FLUSH),
     # The same append over the same store, minus the records whose path
     # the cube had not seen: nothing to add to the table, no publish.
-    "append of known paths": (
-        "built",
-        INGEST + [SEGMENT_1, "cells.delta.idx", "cube.json"],
-        ["old", "old", "old", "old", "new"],
+    "append of known paths": row("built", INGEST + FLUSH[1:]),
+    # A later append is a first append: its index is a new file too.
+    "second append": row(
+        "appended", ["part-00004.bin", "catalog.json"] + FLUSH
     ),
-    # DURABILITY: the overlay is rewritten in place while the committed
-    # meta already reads it, so between the overlay rename and the meta
-    # rename a reader serves the new cells under the old meta (old build
-    # stats and version).
-    "second append": (
-        "appended",
-        ["part-00004.bin", "catalog.json"]
-        + [PATHS, SEGMENT_2, "cells.delta.idx", "cube.json"],
-        ["old", "old", "old", "old", TORN, "new"],
-    ),
-    "demotion-only append": (
-        "finest",
-        INGEST + ["cells.idx", "cube.json"],
-        ["old", "old", TORN, "new"],
-    ),
-    # DURABILITY: compaction republishes ``cells.bin`` in place, so from
-    # the heap rename until the meta rename the committed overlay's
-    # offsets point into the wrong heap: a typed error (corrupt cell
-    # payload), not the old cube that DESIGN §5 used to promise.
+    # No record written, no segment published.
+    "demotion-only append": row("finest", INGEST + FLUSH[2:]),
     # ... and copies records byte for byte: no path table is published.
-    "compact": (
-        "twice",
-        COMPACT,
-        ["error", "error", "new"],
-    ),
+    "compact": row("twice", FLUSH[1:]),
 }
 
 
@@ -327,6 +350,7 @@ def operations(rows, starts):
             d, demotion_batch(starts["finest"], rows)
         ),
         "compact": _compact,
+        "append of re-arrivals": lambda d: _append(d, rearrivals(rows)),
     }
 
 
@@ -341,15 +365,28 @@ def test_every_publish_point_is_classified(
         return shutil.copytree(starts[start], tmp_path / str(tag))
 
     old = observe(starts[start])
+    before = (
+        set(listed_names(starts[start])) if start != "ingested" else set()
+    )
     done = fresh_copy("done")
-    files = run(monkeypatch, operation, done)
+    published, unlinked = run(monkeypatch, operation, done)
     new = observe(done)
     assert new is not StoreError and new != old
-    assert files == expected_files
+    kinds = listed_names(done)
+    assert [kinds.get(name, name) for name in published] == expected_files
+    # Published once, under a name never used: nothing the previous
+    # meta listed is replaced — only ``cube.json`` — and what is swept
+    # is what the new one does not list.
+    assert not (set(published) - {"cube.json"}) & before
+    assert set(unlinked) == before - set(kinds)
+    assert_directory_is_the_listing(done)
 
-    points = list(range(1, len(files) + 1))
+    points = list(range(1, len(published) + 1))
     if name == "rebuild":
-        points.insert(0, "discard")
+        points.insert(0, "create")
+        expected_outcomes = ["old"] + expected_outcomes
+    points += [("unlink", k) for k in range(1, len(unlinked) + 1)]
+    expected_outcomes = expected_outcomes + ["new"] * len(unlinked)
     outcomes = []
     for point in points:
         directory = fresh_copy(point)
@@ -358,34 +395,254 @@ def test_every_publish_point_is_classified(
     assert outcomes == expected_outcomes
 
 
-def test_rebuild_and_compaction_sweep_a_dead_writers_staging_files(
+#: (killed operation, its start, the operation that then runs to
+#: completion).  The second one must not care what the first left.
+SEQUENCES = [
+    ("second append", "appended", "compact"),
+    ("compact", "twice", "append of re-arrivals"),
+    ("rebuild", "built", "first append"),
+]
+
+
+@pytest.mark.parametrize("first,start,second", SEQUENCES)
+def test_an_operation_after_a_killed_one_succeeds_and_sweeps(
+    first, start, second, tmp_path, monkeypatch, rows, starts
+):
+    """Kill *first* at every point, then run *second*: the result is
+    *second* over the old cube (or over the new one, when the kill came
+    after the commit), no file the killed writer published without
+    committing is ever listed, and ``cube/`` ends as the listing."""
+    ops = operations(rows, starts)
+
+    def fresh_copy(tag):
+        return shutil.copytree(starts[start], tmp_path / str(tag))
+
+    over_old = fresh_copy("over-old")
+    ops[second](over_old)
+    over_new = fresh_copy("over-new")
+    published, unlinked = run(monkeypatch, ops[first], over_new)
+    ops[second](over_new)
+    expected = {"old": observe(over_old), "new": observe(over_new)}
+    assert StoreError not in expected.values()
+
+    before_the_commit = range(1, len(published))
+    points = list(range(1, len(published) + 1))
+    points += [("unlink", k) for k in range(1, len(unlinked) + 1)]
+    orphaned = set()
+    for point in points:
+        directory = fresh_copy(point)
+        killed, _ = run(monkeypatch, ops[first], directory, kill_after=point)
+        committed = set(listed_names(directory))
+        orphans = {
+            name for name in killed
+            if (directory / "cube" / name).exists() and name not in committed
+        }
+        assert bool(orphans) <= (point in before_the_commit)
+        orphaned |= orphans
+        ops[second](directory)
+        side = "old" if point in before_the_commit else "new"
+        assert observe(directory) == expected[side], point
+        assert not orphans & set(listed_names(directory))
+        assert_directory_is_the_listing(directory)
+    assert orphaned
+
+
+def test_the_directory_is_the_listing_after_every_operation(
     tmp_path, rows, starts
 ):
-    """A killed writer's temps carry a pid nobody will use again, so only
-    the operations that supersede every earlier write can remove them."""
+    directory = shutil.copytree(starts["ingested"], tmp_path / "wh")
+    cube_dir = directory / "cube"
+
+    def step(operation, generation, segments):
+        operation(directory)
+        assert_directory_is_the_listing(directory)
+        meta = json.loads((cube_dir / "cube.json").read_text(encoding="utf-8"))
+        assert meta["generation"] == generation
+        assert sorted(meta["files"]["segments"]) == segments
+
+    # Generation 0 is spelled the way a cube always was.
+    step(_build, 0, ["0"])
+    assert sorted(p.name for p in cube_dir.iterdir()) == [
+        "cells.bin", "cells.idx", "cube.json", "paths.bin",
+    ]
+    step(lambda d: _append(d, rows[BASE_ROWS:FIRST_BATCH]), 1, ["0", "1"])
+    assert len(list(cube_dir.glob("cells.delta.*"))) == 2  # segment + index
+    step(lambda d: _append(d, rows[FIRST_BATCH:]), 2, ["0", "1", "2"])
+    step(_compact, 3, ["0"])
+    assert (cube_dir / "cells.bin").is_symlink()  # the alias, see sweep()
+    assert not list(cube_dir.glob("cells.delta.*"))
+    # The slot restarts at 1 after a compaction; the generation goes on.
+    step(lambda d: _append(d, rearrivals(rows)), 4, ["0", "1"])
+    assert not (cube_dir / "cells.bin").exists()
+    step(_compact, 5, ["0"])
+    step(lambda d: _build(d, min_support=0.1), 6, ["0"])
+    assert observe(directory) is not StoreError
+
+
+def test_every_commit_sweeps_a_dead_writers_files(tmp_path, rows, starts):
+    """A killed writer's temps carry a pid nobody will use again, and its
+    published-but-uncommitted files a generation nobody will draw again:
+    the next commit — of any operation — removes both."""
     directory = shutil.copytree(starts["built"], tmp_path / "wh")
     cube_dir = directory / "cube"
 
-    def listing():
-        return sorted(path.name for path in cube_dir.iterdir())
-
     def fabricate_orphans():
-        for name in ("cells.bin", "cells.idx", "cube.json", "paths.bin"):
+        for name in (
+            "cells.bin", "cells.idx", "cube.json", "paths.bin",
+            "cells.delta.000009.bin", "cells.000009.idx",
+        ):
             (cube_dir / f"{name}.99999.tmp").write_bytes(b"half a file")
+        (cube_dir / "cells.delta.000009.bin").write_bytes(b"FCHEAP03")
+        (cube_dir / "paths.000009.bin").write_bytes(b"FCPATH01")
+        # Serving processes publish query_stats.json concurrently with a
+        # writer: neither the file nor its temps are the writer's to sweep.
+        (cube_dir / "query_stats.json").write_bytes(b"{}")
+        (cube_dir / "query_stats.json.99999.tmp").write_bytes(b"{}")
 
-    fabricate_orphans()
-    _build(directory)
-    assert listing() == ["cells.bin", "cells.idx", "cube.json", "paths.bin"]
+    for operation in (
+        _build,
+        lambda d: _append(d, rows[BASE_ROWS:FIRST_BATCH]),
+        _compact,
+    ):
+        fabricate_orphans()
+        operation(directory)
+        assert_directory_is_the_listing(directory)
+        # Past the orphans' generation, not into it.
+        assert cube_files(directory)["index"].name > "cells.000009.idx"
+        assert (cube_dir / "query_stats.json").exists()
+        assert (cube_dir / "query_stats.json.99999.tmp").exists()
 
-    # Serving processes publish query_stats.json concurrently with a
-    # writer: their temps are not the writer's to sweep.
-    fabricate_orphans()
-    (cube_dir / "cells.delta.idx.99999.tmp").write_bytes(b"half a file")
-    (cube_dir / "query_stats.json.99999.tmp").write_bytes(b"{}")
-    _append(directory, rows[BASE_ROWS:FIRST_BATCH])
-    assert "cells.bin.99999.tmp" in listing()  # an append supersedes nothing
-    _compact(directory)
-    assert listing() == [
-        "cells.bin", "cells.idx", "cube.json", "paths.bin",
-        "query_stats.json.99999.tmp",
-    ]
+
+# ----------------------------------------------------------------------
+# a reader that holds a superseded meta
+# ----------------------------------------------------------------------
+
+def serialised(cell) -> str:
+    return json.dumps(
+        [list(cell.record_ids), cell.redundant, flowgraph_to_dict(cell.flowgraph)],
+        sort_keys=True,
+    )
+
+
+def cell_bytes(cube) -> dict:
+    """``{(item levels, path-level id, key): the cell, serialised}``."""
+    lattice = cube.path_lattice
+    return {
+        (
+            cuboid.item_level.levels,
+            lattice.index_of(cuboid.path_level),
+            key,
+        ): serialised(cell)
+        for cuboid in cube.cuboids
+        for key, cell in zip(cuboid.keys, cuboid)
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["first append", "second append", "compact", "rebuild"]
+)
+def test_a_stale_handle_reloads_instead_of_failing(
+    name, tmp_path, rows, starts
+):
+    """A handle opened before the operation and never reloaded by hand
+    has mapped the old index and nothing else; the writer then commits
+    and sweeps.  Every cell it is asked for is the old cube's or the new
+    cube's, byte for byte — never an error, never the wrong heap."""
+    start = EXPECTED[name][0]
+    directory = shutil.copytree(starts[start], tmp_path / "wh")
+    with PartitionedPathStore.open(directory) as store:
+        with store.cube_store() as reference:
+            old = cell_bytes(reference)
+        stale = store.cube_store()
+        assert stale.io_counters()["heap_bytes_read"] == 0
+        operations(rows, starts)[name](directory)
+        with store.cube_store() as reference:
+            new = cell_bytes(reference)
+        assert old != new or name == "compact"
+        version = stale.version
+        for coords in sorted(set(old) | set(new), key=repr):
+            levels, level_id, key = coords
+            try:
+                cell = stale.cell(
+                    ItemLevel(levels), key, stale.path_lattice[level_id]
+                )
+                seen = serialised(cell)
+            except CubeError:
+                # Not a cell of the cube the handle is at: of the other.
+                assert coords not in (old if stale.version == version else new)
+                continue
+            assert seen in (old.get(coords), new.get(coords))
+        # An append sweeps nothing a reader of the old cube maps late but
+        # the path table, whose successor stands in: the handle serves
+        # the old cube until told.  A compaction and a rebuild sweep the
+        # heap, and the handle reloaded when it reached for it.
+        assert (stale.version > version) == (name in ("compact", "rebuild"))
+        stale.maybe_reload()
+        assert cell_bytes(stale) == new
+        stale.close()
+
+
+# ----------------------------------------------------------------------
+# one writer
+# ----------------------------------------------------------------------
+
+def test_a_second_writer_is_refused_before_it_stages_anything(
+    tmp_path, rows, starts
+):
+    directory = shutil.copytree(starts["appended"], tmp_path / "wh")
+    lockfile = directory / publish.LOCK_FILENAME
+    batch = rows[FIRST_BATCH:]
+
+    def cube_listing():
+        return sorted(path.name for path in (directory / "cube").iterdir())
+
+    before = cube_listing()
+    with PartitionedPathStore.open(directory) as store:
+        first, second = store.cube_store(), store.cube_store()
+        first.begin_delta()  # the first staged byte
+        staged = cube_listing()
+        assert len(staged) == len(before) + 1
+        # Another handle in this process ...
+        for write in (
+            second.begin_delta,
+            second.compact,
+            second.flush,
+            lambda: second.create(second.path_lattice, 2, 0.1),
+            lambda: store.ingest(batch),
+        ):
+            with pytest.raises(StoreError, match=str(lockfile)):
+                write()
+            assert cube_listing() == staged
+        assert len(store) == FIRST_BATCH
+        # ... and another process.
+        script = (
+            "import sys\n"
+            "from repro.errors import StoreError\n"
+            "from repro.store import PartitionedPathStore\n"
+            "cube = PartitionedPathStore.open(sys.argv[1]).cube_store()\n"
+            "try:\n"
+            "    cube.begin_delta()\n"
+            "except StoreError as error:\n"
+            "    print(error)\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=str(FsPath(publish.__file__).parents[1])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(directory)],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert str(lockfile) in child.stdout
+        assert cube_listing() == staged
+        # Readers take no lock.
+        assert second.maybe_reload() is False
+        assert len(list(second.cells())) == second.n_cells()
+
+        # Re-entrant within the holder, released by flush — or close.
+        first.flush()
+        second.begin_delta()
+        second.close()
+        assert store.ingest(batch)
+        first.close()
+        second.close()
+    assert observe(directory) is not StoreError

@@ -2,7 +2,8 @@
 
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
-predate the ``"format"`` field), ``FCHEAP01`` and ``FCHEAP02`` heaps,
+predate the ``"format"`` field, and the ones that list no ``"files"``),
+``FCHEAP01`` and ``FCHEAP02`` heaps,
 ``FCPART01`` partitions, CSV partition files — has no reader left, so
 each case is hand-crafted here from bytes on top of a store the current
 writer made, and must surface as a :class:`~repro.errors.StoreError`
@@ -27,6 +28,7 @@ from repro.store.binfmt import (
     StringTable,
     unpack_partition,
 )
+from tests.conftest import cube_files
 
 #: What every rejection says after naming the layout.
 LAST_READER = "the last one that did is PR 15"
@@ -159,7 +161,7 @@ def test_retired_delta_segment_is_rejected_at_first_read(built_dir):
         append_records(store, list(example)[6:], cube=cube, compact_after=0)
         expected = cube_to_json(cube)
         cube.close()
-        segment = built_dir / "cube" / "cells.delta.001.bin"
+        segment = cube_files(built_dir)["segments"][1]
         _set_magic(segment, RETIRED_HEAP_MAGIC)
         cold = store.cube_store()
         with pytest.raises(StoreError, match=_retired("FCHEAP01")):
@@ -199,7 +201,27 @@ def test_a_flowgraph_heap_is_retired_too(built_dir):
         ).close()
         with store.cube_store() as rebuilt:
             assert json.loads(cube_to_json(rebuilt))["cuboids"]
-    assert heap.read_bytes()[:8] == HEAP_MAGIC
+    rebuilt_heap = cube_files(built_dir)["segments"][0]
+    assert rebuilt_heap != heap  # a new file: the retired one was swept
+    assert rebuilt_heap.read_bytes()[:8] == HEAP_MAGIC
+
+
+def test_a_cube_written_in_place_is_retired_too(built_dir):
+    """Until PR 26 ``cube.json`` named no files: the store found
+    ``cells.bin`` / ``cells.idx`` / ``cells.delta.*`` by name arithmetic
+    and replaced them in place.  Such a meta — here with the id list it
+    carried instead — is refused at open, never read by guessing names."""
+
+    def unlist(payload):
+        del payload["files"], payload["generation"]
+        payload["delta_segments"] = [1]
+
+    _rewrite_json(built_dir / "cube" / "cube.json", unlist)
+    pattern = r"lists no files.*the last release that did is PR 26.*rebuild the cube"
+    with PartitionedPathStore.open(built_dir) as store:
+        with pytest.raises(StoreError, match=pattern) as caught:
+            store.cube_store()
+    assert "cube.json" in str(caught.value)
 
 
 # ----------------------------------------------------------------------

@@ -54,14 +54,13 @@ from repro.store import (
     shared_mine_store,
 )
 from repro.store.cube_store import (
-    PATHS_FILENAME,
     CubeStore,
     StoredCell,
     entry_n_paths,
     entry_redundant,
 )
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import stored_cube_json
+from tests.conftest import cube_files, stored_cube_json
 from tests.test_properties import path_databases
 from tests.test_serve import get, post
 
@@ -152,6 +151,7 @@ def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
         return real_map(path, what)
 
     monkeypatch.setattr(binfmt, "map_file", mapping)
+    table = cube_files(store_dir)["paths"].name
     tenant = CubeTenant.mount("wh", store_dir)
     app = SlicerApp([tenant])
     cut = {"cut": "d0:d0_0"}
@@ -161,7 +161,7 @@ def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
     n_cells = json.loads(plain.body)["n_cells"]
     assert n_cells > 1
     assert decodes == []
-    assert PATHS_FILENAME not in mapped  # the table waits for a graph
+    assert table not in mapped  # the table waits for a graph
     counters = tenant.cube_store.io_counters()
     assert counters["heap_bytes_read"] > 0  # read ...
     assert counters["cells_decoded"] == 0  # ... and not decoded
@@ -174,7 +174,7 @@ def test_slice_decodes_nothing_and_measure_decodes_each_cell_once(
     assert len(decodes) == n_cells
     assert len(set(decodes)) == n_cells  # one call per cell, none twice
     assert tenant.cube_store.io_counters()["cells_decoded"] == n_cells
-    assert mapped.count(PATHS_FILENAME) == 1  # ... and is read once
+    assert mapped.count(table) == 1  # ... and is read once
 
     # Repeats, and another route over the same cells, find them decoded.
     assert post(app, "/cubes/wh/slice", {**cut, "measure": True}).body == full.body
@@ -427,7 +427,7 @@ def corrupt_every_record(directory: FsPath) -> None:
         cube = store.cube_store()
         offsets = [entry[0] for *_, entry in stored_entries(cube)]
         cube.close()
-    heap = directory / "cube" / "cells.bin"
+    heap = cube_files(directory)["segments"][0]
     data = bytearray(heap.read_bytes())
     for offset in offsets:
         data[offset + 4] ^= 0x40
@@ -535,8 +535,8 @@ def test_a_path_table_of_another_build_is_never_expanded(store_dir, tmp_path, da
     other, cube = build_store(tmp_path / "other", database.schema, list(database))
     cube.close()
     other.close()
-    ours = store_dir / "cube" / PATHS_FILENAME
-    theirs = tmp_path / "other" / "cube" / PATHS_FILENAME
+    ours = cube_files(store_dir)["paths"]
+    theirs = cube_files(tmp_path / "other")["paths"]
     # Same database, same build: the two tables differ in lineage only.
     assert binfmt.unpack_paths(ours.read_bytes())[1] == binfmt.unpack_paths(
         theirs.read_bytes()
@@ -559,7 +559,7 @@ def test_a_path_table_shorter_than_committed_is_never_expanded(store_dir):
         (store_dir / "cube" / "cube.json").read_text(encoding="utf-8")
     )["paths"]
     assert committed["counts"] and max(committed["counts"]) > 1
-    file = store_dir / "cube" / PATHS_FILENAME
+    file = cube_files(store_dir)["paths"]
     lineage, levels = binfmt.unpack_paths(file.read_bytes())
     assert lineage == committed["lineage"]
     assert [len(paths) for paths in levels] == committed["counts"]
@@ -581,7 +581,7 @@ def test_a_path_table_shorter_than_committed_is_never_expanded(store_dir):
 
 
 def test_a_missing_or_unnamed_path_table_is_typed(store_dir):
-    (store_dir / "cube" / PATHS_FILENAME).unlink()
+    cube_files(store_dir)["paths"].unlink()
     store, cube, cell = _measure_touches(store_dir)
     with pytest.raises(StoreError, match="path table .* is missing"):
         cell.flowgraph
@@ -598,7 +598,7 @@ def test_a_missing_or_unnamed_path_table_is_typed(store_dir):
 def test_a_path_id_past_the_table_is_a_corrupt_payload(store_dir):
     """A record naming a path its level does not hold (here: the meta and
     the table both cut back by hand) is damage, not ``IndexError``."""
-    file = store_dir / "cube" / PATHS_FILENAME
+    file = cube_files(store_dir)["paths"]
     lineage, levels = binfmt.unpack_paths(file.read_bytes())
     cut = [paths[:1] for paths in levels]
     file.write_bytes(binfmt.pack_paths(lineage, cut))

@@ -9,9 +9,13 @@ sizes, so what is asserted is how the work *scales*, not a constant.
 
 The rows are the ones the stored-vector layout makes true: a store build
 persists each cell's ``{pid: weight}`` and never builds a flowgraph it
-does not mine; a default slice expands nothing and never opens
-``paths.bin``; an append adds vectors, reads only the partitions its
+does not mine; a default slice expands nothing and never opens the
+path table; an append adds vectors, reads only the partitions its
 promotion candidates might live in, and expands a graph only to mine it.
+And the ones the immutable-files rule must not cost: every operation
+publishes as many files as it did when it replaced them in place,
+unlinks only what the committed meta no longer lists, and a cold open
+maps the listed index and nothing else.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
@@ -37,9 +41,10 @@ from repro.store import (
     binfmt,
     build_cube,
 )
-from repro.store.cube_store import PATHS_FILENAME
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
+from tests.test_publish_points import listed_names
 from tests.test_serve import post
 
 #: Two sizes of one population: a bound must hold at both.
@@ -80,6 +85,14 @@ class Counted:
 
     def __len__(self) -> int:
         return len(self.calls)
+
+
+def published_as(published: Counted, directory: FsPath) -> list[str]:
+    """The counted ``publish_file`` calls as the crash table spells them:
+    cube files by what the committed meta lists them as."""
+    kinds = listed_names(directory)
+    names = [call[0].name for call in published.calls]
+    return [kinds.get(name, name) for name in names]
 
 
 def graph_counters(monkeypatch) -> dict[str, Counted]:
@@ -137,10 +150,9 @@ def test_an_exception_free_build_builds_no_graph(tmp_path, monkeypatch, n_paths)
     distinct = len({record.path for record in database})
     assert 0 < len(aggregated) <= distinct * len(cube.path_lattice)
     assert len(reads) == len(store.catalog.partitions)
-    # The crash table's row, whatever the size of the cube.
-    assert [call[0].name for call in published.calls] == (
-        CRASH_TABLE["first build"][1]
-    )
+    # The crash table's row, whatever the size of the cube: 4 publishes.
+    row = CRASH_TABLE["first build"][1]
+    assert published_as(published, tmp_path / "wh") == row and len(row) == 4
     assert cube.io_counters()["cells_decoded"] == 0
     cube.close()
     store.close()
@@ -191,15 +203,41 @@ def test_a_default_slice_expands_nothing_and_measure_expands_each_cell(
     n_cells = json.loads(plain.body)["n_cells"]
     assert n_cells > 1
     assert len(expanded) == len(graphs["__init__"]) == 0
-    files = [FsPath(call[0]).name for call in mapped.calls]
-    assert PATHS_FILENAME not in files
+    # The cold open mapped the listed index — one file — and the slice
+    # one heap; the path table waits for a graph.
+    listed = cube_files(tmp_path / "wh")
+    files = [FsPath(call[0]) for call in mapped.calls]
+    assert files == [listed["index"], listed["segments"][0]]
 
     full = post(app, "/cubes/wh/slice", {**cut, "measure": True})
     assert json.loads(full.body)["n_cells"] == n_cells
     assert len(expanded) == len(graphs["__init__"]) == n_cells
-    files = [FsPath(call[0]).name for call in mapped.calls]
-    assert files.count(PATHS_FILENAME) == 1
+    files = [FsPath(call[0]) for call in mapped.calls]
+    assert files.count(listed["paths"]) == 1
     tenant.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_cold_open_maps_the_listed_index_and_nothing_else(
+    tmp_path, monkeypatch, n_paths
+):
+    """Bytes mapped at cold open = the index only, with or without
+    delta segments pending."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    for grow in (lambda: None, lambda: append_records(
+        store, batch, cube=cube, compact_after=0
+    ), cube.compact):
+        grow()
+        mapped = Counted(monkeypatch, binfmt, "map_file")
+        with store.cube_store() as cold:
+            assert cold.n_cells() == cube.n_cells()
+        assert [FsPath(call[0]) for call in mapped.calls] == [
+            cube_files(tmp_path / "wh")["index"]
+        ]
+    cube.close()
+    store.close()
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +300,10 @@ def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
         assert 0 < len(graphs["__init__"]) <= dirty
     else:
         assert len(graphs["__init__"]) == len(graphs["add_path"]) == 0
-    names = [call[0].name for call in published.calls]
+    names = published_as(published, tmp_path / "wh")
     row = CRASH_TABLE["first append"][1]
-    assert names[2:] in (row[2:], row[3:])  # with or without paths.bin
-    assert len(names) <= len(row)
+    assert names[2:] in (row[2:], row[3:])  # with or without the table
+    assert len(names) <= len(row) == 6
     cube.close()
     store.close()
 
@@ -300,7 +338,7 @@ def test_an_append_without_a_candidate_reads_no_partition(
     assert len(graphs["merge"]) == 0
     assert 0 < len(graphs["__init__"]) <= stats["updated"]
     # Paths the cube already holds: the table is not republished.
-    assert PATHS_FILENAME not in [call[0].name for call in published.calls]
+    assert "paths" not in published_as(published, tmp_path / "wh")
     cube.close()
     store.close()
 
@@ -321,8 +359,46 @@ def test_compaction_copies_bytes(tmp_path, monkeypatch, n_paths):
     assert cube.compact() == cube.n_cells()
     assert [len(counter) for counter in decoded] == [0, 0, 0]
     assert len(graphs["__init__"]) == 0
-    assert [call[0].name for call in published.calls] == (
-        CRASH_TABLE["compact"][1]
-    )
+    row = CRASH_TABLE["compact"][1]
+    assert published_as(published, tmp_path / "wh") == row and len(row) == 3
     cube.close()
     store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_operation_unlinks_only_what_the_new_meta_does_not_list(
+    tmp_path, monkeypatch, n_paths
+):
+    """One sweep per commit: its unlinks are the previous listing minus
+    the new one — none for a first build, a handful otherwise — so no
+    timed stage grew by more than a directory scan."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store = ingested(tmp_path / "wh", database.schema, base)
+    cube = store.cube_store()
+    unlinked = Counted(monkeypatch, FsPath, "unlink")
+    listed: set[str] = set()
+
+    def build():
+        build_cube(
+            store, min_support=MIN_SUPPORT, compute_exceptions=False,
+            into=cube, stats=BuildStats(),
+        )
+
+    for operation, most in (
+        (build, 0),
+        (lambda: append_records(store, batch, cube=cube, compact_after=0), 2),
+        (cube.compact, 4),
+        (build, 4),
+    ):
+        del unlinked.calls[:]
+        operation()
+        now = set(listed_names(tmp_path / "wh"))
+        gone = {call[0].name for call in unlinked.calls}
+        # ... and the alias a compaction left, which no meta lists.
+        assert listed - now <= gone <= (listed - now) | {"cells.bin"}
+        assert not gone & now and len(unlinked) == len(gone) <= most
+        listed = now
+    cube.close()
+    store.close()
+

@@ -110,12 +110,12 @@ def test_cold_open_reads_zero_heap_bytes_and_masks(built_dir):
 def test_cold_open_with_pending_deltas_reads_zero_heap_bytes(
     built_dir, database
 ):
-    """The overlay extends the zero-copy contract to delta-bearing cubes.
+    """The zero-copy contract holds for delta-bearing cubes.
 
-    A store with pending ``cells.delta.NNN.bin`` segments routes its
-    index through the ``cells.delta.idx`` overlay — which must be just
-    as lazy as ``cells.idx``: the cold open mmaps it, decodes no masks,
-    and reads zero heap bytes from the base heap *or* any segment.
+    A store with pending delta segments lists an index that addresses
+    them — which must be just as lazy as a whole heap's: the cold open
+    mmaps it, decodes no masks, and reads zero heap bytes from the base
+    heap *or* any segment.
     """
     from repro.store import append_records
 
