@@ -501,10 +501,8 @@ def serial_exception_pass(
     engine) are interned into the one index cache that spans the runner's
     lifetime.  Either way a distinct path's stages are walked once, and
     lattice cells that roll up to identical path multisets share an index
-    across cuboids.
-
-    The parallel counterpart (fanning a batch out over the ``jobs=N``
-    worker pools) lives in :mod:`repro.store.builder`.
+    across cuboids.  It is the only runner: the in-memory builders, the
+    store build and the store append all mine through it.
     """
     from time import perf_counter
 

@@ -29,11 +29,7 @@ fast counting paths run on:
   key catalogs packing cell ordinals into (dimension, concept) bitmaps
   with hierarchy descendant-closure masks, so slice/dice predicates are
   AND + iterate-set-bits over the index with no cell IO for non-matching
-  cells, plus the LRU query cache with hit/miss/derivation counters;
-* :mod:`repro.perf.pool` — the persistent fork-once
-  :class:`~repro.perf.pool.WorkerPool` the out-of-core cube builder runs
-  its ``jobs=N`` passes on, with per-pool spawn/busy accounting in
-  :class:`~repro.perf.pool.PoolStats`.
+  cells, plus the LRU query cache with hit/miss/derivation counters.
 
 The kernels are exact.  The in-memory entry points keep each kernel's
 reference next to it — ``kernel=`` on the miners,
@@ -61,12 +57,6 @@ from repro.perf.exception_kernel import (
 )
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.measure_rollup import ENGINES, build_rollup, derivation_plan
-from repro.perf.pool import (
-    PoolStats,
-    WorkerPool,
-    oversubscription_warning,
-    resolve_jobs,
-)
 from repro.perf.query_kernel import (
     CatalogPool,
     CuboidKeyCatalog,
@@ -85,9 +75,7 @@ __all__ = [
     "ItemInterner",
     "PathPostings",
     "PidCell",
-    "PoolStats",
     "QueryCache",
-    "WorkerPool",
     "build_rollup",
     "cell_index",
     "count_candidates_bitmap",
@@ -99,7 +87,5 @@ __all__ = [
     "merge_query_stats",
     "mine_exceptions_bitmap",
     "mine_segments_bitmap",
-    "oversubscription_warning",
     "pid_cell",
-    "resolve_jobs",
 ]

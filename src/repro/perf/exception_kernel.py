@@ -41,11 +41,11 @@ There are two doors and one kernel.  The roll-up and the store append hand
 the pass a :class:`PidCell` — the cell's ``{pid: weight}`` plus its
 level's postings — and share those postings across every cell of the
 level.  Everything else (``mine_exceptions_weighted(graph, [(path,
-weight), …])``: the direct engine, in-memory appends, the pool workers)
+weight), …])``: the direct engine, in-memory appends)
 comes through the tuple door of :func:`pid_cell`, which interns its
 pairs into a private postings and runs the same code.  A ``PidCell``
-iterates — and pickles — as its ``(path, weight)`` pairs, so the scan
-kernel and the pool boundary see exactly what they always did.
+iterates as its ``(path, weight)`` pairs, so the scan kernel sees
+exactly what it always did.
 
 :func:`mine_segments_bitmap` reruns the level-wise miner on tid-sets: a
 candidate is a frequent segment extended by one frequent 1-constraint
@@ -271,9 +271,8 @@ class PidCell:
     What the roll-up and the store append hand the exception pass:
     *weights* is the cell's ``{pid: weight}`` and *postings* the level's
     :class:`PathPostings`, so the bitmap kernel indexes the cell without
-    touching a path.  It iterates, and pickles, as the ``(path, weight)``
-    pairs it stands for — the scan kernel and the pool boundary need no
-    branch.
+    touching a path.  It iterates as the ``(path, weight)`` pairs it
+    stands for — the scan kernel needs no branch.
     """
 
     __slots__ = ("weights", "postings")
@@ -290,9 +289,6 @@ class PidCell:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def __reduce__(self):
-        return tuple, (tuple(self),)
 
 
 class CellExceptionIndex:

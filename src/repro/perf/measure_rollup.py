@@ -46,7 +46,7 @@ out-of-core builder (:func:`repro.store.builder.build_cube`) runs
 :func:`scan_records` per partition and :func:`merge_scan` folds the
 partials in partition order, which reproduces the single-scan insertion
 orders exactly (ids are handed out in first-seen order and never order
-anything) — so in-memory, serial, and ``jobs=N`` roll-up builds all agree.
+anything) — so in-memory and out-of-core roll-up builds agree.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ ENGINES = ("rollup", "direct")
 
 #: One cell's weighted path multiset as :func:`scan_records` returns it:
 #: distinct aggregated path -> multiplicity, insertion-ordered (first-seen
-#: record order).  Plain tuples, so a partial pickles across the pool.
+#: record order).
 ScannedCell = dict[AggregatedPath, int]
 
 #: One cell's weighted path multiset inside the engine: path id (into the
@@ -494,8 +494,8 @@ def assemble_cuboids(
     the pass, and whose *weighted* is the cell's ``{pid: weight}``
     itself, wrapped with the level's postings (see
     :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
-    the out-of-core builder substitutes a pool-fanned runner).  Defaults
-    to a fresh serial runner over *kernel*.
+    both builders pass their own to read its ``seconds``).  Defaults to
+    a fresh runner over *kernel*.
 
     Membership is path-level independent, so the iceberg test and the
     member-id sort run once per item level and the level's cuboids share

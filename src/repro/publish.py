@@ -41,8 +41,8 @@ class WriterLock:
     a :class:`~repro.errors.StoreError` naming the file instead of
     waiting.  :meth:`acquire` is re-entrant within the holder, one
     :meth:`release` lets go, and a holder that dies (or is collected)
-    releases with its descriptor — which a child forked while it is
-    held shares, so fork worker pools before staging, as the builder does.
+    releases with its descriptor — no write-side code forks, so no
+    child shares it.
     """
 
     def __init__(self, root: FsPath) -> None:

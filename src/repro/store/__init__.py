@@ -10,10 +10,8 @@ removes that assumption end to end:
   (:class:`~repro.store.partition.BloomSummary`);
 * :func:`~repro.store.builder.build_cube` /
   :func:`~repro.store.builder.shared_mine_store` — out-of-core cube
-  construction and Algorithm 1, one partition decoded at a time, with
-  the cube's ``jobs=N`` passes running on a persistent
-  :class:`~repro.perf.pool.WorkerPool` (re-exported here) that callers
-  can keep across builds;
+  construction and Algorithm 1, one partition decoded at a time, in
+  the calling process;
 * :class:`~repro.store.cube_store.CubeStore` — the materialised cube
   persisted cell by cell in a packed mmap'd heap, lazily decoded
   behind a bounded
@@ -26,7 +24,6 @@ reads and writes one layout; the reference implementations the tests
 compare it against live in :mod:`repro.core` and :mod:`repro.query`.
 """
 
-from repro.perf.pool import PoolStats, WorkerPool, resolve_jobs
 from repro.store.append import append_records
 from repro.store.builder import BuildStats, build_cube, shared_mine_store
 from repro.store.cache import LRUCache
@@ -48,12 +45,9 @@ __all__ = [
     "LRUCache",
     "PartitionMeta",
     "PartitionedPathStore",
-    "PoolStats",
     "StoredCuboid",
-    "WorkerPool",
     "append_records",
     "build_cube",
-    "resolve_jobs",
     "schema_fingerprint",
     "schema_from_dict",
     "schema_to_dict",

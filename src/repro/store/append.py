@@ -20,10 +20,9 @@ the store's *persisted* cube without rebuilding it:
 * **Exceptions** (Lemma 4.3, holistic) — re-mined only for the dirty
   cells, from their vectors over the cube's own path table (whose
   postings serve every dirty cell of a level) and a flowgraph expanded
-  from the same vector, through the per-cell kernel and
-  :class:`~repro.perf.pool.WorkerPool` fan-out the builder uses, so an
-  appended cube is byte-identical (``cube_to_json``) to a from-scratch
-  rebuild over the extended store.
+  from the same vector, through the per-cell kernel and runner the
+  builder uses, so an appended cube is byte-identical
+  (``cube_to_json``) to a from-scratch rebuild over the extended store.
 * **Durability** — dirty cells land in a new append-only segment
   (``cells.delta.G.bin``) plus a new full index (``cells.delta.G.idx``),
   after a new, longer path table when the batch brought a path the cube
@@ -98,8 +97,6 @@ def append_records(
     *,
     cube: CubeStore | None = None,
     recompute_exceptions: bool = True,
-    jobs: int = 1,
-    pool=None,
     compact_after: int | None = 16,
 ) -> dict:
     """Ingest *records* and delta-merge them into the store's cube.
@@ -116,10 +113,6 @@ def append_records(
         recompute_exceptions: Re-mine (ε, δ) exceptions in dirty cells.
             Forced off when the cube was built without exceptions, so an
             append never diverges from what a rebuild would produce.
-        jobs: Fan the dirty-cell exception pass over a worker pool of
-            this size (``1`` = serial).
-        pool: An already-running :class:`~repro.perf.pool.WorkerPool`
-            to reuse instead of forking one (overrides *jobs*).
         compact_after: Fold delta segments into a clean base heap once
             this many are pending (``0``/``None`` disables).
 
@@ -158,9 +151,7 @@ def append_records(
             "exceptions" in build_stats.get("phase_seconds", {})
         )
         store.ingest(rows)  # raises before the cube is touched
-        result = _merge_batch(
-            store, cube, rows, build_stats, mine, jobs, pool
-        )
+        result = _merge_batch(store, cube, rows, build_stats, mine)
         result["compacted"] = 0
         if compact_after and len(cube.delta_segments) >= compact_after:
             result["compacted"] = cube.compact()
@@ -171,7 +162,7 @@ def append_records(
             cube.close()
 
 
-def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
+def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     schema = store.schema
     hierarchies = schema.dimensions
     lattice = cube.path_lattice
@@ -394,24 +385,7 @@ def _merge_batch(store, cube, rows, build_stats, mine, jobs, pool) -> dict:
     # re-mine exceptions in the dirty cells only (Lemma 4.3)
     # ------------------------------------------------------------------
     if mine and triples:
-        from repro.store.builder import _ensure_pool, _pooled_exception_pass
-
-        run_pool, owned_pool = _ensure_pool(
-            store, lattice, jobs, pool, None
-        )
-        try:
-            if run_pool is not None:
-                run = _pooled_exception_pass(
-                    run_pool, cube.min_support, cube.min_deviation
-                )
-            else:
-                run = serial_exception_pass(
-                    cube.min_support, cube.min_deviation
-                )
-            run(triples)
-        finally:
-            if owned_pool:
-                run_pool.close()
+        serial_exception_pass(cube.min_support, cube.min_deviation)(triples)
 
     # ------------------------------------------------------------------
     # publish: delta segment -> index -> meta (the commit point)

@@ -52,18 +52,12 @@ of memory the finest path level's multisets already take.
 :class:`BuildStats.max_live_transaction_dbs` *proves* the one-partition
 claim for the decoded/encoded form: every partition read — decoded for
 the cube passes, encoded for the mining pass — is bracketed by a
-live-count tracker, and the recorded per-process peak is asserted to be
+live-count tracker, and the recorded peak is asserted to be
 1 in the tests.
 
-:func:`build_cube` accepts ``jobs``: with ``jobs > 1`` the per-partition
-roll-up scan and the per-cell exception pass run on a persistent
-fork-once :class:`~repro.perf.pool.WorkerPool` (one task per partition,
-routed to its affine worker slot).  Callers may pass their own ``pool=``
-to amortise the fork across many builds.  Partial results merge in
-partition order, and every merge is an extend-in-partition-order, so
-parallel runs are bit-identical to serial ones — the parity is asserted
-by the tests.  Mining never forks: its only record-linear cost is the
-encode pass.
+Both builders run in the calling process and fork nothing: the roll-up
+scan is cheap enough that shipping tuples to workers cost more than
+scanning them (DESIGN §6, "Why the write side is one process").
 
 Every scan goes through :func:`~repro.store.partition.read_partition`:
 partitions deserialise from columnar ``FCPART02`` arenas with bulk
@@ -78,25 +72,21 @@ from array import array
 from datetime import datetime, timezone
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.core.flowcube import CellKey, FlowCube
-from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
     Segment,
-    mine_exceptions_weighted,
     resolve_min_support,
     serial_exception_pass,
 )
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.encoding.transactions import EncodingMemo, TransactionDatabase
-from repro.errors import CubeError
+from repro.errors import CubeError, StoreError
 from repro.mining.result import FlowMiningResult, item_sort_key
 from repro.mining.shared import mine_interned
 from repro.mining.stats import MiningStats
 from repro.perf import collector
 from repro.perf.interning import InternedTransactions, ItemInterner
-from repro.perf.pool import WorkerPool, resolve_jobs, worker_context
 from repro.perf.measure_rollup import (
     AggregationMemo,
     PathTable,
@@ -127,9 +117,8 @@ class BuildStats:
             partition per mine, one per partition per cube pass).
         max_live_transaction_dbs: Peak number of partition databases —
             decoded :class:`~repro.core.path_database.PathDatabase` or
-            encoded :class:`TransactionDatabase` — alive at once in any
-            one process; the out-of-core invariant says this never
-            exceeds 1 (with ``jobs > 1`` each worker holds at most one).
+            encoded :class:`TransactionDatabase` — alive at once; the
+            out-of-core invariant says this never exceeds 1.
         cuboids: Cuboids materialised.
         cells: Iceberg cells materialised.
         built_at: UTC timestamp of the build start (ISO-8601, seconds
@@ -139,15 +128,9 @@ class BuildStats:
         phase_seconds: Wall-clock per build phase — ``aggregate`` (record
             scanning / path aggregation), ``materialize`` (measure
             derivation and cell assembly), and ``exceptions`` (the
-            per-cell holistic exception pass, serial or pool-fanned) —
-            alongside the mining phases a
-            :class:`~repro.mining.stats.MiningStats` tracks — plus
-            ``pool_spawn``, the worker fork/bind cost this build actually
-            paid (zero when it reused an already-started pool).
-        pool: Lifetime counters of the :class:`~repro.perf.pool.WorkerPool`
-            the build ran on (:meth:`~repro.perf.pool.PoolStats.as_dict`
-            snapshot: spawn count/seconds, task batches, worker busy
-            seconds); empty for serial builds.
+            per-cell holistic exception pass) — alongside the mining
+            phases a :class:`~repro.mining.stats.MiningStats` tracks.
+        pool: Always empty; never persisted.
     """
 
     partitions: int = 0
@@ -159,7 +142,9 @@ class BuildStats:
     built_at: str = ""
     elapsed_seconds: float = 0.0
     phase_seconds: dict = field(default_factory=dict)
-    pool: dict = field(default_factory=dict)
+    # Shim: benchmarks/flowbench/layers.py reads ``stats.pool.get(...)``;
+    # the field goes with the [benchmark] PR that stops reading it.
+    pool: dict = field(default_factory=dict, init=False)
 
     def add_phase(self, name: str, seconds: float) -> None:
         """Accumulate wall-clock time into the named phase bucket."""
@@ -181,7 +166,7 @@ class BuildStats:
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot, e.g. for ``CubeStore`` metadata."""
-        out = {
+        return {
             "version": self.version,
             "built_at": self.built_at,
             "partitions": self.partitions,
@@ -196,9 +181,6 @@ class BuildStats:
                 for name, seconds in sorted(self.phase_seconds.items())
             },
         }
-        if self.pool:
-            out["pool"] = dict(self.pool)
-        return out
 
 
 class _LiveTracker:
@@ -216,161 +198,15 @@ class _LiveTracker:
         self.live -= 1
 
 
-# ----------------------------------------------------------------------
-# the worker side
-# ----------------------------------------------------------------------
-#
-# Everything below the pool boundary is a module-level task function run
-# by :class:`~repro.perf.pool.WorkerPool` against the per-process context
-# dict (:func:`~repro.perf.pool.worker_context`).  The pool is persistent
-# — it may outlive this build and serve the next one — so a build never
-# assumes fresh workers: it *binds* its store with a broadcast task.
-
-
-def _task_bind_store(store_dir: str, path_lattice: PathLattice) -> bool:
-    """Point this worker at a store (broadcast once per build).
-
-    Re-opens the store unconditionally — the catalog may have grown since
-    a previous build through the same pool — and starts a fresh
-    aggregation memo, whose entries belong to one path lattice, and a
-    fresh exception-index cache, so a long-lived pool holds the postings
-    and views of its current build (or append) only.
-    """
-    ctx = worker_context()
-    ctx["store"] = PartitionedPathStore.open(store_dir)
-    ctx["aggregation"] = AggregationMemo(path_lattice)
-    ctx["exception_indexes"] = {}
-    return True
-
-
-def _task_exceptions(
-    batch: list, min_support: float, min_deviation: float
-) -> list:
-    """Mine one batch of cells' exceptions inside a worker process.
-
-    Each entry is ``(weighted, segments)`` with *weighted* the cell's
-    ``(path, weight)`` pairs (a ``PidCell`` pickles as them); the
-    flowgraph is rebuilt worker-side from the weighted multiset — its
-    distributions are pure functions of the multiset (Lemma 4.2), so the
-    baselines match the parent's graph exactly — and only the picklable
-    exception list travels back.  The per-process index cache persists
-    across the batches of one build (:func:`_task_bind_store` drops it):
-    the pairs are interned into its one postings, so a path's stages are
-    walked once per worker and cells sharing a fingerprint reuse one
-    index however they arrive.
-    """
-    index_cache = worker_context()["exception_indexes"]
-    out = []
-    for weighted, segments in batch:
-        graph = FlowGraph()
-        for path, weight in weighted:
-            graph.add_path(path, weight)
-        out.append(
-            mine_exceptions_weighted(
-                graph,
-                weighted,
-                min_support=min_support,
-                min_deviation=min_deviation,
-                segments=segments,
-                index_cache=index_cache,
-            )
-        )
-    return out
-
-
-def _task_scan(partition_id: int, root_levels: tuple):
-    """One partition of the roll-up scan (the partition dies on return,
-    so each worker holds at most one)."""
-    ctx = worker_context()
-    store: PartitionedPathStore = ctx["store"]
-    return scan_records(
-        store.load_partition(partition_id), ctx["aggregation"], root_levels,
-        store.schema.dimensions,
-    )
-
-
-# ----------------------------------------------------------------------
-# the coordinator side of the pool
-# ----------------------------------------------------------------------
-
-def _ensure_pool(
-    store: PartitionedPathStore,
-    path_lattice: PathLattice,
-    jobs: int,
-    pool: WorkerPool | None,
-    build_stats: BuildStats | None,
-) -> tuple[WorkerPool | None, bool]:
-    """Resolve the pool a build runs on: the caller's, a fresh one, or none.
-
-    A caller-supplied pool always wins (that is how benchmark sweeps and
-    repeated CLI builds amortise the fork); otherwise ``jobs > 1`` forks a
-    build-owned pool the caller must see closed (``owned`` True).  Either
-    way the build's store is bound into every worker, and any spawn cost
-    paid *here* — zero for an already-started external pool — lands in the
-    ``pool_spawn`` phase bucket, so steady-state timings can never hide
-    fork cost again.
-    """
-    owned = False
-    if pool is None:
-        if jobs <= 1:
-            return None, False
-        pool = WorkerPool(jobs)
-        owned = True
-    spawn_before = pool.stats.spawn_seconds
-    pool.start()
-    pool.broadcast(_task_bind_store, str(store.directory), path_lattice)
-    spawn_delta = pool.stats.spawn_seconds - spawn_before
-    if build_stats is not None and spawn_delta:
-        build_stats.add_phase("pool_spawn", spawn_delta)
-    return pool, owned
-
-
-def _pooled_exception_pass(
-    pool: WorkerPool, min_support: float, min_deviation: float
-):
-    """Per-cell exception mining fanned out over the worker pool.
-
-    Cube assembly runs after aggregation, when the partition-affine
-    workers sit idle — so each cuboid's cell batch is striped round-robin
-    across the slots (``batch[i::jobs]``, a deterministic split) and the
-    returned exception lists are reattached positionally to the parents'
-    graphs.  Same ``run(batch)`` contract and ``run.seconds`` accounting
-    as :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
-    the lists are identical to a serial pass because each worker rebuilds
-    the cell graph from the same weighted multiset and the per-cell
-    mining is independent.
-    """
-    jobs = pool.jobs
-
-    def run(batch) -> None:
-        started = perf_counter()
-        futures = []
-        for slot in range(jobs):
-            chunk = batch[slot::jobs]
-            if not chunk:
-                continue
-            payload = [(weighted, segments) for _, weighted, segments in chunk]
-            futures.append(
-                (
-                    chunk,
-                    pool.submit(
-                        slot, _task_exceptions, payload, min_support,
-                        min_deviation,
-                    ),
-                )
-            )
-        for chunk, future in futures:
-            for (graph, _, _), exceptions in zip(chunk, future.result()):
-                graph.exceptions = exceptions
-        run.seconds += perf_counter() - started
-
-    run.seconds = 0.0
-    return run
+def _check_jobs(value) -> None:
+    # Shim: benchmarks/flowbench/layers.py passes ``jobs=2``; the keyword
+    # goes with the [benchmark] PR that stops passing it.
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise StoreError(f"jobs must be an integer >= 0, got {value!r}")
 
 
 def _scan_partitions(
     store: PartitionedPathStore,
-    pool: WorkerPool | None,
     tracker: _LiveTracker,
     build_stats: BuildStats,
     root_levels: tuple,
@@ -378,36 +214,19 @@ def _scan_partitions(
 ) -> Iterator:
     """The roll-up scan over every partition, yielding partials in order.
 
-    Serial (``pool is None``): partitions are loaded one at a time
-    inside the tracker bracket.  Parallel: one task per partition,
-    routed to its affine pool slot; results are consumed in partition
-    order (each worker holds one live partition, so the tracker records
-    the per-process peak of 1).
+    Partitions are loaded one at a time inside the tracker bracket.
     """
-    if pool is None:
-        aggregation = AggregationMemo(path_lattice)  # one for every partition
-        for _, database in store.iter_partitions():
-            tracker.enter()
-            try:
-                build_stats.scans += 1
-                yield scan_records(
-                    database, aggregation, root_levels,
-                    store.schema.dimensions,
-                )
-            finally:
-                tracker.exit()
-    else:
-        futures = [
-            pool.submit(partition_id, _task_scan, partition_id, root_levels)
-            for partition_id in store.partition_ids()
-        ]
-        for future in futures:
-            result = future.result()
+    aggregation = AggregationMemo(path_lattice)  # one for every partition
+    for _, database in store.iter_partitions():
+        tracker.enter()
+        try:
             build_stats.scans += 1
-            # Each worker process holds at most one live partition.
-            tracker.enter()
+            yield scan_records(
+                database, aggregation, root_levels,
+                store.schema.dimensions,
+            )
+        finally:
             tracker.exit()
-            yield result
 
 
 @collector.paused()
@@ -419,7 +238,6 @@ def shared_mine_store(
     precount_lengths: tuple[int, ...] = (2,),
     build_stats: BuildStats | None = None,
     jobs: int = 1,
-    pool: WorkerPool | None = None,
 ) -> FlowMiningResult:
     """Algorithm 1 over a partitioned store: encode once, mine resident.
 
@@ -448,20 +266,12 @@ def shared_mine_store(
             ``encode`` / ``precount`` / ``count`` / ``join`` / ``prune``
             phase buckets (partition read + encode + intern under
             ``encode``).
-        jobs: Validated like :func:`build_cube`'s (``0`` resolves to
-            ``cpu_count - 1``; negatives and non-integers raise
-            :class:`~repro.errors.StoreError`) and otherwise unused:
-            mining runs in the calling process and forks nothing — the
-            only record-linear cost is the encode pass, and the
-            level-wise passes over the resident masks are too short to
-            repay a fork.
-        pool: Accepted so callers can pass this function and
-            :func:`build_cube` the same keyword arguments; unused.
+        jobs: Validated like :func:`build_cube`'s and otherwise ignored.
 
     Returns:
         A :class:`~repro.mining.result.FlowMiningResult`.
     """
-    resolve_jobs(jobs)
+    _check_jobs(jobs)
     stats = MiningStats()
     started = time.perf_counter()
     if path_lattice is None:
@@ -530,7 +340,6 @@ def build_cube(
     into=None,
     stats: BuildStats | None = None,
     jobs: int = 1,
-    pool: WorkerPool | None = None,
 ):
     """Materialise the iceberg flowcube of a partitioned store.
 
@@ -545,10 +354,9 @@ def build_cube(
     an in-memory single scan.  Every other level's cells derive in memory
     by merging child cells along the item lattice, so the whole build
     costs one pass regardless of how many item levels are materialised.
-    The pool outlives the scan: assembly re-uses its idle workers to fan
-    the per-cell exception pass out across cells.  The whole build runs
-    with the cyclic collector paused (:func:`repro.perf.collector.paused`:
-    nothing it allocates is cyclic; DESIGN §6 item 12).
+    The whole build runs with the cyclic collector paused
+    (:func:`repro.perf.collector.paused`: nothing it allocates is cyclic;
+    DESIGN §6 item 12).
 
     Args:
         store: The partitioned path store.
@@ -571,19 +379,15 @@ def build_cube(
             persisted and dropped as soon as it is built, keeping the
             output out-of-core too.
         stats: Optional :class:`BuildStats` to fill.
-        jobs: The partition scan and the per-cell exception pass run on
-            a worker pool of this size when ``> 1`` (``0`` resolves to
-            ``cpu_count - 1``); the built cube is identical either way.
-        pool: An already-running :class:`~repro.perf.pool.WorkerPool` to
-            run every parallel pass on — overrides *jobs*, stays running
-            afterwards.  Without it, ``jobs > 1`` forks a build-owned
-            pool closed before returning.
+        jobs: An integer ``>= 0`` (anything else raises
+            :class:`~repro.errors.StoreError`), otherwise ignored: the
+            build runs in the calling process whatever it says.
 
     Returns:
         The :class:`FlowCube`, or *into* (flushed) when a cube store was
         given.
     """
-    jobs = resolve_jobs(jobs)
+    _check_jobs(jobs)
     started = time.perf_counter()
     build_stats = stats if stats is not None else BuildStats()
     schema = store.schema
@@ -601,99 +405,88 @@ def build_cube(
         timespec="seconds"
     )
 
-    pool, pool_owned = _ensure_pool(store, path_lattice, jobs, pool, build_stats)
-    try:
-        if (
-            use_shared
-            and compute_exceptions
-            and segments_by_cell is None
-        ):
-            segments_by_cell = shared_mine_store(
-                store,
-                path_lattice,
-                min_support=min_support,
-                build_stats=build_stats,
-            ).segments_by_cell()
+    if (
+        use_shared
+        and compute_exceptions
+        and segments_by_cell is None
+    ):
+        segments_by_cell = shared_mine_store(
+            store,
+            path_lattice,
+            min_support=min_support,
+            build_stats=build_stats,
+        ).segments_by_cell()
 
-        plan = derivation_plan(levels)
-        root_levels = tuple(level for level, source in plan if source is None)
-        tracker = _LiveTracker()
-        exception_pass = None
-        if compute_exceptions:
-            exception_pass = (
-                _pooled_exception_pass(pool, min_support, min_deviation)
-                if pool is not None
-                else serial_exception_pass(min_support, min_deviation)
-            )
-        phase = time.perf_counter()
-        table = PathTable(len(path_lattice))
-        groups_by_root: list[dict[CellKey, list[int]]] = [
-            {} for _ in root_levels
-        ]
-        weighted_by_root: list[list[dict]] = [
-            [{} for _ in path_lattice] for _ in root_levels
-        ]
-        for part_groups, part_weighted in _scan_partitions(
-            store, pool, tracker, build_stats, root_levels, path_lattice
-        ):
-            merge_scan(
-                groups_by_root, weighted_by_root, part_groups, part_weighted,
-                table,
-            )
-        build_stats.add_phase("aggregate", time.perf_counter() - phase)
+    plan = derivation_plan(levels)
+    root_levels = tuple(level for level, source in plan if source is None)
+    tracker = _LiveTracker()
+    exception_pass = None
+    if compute_exceptions:
+        exception_pass = serial_exception_pass(min_support, min_deviation)
+    phase = time.perf_counter()
+    table = PathTable(len(path_lattice))
+    groups_by_root: list[dict[CellKey, list[int]]] = [
+        {} for _ in root_levels
+    ]
+    weighted_by_root: list[list[dict]] = [
+        [{} for _ in path_lattice] for _ in root_levels
+    ]
+    for part_groups, part_weighted in _scan_partitions(
+        store, tracker, build_stats, root_levels, path_lattice
+    ):
+        merge_scan(
+            groups_by_root, weighted_by_root, part_groups, part_weighted,
+            table,
+        )
+    build_stats.add_phase("aggregate", time.perf_counter() - phase)
 
+    if into is not None:
+        into.create(
+            path_lattice, min_support, min_deviation, item_levels=levels
+        )
+        # The cube's records are vectors over the scan's path ids.
+        into.path_table = table
+        cube = None
+    else:
+        cube = FlowCube(
+            store.load_all(), item_lattice, path_lattice, min_support,
+            min_deviation,
+        )
+
+    phase = time.perf_counter()
+    data = derive_levels(
+        plan, groups_by_root, weighted_by_root, root_levels,
+        store.schema.dimensions,
+    )
+    prune_to_iceberg(data, threshold)
+    del groups_by_root, weighted_by_root
+    for cuboid in assemble_cuboids(
+        levels, path_lattice, data, table, threshold, min_support,
+        min_deviation, compute_exceptions, segments_by_cell,
+        exception_pass=exception_pass,
+    ):
+        build_stats.cuboids += 1
+        build_stats.cells += len(cuboid)
         if into is not None:
-            into.create(
-                path_lattice, min_support, min_deviation, item_levels=levels
-            )
-            # The cube's records are vectors over the scan's path ids.
-            into.path_table = table
-            cube = None
+            into.put_cuboid(cuboid)
         else:
-            cube = FlowCube(
-                store.load_all(), item_lattice, path_lattice, min_support,
-                min_deviation,
+            cube._cuboids[(cuboid.item_level, cuboid.path_level)] = (  # noqa: SLF001
+                expanded(cuboid)
             )
+    exception_seconds = (
+        exception_pass.seconds if exception_pass is not None else 0.0
+    )
+    if compute_exceptions:
+        build_stats.add_phase("exceptions", exception_seconds)
+    build_stats.add_phase(
+        "materialize", time.perf_counter() - phase - exception_seconds
+    )
 
-        phase = time.perf_counter()
-        data = derive_levels(
-            plan, groups_by_root, weighted_by_root, root_levels,
-            store.schema.dimensions,
-        )
-        prune_to_iceberg(data, threshold)
-        del groups_by_root, weighted_by_root
-        for cuboid in assemble_cuboids(
-            levels, path_lattice, data, table, threshold, min_support,
-            min_deviation, compute_exceptions, segments_by_cell,
-            exception_pass=exception_pass,
-        ):
-            build_stats.cuboids += 1
-            build_stats.cells += len(cuboid)
-            if into is not None:
-                into.put_cuboid(cuboid)
-            else:
-                cube._cuboids[(cuboid.item_level, cuboid.path_level)] = (  # noqa: SLF001
-                    expanded(cuboid)
-                )
-        exception_seconds = (
-            exception_pass.seconds if exception_pass is not None else 0.0
-        )
-        if compute_exceptions:
-            build_stats.add_phase("exceptions", exception_seconds)
-        build_stats.add_phase(
-            "materialize", time.perf_counter() - phase - exception_seconds
-        )
-
-        build_stats.max_live_transaction_dbs = max(
-            build_stats.max_live_transaction_dbs, tracker.peak
-        )
-        build_stats.elapsed_seconds += time.perf_counter() - started
-        if pool is not None:
-            build_stats.pool = pool.stats.as_dict()
-        if into is not None:
-            into.flush(build_stats=build_stats)
-            return into
-        return cube
-    finally:
-        if pool_owned:
-            pool.close()
+    build_stats.max_live_transaction_dbs = max(
+        build_stats.max_live_transaction_dbs, tracker.peak
+    )
+    build_stats.elapsed_seconds += time.perf_counter() - started
+    if into is not None:
+        into.flush(build_stats=build_stats)
+        return into
+    return cube

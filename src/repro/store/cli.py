@@ -4,7 +4,7 @@ A thin operational shell around the partitioned store::
 
     flowcube-store init ./wh --synthetic --partition-size 250
     flowcube-store ingest ./wh --synthetic --n-paths 1000 --seed 7
-    flowcube-store build ./wh --min-support 0.05 --jobs 4
+    flowcube-store build ./wh --min-support 0.05
     flowcube-store append ./wh --synthetic --n-paths 100 --seed 8
     flowcube-store compact ./wh
     flowcube-store query ./wh -d d0=d0_0
@@ -17,9 +17,9 @@ A thin operational shell around the partitioned store::
 example, or the Section 6.1 generator (whose configuration ``init``
 recorded in the catalog, so later ingests reuse the same hierarchies);
 ``build`` materialises the iceberg cube out-of-core into the store's
-``cube/`` directory, scanning partitions on ``--jobs`` worker processes
-when asked; ``append`` ingests a batch *and* delta-merges it into the
-built cube (:mod:`repro.store.append`) — touched cells land in
+``cube/`` directory, one partition at a time in this process; ``append``
+ingests a batch *and* delta-merges it into the built cube
+(:mod:`repro.store.append`) — touched cells land in
 append-only ``cells.delta.G.bin`` segments instead of a heap rewrite,
 auto-compacting once ``--compact-after`` segments pile up; ``compact``
 folds pending delta segments back into a clean base heap on demand;
@@ -47,7 +47,6 @@ from pathlib import Path as FsPath
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, example_path_database
 from repro.errors import FlowCubeError, StoreError
-from repro.perf.pool import oversubscription_warning, resolve_jobs
 from repro.perf.query_kernel import load_query_stats, merge_query_stats
 from repro.query.api import FlowCubeQuery
 from repro.query.plan import Plan
@@ -148,16 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip re-mining exceptions in the touched cells",
     )
     append.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "fan the dirty-cell exception pass over N worker processes "
-            "(default 1: serial; 0: cpu_count - 1)"
-        ),
-    )
-    append.add_argument(
         "--compact-after",
         type=int,
         default=16,
@@ -189,17 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shared",
         action="store_true",
         help="pre-mine segments with out-of-core Shared (Algorithm 1)",
-    )
-    build.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "run the cube's partition scans and exception pass on N "
-            "persistent worker processes (default 1: serial; 0: "
-            "cpu_count - 1); --shared pre-mining always runs in-process"
-        ),
     )
 
     query = sub.add_parser("query", help="render one cell's flowgraph")
@@ -396,16 +374,12 @@ def _batch_records(
 
 def _cmd_append(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
-    jobs = resolve_jobs(args.jobs)
-    if jobs != args.jobs:
-        print(f"--jobs 0 resolved to {jobs} (cpu_count - 1)", file=sys.stderr)
     rows = _batch_records(store, args)
     cube_store = store.cube_store()
     result = store.append_into_cube(
         rows,
         cube=cube_store,
         recompute_exceptions=not args.no_exceptions,
-        jobs=jobs,
         compact_after=args.compact_after,
     )
     print(
@@ -449,12 +423,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
     if len(store) == 0:
         raise StoreError("the store is empty — ingest records first")
-    jobs = resolve_jobs(args.jobs)
-    if jobs != args.jobs:
-        print(f"--jobs 0 resolved to {jobs} (cpu_count - 1)", file=sys.stderr)
-    warning = oversubscription_warning(jobs)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
     cube_store = store.cube_store()
     stats = BuildStats()
     build_cube(
@@ -465,7 +433,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         use_shared=args.shared,
         into=cube_store,
         stats=stats,
-        jobs=jobs,
     )
     print(
         f"built {stats.cells} cells in {stats.cuboids} cuboids from "

@@ -296,8 +296,6 @@ class PartitionedPathStore:
         records: Iterable[PathRecord],
         cube=None,
         recompute_exceptions: bool = True,
-        jobs: int = 1,
-        pool=None,
         compact_after: int | None = 16,
     ) -> dict:
         """Ingest a batch and delta-merge it into the *persisted* cube.
@@ -313,8 +311,6 @@ class PartitionedPathStore:
             cube: An open :class:`~repro.store.cube_store.CubeStore`
                 handle to update, or ``None`` to open one for the call.
             recompute_exceptions: Re-mine exceptions in dirty cells.
-            jobs: Worker-pool width for the dirty-cell exception pass.
-            pool: An already-running pool to reuse (overrides *jobs*).
             compact_after: Fold delta segments into a clean heap once
                 this many pile up (``0``/``None`` disables).
 
@@ -328,8 +324,6 @@ class PartitionedPathStore:
             records,
             cube=cube,
             recompute_exceptions=recompute_exceptions,
-            jobs=jobs,
-            pool=pool,
             compact_after=compact_after,
         )
 

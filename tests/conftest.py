@@ -53,6 +53,12 @@ def stored_cube_json(cube) -> str:
     return json.dumps(payload)
 
 
+def exception_lists(cube) -> list:
+    """Every cell's key and exception list, in cube order — what a build
+    is compared by next to its ``cube_to_json``."""
+    return [(cell.key, cell.flowgraph.exceptions) for cell in cube.cells()]
+
+
 @pytest.fixture(scope="session")
 def paper_db() -> PathDatabase:
     """The eight-path database of Table 1."""

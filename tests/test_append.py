@@ -3,9 +3,8 @@
 The load-bearing contract: appending a batch to a persisted cube and
 querying it is **byte-identical** (``cube_to_json``) to the reference
 in-memory build over the extended database — ``FlowCube.build`` with
-the direct engine and the scan exception kernel — under serial and
-pooled re-mining; before *and* after compaction; warm handle and cold
-reopen.
+the direct engine and the scan exception kernel — before *and* after
+compaction; warm handle and cold reopen.
 
 The durability contracts ride along: appends never rewrite the base
 heap; a crash between the delta-segment publish and the meta commit
@@ -104,15 +103,12 @@ def rebuilt_reference(database):
 # the parity grid
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("jobs", [1, 2])
 def test_append_matches_rebuild_byte_identical(
-    tmp_path, database, split, rebuilt_reference, jobs
+    tmp_path, database, split, rebuilt_reference
 ):
     base, batch = split
     store, cube = _base_store(tmp_path / "wh", database, base)
-    stats = append_records(
-        store, batch, cube=cube, jobs=jobs, compact_after=0
-    )
+    stats = append_records(store, batch, cube=cube, compact_after=0)
     assert stats["ingested"] == len(batch)
     assert stats["updated"] > 0
     expected = rebuilt_reference()
@@ -259,6 +255,40 @@ def test_append_counters_persist_and_surface_in_stats(
     report = json.loads(capsys.readouterr().out)
     assert report["cube"]["build_stats"]["append"]["batches"] == 1
     assert report["cube"]["delta_segments"] == 1
+
+
+def test_a_cube_from_a_jobs_build_still_opens_appends_and_reports(
+    tmp_path, capsys, database, split, rebuilt_reference
+):
+    """A ``cube.json`` written by an older ``--jobs N`` build carries a
+    ``build_stats.pool`` block; nothing reads it, nothing drops it."""
+    base, batch = split
+    store, cube = _base_store(tmp_path / "wh", database, base)
+    cube.close()
+    pool = {
+        "jobs": 2,
+        "spawn_count": 2,
+        "spawn_seconds": 0.0312,
+        "task_batches": 44,
+        "worker_busy_seconds": 0.4187,
+    }
+    meta_path = store.directory / "cube" / "cube.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["build_stats"]["pool"] = pool
+    meta["build_stats"]["phase_seconds"]["pool_spawn"] = 0.0312
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    cube = store.cube_store()
+    assert cube.build_stats["pool"] == pool
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+    assert stats["updated"] > 0
+    assert cube_to_json(cube) == rebuilt_reference()
+    cube.close()
+
+    assert main(["stats", str(store.directory)]) == 0
+    report = json.loads(capsys.readouterr().out)["cube"]["build_stats"]
+    assert report["pool"] == pool
+    assert report["append"]["batches"] == 1
 
 
 def test_append_bumps_the_build_version(tmp_path, database, split):

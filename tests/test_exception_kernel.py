@@ -1,7 +1,7 @@
 """Parity tests for the bitmap exception kernel (PR 4).
 
 The contract is exact: for any cell, any δ/ε, any engine, and any build
-path (in-memory or out-of-core, serial or pooled), the bitmap kernel must
+path (in-memory or out-of-core), the bitmap kernel must
 produce the very same exception lists — and therefore byte-identical
 serialised cubes — as the path-scanning pass it replaces.
 """
@@ -30,6 +30,7 @@ from repro.perf.exception_kernel import (
 from repro.perf.measure_rollup import PathTable
 from repro.store import PartitionedPathStore, build_cube
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import exception_lists
 from tests.test_properties import path_databases
 
 # ----------------------------------------------------------------------
@@ -123,13 +124,11 @@ OOC_CONFIG = GeneratorConfig(
 
 
 def test_out_of_core_exceptions_byte_identical(tmp_path):
-    """Serial and pooled out-of-core builds equal the in-memory reference
-    (direct engine, scan kernel)."""
+    """The out-of-core build equals the in-memory reference (direct
+    engine, scan kernel): JSON and per-cell exception lists."""
     database = generate_path_database(OOC_CONFIG)
-    reference = cube_to_json(
-        FlowCube.build(
-            database, min_support=0.05, engine="direct", kernel="scan"
-        )
+    reference = FlowCube.build(
+        database, min_support=0.05, engine="direct", kernel="scan"
     )
     store = PartitionedPathStore.init(
         tmp_path / "wh",
@@ -137,9 +136,9 @@ def test_out_of_core_exceptions_byte_identical(tmp_path):
         partition_size=math.ceil(len(database) / 4),
     )
     store.ingest(database)
-    for jobs in (1, 2):
-        cube = build_cube(store, min_support=0.05, jobs=jobs)
-        assert cube_to_json(cube) == reference, jobs
+    cube = build_cube(store, min_support=0.05)
+    assert cube_to_json(cube) == cube_to_json(reference)
+    assert exception_lists(cube) == exception_lists(reference)
 
 
 # ----------------------------------------------------------------------

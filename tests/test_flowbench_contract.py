@@ -15,15 +15,19 @@ is never entered reads 0 in the benchmark without failing anything.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 
 import pytest
 
+import repro.perf
+import repro.store
 from benchmarks.flowbench.tracing import SPANS, Tracer
 from repro.core.flowgraph_exceptions import mine_exceptions_weighted
 from repro.query.api import FlowCubeQuery
 from repro.serve import CubeTenant, Request, create_app, slice_payload
 from repro.store import (
+    BuildStats,
     CubeStore,
     PartitionedPathStore,
     append_records,
@@ -31,6 +35,7 @@ from repro.store import (
     shared_mine_store,
 )
 from repro.synth import generate_path_database
+from tests.conftest import cube_files
 from tests.test_serve import CONFIG, MIN_SUPPORT
 
 
@@ -95,6 +100,52 @@ def test_the_store_takes_no_engine_or_kernel(function):
 
 def test_the_cube_store_converts_nothing():
     assert not hasattr(CubeStore, "convert")
+
+
+def test_the_write_side_has_no_pool():
+    appends = (append_records, PartitionedPathStore.append_into_cube)
+    for function in (build_cube, shared_mine_store, *appends, BuildStats):
+        assert "pool" not in inspect.signature(function).parameters
+    for function in appends:
+        assert "jobs" not in inspect.signature(function).parameters
+    assert importlib.util.find_spec("repro.perf.pool") is None
+    for package in (repro.store, repro.perf):
+        for name in ("WorkerPool", "PoolStats", "resolve_jobs"):
+            assert not hasattr(package, name), (package.__name__, name)
+
+
+def test_the_harness_jobs_keyword_selects_nothing(tmp_path, monkeypatch):
+    """``layers.py`` builds with ``jobs=2`` and reads ``stats.pool``."""
+    # The one run-dependent word of a cube's files.
+    monkeypatch.setattr(repro.store.cube_store, "new_lineage", lambda: 2006)
+    database = generate_path_database(CONFIG)
+    files = []
+    for name, keywords in (("default", {}), ("jobs2", {"jobs": 2})):
+        store = PartitionedPathStore.init(tmp_path / name, database.schema)
+        store.ingest(database)
+        stats = BuildStats()
+        cube = build_cube(
+            store,
+            min_support=MIN_SUPPORT,
+            stats=stats,
+            into=store.cube_store(),
+            **keywords,
+        )
+        cube.close()
+        assert stats.pool == {}
+        assert stats.pool.get("spawn_seconds", 0.0) == 0.0
+        assert "pool" not in stats.as_dict()
+        listed = cube_files(store.directory)
+        files.append(
+            {
+                path.name: path.read_bytes()
+                for path in (
+                    listed["index"], listed["paths"],
+                    *listed["segments"].values(),
+                )
+            }
+        )
+    assert len(files[0]) == 3 and files[0] == files[1]
 
 
 # ----------------------------------------------------------------------

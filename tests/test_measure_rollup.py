@@ -28,6 +28,7 @@ from repro.core.serialization import cube_to_json, flowgraph_to_dict
 from repro.errors import CubeError
 from repro.perf.measure_rollup import derivation_plan
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import exception_lists
 from tests.test_properties import agg_paths, path_databases
 
 # ----------------------------------------------------------------------
@@ -213,12 +214,12 @@ def test_out_of_core_rollup_byte_identical(tmp_path):
     from repro.store import build_cube
 
     database, store = _store(tmp_path)
-    direct = FlowCube.build(database, min_support=0.1, engine="direct")
-    serial = build_cube(store, min_support=0.1, jobs=1)
-    parallel = build_cube(store, min_support=0.1, jobs=2)
-    expected = cube_to_json(direct)
-    assert cube_to_json(serial) == expected
-    assert cube_to_json(parallel) == expected
+    direct = FlowCube.build(
+        database, min_support=0.1, engine="direct", kernel="scan"
+    )
+    built = build_cube(store, min_support=0.1)
+    assert cube_to_json(built) == cube_to_json(direct)
+    assert exception_lists(built) == exception_lists(direct)
 
 
 def test_cell_paths_are_weighted(tmp_path):
@@ -293,7 +294,7 @@ def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
     # Every path recurs in a later partition: the memo spans the scan.
     assert len(store.catalog.partitions) >= 2
     calls = _counting_hook(monkeypatch)
-    cube = build_cube(store, min_support=0.1, jobs=1)
+    cube = build_cube(store, min_support=0.1)
     assert calls["n"] == distinct * len(cube.path_lattice)
 
 

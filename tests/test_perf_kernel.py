@@ -1,10 +1,9 @@
-"""The interned bitmap counting kernel and parallel partition scans.
+"""The interned bitmap counting kernel and the out-of-core passes.
 
-The whole perf layer rests on one contract: a kernel, a residency or a
-worker pool is an *implementation detail* — every counting strategy and
-every ``jobs`` setting must produce byte-identical mining results, down
-to the per-length candidate/frequent counters.  These tests pin that
-contract:
+The whole perf layer rests on one contract: a kernel or a residency is
+an *implementation detail* — every counting strategy must produce
+byte-identical mining results, down to the per-length candidate/frequent
+counters.  These tests pin that contract:
 
 * property tests drive ``shared_mine`` with both kernels and ``apriori``
   with both counting modes over random databases;
@@ -12,8 +11,8 @@ contract:
   (both kernels) over partitioning × format × δ × pre-count × length
   bound, with one read per partition and the ≤ 1 live-partition gauge;
 * the interning and bitmap primitives are unit-tested directly;
-* ``jobs`` validation and the CLI ``--jobs`` flag fail loudly on bad
-  values.
+* the ``jobs`` keyword the two builders still accept selects nothing
+  and fails loudly on bad values; the CLI has no ``--jobs``.
 """
 
 from __future__ import annotations
@@ -26,8 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.flowcube import FlowCube
 from repro.core.lattice import PathLattice
 from repro.core.path_database import PathDatabase
+from repro.core.serialization import cube_to_json
 from repro.encoding.transactions import TransactionDatabase
 from repro.errors import StoreError
 from repro.mining import MiningStats, apriori, count_candidates, shared_mine
@@ -42,6 +43,7 @@ from repro.store import (
 )
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import exception_lists
 from tests.test_properties import path_databases
 
 CONFIG = GeneratorConfig(
@@ -223,21 +225,41 @@ def test_store_mining_on_degenerate_stores(tmp_path, database, n_records):
     _assert_same_mining(mined, tiny, min_support=1)
 
 
-def test_build_cube_parallel_equals_serial(store, database):
-    serial = build_cube(store, min_support=MIN_SUPPORT, jobs=1)
+def test_build_cube_equals_the_in_memory_reference(store, database):
+    reference = FlowCube.build(
+        database, min_support=MIN_SUPPORT, engine="direct", kernel="scan"
+    )
     stats = BuildStats()
-    parallel = build_cube(store, min_support=MIN_SUPPORT, jobs=2, stats=stats)
+    built = build_cube(store, min_support=MIN_SUPPORT, stats=stats)
     assert stats.max_live_transaction_dbs == 1
-    serial_cuboids = {
-        (c.item_level, c.path_level): c for c in serial.cuboids
-    }
-    assert len(serial_cuboids) == len(parallel.cuboids)
-    for cuboid in parallel.cuboids:
-        twin = serial_cuboids[(cuboid.item_level, cuboid.path_level)]
+    assert cube_to_json(built) == cube_to_json(reference)
+    assert exception_lists(built) == exception_lists(reference)
+    twins = {(c.item_level, c.path_level): c for c in reference.cuboids}
+    assert len(twins) == len(built.cuboids)
+    for cuboid in built.cuboids:
+        twin = twins[(cuboid.item_level, cuboid.path_level)]
         assert set(cuboid.cells) == set(twin.cells)
         for key, cell in cuboid.cells.items():
             assert cell.record_ids == twin.cells[key].record_ids
-            assert cell.paths == twin.cells[key].paths
+            assert dict(cell.paths) == dict(twin.cells[key].paths)
+
+
+def test_use_shared_build_matches_premined_segments(store):
+    """``use_shared`` is the pre-mine plus the build, nothing else."""
+    premined = build_cube(
+        store,
+        min_support=MIN_SUPPORT,
+        segments_by_cell=shared_mine_store(
+            store, min_support=MIN_SUPPORT
+        ).segments_by_cell(),
+    )
+    stats = BuildStats()
+    shared = build_cube(
+        store, min_support=MIN_SUPPORT, use_shared=True, stats=stats
+    )
+    assert cube_to_json(shared) == cube_to_json(premined)
+    assert exception_lists(shared) == exception_lists(premined)
+    assert stats.max_live_transaction_dbs == 1
 
 
 # ----------------------------------------------------------------------
@@ -288,18 +310,14 @@ def test_store_entry_points_reject_bad_jobs(store, jobs):
         build_cube(store, min_support=MIN_SUPPORT, jobs=jobs)
 
 
-def test_jobs_zero_resolves_to_cpu_count_minus_one(store):
-    """``jobs=0`` means "use the machine": cpu_count - 1, floored at 1."""
-    import os
-
-    from repro.perf.pool import resolve_jobs
-
-    expected = max(1, (os.cpu_count() or 2) - 1)
-    assert resolve_jobs(0) == expected
-    assert resolve_jobs(1) == 1
+def test_jobs_zero_builds_the_serial_cube(store):
+    """``jobs=0`` resolves to nothing: it is accepted and ignored."""
     result = shared_mine_store(store, min_support=MIN_SUPPORT, jobs=0)
     reference = shared_mine_store(store, min_support=MIN_SUPPORT)
     assert result.supports == reference.supports
+    assert cube_to_json(
+        build_cube(store, min_support=MIN_SUPPORT, jobs=0)
+    ) == cube_to_json(build_cube(store, min_support=MIN_SUPPORT))
 
 
 def test_cli_build_jobs_flag(tmp_path, capsys):
@@ -312,28 +330,16 @@ def test_cli_build_jobs_flag(tmp_path, capsys):
     assert main([
         "ingest", target, "--synthetic", "--n-paths", "50", "--seed", "3",
     ]) == 0
+    assert main([
+        "build", target, "--min-support", "0.2", "--no-exceptions",
+    ]) == 0
     capsys.readouterr()
-    # --jobs 0 is no longer an error: it resolves to cpu_count - 1 and
-    # says so on stderr.
-    assert main([
-        "build", target, "--min-support", "0.2", "--no-exceptions",
-        "--jobs", "0",
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "--jobs 0 resolved to" in captured.err
-    assert "built" in captured.out
-    assert main([
-        "build", target, "--min-support", "0.2", "--no-exceptions",
-        "--jobs", "-1",
-    ]) == 2
-    assert "jobs must be" in capsys.readouterr().err
-    assert main([
-        "build", target, "--min-support", "0.2", "--no-exceptions",
-        "--jobs", "2",
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "built" in captured.out
-    import os
-
-    if 2 > (os.cpu_count() or 1):
-        assert "exceeds the machine's" in captured.err
+    # The flag is gone from both write verbs: argparse's own rejection.
+    for verb in (
+        ["build", target, "--min-support", "0.2", "--no-exceptions"],
+        ["append", target, "--synthetic", "--n-paths", "5"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verb, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

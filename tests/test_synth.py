@@ -11,6 +11,7 @@ from repro.synth import (
     generate_path_database,
     make_dimension_hierarchy,
     make_location_hierarchy,
+    scaled_config,
 )
 
 
@@ -150,3 +151,10 @@ class TestGenerator:
     def test_empty_database(self):
         db = generate_path_database(GeneratorConfig(n_paths=0))
         assert len(db) == 0
+
+
+def test_scaled_config_is_deterministic():
+    a = generate_path_database(scaled_config(200))
+    b = generate_path_database(scaled_config(200))
+    assert len(a) == 200
+    assert [r.path for r in a] == [r.path for r in b]

@@ -16,17 +16,24 @@ And the ones the immutable-files rule must not cost: every operation
 publishes as many files as it did when it replaced them in place,
 unlinks only what the committed meta no longer lists, and a cold open
 maps the listed index and nothing else.
+And the ones one write-side process makes exact: a build decodes each
+partition once per pass, nothing forks, and importing the store loads
+no process machinery.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path as FsPath
 
 import pytest
 
 import repro.perf.measure_rollup as measure_rollup
+import repro.store.partition as partition
 import repro.store.pathstore as pathstore
 from repro import publish
 from repro.core.flowgraph import FlowGraph
@@ -176,6 +183,64 @@ def test_a_build_with_exceptions_folds_each_vector_once(
     assert len(graphs["merge"]) == 0
     cube.close()
     store.close()
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "plain"])
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_build_decodes_each_partition_once_per_pass(
+    tmp_path, monkeypatch, n_paths, shared
+):
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    decoded = Counted(monkeypatch, partition, "unpack_partition")
+    stats = BuildStats()
+    cube = build_cube(
+        store, min_support=MIN_SUPPORT, use_shared=shared,
+        into=store.cube_store(), stats=stats,
+    )
+    # The Shared pre-mine is one pass, the roll-up scan the other.
+    passes = 2 if shared else 1
+    assert len(decoded) == passes * len(store.catalog.partitions)
+    assert stats.scans == len(decoded)
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_the_write_side_never_forks(tmp_path, monkeypatch, n_paths):
+    database = generate_path_database(config(n_paths))
+    rows = list(database)
+    cut = len(rows) - 2 * (len(rows) // BATCH_SHARE)
+    middle = (cut + len(rows)) // 2
+    forks = Counted(monkeypatch, os, "fork")
+    store, cube = built(tmp_path / "wh", database, rows[:cut], True)
+    for batch in (rows[cut:middle], rows[middle:]):
+        assert append_records(store, batch, cube=cube, compact_after=0)[
+            "updated"
+        ]
+    assert len(forks) == 0
+    cube.close()
+    store.close()
+
+
+def test_importing_the_store_loads_no_process_machinery():
+    """Every ``flowcube-store`` invocation pays this import."""
+    source = FsPath(publish.__file__).parents[1]
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.store; print(*sorted("
+            "m for m in sys.modules if m.startswith('multiprocessing') "
+            "or m == 'concurrent.futures.process'))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert loaded.stdout.split() == []
 
 
 # ----------------------------------------------------------------------
