@@ -2,11 +2,9 @@
 
 * **Pre-counting** (Shared with vs without the high-level pre-count pass) —
   quantifies optimisation 1 of Section 5 in isolation.
-* **Counting strategy** (tidset vs scan) — our implementation decision;
-  both are provided and must agree, tidset is the default because pure
+* **Counting strategy** (bitmap vs scan) — our implementation decision;
+  both are provided and must agree, bitmap is the default because pure
   Python scanning is prohibitive.
-* **Per-cell miner** (Apriori vs FP-growth inside Cubing) — Section 3
-  says "any frequent pattern mining algorithm"; this measures the choice.
 * **Exception mining source** (segments from Shared vs local per-cell
   mining) — the paper's integrated pipeline vs the naive one.
 """
@@ -16,7 +14,7 @@ import pytest
 from benchmarks.conftest import BASE, run_once
 from repro.core import FlowCube, PathLattice
 from repro.encoding import TransactionDatabase
-from repro.mining import apriori, cubing_mine, item_sort_key, shared_mine
+from repro.mining import apriori, item_sort_key, shared_mine
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +58,11 @@ def test_shared_without_precounting(benchmark, db):
     assert "precount" not in result.stats.pruned
 
 
-def test_apriori_tidset_counting(benchmark, transactions):
+def test_apriori_bitmap_counting(benchmark, transactions):
     result = run_once(
         benchmark,
         lambda: apriori(
-            transactions, 30, key=item_sort_key, counting="tidset", max_length=4
+            transactions, 30, key=item_sort_key, counting="bitmap", max_length=4
         ),
     )
     assert result
@@ -78,20 +76,6 @@ def test_apriori_scan_counting(benchmark, transactions):
         ),
     )
     assert result
-
-
-def test_cubing_with_apriori_cells(benchmark, db):
-    result = run_once(
-        benchmark, lambda: cubing_mine(db, min_support=0.02, miner="apriori")
-    )
-    assert len(result) > 0
-
-
-def test_cubing_with_fpgrowth_cells(benchmark, db):
-    result = run_once(
-        benchmark, lambda: cubing_mine(db, min_support=0.02, miner="fpgrowth")
-    )
-    assert len(result) > 0
 
 
 def test_exceptions_from_shared_segments(benchmark, cube_db):

@@ -18,8 +18,8 @@ Subpackages:
   the flowcube itself.
 * :mod:`repro.encoding` — Section 5's item/stage encodings and the
   transaction-database transform.
-* :mod:`repro.mining` — Apriori, FP-growth, BUC, and the paper's Shared /
-  Basic / Cubing algorithms.
+* :mod:`repro.mining` — Apriori, BUC, and the paper's Shared / Basic /
+  Cubing algorithms.
 * :mod:`repro.synth` — the Section 6.1 synthetic path generator.
 * :mod:`repro.warehouse` — raw RFID reading simulation and cleaning (§2).
 * :mod:`repro.query` — OLAP queries, flow analysis, rendering.

@@ -29,7 +29,6 @@ from repro.core.aggregation import (
 )
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
-    EXCEPTION_KERNELS,
     Segment,
     mine_exceptions_weighted,
     resolve_min_support,
@@ -167,7 +166,6 @@ class FlowCube:
         ]
         | None = None,
         engine: str = "rollup",
-        kernel: str = "bitmap",
         stats: object | None = None,
     ) -> "FlowCube":
         """Materialise an iceberg flowcube.
@@ -188,15 +186,15 @@ class FlowCube:
                 from :func:`repro.mining.shared.shared_mine` — avoids the
                 per-cell local mining pass.
             engine: ``"rollup"`` (default) aggregates each record once per
-                path level and derives ancestor cuboids by merging child
-                cells (:mod:`repro.perf.measure_rollup`); ``"direct"`` is
-                the semantics-defining per-cell builder the cross-check
-                tests validate the roll-up engine against.  Both produce
-                byte-identical serialised cubes.
-            kernel: Exception-pass kernel — ``"bitmap"`` (AND+popcount over
-                path-id bit sets, :mod:`repro.perf.exception_kernel`; the
-                default) or ``"scan"`` (per-path re-scan).  Identical
-                exception lists either way.
+                path level, derives ancestor cuboids by merging child
+                cells (:mod:`repro.perf.measure_rollup`) and mines
+                exceptions with the bitmap kernel
+                (:mod:`repro.perf.exception_kernel`); ``"direct"`` is the
+                semantics-defining per-cell builder with the per-path
+                ``"scan"`` exception kernel — the reference the
+                cross-check tests validate the roll-up engine against.
+                Both produce byte-identical serialised cubes and identical
+                exception lists.
             stats: Optional stats sink with an ``add_phase(name, seconds)``
                 method (e.g. :class:`repro.mining.stats.MiningStats`); the
                 measure construction time lands in its ``materialize``
@@ -214,21 +212,14 @@ class FlowCube:
                 min_deviation=min_deviation,
                 compute_exceptions=compute_exceptions,
                 segments_by_cell=segments_by_cell,
-                kernel=kernel,
                 stats=stats,
             )
         if engine != "direct":
             raise CubeError(
                 f"unknown measure engine {engine!r}; use 'direct' or 'rollup'"
             )
-        if kernel not in EXCEPTION_KERNELS:
-            raise CubeError(
-                f"unknown exception kernel {kernel!r}; expected one of "
-                f"{EXCEPTION_KERNELS}"
-            )
         started = perf_counter()
         exception_seconds = 0.0
-        index_cache: dict | None = {} if compute_exceptions else None
         schema = database.schema
         item_lattice = ItemLattice([h.depth for h in schema.dimensions])
         if path_lattice is None:
@@ -275,8 +266,7 @@ class FlowCube:
                             min_support=min_support,
                             min_deviation=min_deviation,
                             segments=segments,
-                            kernel=kernel,
-                            index_cache=index_cache,
+                            kernel="scan",
                         )
                         exception_seconds += perf_counter() - mine_started
                     cuboid.cells[key] = cell

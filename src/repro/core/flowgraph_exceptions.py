@@ -484,9 +484,7 @@ def _max_deviation(baseline: dict[str, float], conditional: dict[str, float]) ->
     )
 
 
-def serial_exception_pass(
-    min_support: float, min_deviation: float, kernel: str = "bitmap"
-):
+def serial_exception_pass(min_support: float, min_deviation: float):
     """An in-process runner for cube builders' per-cell exception phase.
 
     Returns a callable ``run(batch)`` where *batch* is a list of
@@ -497,12 +495,13 @@ def serial_exception_pass(
     roll-up and the store append pass a
     :class:`~repro.perf.exception_kernel.PidCell` — the cell's
     ``{pid: weight}`` plus its path level's postings — which the bitmap
-    kernel indexes without touching a path; plain pairs (the direct
-    engine) are interned into the one index cache that spans the runner's
-    lifetime.  Either way a distinct path's stages are walked once, and
-    lattice cells that roll up to identical path multisets share an index
-    across cuboids.  It is the only runner: the in-memory builders, the
-    store build and the store append all mine through it.
+    kernel indexes without touching a path; plain pairs are interned into
+    the one index cache that spans the runner's lifetime.  Either way a
+    distinct path's stages are walked once, and lattice cells that roll
+    up to identical path multisets share an index across cuboids.  It is
+    the only runner: the roll-up builder, the store build and the store
+    append all mine through it, always with the bitmap kernel (the direct
+    builder calls the scan kernel itself).
     """
     from time import perf_counter
 
@@ -517,7 +516,6 @@ def serial_exception_pass(
                 min_support,
                 min_deviation,
                 segments=segments,
-                kernel=kernel,
                 index_cache=index_cache,
             )
         run.seconds += perf_counter() - started

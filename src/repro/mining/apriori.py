@@ -2,22 +2,20 @@
 
 This is the substrate the paper's algorithms build on: the Cubing baseline
 calls it per cell, the flowgraph exception miner uses a specialised variant,
-and Shared/Basic reuse its counting loop through :func:`count_candidates`.
+Shared reuses its join (:func:`generate_candidates`) and Basic its tid-set
+counter (:func:`count_candidates_tidset`).
 
 Transactions are frozensets of hashable items.  Candidate generation is the
 standard sorted-prefix join with the all-subsets-frequent check; an optional
 ``pair_filter`` hook lets callers inject domain pruning (e.g. stage
 linkability) directly into the join.
 
-Three support-counting strategies are provided and produce identical
+Two support-counting strategies are provided and produce identical
 results (the level-wise candidate structure, and hence every pruning
-statistic, is the same for all of them):
+statistic, is the same for both):
 
 * ``"scan"`` — the textbook per-pass subset test (what the paper's C++
-  implementation does);
-* ``"tidset"`` — vertical counting: each frequent itemset carries the set
-  of transaction ids containing it, and a candidate's support is the
-  intersection of its two join parents' tidsets;
+  implementation does), the reference the tests compare against;
 * ``"bitmap"`` (default) — vertical counting over interned items
   (:mod:`repro.perf.interning`): tid-lists are packed into big-int
   bitmaps and a candidate's support is the ``bit_count()`` of its
@@ -30,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
+from repro.errors import MiningError
 from repro.mining.stats import MiningStats
 from repro.perf.bitmap import count_candidates_bitmap, item_masks
 from repro.perf.interning import InternedTransactions
@@ -187,16 +186,16 @@ def apriori(
         stats: Optional :class:`~repro.mining.stats.MiningStats` to fill.
         key: Sort key making mixed item types orderable (default: by
             ``(type name, repr)`` which is stable for our item classes).
-        counting: ``"bitmap"`` (default), ``"tidset"``, or ``"scan"``;
-            identical results and statistics, different speed.
+        counting: ``"bitmap"`` (default) or ``"scan"``; identical
+            results and statistics, different speed.
 
     Returns:
         Mapping frozenset(items) → absolute support.
     """
     if key is None:
         key = _default_key
-    if counting not in ("bitmap", "tidset", "scan"):
-        raise ValueError(f"unknown counting strategy {counting!r}")
+    if counting not in ("bitmap", "scan"):
+        raise MiningError(f"unknown counting strategy {counting!r}")
     if counting == "bitmap":
         return _apriori_bitmap(
             transactions, min_support, max_length, pair_filter, stats, key
@@ -217,30 +216,16 @@ def apriori(
     if stats is not None:
         stats.frequent_per_length[1] += len(frequent_sorted)
 
-    tids: dict[tuple, set[int]] = {}
-    if counting == "tidset":
-        item_tids = tid_lists(transactions)
-        tids = {t: item_tids[t[0]] for t in frequent_sorted}
-
     length = 1
     while frequent_sorted and (max_length is None or length < max_length):
         candidates = generate_candidates(frequent_sorted, pair_filter, stats, key)
         if not candidates:
             break
         length += 1
-        if counting == "tidset":
-            candidate_tids = count_candidates_tidset(candidates, tids, stats)
-            frequent_sorted = [
-                c for c, t in candidate_tids.items() if len(t) >= min_support
-            ]
-            tids = {c: candidate_tids[c] for c in frequent_sorted}
-            for itemset in frequent_sorted:
-                result[frozenset(itemset)] = len(candidate_tids[itemset])
-        else:
-            support = count_candidates(transactions, candidates, stats)
-            frequent_sorted = [c for c in candidates if support[c] >= min_support]
-            for itemset in frequent_sorted:
-                result[frozenset(itemset)] = support[itemset]
+        support = count_candidates(transactions, candidates, stats)
+        frequent_sorted = [c for c in candidates if support[c] >= min_support]
+        for itemset in frequent_sorted:
+            result[frozenset(itemset)] = support[itemset]
         if stats is not None:
             stats.frequent_per_length[length] += len(frequent_sorted)
     return result

@@ -4,9 +4,9 @@ Cubing splits the problem the natural-but-slower way:
 
 1. compute the iceberg cube over the path-independent dimensions with BUC,
    carrying record-id lists as the cell measure, then
-2. for each frequent cell, read its transactions back and run a standard
-   frequent-pattern miner (Apriori by default, FP-growth optionally) over
-   the *stage items only*.
+2. for each frequent cell, read its transactions back and run Apriori
+   (:func:`~repro.mining.apriori.apriori`, bitmap counting) over the
+   *stage items only*.
 
 What it cannot do — and what makes Shared win on dense paths (Figures 6
 and 10) — is prune the path lattice globally: a stage infrequent at the
@@ -26,10 +26,8 @@ from repro.encoding.stage_encoding import StageItem, stages_linkable
 from repro.encoding.transactions import TransactionDatabase
 from repro.mining.apriori import apriori
 from repro.mining.buc import buc_iceberg_cells
-from repro.mining.fptree import fp_growth
 from repro.mining.result import FlowMiningResult, item_sort_key
 from repro.mining.stats import MiningStats
-from repro.errors import MiningError
 
 __all__ = ["cubing_mine"]
 
@@ -39,10 +37,7 @@ def cubing_mine(
     path_lattice: PathLattice | None = None,
     min_support: float = 0.01,
     max_length: int | None = None,
-    miner: str = "apriori",
-    cuber: str = "buc",
     transaction_db: TransactionDatabase | None = None,
-    kernel: str = "bitmap",
 ) -> FlowMiningResult:
     """Run Algorithm 2 over *database*.
 
@@ -52,25 +47,14 @@ def cubing_mine(
         min_support: δ, fractional (<1) or absolute.
         max_length: Bound on the *total* pattern length (cell + segment),
             matching the other miners' semantics.
-        miner: Per-cell frequent-pattern algorithm, ``"apriori"`` or
-            ``"fpgrowth"``.
-        cuber: Iceberg cubing substrate, ``"buc"`` [4] or ``"star"`` [20]
-            — §5.2 allows either; they enumerate the same cells.
         transaction_db: Reuse an encoded database (Shared-style encoding,
             without top-level items).
-        kernel: Per-cell Apriori counting strategy — ``"bitmap"``
-            (default), ``"tidset"``, or ``"scan"``; forwarded to
-            :func:`~repro.mining.apriori.apriori` (ignored by FP-growth).
 
     Returns:
         A :class:`~repro.mining.result.FlowMiningResult` with the same
         frequent cells and segments as :func:`repro.mining.shared.shared_mine`
         (the test-suite cross-checks the two).
     """
-    if miner not in ("apriori", "fpgrowth"):
-        raise MiningError(f"unknown per-cell miner {miner!r}")
-    if cuber not in ("buc", "star"):
-        raise MiningError(f"unknown iceberg cuber {cuber!r}")
     stats = MiningStats()
     started = time.perf_counter()
     if path_lattice is None:
@@ -88,15 +72,8 @@ def cubing_mine(
     }
     hierarchies = database.schema.dimensions
 
-    if cuber == "buc":
-        cells = buc_iceberg_cells(database, min_support)
-    else:
-        from repro.mining.starcubing import star_iceberg_cells
-
-        cells = star_iceberg_cells(database, min_support)
-
     supports: dict[frozenset, int] = {}
-    for item_level, key, record_ids in cells:
+    for item_level, key, record_ids in buc_iceberg_cells(database, min_support):
         cell_items = _cell_itemset(item_level, key, hierarchies)
         if cell_items:
             supports[frozenset(cell_items)] = len(record_ids)
@@ -107,32 +84,14 @@ def cubing_mine(
             continue
         cell_transactions = [stage_items_by_tid[tid] for tid in record_ids]
         cell_stats = MiningStats()
-        if miner == "apriori":
-            segments = apriori(
-                cell_transactions,
-                threshold,
-                max_length=cell_budget,
-                pair_filter=stages_linkable,
-                stats=cell_stats,
-                key=item_sort_key,
-                counting=kernel,
-            )
-        else:
-            mined = fp_growth(
-                cell_transactions,
-                threshold,
-                max_length=cell_budget,
-                key=item_sort_key,
-            )
-            # FP-growth has no join-time hook, so it also surfaces itemsets
-            # mixing path levels (genuinely co-occurring but redundant);
-            # keep only the well-formed segments the Apriori path produces.
-            segments = {
-                itemset: support
-                for itemset, support in mined.items()
-                if _is_segment(itemset)
-            }
-            cell_stats.scans += 1
+        segments = apriori(
+            cell_transactions,
+            threshold,
+            max_length=cell_budget,
+            pair_filter=stages_linkable,
+            stats=cell_stats,
+            key=item_sort_key,
+        )
         stats.merge(cell_stats)
         for segment_items, support in segments.items():
             supports[frozenset(cell_items) | segment_items] = support
@@ -146,23 +105,6 @@ def cubing_mine(
         path_lattice=path_lattice,
         stats=stats,
     )
-
-
-def _is_segment(itemset: frozenset) -> bool:
-    """All stages at one path level, prefixes a chain of distinct prefixes.
-
-    The same predicate :func:`~repro.encoding.stage_encoding.stages_linkable`
-    enforces pairwise during the Apriori join.
-    """
-    stages = sorted(itemset, key=lambda s: len(s.prefix))
-    if len({s.level_id for s in stages}) > 1:
-        return False
-    for a, b in zip(stages, stages[1:]):
-        if len(a.prefix) == len(b.prefix):
-            return False
-        if b.prefix[: len(a.prefix)] != a.prefix:
-            return False
-    return True
 
 
 def _cell_itemset(item_level, key, hierarchies) -> list[DimItem]:

@@ -21,19 +21,15 @@ item and the path lattices, in one family of level-wise scans:
      ancestor adds nothing); enforced by the same-dimension and
      same-path-level join constraints.
 
-Two support-counting kernels drive the passes and mine identical results
-(asserted by the parity tests):
-
-* ``"bitmap"`` (default) — the interned kernel: D' is interned into dense
-  int-id rows (:mod:`repro.perf.interning`), each item's tid-list is a
-  big-int bitmap, and candidate counting is parent-mask AND +
-  ``bit_count()`` (:mod:`repro.perf.bitmap`).  Candidate generation and
-  every pruning rule run in id space; results decode back into real items
-  at the :meth:`~repro.mining.result.FlowMiningResult.from_interned`
-  boundary.
-* ``"tidset"`` — the original item-space kernel over ``set[int]``
-  tid-lists, kept both as the parity oracle and as the readable
-  specification of the algorithm.
+The passes run in id space: D' is interned into dense int-id rows
+(:mod:`repro.perf.interning`), each item's tid-list is a big-int bitmap,
+and candidate counting is parent-mask AND + ``bit_count()``
+(:mod:`repro.perf.bitmap`).  Candidate generation and every pruning rule
+run on ids; results decode back into real items at the
+:meth:`~repro.mining.result.FlowMiningResult.from_interned` boundary.
+:func:`shared_pair_filter` and :func:`precount_prune` state the join and
+pre-count rules over real items; :func:`mine_interned` runs their
+id-space twins.
 
 The output feeds flowgraph-exception computation for every flowcube cell
 (:meth:`~repro.mining.result.FlowMiningResult.segments_by_cell`).
@@ -52,18 +48,13 @@ from repro.core.path_database import PathDatabase
 from repro.encoding.item_encoding import DimItem
 from repro.encoding.stage_encoding import StageItem, aggregate_prefix, stages_linkable
 from repro.encoding.transactions import Item, TransactionDatabase
-from repro.mining.apriori import (
-    count_candidates_tidset,
-    generate_candidates,
-    tid_lists,
-)
-from repro.mining.result import FlowMiningResult, item_sort_key
+from repro.mining.apriori import generate_candidates
+from repro.mining.result import FlowMiningResult
 from repro.mining.stats import MiningStats
 from repro.perf.bitmap import count_candidates_bitmap, item_masks
 from repro.perf.interning import InternedTransactions
 
 __all__ = [
-    "KERNELS",
     "shared_mine",
     "mine_interned",
     "shared_pair_filter",
@@ -72,9 +63,6 @@ __all__ = [
     "next_precount_length",
     "precount_prune",
 ]
-
-#: Support-counting kernels accepted by :func:`shared_mine`.
-KERNELS = ("bitmap", "tidset")
 
 
 def shared_pair_filter(a: Item, b: Item) -> bool:
@@ -140,7 +128,6 @@ def shared_mine(
     max_length: int | None = None,
     precount_lengths: tuple[int, ...] = (2,),
     transaction_db: TransactionDatabase | None = None,
-    kernel: str = "bitmap",
 ) -> FlowMiningResult:
     """Run Algorithm 1 over *database*.
 
@@ -154,15 +141,10 @@ def shared_mine(
             length 2.  Pass ``()`` to disable pre-counting.
         transaction_db: Reuse an already-encoded transaction database
             (e.g. across a benchmark sweep over δ).
-        kernel: ``"bitmap"`` (default, interned big-int tid masks) or
-            ``"tidset"`` (item-space ``set[int]`` tid-lists); identical
-            supports and mining statistics, different speed.
 
     Returns:
         A :class:`~repro.mining.result.FlowMiningResult`.
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown counting kernel {kernel!r}; expected {KERNELS}")
     stats = MiningStats()
     started = time.perf_counter()
     if path_lattice is None:
@@ -176,31 +158,16 @@ def shared_mine(
     threshold = resolve_min_support(
         min_support, len(transaction_db.transactions)
     )
-    if kernel == "bitmap":
-        phase = time.perf_counter()
-        interned = transaction_db.interned()
-        stats.add_phase("encode", time.perf_counter() - phase)
-        supports_by_ids = mine_interned(
-            interned, threshold, path_lattice, max_length, precount_lengths,
-            stats,
-        )
-        stats.elapsed_seconds = time.perf_counter() - started
-        return FlowMiningResult.from_interned(
-            supports_by_ids,
-            interned.interner,
-            threshold=threshold,
-            n_transactions=len(transaction_db.transactions),
-            schema=database.schema,
-            path_lattice=path_lattice,
-            stats=stats,
-        )
-    supports = _mine_tidset(
-        transaction_db, threshold, path_lattice,
-        top_path_level_id(path_lattice), max_length, precount_lengths, stats,
+    phase = time.perf_counter()
+    interned = transaction_db.interned()
+    stats.add_phase("encode", time.perf_counter() - phase)
+    supports_by_ids = mine_interned(
+        interned, threshold, path_lattice, max_length, precount_lengths, stats
     )
     stats.elapsed_seconds = time.perf_counter() - started
-    return FlowMiningResult(
-        supports=supports,
+    return FlowMiningResult.from_interned(
+        supports_by_ids,
+        interned.interner,
         threshold=threshold,
         n_transactions=len(transaction_db.transactions),
         schema=database.schema,
@@ -208,10 +175,6 @@ def shared_mine(
         stats=stats,
     )
 
-
-# ----------------------------------------------------------------------
-# the interned bitmap kernel (id space end to end)
-# ----------------------------------------------------------------------
 
 def mine_interned(
     interned: InternedTransactions,
@@ -381,104 +344,6 @@ def _precount_prune_ids(
     return kept
 
 
-# ----------------------------------------------------------------------
-# the original tid-set kernel (item space; the parity oracle)
-# ----------------------------------------------------------------------
-
-def _mine_tidset(
-    transaction_db: TransactionDatabase,
-    threshold: int,
-    path_lattice: PathLattice,
-    top_id: int | None,
-    max_length: int | None,
-    precount_lengths: tuple[int, ...],
-    stats: MiningStats,
-) -> dict[frozenset, int]:
-    """Algorithm 1 over item-space ``set[int]`` tid-lists."""
-    transactions = [t.items for t in transaction_db.transactions]
-
-    # High-level projections, cached per transaction for the precount scans.
-    high_items: list[tuple[Item, ...]] = []
-    if precount_lengths:
-        phase = time.perf_counter()
-        for transaction in transactions:
-            projected = {
-                high_level_projection(item, path_lattice, top_id)
-                for item in transaction
-            }
-            projected.discard(None)
-            high_items.append(tuple(sorted(projected, key=item_sort_key)))
-        stats.add_phase("precount", time.perf_counter() - phase)
-
-    # --- Scan 1: single-item counts + pre-count of length min(precount) ---
-    phase = time.perf_counter()
-    counts: Counter = Counter()
-    precounts: dict[int, Counter] = {}
-    next_precount = next_precount_length(precount_lengths, 1)
-    for i, transaction in enumerate(transactions):
-        counts.update(transaction)
-        if next_precount is not None:
-            for combo in itertools.combinations(high_items[i], next_precount):
-                precounts.setdefault(next_precount, Counter())[frozenset(combo)] += 1
-    stats.add_phase("count", time.perf_counter() - phase)
-    stats.scans += 1
-    stats.candidates_per_length[1] = len(counts)
-    if next_precount in precounts:
-        stats.precounted_patterns += len(precounts[next_precount])
-
-    frequent_sorted = sorted(
-        ((item,) for item, n in counts.items() if n >= threshold),
-        key=lambda t: item_sort_key(t[0]),
-    )
-    stats.frequent_per_length[1] = len(frequent_sorted)
-    supports: dict[frozenset, int] = {
-        frozenset(t): counts[t[0]] for t in frequent_sorted
-    }
-    phase = time.perf_counter()
-    item_tids = tid_lists(transactions)
-    tids: dict[tuple, set[int]] = {t: item_tids[t[0]] for t in frequent_sorted}
-    stats.add_phase("encode", time.perf_counter() - phase)
-
-    # --- Level-wise loop -------------------------------------------------
-    length = 1
-    while frequent_sorted and (max_length is None or length < max_length):
-        phase = time.perf_counter()
-        candidates = generate_candidates(
-            frequent_sorted, shared_pair_filter, stats, item_sort_key
-        )
-        stats.add_phase("join", time.perf_counter() - phase)
-        phase = time.perf_counter()
-        candidates = precount_prune(
-            candidates, precounts, threshold, path_lattice, top_id, stats
-        )
-        stats.add_phase("prune", time.perf_counter() - phase)
-        if not candidates:
-            break
-        next_precount = next_precount_length(precount_lengths, length + 1)
-        if next_precount is not None and next_precount not in precounts:
-            # Pre-count high-level patterns of the next length during this
-            # level's pass (Algorithm 1 line 6).
-            phase = time.perf_counter()
-            table = precounts.setdefault(next_precount, Counter())
-            for items in high_items:
-                for combo in itertools.combinations(items, next_precount):
-                    table[frozenset(combo)] += 1
-            stats.precounted_patterns += len(table)
-            stats.add_phase("precount", time.perf_counter() - phase)
-        phase = time.perf_counter()
-        candidate_tids = count_candidates_tidset(candidates, tids, stats)
-        length += 1
-        frequent_sorted = [
-            c for c, t in candidate_tids.items() if len(t) >= threshold
-        ]
-        tids = {c: candidate_tids[c] for c in frequent_sorted}
-        stats.frequent_per_length[length] += len(frequent_sorted)
-        for itemset in frequent_sorted:
-            supports[frozenset(itemset)] = len(candidate_tids[itemset])
-        stats.add_phase("count", time.perf_counter() - phase)
-    return supports
-
-
 def next_precount_length(
     precount_lengths: tuple[int, ...], scan_length: int
 ) -> int | None:
@@ -491,6 +356,10 @@ def next_precount_length(
     return want if want in precount_lengths else None
 
 
+# Shim: benchmarks/flowbench/tracing.py spans this name (its
+# ``mining.precount_prune`` row reads 0: the miner runs
+# ``_precount_prune_ids``); the function goes with the [benchmark] PR
+# that re-maps the dead spans.
 def precount_prune(
     candidates: list[tuple],
     precounts: dict[int, Counter],

@@ -1,11 +1,11 @@
 """Performance kernels for the mining stack.
 
-The miners in :mod:`repro.mining` are written against rich frozen-dataclass
-items (:class:`~repro.encoding.item_encoding.DimItem`,
-:class:`~repro.encoding.stage_encoding.StageItem`) and Python ``set``
-tid-lists — clear, but slow: every support count hashes dataclasses and
-intersects sets.  This package provides the compact representations the
-fast counting paths run on:
+The miners in :mod:`repro.mining` speak rich frozen-dataclass items
+(:class:`~repro.encoding.item_encoding.DimItem`,
+:class:`~repro.encoding.stage_encoding.StageItem`); counting over them
+directly hashes dataclasses and intersects ``set`` tid-lists (the Basic
+baseline still does).  This package provides the compact representations
+Shared's and Cubing's counting runs on:
 
 * :mod:`repro.perf.interning` — a dense integer id per distinct item,
   assigned once per encoded transaction database, turning transactions
@@ -31,14 +31,16 @@ fast counting paths run on:
   AND + iterate-set-bits over the index with no cell IO for non-matching
   cells, plus the LRU query cache with hit/miss/derivation counters.
 
-The kernels are exact.  The in-memory entry points keep each kernel's
-reference next to it — ``kernel=`` on the miners,
+The kernels are exact.  The references they are tested against are
+``counting="scan"`` on :func:`~repro.mining.apriori.apriori`,
+``kernel="scan"`` on
 :func:`~repro.core.flowgraph_exceptions.mine_exceptions_weighted` and
-:class:`~repro.query.api.FlowCubeQuery`, ``engine=`` on
-:meth:`FlowCube.build <repro.core.flowcube.FlowCube.build>` — and the test
-suite asserts identical supports, identical statistics, and
-byte-identical serialised cubes against them.  :mod:`repro.store` has no
-such switch: it runs the roll-up engine and the bitmap kernels only.
+:class:`~repro.query.api.FlowCubeQuery`, and ``engine="direct"`` on
+:meth:`FlowCube.build <repro.core.flowcube.FlowCube.build>` (per-cell
+build, scan exception kernel); the test suite asserts identical supports,
+identical statistics, and byte-identical serialised cubes against them.
+The miners' results are pinned as constants.  :mod:`repro.store` has no
+switch: it runs the roll-up engine and the bitmap kernels only.
 """
 
 from repro.perf.bitmap import (

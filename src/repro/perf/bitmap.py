@@ -1,8 +1,9 @@
 """Bitmap tid-sets: vertical counting on Python big-int masks.
 
-The tid-set counting strategy (:mod:`repro.mining.apriori`) stores each
-itemset's transaction ids as a ``set[int]`` and counts a candidate by
-intersecting its two join parents' sets.  Packing the same tid-list into
+Tid-set counting (:func:`~repro.mining.apriori.count_candidates_tidset`,
+the Basic baseline's counter) stores each itemset's transaction ids as a
+``set[int]`` and counts a candidate by intersecting its two join parents'
+sets.  Packing the same tid-list into
 one arbitrary-precision integer — bit *t* set iff transaction *t*
 contains the itemset — replaces the set intersection with a single
 ``&`` and the cardinality with ``int.bit_count()``, both of which run in
@@ -19,9 +20,8 @@ Two counting entry points:
 * :func:`count_candidates_masks` mirrors
   :func:`~repro.mining.apriori.count_candidates` — a self-contained
   single pass that builds the transactions' item masks locally and
-  k-way-ANDs each candidate.  No miner calls it since the store miner
-  went resident; it stays exported for the parity test and the
-  benchmark harness's span table.
+  k-way-ANDs each candidate.  No miner calls it; see its definition
+  for why it stays.
 
 Both produce exactly the supports of their set-based counterparts; the
 test suite asserts the parity.
@@ -86,6 +86,9 @@ def count_candidates_bitmap(
     return out
 
 
+# Shim: benchmarks/flowbench/tracing.py spans this name (its
+# ``bitmap.count_candidates`` row reads 0); the function goes with the
+# [benchmark] PR that re-maps the dead spans.
 def count_candidates_masks(
     transactions: Sequence[Iterable[Hashable]],
     candidates: Sequence[tuple],

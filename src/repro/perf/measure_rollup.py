@@ -59,7 +59,6 @@ from repro.core.aggregation import AggregatedPath, aggregate_path
 from repro.core.flowcube import Cell, CellKey, Cuboid
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
-    EXCEPTION_KERNELS,
     Segment,
     resolve_min_support,
     serial_exception_pass,
@@ -480,7 +479,6 @@ def assemble_cuboids(
         tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
     ]
     | None,
-    kernel: str = "bitmap",
     exception_pass=None,
 ) -> Iterator[Cuboid]:
     """Yield finished cuboids in the direct builder's (item, path) order.
@@ -495,16 +493,14 @@ def assemble_cuboids(
     itself, wrapped with the level's postings (see
     :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
     both builders pass their own to read its ``seconds``).  Defaults to
-    a fresh runner over *kernel*.
+    a fresh runner.
 
     Membership is path-level independent, so the iceberg test and the
     member-id sort run once per item level and the level's cuboids share
     each surviving cell's ``record_ids`` tuple.
     """
     if exception_pass is None and compute_exceptions:
-        exception_pass = serial_exception_pass(
-            min_support, min_deviation, kernel=kernel
-        )
+        exception_pass = serial_exception_pass(min_support, min_deviation)
     for item_level in levels:
         level_data = data[item_level]
         members = {
@@ -550,7 +546,6 @@ def build_rollup(
         tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
     ]
     | None = None,
-    kernel: str = "bitmap",
     stats: object | None = None,
 ):
     """In-memory roll-up build — ``FlowCube.build(engine="rollup")``'s body.
@@ -559,18 +554,12 @@ def build_rollup(
         cube_cls: The :class:`~repro.core.flowcube.FlowCube` class (passed
             in to keep the import lazy on the flowcube side).
         database: The path database.
-        kernel: Exception-pass kernel, ``"bitmap"`` or ``"scan"``.
         stats: Optional sink with ``add_phase(name, seconds)``; the record
             scan lands in ``aggregate``, derivation + assembly in
             ``materialize``, and the holistic pass in ``exceptions``.
 
     The remaining arguments mirror :meth:`FlowCube.build`.
     """
-    if kernel not in EXCEPTION_KERNELS:
-        raise CubeError(
-            f"unknown exception kernel {kernel!r}; expected one of "
-            f"{EXCEPTION_KERNELS}"
-        )
     schema = database.schema
     item_lattice = ItemLattice([h.depth for h in schema.dimensions])
     if path_lattice is None:
@@ -610,13 +599,13 @@ def build_rollup(
     prune_to_iceberg(data, threshold)
     del groups_by_root, weighted_by_root
     runner = (
-        serial_exception_pass(min_support, min_deviation, kernel=kernel)
+        serial_exception_pass(min_support, min_deviation)
         if compute_exceptions
         else None
     )
     for cuboid in assemble_cuboids(
         levels, path_lattice, data, table, threshold, min_support,
-        min_deviation, compute_exceptions, segments_by_cell, kernel=kernel,
+        min_deviation, compute_exceptions, segments_by_cell,
         exception_pass=runner,
     ):
         cube._cuboids[(cuboid.item_level, cuboid.path_level)] = expanded(  # noqa: SLF001

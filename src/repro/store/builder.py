@@ -30,9 +30,9 @@ partition at a time*:
   ``record_ids`` tuples, path order, and the exception-mining inputs
   coincide with the in-memory builders'.  This is the store's only
   engine and its exception pass has one kernel (the bitmap one); the
-  reference arms the tests compare against — :meth:`FlowCube.build`'s
-  ``"direct"`` per-cell rebuild and the ``"scan"`` exception kernel —
-  live in :mod:`repro.core`.
+  reference arm the tests compare against — :meth:`FlowCube.build`'s
+  ``"direct"`` per-cell rebuild, which mines with the ``"scan"``
+  exception kernel — lives in :mod:`repro.core`.
 
 What is resident.  A mine holds, next to the one decoded + encoded
 partition, the interned D': one ``array('i')`` per record (4 B per item

@@ -196,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="path-lattice index (default: most detailed level)",
     )
-    query.add_argument("--cache-size", type=int, default=128)
     query.add_argument(
         "--derive",
         action="store_true",
@@ -452,7 +451,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
-    cube_store = store.cube_store(cache_size=args.cache_size)
+    cube_store = store.cube_store()
     if not cube_store.is_built:
         raise StoreError(
             f"no cube has been built at {store.directory} "

@@ -90,9 +90,7 @@ def rebuilt_reference(database):
         if key not in cache:
             build_kwargs.setdefault("min_support", MIN_SUPPORT)
             cache[key] = cube_to_json(
-                FlowCube.build(
-                    database, engine="direct", kernel="scan", **build_kwargs
-                )
+                FlowCube.build(database, engine="direct", **build_kwargs)
             )
         return cache[key]
 
@@ -145,7 +143,7 @@ def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     cube.close()
     reference = FlowCube.build(
         PathDatabase(database.schema, base, validate=False),
-        min_support=MIN_SUPPORT, engine="direct", kernel="scan",
+        min_support=MIN_SUPPORT, engine="direct",
     )
     cell = next(iter(reference.cuboids[0]))
     coords = (cell.item_level, cell.key, cell.path_level)

@@ -1,8 +1,10 @@
-"""Tests for the generic miners: Apriori (both counting modes) and FP-growth."""
+"""Tests for the generic miner: Apriori (both counting modes) and its
+counting primitives, including the tid-set counter Basic runs on."""
 
 import pytest
 
-from repro.mining import MiningStats, apriori, fp_growth
+from repro.errors import MiningError
+from repro.mining import MiningStats, apriori
 from repro.mining.apriori import (
     count_candidates,
     count_candidates_tidset,
@@ -27,10 +29,10 @@ class TestApriori:
         assert result[frozenset("cd")] == 2
         assert frozenset("abc") not in result  # support 1
 
-    def test_scan_and_tidset_agree(self):
+    def test_scan_and_bitmap_agree(self):
         scan = apriori(T, min_support=2, counting="scan")
-        tidset = apriori(T, min_support=2, counting="tidset")
-        assert scan == tidset
+        bitmap = apriori(T, min_support=2, counting="bitmap")
+        assert scan == bitmap
 
     def test_max_length(self):
         result = apriori(T, min_support=1, max_length=1)
@@ -48,8 +50,10 @@ class TestApriori:
         assert stats.total_candidates >= stats.total_frequent
 
     def test_unknown_counting_rejected(self):
-        with pytest.raises(ValueError, match="counting"):
-            apriori(T, min_support=1, counting="magic")
+        """A typed mining error — "tidset" is no longer a counting mode."""
+        for counting in ("magic", "tidset"):
+            with pytest.raises(MiningError, match="counting"):
+                apriori(T, min_support=1, counting=counting)
 
     def test_empty_database(self):
         assert apriori([], min_support=1) == {}
@@ -101,31 +105,3 @@ class TestCounting:
         assert tids["a"] == {0, 1, 2, 4}
         assert tids["d"] == {1, 3, 4}
 
-
-class TestFPGrowth:
-    def test_agrees_with_apriori(self):
-        assert fp_growth(T, min_support=2) == apriori(T, min_support=2)
-
-    def test_agrees_on_support_one(self):
-        assert fp_growth(T, min_support=1) == apriori(T, min_support=1)
-
-    def test_max_length(self):
-        result = fp_growth(T, min_support=1, max_length=2)
-        full = fp_growth(T, min_support=1)
-        assert result == {s: n for s, n in full.items() if len(s) <= 2}
-
-    def test_empty(self):
-        assert fp_growth([], min_support=1) == {}
-
-    def test_agrees_on_synthetic_stage_items(self, tiny_synth_db, paper_db):
-        """Cross-check on real mixed-item transactions."""
-        from repro.core import PathLattice
-        from repro.encoding import TransactionDatabase
-        from repro.mining import item_sort_key
-
-        lattice = PathLattice.paper_default(tiny_synth_db.schema.location)
-        tdb = TransactionDatabase(tiny_synth_db, lattice)
-        transactions = [t.items for t in tdb.transactions]
-        a = apriori(transactions, min_support=8, key=item_sort_key, max_length=3)
-        f = fp_growth(transactions, min_support=8, key=item_sort_key, max_length=3)
-        assert a == f

@@ -214,9 +214,7 @@ def test_out_of_core_rollup_byte_identical(tmp_path):
     from repro.store import build_cube
 
     database, store = _store(tmp_path)
-    direct = FlowCube.build(
-        database, min_support=0.1, engine="direct", kernel="scan"
-    )
+    direct = FlowCube.build(database, min_support=0.1, engine="direct")
     built = build_cube(store, min_support=0.1)
     assert cube_to_json(built) == cube_to_json(direct)
     assert exception_lists(built) == exception_lists(direct)

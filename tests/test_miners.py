@@ -4,11 +4,16 @@ The central correctness property: all three find exactly the same frequent
 cells and frequent path segments; they differ only in *how* (and how fast).
 """
 
+import importlib.util
+import inspect
+
 import pytest
 
-from repro.core import ItemLevel, PathLattice
+import repro.mining
+from repro.core import FlowCube, ItemLevel, PathLattice
 from repro.encoding import DimItem, StageItem, TransactionDatabase
 from repro.mining import (
+    MiningStats,
     basic_mine,
     buc_iceberg_cells,
     cubing_mine,
@@ -16,7 +21,9 @@ from repro.mining import (
     shared_pair_filter,
     top_path_level_id,
 )
-from repro.errors import MiningError
+from repro.mining.shared import precount_prune
+from repro.perf.bitmap import count_candidates_masks
+from repro.synth import GeneratorConfig, generate_path_database
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +159,6 @@ class TestAgreement:
         assert shared.frequent_cells() == cubing.frequent_cells()
         assert shared.frequent_segments() == cubing.frequent_segments()
 
-    def test_cubing_fpgrowth_matches_apriori(self, tiny_synth_db):
-        apriori_result = cubing_mine(tiny_synth_db, min_support=0.05)
-        fp_result = cubing_mine(tiny_synth_db, min_support=0.05, miner="fpgrowth")
-        assert apriori_result.supports == fp_result.supports
-
     def test_basic_is_superset_of_shared(self, paper_db):
         shared = shared_mine(paper_db, min_support=3)
         basic = basic_mine(paper_db, min_support=3)
@@ -228,10 +230,6 @@ class TestBUC:
 
 
 class TestCubingOptions:
-    def test_unknown_miner_rejected(self, paper_db):
-        with pytest.raises(MiningError, match="unknown per-cell miner"):
-            cubing_mine(paper_db, miner="magic")
-
     def test_max_length_bounds_total_pattern(self, paper_db):
         bounded = cubing_mine(paper_db, min_support=3, max_length=2)
         assert all(len(s) <= 2 for s in bounded.supports)
@@ -246,3 +244,99 @@ class TestCubingOptions:
             transaction_db=tdb,
         )
         assert fresh.supports == reused.supports
+
+
+# Every counter of a Shared and a Cubing run, pinned.  The tid-set
+# kernels, FP-growth and Star-Cubing returned these same counters and
+# supports when they were recorded, so the constants stand in for those
+# parity arms: a change to a join, a pruning rule or the counting that
+# alters any count fails here.
+#: name -> (min_support, n_supports, Shared counters, Cubing counters);
+#: counters are (candidates_per_length, frequent_per_length, pruned,
+#: scans, precounted_patterns).
+PINNED = {
+    "table1": (3, 326, (
+        {1: 54, 2: 113, 3: 98, 4: 73, 5: 39, 6: 13, 7: 2},
+        {1: 22, 2: 79, 3: 98, 4: 73, 5: 39, 6: 13, 7: 2},
+        {"subset": 23, "unlinkable": 546}, 7, 19,
+    ), (
+        {1: 287, 2: 128, 3: 71, 4: 31, 5: 6},
+        {1: 107, 2: 103, 3: 71, 4: 31, 5: 6},
+        {"unlinkable": 540}, 38, 0,
+    )),
+    "synth3": (0.05, 3300, (
+        {1: 234, 2: 3365, 3: 1671, 4: 900, 5: 486, 6: 130, 7: 12},
+        {1: 117, 2: 644, 3: 1019, 4: 892, 5: 486, 6: 130, 7: 12},
+        {"subset": 1530, "unlinkable": 11930}, 7, 26,
+    ), (
+        {1: 6822, 2: 2169, 3: 782, 4: 279, 5: 40},
+        {1: 1027, 2: 1097, 3: 766, 4: 279, 5: 40},
+        {"subset": 28, "unlinkable": 11500}, 374, 0,
+    )),
+    "synth7": (0.05, 3393, (
+        {1: 212, 2: 3322, 3: 1594, 4: 936, 5: 532, 6: 162, 7: 20},
+        {1: 111, 2: 635, 3: 1014, 4: 919, 5: 532, 6: 162, 7: 20},
+        {"subset": 1275, "unlinkable": 10528}, 7, 26,
+    ), (
+        {1: 6289, 2: 2265, 3: 796, 4: 282, 5: 40},
+        {1: 1054, 2: 1139, 3: 787, 4: 282, 5: 40},
+        {"subset": 16, "unlinkable": 10100}, 381, 0,
+    )),
+}
+
+
+def _pinned_database(name, paper_db):
+    if name == "table1":
+        return paper_db
+    return generate_path_database(GeneratorConfig(
+        n_paths=80,
+        n_dims=2,
+        dim_fanouts=(2, 2, 3),
+        n_sequences=6,
+        max_path_length=5,
+        seed=int(name.removeprefix("synth")),
+    ))
+
+
+def _counters(stats: MiningStats) -> tuple:
+    return (
+        stats.candidates_per_length,
+        stats.frequent_per_length,
+        stats.pruned,
+        stats.scans,
+        stats.precounted_patterns,
+    )
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_shared_counters(self, name, paper_db):
+        min_support, n_supports, expected, _ = PINNED[name]
+        database = _pinned_database(name, paper_db)
+        result = shared_mine(database, min_support=min_support)
+        assert len(result.supports) == n_supports
+        assert _counters(result.stats) == expected
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_cubing_counters(self, name, paper_db):
+        min_support, n_supports, _, expected = PINNED[name]
+        database = _pinned_database(name, paper_db)
+        result = cubing_mine(database, min_support=min_support)
+        assert len(result.supports) == n_supports
+        assert _counters(result.stats) == expected
+
+
+def test_one_arm_per_miner():
+    """The miners' switches are gone; only the harness-bound names stay."""
+    parameters = inspect.signature(cubing_mine).parameters
+    for name in ("miner", "cuber", "kernel"):
+        assert name not in parameters
+    assert "kernel" not in inspect.signature(shared_mine).parameters
+    assert "kernel" not in inspect.signature(FlowCube.build).parameters
+    for module in ("repro.mining.fptree", "repro.mining.starcubing"):
+        assert importlib.util.find_spec(module) is None
+    exported = set(dir(repro.mining)) | set(repro.mining.__all__)
+    assert not {"FPTree", "fp_growth"} & exported
+    assert not [name for name in exported if name.startswith("star_")]
+    for kept in (precount_prune, count_candidates_masks):
+        assert "benchmarks/flowbench/tracing.py" in inspect.getcomments(kept)

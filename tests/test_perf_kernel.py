@@ -5,11 +5,12 @@ an *implementation detail* — every counting strategy must produce
 byte-identical mining results, down to the per-length candidate/frequent
 counters.  These tests pin that contract:
 
-* property tests drive ``shared_mine`` with both kernels and ``apriori``
-  with both counting modes over random databases;
+* a property test drives ``apriori`` with both counting modes over the
+  transactions of random path databases (``shared_mine``'s counters are
+  pinned as constants in ``tests/test_miners.py``);
 * ``shared_mine_store`` is checked against in-memory ``shared_mine``
-  (both kernels) over partitioning × format × δ × pre-count × length
-  bound, with one read per partition and the ≤ 1 live-partition gauge;
+  over partitioning × format × δ × pre-count × length bound, with one
+  read per partition and the ≤ 1 live-partition gauge;
 * the interning and bitmap primitives are unit-tested directly;
 * the ``jobs`` keyword the two builders still accept selects nothing
   and fails loudly on bad values; the CLI has no ``--jobs``.
@@ -32,7 +33,6 @@ from repro.core.serialization import cube_to_json
 from repro.encoding.transactions import TransactionDatabase
 from repro.errors import StoreError
 from repro.mining import MiningStats, apriori, count_candidates, shared_mine
-from repro.mining.shared import KERNELS
 from repro.perf.bitmap import count_candidates_masks, item_masks
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.store import (
@@ -75,7 +75,7 @@ def store(tmp_path_factory, database):
 
 
 # ----------------------------------------------------------------------
-# kernel parity: shared_mine and apriori
+# counting parity: apriori's bitmap and scan modes
 # ----------------------------------------------------------------------
 
 @given(path_databases(), st.integers(min_value=3, max_value=8))
@@ -84,33 +84,18 @@ def store(tmp_path_factory, database):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_bitmap_and_tidset_shared_mine_agree(db, threshold):
-    bitmap = shared_mine(db, min_support=threshold, kernel="bitmap")
-    tidset = shared_mine(db, min_support=threshold, kernel="tidset")
-    assert bitmap.supports == tidset.supports
-    assert bitmap.stats.counters_equal(tidset.stats)
-
-
-@given(path_databases(), st.integers(min_value=3, max_value=8))
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_bitmap_and_tidset_apriori_agree(db, threshold):
+def test_bitmap_and_scan_apriori_agree(db, threshold):
     lattice = PathLattice.paper_default(db.schema.location)
     transactions = [
         t.items for t in TransactionDatabase(db, lattice).transactions
     ]
-    bitmap_stats, tidset_stats = MiningStats(), MiningStats()
+    bitmap_stats, scan_stats = MiningStats(), MiningStats()
     bitmap = apriori(
         transactions, threshold, counting="bitmap", stats=bitmap_stats
     )
-    tidset = apriori(
-        transactions, threshold, counting="tidset", stats=tidset_stats
-    )
-    assert bitmap == tidset
-    assert bitmap_stats.counters_equal(tidset_stats)
+    scan = apriori(transactions, threshold, counting="scan", stats=scan_stats)
+    assert bitmap == scan
+    assert bitmap_stats.counters_equal(scan_stats)
 
 
 def test_shared_mine_reuses_encoded_database(database):
@@ -134,15 +119,14 @@ def test_shared_mine_reuses_encoded_database(database):
 # ----------------------------------------------------------------------
 
 def _assert_same_mining(mined, database, **options):
-    """Store result == in-memory ``shared_mine``, bitmap and tidset oracle."""
-    for kernel in KERNELS:
-        reference = shared_mine(database, kernel=kernel, **options)
-        assert mined.supports == reference.supports
-        assert mined.threshold == reference.threshold
-        assert mined.stats.counters_equal(reference.stats)
-        assert list(mined.segments_by_cell().items()) == list(
-            reference.segments_by_cell().items()
-        )
+    """Store result == in-memory ``shared_mine``."""
+    reference = shared_mine(database, **options)
+    assert mined.supports == reference.supports
+    assert mined.threshold == reference.threshold
+    assert mined.stats.counters_equal(reference.stats)
+    assert list(mined.segments_by_cell().items()) == list(
+        reference.segments_by_cell().items()
+    )
 
 
 @given(
@@ -227,7 +211,7 @@ def test_store_mining_on_degenerate_stores(tmp_path, database, n_records):
 
 def test_build_cube_equals_the_in_memory_reference(store, database):
     reference = FlowCube.build(
-        database, min_support=MIN_SUPPORT, engine="direct", kernel="scan"
+        database, min_support=MIN_SUPPORT, engine="direct"
     )
     stats = BuildStats()
     built = build_cube(store, min_support=MIN_SUPPORT, stats=stats)

@@ -256,6 +256,15 @@ def test_cli_query_prints_the_flowgraph_routes_text(app, stores, capsys):
     assert "no path level 9" in capsys.readouterr().err
 
 
+def test_cli_query_has_no_cache_size(stores, capsys):
+    """``query`` answers one plan per process: a cell-cache size could
+    neither change its answer nor produce a hit, so there is no knob."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["query", str(stores["wh"]), "--cache-size", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cache-size 4" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # request validation
 # ----------------------------------------------------------------------

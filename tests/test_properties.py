@@ -9,7 +9,8 @@ Covered invariants:
   counts are flow-consistent (parent transition counts = child counts);
 * building a flowgraph from parts and merging equals building once
   (Lemma 4.2);
-* Apriori (both counting modes) and FP-growth agree on random databases;
+* Apriori's two counting modes agree on random databases, statistics
+  included;
 * support is anti-monotone in the mined results;
 * shared and cubing find the same cells/segments on random path databases.
 """
@@ -31,7 +32,7 @@ from repro.core import (
     merge_flowgraphs,
 )
 from repro.core.hierarchy import ConceptHierarchy
-from repro.mining import apriori, fp_growth
+from repro.mining import MiningStats, apriori
 
 # ----------------------------------------------------------------------
 # strategies
@@ -179,14 +180,11 @@ def test_merge_equals_direct_build(paths, split_at):
 
 @given(transactions, st.integers(min_value=1, max_value=5))
 def test_apriori_counting_modes_agree(db, threshold):
-    scan = apriori(db, threshold, counting="scan")
-    tidset = apriori(db, threshold, counting="tidset")
-    assert scan == tidset
-
-
-@given(transactions, st.integers(min_value=1, max_value=5))
-def test_fp_growth_agrees_with_apriori(db, threshold):
-    assert fp_growth(db, threshold) == apriori(db, threshold)
+    scan_stats, bitmap_stats = MiningStats(), MiningStats()
+    scan = apriori(db, threshold, counting="scan", stats=scan_stats)
+    bitmap = apriori(db, threshold, counting="bitmap", stats=bitmap_stats)
+    assert scan == bitmap
+    assert scan_stats.counters_equal(bitmap_stats)
 
 
 @given(transactions, st.integers(min_value=1, max_value=5))

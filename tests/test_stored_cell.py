@@ -314,7 +314,6 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         min_support=2,
         compute_exceptions=exceptions,
         engine="direct",
-        kernel="scan",
     )
     expected = stored_cube_json(reference)
     with tempfile.TemporaryDirectory() as scratch:
