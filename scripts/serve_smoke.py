@@ -10,8 +10,11 @@ every matching cell's measure (a ``measure=true`` slice and
 renders from the scan kernel's cells.  ``flowcube-store query -d …`` must
 print the ``text`` the server's ``/flowgraph`` returns for the same cut
 (one parser, one executor behind both), and a malformed request must be
-refused with a 400.  The server is then asked to shut down with SIGINT and
-must exit cleanly.
+refused with a 400.  Then ``flowcube-store append`` adds a record from
+another process: the warm slices, asked again, must byte-equal what a
+freshly mounted tenant renders, and ``/stats`` must show the reload kept
+some cached responses and dropped others.  The server is then asked to
+shut down with SIGINT and must exit cleanly.
 
 Usage:  python scripts/serve_smoke.py [workdir]
 
@@ -32,7 +35,7 @@ from pathlib import Path
 
 from repro.core.serialization import flowgraph_to_dict
 from repro.query.api import FlowCubeQuery
-from repro.serve import CubeTenant, slice_payload
+from repro.serve import CubeTenant, Request, SlicerApp, slice_payload
 from repro.serve.http import encode_json
 
 CLI = [sys.executable, "-m", "repro.store.cli"]
@@ -187,6 +190,68 @@ def one_plan(host: str, port: int, store: Path) -> None:
     assert status == 400 and "path_level" in refused["error"], refused
 
 
+#: Slices warmed before the append: one the appended record falls under
+#: and one it does not, for every dimension.
+WARM_CUTS = (
+    "", "product:clothing", "product:shoes", "product:outerwear",
+    "brand:nike", "brand:adidas",
+)
+#: The appended record: an adidas shirt, which touches no ``shoes`` and
+#: no ``nike`` cell.
+APPENDED = (
+    "id,product,brand,path\n"
+    "100,shirt,adidas,factory:10|truck:1|shelf:5|checkout:0\n"
+)
+
+
+def warm_slices(host: str, port: int) -> dict[str, bytes]:
+    """Each warm cut's slice body, as the server answers it."""
+    bodies = {}
+    for cut in WARM_CUTS:
+        status, bodies[cut] = request_bytes(
+            host, port, "POST", "/cubes/wh/slice", {"cut": cut}
+        )
+        assert status == 200, cut
+    return bodies
+
+
+def append_under_the_server(
+    host: str, port: int, store: Path, workdir: Path
+) -> None:
+    """Another process appends; the server keeps what it did not touch.
+
+    The warm cuts are answered again after ``flowcube-store append`` ran
+    in a subprocess, and must byte-equal what a tenant mounted afresh in
+    this process renders; ``/stats`` must show the reload kept at least
+    one cached response and dropped at least one.
+    """
+    warm_slices(host, port)
+    batch = workdir / "append.csv"
+    batch.write_text(APPENDED, encoding="utf-8")
+    cli("append", str(store), "--csv", str(batch), "--compact-after", "0")
+
+    served = warm_slices(host, port)
+    tenant = CubeTenant.mount("wh", store)
+    try:
+        app = SlicerApp([tenant])
+        for cut in WARM_CUTS:
+            expected = app.handle(
+                Request(
+                    method="POST", path="/cubes/wh/slice", query={},
+                    headers={}, body=json.dumps({"cut": cut}).encode(),
+                )
+            ).body
+            assert served[cut] == expected, f"slice {cut!r} is stale"
+    finally:
+        tenant.close()
+
+    status, stats = request(host, port, "GET", "/stats")
+    assert status == 200, stats
+    tenant_stats = stats["cubes"]["wh"]
+    assert tenant_stats["responses_kept"] >= 1, tenant_stats
+    assert tenant_stats["responses_dropped"] >= 1, tenant_stats
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     workdir = Path(argv[0]) if argv else Path(tempfile.mkdtemp("serve-smoke"))
@@ -205,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         round_trip(host, port)
         measure_parity(host, port, store)
         one_plan(host, port, store)
+        append_under_the_server(host, port, store, workdir)
     finally:
         process.send_signal(signal.SIGINT)
         exit_code = process.wait(timeout=15)

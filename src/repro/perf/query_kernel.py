@@ -312,6 +312,11 @@ class QueryCache:
         with self._lock:
             self._lru.clear()
 
+    def rekey(self, new_key) -> tuple[int, int]:
+        """:meth:`~repro.store.cache.LRUCache.rekey`, under the lock."""
+        with self._lock:
+            return self._lru.rekey(new_key)
+
     def stats(self) -> dict[str, float | int]:
         """LRU counters plus the planner's derivation count."""
         with self._lock:

@@ -111,9 +111,9 @@ class FlowCubeQuery:
         self._hierarchies = self._schema.dimensions
         self._dims: dict[str, int] = {}
         self._default_path_level: PathLevel | None = None
-        #: (cube version, item level, path level) -> plan; the version in
-        #: the key keeps plans from outliving a store mutation.
-        self._plans: dict[tuple, DerivationPlan | None] = {}
+        #: (item level, path level) -> (cube version, plan): a plan is
+        #: recomputed once the cube has mutated since, in place.
+        self._plans: dict[tuple, tuple[int, DerivationPlan | None]] = {}
         self._cache = QueryCache(cache_size)
         self._pool = catalogs if catalogs is not None else CatalogPool()
 
@@ -165,10 +165,13 @@ class FlowCubeQuery:
     ) -> DerivationPlan | None:
         """The planner's choice for a coordinate (memoised), or ``None``."""
         level = path_level or self.default_path_level()
-        coords = (self.cube.version, item_level, level)
-        if coords not in self._plans:
-            self._plans[coords] = plan_derivation(self.cube, item_level, level)
-        return self._plans[coords]
+        version = self.cube.version
+        memo = self._plans.get((item_level, level))
+        if memo is None or memo[0] != version:
+            memo = self._plans[item_level, level] = (
+                version, plan_derivation(self.cube, item_level, level),
+            )
+        return memo[1]
 
     def _require_plan(
         self, item_level: ItemLevel, level: PathLevel
@@ -315,9 +318,10 @@ class FlowCubeQuery:
             if value not in self._hierarchies[index]:
                 raise QueryError(f"{value!r} is not a {name!r} concept")
             constraints.append((index, value))
+        version = self.cube.version
         cache_key = (
             "slice",
-            self.cube.version,
+            version,
             level,
             tuple(sorted(constraints)),
             self.kernel,
@@ -325,21 +329,26 @@ class FlowCubeQuery:
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
-        out = tuple(self._slice_cells(level, constraints))
+        out = tuple(self._slice_cells(level, constraints, version))
         self._cache.put(cache_key, out)
         return out
 
     def _slice_cells(
-        self, level: PathLevel, constraints: list[tuple[int, str]]
+        self,
+        level: PathLevel,
+        constraints: list[tuple[int, str]],
+        version: int,
     ) -> Iterator[Cell]:
         for cuboid in self.cube.cuboids:
             if cuboid.path_level != level:
                 continue
             if self.kernel == "index":
                 # The pool rebuilds a catalog when the cube's version or
-                # the cuboid's size changes.
+                # the cuboid's size changes.  *version* was read before
+                # the cuboids, so it is never newer than the cuboid: a
+                # catalog of a superseded cube is never filed as current.
                 catalog = self._pool.catalog(
-                    cuboid, self._hierarchies, self.cube.version
+                    cuboid, self._hierarchies, version
                 )
                 yield from cuboid.cells_for(catalog.matching_keys(constraints))
             else:

@@ -38,6 +38,13 @@ OPS: dict[str, set[str]] = {
     "drilldown": {"dimension", "derive", "measure"},
 }
 
+#: The operations whose answer is the cells their cut selects at their
+#: path level, in cube order, rendered from those cells alone — so it
+#: holds until a cell the cut selects changes.  The others may read cells
+#: the cut does not select (a parent, children, a derivation's source,
+#: redundancy inference) and are answered afresh after any change.
+CUT_BOUND = frozenset({"slice", "exceptions"})
+
 
 def parse_cut(cut: str) -> dict[str, str]:
     """Parse ``"dim:value|dim2:value2"`` into a constraints mapping.

@@ -42,7 +42,11 @@ the cube does not hold surfaces as a 404.  *Render*: :data:`RENDER` has
 one payload function per operation; a cell's measure is decoded only if
 the payload renders it, so a default slice answers from the index fields
 alone.  Each tenant request first ``stat``\\ s the cube's meta file, so a
-rebuild by another process invalidates every layer at once.
+write by another process is seen at once.  A rebuild or a compaction
+invalidates every layer; after an append the cell cache drops only the
+cells it changed, and cached ``slice`` / ``exceptions`` bytes whose cut
+selects none of them stay warm
+(:meth:`~repro.store.cube_store.CubeStore.maybe_reload`).
 """
 
 from __future__ import annotations
@@ -429,9 +433,12 @@ class SlicerApp:
         configured) so clients can reuse a response for a bounded time
         without a round trip.  A matching ``If-None-Match`` is answered
         ``304 Not Modified`` before the cache is even consulted — the
-        validator alone proves the client's copy is current.
+        validator alone proves the client's copy is current.  A body is
+        served, and cached under the version pinned before the run, only
+        if the store's mutation counter did not move while it was
+        rendered; otherwise the plan runs again.
         """
-        version = tenant.version  # pinned before any rendering (see below)
+        version = tenant.version  # pinned before any rendering
         key = plan.key
         etag = tenant.etag(key)
         headers = {"ETag": etag}
@@ -440,11 +447,14 @@ class SlicerApp:
         if if_none_match(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers=headers)
         body = tenant.cached_response(key)
-        if body is None:
+        while body is None:
             result = plan.run(tenant.query)
             body = encode_json(RENDER[plan.op](tenant, plan, result))
-            # Store under the version observed *before* the plan ran: if a
-            # writer mutated concurrently, the entry lands under the old
-            # (now unreachable) key instead of poisoning the current one.
-            tenant.store_response(key, body, version=version)
+            if tenant.version == version:
+                tenant.store_response(key, body, version=version)
+            else:
+                # A reload landed while the plan ran, so its cells may
+                # come from two cubes: answer from the one committed now.
+                version = tenant.version
+                body = tenant.cached_response(key)
         return Response(body=body, headers=headers)

@@ -13,22 +13,32 @@ concurrently and repeatedly:
 * a response cache holding final rendered JSON *bytes* keyed by the
   canonical request, so a warm hit skips querying and serialisation
   entirely;
-* invalidation wiring: the tenant subscribes to the store's version
-  counter, so any mutation (``put_cell``/``flush``/``reload``) clears the
-  response cache eagerly, and every cache key folds the version in as a
-  second line of defence.  :meth:`refresh` additionally ``stat``\\ s the
-  on-disk meta file so rebuilds by *other* processes (the CLI under a
-  running server) are noticed per request.
+* invalidation wiring: every cache key folds in the store's version
+  counter, and the tenant subscribes to it.  An in-process mutation
+  (``put_cell``/``flush``), a rebuild or a compaction drops every cached
+  response; a reload after another process's append carries each
+  ``slice`` / ``exceptions`` response whose cut selects none of the
+  cells the append changed over to the new version
+  (:data:`~repro.query.plan.CUT_BOUND`) and drops the rest.
+  :meth:`refresh` ``stat``\\ s the on-disk meta file so writes by *other*
+  processes (the CLI under a running server) are noticed per request.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from pathlib import Path as FsPath
 
 from repro.errors import StoreError
-from repro.perf.query_kernel import CatalogPool, QueryCache, merge_query_stats
+from repro.perf.query_kernel import (
+    CatalogPool,
+    CuboidKeyCatalog,
+    QueryCache,
+    merge_query_stats,
+)
 from repro.query.api import FlowCubeQuery
+from repro.query.plan import CUT_BOUND
 from repro.store.pathstore import PartitionedPathStore
 
 __all__ = ["CubeTenant"]
@@ -68,6 +78,9 @@ class CubeTenant:
         )
         self._responses = QueryCache(response_cache_size)
         self.invalidations = 0
+        #: Cached responses the invalidations so far carried over / dropped.
+        self.responses_kept = 0
+        self.responses_dropped = 0
         self.cube_store.subscribe(self._invalidated)
 
     @classmethod
@@ -82,21 +95,68 @@ class CubeTenant:
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
-    def _invalidated(self, version: int) -> None:
-        self._responses.clear()
+    def _invalidated(self, version: int, changed: frozenset | None) -> None:
+        """Re-key to *version* every cached response the change leaves
+        standing and drop the others — all of them when *changed* is
+        ``None``."""
+        if changed is None:
+            kept, dropped = self._responses.rekey(lambda key: None)
+        else:
+            kept, dropped = self._responses.rekey(self._carry(version, changed))
         self.invalidations += 1
+        self.responses_kept += kept
+        self.responses_dropped += dropped
+
+    def _carry(
+        self, version: int, changed: frozenset
+    ) -> Callable[[tuple], tuple | None]:
+        """``response key -> its key at version``, or ``None`` to drop it.
+
+        A response stands when its plan is :data:`CUT_BOUND` and its cut
+        selects none of the changed keys at its path level — one
+        :class:`CuboidKeyCatalog` over those keys per level, matched the
+        way a slice matches a cuboid's.
+        """
+        schema = self.cube_store.schema
+        keys_at: dict[int, list] = {}
+        for _, level_id, key in changed:
+            keys_at.setdefault(level_id, []).append(key)
+        default = self.cube_store.path_lattice.index_of(
+            self.query.default_path_level()
+        )
+        catalogs: dict[int, CuboidKeyCatalog] = {}
+
+        def carry(key: tuple) -> tuple | None:
+            # A response key is (version, *Plan.key): op, dims, path_level, ...
+            stored, op, dims, path_level = key[:4]
+            if stored != version - 1 or op not in CUT_BOUND:
+                return None
+            level = default if path_level is None else path_level
+            if level in keys_at:
+                catalog = catalogs.get(level)
+                if catalog is None:
+                    catalog = catalogs[level] = CuboidKeyCatalog(
+                        keys_at[level], schema.dimensions
+                    )
+                if catalog.match_mask(
+                    (schema.dimension_index(name), value) for name, value in dims
+                ):
+                    return None
+            return (version, *key[1:])
+
+        return carry
 
     def refresh(self) -> bool:
-        """Notice an external rebuild (one ``stat``); True when reloaded."""
+        """Notice another process's write (one ``stat``); True when reloaded."""
         return self.cube_store.maybe_reload()
 
     def close(self) -> None:
         """Unmount: flush counters, then release every file handle/map.
 
-        After closing, the cube store's mmaps (cell heap, cell index,
-        shared string table) are dropped, so the store directory can be
-        deleted or rebuilt without this process pinning stale inodes.
-        The tenant must not serve requests afterwards.
+        After closing, the cube store's maps (heap segments, cell index;
+        the path table is unmapped once read) are dropped, so the store
+        directory can be deleted or rebuilt without this process pinning
+        stale inodes.  The tenant must not serve requests afterwards.
         """
         try:
             self.cube_store.unsubscribe(self._invalidated)
@@ -172,6 +232,8 @@ class CubeTenant:
             "version": self.cube_store.build_version,
             "store_version": self.version,
             "invalidations": self.invalidations,
+            "responses_kept": self.responses_kept,
+            "responses_dropped": self.responses_dropped,
             "query_cache": self.query.cache_stats(),
             "cell_cache": self.cube_store.cache_stats(),
             "io": self.cube_store.io_counters(),

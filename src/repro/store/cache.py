@@ -68,6 +68,23 @@ class LRUCache:
         """Drop every entry; the counters keep accumulating."""
         self._entries.clear()
 
+    def discard(self, keys) -> None:
+        """Drop the entries whose key is in the set *keys*: stale, not
+        evicted, so no counter moves."""
+        for key in [key for key in self._entries if key in keys]:
+            del self._entries[key]
+
+    def rekey(self, new_key) -> tuple[int, int]:
+        """Move every entry to ``new_key(key)``, in recency order, dropping
+        those it maps to ``None``; return ``(kept, dropped)``."""
+        held = len(self._entries)
+        self._entries = OrderedDict(
+            (moved, value)
+            for key, value in self._entries.items()
+            if (moved := new_key(key)) is not None
+        )
+        return len(self._entries), held - len(self._entries)
+
     @property
     def hit_rate(self) -> float:
         """Fraction of reads served from memory (0.0 when never read)."""

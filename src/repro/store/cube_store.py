@@ -65,6 +65,7 @@ import os
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path as FsPath
 
@@ -161,6 +162,56 @@ Entry = tuple[int, int, int, bool]
 entry_n_paths = itemgetter(2)
 #: The cell's redundancy mark, as the index entry records it.
 entry_redundant = itemgetter(3)
+
+#: A committed cube as a reload compares it: its index, its live
+#: slot -> heap file listing and its path table's lineage.
+Served = tuple[dict, dict[int, str], int | None]
+
+
+def changed_coords(before: Served, after: Served) -> frozenset[Coords] | None:
+    """The coordinates whose cell *after* does not serve as *before* did.
+
+    Added, removed and rewritten cells, by extent identity: a cell is
+    unchanged when its entry sits in a slot both listings map to the same
+    file — files are immutable, and a writer either carries an entry
+    verbatim or writes the cell into the slot its flush adds.  ``None``
+    (everything) for another lineage (a rebuild) or another slot-0 heap
+    (a compaction), or when the cuboids kept do not keep their order.  A
+    cuboid whose surviving keys change order counts whole: a slice lists
+    its cells in that order.  One pass of set operations per cuboid; no
+    record is read.
+    """
+    old_index, old_slots, old_lineage = before
+    index, slots, lineage = after
+    last = max(old_slots, default=-1)
+    if (
+        lineage != old_lineage
+        or any(slots.get(slot) != name for slot, name in old_slots.items())
+        or any(slot < last for slot in slots.keys() - old_slots.keys())
+    ):
+        return None
+    kept = [coords for coords in index if coords in old_index]
+    if kept != [coords for coords in old_index if coords in index]:
+        return None
+    # Every slot *before* did not list comes after its last one, so an
+    # entry at or past this packed offset is in a file it did not list.
+    fresh = (binfmt.pack_segment_offset(last + 1, 0),)
+    changed: set[Coords] = set()
+    for coords, entries in index.items():
+        old = old_index.get(coords, {})
+        dirty = set(compress(entries, map(fresh.__le__, entries.values())))
+        if len(entries) != len(old) or not dirty <= old.keys():
+            # Keys came (fresh already: a flush since wrote them) or went.
+            dirty |= old.keys() - entries.keys()
+            survivors = list(filter(old.__contains__, entries))
+            if survivors != list(filter(entries.__contains__, old)):
+                dirty = entries.keys() | old.keys()
+        item_level, level_id = coords
+        changed.update((item_level, level_id, key) for key in dirty)
+    for coords in old_index.keys() - index.keys():
+        item_level, level_id = coords
+        changed.update((item_level, level_id, key) for key in old_index[coords])
+    return frozenset(changed)
 
 
 def _new_io_counters() -> dict[str, int]:
@@ -805,13 +856,17 @@ class CubeStore:
         #: Serialises reads/mutations so concurrent server workers can
         #: share one handle — the LRU's OrderedDict is not thread-safe.
         self._lock = threading.RLock()
-        #: Invalidation listeners, called with the new version on every
-        #: index mutation (the serving layer's per-tenant caches hook in).
-        self._subscribers: list[Callable[[int], None]] = []
+        #: Invalidation listeners, called with the new version and the
+        #: changed coordinates on every index mutation (the serving
+        #: layer's per-tenant caches hook in).
+        self._subscribers: list[Callable[[int, frozenset | None], None]] = []
         #: (st_mtime_ns, st_size) of the meta file last read or written;
         #: :meth:`maybe_reload` compares against disk to notice rebuilds
         #: flushed by *other* processes (e.g. the CLI under a server).
         self._meta_signature: tuple[int, int] | None = None
+        #: The committed cube this handle serves, as the last load or
+        #: flush left it; ``None`` from an in-process write to its flush.
+        self._served: Served | None = None
         signature, text = read_meta(self.directory)
         if text is not None:
             self._load_meta(signature, text)
@@ -828,22 +883,33 @@ class CubeStore:
         """Whether a build has ever written (and flushed) into this store."""
         return self.path_lattice is not None
 
-    def _bump_version(self) -> None:
-        """Advance the mutation counter and push it to every subscriber."""
+    def _bump_version(self, changed: frozenset[Coords] | None = None) -> None:
+        """Advance the mutation counter and push it, with the coordinates
+        that changed (``None``: any may have), to every subscriber."""
         self._version += 1
         for callback in tuple(self._subscribers):
-            callback(self._version)
+            callback(self._version, changed)
 
-    def subscribe(self, callback: Callable[[int], None]) -> None:
-        """Register *callback* to run (with the new version) on mutation.
+    def subscribe(
+        self, callback: Callable[[int, frozenset[Coords] | None], None]
+    ) -> None:
+        """Register ``callback(version, changed)`` to run on mutation.
 
         The serving layer's per-tenant caches key their entries off
-        :attr:`version` already; the push lets them also *drop* stale
-        entries eagerly instead of leaking them until LRU pressure.
+        :attr:`version` already; the push lets them drop stale entries
+        eagerly instead of leaking them until LRU pressure — and, after a
+        reload, carry the rest over.  *changed* is the set of ``(item
+        level, path-level id, key)`` coordinates a reload found added,
+        removed or rewritten (:func:`changed_coords`), or ``None`` when
+        any cell may differ: an in-process write, a rebuild, a compaction.
+        Callbacks run under the store lock, before any read of the new
+        version can start.
         """
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback: Callable[[int], None]) -> None:
+    def unsubscribe(
+        self, callback: Callable[[int, frozenset[Coords] | None], None]
+    ) -> None:
         """Remove a previously registered invalidation listener."""
         self._subscribers.remove(callback)
 
@@ -874,6 +940,7 @@ class CubeStore:
             )
             self.build_stats = None
             self._index.clear()
+            self._served = None
             self._cache.clear()
             self._paths = StoredPaths(
                 self.directory / self._cells.fresh_name("paths", ".bin"),
@@ -1016,6 +1083,7 @@ class CubeStore:
             if not batch:
                 return
             entries = self._cells.put_records(self._encode(batch))
+            self._served = None  # the index below is no longer committed
             for ((item_level, level_id, key), _), entry in zip(batch, entries):
                 self._index.setdefault((item_level, level_id), {})[key] = entry
             self._bump_version()
@@ -1065,6 +1133,7 @@ class CubeStore:
                     for key in keys
                 }
             self._index = new_index
+            self._served = None
             # The catalog masks decoded from the superseded index no
             # longer describe the merged layout; drop them so catalogs
             # derive from keys until the next load maps the new index.
@@ -1102,6 +1171,7 @@ class CubeStore:
                 ]
                 new_index[coords] = dict(zip(entries, new.put_records(records)))
             self._index = new_index
+            self._served = None
             self._cells = new
             self._cache.clear()
             if self.build_stats is not None:
@@ -1161,6 +1231,10 @@ class CubeStore:
                     json.dumps(payload, indent=1).encode("utf-8"),
                 )
                 self._meta_signature = (stat.st_mtime_ns, stat.st_size)
+                self._served = (
+                    self._index, self._cells.files["segments"],
+                    self._paths.lineage,
+                )
                 self._cells.sweep()
             finally:
                 self._writer.release()
@@ -1188,44 +1262,69 @@ class CubeStore:
     def _load_meta(self, signature: tuple[int, int], text: str) -> None:
         """Load the cube the meta file — *text*, read at *signature* —
         commits.  A writer may commit and sweep between that read and
-        the map of the index it lists: the meta is then re-read, once."""
+        the map of the index it lists: the meta is then re-read, once.
+
+        What the handle serves is taken once, before either attempt, so
+        the changed set compares the cube loaded with the one this handle
+        served — never with the listing of an attempt that failed."""
         with self._lock:
+            before = self._served
             try:
-                self._load(signature, text)
+                self._load(signature, text, before)
             except MissingFileError:
                 latest, text = read_meta(self.directory)
                 if latest in (None, signature):
                     raise
-                self._load(latest, text)
+                self._load(latest, text, before)
 
-    def _load(self, signature: tuple[int, int], text: str) -> None:
-        self._meta_signature = signature
+    def _load(
+        self, signature: tuple[int, int], text: str, before: Served | None
+    ) -> None:
+        """Parse and map everything first, then swap it in: a load that
+        raises leaves the handle, its caches and its version as they were.
+        The cell cache keeps every cell :func:`changed_coords` does not
+        name, and the version bump hands subscribers that set."""
         payload = json.loads(text)
         binfmt.check_layout_name(
             payload.get("format"),
             f"cube meta {self.directory / META_FILENAME}",
         )
-        self.min_support = payload["min_support"]
-        self.min_deviation = payload["min_deviation"]
-        self.path_lattice = PathLattice(
+        thresholds = payload["min_support"], payload["min_deviation"]
+        lattice = PathLattice(
             path_level_from_dict(level, self.schema.location)
             for level in payload["path_lattice"]
         )
-        self.build_stats = payload.get("build_stats")
         raw = payload.get("item_levels")
+        committed = payload.get("paths") or {}
+        cells = self._new_heap()
+        try:
+            index = cells.load(payload)
+            paths = StoredPaths(
+                self.directory / cells.files["paths"],
+                committed.get("lineage"),
+                committed.get("counts"),
+            )
+            served = (index, cells.files["segments"], paths.lineage)
+            changed = None if before is None else changed_coords(before, served)
+        except BaseException:
+            cells.close(materialise=False)
+            raise
+        self._meta_signature = signature
+        self.min_support, self.min_deviation = thresholds
+        self.path_lattice = lattice
+        self.build_stats = payload.get("build_stats")
         self.item_levels = raw and [ItemLevel(levels) for levels in raw]
         self._table = None
         self._cells.close()
-        self._cells = self._new_heap()
-        self._cache.clear()
-        self._index = self._cells.load(payload)
-        committed = payload.get("paths") or {}
-        self._paths = StoredPaths(
-            self.directory / self._cells.files["paths"],
-            committed.get("lineage"),
-            committed.get("counts"),
-        )
-        self._bump_version()
+        self._cells = cells
+        self._index = index
+        self._served = served
+        self._paths = paths
+        if changed is None:
+            self._cache.clear()
+        else:
+            self._cache.discard(changed)
+        self._bump_version(changed)
 
     def maybe_reload(self) -> bool:
         """Re-read the meta file when another process rewrote it.
@@ -1236,8 +1335,13 @@ class CubeStore:
         that cheaply.  The signature and the content are taken from one
         file descriptor (:func:`read_meta`), so the comparison and the
         subsequent parse always describe the same on-disk build.
-        Reloading bumps :attr:`version`, so every subscribed cache
-        invalidates.  Returns whether a reload happened.
+        Reloading bumps :attr:`version` and invalidates what the new
+        cube changed and nothing else: the cell cache drops the
+        coordinates :func:`changed_coords` names and subscribers receive
+        that set — everything after a rebuild or a compaction, whose
+        cells all live in files the old cube did not list.  A reload that
+        raises changes nothing, and the next call tries again.  Returns
+        whether a reload happened.
         """
         with self._lock:
             signature, text = read_meta(self.directory)

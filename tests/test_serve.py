@@ -19,12 +19,15 @@ The load-bearing assertions:
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 from itertools import product as iproduct
 
 import pytest
 
 from repro.core.flowcube import Cell
+from repro.core.path import PathRecord
 from repro.core.lattice import ItemLevel
 from repro.errors import ServeError, StoreError
 from repro.perf.query_kernel import load_query_stats, merge_query_stats
@@ -40,7 +43,7 @@ from repro.serve import (
     slice_payload,
 )
 from repro.serve.http import encode_json
-from repro.store import PartitionedPathStore, build_cube
+from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.cli import _parse_cube_mounts
 from repro.synth import GeneratorConfig, generate_path_database
 
@@ -101,8 +104,12 @@ def post(app, path, body):
 
 
 def body_of(response):
+    return json.loads(ok_body(response))
+
+
+def ok_body(response) -> bytes:
     assert response.status == 200, response.body
-    return json.loads(response.body)
+    return response.body
 
 
 def scan_slice_bytes(tenant, dims, path_level=None, measure=False):
@@ -624,6 +631,110 @@ def test_no_stale_results_under_concurrent_mutation(tmp_path, database):
     assert final.body == canonical()
     # put_cell and flush each push an invalidation to the tenant.
     assert tenant.invalidations >= 2 * len(candidates)
+
+
+def test_no_stale_results_while_another_handle_appends(tmp_path, database):
+    """The cross-handle path: each reload keeps the cached answers the
+    write left standing, while readers hammer the tenant."""
+    directory = tmp_path / "hammer"
+    store = PartitionedPathStore.init(directory, database.schema)
+    store.ingest(database)
+    build_cube(store, min_support=4, into=store.cube_store())
+    # Each batch clones one record: it rewrites one corner of the cube.
+    rows = list(database)
+    first, second = (
+        [PathRecord(start + n, source.dims, source.path) for n in range(8)]
+        for start, source in ((10_000, rows[0]), (20_000, rows[-1]))
+    )
+    tenant = CubeTenant.mount("wh", directory)
+    app = SlicerApp([tenant])
+    cuts = [""] + [
+        f"{h.name}:{concept}"
+        for h in database.schema.dimensions
+        for level in range(1, h.depth + 1)
+        for concept in sorted(h.concepts_at_level(level))
+    ]
+    wanted = [
+        (route, {"cut": cut, **extra})
+        for cut in cuts
+        for route, extra in (
+            ("slice", {}), ("slice", {"measure": True}), ("exceptions", {}),
+        )
+    ]
+
+    def snapshot() -> list[bytes]:
+        """Every wanted body, from a tenant mounted on the cube now."""
+        fresh = CubeTenant.mount("wh", directory)
+        try:
+            fresh_app = SlicerApp([fresh])
+            return [
+                ok_body(post(fresh_app, f"/cubes/wh/{route}", params))
+                for route, params in wanted
+            ]
+        finally:
+            fresh.close()
+
+    valid = [{body} for body in snapshot()]
+    observed: list[tuple[int, bytes]] = []
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def reader(offset: int) -> None:
+        try:
+            turn = offset
+            while not stop.is_set():
+                route, params = wanted[turn % len(wanted)]
+                response = post(app, f"/cubes/wh/{route}", params)
+                observed.append((turn % len(wanted), ok_body(response)))
+                turn += 1
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    writer_store = PartitionedPathStore.open(directory)
+    writer = writer_store.cube_store()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [
+        threading.Thread(target=reader, args=(n,)) for n in range(4)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        while len(observed) < 2 * len(wanted) and not errors:
+            time.sleep(0.01)  # every wanted answer is cached
+        for write in (
+            lambda: append_records(
+                writer_store, first, cube=writer, compact_after=0
+            ),
+            writer.compact,
+            lambda: append_records(
+                writer_store, second, cube=writer, compact_after=0
+            ),
+        ):
+            write()
+            for bodies, body in zip(valid, snapshot()):
+                bodies.add(body)
+            time.sleep(0.05)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for thread in threads:
+            thread.join(timeout=30)
+        writer.close()
+        writer_store.close()
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    unknown = [turn for turn, body in observed if body not in valid[turn]]
+    assert not unknown, f"{len(unknown)} stale/torn responses served"
+    final = snapshot()
+    assert not [
+        (route, params)
+        for (route, params), body in zip(wanted, final)
+        if ok_body(post(app, f"/cubes/wh/{route}", params)) != body
+    ]
+    assert tenant.responses_kept > 0
+    tenant.close()
 
 
 # ----------------------------------------------------------------------

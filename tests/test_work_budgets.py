@@ -40,6 +40,7 @@ from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import roll_up_key
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
+from repro.query.plan import Plan, parse_cut
 from repro.serve import CubeTenant, SlicerApp
 from repro.store import (
     BuildStats,
@@ -406,6 +407,119 @@ def test_an_append_without_a_candidate_reads_no_partition(
     assert "paths" not in published_as(published, tmp_path / "wh")
     cube.close()
     store.close()
+
+
+# ----------------------------------------------------------------------
+# reload (another handle's write under a mounted tenant)
+# ----------------------------------------------------------------------
+
+def one_concept_cuts(schema) -> list[str]:
+    return [""] + [
+        f"{h.name}:{concept}"
+        for h in schema.dimensions
+        for level in range(1, h.depth + 1)
+        for concept in sorted(h.concepts_at_level(level))
+    ]
+
+
+def selects(schema, cut: str, key) -> bool:
+    """The scan kernel's match of *cut* against one cell key."""
+    for name, wanted in parse_cut(cut).items():
+        index = schema.dimension_index(name)
+        actual = key[index]
+        if actual != wanted and (
+            actual == "*"
+            or not schema.dimensions[index].is_ancestor(wanted, actual)
+        ):
+            return False
+    return True
+
+
+def warm_tenant(directory: FsPath, cuts: list[str]):
+    """A tenant whose caches hold every cut's slice (and its cells)."""
+    tenant = CubeTenant.mount("wh", directory, cache_size=1 << 14)
+    app = SlicerApp([tenant])
+    for cut in cuts:
+        assert post(app, "/cubes/wh/slice", {"cut": cut}).status == 200
+    return tenant, app
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_reload_reruns_the_cuts_an_append_changed_and_no_other(
+    tmp_path, monkeypatch, n_paths
+):
+    """After another handle's append, replaying the warm cuts runs a plan
+    once per cut that selects a changed cell and never otherwise, and the
+    reload took exactly the changed coordinates out of the cell cache."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    cube.close()
+    store.close()
+    schema = database.schema
+    cuts = one_concept_cuts(schema)
+    # A batch in one corner: every record under one top concept of d0.
+    top = schema.dimensions[0]
+    corner = sorted(top.concepts_at_level(1))[0]
+    batch = [r for r in batch if top.ancestor_at_level(r.dims[0], 1) == corner]
+    tenant, app = warm_tenant(tmp_path / "wh", cuts)
+    cells = tenant.cube_store._cache
+    cached = set(cells._entries)
+    changes = []
+    tenant.cube_store.subscribe(lambda version, changed: changes.append(changed))
+
+    with PartitionedPathStore.open(tmp_path / "wh") as writer:
+        append_records(writer, batch, compact_after=0)
+    assert tenant.refresh()
+    [changed] = changes
+    assert set(cells._entries) == cached - changed
+    assert len(cells) == len(cached) - len(cached & changed) < len(cached)
+
+    runs = Counted(monkeypatch, Plan, "run")
+    for cut in cuts:
+        assert post(app, "/cubes/wh/slice", {"cut": cut}).status == 200
+    lattice = tenant.cube_store.path_lattice
+    level = lattice.index_of(tenant.query.default_path_level())
+    rerun = [
+        cut for cut in cuts
+        if any(
+            selects(schema, cut, key)
+            for _, level_id, key in changed if level_id == level
+        )
+    ]
+    assert 0 < len(runs) == len(rerun) < len(cuts)
+    assert [call[0].dims for call in runs.calls] == [
+        tuple(sorted(parse_cut(cut).items())) for cut in rerun
+    ]
+    stats = tenant.stats()
+    assert stats["responses_kept"] == len(cuts) - len(rerun)
+    tenant.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_reload_after_a_compaction_keeps_nothing(tmp_path, n_paths):
+    """The limitation, as a count: a compaction rewrites every cell into a
+    heap the served cube did not list, so the reload keeps no cell and no
+    response."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    append_records(store, batch, cube=cube, compact_after=0)
+    cube.close()
+    store.close()
+    cuts = one_concept_cuts(database.schema)
+    tenant, _ = warm_tenant(tmp_path / "wh", cuts)
+    held = tenant.stats()["response_cache"]["size"]
+    assert held == len(cuts) and len(tenant.cube_store._cache)
+
+    with PartitionedPathStore.open(tmp_path / "wh") as writer:
+        with writer.cube_store() as compacting:
+            assert compacting.compact()
+    assert tenant.refresh()
+    stats = tenant.stats()
+    assert (stats["responses_kept"], stats["responses_dropped"]) == (0, held)
+    assert stats["cell_cache"]["size"] == 0
+    tenant.close()
 
 
 @pytest.mark.parametrize("n_paths", SIZES)
