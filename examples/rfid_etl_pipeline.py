@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.core import FlowCube, kl_similarity
 from repro.query import FlowCubeQuery, render_text
-from repro.store import PartitionedPathStore, build_cube
+from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.synth import GeneratorConfig, generate_path_database
 from repro.warehouse import (
     ReaderModel,
@@ -81,7 +81,7 @@ def main() -> None:
     print("\n".join(text.splitlines()[:12]))
 
     # In production the cleaned paths land in a partitioned on-disk store
-    # and the cube is maintained incrementally as new batches arrive.
+    # and the persisted cube is maintained incrementally as batches arrive.
     print("\n--- Warehouse: partitioned store + incremental append ---")
     rows = sorted(recovered, key=lambda record: record.record_id)
     with tempfile.TemporaryDirectory() as tmp:
@@ -89,31 +89,33 @@ def main() -> None:
             Path(tmp) / "warehouse", truth.schema, partition_size=100
         )
         store.ingest(rows[:300])
-        cube = build_cube(store, min_support=0.02, compute_exceptions=False)
-        print(
-            f"Initial load: {len(store)} records in "
-            f"{len(store.catalog.partitions)} partitions, "
-            f"{cube.n_cells()} iceberg cells"
-        )
-        # The next ETL batch: persisted as a new partition AND folded into
-        # the live cube (Lemma 4.2 — only touched cells are re-counted).
-        delta = store.append(rows[300:], cube=cube, recompute_exceptions=False)
+        with build_cube(
+            store, min_support=0.02, compute_exceptions=False,
+            into=store.cube_store(),
+        ) as cube:
+            print(
+                f"Initial load: {len(store)} records in "
+                f"{len(store.catalog.partitions)} partitions, "
+                f"{cube.n_cells()} iceberg cells"
+            )
+            # The next ETL batch: persisted as a new partition AND folded
+            # into the cube as a delta segment (Lemma 4.2 — only touched
+            # cells are rewritten).
+            delta = append_records(
+                store, rows[300:], cube=cube, recompute_exceptions=False
+            )
         print(
             f"Appended {delta['ingested']} records "
             f"({delta['partitions']} new partition(s)); cube cells "
             f"updated={delta['updated']} created={delta['created']}"
         )
-        # Persist the cube cell-by-cell and serve queries through the
-        # bounded LRU cache: the repeat read never touches disk.
-        build_cube(
-            store, min_support=0.02, compute_exceptions=False,
-            into=store.cube_store(),
-        )
-        served = store.cube_store(cache_size=32)
-        query = FlowCubeQuery(served)
-        query.flowgraph()
-        query.flowgraph()
-        stats = served.cache_stats()
+        # Serve the appended cube through the bounded LRU cache: the
+        # repeat read never touches disk.
+        with store.cube_store(cache_size=32) as served:
+            query = FlowCubeQuery(served)
+            query.flowgraph()
+            query.flowgraph()
+            stats = served.cache_stats()
         print(
             f"Cube store cache after repeated query: "
             f"hits={stats['hits']} misses={stats['misses']}"

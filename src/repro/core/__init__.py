@@ -17,7 +17,6 @@ from repro.core.flowgraph_exceptions import (
     resolve_min_support,
 )
 from repro.core.hierarchy import ANY, ConceptHierarchy, HierarchyNode
-from repro.core.incremental import append_batch
 from repro.core.lattice import (
     DURATION_ANY,
     DURATION_VALUE,
@@ -88,7 +87,6 @@ __all__ = [
     "StageRecord",
     "aggregate_locations",
     "aggregate_path",
-    "append_batch",
     "cube_from_json",
     "cube_to_json",
     "drop_redundant",

@@ -145,8 +145,10 @@ class FlowCube:
         self.min_support = min_support
         self.min_deviation = min_deviation
         self._cuboids: dict[tuple[ItemLevel, PathLevel], Cuboid] = {}
-        #: Mutation counter (the ``CubeStore.version`` contract): bumped by
-        #: whatever changes cells in place, folded into every query cache key.
+        #: Mutation counter (the ``CubeStore.version`` contract), folded
+        #: into every query cache key.  Its only writers are the in-place
+        #: cell changes of :mod:`repro.core.redundancy`: ``prune_redundant``
+        #: and ``drop_redundant`` bump it when they mark or remove a cell.
         self.version = 0
 
     # ------------------------------------------------------------------

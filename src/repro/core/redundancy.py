@@ -56,6 +56,8 @@ def prune_redundant(
     Cells are visited most-specific-first within each path level, so a
     redundant chain (2% milk ≈ milk ≈ dairy) collapses all the way up to
     the most general member that still differs from *its* parents.
+    Marking any cell bumps ``cube.version``, so a held query façade
+    stops answering from its pre-pruning cache.
     """
     marked = 0
     cells = sorted(
@@ -67,6 +69,8 @@ def prune_redundant(
         if is_redundant(cube, cell, threshold, metric):
             cell.redundant = True
             marked += 1
+    if marked:
+        cube.version += 1
     return marked
 
 
@@ -76,6 +80,8 @@ def drop_redundant(cube: FlowCube) -> int:
     After dropping, :meth:`~repro.core.flowcube.FlowCube.flowgraph_for`
     can no longer serve the removed coordinates — run it only on cubes
     whose consumers query surviving cells (e.g. for space measurements).
+    Removing any cell bumps ``cube.version``, as :func:`prune_redundant`
+    does.
     """
     removed = 0
     for cuboid in cube.cuboids:
@@ -83,4 +89,6 @@ def drop_redundant(cube: FlowCube) -> int:
         for key in doomed:
             del cuboid.cells[key]
             removed += 1
+    if removed:
+        cube.version += 1
     return removed

@@ -32,10 +32,11 @@ the store's *persisted* cube without rebuilding it:
   Once ``compact_after`` segments pile up, :meth:`CubeStore.compact`
   folds them back into a clean base heap.
 
-The in-memory counterpart (a :class:`~repro.core.flowcube.FlowCube`
-updated in place) is :func:`repro.core.incremental.append_batch`; this
-module follows the same promotion / demotion / ordering rules against
-the on-disk index.
+This is the only place a batch is folded into a cube, so the promotion /
+demotion / ordering rules exist once.  An in-memory
+:class:`~repro.core.flowcube.FlowCube` has no append: its
+``FlowCube.build`` over the grown database is the reference an appended
+store is compared with.
 """
 
 from __future__ import annotations
@@ -150,8 +151,9 @@ def append_records(
         mine = recompute_exceptions and (
             "exceptions" in build_stats.get("phase_seconds", {})
         )
-        store.ingest(rows)  # raises before the cube is touched
+        written = store.ingest(rows)  # raises before the cube is touched
         result = _merge_batch(store, cube, rows, build_stats, mine)
+        result["partitions"] = len(written)
         result["compacted"] = 0
         if compact_after and len(cube.delta_segments) >= compact_after:
             result["compacted"] = cube.compact()
@@ -420,7 +422,6 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
 
     return {
         "ingested": len(rows),
-        "partitions": len(store.catalog.partitions),
         "updated": updated_cells,
         "created": created_cells,
         "promoted": sum(len(p) for p in promoted),

@@ -51,6 +51,7 @@ from repro.perf.query_kernel import load_query_stats, merge_query_stats
 from repro.query.api import FlowCubeQuery
 from repro.query.plan import Plan
 from repro.query.render import render_text
+from repro.store.append import append_records
 from repro.store.builder import BuildStats, build_cube
 from repro.store.pathstore import PartitionedPathStore
 from repro.synth.generator import GeneratorConfig, generate_path_database
@@ -375,7 +376,8 @@ def _cmd_append(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
     rows = _batch_records(store, args)
     cube_store = store.cube_store()
-    result = store.append_into_cube(
+    result = append_records(
+        store,
         rows,
         cube=cube_store,
         recompute_exceptions=not args.no_exceptions,

@@ -30,7 +30,6 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path as FsPath
 
 from repro import publish
-from repro.core.incremental import append_batch
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import StoreError
@@ -189,7 +188,7 @@ class PartitionedPathStore:
         When a :class:`PathDatabase` is given, its schema must fingerprint
         identically to the store's.  Record ids must be strictly greater
         than every id already in the store, and strictly increasing within
-        the batch.
+        the batch.  A rejected batch writes no partition.
 
         Returns:
             The catalog entries of the partitions written.
@@ -222,14 +221,16 @@ class PartitionedPathStore:
                     "increasing across ingests)"
                 )
             floor = record.record_id
+        if validate:
+            # The whole batch, before the first partition write: a bad
+            # record in a later chunk must not leave earlier ones behind.
+            PathDatabase(self.schema, rows)
 
         written: list[PartitionMeta] = []
         size = self.partition_size
         for start in range(0, len(rows), size):
             chunk = rows[start : start + size]
-            # Validates hierarchy membership unless the rows came from an
-            # already-validated database.
-            database = PathDatabase(self.schema, chunk, validate=validate)
+            database = PathDatabase(self.schema, chunk, validate=False)
             partition_id = self.catalog.next_partition_id()
             meta = PartitionMeta(
                 partition_id=partition_id,
@@ -255,77 +256,6 @@ class PartitionedPathStore:
         self._save_strings(table)
         path.parent.mkdir(parents=True, exist_ok=True)
         publish.publish_file(path, payload)
-
-    def append(
-        self,
-        records: Iterable[PathRecord],
-        cube=None,
-        recompute_exceptions: bool = True,
-    ) -> dict[str, int]:
-        """Ingest a batch and, when a live cube is given, maintain it.
-
-        The cube update reuses :func:`repro.core.incremental.append_batch`
-        (Lemma 4.2): only the cells the batch touches are re-counted and
-        re-mined, instead of rebuilding the cube from the whole store.
-
-        Args:
-            records: New path records (ids above the store's high-water
-                mark).
-            cube: An in-memory :class:`~repro.core.flowcube.FlowCube`
-                built over this store's data, or ``None`` to only persist.
-            recompute_exceptions: Forwarded to ``append_batch``.
-
-        Returns:
-            ``{"partitions": ..., "ingested": ...}`` plus, when a cube was
-            maintained, ``append_batch``'s touched-cell statistics.
-        """
-        rows = list(records)
-        written = self.ingest(rows)
-        stats: dict[str, int] = {
-            "partitions": len(written),
-            "ingested": len(rows),
-        }
-        if cube is not None and rows:
-            stats.update(
-                append_batch(cube, rows, recompute_exceptions=recompute_exceptions)
-            )
-        return stats
-
-    def append_into_cube(
-        self,
-        records: Iterable[PathRecord],
-        cube=None,
-        recompute_exceptions: bool = True,
-        compact_after: int | None = 16,
-    ) -> dict:
-        """Ingest a batch and delta-merge it into the *persisted* cube.
-
-        The store-backed counterpart of :meth:`append`: instead of
-        maintaining an in-memory :class:`~repro.core.flowcube.FlowCube`,
-        the batch is folded into the cube under ``<store>/cube`` as an
-        append-only delta segment (see :mod:`repro.store.append`), so a
-        small batch costs a fraction of a rebuild.
-
-        Args:
-            records: New path records (ids above the high-water mark).
-            cube: An open :class:`~repro.store.cube_store.CubeStore`
-                handle to update, or ``None`` to open one for the call.
-            recompute_exceptions: Re-mine exceptions in dirty cells.
-            compact_after: Fold delta segments into a clean heap once
-                this many pile up (``0``/``None`` disables).
-
-        Returns:
-            :func:`repro.store.append.append_records` statistics.
-        """
-        from repro.store.append import append_records
-
-        return append_records(
-            self,
-            records,
-            cube=cube,
-            recompute_exceptions=recompute_exceptions,
-            compact_after=compact_after,
-        )
 
     # ------------------------------------------------------------------
     # reads

@@ -41,9 +41,9 @@ def cube_files(store_dir) -> dict:
 def stored_cube_json(cube) -> str:
     """``cube_to_json`` modulo empty cuboids — what a store is compared by.
 
-    A store holds only cuboids that hold a cell; the in-memory build also
-    keeps a cuboid whose item level has no frequent cell (its
-    ``append_batch`` promotes into it).  Everything else — cuboid order,
+    A store holds only cuboids that hold a cell; the in-memory build
+    materialises every lattice cuboid, so it also keeps one whose item
+    level has no frequent cell.  Everything else — cuboid order,
     cells, measures, thresholds — must match byte for byte (DESIGN §5
     "Parity contract"; ``benchmarks/flowbench/gates.py::cube_bytes`` is
     the same rule).

@@ -25,7 +25,7 @@ from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
 from repro.core.serialization import cube_to_json
 from repro import publish
-from repro.errors import StoreError
+from repro.errors import PathDatabaseError, StoreError
 from repro.store import (
     BuildStats,
     PartitionedPathStore,
@@ -34,7 +34,7 @@ from repro.store import (
 )
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import cube_files
+from tests.conftest import cube_files, stored_cube_json
 
 CONFIG = GeneratorConfig(
     n_paths=150,
@@ -108,6 +108,7 @@ def test_append_matches_rebuild_byte_identical(
     store, cube = _base_store(tmp_path / "wh", database, base)
     stats = append_records(store, batch, cube=cube, compact_after=0)
     assert stats["ingested"] == len(batch)
+    assert stats["partitions"] == 1  # what the batch wrote, not the store's 4
     assert stats["updated"] > 0
     expected = rebuilt_reference()
     assert cube_to_json(cube) == expected
@@ -304,11 +305,66 @@ def test_id_collision_rejected_before_touching_the_cube(
     store, cube = _base_store(tmp_path / "wh", database, base)
     snapshot = cube_to_json(cube)
     colliding = [PathRecord(0, base[0].dims, base[0].path)]
-    with pytest.raises(StoreError, match="high-water mark"):
-        append_records(store, colliding, cube=cube)
+    one_dimension = [PathRecord(10_000, base[0].dims[:1], base[0].path)]
+    for records, error, match in (
+        (colliding, StoreError, "high-water mark"),
+        (one_dimension, PathDatabaseError, "dimension values"),
+    ):
+        with pytest.raises(error, match=match):
+            append_records(store, records, cube=cube)
+        assert len(store) == BASE_ROWS
+        assert cube_to_json(cube) == snapshot
+        assert cube.delta_segments == []
+
+
+def test_rejected_batch_writes_nothing_and_the_handle_retries(
+    tmp_path, database, split, rebuilt_reference
+):
+    """A bad record in the batch's last chunk is refused before the first
+    partition write: the handle still counts the old rows, no partition
+    file is left behind, and the good rows then append on the same
+    handle."""
+    base, batch = split
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", database.schema, partition_size=10
+    )
+    store.ingest(PathDatabase(database.schema, base, validate=False))
+    cube = store.cube_store()
+    build_cube(store, min_support=MIN_SUPPORT, into=cube, stats=BuildStats())
+    partitions = store.directory / "partitions"
+    files = sorted(path.name for path in partitions.iterdir())
+    bad = PathRecord(batch[-1].record_id + 1, base[0].dims[:1], base[0].path)
+    with pytest.raises(PathDatabaseError, match="dimension values"):
+        append_records(store, [*batch, bad], cube=cube, compact_after=0)
     assert len(store) == BASE_ROWS
-    assert cube_to_json(cube) == snapshot
-    assert cube.delta_segments == []
+    assert sorted(path.name for path in partitions.iterdir()) == files
+
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+    assert stats["ingested"] == len(batch) and stats["partitions"] == 3
+    assert cube_to_json(cube) == rebuilt_reference()
+    cube.close()
+
+
+def test_brand_new_key_below_delta_is_counted_not_created(
+    tmp_path, database, split
+):
+    """A leaf key no record has carried is a promotion candidate that
+    stays below δ: counted, not materialised, and the cube equals a
+    rebuild over the grown rows."""
+    base, _ = split
+    store, cube = _base_store(tmp_path / "wh", database, base)
+    new_key = ("d0_1_0", "d1_0_2")
+    assert new_key not in {record.dims for record in database}
+    record = PathRecord(base[-1].record_id + 1, new_key, base[0].path)
+    stats = append_records(store, [record], cube=cube, compact_after=0)
+    assert stats["still_below_delta"] > 0
+    assert stats["created"] == 0 and stats["promoted"] == 0
+    assert new_key not in {cell.key for cell in cube.cells()}
+    reference = FlowCube.build(
+        PathDatabase(database.schema, [*base, record]),
+        min_support=MIN_SUPPORT, engine="direct",
+    )
+    assert cube_to_json(cube) == stored_cube_json(reference)
 
 
 def test_stale_cube_refused(tmp_path, database, split):
@@ -337,6 +393,7 @@ def test_empty_batch_is_a_noop(tmp_path, database, split):
     snapshot = cube_to_json(cube)
     stats = append_records(store, [], cube=cube)
     assert stats["ingested"] == 0 and stats["updated"] == 0
+    assert stats["partitions"] == 0
     assert cube_to_json(cube) == snapshot
 
 

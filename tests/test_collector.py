@@ -115,10 +115,6 @@ def _append(store, database):
     append_records(store, _batch(database, 0))
 
 
-def _append_through_the_store(store, database):
-    store.append_into_cube(_batch(database, 0))
-
-
 def _build_outside_the_lattice(store, database):
     with pytest.raises(CubeError, match="outside the lattice"):
         build_cube(store, item_levels=[(99, 99, 99)], min_support=MIN_SUPPORT)
@@ -153,7 +149,6 @@ def _append_colliding_ids(store, database):
         _build,
         _mine,
         _append,
-        _append_through_the_store,
         _build_outside_the_lattice,
         _mine_with_bad_jobs,
         _append_to_a_stale_cube,

@@ -45,6 +45,7 @@ def test_rfid_etl_pipeline():
     out = run_example("rfid_etl_pipeline.py")
     assert "Location sequences recovered exactly: 400/400" in out
     assert "similarity" in out
+    assert "Appended 100 records (1 new partition(s))" in out
 
 
 @pytest.mark.slow

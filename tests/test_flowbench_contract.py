@@ -20,6 +20,7 @@ import inspect
 
 import pytest
 
+import repro.core
 import repro.perf
 import repro.store
 from benchmarks.flowbench.tracing import SPANS, Tracer
@@ -91,7 +92,7 @@ def test_harness_call_shapes_still_bind(function, n_positional, keywords):
 
 @pytest.mark.parametrize(
     "function",
-    [build_cube, append_records, PartitionedPathStore.append_into_cube],
+    [build_cube, append_records],
     ids=lambda function: function.__qualname__,
 )
 def test_the_store_takes_no_engine_or_kernel(function):
@@ -103,15 +104,20 @@ def test_the_cube_store_converts_nothing():
 
 
 def test_the_write_side_has_no_pool():
-    appends = (append_records, PartitionedPathStore.append_into_cube)
-    for function in (build_cube, shared_mine_store, *appends, BuildStats):
+    for function in (build_cube, shared_mine_store, append_records, BuildStats):
         assert "pool" not in inspect.signature(function).parameters
-    for function in appends:
-        assert "jobs" not in inspect.signature(function).parameters
+    assert "jobs" not in inspect.signature(append_records).parameters
     assert importlib.util.find_spec("repro.perf.pool") is None
     for package in (repro.store, repro.perf):
         for name in ("WorkerPool", "PoolStats", "resolve_jobs"):
             assert not hasattr(package, name), (package.__name__, name)
+
+
+def test_a_batch_reaches_a_cube_through_append_records_only():
+    assert importlib.util.find_spec("repro.core.incremental") is None
+    assert not hasattr(repro.core, "append_batch")
+    for name in ("append", "append_into_cube"):
+        assert not hasattr(PartitionedPathStore, name), name
 
 
 def test_the_harness_jobs_keyword_selects_nothing(tmp_path, monkeypatch):

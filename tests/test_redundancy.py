@@ -12,10 +12,12 @@ from repro.core import (
     PathRecord,
     PathSchema,
     drop_redundant,
+    example_path_database,
     is_redundant,
     prune_redundant,
     tv_similarity,
 )
+from repro.query import FlowCubeQuery
 
 
 def milk_database() -> PathDatabase:
@@ -116,3 +118,50 @@ class TestPrune:
         first = prune_redundant(milk_cube, threshold=0.9, metric=tv_similarity)
         second = prune_redundant(milk_cube, threshold=0.9, metric=tv_similarity)
         assert first > 0 and second == 0
+
+
+def test_held_query_facade_sees_pruning_and_dropping():
+    """Marking and removing cells bump ``FlowCube.version``, which every
+    query cache key folds in, so a façade held across either answers
+    like a fresh one: a marked cell's flowgraph is its ancestor's, and a
+    dropped cell leaves the default slice."""
+    cube = FlowCube.build(example_path_database(), min_support=2)
+    held = FlowCubeQuery(cube)
+    names = cube.database.schema.dimension_names
+
+    def coordinates(cell):
+        return {
+            name: value
+            for name, value, depth in zip(
+                names, cell.key, cell.item_level.levels
+            )
+            if depth > 0
+        }
+
+    cells = list(cube.cells())
+    for cell in cells:  # warm the façade's cache with every cell's graph
+        assert held.flowgraph(cell.path_level, **coordinates(cell)) is (
+            cell.flowgraph
+        )
+    assert len(held.slice_cells(None)) == 16
+
+    assert prune_redundant(cube, threshold=0.3, metric=tv_similarity) == 60
+    redundant = [cell for cell in cells if cell.redundant]
+    assert len(redundant) == 60
+    for cell in redundant:
+        dims = coordinates(cell)
+        answer = held.flowgraph(cell.path_level, **dims)
+        assert answer is not cell.flowgraph
+        assert answer is FlowCubeQuery(cube).flowgraph(cell.path_level, **dims)
+    assert cube.version == 1
+
+    assert drop_redundant(cube) == 60
+    fresh = FlowCubeQuery(cube).slice_cells(None)
+    assert len(fresh) == 1
+    assert held.slice_cells(None) == fresh
+    assert cube.version == 2
+
+    # Nothing marked, nothing removed: the caches stay valid.
+    assert prune_redundant(cube, threshold=0.3, metric=tv_similarity) == 0
+    assert drop_redundant(cube) == 0
+    assert cube.version == 2

@@ -219,20 +219,6 @@ def test_select_partitions_prunes_with_blooms(store, database):
         store.select_partitions(not_a_dimension="x")
 
 
-def test_append_maintains_live_cube(store, database):
-    cube = build_cube(store, min_support=MIN_SUPPORT)
-    floor = store.catalog.max_record_id
-    extra = [
-        PathRecord(floor + i + 1, record.dims, record.path)
-        for i, record in enumerate(database.records[:10])
-    ]
-    stats = store.append(extra, cube=cube)
-    assert stats["ingested"] == 10
-    assert stats["partitions"] >= 1
-    assert len(store) == len(database) + 10
-    assert len(cube.database) == len(database) + 10
-
-
 # ----------------------------------------------------------------------
 # out-of-core construction
 # ----------------------------------------------------------------------
