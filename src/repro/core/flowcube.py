@@ -40,7 +40,7 @@ from repro.core.lattice import (
     PathLevel,
     roll_up_key,
 )
-from repro.core.path_database import PathDatabase
+from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import CubeError
 
 __all__ = ["CellKey", "Cell", "Cuboid", "FlowCube"]
@@ -69,8 +69,8 @@ class Cell:
     flowgraph: FlowGraph
     #: The cell's path multiset in weighted ``(path, weight)`` form — each
     #: distinct aggregated path once, in first-seen record order, with its
-    #: multiplicity (kept for exception re-mining and lead-time queries;
-    #: drop with :meth:`FlowCube.compact`).
+    #: multiplicity.  Every cell carries it: the flowgraph is a function
+    #: of it (Lemma 4.2), and exceptions are re-mined from it (Lemma 4.3).
     paths: WeightedPaths = ()
     #: Set by redundancy pruning when the cell's flowgraph is inferable
     #: from its item-lattice parents.
@@ -127,8 +127,8 @@ class FlowCube:
     """A materialised iceberg flowcube over a path database.
 
     Build one with :meth:`FlowCube.build`; query cells through
-    :meth:`cuboid` / :meth:`cell` / :meth:`flowgraph_for`, or the richer
-    OLAP wrapper in :mod:`repro.query.api`.
+    :meth:`cuboid` / :meth:`cell`, or the richer OLAP wrapper in
+    :mod:`repro.query.api`.
     """
 
     def __init__(
@@ -294,6 +294,11 @@ class FlowCube:
     # lookups
     # ------------------------------------------------------------------
     @property
+    def schema(self) -> PathSchema:
+        """The schema of the cube's path database (what a store keeps)."""
+        return self.database.schema
+
+    @property
     def cuboids(self) -> tuple[Cuboid, ...]:
         """All materialised cuboids."""
         return tuple(self._cuboids.values())
@@ -327,63 +332,6 @@ class FlowCube:
         return sum(
             1 for cell in self.cells() if include_redundant or not cell.redundant
         )
-
-    # ------------------------------------------------------------------
-    # redundancy-aware access
-    # ------------------------------------------------------------------
-    def parent_cells(self, cell: Cell) -> list[Cell]:
-        """The cell's item-lattice parents at the same path level.
-
-        One parent per dimension not already at ``*``: the cell whose key
-        rolls that dimension up one hierarchy level (Definition 4.4).
-        Parents whose cuboid or cell is not materialised are skipped.
-        """
-        hierarchies = self.database.schema.dimensions
-        parents: list[Cell] = []
-        for dim, level in enumerate(cell.item_level):
-            if level == 0:
-                continue
-            raised = list(cell.item_level.levels)
-            raised[dim] = level - 1
-            parent_level = ItemLevel(raised)
-            parent_key = tuple(
-                hierarchies[i].ancestor_at_level(value, parent_level[i])
-                for i, value in enumerate(cell.key)
-            )
-            cuboid = self._cuboids.get((parent_level, cell.path_level))
-            if cuboid is not None and parent_key in cuboid:
-                parents.append(cuboid.cell(parent_key))
-        return parents
-
-    def flowgraph_for(
-        self, item_level: ItemLevel, key: CellKey, path_level: PathLevel
-    ) -> FlowGraph:
-        """The cell's flowgraph, inferring from ancestors when redundant.
-
-        A redundant (pruned) cell behaves like its nearest non-redundant
-        item-lattice ancestor — the inference rule of Section 4.3.
-        """
-        cell = self.cell(item_level, key, path_level)
-        while cell.redundant:
-            parents = [p for p in self.parent_cells(cell) if not p.redundant]
-            if not parents:
-                parents = self.parent_cells(cell)
-            if not parents:
-                break  # no ancestor to infer from: fall back to own graph
-            cell = max(parents, key=lambda c: c.n_paths)
-        return cell.flowgraph
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Drop per-cell aggregated paths to shrink the materialised cube.
-
-        Exceptions and distributions are unaffected; only re-mining with
-        different (ε, δ) would need the paths again.
-        """
-        for cell in self.cells():
-            cell.paths = ()
 
     def describe(self) -> dict[str, object]:
         """Summary statistics (cuboids, cells, redundancy) for reporting."""

@@ -9,16 +9,76 @@ Pruning sweeps the item lattice from the most specific levels upward so a
 cell is always compared against parents that themselves survived or were
 marked — matching the paper's low-to-high traversal.  Cells are *marked*
 (``cell.redundant = True``) rather than deleted, so inference
-(:meth:`repro.core.flowcube.FlowCube.flowgraph_for`) and audit queries keep
-working; :func:`drop_redundant` performs the physical compression.
+(:func:`flowgraph_for`) and audit queries keep working;
+:func:`drop_redundant` performs the physical compression.
+
+:func:`parent_cells` and :func:`flowgraph_for` take any cube — an
+in-memory :class:`~repro.core.flowcube.FlowCube` or a
+:class:`~repro.store.cube_store.CubeStore` — through its ``schema`` and
+``cell`` alone.
 """
 
 from __future__ import annotations
 
-from repro.core.flowcube import Cell, FlowCube
+from repro.core.flowcube import Cell, CellKey, FlowCube
+from repro.core.flowgraph import FlowGraph
+from repro.core.lattice import ItemLevel, PathLevel
 from repro.core.similarity import SimilarityMetric, kl_similarity
+from repro.errors import CubeError
 
-__all__ = ["is_redundant", "prune_redundant", "drop_redundant"]
+__all__ = [
+    "drop_redundant",
+    "flowgraph_for",
+    "is_redundant",
+    "parent_cells",
+    "prune_redundant",
+]
+
+
+def parent_cells(cube, cell: Cell) -> list[Cell]:
+    """The cell's item-lattice parents at the same path level.
+
+    One parent per dimension not already at ``*``: the cell whose key
+    rolls that dimension up one hierarchy level (Definition 4.4).
+    Parents whose cuboid or cell is not materialised are skipped.
+    """
+    hierarchies = cube.schema.dimensions
+    parents: list[Cell] = []
+    for dim, level in enumerate(cell.item_level):
+        if level == 0:
+            continue
+        raised = list(cell.item_level.levels)
+        raised[dim] = level - 1
+        parent_level = ItemLevel(raised)
+        parent_key = tuple(
+            hierarchies[i].ancestor_at_level(value, parent_level[i])
+            for i, value in enumerate(cell.key)
+        )
+        try:
+            parent = cube.cell(parent_level, parent_key, cell.path_level)
+        except CubeError:
+            continue  # not materialised: nothing to infer from there
+        parents.append(parent)
+    return parents
+
+
+def flowgraph_for(
+    cube, item_level: ItemLevel, key: CellKey, path_level: PathLevel
+) -> FlowGraph:
+    """The cell's flowgraph, inferring from ancestors when redundant.
+
+    A redundant (pruned) cell behaves like its nearest non-redundant
+    item-lattice ancestor — the inference rule of Section 4.3.
+    """
+    cell = cube.cell(item_level, key, path_level)
+    while cell.redundant:
+        parents = [p for p in parent_cells(cube, cell) if not p.redundant]
+        if not parents:
+            parents = parent_cells(cube, cell)
+        if not parents:
+            break  # no ancestor to infer from: fall back to own graph
+        cell = max(parents, key=lambda c: c.n_paths)
+    return cell.flowgraph
 
 
 def is_redundant(
@@ -33,7 +93,7 @@ def is_redundant(
     to the iceberg condition) is never redundant — there is nothing to
     infer it from.
     """
-    parents = cube.parent_cells(cell)
+    parents = parent_cells(cube, cell)
     if not parents:
         return False
     return all(
@@ -77,9 +137,9 @@ def prune_redundant(
 def drop_redundant(cube: FlowCube) -> int:
     """Physically remove marked cells from their cuboids; returns the count.
 
-    After dropping, :meth:`~repro.core.flowcube.FlowCube.flowgraph_for`
-    can no longer serve the removed coordinates — run it only on cubes
-    whose consumers query surviving cells (e.g. for space measurements).
+    After dropping, :func:`flowgraph_for` can no longer serve the
+    removed coordinates — run it only on cubes whose consumers query
+    surviving cells (e.g. for space measurements).
     Removing any cell bumps ``cube.version``, as :func:`prune_redundant`
     does.
     """

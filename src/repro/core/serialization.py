@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 
+from repro.core.aggregation import aggregate_path, weight_paths
 from repro.core.flowcube import Cell, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.hierarchy import ConceptHierarchy
@@ -67,8 +68,8 @@ def exceptions_to_dicts(exceptions) -> list[dict]:
     """Plain-dict form of a flowgraph's exception list (sorted mappings).
 
     Shared by :func:`flowgraph_to_dict` and the binary cell codec
-    (:func:`repro.store.binfmt.encode_cell`), which stores the list as a
-    JSON blob inside the ``FCHEAP02`` record.
+    (:func:`repro.store.binfmt.encode_cell_payload`), which stores the
+    list as a JSON blob inside the ``FCHEAP03`` record.
     """
     return [
         {
@@ -119,7 +120,7 @@ def exceptions_from_dicts(data: list[dict]) -> list[FlowException]:
 
     Shared by :func:`flowgraph_from_dict` and the binary cell codec
     (:func:`repro.store.binfmt.decode_cell_parts`), which stores the
-    exception list as a JSON blob inside the ``FCHEAP02`` record.
+    exception list as a JSON blob inside the ``FCHEAP03`` record.
     """
     return [
         FlowException(
@@ -184,10 +185,11 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
     """Rebuild a flowcube against its path database.
 
     The database must be the one (or an equal copy of the one) the cube was
-    built from; cell ``record_ids`` index into it.
+    built from; cell ``record_ids`` index into it, and each cell's path
+    multiset is rebuilt from the records they name.
     """
     payload = json.loads(text)
-    known_ids = {record.record_id for record in database}
+    records = {record.record_id: record for record in database}
     location = database.schema.location
     path_lattice = PathLattice(
         path_level_from_dict(level, location)
@@ -207,7 +209,7 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
         for cell_data in cuboid_data["cells"]:
             key = tuple(cell_data["key"])
             record_ids = tuple(int(i) for i in cell_data["record_ids"])
-            missing = [i for i in record_ids if i not in known_ids]
+            missing = [i for i in record_ids if i not in records]
             if missing:
                 raise CubeError(
                     f"cube references record ids {missing!r} absent from "
@@ -219,7 +221,10 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
                 path_level=path_level,
                 record_ids=record_ids,
                 flowgraph=flowgraph_from_dict(cell_data["flowgraph"]),
-                paths=(),
+                paths=weight_paths(
+                    aggregate_path(records[rid].path, path_level)
+                    for rid in record_ids
+                ),
                 redundant=bool(cell_data["redundant"]),
             )
         cube._cuboids[(item_level, path_level)] = cuboid  # noqa: SLF001

@@ -81,8 +81,8 @@ def flowgraph_pdfa_similarity(
     Flowgraphs carry their route distribution explicitly
     (:meth:`~repro.core.flowgraph.FlowGraph.enumerate_paths`), so the
     training strings are reconstructed from it with their observed
-    multiplicities — no access to the original cell paths needed, which
-    lets this φ run on compacted cubes.
+    multiplicities — φ reads the two graphs and nothing else of their
+    cells.
     """
     return pdfa_similarity(
         _pdfa_from_flowgraph(g1, alpha), _pdfa_from_flowgraph(g2, alpha)

@@ -34,6 +34,7 @@ from collections.abc import Iterator
 from repro.core.flowcube import Cell, CellKey, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import ItemLevel, PathLevel
+from repro.core.redundancy import flowgraph_for
 from repro.errors import QueryError
 from repro.perf.query_kernel import CatalogPool, QueryCache
 from repro.query.planner import (
@@ -55,9 +56,8 @@ class FlowCubeQuery:
 
     Works over any cube-shaped object: the in-memory
     :class:`~repro.core.flowcube.FlowCube` or the persistent
-    :class:`~repro.store.cube_store.CubeStore` (which has no ``database``
-    but exposes its ``schema`` directly) — both provide the same
-    ``cuboids`` / ``cell`` / ``flowgraph_for`` lookup surface.
+    :class:`~repro.store.cube_store.CubeStore` — both provide the same
+    ``schema`` / ``cuboids`` / ``cell`` lookup surface.
 
     Args:
         cube: The flowcube (or cube store) to query.
@@ -71,9 +71,9 @@ class FlowCubeQuery:
             cheapest materialised descendant cuboid — instead of raising
             :class:`~repro.errors.QueryError`.
         derive_exceptions: Re-mine (ε, δ) exceptions on derived cells.
-            Requires source cells that still carry their paths (in-memory
-            cubes); exceptions are holistic (Lemma 4.3), so stored cells —
-            which persist only the measure — cannot support it.
+            Exceptions are holistic (Lemma 4.3): they are mined from the
+            derived cell's path multiset — the sum of its sources',
+            which every cell carries, in memory or in a store.
         cache_size: Capacity of the per-query-object answer cache.
         catalogs: Optional shared :class:`CatalogPool`.  A server keeps
             one pool per tenant so the bitmap key catalogs survive across
@@ -106,8 +106,7 @@ class FlowCubeQuery:
         self.kernel = kernel
         self.derive = derive
         self.derive_exceptions = derive_exceptions
-        database = getattr(cube, "database", None)
-        self._schema = database.schema if database is not None else cube.schema
+        self._schema = cube.schema
         self._hierarchies = self._schema.dimensions
         self._dims: dict[str, int] = {}
         self._default_path_level: PathLevel | None = None
@@ -284,7 +283,7 @@ class FlowCubeQuery:
         cache_key = ("flowgraph", self.cube.version, item_level, key, level)
         graph = self._cache.get(cache_key)
         if graph is None:
-            graph = self.cube.flowgraph_for(item_level, key, level)
+            graph = flowgraph_for(self.cube, item_level, key, level)
             self._cache.put(cache_key, graph)
         return graph
 

@@ -8,8 +8,9 @@ The seed query layer turned every other coordinate into a hard
 (Lemma 4.2): an ancestor cell's path multiset is the disjoint union of its
 descendants', so — exactly as Gray et al.'s Data Cube derives ROLLUP
 answers from the nearest materialised group-by — a missing cuboid can be
-*derived* at query time by merging a materialised descendant's cells with
-:meth:`~repro.core.flowgraph.FlowGraph.merge`.
+*derived* at query time by summing a materialised descendant's path
+multisets and expanding one flowgraph from the sum
+(:meth:`~repro.core.flowgraph.FlowGraph.expand`).
 
 :func:`plan_derivation` picks the cheapest materialised source: among the
 cuboids at the *same path level* whose item level is a strict descendant
@@ -18,8 +19,8 @@ count comes from the store index (or the in-memory cuboid), so planning
 does zero cell-file IO.  :func:`derive_cuboid` / :func:`derive_cell`
 execute a plan with the same grouping the build-time roll-up engine uses
 (:mod:`repro.perf.measure_rollup`): record ids concatenate and are
-sorted, flowgraphs merge, weighted path multisets add, and the iceberg
-threshold δ is re-applied to the derived groups.
+sorted, weighted path multisets add, and the iceberg threshold δ is
+re-applied to the derived groups.
 
 Exactness contract
 ------------------
@@ -32,14 +33,13 @@ one.  Under a real iceberg threshold the source may have dropped
 sub-threshold children, in which case derived counts are lower bounds;
 :attr:`DerivationPlan.exact` reports which regime a plan is in (``None``
 when the store cannot tell because the total record count is unknown).
-The path level is never re-aggregated: persisted cells drop their raw
-paths, so only the item lattice is derivable — same-path-level sources
-only.
+The path level is never re-aggregated: a cell's multiset holds paths
+already aggregated to its own path level, so only the item lattice is
+derivable — same-path-level sources only.
 
-Exceptions are holistic (Lemma 4.3) and cannot be merged; they are
-re-mined from the merged weighted multiset when every source cell still
-carries its paths (in-memory cubes), and omitted otherwise (stored cells
-persist only the measure).
+Exceptions are holistic (Lemma 4.3) and cannot be merged; when asked
+for, they are re-mined from the summed multiset, which every source cell
+carries — in memory or in a store.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ class DerivationPlan:
     exact: bool | None
 
 
-def _schema(cube):
-    database = getattr(cube, "database", None)
-    return database.schema if database is not None else cube.schema
-
-
 def _cuboid_keys(cuboid) -> tuple[CellKey, ...]:
     """A cuboid's cell keys without materialising cells."""
     keys = getattr(cuboid, "keys", None)
@@ -117,7 +112,7 @@ def _total_records(cube, path_level: PathLevel) -> int | None:
     database = getattr(cube, "database", None)
     if database is not None:
         return len(database)
-    n_dims = _schema(cube).n_dimensions
+    n_dims = cube.schema.n_dimensions
     apex = ItemLevel([0] * n_dims)
     if cube.has_cuboid(apex, path_level):
         return _cell_sizes(cube, apex, path_level).get(("*",) * n_dims)
@@ -179,25 +174,17 @@ def _derived_cell(
     children: list[Cell],
     mine_exceptions: bool,
 ) -> Cell:
-    """Merge *children* into the derived cell at *parent_key* (Lemma 4.2)."""
+    """Sum *children*'s path multisets into the derived cell at
+    *parent_key* and expand its one flowgraph (Lemma 4.2)."""
     record_ids: list[int] = []
+    summed: dict = {}
     for child in children:
         record_ids.extend(child.record_ids)
-    graph = FlowGraph().merge(child.flowgraph for child in children)
-    weighted: tuple = ()
-    if all(child.paths for child in children):
-        merged: dict = {}
-        for child in children:
-            for path, weight in child.paths:
-                merged[path] = merged.get(path, 0) + weight
-        weighted = tuple(merged.items())
+        for path, weight in child.paths:
+            summed[path] = summed.get(path, 0) + weight
+    weighted = tuple(summed.items())
+    graph = FlowGraph.expand(weighted)
     if mine_exceptions:
-        if not weighted:
-            raise QueryError(
-                "cannot re-mine exceptions for a derived cell: the source "
-                "cells no longer carry their paths (holistic measure, "
-                "Lemma 4.3)"
-            )
         mine_exceptions_weighted(
             graph,
             weighted,
@@ -224,7 +211,7 @@ def derive_cuboid(
     record scan produces when the source is unpruned — and groups below
     the re-applied iceberg threshold are dropped.
     """
-    hierarchies = _schema(cube).dimensions
+    hierarchies = cube.schema.dimensions
     source_cuboid = cube.cuboid(plan.source, plan.path_level)
     groups: dict[CellKey, list[Cell]] = {}
     for child in source_cuboid:
@@ -252,7 +239,7 @@ def derive_cell(
     index arithmetic — so only the cells that actually merge into *key*
     are ever materialised.
     """
-    hierarchies = _schema(cube).dimensions
+    hierarchies = cube.schema.dimensions
     source_cuboid = cube.cuboid(plan.source, plan.path_level)
     child_keys = [
         child_key

@@ -37,8 +37,8 @@ def flow_report(
     """A complete flow-analysis report for one flowcube cell.
 
     Args:
-        cell: The cell to report on (needs its aggregated ``paths`` for
-            the outlier section; cells from a compacted cube skip it).
+        cell: The cell to report on (its aggregated ``paths`` feed the
+            outlier section).
         baseline: Optional historic flowgraph to contrast against.
         top_k: Typical paths / shifts to show.
         z_threshold: Outlier cut for lead times.
@@ -56,28 +56,24 @@ def flow_report(
             f"lead≈{route.expected_lead_time:.1f}  {locations}\n"
         )
 
-    if cell.paths:
-        # cell.paths holds weighted (path, weight) pairs.
-        numeric = all(
-            duration == "*" or _is_number(duration)
-            for path, _ in cell.paths
-            for _, duration in path
-        ) and any(
-            duration != "*" for path, _ in cell.paths for _, duration in path
+    # cell.paths holds weighted (path, weight) pairs.
+    paths = list(cell.paths)
+    numeric = all(
+        duration == "*" or _is_number(duration)
+        for path, _ in paths
+        for _, duration in path
+    ) and any(duration != "*" for path, _ in paths for _, duration in path)
+    if numeric:
+        out.write(f"\n[1b] Lead-time outliers (|z| ≥ {z_threshold:g})\n")
+        outliers = lead_time_deviations(
+            cell.flowgraph, paths, z_threshold=z_threshold
         )
-        if numeric:
-            out.write(f"\n[1b] Lead-time outliers (|z| ≥ {z_threshold:g})\n")
-            outliers = lead_time_deviations(
-                cell.flowgraph, list(cell.paths), z_threshold=z_threshold
-            )
-            if not outliers:
-                out.write("  none\n")
-            for path, z in outliers[:top_k]:
-                total = sum(float(d) for _, d in path)
-                route = " → ".join(location for location, _ in path)
-                out.write(f"  z={z:+.1f}  total={total:g}  {route}\n")
-    else:
-        out.write("\n[1b] Lead-time outliers: unavailable (cube was compacted)\n")
+        if not outliers:
+            out.write("  none\n")
+        for path, z in outliers[:top_k]:
+            total = sum(float(d) for _, d in path)
+            route = " → ".join(location for location, _ in path)
+            out.write(f"  z={z:+.1f}  total={total:g}  {route}\n")
 
     out.write("\n[2] Exceptions (conditional distribution shifts)\n")
     if not cell.flowgraph.exceptions:

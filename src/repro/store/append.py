@@ -346,12 +346,6 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
                 if key in updated_keys[i]:
                     old = cube.cell(item_level, key, path_level)
                     weights = old.weights
-                    if weights is None:
-                        raise StoreError(
-                            f"cell {key!r} at item level {item_level.levels} "
-                            "was stored without its path multiset; rebuild "
-                            "the cube before appending"
-                        )
                     members = [
                         (record.record_id, record.path)
                         for record in batch_groups[i][key]

@@ -32,8 +32,8 @@ published file is opened by :func:`map_file`:
   function of the vector (Lemma 4.2) and is expanded by
   :func:`decode_cell_parts` when a reader first asks for it;
   :func:`decode_cell_vector` reads ids and vector without it.  The
-  record layout is written down once, in ``_structured_record``; a
-  payload it cannot carry is stored as verbatim JSON (``RAW``);
+  record layout is written down once, in :func:`encode_cell_payload`,
+  and a payload it cannot carry is a :class:`StoreError`;
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
   (``paths.bin``): the aggregated paths the vectors name, once per cube;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
@@ -41,11 +41,13 @@ published file is opened by :func:`map_file`:
   bitmap is decoded with one ``int.from_bytes`` over the map the first
   time a query actually ANDs it, never during open.
 
-Earlier releases also wrote CSV partitions, one JSON file per cell, and
+Earlier releases also wrote CSV partitions, one JSON file per cell,
 earlier generations of partition and heap files (the ``RETIRED_*``
-magics; ``FCHEAP02`` persisted each cell's serialised flowgraph).  No
-reader or writer for them survives: meeting one raises
-:func:`retired_layout`'s :class:`StoreError` instead of decoding it.
+magics; ``FCHEAP02`` persisted each cell's serialised flowgraph), and
+``FCHEAP03`` records flagged ``0x01`` that held a payload dict as
+verbatim JSON.  No reader or writer for them survives: meeting one
+raises :func:`retired_layout`'s :class:`StoreError` instead of decoding
+it.
 
 Framing rules of the sectioned containers, which :meth:`Layout.pack`
 and :meth:`Layout.open` alone implement:
@@ -83,11 +85,7 @@ from repro import publish
 from repro.core.flowgraph import FlowGraph
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.core.serialization import (
-    exceptions_from_dicts,
-    flowgraph_from_dict,
-    flowgraph_to_dict,
-)
+from repro.core.serialization import exceptions_from_dicts
 from repro.core.stage import Stage
 from repro.errors import CubeError, MissingFileError, StoreError
 
@@ -112,7 +110,6 @@ __all__ = [
     "decode_cell_payload",
     "decode_cell_vector",
     "encode_cell_payload",
-    "graph_payload",
     "pack_cell_index",
     "pack_partition",
     "pack_paths",
@@ -229,6 +226,11 @@ _LAST_READERS = {
     ),
     "FCHEAP02": (
         "PR 25 of this repository (commit 14ad353)",
+        "rebuild the cube with `flowcube-store build` (the partitions are "
+        "unchanged)",
+    ),
+    "verbatim-JSON (RAW)": (
+        "the one at commit 37c16ac",
         "rebuild the cube with `flowcube-store build` (the partitions are "
         "unchanged)",
     ),
@@ -544,7 +546,7 @@ class StringTable:
 # FCHEAP03 cell record codec
 # --------------------------------------------------------------------------
 
-_RAW = 0x01  # record is the payload dict as verbatim JSON
+_RAW = 0x01  # retired: the record was a payload dict as verbatim JSON
 _EXC = 0x02  # record carries a (JSON) exception list
 _EXC_ZLIB = 0x04  # ... and it is zlib-compressed
 
@@ -553,11 +555,11 @@ _EXC_ZLIB = 0x04  # ... and it is zlib-compressed
 _HEAD = struct.Struct("<III")
 _EXC_LEN = struct.Struct("<I")
 
-#: Record ids the structured record carries: ``[0, 2**31)``, ascending.
-_MAX_RECORD_ID = 2**31 - 1
+#: Record ids a record carries: ``[0, 2**63)``, ascending — every id a
+#: partition's ``int64`` column holds.
+_MAX_RECORD_ID = 2**63 - 1
 
-#: The payload dict of a cell that brings its path multiset
-#: (:func:`cell_payload`); any other dict is stored verbatim.
+#: The payload dict a record is encoded from (:func:`cell_payload`).
 _PAYLOAD_KEYS = (
     "key",
     "item_level",
@@ -573,10 +575,6 @@ _PAYLOAD_KEYS = (
 #: writer's C-level ``set(map(type, …))`` checks compare against.
 _SEQUENCES = (list, tuple)
 _STR, _INT, _TWO, _PAIRS = {str}, {int}, {2}, set(_SEQUENCES)
-
-
-class _NotStructured(Exception):
-    """Payload falls outside the structured record → store raw JSON."""
 
 
 #: What decoding a damaged record can raise: every one is reported as the
@@ -632,10 +630,6 @@ def _varint_stream(values: list[int]) -> bytes:
     return bytes(out)
 
 
-def _json_bytes(payload) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
 def cell_payload(
     key, item_level, path_level, record_ids, redundant, n_paths, vector, exceptions
 ) -> dict:
@@ -660,24 +654,13 @@ def cell_payload(
     }
 
 
-def graph_payload(
-    key, item_level, path_level, record_ids, redundant, flowgraph
-) -> dict:
-    """The payload dict of a cell that arrives *without* its multiset
-    (``put_cell`` of a compacted in-memory cell) or with a path the
-    cube's table cannot carry: the flowgraph itself, stored verbatim."""
-    return {
-        "key": list(key),
-        "item_level": list(item_level),
-        "path_level": path_level,
-        "record_ids": list(record_ids),
-        "redundant": redundant,
-        "flowgraph": flowgraph_to_dict(flowgraph),
-    }
+def _unencodable(what: str) -> StoreError:
+    return StoreError(f"cell payload outside the FCHEAP03 record: {what}")
 
 
-def _structured_record(payload) -> bytes:
-    """Assemble one structured ``FCHEAP03`` record — the only writer.
+def encode_cell_payload(payload) -> bytes:
+    """Encode one :func:`cell_payload` dict as an ``FCHEAP03`` record —
+    the only code that assembles one.
 
     Layout: flags byte | :data:`_HEAD` | cell varints | UTF-8 key blob |
     record-id step varints | optional :data:`_EXC_LEN` + (zlib'd when
@@ -690,13 +673,14 @@ def _structured_record(payload) -> bytes:
     so that run is almost always single bytes, which decode in one C
     pass however many members the cell has.
 
-    Raises :class:`_NotStructured` for what the layout cannot carry: a
+    ``decode_cell_payload(encode_cell_payload(p))`` is *p* as JSON hands
+    it back.  What the layout cannot carry is a :class:`StoreError`: a
     dict that is not exactly :func:`cell_payload`'s, a key part that is
     not a ``str``, a counter that is not a non-negative true ``int``,
-    record ids that do not ascend strictly inside ``[0, 2**31)``.
+    record ids that do not ascend strictly inside ``[0, 2**63)``.
     """
     if type(payload) is not dict or tuple(payload) != _PAYLOAD_KEYS:
-        raise _NotStructured
+        raise _unencodable("not a cell_payload dict")
     key, item_level, path_level, record_ids, redundant, n_paths, vector, \
         exceptions = payload.values()
     if (
@@ -711,7 +695,7 @@ def _structured_record(payload) -> bytes:
         or set(map(len, vector)) - _TWO
         or set(map(type, record_ids)) - _INT
     ):
-        raise _NotStructured
+        raise _unencodable("a field of the wrong type")
     chunks = [part.encode("utf-8") for part in key]
     body = [
         len(chunks), *map(len, chunks), len(item_level), *item_level,
@@ -722,21 +706,21 @@ def _structured_record(payload) -> bytes:
     # Lengths are ints by construction; one C-level pass checks what came
     # from outside (bool and float are not int).
     if set(map(type, body)) != _INT or min(body) < 0:
-        raise _NotStructured
+        raise _unencodable("a counter that is not a non-negative int")
     steps = b""
     if len(record_ids) > 1:
         gaps = list(map(sub, record_ids[1:], record_ids))
-        if min(gaps) < 1 or record_ids[-1] > _MAX_RECORD_ID:
-            raise _NotStructured
+        if min(gaps) < 1:
+            raise _unencodable("record ids that do not ascend")
         steps = _varint_stream(gaps)
-    elif record_ids and record_ids[0] > _MAX_RECORD_ID:
-        raise _NotStructured
+    if record_ids and record_ids[-1] > _MAX_RECORD_ID:
+        raise _unencodable("a record id past 2**63 - 1")
     stream = _varint_stream(body)
     flags = 0
     exc_blob = b""
     if exceptions:
         flags = _EXC
-        exc_blob = _json_bytes(exceptions)
+        exc_blob = json.dumps(exceptions, separators=(",", ":")).encode()
         packed = zlib.compress(exc_blob, 6)
         if len(packed) < len(exc_blob):
             flags |= _EXC_ZLIB
@@ -754,30 +738,17 @@ def _structured_record(payload) -> bytes:
             parts.append(_EXC_LEN.pack(len(exc_blob)))
             parts.append(exc_blob)
     except struct.error:
-        raise _NotStructured from None
+        raise _unencodable("a section past 4 GiB") from None
     return b"".join(parts)
 
 
-def encode_cell_payload(payload) -> bytes:
-    """Encode one cell payload as an ``FCHEAP03`` record.
-
-    A :func:`cell_payload` dict whose every value the layout can carry
-    becomes a structured record; anything else — :func:`graph_payload`,
-    out-of-range record ids, bool or float counters, any other
-    JSON-compatible value — is stored as verbatim JSON (``RAW``), so
-    ``decode_cell_payload(encode_cell_payload(p)) == p`` for every
-    payload.
-    """
-    try:
-        return _structured_record(payload)
-    except _NotStructured:
-        return bytes((_RAW,)) + _json_bytes(payload)
-
-
 def _split_record(buffer):
-    """A structured record's ``(values, blob_at, steps_at, end)``: the
-    cell varints decoded, and where the key blob, the record-id steps
-    and whatever follows them (exceptions, if flagged) start."""
+    """A record's ``(values, blob_at, steps_at, end)``: the cell varints
+    decoded, and where the key blob, the record-id steps and whatever
+    follows them (exceptions, if flagged) start.  A record flagged
+    ``0x01`` (a payload dict as verbatim JSON) is a retired layout."""
+    if buffer[0] & _RAW:
+        raise retired_layout("cell record", "verbatim-JSON (RAW)")
     stream_len, blob_len, steps_len = _HEAD.unpack_from(buffer, 1)
     blob_at = 1 + _HEAD.size + stream_len
     steps_at = blob_at + blob_len
@@ -829,27 +800,11 @@ def _record_ids(values: list[int], end: int, steps) -> tuple[int, ...]:
     return tuple(accumulate(gaps, initial=values[end + 1])) if n_ids else ()
 
 
-def _raw_payload(buffer) -> dict:
-    payload = json.loads(bytes(buffer[1:]))
-    if not isinstance(payload, dict):
-        raise StoreError("corrupt cell payload: not a payload object")
-    return payload
-
-
 def decode_cell_vector(buffer):
     """A record's ``(record_ids, redundant, vector)`` — no path table, no
-    :class:`~repro.core.flowgraph.FlowGraph`.
-
-    *vector* is the cell's ``(pid, weight)`` pairs, or ``None`` for a
-    cell stored without its multiset (:func:`graph_payload`).
-    """
+    :class:`~repro.core.flowgraph.FlowGraph`; *vector* is the cell's
+    ``(pid, weight)`` pairs."""
     try:
-        if buffer[0] & _RAW:
-            payload = _raw_payload(buffer)
-            vector = payload.get("vector")
-            if vector is not None:
-                vector = [(int(pid), int(weight)) for pid, weight in vector]
-            return tuple(payload["record_ids"]), payload["redundant"], vector
         values, _, steps_at, end = _split_record(buffer)
         redundant, _, vector, at = _vector(values)
         return _record_ids(values, at, buffer[steps_at:end]), redundant, vector
@@ -867,24 +822,13 @@ def decode_cell_parts(buffer, paths):
     not depend on the order its records arrived in) with the stored
     exception list attached; *paths* is the cell's level of the cube's
     path table.  The record ids are not touched
-    (:func:`decode_cell_vector` reads them).  A cell stored without its
-    multiset rebuilds the graph it was stored as.  A pid the table does
-    not hold, like any other damage, is a :class:`StoreError`.
+    (:func:`decode_cell_vector` reads them).  A pid the table does not
+    hold, like any other damage, is a :class:`StoreError`.
     """
     try:
-        if buffer[0] & _RAW:
-            payload = _raw_payload(buffer)
-            redundant = payload["redundant"]
-            if "flowgraph" in payload:
-                return redundant, flowgraph_from_dict(payload["flowgraph"])
-            vector = payload["vector"]
-            exceptions = payload["exceptions"]
-        else:
-            values, _, _, end = _split_record(buffer)
-            redundant, _, vector, _ = _vector(values)
-            exceptions = _exceptions(buffer, end)
-        if vector and min(vector)[0] < 0:
-            raise IndexError("negative path id")
+        values, _, _, end = _split_record(buffer)
+        redundant, _, vector, _ = _vector(values)
+        exceptions = _exceptions(buffer, end)
         graph = FlowGraph.expand(
             [(paths[pid], weight) for pid, weight in vector]
         )
@@ -899,8 +843,6 @@ def decode_cell_payload(buffer) -> dict:
     """Decode a record back into the payload dict it was encoded from
     (compares, and JSON-serialises, identically)."""
     try:
-        if buffer[0] & _RAW:
-            return json.loads(bytes(buffer[1:]))
         values, blob_at, steps_at, end = _split_record(buffer)
         redundant, n_paths, vector, at = _vector(values)
         record_ids = _record_ids(values, at, buffer[steps_at:end])

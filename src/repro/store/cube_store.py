@@ -44,10 +44,10 @@ slicing and listing decode nothing.  The store fronts every read with a bounded
 make serving behaviour observable.
 
 The store exposes the same lookup surface as
-:class:`~repro.core.flowcube.FlowCube` (``cuboid`` / ``cell`` /
-``flowgraph_for`` / ``cuboids``), so
-:class:`~repro.query.api.FlowCubeQuery` works over either without caring
-which one it was given.
+:class:`~repro.core.flowcube.FlowCube` (``schema`` / ``cuboid`` /
+``cell`` / ``cuboids``), so :class:`~repro.query.api.FlowCubeQuery` and
+:mod:`repro.core.redundancy`'s inference work over either without caring
+which one they were given.
 
 Benchmark note: ``benchmarks/flowbench`` traces :meth:`CubeStore.cell`
 as ``cube_store.cell_read_ms``.  Slices read a cuboid's matching cells
@@ -653,7 +653,11 @@ class StoredCell(Cell):
     nothing.  The measure comes in two touches.  ``record_ids`` (and
     ``weights``, the stored ``{pid: weight}`` vector) decode from the
     record alone (:func:`~repro.store.binfmt.decode_cell_vector`: no path
-    table, no graph).  ``flowgraph`` is *expanded* from the vector by
+    table, no graph); ``paths`` renders the vector as ``(path, weight)``
+    pairs over the cube's path table, as
+    :class:`~repro.perf.measure_rollup.VectorCell` does, so a stored cell
+    carries its multiset like any other.  ``flowgraph`` is *expanded*
+    from the vector by
     :func:`~repro.store.binfmt.decode_cell_parts` over the cell's level
     of the cube's path table, once, the first time it is read — which
     is also the first time the table's file is.
@@ -712,16 +716,26 @@ class StoredCell(Cell):
         return self._touch()[0]
 
     @property
-    def weights(self) -> dict[int, int] | None:
-        """The stored ``{pid: weight}`` vector (a fresh dict), or
-        ``None`` for a cell that was stored without its multiset."""
-        pairs = self._touch()[1]
-        return None if pairs is None else dict(pairs)
+    def weights(self) -> dict[int, int]:
+        """The stored ``{pid: weight}`` vector (a fresh dict)."""
+        return dict(self._touch()[1])
 
     @property
     def level_paths(self) -> list:
         """The path list the vector's ids index."""
         return self._paths.levels()[self._level_id]
+
+    @property
+    def paths(self):
+        """The stored vector as ``(path, weight)`` pairs, in its order."""
+        level_paths = self.level_paths
+        pairs = self._touch()[1]
+        try:
+            return tuple([(level_paths[pid], weight) for pid, weight in pairs])
+        except IndexError:
+            raise StoreError(
+                "corrupt cell payload: a path id past the path table"
+            ) from None
 
     @property
     def flowgraph(self):
@@ -997,33 +1011,23 @@ class CubeStore:
     # ------------------------------------------------------------------
     def put_cell(self, cell: Cell) -> None:
         """Persist one cell: its multiset as a vector over the cube's path
-        table, or — when it brings none — the flowgraph it has."""
+        table, its record ids and its exceptions."""
         self.put_cuboid((cell,))
 
     def _encode(self, cells) -> list[tuple[bytes, int, bool]]:
         """``(coords, cell)`` pairs as heap ``(record, n_paths,
-        redundant)`` triples.
-
-        A record is the cell's vector in this cube's path-id space
-        (:meth:`_vector`), its record ids and its exceptions; a cell
-        that brings no multiset is stored as the flowgraph it has.
-        """
+        redundant)`` triples: the cell's vector in this cube's path-id
+        space (:meth:`_vector`), its record ids and its exceptions."""
         table = self.path_table
         encode = binfmt.encode_cell_payload
         records = []
         for (item_level, level_id, key), cell in cells:
-            vector = self._vector(cell, table, level_id)
-            if vector is None:
-                payload = binfmt.graph_payload(
-                    key, item_level.levels, level_id, cell.record_ids,
-                    cell.redundant, cell.flowgraph,
-                )
-            else:
-                payload = binfmt.cell_payload(
-                    key, item_level.levels, level_id, cell.record_ids,
-                    cell.redundant, cell.n_paths, vector,
-                    exceptions_to_dicts(cell.exceptions),
-                )
+            payload = binfmt.cell_payload(
+                key, item_level.levels, level_id, cell.record_ids,
+                cell.redundant, cell.n_paths,
+                self._vector(cell, table, level_id),
+                exceptions_to_dicts(cell.exceptions),
+            )
             records.append((encode(payload), cell.n_paths, cell.redundant))
         return records
 
@@ -1033,22 +1037,23 @@ class CubeStore:
 
         A cell already counted in it (an engine cell of the build or
         append that owns the table, a cell this handle read) hands its
-        vector over as it is; any other multiset — ``cell.paths``, or a
-        vector over another table — is interned path by path.  ``None``
-        for a cell without a multiset, or with a path the table cannot
-        carry (a stage that is not a pair of ``str``).
+        vector over as it is.  Any other multiset — ``cell.paths`` of an
+        in-memory cell, a vector over another table — is interned path
+        by path, and must weigh as many paths as the cell has record
+        ids.  A cell without a multiset, one that weighs another count,
+        or one with a stage that is not a pair of ``str`` is a
+        :class:`~repro.errors.StoreError`.
         """
-        own = table.paths[level_id]
-        weights = getattr(cell, "weights", None)
-        if weights is None:
-            pairs = cell.paths
-        else:
-            theirs = cell.level_paths
-            if theirs is own:
-                return list(weights.items())
-            pairs = [(theirs[pid], weight) for pid, weight in weights.items()]
-        if not pairs:
-            return None
+        if getattr(cell, "level_paths", None) is table.paths[level_id]:
+            return list(cell.weights.items())
+        pairs = cell.paths
+        total = sum(weight for _, weight in pairs)
+        if total != len(cell.record_ids):
+            raise StoreError(
+                f"cell {cell.key!r} at item level {cell.item_level.levels} "
+                f"weighs {total} paths but has {len(cell.record_ids)} record "
+                "ids: a stored cell carries the path multiset of its records"
+            )
         ids = table.ids[level_id]
         vector: dict[int, int] = {}
         for path, weight in pairs:
@@ -1058,10 +1063,13 @@ class CubeStore:
                     type(location) is not str or type(duration) is not str
                     for location, duration in path
                 ):
-                    return None
+                    raise StoreError(
+                        f"cell {cell.key!r}: path {path!r} has a stage that "
+                        "is not a pair of str"
+                    )
                 pid = table.intern(level_id, path)
-            # A weight is stored as it came (a bool or float one sends
-            # the record to the verbatim fallback); a repeated path adds.
+            # A weight is stored as it came (a bool or float one is
+            # refused by the encoder); a repeated path adds.
             vector[pid] = vector[pid] + weight if pid in vector else weight
         return list(vector.items())
 
@@ -1521,46 +1529,6 @@ class CubeStore:
     def n_cells(self) -> int:
         """Number of persisted cells (from the index, no file IO)."""
         return sum(len(entries) for entries in self._index.values())
-
-    # ------------------------------------------------------------------
-    # redundancy-aware access (mirrors FlowCube)
-    # ------------------------------------------------------------------
-    def parent_cells(self, cell: Cell) -> list[Cell]:
-        """The cell's materialised item-lattice parents (Definition 4.4)."""
-        hierarchies = self.schema.dimensions
-        lattice = self._require_built()
-        level_id = lattice.index_of(cell.path_level)
-        parents: list[Cell] = []
-        for dim, level in enumerate(cell.item_level):
-            if level == 0:
-                continue
-            raised = list(cell.item_level.levels)
-            raised[dim] = level - 1
-            parent_level = ItemLevel(raised)
-            parent_key = tuple(
-                hierarchies[i].ancestor_at_level(value, parent_level[i])
-                for i, value in enumerate(cell.key)
-            )
-            entries = self._index.get((parent_level, level_id))
-            if entries is not None and parent_key in entries:
-                parents.append(
-                    self.cell(parent_level, parent_key, cell.path_level)
-                )
-        return parents
-
-    def flowgraph_for(
-        self, item_level: ItemLevel, key: CellKey, path_level: PathLevel
-    ):
-        """The cell's flowgraph, inferring from ancestors when redundant."""
-        cell = self.cell(item_level, key, path_level)
-        while cell.redundant:
-            parents = [p for p in self.parent_cells(cell) if not p.redundant]
-            if not parents:
-                parents = self.parent_cells(cell)
-            if not parents:
-                break
-            cell = max(parents, key=lambda c: c.n_paths)
-        return cell.flowgraph
 
     # ------------------------------------------------------------------
     # observability

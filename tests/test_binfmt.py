@@ -16,7 +16,8 @@ The contracts:
   ``(pid, weight)`` vector, record ids, exceptions — round-trips through
   its ``FCHEAP03`` record to the dict, to the vector and to the expanded
   flowgraph; the store's write door, fed a live cell, produces the bytes
-  the dict encoder produces, including every verbatim-JSON fallback;
+  the dict encoder produces, and what the record cannot carry — or a
+  record flagged with the retired verbatim-JSON bit — is a typed error;
 * **every damaged byte is typed**: flipping each byte and cutting at
   each length of a record and of a path table yields a decode or a
   ``StoreError``, never an untyped exception;
@@ -80,7 +81,6 @@ from repro.store.binfmt import (
     decode_cell_payload,
     decode_cell_vector,
     encode_cell_payload,
-    graph_payload,
     pack_cell_index,
     pack_partition,
     pack_paths,
@@ -478,7 +478,7 @@ def vector_cells(draw):
     pids = pids[: draw(st.integers(min_value=0, max_value=len(pids)))]
     vector = [(pid, draw(_WEIGHT)) for pid in pids]
     record_ids = sorted(
-        set(draw(st.lists(st.integers(0, 2**31 - 1), max_size=6)))
+        set(draw(st.lists(st.integers(0, 2**63 - 1), max_size=6)))
     )
     cell = (
         key,
@@ -565,18 +565,38 @@ def test_exception_blob_is_zlibbed_only_when_smaller():
 
 
 class _Label(str):
-    """Equal to, but not exactly, a ``str``: outside the structured record."""
+    """Equal to, but not exactly, a ``str``: outside the record layout."""
 
 
-_FALLBACK_PATHS = [(("a", "1"), ("b", "2")), (("a", "2"),)]
+_TWO_PATHS = [(("a", "1"), ("b", "2")), (("a", "2"),)]
 
 
-def _fallback_payload(case: str) -> dict:
+@pytest.mark.parametrize("feeder", ["dict encoder", "door"])
+def test_every_int64_record_id_is_stored_structured(live_cube, feeder):
+    """A record carries every id a partition's ``int64`` column holds,
+    whether the dict encoder or the store's door writes it."""
+    for record_ids in ((2**31,), (0, 2**31, 2**32 + 7), (1, 2**63 - 1)):
+        if feeder == "dict encoder":
+            cell = (("x",), (1,), 0, record_ids, False, 3, [(1, 2), (0, 1)], [])
+            record = _assert_round_trip(cell, _TWO_PATHS)
+        else:
+            pairs = [(_TWO_PATHS[0], len(record_ids))]
+            cell = _live_cell(("x", "y"), record_ids, False, pairs)
+            record = _both_feeders(live_cube, cell)
+            assert decode_cell_vector(record)[0] == record_ids
+            graph = decode_cell_parts(
+                record, live_cube.path_table.paths[_LIVE_LEVEL_ID]
+            )[1]
+            assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
+        assert not record[0] & _RAW
+
+
+def _unencodable_payload(case: str) -> dict:
     payload = cell_payload(
         ["x", "y"], [0, 1], 2, [1, 2], False, 3, [[1, 2], [0, 1]], []
     )
-    if case == "record id 2**31":
-        payload["record_ids"] = [1, 2**31]
+    if case == "record id 2**63":
+        payload["record_ids"] = [1, 2**63]
     elif case == "negative record id":
         payload["record_ids"] = [-1]
     elif case == "descending record ids":
@@ -602,15 +622,16 @@ def _fallback_payload(case: str) -> dict:
     elif case == "foreign key order":
         payload = dict(reversed(payload.items()))
     elif case == "a cell without its multiset":
-        graph = FlowGraph(_FALLBACK_PATHS)
-        payload = graph_payload(("x", "y"), (0, 1), 2, (1, 2), False, graph)
+        # The shape the retired verbatim-JSON record stored: a flowgraph.
+        del payload["n_paths"], payload["vector"], payload["exceptions"]
+        payload["flowgraph"] = flowgraph_to_dict(FlowGraph(_TWO_PATHS))
     return payload
 
 
 @pytest.mark.parametrize(
     "case",
     [
-        "record id 2**31",
+        "record id 2**63",
         "negative record id",
         "descending record ids",
         "repeated record id",
@@ -626,25 +647,28 @@ def _fallback_payload(case: str) -> dict:
         "a cell without its multiset",
     ],
 )
-def test_every_fallback_is_the_payload_as_verbatim_json(case):
-    payload = _fallback_payload(case)
-    raw = bytes((_RAW,)) + json.dumps(
-        payload, separators=(",", ":")
-    ).encode("utf-8")
-    assert encode_cell_payload(payload) == raw
-    assert decode_cell_payload(raw) == json.loads(raw[1:])
-    if case == "a cell without its multiset":
-        record_ids, redundant, vector = decode_cell_vector(raw)
-        assert vector is None
-        graph = decode_cell_parts(raw, [])[1]  # needs no path table
-        assert flowgraph_to_dict(graph) == payload["flowgraph"]
-    elif case in ("record id 2**31", "negative record id", "non-str key part"):
-        # The vector still reads: the cell expands (and appends) as ever.
-        record_ids, redundant, vector = decode_cell_vector(raw)
-        assert list(record_ids) == payload["record_ids"]
-        assert vector == [(1, 2), (0, 1)]
-        graph = decode_cell_parts(raw, _FALLBACK_PATHS)[1]
-        assert flowgraph_to_dict(graph) == _expanded(vector, _FALLBACK_PATHS)
+def test_every_payload_the_record_cannot_carry_is_a_typed_error(case):
+    with pytest.raises(StoreError, match="outside the FCHEAP03 record"):
+        encode_cell_payload(_unencodable_payload(case))
+
+
+def test_a_record_flagged_0x01_is_a_retired_layout():
+    """The retired verbatim-JSON record, and a structured one whose flags
+    byte says it is one, are refused — the store's rule for a retired
+    layout — by every reader."""
+    payload = cell_payload(("k",), (1,), 0, (4,), False, 1, [(0, 1)], [])
+    structured = encode_cell_payload(payload)
+    for record in (
+        bytes((_RAW,)) + json.dumps(payload).encode(),
+        bytes((structured[0] | _RAW,)) + structured[1:],
+    ):
+        for read in (
+            lambda: decode_cell_vector(record),
+            lambda: decode_cell_parts(record, _TWO_PATHS),
+            lambda: decode_cell_payload(record),
+        ):
+            with pytest.raises(StoreError, match="retired verbatim-JSON"):
+                read()
 
 
 # ----------------------------------------------------------------------
@@ -654,9 +678,8 @@ def test_every_fallback_is_the_payload_as_verbatim_json(case):
 # ``CubeStore._encode`` is what every write goes through: it resolves a
 # live cell's multiset into the cube's path-id space and hands
 # ``encode_cell_payload`` a dict.  The two feeders below are that door
-# (fed a live ``Cell``) and the dict encoder fed ``cell_payload`` /
-# ``graph_payload`` by hand; they must agree byte for byte, structured
-# or not.
+# (fed a live ``Cell``) and the dict encoder fed ``cell_payload`` by
+# hand; they must agree byte for byte.
 
 _LIVE_LEVEL_ID = 1
 
@@ -674,13 +697,11 @@ def live_cube(tmp_path_factory):
     cube.close()
 
 
-def _live_cell(key, record_ids, redundant, pairs, exceptions=(), graph=None):
-    """An in-memory cell over *pairs* (``(path, weight)``…); *graph*
-    overrides the flowgraph the pairs fold into."""
-    if graph is None:
-        graph = FlowGraph()
-        for path, weight in pairs:
-            graph.add_path(path, int(weight) if weight > 0 else 1)
+def _live_cell(key, record_ids, redundant, pairs, exceptions=()):
+    """An in-memory cell over *pairs* (``(path, weight)``…)."""
+    graph = FlowGraph()
+    for path, weight in pairs:
+        graph.add_path(path, int(weight) if weight > 0 else 1)
     graph.exceptions = list(exceptions)
     return Cell(
         key=key,
@@ -693,30 +714,25 @@ def _live_cell(key, record_ids, redundant, pairs, exceptions=(), graph=None):
     )
 
 
-def _both_feeders(cube, cell, structured: bool) -> bytes:
-    """The door's bytes for *cell*, checked against the dict encoder's."""
+def _door(cube, cell) -> bytes:
     coords = (cell.item_level, _LIVE_LEVEL_ID, cell.key)
     ((record, n_paths, redundant),) = cube._encode([(coords, cell)])
     assert n_paths == cell.n_paths and redundant == cell.redundant
+    return record
+
+
+def _both_feeders(cube, cell) -> bytes:
+    """The door's bytes for *cell*, checked against the dict encoder's."""
+    record = _door(cube, cell)
     ids = cube.path_table.ids[_LIVE_LEVEL_ID]
-    if all(path in ids for path, _ in cell.paths) and cell.paths:
-        payload = cell_payload(
-            cell.key, cell.item_level.levels, _LIVE_LEVEL_ID, cell.record_ids,
-            cell.redundant, cell.n_paths,
-            [(ids[path], weight) for path, weight in cell.paths],
-            exceptions_to_dicts(cell.flowgraph.exceptions),
-        )
-    else:  # no multiset, or a path the table cannot carry
-        payload = graph_payload(
-            cell.key, cell.item_level.levels, _LIVE_LEVEL_ID, cell.record_ids,
-            cell.redundant, cell.flowgraph,
-        )
+    payload = cell_payload(
+        cell.key, cell.item_level.levels, _LIVE_LEVEL_ID, cell.record_ids,
+        cell.redundant, cell.n_paths,
+        [(ids[path], weight) for path, weight in cell.paths],
+        exceptions_to_dicts(cell.flowgraph.exceptions),
+    )
     assert record == encode_cell_payload(payload)
-    assert bool(record[0] & _RAW) is not structured
-    if not structured:
-        assert record == bytes((_RAW,)) + json.dumps(
-            payload, separators=(",", ":")
-        ).encode("utf-8")
+    assert not record[0] & _RAW
     assert decode_cell_payload(record) == _json_form(payload)
     return record
 
@@ -724,13 +740,13 @@ def _both_feeders(cube, cell, structured: bool) -> bytes:
 @given(vector_cells(), st.lists(_EXCEPTION, max_size=2))
 @settings(max_examples=100, deadline=None)
 def test_live_encoder_matches_the_dict_encoder(live_cube, case, exceptions):
-    (key, _, _, record_ids, redundant, _, vector, _), paths = case
-    cell = _live_cell(
-        key, record_ids, redundant,
-        [(paths[pid], weight) for pid, weight in vector], exceptions,
-    )
-    record = _both_feeders(live_cube, cell, structured=bool(vector))
-    assert bool(record[0] & _EXC) == bool(exceptions and vector)
+    (key, _, _, _, redundant, _, vector, _), paths = case
+    # The door takes a cell whose multiset weighs its record ids.
+    pairs = [(paths[pid], min(weight, 128)) for pid, weight in vector]
+    record_ids = tuple(range(sum(weight for _, weight in pairs)))
+    cell = _live_cell(key, record_ids, redundant, pairs, exceptions)
+    record = _both_feeders(live_cube, cell)
+    assert bool(record[0] & _EXC) == bool(exceptions)
     graph = decode_cell_parts(
         record, live_cube.path_table.paths[_LIVE_LEVEL_ID]
     )[1]
@@ -766,64 +782,53 @@ def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
     assert (max(record[13 : 13 + n_cell]) < 0x80) is pure
 
 
-def _fallback_cell(case: str):
+def _unstorable_cell(case: str):
     pairs = [((("a", "1"), ("b", "2")), 2), ((("a", "2"),), 1)]
-    key, record_ids, redundant, graph = ("x", "y"), (1, 2, 5), False, None
-    if case == "record id 2**31":
-        record_ids = (1, 2**31)
-    elif case == "negative record id":
-        record_ids = (-1,)
+    key, record_ids, redundant = ("x", "y"), (1, 2, 5), False
+    if case == "negative record id":
+        record_ids = (-1, 2, 5)
+    elif case == "record id 2**63":
+        record_ids = (1, 2, 2**63)
     elif case == "bool count":
         pairs[1] = (pairs[1][0], True)
     elif case == "float count":
         pairs[0] = (pairs[0][0], 2.0)
     elif case == "negative count":
-        pairs[1] = (pairs[1][0], -1)
+        pairs = [(pairs[0][0], 4), (pairs[1][0], -1)]
     elif case == "non-str key part":
         key = ("x", 7)
     elif case == "str-subclass label":
         pairs[1] = ((("a", _Label("9")),), 1)  # a path the table cannot carry
     elif case == "non-bool redundant":
         redundant = 1
-    elif case == "orphan prefix":
-        graph = FlowGraph([path for path, _ in pairs])
-        del graph._index[("a",)]  # noqa: SLF001 - hand-broken graph
-        pairs = []  # ... of a cell that arrives without its multiset
-    return _live_cell(key, record_ids, redundant, pairs, graph=graph)
+    elif case == "a cell without its multiset":
+        pairs = []
+    elif case == "a multiset heavier than its record ids":
+        pairs[0] = (pairs[0][0], 7)
+    return _live_cell(key, record_ids, redundant, pairs)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "record id 2**31",
-        "negative record id",
-        "bool count",
-        "float count",
-        "negative count",
-        "non-str key part",
-        "str-subclass label",
-        "non-bool redundant",
-        "orphan prefix",
-    ],
-)
-def test_every_fallback_is_the_same_raw_record_from_both_feeders(
+#: What the door says about each cell it refuses.
+_REFUSALS = {
+    "negative record id": "a counter that is not a non-negative int",
+    "record id 2**63": "a record id past 2**63 - 1",
+    "bool count": "a counter that is not a non-negative int",
+    "float count": "a counter that is not a non-negative int",
+    "negative count": "a counter that is not a non-negative int",
+    "non-str key part": "a field of the wrong type",
+    "str-subclass label": "has a stage that is not a pair of str",
+    "non-bool redundant": "a field of the wrong type",
+    "a cell without its multiset": "weighs 0 paths but has 3 record ids",
+    "a multiset heavier than its record ids": "weighs 8 paths but has 3",
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_every_cell_the_record_cannot_carry_is_refused_at_the_door(
     live_cube, case
 ):
-    cell = _fallback_cell(case)
-    raw = _both_feeders(live_cube, cell, structured=False)
-    paths = live_cube.path_table.paths[_LIVE_LEVEL_ID]
-    stored_as_graph = case in ("str-subclass label", "orphan prefix")
-    record_ids, redundant, vector = decode_cell_vector(raw)
-    assert record_ids == cell.record_ids and redundant == cell.redundant
-    assert (vector is None) is stored_as_graph
-    if case == "orphan prefix":  # no graph can be rebuilt around a hole
-        with pytest.raises(StoreError, match="corrupt cell payload"):
-            decode_cell_parts(raw, paths)
-    elif case in ("bool count", "float count", "negative count"):
-        pass  # the counts a reader would fold are not counts
-    else:
-        graph = decode_cell_parts(raw, paths)[1]
-        assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
+    with pytest.raises(StoreError, match=re.escape(_REFUSALS[case])):
+        _door(live_cube, _unstorable_cell(case))
 
 
 # ----------------------------------------------------------------------
@@ -832,10 +837,11 @@ def test_every_fallback_is_the_same_raw_record_from_both_feeders(
 
 
 def _typed_or_decoded(read, says: str = "") -> str:
+    """*says* is a pattern the error's message must contain."""
     try:
         read()
     except StoreError as exc:
-        assert says in str(exc), exc
+        assert re.search(says, str(exc)), exc
         return "typed"
     return "decoded"
 
@@ -844,13 +850,14 @@ def test_no_damaged_record_escapes_as_an_untyped_error():
     """Flip each byte and cut at each length of an exception-bearing
     structured record: every reader decodes (no checksum yet) or raises
     ``StoreError`` — never ``IndexError`` / ``struct.error`` /
-    ``zlib.error`` from inside the codec."""
+    ``zlib.error`` from inside the codec.  A flipped flags bit may read
+    as the retired verbatim-JSON flag, which is refused as such."""
     exceptions = exceptions_to_dicts(
         [FlowException(("a",), (), "duration", 2, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
     cell = (("k", "ü"), (1, 2), 3, (4, 300, 70000), True, 130,
             [(1, 128), (0, 2)], exceptions)
-    record = _assert_round_trip(cell, _FALLBACK_PATHS)
+    record = _assert_round_trip(cell, _TWO_PATHS)
     damaged = [record[:length] for length in range(len(record))]
     for position in range(len(record)):
         for mask in (0x01, 0x80, 0xFF):
@@ -861,10 +868,12 @@ def test_no_damaged_record_escapes_as_an_untyped_error():
     for data in damaged:
         for read in (
             lambda: decode_cell_vector(data),
-            lambda: decode_cell_parts(data, _FALLBACK_PATHS),
+            lambda: decode_cell_parts(data, _TWO_PATHS),
             lambda: decode_cell_payload(data),
         ):
-            outcomes[_typed_or_decoded(read, "corrupt cell payload")] += 1
+            outcomes[
+                _typed_or_decoded(read, "corrupt cell payload|retired")
+            ] += 1
     assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
 
 
@@ -915,8 +924,8 @@ def test_named_record_damage_is_named():
         decode_cell_vector(overrun)
     # A path id the level's table does not hold is damage, not IndexError.
     with pytest.raises(StoreError, match="corrupt cell payload"):
-        decode_cell_parts(record, _FALLBACK_PATHS[:1])
-    assert decode_cell_parts(record, _FALLBACK_PATHS)[1].n_paths == 3
+        decode_cell_parts(record, _TWO_PATHS[:1])
+    assert decode_cell_parts(record, _TWO_PATHS)[1].n_paths == 3
 
 
 def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):

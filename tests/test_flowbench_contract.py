@@ -24,7 +24,9 @@ import repro.core
 import repro.perf
 import repro.store
 from benchmarks.flowbench.tracing import SPANS, Tracer
+from repro.core.flowcube import FlowCube
 from repro.core.flowgraph_exceptions import mine_exceptions_weighted
+from repro.query import planner
 from repro.query.api import FlowCubeQuery
 from repro.serve import CubeTenant, Request, create_app, slice_payload
 from repro.store import (
@@ -32,6 +34,7 @@ from repro.store import (
     CubeStore,
     PartitionedPathStore,
     append_records,
+    binfmt,
     build_cube,
     shared_mine_store,
 )
@@ -118,6 +121,15 @@ def test_a_batch_reaches_a_cube_through_append_records_only():
     assert not hasattr(repro.core, "append_batch")
     for name in ("append", "append_into_cube"):
         assert not hasattr(PartitionedPathStore, name), name
+
+
+def test_every_cell_carries_its_multiset():
+    """One record shape and one roll-up: no verbatim-JSON record writer,
+    no way to drop a cell's multiset, no graph merge in derivation."""
+    assert not hasattr(binfmt, "graph_payload")
+    assert not hasattr(FlowCube, "compact")
+    source = inspect.getsource(planner)
+    assert "FlowGraph.merge" not in source and ".merge(" not in source
 
 
 def test_the_harness_jobs_keyword_selects_nothing(tmp_path, monkeypatch):

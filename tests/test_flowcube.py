@@ -8,6 +8,7 @@ from repro.core import (
     PathLattice,
     example_path_database,
 )
+from repro.core.redundancy import parent_cells
 from repro.errors import CubeError
 
 
@@ -99,23 +100,17 @@ class TestParents:
         cell = cube.cell(
             ItemLevel((2, 1)), ("outerwear", "nike"), paper_lattice_module[0]
         )
-        parents = cube.parent_cells(cell)
+        parents = parent_cells(cube, cell)
         keys = {(p.item_level.levels, p.key) for p in parents}
         assert ((1, 1), ("clothing", "nike")) in keys
         assert ((2, 0), ("outerwear", "*")) in keys
 
     def test_apex_has_no_parents(self, cube, paper_lattice_module):
         apex = cube.cell(ItemLevel((0, 0)), ("*", "*"), paper_lattice_module[0])
-        assert cube.parent_cells(apex) == []
+        assert parent_cells(cube, apex) == []
 
 
 class TestMaintenance:
-    def test_compact_drops_paths(self, paper_db_module):
-        cube = FlowCube.build(paper_db_module, min_support=2)
-        assert any(cell.paths for cell in cube.cells())
-        cube.compact()
-        assert all(not cell.paths for cell in cube.cells())
-
     def test_describe(self, cube):
         stats = cube.describe()
         assert stats["paths"] == 8

@@ -298,7 +298,6 @@ def _decoded(paths) -> FlowGraph:
     record = encode_cell_payload(
         cell_payload(("k",), (1,), 0, (1, 2), False, len(paths), vector, [])
     )
-    assert not record[0] & 0x01  # structured, not the verbatim fallback
     return decode_cell_parts(record, table)[1]
 
 

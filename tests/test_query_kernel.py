@@ -410,6 +410,9 @@ def test_derive_cell_matches_derived_cuboid_with_index_only_selection(
 
 
 def test_store_derived_cuboid_byte_identical_to_direct_build(store, database):
+    """With exceptions off and on: stored cells carry their multisets, so
+    a derivation over a store re-mines exceptions (Lemma 4.3) exactly as
+    a direct build mines them."""
     levels = _levels(database)
     base = levels[-1]
     target = next(lv for lv in levels if lv != base and lv.parents())
@@ -418,34 +421,21 @@ def test_store_derived_cuboid_byte_identical_to_direct_build(store, database):
         compute_exceptions=False, into=store.cube_store(),
     )
     cube_store = store.cube_store()
-    direct = FlowCube.build(
-        database, item_levels=[target], min_support=1,
-        compute_exceptions=False,
-    )
-    derived = []
-    for path_level in cube_store.path_lattice:
-        plan = plan_derivation(cube_store, target, path_level)
-        derived.append(derive_cuboid(cube_store, plan))
-    assert cube_to_json(_shell(database, direct, derived)) == cube_to_json(
-        direct
-    )
-
-
-def test_derived_exceptions_require_paths(store, database):
-    levels = _levels(database)
-    base = levels[-1]
-    target = next(lv for lv in levels if lv != base and lv.parents())
-    build_cube(
-        store, item_levels=[base], min_support=1,
-        compute_exceptions=False, into=store.cube_store(),
-    )
-    cube_store = store.cube_store()
-    path_level = FlowCubeQuery(cube_store).default_path_level()
-    plan = plan_derivation(cube_store, target, path_level)
-    # Stored cells persist only the measure (Lemma 4.3: exceptions are
-    # holistic), so re-mining on derivation must refuse loudly.
-    with pytest.raises(QueryError, match="Lemma 4.3"):
-        derive_cuboid(cube_store, plan, mine_exceptions=True)
+    for exceptions in (False, True):
+        direct = FlowCube.build(
+            database, item_levels=[target], min_support=1,
+            compute_exceptions=exceptions,
+        )
+        assert exceptions is any(cell.exceptions for cell in direct.cells())
+        derived = []
+        for path_level in cube_store.path_lattice:
+            plan = plan_derivation(cube_store, target, path_level)
+            derived.append(
+                derive_cuboid(cube_store, plan, mine_exceptions=exceptions)
+            )
+        assert cube_to_json(_shell(database, direct, derived)) == (
+            cube_to_json(direct)
+        )
 
 
 # ----------------------------------------------------------------------

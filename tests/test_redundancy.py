@@ -17,6 +17,7 @@ from repro.core import (
     prune_redundant,
     tv_similarity,
 )
+from repro.core.redundancy import flowgraph_for
 from repro.query import FlowCubeQuery
 
 
@@ -89,8 +90,8 @@ class TestPrune:
     def test_inference_falls_back_to_ancestor(self, milk_cube):
         prune_redundant(milk_cube, threshold=0.9, metric=tv_similarity)
         level = milk_cube.path_lattice[0]
-        graph = milk_cube.flowgraph_for(
-            ItemLevel((2, 1)), ("whole", "farmB"), level
+        graph = flowgraph_for(
+            milk_cube, ItemLevel((2, 1)), ("whole", "farmB"), level
         )
         # The inferred graph comes from an ancestor, so it aggregates more
         # paths than the pruned cell itself held (6).

@@ -146,19 +146,19 @@ def stale(app, directory, wanted) -> list[tuple[str, str, dict]]:
 
 
 def re_put(handle) -> None:
-    """Re-put a cell under its own key and record ids — equal ``n_paths``
-    — with another cell's flowgraph and the other redundancy mark, so
-    only its extent says it changed."""
+    """Re-put a cell under its own key, record ids and multiset — equal
+    ``n_paths`` — with the other redundancy mark, so only its extent
+    says it changed."""
     cuboid = next(c for c in handle.cuboids if len(c) > 1)
-    first, second = list(cuboid)[:2]
+    first = next(iter(cuboid))
     handle.put_cell(
         Cell(
             key=first.key,
             item_level=first.item_level,
             path_level=first.path_level,
             record_ids=first.record_ids,
-            flowgraph=second.flowgraph,
-            paths=(),
+            flowgraph=first.flowgraph,
+            paths=first.paths,
             redundant=not first.redundant,
         )
     )

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.core import FlowCube, example_path_database
+from repro.core import (
+    FlowCube,
+    cube_from_json,
+    cube_to_json,
+    example_path_database,
+)
 from repro.query import FlowCubeQuery, flow_report
+from repro.store import PartitionedPathStore, build_cube
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +66,22 @@ class TestFlowReport:
         # With '*' durations there is no numeric section at all.
         assert "z=" not in text
 
-    def test_compacted_cube_degrades_gracefully(self):
-        cube = FlowCube.build(example_path_database(), min_support=2)
-        cube.compact()
-        cell = FlowCubeQuery(cube).cell()
-        text = flow_report(cell)
-        assert "unavailable (cube was compacted)" in text
+    def test_one_report_for_memory_stored_and_restored_cells(
+        self, cube, query, tmp_path
+    ):
+        """Every cell carries its path multiset — a store's, and one
+        restored by ``cube_from_json`` — so the outlier section is there
+        whichever version of the cell is reported on."""
+        database = example_path_database()
+        store = PartitionedPathStore.init(tmp_path / "wh", database.schema)
+        store.ingest(database)
+        stored = build_cube(
+            store, min_support=2, min_deviation=0.1, into=store.cube_store()
+        )
+        restored = cube_from_json(cube_to_json(cube), database)
+        text = flow_report(query.cell())
+        assert "[1b] Lead-time outliers (|z|" in text
+        assert flow_report(FlowCubeQuery(stored).cell()) == text
+        assert flow_report(FlowCubeQuery(restored).cell()) == text
+        stored.close()
+        store.close()

@@ -546,7 +546,7 @@ def _recoordinated(template: Cell, key) -> Cell:
         path_level=template.path_level,
         record_ids=template.record_ids,
         flowgraph=template.flowgraph,
-        paths=(),
+        paths=template.paths,
         redundant=template.redundant,
     )
 

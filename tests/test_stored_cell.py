@@ -24,8 +24,10 @@ What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
+import re
 import tempfile
 from pathlib import Path as FsPath
 
@@ -37,7 +39,7 @@ from repro.core.flowcube import Cell, FlowCube
 from repro.core.lattice import ItemLattice
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, example_path_database
-from repro.core.redundancy import prune_redundant
+from repro.core.redundancy import flowgraph_for, prune_redundant
 from repro.core.serialization import cube_to_json, flowgraph_to_dict
 from repro.core.similarity import tv_similarity
 from repro.errors import StoreError
@@ -76,15 +78,9 @@ CONFIG = GeneratorConfig(
     seed=5,
 )
 BASE_ROWS = 120
-#: Record ids from here up are outside what the structured record
-#: carries, so every cell holding one is stored as a ``RAW`` record
-#: (its vector inside, as JSON — it expands and appends like any other).
-RAW_ID_FLOOR = 2**31
-
-
-def raw_record(payload_json: bytes) -> bytes:
-    """A cell payload's JSON text framed as a verbatim (``RAW``) record."""
-    return bytes((binfmt._RAW,)) + payload_json
+#: Record ids from here up once left the record layout (they were stored
+#: as verbatim JSON); every ``int64`` id is a structured record's now.
+WIDE_ID_FLOOR = 2**31
 
 
 def level_paths(cube: CubeStore, path_level) -> list:
@@ -194,7 +190,6 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         assert cells and all(type(cell) is StoredCell for cell in cells)
         for cell in cells:
             assert isinstance(cell, Cell)
-            assert cell.paths == ()
             assert cell.n_paths > 0 and cell.redundant is False
             assert repr(cell) == f"Cell({cell.key!r}, n={cell.n_paths}, redundant=False)"
             assert not hasattr(cell, "no_such_field")
@@ -206,6 +201,10 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         for cell in cells:
             assert len(cell.record_ids) == cell.n_paths
             assert sum(cell.weights.values()) == cell.n_paths
+        assert decodes == []
+        # The multiset names paths: the table is read, no graph expanded.
+        for cell in cells:
+            assert sum(weight for _, weight in cell.paths) == cell.n_paths
         assert decodes == []
         assert cube.io_counters()["cells_decoded"] == 0
         cube.close()
@@ -248,17 +247,15 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     seen = 0
     for item_level, path_level, key, entry in stored_entries(cube):
         record = cube._cells.record(entry)
-        record_ids, redundant, _ = binfmt.decode_cell_vector(record)
-        flowgraph = binfmt.decode_cell_parts(
-            record, level_paths(cube, path_level)
-        )[1]
+        record_ids, redundant, vector = binfmt.decode_cell_vector(record)
+        paths = level_paths(cube, path_level)
         eager = Cell(
             key=key,
             item_level=item_level,
             path_level=path_level,
             record_ids=tuple(record_ids),
-            flowgraph=flowgraph,
-            paths=(),
+            flowgraph=binfmt.decode_cell_parts(record, paths)[1],
+            paths=tuple((paths[pid], weight) for pid, weight in vector),
             redundant=bool(redundant),
         )
         stored = cube.cell(item_level, key, path_level)
@@ -288,12 +285,12 @@ EMPTY_ITEM_LEVEL = GeneratorConfig(
 @given(
     database=path_databases(),
     exceptions=st.booleans(),
-    raw=st.booleans(),
+    wide_ids=st.booleans(),
 )
 @example(
     database=generate_path_database(EMPTY_ITEM_LEVEL),
     exceptions=False,
-    raw=False,
+    wide_ids=False,
 )
 @settings(
     max_examples=12,
@@ -301,9 +298,9 @@ EMPTY_ITEM_LEVEL = GeneratorConfig(
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_stored_cells_equal_eager_decode_across_store_states(
-    database, exceptions, raw
+    database, exceptions, wide_ids
 ):
-    offset = RAW_ID_FLOOR if raw else 0
+    offset = WIDE_ID_FLOOR if wide_ids else 0
     rows = [
         PathRecord(record.record_id + offset, record.dims, record.path)
         for record in database
@@ -325,9 +322,11 @@ def test_stored_cells_equal_eager_decode_across_store_states(
             compute_exceptions=exceptions,
         )
         assert_cells_match_records(cube)  # built
-        # the fallback arm is really what is stored
+        # ids past 2**31 are stored in the structured record
         first = next(stored_entries(cube))[3]
-        assert bool(cube._cells.record(first)[0] & binfmt._RAW) == raw
+        record = cube._cells.record(first)
+        assert not record[0] & binfmt._RAW
+        assert min(binfmt.decode_cell_vector(record)[0]) >= offset
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
@@ -364,6 +363,37 @@ def test_index_redundant_marks_agree_with_the_record(tmp_path, database):
         for cell in cold.cells()
     } == marks
     assert cube_to_json(cold) == cube_to_json(memory)
+    # One inference walks both cubes to the same ancestor.
+    for cell in memory.cells():
+        if cell.redundant:
+            coords = (cell.item_level, cell.key, cell.path_level)
+            assert flowgraph_to_dict(flowgraph_for(cold, *coords)) == (
+                flowgraph_to_dict(flowgraph_for(memory, *coords))
+            )
+    cold.close()
+    cube.close()
+
+
+def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
+    """A stored cell's index ``n_paths`` counts its record ids and its
+    flowgraph weighs its multiset: a cell whose two disagree is refused,
+    not stored as a measure that contradicts its own index."""
+    example = example_path_database()
+    memory = FlowCube.build(example, min_support=2)
+    apex = FlowCubeQuery(memory).cell()
+    (path, weight), *rest = apex.paths
+    heavier = dataclasses.replace(apex, paths=((path, weight + 5), *rest))
+    cube = CubeStore(tmp_path / "cube", example.schema)
+    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    with pytest.raises(StoreError, match="weighs 13 paths but has 8 record"):
+        cube.put_cell(heavier)
+    assert cube.n_cells() == 0
+    cube.put_cell(apex)
+    cube.flush()
+    cold = CubeStore(tmp_path / "cube", example.schema)
+    (stored,) = cold.cells()
+    assert stored.n_paths == len(stored.record_ids) == 8
+    assert stored.flowgraph.n_paths == 8 and stored == apex
     cold.close()
     cube.close()
 
@@ -456,11 +486,11 @@ def test_flipped_heap_byte_is_a_store_error_at_first_touch(store_dir):
 
 
 def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
-    """Flip each byte of an exception-bearing record in turn — as the
-    structured record the heap normally holds and as the ``RAW``-framed
-    JSON the codec falls back to: the touch either decodes (no
-    checksum yet) or raises ``StoreError``, never a ``zlib.error`` /
-    ``KeyError`` / ``TypeError`` from inside the codec."""
+    """Flip each byte of an exception-bearing record in turn: the touch
+    either decodes (no checksum yet) or raises ``StoreError`` — a flags
+    byte that reads as the retired verbatim-JSON flag is refused as
+    such — never a ``zlib.error`` / ``KeyError`` / ``TypeError`` from
+    inside the codec."""
     example = example_path_database()
     store, cube = build_store(
         tmp_path / "wh", example.schema, list(example), min_support=2
@@ -470,40 +500,31 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
             break
     else:
         pytest.fail("the example cube has no exception-bearing cell")
-    structured = cube._cells.record(entry)
-    framed = raw_record(
-        json.dumps(binfmt.decode_cell_payload(structured)).encode()
-    )
+    record = cube._cells.record(entry)
     level_id = cube.path_lattice.index_of(path_level)
-    for record in (structured, framed):
-        outcomes = {"decoded": 0, "typed": 0}
-        for position in range(len(record)):
-            for mask in (0x01, 0x80, 0xFF):
-                damaged = bytearray(record)
-                damaged[position] ^= mask
-                cell = StoredCell(
-                    key, item_level, path_level, 1, False, bytes(damaged),
-                    {"cells_decoded": 0}, cube._paths, level_id,
-                )
-                for touch in (
-                    lambda: cell.record_ids,
-                    lambda: cell.weights,
-                    lambda: cell.flowgraph,
-                ):
-                    try:
-                        touch()
-                    except StoreError as exc:
-                        assert "corrupt cell payload" in str(exc)
-                        outcomes["typed"] += 1
-                    else:
-                        outcomes["decoded"] += 1
-        assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
-    # Valid JSON of the wrong shape (a clobbered cell file) is damage too.
-    for text in (b"[]", b"null", b'{"record_ids": 3}', b'{"vector": [[0]]}'):
-        with pytest.raises(StoreError, match="corrupt cell payload"):
-            binfmt.decode_cell_parts(raw_record(text), [])
-        with pytest.raises(StoreError, match="corrupt cell payload"):
-            binfmt.decode_cell_vector(raw_record(text))
+    outcomes = {"decoded": 0, "typed": 0}
+    for position in range(len(record)):
+        for mask in (0x01, 0x80, 0xFF):
+            damaged = bytearray(record)
+            damaged[position] ^= mask
+            cell = StoredCell(
+                key, item_level, path_level, 1, False, bytes(damaged),
+                {"cells_decoded": 0}, cube._paths, level_id,
+            )
+            for touch in (
+                lambda: cell.record_ids,
+                lambda: cell.weights,
+                lambda: cell.paths,
+                lambda: cell.flowgraph,
+            ):
+                try:
+                    touch()
+                except StoreError as exc:
+                    assert re.search("corrupt cell payload|retired", str(exc))
+                    outcomes["typed"] += 1
+                else:
+                    outcomes["decoded"] += 1
+    assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
     cube.close()
     store.close()
 

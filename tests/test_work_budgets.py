@@ -18,7 +18,8 @@ unlinks only what the committed meta no longer lists, and a cold open
 maps the listed index and nothing else.
 And the ones one write-side process makes exact: a build decodes each
 partition once per pass, nothing forks, and importing the store loads
-no process machinery.
+no process machinery.  And the one the multiset sum makes true: a
+derived cell expands one graph and decodes or merges no child graph.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
@@ -37,10 +38,11 @@ import repro.store.partition as partition
 import repro.store.pathstore as pathstore
 from repro import publish
 from repro.core.flowgraph import FlowGraph
-from repro.core.lattice import roll_up_key
+from repro.core.lattice import ItemLevel, roll_up_key
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
 from repro.query.plan import Plan, parse_cut
+from repro.query.planner import derive_cell, derive_cuboid, plan_derivation
 from repro.serve import CubeTenant, SlicerApp
 from repro.store import (
     BuildStats,
@@ -49,6 +51,7 @@ from repro.store import (
     binfmt,
     build_cube,
 )
+from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
@@ -303,6 +306,45 @@ def test_a_cold_open_maps_the_listed_index_and_nothing_else(
             cube_files(tmp_path / "wh")["index"]
         ]
     cube.close()
+    store.close()
+
+
+# ----------------------------------------------------------------------
+# derive
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_derived_cell_adds_vectors_and_expands_one_graph(
+    tmp_path, monkeypatch, capsys, n_paths
+):
+    """``derive_cuboid``, ``derive_cell`` and ``query --derive`` sum the
+    children's multisets: one graph per derived cell, however many
+    children it has, and no child graph decoded or merged."""
+    database = generate_path_database(config(n_paths))
+    schema = database.schema
+    store = ingested(tmp_path / "wh", schema, list(database))
+    base = ItemLevel([h.depth for h in schema.dimensions])
+    build_cube(
+        store, item_levels=[ItemLevel([0, 0]), base], min_support=MIN_SUPPORT,
+        compute_exceptions=False, into=store.cube_store(), stats=BuildStats(),
+    ).close()
+    value = sorted(schema.dimensions[0].concepts_at_level(1))[0]
+    expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    expand = Counted(monkeypatch, FlowGraph, "expand")
+    graphs = graph_counters(monkeypatch)
+    with store.cube_store() as cube:
+        plan = plan_derivation(cube, ItemLevel([1, 0]), cube.path_lattice[0])
+        derived = derive_cuboid(cube, plan)
+        assert 1 < len(derived) < plan.source_cells
+        assert len(expand) == len(graphs["__init__"]) == len(derived)
+        for key in derived.cells:
+            derive_cell(cube, plan, key)
+        assert len(expand) == 2 * len(derived)
+    directory = str(tmp_path / "wh")
+    assert main(["query", directory, "-d", f"d0={value}", "--derive"]) == 0
+    assert "derived from cuboid" in capsys.readouterr().out
+    assert len(expand) == 2 * len(derived) + 1
+    assert len(expanded) == len(graphs["merge"]) == 0
     store.close()
 
 
