@@ -10,36 +10,22 @@ Only *iceberg* cells — at least δ paths — are materialised (Definition
 threshold ε.  Redundancy pruning (Definition 4.4) lives in
 :mod:`repro.core.redundancy`.
 
-This module provides the direct (semantics-defining) builder.  The
-optimised construction paths — the Shared algorithm and the Cubing baseline
-— live in :mod:`repro.mining` and produce the same cells; the test-suite
-cross-checks them against this builder.
+This module defines the cube's shape and its one builder,
+:meth:`FlowCube.build`, which runs the roll-up of
+:mod:`repro.perf.measure_rollup` over the whole database.  The test
+suite keeps a per-cell builder — every cuboid re-aggregating every record
+— as the oracle every build is compared against, byte for byte.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from time import perf_counter
 
-from repro.core.aggregation import (
-    WeightedPaths,
-    aggregate_path,
-    weight_paths,
-)
+from repro.core.aggregation import WeightedPaths
 from repro.core.flowgraph import FlowGraph
-from repro.core.flowgraph_exceptions import (
-    Segment,
-    mine_exceptions_weighted,
-    resolve_min_support,
-)
-from repro.core.lattice import (
-    ItemLattice,
-    ItemLevel,
-    PathLattice,
-    PathLevel,
-    roll_up_key,
-)
+from repro.core.flowgraph_exceptions import Segment
+from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import CubeError
 
@@ -167,10 +153,15 @@ class FlowCube:
             tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
         ]
         | None = None,
-        engine: str = "rollup",
         stats: object | None = None,
     ) -> "FlowCube":
         """Materialise an iceberg flowcube.
+
+        Each distinct path is aggregated once per path level, ancestor
+        cuboids derive by adding their children's path multisets, and
+        exceptions are mined with the bitmap kernel
+        (:func:`repro.perf.measure_rollup.roll_up`, the roll-up the store
+        build runs too).
 
         Args:
             database: The path database.
@@ -187,41 +178,19 @@ class FlowCube:
             segments_by_cell: Pre-mined frequent segments per cell, e.g.
                 from :func:`repro.mining.shared.shared_mine` — avoids the
                 per-cell local mining pass.
-            engine: ``"rollup"`` (default) aggregates each record once per
-                path level, derives ancestor cuboids by merging child
-                cells (:mod:`repro.perf.measure_rollup`) and mines
-                exceptions with the bitmap kernel
-                (:mod:`repro.perf.exception_kernel`); ``"direct"`` is the
-                semantics-defining per-cell builder with the per-path
-                ``"scan"`` exception kernel — the reference the
-                cross-check tests validate the roll-up engine against.
-                Both produce byte-identical serialised cubes and identical
-                exception lists.
             stats: Optional stats sink with an ``add_phase(name, seconds)``
                 method (e.g. :class:`repro.mining.stats.MiningStats`); the
-                measure construction time lands in its ``materialize``
-                bucket and the exception pass in ``exceptions``.
+                record scan lands in its ``aggregate`` bucket, the measure
+                construction in ``materialize`` and the exception pass in
+                ``exceptions``.
         """
-        if engine == "rollup":
-            from repro.perf.measure_rollup import build_rollup
+        from repro.perf.measure_rollup import (
+            PathTable,
+            expanded,
+            requested_levels,
+            roll_up,
+        )
 
-            return build_rollup(
-                cls,
-                database,
-                path_lattice=path_lattice,
-                item_levels=item_levels,
-                min_support=min_support,
-                min_deviation=min_deviation,
-                compute_exceptions=compute_exceptions,
-                segments_by_cell=segments_by_cell,
-                stats=stats,
-            )
-        if engine != "direct":
-            raise CubeError(
-                f"unknown measure engine {engine!r}; use 'direct' or 'rollup'"
-            )
-        started = perf_counter()
-        exception_seconds = 0.0
         schema = database.schema
         item_lattice = ItemLattice([h.depth for h in schema.dimensions])
         if path_lattice is None:
@@ -229,66 +198,21 @@ class FlowCube:
         cube = cls(
             database, item_lattice, path_lattice, min_support, min_deviation
         )
-        levels = list(item_levels) if item_levels is not None else list(item_lattice)
-        threshold = resolve_min_support(min_support, len(database))
-        for item_level in levels:
-            if item_level not in item_lattice:
-                raise CubeError(f"item level {item_level!r} outside the lattice")
-            groups = cube._group_records(item_level)
-            for path_level in path_lattice:
-                cuboid = Cuboid(item_level, path_level)
-                for key, record_ids in groups.items():
-                    if len(record_ids) < threshold:
-                        continue  # iceberg condition
-                    weighted = weight_paths(
-                        aggregate_path(database[rid].path, path_level)
-                        for rid in record_ids
-                    )
-                    graph = FlowGraph()
-                    for path, weight in weighted:
-                        graph.add_path(path, weight)
-                    cell = Cell(
-                        key=key,
-                        item_level=item_level,
-                        path_level=path_level,
-                        record_ids=tuple(record_ids),
-                        flowgraph=graph,
-                        paths=weighted,
-                    )
-                    if compute_exceptions:
-                        segments = None
-                        if segments_by_cell is not None:
-                            segments = segments_by_cell.get(
-                                (item_level, path_level, key)
-                            )
-                        mine_started = perf_counter()
-                        mine_exceptions_weighted(
-                            graph,
-                            weighted,
-                            min_support=min_support,
-                            min_deviation=min_deviation,
-                            segments=segments,
-                            kernel="scan",
-                        )
-                        exception_seconds += perf_counter() - mine_started
-                    cuboid.cells[key] = cell
-                cube._cuboids[(item_level, path_level)] = cuboid
-        if stats is not None:
-            if compute_exceptions:
-                stats.add_phase("exceptions", exception_seconds)
-            stats.add_phase(
-                "materialize", perf_counter() - started - exception_seconds
-            )
+        for cuboid in roll_up(
+            [database],
+            PathTable(len(path_lattice)),
+            requested_levels(item_lattice, item_levels),
+            path_lattice,
+            schema.dimensions,
+            min_support,
+            min_deviation,
+            compute_exceptions,
+            segments_by_cell,
+            stats,
+        ):
+            key = (cuboid.item_level, cuboid.path_level)
+            cube._cuboids[key] = expanded(cuboid)
         return cube
-
-    def _group_records(self, item_level: ItemLevel) -> dict[CellKey, list[int]]:
-        """Group record ids by their dims rolled up to *item_level*."""
-        hierarchies = self.database.schema.dimensions
-        groups: dict[CellKey, list[int]] = {}
-        for record in self.database:
-            key = roll_up_key(record.dims, item_level, hierarchies)
-            groups.setdefault(key, []).append(record.record_id)
-        return groups
 
     # ------------------------------------------------------------------
     # lookups

@@ -274,10 +274,10 @@ def exception_sort_key(exception: FlowException):
 
     ``(node_prefix, kind, condition)`` is unique within a mining run (one
     transition exception per segment, one duration exception per child
-    node per segment), so sorting by it gives every engine — direct,
+    node per segment), so sorting by it gives every build — per-cell,
     roll-up, out-of-core — the same exception list regardless of the order
     in which segments were enumerated.  Serialisation relies on this for
-    byte-identical cubes across engines.
+    byte-identical cubes across builds.
     """
     return (exception.node_prefix, exception.kind, exception.condition)
 

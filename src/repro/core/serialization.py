@@ -46,8 +46,8 @@ def flowgraph_to_dict(graph: FlowGraph) -> dict:
     with sorted keys, so that serialise→deserialise→serialise is
     byte-identical *and* independent of the order counts were accumulated
     in.  The cube store relies on the former to deduplicate and diff
-    persisted cells; the cross-engine parity tests rely on the latter (the
-    roll-up engine folds counts in merge order, not record order).
+    persisted cells; the parity tests rely on the latter (the roll-up
+    folds counts in merge order, not record order).
     """
     return {
         "n_paths": graph.n_paths,

@@ -13,12 +13,13 @@ Shared's and Cubing's counting runs on:
 * :mod:`repro.perf.bitmap` — vertical bitmap tid-sets: each item's
   tid-list packed into one Python big int, so a candidate's support is
   ``(mask_a & mask_b).bit_count()`` instead of a set intersection;
-* :mod:`repro.perf.measure_rollup` — the aggregate-once measure engine:
-  one record scan materialises the base item levels' weighted paths
-  (each distinct path aggregated once, then interned to an int id), and
-  every ancestor cuboid's cells derive by merging child cells along the
-  item lattice (``FlowGraph.merge``), with the holistic exception pass
-  re-run per cell over the same ids;
+* :mod:`repro.perf.measure_rollup` — the aggregate-once roll-up both
+  builds run (:func:`~repro.perf.measure_rollup.roll_up`): one record
+  scan materialises the base item levels' weighted paths (each distinct
+  path aggregated once, then interned to an int id), every ancestor
+  cuboid's cells derive by adding child cells' path-id vectors along the
+  item lattice, and the holistic exception pass re-runs per cell over the
+  same ids;
 * :mod:`repro.perf.exception_kernel` — the holistic pass itself as
   AND+popcount over the roll-up's path ids: per-path-level postings
   (bit *pid* ⇔ path *pid*) built once per level, a cell a ``{pid: weight}``
@@ -35,12 +36,12 @@ The kernels are exact.  The references they are tested against are
 ``counting="scan"`` on :func:`~repro.mining.apriori.apriori`,
 ``kernel="scan"`` on
 :func:`~repro.core.flowgraph_exceptions.mine_exceptions_weighted` and
-:class:`~repro.query.api.FlowCubeQuery`, and ``engine="direct"`` on
-:meth:`FlowCube.build <repro.core.flowcube.FlowCube.build>` (per-cell
-build, scan exception kernel); the test suite asserts identical supports,
-identical statistics, and byte-identical serialised cubes against them.
-The miners' results are pinned as constants.  :mod:`repro.store` has no
-switch: it runs the roll-up engine and the bitmap kernels only.
+:class:`~repro.query.api.FlowCubeQuery`, and the test suite's own
+per-cell builder (scan exception kernel) for the roll-up; the suite
+asserts identical supports, identical statistics, and byte-identical
+serialised cubes against them.  The miners' results are pinned as
+constants.  Neither build has a switch: both run the roll-up and the
+bitmap kernels only.
 """
 
 from repro.perf.bitmap import (
@@ -58,7 +59,7 @@ from repro.perf.exception_kernel import (
     pid_cell,
 )
 from repro.perf.interning import InternedTransactions, ItemInterner
-from repro.perf.measure_rollup import ENGINES, build_rollup, derivation_plan
+from repro.perf.measure_rollup import derivation_plan
 from repro.perf.query_kernel import (
     CatalogPool,
     CuboidKeyCatalog,
@@ -69,7 +70,6 @@ from repro.perf.query_kernel import (
 )
 
 __all__ = [
-    "ENGINES",
     "CellExceptionIndex",
     "CatalogPool",
     "CuboidKeyCatalog",
@@ -78,7 +78,6 @@ __all__ = [
     "PathPostings",
     "PidCell",
     "QueryCache",
-    "build_rollup",
     "cell_index",
     "count_candidates_bitmap",
     "count_candidates_masks",

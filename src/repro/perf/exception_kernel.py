@@ -41,7 +41,7 @@ There are two doors and one kernel.  The roll-up and the store append hand
 the pass a :class:`PidCell` — the cell's ``{pid: weight}`` plus its
 level's postings — and share those postings across every cell of the
 level.  Everything else (``mine_exceptions_weighted(graph, [(path,
-weight), …])``: the direct engine, in-memory appends)
+weight), …])``: a per-cell build, the planner's derive path)
 comes through the tuple door of :func:`pid_cell`, which interns its
 pairs into a private postings and runs the same code.  A ``PidCell``
 iterates as its ``(path, weight)`` pairs, so the scan kernel sees

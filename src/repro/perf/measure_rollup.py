@@ -1,13 +1,15 @@
-"""Aggregate-once measure engine: lattice roll-up materialisation.
+"""Aggregate-once measure roll-up: how every flowcube is built.
 
-The direct builder (:meth:`repro.core.flowcube.FlowCube.build` with
-``engine="direct"``) re-aggregates every record and rebuilds every cell's
+A per-cell build would re-aggregate every record and rebuild every cell's
 flowgraph once per (item level × path level) pair.  But an ancestor cell's
 path multiset is exactly the disjoint union of its children's — the classic
 algebraic roll-up of Gray et al.'s Data Cube, which the paper exploits in
 §4.2 by splitting the measure into an algebraic flowgraph part (Lemma 4.2)
-and a holistic exception part (Lemma 4.3).  This engine does the split end
-to end:
+and a holistic exception part (Lemma 4.3).  One function, :func:`roll_up`,
+does the split end to end for both builds:
+:meth:`~repro.core.flowcube.FlowCube.build` hands it the whole database
+as one batch, :func:`~repro.store.builder.build_cube` one partition at a
+time.
 
 1. **Scan once** (:func:`scan_records`): one pass over the records computes
    cell membership and weighted base paths for the *root* item levels only.
@@ -28,9 +30,11 @@ to end:
    and path-id weights add, which is all of Lemma 4.2: the vector is the
    distributive part of the measure and the flowgraph a function of it.
    No record is touched again and no graph is built.
-4. **Assemble** (:func:`assemble_cuboids`): iceberg filtering, cell
-   construction, and the per-cell holistic exception pass, in exactly the
-   direct builder's cuboid and cell order.  A cell leaves the engine as a
+4. **Prune** (:func:`prune_to_iceberg`): sub-iceberg cells, which
+   derivation needed, are dropped.
+5. **Assemble** (:func:`assemble_cuboids`): cell construction and the
+   per-cell holistic exception pass, cuboid by cuboid in (item level,
+   path level) order.  A cell leaves the roll-up as a
    :class:`VectorCell` — its ``{pid: weight}`` over the level's path list
    — whose flowgraph is expanded where one is consumed: by the exception
    pass (handed a :class:`~repro.perf.exception_kernel.PidCell` over the
@@ -38,15 +42,13 @@ to end:
    :func:`expanded` for an in-memory cube, and never by a store build
    without exceptions, which persists the vector itself.
 
-Parity with the direct engine is exact: counts are integers, distributions
+Parity with a per-cell build is exact: counts are integers, distributions
 are ratios of identical integers, and exceptions are re-mined per cell from
 the weighted paths then canonically sorted, so serialised cubes are
-byte-identical across engines (asserted by the property tests).  The
-out-of-core builder (:func:`repro.store.builder.build_cube`) runs
-:func:`scan_records` per partition and :func:`merge_scan` folds the
-partials in partition order, which reproduces the single-scan insertion
-orders exactly (ids are handed out in first-seen order and never order
-anything) — so in-memory and out-of-core roll-up builds agree.
+byte-identical to the per-cell oracle the test suite keeps.  Batches fold
+in order, which reproduces the single-scan insertion orders exactly (ids
+are handed out in first-seen order and never order anything) — so
+in-memory and out-of-core builds agree.
 """
 
 from __future__ import annotations
@@ -75,30 +77,27 @@ from repro.errors import CubeError
 from repro.perf.exception_kernel import PathPostings, PidCell
 
 __all__ = [
-    "ENGINES",
     "AggregationMemo",
     "PathTable",
     "LevelData",
     "VectorCell",
     "expanded",
+    "requested_levels",
     "derivation_plan",
     "scan_records",
     "merge_scan",
     "derive_levels",
     "prune_to_iceberg",
     "assemble_cuboids",
-    "build_rollup",
+    "roll_up",
 ]
-
-#: Measure engines accepted by ``FlowCube.build`` / ``build_cube``.
-ENGINES = ("rollup", "direct")
 
 #: One cell's weighted path multiset as :func:`scan_records` returns it:
 #: distinct aggregated path -> multiplicity, insertion-ordered (first-seen
 #: record order).
 ScannedCell = dict[AggregatedPath, int]
 
-#: One cell's weighted path multiset inside the engine: path id (into the
+#: One cell's weighted path multiset inside the roll-up: path id (into the
 #: build's :class:`PathTable`, per path level) -> multiplicity, in the same
 #: first-seen order.  An int key hashes to itself; the tuple it stands for
 #: re-hashes every nested stage on every probe.
@@ -184,7 +183,7 @@ class PathTable:
 
 @dataclass
 class LevelData:
-    """Everything the engine holds for one item level.
+    """Everything the roll-up holds for one item level.
 
     ``groups`` and ``weighted`` carry *all* keys — including sub-iceberg
     ones — because an ancestor's cells must merge *every* child cell to
@@ -243,7 +242,7 @@ class VectorCell(Cell):
         graph = self._graph
         if graph is None:
             # Path by path, in the vector's order: an in-memory cube's
-            # graph keeps the direct builder's insertion orders.
+            # graph keeps a per-cell build's insertion orders.
             graph = self._graph = FlowGraph()
             level_paths = self.level_paths
             for pid, weight in self.weights.items():
@@ -273,6 +272,25 @@ def expanded(cuboid: Cuboid) -> Cuboid:
         for key, cell in cuboid.cells.items()
     }
     return cuboid
+
+
+def requested_levels(
+    item_lattice: ItemLattice, item_levels: Iterable[ItemLevel] | None
+) -> list[ItemLevel]:
+    """The item levels a build materialises, each once, in request order.
+
+    ``None`` asks for the whole lattice.  A level listed twice is one
+    level: its cuboids are built, counted and persisted once.  Raises
+    :class:`~repro.errors.CubeError` for a level outside the lattice —
+    before a build reads or stages anything.
+    """
+    if item_levels is None:
+        return list(item_lattice)
+    levels = list(dict.fromkeys(item_levels))
+    for item_level in levels:
+        if item_level not in item_lattice:
+            raise CubeError(f"item level {item_level!r} outside the lattice")
+    return levels
 
 
 def derivation_plan(
@@ -444,14 +462,14 @@ def prune_to_iceberg(
     Derivation needs *all* child cells to conserve ancestor weights, but
     once every level is derived only iceberg-surviving cells are ever
     read again.  The sub-threshold tail is the bulk of the keys on
-    realistic workloads, so it is dropped here.  Under the in-memory
-    engine (``FlowCube.build(engine="rollup")``, which runs on the
-    default collector) keeping it alive through assembly makes the
-    holistic exception pass measurably slower just by inflating the heap
-    the cyclic GC has to traverse; a store build pauses that collector
-    (:mod:`repro.perf.collector`), and there the prune only releases the
-    memory early.  Pruning keeps each dict's insertion order (a subset
-    of it), leaving assembly's cell order untouched.
+    realistic workloads, so it is dropped here.  In an in-memory build
+    (:meth:`FlowCube.build <repro.core.flowcube.FlowCube.build>`, which
+    runs on the default collector) keeping it alive through assembly
+    makes the holistic exception pass measurably slower just by inflating
+    the heap the cyclic GC has to traverse; a store build pauses that
+    collector (:mod:`repro.perf.collector`), and there the prune only
+    releases the memory early.  Pruning keeps each dict's insertion order
+    (a subset of it), leaving assembly's cell order untouched.
     """
     for level_data in data.values():
         groups = {
@@ -472,35 +490,29 @@ def assemble_cuboids(
     data: Mapping[ItemLevel, LevelData],
     table: PathTable,
     threshold: int,
-    min_support: float,
-    min_deviation: float,
-    compute_exceptions: bool,
     segments_by_cell: Mapping[
         tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
     ]
     | None,
     exception_pass=None,
 ) -> Iterator[Cuboid]:
-    """Yield finished cuboids in the direct builder's (item, path) order.
+    """Yield finished cuboids in (item level, path level) order.
 
     Applies the iceberg threshold, builds a :class:`VectorCell` per
     surviving cell straight from the derived ``{pid: weight}`` — no path
-    tuple is touched and no graph built unless *compute_exceptions* —
+    tuple is touched and no graph built without an *exception_pass* —
     and runs the holistic exception pass per cuboid batch through
-    *exception_pass* — a ``run(batch)`` callable over ``(graph, weighted,
-    segments)`` triples whose *graph* is the cell's, expanded here for
-    the pass, and whose *weighted* is the cell's ``{pid: weight}``
-    itself, wrapped with the level's postings (see
+    *exception_pass*, when given: a ``run(batch)`` callable over
+    ``(graph, weighted, segments)`` triples whose *graph* is the cell's,
+    expanded here for the pass, and whose *weighted* is the cell's
+    ``{pid: weight}`` itself, wrapped with the level's postings (see
     :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
-    both builders pass their own to read its ``seconds``).  Defaults to
-    a fresh runner.
+    :func:`roll_up` passes its own to read its ``seconds``).
 
     Membership is path-level independent, so the iceberg test and the
     member-id sort run once per item level and the level's cuboids share
     each surviving cell's ``record_ids`` tuple.
     """
-    if exception_pass is None and compute_exceptions:
-        exception_pass = serial_exception_pass(min_support, min_deviation)
     for item_level in levels:
         level_data = data[item_level]
         members = {
@@ -519,7 +531,7 @@ def assemble_cuboids(
                 cell = VectorCell(
                     key, item_level, path_level, record_ids, weights, paths
                 )
-                if compute_exceptions:
+                if exception_pass is not None:
                     segments = None
                     if segments_by_cell is not None:
                         segments = segments_by_cell.get(
@@ -534,65 +546,67 @@ def assemble_cuboids(
             yield cuboid
 
 
-def build_rollup(
-    cube_cls,
-    database,
-    path_lattice: PathLattice | None = None,
-    item_levels: Iterable[ItemLevel] | None = None,
-    min_support: float = 0.01,
-    min_deviation: float = 0.1,
-    compute_exceptions: bool = True,
+def roll_up(
+    batches: Iterable[Sequence],
+    table: PathTable,
+    levels: Sequence[ItemLevel],
+    path_lattice: PathLattice,
+    hierarchies: Sequence,
+    min_support: float,
+    min_deviation: float,
+    compute_exceptions: bool,
     segments_by_cell: Mapping[
         tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
     ]
-    | None = None,
+    | None,
     stats: object | None = None,
-):
-    """In-memory roll-up build — ``FlowCube.build(engine="rollup")``'s body.
+) -> Iterator[Cuboid]:
+    """The roll-up build: scan, merge, derive, prune, and yield cuboids.
 
     Args:
-        cube_cls: The :class:`~repro.core.flowcube.FlowCube` class (passed
-            in to keep the import lazy on the flowcube side).
-        database: The path database.
-        stats: Optional sink with ``add_phase(name, seconds)``; the record
-            scan lands in ``aggregate``, derivation + assembly in
-            ``materialize``, and the holistic pass in ``exceptions``.
+        batches: The database's records in order, in batches — the whole
+            database as one, or one partition at a time.  Each batch is
+            scanned (:func:`scan_records`, one :class:`AggregationMemo`
+            for them all) and folded into the totals (:func:`merge_scan`)
+            before the next is drawn.
+        table: The :class:`PathTable` the scan interns into.  The caller
+            owns it: a store persists it as the cube's path table.
+        levels: The item levels to build, from :func:`requested_levels`.
+        min_support: δ, fractional (<1) or absolute, resolved against the
+            number of records the batches held.
+        stats: Optional sink with ``add_phase(name, seconds)``: the scan
+            lands in ``aggregate``, the holistic pass in ``exceptions``,
+            and derivation plus assembly in ``materialize`` — a phase
+            that ends when the last cuboid has been consumed, so it holds
+            what the caller does with each cuboid too.
 
-    The remaining arguments mirror :meth:`FlowCube.build`.
+    The remaining arguments are :meth:`FlowCube.build
+    <repro.core.flowcube.FlowCube.build>`'s.  Cuboids come out as
+    :func:`assemble_cuboids` yields them.
     """
-    schema = database.schema
-    item_lattice = ItemLattice([h.depth for h in schema.dimensions])
-    if path_lattice is None:
-        path_lattice = PathLattice.paper_default(schema.location)
-    cube = cube_cls(
-        database, item_lattice, path_lattice, min_support, min_deviation
-    )
-    levels = list(item_levels) if item_levels is not None else list(item_lattice)
-    for item_level in levels:
-        if item_level not in item_lattice:
-            raise CubeError(f"item level {item_level!r} outside the lattice")
-    threshold = resolve_min_support(min_support, len(database))
-    hierarchies = schema.dimensions
     plan = derivation_plan(levels)
     root_levels = [level for level, source in plan if source is None]
 
     phase = perf_counter()
-    table = PathTable(len(path_lattice))
+    aggregation = AggregationMemo(path_lattice)
     groups_by_root: list[dict[CellKey, list[int]]] = [{} for _ in root_levels]
     weighted_by_root: list[list[dict[CellKey, WeightedCell]]] = [
         [{} for _ in path_lattice] for _ in root_levels
     ]
-    part_groups, part_weighted = scan_records(
-        database, AggregationMemo(path_lattice), root_levels, hierarchies
-    )
-    merge_scan(
-        groups_by_root, weighted_by_root, part_groups, part_weighted, table
-    )
-    del part_groups, part_weighted
+    n_records = 0
+    for batch in batches:
+        n_records += len(batch)
+        merge_scan(
+            groups_by_root, weighted_by_root,
+            *scan_records(batch, aggregation, root_levels, hierarchies),
+            table,
+        )
+    batch = None  # the last partition is not held through assembly
     if stats is not None:
         stats.add_phase("aggregate", perf_counter() - phase)
 
     phase = perf_counter()
+    threshold = resolve_min_support(min_support, n_records)
     data = derive_levels(
         plan, groups_by_root, weighted_by_root, root_levels, hierarchies
     )
@@ -603,14 +617,10 @@ def build_rollup(
         if compute_exceptions
         else None
     )
-    for cuboid in assemble_cuboids(
-        levels, path_lattice, data, table, threshold, min_support,
-        min_deviation, compute_exceptions, segments_by_cell,
+    yield from assemble_cuboids(
+        levels, path_lattice, data, table, threshold, segments_by_cell,
         exception_pass=runner,
-    ):
-        cube._cuboids[(cuboid.item_level, cuboid.path_level)] = expanded(  # noqa: SLF001
-            cuboid
-        )
+    )
     if stats is not None:
         exception_seconds = runner.seconds if runner is not None else 0.0
         if compute_exceptions:
@@ -618,4 +628,3 @@ def build_rollup(
         stats.add_phase(
             "materialize", perf_counter() - phase - exception_seconds
         )
-    return cube

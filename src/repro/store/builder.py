@@ -21,18 +21,15 @@ partition at a time*:
   counters and result order are *exactly* the in-memory miner's — the
   test suite asserts equality.
 
-* :func:`build_cube` materialises the iceberg cube with a single roll-up
-  scan — membership and weighted base paths for the root item levels
-  only, each distinct path aggregated once, merged in partition order
-  into multisets of interned path ids — and derives every other level's
-  cells by merging child cells (:mod:`repro.perf.measure_rollup`).
+* :func:`build_cube` runs the roll-up
+  :meth:`FlowCube.build` runs (:func:`~repro.perf.measure_rollup.roll_up`)
+  over the partitions in order — one scan for the root item levels'
+  membership and weighted base paths, each distinct path aggregated
+  once, merged into multisets of interned path ids, every other level
+  derived by adding child cells — and persists each cuboid as it comes.
   Partitions preserve record order, so group insertion order,
   ``record_ids`` tuples, path order, and the exception-mining inputs
-  coincide with the in-memory builders'.  This is the store's only
-  engine and its exception pass has one kernel (the bitmap one); the
-  reference arm the tests compare against — :meth:`FlowCube.build`'s
-  ``"direct"`` per-cell rebuild, which mines with the ``"scan"``
-  exception kernel — lives in :mod:`repro.core`.
+  coincide with the in-memory build's.
 
 What is resident.  A mine holds, next to the one decoded + encoded
 partition, the interned D': one ``array('i')`` per record (4 B per item
@@ -73,31 +70,17 @@ from datetime import datetime, timezone
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.flowcube import CellKey, FlowCube
-from repro.core.flowgraph_exceptions import (
-    Segment,
-    resolve_min_support,
-    serial_exception_pass,
-)
+from repro.core.flowcube import CellKey
+from repro.core.flowgraph_exceptions import Segment, resolve_min_support
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.encoding.transactions import EncodingMemo, TransactionDatabase
-from repro.errors import CubeError, StoreError
+from repro.errors import StoreError
 from repro.mining.result import FlowMiningResult, item_sort_key
 from repro.mining.shared import mine_interned
 from repro.mining.stats import MiningStats
 from repro.perf import collector
 from repro.perf.interning import InternedTransactions, ItemInterner
-from repro.perf.measure_rollup import (
-    AggregationMemo,
-    PathTable,
-    assemble_cuboids,
-    derivation_plan,
-    derive_levels,
-    expanded,
-    merge_scan,
-    prune_to_iceberg,
-    scan_records,
-)
+from repro.perf.measure_rollup import PathTable, requested_levels, roll_up
 from repro.store.pathstore import PartitionedPathStore
 
 __all__ = [
@@ -205,26 +188,18 @@ def _check_jobs(value) -> None:
         raise StoreError(f"jobs must be an integer >= 0, got {value!r}")
 
 
-def _scan_partitions(
+def _partitions(
     store: PartitionedPathStore,
     tracker: _LiveTracker,
     build_stats: BuildStats,
-    root_levels: tuple,
-    path_lattice: PathLattice,
 ) -> Iterator:
-    """The roll-up scan over every partition, yielding partials in order.
-
-    Partitions are loaded one at a time inside the tracker bracket.
-    """
-    aggregation = AggregationMemo(path_lattice)  # one for every partition
+    """Every partition's records, in order, one loaded at a time inside
+    the tracker bracket."""
     for _, database in store.iter_partitions():
         tracker.enter()
         try:
             build_stats.scans += 1
-            yield scan_records(
-                database, aggregation, root_levels,
-                store.schema.dimensions,
-            )
+            yield database
         finally:
             tracker.exit()
 
@@ -341,19 +316,21 @@ def build_cube(
     stats: BuildStats | None = None,
     jobs: int = 1,
 ):
-    """Materialise the iceberg flowcube of a partitioned store.
+    """Materialise and persist the iceberg flowcube of a partitioned store.
 
-    Produces exactly the cube :meth:`FlowCube.build` would produce over
+    Persists exactly the cube :meth:`FlowCube.build` would produce over
     the concatenated store (same cuboids, cell keys, record ids,
-    flowgraphs, and exceptions) while reading one partition at a time.
+    flowgraphs, and exceptions; the store keeps no empty cuboid) while
+    reading one partition at a time.
 
-    There is a single *roll-up scan* (:mod:`repro.perf.measure_rollup`):
-    each partition is read once, producing membership groups and weighted
-    base paths for the *root* item levels only; partials merge in
-    partition order (:func:`merge_scan`), which makes them identical to
-    an in-memory single scan.  Every other level's cells derive in memory
-    by merging child cells along the item lattice, so the whole build
-    costs one pass regardless of how many item levels are materialised.
+    It runs :meth:`FlowCube.build`'s roll-up,
+    :func:`~repro.perf.measure_rollup.roll_up`: each partition is read
+    once, producing membership groups and weighted base paths for the
+    *root* item levels only; partials merge in
+    partition order, which makes them identical to an in-memory single
+    scan.  Every other level's cells derive in memory by adding child
+    cells along the item lattice, so the whole build costs one pass
+    regardless of how many item levels are materialised.
     The whole build runs with the cyclic collector paused
     (:func:`repro.perf.collector.paused`: nothing it allocates is cyclic;
     DESIGN §6 item 12).
@@ -372,33 +349,27 @@ def build_cube(
         use_shared: Run :func:`shared_mine_store` first and feed its
             segments into exception mining (ignored when
             ``segments_by_cell`` is given or exceptions are off).
-        into: ``None`` to return an in-memory
-            :class:`~repro.core.flowcube.FlowCube` (the store is then
-            loaded once at the end to back it), or a
-            :class:`~repro.store.cube_store.CubeStore` — each cuboid is
-            persisted and dropped as soon as it is built, keeping the
-            output out-of-core too.
+        into: The :class:`~repro.store.cube_store.CubeStore` handle to
+            write through; ``None`` opens ``store.cube_store()``.  Each
+            cuboid is persisted and dropped as soon as it is built, so
+            the output stays out-of-core too.
         stats: Optional :class:`BuildStats` to fill.
         jobs: An integer ``>= 0`` (anything else raises
             :class:`~repro.errors.StoreError`), otherwise ignored: the
             build runs in the calling process whatever it says.
 
     Returns:
-        The :class:`FlowCube`, or *into* (flushed) when a cube store was
-        given.
+        The cube store, flushed.
     """
     _check_jobs(jobs)
     started = time.perf_counter()
     build_stats = stats if stats is not None else BuildStats()
     schema = store.schema
-    item_lattice = ItemLattice([h.depth for h in schema.dimensions])
     if path_lattice is None:
         path_lattice = PathLattice.paper_default(schema.location)
-    levels = list(item_levels) if item_levels is not None else list(item_lattice)
-    for item_level in levels:
-        if item_level not in item_lattice:
-            raise CubeError(f"item level {item_level!r} outside the lattice")
-    threshold = resolve_min_support(min_support, len(store))
+    levels = requested_levels(
+        ItemLattice([h.depth for h in schema.dimensions]), item_levels
+    )
     build_stats.partitions = len(store.catalog.partitions)
     build_stats.records = len(store)
     build_stats.built_at = datetime.now(timezone.utc).isoformat(
@@ -417,76 +388,37 @@ def build_cube(
             build_stats=build_stats,
         ).segments_by_cell()
 
-    plan = derivation_plan(levels)
-    root_levels = tuple(level for level, source in plan if source is None)
-    tracker = _LiveTracker()
-    exception_pass = None
-    if compute_exceptions:
-        exception_pass = serial_exception_pass(min_support, min_deviation)
-    phase = time.perf_counter()
-    table = PathTable(len(path_lattice))
-    groups_by_root: list[dict[CellKey, list[int]]] = [
-        {} for _ in root_levels
-    ]
-    weighted_by_root: list[list[dict]] = [
-        [{} for _ in path_lattice] for _ in root_levels
-    ]
-    for part_groups, part_weighted in _scan_partitions(
-        store, tracker, build_stats, root_levels, path_lattice
-    ):
-        merge_scan(
-            groups_by_root, weighted_by_root, part_groups, part_weighted,
-            table,
-        )
-    build_stats.add_phase("aggregate", time.perf_counter() - phase)
-
-    if into is not None:
-        into.create(
+    cube = store.cube_store() if into is None else into
+    try:
+        # The writer lock is taken before the first partition is read.
+        cube.create(
             path_lattice, min_support, min_deviation, item_levels=levels
         )
         # The cube's records are vectors over the scan's path ids.
-        into.path_table = table
-        cube = None
-    else:
-        cube = FlowCube(
-            store.load_all(), item_lattice, path_lattice, min_support,
+        table = cube.path_table = PathTable(len(path_lattice))
+        tracker = _LiveTracker()
+        for cuboid in roll_up(
+            _partitions(store, tracker, build_stats),
+            table,
+            levels,
+            path_lattice,
+            schema.dimensions,
+            min_support,
             min_deviation,
+            compute_exceptions,
+            segments_by_cell,
+            build_stats,
+        ):
+            build_stats.cuboids += 1
+            build_stats.cells += len(cuboid)
+            cube.put_cuboid(cuboid)
+        build_stats.max_live_transaction_dbs = max(
+            build_stats.max_live_transaction_dbs, tracker.peak
         )
-
-    phase = time.perf_counter()
-    data = derive_levels(
-        plan, groups_by_root, weighted_by_root, root_levels,
-        store.schema.dimensions,
-    )
-    prune_to_iceberg(data, threshold)
-    del groups_by_root, weighted_by_root
-    for cuboid in assemble_cuboids(
-        levels, path_lattice, data, table, threshold, min_support,
-        min_deviation, compute_exceptions, segments_by_cell,
-        exception_pass=exception_pass,
-    ):
-        build_stats.cuboids += 1
-        build_stats.cells += len(cuboid)
-        if into is not None:
-            into.put_cuboid(cuboid)
-        else:
-            cube._cuboids[(cuboid.item_level, cuboid.path_level)] = (  # noqa: SLF001
-                expanded(cuboid)
-            )
-    exception_seconds = (
-        exception_pass.seconds if exception_pass is not None else 0.0
-    )
-    if compute_exceptions:
-        build_stats.add_phase("exceptions", exception_seconds)
-    build_stats.add_phase(
-        "materialize", time.perf_counter() - phase - exception_seconds
-    )
-
-    build_stats.max_live_transaction_dbs = max(
-        build_stats.max_live_transaction_dbs, tracker.peak
-    )
-    build_stats.elapsed_seconds += time.perf_counter() - started
-    if into is not None:
-        into.flush(build_stats=build_stats)
-        return into
+        build_stats.elapsed_seconds += time.perf_counter() - started
+        cube.flush(build_stats=build_stats)
+    except BaseException:
+        if into is None:
+            cube.close()  # abandons the staged heap, releases the lock
+        raise
     return cube

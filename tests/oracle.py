@@ -1,0 +1,123 @@
+"""The per-cell flowcube builder: the oracle every build is compared to.
+
+Definition 4.1 read literally: every (item level × path level) cuboid
+groups the records afresh, re-aggregates each member's path and builds
+each cell's flowgraph from scratch, and exceptions are mined with the
+path-scanning ``"scan"`` kernel.  It shares nothing with the roll-up
+(:mod:`repro.perf.measure_rollup`) but the cell shape, so a
+``cube_to_json`` match is evidence, not a tautology.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Mapping, Sequence
+from time import perf_counter
+
+from repro.core.aggregation import aggregate_path, weight_paths
+from repro.core.flowcube import Cell, CellKey, Cuboid, FlowCube
+from repro.core.flowgraph import FlowGraph
+from repro.core.flowgraph_exceptions import (
+    Segment,
+    mine_exceptions_weighted,
+    resolve_min_support,
+)
+from repro.core.lattice import (
+    ItemLattice,
+    ItemLevel,
+    PathLattice,
+    PathLevel,
+    roll_up_key,
+)
+from repro.core.path_database import PathDatabase
+from repro.errors import CubeError
+
+
+def direct_cube(
+    database: PathDatabase,
+    path_lattice: PathLattice | None = None,
+    item_levels: Iterable[ItemLevel] | None = None,
+    min_support: float = 0.01,
+    min_deviation: float = 0.1,
+    compute_exceptions: bool = True,
+    segments_by_cell: Mapping[
+        tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
+    ]
+    | None = None,
+    stats: object | None = None,
+) -> FlowCube:
+    """The cube :meth:`FlowCube.build` must equal, built cell by cell.
+
+    Takes :meth:`FlowCube.build`'s arguments.
+    """
+    started = perf_counter()
+    exception_seconds = 0.0
+    schema = database.schema
+    item_lattice = ItemLattice([h.depth for h in schema.dimensions])
+    if path_lattice is None:
+        path_lattice = PathLattice.paper_default(schema.location)
+    cube = FlowCube(
+        database, item_lattice, path_lattice, min_support, min_deviation
+    )
+    levels = list(item_levels) if item_levels is not None else list(item_lattice)
+    threshold = resolve_min_support(min_support, len(database))
+    for item_level in levels:
+        if item_level not in item_lattice:
+            raise CubeError(f"item level {item_level!r} outside the lattice")
+        groups = _group_records(database, item_level)
+        for path_level in path_lattice:
+            cuboid = Cuboid(item_level, path_level)
+            for key, record_ids in groups.items():
+                if len(record_ids) < threshold:
+                    continue  # iceberg condition
+                weighted = weight_paths(
+                    aggregate_path(database[rid].path, path_level)
+                    for rid in record_ids
+                )
+                graph = FlowGraph()
+                for path, weight in weighted:
+                    graph.add_path(path, weight)
+                cell = Cell(
+                    key=key,
+                    item_level=item_level,
+                    path_level=path_level,
+                    record_ids=tuple(record_ids),
+                    flowgraph=graph,
+                    paths=weighted,
+                )
+                if compute_exceptions:
+                    segments = None
+                    if segments_by_cell is not None:
+                        segments = segments_by_cell.get(
+                            (item_level, path_level, key)
+                        )
+                    mine_started = perf_counter()
+                    mine_exceptions_weighted(
+                        graph,
+                        weighted,
+                        min_support=min_support,
+                        min_deviation=min_deviation,
+                        segments=segments,
+                        kernel="scan",
+                    )
+                    exception_seconds += perf_counter() - mine_started
+                cuboid.cells[key] = cell
+            cube._cuboids[(item_level, path_level)] = cuboid  # noqa: SLF001
+    if stats is not None:
+        if compute_exceptions:
+            stats.add_phase("exceptions", exception_seconds)
+        stats.add_phase(
+            "materialize", perf_counter() - started - exception_seconds
+        )
+    return cube
+
+
+def _group_records(
+    database: PathDatabase, item_level: ItemLevel
+) -> dict[CellKey, list[int]]:
+    """Group record ids by their dims rolled up to *item_level*."""
+    hierarchies = database.schema.dimensions
+    groups: dict[CellKey, list[int]] = {}
+    for record in database:
+        key = roll_up_key(record.dims, item_level, hierarchies)
+        groups.setdefault(key, []).append(record.record_id)
+    return groups

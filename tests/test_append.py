@@ -2,8 +2,8 @@
 
 The load-bearing contract: appending a batch to a persisted cube and
 querying it is **byte-identical** (``cube_to_json``) to the reference
-in-memory build over the extended database — ``FlowCube.build`` with
-the direct engine and the scan exception kernel — before *and* after
+in-memory build over the extended database — the per-cell oracle
+(``tests/oracle.py``, scan exception kernel) — before *and* after
 compaction; warm handle and cold reopen.
 
 The durability contracts ride along: appends never rewrite the base
@@ -20,7 +20,6 @@ import json
 
 import pytest
 
-from repro.core.flowcube import FlowCube
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
 from repro.core.serialization import cube_to_json
@@ -35,6 +34,7 @@ from repro.store import (
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files, stored_cube_json
+from tests.oracle import direct_cube
 
 CONFIG = GeneratorConfig(
     n_paths=150,
@@ -82,7 +82,7 @@ def _base_store(directory, database, rows, **build_kwargs):
 @pytest.fixture(scope="module")
 def rebuilt_reference(database):
     """``cube_to_json`` of the reference in-memory build over the whole
-    database (direct engine, scan kernel), cached per build options."""
+    database (the per-cell oracle), cached per build options."""
     cache: dict[tuple, str] = {}
 
     def reference(**build_kwargs) -> str:
@@ -90,7 +90,7 @@ def rebuilt_reference(database):
         if key not in cache:
             build_kwargs.setdefault("min_support", MIN_SUPPORT)
             cache[key] = cube_to_json(
-                FlowCube.build(database, engine="direct", **build_kwargs)
+                direct_cube(database, **build_kwargs)
             )
         return cache[key]
 
@@ -142,9 +142,9 @@ def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     # open it stages a delta segment — O(dirty cells), not a heap copy.
     store, cube = _base_store(tmp_path / "put", database, base)
     cube.close()
-    reference = FlowCube.build(
+    reference = direct_cube(
         PathDatabase(database.schema, base, validate=False),
-        min_support=MIN_SUPPORT, engine="direct",
+        min_support=MIN_SUPPORT,
     )
     cell = next(iter(reference.cuboids[0]))
     coords = (cell.item_level, cell.key, cell.path_level)
@@ -360,9 +360,9 @@ def test_brand_new_key_below_delta_is_counted_not_created(
     assert stats["still_below_delta"] > 0
     assert stats["created"] == 0 and stats["promoted"] == 0
     assert new_key not in {cell.key for cell in cube.cells()}
-    reference = FlowCube.build(
+    reference = direct_cube(
         PathDatabase(database.schema, [*base, record]),
-        min_support=MIN_SUPPORT, engine="direct",
+        min_support=MIN_SUPPORT,
     )
     assert cube_to_json(cube) == stored_cube_json(reference)
 

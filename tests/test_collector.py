@@ -116,8 +116,12 @@ def _append(store, database):
 
 
 def _build_outside_the_lattice(store, database):
+    listed = sorted((store.directory / "cube").iterdir())
     with pytest.raises(CubeError, match="outside the lattice"):
         build_cube(store, item_levels=[(99, 99, 99)], min_support=MIN_SUPPORT)
+    # Refused before anything is staged or the writer lock is taken.
+    assert sorted((store.directory / "cube").iterdir()) == listed
+    _build(store, database)
 
 
 def _mine_with_bad_jobs(store, database):
@@ -242,7 +246,7 @@ def _unreachable_after_rollup(n_paths):
     with collector_state(False):
         gc.collect()
         cube = FlowCube.build(
-            database, engine="rollup", min_support=MIN_SUPPORT,
+            database, min_support=MIN_SUPPORT,
             compute_exceptions=True,
         )
         del cube

@@ -1,7 +1,7 @@
 """Parity tests for the bitmap exception kernel (PR 4).
 
-The contract is exact: for any cell, any δ/ε, any engine, and any build
-path (in-memory or out-of-core), the bitmap kernel must
+The contract is exact: for any cell, any δ/ε, and any build (in-memory
+or out-of-core), the bitmap kernel must
 produce the very same exception lists — and therefore byte-identical
 serialised cubes — as the path-scanning pass it replaces.
 """
@@ -30,11 +30,12 @@ from repro.perf.exception_kernel import (
 from repro.perf.measure_rollup import PathTable
 from repro.store import PartitionedPathStore, build_cube
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import exception_lists
+from tests.conftest import exception_lists, stored_cube_json
+from tests.oracle import direct_cube
 from tests.test_properties import path_databases
 
 # ----------------------------------------------------------------------
-# kernel x engine parity on random databases
+# kernel parity on random databases: the roll-up against the oracle
 # ----------------------------------------------------------------------
 
 @given(
@@ -48,18 +49,13 @@ from tests.test_properties import path_databases
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_kernel_engine_grid_byte_identical(db, min_support, min_deviation):
-    """Both builds of the same database — roll-up over the bitmap kernel,
-    direct over the scan kernel — are one cube."""
+    """Both builds of the same database — the roll-up over the bitmap
+    kernel, the per-cell oracle over the scan kernel — are one cube."""
     rollup, direct = (
         cube_to_json(
-            FlowCube.build(
-                db,
-                min_support=min_support,
-                min_deviation=min_deviation,
-                engine=engine,
-            )
+            build(db, min_support=min_support, min_deviation=min_deviation)
         )
-        for engine in ("rollup", "direct")
+        for build in (FlowCube.build, direct_cube)
     )
     assert rollup == direct
 
@@ -72,8 +68,8 @@ def test_kernel_engine_grid_byte_identical(db, min_support, min_deviation):
 )
 def test_kernels_emit_identical_exception_lists(db):
     """Cell by cell, the two kernels mine the very same exceptions (the
-    direct builder mines with the scan kernel, the roll-up with bitmap)."""
-    scan = FlowCube.build(db, min_support=0.1, engine="direct")
+    oracle mines with the scan kernel, the roll-up with bitmap)."""
+    scan = direct_cube(db, min_support=0.1)
     bitmap = FlowCube.build(db, min_support=0.1)
     scan_cells = list(scan.cells())
     bitmap_cells = list(bitmap.cells())
@@ -124,10 +120,10 @@ OOC_CONFIG = GeneratorConfig(
 
 
 def test_out_of_core_exceptions_byte_identical(tmp_path):
-    """The out-of-core build equals the in-memory reference (direct
-    engine, scan kernel): JSON and per-cell exception lists."""
+    """The out-of-core build equals the per-cell oracle (scan kernel):
+    JSON and per-cell exception lists."""
     database = generate_path_database(OOC_CONFIG)
-    reference = FlowCube.build(database, min_support=0.05, engine="direct")
+    reference = direct_cube(database, min_support=0.05)
     store = PartitionedPathStore.init(
         tmp_path / "wh",
         database.schema,
@@ -135,8 +131,9 @@ def test_out_of_core_exceptions_byte_identical(tmp_path):
     )
     store.ingest(database)
     cube = build_cube(store, min_support=0.05)
-    assert cube_to_json(cube) == cube_to_json(reference)
+    assert stored_cube_json(cube) == stored_cube_json(reference)
     assert exception_lists(cube) == exception_lists(reference)
+    cube.close()
 
 
 # ----------------------------------------------------------------------

@@ -102,6 +102,24 @@ def test_the_store_takes_no_engine_or_kernel(function):
     assert not {"engine", "kernel"} & set(inspect.signature(function).parameters)
 
 
+def test_one_build_pipeline(tmp_path):
+    """The roll-up is the only build: ``FlowCube.build`` has no engine
+    switch, ``repro.perf`` no engine registry and no second in-memory
+    build, and ``build_cube`` always returns the cube store it wrote."""
+    assert "engine" not in inspect.signature(FlowCube.build).parameters
+    for name in ("ENGINES", "build_rollup"):
+        assert not hasattr(repro.perf, name), name
+        assert not hasattr(repro.perf.measure_rollup, name), name
+    database = generate_path_database(CONFIG)
+    store = PartitionedPathStore.init(tmp_path / "wh", database.schema)
+    store.ingest(database)
+    cube = build_cube(store, min_support=MIN_SUPPORT, compute_exceptions=False)
+    try:
+        assert isinstance(cube, CubeStore) and cube.is_built
+    finally:
+        cube.close()
+
+
 def test_the_cube_store_converts_nothing():
     assert not hasattr(CubeStore, "convert")
 

@@ -1,11 +1,11 @@
-"""The aggregate-once measure roll-up engine (repro.perf.measure_rollup).
+"""The aggregate-once measure roll-up (repro.perf.measure_rollup).
 
 The load-bearing assertions:
 
-* **Byte parity** — serialised cubes from the roll-up engine are
-  byte-identical to the direct (semantics-defining) builder's, on random
-  synth databases, across δ values, partial item-level subsets, and for
-  the out-of-core builder serial and parallel;
+* **Byte parity** — serialised cubes from the roll-up are byte-identical
+  to the per-cell oracle's (``tests/oracle.py``), on random synth
+  databases, across δ values, partial item-level subsets, and for the
+  out-of-core build;
 * **FlowGraph.merge** is a proper algebraic measure: it conserves weight,
   is associative, and renormalises distributions exactly as building one
   graph over the union would;
@@ -25,10 +25,10 @@ from repro.core.aggregation import expand_weighted, total_weight
 from repro.core.flowcube import FlowCube
 from repro.core.lattice import ItemLattice
 from repro.core.serialization import cube_to_json, flowgraph_to_dict
-from repro.errors import CubeError
 from repro.perf.measure_rollup import derivation_plan
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import exception_lists
+from tests.conftest import exception_lists, stored_cube_json
+from tests.oracle import direct_cube
 from tests.test_properties import agg_paths, path_databases
 
 # ----------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_sparse_subset_gets_multiple_roots():
 
 
 # ----------------------------------------------------------------------
-# engine parity (in-memory)
+# parity with the oracle (in-memory)
 # ----------------------------------------------------------------------
 
 
@@ -124,11 +124,11 @@ def test_sparse_subset_gets_multiple_roots():
 )
 @given(path_databases(), st.sampled_from([0.05, 0.1, 2]))
 def test_engines_byte_identical(database, min_support):
-    direct = FlowCube.build(
-        database, min_support=min_support, min_deviation=0.05, engine="direct"
+    direct = direct_cube(
+        database, min_support=min_support, min_deviation=0.05
     )
     rollup = FlowCube.build(
-        database, min_support=min_support, min_deviation=0.05, engine="rollup"
+        database, min_support=min_support, min_deviation=0.05
     )
     assert cube_to_json(direct) == cube_to_json(rollup)
 
@@ -141,16 +141,12 @@ def test_engines_byte_identical(database, min_support):
 @given(path_databases(), st.integers(min_value=0, max_value=3))
 def test_engines_byte_identical_on_level_subsets(database, pick):
     # Partial materialisation plans hand FlowCube.build arbitrary level
-    # subsets; the roll-up engine must degrade to multiple roots and agree.
+    # subsets; the roll-up must degrade to multiple roots and agree.
     lattice = ItemLattice([h.depth for h in database.schema.dimensions])
     levels = list(lattice)
     subset = levels[pick::2] or [lattice.apex]
-    direct = FlowCube.build(
-        database, item_levels=subset, min_support=0.1, engine="direct"
-    )
-    rollup = FlowCube.build(
-        database, item_levels=subset, min_support=0.1, engine="rollup"
-    )
+    direct = direct_cube(database, item_levels=subset, min_support=0.1)
+    rollup = FlowCube.build(database, item_levels=subset, min_support=0.1)
     assert cube_to_json(direct) == cube_to_json(rollup)
 
 
@@ -167,23 +163,13 @@ def test_deeper_hierarchies_byte_identical():
         seed=17,
     )
     database = generate_path_database(config)
-    direct = FlowCube.build(database, min_support=0.05, engine="direct")
-    rollup = FlowCube.build(database, min_support=0.05, engine="rollup")
+    direct = direct_cube(database, min_support=0.05)
+    rollup = FlowCube.build(database, min_support=0.05)
     assert cube_to_json(direct) == cube_to_json(rollup)
 
 
-def test_unknown_engine_rejected():
-    database = generate_path_database(GeneratorConfig(n_paths=20, seed=1))
-    try:
-        FlowCube.build(database, engine="psychic")
-    except CubeError as exc:
-        assert "psychic" in str(exc)
-    else:  # pragma: no cover - defensive
-        raise AssertionError("bad engine accepted")
-
-
 # ----------------------------------------------------------------------
-# engine parity (out-of-core) + weighted cells
+# parity with the oracle (out-of-core) + weighted cells
 # ----------------------------------------------------------------------
 
 STORE_CONFIG = GeneratorConfig(
@@ -214,16 +200,17 @@ def test_out_of_core_rollup_byte_identical(tmp_path):
     from repro.store import build_cube
 
     database, store = _store(tmp_path)
-    direct = FlowCube.build(database, min_support=0.1, engine="direct")
+    direct = direct_cube(database, min_support=0.1)
     built = build_cube(store, min_support=0.1)
-    assert cube_to_json(built) == cube_to_json(direct)
+    assert stored_cube_json(built) == stored_cube_json(direct)
     assert exception_lists(built) == exception_lists(direct)
+    built.close()
 
 
 def test_cell_paths_are_weighted(tmp_path):
     database = generate_path_database(STORE_CONFIG)
-    rollup = FlowCube.build(database, min_support=0.1, engine="rollup")
-    direct = FlowCube.build(database, min_support=0.1, engine="direct")
+    rollup = FlowCube.build(database, min_support=0.1)
+    direct = direct_cube(database, min_support=0.1)
     for cell in rollup.cells():
         # Weights conserve the record count and the flowgraph's path count.
         assert total_weight(cell.paths) == cell.n_paths == cell.flowgraph.n_paths
@@ -232,7 +219,7 @@ def test_cell_paths_are_weighted(tmp_path):
         twin = rollup.cuboid(cuboid.item_level, cuboid.path_level)
         for cell in cuboid:
             other = twin.cell(cell.key)
-            # Same multiset of aggregated paths, engine-independent.
+            # Same multiset of aggregated paths, build-independent.
             assert sorted(expand_weighted(cell.paths)) == sorted(
                 expand_weighted(other.paths)
             )
@@ -273,7 +260,7 @@ def _with_duplicated_paths():
 def test_rollup_aggregates_once_per_path_level(monkeypatch):
     database, distinct = _with_duplicated_paths()
     calls = _counting_hook(monkeypatch)
-    cube = FlowCube.build(database, min_support=0.1, engine="rollup")
+    cube = FlowCube.build(database, min_support=0.1)
     n_item_levels = len(list(cube.item_lattice))
     assert n_item_levels >= 3
     # Exactly once per distinct path per path level — independent of how
@@ -294,6 +281,7 @@ def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
     calls = _counting_hook(monkeypatch)
     cube = build_cube(store, min_support=0.1)
     assert calls["n"] == distinct * len(cube.path_lattice)
+    cube.close()
 
 
 # ----------------------------------------------------------------------
@@ -393,9 +381,9 @@ def test_tuple_door_needs_no_path_table(monkeypatch):
         raise AssertionError("the tuple door built a PathTable")
 
     monkeypatch.setattr(measure_rollup.PathTable, "__init__", refuse)
-    cube = FlowCube.build(
+    cube = direct_cube(
         generate_path_database(STORE_CONFIG), min_support=0.1,
-        engine="direct", compute_exceptions=False,
+        compute_exceptions=False,
     )
     mined = 0
     cache: dict = {}

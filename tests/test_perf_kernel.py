@@ -26,10 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.flowcube import FlowCube
 from repro.core.lattice import PathLattice
 from repro.core.path_database import PathDatabase
-from repro.core.serialization import cube_to_json
 from repro.encoding.transactions import TransactionDatabase
 from repro.errors import StoreError
 from repro.mining import MiningStats, apriori, count_candidates, shared_mine
@@ -43,7 +41,8 @@ from repro.store import (
 )
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import exception_lists
+from tests.conftest import exception_lists, stored_cube_json
+from tests.oracle import direct_cube
 from tests.test_properties import path_databases
 
 CONFIG = GeneratorConfig(
@@ -210,22 +209,16 @@ def test_store_mining_on_degenerate_stores(tmp_path, database, n_records):
 
 
 def test_build_cube_equals_the_in_memory_reference(store, database):
-    reference = FlowCube.build(
-        database, min_support=MIN_SUPPORT, engine="direct"
-    )
+    reference = direct_cube(database, min_support=MIN_SUPPORT)
     stats = BuildStats()
     built = build_cube(store, min_support=MIN_SUPPORT, stats=stats)
     assert stats.max_live_transaction_dbs == 1
-    assert cube_to_json(built) == cube_to_json(reference)
+    assert stored_cube_json(built) == stored_cube_json(reference)
     assert exception_lists(built) == exception_lists(reference)
-    twins = {(c.item_level, c.path_level): c for c in reference.cuboids}
-    assert len(twins) == len(built.cuboids)
-    for cuboid in built.cuboids:
-        twin = twins[(cuboid.item_level, cuboid.path_level)]
-        assert set(cuboid.cells) == set(twin.cells)
-        for key, cell in cuboid.cells.items():
-            assert cell.record_ids == twin.cells[key].record_ids
-            assert dict(cell.paths) == dict(twin.cells[key].paths)
+    for cell, twin in zip(built.cells(), reference.cells(), strict=True):
+        assert cell.record_ids == twin.record_ids
+        assert dict(cell.paths) == dict(twin.paths)
+    built.close()
 
 
 def test_use_shared_build_matches_premined_segments(store):
@@ -237,13 +230,15 @@ def test_use_shared_build_matches_premined_segments(store):
             store, min_support=MIN_SUPPORT
         ).segments_by_cell(),
     )
+    expected = stored_cube_json(premined), exception_lists(premined)
+    premined.close()
     stats = BuildStats()
     shared = build_cube(
         store, min_support=MIN_SUPPORT, use_shared=True, stats=stats
     )
-    assert cube_to_json(shared) == cube_to_json(premined)
-    assert exception_lists(shared) == exception_lists(premined)
+    assert (stored_cube_json(shared), exception_lists(shared)) == expected
     assert stats.max_live_transaction_dbs == 1
+    shared.close()
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +294,12 @@ def test_jobs_zero_builds_the_serial_cube(store):
     result = shared_mine_store(store, min_support=MIN_SUPPORT, jobs=0)
     reference = shared_mine_store(store, min_support=MIN_SUPPORT)
     assert result.supports == reference.supports
-    assert cube_to_json(
-        build_cube(store, min_support=MIN_SUPPORT, jobs=0)
-    ) == cube_to_json(build_cube(store, min_support=MIN_SUPPORT))
+    built = []
+    for keywords in ({"jobs": 0}, {}):
+        cube = build_cube(store, min_support=MIN_SUPPORT, **keywords)
+        built.append(stored_cube_json(cube))
+        cube.close()
+    assert built[0] == built[1]
 
 
 def test_cli_build_jobs_flag(tmp_path, capsys):

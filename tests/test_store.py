@@ -2,9 +2,10 @@
 
 The load-bearing assertions here are the out-of-core contracts:
 
-* ``build_cube`` over a ≥4-partition store produces a cube identical to
+* ``build_cube`` over a ≥4-partition store persists a cube identical to
   :meth:`FlowCube.build` over the concatenated data (same cuboids, cell
-  keys, record ids, aggregated paths, flowgraphs, and exceptions);
+  keys, record ids, aggregated paths, flowgraphs, and exceptions), and
+  a level listed twice is built once;
 * ``shared_mine_store`` mines exactly :func:`shared_mine`'s supports while
   never holding more than one partition's encoded
   :class:`TransactionDatabase` (``BuildStats.max_live_transaction_dbs``);
@@ -19,6 +20,7 @@ import json
 import pytest
 
 from repro.core.flowcube import FlowCube
+from repro.core.lattice import ItemLevel
 from repro.core.path import PathRecord
 from repro.errors import CubeError, StoreError
 from repro.mining.shared import shared_mine
@@ -35,7 +37,8 @@ from repro.store import (
     shared_mine_store,
 )
 from repro.store.cli import main
-from repro.synth import GeneratorConfig, generate_path_database
+from repro.synth import GeneratorConfig, generate_path_database, scaled_config
+from tests.conftest import cube_files, exception_lists, stored_cube_json
 
 CONFIG = GeneratorConfig(
     n_paths=120,
@@ -240,18 +243,13 @@ def test_build_cube_matches_flowcube_build(store, reference_cube):
     stats = BuildStats()
     cube = build_cube(store, min_support=MIN_SUPPORT, stats=stats)
     assert stats.partitions >= 4
-    reference_cuboids = reference_cube.cuboids
-    assert len(cube.cuboids) == len(reference_cuboids)
-    for reference in reference_cuboids:
-        cuboid = cube.cuboid(reference.item_level, reference.path_level)
-        assert list(cuboid.cells) == list(reference.cells)
-        for key, expected in reference.cells.items():
-            actual = cuboid.cells[key]
-            assert actual.record_ids == expected.record_ids
-            assert actual.paths == expected.paths
-            assert sorted(map(str, actual.flowgraph.exceptions)) == sorted(
-                map(str, expected.flowgraph.exceptions)
-            )
+    assert stored_cube_json(cube) == stored_cube_json(reference_cube)
+    assert exception_lists(cube) == exception_lists(reference_cube)
+    for actual, expected in zip(
+        cube.cells(), reference_cube.cells(), strict=True
+    ):
+        assert actual.paths == expected.paths
+    cube.close()
 
 
 def test_build_cube_with_shared_segments(store):
@@ -261,6 +259,48 @@ def test_build_cube_with_shared_segments(store):
     )
     assert stats.max_live_transaction_dbs == 1
     assert cube.n_cells() > 0
+    cube.close()
+
+
+#: What differs between two builds of one cube: when they ran.
+TIMED = ("version", "built_at", "elapsed_seconds", "phase_seconds")
+
+
+def _untimed(stats: dict) -> dict:
+    return {name: value for name, value in stats.items() if name not in TIMED}
+
+
+def test_a_repeated_item_level_is_built_once(tmp_path, monkeypatch):
+    """``item_levels=[L, L]`` persists the very cube ``[L]`` does: heap,
+    index, path table, ``cube.json`` and the build's counters."""
+    monkeypatch.setattr("repro.store.cube_store.new_lineage", lambda: 2006)
+    database = generate_path_database(scaled_config(300, 11))
+    level = ItemLevel((0, 1, 1))
+    built = []
+    for name, levels in (("once", [level]), ("twice", [level, level])):
+        store = PartitionedPathStore.init(
+            tmp_path / name, database.schema, partition_size=100
+        )
+        store.ingest(database)
+        stats = BuildStats()
+        build_cube(
+            store, item_levels=levels, min_support=2,
+            compute_exceptions=False, into=store.cube_store(), stats=stats,
+        ).close()
+        listed = cube_files(store.directory)
+        files = {
+            path.name: path.read_bytes()
+            for path in (
+                listed["index"], listed["paths"], *listed["segments"].values()
+            )
+        }
+        meta = json.loads(
+            (store.directory / "cube" / "cube.json").read_text(encoding="utf-8")
+        )
+        meta["build_stats"] = _untimed(meta["build_stats"])
+        built.append((files, meta, _untimed(stats.as_dict())))
+    assert built[0] == built[1]
+    assert built[1][1]["item_levels"] == [[0, 1, 1]]
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,7 @@ from repro.store.cube_store import (
 )
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files, stored_cube_json
+from tests.oracle import direct_cube
 from tests.test_properties import path_databases
 from tests.test_serve import get, post
 
@@ -306,11 +307,10 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         for record in database
     ]
     split = len(rows) * 3 // 4
-    reference = FlowCube.build(
+    reference = direct_cube(
         PathDatabase(database.schema, rows, validate=False),
         min_support=2,
         compute_exceptions=exceptions,
-        engine="direct",
     )
     expected = stored_cube_json(reference)
     with tempfile.TemporaryDirectory() as scratch:

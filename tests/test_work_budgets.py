@@ -20,6 +20,8 @@ And the ones one write-side process makes exact: a build decodes each
 partition once per pass, nothing forks, and importing the store loads
 no process machinery.  And the one the multiset sum makes true: a
 derived cell expands one graph and decodes or merges no child graph.
+And the one the single roll-up makes true: each build runs the roll-up
+once.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
@@ -34,9 +36,11 @@ from pathlib import Path as FsPath
 import pytest
 
 import repro.perf.measure_rollup as measure_rollup
+import repro.store.builder as builder
 import repro.store.partition as partition
 import repro.store.pathstore as pathstore
 from repro import publish
+from repro.core.flowcube import FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import ItemLevel, roll_up_key
 from repro.core.path import PathRecord
@@ -207,6 +211,21 @@ def test_a_build_decodes_each_partition_once_per_pass(
     assert len(decoded) == passes * len(store.catalog.partitions)
     assert stats.scans == len(decoded)
     cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_each_build_runs_the_roll_up_once(tmp_path, monkeypatch, n_paths):
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    in_memory = Counted(monkeypatch, measure_rollup, "roll_up")
+    out_of_core = Counted(monkeypatch, builder, "roll_up")
+    FlowCube.build(database, min_support=MIN_SUPPORT, compute_exceptions=False)
+    assert (len(in_memory), len(out_of_core)) == (1, 0)
+    build_cube(
+        store, min_support=MIN_SUPPORT, compute_exceptions=False
+    ).close()
+    assert (len(in_memory), len(out_of_core)) == (1, 1)
     store.close()
 
 
