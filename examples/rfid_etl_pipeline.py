@@ -101,9 +101,7 @@ def main() -> None:
             # The next ETL batch: persisted as a new partition AND folded
             # into the cube as a delta segment (Lemma 4.2 — only touched
             # cells are rewritten).
-            delta = append_records(
-                store, rows[300:], cube=cube, recompute_exceptions=False
-            )
+            delta = append_records(store, rows[300:], cube=cube)
         print(
             f"Appended {delta['ingested']} records "
             f"({delta['partitions']} new partition(s)); cube cells "

@@ -12,7 +12,11 @@ threshold ε.  Redundancy pruning (Definition 4.4) lives in
 
 This module defines the cube's shape and its one builder,
 :meth:`FlowCube.build`, which runs the roll-up of
-:mod:`repro.perf.measure_rollup` over the whole database.  The test
+:mod:`repro.perf.measure_rollup` over the whole database and keeps what
+it hands out: every cell a
+:class:`~repro.perf.measure_rollup.VectorCell` — its ``{pid: weight}``
+vector over the cube's :attr:`FlowCube.path_table` — whose flowgraph is
+expanded when first read, as a stored cell's is.  The test
 suite keeps a per-cell builder — every cuboid re-aggregating every record
 — as the oracle every build is compared against, byte for byte.
 """
@@ -84,6 +88,13 @@ class Cuboid:
     item_level: ItemLevel
     path_level: PathLevel
     cells: dict[CellKey, Cell] = field(default_factory=dict)
+    #: A stored cuboid's key-catalog masks; none precomputed in memory.
+    value_masks = None
+
+    @property
+    def keys(self) -> tuple[CellKey, ...]:
+        """The cell keys, in cuboid order."""
+        return tuple(self.cells)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -131,6 +142,9 @@ class FlowCube:
         self.min_support = min_support
         self.min_deviation = min_deviation
         self._cuboids: dict[tuple[ItemLevel, PathLevel], Cuboid] = {}
+        #: The ``PathTable`` the cells' vectors are over (set by
+        #: :meth:`build` and ``cube_from_json``), as on a ``CubeStore``.
+        self.path_table = None
         #: Mutation counter (the ``CubeStore.version`` contract), folded
         #: into every query cache key.  Its only writers are the in-place
         #: cell changes of :mod:`repro.core.redundancy`: ``prune_redundant``
@@ -186,7 +200,6 @@ class FlowCube:
         """
         from repro.perf.measure_rollup import (
             PathTable,
-            expanded,
             requested_levels,
             roll_up,
         )
@@ -198,9 +211,10 @@ class FlowCube:
         cube = cls(
             database, item_lattice, path_lattice, min_support, min_deviation
         )
+        cube.path_table = PathTable(len(path_lattice))
         for cuboid in roll_up(
             [database],
-            PathTable(len(path_lattice)),
+            cube.path_table,
             requested_levels(item_lattice, item_levels),
             path_lattice,
             schema.dimensions,
@@ -210,8 +224,7 @@ class FlowCube:
             segments_by_cell,
             stats,
         ):
-            key = (cuboid.item_level, cuboid.path_level)
-            cube._cuboids[key] = expanded(cuboid)
+            cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid
         return cube
 
     # ------------------------------------------------------------------
@@ -240,6 +253,12 @@ class FlowCube:
         """Whether the cuboid ⟨item_level, path_level⟩ was materialised."""
         return (item_level, path_level) in self._cuboids
 
+    def cell_sizes(
+        self, item_level: ItemLevel, path_level: PathLevel
+    ) -> dict[CellKey, int]:
+        """Per-cell ``n_paths`` of one cuboid, touching no measure."""
+        return {cell.key: cell.n_paths for cell in self.cuboid(item_level, path_level)}
+
     def cell(
         self, item_level: ItemLevel, key: CellKey, path_level: PathLevel
     ) -> Cell:
@@ -264,6 +283,6 @@ class FlowCube:
             "cuboids": len(self._cuboids),
             "cells": len(cells),
             "redundant_cells": sum(1 for c in cells if c.redundant),
-            "exceptions": sum(len(c.flowgraph.exceptions) for c in cells),
+            "exceptions": sum(len(c.exceptions) for c in cells),
             "paths": len(self.database),
         }

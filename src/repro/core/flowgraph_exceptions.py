@@ -290,7 +290,6 @@ def mine_exceptions(
     segments: Iterable[Segment] | None = None,
     max_segment_length: int = 4,
     kernel: str = "bitmap",
-    index_cache: dict | None = None,
 ) -> list[FlowException]:
     """Find all (ε, δ) exceptions of *graph* over the cell's *paths*.
 
@@ -304,9 +303,6 @@ def mine_exceptions(
         max_segment_length: Bound for the local miner.
         kernel: ``"bitmap"`` (AND+popcount over tid-sets, the default) or
             ``"scan"`` (per-path re-scan) — identical results.
-        index_cache: Optional dict shared across calls so paths are
-            indexed once and cells with the same path multiset reuse one
-            bitmap index (bitmap kernel only).
 
     The exceptions are also attached to ``graph.exceptions``, in the
     canonical :func:`exception_sort_key` order.
@@ -319,7 +315,6 @@ def mine_exceptions(
         segments=segments,
         max_segment_length=max_segment_length,
         kernel=kernel,
-        index_cache=index_cache,
     )
 
 
@@ -338,7 +333,8 @@ def mine_exceptions_weighted(
     Every support and every conditional count weighs each distinct path by
     its multiplicity, so the exceptions — supports, distributions, and
     deviations — are exactly those of the expanded path multiset while the
-    holistic pass touches each distinct path once.
+    holistic pass touches each distinct path once.  *index_cache* (bitmap
+    kernel) keeps the postings plain pairs are interned into across calls.
     """
     if kernel not in EXCEPTION_KERNELS:
         raise ValueError(
@@ -485,38 +481,28 @@ def _max_deviation(baseline: dict[str, float], conditional: dict[str, float]) ->
 
 
 def serial_exception_pass(min_support: float, min_deviation: float):
-    """An in-process runner for cube builders' per-cell exception phase.
+    """The in-process runner for every per-cell exception phase.
 
     Returns a callable ``run(batch)`` where *batch* is a list of
     ``(graph, weighted, segments)`` triples; it mines each cell in place
     (attaching ``graph.exceptions``) and accumulates wall time spent in
     ``run.seconds`` for the builders' ``"exceptions"`` phase bucket.
-    *weighted* is anything that iterates as ``(path, weight)`` pairs.  The
-    roll-up and the store append pass a
-    :class:`~repro.perf.exception_kernel.PidCell` — the cell's
-    ``{pid: weight}`` plus its path level's postings — which the bitmap
-    kernel indexes without touching a path; plain pairs are interned into
-    the one index cache that spans the runner's lifetime.  Either way a
-    distinct path's stages are walked once, and lattice cells that roll
-    up to identical path multisets share an index across cuboids.  It is
-    the only runner: the roll-up builder, the store build and the store
-    append all mine through it, always with the bitmap kernel (the direct
+    *weighted* is a :class:`~repro.perf.exception_kernel.PidCell` — the
+    cell's ``{pid: weight}`` plus its path level's postings, which the
+    bitmap kernel indexes without touching a path — so a distinct path's
+    stages are walked once per level, and lattice cells that roll up to
+    identical vectors share an index across cuboids.  The roll-up build,
+    the store build, the store append and the query planner's derivation
+    all mine through it, always with the bitmap kernel (the direct
     builder calls the scan kernel itself).
     """
     from time import perf_counter
-
-    index_cache: dict = {}
 
     def run(batch) -> None:
         started = perf_counter()
         for graph, weighted, segments in batch:
             mine_exceptions_weighted(
-                graph,
-                weighted,
-                min_support,
-                min_deviation,
-                segments=segments,
-                index_cache=index_cache,
+                graph, weighted, min_support, min_deviation, segments=segments
             )
         run.seconds += perf_counter() - started
 

@@ -16,9 +16,10 @@ JSON format:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
-from repro.core.aggregation import aggregate_path, weight_paths
-from repro.core.flowcube import Cell, Cuboid, FlowCube
+from repro.core.aggregation import aggregate_path
+from repro.core.flowcube import Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.hierarchy import ConceptHierarchy
 from repro.core.flowgraph_exceptions import FlowException
@@ -185,9 +186,13 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
     """Rebuild a flowcube against its path database.
 
     The database must be the one (or an equal copy of the one) the cube was
-    built from; cell ``record_ids`` index into it, and each cell's path
-    multiset is rebuilt from the records they name.
+    built from; cell ``record_ids`` index into it.  Each cell comes back
+    as a build hands it out: a :class:`~repro.perf.measure_rollup.VectorCell`
+    over the cube's ``path_table``, its multiset rebuilt from its records
+    and its stored exceptions attached to its graph.
     """
+    from repro.perf.measure_rollup import PathTable, VectorCell
+
     payload = json.loads(text)
     records = {record.record_id: record for record in database}
     location = database.schema.location
@@ -202,9 +207,11 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
         min_support=payload["min_support"],
         min_deviation=payload["min_deviation"],
     )
+    table = cube.path_table = PathTable(len(path_lattice))
     for cuboid_data in payload["cuboids"]:
         item_level = ItemLevel(cuboid_data["item_level"])
-        path_level = path_lattice[int(cuboid_data["path_level"])]
+        level_id = int(cuboid_data["path_level"])
+        path_level = path_lattice[level_id]
         cuboid = Cuboid(item_level, path_level)
         for cell_data in cuboid_data["cells"]:
             key = tuple(cell_data["key"])
@@ -215,17 +222,17 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
                     f"cube references record ids {missing!r} absent from "
                     "the supplied database"
                 )
-            cuboid.cells[key] = Cell(
-                key=key,
-                item_level=item_level,
-                path_level=path_level,
-                record_ids=record_ids,
-                flowgraph=flowgraph_from_dict(cell_data["flowgraph"]),
-                paths=weight_paths(
-                    aggregate_path(records[rid].path, path_level)
-                    for rid in record_ids
-                ),
-                redundant=bool(cell_data["redundant"]),
+            weights = Counter(
+                table.intern(level_id, aggregate_path(records[rid].path, path_level))
+                for rid in record_ids
             )
+            cell = cuboid.cells[key] = VectorCell(
+                key, item_level, path_level, record_ids, weights,
+                table.paths[level_id],
+            )
+            cell.redundant = bool(cell_data["redundant"])
+            exceptions = cell_data["flowgraph"].get("exceptions")
+            if exceptions:
+                cell.flowgraph.exceptions = exceptions_from_dicts(exceptions)
         cube._cuboids[(item_level, path_level)] = cuboid  # noqa: SLF001
     return cube

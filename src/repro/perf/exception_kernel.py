@@ -37,13 +37,13 @@ the stage walk is paid once per path, not once per cell:
   AND-ed with the cell mask once, at a segment's first constraint; every
   mask derived from it stays inside the cell.
 
-There are two doors and one kernel.  The roll-up and the store append hand
-the pass a :class:`PidCell` — the cell's ``{pid: weight}`` plus its
-level's postings — and share those postings across every cell of the
-level.  Everything else (``mine_exceptions_weighted(graph, [(path,
-weight), …])``: a per-cell build, the planner's derive path)
-comes through the tuple door of :func:`pid_cell`, which interns its
-pairs into a private postings and runs the same code.  A ``PidCell``
+There are two doors and one kernel.  The roll-up, the store append and
+the planner's derivation hand the pass a :class:`PidCell` — the cell's
+``{pid: weight}`` plus its level's postings — and share those postings
+across every cell of the level (and the planner across threads).  Plain
+``mine_exceptions_weighted(graph, [(path, weight), …])`` comes through
+the tuple door of :func:`pid_cell`, which interns its pairs into a
+private postings and runs the same code.  A ``PidCell``
 iterates as its ``(path, weight)`` pairs, so the scan kernel sees
 exactly what it always did.
 
@@ -79,6 +79,7 @@ collector (:mod:`repro.perf.collector`) and must not need it.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.aggregation import (
@@ -136,6 +137,9 @@ class PathPostings:
             shared :class:`CellExceptionIndex`.  The only edge between
             the two: a view never refers back to its postings, so the
             level's table dies by reference count with its owner.
+
+    Threads may mine against one postings: :meth:`index` grows it under
+    a lock, and a mask only gains bits no earlier view holds.
     """
 
     __slots__ = (
@@ -149,6 +153,7 @@ class PathPostings:
         "durations",
         "star_mixed",
         "indexes",
+        "_lock",
         "_star_prefixes",
         "_lengths",
         "_terminate",
@@ -169,6 +174,7 @@ class PathPostings:
         self.durations: dict[int, dict[str, int]] = {}
         self.star_mixed = 0
         self.indexes: dict[frozenset, CellExceptionIndex] = {}
+        self._lock = threading.Lock()
         self._star_prefixes: set[tuple[str, ...]] = set()
         self._lengths: dict[int, int] = {}
         self._terminate: list[int] = [0]
@@ -188,13 +194,14 @@ class PathPostings:
         multiset's items determines it exactly, and every count the pass
         derives is invariant to their order.
         """
-        if len(self.rows) < len(self.paths):
-            self._index_new_paths()
         key = frozenset(weights.items())
-        index = self.indexes.get(key)
-        if index is None:
-            index = self.indexes[key] = CellExceptionIndex(self, weights)
-        return index
+        with self._lock:
+            if len(self.rows) < len(self.paths):
+                self._index_new_paths()
+            index = self.indexes.get(key)
+            if index is None:
+                index = self.indexes[key] = CellExceptionIndex(self, weights)
+            return index
 
     def _index_new_paths(self) -> None:
         """Walk the stages of every path interned since the last call."""

@@ -32,15 +32,16 @@ time.
    No record is touched again and no graph is built.
 4. **Prune** (:func:`prune_to_iceberg`): sub-iceberg cells, which
    derivation needed, are dropped.
-5. **Assemble** (:func:`assemble_cuboids`): cell construction and the
-   per-cell holistic exception pass, cuboid by cuboid in (item level,
-   path level) order.  A cell leaves the roll-up as a
-   :class:`VectorCell` — its ``{pid: weight}`` over the level's path list
-   — whose flowgraph is expanded where one is consumed: by the exception
-   pass (handed a :class:`~repro.perf.exception_kernel.PidCell` over the
-   same vector and the level's postings, which the table owns too), by
-   :func:`expanded` for an in-memory cube, and never by a store build
-   without exceptions, which persists the vector itself.
+5. **Assemble** (:func:`assemble_cuboid`, per (item level, path level)
+   pair): cell construction and the per-cell holistic exception pass.  A
+   cell leaves the roll-up as a :class:`VectorCell` — its ``{pid:
+   weight}`` over the level's path list — whose flowgraph is expanded
+   where one is consumed: by the exception pass (handed a
+   :class:`~repro.perf.exception_kernel.PidCell` over the same vector and
+   the level's postings, which the table owns too), at its first read in
+   an in-memory cube, and never by a store build without exceptions,
+   which persists the vector itself.  The query planner derives a cuboid
+   nobody materialised with steps 3–5 over the source cells' vectors.
 
 Parity with a per-cell build is exact: counts are integers, distributions
 are ratios of identical integers, and exceptions are re-mined per cell from
@@ -81,13 +82,14 @@ __all__ = [
     "PathTable",
     "LevelData",
     "VectorCell",
-    "expanded",
     "requested_levels",
     "derivation_plan",
     "scan_records",
     "merge_scan",
+    "derive_level",
     "derive_levels",
     "prune_to_iceberg",
+    "assemble_cuboid",
     "assemble_cuboids",
     "roll_up",
 ]
@@ -241,12 +243,9 @@ class VectorCell(Cell):
     def flowgraph(self) -> FlowGraph:
         graph = self._graph
         if graph is None:
-            # Path by path, in the vector's order: an in-memory cube's
-            # graph keeps a per-cell build's insertion orders.
-            graph = self._graph = FlowGraph()
-            level_paths = self.level_paths
-            for pid, weight in self.weights.items():
-                graph.add_path(level_paths[pid], weight)
+            # The routine a stored cell expands with, so a graph reads
+            # the same whichever cube — or derivation — holds the vector.
+            graph = self._graph = FlowGraph.expand(self.paths)
         return graph
 
     @property
@@ -254,24 +253,6 @@ class VectorCell(Cell):
         """The mined exceptions, without expanding a graph to ask: a
         graph nobody read cannot have been mined."""
         return [] if self._graph is None else self._graph.exceptions
-
-
-def expanded(cuboid: Cuboid) -> Cuboid:
-    """*cuboid* as an in-memory cube keeps it: every :class:`VectorCell`
-    a plain :class:`Cell` with its flowgraph expanded and its multiset
-    as ``(path, weight)`` tuples."""
-    cuboid.cells = {
-        key: Cell(
-            key=key,
-            item_level=cell.item_level,
-            path_level=cell.path_level,
-            record_ids=cell.record_ids,
-            flowgraph=cell.flowgraph,
-            paths=cell.paths,
-        )
-        for key, cell in cuboid.cells.items()
-    }
-    return cuboid
 
 
 def requested_levels(
@@ -401,7 +382,7 @@ def merge_scan(
                     cell[pid] = cell.get(pid, 0) + weight
 
 
-def _derive_level(
+def derive_level(
     level: ItemLevel, source: LevelData, hierarchies: Sequence
 ) -> LevelData:
     """Roll *source*'s per-cell data up to the ancestor *level*.
@@ -411,7 +392,8 @@ def _derive_level(
     weights add (Lemma 4.2 on its distributive part).  Iterating source
     keys in their first-seen record order makes each derived dict's key
     order — and each vector's pid order — match what a direct record
-    scan at *level* would have produced.
+    scan at *level* would have produced.  The query planner runs it over
+    a materialised cuboid's cells, one path level wide.
     """
     key_map: dict[CellKey, CellKey] = {}
     groups: dict[CellKey, list[int]] = {}
@@ -450,7 +432,7 @@ def derive_levels(
                 groups=groups_by_root[i], weighted=weighted_by_root[i]
             )
         else:
-            data[level] = _derive_level(level, data[source], hierarchies)
+            data[level] = derive_level(level, data[source], hierarchies)
     return data
 
 
@@ -484,66 +466,72 @@ def prune_to_iceberg(
         ]
 
 
+def assemble_cuboid(
+    item_level: ItemLevel,
+    path_level: PathLevel,
+    members: Mapping[CellKey, tuple[int, ...]],
+    cells: Mapping[CellKey, WeightedCell],
+    paths: Sequence[AggregatedPath],
+    postings: PathPostings | None,
+    segments_by_cell: Mapping | None,
+    exception_pass=None,
+) -> Cuboid:
+    """One finished cuboid: a :class:`VectorCell` per key of *members*
+    (key -> sorted record ids) straight from its ``{pid: weight}`` in
+    *cells* over the path list *paths* — no path tuple is touched and no
+    graph built without an *exception_pass*: a ``run(batch)`` callable
+    over ``(graph, weighted, segments)`` triples whose *graph* is the
+    cell's, expanded for the pass, and *weighted* its vector wrapped with
+    the level's *postings* (see
+    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`).
+    """
+    cuboid = Cuboid(item_level, path_level)
+    batch = []
+    for key, record_ids in members.items():
+        weights = cells[key]
+        cell = VectorCell(
+            key, item_level, path_level, record_ids, weights, paths
+        )
+        if exception_pass is not None:
+            segments = None
+            if segments_by_cell is not None:
+                segments = segments_by_cell.get((item_level, path_level, key))
+            batch.append((cell.flowgraph, PidCell(weights, postings), segments))
+        cuboid.cells[key] = cell
+    if batch:
+        exception_pass(batch)
+    return cuboid
+
+
 def assemble_cuboids(
     levels: Sequence[ItemLevel],
     path_lattice: PathLattice,
     data: Mapping[ItemLevel, LevelData],
     table: PathTable,
-    threshold: int,
     segments_by_cell: Mapping[
         tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
     ]
     | None,
     exception_pass=None,
 ) -> Iterator[Cuboid]:
-    """Yield finished cuboids in (item level, path level) order.
+    """Yield the cuboids of pruned *data* in (item level, path level)
+    order, each from :func:`assemble_cuboid` over *table*'s level.
 
-    Applies the iceberg threshold, builds a :class:`VectorCell` per
-    surviving cell straight from the derived ``{pid: weight}`` — no path
-    tuple is touched and no graph built without an *exception_pass* —
-    and runs the holistic exception pass per cuboid batch through
-    *exception_pass*, when given: a ``run(batch)`` callable over
-    ``(graph, weighted, segments)`` triples whose *graph* is the cell's,
-    expanded here for the pass, and whose *weighted* is the cell's
-    ``{pid: weight}`` itself, wrapped with the level's postings (see
-    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`;
-    :func:`roll_up` passes its own to read its ``seconds``).
-
-    Membership is path-level independent, so the iceberg test and the
-    member-id sort run once per item level and the level's cuboids share
-    each surviving cell's ``record_ids`` tuple.
+    Membership is path-level independent, so the member-id sort runs
+    once per item level and the level's cuboids share each cell's
+    ``record_ids`` tuple.
     """
     for item_level in levels:
         level_data = data[item_level]
         members = {
-            key: tuple(sorted(record_ids))
-            for key, record_ids in level_data.groups.items()
-            if not len(record_ids) < threshold  # iceberg condition
+            key: tuple(sorted(ids)) for key, ids in level_data.groups.items()
         }
         for level_id, path_level in enumerate(path_lattice):
-            cuboid = Cuboid(item_level, path_level)
-            paths = table.paths[level_id]
-            postings = table.postings[level_id]
-            cells = level_data.weighted[level_id]
-            batch = []
-            for key, record_ids in members.items():
-                weights = cells[key]
-                cell = VectorCell(
-                    key, item_level, path_level, record_ids, weights, paths
-                )
-                if exception_pass is not None:
-                    segments = None
-                    if segments_by_cell is not None:
-                        segments = segments_by_cell.get(
-                            (item_level, path_level, key)
-                        )
-                    batch.append(
-                        (cell.flowgraph, PidCell(weights, postings), segments)
-                    )
-                cuboid.cells[key] = cell
-            if batch:
-                exception_pass(batch)
-            yield cuboid
+            yield assemble_cuboid(
+                item_level, path_level, members,
+                level_data.weighted[level_id], table.paths[level_id],
+                table.postings[level_id], segments_by_cell, exception_pass,
+            )
 
 
 def roll_up(
@@ -618,7 +606,7 @@ def roll_up(
         else None
     )
     yield from assemble_cuboids(
-        levels, path_lattice, data, table, threshold, segments_by_cell,
+        levels, path_lattice, data, table, segments_by_cell,
         exception_pass=runner,
     )
     if stats is not None:

@@ -232,11 +232,8 @@ class CatalogPool:
             ):
                 self.hits += 1
                 return entry[2]
-        keys = getattr(cuboid, "keys", None)
-        if keys is None:  # in-memory Cuboid
-            keys = tuple(cuboid.cells)
         catalog = CuboidKeyCatalog(
-            keys, hierarchies, getattr(cuboid, "value_masks", None)
+            cuboid.keys, hierarchies, cuboid.value_masks
         )
         with self._lock:
             self._entries[coords] = (version, n_cells, catalog)

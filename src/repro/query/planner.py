@@ -8,19 +8,18 @@ The seed query layer turned every other coordinate into a hard
 (Lemma 4.2): an ancestor cell's path multiset is the disjoint union of its
 descendants', so — exactly as Gray et al.'s Data Cube derives ROLLUP
 answers from the nearest materialised group-by — a missing cuboid can be
-*derived* at query time by summing a materialised descendant's path
-multisets and expanding one flowgraph from the sum
-(:meth:`~repro.core.flowgraph.FlowGraph.expand`).
+*derived* at query time by summing a materialised descendant's
+``{path id: weight}`` vectors.
 
 :func:`plan_derivation` picks the cheapest materialised source: among the
 cuboids at the *same path level* whose item level is a strict descendant
 of the target, it minimises ``lattice distance × cell count`` — the cell
-count comes from the store index (or the in-memory cuboid), so planning
-does zero cell-file IO.  :func:`derive_cuboid` / :func:`derive_cell`
-execute a plan with the same grouping the build-time roll-up engine uses
-(:mod:`repro.perf.measure_rollup`): record ids concatenate and are
-sorted, weighted path multisets add, and the iceberg threshold δ is
-re-applied to the derived groups.
+count comes from the cuboid index (``cell_sizes``), so planning does zero
+cell-file IO.  :func:`derive_cuboid` / :func:`derive_cell` execute a plan
+with the build's own roll-up (:mod:`repro.perf.measure_rollup`): the
+source cells' record ids and vectors go through ``derive_level``, the
+iceberg threshold δ is re-applied, and ``assemble_cuboid`` hands out
+vector cells, each expanding its one flowgraph when first read.
 
 Exactness contract
 ------------------
@@ -38,8 +37,8 @@ already aggregated to its own path level, so only the item lattice is
 derivable — same-path-level sources only.
 
 Exceptions are holistic (Lemma 4.3) and cannot be merged; when asked
-for, they are re-mined from the summed multiset, which every source cell
-carries — in memory or in a store.
+for, they are re-mined from the summed vector as build and append mine
+theirs: by ``serial_exception_pass`` over the cube's path table postings.
 """
 
 from __future__ import annotations
@@ -47,13 +46,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.flowcube import Cell, CellKey, Cuboid
-from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
-    mine_exceptions_weighted,
     resolve_min_support,
+    serial_exception_pass,
 )
 from repro.core.lattice import ItemLevel, PathLevel, roll_up_key
 from repro.errors import QueryError
+from repro.perf.measure_rollup import (
+    LevelData,
+    assemble_cuboid,
+    derive_level,
+    prune_to_iceberg,
+)
 
 __all__ = [
     "DerivationPlan",
@@ -85,23 +89,6 @@ class DerivationPlan:
     exact: bool | None
 
 
-def _cuboid_keys(cuboid) -> tuple[CellKey, ...]:
-    """A cuboid's cell keys without materialising cells."""
-    keys = getattr(cuboid, "keys", None)
-    if keys is not None:  # StoredCuboid: straight off the index
-        return keys
-    return tuple(cuboid.cells)
-
-
-def _cell_sizes(cube, item_level, path_level) -> dict[CellKey, int]:
-    """Per-cell path counts for one cuboid, with zero cell-file IO."""
-    sizes = getattr(cube, "cell_sizes", None)
-    if sizes is not None:  # CubeStore: n_paths lives in the index
-        return sizes(item_level, path_level)
-    cuboid = cube.cuboid(item_level, path_level)
-    return {cell.key: cell.n_paths for cell in cuboid}
-
-
 def _total_records(cube, path_level: PathLevel) -> int | None:
     """The database size, or ``None`` when the cube cannot tell.
 
@@ -115,7 +102,7 @@ def _total_records(cube, path_level: PathLevel) -> int | None:
     n_dims = cube.schema.n_dimensions
     apex = ItemLevel([0] * n_dims)
     if cube.has_cuboid(apex, path_level):
-        return _cell_sizes(cube, apex, path_level).get(("*",) * n_dims)
+        return cube.cell_sizes(apex, path_level).get(("*",) * n_dims)
     return None
 
 
@@ -148,7 +135,7 @@ def plan_derivation(
     source = ItemLevel(source_levels)
     n_records = _total_records(cube, path_level)
     min_support = cube.min_support if cube.min_support is not None else 1
-    covered = sum(_cell_sizes(cube, source, path_level).values())
+    covered = sum(cube.cell_sizes(source, path_level).values())
     if n_records is None:
         threshold = resolve_min_support(min_support, covered)
         exact = None
@@ -167,37 +154,34 @@ def plan_derivation(
     )
 
 
-def _derived_cell(
-    cube,
-    plan: DerivationPlan,
-    parent_key: CellKey,
-    children: list[Cell],
-    mine_exceptions: bool,
-) -> Cell:
-    """Sum *children*'s path multisets into the derived cell at
-    *parent_key* and expand its one flowgraph (Lemma 4.2)."""
-    record_ids: list[int] = []
-    summed: dict = {}
-    for child in children:
-        record_ids.extend(child.record_ids)
-        for path, weight in child.paths:
-            summed[path] = summed.get(path, 0) + weight
-    weighted = tuple(summed.items())
-    graph = FlowGraph.expand(weighted)
+def _derive(cube, plan: DerivationPlan, children, mine_exceptions: bool):
+    """Roll *children*, cells of the plan's source cuboid, up to the
+    plan's coordinate: the build's roll-up, one path level wide."""
+    derived = derive_level(
+        plan.item_level,
+        LevelData(
+            groups={child.key: child.record_ids for child in children},
+            weighted=[{child.key: child.weights for child in children}],
+        ),
+        cube.schema.dimensions,
+    )
+    prune_to_iceberg({plan.item_level: derived}, plan.threshold)
     if mine_exceptions:
-        mine_exceptions_weighted(
-            graph,
-            weighted,
-            min_support=cube.min_support,
-            min_deviation=cube.min_deviation,
-        )
-    return Cell(
-        key=parent_key,
-        item_level=plan.item_level,
-        path_level=plan.path_level,
-        record_ids=tuple(sorted(record_ids)),
-        flowgraph=graph,
-        paths=weighted,
+        # Read after the children, the cube's current table holds every
+        # id they name; its postings are the ones build and append use.
+        level_id = cube.path_lattice.index_of(plan.path_level)
+        table = cube.path_table
+        paths, postings = table.paths[level_id], table.postings[level_id]
+        runner = serial_exception_pass(cube.min_support, cube.min_deviation)
+    else:
+        # Ids are stable within a lineage, but cells read across a reload
+        # sit on lists of different lengths: the longest holds every id.
+        lists = [child.level_paths for child in children]
+        paths, postings, runner = max(lists, key=len, default=()), None, None
+    members = {key: tuple(sorted(ids)) for key, ids in derived.groups.items()}
+    return assemble_cuboid(
+        plan.item_level, plan.path_level, members, derived.weighted[0],
+        paths, postings, None, runner,
     )
 
 
@@ -206,25 +190,13 @@ def derive_cuboid(
 ) -> Cuboid:
     """Execute *plan*: the whole derived cuboid, in build order.
 
-    Children are grouped by their key rolled up to the target level, in
-    source-cuboid order — the same first-seen order a direct build's
-    record scan produces when the source is unpruned — and groups below
-    the re-applied iceberg threshold are dropped.
+    Children roll up in source-cuboid order — the same first-seen order a
+    direct build's record scan produces when the source is unpruned — and
+    groups below the re-applied iceberg threshold are dropped.  A cell's
+    flowgraph is expanded from its summed vector when it is first read.
     """
-    hierarchies = cube.schema.dimensions
-    source_cuboid = cube.cuboid(plan.source, plan.path_level)
-    groups: dict[CellKey, list[Cell]] = {}
-    for child in source_cuboid:
-        parent_key = roll_up_key(child.key, plan.item_level, hierarchies)
-        groups.setdefault(parent_key, []).append(child)
-    derived = Cuboid(plan.item_level, plan.path_level)
-    for parent_key, children in groups.items():
-        if sum(child.n_paths for child in children) < plan.threshold:
-            continue  # iceberg condition, re-applied to the derived group
-        derived.cells[parent_key] = _derived_cell(
-            cube, plan, parent_key, children, mine_exceptions
-        )
-    return derived
+    source = cube.cuboid(plan.source, plan.path_level)
+    return _derive(cube, plan, source.cells_for(source.keys), mine_exceptions)
 
 
 def derive_cell(
@@ -241,15 +213,15 @@ def derive_cell(
     """
     hierarchies = cube.schema.dimensions
     source_cuboid = cube.cuboid(plan.source, plan.path_level)
-    child_keys = [
+    children = source_cuboid.cells_for(
         child_key
-        for child_key in _cuboid_keys(source_cuboid)
+        for child_key in source_cuboid.keys
         if roll_up_key(child_key, plan.item_level, hierarchies) == key
-    ]
-    children = [source_cuboid.cell(child_key) for child_key in child_keys]
-    if sum(child.n_paths for child in children) < plan.threshold:
+    )
+    derived = _derive(cube, plan, children, mine_exceptions)
+    if key not in derived:
         raise QueryError(
             f"derived cell {key!r} is below the iceberg threshold "
             f"(δ={cube.min_support}) or outside the data"
         )
-    return _derived_cell(cube, plan, key, children, mine_exceptions)
+    return derived.cell(key)

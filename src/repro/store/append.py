@@ -97,7 +97,6 @@ def append_records(
     records: Iterable[PathRecord],
     *,
     cube: CubeStore | None = None,
-    recompute_exceptions: bool = True,
     compact_after: int | None = 16,
 ) -> dict:
     """Ingest *records* and delta-merge them into the store's cube.
@@ -111,9 +110,6 @@ def append_records(
             store's high-water mark (the ingest invariant).
         cube: An open :class:`CubeStore` handle over ``store/cube``, or
             ``None`` to open (and close) one for this call.
-        recompute_exceptions: Re-mine (ε, δ) exceptions in dirty cells.
-            Forced off when the cube was built without exceptions, so an
-            append never diverges from what a rebuild would produce.
         compact_after: Fold delta segments into a clean base heap once
             this many are pending (``0``/``None`` disables).
 
@@ -146,11 +142,9 @@ def append_records(
                 "compacted": 0,
             }
         # The cube was built with exceptions iff the build ran that
-        # phase; re-mining cells of an exception-free cube would add
-        # exceptions a rebuild (with the same flags) would not have.
-        mine = recompute_exceptions and (
-            "exceptions" in build_stats.get("phase_seconds", {})
-        )
+        # phase: its dirty cells are re-mined exactly when a rebuild
+        # (with the same flags) would mine them.
+        mine = "exceptions" in build_stats.get("phase_seconds", {})
         written = store.ingest(rows)  # raises before the cube is touched
         result = _merge_batch(store, cube, rows, build_stats, mine)
         result["partitions"] = len(written)

@@ -143,11 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     append.add_argument("--n-paths", type=int, default=100)
     append.add_argument("--seed", type=int, default=7)
     append.add_argument(
-        "--no-exceptions",
-        action="store_true",
-        help="skip re-mining exceptions in the touched cells",
-    )
-    append.add_argument(
         "--compact-after",
         type=int,
         default=16,
@@ -380,7 +375,6 @@ def _cmd_append(args: argparse.Namespace) -> int:
         store,
         rows,
         cube=cube_store,
-        recompute_exceptions=not args.no_exceptions,
         compact_after=args.compact_after,
     )
     print(

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.core.flowcube import FlowCube
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
 from repro.core.serialization import cube_to_json
@@ -471,6 +472,43 @@ def test_fresh_segment_ids_skip_crash_orphans(tmp_path, database, split):
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+
+def test_cli_append_always_remines_an_exception_cube(tmp_path, capsys):
+    """``append`` has no ``--no-exceptions``: the flag stored every cell
+    it touched in an exception-built cube with an empty exception list.
+    The cube already knows whether to re-mine, and a CLI append equals
+    the rebuild."""
+    database = generate_path_database(
+        GeneratorConfig(n_paths=400, n_dims=2, dim_fanouts=(2, 3), seed=3)
+    )
+    rows = sorted(database, key=lambda record: record.record_id)
+    directory = tmp_path / "wh"
+    store = PartitionedPathStore.init(
+        directory, database.schema, partition_size=100
+    )
+    store.ingest(PathDatabase(database.schema, rows[:300], validate=False))
+    build_cube(store, min_support=0.05, stats=BuildStats()).close()
+    store.close()
+    csv_path = tmp_path / "batch.csv"
+    csv_path.write_text(
+        PathDatabase(database.schema, rows[300:], validate=False).to_csv(),
+        encoding="utf-8",
+    )
+    append = ["append", str(directory), "--csv", str(csv_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*append, "--no-exceptions"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-exceptions" in capsys.readouterr().err
+    assert main(append) == 0
+    rebuilt = FlowCube.build(
+        PathDatabase(database.schema, rows, validate=False), min_support=0.05
+    )
+    store = PartitionedPathStore.open(directory)
+    with store.cube_store() as cube:
+        assert cube.delta_segments == [1]
+        assert stored_cube_json(cube) == stored_cube_json(rebuilt)
+    store.close()
+
 
 def test_cli_append_and_compact_round_trip(tmp_path, capsys):
     directory = str(tmp_path / "wh")

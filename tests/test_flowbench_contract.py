@@ -150,6 +150,21 @@ def test_every_cell_carries_its_multiset():
     assert "FlowGraph.merge" not in source and ".merge(" not in source
 
 
+def test_one_roll_up_algebra():
+    """Derivation is the build's roll-up, every in-memory graph expands
+    the way a stored one does, and an exception cube's append always
+    re-mines: no ``expanded`` or path-by-path fold in the roll-up, no
+    graph, tuple-door miner or cell constructor in the planner, and no
+    ``recompute_exceptions`` on ``append_records``."""
+    rollup = repro.perf.measure_rollup
+    assert not hasattr(rollup, "expanded")
+    assert "add_path" not in inspect.getsource(rollup)
+    assert not {"FlowGraph", "mine_exceptions_weighted"} & set(vars(planner))
+    assert "Cell(" not in inspect.getsource(planner)
+    parameters = inspect.signature(append_records).parameters
+    assert "recompute_exceptions" not in parameters
+
+
 def test_the_harness_jobs_keyword_selects_nothing(tmp_path, monkeypatch):
     """``layers.py`` builds with ``jobs=2`` and reads ``stats.pool``."""
     # The one run-dependent word of a cube's files.

@@ -18,6 +18,10 @@ The load-bearing assertions:
 from __future__ import annotations
 
 import json
+import sys
+import tempfile
+import threading
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +31,11 @@ from repro.core.flowcube import FlowCube
 from repro.core.lattice import ItemLattice, ItemLevel
 from repro.core.materialization import MaterializationPlan, plan_between_layers
 from repro.core.path_database import PathDatabase
-from repro.core.serialization import cube_to_json
+from repro.core.serialization import (
+    cube_from_json,
+    cube_to_json,
+    flowgraph_to_dict,
+)
 from repro.errors import QueryError
 from repro.perf.query_kernel import (
     CuboidKeyCatalog,
@@ -38,7 +46,8 @@ from repro.perf.query_kernel import (
 )
 from repro.query.api import FlowCubeQuery
 from repro.query.planner import derive_cell, derive_cuboid, plan_derivation
-from repro.store import PartitionedPathStore, build_cube
+from repro.perf.measure_rollup import VectorCell
+from repro.store import BuildStats, PartitionedPathStore, append_records, build_cube
 from repro.store.cli import main
 from repro.store.cube_store import StoredCell
 from repro.synth import GeneratorConfig, generate_path_database
@@ -571,6 +580,25 @@ def test_query_parity_memory_vs_store(tmp_path_factory, db, min_support, pick):
                 assert _cell_ids(mem_children) == _cell_ids(store_children)
 
 
+def _grid_source(kind, db, base, exceptions, directory):
+    """A cube materialising only *base*: built in memory, restored by
+    ``cube_from_json``, or built into a store."""
+    memory = FlowCube.build(
+        db, item_levels=[base], min_support=1, compute_exceptions=exceptions
+    )
+    if kind == "memory":
+        return memory
+    if kind == "restored":
+        return cube_from_json(cube_to_json(memory), db)
+    store = PartitionedPathStore.init(directory / "wh", db.schema)
+    store.ingest(db)
+    cube = build_cube(
+        store, item_levels=[base], min_support=1, compute_exceptions=exceptions
+    )
+    store.close()
+    return cube
+
+
 @given(path_databases(), st.integers(min_value=0, max_value=3))
 @settings(
     max_examples=5,
@@ -578,23 +606,156 @@ def test_query_parity_memory_vs_store(tmp_path_factory, db, min_support, pick):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_derived_rollup_byte_identity_grid(db, pick):
-    """Derived vs directly-built cuboids, byte-identical when unpruned."""
+    """Derived vs directly-built cuboids, byte-identical when unpruned —
+    from a source cube built in memory, restored by ``cube_from_json`` or
+    built into a store, with exceptions off and on."""
     levels = _levels(db)
     base = levels[-1]
     ancestors = [lv for lv in levels if lv != base]
     target = ancestors[pick % len(ancestors)]
-    partial = FlowCube.build(
-        db, item_levels=[base], min_support=1, compute_exceptions=False
+    for exceptions in (False, True):
+        direct = FlowCube.build(
+            db, item_levels=[target], min_support=1,
+            compute_exceptions=exceptions,
+        )
+        for kind in ("memory", "restored", "store"):
+            with tempfile.TemporaryDirectory() as directory:
+                source = _grid_source(
+                    kind, db, base, exceptions, FsPath(directory)
+                )
+                if kind != "store":  # every in-memory cell is a vector
+                    table = source.path_table
+                    for level_id, path_level in enumerate(source.path_lattice):
+                        for cell in source.cuboid(base, path_level):
+                            assert isinstance(cell, VectorCell)
+                            assert cell.level_paths is table.paths[level_id]
+                derived = []
+                for path_level in source.path_lattice:
+                    plan = plan_derivation(source, target, path_level)
+                    assert plan.exact is (None if kind == "store" else True)
+                    derived.append(
+                        derive_cuboid(source, plan, mine_exceptions=exceptions)
+                    )
+                if kind == "store":
+                    source.close()
+            assert cube_to_json(_shell(db, direct, derived)) == cube_to_json(
+                direct
+            ), (kind, exceptions)
+
+
+@pytest.mark.parametrize("exceptions", [False, True], ids=["plain", "mined"])
+def test_derivation_across_a_reload_that_extended_the_path_table(
+    tmp_path, exceptions
+):
+    """After an append and a reload, the cached cells of one source
+    cuboid sit on two path lists of one lineage: the derivation sums
+    them as the fresh handle and the direct build do."""
+    database = generate_path_database(
+        GeneratorConfig(n_paths=240, n_dims=2, dim_fanouts=(2, 3), seed=3)
     )
+    rows = sorted(database, key=lambda record: record.record_id)
+    schema = database.schema
+    base = _levels(database)[-1]
+    target = ItemLevel([1, 1])
+    store = PartitionedPathStore.init(tmp_path / "wh", schema, partition_size=60)
+    store.ingest(PathDatabase(schema, rows[:180], validate=False))
+    writer = store.cube_store()
+    build_cube(
+        store, item_levels=[base], min_support=1,
+        compute_exceptions=exceptions, into=writer, stats=BuildStats(),
+    )
+    reader = store.cube_store(cache_size=10_000)
+    lattice = reader.path_lattice
+
+    def derived(cube):
+        return [
+            derive_cuboid(
+                cube, plan_derivation(cube, target, path_level),
+                mine_exceptions=exceptions,
+            )
+            for path_level in lattice
+        ]
+
+    derived(reader)  # reads, and caches, every source cell
+    append_records(store, rows[180:], cube=writer, compact_after=0)
+    assert reader.maybe_reload()
+    lists = {
+        id(cell.level_paths): len(cell.level_paths)
+        for cell in reader.cuboid(base, lattice[0])
+    }
+    assert len(lists) == len(set(lists.values())) == 2
     direct = FlowCube.build(
-        db, item_levels=[target], min_support=1, compute_exceptions=False
+        PathDatabase(schema, rows, validate=False), item_levels=[target],
+        min_support=1, compute_exceptions=exceptions,
     )
-    derived = []
-    for path_level in partial.path_lattice:
-        plan = plan_derivation(partial, target, path_level)
-        assert plan.exact is True
-        derived.append(derive_cuboid(partial, plan))
-    assert cube_to_json(_shell(db, partial, derived)) == cube_to_json(direct)
+    answer = cube_to_json(_shell(database, direct, derived(reader)))
+    assert answer == cube_to_json(direct)
+    with store.cube_store() as fresh:
+        assert answer == cube_to_json(_shell(database, direct, derived(fresh)))
+    reader.close()
+    writer.close()
+    store.close()
+
+
+def test_threads_deriving_with_exceptions_get_the_serial_answers(database):
+    """One façade, more threads than cores, exceptions re-mined on the
+    cube's shared postings — cold, so the threads race to index them."""
+    levels = _levels(database)
+
+    def query():
+        cube = FlowCube.build(
+            database, item_levels=[levels[-1]], min_support=MIN_SUPPORT,
+            compute_exceptions=False,
+        )
+        return FlowCubeQuery(cube, derive=True, derive_exceptions=True)
+
+    def answers(q, order):
+        return {
+            coord: [
+                (cell.key, flowgraph_to_dict(cell.flowgraph))
+                for cell in q.derived_cuboid(*coord)
+            ]
+            for coord in order
+        }
+
+    first = query()
+    coords = [
+        (item_level, path_level)
+        for item_level in levels[:-1]
+        for path_level in first.cube.path_lattice
+    ]
+    serial = answers(first, coords)
+    n_threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):  # a fresh, cold façade per round
+            shared = query()
+            barrier = threading.Barrier(n_threads)
+            results: list = [None] * n_threads
+
+            def run(slot):
+                barrier.wait()
+                order = coords[:: 1 if slot % 2 else -1]
+                results[slot] = answers(shared, order)
+
+            threads = [
+                threading.Thread(target=run, args=(slot,))
+                for slot in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert results == [serial] * n_threads
+            # Every level's postings indexed each of its paths once.
+            postings = shared.cube.path_table.postings
+            assert [len(level.rows) for level in postings] == [
+                len(level.paths) for level in postings
+            ]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import pickle
 import re
@@ -382,7 +381,14 @@ def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
     memory = FlowCube.build(example, min_support=2)
     apex = FlowCubeQuery(memory).cell()
     (path, weight), *rest = apex.paths
-    heavier = dataclasses.replace(apex, paths=((path, weight + 5), *rest))
+    heavier = Cell(
+        key=apex.key,
+        item_level=apex.item_level,
+        path_level=apex.path_level,
+        record_ids=apex.record_ids,
+        flowgraph=apex.flowgraph,
+        paths=((path, weight + 5), *rest),
+    )
     cube = CubeStore(tmp_path / "cube", example.schema)
     cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
     with pytest.raises(StoreError, match="weighs 13 paths but has 8 record"):

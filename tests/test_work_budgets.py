@@ -56,6 +56,7 @@ from repro.store import (
     build_cube,
 )
 from repro.store.cli import main
+from repro.store.cube_store import StoredCell
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
@@ -177,18 +178,21 @@ def test_an_exception_free_build_builds_no_graph(tmp_path, monkeypatch, n_paths)
 def test_a_build_with_exceptions_folds_each_vector_once(
     tmp_path, monkeypatch, n_paths
 ):
+    """One ``FlowGraph.expand`` per built cell, over exactly its vector:
+    the routine a stored cell expands with, not a path-by-path fold."""
     database = generate_path_database(config(n_paths))
     store = ingested(tmp_path / "wh", database.schema, list(database))
     graphs = graph_counters(monkeypatch)
+    expand = Counted(monkeypatch, FlowGraph, "expand")
     cube = build_cube(
         store, min_support=MIN_SUPPORT, into=store.cube_store(),
         stats=BuildStats(),
     )
-    built_graphs, folded = len(graphs["__init__"]), len(graphs["add_path"])
-    vectors = [len(cell.weights) for cell in cube.cells()]
-    assert built_graphs == len(vectors) == cube.n_cells()
-    assert folded == sum(vectors)
-    assert len(graphs["merge"]) == 0
+    built_graphs = len(graphs["__init__"])
+    vectors = [list(cell.paths) for cell in cube.cells()]
+    assert built_graphs == len(expand) == len(vectors) == cube.n_cells()
+    assert sorted(list(call[0]) for call in expand.calls) == sorted(vectors)
+    assert len(graphs["add_path"]) == len(graphs["merge"]) == 0
     cube.close()
     store.close()
 
@@ -337,8 +341,9 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
     tmp_path, monkeypatch, capsys, n_paths
 ):
     """``derive_cuboid``, ``derive_cell`` and ``query --derive`` sum the
-    children's multisets: one graph per derived cell, however many
-    children it has, and no child graph decoded or merged."""
+    children's vectors: one graph per derived cell, however many
+    children it has, expanded only when its measure is read — and no
+    child rendered to path tuples, decoded to a graph or merged."""
     database = generate_path_database(config(n_paths))
     schema = database.schema
     store = ingested(tmp_path / "wh", schema, list(database))
@@ -351,19 +356,28 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
     expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
     expand = Counted(monkeypatch, FlowGraph, "expand")
     graphs = graph_counters(monkeypatch)
+    rendered = []
+    stored_paths = StoredCell.paths
+    monkeypatch.setattr(
+        StoredCell, "paths",
+        property(lambda cell: rendered.append(cell) or stored_paths.fget(cell)),
+    )
     with store.cube_store() as cube:
         plan = plan_derivation(cube, ItemLevel([1, 0]), cube.path_lattice[0])
         derived = derive_cuboid(cube, plan)
         assert 1 < len(derived) < plan.source_cells
+        assert len(expand) == len(graphs["__init__"]) == 0
+        for cell in derived:
+            assert cell.flowgraph is cell.flowgraph
         assert len(expand) == len(graphs["__init__"]) == len(derived)
         for key in derived.cells:
-            derive_cell(cube, plan, key)
+            assert derive_cell(cube, plan, key).flowgraph.n_paths > 0
         assert len(expand) == 2 * len(derived)
     directory = str(tmp_path / "wh")
     assert main(["query", directory, "-d", f"d0={value}", "--derive"]) == 0
     assert "derived from cuboid" in capsys.readouterr().out
     assert len(expand) == 2 * len(derived) + 1
-    assert len(expanded) == len(graphs["merge"]) == 0
+    assert len(expanded) == len(graphs["merge"]) == len(rendered) == 0
     store.close()
 
 
