@@ -10,15 +10,18 @@ Only *iceberg* cells — at least δ paths — are materialised (Definition
 threshold ε.  Redundancy pruning (Definition 4.4) lives in
 :mod:`repro.core.redundancy`.
 
-This module defines the cube's shape and its one builder,
-:meth:`FlowCube.build`, which runs the roll-up of
+This module defines the cube's shape, its one cell class and its one
+builder.  A :class:`Cell` is its path multiset — a ``{pid: weight}``
+vector over its level of a path table — whose flowgraph is expanded when
+first read; the roll-up, an append, ``cube_from_json``, the query
+planner and a store read all hand out this class, a store's cells
+decoding their vector from a heap record on first touch.
+:meth:`FlowCube.build` runs the roll-up of
 :mod:`repro.perf.measure_rollup` over the whole database and keeps what
-it hands out: every cell a
-:class:`~repro.perf.measure_rollup.VectorCell` — its ``{pid: weight}``
-vector over the cube's :attr:`FlowCube.path_table` — whose flowgraph is
-expanded when first read, as a stored cell's is.  The test
-suite keeps a per-cell builder — every cuboid re-aggregating every record
-— as the oracle every build is compared against, byte for byte.
+it hands out, every vector over the cube's :attr:`FlowCube.path_table`.
+The test suite keeps a per-cell builder — every cuboid re-aggregating
+every record into a graph of its own — as the oracle every build is
+compared against, byte for byte.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.aggregation import WeightedPaths
+from repro.core.aggregation import AggregatedPath, WeightedPath, WeightedPaths
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import Segment
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.errors import CubeError
+from repro.errors import CubeError, StoreError
 
 __all__ = ["CellKey", "Cell", "Cuboid", "FlowCube"]
 
@@ -39,43 +42,154 @@ __all__ = ["CellKey", "Cell", "Cuboid", "FlowCube"]
 CellKey = tuple[str, ...]
 
 
-@dataclass
 class Cell:
-    """One cell of a cuboid: coordinates, member paths, and the measure.
+    """One cell of a cuboid: its coordinates and its path multiset.
 
     ``key`` / ``item_level`` / ``path_level`` / ``n_paths`` /
     ``redundant`` are the *index fields*: selection (slice, dice,
-    listings) reads nothing else.  ``record_ids`` and ``flowgraph`` are
-    the *measure*; a cube that keeps cells on disk
-    (:class:`~repro.store.cube_store.StoredCell`) may defer decoding
-    them until first read, so code that only selects must not touch
-    them.
+    listings) reads nothing else.  The measure is algebraic (Lemma 4.2):
+    the cell is its ``weights`` — ``{path id: weight}`` over
+    ``level_paths``, its level of the cube's path table — and its
+    flowgraph, expanded once at first read, a function of that vector;
+    ``paths`` renders the vector as ``(path, weight)`` pairs.
+
+    ``record_ids`` and ``weights`` are held in hand (the roll-up, an
+    append, ``cube_from_json``) or decoded from a heap *record* at their
+    first touch through the *loader* of the store that read it
+    (:mod:`repro.store.cube_store`), which also reads the path list
+    lazily — a cold open reads no path table — and expands the graph
+    with the record's exceptions.  A damaged record is a
+    :class:`~repro.errors.StoreError` at every touch.  ``weights`` is
+    the cell's own dict: whoever adds to a vector adds into a copy.
     """
 
-    key: CellKey
-    item_level: ItemLevel
-    path_level: PathLevel
-    record_ids: tuple[int, ...]
-    flowgraph: FlowGraph
-    #: The cell's path multiset in weighted ``(path, weight)`` form — each
-    #: distinct aggregated path once, in first-seen record order, with its
-    #: multiplicity.  Every cell carries it: the flowgraph is a function
-    #: of it (Lemma 4.2), and exceptions are re-mined from it (Lemma 4.3).
-    paths: WeightedPaths = ()
-    #: Set by redundancy pruning when the cell's flowgraph is inferable
-    #: from its item-lattice parents.
-    redundant: bool = False
+    __slots__ = (
+        "key",
+        "item_level",
+        "path_level",
+        "n_paths",
+        "redundant",
+        "_record_ids",
+        "_weights",
+        "_level_paths",
+        "_graph",
+        "_record",
+        "_loader",
+    )
+
+    def __init__(
+        self,
+        key: CellKey,
+        item_level: ItemLevel,
+        path_level: PathLevel,
+        record_ids: tuple[int, ...] | None = None,
+        weights: dict[int, int] | None = None,
+        level_paths: Sequence[AggregatedPath] | None = None,
+        redundant: bool = False,
+        *,
+        n_paths: int | None = None,
+        record: bytes | None = None,
+        loader=None,
+    ) -> None:
+        self.key = key
+        self.item_level = item_level
+        self.path_level = path_level
+        self.n_paths = len(record_ids) if n_paths is None else n_paths
+        self.redundant = redundant
+        self._record_ids = record_ids
+        self._weights = weights
+        self._level_paths = level_paths
+        self._graph: FlowGraph | None = None
+        self._record = record
+        self._loader = loader
+
+    def _decode(self) -> None:
+        self._record_ids, self._weights = self._loader.vector(self._record)
 
     @property
-    def n_paths(self) -> int:
-        """Number of paths aggregated in the cell."""
-        return len(self.record_ids)
+    def record_ids(self) -> tuple[int, ...]:
+        """The member record ids, ascending."""
+        if self._record_ids is None:
+            self._decode()
+        return self._record_ids
+
+    @property
+    def weights(self) -> dict[int, int]:
+        """The ``{path id: weight}`` vector, in first-seen order."""
+        if self._weights is None:
+            self._decode()
+        return self._weights
+
+    @property
+    def level_paths(self) -> Sequence[AggregatedPath]:
+        """The path list the vector's ids index."""
+        level_paths = self._level_paths
+        if level_paths is None:
+            level_paths = self._level_paths = self._loader.level_paths()
+        return level_paths
+
+    def _pairs(self) -> list[WeightedPath]:
+        level_paths = self.level_paths
+        return [(level_paths[pid], weight) for pid, weight in self.weights.items()]
+
+    @property
+    def paths(self) -> WeightedPaths:
+        """The multiset as ``(path, weight)`` pairs, in the vector's order."""
+        try:
+            return tuple(self._pairs())
+        except IndexError:
+            raise StoreError(
+                "corrupt cell payload: a path id past the path table"
+            ) from None
+
+    @property
+    def flowgraph(self) -> FlowGraph:
+        """The measure's graph, expanded from the vector at first read."""
+        graph = self._graph
+        if graph is None:
+            loader = self._loader
+            if loader is None:
+                graph = FlowGraph.expand(self._pairs())
+            else:
+                graph = loader.flowgraph(self._record, self.level_paths)
+            self._graph = graph
+        return graph
 
     @property
     def exceptions(self) -> list:
-        """The flowgraph's exceptions (a cell that defers its flowgraph
-        may answer without building one)."""
-        return self.flowgraph.exceptions
+        """The mined exceptions, without expanding a graph to ask: a
+        stored cell reads its record's, and a graph held in hand that
+        nobody read cannot have been mined."""
+        graph = self._graph
+        if graph is not None:
+            return graph.exceptions
+        return [] if self._loader is None else self._loader.exceptions(
+            self._record
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Field-wise equality with any cell, index fields first (cells
+        at different coordinates never decode); flowgraphs, which compare
+        by identity, are compared in serialised form."""
+        if not isinstance(other, Cell) and not hasattr(other, "record_ids"):
+            return NotImplemented
+        from repro.core.serialization import flowgraph_to_dict
+
+        return (
+            self.key == other.key
+            and self.item_level == other.item_level
+            and self.path_level == other.path_level
+            and self.redundant == other.redundant
+            and self.paths == other.paths
+            and self.record_ids == other.record_ids
+            and (
+                self.flowgraph is other.flowgraph
+                or flowgraph_to_dict(self.flowgraph)
+                == flowgraph_to_dict(other.flowgraph)
+            )
+        )
+
+    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Cell({self.key!r}, n={self.n_paths}, redundant={self.redundant})"
@@ -236,6 +350,11 @@ class FlowCube:
         return self.database.schema
 
     @property
+    def n_records(self) -> int:
+        """The records the cube covers (what δ resolves against)."""
+        return len(self.database)
+
+    @property
     def cuboids(self) -> tuple[Cuboid, ...]:
         """All materialised cuboids."""
         return tuple(self._cuboids.values())
@@ -284,5 +403,5 @@ class FlowCube:
             "cells": len(cells),
             "redundant_cells": sum(1 for c in cells if c.redundant),
             "exceptions": sum(len(c.exceptions) for c in cells),
-            "paths": len(self.database),
+            "paths": self.n_records,
         }

@@ -342,16 +342,20 @@ def mine_exceptions_weighted(
             f"{EXCEPTION_KERNELS}"
         )
     if kernel == "bitmap":
-        from repro.perf.exception_kernel import mine_exceptions_bitmap
+        from repro.perf.exception_kernel import (
+            intern_pairs,
+            mine_exceptions_bitmap,
+        )
 
+        weights, postings = intern_pairs(weighted, index_cache)
         return mine_exceptions_bitmap(
             graph,
-            weighted,
+            weights,
+            postings,
             min_support,
             min_deviation,
             segments=segments,
             max_segment_length=max_segment_length,
-            index_cache=index_cache,
         )
     threshold = resolve_min_support(min_support, total_weight(weighted))
     if segments is None:
@@ -484,25 +488,29 @@ def serial_exception_pass(min_support: float, min_deviation: float):
     """The in-process runner for every per-cell exception phase.
 
     Returns a callable ``run(batch)`` where *batch* is a list of
-    ``(graph, weighted, segments)`` triples; it mines each cell in place
-    (attaching ``graph.exceptions``) and accumulates wall time spent in
-    ``run.seconds`` for the builders' ``"exceptions"`` phase bucket.
-    *weighted* is a :class:`~repro.perf.exception_kernel.PidCell` — the
-    cell's ``{pid: weight}`` plus its path level's postings, which the
-    bitmap kernel indexes without touching a path — so a distinct path's
-    stages are walked once per level, and lattice cells that roll up to
-    identical vectors share an index across cuboids.  The roll-up build,
-    the store build, the store append and the query planner's derivation
-    all mine through it, always with the bitmap kernel (the direct
-    builder calls the scan kernel itself).
+    ``(graph, weights, postings, segments)``: a cell's flowgraph, its
+    ``{pid: weight}`` vector and its path level's
+    :class:`~repro.perf.exception_kernel.PathPostings`, which the bitmap
+    kernel indexes without touching a path — so a distinct path's stages
+    are walked once per level, and lattice cells that roll up to
+    identical vectors share an index across cuboids.  It mines each cell
+    in place (attaching ``graph.exceptions``) and accumulates wall time
+    spent in ``run.seconds`` for the builders' ``"exceptions"`` phase
+    bucket.  The roll-up build, the store build, the store append and the
+    query planner's derivation all mine through it, always with the
+    bitmap kernel (the test suite's per-cell oracle calls the scan kernel
+    itself).
     """
     from time import perf_counter
 
     def run(batch) -> None:
+        from repro.perf.exception_kernel import mine_exceptions_bitmap
+
         started = perf_counter()
-        for graph, weighted, segments in batch:
-            mine_exceptions_weighted(
-                graph, weighted, min_support, min_deviation, segments=segments
+        for graph, weights, postings, segments in batch:
+            mine_exceptions_bitmap(
+                graph, weights, postings, min_support, min_deviation,
+                segments=segments,
             )
         run.seconds += perf_counter() - started
 

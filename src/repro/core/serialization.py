@@ -7,10 +7,12 @@ JSON format:
 * :func:`flowgraph_to_dict` / :func:`flowgraph_from_dict` — raw counts (so
   round-tripped graphs keep merging algebraically) plus exceptions;
 * :func:`cube_to_json` / :func:`cube_from_json` — cells with coordinates
-  and measures.  The cube format stores the path lattice structurally
-  (view concepts + duration level) and rebinds it against the schema's
-  location hierarchy on load; the path database itself is serialised
-  separately via :meth:`~repro.core.path_database.PathDatabase.to_csv`.
+  and measures; a loaded cell is a :class:`~repro.core.flowcube.Cell`
+  like a built one, its vector rebuilt from its records.  The cube
+  format stores the path lattice structurally (view concepts + duration
+  level) and rebinds it against the schema's location hierarchy on load;
+  the path database itself is serialised separately via
+  :meth:`~repro.core.path_database.PathDatabase.to_csv`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 from collections import Counter
 
 from repro.core.aggregation import aggregate_path
-from repro.core.flowcube import Cuboid, FlowCube
+from repro.core.flowcube import Cell, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.hierarchy import ConceptHierarchy
 from repro.core.flowgraph_exceptions import FlowException
@@ -187,11 +189,11 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
 
     The database must be the one (or an equal copy of the one) the cube was
     built from; cell ``record_ids`` index into it.  Each cell comes back
-    as a build hands it out: a :class:`~repro.perf.measure_rollup.VectorCell`
-    over the cube's ``path_table``, its multiset rebuilt from its records
-    and its stored exceptions attached to its graph.
+    as a build hands it out: a :class:`~repro.core.flowcube.Cell` whose
+    vector over the cube's ``path_table`` is rebuilt from its records,
+    with its stored exceptions attached to its graph.
     """
-    from repro.perf.measure_rollup import PathTable, VectorCell
+    from repro.perf.measure_rollup import PathTable
 
     payload = json.loads(text)
     records = {record.record_id: record for record in database}
@@ -226,11 +228,10 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
                 table.intern(level_id, aggregate_path(records[rid].path, path_level))
                 for rid in record_ids
             )
-            cell = cuboid.cells[key] = VectorCell(
+            cell = cuboid.cells[key] = Cell(
                 key, item_level, path_level, record_ids, weights,
-                table.paths[level_id],
+                table.paths[level_id], bool(cell_data["redundant"]),
             )
-            cell.redundant = bool(cell_data["redundant"])
             exceptions = cell_data["flowgraph"].get("exceptions")
             if exceptions:
                 cell.flowgraph.exceptions = exceptions_from_dicts(exceptions)

@@ -52,11 +52,9 @@ from repro.perf.bitmap import (
 from repro.perf.exception_kernel import (
     CellExceptionIndex,
     PathPostings,
-    PidCell,
     cell_index,
     mine_exceptions_bitmap,
     mine_segments_bitmap,
-    pid_cell,
 )
 from repro.perf.interning import InternedTransactions, ItemInterner
 from repro.perf.measure_rollup import derivation_plan
@@ -76,7 +74,6 @@ __all__ = [
     "InternedTransactions",
     "ItemInterner",
     "PathPostings",
-    "PidCell",
     "QueryCache",
     "cell_index",
     "count_candidates_bitmap",
@@ -88,5 +85,4 @@ __all__ = [
     "merge_query_stats",
     "mine_exceptions_bitmap",
     "mine_segments_bitmap",
-    "pid_cell",
 ]

@@ -38,14 +38,13 @@ the stage walk is paid once per path, not once per cell:
   mask derived from it stays inside the cell.
 
 There are two doors and one kernel.  The roll-up, the store append and
-the planner's derivation hand the pass a :class:`PidCell` — the cell's
-``{pid: weight}`` plus its level's postings — and share those postings
-across every cell of the level (and the planner across threads).  Plain
-``mine_exceptions_weighted(graph, [(path, weight), …])`` comes through
-the tuple door of :func:`pid_cell`, which interns its pairs into a
-private postings and runs the same code.  A ``PidCell``
-iterates as its ``(path, weight)`` pairs, so the scan kernel sees
-exactly what it always did.
+the planner's derivation hand the pass a cell's ``{pid: weight}``
+vector (:attr:`~repro.core.flowcube.Cell.weights`) with its level's
+postings, and share those postings across every cell of the level (and
+the planner across threads).  Plain ``mine_exceptions_weighted(graph,
+[(path, weight), …])`` comes through the tuple door of
+:func:`intern_pairs`, which interns its pairs into a private postings,
+and runs the same code.
 
 :func:`mine_segments_bitmap` reruns the level-wise miner on tid-sets: a
 candidate is a frequent segment extended by one frequent 1-constraint
@@ -80,7 +79,7 @@ collector (:mod:`repro.perf.collector`) and must not need it.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.aggregation import (
     DURATION_ANY_LABEL,
@@ -99,9 +98,8 @@ from repro.perf.interning import ItemInterner
 
 __all__ = [
     "PathPostings",
-    "PidCell",
     "CellExceptionIndex",
-    "pid_cell",
+    "intern_pairs",
     "cell_index",
     "mine_segments_bitmap",
     "mine_exceptions_bitmap",
@@ -272,32 +270,6 @@ class PathPostings:
         return 0
 
 
-class PidCell:
-    """One cell's weighted multiset in its level's path-id space.
-
-    What the roll-up and the store append hand the exception pass:
-    *weights* is the cell's ``{pid: weight}`` and *postings* the level's
-    :class:`PathPostings`, so the bitmap kernel indexes the cell without
-    touching a path.  It iterates as the ``(path, weight)`` pairs it
-    stands for — the scan kernel needs no branch.
-    """
-
-    __slots__ = ("weights", "postings")
-
-    def __init__(self, weights: dict[int, int], postings: PathPostings) -> None:
-        self.weights = weights
-        self.postings = postings
-
-    def __iter__(self) -> Iterator[WeightedPath]:
-        paths = self.postings.paths
-        return iter(
-            [(paths[pid], weight) for pid, weight in self.weights.items()]
-        )
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 class CellExceptionIndex:
     """One cell as a view over its level's :class:`PathPostings`.
 
@@ -307,8 +279,8 @@ class CellExceptionIndex:
 
     The view keeps no reference to *postings* (they cache it, and a
     back-edge would leave a build's whole path table to the cyclic
-    collector); whoever counts against the level-wide masks — a
-    :class:`PidCell` has them in hand — passes them in.
+    collector); whoever counts against the level-wide masks — the pass
+    has them in hand — passes them in.
 
     Attributes:
         weights: The cell's ``{pid: weight}``.
@@ -394,19 +366,14 @@ class CellExceptionIndex:
         return mask
 
 
-def pid_cell(
-    weighted: Sequence[WeightedPath] | PidCell, cache: dict | None = None
-) -> PidCell:
-    """*weighted* in a path-id space: its level's, or *cache*'s.
-
-    A :class:`PidCell` brings its own postings.  ``(path, weight)`` pairs
-    are interned into a private one — kept in *cache* when the caller
-    shares one across cells, so a path's stages are walked once however
-    many cells carry it — with the weights of a repeated path (legal for
-    the public ``mine_exceptions`` entry points) summed.
-    """
-    if isinstance(weighted, PidCell):
-        return weighted
+def intern_pairs(
+    weighted: Sequence[WeightedPath], cache: dict | None = None
+) -> tuple[dict[int, int], PathPostings]:
+    """``(path, weight)`` pairs as a ``{pid: weight}`` vector over a
+    private postings — kept in *cache* when the caller shares one across
+    cells, so a path's stages are walked once however many cells carry
+    it — with the weights of a repeated path (legal for the public
+    ``mine_exceptions`` entry points) summed."""
     if cache is None:
         postings = PathPostings()
     else:
@@ -418,15 +385,14 @@ def pid_cell(
     for path, weight in weighted:
         pid = intern(path)
         weights[pid] = weights.get(pid, 0) + weight
-    return PidCell(weights, postings)
+    return weights, postings
 
 
 def cell_index(
-    weighted: Sequence[WeightedPath] | PidCell, cache: dict | None = None
+    weights: dict[int, int], postings: PathPostings
 ) -> CellExceptionIndex:
-    """The cell's index: a view over the postings of its :func:`pid_cell`."""
-    cell = pid_cell(weighted, cache)
-    return cell.postings.index(cell.weights)
+    """The index of the cell ``{pid: weight}``: a view over *postings*."""
+    return postings.index(weights)
 
 
 def mine_segments_bitmap(
@@ -531,27 +497,26 @@ def mine_segments_bitmap(
 
 def mine_exceptions_bitmap(
     graph: FlowGraph,
-    weighted: Sequence[WeightedPath] | PidCell,
+    weights: dict[int, int],
+    postings: PathPostings,
     min_support: float,
     min_deviation: float,
     segments: Iterable[Segment] | None = None,
     max_segment_length: int = 4,
-    index_cache: dict | None = None,
 ) -> list[FlowException]:
-    """``mine_exceptions_weighted``'s body under ``kernel="bitmap"``.
+    """``mine_exceptions_weighted``'s body under ``kernel="bitmap"``, over
+    the cell ``{pid: weight}`` in *postings*' id space.
 
-    Semantics, arguments, and output are exactly the scan kernel's —
-    including attaching the sorted list to ``graph.exceptions``.  With
+    Semantics and output are exactly the scan kernel's — including
+    attaching the sorted list to ``graph.exceptions``.  With
     locally-mined segments the finished exception list itself is memoised
     on the cell's index per ``(δ, ε, max length)``: the exceptions are a
     pure function of the path multiset (the graph's distributions are
     derived from the same multiset), so cells sharing an index — through
-    their level's postings, or through *index_cache* at the tuple door —
-    share the result outright.
+    their level's postings, or through a shared ``index_cache`` at the
+    tuple door — share the result outright.
     """
-    cell = pid_cell(weighted, index_cache)
-    postings = cell.postings
-    index = cell_index(cell)
+    index = cell_index(weights, postings)
     local = segments is None
     result_key = (min_support, min_deviation, max_segment_length)
     supports: dict[Segment, int] = {}

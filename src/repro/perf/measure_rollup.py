@@ -34,14 +34,14 @@ time.
    derivation needed, are dropped.
 5. **Assemble** (:func:`assemble_cuboid`, per (item level, path level)
    pair): cell construction and the per-cell holistic exception pass.  A
-   cell leaves the roll-up as a :class:`VectorCell` — its ``{pid:
-   weight}`` over the level's path list — whose flowgraph is expanded
-   where one is consumed: by the exception pass (handed a
-   :class:`~repro.perf.exception_kernel.PidCell` over the same vector and
-   the level's postings, which the table owns too), at its first read in
-   an in-memory cube, and never by a store build without exceptions,
-   which persists the vector itself.  The query planner derives a cuboid
-   nobody materialised with steps 3–5 over the source cells' vectors.
+   cell leaves the roll-up as a :class:`~repro.core.flowcube.Cell` — its
+   ``{pid: weight}`` over the level's path list — whose flowgraph is
+   expanded where one is consumed: by the exception pass (handed the
+   same vector and the level's postings, which the table owns too), at
+   its first read in an in-memory cube, and never by a store build
+   without exceptions, which persists the vector itself.  The query
+   planner derives a cuboid nobody materialised with steps 3–5 over the
+   source cells' vectors.
 
 Parity with a per-cell build is exact: counts are integers, distributions
 are ratios of identical integers, and exceptions are re-mined per cell from
@@ -60,7 +60,6 @@ from time import perf_counter
 
 from repro.core.aggregation import AggregatedPath, aggregate_path
 from repro.core.flowcube import Cell, CellKey, Cuboid
-from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
     Segment,
     resolve_min_support,
@@ -75,13 +74,12 @@ from repro.core.lattice import (
 )
 from repro.core.path import Path
 from repro.errors import CubeError
-from repro.perf.exception_kernel import PathPostings, PidCell
+from repro.perf.exception_kernel import PathPostings
 
 __all__ = [
     "AggregationMemo",
     "PathTable",
     "LevelData",
-    "VectorCell",
     "requested_levels",
     "derivation_plan",
     "scan_records",
@@ -191,7 +189,7 @@ class LevelData:
     ones — because an ancestor's cells must merge *every* child cell to
     conserve weight.  Nothing here is threshold-aware and nothing is a
     flowgraph: a graph is a function of a cell's vector, computed where
-    it is read (:class:`VectorCell`).
+    it is read (:class:`~repro.core.flowcube.Cell`).
 
     Attributes:
         groups: Cell key -> member record ids.
@@ -201,58 +199,6 @@ class LevelData:
 
     groups: dict[CellKey, list[int]]
     weighted: list[dict[CellKey, WeightedCell]]
-
-
-class VectorCell(Cell):
-    """A cell held as the distributive part of its measure.
-
-    ``weights`` is the cell's ``{pid: weight}`` and ``level_paths`` the
-    path list the ids index (its level of a :class:`PathTable`).  The
-    flowgraph — the algebraic part, a function of the vector by Lemma
-    4.2 — is expanded at its first read and kept; ``paths`` renders the
-    vector as ``(path, weight)`` pairs.  A store persists the vector and
-    so never reads ``flowgraph`` for an exception-free build.
-    """
-
-    def __init__(
-        self,
-        key: CellKey,
-        item_level: ItemLevel,
-        path_level: PathLevel,
-        record_ids: tuple[int, ...],
-        weights: WeightedCell,
-        level_paths: Sequence[AggregatedPath],
-    ) -> None:
-        self.key = key
-        self.item_level = item_level
-        self.path_level = path_level
-        self.record_ids = record_ids
-        self.redundant = False
-        self.weights = weights
-        self.level_paths = level_paths
-        self._graph: FlowGraph | None = None
-
-    @property
-    def paths(self):
-        level_paths = self.level_paths
-        return tuple(
-            [(level_paths[pid], weight) for pid, weight in self.weights.items()]
-        )
-
-    @property
-    def flowgraph(self) -> FlowGraph:
-        graph = self._graph
-        if graph is None:
-            # The routine a stored cell expands with, so a graph reads
-            # the same whichever cube — or derivation — holds the vector.
-            graph = self._graph = FlowGraph.expand(self.paths)
-        return graph
-
-    @property
-    def exceptions(self) -> list:
-        """The mined exceptions, without expanding a graph to ask: a
-        graph nobody read cannot have been mined."""
-        return [] if self._graph is None else self._graph.exceptions
 
 
 def requested_levels(
@@ -476,27 +422,25 @@ def assemble_cuboid(
     segments_by_cell: Mapping | None,
     exception_pass=None,
 ) -> Cuboid:
-    """One finished cuboid: a :class:`VectorCell` per key of *members*
-    (key -> sorted record ids) straight from its ``{pid: weight}`` in
-    *cells* over the path list *paths* — no path tuple is touched and no
-    graph built without an *exception_pass*: a ``run(batch)`` callable
-    over ``(graph, weighted, segments)`` triples whose *graph* is the
-    cell's, expanded for the pass, and *weighted* its vector wrapped with
-    the level's *postings* (see
-    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`).
+    """One finished cuboid: a :class:`~repro.core.flowcube.Cell` per key
+    of *members* (key -> sorted record ids) straight from its ``{pid:
+    weight}`` in *cells* over the path list *paths* — no path tuple is
+    touched and no graph built without an *exception_pass*: a
+    ``run(batch)`` callable over ``(graph, weights, postings, segments)``
+    whose *graph* is the cell's, expanded for the pass, *weights* its
+    vector and *postings* the level's
+    (see :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`).
     """
     cuboid = Cuboid(item_level, path_level)
     batch = []
     for key, record_ids in members.items():
         weights = cells[key]
-        cell = VectorCell(
-            key, item_level, path_level, record_ids, weights, paths
-        )
+        cell = Cell(key, item_level, path_level, record_ids, weights, paths)
         if exception_pass is not None:
             segments = None
             if segments_by_cell is not None:
                 segments = segments_by_cell.get((item_level, path_level, key))
-            batch.append((cell.flowgraph, PidCell(weights, postings), segments))
+            batch.append((cell.flowgraph, weights, postings, segments))
         cuboid.cells[key] = cell
     if batch:
         exception_pass(batch)

@@ -19,7 +19,8 @@ cell-file IO.  :func:`derive_cuboid` / :func:`derive_cell` execute a plan
 with the build's own roll-up (:mod:`repro.perf.measure_rollup`): the
 source cells' record ids and vectors go through ``derive_level``, the
 iceberg threshold δ is re-applied, and ``assemble_cuboid`` hands out
-vector cells, each expanding its one flowgraph when first read.
+cells (:class:`~repro.core.flowcube.Cell`), each expanding its one
+flowgraph when first read.
 
 Exactness contract
 ------------------
@@ -30,8 +31,10 @@ the resolved iceberg threshold is 1 — that is the whole database and the
 derived cuboid is byte-identical (``cube_to_json``) to a directly built
 one.  Under a real iceberg threshold the source may have dropped
 sub-threshold children, in which case derived counts are lower bounds;
-:attr:`DerivationPlan.exact` reports which regime a plan is in (``None``
-when the store cannot tell because the total record count is unknown).
+:attr:`DerivationPlan.exact` reports which regime a plan is in.  Both
+kinds of cube know their record count (``n_records``), which δ resolves
+against; a store written cell by cell and never built does not, and
+planning over it is a :class:`~repro.errors.QueryError`.
 The path level is never re-aggregated: a cell's multiset holds paths
 already aggregated to its own path level, so only the item lattice is
 derivable — same-path-level sources only.
@@ -85,25 +88,8 @@ class DerivationPlan:
     #: Resolved iceberg threshold re-applied to the derived groups.
     threshold: int
     #: Whether the derived answer is exactly a direct build of the target
-    #: (source unpruned); ``None`` when the total record count is unknown.
-    exact: bool | None
-
-
-def _total_records(cube, path_level: PathLevel) -> int | None:
-    """The database size, or ``None`` when the cube cannot tell.
-
-    An in-memory cube carries its database.  A store does not, but the
-    apex cell ``(*, ..., *)`` — when materialised — aggregates every
-    record, so its indexed ``n_paths`` is the database size.
-    """
-    database = getattr(cube, "database", None)
-    if database is not None:
-        return len(database)
-    n_dims = cube.schema.n_dimensions
-    apex = ItemLevel([0] * n_dims)
-    if cube.has_cuboid(apex, path_level):
-        return cube.cell_sizes(apex, path_level).get(("*",) * n_dims)
-    return None
+    #: (the source's cells cover every record).
+    exact: bool
 
 
 def plan_derivation(
@@ -116,7 +102,9 @@ def plan_derivation(
     the target's records).  The cost of a candidate is its item-lattice
     distance times its cell count — merging a nearby, small cuboid beats
     re-grouping the base level — and everything is read from the cuboid
-    index, so planning itself touches no cell files.
+    index, so planning itself touches no cell files.  Raises
+    :class:`~repro.errors.QueryError` when a plan exists but the cube
+    carries no record count to resolve δ against.
     """
     candidates: list[tuple[int, tuple[int, ...], int, int]] = []
     for cuboid in cube.cuboids:
@@ -133,15 +121,14 @@ def plan_derivation(
         return None
     cost, source_levels, distance, n_cells = min(candidates)
     source = ItemLevel(source_levels)
-    n_records = _total_records(cube, path_level)
+    n_records = cube.n_records
+    if n_records is None:
+        raise QueryError(
+            "the cube carries no record count (it was written cell by cell "
+            "and never built), so a derivation cannot resolve δ; build it"
+        )
     min_support = cube.min_support if cube.min_support is not None else 1
     covered = sum(cube.cell_sizes(source, path_level).values())
-    if n_records is None:
-        threshold = resolve_min_support(min_support, covered)
-        exact = None
-    else:
-        threshold = resolve_min_support(min_support, n_records)
-        exact = covered == n_records
     return DerivationPlan(
         item_level=item_level,
         path_level=path_level,
@@ -149,8 +136,8 @@ def plan_derivation(
         distance=distance,
         source_cells=n_cells,
         cost=cost,
-        threshold=threshold,
-        exact=exact,
+        threshold=resolve_min_support(min_support, n_records),
+        exact=covered == n_records,
     )
 
 

@@ -45,8 +45,7 @@ import hashlib
 from collections.abc import Iterable
 
 from repro.core.aggregation import aggregate_path
-from repro.core.flowcube import CellKey
-from repro.core.flowgraph import FlowGraph
+from repro.core.flowcube import Cell, CellKey
 from repro.core.flowgraph_exceptions import (
     resolve_min_support,
     serial_exception_pass,
@@ -55,8 +54,6 @@ from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
 from repro.perf import collector
-from repro.perf.exception_kernel import PidCell
-from repro.perf.measure_rollup import VectorCell
 from repro.store.cube_store import (
     CubeStore,
     _new_append_stats,
@@ -308,9 +305,9 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     # promoted one.  Each distinct path is aggregated once per path level
     # and interned once; only a path the cube has never seen extends the
     # table (and its file, republished at the flush below).
-    dirty: dict[tuple[ItemLevel, int, CellKey], VectorCell] = {}
+    dirty: dict[tuple[ItemLevel, int, CellKey], Cell] = {}
     layout: list[tuple[ItemLevel, int, list[CellKey]]] = []
-    triples: list[tuple[FlowGraph, PidCell, None]] = []
+    to_mine: list[tuple] = []
     updated_cells = created_cells = 0
     table = None
     pids_by_path: dict[Path, list[int]] = {}
@@ -339,7 +336,8 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
             for key in final_order[i]:
                 if key in updated_keys[i]:
                     old = cube.cell(item_level, key, path_level)
-                    weights = old.weights
+                    # A copy: the read cell keeps reporting its own vector.
+                    weights = dict(old.weights)
                     members = [
                         (record.record_id, record.path)
                         for record in batch_groups[i][key]
@@ -358,24 +356,20 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
                 if table is None:
                     table = cube.path_table
                 add(weights, members, level_id)
-                cell = dirty[(item_level, level_id, key)] = VectorCell(
+                cell = dirty[(item_level, level_id, key)] = Cell(
                     key, item_level, path_level, record_ids, weights,
                     table.paths[level_id],
                 )
                 if mine:
-                    triples.append(
-                        (
-                            cell.flowgraph,
-                            PidCell(weights, table.postings[level_id]),
-                            None,
-                        )
+                    to_mine.append(
+                        (cell.flowgraph, weights, table.postings[level_id], None)
                     )
 
     # ------------------------------------------------------------------
     # re-mine exceptions in the dirty cells only (Lemma 4.3)
     # ------------------------------------------------------------------
-    if mine and triples:
-        serial_exception_pass(cube.min_support, cube.min_deviation)(triples)
+    if mine and to_mine:
+        serial_exception_pass(cube.min_support, cube.min_deviation)(to_mine)
 
     # ------------------------------------------------------------------
     # publish: delta segment -> index -> meta (the commit point)

@@ -2,8 +2,8 @@
 
 The :class:`~repro.store.cube_store.CubeStore` keeps every cell as one
 record in a packed heap and hands out
-:class:`~repro.store.cube_store.StoredCell` snapshots that decode their
-flowgraph when a query first touches it.  This cache keeps the hot
+:class:`~repro.core.flowcube.Cell` snapshots that decode their vector,
+and expand their flowgraph, when a query first touches them.  This cache keeps the hot
 cells in memory, bounded by entry count, and exposes hit/miss/eviction
 counters so serving behaviour is observable — ``flowcube-store stats``,
 the slicer's ``/stats`` and ``benchmarks/flowbench`` report them.

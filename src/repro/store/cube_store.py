@@ -35,13 +35,14 @@ a query ANDs them.  This is the only layout the store reads or writes:
 a ``cube.json`` naming another ``"format"`` (or none) and a heap
 leading with the retired generation's magic are refused with a
 :class:`~repro.errors.StoreError`, never decoded.  A read hands out a
-:class:`StoredCell`: the index fields (key, levels, ``n_paths``,
-``redundant``) straight from the index entry plus a copy of the cell's
-record bytes; ``record_ids`` decode from those bytes and ``flowgraph``
-is expanded from the stored vector the first time each is touched —
-slicing and listing decode nothing.  The store fronts every read with a bounded
-:class:`~repro.store.cache.LRUCache` whose hit/miss/eviction counters
-make serving behaviour observable.
+:class:`~repro.core.flowcube.Cell` — the one cell class — with the index
+fields (key, levels, ``n_paths``, ``redundant``) straight from the index
+entry plus a copy of the cell's record bytes and a
+:class:`_RecordLoader`; ``record_ids`` and ``weights`` decode from those
+bytes and ``flowgraph`` is expanded from the stored vector the first
+time each is touched — slicing and listing decode nothing.  The store
+fronts every read with a bounded :class:`~repro.store.cache.LRUCache`
+whose hit/miss/eviction counters make serving behaviour observable.
 
 The store exposes the same lookup surface as
 :class:`~repro.core.flowcube.FlowCube` (``schema`` / ``cuboid`` /
@@ -73,8 +74,8 @@ from repro.core.flowcube import Cell, CellKey
 from repro.core.lattice import ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathSchema
 from repro.core.serialization import (
+    exceptions_from_dicts,
     exceptions_to_dicts,
-    flowgraph_to_dict,
     path_level_from_dict,
     path_level_to_dict,
 )
@@ -85,7 +86,7 @@ from repro.store import binfmt
 from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC, LAYOUT_NAME
 from repro.store.cache import LRUCache
 
-__all__ = ["CubeStore", "StoredCell", "StoredCuboid"]
+__all__ = ["CubeStore", "StoredCuboid"]
 
 META_FILENAME = "cube.json"
 #: Generation 0's heap — and the alias :meth:`_HeapCells.sweep` leaves.
@@ -364,7 +365,7 @@ class _HeapCells:
         #: lazy mmap-backed views handed out by :meth:`load`.
         self.cell_masks: dict = {}
         #: Read-path telemetry (shared with the mask arena and with
-        #: every :class:`StoredCell` read through this backend).
+        #: every :class:`_RecordLoader` of a read through this backend).
         self.io_counters = _new_io_counters()
 
     @property
@@ -644,127 +645,45 @@ class StoredPaths:
                 self.path = self.path.with_name(name)
 
 
-class StoredCell(Cell):
-    """A cell as a store hands it out: index fields now, measure on first touch.
+class _RecordLoader:
+    """How the cells of one cuboid read decode the record bytes each
+    (a :class:`~repro.core.flowcube.Cell`) copied out under the store lock.
 
-    ``key`` / ``item_level`` / ``path_level`` / ``n_paths`` /
-    ``redundant`` are plain attributes filled from the index entry, so
-    selecting and listing cells (slice, dice, ``/cuboids``) decodes
-    nothing.  The measure comes in two touches.  ``record_ids`` (and
-    ``weights``, the stored ``{pid: weight}`` vector) decode from the
-    record alone (:func:`~repro.store.binfmt.decode_cell_vector`: no path
-    table, no graph); ``paths`` renders the vector as ``(path, weight)``
-    pairs over the cube's path table, as
-    :class:`~repro.perf.measure_rollup.VectorCell` does, so a stored cell
-    carries its multiset like any other.  ``flowgraph`` is *expanded*
-    from the vector by
-    :func:`~repro.store.binfmt.decode_cell_parts` over the cell's level
-    of the cube's path table, once, the first time it is read — which
-    is also the first time the table's file is.
-
-    The cell is a self-contained snapshot: it owns the record *bytes*
-    the store copied out under its lock at read time, never an offset
-    into a heap, and a reference to the path table those bytes name, so
-    it decodes the same measure after the store has reloaded, appended,
-    compacted or closed.  A damaged record surfaces as
-    :class:`~repro.errors.StoreError` at that first touch, and at every
-    later one (nothing is cached on failure).
-
-    Two threads that race on the first touch both decode; they compute
-    equal measures and the last assignment stays, and ``cells_decoded``
-    (telemetry, not guarded by the store lock) may then read one short.
+    :meth:`vector` reads ids and ``{pid: weight}`` from the record alone
+    (no path table, no graph), and :meth:`exceptions` the mined list;
+    :meth:`flowgraph` expands the graph over
+    :meth:`level_paths` with :func:`~repro.store.binfmt.decode_cell_parts`
+    and counts ``cells_decoded``.  It holds the path table the records
+    name, so a cell decodes the same measure after the store has
+    reloaded, appended, compacted or closed.  Two threads racing on a
+    first touch both decode equal measures (``cells_decoded``, unguarded
+    telemetry, may then read one short).
     """
 
+    __slots__ = ("paths", "level_id", "counters")
+
     def __init__(
-        self,
-        key: CellKey,
-        item_level: ItemLevel,
-        path_level: PathLevel,
-        n_paths: int,
-        redundant: bool,
-        record: bytes,
-        counters: dict[str, int],
-        paths: StoredPaths,
-        level_id: int,
+        self, paths: StoredPaths, level_id: int, counters: dict[str, int]
     ) -> None:
-        self.key = key
-        self.item_level = item_level
-        self.path_level = path_level
-        self.redundant = redundant
-        self._n_paths = n_paths
-        self._record = record
-        self._counters = counters
-        self._paths = paths
-        self._level_id = level_id
-        self._vector: tuple | None = None
-        self._graph = None
+        self.paths = paths
+        self.level_id = level_id
+        self.counters = counters
 
-    @property
-    def n_paths(self) -> int:
-        """Number of paths aggregated in the cell (from the index)."""
-        return self._n_paths
+    def vector(self, record: bytes) -> tuple[tuple[int, ...], dict[int, int]]:
+        record_ids, _, pairs = binfmt.decode_cell_vector(record)
+        return record_ids, dict(pairs)
 
-    def _touch(self) -> tuple:
-        vector = self._vector
-        if vector is None:
-            record_ids, _, pairs = binfmt.decode_cell_vector(self._record)
-            vector = self._vector = (record_ids, pairs)
-        return vector
-
-    @property
-    def record_ids(self) -> tuple[int, ...]:
-        return self._touch()[0]
-
-    @property
-    def weights(self) -> dict[int, int]:
-        """The stored ``{pid: weight}`` vector (a fresh dict)."""
-        return dict(self._touch()[1])
-
-    @property
     def level_paths(self) -> list:
-        """The path list the vector's ids index."""
-        return self._paths.levels()[self._level_id]
+        return self.paths.levels()[self.level_id]
 
-    @property
-    def paths(self):
-        """The stored vector as ``(path, weight)`` pairs, in its order."""
-        level_paths = self.level_paths
-        pairs = self._touch()[1]
-        try:
-            return tuple([(level_paths[pid], weight) for pid, weight in pairs])
-        except IndexError:
-            raise StoreError(
-                "corrupt cell payload: a path id past the path table"
-            ) from None
-
-    @property
-    def flowgraph(self):
-        graph = self._graph
-        if graph is None:
-            graph = self._graph = binfmt.decode_cell_parts(
-                self._record, self.level_paths
-            )[1]
-            self._counters["cells_decoded"] += 1
+    def flowgraph(self, record: bytes, level_paths):
+        graph = binfmt.decode_cell_parts(record, level_paths)[1]
+        self.counters["cells_decoded"] += 1
         return graph
 
-    def __eq__(self, other: object) -> bool:
-        """Field-wise equality with any :class:`Cell`, index fields first
-        (cells at different coordinates never decode); flowgraphs, which
-        compare by identity, are compared in serialised form."""
-        if not isinstance(other, Cell):
-            return NotImplemented
-        return (
-            self.key == other.key
-            and self.item_level == other.item_level
-            and self.path_level == other.path_level
-            and self.redundant == other.redundant
-            and self.paths == other.paths
-            and self.record_ids == other.record_ids
-            and (
-                self.flowgraph is other.flowgraph
-                or flowgraph_to_dict(self.flowgraph)
-                == flowgraph_to_dict(other.flowgraph)
-            )
+    def exceptions(self, record: bytes) -> list:
+        return exceptions_from_dicts(
+            binfmt.decode_cell_payload(record)["exceptions"]
         )
 
 
@@ -1035,16 +954,16 @@ class CubeStore:
     def _vector(cell: Cell, table: PathTable, level_id: int):
         """*cell*'s ``(pid, weight)`` pairs in *table*'s id space.
 
-        A cell already counted in it (an engine cell of the build or
-        append that owns the table, a cell this handle read) hands its
-        vector over as it is.  Any other multiset — ``cell.paths`` of an
-        in-memory cell, a vector over another table — is interned path
-        by path, and must weigh as many paths as the cell has record
-        ids.  A cell without a multiset, one that weighs another count,
-        or one with a stage that is not a pair of ``str`` is a
-        :class:`~repro.errors.StoreError`.
+        A :class:`Cell` already counted in it (one of the build or
+        append that owns the table, one this handle read) hands its
+        vector over as it is.  Any other multiset — a vector over another
+        table, the ``paths`` of any other cell-shaped object — is
+        interned path by path, and must weigh as many paths as the cell
+        has record ids.  A cell without a multiset, one that weighs
+        another count, or one with a stage that is not a pair of ``str``
+        is a :class:`~repro.errors.StoreError`.
         """
-        if getattr(cell, "level_paths", None) is table.paths[level_id]:
+        if type(cell) is Cell and cell.level_paths is table.paths[level_id]:
             return list(cell.weights.items())
         pairs = cell.paths
         total = sum(weight for _, weight in pairs)
@@ -1386,8 +1305,8 @@ class CubeStore:
         ``heap_bytes_read`` counts payload bytes pulled out of the heap
         segments; ``mask_bits_decoded`` counts catalog bitmaps decoded
         from the index map.  Both stay zero across a cold open.
-        ``cells_decoded`` counts cells whose measure was decoded (first
-        touch of a :class:`StoredCell`): a cell can be *read* — its
+        ``cells_decoded`` counts cells whose flowgraph was expanded (first
+        read of a stored cell's graph): a cell can be *read* — its
         bytes copied, ``heap_bytes_read`` moved — and never decoded.
         """
         return dict(self._cells.io_counters)
@@ -1410,9 +1329,10 @@ class CubeStore:
         """The cells of one cuboid at *keys*, in order, through the cache.
 
         One lock hold and one cuboid resolution for the whole batch.
-        Each cell not in the cache is a :class:`StoredCell` over the
-        record bytes copied out here, under the lock — whatever happens
-        to the heap afterwards, the cell decodes this read's measure.
+        Each cell not in the cache is a :class:`Cell` over the record
+        bytes copied out here, under the lock, and one
+        :class:`_RecordLoader` — whatever happens to the heap afterwards,
+        the cell decodes this read's measure.
         Segments are mapped on first touch, so a handle at a superseded
         meta can reach for one a writer has swept since: it then reloads
         and answers, once, from the cube committed now.
@@ -1432,8 +1352,7 @@ class CubeStore:
         level_id, entries = self._cuboid_entries(item_level, path_level)
         cache = self._cache
         record = self._cells.record
-        counters = self._cells.io_counters
-        paths = self._paths
+        loader = _RecordLoader(self._paths, level_id, self._cells.io_counters)
         cells: list[Cell] = []
         for key in keys:
             coords: Coords = (item_level, level_id, key)
@@ -1445,10 +1364,12 @@ class CubeStore:
                         f"cell {key!r} is not materialised in cuboid "
                         f"{item_level.levels!r}"
                     )
-                cell = StoredCell(
-                    key, item_level, path_level, entry_n_paths(entry),
-                    entry_redundant(entry), record(entry), counters, paths,
-                    level_id,
+                cell = Cell(
+                    key, item_level, path_level,
+                    redundant=entry_redundant(entry),
+                    n_paths=entry_n_paths(entry),
+                    record=record(entry),
+                    loader=loader,
                 )
                 cache.put(coords, cell)
             cells.append(cell)
@@ -1483,6 +1404,16 @@ class CubeStore:
     def version(self) -> int:
         """Index mutation counter (invalidation token for memoised views)."""
         return self._version
+
+    @property
+    def n_records(self) -> int | None:
+        """The records the cube covers — what δ resolves against — from
+        the build stats a build flushed and every append keeps current;
+        ``None`` for a cube written only cell by cell, never built."""
+        stats = self.build_stats
+        if stats is None or "records" not in stats:
+            return None
+        return int(stats["records"])
 
     @property
     def build_version(self) -> str | None:

@@ -4,17 +4,20 @@ Definition 4.1 read literally: every (item level × path level) cuboid
 groups the records afresh, re-aggregates each member's path and builds
 each cell's flowgraph from scratch, and exceptions are mined with the
 path-scanning ``"scan"`` kernel.  It shares nothing with the roll-up
-(:mod:`repro.perf.measure_rollup`) but the cell shape, so a
+(:mod:`repro.perf.measure_rollup`) — not even the cell class: each cell
+is an :class:`OracleCell` holding a graph built path by path with
+``FlowGraph.add_path``, never expanded from a vector — so a
 ``cube_to_json`` match is evidence, not a tautology.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from time import perf_counter
 
-from repro.core.aggregation import aggregate_path, weight_paths
-from repro.core.flowcube import Cell, CellKey, Cuboid, FlowCube
+from repro.core.aggregation import WeightedPaths, aggregate_path, weight_paths
+from repro.core.flowcube import CellKey, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
     Segment,
@@ -30,6 +33,34 @@ from repro.core.lattice import (
 )
 from repro.core.path_database import PathDatabase
 from repro.errors import CubeError
+
+
+@dataclass
+class OracleCell:
+    """A cell that holds its flowgraph outright: the oracle's output.
+
+    It reads like a :class:`~repro.core.flowcube.Cell` — index fields,
+    ``record_ids``, ``paths``, ``flowgraph``, ``exceptions`` — so the
+    cube code (``cube_to_json``, ``CubeStore.put_cell``, the query
+    layer) takes it too, and tests build hand-made cells with it.
+    """
+
+    key: CellKey
+    item_level: ItemLevel
+    path_level: PathLevel
+    record_ids: tuple[int, ...]
+    flowgraph: FlowGraph
+    #: The ``(path, weight)`` multiset the graph was built from.
+    paths: WeightedPaths = ()
+    redundant: bool = False
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.record_ids)
+
+    @property
+    def exceptions(self) -> list:
+        return self.flowgraph.exceptions
 
 
 def direct_cube(
@@ -76,7 +107,7 @@ def direct_cube(
                 graph = FlowGraph()
                 for path, weight in weighted:
                     graph.add_path(path, weight)
-                cell = Cell(
+                cell = OracleCell(
                     key=key,
                     item_level=item_level,
                     path_level=path_level,

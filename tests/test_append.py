@@ -23,7 +23,7 @@ import pytest
 from repro.core.flowcube import FlowCube
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
-from repro.core.serialization import cube_to_json
+from repro.core.serialization import cube_to_json, flowgraph_to_dict
 from repro import publish
 from repro.errors import PathDatabaseError, StoreError
 from repro.store import (
@@ -125,6 +125,39 @@ def test_append_matches_rebuild_byte_identical(
     assert cube_to_json(cold) == expected
     assert cold.delta_segments == []
     assert cube_to_json(store.cube_store()) == expected
+
+
+def test_a_read_cell_keeps_its_measure_through_an_append(
+    tmp_path, database, split
+):
+    """The append adds a batch into a *copy* of a stored cell's vector.
+    A cell read — and its ``weights`` taken — before the append, through
+    the very handle the append then reads that cell with, still reports
+    its old size, multiset and flowgraph afterwards."""
+    base, batch = split
+    store, cube = _base_store(tmp_path / "wh", database, base)
+    before = FlowCube.build(
+        PathDatabase(database.schema, base, validate=False),
+        min_support=MIN_SUPPORT,
+    )
+    apex = next(c for c in before.cuboids if not any(c.item_level.levels))
+    coords = (apex.item_level, ("*",) * len(apex.item_level.levels))
+    path_level = apex.path_level
+    cell = cube.cell(coords[0], coords[1], path_level)
+    weights = cell.weights
+    held = dict(weights)
+    append_records(store, batch, cube=cube, compact_after=0)
+    grown = cube.cell(coords[0], coords[1], path_level)
+    assert grown.n_paths == len(base) + len(batch)  # the batch updated it
+    expected = before.cell(coords[0], coords[1], path_level)
+    assert weights == held and cell.weights == held
+    assert cell.n_paths == len(cell.record_ids) == len(base)
+    assert cell.paths == expected.paths
+    assert flowgraph_to_dict(cell.flowgraph) == flowgraph_to_dict(
+        expected.flowgraph
+    )
+    cube.close()
+    store.close()
 
 
 def test_append_never_rewrites_the_base_heap(tmp_path, database, split):

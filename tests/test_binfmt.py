@@ -43,7 +43,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flowcube import Cell
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import FlowException
 from repro.core.lattice import ItemLevel
@@ -89,6 +88,7 @@ from repro.store.binfmt import (
     unpack_paths,
 )
 from tests.conftest import cube_files
+from tests.oracle import OracleCell
 
 # ----------------------------------------------------------------------
 # partition codec (hypothesis)
@@ -703,7 +703,7 @@ def _live_cell(key, record_ids, redundant, pairs, exceptions=()):
     for path, weight in pairs:
         graph.add_path(path, int(weight) if weight > 0 else 1)
     graph.exceptions = list(exceptions)
-    return Cell(
+    return OracleCell(
         key=key,
         item_level=ItemLevel([0] * len(key)),
         path_level=None,

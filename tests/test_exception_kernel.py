@@ -22,10 +22,10 @@ from repro.core.flowgraph_exceptions import (
 from repro.core.serialization import cube_to_json
 from repro.perf.exception_kernel import (
     CellExceptionIndex,
-    PidCell,
     cell_index,
+    intern_pairs,
+    mine_exceptions_bitmap,
     mine_segments_bitmap,
-    pid_cell,
 )
 from repro.perf.measure_rollup import PathTable
 from repro.store import PartitionedPathStore, build_cube
@@ -94,9 +94,9 @@ def test_segment_miner_matches_scan_miner(db, min_support):
     for cell in cube.cells():
         weighted = cell.paths
         expected = mine_frequent_segments_weighted(weighted, min_support)
-        interned = pid_cell(weighted)
+        weights, postings = intern_pairs(weighted)
         supports, masks = mine_segments_bitmap(
-            interned.postings, cell_index(interned), min_support
+            postings, cell_index(weights, postings), min_support
         )
         assert supports == expected
         assert set(masks) == set(supports)
@@ -169,12 +169,10 @@ NO_STAR = [
 ]
 
 
-def _pid_cell(table, weighted, level_id=0):
-    """*weighted* as a PidCell of *table*, interning its paths on the way."""
-    return PidCell(
-        {table.intern(level_id, path): weight for path, weight in weighted},
-        table.postings[level_id],
-    )
+def _vector(table, weighted, level_id=0):
+    """*weighted* as a ``{pid: weight}`` vector of *table*, interning its
+    paths on the way."""
+    return {table.intern(level_id, path): weight for path, weight in weighted}
 
 
 @pytest.mark.parametrize("min_support", [0.05, 0.2, 2, 4, 1.0, 0.999])
@@ -208,18 +206,20 @@ def test_mixed_star_durations_parity(min_support, min_deviation):
             table = PathTable(1)
             if up_front:
                 for weighted in cells:
-                    _pid_cell(table, weighted)
+                    _vector(table, weighted)
             for i in order:
-                cell = _pid_cell(table, cells[i])
-                assert cell.postings is table.postings[0]
+                weights = _vector(table, cells[i])
                 graph = _build_graph(cells[i])
-                mined = mine_exceptions_weighted(
-                    graph, cell, min_support, min_deviation, kernel="bitmap"
+                mined = mine_exceptions_bitmap(
+                    graph, weights, table.postings[0],
+                    min_support, min_deviation,
                 )
                 assert mined == expected[i], (order, up_front, i)
                 assert graph.exceptions == expected[i]
             # Over-flagging NO_STAR is safe; missing MIXED_STAR is not.
-            assert cell_index(_pid_cell(table, MIXED_STAR))._star_mixed
+            assert cell_index(
+                _vector(table, MIXED_STAR), table.postings[0]
+            )._star_mixed
 
 
 def test_external_segments_parity():
@@ -267,10 +267,10 @@ def test_unknown_kernel_rejected():
 def test_index_cache_shares_by_multiset():
     weighted = [((("f", "1"),), 2), ((("s", "2"),), 1)]
     cache: dict = {}
-    first = cell_index(weighted, cache)
-    second = cell_index(list(reversed(weighted)), cache)
+    first = cell_index(*intern_pairs(weighted, cache))
+    second = cell_index(*intern_pairs(list(reversed(weighted)), cache))
     assert first is second  # pair order doesn't matter
-    assert cell_index(weighted, None) is not first
+    assert cell_index(*intern_pairs(weighted, None)) is not first
 
 
 def test_index_cache_sums_duplicate_pairs():
@@ -280,12 +280,12 @@ def test_index_cache_sums_duplicate_pairs():
     and with nothing lighter."""
     weighted = [((("f", "1"),), 1), ((("f", "1"),), 1)]
     cache: dict = {}
-    index = cell_index(weighted, cache)
+    index = cell_index(*intern_pairs(weighted, cache))
     assert index.total == 2
     assert isinstance(index, CellExceptionIndex)
-    assert cell_index([((("f", "1"),), 2)], cache) is index
-    assert cell_index([((("f", "1"),), 1)], cache) is not index
-    assert cell_index([((("f", "1"),), 1)], cache).total == 1
+    assert cell_index(*intern_pairs([((("f", "1"),), 2)], cache)) is index
+    lighter = cell_index(*intern_pairs([((("f", "1"),), 1)], cache))
+    assert lighter is not index and lighter.total == 1
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +307,9 @@ def _assert_three_way_parity(
         graphs[1], pairs, min_support, min_deviation,
         segments=segments, kernel="bitmap",
     )
-    shared = mine_exceptions_weighted(
-        graphs[2], PidCell(weights, table.postings[level_id]),
-        min_support, min_deviation, segments=segments, kernel="bitmap",
+    shared = mine_exceptions_bitmap(
+        graphs[2], weights, table.postings[level_id],
+        min_support, min_deviation, segments=segments,
     )
     assert door == scan
     assert shared == scan

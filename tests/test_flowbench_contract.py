@@ -24,9 +24,13 @@ import repro.core
 import repro.perf
 import repro.store
 from benchmarks.flowbench.tracing import SPANS, Tracer
-from repro.core.flowcube import FlowCube
+from repro.core.flowcube import Cell, FlowCube
 from repro.core.flowgraph_exceptions import mine_exceptions_weighted
+from repro.core.lattice import ItemLevel
+from repro.core.path_database import PathDatabase
+from repro.core.serialization import cube_from_json, cube_to_json
 from repro.query import planner
+from repro.query.planner import derive_cell, derive_cuboid, plan_derivation
 from repro.query.api import FlowCubeQuery
 from repro.serve import CubeTenant, Request, create_app, slice_payload
 from repro.store import (
@@ -163,6 +167,52 @@ def test_one_roll_up_algebra():
     assert "Cell(" not in inspect.getsource(planner)
     parameters = inspect.signature(append_records).parameters
     assert "recompute_exceptions" not in parameters
+
+
+def test_one_cell_class(tmp_path, monkeypatch):
+    """A cell is its ``{pid: weight}`` vector and one class holds it:
+    no vector, stored or exception-pass cell class is left, and the
+    roll-up, ``cube_from_json``, a store read, the planner's derivation
+    and an append's dirty cells all hand out ``repro.core.flowcube.Cell``."""
+    for module, names in (
+        (repro.perf.measure_rollup, ("VectorCell",)),
+        (repro.store.cube_store, ("StoredCell",)),
+        (repro.perf.exception_kernel, ("PidCell", "pid_cell")),
+        (repro.perf, ("VectorCell", "PidCell", "pid_cell")),
+        (repro.store, ("StoredCell",)),
+    ):
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+
+    database = generate_path_database(CONFIG)
+    rows = list(database)
+    base = ItemLevel([h.depth for h in database.schema.dimensions])
+    target = ItemLevel([1] * len(base.levels))
+    built = FlowCube.build(database, min_support=MIN_SUPPORT)
+    restored = cube_from_json(cube_to_json(built), database)
+    store = PartitionedPathStore.init(tmp_path / "wh", database.schema)
+    store.ingest(PathDatabase(database.schema, rows[:-10], validate=False))
+    build_cube(store, item_levels=[base, ItemLevel([0] * len(base.levels))],
+               min_support=MIN_SUPPORT).close()
+    dirty = []
+    merge_cells = CubeStore.merge_cells
+    monkeypatch.setattr(
+        CubeStore, "merge_cells",
+        lambda cube, cells, layout: dirty.extend(cells.values())
+        or merge_cells(cube, cells, layout),
+    )
+    append_records(store, rows[-10:])
+    assert dirty
+    cells = [*built.cells(), *restored.cells(), *dirty]
+    with store.cube_store() as stored:
+        cells.extend(stored.cells())
+        for cube in (built, stored):
+            plan = plan_derivation(cube, target, cube.path_lattice[0])
+            derived = derive_cuboid(cube, plan)
+            cells.extend(derived)
+            cells.append(derive_cell(cube, plan, next(iter(derived.cells))))
+        assert {type(cell) for cell in cells} == {Cell}
+    store.close()
 
 
 def test_the_harness_jobs_keyword_selects_nothing(tmp_path, monkeypatch):

@@ -90,8 +90,10 @@ CORPUS = [
     ("wh", "POST", "drilldown",
      {"cut": "d0:d0_0", "dimension": "d0", "path_level": 1},
      "aa3923f9c95494968e4cde71ad62aa325c127b6169936a06d9d0e8a0149ec101"),
+    # Its derivation reports "exact": false — the store knows its record
+    # count, and its base cuboid is iceberg-pruned (never null).
     ("partial", "POST", "query", {"cut": "d0:d0_0", "derive": True},
-     "4e622622130e451a8c0e0a275a58f57774b88b1ffd4a3b96fde75ae0c1001637"),
+     "f51745b7a5ff0447c78233a4ef3bc19de1e04adb1ea1099f27242613d7e41d3c"),
     ("partial", "GET", "flowgraph", {"cut": "d1:d1_0", "derive": "yes"},
      "27f3acea235cc102949ffb4853da854eda0f2bb5d98ea3b0cd4832dacd2fc8c8"),
     ("partial", "POST", "rollup",

@@ -6,7 +6,7 @@ The load-bearing assertions:
   cells (same cells, same order) over both the in-memory cube and the
   store, across a hypothesis grid of δ and materialised-level subsets;
 * slicing a :class:`CubeStore` reads *only* the matching cells —
-  pinned by a counting hook on ``StoredCell.__init__``;
+  pinned by a counting hook on ``Cell.__init__``;
 * a derived cuboid is byte-identical (``cube_to_json``) to a directly
   built one whenever the source cuboid is unpruned, and — under a real
   iceberg threshold — to a direct build over the records covered by the
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.flowcube import FlowCube
+from repro.core.flowcube import Cell, FlowCube
 from repro.core.lattice import ItemLattice, ItemLevel
 from repro.core.materialization import MaterializationPlan, plan_between_layers
 from repro.core.path_database import PathDatabase
@@ -46,10 +46,8 @@ from repro.perf.query_kernel import (
 )
 from repro.query.api import FlowCubeQuery
 from repro.query.planner import derive_cell, derive_cuboid, plan_derivation
-from repro.perf.measure_rollup import VectorCell
 from repro.store import BuildStats, PartitionedPathStore, append_records, build_cube
 from repro.store.cli import main
-from repro.store.cube_store import StoredCell
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.test_properties import path_databases
 
@@ -161,13 +159,13 @@ def test_slice_over_store_materialises_only_matching_cells(
     h0 = database.schema.dimensions[0]
     value = sorted(h0.concepts_at_level(1))[0]
     reads: list[tuple] = []
-    original = StoredCell.__init__
+    original = Cell.__init__
 
-    def counting(self, key, item_level, *rest):
+    def counting(self, key, item_level, *rest, **fields):
         reads.append((item_level, key))
-        original(self, key, item_level, *rest)
+        original(self, key, item_level, *rest, **fields)
 
-    monkeypatch.setattr(StoredCell, "__init__", counting)
+    monkeypatch.setattr(Cell, "__init__", counting)
 
     cold = store.cube_store()
     index_cells = list(FlowCubeQuery(cold).slice(d0=value))
@@ -401,10 +399,10 @@ def test_derive_cell_matches_derived_cuboid_with_index_only_selection(
     cube_store = store.cube_store()
     path_level = FlowCubeQuery(cube_store).default_path_level()
     plan = plan_derivation(cube_store, target, path_level)
-    # The apex cuboid is not materialised, so the store cannot know the
-    # total record count: exactness is unknown, threshold falls back to
-    # the covered-record resolution (δ=1 → still 1).
-    assert plan is not None and plan.exact is None
+    # The apex cuboid is not materialised, but the store knows its
+    # record count from its build stats: at δ=1 the base cuboid covers
+    # every record, so the plan is exact.
+    assert plan is not None and plan.exact is True
     assert plan.threshold == 1
     whole = derive_cuboid(cube_store, plan)
     for key, expected in whole.cells.items():
@@ -416,6 +414,67 @@ def test_derive_cell_matches_derived_cuboid_with_index_only_selection(
     missing = ("definitely", "missing")
     with pytest.raises(QueryError, match="iceberg"):
         derive_cell(cube_store, plan, missing)
+
+
+def test_a_store_plans_against_its_record_count(tmp_path):
+    """On ``dense``-shaped data at δ = 2 a base-only store knows its
+    record count from its build stats, so it resolves δ against every
+    record and knows the pruned base cuboid makes its plans inexact:
+    ``exact`` is ``False``, and ``POST /query`` never serves ``null``."""
+    from repro.serve import create_app
+    from repro.synth import scaled_config
+    from tests.test_plan import call
+
+    database = generate_path_database(scaled_config(300, seed=1))
+    dimensions = database.schema.dimensions
+    store = PartitionedPathStore.init(tmp_path / "wh", database.schema)
+    store.ingest(database)
+    base = ItemLevel([h.depth for h in dimensions])
+    build_cube(
+        store, item_levels=[base], min_support=2, compute_exceptions=False,
+    ).close()
+    target = ItemLevel([1] * len(dimensions))
+    with store.cube_store() as cube_store:
+        assert cube_store.n_records == len(database)
+        path_level = cube_store.path_lattice[0]
+        covered = sum(cube_store.cell_sizes(base, path_level).values())
+        assert covered < len(database)  # δ = 2 pruned some base cells
+        plan = plan_derivation(cube_store, target, path_level)
+        assert plan.exact is False and plan.threshold == 2
+    value = sorted(dimensions[0].concepts_at_level(1))[0]
+    app = create_app({"wh": tmp_path / "wh"})
+    try:
+        for cut in (f"{dimensions[0].name}:{value}", ""):
+            response = call(
+                app, "wh", "POST", "query", {"cut": cut, "derive": True}
+            )
+            assert response.status == 200, response.body
+            body = json.loads(response.body)
+            assert body["derived"] is True
+            assert body["derivation"]["exact"] is False
+    finally:
+        for tenant in app.tenants.values():
+            tenant.close()
+    store.close()
+
+
+def test_a_store_never_built_refuses_to_plan(tmp_path, database, cube):
+    """A cube written only through ``put_cuboid`` carries no record
+    count: planning over it is a typed error, not a guessed threshold."""
+    from repro.store import CubeStore
+
+    levels = _levels(database)
+    base = levels[-1]
+    target = next(lv for lv in levels if lv != base and lv.parents())
+    path_level = cube.path_lattice[0]
+    written = CubeStore(tmp_path / "cube", database.schema)
+    written.create(cube.path_lattice, cube.min_support, cube.min_deviation)
+    written.put_cuboid(cube.cuboid(base, path_level))
+    written.flush()
+    assert written.n_records is None
+    with pytest.raises(QueryError, match="no record count"):
+        plan_derivation(written, target, path_level)
+    written.close()
 
 
 def test_store_derived_cuboid_byte_identical_to_direct_build(store, database):
@@ -627,12 +686,12 @@ def test_derived_rollup_byte_identity_grid(db, pick):
                     table = source.path_table
                     for level_id, path_level in enumerate(source.path_lattice):
                         for cell in source.cuboid(base, path_level):
-                            assert isinstance(cell, VectorCell)
+                            assert type(cell) is Cell
                             assert cell.level_paths is table.paths[level_id]
                 derived = []
                 for path_level in source.path_lattice:
                     plan = plan_derivation(source, target, path_level)
-                    assert plan.exact is (None if kind == "store" else True)
+                    assert plan.exact is True
                     derived.append(
                         derive_cuboid(source, plan, mine_exceptions=exceptions)
                     )

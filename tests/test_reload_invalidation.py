@@ -32,7 +32,6 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.core.flowcube import Cell
 from repro.core.lattice import ItemLevel
 from repro.core.path import PathRecord
 from repro.core.serialization import cube_to_json
@@ -42,6 +41,7 @@ from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.cube_store import changed_coords, read_meta
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
+from tests.oracle import OracleCell
 from tests.test_plan import call
 
 #: A fractional δ: an append that grows the store raises the threshold.
@@ -152,7 +152,7 @@ def re_put(handle) -> None:
     cuboid = next(c for c in handle.cuboids if len(c) > 1)
     first = next(iter(cuboid))
     handle.put_cell(
-        Cell(
+        OracleCell(
             key=first.key,
             item_level=first.item_level,
             path_level=first.path_level,

@@ -26,7 +26,6 @@ from itertools import product as iproduct
 
 import pytest
 
-from repro.core.flowcube import Cell
 from repro.core.path import PathRecord
 from repro.core.lattice import ItemLevel
 from repro.errors import ServeError, StoreError
@@ -46,6 +45,7 @@ from repro.serve.http import encode_json
 from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.cli import _parse_cube_mounts
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.oracle import OracleCell
 
 CONFIG = GeneratorConfig(
     n_paths=120,
@@ -538,9 +538,9 @@ def test_socket_stats_and_errors(server):
 # invalidation under concurrent access (satellite)
 # ----------------------------------------------------------------------
 
-def _recoordinated(template: Cell, key) -> Cell:
+def _recoordinated(template, key) -> OracleCell:
     """*template*'s measure re-keyed at an unoccupied coordinate."""
-    return Cell(
+    return OracleCell(
         key=key,
         item_level=template.item_level,
         path_level=template.path_level,

@@ -1,6 +1,7 @@
 """Stored cells: index fields now, the measure on first touch.
 
-What :class:`~repro.store.cube_store.StoredCell` promises, pinned here:
+What a stored cell — a :class:`~repro.core.flowcube.Cell` over a heap
+record — promises, pinned here:
 
 * selecting cells decodes nothing — a default slice through
   ``SlicerApp.handle`` makes zero ``binfmt.decode_cell_parts`` calls
@@ -56,13 +57,13 @@ from repro.store import (
 )
 from repro.store.cube_store import (
     CubeStore,
-    StoredCell,
+    _RecordLoader,
     entry_n_paths,
     entry_redundant,
 )
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files, stored_cube_json
-from tests.oracle import direct_cube
+from tests.oracle import OracleCell, direct_cube
 from tests.test_properties import path_databases
 from tests.test_serve import get, post
 
@@ -187,7 +188,7 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
     with PartitionedPathStore.open(store_dir) as store:
         cube = store.cube_store()
         cells = list(cube.cells())
-        assert cells and all(type(cell) is StoredCell for cell in cells)
+        assert cells and all(type(cell) is Cell for cell in cells)
         for cell in cells:
             assert isinstance(cell, Cell)
             assert cell.n_paths > 0 and cell.redundant is False
@@ -206,7 +207,11 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         for cell in cells:
             assert sum(weight for _, weight in cell.paths) == cell.n_paths
         assert decodes == []
+        # The mined exceptions come from the record too: no graph.
+        mined = [cell.exceptions for cell in cells]
+        assert decodes == [] and any(mined)
         assert cube.io_counters()["cells_decoded"] == 0
+        assert mined == [cell.flowgraph.exceptions for cell in cells]
         cube.close()
 
 
@@ -249,7 +254,7 @@ def assert_cells_match_records(cube: CubeStore) -> None:
         record = cube._cells.record(entry)
         record_ids, redundant, vector = binfmt.decode_cell_vector(record)
         paths = level_paths(cube, path_level)
-        eager = Cell(
+        eager = OracleCell(
             key=key,
             item_level=item_level,
             path_level=path_level,
@@ -381,7 +386,7 @@ def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
     memory = FlowCube.build(example, min_support=2)
     apex = FlowCubeQuery(memory).cell()
     (path, weight), *rest = apex.paths
-    heavier = Cell(
+    heavier = OracleCell(
         key=apex.key,
         item_level=apex.item_level,
         path_level=apex.path_level,
@@ -513,9 +518,12 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
         for mask in (0x01, 0x80, 0xFF):
             damaged = bytearray(record)
             damaged[position] ^= mask
-            cell = StoredCell(
-                key, item_level, path_level, 1, False, bytes(damaged),
-                {"cells_decoded": 0}, cube._paths, level_id,
+            cell = Cell(
+                key, item_level, path_level, n_paths=1,
+                record=bytes(damaged),
+                loader=_RecordLoader(
+                    cube._paths, level_id, {"cells_decoded": 0}
+                ),
             )
             for touch in (
                 lambda: cell.record_ids,

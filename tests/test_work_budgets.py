@@ -40,7 +40,7 @@ import repro.store.builder as builder
 import repro.store.partition as partition
 import repro.store.pathstore as pathstore
 from repro import publish
-from repro.core.flowcube import FlowCube
+from repro.core.flowcube import Cell, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import ItemLevel, roll_up_key
 from repro.core.path import PathRecord
@@ -56,7 +56,6 @@ from repro.store import (
     build_cube,
 )
 from repro.store.cli import main
-from repro.store.cube_store import StoredCell
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
@@ -343,7 +342,8 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
     """``derive_cuboid``, ``derive_cell`` and ``query --derive`` sum the
     children's vectors: one graph per derived cell, however many
     children it has, expanded only when its measure is read — and no
-    child rendered to path tuples, decoded to a graph or merged."""
+    cell, child or derived, rendered to path tuples, and no child
+    decoded to a graph or merged."""
     database = generate_path_database(config(n_paths))
     schema = database.schema
     store = ingested(tmp_path / "wh", schema, list(database))
@@ -357,10 +357,10 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
     expand = Counted(monkeypatch, FlowGraph, "expand")
     graphs = graph_counters(monkeypatch)
     rendered = []
-    stored_paths = StoredCell.paths
+    cell_paths = Cell.paths
     monkeypatch.setattr(
-        StoredCell, "paths",
-        property(lambda cell: rendered.append(cell) or stored_paths.fget(cell)),
+        Cell, "paths",
+        property(lambda cell: rendered.append(cell) or cell_paths.fget(cell)),
     )
     with store.cube_store() as cube:
         plan = plan_derivation(cube, ItemLevel([1, 0]), cube.path_lattice[0])
