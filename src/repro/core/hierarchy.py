@@ -77,6 +77,13 @@ class ConceptHierarchy:
             n.name for n in self._nodes.values() if not n.children and n.name != ANY
         )
         self._validate()
+        #: Concept → its ancestor at each level ``0..depth`` (the concept
+        #: itself from its own level down).  The tree is immutable, so
+        #: every roll-up is answered once, here; callers must not mutate
+        #: it.
+        self.ancestry: dict[str, tuple[str, ...]] = {
+            name: self._chain(node) for name, node in self._nodes.items()
+        }
 
     # ------------------------------------------------------------------
     # construction
@@ -267,19 +274,31 @@ class ConceptHierarchy:
             stack.extend(reversed(self._nodes[current].children))
         return tuple(out)
 
+    def _chain(self, node: HierarchyNode) -> tuple[str, ...]:
+        chain = [node.name] * (self._depth - node.level + 1)
+        while node.parent is not None:
+            node = self._nodes[node.parent]
+            chain.append(node.name)
+        return tuple(reversed(chain))
+
     def ancestor_at_level(self, concept: str, level: int) -> str:
-        """Roll *concept* up to *level*.
+        """Roll *concept* up to *level*: one lookup in :attr:`ancestry`,
+        not a walk up the parents.
 
         Returns *concept* unchanged when it already resides at or above the
         requested level (rolling up never specialises).
+
+        Raises:
+            UnknownConceptError: *concept* is not in the hierarchy.
+            LevelError: *level* is negative.
         """
-        node = self.node(concept)
+        try:
+            chain = self.ancestry[concept]
+        except KeyError:
+            raise UnknownConceptError(concept, self.name) from None
         if level < 0:
             raise LevelError(f"level must be >= 0, got {level}")
-        while node.level > level:
-            assert node.parent is not None  # only the apex has no parent
-            node = self._nodes[node.parent]
-        return node.name
+        return chain[min(level, self._depth)]
 
     def is_ancestor(self, ancestor: str, concept: str, strict: bool = True) -> bool:
         """True when *ancestor* subsumes *concept* in the is-a tree."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import attrgetter, getitem
 
 from repro.core.hierarchy import ConceptHierarchy
 from repro.errors import LevelError
@@ -88,14 +89,34 @@ class ItemLevel:
         return tuple(out)
 
 
+_ANCESTRY = attrgetter("ancestry")
+
+
 def roll_up_key(
     dims: Sequence[str], item_level: ItemLevel, hierarchies: Sequence
 ) -> tuple[str, ...]:
-    """The cell key of *dims* (leaf values or a deeper key) at *item_level*."""
-    return tuple(
-        hierarchy.ancestor_at_level(value, level)
-        for hierarchy, value, level in zip(hierarchies, dims, item_level)
+    """The cell key of *dims* (leaf values or a deeper key) at *item_level*.
+
+    Per dimension, one lookup in the hierarchy's precomputed
+    :attr:`~repro.core.hierarchy.ConceptHierarchy.ancestry`, mapped over
+    the dims in C.  A level past a hierarchy's depth, an unknown concept
+    or a negative level takes ``ancestor_at_level`` per dimension, so
+    results and errors are exactly its.
+    """
+    levels = (
+        item_level.levels
+        if isinstance(item_level, ItemLevel)
+        else ItemLevel(item_level).levels  # rejects a negative level
     )
+    try:
+        return tuple(
+            map(getitem, map(getitem, map(_ANCESTRY, hierarchies), dims), levels)
+        )
+    except (KeyError, IndexError):
+        return tuple(
+            hierarchy.ancestor_at_level(value, level)
+            for hierarchy, value, level in zip(hierarchies, dims, levels)
+        )
 
 
 class ItemLattice:

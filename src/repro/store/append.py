@@ -13,10 +13,14 @@ the store's *persisted* cube without rebuilding it:
   not hold) are membership-counted through the partition catalog: the
   scan is Bloom-pruned to the partitions that might hold a candidate's
   members (:meth:`select_partitions`), and a batch without a candidate
-  reads no partition at all.  A *fractional* δ resolves against the
-  grown record count, so untouched cells can fall below the frontier —
-  they are demoted from the index without any heap IO, exactly as a
-  rebuild would drop them.
+  reads no partition at all.  Whether a cell reaches δ depends only on
+  its records' dimension values, so each chosen partition is read once,
+  as its id and dims columns (:class:`~repro.store.binfmt.PartitionColumns`):
+  the counts are taken on distinct dims tuples, and paths are built
+  only for the rows of the candidates that cross δ.  A *fractional* δ
+  resolves against the grown record count, so untouched cells can fall
+  below the frontier — they are demoted from the index without any heap
+  IO, exactly as a rebuild would drop them.
 * **Exceptions** (Lemma 4.3, holistic) — re-mined only for the dirty
   cells, from their vectors over the cube's own path table (whose
   postings serve every dirty cell of a level) and a flowgraph expanded
@@ -42,7 +46,9 @@ store is compared with.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from collections.abc import Iterable
+from itertools import compress
 
 from repro.core.aggregation import aggregate_path
 from repro.core.flowcube import Cell, CellKey
@@ -156,8 +162,7 @@ def append_records(
 
 
 def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
-    schema = store.schema
-    hierarchies = schema.dimensions
+    hierarchies = store.schema.dimensions
     lattice = cube.path_lattice
     levels = cube.item_levels
     if levels is None:
@@ -168,14 +173,20 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     index = cube._index  # noqa: SLF001 - same-package maintenance path
 
     # ------------------------------------------------------------------
-    # classify the batch per item level
+    # classify the batch per item level (each distinct dims tuple once)
     # ------------------------------------------------------------------
+    keys_of: dict[tuple, list[CellKey]] = {}
+    for record in rows:
+        if record.dims not in keys_of:
+            keys_of[record.dims] = [
+                roll_up_key(record.dims, item_level, hierarchies)
+                for item_level in levels
+            ]
     batch_groups: list[dict[CellKey, list[PathRecord]]] = []
-    for item_level in levels:
+    for i in range(len(levels)):
         groups: dict[CellKey, list[PathRecord]] = {}
         for record in rows:
-            key = roll_up_key(record.dims, item_level, hierarchies)
-            groups.setdefault(key, []).append(record)
+            groups.setdefault(keys_of[record.dims][i], []).append(record)
         batch_groups.append(groups)
 
     # Existing key order and sizes per item level (identical across the
@@ -205,39 +216,10 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
         candidate_keys.append({k for k in batch_groups[i] if k not in existing})
 
     # ------------------------------------------------------------------
-    # one Bloom-pruned partition sweep: who the promotion candidates'
-    # members are (the batch's partitions among them), and their paths
+    # one Bloom-pruned partition sweep, columns first: which candidates
+    # cross δ, their members, and (only then) the members' paths
     # ------------------------------------------------------------------
-    members: dict[tuple[int, CellKey], list[int]] = {}
-    paths: dict[int, Path] = {}
-    sweep_levels = [i for i in range(len(levels)) if candidate_keys[i]]
-    if sweep_levels:
-        dim_names = schema.dimension_names
-        chosen: set[int] = set()
-        for i in sweep_levels:
-            for key in candidate_keys[i]:
-                constraints = {
-                    name: part
-                    for name, part, depth in zip(dim_names, key, levels[i])
-                    if depth > 0
-                }
-                chosen.update(store.select_partitions(**constraints))
-
-        # Per distinct dims tuple: the candidates the record belongs to.
-        hits_cache: dict[tuple, list] = {}
-        for partition_id in sorted(chosen):
-            for record in store.load_partition(partition_id):
-                hits = hits_cache.get(record.dims)
-                if hits is None:
-                    hits = hits_cache[record.dims] = []
-                    for i in sweep_levels:
-                        key = roll_up_key(record.dims, levels[i], hierarchies)
-                        if key in candidate_keys[i]:
-                            hits.append((i, key))
-                if hits:
-                    paths[record.record_id] = record.path
-                    for hit in hits:
-                        members.setdefault(hit, []).append(record.record_id)
+    members, paths = _sweep(store, levels, candidate_keys, threshold)
 
     # ------------------------------------------------------------------
     # resolve the frontier per item level
@@ -249,9 +231,9 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
         for key in batch_groups[i]:
             if key not in candidate_keys[i]:
                 continue
-            member_ids = members.get((i, key), ())
-            if len(member_ids) >= threshold:
-                crossed[key] = list(member_ids)
+            member_ids = members.get((i, key))
+            if member_ids is not None:
+                crossed[key] = member_ids
             else:
                 below += 1
         promoted.append(crossed)
@@ -410,3 +392,87 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
         "demoted": demoted_cells,
         "still_below_delta": below,
     }
+
+
+def _sweep(store, levels, candidate_keys, threshold):
+    """The promotion candidates that cross δ: their member ids (ascending)
+    per ``(level index, key)``, and the members' paths by record id.
+
+    Reads each Bloom-selected partition once, as columns, and counts on
+    the distinct dims tuples: a candidate's tuples are, per dimension,
+    the ones whose value rolls up to the candidate's concept there,
+    intersected across dimensions, and its count is how many rows carry
+    them.  No row object is built to decide the frontier; the rows of a
+    promoted candidate then get their paths.
+    """
+    sweep_levels = [i for i, keys in enumerate(candidate_keys) if keys]
+    if not sweep_levels:
+        return {}, {}
+    hierarchies = store.schema.dimensions
+    dim_names = store.schema.dimension_names
+    chosen: set[int] = set()
+    for i in sweep_levels:
+        for key in candidate_keys[i]:
+            constraints = {
+                name: part
+                for name, part, depth in zip(dim_names, key, levels[i])
+                if depth > 0
+            }
+            chosen.update(store.select_partitions(**constraints))
+
+    swept = [
+        store.load_partition(partition_id, columns=True)
+        for partition_id in sorted(chosen)
+    ]
+    rows_with: Counter[tuple] = Counter()
+    for columns in swept:
+        rows_with.update(columns.dims)
+
+    # Per dimension, the distinct tuples carrying each value; the tuples
+    # under a concept are the union over the values rolling up to it.
+    carrying: list[dict[str, set[tuple]]] = [{} for _ in hierarchies]
+    for dims in rows_with:
+        for by_value, value in zip(carrying, dims):
+            by_value.setdefault(value, set()).add(dims)
+    under: dict[tuple[int, int, str], set[tuple]] = {}
+
+    def tuples_under(dim: int, level: int, concept: str) -> set[tuple]:
+        found = under.get((dim, level, concept))
+        if found is None:
+            roll_up = hierarchies[dim].ancestor_at_level
+            found = under[dim, level, concept] = set().union(
+                *(
+                    tuples
+                    for value, tuples in carrying[dim].items()
+                    if roll_up(value, level) == concept
+                )
+            )
+        return found
+
+    promoting: dict[tuple, list[tuple[int, CellKey]]] = {}
+    for i in sweep_levels:
+        for key in candidate_keys[i]:
+            sets = [
+                tuples_under(dim, level, concept)
+                for dim, (level, concept) in enumerate(zip(levels[i], key))
+                if level > 0
+            ]
+            tuples = set.intersection(*sets) if sets else rows_with.keys()
+            if sum(map(rows_with.__getitem__, tuples)) >= threshold:
+                for dims in tuples:
+                    promoting.setdefault(dims, []).append((i, key))
+
+    members: dict[tuple[int, CellKey], list[int]] = {}
+    paths: dict[int, Path] = {}
+    for columns in swept:
+        dims = columns.dims
+        rows = list(
+            compress(range(len(columns)), map(promoting.__contains__, dims))
+        )
+        record_ids = columns.record_ids
+        for row, path in zip(rows, columns.paths(rows)):
+            record_id = record_ids[row]
+            paths[record_id] = path
+            for hit in promoting[dims[row]]:
+                members.setdefault(hit, []).append(record_id)
+    return members, paths

@@ -102,6 +102,7 @@ __all__ = [
     "STRINGS_MAGIC",
     "LazyMaskMap",
     "MaskArena",
+    "PartitionColumns",
     "StringTable",
     "cell_payload",
     "check_heap_magic",
@@ -1148,10 +1149,94 @@ def pack_partition(database: PathDatabase, strings: StringTable) -> bytes:
     )
 
 
+class PartitionColumns:
+    """One partition as :func:`unpack_partition` decodes it before any
+    row object exists.
+
+    ``record_ids`` (ascending, in row order) and ``dims`` (one key tuple
+    per row) are the columns a scan that only *counts* reads;
+    :meth:`paths` builds :class:`Path` objects for the rows a caller
+    picks, from the stage arenas the same read copied out of the file.
+    Nothing here pins the file: every arena is an owned ``array``.
+    """
+
+    __slots__ = ("record_ids", "dims", "_names", "_offsets", "_locs", "_durations")
+
+    def __init__(
+        self,
+        record_ids: array,
+        dims: list[tuple[str, ...]],
+        names: list[str],
+        offsets: array,
+        locs: array,
+        durations: array,
+    ) -> None:
+        self.record_ids = record_ids
+        self.dims = dims
+        self._names = names
+        self._offsets = offsets
+        self._locs = locs
+        self._durations = durations
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def paths(self, rows: Iterable[int] | None = None) -> list[Path]:
+        """The paths of *rows* (positions, in the order given), or of every
+        row when ``None``.
+
+        A whole partition maps its stage arena to :class:`Stage` objects
+        in one pass and slices per row.  Chosen rows build one
+        :class:`Stage` per distinct ``(location, duration)`` pair and
+        share it — stages are immutable — so a few rows of a large
+        partition cost only their own stages.
+        """
+        names = self._names
+        offsets = self._offsets
+        if rows is None:
+            locations = map(names.__getitem__, self._locs)
+            stages = list(map(Stage, locations, self._durations))
+            runs = (
+                stages[offsets[i] : offsets[i + 1]] for i in range(len(self))
+            )
+        else:
+            shared: dict[tuple[int, float], Stage] = {}
+
+            def stage(pair: tuple[int, float]) -> Stage:
+                found = shared.get(pair)
+                if found is None:
+                    found = shared[pair] = Stage(names[pair[0]], pair[1])
+                return found
+
+            locs, durations = self._locs, self._durations
+            runs = (
+                map(
+                    stage,
+                    zip(
+                        locs[offsets[i] : offsets[i + 1]],
+                        durations[offsets[i] : offsets[i + 1]],
+                    ),
+                )
+                for i in rows
+            )
+        out = []
+        append = out.append
+        for run in runs:
+            path = object.__new__(Path)
+            object.__setattr__(path, "stages", tuple(run))
+            append(path)
+        return out
+
+
 def unpack_partition(
-    buffer, schema: PathSchema, strings: StringTable | None
-) -> PathDatabase:
-    """Decode a :func:`pack_partition` blob back into a database.
+    buffer,
+    schema: PathSchema,
+    strings: StringTable | None,
+    *,
+    columns: bool = False,
+) -> PathDatabase | PartitionColumns:
+    """Decode a :func:`pack_partition` blob back into a database, or —
+    with *columns* — into its :class:`PartitionColumns` and no row object.
 
     *strings* is the store's shared :class:`StringTable` (``None`` when
     the store has no ``strings.bin``, which is an error here).  *buffer*
@@ -1162,9 +1247,10 @@ def unpack_partition(
     The whole decode is bulk work — ``frombytes`` per arena, one
     ``zip`` transpose for the dim tuples, one ``map`` over
     :class:`Stage` — with the only per-record Python being the final
-    :class:`PathRecord` construction.  Validation against the schema is
-    skipped: partitions are written by :func:`pack_partition` from an
-    already-validated database.
+    :class:`Path` / :class:`PathRecord` construction, which the column
+    form leaves to :meth:`PartitionColumns.paths`.  Validation against
+    the schema is skipped: partitions are written by
+    :func:`pack_partition` from an already-validated database.
     """
     opened = PARTITION_LAYOUT.open(buffer)
     n_records = opened["n_records"]
@@ -1179,23 +1265,19 @@ def unpack_partition(
             "partition references the shared string table, but the "
             "store has no strings.bin"
         )
-    table_get = strings.get
-    strings = [table_get(ref) for ref in opened["remap"]]
-    record_ids = opened["record_ids"]
-    path_offsets = opened["path_offsets"]
-
-    dim_tuples = _key_tuples(strings, opened["dim_refs"], n_dims, n_records)
-    locations = map(strings.__getitem__, opened["stage_locs"])
-    stages = list(map(Stage, locations, opened["durations"]))
-    records = []
-    append = records.append
-    for i in range(n_records):
-        path = object.__new__(Path)
-        object.__setattr__(
-            path, "stages", tuple(stages[path_offsets[i] : path_offsets[i + 1]])
-        )
-        append(PathRecord(record_ids[i], dim_tuples[i], path))
-    return PathDatabase(schema, records, validate=False)
+    names = list(map(strings.get, opened["remap"]))
+    decoded = PartitionColumns(
+        opened["record_ids"],
+        _key_tuples(names, opened["dim_refs"], n_dims, n_records),
+        names,
+        opened["path_offsets"],
+        opened["stage_locs"],
+        opened["durations"],
+    )
+    if columns:
+        return decoded
+    rows = map(PathRecord, decoded.record_ids, decoded.dims, decoded.paths())
+    return PathDatabase(schema, rows, validate=False)
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ touching them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -27,6 +28,7 @@ from pathlib import Path as FsPath
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import StoreError
 from repro.store.binfmt import (
+    PartitionColumns,
     StringTable,
     map_file,
     retired_layout,
@@ -35,6 +37,7 @@ from repro.store.binfmt import (
 
 __all__ = [
     "BloomSummary",
+    "bloom_mask",
     "PartitionMeta",
     "LOCATION_SUMMARY",
     "partition_filename",
@@ -46,6 +49,23 @@ __all__ = [
 #: keyed ``dim:<name>`` so a dimension literally named "location" cannot
 #: collide with it).
 LOCATION_SUMMARY = "location"
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def bloom_mask(value: str, n_bits: int, n_hashes: int) -> int:
+    """The bits *value* sets in an ``n_bits`` / ``n_hashes`` summary, as
+    one integer: double hashing over one BLAKE2b digest.
+
+    Memoised (bounded): an append asks every catalogued summary about
+    the same few candidate concepts, and each is hashed once.
+    """
+    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full cycle
+    mask = 0
+    for i in range(n_hashes):
+        mask |= 1 << (h1 + i * h2) % n_bits
+    return mask
 
 
 class BloomSummary:
@@ -68,20 +88,14 @@ class BloomSummary:
         self.n_hashes = n_hashes
         self.bits = bits
 
-    def _positions(self, value: str) -> list[int]:
-        digest = hashlib.blake2b(value.encode("utf-8"), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full cycle
-        return [(h1 + i * h2) % self.n_bits for i in range(self.n_hashes)]
-
     def add(self, value: str) -> None:
         """Record *value* in the summary."""
-        for position in self._positions(value):
-            self.bits |= 1 << position
+        self.bits |= bloom_mask(value, self.n_bits, self.n_hashes)
 
     def might_contain(self, value: str) -> bool:
         """False means definitely absent; True means possibly present."""
-        return all(self.bits >> p & 1 for p in self._positions(value))
+        mask = bloom_mask(value, self.n_bits, self.n_hashes)
+        return self.bits & mask == mask
 
     def to_dict(self) -> dict:
         """JSON-safe form (the bitset serialises as hex)."""
@@ -183,9 +197,15 @@ def partition_filename(partition_id: int) -> str:
 
 
 def read_partition(
-    path: FsPath, schema: PathSchema, strings: StringTable | None
-) -> PathDatabase:
-    """Load one partition file back into a :class:`PathDatabase`.
+    path: FsPath,
+    schema: PathSchema,
+    strings: StringTable | None,
+    *,
+    columns: bool = False,
+) -> PathDatabase | PartitionColumns:
+    """Load one partition file back into a :class:`PathDatabase` — or,
+    with *columns*, into its :class:`~repro.store.binfmt.PartitionColumns`
+    (record ids and dim tuples; paths only for the rows later asked for).
 
     The file is mmap'd and decoded through memoryview slices — each
     arena's ``frombytes`` reads straight out of the page cache with no
@@ -196,4 +216,4 @@ def read_partition(
     if path.suffix != ".bin":
         raise retired_layout(f"partition file {path}", "CSV partition")
     with map_file(path, "partition file") as mapped, memoryview(mapped) as view:
-        return unpack_partition(view, schema, strings)
+        return unpack_partition(view, schema, strings, columns=columns)

@@ -36,6 +36,7 @@ from repro.errors import StoreError
 from repro.store.binfmt import (
     LAYOUT_NAME,
     STRINGS_FILENAME,
+    PartitionColumns,
     StringTable,
     pack_partition,
 )
@@ -260,12 +261,18 @@ class PartitionedPathStore:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def load_partition(self, partition_id: int) -> PathDatabase:
-        """Load one partition's rows."""
+    def load_partition(
+        self, partition_id: int, *, columns: bool = False
+    ) -> PathDatabase | PartitionColumns:
+        """Load one partition's rows — or, with *columns*, only its
+        :class:`~repro.store.binfmt.PartitionColumns`."""
         for meta in self.catalog.partitions:
             if meta.partition_id == partition_id:
                 return read_partition(
-                    self._partition_path(meta), self.schema, self.strings
+                    self._partition_path(meta),
+                    self.schema,
+                    self.strings,
+                    columns=columns,
                 )
         raise StoreError(f"no partition {partition_id} in the catalog")
 
@@ -305,19 +312,16 @@ class PartitionedPathStore:
         """
         for name in dims:
             self.schema.dimension(name)  # raises on unknown dimensions
+        constraints = [(f"dim:{name}", value) for name, value in dims.items()]
+        if location is not None:
+            constraints.append((LOCATION_SUMMARY, location))
         selected: list[int] = []
         for meta in self.catalog.partitions:
-            keep = True
-            for name, value in dims.items():
-                summary = meta.summaries.get(f"dim:{name}")
+            for key, value in constraints:
+                summary = meta.summaries.get(key)
                 if summary is not None and not summary.might_contain(value):
-                    keep = False
                     break
-            if keep and location is not None:
-                summary = meta.summaries.get(LOCATION_SUMMARY)
-                if summary is not None and not summary.might_contain(location):
-                    keep = False
-            if keep:
+            else:
                 selected.append(meta.partition_id)
         return selected
 

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import example_path_database
 from repro.core.hierarchy import ANY, ConceptHierarchy
+from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.errors import HierarchyError, LevelError, UnknownConceptError
+from repro.synth import GeneratorConfig, generate_path_database
 
 
 @pytest.fixture
@@ -131,3 +134,70 @@ class TestEncoding:
     def test_unknown_code(self, tree):
         with pytest.raises(UnknownConceptError):
             tree.concept_for_code("999")
+
+
+# ----------------------------------------------------------------------
+# the precomputed roll-up table against a walk up the parent links
+# ----------------------------------------------------------------------
+
+def walked_ancestor(hierarchy: ConceptHierarchy, concept: str, level: int) -> str:
+    """The reference roll-up: climb ``parent`` links until *level*."""
+    while hierarchy.level_of(concept) > level:
+        concept = hierarchy.parent(concept)
+    return concept
+
+
+def lookup_hierarchies() -> list[ConceptHierarchy]:
+    """Every hierarchy of the paper's example and of a synth schema."""
+    out = []
+    for schema in (
+        example_path_database().schema,
+        generate_path_database(
+            GeneratorConfig(n_paths=20, n_dims=3, dim_fanouts=(2, 3, 2), seed=3)
+        ).schema,
+    ):
+        out += [*schema.dimensions, schema.location, schema.duration]
+    return out
+
+
+@pytest.mark.parametrize(
+    "hierarchy", lookup_hierarchies(), ids=lambda h: f"{h.name}-{len(h)}"
+)
+def test_the_ancestry_table_equals_a_walk_up_the_parents(hierarchy):
+    for concept in hierarchy:
+        for level in range(hierarchy.depth + 2):
+            expected = walked_ancestor(hierarchy, concept, level)
+            assert hierarchy.ancestor_at_level(concept, level) == expected
+            assert roll_up_key((concept,), ItemLevel([level]), (hierarchy,)) == (
+                expected,
+            )
+
+
+def test_roll_up_key_equals_the_per_dimension_walk():
+    database = generate_path_database(
+        GeneratorConfig(n_paths=40, n_dims=3, dim_fanouts=(2, 3, 2), seed=3)
+    )
+    hierarchies = database.schema.dimensions
+    for item_level in ItemLattice([h.depth for h in hierarchies]):
+        for record in database:
+            assert roll_up_key(record.dims, item_level, hierarchies) == tuple(
+                walked_ancestor(h, value, level)
+                for h, value, level in zip(hierarchies, record.dims, item_level)
+            )
+
+
+def test_table_lookups_keep_the_walks_errors(tree):
+    with pytest.raises(UnknownConceptError):
+        tree.ancestor_at_level("socks", 1)
+    with pytest.raises(UnknownConceptError):
+        tree.ancestor_at_level("socks", -1)  # the concept is checked first
+    with pytest.raises(LevelError):
+        tree.ancestor_at_level("jacket", -1)
+    with pytest.raises(LevelError):
+        roll_up_key(("jacket",), (-1,), (tree,))
+    with pytest.raises(UnknownConceptError):
+        roll_up_key(("jacket", "socks"), ItemLevel([1, 1]), (tree, tree))
+    assert roll_up_key(("jacket", "shoes"), ItemLevel([2, 9]), (tree, tree)) == (
+        "outerwear",
+        "shoes",
+    )

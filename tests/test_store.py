@@ -15,6 +15,7 @@ The load-bearing assertions here are the out-of-core contracts:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,7 @@ from repro.store import (
     shared_mine_store,
 )
 from repro.store.cli import main
+from repro.store.partition import LOCATION_SUMMARY, bloom_mask
 from repro.synth import GeneratorConfig, generate_path_database, scaled_config
 from tests.conftest import cube_files, exception_lists, stored_cube_json
 
@@ -127,6 +129,107 @@ def test_bloom_summary_membership_and_roundtrip():
 def test_bloom_summary_rejects_bad_geometry():
     with pytest.raises(StoreError):
         BloomSummary(n_bits=4)
+
+
+#: The default geometry, and one other.
+GEOMETRIES = [(1024, 4), (256, 3)]
+
+
+def blake2b_positions(value: str, n_bits: int, n_hashes: int) -> list[int]:
+    """The reference derivation: double hashing over one BLAKE2b digest."""
+    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1
+    return [(h1 + i * h2) % n_bits for i in range(n_hashes)]
+
+
+def reference_bits(values, n_bits: int, n_hashes: int) -> int:
+    bits = 0
+    for value in values:
+        for position in blake2b_positions(value, n_bits, n_hashes):
+            bits |= 1 << position
+    return bits
+
+
+@pytest.mark.parametrize("n_bits,n_hashes", GEOMETRIES)
+def test_memoised_bloom_positions_equal_the_blake2b_derivation(
+    database, n_bits, n_hashes
+):
+    schema = database.schema
+    values = {
+        concept
+        for hierarchy in (*schema.dimensions, schema.location)
+        for concept in hierarchy
+    } | {"", "ünïcödé", "definitely-absent-value-xyz"}
+    for value in sorted(values):
+        expected = reference_bits([value], n_bits, n_hashes)
+        # The first call derives, the second answers from the memo.
+        assert bloom_mask(value, n_bits, n_hashes) == expected
+        hits = bloom_mask.cache_info().hits
+        assert bloom_mask(value, n_bits, n_hashes) == expected
+        assert bloom_mask.cache_info().hits == hits + 1
+        summary = BloomSummary(n_bits, n_hashes)
+        summary.add(value)
+        assert summary.bits == expected
+        assert summary.might_contain(value)
+
+
+def test_a_catalog_round_trip_with_another_geometry_prunes_the_same(
+    store, database
+):
+    n_bits, n_hashes = GEOMETRIES[1]
+    schema = database.schema
+    columns = [(f"dim:{h.name}", h) for h in schema.dimensions]
+    columns.append((LOCATION_SUMMARY, schema.location))
+    expected_bits: dict[tuple[int, str], int] = {}
+    for meta, part in store.iter_partitions():
+        present = {
+            key: {record.dims[i] for record in part}
+            for i, (key, _) in enumerate(columns[:-1])
+        }
+        present[LOCATION_SUMMARY] = {
+            stage.location for record in part for stage in record.path
+        }
+        for key, hierarchy in columns:
+            concepts = {
+                concept
+                for value in present[key]
+                for concept in hierarchy.ancestors(value, include_self=True)
+            } - {"*"}
+            summary = BloomSummary(n_bits, n_hashes)
+            for concept in sorted(concepts):
+                summary.add(concept)
+            meta.summaries[key] = summary
+            expected_bits[meta.partition_id, key] = reference_bits(
+                concepts, n_bits, n_hashes
+            )
+    store.catalog.save()
+
+    reopened = PartitionedPathStore.open(store.directory)
+    pruned = 0
+    for meta in reopened.catalog.partitions:
+        for key, _ in columns:
+            summary = meta.summaries[key]
+            assert (summary.n_bits, summary.n_hashes) == (n_bits, n_hashes)
+            assert summary.bits == expected_bits[meta.partition_id, key]
+    for key, hierarchy in columns:
+        for concept in sorted(set(hierarchy) - {"*"}):
+            expected = [
+                meta.partition_id
+                for meta in store.catalog.partitions
+                if all(
+                    expected_bits[meta.partition_id, key] >> p & 1
+                    for p in blake2b_positions(concept, n_bits, n_hashes)
+                )
+            ]
+            if key == LOCATION_SUMMARY:
+                selected = reopened.select_partitions(location=concept)
+            else:
+                selected = reopened.select_partitions(**{key[4:]: concept})
+            assert selected == expected
+            pruned += len(store.catalog.partitions) - len(expected)
+    assert pruned > 0  # the geometry prunes something
+    reopened.close()
 
 
 # ----------------------------------------------------------------------

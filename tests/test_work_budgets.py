@@ -22,6 +22,9 @@ no process machinery.  And the one the multiset sum makes true: a
 derived cell expands one graph and decodes or merges no child graph.
 And the one the single roll-up makes true: each build runs the roll-up
 once.
+And the ones the columns-first promotion sweep makes true: an append
+rolls each distinct dims tuple up once per item level, and builds the
+paths of its promoted cells' members and no other.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
@@ -36,6 +39,7 @@ from pathlib import Path as FsPath
 import pytest
 
 import repro.perf.measure_rollup as measure_rollup
+import repro.store.append as append
 import repro.store.builder as builder
 import repro.store.partition as partition
 import repro.store.pathstore as pathstore
@@ -445,6 +449,58 @@ def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
     row = CRASH_TABLE["first append"][1]
     assert names[2:] in (row[2:], row[3:])  # with or without the table
     assert len(names) <= len(row) == 6
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_append_rolls_up_distinct_dims_and_builds_only_promoted_paths(
+    tmp_path, monkeypatch, n_paths
+):
+    """The promotion sweep decides on columns: ``roll_up_key`` runs once
+    per item level per distinct dims tuple (of the batch, and of the
+    swept partitions), and the partition codec builds the paths of the
+    promoted cells' members and no other."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    levels = list(cube.item_levels)
+    held = held_keys(cube)
+    rolled = Counted(monkeypatch, append, "roll_up_key")
+    swept_dims: set[tuple] = set()
+    read = pathstore.read_partition
+
+    def reading(*args, **kwargs):
+        part = read(*args, **kwargs)
+        swept_dims.update(
+            part.dims if isinstance(part, binfmt.PartitionColumns)
+            else [record.dims for record in part]
+        )
+        return part
+
+    monkeypatch.setattr(pathstore, "read_partition", reading)
+    built_paths: list[int] = []
+    paths = binfmt.PartitionColumns.paths
+
+    def building(columns, rows=None):
+        out = paths(columns, rows)
+        built_paths.append(len(out))
+        return out
+
+    monkeypatch.setattr(binfmt.PartitionColumns, "paths", building)
+
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+
+    assert stats["promoted"] > 0 and swept_dims
+    batch_dims = {record.dims for record in batch}
+    assert 0 < len(rolled) <= (len(batch_dims) + len(swept_dims)) * len(levels)
+    promoted_members = {
+        record_id
+        for level, keys in held_keys(cube).items()
+        for key in keys - held[level]
+        for record_id in cube.cell(level, key, cube.path_lattice[0]).record_ids
+    }
+    assert sum(built_paths) == len(promoted_members) > 0
     cube.close()
     store.close()
 
