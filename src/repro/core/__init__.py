@@ -31,7 +31,6 @@ from repro.core.materialization import (
     plan_between_layers,
     plan_by_budget,
 )
-from repro.core.measures import merge_flowgraphs
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import (
     PathDatabase,
@@ -96,7 +95,6 @@ __all__ = [
     "is_redundant",
     "kl_divergence",
     "kl_similarity",
-    "merge_flowgraphs",
     "mine_exceptions",
     "mine_frequent_segments",
     "path_distribution_similarity",

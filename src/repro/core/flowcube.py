@@ -54,13 +54,15 @@ class Cell:
     ``paths`` renders the vector as ``(path, weight)`` pairs.
 
     ``record_ids`` and ``weights`` are held in hand (the roll-up, an
-    append, ``cube_from_json``) or decoded from a heap *record* at their
-    first touch through the *loader* of the store that read it
-    (:mod:`repro.store.cube_store`), which also reads the path list
-    lazily — a cold open reads no path table — and expands the graph
-    with the record's exceptions.  A damaged record is a
-    :class:`~repro.errors.StoreError` at every touch.  ``weights`` is
-    the cell's own dict: whoever adds to a vector adds into a copy.
+    append, ``cube_from_json``) or decoded together from a heap *record*
+    at the first touch of either through the *loader* of the store that
+    read it (:mod:`repro.store.cube_store`), which also reads the path
+    list lazily — a cold open reads no path table — and the record's
+    exceptions.  Every cell expands its graph the same way, from its
+    ``(path, weight)`` pairs; a stored one then attaches its record's
+    exceptions.  A damaged record is a :class:`~repro.errors.StoreError`
+    at every touch.  ``weights`` is the cell's own dict: whoever adds to
+    a vector adds into a copy.
     """
 
     __slots__ = (
@@ -130,28 +132,29 @@ class Cell:
 
     def _pairs(self) -> list[WeightedPath]:
         level_paths = self.level_paths
-        return [(level_paths[pid], weight) for pid, weight in self.weights.items()]
-
-    @property
-    def paths(self) -> WeightedPaths:
-        """The multiset as ``(path, weight)`` pairs, in the vector's order."""
         try:
-            return tuple(self._pairs())
+            return [
+                (level_paths[pid], weight)
+                for pid, weight in self.weights.items()
+            ]
         except IndexError:
             raise StoreError(
                 "corrupt cell payload: a path id past the path table"
             ) from None
 
     @property
+    def paths(self) -> WeightedPaths:
+        """The multiset as ``(path, weight)`` pairs, in the vector's order."""
+        return tuple(self._pairs())
+
+    @property
     def flowgraph(self) -> FlowGraph:
         """The measure's graph, expanded from the vector at first read."""
         graph = self._graph
         if graph is None:
-            loader = self._loader
-            if loader is None:
-                graph = FlowGraph.expand(self._pairs())
-            else:
-                graph = loader.flowgraph(self._record, self.level_paths)
+            graph = FlowGraph.expand(self._pairs())
+            if self._loader is not None:
+                self._loader.expanded(graph, self._record)
             self._graph = graph
         return graph
 

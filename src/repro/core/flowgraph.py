@@ -15,8 +15,7 @@ of (aggregated) paths:
 
 Construction is a single pass over the paths (steps 1–2 of Section 3); the
 counts are kept raw so flowgraphs over disjoint path sets merge additively —
-the algebraic-measure property of Lemma 4.2 (see
-:mod:`repro.core.measures`).
+the algebraic-measure property of Lemma 4.2 (:meth:`FlowGraph.merge`).
 """
 
 from __future__ import annotations

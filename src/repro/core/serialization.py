@@ -70,9 +70,9 @@ def flowgraph_to_dict(graph: FlowGraph) -> dict:
 def exceptions_to_dicts(exceptions) -> list[dict]:
     """Plain-dict form of a flowgraph's exception list (sorted mappings).
 
-    Shared by :func:`flowgraph_to_dict` and the binary cell codec
-    (:func:`repro.store.binfmt.encode_cell_payload`), which stores the
-    list as a JSON blob inside the ``FCHEAP03`` record.
+    Shared by :func:`flowgraph_to_dict` and the store's write door, which
+    hands it to :func:`repro.store.binfmt.encode_cell_payload` to keep as
+    a JSON blob inside the ``FCHEAP04`` record.
     """
     return [
         {
@@ -121,9 +121,9 @@ def flowgraph_from_dict(data: dict) -> FlowGraph:
 def exceptions_from_dicts(data: list[dict]) -> list[FlowException]:
     """Rebuild :class:`FlowException` objects from their plain-dict form.
 
-    Shared by :func:`flowgraph_from_dict` and the binary cell codec
-    (:func:`repro.store.binfmt.decode_cell_parts`), which stores the
-    exception list as a JSON blob inside the ``FCHEAP03`` record.
+    Shared by :func:`flowgraph_from_dict` and a stored cell's reader,
+    which gets the list from the JSON blob inside the ``FCHEAP04`` record
+    (:func:`repro.store.binfmt.decode_cell_exceptions`).
     """
     return [
         FlowException(

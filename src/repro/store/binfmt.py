@@ -1,7 +1,7 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
 The store reads and writes one layout — ``FCPART02`` partitions over a
-shared ``FCSTRS01`` string table, an ``FCHEAP03`` cell heap addressed
+shared ``FCSTRS01`` string table, an ``FCHEAP04`` cell heap addressed
 through an ``FCCIDX01`` index, its records vectors over an ``FCPATH01``
 path table — and this module defines it (see DESIGN.md for byte
 diagrams).  The four sectioned containers are each one :class:`Layout`
@@ -25,15 +25,17 @@ published file is opened by :func:`map_file`:
   partition carrying only a small local→global remap arena instead of
   a private copy of the location/product strings;
 * :func:`encode_cell_payload` / :func:`decode_cell_parts` — the
-  ``FCHEAP03`` cell record.  A cell's record is the *distributive* part
-  of its measure: the ``(path id, weight)`` vector the build already
-  holds, its record ids as ascending steps, and an (optionally zlib'd)
-  JSON exception list — all varints but the last.  The flowgraph is a
-  function of the vector (Lemma 4.2) and is expanded by
-  :func:`decode_cell_parts` when a reader first asks for it;
-  :func:`decode_cell_vector` reads ids and vector without it.  The
-  record layout is written down once, in :func:`encode_cell_payload`,
-  and a payload it cannot carry is a :class:`StoreError`;
+  ``FCHEAP04`` cell record.  A cell's record is the *distributive* part
+  of its measure and nothing else: the ``(path id, weight)`` vector the
+  build already holds, its record ids as ascending steps, and an
+  (optionally zlib'd) JSON exception list — all varints but the last.
+  The cell's coordinates, ``n_paths`` and ``redundant`` live in the
+  index alone.  :func:`decode_cell_parts` decodes ids and vector in one
+  pass, :func:`decode_cell_exceptions` reads the exception list past
+  them, and the flowgraph, a function of the vector (Lemma 4.2), is
+  expanded by the reader.  The record layout is written down once, in
+  :func:`encode_cell_payload`, and a measure it cannot carry is a
+  :class:`StoreError`;
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
   (``paths.bin``): the aggregated paths the vectors name, once per cube;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
@@ -43,11 +45,10 @@ published file is opened by :func:`map_file`:
 
 Earlier releases also wrote CSV partitions, one JSON file per cell,
 earlier generations of partition and heap files (the ``RETIRED_*``
-magics; ``FCHEAP02`` persisted each cell's serialised flowgraph), and
-``FCHEAP03`` records flagged ``0x01`` that held a payload dict as
-verbatim JSON.  No reader or writer for them survives: meeting one
-raises :func:`retired_layout`'s :class:`StoreError` instead of decoding
-it.
+magics; ``FCHEAP02`` persisted each cell's serialised flowgraph,
+``FCHEAP03`` each record a second copy of its cell's coordinates).  No
+reader or writer for them survives: meeting one raises
+:func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
 Framing rules of the sectioned containers, which :meth:`Layout.pack`
 and :meth:`Layout.open` alone implement:
@@ -82,12 +83,11 @@ from operator import ge, gt, sub
 from pathlib import Path as FsPath
 
 from repro import publish
-from repro.core.flowgraph import FlowGraph
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.core.serialization import exceptions_from_dicts
 from repro.core.stage import Stage
-from repro.errors import CubeError, MissingFileError, StoreError
+from repro.errors import MissingFileError, StoreError
 
 __all__ = [
     "HEAP_MAGIC",
@@ -104,12 +104,10 @@ __all__ = [
     "MaskArena",
     "PartitionColumns",
     "StringTable",
-    "cell_payload",
     "check_heap_magic",
     "check_layout_name",
+    "decode_cell_exceptions",
     "decode_cell_parts",
-    "decode_cell_payload",
-    "decode_cell_vector",
     "encode_cell_payload",
     "pack_cell_index",
     "pack_partition",
@@ -147,13 +145,14 @@ STRINGS_FILENAME = "strings.bin"
 #: Leading 8 bytes of a cell-heap index file (``cells.idx``).
 INDEX_MAGIC = b"FCCIDX01"
 
-#: Leading 8 bytes of the two retired cell-heap generations (JSON
-#: payloads; serialised flowgraphs); compared against only to reject them.
-RETIRED_HEAP_MAGICS = (b"FCHEAP01", b"FCHEAP02")
+#: Leading 8 bytes of the retired cell-heap generations (JSON payloads;
+#: serialised flowgraphs; records that repeated their cell's
+#: coordinates); compared against only to reject them.
+RETIRED_HEAP_MAGICS = (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03")
 
 #: Leading 8 bytes of a cell-heap blob (:func:`encode_cell_payload`
 #: records).
-HEAP_MAGIC = b"FCHEAP03"
+HEAP_MAGIC = b"FCHEAP04"
 
 #: Leading 8 bytes of a cube's path table (``paths.bin``).
 PATHS_MAGIC = b"FCPATH01"
@@ -164,8 +163,8 @@ PATHS_MAGIC = b"FCPATH01"
 ORDER_TAG = 0x0102030405060708
 
 #: Length prefix framing one heap payload (always little-endian — the
-#: heap is only ever addressed through index offsets; the prefix exists
-#: for recovery tools walking the blob).
+#: heap is only ever addressed through index offsets; the prefix frames
+#: each record so the blob can be walked without the index).
 HEAP_LENGTH_STRUCT = struct.Struct("<q")
 
 #: Delta-segment addressing: an index offset is a plain i64, so the high
@@ -230,8 +229,8 @@ _LAST_READERS = {
         "rebuild the cube with `flowcube-store build` (the partitions are "
         "unchanged)",
     ),
-    "verbatim-JSON (RAW)": (
-        "the one at commit 37c16ac",
+    "FCHEAP03": (
+        "the one at commit 234d306",
         "rebuild the cube with `flowcube-store build` (the partitions are "
         "unchanged)",
     ),
@@ -273,7 +272,7 @@ def _check_magic(
 
 
 def check_heap_magic(lead: bytes, path) -> None:
-    """Reject a cell heap (or delta segment) not written as ``FCHEAP03``."""
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP04``."""
     _check_magic(lead, HEAP_MAGIC, f"cell heap {path}", RETIRED_HEAP_MAGICS)
 
 
@@ -544,38 +543,26 @@ class StringTable:
 
 
 # --------------------------------------------------------------------------
-# FCHEAP03 cell record codec
+# FCHEAP04 cell record codec
 # --------------------------------------------------------------------------
 
-_RAW = 0x01  # retired: the record was a payload dict as verbatim JSON
 _EXC = 0x02  # record carries a (JSON) exception list
 _EXC_ZLIB = 0x04  # ... and it is zlib-compressed
+_FLAGS = _EXC | _EXC_ZLIB
 
-#: Fixed head after the flags byte: the byte lengths of the cell's
-#: varints, of the key blob and of the record-id steps.
-_HEAD = struct.Struct("<III")
+#: Fixed head after the flags byte: the byte lengths of the vector
+#: varints and of the record-id steps.
+_HEAD = struct.Struct("<II")
 _EXC_LEN = struct.Struct("<I")
 
 #: Record ids a record carries: ``[0, 2**63)``, ascending — every id a
 #: partition's ``int64`` column holds.
 _MAX_RECORD_ID = 2**63 - 1
 
-#: The payload dict a record is encoded from (:func:`cell_payload`).
-_PAYLOAD_KEYS = (
-    "key",
-    "item_level",
-    "path_level",
-    "record_ids",
-    "redundant",
-    "n_paths",
-    "vector",
-    "exceptions",
-)
-
-#: The container types a payload's sequences may have, and the sets the
+#: The container types a record's sequences may have, and the sets the
 #: writer's C-level ``set(map(type, …))`` checks compare against.
 _SEQUENCES = (list, tuple)
-_STR, _INT, _TWO, _PAIRS = {str}, {int}, {2}, set(_SEQUENCES)
+_INT, _TWO, _PAIRS = {int}, {2}, set(_SEQUENCES)
 
 
 #: What decoding a damaged record can raise: every one is reported as the
@@ -588,7 +575,6 @@ _CORRUPT = (
     ValueError,
     struct.error,
     zlib.error,
-    CubeError,
 )
 
 
@@ -631,76 +617,46 @@ def _varint_stream(values: list[int]) -> bytes:
     return bytes(out)
 
 
-def cell_payload(
-    key, item_level, path_level, record_ids, redundant, n_paths, vector, exceptions
-) -> dict:
-    """The payload dict of a cell that brings its path multiset.
-
-    *vector* is the cell's ``(pid, weight)`` pairs in its cube's path-id
-    space, in the multiset's own (first-seen) order — the distributive
-    part of the measure, which is what the heap persists — and
-    *exceptions* the plain-dict exception list
-    (:func:`~repro.core.serialization.exceptions_to_dicts`).  The
-    sequences are taken as given (lists or tuples), not copied.
-    """
-    return {
-        "key": key,
-        "item_level": item_level,
-        "path_level": path_level,
-        "record_ids": record_ids,
-        "redundant": redundant,
-        "n_paths": n_paths,
-        "vector": vector,
-        "exceptions": exceptions,
-    }
-
-
 def _unencodable(what: str) -> StoreError:
-    return StoreError(f"cell payload outside the FCHEAP03 record: {what}")
+    return StoreError(f"cell payload outside the FCHEAP04 record: {what}")
 
 
-def encode_cell_payload(payload) -> bytes:
-    """Encode one :func:`cell_payload` dict as an ``FCHEAP03`` record —
-    the only code that assembles one.
+def encode_cell_payload(record_ids, vector, exceptions) -> bytes:
+    """Encode one cell's measure as an ``FCHEAP04`` record — the only
+    code that assembles one.
 
-    Layout: flags byte | :data:`_HEAD` | cell varints | UTF-8 key blob |
-    record-id step varints | optional :data:`_EXC_LEN` + (zlib'd when
-    smaller) JSON exception blob.  The cell varints are the key (part
-    count, byte length per part), the item level (count, digits), the
-    path-level id, ``redundant``, ``n_paths``, the vector (pair count,
-    then ``pid, weight`` per pair in the order given), the record-id
-    count and the first record id; every later id is written as its
-    distance from the one before, in a run of its own — gaps are small,
-    so that run is almost always single bytes, which decode in one C
-    pass however many members the cell has.
+    *record_ids* are the cell's ascending record ids, *vector* its
+    ``(pid, weight)`` pairs in its cube's path-id space — the
+    distributive part of the measure — and *exceptions* the plain-dict
+    exception list (:func:`~repro.core.serialization.exceptions_to_dicts`);
+    the sequences are taken as given (lists or tuples), not copied.  The
+    cell's coordinates, ``n_paths`` and ``redundant`` are the index's.
 
-    ``decode_cell_payload(encode_cell_payload(p))`` is *p* as JSON hands
-    it back.  What the layout cannot carry is a :class:`StoreError`: a
-    dict that is not exactly :func:`cell_payload`'s, a key part that is
-    not a ``str``, a counter that is not a non-negative true ``int``,
-    record ids that do not ascend strictly inside ``[0, 2**63)``.
+    Layout: flags byte | :data:`_HEAD` | varints | record-id step varints
+    | optional :data:`_EXC_LEN` + (zlib'd when smaller) JSON exception
+    blob.  The varints are the vector (pair count, then ``pid, weight``
+    per pair in the order given), the record-id count and the first
+    record id; every later id is written as its distance from the one
+    before, in a run of its own — gaps are small, so that run is almost
+    always single bytes, which decode in one C pass however many members
+    the cell has.
+
+    :func:`decode_cell_parts` gives ids and vector back and
+    :func:`decode_cell_exceptions` the exceptions.  What the layout cannot
+    carry is a :class:`StoreError`: a field of the wrong type, a counter
+    that is not a non-negative true ``int``, record ids that do not
+    ascend strictly inside ``[0, 2**63)``.
     """
-    if type(payload) is not dict or tuple(payload) != _PAYLOAD_KEYS:
-        raise _unencodable("not a cell_payload dict")
-    key, item_level, path_level, record_ids, redundant, n_paths, vector, \
-        exceptions = payload.values()
     if (
-        type(key) not in _SEQUENCES
-        or type(item_level) not in _SEQUENCES
-        or type(record_ids) not in _SEQUENCES
+        type(record_ids) not in _SEQUENCES
         or type(vector) not in _SEQUENCES
         or type(exceptions) is not list
-        or (redundant is not True and redundant is not False)
-        or set(map(type, key)) - _STR
         or set(map(type, vector)) - _PAIRS
         or set(map(len, vector)) - _TWO
         or set(map(type, record_ids)) - _INT
     ):
         raise _unencodable("a field of the wrong type")
-    chunks = [part.encode("utf-8") for part in key]
     body = [
-        len(chunks), *map(len, chunks), len(item_level), *item_level,
-        path_level, 1 if redundant else 0, n_paths,
         len(vector), *chain.from_iterable(vector), len(record_ids),
         *record_ids[:1],
     ]
@@ -726,13 +682,11 @@ def encode_cell_payload(payload) -> bytes:
         if len(packed) < len(exc_blob):
             flags |= _EXC_ZLIB
             exc_blob = packed
-    blob = b"".join(chunks)
     try:
         parts = [
             bytes((flags,)),
-            _HEAD.pack(len(stream), len(blob), len(steps)),
+            _HEAD.pack(len(stream), len(steps)),
             stream,
-            blob,
             steps,
         ]
         if exc_blob:
@@ -743,130 +697,65 @@ def encode_cell_payload(payload) -> bytes:
     return b"".join(parts)
 
 
-def _split_record(buffer):
-    """A record's ``(values, blob_at, steps_at, end)``: the cell varints
-    decoded, and where the key blob, the record-id steps and whatever
-    follows them (exceptions, if flagged) start.  A record flagged
-    ``0x01`` (a payload dict as verbatim JSON) is a retired layout."""
-    if buffer[0] & _RAW:
-        raise retired_layout("cell record", "verbatim-JSON (RAW)")
-    stream_len, blob_len, steps_len = _HEAD.unpack_from(buffer, 1)
-    blob_at = 1 + _HEAD.size + stream_len
-    steps_at = blob_at + blob_len
+def _split_record(buffer) -> tuple[int, int, int]:
+    """A record's ``(flags, steps_at, end)``: its flags byte and where the
+    record-id steps and whatever follows them (exceptions, if flagged)
+    start; the varints run from the end of :data:`_HEAD` to *steps_at*."""
+    flags = buffer[0]
+    if flags & ~_FLAGS:
+        raise StoreError(f"corrupt cell payload: unknown flags {flags:#04x}")
+    stream_len, steps_len = _HEAD.unpack_from(buffer, 1)
+    steps_at = 1 + _HEAD.size + stream_len
     end = steps_at + steps_len
     if end > len(buffer):
         raise StoreError("corrupt cell payload: truncated record")
-    return (
-        _decode_varints(buffer[1 + _HEAD.size : blob_at]),
-        blob_at,
-        steps_at,
-        end,
-    )
+    return flags, steps_at, end
 
 
-def _exceptions(buffer, end: int) -> list:
-    """The plain-dict exception list after a structured record's runs."""
-    flags = buffer[0]
-    if not flags & _EXC:
-        return []
-    (exc_len,) = _EXC_LEN.unpack_from(buffer, end)
-    blob = buffer[end + _EXC_LEN.size : end + _EXC_LEN.size + exc_len]
-    if len(blob) != exc_len:
-        raise StoreError("corrupt cell payload: truncated exceptions")
-    return json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
-
-
-def _vector(values: list[int]):
-    """``(redundant, n_paths, vector, end)`` of the decoded cell varints,
-    skipping the coordinates in front; *end* indexes the record-id count."""
-    i = 1 + values[0]
-    i += 1 + values[i]
-    n_pairs = values[i + 3]
-    end = i + 4 + 2 * n_pairs
-    vector = list(zip(values[i + 4 : end : 2], values[i + 5 : end : 2]))
-    if len(vector) != n_pairs or end >= len(values):
-        raise StoreError("corrupt cell payload: truncated varints")
-    return bool(values[i + 1]), values[i + 2], vector, end
-
-
-def _record_ids(values: list[int], end: int, steps) -> tuple[int, ...]:
-    """The record ids: the count and first id that close the cell
-    varints, then the ascending steps."""
-    gaps = _decode_varints(steps)
-    n_ids = values[end]
-    if len(values) != end + (2 if n_ids else 1) or len(gaps) != max(n_ids - 1, 0):
-        raise StoreError("corrupt cell payload: record-id count mismatch")
-    if 0 in gaps:
-        raise StoreError("corrupt cell payload: record ids do not ascend")
-    return tuple(accumulate(gaps, initial=values[end + 1])) if n_ids else ()
-
-
-def decode_cell_vector(buffer):
-    """A record's ``(record_ids, redundant, vector)`` — no path table, no
-    :class:`~repro.core.flowgraph.FlowGraph`; *vector* is the cell's
-    ``(pid, weight)`` pairs."""
+def decode_cell_parts(buffer) -> tuple[tuple[int, ...], dict[int, int]]:
+    """A record's ``(record_ids, vector)`` — the one decode of its
+    varints; *vector* is the cell's ``{pid: weight}`` in the record's
+    order.  No path table is read and no graph built: a reader expands
+    the flowgraph from the vector (Lemma 4.2)."""
     try:
-        values, _, steps_at, end = _split_record(buffer)
-        redundant, _, vector, at = _vector(values)
-        return _record_ids(values, at, buffer[steps_at:end]), redundant, vector
-    except _CORRUPT as exc:
-        raise StoreError(f"corrupt cell payload: {exc}") from None
-
-
-def decode_cell_parts(buffer, paths):
-    """A record's ``(redundant, flowgraph)`` — what a reader's first
-    touch of the cell's graph decodes.
-
-    The flowgraph is *expanded* from the stored vector
-    (:meth:`~repro.core.flowgraph.FlowGraph.expand` over ``(paths[pid],
-    weight)``: tallies and children in key order, so a served graph does
-    not depend on the order its records arrived in) with the stored
-    exception list attached; *paths* is the cell's level of the cube's
-    path table.  The record ids are not touched
-    (:func:`decode_cell_vector` reads them).  A pid the table does not
-    hold, like any other damage, is a :class:`StoreError`.
-    """
-    try:
-        values, _, _, end = _split_record(buffer)
-        redundant, _, vector, _ = _vector(values)
-        exceptions = _exceptions(buffer, end)
-        graph = FlowGraph.expand(
-            [(paths[pid], weight) for pid, weight in vector]
+        _, steps_at, end = _split_record(buffer)
+        values = _decode_varints(buffer[1 + _HEAD.size : steps_at])
+        n_pairs = values[0]
+        at = 1 + 2 * n_pairs
+        pids = values[1:at:2]
+        if len(pids) != n_pairs or at >= len(values):
+            raise StoreError("corrupt cell payload: truncated varints")
+        vector = dict(zip(pids, values[2:at:2]))
+        gaps = _decode_varints(buffer[steps_at:end])
+        n_ids = values[at]
+        expected = (at + 2, n_ids - 1) if n_ids else (at + 1, 0)
+        if (len(values), len(gaps)) != expected:
+            raise StoreError("corrupt cell payload: record-id count mismatch")
+        if 0 in gaps:
+            raise StoreError("corrupt cell payload: record ids do not ascend")
+        record_ids = (
+            tuple(accumulate(gaps, initial=values[at + 1])) if n_ids else ()
         )
-        if exceptions:
-            graph.exceptions = exceptions_from_dicts(exceptions)
-        return redundant, graph
+        return record_ids, vector
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
 
-def decode_cell_payload(buffer) -> dict:
-    """Decode a record back into the payload dict it was encoded from
-    (compares, and JSON-serialises, identically)."""
+def decode_cell_exceptions(buffer) -> list:
+    """A record's exception list (:class:`~repro.core.flowgraph_exceptions.
+    FlowException` objects), read past its varints without decoding
+    them."""
     try:
-        values, blob_at, steps_at, end = _split_record(buffer)
-        redundant, n_paths, vector, at = _vector(values)
-        record_ids = _record_ids(values, at, buffer[steps_at:end])
-        n_key = values[0]
-        key = []
-        position = blob_at
-        for length in values[1 : 1 + n_key]:
-            key.append(bytes(buffer[position : position + length]).decode("utf-8"))
-            position += length
-        if position != steps_at:
-            raise ValueError("key lengths disagree with the key blob")
-        i = 1 + n_key
-        item_level = values[i + 1 : i + 1 + values[i]]
-        return {
-            "key": key,
-            "item_level": item_level,
-            "path_level": values[i + 1 + values[i]],
-            "record_ids": list(record_ids),
-            "redundant": redundant,
-            "n_paths": n_paths,
-            "vector": [list(pair) for pair in vector],
-            "exceptions": _exceptions(buffer, end),
-        }
+        flags, _, end = _split_record(buffer)
+        if not flags & _EXC:
+            return []
+        (exc_len,) = _EXC_LEN.unpack_from(buffer, end)
+        blob = buffer[end + _EXC_LEN.size : end + _EXC_LEN.size + exc_len]
+        if len(blob) != exc_len:
+            raise StoreError("corrupt cell payload: truncated exceptions")
+        return exceptions_from_dicts(
+            json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
+        )
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 

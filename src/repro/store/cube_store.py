@@ -22,9 +22,10 @@ one sequence under the store's :class:`~repro.publish.WriterLock`: draw
 the commit does not list.  A writer killed anywhere leaves the old cube
 or the new one; a reader that loses the race with a sweep reloads.
 
-The heap holds one compact ``FCHEAP03`` record per cell — the cell's
+The heap holds one compact ``FCHEAP04`` record per cell — the cell's
 ``(path id, weight)`` vector, its record ids and its exceptions
-(:func:`~repro.store.binfmt.encode_cell_payload`), not its flowgraph —
+(:func:`~repro.store.binfmt.encode_cell_payload`), not its flowgraph
+and not its coordinates, which only the index holds —
 one joined buffer per cuboid; the path ids resolve through the cube's
 path table (``paths.bin``), which is loaded the first time a reader
 asks a cell for its flowgraph and not before; the index lives in one packed
@@ -39,8 +40,8 @@ leading with the retired generation's magic are refused with a
 fields (key, levels, ``n_paths``, ``redundant``) straight from the index
 entry plus a copy of the cell's record bytes and a
 :class:`_RecordLoader`; ``record_ids`` and ``weights`` decode from those
-bytes and ``flowgraph`` is expanded from the stored vector the first
-time each is touched — slicing and listing decode nothing.  The store
+bytes together, the first time either is touched, and ``flowgraph`` is
+expanded from that vector — slicing and listing decode nothing.  The store
 fronts every read with a bounded :class:`~repro.store.cache.LRUCache`
 whose hit/miss/eviction counters make serving behaviour observable.
 
@@ -74,7 +75,6 @@ from repro.core.flowcube import Cell, CellKey
 from repro.core.lattice import ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathSchema
 from repro.core.serialization import (
-    exceptions_from_dicts,
     exceptions_to_dicts,
     path_level_from_dict,
     path_level_to_dict,
@@ -441,7 +441,7 @@ class _HeapCells:
 
     def record(self, entry: Entry) -> bytes:
         """A copy of the entry's cell record — the bytes
-        :func:`~repro.store.binfmt.decode_cell_vector` takes — verbatim."""
+        :func:`~repro.store.binfmt.decode_cell_parts` takes — verbatim."""
         length = entry[1]
         segment_id, offset = binfmt.split_segment_offset(entry[0])
         segment = self._segments.get(segment_id) or self._segment(segment_id)
@@ -649,15 +649,16 @@ class _RecordLoader:
     """How the cells of one cuboid read decode the record bytes each
     (a :class:`~repro.core.flowcube.Cell`) copied out under the store lock.
 
-    :meth:`vector` reads ids and ``{pid: weight}`` from the record alone
-    (no path table, no graph), and :meth:`exceptions` the mined list;
-    :meth:`flowgraph` expands the graph over
-    :meth:`level_paths` with :func:`~repro.store.binfmt.decode_cell_parts`
-    and counts ``cells_decoded``.  It holds the path table the records
-    name, so a cell decodes the same measure after the store has
-    reloaded, appended, compacted or closed.  Two threads racing on a
-    first touch both decode equal measures (``cells_decoded``, unguarded
-    telemetry, may then read one short).
+    :meth:`vector` decodes ids and ``{pid: weight}`` from the record
+    alone (no path table, no graph), :meth:`exceptions` reads the mined
+    list past them, :meth:`level_paths` is the path list the vector's ids
+    index, and :meth:`expanded` — the cell has just expanded its graph
+    from the vector — attaches the exceptions and counts
+    ``cells_decoded``.  It holds the path table the records name, so a
+    cell decodes the same measure after the store has reloaded, appended,
+    compacted or closed.  Two threads racing on a first touch both decode
+    equal measures (``cells_decoded``, unguarded telemetry, may then read
+    one short).
     """
 
     __slots__ = ("paths", "level_id", "counters")
@@ -670,21 +671,17 @@ class _RecordLoader:
         self.counters = counters
 
     def vector(self, record: bytes) -> tuple[tuple[int, ...], dict[int, int]]:
-        record_ids, _, pairs = binfmt.decode_cell_vector(record)
-        return record_ids, dict(pairs)
+        return binfmt.decode_cell_parts(record)
 
     def level_paths(self) -> list:
         return self.paths.levels()[self.level_id]
 
-    def flowgraph(self, record: bytes, level_paths):
-        graph = binfmt.decode_cell_parts(record, level_paths)[1]
-        self.counters["cells_decoded"] += 1
-        return graph
-
     def exceptions(self, record: bytes) -> list:
-        return exceptions_from_dicts(
-            binfmt.decode_cell_payload(record)["exceptions"]
-        )
+        return binfmt.decode_cell_exceptions(record)
+
+    def expanded(self, graph, record: bytes) -> None:
+        graph.exceptions = self.exceptions(record)
+        self.counters["cells_decoded"] += 1
 
 
 class StoredCuboid:
@@ -935,19 +932,39 @@ class CubeStore:
 
     def _encode(self, cells) -> list[tuple[bytes, int, bool]]:
         """``(coords, cell)`` pairs as heap ``(record, n_paths,
-        redundant)`` triples: the cell's vector in this cube's path-id
-        space (:meth:`_vector`), its record ids and its exceptions."""
+        redundant)`` triples — the one write door: the record is the
+        cell's vector in this cube's path-id space (:meth:`_vector`), its
+        record ids and its exceptions; the index fields are checked here,
+        and a key part that is not a ``str``, a key or item level of
+        another width than the schema's, an ``n_paths`` that is not a
+        non-negative ``int`` or a ``redundant`` that is not a ``bool`` is
+        a :class:`~repro.errors.StoreError`."""
         table = self.path_table
+        n_dims = self.schema.n_dimensions
         encode = binfmt.encode_cell_payload
         records = []
         for (item_level, level_id, key), cell in cells:
-            payload = binfmt.cell_payload(
-                key, item_level.levels, level_id, cell.record_ids,
-                cell.redundant, cell.n_paths,
+            n_paths, redundant = cell.n_paths, cell.redundant
+            if len(key) != n_dims or len(item_level.levels) != n_dims:
+                raise StoreError(
+                    f"cell {key!r} at item level {item_level.levels}: "
+                    f"a key or item level that does not span {n_dims} "
+                    "dimensions"
+                )
+            if set(map(type, key)) - {str} or (
+                redundant is not True and redundant is not False
+            ):
+                raise StoreError(f"cell {key!r}: a field of the wrong type")
+            if type(n_paths) is not int or n_paths < 0:
+                raise StoreError(
+                    f"cell {key!r}: a counter that is not a non-negative int"
+                )
+            record = encode(
+                cell.record_ids,
                 self._vector(cell, table, level_id),
                 exceptions_to_dicts(cell.exceptions),
             )
-            records.append((encode(payload), cell.n_paths, cell.redundant))
+            records.append((record, n_paths, redundant))
         return records
 
     @staticmethod

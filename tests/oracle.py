@@ -8,6 +8,12 @@ path-scanning ``"scan"`` kernel.  It shares nothing with the roll-up
 is an :class:`OracleCell` holding a graph built path by path with
 ``FlowGraph.add_path``, never expanded from a vector — so a
 ``cube_to_json`` match is evidence, not a tautology.
+
+It also keeps the two measure lemmas of Section 4.2 as witnesses the
+tests call: :func:`merge_flowgraphs` (Lemma 4.2: a flowgraph over a
+union of disjoint path sets is the sum of the parts' node counts) and
+:func:`exceptions_are_mergeable` (Lemma 4.3: exceptions are holistic,
+so per-part mining can miss a segment frequent only in the union).
 """
 
 from __future__ import annotations
@@ -16,12 +22,18 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.core.aggregation import WeightedPaths, aggregate_path, weight_paths
+from repro.core.aggregation import (
+    AggregatedPath,
+    WeightedPaths,
+    aggregate_path,
+    weight_paths,
+)
 from repro.core.flowcube import CellKey, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import (
     Segment,
     mine_exceptions_weighted,
+    mine_frequent_segments,
     resolve_min_support,
 )
 from repro.core.lattice import (
@@ -152,3 +164,33 @@ def _group_records(
         key = roll_up_key(record.dims, item_level, hierarchies)
         groups.setdefault(key, []).append(record.record_id)
     return groups
+
+
+def merge_flowgraphs(graphs: Iterable[FlowGraph]) -> FlowGraph:
+    """Merge flowgraphs over disjoint path sets by summing node counts.
+
+    The merged graph's distributions equal those of a flowgraph built
+    directly over the union of the underlying paths (Lemma 4.2).
+    Exceptions are *not* merged — they are holistic (Lemma 4.3) and must
+    be re-mined.  A new :class:`FlowGraph`; the inputs are left untouched.
+    """
+    return FlowGraph().merge(graphs)
+
+
+def exceptions_are_mergeable(
+    parts: Sequence[Sequence[AggregatedPath]], min_support: float
+) -> bool:
+    """Whether per-part frequent segments suffice for the union.
+
+    ``True`` only when every segment frequent in the union is frequent in
+    at least one part — in which case part-local mining would have
+    surfaced it.  Lemma 4.3 says this fails in general; the tests
+    exhibit concrete counterexamples.
+    """
+    union: list[AggregatedPath] = [path for part in parts for path in part]
+    union_frequent = set(mine_frequent_segments(union, min_support))
+    part_frequent: set = set()
+    for part in parts:
+        if part:
+            part_frequent |= set(mine_frequent_segments(list(part), min_support))
+    return union_frequent <= part_frequent

@@ -12,12 +12,13 @@ The contracts:
 * **read behaviour over the heap**: the LRU fronts the heap's cells,
   and ``maybe_reload`` notices a cross-handle rebuild through the
   single-read meta signature;
-* **one record writer, one reader** (hypothesis): a cell's payload — its
+* **one record writer, one reader** (hypothesis): a cell's measure — its
   ``(pid, weight)`` vector, record ids, exceptions — round-trips through
-  its ``FCHEAP03`` record to the dict, to the vector and to the expanded
-  flowgraph; the store's write door, fed a live cell, produces the bytes
-  the dict encoder produces, and what the record cannot carry — or a
-  record flagged with the retired verbatim-JSON bit — is a typed error;
+  its ``FCHEAP04`` record, which holds none of the cell's coordinates;
+  the store's write door, fed a live cell, writes a record that reads
+  back as the cell's ids, multiset and expanded flowgraph, and what the
+  record or the index cannot carry — or a record with a flag bit the
+  layout does not define — is a typed error;
 * **every damaged byte is typed**: flipping each byte and cutting at
   each length of a record and of a path table yields a decode or a
   ``StoreError``, never an untyped exception;
@@ -43,17 +44,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.flowcube import Cell
 from repro.core.flowgraph import FlowGraph
 from repro.core.flowgraph_exceptions import FlowException
 from repro.core.lattice import ItemLevel
 from repro.core.hierarchy import ConceptHierarchy
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.core.serialization import (
-    exceptions_from_dicts,
-    exceptions_to_dicts,
-    flowgraph_to_dict,
-)
+from repro.core.serialization import exceptions_to_dicts, flowgraph_to_dict
 from repro.core.stage import Stage
 from repro.errors import StoreError
 from repro.store import (
@@ -66,7 +64,6 @@ from repro.store import (
 from repro.store.binfmt import (
     _EXC,
     _EXC_ZLIB,
-    _RAW,
     INDEX_LAYOUT,
     INDEX_MAGIC,
     ORDER_TAG,
@@ -75,10 +72,8 @@ from repro.store.binfmt import (
     STRINGS_LAYOUT,
     MaskArena,
     StringTable,
-    cell_payload,
+    decode_cell_exceptions,
     decode_cell_parts,
-    decode_cell_payload,
-    decode_cell_vector,
     encode_cell_payload,
     pack_cell_index,
     pack_partition,
@@ -435,7 +430,7 @@ def test_design_diagrams_carry_the_tables_rows_in_order(magic):
 
 
 # ----------------------------------------------------------------------
-# FCHEAP03 cell record: one writer, one reader (hypothesis)
+# FCHEAP04 cell record: one writer, one reader (hypothesis)
 # ----------------------------------------------------------------------
 
 #: Path weights on both sides of the one-, two- and three-byte varints.
@@ -457,13 +452,9 @@ _EXCEPTION = st.builds(
 
 @st.composite
 def vector_cells(draw):
-    """``(cell_payload arguments, level path list)``: coordinates,
-    ascending record ids, a ``(pid, weight)`` vector in an order of its
-    own over a path list, and an exception list."""
-    key = tuple(draw(st.lists(_VALUE, max_size=3)))
-    item_level = tuple(
-        draw(st.integers(min_value=0, max_value=200)) for _ in key
-    )
+    """``(encode_cell_payload arguments, level path list)``: ascending
+    record ids, a ``(pid, weight)`` vector in an order of its own over a
+    path list, and an exception list."""
     locations = draw(st.lists(_VALUE, min_size=1, max_size=4, unique=True))
     labels = draw(st.lists(_VALUE, min_size=1, max_size=5, unique=True))
     stage = st.tuples(st.sampled_from(locations), st.sampled_from(labels))
@@ -481,46 +472,28 @@ def vector_cells(draw):
         set(draw(st.lists(st.integers(0, 2**63 - 1), max_size=6)))
     )
     cell = (
-        key,
-        item_level,
-        draw(st.integers(min_value=0, max_value=200)),
         tuple(record_ids),
-        draw(st.booleans()),
-        sum(weight for _, weight in vector),
         vector,
         exceptions_to_dicts(draw(st.lists(_EXCEPTION, max_size=2))),
     )
     return cell, paths
 
 
-def _json_form(payload):
-    """*payload* as JSON hands it back (tuples become lists)."""
-    return json.loads(json.dumps(payload))
+def _json_form(value):
+    """*value* as JSON hands it back (tuples become lists)."""
+    return json.loads(json.dumps(value))
 
 
-def _expanded(vector, paths, exceptions=()) -> dict:
-    """What a reader must see: the graph of the vector's paths, serialised."""
-    graph = FlowGraph()
-    for pid, weight in vector:
-        graph.add_path(paths[pid], weight)
-    graph.exceptions = exceptions_from_dicts(list(exceptions))
-    return flowgraph_to_dict(graph)
-
-
-def _assert_round_trip(cell, paths) -> bytes:
-    """Every reader gives back what the writer was given."""
-    payload = cell_payload(*cell)
-    record = encode_cell_payload(payload)
-    assert decode_cell_payload(record) == _json_form(payload)
-    record_ids, redundant, vector = decode_cell_vector(record)
-    assert record_ids == tuple(payload["record_ids"])
-    assert redundant is payload["redundant"]
-    assert vector == [tuple(pair) for pair in payload["vector"]]
-    redundant, graph = decode_cell_parts(record, paths)
-    assert redundant is payload["redundant"]
-    assert graph.n_paths == payload["n_paths"]
-    assert flowgraph_to_dict(graph) == _expanded(
-        vector, paths, payload["exceptions"]
+def _assert_round_trip(cell) -> bytes:
+    """The one reader gives back what the writer was given: the ids and
+    the vector, in its order, and the exception section."""
+    record_ids, vector, exceptions = cell
+    record = encode_cell_payload(*cell)
+    decoded_ids, decoded = decode_cell_parts(record)
+    assert decoded_ids == tuple(record_ids)
+    assert list(decoded.items()) == [tuple(pair) for pair in vector]
+    assert exceptions_to_dicts(decode_cell_exceptions(record)) == _json_form(
+        exceptions
     )
     return record
 
@@ -528,9 +501,9 @@ def _assert_round_trip(cell, paths) -> bytes:
 @given(vector_cells())
 @settings(max_examples=150, deadline=None)
 def test_a_cell_round_trips_through_its_structured_record(case):
-    cell, paths = case
-    record = _assert_round_trip(cell, paths)
-    assert not record[0] & _RAW
+    cell, _ = case
+    record = _assert_round_trip(cell)
+    assert record[0] & ~(_EXC | _EXC_ZLIB) == 0
     assert bool(record[0] & _EXC) == bool(cell[-1])
 
 
@@ -544,8 +517,7 @@ def test_record_id_varint_widths(field):
     lengths = []
     for value in (127, 128, 16383, 16384):
         record_ids = (value,) if field == "first record id" else (1, 1 + value)
-        cell = ((), (), 0, record_ids, False, 1, [(0, 1)], [])
-        lengths.append(len(_assert_round_trip(cell, _ONE_STAGE)))
+        lengths.append(len(_assert_round_trip((record_ids, [(0, 1)], []))))
     assert [n - lengths[0] for n in lengths] == [0, 1, 1, 2]
 
 
@@ -553,79 +525,107 @@ def test_exception_blob_is_zlibbed_only_when_smaller():
     exceptions = exceptions_to_dicts(
         [FlowException(("a",), (), "duration", 1, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
-    paths = [(("a", "1"),)]
-    cell = (("k",), (1,), 0, (3,), False, 1, [(0, 1)], exceptions)
-    record = _assert_round_trip(cell, paths)
+    record = _assert_round_trip(((3,), [(0, 1)], exceptions))
     assert record[0] & _EXC and record[0] & _EXC_ZLIB
-    # Only a hand-made payload has an exception list too short to shrink.
-    payload = cell_payload(*cell[:-1], [0])
-    record = encode_cell_payload(payload)
+    # Only a hand-made list is too short to shrink — and is no exception
+    # list, which the reader says.
+    record = encode_cell_payload((3,), [(0, 1)], [0])
     assert record[0] & _EXC and not record[0] & _EXC_ZLIB
-    assert decode_cell_payload(record) == _json_form(payload)
+    with pytest.raises(StoreError, match="corrupt cell payload"):
+        decode_cell_exceptions(record)
 
 
 class _Label(str):
-    """Equal to, but not exactly, a ``str``: outside the record layout."""
+    """Equal to, but not exactly, a ``str``: outside the store's layout."""
 
 
 _TWO_PATHS = [(("a", "1"), ("b", "2")), (("a", "2"),)]
 
 
-@pytest.mark.parametrize("feeder", ["dict encoder", "door"])
-def test_every_int64_record_id_is_stored_structured(live_cube, feeder):
+@pytest.mark.parametrize("writer", ["encoder", "door"])
+def test_every_int64_record_id_is_stored_structured(live_cube, writer):
     """A record carries every id a partition's ``int64`` column holds,
-    whether the dict encoder or the store's door writes it."""
+    whether the encoder or the store's door writes it."""
     for record_ids in ((2**31,), (0, 2**31, 2**32 + 7), (1, 2**63 - 1)):
-        if feeder == "dict encoder":
-            cell = (("x",), (1,), 0, record_ids, False, 3, [(1, 2), (0, 1)], [])
-            record = _assert_round_trip(cell, _TWO_PATHS)
+        if writer == "encoder":
+            _assert_round_trip((record_ids, [(1, 2), (0, 1)], []))
         else:
             pairs = [(_TWO_PATHS[0], len(record_ids))]
             cell = _live_cell(("x", "y"), record_ids, False, pairs)
-            record = _both_feeders(live_cube, cell)
-            assert decode_cell_vector(record)[0] == record_ids
-            graph = decode_cell_parts(
-                record, live_cube.path_table.paths[_LIVE_LEVEL_ID]
-            )[1]
-            assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
-        assert not record[0] & _RAW
+            _door_round_trip(live_cube, cell)
 
 
-def _unencodable_payload(case: str) -> dict:
-    payload = cell_payload(
-        ["x", "y"], [0, 1], 2, [1, 2], False, 3, [[1, 2], [0, 1]], []
-    )
+def _unencodable_record(case: str) -> tuple:
+    record_ids, vector, exceptions = [1, 2], [[1, 2], [0, 1]], []
     if case == "record id 2**63":
-        payload["record_ids"] = [1, 2**63]
+        record_ids = [1, 2**63]
     elif case == "negative record id":
-        payload["record_ids"] = [-1]
+        record_ids = [-1]
     elif case == "descending record ids":
-        payload["record_ids"] = [2, 1]
+        record_ids = [2, 1]
     elif case == "repeated record id":
-        payload["record_ids"] = [1, 1]
+        record_ids = [1, 1]
     elif case == "bool record id":
-        payload["record_ids"] = [0, True]
+        record_ids = [0, True]
     elif case == "bool weight":
-        payload["vector"] = [[1, True]]
+        vector = [[1, True]]
     elif case == "float weight":
-        payload["vector"] = [[1, 2.0], [0, 1]]
-    elif case == "negative n_paths":
-        payload["n_paths"] = -1
+        vector = [[1, 2.0], [0, 1]]
     elif case == "pair of three":
-        payload["vector"] = [[1, 2, 3], [0]]
-    elif case == "non-str key part":
-        payload["key"] = ["x", 7]
-    elif case == "str-subclass key part":
-        payload["key"] = ["x", _Label("y")]
-    elif case == "non-bool redundant":
-        payload["redundant"] = 1
+        vector = [[1, 2, 3], [0]]
     elif case == "foreign key order":
-        payload = dict(reversed(payload.items()))
+        # The fields in another order than the encoder's.
+        record_ids, vector = vector, record_ids
+    elif case == "vector as a dict":
+        vector = dict(vector)
+    elif case == "exceptions as a tuple":
+        exceptions = ()
+    return record_ids, vector, exceptions
+
+
+def _unindexable_cell(cube, case: str) -> Cell:
+    """A cell whose fields the index — key, item level, ``n_paths``,
+    ``redundant`` — or the door cannot carry."""
+    key, levels, n_paths, redundant = ["x", "y"], [0, 1], 3, False
+    weights = {0: 2, 1: 1}
+    if case == "non-str key part":
+        key[1] = 7
+    elif case == "str-subclass key part":
+        key[1] = _Label("y")
+    elif case == "non-bool redundant":
+        redundant = 1
+    elif case == "negative n_paths":
+        n_paths = -1
+    elif case == "bool n_paths":
+        n_paths = True
+    elif case == "float n_paths":
+        n_paths = 3.0
+    elif case == "wrong item-level width":
+        levels = [0, 1, 0]
+    elif case == "wrong key width":
+        key = ["x"]
     elif case == "a cell without its multiset":
-        # The shape the retired verbatim-JSON record stored: a flowgraph.
-        del payload["n_paths"], payload["vector"], payload["exceptions"]
-        payload["flowgraph"] = flowgraph_to_dict(FlowGraph(_TWO_PATHS))
-    return payload
+        weights = {}
+    return Cell(
+        tuple(key), ItemLevel(levels), cube.path_lattice[_LIVE_LEVEL_ID],
+        (1, 2, 5), weights, list(_TWO_PATHS), redundant, n_paths=n_paths,
+    )
+
+
+#: The cases whose field only the index holds — and a cell without its
+#: multiset, the shape the retired verbatim-JSON record stored — go
+#: through ``CubeStore.put_cell``, the write door; what it says of each.
+_DOOR_REFUSALS = {
+    "non-str key part": "a field of the wrong type",
+    "str-subclass key part": "a field of the wrong type",
+    "non-bool redundant": "a field of the wrong type",
+    "negative n_paths": "a counter that is not a non-negative int",
+    "bool n_paths": "a counter that is not a non-negative int",
+    "float n_paths": "a counter that is not a non-negative int",
+    "wrong item-level width": "does not span 2 dimensions",
+    "wrong key width": "does not span 2 dimensions",
+    "a cell without its multiset": "weighs 0 paths but has 3 record ids",
+}
 
 
 @pytest.mark.parametrize(
@@ -638,48 +638,48 @@ def _unencodable_payload(case: str) -> dict:
         "bool record id",
         "bool weight",
         "float weight",
-        "negative n_paths",
         "pair of three",
-        "non-str key part",
-        "str-subclass key part",
-        "non-bool redundant",
         "foreign key order",
-        "a cell without its multiset",
+        "vector as a dict",
+        "exceptions as a tuple",
+        *_DOOR_REFUSALS,
     ],
 )
-def test_every_payload_the_record_cannot_carry_is_a_typed_error(case):
-    with pytest.raises(StoreError, match="outside the FCHEAP03 record"):
-        encode_cell_payload(_unencodable_payload(case))
+def test_every_payload_the_record_cannot_carry_is_a_typed_error(
+    live_cube, case
+):
+    if case not in _DOOR_REFUSALS:
+        with pytest.raises(StoreError, match="outside the FCHEAP04 record"):
+            encode_cell_payload(*_unencodable_record(case))
+        return
+    before = live_cube.n_cells()
+    with pytest.raises(StoreError, match=re.escape(_DOOR_REFUSALS[case])):
+        live_cube.put_cell(_unindexable_cell(live_cube, case))
+    assert live_cube.n_cells() == before
 
 
-def test_a_record_flagged_0x01_is_a_retired_layout():
-    """The retired verbatim-JSON record, and a structured one whose flags
-    byte says it is one, are refused — the store's rule for a retired
-    layout — by every reader."""
-    payload = cell_payload(("k",), (1,), 0, (4,), False, 1, [(0, 1)], [])
-    structured = encode_cell_payload(payload)
-    for record in (
-        bytes((_RAW,)) + json.dumps(payload).encode(),
-        bytes((structured[0] | _RAW,)) + structured[1:],
-    ):
-        for read in (
-            lambda: decode_cell_vector(record),
-            lambda: decode_cell_parts(record, _TWO_PATHS),
-            lambda: decode_cell_payload(record),
-        ):
-            with pytest.raises(StoreError, match="retired verbatim-JSON"):
-                read()
+def test_an_unknown_flag_bit_is_damage():
+    """The flags byte defines two bits; a record with any other set —
+    0x01 marked the retired verbatim-JSON record — is refused by both
+    readers as a corrupt record, not read past."""
+    record = encode_cell_payload((4,), [(0, 1)], [])
+    for bit in (0x01, 0x08, 0x80):
+        flagged = bytes((record[0] | bit,)) + record[1:]
+        for read in (decode_cell_parts, decode_cell_exceptions):
+            with pytest.raises(
+                StoreError, match=f"corrupt cell payload: unknown flags {bit:#04x}"
+            ):
+                read(flagged)
 
 
 # ----------------------------------------------------------------------
-# the store's door: a live cell and its payload dict are one record
+# the store's door: a live cell's record reads back as its measure
 # ----------------------------------------------------------------------
 #
-# ``CubeStore._encode`` is what every write goes through: it resolves a
-# live cell's multiset into the cube's path-id space and hands
-# ``encode_cell_payload`` a dict.  The two feeders below are that door
-# (fed a live ``Cell``) and the dict encoder fed ``cell_payload`` by
-# hand; they must agree byte for byte.
+# ``CubeStore._encode`` is what every write goes through: it checks the
+# cell's index fields, resolves its multiset into the cube's path-id
+# space and hands ``encode_cell_payload`` the ids, the vector and the
+# exceptions.  What it writes must read back as the cell.
 
 _LIVE_LEVEL_ID = 1
 
@@ -721,43 +721,58 @@ def _door(cube, cell) -> bytes:
     return record
 
 
-def _both_feeders(cube, cell) -> bytes:
-    """The door's bytes for *cell*, checked against the dict encoder's."""
+def _door_round_trip(cube, cell) -> bytes:
+    """The door's record for *cell*, read back: its record ids, its
+    multiset in the cube's path-id space and the graph a reader expands
+    from them, with its exceptions."""
     record = _door(cube, cell)
-    ids = cube.path_table.ids[_LIVE_LEVEL_ID]
-    payload = cell_payload(
-        cell.key, cell.item_level.levels, _LIVE_LEVEL_ID, cell.record_ids,
-        cell.redundant, cell.n_paths,
-        [(ids[path], weight) for path, weight in cell.paths],
-        exceptions_to_dicts(cell.flowgraph.exceptions),
-    )
-    assert record == encode_cell_payload(payload)
-    assert not record[0] & _RAW
-    assert decode_cell_payload(record) == _json_form(payload)
+    record_ids, vector = decode_cell_parts(record)
+    paths = cube.path_table.paths[_LIVE_LEVEL_ID]
+    pairs = [(paths[pid], weight) for pid, weight in vector.items()]
+    assert record_ids == cell.record_ids
+    assert dict(pairs) == dict(cell.paths)
+    graph = FlowGraph.expand(pairs)
+    graph.exceptions = decode_cell_exceptions(record)
+    assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
+    assert bool(record[0] & _EXC) == bool(cell.flowgraph.exceptions)
     return record
 
 
-@given(vector_cells(), st.lists(_EXCEPTION, max_size=2))
+#: Two key parts: the example schema's dimensions.
+_KEY = st.tuples(_VALUE, _VALUE)
+
+
+@given(vector_cells(), _KEY, st.booleans(), st.lists(_EXCEPTION, max_size=2))
 @settings(max_examples=100, deadline=None)
-def test_live_encoder_matches_the_dict_encoder(live_cube, case, exceptions):
-    (key, _, _, _, redundant, _, vector, _), paths = case
+def test_the_door_writes_a_record_that_reads_back_as_the_cell(
+    live_cube, case, key, redundant, exceptions
+):
+    ((_, vector, _), paths) = case
     # The door takes a cell whose multiset weighs its record ids.
     pairs = [(paths[pid], min(weight, 128)) for pid, weight in vector]
     record_ids = tuple(range(sum(weight for _, weight in pairs)))
     cell = _live_cell(key, record_ids, redundant, pairs, exceptions)
-    record = _both_feeders(live_cube, cell)
-    assert bool(record[0] & _EXC) == bool(exceptions)
-    graph = decode_cell_parts(
-        record, live_cube.path_table.paths[_LIVE_LEVEL_ID]
-    )[1]
-    assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
+    _door_round_trip(live_cube, cell)
+
+
+def test_a_record_carries_no_coordinates(live_cube):
+    """Key, levels, ``n_paths`` and ``redundant`` are the index's: the
+    record is the ids, the vector and the exceptions, byte for byte what
+    the encoder makes of them alone."""
+    key = ("coordinate-one", "coordinate-two")
+    pairs = [(_TWO_PATHS[0], 2), (_TWO_PATHS[1], 1)]
+    cell = _live_cell(key, (3, 9, 12), True, pairs)
+    record = _door_round_trip(live_cube, cell)
+    assert b"coordinate" not in record
+    ids = live_cube.path_table.ids[_LIVE_LEVEL_ID]
+    vector = [(ids[path], weight) for path, weight in pairs]
+    assert record == encode_cell_payload((3, 9, 12), vector, [])
 
 
 def _boundary_cell(n_labels: int, weight: int):
     """*n_labels* one-stage paths of *weight* each, in a level whose
     first three path ids other cells brought: ids 3 … n_labels + 2."""
-    vector = [(3 + i, weight) for i in range(n_labels)]
-    return ((), (), 0, (), False, n_labels * weight, vector, [])
+    return (), [(3 + i, weight) for i in range(n_labels)], []
 
 
 @pytest.mark.parametrize(
@@ -774,12 +789,12 @@ def _boundary_cell(n_labels: int, weight: int):
     ],
 )
 def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
-    """A record whose cell varints are all single bytes — *pure* — is
-    decoded by one ``list(bytes)``; the record says so by holding no
+    """A record whose varints are all single bytes — *pure* — is decoded
+    by one ``list(bytes)``; the record says so by holding no
     continuation byte, not by a flag."""
-    record = _assert_round_trip(_boundary_cell(n_labels, weight), _ONE_STAGE)
-    n_cell = struct.unpack_from("<III", record, 1)[0]
-    assert (max(record[13 : 13 + n_cell]) < 0x80) is pure
+    record = _assert_round_trip(_boundary_cell(n_labels, weight))
+    n_varints = struct.unpack_from("<II", record, 1)[0]
+    assert (max(record[9 : 9 + n_varints]) < 0x80) is pure
 
 
 def _unstorable_cell(case: str):
@@ -848,16 +863,13 @@ def _typed_or_decoded(read, says: str = "") -> str:
 
 def test_no_damaged_record_escapes_as_an_untyped_error():
     """Flip each byte and cut at each length of an exception-bearing
-    structured record: every reader decodes (no checksum yet) or raises
+    record: both readers decode (no checksum yet) or raise
     ``StoreError`` — never ``IndexError`` / ``struct.error`` /
-    ``zlib.error`` from inside the codec.  A flipped flags bit may read
-    as the retired verbatim-JSON flag, which is refused as such."""
+    ``zlib.error`` from inside the codec."""
     exceptions = exceptions_to_dicts(
         [FlowException(("a",), (), "duration", 2, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
-    cell = (("k", "ü"), (1, 2), 3, (4, 300, 70000), True, 130,
-            [(1, 128), (0, 2)], exceptions)
-    record = _assert_round_trip(cell, _TWO_PATHS)
+    record = _assert_round_trip(((4, 300, 70000), [(1, 128), (0, 2)], exceptions))
     damaged = [record[:length] for length in range(len(record))]
     for position in range(len(record)):
         for mask in (0x01, 0x80, 0xFF):
@@ -866,66 +878,67 @@ def test_no_damaged_record_escapes_as_an_untyped_error():
             damaged.append(bytes(flipped))
     outcomes = {"typed": 0, "decoded": 0}
     for data in damaged:
-        for read in (
-            lambda: decode_cell_vector(data),
-            lambda: decode_cell_parts(data, _TWO_PATHS),
-            lambda: decode_cell_payload(data),
-        ):
+        for read in (decode_cell_parts, decode_cell_exceptions):
             outcomes[
-                _typed_or_decoded(read, "corrupt cell payload|retired")
+                _typed_or_decoded(lambda: read(data), "corrupt cell payload")
             ] += 1
     assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
 
 
-def _with_runs(record: bytes, cell=lambda s: s, steps=lambda s: s) -> bytes:
-    """*record* with its cell varints and its id-step varints edited."""
-    n_cell, n_blob, n_steps = struct.unpack_from("<III", record, 1)
-    blob_at = 13 + n_cell
-    steps_at = blob_at + n_blob
-    new_cell = cell(record[13:blob_at])
+def _with_runs(record: bytes, varints=lambda s: s, steps=lambda s: s) -> bytes:
+    """*record* with its varints and its id-step varints edited."""
+    n_varints, n_steps = struct.unpack_from("<II", record, 1)
+    steps_at = 9 + n_varints
+    new_varints = varints(record[9:steps_at])
     new_steps = steps(record[steps_at : steps_at + n_steps])
     return (
         record[:1]
-        + struct.pack("<III", len(new_cell), n_blob, len(new_steps))
-        + new_cell
-        + record[blob_at:steps_at]
+        + struct.pack("<II", len(new_varints), len(new_steps))
+        + new_varints
         + new_steps
         + record[steps_at + n_steps :]
     )
 
 
 def test_named_record_damage_is_named():
-    record = encode_cell_payload(
-        cell_payload(("k",), (1,), 0, (4, 9, 300), False, 3, [(1, 2), (0, 1)], [])
-    )
-    assert decode_cell_vector(record)[0] == (4, 9, 300)
-    assert decode_cell_vector(_with_runs(record)) == decode_cell_vector(record)
-    # The cell varints end: ... n_ids=3, first id 4; the steps are 5, 291.
+    record = encode_cell_payload((4, 9, 300), [(1, 2), (0, 1)], [])
+    assert decode_cell_parts(record) == ((4, 9, 300), {1: 2, 0: 1})
+    assert decode_cell_parts(_with_runs(record)) == decode_cell_parts(record)
+    # The varints are n_pairs=2, 1, 2, 0, 1, n_ids=3, first id 4; the
+    # steps are 5, 291.
     for damaged in (
-        _with_runs(record, cell=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
+        _with_runs(record, varints=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
         _with_runs(record, steps=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
     ):
         with pytest.raises(StoreError, match="dangling varint"):
-            decode_cell_vector(damaged)
+            decode_cell_parts(damaged)
     repeated = _with_runs(record, steps=lambda s: b"\x00" + s[1:])
     with pytest.raises(StoreError, match="record ids do not ascend"):
-        decode_cell_vector(repeated)
+        decode_cell_parts(repeated)
     for damaged in (
         _with_runs(record, steps=lambda s: s[:1]),  # a step short
         _with_runs(record, steps=lambda s: s + b"\x01"),  # one too many
-        _with_runs(record, cell=lambda s: s[:-2] + b"\x09" + s[-1:]),
-        _with_runs(record, cell=lambda s: s + b"\x01"),
+        _with_runs(record, varints=lambda s: s[:-2] + b"\x09" + s[-1:]),
+        _with_runs(record, varints=lambda s: s + b"\x01"),
     ):
         with pytest.raises(StoreError, match="record-id count mismatch"):
-            decode_cell_vector(damaged)
+            decode_cell_parts(damaged)
     # n_pairs says more pairs than the varints hold.
-    overrun = _with_runs(record, cell=lambda s: s[:-7] + b"\x09" + s[-6:])
+    overrun = _with_runs(record, varints=lambda s: b"\x09" + s[1:])
     with pytest.raises(StoreError, match="truncated varints"):
-        decode_cell_vector(overrun)
-    # A path id the level's table does not hold is damage, not IndexError.
-    with pytest.raises(StoreError, match="corrupt cell payload"):
-        decode_cell_parts(record, _TWO_PATHS[:1])
-    assert decode_cell_parts(record, _TWO_PATHS)[1].n_paths == 3
+        decode_cell_parts(overrun)
+    # A path id the level's table does not hold is damage, not IndexError,
+    # wherever the cell's graph is expanded from.
+    for level_paths in (_TWO_PATHS[:1], _TWO_PATHS):
+        cell = Cell(
+            ("k",), ItemLevel([1]), None, *decode_cell_parts(record),
+            level_paths,
+        )
+        if len(level_paths) < 2:
+            with pytest.raises(StoreError, match="a path id past the path"):
+                cell.flowgraph
+        else:
+            assert cell.flowgraph.n_paths == 3
 
 
 def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):
@@ -1088,39 +1101,39 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 # pinned on-disk bytes
 # ----------------------------------------------------------------------
 
-#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP03``
-#: / ``FCPATH01`` replaced the flowgraph heap (exceptions off, so no zlib
-#: output — which may differ between zlib builds — is hashed; the lineage
-#: is fixed below).  A change here is a format change: bump the
-#: generation of the file that moved instead.  The files are found
+#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP04``
+#: dropped each record's copy of its cell's coordinates (exceptions off,
+#: so no zlib output — which may differ between zlib builds — is hashed;
+#: the lineage is fixed below).  A change here is a format change: bump
+#: the generation of the file that moved instead.  The files are found
 #: through ``cube.json``'s listing: what they are *called* is not format.
 PINNED_SHA256 = {
     "built paths": (
         "ef3894fde294bc607824b77e260c081712735577ba1d7bd9c0ae2e81d84028ef"
     ),
     "built heap": (
-        "b3de6b393ebe150196d053bf16b53d405bbf02d897fedeb74dc8adfc9d9666c5"
+        "0047ea55b1c6b225fc755669ca4c27d3b250c98aae325129c87b97829db8bfad"
     ),
     "built index": (
-        "e4591956eb63d8da37627b26349ef9fd1dbcdca4723770fb99e62bbed86954fe"
+        "87f095d42315f7249fe765e414bd3c2ce2bcef19c0cd11f3b0d5a940dac6bb2f"
     ),
     "appended paths": (
         "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
     "appended delta": (
-        "d86f10d8e63ec1642e1271a0d1531adcf9f7a39af3d95dbfc807dd882f949811"
+        "12b67044eb40b8729b960825728c2cd3e7b48921c18e6089c2ce5aee3ccb8262"
     ),
     "appended index": (
-        "75b0500bf813ed7994fdf28aad2aaad2a5e946024da662f9db491e86a7e273e5"
+        "e893d77744fa419423913852c107e3a5704063519426af3d612b2ea9c9333346"
     ),
     "compacted paths": (
         "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
     "compacted heap": (
-        "1ef688fe6227208f58da3241e3aca13e051fcd1fa4fb24f3dffc2714701366c2"
+        "e2cb55affe0b9b853762428ddcfec6959735c9662ea82073c8afd305970a36d2"
     ),
     "compacted index": (
-        "726bfdfc3102efb226f88885ef174e27e91eb8c0f2d71ce24292a0bff122733e"
+        "06e53e182ab8d9377687b89377da7bdf6550829bbe82f4fe9113c2c85ed40465"
     ),
 }
 

@@ -16,11 +16,7 @@ from repro.core import (
 from repro.core.flowgraph import FlowGraphNode
 from repro.core.serialization import flowgraph_from_dict
 from repro.errors import CubeError
-from repro.store.binfmt import (
-    cell_payload,
-    decode_cell_parts,
-    encode_cell_payload,
-)
+from repro.store.binfmt import decode_cell_parts, encode_cell_payload
 
 
 @pytest.fixture
@@ -291,14 +287,14 @@ def _assert_links_agree(graph: FlowGraph) -> None:
 
 
 def _decoded(paths) -> FlowGraph:
-    """The graph of *paths* through the FCHEAP03 cell codec, as a store
+    """The graph of *paths* through the FCHEAP04 cell codec, as a store
     hands it out: expanded from the stored ``(pid, weight)`` vector."""
     table = list(dict.fromkeys(paths))
     vector = [(pid, paths.count(path)) for pid, path in enumerate(table)]
-    record = encode_cell_payload(
-        cell_payload(("k",), (1,), 0, (1, 2), False, len(paths), vector, [])
+    _, stored = decode_cell_parts(encode_cell_payload((1, 2), vector, []))
+    return FlowGraph.expand(
+        (table[pid], weight) for pid, weight in stored.items()
     )
-    return decode_cell_parts(record, table)[1]
 
 
 #: Ways a graph comes into being before ``add_path`` grows it further.

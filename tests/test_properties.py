@@ -29,10 +29,10 @@ from repro.core import (
     PathLevel,
     TERMINATE,
     aggregate_path,
-    merge_flowgraphs,
 )
 from repro.core.hierarchy import ConceptHierarchy
 from repro.mining import MiningStats, apriori
+from tests.oracle import merge_flowgraphs
 
 # ----------------------------------------------------------------------
 # strategies

@@ -3,7 +3,7 @@
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
 predate the ``"format"`` field, and the ones that list no ``"files"``),
-``FCHEAP01`` and ``FCHEAP02`` heaps,
+``FCHEAP01``, ``FCHEAP02`` and ``FCHEAP03`` heaps,
 ``FCPART01`` partitions, CSV partition files — has no reader left, so
 each case is hand-crafted here from bytes on top of a store the current
 writer made, and must surface as a :class:`~repro.errors.StoreError`
@@ -176,7 +176,7 @@ def test_a_flowgraph_heap_is_retired_too(built_dir):
     """``FCHEAP02`` — each cell's serialised flowgraph — was read until
     PR 25; its way out is a rebuild, not a conversion: the partitions it
     was built from are unchanged."""
-    assert RETIRED_HEAP_MAGICS == (b"FCHEAP01", b"FCHEAP02")
+    assert RETIRED_HEAP_MAGICS[:2] == (b"FCHEAP01", b"FCHEAP02")
     heap = built_dir / "cube" / "cells.bin"
     _set_magic(heap, b"FCHEAP02")
     pattern = (
@@ -204,6 +204,42 @@ def test_a_flowgraph_heap_is_retired_too(built_dir):
     rebuilt_heap = cube_files(built_dir)["segments"][0]
     assert rebuilt_heap != heap  # a new file: the retired one was swept
     assert rebuilt_heap.read_bytes()[:8] == HEAP_MAGIC
+
+
+@pytest.mark.parametrize("file", ["heap", "delta segment"])
+def test_a_coordinate_bearing_heap_is_retired_too(built_dir, file):
+    """``FCHEAP03`` records repeated their cell's key, levels, ``n_paths``
+    and ``redundant`` flag — the index's fields — in front of the
+    measure.  A heap or delta segment in it is refused when first mapped,
+    so none of its records — the verbatim-JSON ones flagged ``0x01``
+    included — is ever decoded; the way out is a rebuild."""
+    assert RETIRED_HEAP_MAGICS == (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03")
+    assert HEAP_MAGIC == b"FCHEAP04"
+    pattern = (
+        r"retired FCHEAP03 layout.*the last one that did is the one at "
+        r"commit 234d306.*rebuild the cube"
+    )
+    with PartitionedPathStore.open(built_dir) as store:
+        if file == "delta segment":
+            with store.cube_store() as cube:
+                append_records(
+                    store, list(example_path_database())[6:], cube=cube,
+                    compact_after=0,
+                )
+        segments = cube_files(built_dir)["segments"]
+        retired = segments[max(segments)]
+        _set_magic(retired, b"FCHEAP03")
+        cube = store.cube_store()  # a cold open reads the index only
+        assert cube.n_cells() > 0
+        assert cube.io_counters()["heap_bytes_read"] == 0
+        with pytest.raises(StoreError, match=pattern) as caught:
+            cube_to_json(cube)
+        assert retired.name in str(caught.value)
+        if file == "heap":
+            assert cube.io_counters()["heap_bytes_read"] == 0
+            with pytest.raises(StoreError, match=pattern):
+                cube.begin_delta()
+        cube.close()
 
 
 def test_a_cube_written_in_place_is_retired_too(built_dir):

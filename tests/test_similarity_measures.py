@@ -6,12 +6,11 @@ from repro.core import (
     FlowGraph,
     kl_divergence,
     kl_similarity,
-    merge_flowgraphs,
     path_distribution_similarity,
     total_variation,
     tv_similarity,
 )
-from repro.core.measures import exceptions_are_mergeable
+from tests.oracle import exceptions_are_mergeable, merge_flowgraphs
 
 
 def graph_of(*paths, repeat=1):

@@ -5,13 +5,14 @@ record — promises, pinned here:
 
 * selecting cells decodes nothing — a default slice through
   ``SlicerApp.handle`` makes zero ``binfmt.decode_cell_parts`` calls
-  (the call that expands a flowgraph from the stored vector) and never
-  opens ``paths.bin``, ``measure=true`` makes exactly one per matching
-  cell, and repeats (or another route over the same cells) make none;
-  reading a cell's record ids or vector expands nothing either;
+  (the one decode of a record's vector) and never opens ``paths.bin``,
+  ``measure=true`` makes exactly one per matching cell, and repeats (or
+  another route over the same cells) make none; reading a cell's record
+  ids, vector or exceptions expands no graph, and its graph decodes
+  nothing the ids did not;
 * over every store state, a stored cell equals the cell an
-  eager decode of its record gives, and the index's ``n_paths`` /
-  ``redundant`` agree with the record's;
+  eager decode of its record gives, and the index's ``n_paths`` agrees
+  with the record's ids;
 * a cell is a snapshot: it decodes the measure it was read with after
   the store has been appended to, compacted, reloaded and closed;
 * a damaged record is a typed ``StoreError`` at first touch, and a typed
@@ -36,6 +37,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.flowcube import Cell, FlowCube
+from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import ItemLattice
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, example_path_database
@@ -118,9 +120,9 @@ def decodes(monkeypatch):
     calls: list[bytes] = []
     original = binfmt.decode_cell_parts
 
-    def counting(buffer, paths):
+    def counting(buffer):
         calls.append(bytes(buffer))
-        return original(buffer, paths)
+        return original(buffer)
 
     monkeypatch.setattr(binfmt, "decode_cell_parts", counting)
     return calls
@@ -197,21 +199,23 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         # Cells at different coordinates compare unequal on the index alone.
         assert cells[0] != cells[1]
         assert decodes == []
-        # Ids and the stored vector come from the record alone: no graph
-        # is expanded (and no path table loaded) to read them.
+        # Ids and the stored vector come from one decode of the record
+        # alone: no graph is expanded (and no path table loaded).
         for cell in cells:
             assert len(cell.record_ids) == cell.n_paths
             assert sum(cell.weights.values()) == cell.n_paths
-        assert decodes == []
-        # The multiset names paths: the table is read, no graph expanded.
+        assert decodes == [bytes(cell._record) for cell in cells]
+        # The multiset names paths: the table is read, nothing decoded.
         for cell in cells:
             assert sum(weight for _, weight in cell.paths) == cell.n_paths
-        assert decodes == []
         # The mined exceptions come from the record too: no graph.
         mined = [cell.exceptions for cell in cells]
-        assert decodes == [] and any(mined)
+        assert len(decodes) == len(cells) and any(mined)
         assert cube.io_counters()["cells_decoded"] == 0
+        # The graphs expand from the vectors already decoded.
         assert mined == [cell.flowgraph.exceptions for cell in cells]
+        assert len(decodes) == len(cells)
+        assert cube.io_counters()["cells_decoded"] == len(cells)
         cube.close()
 
 
@@ -252,21 +256,24 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     seen = 0
     for item_level, path_level, key, entry in stored_entries(cube):
         record = cube._cells.record(entry)
-        record_ids, redundant, vector = binfmt.decode_cell_vector(record)
+        record_ids, vector = binfmt.decode_cell_parts(record)
         paths = level_paths(cube, path_level)
+        pairs = tuple((paths[pid], weight) for pid, weight in vector.items())
+        graph = FlowGraph.expand(pairs)
+        graph.exceptions = binfmt.decode_cell_exceptions(record)
         eager = OracleCell(
             key=key,
             item_level=item_level,
             path_level=path_level,
-            record_ids=tuple(record_ids),
-            flowgraph=binfmt.decode_cell_parts(record, paths)[1],
-            paths=tuple((paths[pid], weight) for pid, weight in vector),
-            redundant=bool(redundant),
+            record_ids=record_ids,
+            flowgraph=graph,
+            paths=pairs,
+            redundant=entry_redundant(entry),
         )
         stored = cube.cell(item_level, key, path_level)
         assert stored == eager and eager == stored
-        assert stored.n_paths == entry_n_paths(entry) == len(stored.record_ids)
-        assert stored.redundant == entry_redundant(entry) == bool(redundant)
+        assert stored.n_paths == entry_n_paths(entry) == len(record_ids)
+        assert stored.redundant == entry_redundant(entry)
         seen += 1
     assert seen == cube.n_cells() > 0
 
@@ -329,8 +336,7 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         # ids past 2**31 are stored in the structured record
         first = next(stored_entries(cube))[3]
         record = cube._cells.record(first)
-        assert not record[0] & binfmt._RAW
-        assert min(binfmt.decode_cell_vector(record)[0]) >= offset
+        assert min(binfmt.decode_cell_parts(record)[0]) >= offset
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
@@ -499,9 +505,8 @@ def test_flipped_heap_byte_is_a_store_error_at_first_touch(store_dir):
 def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
     """Flip each byte of an exception-bearing record in turn: the touch
     either decodes (no checksum yet) or raises ``StoreError`` — a flags
-    byte that reads as the retired verbatim-JSON flag is refused as
-    such — never a ``zlib.error`` / ``KeyError`` / ``TypeError`` from
-    inside the codec."""
+    byte with a bit the layout does not define is damage too — never a
+    ``zlib.error`` / ``KeyError`` / ``TypeError`` from inside the codec."""
     example = example_path_database()
     store, cube = build_store(
         tmp_path / "wh", example.schema, list(example), min_support=2
@@ -529,12 +534,13 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
                 lambda: cell.record_ids,
                 lambda: cell.weights,
                 lambda: cell.paths,
+                lambda: cell.exceptions,
                 lambda: cell.flowgraph,
             ):
                 try:
                     touch()
                 except StoreError as exc:
-                    assert re.search("corrupt cell payload|retired", str(exc))
+                    assert re.search("corrupt cell payload", str(exc))
                     outcomes["typed"] += 1
                 else:
                     outcomes["decoded"] += 1

@@ -16,6 +16,8 @@ And the ones the immutable-files rule must not cost: every operation
 publishes as many files as it did when it replaced them in place,
 unlinks only what the committed meta no longer lists, and a cold open
 maps the listed index and nothing else.
+And the one a record that is only the measure makes true: a stored
+cell decodes its record's varints once, whatever it is asked for first.
 And the ones one write-side process makes exact: a build decodes each
 partition once per pass, nothing forks, and importing the store loads
 no process machinery.  And the one the multiset sum makes true: a
@@ -60,6 +62,7 @@ from repro.store import (
     build_cube,
 )
 from repro.store.cli import main
+from repro.store.cube_store import _RecordLoader
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
@@ -285,7 +288,7 @@ def test_a_default_slice_expands_nothing_and_measure_expands_each_cell(
     store, cube = built(tmp_path / "wh", database, list(database), False)
     cube.close()
     store.close()
-    expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    decoded = Counted(monkeypatch, binfmt, "decode_cell_parts")
     mapped = Counted(monkeypatch, binfmt, "map_file")
     graphs = graph_counters(monkeypatch)
     tenant = CubeTenant.mount("wh", tmp_path / "wh")
@@ -297,7 +300,7 @@ def test_a_default_slice_expands_nothing_and_measure_expands_each_cell(
     assert plain.status == 200
     n_cells = json.loads(plain.body)["n_cells"]
     assert n_cells > 1
-    assert len(expanded) == len(graphs["__init__"]) == 0
+    assert len(decoded) == len(graphs["__init__"]) == 0
     # The cold open mapped the listed index — one file — and the slice
     # one heap; the path table waits for a graph.
     listed = cube_files(tmp_path / "wh")
@@ -306,7 +309,7 @@ def test_a_default_slice_expands_nothing_and_measure_expands_each_cell(
 
     full = post(app, "/cubes/wh/slice", {**cut, "measure": True})
     assert json.loads(full.body)["n_cells"] == n_cells
-    assert len(expanded) == len(graphs["__init__"]) == n_cells
+    assert len(decoded) == len(graphs["__init__"]) == n_cells
     files = [FsPath(call[0]) for call in mapped.calls]
     assert files.count(listed["paths"]) == 1
     tenant.close()
@@ -335,6 +338,47 @@ def test_a_cold_open_maps_the_listed_index_and_nothing_else(
     store.close()
 
 
+#: Two orders a reader may touch a stored cell's measure in.
+TOUCHES = {
+    "ids first": ("record_ids", "weights", "flowgraph", "exceptions"),
+    "exceptions first": ("exceptions", "flowgraph", "weights", "record_ids"),
+}
+
+
+@pytest.mark.parametrize("order", list(TOUCHES))
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_stored_cell_decodes_its_varints_once(
+    tmp_path, monkeypatch, n_paths, order
+):
+    """Ids, vector, graph and exceptions of a stored cell, read in either
+    order, decode its record's varints as often as one
+    ``decode_cell_parts`` does — the graph expands from the vector the
+    ids came with — and exceptions read before the graph expand none."""
+    database = generate_path_database(config(n_paths))
+    store, cube = built(tmp_path / "wh", database, list(database), True)
+    cube.close()
+    varints = Counted(monkeypatch, binfmt, "_decode_varints")
+    expand = Counted(monkeypatch, FlowGraph, "expand")
+    with store.cube_store() as cold:
+        cells = list(cold.cells())
+        mined = 0
+        for cell in cells:
+            binfmt.decode_cell_parts(cell._record)
+            once = len(varints)
+            del varints.calls[:]
+            for name in TOUCHES[order]:
+                graphs = len(expand)
+                mined += bool(getattr(cell, name)) and name == "exceptions"
+                if name == "exceptions" and order == "exceptions first":
+                    assert len(expand) == graphs
+                    assert cold.io_counters()["cells_decoded"] == graphs
+            assert len(varints) == once
+            del varints.calls[:]
+        assert len(expand) == cold.io_counters()["cells_decoded"] == len(cells)
+        assert 0 < mined < len(cells)
+    store.close()
+
+
 # ----------------------------------------------------------------------
 # derive
 # ----------------------------------------------------------------------
@@ -357,7 +401,7 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
         compute_exceptions=False, into=store.cube_store(), stats=BuildStats(),
     ).close()
     value = sorted(schema.dimensions[0].concepts_at_level(1))[0]
-    expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    expanded = Counted(monkeypatch, _RecordLoader, "expanded")
     expand = Counted(monkeypatch, FlowGraph, "expand")
     graphs = graph_counters(monkeypatch)
     rendered = []
@@ -428,7 +472,7 @@ def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
     held = held_keys(cube)
     levels = list(cube.item_levels)
     graphs = graph_counters(monkeypatch)
-    expanded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    expanded = Counted(monkeypatch, _RecordLoader, "expanded")
     reads = Counted(monkeypatch, pathstore, "read_partition")
     published = Counted(monkeypatch, publish, "publish_file")
 
@@ -662,7 +706,7 @@ def test_compaction_copies_bytes(tmp_path, monkeypatch, n_paths):
     graphs = graph_counters(monkeypatch)
     decoded = [
         Counted(monkeypatch, binfmt, name)
-        for name in ("decode_cell_parts", "decode_cell_vector",
+        for name in ("decode_cell_parts", "decode_cell_exceptions",
                      "encode_cell_payload")
     ]
     published = Counted(monkeypatch, publish, "publish_file")
