@@ -484,6 +484,30 @@ def _max_deviation(baseline: dict[str, float], conditional: dict[str, float]) ->
     )
 
 
+class _ExceptionPass:
+    """:func:`serial_exception_pass`'s runner: its views map (postings ->
+    fingerprint -> view) goes with it, by reference count — the runner
+    holds no reference to itself."""
+
+    def __init__(self, min_support: float, min_deviation: float) -> None:
+        self.thresholds = (min_support, min_deviation)
+        self.seconds = 0.0
+        self.views: dict = {}
+
+    def __call__(self, batch) -> None:
+        from time import perf_counter
+
+        from repro.perf.exception_kernel import mine_exceptions_bitmap
+
+        started = perf_counter()
+        for graph, weights, postings, segments in batch:
+            mine_exceptions_bitmap(
+                graph, weights, postings, *self.thresholds, segments=segments,
+                views=self.views.setdefault(postings, {}),
+            )
+        self.seconds += perf_counter() - started
+
+
 def serial_exception_pass(min_support: float, min_deviation: float):
     """The in-process runner for every per-cell exception phase.
 
@@ -493,26 +517,12 @@ def serial_exception_pass(min_support: float, min_deviation: float):
     :class:`~repro.perf.exception_kernel.PathPostings`, which the bitmap
     kernel indexes without touching a path — so a distinct path's stages
     are walked once per level, and lattice cells that roll up to
-    identical vectors share an index across cuboids.  It mines each cell
-    in place (attaching ``graph.exceptions``) and accumulates wall time
-    spent in ``run.seconds`` for the builders' ``"exceptions"`` phase
-    bucket.  The roll-up build, the store build, the store append and the
-    query planner's derivation all mine through it, always with the
-    bitmap kernel (the test suite's per-cell oracle calls the scan kernel
-    itself).
+    identical vectors share an index across cuboids through the runner's
+    own fingerprint map.  It mines each cell in place (attaching
+    ``graph.exceptions``) and accumulates wall time in ``run.seconds``
+    for the builders' ``"exceptions"`` phase bucket.  The roll-up build,
+    the store build, the store append and the query planner's derivation
+    all mine through it, always with the bitmap kernel (the test suite's
+    per-cell oracle calls the scan kernel itself).
     """
-    from time import perf_counter
-
-    def run(batch) -> None:
-        from repro.perf.exception_kernel import mine_exceptions_bitmap
-
-        started = perf_counter()
-        for graph, weights, postings, segments in batch:
-            mine_exceptions_bitmap(
-                graph, weights, postings, min_support, min_deviation,
-                segments=segments,
-            )
-        run.seconds += perf_counter() - started
-
-    run.seconds = 0.0
-    return run
+    return _ExceptionPass(min_support, min_deviation)

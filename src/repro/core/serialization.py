@@ -72,7 +72,7 @@ def exceptions_to_dicts(exceptions) -> list[dict]:
 
     Shared by :func:`flowgraph_to_dict` and the store's write door, which
     hands it to :func:`repro.store.binfmt.encode_cell_payload` to keep as
-    a JSON blob inside the ``FCHEAP04`` record.
+    a JSON blob in a path-level section of the ``FCHEAP05`` record.
     """
     return [
         {
@@ -122,7 +122,7 @@ def exceptions_from_dicts(data: list[dict]) -> list[FlowException]:
     """Rebuild :class:`FlowException` objects from their plain-dict form.
 
     Shared by :func:`flowgraph_from_dict` and a stored cell's reader,
-    which gets the list from the JSON blob inside the ``FCHEAP04`` record
+    which gets the list from the JSON blob inside the ``FCHEAP05`` record
     (:func:`repro.store.binfmt.decode_cell_exceptions`).
     """
     return [

@@ -65,14 +65,15 @@ derived float distributions, deviations, and the canonically-sorted
 exception lists are identical — and serialised cubes stay byte-identical
 (property-tested in ``tests/test_exception_kernel.py``).
 
-Views are shared across cells through the postings' fingerprint cache,
-keyed by ``frozenset({pid: weight}.items())`` — int pairs, not nested
-tuples: lattice cells that roll up to identical multisets — common near
-the apex — reuse one view, its mined segment masks, and (when segments
-are mined locally) whole cached exception lists.  That cache is the only
-edge between postings and views: a view holds no reference back, so a
-path table and everything indexed under it is freed by reference count
-when its build or append lets go — the write side pauses the cyclic
+Views are shared across the cells of one exception pass — a build, an
+append, a derivation — through the pass's fingerprint map, keyed by
+``frozenset({pid: weight}.items())`` (int pairs, not nested tuples):
+lattice cells that roll up to identical multisets, common near the apex,
+reuse one view, its mined segment masks and (when segments are mined
+locally) whole exception lists.  The map goes with the pass, so a
+long-lived path table — a serving handle's — keeps no view.  A view
+holds no reference back, so a path table and everything indexed under
+it is freed by reference count — the write side pauses the cyclic
 collector (:mod:`repro.perf.collector`) and must not need it.
 """
 
@@ -131,10 +132,10 @@ class PathPostings:
         star_mixed: Paths carrying a concrete duration at a prefix where
             some path of the level carries ``*`` (see
             :class:`CellExceptionIndex`).
-        indexes: Fingerprint ``frozenset({pid: weight}.items())`` → the
-            shared :class:`CellExceptionIndex`.  The only edge between
-            the two: a view never refers back to its postings, so the
-            level's table dies by reference count with its owner.
+        indexes: Fingerprint → shared :class:`CellExceptionIndex` of a
+            private postings (the tuple door, which its caller's cache
+            scopes); ``None`` for a table's, whose views an exception
+            pass's map holds (:meth:`index`).
 
     Threads may mine against one postings: :meth:`index` grows it under
     a lock, and a mask only gains bits no earlier view holds.
@@ -171,7 +172,9 @@ class PathPostings:
         self.transitions: dict[int, dict[str, int]] = {}
         self.durations: dict[int, dict[str, int]] = {}
         self.star_mixed = 0
-        self.indexes: dict[frozenset, CellExceptionIndex] = {}
+        self.indexes: dict[frozenset, CellExceptionIndex] | None = (
+            {} if paths is None else None
+        )
         self._lock = threading.Lock()
         self._star_prefixes: set[tuple[str, ...]] = set()
         self._lengths: dict[int, int] = {}
@@ -185,20 +188,27 @@ class PathPostings:
             paths.append(path)
         return pid
 
-    def index(self, weights: dict[int, int]) -> CellExceptionIndex:
-        """The view of the cell ``{pid: weight}``, shared by fingerprint.
+    def index(
+        self, weights: dict[int, int], views: dict | None = None
+    ) -> CellExceptionIndex:
+        """The view of the cell ``{pid: weight}``, shared by fingerprint
+        through *views* (a pass's map) or :attr:`indexes`, else fresh.
 
         Cells store each distinct path once, so the frozenset of the
         multiset's items determines it exactly, and every count the pass
         derives is invariant to their order.
         """
-        key = frozenset(weights.items())
+        if views is None:
+            views = self.indexes
         with self._lock:
             if len(self.rows) < len(self.paths):
                 self._index_new_paths()
-            index = self.indexes.get(key)
+            if views is None:
+                return CellExceptionIndex(self, weights)
+            key = frozenset(weights.items())
+            index = views.get(key)
             if index is None:
-                index = self.indexes[key] = CellExceptionIndex(self, weights)
+                index = views[key] = CellExceptionIndex(self, weights)
             return index
 
     def _index_new_paths(self) -> None:
@@ -389,10 +399,11 @@ def intern_pairs(
 
 
 def cell_index(
-    weights: dict[int, int], postings: PathPostings
+    weights: dict[int, int], postings: PathPostings, views: dict | None = None
 ) -> CellExceptionIndex:
-    """The index of the cell ``{pid: weight}``: a view over *postings*."""
-    return postings.index(weights)
+    """The index of the cell ``{pid: weight}``: a view over *postings*,
+    shared through *views* (see :meth:`PathPostings.index`)."""
+    return postings.index(weights, views)
 
 
 def mine_segments_bitmap(
@@ -503,9 +514,11 @@ def mine_exceptions_bitmap(
     min_deviation: float,
     segments: Iterable[Segment] | None = None,
     max_segment_length: int = 4,
+    views: dict | None = None,
 ) -> list[FlowException]:
     """``mine_exceptions_weighted``'s body under ``kernel="bitmap"``, over
-    the cell ``{pid: weight}`` in *postings*' id space.
+    the cell ``{pid: weight}`` in *postings*' id space, its view shared
+    through *views* (see :meth:`PathPostings.index`).
 
     Semantics and output are exactly the scan kernel's — including
     attaching the sorted list to ``graph.exceptions``.  With
@@ -513,10 +526,10 @@ def mine_exceptions_bitmap(
     on the cell's index per ``(δ, ε, max length)``: the exceptions are a
     pure function of the path multiset (the graph's distributions are
     derived from the same multiset), so cells sharing an index — through
-    their level's postings, or through a shared ``index_cache`` at the
-    tuple door — share the result outright.
+    one exception pass, or through a shared ``index_cache`` at the tuple
+    door — share the result outright.
     """
-    index = cell_index(weights, postings)
+    index = cell_index(weights, postings, views)
     local = segments is None
     result_key = (min_support, min_deviation, max_segment_length)
     supports: dict[Segment, int] = {}

@@ -199,9 +199,10 @@ class CatalogPool:
 
     A long-lived server answers many requests over the same cuboids;
     rebuilding the key catalog per :class:`~repro.query.api.FlowCubeQuery`
-    object (or per request) would redo the same index pass.  The pool
-    memoises one catalog per cuboid coordinate, keyed by the cube's
-    mutation *version* and the cuboid's cell count, so a store rebuild
+    object (or per request) would redo the same index pass.  A catalog is
+    a function of the keys alone, which no path level changes, so the
+    pool memoises one per *item* cuboid, keyed by the cube's mutation
+    *version* and the keys, so a store rebuild
     naturally replaces stale entries instead of leaking them.  All
     methods are thread-safe; catalog construction happens outside the
     lock (two racing builders do redundant work, never corrupt state).
@@ -209,8 +210,8 @@ class CatalogPool:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: (item level, path level) -> (version, n_cells, catalog).
-        self._entries: dict[tuple, tuple[Any, int, CuboidKeyCatalog]] = {}
+        #: item level -> (version, keys, catalog).
+        self._entries: dict[Any, tuple[Any, tuple, CuboidKeyCatalog]] = {}
         self.hits = 0
         self.builds = 0
 
@@ -220,23 +221,21 @@ class CatalogPool:
         hierarchies: Sequence[ConceptHierarchy],
         version: Any = 0,
     ) -> CuboidKeyCatalog:
-        """The cuboid's catalog, built at most once per (version, size)."""
-        coords = (cuboid.item_level, cuboid.path_level)
-        n_cells = len(cuboid)
+        """The cuboid's catalog, built at most once per item level,
+        version and key sequence."""
+        keys = cuboid.keys
         with self._lock:
-            entry = self._entries.get(coords)
+            entry = self._entries.get(cuboid.item_level)
             if (
                 entry is not None
                 and entry[0] == version
-                and entry[1] == n_cells
+                and (entry[1] is keys or entry[1] == keys)
             ):
                 self.hits += 1
                 return entry[2]
-        catalog = CuboidKeyCatalog(
-            cuboid.keys, hierarchies, cuboid.value_masks
-        )
+        catalog = CuboidKeyCatalog(keys, hierarchies, cuboid.value_masks)
         with self._lock:
-            self._entries[coords] = (version, n_cells, catalog)
+            self._entries[cuboid.item_level] = (version, keys, catalog)
             self.builds += 1
         return catalog
 

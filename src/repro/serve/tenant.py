@@ -15,10 +15,10 @@ concurrently and repeatedly:
   entirely;
 * invalidation wiring: every cache key folds in the store's version
   counter, and the tenant subscribes to it.  An in-process mutation
-  (``put_cell``/``flush``), a rebuild or a compaction drops every cached
+  (``put_cuboid``/``flush``), a rebuild or a compaction drops every cached
   response; a reload after another process's append carries each
   ``slice`` / ``exceptions`` response whose cut selects none of the
-  cells the append changed over to the new version
+  item cells the append changed over to the new version
   (:data:`~repro.query.plan.CUT_BOUND`) and drops the rest.
   :meth:`refresh` ``stat``\\ s the on-disk meta file so writes by *other*
   processes (the CLI under a running server) are noticed per request.
@@ -113,35 +113,25 @@ class CubeTenant:
         """``response key -> its key at version``, or ``None`` to drop it.
 
         A response stands when its plan is :data:`CUT_BOUND` and its cut
-        selects none of the changed keys at its path level — one
-        :class:`CuboidKeyCatalog` over those keys per level, matched the
-        way a slice matches a cuboid's.
+        selects none of the changed item cells — one
+        :class:`CuboidKeyCatalog` over their keys, matched the way a slice
+        matches a cuboid's.  An item cell changes at every path level at
+        once, so the one catalog serves every level.
         """
         schema = self.cube_store.schema
-        keys_at: dict[int, list] = {}
-        for _, level_id, key in changed:
-            keys_at.setdefault(level_id, []).append(key)
-        default = self.cube_store.path_lattice.index_of(
-            self.query.default_path_level()
+        catalog = CuboidKeyCatalog(
+            [key for _, key in changed], schema.dimensions
         )
-        catalogs: dict[int, CuboidKeyCatalog] = {}
 
         def carry(key: tuple) -> tuple | None:
             # A response key is (version, *Plan.key): op, dims, path_level, ...
-            stored, op, dims, path_level = key[:4]
+            stored, op, dims = key[:3]
             if stored != version - 1 or op not in CUT_BOUND:
                 return None
-            level = default if path_level is None else path_level
-            if level in keys_at:
-                catalog = catalogs.get(level)
-                if catalog is None:
-                    catalog = catalogs[level] = CuboidKeyCatalog(
-                        keys_at[level], schema.dimensions
-                    )
-                if catalog.match_mask(
-                    (schema.dimension_index(name), value) for name, value in dims
-                ):
-                    return None
+            if catalog.match_mask(
+                (schema.dimension_index(name), value) for name, value in dims
+            ):
+                return None
             return (version, *key[1:])
 
         return carry

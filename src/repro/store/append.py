@@ -7,8 +7,9 @@ the store's *persisted* cube without rebuilding it:
 * **Algebraic counters** (Lemma 4.2) — a stored cell is its ``{path id:
   weight}`` vector, the distributive part of the flowgraph measure, so an
   updated cell is *stored vector + batch vector*: integer addition, with
-  no graph decoded, merged or encoded; untouched cells are never read,
-  let alone rewritten.
+  no graph decoded, merged or encoded.  A dirty item cell — one record
+  for its ids and every path level's vector — is read, decoded and
+  encoded once; untouched cells are never read, let alone rewritten.
 * **Iceberg frontier** — promotion candidates (batch keys the cube does
   not hold) are membership-counted through the partition catalog: the
   scan is Bloom-pruned to the partitions that might hold a candidate's
@@ -27,7 +28,7 @@ the store's *persisted* cube without rebuilding it:
   from the same vector, through the per-cell kernel and runner the
   builder uses, so an appended cube is byte-identical
   (``cube_to_json``) to a from-scratch rebuild over the extended store.
-* **Durability** — dirty cells land in a new append-only segment
+* **Durability** — dirty item cells land in a new append-only segment
   (``cells.delta.G.bin``) plus a new full index (``cells.delta.G.idx``),
   after a new, longer path table when the batch brought a path the cube
   had not seen; no file the committed ``cube.json`` lists is rewritten,
@@ -48,7 +49,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from collections.abc import Iterable
-from itertools import compress
+from itertools import chain, compress
 
 from repro.core.aggregation import aggregate_path
 from repro.core.flowcube import Cell, CellKey
@@ -164,6 +165,7 @@ def append_records(
 def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     hierarchies = store.schema.dimensions
     lattice = cube.path_lattice
+    n_levels = len(lattice)
     levels = cube.item_levels
     if levels is None:
         # Cubes persisted before the build's item levels were recorded:
@@ -176,128 +178,55 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     # classify the batch per item level (each distinct dims tuple once)
     # ------------------------------------------------------------------
     keys_of: dict[tuple, list[CellKey]] = {}
+    batch_groups: list[dict[CellKey, list[PathRecord]]] = [{} for _ in levels]
     for record in rows:
-        if record.dims not in keys_of:
-            keys_of[record.dims] = [
+        keys = keys_of.get(record.dims)
+        if keys is None:
+            keys = keys_of[record.dims] = [
                 roll_up_key(record.dims, item_level, hierarchies)
                 for item_level in levels
             ]
-    batch_groups: list[dict[CellKey, list[PathRecord]]] = []
-    for i in range(len(levels)):
-        groups: dict[CellKey, list[PathRecord]] = {}
-        for record in rows:
-            groups.setdefault(keys_of[record.dims][i], []).append(record)
-        batch_groups.append(groups)
-
-    # Existing key order and sizes per item level (identical across the
-    # level's path-level cuboids — membership is path-level independent).
-    existing_order: list[list[CellKey]] = []
-    sizes: list[dict[CellKey, int]] = []
-    for item_level in levels:
-        order: list[CellKey] = []
-        size: dict[CellKey, int] = {}
-        for level_id in range(len(lattice)):
-            entries = index.get((item_level, level_id))
-            if entries:
-                order = list(entries)
-                size = {
-                    key: entry_n_paths(entry)
-                    for key, entry in entries.items()
-                }
-                break
-        existing_order.append(order)
-        sizes.append(size)
-
-    updated_keys: list[set[CellKey]] = []
-    candidate_keys: list[set[CellKey]] = []
-    for i in range(len(levels)):
-        existing = sizes[i]
-        updated_keys.append({k for k in batch_groups[i] if k in existing})
-        candidate_keys.append({k for k in batch_groups[i] if k not in existing})
+        for groups, key in zip(batch_groups, keys):
+            groups.setdefault(key, []).append(record)
+    # Each item level's stored cells, in cuboid order: one index entry
+    # per item cell, whatever the path level.
+    existing = [index.get(item_level, {}) for item_level in levels]
 
     # ------------------------------------------------------------------
     # one Bloom-pruned partition sweep, columns first: which candidates
     # cross δ, their members, and (only then) the members' paths
     # ------------------------------------------------------------------
-    members, paths = _sweep(store, levels, candidate_keys, threshold)
+    crossing, paths = _sweep(
+        store,
+        levels,
+        [
+            {key for key in groups if key not in entries}
+            for groups, entries in zip(batch_groups, existing)
+        ],
+        threshold,
+    )
 
     # ------------------------------------------------------------------
-    # resolve the frontier per item level
-    # ------------------------------------------------------------------
-    promoted: list[dict[CellKey, list[int]]] = []
-    below = 0
-    for i in range(len(levels)):
-        crossed: dict[CellKey, list[int]] = {}
-        for key in batch_groups[i]:
-            if key not in candidate_keys[i]:
-                continue
-            member_ids = members.get((i, key))
-            if member_ids is not None:
-                crossed[key] = member_ids
-            else:
-                below += 1
-        promoted.append(crossed)
-
-    demoted_cells = 0
-    final_order: list[list[CellKey]] = []
-    for i in range(len(levels)):
-        survivors: set[CellKey] = set(promoted[i])
-        n_levels_present = sum(
-            1
-            for level_id in range(len(lattice))
-            if index.get((levels[i], level_id))
-        )
-        for key, n_paths in sizes[i].items():
-            if key in updated_keys[i]:
-                n_paths += len(batch_groups[i][key])
-            if n_paths >= threshold:
-                survivors.add(key)
-            else:
-                demoted_cells += n_levels_present
-                updated_keys[i].discard(key)
-
-        if promoted[i]:
-            # A rebuild lists cells in first-membership order; ids ascend
-            # across ingests, so that is ascending first-id order.  The
-            # surviving cells' first ids come from their records — ids
-            # decode without a graph.
-            first_ids: dict[CellKey, int] = {
-                key: ids[0] for key, ids in promoted[i].items()
-            }
-            if existing_order[i]:
-                ref_level = next(
-                    level_id
-                    for level_id in range(len(lattice))
-                    if index.get((levels[i], level_id))
-                )
-                for key in existing_order[i]:
-                    if key in survivors:
-                        cell = cube.cell(levels[i], key, lattice[ref_level])
-                        first_ids[key] = cell.record_ids[0]
-            order = sorted(survivors, key=first_ids.__getitem__)
-        else:
-            order = [k for k in existing_order[i] if k in survivors]
-        final_order.append(order)
-
-    # ------------------------------------------------------------------
-    # materialise the dirty cells, in canonical cuboid order
+    # per item level: resolve the frontier, then materialise the dirty
+    # item cells in canonical cuboid order
     # ------------------------------------------------------------------
     # A dirty cell is a vector over the cube's own path table: the stored
     # one plus the batch's for an updated cell, the members' for a
     # promoted one.  Each distinct path is aggregated once per path level
     # and interned once; only a path the cube has never seen extends the
     # table (and its file, republished at the flush below).
-    dirty: dict[tuple[ItemLevel, int, CellKey], Cell] = {}
-    layout: list[tuple[ItemLevel, int, list[CellKey]]] = []
+    dirty: list[Cell] = []
+    layout: list[tuple[ItemLevel, list[CellKey]]] = []
     to_mine: list[tuple] = []
-    updated_cells = created_cells = 0
+    updated_cells = created_cells = promoted_cells = demoted_cells = below = 0
     table = None
     pids_by_path: dict[Path, list[int]] = {}
     pids_of: dict[int, list[int]] = {}
 
-    def add(weights: dict[int, int], members, level_id: int) -> None:
-        """Count *members* — ``(record id, path)`` pairs — into *weights*.
-        A record's id finds its path's ids without re-hashing the path."""
+    def add(vectors: list[dict[int, int]], members) -> None:
+        """Count *members* — ``(record id, path)`` pairs — into the
+        vector of each path level.  A record's id finds its path's ids
+        without re-hashing the path."""
         for record_id, path in members:
             by_level = pids_of.get(record_id)
             if by_level is None:
@@ -308,40 +237,75 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
                         for level, path_level in enumerate(lattice)
                     ]
                 pids_of[record_id] = by_level
-            pid = by_level[level_id]
-            weights[pid] = weights.get(pid, 0) + 1
+            for weights, pid in zip(vectors, by_level):
+                weights[pid] = weights.get(pid, 0) + 1
 
-    for i, item_level in enumerate(levels):
-        for level_id in range(len(lattice)):
-            layout.append((item_level, level_id, final_order[i]))
-            path_level = lattice[level_id]
-            for key in final_order[i]:
-                if key in updated_keys[i]:
-                    old = cube.cell(item_level, key, path_level)
-                    # A copy: the read cell keeps reporting its own vector.
-                    weights = dict(old.weights)
-                    members = [
-                        (record.record_id, record.path)
-                        for record in batch_groups[i][key]
-                    ]
-                    record_ids = old.record_ids + tuple(
-                        [record_id for record_id, _ in members]
-                    )
-                    updated_cells += 1
-                elif key in promoted[i]:
-                    weights = {}
-                    record_ids = tuple(promoted[i][key])
-                    members = [(rid, paths[rid]) for rid in record_ids]
-                    created_cells += 1
+    for i, (item_level, groups, entries) in enumerate(
+        zip(levels, batch_groups, existing)
+    ):
+        promoted: dict[CellKey, list[int]] = {}
+        for key in groups:
+            if key not in entries:
+                member_ids = crossing.get((i, key))
+                if member_ids is None:
+                    below += 1
                 else:
-                    continue  # untouched: keep the existing entry verbatim
-                if table is None:
-                    table = cube.path_table
-                add(weights, members, level_id)
-                cell = dirty[(item_level, level_id, key)] = Cell(
-                    key, item_level, path_level, record_ids, weights,
+                    promoted[key] = member_ids
+        survivors: set[CellKey] = set(promoted)
+        updated: list[CellKey] = []
+        for key, entry in entries.items():
+            if entry_n_paths(entry) + len(groups.get(key, ())) >= threshold:
+                survivors.add(key)
+                if key in groups:
+                    updated.append(key)
+            else:
+                demoted_cells += n_levels
+        # Each updated item cell's stored ids and vectors at every path
+        # level: one record read and one decode each.
+        stored = dict(
+            zip(updated, cube.item_parts(item_level, updated, range(n_levels)))
+        )
+        if promoted:
+            # A rebuild lists cells in first-membership order; ids ascend
+            # across ingests, so that is ascending first-id order.  The
+            # other survivors' first ids come from their records — ids
+            # decode without a vector.
+            first_ids = {key: ids[0] for key, ids in promoted.items()}
+            kept = [k for k in entries if k in survivors and k not in stored]
+            for key, (ids, _) in chain(
+                stored.items(), zip(kept, cube.item_parts(item_level, kept, ()))
+            ):
+                first_ids[key] = ids[0]
+            order = sorted(survivors, key=first_ids.__getitem__)
+        else:
+            order = [key for key in entries if key in survivors]
+        layout.append((item_level, order))
+        promoted_cells += len(promoted)
+
+        for key in order:
+            if key in stored:
+                record_ids, vectors = stored[key]
+                members = [
+                    (record.record_id, record.path) for record in groups[key]
+                ]
+                record_ids += tuple([record_id for record_id, _ in members])
+                updated_cells += n_levels
+            elif key in promoted:
+                vectors = [{} for _ in lattice]
+                record_ids = tuple(promoted[key])
+                members = [(rid, paths[rid]) for rid in record_ids]
+                created_cells += n_levels
+            else:
+                continue  # untouched: keep the existing entry verbatim
+            if table is None:
+                table = cube.path_table
+            add(vectors, members)
+            for level_id, weights in enumerate(vectors):
+                cell = Cell(
+                    key, item_level, lattice[level_id], record_ids, weights,
                     table.paths[level_id],
                 )
+                dirty.append(cell)
                 if mine:
                     to_mine.append(
                         (cell.flowgraph, weights, table.postings[level_id], None)
@@ -366,7 +330,7 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     counters["records_appended"] += len(rows)
     counters["cells_updated"] += updated_cells
     counters["cells_created"] += created_cells
-    counters["cells_promoted"] += sum(len(p) for p in promoted)
+    counters["cells_promoted"] += promoted_cells
     counters["cells_demoted"] += demoted_cells
     counters["still_below_delta"] += below
     counters["delta_segments"] = len(cube.delta_segments) + (
@@ -388,7 +352,7 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
         "ingested": len(rows),
         "updated": updated_cells,
         "created": created_cells,
-        "promoted": sum(len(p) for p in promoted),
+        "promoted": promoted_cells,
         "demoted": demoted_cells,
         "still_below_delta": below,
     }

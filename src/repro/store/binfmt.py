@@ -1,8 +1,8 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
 The store reads and writes one layout — ``FCPART02`` partitions over a
-shared ``FCSTRS01`` string table, an ``FCHEAP04`` cell heap addressed
-through an ``FCCIDX01`` index, its records vectors over an ``FCPATH01``
+shared ``FCSTRS01`` string table, an ``FCHEAP05`` cell heap addressed
+through an ``FCCIDX02`` index, its records vectors over an ``FCPATH01``
 path table — and this module defines it (see DESIGN.md for byte
 diagrams).  The four sectioned containers are each one :class:`Layout`
 table that their writer and their reader both go through, and every
@@ -15,39 +15,36 @@ published file is opened by :func:`map_file`:
   :class:`~repro.core.path_database.PathDatabase` with bulk
   ``array.frombytes`` decodes instead of per-field text parsing;
 * :func:`pack_cell_index` / :func:`unpack_cell_index` — the cell-heap
-  offset/key index (``cells.idx``): every cuboid's cell keys and
-  ``(offset, length, n_paths, redundant)`` entries in grouped columnar
-  arenas, so :class:`~repro.store.cube_store.CubeStore` materialises
-  its whole in-memory index with a handful of C-speed ``zip`` passes
+  index (``cells.idx``): per *item cell* (an item level and key, whose
+  members no path level changes) its key and ``(offset, length,
+  n_paths, redundant marks)``, per item cuboid one set of catalog masks,
+  in columnar arenas a reader decodes with a few C-speed ``zip`` passes
   and *zero* cell-payload IO;
 * :class:`StringTable` — the shared per-store intern table
   (``strings.bin``): one mmap'd vocabulary for every partition, each
   partition carrying only a small local→global remap arena instead of
   a private copy of the location/product strings;
 * :func:`encode_cell_payload` / :func:`decode_cell_parts` — the
-  ``FCHEAP04`` cell record.  A cell's record is the *distributive* part
-  of its measure and nothing else: the ``(path id, weight)`` vector the
-  build already holds, its record ids as ascending steps, and an
-  (optionally zlib'd) JSON exception list — all varints but the last.
-  The cell's coordinates, ``n_paths`` and ``redundant`` live in the
-  index alone.  :func:`decode_cell_parts` decodes ids and vector in one
-  pass, :func:`decode_cell_exceptions` reads the exception list past
-  them, and the flowgraph, a function of the vector (Lemma 4.2), is
-  expanded by the reader.  The record layout is written down once, in
-  :func:`encode_cell_payload`, and a measure it cannot carry is a
-  :class:`StoreError`;
+  ``FCHEAP05`` item-cell record, the *distributive* part of the measure
+  and nothing else: the record ids once, then per path level the
+  ``(path id, weight)`` vector and an (optionally zlib'd) JSON exception
+  list, under a CRC-32 every reader checks first — a damaged record is a
+  :class:`StoreError`, never another measure.  :func:`decode_cell_parts`
+  decodes the ids and the asked levels' vectors in one pass,
+  :func:`decode_cell_exceptions` a level's exceptions; the reader
+  expands the flowgraph from a vector (Lemma 4.2);
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
   (``paths.bin``): the aggregated paths the vectors name, once per cube;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
-  masks: ``cells.idx`` stays mmap'd and each ``(cuboid, dim, value)``
-  bitmap is decoded with one ``int.from_bytes`` over the map the first
-  time a query actually ANDs it, never during open.
+  masks: ``cells.idx`` stays mmap'd and each ``(item cuboid, dim,
+  value)`` bitmap is decoded with one ``int.from_bytes`` over the map
+  the first time a query actually ANDs it, never during open.
 
-Earlier releases also wrote CSV partitions, one JSON file per cell,
-earlier generations of partition and heap files (the ``RETIRED_*``
-magics; ``FCHEAP02`` persisted each cell's serialised flowgraph,
-``FCHEAP03`` each record a second copy of its cell's coordinates).  No
-reader or writer for them survives: meeting one raises
+Earlier releases also wrote CSV partitions, one JSON file per cell and
+the ``RETIRED_*`` generations (``FCHEAP02`` each cell's serialised
+flowgraph, ``FCHEAP03`` a copy of its coordinates, ``FCHEAP04`` and
+``FCCIDX01`` a record and an entry per cell and path level).  No reader
+or writer for them survives: meeting one raises
 :func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
 Framing rules of the sectioned containers, which :meth:`Layout.pack`
@@ -67,7 +64,8 @@ and :meth:`Layout.open` alone implement:
 
 The cell heap (``cells.bin``) is an append-only blob of
 ``<q``-length-prefixed :func:`encode_cell_payload` records after
-:data:`HEAP_MAGIC`, addressed only through the index offsets.
+:data:`HEAP_MAGIC`, one per item cell, addressed only through the index
+offsets.
 """
 
 from __future__ import annotations
@@ -97,6 +95,7 @@ __all__ = [
     "PATHS_LAYOUT",
     "PATHS_MAGIC",
     "RETIRED_HEAP_MAGICS",
+    "RETIRED_INDEX_MAGIC",
     "RETIRED_PARTITION_MAGIC",
     "STRINGS_FILENAME",
     "STRINGS_MAGIC",
@@ -142,17 +141,23 @@ STRINGS_MAGIC = b"FCSTRS01"
 #: directory.
 STRINGS_FILENAME = "strings.bin"
 
-#: Leading 8 bytes of a cell-heap index file (``cells.idx``).
-INDEX_MAGIC = b"FCCIDX01"
+#: Leading 8 bytes of a cell-heap index file (``cells.idx``): one entry
+#: per item cell.
+INDEX_MAGIC = b"FCCIDX02"
+
+#: Leading 8 bytes of the retired index generation (one entry per cell
+#: and path level); compared against only to reject it.
+RETIRED_INDEX_MAGIC = b"FCCIDX01"
 
 #: Leading 8 bytes of the retired cell-heap generations (JSON payloads;
 #: serialised flowgraphs; records that repeated their cell's
-#: coordinates); compared against only to reject them.
-RETIRED_HEAP_MAGICS = (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03")
+#: coordinates; one record per cell and path level); compared against
+#: only to reject them.
+RETIRED_HEAP_MAGICS = (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03", b"FCHEAP04")
 
 #: Leading 8 bytes of a cell-heap blob (:func:`encode_cell_payload`
-#: records).
-HEAP_MAGIC = b"FCHEAP04"
+#: records, one per item cell).
+HEAP_MAGIC = b"FCHEAP05"
 
 #: Leading 8 bytes of a cube's path table (``paths.bin``).
 PATHS_MAGIC = b"FCPATH01"
@@ -216,6 +221,8 @@ def _pack_strings(strings: Iterable[str]) -> tuple[array, bytes]:
     return offsets, b"".join(encoded)
 
 
+_REBUILD = "rebuild the cube with `flowcube-store build` (the partitions are unchanged)"
+
 #: Retired layout → (the last release that read it, the way out of it);
 #: every layout not listed here went with the first pair.
 _LAST_READERS = {
@@ -229,10 +236,11 @@ _LAST_READERS = {
         "rebuild the cube with `flowcube-store build` (the partitions are "
         "unchanged)",
     ),
-    "FCHEAP03": (
-        "the one at commit 234d306",
-        "rebuild the cube with `flowcube-store build` (the partitions are "
-        "unchanged)",
+    "FCHEAP03": ("the one at commit 234d306", _REBUILD),
+    "FCHEAP04": ("the one at commit 8ab866c", _REBUILD),
+    "FCCIDX01": (
+        "the one at commit 8ab866c",
+        f"remove the store's cube/ directory and {_REBUILD}",
     ),
 }
 
@@ -272,7 +280,7 @@ def _check_magic(
 
 
 def check_heap_magic(lead: bytes, path) -> None:
-    """Reject a cell heap (or delta segment) not written as ``FCHEAP04``."""
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP05``."""
     _check_magic(lead, HEAP_MAGIC, f"cell heap {path}", RETIRED_HEAP_MAGICS)
 
 
@@ -302,10 +310,10 @@ def _mask_width(n_cells: int) -> int:
 
 
 def _mask_bytes(cuboid_table: array, mask_counts: array, n_dims: int) -> int:
-    """Total bytes of ``FCCIDX01``'s mask bits: every (cuboid, dimension,
-    value) mask at its cuboid's :func:`_mask_width`."""
+    """Total bytes of ``FCCIDX02``'s mask bits: every (item cuboid,
+    dimension, value) mask at its cuboid's :func:`_mask_width`."""
     total = 0
-    for row, n_cells in enumerate(cuboid_table[:: 2 + n_dims]):
+    for row, n_cells in enumerate(cuboid_table[:: 1 + n_dims]):
         n_masks = sum(mask_counts[row * n_dims : (row + 1) * n_dims])
         total += n_masks * _mask_width(n_cells)
     return total
@@ -395,21 +403,29 @@ class Layout:
         return out
 
 
-#: The string-table pair of sections ``FCSTRS01`` and ``FCCIDX01`` share.
+#: The string-table pair of sections ``FCSTRS01`` and ``FCCIDX02`` share.
 _STRING_SECTIONS = (
     ("str_offsets", "q", "n_strings + 1"),
     ("blob", "B", "blob_len"),
 )
 
 
-def _key_tuples(
-    strings: list[str], refs: array, n_dims: int, n_rows: int
-) -> list[tuple[str, ...]]:
-    """Rebuild *n_rows* width-``n_dims`` tuples from flat string refs."""
-    if n_dims == 0:
+def _strings(opened: dict, buffer) -> list[str]:
+    """The decoded strings of an opened :data:`_STRING_SECTIONS` pair;
+    offsets that leave the blob or bytes that are not UTF-8 are a
+    ``ValueError``."""
+    offsets = opened["str_offsets"]
+    blob = bytes(buffer[slice(*opened["blob"])])
+    if offsets[0] != 0 or offsets[-1] != len(blob) or any(map(gt, offsets, offsets[1:])):
+        raise ValueError("string offsets disagree with the blob")
+    return [blob[start:end].decode("utf-8") for start, end in zip(offsets, offsets[1:])]
+
+
+def _rows(values: Sequence, width: int, n_rows: int) -> list[tuple]:
+    """*n_rows* width-*width* tuples from row-major *values*."""
+    if width == 0:
         return [()] * n_rows
-    decoded = list(map(strings.__getitem__, refs))
-    return list(zip(*(decoded[d::n_dims] for d in range(n_dims))))
+    return list(zip(*(values[d::width] for d in range(width))))
 
 
 # --------------------------------------------------------------------------
@@ -543,17 +559,20 @@ class StringTable:
 
 
 # --------------------------------------------------------------------------
-# FCHEAP04 cell record codec
+# FCHEAP05 item-cell record codec
 # --------------------------------------------------------------------------
 
-_EXC = 0x02  # record carries a (JSON) exception list
+_EXC = 0x02  # section carries a (JSON) exception list
 _EXC_ZLIB = 0x04  # ... and it is zlib-compressed
 _FLAGS = _EXC | _EXC_ZLIB
 
-#: Fixed head after the flags byte: the byte lengths of the vector
-#: varints and of the record-id steps.
-_HEAD = struct.Struct("<II")
-_EXC_LEN = struct.Struct("<I")
+#: A record's head: the CRC-32 of every byte after it, then the byte
+#: lengths of the record-id varints (count, first id) and of the steps.
+_HEAD = struct.Struct("<III")
+_CRC = struct.Struct("<I")
+#: One path level's section head: its flags byte, then the byte lengths
+#: of its vector varints and of its exception blob.
+_SECTION = struct.Struct("<BII")
 
 #: Record ids a record carries: ``[0, 2**63)``, ascending — every id a
 #: partition's ``int64`` column holds.
@@ -568,13 +587,7 @@ _INT, _TWO, _PAIRS = {int}, {2}, set(_SEQUENCES)
 #: What decoding a damaged record can raise: every one is reported as the
 #: typed ``StoreError("corrupt cell payload: …")``.
 _CORRUPT = (
-    AttributeError,
-    IndexError,
-    KeyError,
-    TypeError,
-    ValueError,
-    struct.error,
-    zlib.error,
+    AttributeError, IndexError, KeyError, TypeError, ValueError, struct.error, zlib.error
 )
 
 
@@ -618,51 +631,42 @@ def _varint_stream(values: list[int]) -> bytes:
 
 
 def _unencodable(what: str) -> StoreError:
-    return StoreError(f"cell payload outside the FCHEAP04 record: {what}")
+    return StoreError(f"cell payload outside the FCHEAP05 record: {what}")
 
 
-def encode_cell_payload(record_ids, vector, exceptions) -> bytes:
-    """Encode one cell's measure as an ``FCHEAP04`` record — the only
-    code that assembles one.
+def encode_cell_payload(record_ids, sections) -> bytes:
+    """Encode one item cell's measure as an ``FCHEAP05`` record — the
+    only code that assembles one.
 
-    *record_ids* are the cell's ascending record ids, *vector* its
-    ``(pid, weight)`` pairs in its cube's path-id space — the
-    distributive part of the measure — and *exceptions* the plain-dict
-    exception list (:func:`~repro.core.serialization.exceptions_to_dicts`);
-    the sequences are taken as given (lists or tuples), not copied.  The
-    cell's coordinates, ``n_paths`` and ``redundant`` are the index's.
+    *record_ids* are the item cell's ascending record ids, which no path
+    level changes, and *sections* one ``(vector, exceptions)`` pair per
+    path level of its cube's lattice, in order: the level's ``(pid,
+    weight)`` pairs in its path-id space and its plain-dict exception
+    list (:func:`~repro.core.serialization.exceptions_to_dicts`), taken as
+    given (lists or tuples), not copied.
 
-    Layout: flags byte | :data:`_HEAD` | varints | record-id step varints
-    | optional :data:`_EXC_LEN` + (zlib'd when smaller) JSON exception
-    blob.  The varints are the vector (pair count, then ``pid, weight``
-    per pair in the order given), the record-id count and the first
-    record id; every later id is written as its distance from the one
-    before, in a run of its own — gaps are small, so that run is almost
-    always single bytes, which decode in one C pass however many members
-    the cell has.
-
-    :func:`decode_cell_parts` gives ids and vector back and
-    :func:`decode_cell_exceptions` the exceptions.  What the layout cannot
-    carry is a :class:`StoreError`: a field of the wrong type, a counter
-    that is not a non-negative true ``int``, record ids that do not
-    ascend strictly inside ``[0, 2**63)``.
+    Layout: :data:`_HEAD` (the CRC-32 of every byte after it, the byte
+    lengths of the next two runs) | record-id varints (the count, the first id) | step
+    varints | per path level, :data:`_SECTION` (flags, the lengths of the
+    next two runs) | vector varints (``pid, weight`` per pair, in the
+    order given) | JSON exception blob, zlib'd when smaller.  Every later
+    record id is its distance from the one before, in a run of its own:
+    gaps are small, so that run is almost always single bytes, which
+    decode in one C pass however many members the cell has.  What the
+    layout cannot carry is a :class:`StoreError`: a field of the wrong
+    type, a counter that is not a non-negative true ``int``, record ids
+    that do not ascend strictly inside ``[0, 2**63)``.
     """
     if (
         type(record_ids) not in _SEQUENCES
-        or type(vector) not in _SEQUENCES
-        or type(exceptions) is not list
-        or set(map(type, vector)) - _PAIRS
-        or set(map(len, vector)) - _TWO
+        or type(sections) not in _SEQUENCES
         or set(map(type, record_ids)) - _INT
+        or set(map(type, sections)) - _PAIRS
+        or set(map(len, sections)) - _TWO
     ):
         raise _unencodable("a field of the wrong type")
-    body = [
-        len(vector), *chain.from_iterable(vector), len(record_ids),
-        *record_ids[:1],
-    ]
-    # Lengths are ints by construction; one C-level pass checks what came
-    # from outside (bool and float are not int).
-    if set(map(type, body)) != _INT or min(body) < 0:
+    head = [len(record_ids), *record_ids[:1]]
+    if min(head) < 0:
         raise _unencodable("a counter that is not a non-negative int")
     steps = b""
     if len(record_ids) > 1:
@@ -672,87 +676,109 @@ def encode_cell_payload(record_ids, vector, exceptions) -> bytes:
         steps = _varint_stream(gaps)
     if record_ids and record_ids[-1] > _MAX_RECORD_ID:
         raise _unencodable("a record id past 2**63 - 1")
-    stream = _varint_stream(body)
-    flags = 0
-    exc_blob = b""
-    if exceptions:
-        flags = _EXC
-        exc_blob = json.dumps(exceptions, separators=(",", ":")).encode()
-        packed = zlib.compress(exc_blob, 6)
-        if len(packed) < len(exc_blob):
-            flags |= _EXC_ZLIB
-            exc_blob = packed
+    ids = _varint_stream(head)
+    parts = [b"", ids, steps]
+    for vector, exceptions in sections:
+        if (
+            type(vector) not in _SEQUENCES
+            or type(exceptions) is not list
+            or set(map(type, vector)) - _PAIRS
+            or set(map(len, vector)) - _TWO
+        ):
+            raise _unencodable("a field of the wrong type")
+        values = list(chain.from_iterable(vector))
+        # One C-level pass checks what came from outside (bool and float
+        # are not int).
+        if values and (set(map(type, values)) != _INT or min(values) < 0):
+            raise _unencodable("a counter that is not a non-negative int")
+        stream = _varint_stream(values) if values else b""
+        flags, blob = 0, b""
+        if exceptions:
+            flags = _EXC
+            blob = json.dumps(exceptions, separators=(",", ":")).encode()
+            packed = zlib.compress(blob, 6)
+            if len(packed) < len(blob):
+                flags |= _EXC_ZLIB
+                blob = packed
+        parts += (_SECTION.pack(flags, len(stream), len(blob)), stream, blob)
     try:
-        parts = [
-            bytes((flags,)),
-            _HEAD.pack(len(stream), len(steps)),
-            stream,
-            steps,
-        ]
-        if exc_blob:
-            parts.append(_EXC_LEN.pack(len(exc_blob)))
-            parts.append(exc_blob)
+        parts[0] = _HEAD.pack(0, len(ids), len(steps))[_CRC.size :]
     except struct.error:
         raise _unencodable("a section past 4 GiB") from None
-    return b"".join(parts)
+    body = b"".join(parts)
+    return _CRC.pack(zlib.crc32(body)) + body
 
 
-def _split_record(buffer) -> tuple[int, int, int]:
-    """A record's ``(flags, steps_at, end)``: its flags byte and where the
-    record-id steps and whatever follows them (exceptions, if flagged)
-    start; the varints run from the end of :data:`_HEAD` to *steps_at*."""
-    flags = buffer[0]
-    if flags & ~_FLAGS:
-        raise StoreError(f"corrupt cell payload: unknown flags {flags:#04x}")
-    stream_len, steps_len = _HEAD.unpack_from(buffer, 1)
-    steps_at = 1 + _HEAD.size + stream_len
-    end = steps_at + steps_len
-    if end > len(buffer):
+def _open_record(buffer, last: int) -> tuple[int, int, list[tuple]]:
+    """Check a record's CRC, before anything is decoded, and frame it up
+    to path level *last*: ``(steps_at, sections_at, sections)``, each
+    section ``(flags, vector start, blob start, end)``."""
+    size = len(buffer)
+    if size < _HEAD.size:
         raise StoreError("corrupt cell payload: truncated record")
-    return flags, steps_at, end
+    crc, ids_len, steps_len = _HEAD.unpack_from(buffer)
+    if crc != zlib.crc32(buffer[_CRC.size :]):
+        raise StoreError("corrupt cell payload: checksum mismatch")
+    steps_at = _HEAD.size + ids_len
+    at = sections_at = steps_at + steps_len
+    sections = []
+    for level_id in range(last + 1):
+        if at + _SECTION.size > size:
+            raise StoreError(f"corrupt cell payload: no section for level {level_id}")
+        flags, vector_len, blob_len = _SECTION.unpack_from(buffer, at)
+        if flags & ~_FLAGS:
+            raise StoreError(f"corrupt cell payload: unknown flags {flags:#04x}")
+        vector_at = at + _SECTION.size
+        at = vector_at + vector_len + blob_len
+        sections.append((flags, vector_at, vector_at + vector_len, at))
+    if max(at, sections_at) > size:
+        raise StoreError("corrupt cell payload: truncated record")
+    return steps_at, sections_at, sections
 
 
-def decode_cell_parts(buffer) -> tuple[tuple[int, ...], dict[int, int]]:
-    """A record's ``(record_ids, vector)`` — the one decode of its
-    varints; *vector* is the cell's ``{pid: weight}`` in the record's
-    order.  No path table is read and no graph built: a reader expands
-    the flowgraph from the vector (Lemma 4.2)."""
+def decode_cell_parts(
+    buffer, level_ids: Iterable[int]
+) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """A record's ``(record_ids, vectors)`` once its CRC checks out — the
+    one decode of its varints: per path level of *level_ids* that
+    level's ``{pid: weight}`` in the record's order, no other section
+    decoded, no path table read and no graph built (a reader expands the
+    flowgraph from a vector, Lemma 4.2)."""
     try:
-        _, steps_at, end = _split_record(buffer)
-        values = _decode_varints(buffer[1 + _HEAD.size : steps_at])
-        n_pairs = values[0]
-        at = 1 + 2 * n_pairs
-        pids = values[1:at:2]
-        if len(pids) != n_pairs or at >= len(values):
-            raise StoreError("corrupt cell payload: truncated varints")
-        vector = dict(zip(pids, values[2:at:2]))
-        gaps = _decode_varints(buffer[steps_at:end])
-        n_ids = values[at]
-        expected = (at + 2, n_ids - 1) if n_ids else (at + 1, 0)
-        if (len(values), len(gaps)) != expected:
+        level_ids = tuple(level_ids)
+        steps_at, sections_at, sections = _open_record(
+            buffer, max(level_ids, default=-1)
+        )
+        head = _decode_varints(buffer[_HEAD.size : steps_at])
+        gaps = _decode_varints(buffer[steps_at:sections_at])
+        n_ids = head[0]
+        expected = (2, n_ids - 1) if n_ids else (1, 0)
+        if (len(head), len(gaps)) != expected:
             raise StoreError("corrupt cell payload: record-id count mismatch")
         if 0 in gaps:
             raise StoreError("corrupt cell payload: record ids do not ascend")
-        record_ids = (
-            tuple(accumulate(gaps, initial=values[at + 1])) if n_ids else ()
-        )
-        return record_ids, vector
+        record_ids = tuple(accumulate(gaps, initial=head[1])) if n_ids else ()
+        vectors = []
+        for level_id in level_ids:
+            _, start, end, _ = sections[level_id]
+            values = _decode_varints(buffer[start:end])
+            if len(values) % 2:
+                raise StoreError("corrupt cell payload: a pid without its weight")
+            vectors.append(dict(zip(values[::2], values[1::2])))
+        return record_ids, vectors
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
 
-def decode_cell_exceptions(buffer) -> list:
-    """A record's exception list (:class:`~repro.core.flowgraph_exceptions.
-    FlowException` objects), read past its varints without decoding
-    them."""
+def decode_cell_exceptions(buffer, level_id: int) -> list:
+    """Path level *level_id*'s exception list (:class:`~repro.core.
+    flowgraph_exceptions.FlowException` objects), after the record's CRC
+    checks out, without decoding a varint."""
     try:
-        flags, _, end = _split_record(buffer)
+        flags, _, start, end = _open_record(buffer, level_id)[2][level_id]
         if not flags & _EXC:
             return []
-        (exc_len,) = _EXC_LEN.unpack_from(buffer, end)
-        blob = buffer[end + _EXC_LEN.size : end + _EXC_LEN.size + exc_len]
-        if len(blob) != exc_len:
-            raise StoreError("corrupt cell payload: truncated exceptions")
+        blob = buffer[start:end]
         return exceptions_from_dicts(
             json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
         )
@@ -833,18 +859,7 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]]]:
             raise ValueError("stage offsets disagree with n_stages")
         if any(map(ge, offsets, offsets[1:])):
             raise ValueError("stage offsets do not ascend")
-        str_offsets = opened["str_offsets"]
-        blob = bytes(buffer[slice(*opened["blob"])])
-        if (
-            str_offsets[0] != 0
-            or str_offsets[-1] != len(blob)
-            or any(map(gt, str_offsets, str_offsets[1:]))
-        ):
-            raise ValueError("string offsets disagree with the blob")
-        strings = [
-            blob[start:end].decode("utf-8")
-            for start, end in zip(str_offsets, str_offsets[1:])
-        ]
+        strings = _strings(opened, buffer)
         refs = (opened["location_refs"], opened["duration_refs"])
         if any(column and min(column) < 0 for column in refs):
             raise ValueError("negative string ref")
@@ -1157,7 +1172,7 @@ def unpack_partition(
     names = list(map(strings.get, opened["remap"]))
     decoded = PartitionColumns(
         opened["record_ids"],
-        _key_tuples(names, opened["dim_refs"], n_dims, n_records),
+        _rows(list(map(names.__getitem__, opened["dim_refs"])), n_dims, n_records),
         names,
         opened["path_offsets"],
         opened["stage_locs"],
@@ -1174,32 +1189,37 @@ def unpack_partition(
 # --------------------------------------------------------------------------
 
 
-#: ``cells.idx`` / ``cells.delta.idx``.  ``cuboid_table`` rows are
-#: ``[n_cells, path_level_id, item_level…]``; the per-cell columns
-#: (``key_refs`` into the string table, heap ``offsets`` / ``lengths``,
-#: ``n_paths``, ``redundant``) are grouped by cuboid in table order, so
-#: a reader slices each cuboid's run without per-cell bookkeeping.
+#: ``cells.idx`` / ``cells.delta.G.idx``: one entry per *item cell* — an
+#: (item level, key) — whatever the number of path levels.
+#: ``cuboid_table`` rows are ``[n_cells, item_level…]``, one per item
+#: cuboid; the per-cell columns (``key_refs`` into the string table, the
+#: heap ``offsets`` / ``lengths`` of the item cell's one record,
+#: ``n_paths``) are grouped by item cuboid in table order, so a reader
+#: slices each item cuboid's run without per-cell bookkeeping, and
+#: ``redundant`` holds one byte per (cell, path level) — ``n_levels``,
+#: the width of the cube's path lattice — row by row.
 #:
 #: The trailing three sections precompute what
 #: :class:`~repro.perf.query_kernel.CuboidKeyCatalog` would otherwise
-#: derive cell by cell: ``mask_counts`` holds, per (cuboid, dimension),
-#: the number of distinct values; ``mask_refs`` each one's string ref;
-#: ``mask_bits`` each one's little-endian bitmap of the cell *ordinals*
-#: holding it, ``⌈cuboid cells / 8⌉`` bytes zero-padded to 8 — one
+#: derive cell by cell, once per item cuboid for every path level:
+#: ``mask_counts`` holds, per (item cuboid, dimension), the number of
+#: distinct values; ``mask_refs`` each one's string ref; ``mask_bits``
+#: each one's little-endian bitmap of the cell *ordinals* holding it,
+#: ``⌈cuboid cells / 8⌉`` bytes zero-padded to 8 — one
 #: ``int.from_bytes`` per value instead of a Python pass over every cell.
 INDEX_LAYOUT = Layout(
     INDEX_MAGIC,
-    (),
+    (RETIRED_INDEX_MAGIC,),
     "cell index",
-    ("n_cuboids", "n_cells", "n_dims", "n_strings", "blob_len"),
+    ("n_cuboids", "n_cells", "n_dims", "n_strings", "blob_len", "n_levels"),
     (
         *_STRING_SECTIONS,
-        ("cuboid_table", "q", "n_cuboids * (2 + n_dims)"),
+        ("cuboid_table", "q", "n_cuboids * (1 + n_dims)"),
         ("key_refs", "q", "n_cells * n_dims"),
         ("offsets", "q", "n_cells"),
         ("lengths", "q", "n_cells"),
         ("n_paths", "q", "n_cells"),
-        ("redundant", "B", "n_cells"),
+        ("redundant", "B", "n_cells * n_levels"),
         ("mask_counts", "q", "n_cuboids * n_dims"),
         ("mask_refs", "q", "sum(mask_counts)"),
         ("mask_bits", "B", "mask_bytes(cuboid_table, mask_counts, n_dims)"),
@@ -1207,22 +1227,13 @@ INDEX_LAYOUT = Layout(
 )
 
 
-def pack_cell_index(
-    cuboids: Iterable[
-        tuple[
-            Sequence[int],
-            int,
-            Iterable[tuple[tuple[str, ...], int, int, int, bool]],
-        ]
-    ],
-    n_dims: int,
-) -> bytes:
-    """Encode every cuboid's key/offset columns as one ``cells.idx`` blob
-    (:data:`INDEX_LAYOUT`).
+def pack_cell_index(cuboids: Iterable, n_dims: int, n_levels: int) -> bytes:
+    """Encode every item cuboid's key/offset columns as one ``cells.idx``
+    blob (:data:`INDEX_LAYOUT`).
 
-    *cuboids* yields ``(item_level_ids, path_level_id, cells)`` where
-    each cell is ``(key, heap offset, payload length, n_paths,
-    redundant)``.
+    *cuboids* yields ``(item_level_ids, cells)`` where each cell is
+    ``(key, heap offset, record length, n_paths, redundant)`` and
+    *redundant* holds one mark per path level, *n_levels* of them.
     """
     interned: dict[str, int] = {}
     cuboid_table = array("q")
@@ -1234,9 +1245,8 @@ def pack_cell_index(
     mask_counts = array("q")
     mask_refs = array("q")
     mask_bits: list[bytes] = []
-    n_cuboids = 0
-    n_cells = 0
-    for item_level, path_level_id, cells in cuboids:
+    n_cuboids = n_cells = 0
+    for item_level, cells in cuboids:
         n_cuboids += 1
         count = 0
         buckets: list[dict[int, list[int]]] = [{} for _ in range(n_dims)]
@@ -1249,12 +1259,12 @@ def pack_cell_index(
             offsets.append(offset)
             lengths.append(length)
             n_paths_column.append(n_paths)
-            redundant_column.append(1 if redundant else 0)
-        row = array("q", [count, path_level_id])
+            redundant_column.extend(1 if mark else 0 for mark in redundant)
+        row = array("q", [count])
         row.extend(item_level)
-        if len(row) != 2 + n_dims:
+        if len(row) != 1 + n_dims:
             raise StoreError(
-                f"item level width {len(row) - 2} does not match "
+                f"item level width {len(row) - 1} does not match "
                 f"{n_dims} dimensions"
             )
         cuboid_table.extend(row)
@@ -1270,7 +1280,7 @@ def pack_cell_index(
                 mask_bits.append(bytes(bits))
     string_offsets, blob = _pack_strings(interned)
     return INDEX_LAYOUT.pack(
-        (n_cuboids, n_cells, n_dims, len(interned), len(blob)),
+        (n_cuboids, n_cells, n_dims, len(interned), len(blob), n_levels),
         string_offsets,
         blob,
         cuboid_table,
@@ -1285,26 +1295,20 @@ def pack_cell_index(
     )
 
 
-def unpack_cell_index(
-    buffer,
-    mask_arena: MaskArena,
-) -> list[
-    tuple[
-        tuple[int, ...],
-        int,
-        list[tuple[str, ...]],
-        list[tuple[int, int, int, bool]],
-        list[LazyMaskMap],
-    ]
-]:
-    """Decode ``cells.idx`` → ``[(item_level_ids, path_level_id, keys,
-    entries, masks)]`` with entries as ``(offset, length, n_paths,
-    redundant)`` and masks as one ``{value: ordinal bitmap}`` mapping
-    per dimension.
+def unpack_cell_index(buffer, mask_arena: MaskArena, n_levels: int) -> list[tuple]:
+    """Decode ``cells.idx`` → ``[(item_level_ids, keys, entries, masks)]``
+    with entries as ``(offset, length, n_paths, redundant)`` — one
+    *redundant* mark per path level — and masks as one ``{value: ordinal
+    bitmap}`` mapping per dimension.
 
     Everything per-cell happens inside C loops: one ``map`` decodes the
     key refs, one ``zip`` transpose rebuilds the key tuples, one
-    four-column ``zip`` materialises the entry tuples.
+    four-column ``zip`` materialises the entry tuples.  What the framing
+    cannot see is a :class:`StoreError` before anything is handed out:
+    another path-lattice width than *n_levels*, string offsets that
+    disagree with the blob, a string or mask ref past the string table,
+    item-cuboid counts that do not sum to ``n_cells``, a negative item
+    level.
 
     *mask_arena* wraps the same (typically mmap'd) *buffer*: masks come
     back as its :class:`LazyMaskMap` views holding only byte spans, so
@@ -1312,51 +1316,51 @@ def unpack_cell_index(
     the map the first time a query ANDs it.
     """
     opened = INDEX_LAYOUT.open(buffer)
-    n_dims = opened["n_dims"]
-    n_cells = opened["n_cells"]
-    string_offsets = opened["str_offsets"]
-    blob = bytes(buffer[slice(*opened["blob"])])
-    strings = [
-        blob[string_offsets[i] : string_offsets[i + 1]].decode("utf-8")
-        for i in range(opened["n_strings"])
-    ]
+    n_dims, n_cells = opened["n_dims"], opened["n_cells"]
     cuboid_table = opened["cuboid_table"]
-    mask_counts = opened["mask_counts"]
-    mask_refs = opened["mask_refs"]
+    mask_counts, mask_refs = opened["mask_counts"], opened["mask_refs"]
+    key_refs = opened["key_refs"]
+    width = 1 + n_dims
+    try:
+        if opened["n_levels"] != n_levels:
+            raise ValueError(
+                f"{opened['n_levels']} path levels per cell, the cube's "
+                f"lattice has {n_levels}"
+            )
+        strings = _strings(opened, buffer)
+        for refs in (key_refs, mask_refs):
+            if refs and (min(refs) < 0 or max(refs) >= len(strings)):
+                raise ValueError("a string ref past the string table")
+        counts = cuboid_table[::width]
+        if min(cuboid_table, default=0) < 0:
+            raise ValueError("a negative cell count or item level")
+        if sum(counts) != n_cells:
+            raise ValueError("cuboid rows disagree with n_cells")
+    except ValueError as exc:
+        raise StoreError(f"corrupt cell index: {exc}") from None
 
-    keys = _key_tuples(strings, opened["key_refs"], n_dims, n_cells)
+    keys = _rows(list(map(strings.__getitem__, key_refs)), n_dims, n_cells)
+    marks = list(map(bool, buffer[slice(*opened["redundant"])]))
     entries = list(
         zip(
-            opened["offsets"],
-            opened["lengths"],
-            opened["n_paths"],
-            map(bool, buffer[slice(*opened["redundant"])]),
+            opened["offsets"], opened["lengths"], opened["n_paths"],
+            _rows(marks, n_levels, n_cells),
         )
     )
-    out = []
-    position = 0
-    mask_row = 0
-    mask_at = 0
-    offset = opened["mask_bits"][0]
-    width = 2 + n_dims
-    for row in range(0, len(cuboid_table), width):
-        count = cuboid_table[row]
-        path_level_id = cuboid_table[row + 1]
-        item_level = tuple(cuboid_table[row + 2 : row + width])
+    out, position, mask_at, offset = [], 0, 0, opened["mask_bits"][0]
+    for row, count in enumerate(counts):
         padded = _mask_width(count)
         masks = []
-        for n_values in mask_counts[mask_row : mask_row + n_dims]:
+        for n_values in mask_counts[row * n_dims : (row + 1) * n_dims]:
             spans: dict[str, tuple[int, int]] = {}
             for ref in mask_refs[mask_at : mask_at + n_values]:
                 spans[strings[ref]] = (offset, offset + padded)
                 offset += padded
             masks.append(mask_arena.new_map(spans))
             mask_at += n_values
-        mask_row += n_dims
         out.append(
             (
-                item_level,
-                path_level_id,
+                tuple(cuboid_table[row * width + 1 : (row + 1) * width]),
                 keys[position : position + count],
                 entries[position : position + count],
                 masks,

@@ -26,7 +26,8 @@ partition at a time*:
   over the partitions in order — one scan for the root item levels'
   membership and weighted base paths, each distinct path aggregated
   once, merged into multisets of interned path ids, every other level
-  derived by adding child cells — and persists each cuboid as it comes.
+  derived by adding child cells — and persists each item level's
+  cuboids together as they come: the store keeps an item cell whole.
   Partitions preserve record order, so group insertion order,
   ``record_ids`` tuples, path order, and the exception-mining inputs
   coincide with the in-memory build's.
@@ -69,6 +70,8 @@ from array import array
 from datetime import datetime, timezone
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import attrgetter
 
 from repro.core.flowcube import CellKey
 from repro.core.flowgraph_exceptions import Segment, resolve_min_support
@@ -351,8 +354,8 @@ def build_cube(
             ``segments_by_cell`` is given or exceptions are off).
         into: The :class:`~repro.store.cube_store.CubeStore` handle to
             write through; ``None`` opens ``store.cube_store()``.  Each
-            cuboid is persisted and dropped as soon as it is built, so
-            the output stays out-of-core too.
+            item level's cuboids are persisted and dropped as soon as
+            they are built, so the output stays out-of-core too.
         stats: Optional :class:`BuildStats` to fill.
         jobs: An integer ``>= 0`` (anything else raises
             :class:`~repro.errors.StoreError`), otherwise ignored: the
@@ -397,7 +400,7 @@ def build_cube(
         # The cube's records are vectors over the scan's path ids.
         table = cube.path_table = PathTable(len(path_lattice))
         tracker = _LiveTracker()
-        for cuboid in roll_up(
+        cuboids = roll_up(
             _partitions(store, tracker, build_stats),
             table,
             levels,
@@ -408,10 +411,14 @@ def build_cube(
             compute_exceptions,
             segments_by_cell,
             build_stats,
-        ):
-            build_stats.cuboids += 1
-            build_stats.cells += len(cuboid)
-            cube.put_cuboid(cuboid)
+        )
+        # The roll-up yields an item level's cuboids one after another;
+        # the store takes them together, as whole item cells.
+        for _, item_cuboids in groupby(cuboids, attrgetter("item_level")):
+            item_cuboids = list(item_cuboids)
+            build_stats.cuboids += len(item_cuboids)
+            build_stats.cells += sum(map(len, item_cuboids))
+            cube.put_cuboid(chain.from_iterable(item_cuboids))
         build_stats.max_live_transaction_dbs = max(
             build_stats.max_live_transaction_dbs, tracker.peak
         )

@@ -68,10 +68,10 @@ class LRUCache:
         """Drop every entry; the counters keep accumulating."""
         self._entries.clear()
 
-    def discard(self, keys) -> None:
-        """Drop the entries whose key is in the set *keys*: stale, not
+    def discard(self, stale) -> None:
+        """Drop the entries whose key *stale* holds true of: stale, not
         evicted, so no counter moves."""
-        for key in [key for key in self._entries if key in keys]:
+        for key in list(filter(stale, self._entries)):
             del self._entries[key]
 
     def rekey(self, new_key) -> tuple[int, int]:

@@ -308,34 +308,11 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
-    floor = store.catalog.max_record_id
-    if args.csv:
-        text = FsPath(args.csv).read_text(encoding="utf-8")
-        database = PathDatabase.from_csv(store.schema, text)
-        written = store.ingest(database)
-        ingested = len(database)
-    elif args.example:
-        rows = _shift_ids(example_path_database(), floor)
-        written = store.ingest(rows, validate=True)
-        ingested = len(rows)
-    else:
-        generator = store.catalog.extra.get("generator")
-        if generator is None:
-            raise StoreError(
-                "this store was not initialised with --synthetic "
-                "(no generator configuration in the catalog)"
-            )
-        config = GeneratorConfig(
-            n_paths=args.n_paths,
-            seed=args.seed,
-            dim_fanouts=tuple(generator["dim_fanouts"]),
-            **{k: generator[k] for k in _GENERATOR_KEYS if k != "dim_fanouts"},
-        )
-        rows = _shift_ids(generate_path_database(config), floor)
-        written = store.ingest(rows, validate=False)
-        ingested = len(rows)
+    rows = _batch_records(store, args)
+    # CSV rows validated as they parsed; generated ones are the schema's.
+    written = store.ingest(rows, validate=bool(args.example))
     print(
-        f"ingested {ingested} records into {len(written)} new partition(s); "
+        f"ingested {len(rows)} records into {len(written)} new partition(s); "
         f"store now holds {len(store)} records in "
         f"{len(store.catalog.partitions)} partition(s)"
     )
@@ -345,7 +322,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _batch_records(
     store: PartitionedPathStore, args: argparse.Namespace
 ) -> list[PathRecord]:
-    """Resolve an append batch from ``--csv`` / ``--example`` / ``--synthetic``."""
+    """Resolve an ingest or append batch from ``--csv`` / ``--example`` /
+    ``--synthetic``."""
     floor = store.catalog.max_record_id
     if args.csv:
         text = FsPath(args.csv).read_text(encoding="utf-8")

@@ -1,14 +1,15 @@
 """The lazy on-disk flowcube store.
 
-A :class:`CubeStore` persists a materialised flowcube *cell by cell*::
+A :class:`CubeStore` persists a materialised flowcube *item cell by item
+cell* — an (item level, key) and its cells at every path level::
 
     cube/
       cube.json               δ/ε, the path lattice, build provenance,
                               "generation" g and the "files" it commits
       paths[.G].bin           the aggregated paths the cell records name
       cells[.G].bin           slot 0: a whole heap of length-prefixed
-                              cell records (a build's or a compaction's)
-      cells.delta.G.bin       slot n ≥ 1: the cells an append rewrote
+                              item-cell records (a build's or a compaction's)
+      cells.delta.G.bin       slot n ≥ 1: the item cells an append rewrote
       cells[.delta].G.idx     columnar key/offset index (binfmt codec)
 
 **One rule** (DESIGN §5 "Crash consistency"): ``cube.json`` is the only
@@ -22,28 +23,29 @@ one sequence under the store's :class:`~repro.publish.WriterLock`: draw
 the commit does not list.  A writer killed anywhere leaves the old cube
 or the new one; a reader that loses the race with a sweep reloads.
 
-The heap holds one compact ``FCHEAP04`` record per cell — the cell's
-``(path id, weight)`` vector, its record ids and its exceptions
-(:func:`~repro.store.binfmt.encode_cell_payload`), not its flowgraph
-and not its coordinates, which only the index holds —
-one joined buffer per cuboid; the path ids resolve through the cube's
-path table (``paths.bin``), which is loaded the first time a reader
-asks a cell for its flowgraph and not before; the index lives in one packed
-arena, so opening a million-cell cube costs one mmap
-instead of a million stats — zero heap bytes are read on open, and the
-per-cuboid catalog masks stay lazy byte spans over the index map until
-a query ANDs them.  This is the only layout the store reads or writes:
-a ``cube.json`` naming another ``"format"`` (or none) and a heap
-leading with the retired generation's magic are refused with a
-:class:`~repro.errors.StoreError`, never decoded.  A read hands out a
-:class:`~repro.core.flowcube.Cell` — the one cell class — with the index
-fields (key, levels, ``n_paths``, ``redundant``) straight from the index
-entry plus a copy of the cell's record bytes and a
-:class:`_RecordLoader`; ``record_ids`` and ``weights`` decode from those
-bytes together, the first time either is touched, and ``flowgraph`` is
-expanded from that vector — slicing and listing decode nothing.  The store
-fronts every read with a bounded :class:`~repro.store.cache.LRUCache`
-whose hit/miss/eviction counters make serving behaviour observable.
+A cell's members, key and iceberg test depend on its item level and key
+alone (Definitions 4.1 and 4.5), so the heap holds one ``FCHEAP05``
+record per item cell — its record ids once, then per path level the
+cell's ``(path id, weight)`` vector and exceptions, under a CRC-32
+(:func:`~repro.store.binfmt.encode_cell_payload`) — and the index one
+entry: key, ``n_paths``, the record's extent, one ``redundant`` mark per
+path level, and one set of catalog masks per item cuboid.  No flowgraph
+and no coordinate is in a record; its path ids resolve through the
+cube's path table (``paths.bin``), loaded at the first flowgraph a
+reader asks for.  The index is one packed, mmap'd arena: an open reads
+zero heap bytes, and the masks stay lazy byte spans until a query ANDs
+them.  This is the only layout the store reads or writes: a
+``cube.json`` naming another ``"format"`` (or none), an index or a heap
+with a retired generation's magic is a :class:`~repro.errors.StoreError`,
+never decoded.  Writes take whole item cells
+(:meth:`CubeStore.put_cuboid`, :meth:`CubeStore.merge_cells`).  A read
+at path level *L* hands out a :class:`~repro.core.flowcube.Cell` — the
+one cell class — with the index fields (key, levels, ``n_paths``, level
+*L*'s ``redundant`` mark) plus a copy of the record and a
+:class:`_RecordLoader`: ``record_ids`` and ``weights`` decode from the
+ids and level *L*'s section at the first touch of either, and
+``flowgraph`` expands from that vector — slicing decodes nothing.  A
+bounded :class:`~repro.store.cache.LRUCache` fronts every read.
 
 The store exposes the same lookup surface as
 :class:`~repro.core.flowcube.FlowCube` (``schema`` / ``cuboid`` /
@@ -151,17 +153,18 @@ def _new_append_stats() -> dict:
         "last_compaction": None,
     }
 
-#: Index coordinates: (item level, path-level id, cell key).
-Coords = tuple[ItemLevel, int, CellKey]
+#: An item cell's coordinates — and its one index entry's — at every path level.
+Coords = tuple[ItemLevel, CellKey]
 
 #: An index entry: ``(heap offset, record length, n_paths, redundant)``,
 #: the offset's high bits naming the delta segment
-#: (:func:`~repro.store.binfmt.pack_segment_offset`).
-Entry = tuple[int, int, int, bool]
+#: (:func:`~repro.store.binfmt.pack_segment_offset`) and *redundant*
+#: holding one mark per path level.
+Entry = tuple[int, int, int, tuple[bool, ...]]
 
-#: The cell's path count, as the index entry records it.
+#: The item cell's path count, as the index entry records it.
 entry_n_paths = itemgetter(2)
-#: The cell's redundancy mark, as the index entry records it.
+#: The item cell's redundancy marks, one per path level.
 entry_redundant = itemgetter(3)
 
 #: A committed cube as a reload compares it: its index, its live
@@ -170,17 +173,17 @@ Served = tuple[dict, dict[int, str], int | None]
 
 
 def changed_coords(before: Served, after: Served) -> frozenset[Coords] | None:
-    """The coordinates whose cell *after* does not serve as *before* did.
+    """The item cells whose cells *after* does not serve as *before* did.
 
-    Added, removed and rewritten cells, by extent identity: a cell is
-    unchanged when its entry sits in a slot both listings map to the same
-    file — files are immutable, and a writer either carries an entry
-    verbatim or writes the cell into the slot its flush adds.  ``None``
-    (everything) for another lineage (a rebuild) or another slot-0 heap
-    (a compaction), or when the cuboids kept do not keep their order.  A
-    cuboid whose surviving keys change order counts whole: a slice lists
-    its cells in that order.  One pass of set operations per cuboid; no
-    record is read.
+    Added, removed and rewritten item cells, by extent identity: an item
+    cell is unchanged when its entry sits in a slot both listings map to
+    the same file — files are immutable, and a writer either carries an
+    entry verbatim or writes the item cell into the slot its flush adds.
+    ``None`` (everything) for another lineage (a rebuild) or another
+    slot-0 heap (a compaction), or when the item cuboids kept do not keep
+    their order.  An item cuboid whose surviving keys change order counts
+    whole: a slice lists its cells in that order.  One pass of set
+    operations per item cuboid; no record is read.
     """
     old_index, old_slots, old_lineage = before
     index, slots, lineage = after
@@ -191,15 +194,15 @@ def changed_coords(before: Served, after: Served) -> frozenset[Coords] | None:
         or any(slot < last for slot in slots.keys() - old_slots.keys())
     ):
         return None
-    kept = [coords for coords in index if coords in old_index]
-    if kept != [coords for coords in old_index if coords in index]:
+    kept = [level for level in index if level in old_index]
+    if kept != [level for level in old_index if level in index]:
         return None
     # Every slot *before* did not list comes after its last one, so an
     # entry at or past this packed offset is in a file it did not list.
     fresh = (binfmt.pack_segment_offset(last + 1, 0),)
     changed: set[Coords] = set()
-    for coords, entries in index.items():
-        old = old_index.get(coords, {})
+    for item_level, entries in index.items():
+        old = old_index.get(item_level, {})
         dirty = set(compress(entries, map(fresh.__le__, entries.values())))
         if len(entries) != len(old) or not dirty <= old.keys():
             # Keys came (fresh already: a flush since wrote them) or went.
@@ -207,11 +210,9 @@ def changed_coords(before: Served, after: Served) -> frozenset[Coords] | None:
             survivors = list(filter(old.__contains__, entries))
             if survivors != list(filter(entries.__contains__, old)):
                 dirty = entries.keys() | old.keys()
-        item_level, level_id = coords
-        changed.update((item_level, level_id, key) for key in dirty)
-    for coords in old_index.keys() - index.keys():
-        item_level, level_id = coords
-        changed.update((item_level, level_id, key) for key in old_index[coords])
+        changed.update((item_level, key) for key in dirty)
+    for item_level in old_index.keys() - index.keys():
+        changed.update((item_level, key) for key in old_index[item_level])
     return frozenset(changed)
 
 
@@ -245,8 +246,8 @@ class _Segment:
             self._end = len(HEAP_MAGIC)
 
     def append(self, records) -> list[Entry]:
-        """Frame ``(payload bytes, n_paths, redundant)`` records and append
-        them as one joined buffer.
+        """Frame ``(record, n_paths, redundant)`` item-cell records and
+        append them as one joined buffer.
 
         The entries carry the segment id in the offset's high bits
         (:func:`~repro.store.binfmt.pack_segment_offset`).
@@ -261,9 +262,7 @@ class _Segment:
             position += HEAP_LENGTH_STRUCT.size
             chunks.append(frame(length))
             chunks.append(data)
-            entries.append(
-                (tag | position, length, int(n_paths), bool(redundant))
-            )
+            entries.append((tag | position, length, n_paths, redundant))
             position += length
         binfmt.pack_segment_offset(self.segment_id, position)  # span check
         self._handle.write(b"".join(chunks))
@@ -361,7 +360,7 @@ class _HeapCells:
         self._writing: _Segment | None = None
         self._index_mmap: mmap.mmap | None = None
         self._mask_arena: binfmt.MaskArena | None = None
-        #: (item level, path-level id) -> per-dimension catalog masks:
+        #: item level -> per-dimension catalog masks for every path level:
         #: lazy mmap-backed views handed out by :meth:`load`.
         self.cell_masks: dict = {}
         #: Read-path telemetry (shared with the mask arena and with
@@ -432,7 +431,7 @@ class _HeapCells:
     def put_records(self, records) -> list[Entry]:
         """Byte-exact append of encoded ``(record, n_paths, redundant)``
         triples in one write — to a fresh delta segment when nothing is
-        staged, so mutating a published cube costs O(dirty cells)."""
+        staged, so mutating a published cube costs O(dirty item cells)."""
         if not records:
             return []  # nothing to write: do not stage a segment
         if self._writing is None:
@@ -440,7 +439,7 @@ class _HeapCells:
         return self._writing.append(records)
 
     def record(self, entry: Entry) -> bytes:
-        """A copy of the entry's cell record — the bytes
+        """A copy of the entry's item-cell record — the bytes
         :func:`~repro.store.binfmt.decode_cell_parts` takes — verbatim."""
         length = entry[1]
         segment_id, offset = binfmt.split_segment_offset(entry[0])
@@ -453,7 +452,7 @@ class _HeapCells:
         self.io_counters["heap_bytes_read"] += length
         return data
 
-    def finalise(self, index, paths_name: str) -> dict:
+    def finalise(self, index, paths_name: str, n_levels: int) -> dict:
         """Publish the staged segment (if any) and the full index, each
         under a fresh name; return the meta fields that commit them.
 
@@ -466,12 +465,12 @@ class _HeapCells:
             (
                 (
                     item_level.levels,
-                    level_id,
                     ((key, *entry) for key, entry in entries.items()),
                 )
-                for (item_level, level_id), entries in index.items()
+                for item_level, entries in index.items()
             ),
             self.n_dims,
+            n_levels,
         )
         segment, self._writing = self._writing, None
         segments = self.files["segments"]
@@ -487,7 +486,7 @@ class _HeapCells:
         }
         publish.publish_file(self.directory / self.files["index"], blob)
         return {
-            "n_cells": sum(len(entries) for entries in index.values()),
+            "n_cells": n_levels * sum(map(len, index.values())),
             "generation": self._drawn,
             "files": self.files,
         }
@@ -512,7 +511,7 @@ class _HeapCells:
             # for a compacted heap's size; nothing in src/ opens the alias.
             alias.symlink_to(files["segments"][0])
 
-    def load(self, payload: dict):
+    def load(self, payload: dict, n_levels: int):
         """Rebuild the whole index from the listed index file — zero
         heap IO.
 
@@ -539,14 +538,14 @@ class _HeapCells:
         self._mask_arena = binfmt.MaskArena(
             self._index_mmap, self.io_counters
         )
-        index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
+        index: dict[ItemLevel, dict[CellKey, Entry]] = {}
         self.cell_masks = {}
-        for levels, level_id, keys, entries, masks in binfmt.unpack_cell_index(
-            self._index_mmap, self._mask_arena
+        for levels, keys, entries, masks in binfmt.unpack_cell_index(
+            self._index_mmap, self._mask_arena, n_levels
         ):
-            coords = (ItemLevel(levels), level_id)
-            index[coords] = dict(zip(keys, entries))
-            self.cell_masks[coords] = masks
+            item_level = ItemLevel(levels)
+            index[item_level] = dict(zip(keys, entries))
+            self.cell_masks[item_level] = masks
         return index
 
     def close(self, materialise: bool = True) -> None:
@@ -646,14 +645,14 @@ class StoredPaths:
 
 
 class _RecordLoader:
-    """How the cells of one cuboid read decode the record bytes each
+    """How the cells of one cuboid read decode the item-cell record each
     (a :class:`~repro.core.flowcube.Cell`) copied out under the store lock.
 
-    :meth:`vector` decodes ids and ``{pid: weight}`` from the record
-    alone (no path table, no graph), :meth:`exceptions` reads the mined
-    list past them, :meth:`level_paths` is the path list the vector's ids
-    index, and :meth:`expanded` — the cell has just expanded its graph
-    from the vector — attaches the exceptions and counts
+    :meth:`vector` decodes the ids and the cuboid's path level's ``{pid:
+    weight}`` (no other section, no path table, no graph),
+    :meth:`exceptions` that level's mined list, :meth:`level_paths` is
+    the path list the vector's ids index, and :meth:`expanded` — the cell
+    has just expanded its graph — attaches the exceptions and counts
     ``cells_decoded``.  It holds the path table the records name, so a
     cell decodes the same measure after the store has reloaded, appended,
     compacted or closed.  Two threads racing on a first touch both decode
@@ -671,13 +670,14 @@ class _RecordLoader:
         self.counters = counters
 
     def vector(self, record: bytes) -> tuple[tuple[int, ...], dict[int, int]]:
-        return binfmt.decode_cell_parts(record)
+        record_ids, (vector,) = binfmt.decode_cell_parts(record, (self.level_id,))
+        return record_ids, vector
 
     def level_paths(self) -> list:
         return self.paths.levels()[self.level_id]
 
     def exceptions(self, record: bytes) -> list:
-        return binfmt.decode_cell_exceptions(record)
+        return binfmt.decode_cell_exceptions(record, self.level_id)
 
     def expanded(self, graph, record: bytes) -> None:
         graph.exceptions = self.exceptions(record)
@@ -776,8 +776,8 @@ class CubeStore:
         self._writer = publish.WriterLock(self.directory.parent)
         self._cells = self._new_heap()
         self._cache: LRUCache = LRUCache(cache_size)
-        #: (item level, path-level id) -> {cell key -> index entry}.
-        self._index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
+        #: item level -> {cell key -> index entry}, one per item cell.
+        self._index: dict[ItemLevel, dict[CellKey, Entry]] = {}
         #: Bumped on every index mutation; memoised views (the ``cuboids``
         #: tuple here, key catalogs and cached answers in the query layer)
         #: key off it to invalidate.
@@ -829,11 +829,11 @@ class CubeStore:
         :attr:`version` already; the push lets them drop stale entries
         eagerly instead of leaking them until LRU pressure — and, after a
         reload, carry the rest over.  *changed* is the set of ``(item
-        level, path-level id, key)`` coordinates a reload found added,
-        removed or rewritten (:func:`changed_coords`), or ``None`` when
-        any cell may differ: an in-process write, a rebuild, a compaction.
-        Callbacks run under the store lock, before any read of the new
-        version can start.
+        level, key)`` item cells (their cells at every path level) a reload
+        found added, removed or rewritten (:func:`changed_coords`), or
+        ``None`` when any cell may differ: an in-process write, a rebuild,
+        a compaction.  Callbacks run under the store lock, before any read
+        of the new version can start.
         """
         self._subscribers.append(callback)
 
@@ -887,7 +887,7 @@ class CubeStore:
         """The id space the cube's cell vectors are written in.
 
         Loaded from ``paths.bin`` (and checked against the meta file) the
-        first time a writer — an append, a ``put_cell`` — asks.  A build
+        first time a writer — an append, a ``put_cuboid`` — asks.  A build
         that scanned into its own table assigns it right after
         :meth:`create`, so its cells are persisted without translation.
         """
@@ -925,46 +925,64 @@ class CubeStore:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def put_cell(self, cell: Cell) -> None:
-        """Persist one cell: its multiset as a vector over the cube's path
-        table, its record ids and its exceptions."""
-        self.put_cuboid((cell,))
-
-    def _encode(self, cells) -> list[tuple[bytes, int, bool]]:
-        """``(coords, cell)`` pairs as heap ``(record, n_paths,
-        redundant)`` triples — the one write door: the record is the
-        cell's vector in this cube's path-id space (:meth:`_vector`), its
-        record ids and its exceptions; the index fields are checked here,
-        and a key part that is not a ``str``, a key or item level of
-        another width than the schema's, an ``n_paths`` that is not a
-        non-negative ``int`` or a ``redundant`` that is not a ``bool`` is
-        a :class:`~repro.errors.StoreError`."""
+    def _encode(self, cells) -> dict[Coords, tuple[bytes, int, tuple]]:
+        """Whole item cells as heap ``(record, n_paths, redundant marks)``
+        triples by ``(item level, key)``, in first-seen order — the one
+        write door.  The store keeps an item cell as one record, so
+        *cells* must hold, per key, one cell at each path level of the
+        lattice, agreeing on ``record_ids`` and ``n_paths``; the record is
+        those ids once and, per level, the cell's vector in this cube's
+        path-id space (:meth:`_vector`) and exceptions.  Another shape, a
+        key part that is not a ``str``, a key or item level of another
+        width than the schema's, an ``n_paths`` that is not a non-negative
+        ``int`` or a ``redundant`` that is not a ``bool`` is a
+        :class:`~repro.errors.StoreError`, before a byte is written."""
+        lattice = self._require_built()
+        items: dict[Coords, list] = {}
+        path_level = level_id = None
+        for cell in cells:
+            if cell.path_level is not path_level:
+                path_level = cell.path_level
+                level_id = lattice.index_of(path_level)
+            levels = items.get((cell.item_level, cell.key))
+            if levels is None:
+                levels = items[cell.item_level, cell.key] = [None] * len(lattice)
+            if levels[level_id] is not None:
+                raise StoreError(
+                    f"cell {cell.key!r} is given twice at path level {level_id}"
+                )
+            levels[level_id] = cell
         table = self.path_table
         n_dims = self.schema.n_dimensions
-        encode = binfmt.encode_cell_payload
-        records = []
-        for (item_level, level_id, key), cell in cells:
-            n_paths, redundant = cell.n_paths, cell.redundant
+        records = {}
+        for (item_level, key), levels in items.items():
+            where = f"item cell {key!r} at item level {item_level.levels}"
+            if None in levels:
+                raise StoreError(
+                    f"{where} lacks its cell at path level {levels.index(None)}"
+                )
+            first = levels[0]
+            if any(
+                cell.n_paths != first.n_paths or cell.record_ids != first.record_ids
+                for cell in levels
+            ):
+                raise StoreError(f"{where}: its path levels disagree on its record ids")
             if len(key) != n_dims or len(item_level.levels) != n_dims:
                 raise StoreError(
-                    f"cell {key!r} at item level {item_level.levels}: "
-                    f"a key or item level that does not span {n_dims} "
+                    f"{where}: a key or item level that does not span {n_dims} "
                     "dimensions"
                 )
-            if set(map(type, key)) - {str} or (
-                redundant is not True and redundant is not False
-            ):
-                raise StoreError(f"cell {key!r}: a field of the wrong type")
-            if type(n_paths) is not int or n_paths < 0:
-                raise StoreError(
-                    f"cell {key!r}: a counter that is not a non-negative int"
-                )
-            record = encode(
-                cell.record_ids,
-                self._vector(cell, table, level_id),
-                exceptions_to_dicts(cell.exceptions),
-            )
-            records.append((record, n_paths, redundant))
+            redundant = tuple(cell.redundant for cell in levels)
+            if set(map(type, key)) - {str} or set(map(type, redundant)) - {bool}:
+                raise StoreError(f"{where}: a field of the wrong type")
+            if type(first.n_paths) is not int or first.n_paths < 0:
+                raise StoreError(f"{where}: a counter that is not a non-negative int")
+            sections = [
+                (self._vector(cell, table, i), exceptions_to_dicts(cell.exceptions))
+                for i, cell in enumerate(levels)
+            ]
+            record = binfmt.encode_cell_payload(first.record_ids, sections)
+            records[item_level, key] = (record, first.n_paths, redundant)
         return records
 
     @staticmethod
@@ -1009,27 +1027,19 @@ class CubeStore:
             vector[pid] = vector[pid] + weight if pid in vector else weight
         return list(vector.items())
 
-    def put_cuboid(self, cuboid) -> None:
-        """Persist every cell of an in-memory cuboid (any iterable of cells).
-
-        One lock hold, one path-level resolution, one backend write and
-        one version bump for the whole batch.
-        """
+    def put_cuboid(self, cells) -> None:
+        """Persist whole item cells — *cells* holds each key's cell at every
+        path level (:meth:`_encode`): an item level's cuboids, chained.
+        One lock hold, one backend write and one version bump for the
+        batch; each item cell is one record and one index entry."""
         with self._lock:
-            lattice = self._require_built()
-            batch: list[tuple[Coords, Cell]] = []
-            path_level = level_id = None
-            for cell in cuboid:
-                if cell.path_level is not path_level:
-                    path_level = cell.path_level
-                    level_id = lattice.index_of(path_level)
-                batch.append(((cell.item_level, level_id, cell.key), cell))
-            if not batch:
+            records = self._encode(cells)
+            if not records:
                 return
-            entries = self._cells.put_records(self._encode(batch))
+            entries = self._cells.put_records(list(records.values()))
             self._served = None  # the index below is no longer committed
-            for ((item_level, level_id, key), _), entry in zip(batch, entries):
-                self._index.setdefault((item_level, level_id), {})[key] = entry
+            for (item_level, key), entry in zip(records, entries):
+                self._index.setdefault(item_level, {})[key] = entry
             self._bump_version()
 
     # ------------------------------------------------------------------
@@ -1051,29 +1061,29 @@ class CubeStore:
         """Write *cells* and swap the index to the merged *layout*.
 
         Args:
-            cells: ``{(item_level, path-level id, key): Cell}`` — the
-                dirty (updated / promoted / created) cells to persist.
-            layout: Iterable of ``(item_level, path-level id, keys)``
-                giving every surviving cuboid's final key order, in
-                canonical cuboid order.  Keys absent from *cells* keep
-                their existing index entries verbatim (zero heap IO);
-                existing keys missing from *layout* are demoted.
+            cells: The dirty (updated / promoted / created) item cells to
+                persist, each with its cell at every path level
+                (:meth:`_encode`).
+            layout: Iterable of ``(item_level, keys)`` giving every
+                surviving item cuboid's final key order, in canonical
+                order.  Keys absent from *cells* keep their existing
+                index entries verbatim (zero heap IO); existing keys
+                missing from *layout* are demoted.
 
         The swap is in-memory until :meth:`flush` publishes it.
         """
         with self._lock:
-            self._require_built()
+            records = self._encode(cells)
             written: dict[Coords, Entry] = dict(
-                zip(cells, self._cells.put_records(self._encode(cells.items())))
+                zip(records, self._cells.put_records(list(records.values())))
             )
-            new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
-            for item_level, level_id, keys in layout:
+            new_index: dict[ItemLevel, dict[CellKey, Entry]] = {}
+            for item_level, keys in layout:
                 if not keys:
                     continue
-                old_entries = self._index.get((item_level, level_id), {})
-                new_index[(item_level, level_id)] = {
-                    key: written.get((item_level, level_id, key))
-                    or old_entries[key]
+                old_entries = self._index.get(item_level, {})
+                new_index[item_level] = {
+                    key: written.get((item_level, key)) or old_entries[key]
                     for key in keys
                 }
             self._index = new_index
@@ -1085,10 +1095,22 @@ class CubeStore:
             self._cache.clear()
             self._bump_version()
 
+    def item_parts(self, item_level: ItemLevel, keys, level_ids) -> list[tuple]:
+        """The record ids and the ``{pid: weight}`` vectors at *level_ids*
+        of the item cells at *keys*: one record read and one decode each,
+        past the cell cache — what a writer adds a batch to."""
+        with self._lock:
+            entries = self._index.get(item_level, {})
+            record = self._cells.record
+            return [
+                binfmt.decode_cell_parts(record(entries[key]), level_ids)
+                for key in keys
+            ]
+
     def compact(self) -> int:
         """Fold pending delta segments back into a clean base heap.
 
-        Every index entry's payload is copied byte-exact (no codec
+        Every index entry's record is copied byte-exact (no codec
         round-trip) into a freshly staged slot-0 heap in index order,
         then flushed like any other write: heap → index → meta, each
         under a fresh name, the superseded files swept only after the
@@ -1107,13 +1129,15 @@ class CubeStore:
             new = self._new_heap()
             new.stage(0)
             done = self.n_cells()
-            new_index: dict[tuple[ItemLevel, int], dict[CellKey, Entry]] = {}
-            for coords, entries in self._index.items():
+            new_index: dict[ItemLevel, dict[CellKey, Entry]] = {}
+            for item_level, entries in self._index.items():
                 records = [
                     (old.record(e), entry_n_paths(e), entry_redundant(e))
                     for e in entries.values()
                 ]
-                new_index[coords] = dict(zip(entries, new.put_records(records)))
+                new_index[item_level] = dict(
+                    zip(entries, new.put_records(records))
+                )
             self._index = new_index
             self._served = None
             self._cells = new
@@ -1164,7 +1188,9 @@ class CubeStore:
             try:
                 payload["paths"] = self._publish_paths()
                 payload.update(
-                    self._cells.finalise(self._index, self._paths.path.name)
+                    self._cells.finalise(
+                        self._index, self._paths.path.name, len(lattice)
+                    )
                 )
                 if self.build_stats is not None:
                     payload["build_stats"] = self.build_stats
@@ -1242,7 +1268,7 @@ class CubeStore:
         committed = payload.get("paths") or {}
         cells = self._new_heap()
         try:
-            index = cells.load(payload)
+            index = cells.load(payload, len(lattice))
             paths = StoredPaths(
                 self.directory / cells.files["paths"],
                 committed.get("lineage"),
@@ -1267,7 +1293,7 @@ class CubeStore:
         if changed is None:
             self._cache.clear()
         else:
-            self._cache.discard(changed)
+            self._cache.discard(lambda coords: coords[:2] in changed)
         self._bump_version(changed)
 
     def maybe_reload(self) -> bool:
@@ -1372,7 +1398,7 @@ class CubeStore:
         loader = _RecordLoader(self._paths, level_id, self._cells.io_counters)
         cells: list[Cell] = []
         for key in keys:
-            coords: Coords = (item_level, level_id, key)
+            coords = (item_level, key, level_id)
             cell = cache.get(coords)
             if cell is None:
                 entry = entries.get(key)
@@ -1383,7 +1409,7 @@ class CubeStore:
                     )
                 cell = Cell(
                     key, item_level, path_level,
-                    redundant=entry_redundant(entry),
+                    redundant=entry_redundant(entry)[level_id],
                     n_paths=entry_n_paths(entry),
                     record=record(entry),
                     loader=loader,
@@ -1397,7 +1423,7 @@ class CubeStore:
     ) -> tuple[int, dict[CellKey, Entry]]:
         """``(path-level id, {key: index entry})`` of a materialised cuboid."""
         level_id = self._require_built().index_of(path_level)
-        entries = self._index.get((item_level, level_id))
+        entries = self._index.get(item_level)
         if entries is None:
             raise CubeError(
                 f"cuboid ⟨{item_level.levels!r}, ...⟩ is not materialised"
@@ -1405,17 +1431,15 @@ class CubeStore:
         return level_id, entries
 
     def has_cuboid(self, item_level: ItemLevel, path_level: PathLevel) -> bool:
-        lattice = self._require_built()
-        return (item_level, lattice.index_of(path_level)) in self._index
+        self._require_built().index_of(path_level)
+        return item_level in self._index
 
     def cuboid(
         self, item_level: ItemLevel, path_level: PathLevel
     ) -> StoredCuboid:
-        level_id, entries = self._cuboid_entries(item_level, path_level)
-        masks = self._cells.cell_masks.get((item_level, level_id))
-        return StoredCuboid(
-            self, item_level, path_level, tuple(entries), value_masks=masks
-        )
+        _, entries = self._cuboid_entries(item_level, path_level)
+        masks = self._cells.cell_masks.get(item_level)
+        return StoredCuboid(self, item_level, path_level, tuple(entries), masks)
 
     @property
     def version(self) -> int:
@@ -1453,21 +1477,23 @@ class CubeStore:
 
     @property
     def cuboids(self) -> tuple[StoredCuboid, ...]:
+        """Every cuboid, memoised per version; an item cuboid's cuboids
+        share its keys and catalog masks."""
         with self._lock:
             lattice = self._require_built()
             cached = self._cuboids_cache
             if cached is not None and cached[0] == self._version:
                 return cached[1]
             masks = self._cells.cell_masks
-            cuboids = tuple(
-                StoredCuboid(
-                    self, item_level, lattice[level_id], tuple(entries),
-                    value_masks=masks.get((item_level, level_id)),
+            cuboids = []
+            for item_level, entries in self._index.items():
+                keys = tuple(entries)
+                cuboids += (
+                    StoredCuboid(self, item_level, level, keys, masks.get(item_level))
+                    for level in lattice
                 )
-                for (item_level, level_id), entries in self._index.items()
-            )
-            self._cuboids_cache = (self._version, cuboids)
-            return cuboids
+            self._cuboids_cache = (self._version, tuple(cuboids))
+            return self._cuboids_cache[1]
 
     def cells(self) -> Iterator[Cell]:
         """Every persisted cell, read through the cache."""
@@ -1475,8 +1501,9 @@ class CubeStore:
             yield from cuboid
 
     def n_cells(self) -> int:
-        """Number of persisted cells (from the index, no file IO)."""
-        return sum(len(entries) for entries in self._index.values())
+        """Number of persisted cells — item cells times path levels —
+        from the index, no file IO."""
+        return len(self.path_lattice or ()) * sum(map(len, self._index.values()))
 
     # ------------------------------------------------------------------
     # observability
@@ -1490,7 +1517,7 @@ class CubeStore:
         out: dict[str, object] = {
             "built": self.is_built,
             "format": LAYOUT_NAME,
-            "cuboids": len(self._index),
+            "cuboids": len(self.path_lattice or ()) * len(self._index),
             "cells": self.n_cells(),
             "min_support": self.min_support,
             "min_deviation": self.min_deviation,

@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.serialization import cube_to_json
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.oracle import OracleCell
 
 
 def cube_files(store_dir) -> dict:
@@ -36,6 +37,32 @@ def cube_files(store_dir) -> dict:
             for slot, name in files["segments"].items()
         },
     }
+
+
+def item_cell(handle, cell, key=None) -> list:
+    """*cell*'s item cell the way ``CubeStore.put_cuboid`` takes it: *cell*
+    at its path level and, at every other level of *handle*'s lattice,
+    the cell *handle* holds at the same item level and key — each re-keyed
+    to *key* when one is given."""
+    cells = [
+        cell if level == cell.path_level
+        else handle.cell(cell.item_level, cell.key, level)
+        for level in handle.path_lattice
+    ]
+    if key is None:
+        return cells
+    return [
+        OracleCell(
+            key=key,
+            item_level=level_cell.item_level,
+            path_level=level_cell.path_level,
+            record_ids=level_cell.record_ids,
+            flowgraph=level_cell.flowgraph,
+            paths=level_cell.paths,
+            redundant=level_cell.redundant,
+        )
+        for level_cell in cells
+    ]
 
 
 def stored_cube_json(cube) -> str:

@@ -53,7 +53,7 @@ class OracleCell:
 
     It reads like a :class:`~repro.core.flowcube.Cell` — index fields,
     ``record_ids``, ``paths``, ``flowgraph``, ``exceptions`` — so the
-    cube code (``cube_to_json``, ``CubeStore.put_cell``, the query
+    cube code (``cube_to_json``, ``CubeStore.put_cuboid``, the query
     layer) takes it too, and tests build hand-made cells with it.
     """
 

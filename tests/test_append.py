@@ -34,7 +34,7 @@ from repro.store import (
 )
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import cube_files, stored_cube_json
+from tests.conftest import cube_files, item_cell, stored_cube_json
 from tests.oracle import direct_cube
 
 CONFIG = GeneratorConfig(
@@ -186,14 +186,17 @@ def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     before = (heap.stat().st_mtime_ns, heap.read_bytes())
     writer, reader = store.cube_store(), store.cube_store()
     assert not reader.cell(*coords).redundant
-    writer.put_cell(dataclasses.replace(cell, redundant=True))
+    writer.put_cuboid(
+        item_cell(writer, dataclasses.replace(cell, redundant=True))
+    )
     writer.flush()
     assert (heap.stat().st_mtime_ns, heap.read_bytes()) == before
     segment = cube_files(store.directory)["segments"][1]
     assert 8 < segment.stat().st_size < len(before[1]) // 10
     assert reader.maybe_reload() and reader.delta_segments == [1]
     assert reader.cell(*coords).redundant
-    writer.put_cell(cell)  # and back: a second flush, a second segment
+    # And back: a second flush, a second segment.
+    writer.put_cuboid(item_cell(writer, cell))
     writer.flush()
     assert (heap.stat().st_mtime_ns, heap.read_bytes()) == before
     assert writer.delta_segments == [1, 2]

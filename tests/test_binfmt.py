@@ -12,16 +12,18 @@ The contracts:
 * **read behaviour over the heap**: the LRU fronts the heap's cells,
   and ``maybe_reload`` notices a cross-handle rebuild through the
   single-read meta signature;
-* **one record writer, one reader** (hypothesis): a cell's measure — its
-  ``(pid, weight)`` vector, record ids, exceptions — round-trips through
-  its ``FCHEAP04`` record, which holds none of the cell's coordinates;
-  the store's write door, fed a live cell, writes a record that reads
-  back as the cell's ids, multiset and expanded flowgraph, and what the
-  record or the index cannot carry — or a record with a flag bit the
-  layout does not define — is a typed error;
+* **one record writer, one reader** (hypothesis): an item cell's
+  measure — its record ids and, per path level, a ``(pid, weight)``
+  vector and exceptions — round-trips through its ``FCHEAP05`` record,
+  which holds none of its coordinates; the store's write door, fed a
+  live cell, writes a record that reads back as the cell's ids, multiset
+  and expanded flowgraph, and what the record or the index cannot carry
+  — or a record with a flag bit the layout does not define — is a typed
+  error;
 * **every damaged byte is typed**: flipping each byte and cutting at
-  each length of a record and of a path table yields a decode or a
-  ``StoreError``, never an untyped exception;
+  each length of a record — whose CRC then fails, in a buffer and in a
+  heap file — is a ``StoreError``, and of a path table or a cell index
+  a decode or a ``StoreError``, never an untyped exception;
 * **pinned bytes**: the path table, heap, index and delta segment of the
   paper example hash to constants, so format drift cannot pass unnoticed;
 * **one table per container** (generated from ``binfmt``'s four
@@ -35,9 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import struct
 import sys
+import zlib
 from array import array
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import pytest
@@ -62,8 +65,11 @@ from repro.store import (
     cube_store,
 )
 from repro.store.binfmt import (
+    _CRC,
     _EXC,
     _EXC_ZLIB,
+    _HEAD,
+    _SECTION,
     INDEX_LAYOUT,
     INDEX_MAGIC,
     ORDER_TAG,
@@ -72,6 +78,7 @@ from repro.store.binfmt import (
     STRINGS_LAYOUT,
     MaskArena,
     StringTable,
+    _open_record,
     decode_cell_exceptions,
     decode_cell_parts,
     encode_cell_payload,
@@ -183,11 +190,13 @@ _KEY_PART = st.one_of(st.just("*"), _VALUE)
 
 @st.composite
 def cell_indexes(draw):
-    """(cuboids, n_dims) for the index codec, empty cuboids included."""
+    """(cuboids, n_dims, n_levels) for the index codec, empty item
+    cuboids included."""
     n_dims = draw(st.integers(min_value=0, max_value=3))
+    n_levels = draw(st.integers(min_value=0, max_value=4))
     cuboids = []
     offset = 8
-    for level_id in range(draw(st.integers(min_value=0, max_value=3))):
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
         item_level = tuple(
             draw(st.integers(min_value=0, max_value=4)) for _ in range(n_dims)
         )
@@ -201,29 +210,26 @@ def cell_indexes(draw):
                     offset,
                     length,
                     draw(st.integers(min_value=0, max_value=1 << 40)),
-                    draw(st.booleans()),
+                    tuple(draw(st.booleans()) for _ in range(n_levels)),
                 )
             )
             offset += 8 + length
-        cuboids.append((item_level, level_id, cells))
-    return cuboids, n_dims
+        cuboids.append((item_level, cells))
+    return cuboids, n_dims, n_levels
 
 
 @given(cell_indexes())
 @settings(max_examples=60, deadline=None)
 def test_cell_index_codec_is_a_fixed_point(case):
-    cuboids, n_dims = case
-    blob = pack_cell_index(cuboids, n_dims)
-    decoded = unpack_cell_index(blob, MaskArena(blob))
+    cuboids, n_dims, n_levels = case
+    blob = pack_cell_index(cuboids, n_dims, n_levels)
+    decoded = unpack_cell_index(blob, MaskArena(blob), n_levels)
     assert len(decoded) == len(cuboids)
-    for (item_level, level_id, cells), got in zip(cuboids, decoded):
-        got_levels, got_level_id, got_keys, got_entries, got_masks = got
+    for (item_level, cells), got in zip(cuboids, decoded):
+        got_levels, got_keys, got_entries, got_masks = got
         assert got_levels == item_level
-        assert got_level_id == level_id
         assert got_keys == [cell[0] for cell in cells]
-        assert got_entries == [
-            (cell[1], cell[2], cell[3], cell[4]) for cell in cells
-        ]
+        assert got_entries == [cell[1:] for cell in cells]
         # The precomputed catalog masks are exactly what a per-cell
         # index pass over the keys would produce.
         expected: list[dict[str, int]] = [{} for _ in range(n_dims)]
@@ -234,23 +240,96 @@ def test_cell_index_codec_is_a_fixed_point(case):
                 )
         assert [dict(masks.items()) for masks in got_masks] == expected
     # Deterministic encode.
-    assert pack_cell_index(cuboids, n_dims) == blob
+    assert pack_cell_index(cuboids, n_dims, n_levels) == blob
 
 
 def test_cell_index_rejects_corruption():
-    blob = pack_cell_index(
-        [((0,), 0, [(("a",), 8, 4, 2, False)])], 1
-    )
+    blob = pack_cell_index([((0,), [(("a",), 8, 4, 2, (False, True))])], 1, 2)
     assert blob[:8] == INDEX_MAGIC
     with pytest.raises(StoreError):
-        unpack_cell_index(blob[: len(blob) - 8], MaskArena(blob))
+        unpack_cell_index(blob[: len(blob) - 8], MaskArena(blob), 2)
     with pytest.raises(StoreError):
-        unpack_cell_index(b"FCWRONG!" + blob[8:], MaskArena(blob))
+        unpack_cell_index(b"FCWRONG!" + blob[8:], MaskArena(blob), 2)
     swapped = bytearray(blob)
     swapped[8:16] = blob[8:16][::-1]
     assert int.from_bytes(blob[8:16], "little") == ORDER_TAG
     with pytest.raises(StoreError):
-        unpack_cell_index(bytes(swapped), MaskArena(blob))
+        unpack_cell_index(bytes(swapped), MaskArena(blob), 2)
+    # An index of another path-lattice width than the cube's.
+    with pytest.raises(StoreError, match="2 path levels per cell, the cube's"):
+        unpack_cell_index(blob, MaskArena(blob), 4)
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """A built store over the paper example — exceptions on — and its
+    index file's bytes."""
+    from repro.core.path_database import example_path_database
+
+    database = example_path_database()
+    directory = tmp_path_factory.mktemp("fuzz") / "wh"
+    store = PartitionedPathStore.init(directory, database.schema, partition_size=3)
+    store.ingest(database)
+    build_cube(
+        store, min_support=2, min_deviation=0.05, into=store.cube_store()
+    ).close()
+    store.close()
+    index = cube_files(directory)["index"]
+    return database.schema, index, index.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_damaged_index_byte_escapes_as_an_untyped_error(small_store, data):
+    """Flip a byte of ``cells.idx``: opening the store and reading every
+    cell's measure raise nothing but ``StoreError`` — a ref past the
+    string table, counts that disagree or an extent off the heap are
+    typed, and a record the damage points at fails its CRC."""
+    schema, index, pristine = small_store
+    position = data.draw(st.integers(min_value=0, max_value=len(pristine) - 1))
+    mask = data.draw(st.integers(min_value=1, max_value=255))
+    damaged = bytearray(pristine)
+    damaged[position] ^= mask
+    index.write_bytes(bytes(damaged))
+    try:
+        with CubeStore(index.parent, schema) as cube:
+            for cell in cube.cells():
+                cell.record_ids
+                cell.flowgraph
+    except StoreError:
+        pass
+    finally:
+        index.write_bytes(pristine)
+
+
+def _with_index_word(blob: bytes, section: str, index: int, value: int):
+    """*blob* (a cell index) with one word of *section* replaced."""
+    opened = INDEX_LAYOUT.open(blob)
+    ends = dict(section_ends(INDEX_LAYOUT, blob))
+    at = ends[section] - 8 * len(opened[section]) + 8 * index
+    return blob[:at] + array("q", [value]).tobytes() + blob[at + 8 :]
+
+
+@pytest.mark.parametrize(
+    ("section", "index", "value", "message"),
+    [
+        ("key_refs", 0, 99, "a string ref past the string table"),
+        ("key_refs", 1, -1, "a string ref past the string table"),
+        ("mask_refs", 2, 99, "a string ref past the string table"),
+        ("cuboid_table", 0, 1, "cuboid rows disagree with n_cells"),
+        ("cuboid_table", 3, 5, "cuboid rows disagree with n_cells"),
+        ("cuboid_table", 1, -1, "a negative cell count or item level"),
+        ("str_offsets", 1, 99, "string offsets disagree with the blob"),
+    ],
+)
+def test_named_cell_index_damage_is_named(packed, section, index, value, message):
+    """What the framing cannot see of a damaged index — a ref past the
+    string table, item-cuboid counts that do not sum to ``n_cells``, a
+    negative item level, offsets that leave the blob — is named."""
+    blob, read = packed["FCCIDX02"]
+    read(blob)
+    with pytest.raises(StoreError, match=f"corrupt cell index: {message}"):
+        read(_with_index_word(blob, section, index, value))
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +339,7 @@ def test_cell_index_rejects_corruption():
 LAYOUTS = {
     "FCSTRS01": STRINGS_LAYOUT,
     "FCPART02": PARTITION_LAYOUT,
-    "FCCIDX01": INDEX_LAYOUT,
+    "FCCIDX02": INDEX_LAYOUT,
     "FCPATH01": PATHS_LAYOUT,
 }
 _HEADER_START = 8  # every magic is eight bytes
@@ -278,9 +357,16 @@ def packed(tmp_path_factory, example_database):
     strings = strings_path.read_bytes()
     index = pack_cell_index(
         [
-            ((0, 1), 0, [(("a", "x"), 8, 4, 2, False), (("b", "x"), 20, 4, 3, True)]),
-            ((1, 1), 1, [(("c", "y"), 32, 5, 2, False)]),
+            (
+                (0, 1),
+                [
+                    (("a", "x"), 8, 4, 2, (False, True)),
+                    (("b", "x"), 20, 4, 3, (True, True)),
+                ],
+            ),
+            ((1, 1), [(("c", "y"), 32, 5, 2, (False, False))]),
         ],
+        2,
         2,
     )
 
@@ -294,9 +380,9 @@ def packed(tmp_path_factory, example_database):
             partition,
             lambda blob: unpack_partition(blob, database.schema, table),
         ),
-        "FCCIDX01": (
+        "FCCIDX02": (
             index,
-            lambda blob: unpack_cell_index(blob, MaskArena(blob)),
+            lambda blob: unpack_cell_index(blob, MaskArena(blob), 2),
         ),
         "FCPATH01": (
             pack_paths(
@@ -383,7 +469,7 @@ def test_foreign_files_are_refused_as_before(packed, magic):
     swapped = blob[:8] + blob[8:16][::-1] + blob[16:]
     with pytest.raises(StoreError, match="byte-order tag mismatch"):
         read(swapped)
-    for retired in layout.retired:  # only FCPART01 today
+    for retired in layout.retired:  # FCPART01 and FCCIDX01 today
         name = retired.decode("ascii")
         with pytest.raises(StoreError, match=f"retired {name} layout"):
             read(retired + blob[8:])
@@ -430,7 +516,7 @@ def test_design_diagrams_carry_the_tables_rows_in_order(magic):
 
 
 # ----------------------------------------------------------------------
-# FCHEAP04 cell record: one writer, one reader (hypothesis)
+# FCHEAP05 item-cell record: one writer, one reader (hypothesis)
 # ----------------------------------------------------------------------
 
 #: Path weights on both sides of the one-, two- and three-byte varints.
@@ -453,8 +539,9 @@ _EXCEPTION = st.builds(
 @st.composite
 def vector_cells(draw):
     """``(encode_cell_payload arguments, level path list)``: ascending
-    record ids, a ``(pid, weight)`` vector in an order of its own over a
-    path list, and an exception list."""
+    record ids and, per path level (one to three of them), a ``(pid,
+    weight)`` vector in an order of its own over a path list and an
+    exception list."""
     locations = draw(st.lists(_VALUE, min_size=1, max_size=4, unique=True))
     labels = draw(st.lists(_VALUE, min_size=1, max_size=5, unique=True))
     stage = st.tuples(st.sampled_from(locations), st.sampled_from(labels))
@@ -465,18 +552,20 @@ def vector_cells(draw):
     for i in range(draw(st.sampled_from([0, 0, 3, 120, 140]))):
         paths.append(((locations[0], f"d{i}"),))
     paths = list(dict.fromkeys(paths))
-    pids = draw(st.permutations(range(len(paths))))
-    pids = pids[: draw(st.integers(min_value=0, max_value=len(pids)))]
-    vector = [(pid, draw(_WEIGHT)) for pid in pids]
+    sections = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pids = draw(st.permutations(range(len(paths))))
+        pids = pids[: draw(st.integers(min_value=0, max_value=len(pids)))]
+        sections.append(
+            (
+                [(pid, draw(_WEIGHT)) for pid in pids],
+                exceptions_to_dicts(draw(st.lists(_EXCEPTION, max_size=2))),
+            )
+        )
     record_ids = sorted(
         set(draw(st.lists(st.integers(0, 2**63 - 1), max_size=6)))
     )
-    cell = (
-        tuple(record_ids),
-        vector,
-        exceptions_to_dicts(draw(st.lists(_EXCEPTION, max_size=2))),
-    )
-    return cell, paths
+    return (tuple(record_ids), sections), paths
 
 
 def _json_form(value):
@@ -484,17 +573,35 @@ def _json_form(value):
     return json.loads(json.dumps(value))
 
 
+def _sections(record: bytes, n_levels: int = 1) -> list:
+    """*record*'s first *n_levels* path-level sections as ``(flags,
+    vector start, blob start, end)``, its CRC checked."""
+    return _open_record(record, n_levels - 1)[2]
+
+
+def _resealed(record: bytes) -> bytes:
+    """*record* with its CRC recomputed over what follows it."""
+    body = record[_CRC.size :]
+    return _CRC.pack(zlib.crc32(body)) + body
+
+
 def _assert_round_trip(cell) -> bytes:
-    """The one reader gives back what the writer was given: the ids and
-    the vector, in its order, and the exception section."""
-    record_ids, vector, exceptions = cell
+    """The one reader gives back what the writer was given: the ids, and
+    per path level the vector, in its order, and the exceptions — each
+    level alone as in one pass with the others."""
+    record_ids, sections = cell
     record = encode_cell_payload(*cell)
-    decoded_ids, decoded = decode_cell_parts(record)
+    decoded_ids, vectors = decode_cell_parts(record, range(len(sections)))
     assert decoded_ids == tuple(record_ids)
-    assert list(decoded.items()) == [tuple(pair) for pair in vector]
-    assert exceptions_to_dicts(decode_cell_exceptions(record)) == _json_form(
-        exceptions
-    )
+    assert decode_cell_parts(record, ()) == (decoded_ids, [])
+    for level_id, ((vector, exceptions), decoded) in enumerate(
+        zip(sections, vectors, strict=True)
+    ):
+        assert list(decoded.items()) == [tuple(pair) for pair in vector]
+        assert decode_cell_parts(record, (level_id,)) == (decoded_ids, [decoded])
+        assert exceptions_to_dicts(
+            decode_cell_exceptions(record, level_id)
+        ) == _json_form(exceptions)
     return record
 
 
@@ -503,8 +610,17 @@ def _assert_round_trip(cell) -> bytes:
 def test_a_cell_round_trips_through_its_structured_record(case):
     cell, _ = case
     record = _assert_round_trip(cell)
-    assert record[0] & ~(_EXC | _EXC_ZLIB) == 0
-    assert bool(record[0] & _EXC) == bool(cell[-1])
+    sections = _sections(record, len(cell[1]))
+    for (flags, *_), (_, exceptions) in zip(sections, cell[1], strict=True):
+        assert flags & ~(_EXC | _EXC_ZLIB) == 0
+        assert bool(flags & _EXC) == bool(exceptions)
+    # A path level past the record's is damage, not an IndexError.
+    for read in (
+        lambda: decode_cell_parts(record, (len(sections),)),
+        lambda: decode_cell_exceptions(record, len(sections)),
+    ):
+        with pytest.raises(StoreError, match="no section for level"):
+            read()
 
 
 _ONE_STAGE = [(("L", f"d{i}"),) for i in range(16385)]
@@ -517,7 +633,9 @@ def test_record_id_varint_widths(field):
     lengths = []
     for value in (127, 128, 16383, 16384):
         record_ids = (value,) if field == "first record id" else (1, 1 + value)
-        lengths.append(len(_assert_round_trip((record_ids, [(0, 1)], []))))
+        lengths.append(
+            len(_assert_round_trip((record_ids, [([(0, 1)], [])])))
+        )
     assert [n - lengths[0] for n in lengths] == [0, 1, 1, 2]
 
 
@@ -525,14 +643,16 @@ def test_exception_blob_is_zlibbed_only_when_smaller():
     exceptions = exceptions_to_dicts(
         [FlowException(("a",), (), "duration", 1, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
-    record = _assert_round_trip(((3,), [(0, 1)], exceptions))
-    assert record[0] & _EXC and record[0] & _EXC_ZLIB
+    record = _assert_round_trip(((3,), [([(0, 1)], []), ([(0, 1)], exceptions)]))
+    (plain, *_), (flags, *_) = _sections(record, 2)
+    assert plain == 0 and flags & _EXC and flags & _EXC_ZLIB
     # Only a hand-made list is too short to shrink — and is no exception
     # list, which the reader says.
-    record = encode_cell_payload((3,), [(0, 1)], [0])
-    assert record[0] & _EXC and not record[0] & _EXC_ZLIB
+    record = encode_cell_payload((3,), [([(0, 1)], [0])])
+    (flags, *_), = _sections(record)
+    assert flags & _EXC and not flags & _EXC_ZLIB
     with pytest.raises(StoreError, match="corrupt cell payload"):
-        decode_cell_exceptions(record)
+        decode_cell_exceptions(record, 0)
 
 
 class _Label(str):
@@ -548,7 +668,7 @@ def test_every_int64_record_id_is_stored_structured(live_cube, writer):
     whether the encoder or the store's door writes it."""
     for record_ids in ((2**31,), (0, 2**31, 2**32 + 7), (1, 2**63 - 1)):
         if writer == "encoder":
-            _assert_round_trip((record_ids, [(1, 2), (0, 1)], []))
+            _assert_round_trip((record_ids, [([(1, 2), (0, 1)], [])]))
         else:
             pairs = [(_TWO_PATHS[0], len(record_ids))]
             cell = _live_cell(("x", "y"), record_ids, False, pairs)
@@ -583,9 +703,9 @@ def _unencodable_record(case: str) -> tuple:
     return record_ids, vector, exceptions
 
 
-def _unindexable_cell(cube, case: str) -> Cell:
-    """A cell whose fields the index — key, item level, ``n_paths``,
-    ``redundant`` — or the door cannot carry."""
+def _unindexable_cell(cube, case: str, path_level) -> Cell:
+    """A cell at *path_level* whose fields the index — key, item level,
+    ``n_paths``, ``redundant`` — or the door cannot carry."""
     key, levels, n_paths, redundant = ["x", "y"], [0, 1], 3, False
     weights = {0: 2, 1: 1}
     if case == "non-str key part":
@@ -607,14 +727,15 @@ def _unindexable_cell(cube, case: str) -> Cell:
     elif case == "a cell without its multiset":
         weights = {}
     return Cell(
-        tuple(key), ItemLevel(levels), cube.path_lattice[_LIVE_LEVEL_ID],
+        tuple(key), ItemLevel(levels), path_level,
         (1, 2, 5), weights, list(_TWO_PATHS), redundant, n_paths=n_paths,
     )
 
 
 #: The cases whose field only the index holds — and a cell without its
 #: multiset, the shape the retired verbatim-JSON record stored — go
-#: through ``CubeStore.put_cell``, the write door; what it says of each.
+#: through ``CubeStore.put_cuboid``, the write door, as a whole item cell;
+#: what it says of each.
 _DOOR_REFUSALS = {
     "non-str key part": "a field of the wrong type",
     "str-subclass key part": "a field of the wrong type",
@@ -649,37 +770,53 @@ def test_every_payload_the_record_cannot_carry_is_a_typed_error(
     live_cube, case
 ):
     if case not in _DOOR_REFUSALS:
-        with pytest.raises(StoreError, match="outside the FCHEAP04 record"):
-            encode_cell_payload(*_unencodable_record(case))
+        record_ids, vector, exceptions = _unencodable_record(case)
+        with pytest.raises(StoreError, match="outside the FCHEAP05 record"):
+            encode_cell_payload(record_ids, [(vector, exceptions)])
         return
     before = live_cube.n_cells()
+    item = [
+        _unindexable_cell(live_cube, case, level)
+        for level in live_cube.path_lattice
+    ]
     with pytest.raises(StoreError, match=re.escape(_DOOR_REFUSALS[case])):
-        live_cube.put_cell(_unindexable_cell(live_cube, case))
+        live_cube.put_cuboid(item)
     assert live_cube.n_cells() == before
 
 
 def test_an_unknown_flag_bit_is_damage():
-    """The flags byte defines two bits; a record with any other set —
-    0x01 marked the retired verbatim-JSON record — is refused by both
-    readers as a corrupt record, not read past."""
-    record = encode_cell_payload((4,), [(0, 1)], [])
+    """A section's flags byte defines two bits; a record with any other
+    set — 0x01 marked the retired verbatim-JSON record — is refused by
+    both readers as a corrupt record, not read past, even under a CRC
+    that matches."""
+    record = encode_cell_payload((4,), [([(0, 1)], []), ([(0, 1)], [])])
+    at = _sections(record, 2)[1][1] - _SECTION.size
     for bit in (0x01, 0x08, 0x80):
-        flagged = bytes((record[0] | bit,)) + record[1:]
-        for read in (decode_cell_parts, decode_cell_exceptions):
+        flagged = bytearray(record)
+        flagged[at] |= bit
+        for read in (
+            lambda data: decode_cell_parts(data, (1,)),
+            lambda data: decode_cell_exceptions(data, 1),
+        ):
+            with pytest.raises(
+                StoreError, match="corrupt cell payload: checksum mismatch"
+            ):
+                read(bytes(flagged))
             with pytest.raises(
                 StoreError, match=f"corrupt cell payload: unknown flags {bit:#04x}"
             ):
-                read(flagged)
+                read(_resealed(bytes(flagged)))
 
 
 # ----------------------------------------------------------------------
 # the store's door: a live cell's record reads back as its measure
 # ----------------------------------------------------------------------
 #
-# ``CubeStore._encode`` is what every write goes through: it checks the
-# cell's index fields, resolves its multiset into the cube's path-id
-# space and hands ``encode_cell_payload`` the ids, the vector and the
-# exceptions.  What it writes must read back as the cell.
+# ``CubeStore._encode`` is what every write goes through: it checks an
+# item cell's index fields, resolves each path level's multiset into the
+# cube's path-id space and hands ``encode_cell_payload`` the ids and, per
+# level, the vector and the exceptions.  What it writes must read back as
+# the cells.  The tests feed it one cell at every path level.
 
 _LIVE_LEVEL_ID = 1
 
@@ -715,9 +852,10 @@ def _live_cell(key, record_ids, redundant, pairs, exceptions=()):
 
 
 def _door(cube, cell) -> bytes:
-    coords = (cell.item_level, _LIVE_LEVEL_ID, cell.key)
-    ((record, n_paths, redundant),) = cube._encode([(coords, cell)])
-    assert n_paths == cell.n_paths and redundant == cell.redundant
+    cells = [replace(cell, path_level=level) for level in cube.path_lattice]
+    ((record, n_paths, redundant),) = cube._encode(cells).values()
+    assert n_paths == cell.n_paths
+    assert redundant == (cell.redundant,) * len(cells)
     return record
 
 
@@ -726,15 +864,16 @@ def _door_round_trip(cube, cell) -> bytes:
     multiset in the cube's path-id space and the graph a reader expands
     from them, with its exceptions."""
     record = _door(cube, cell)
-    record_ids, vector = decode_cell_parts(record)
+    record_ids, (vector,) = decode_cell_parts(record, (_LIVE_LEVEL_ID,))
     paths = cube.path_table.paths[_LIVE_LEVEL_ID]
     pairs = [(paths[pid], weight) for pid, weight in vector.items()]
     assert record_ids == cell.record_ids
     assert dict(pairs) == dict(cell.paths)
     graph = FlowGraph.expand(pairs)
-    graph.exceptions = decode_cell_exceptions(record)
+    graph.exceptions = decode_cell_exceptions(record, _LIVE_LEVEL_ID)
     assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
-    assert bool(record[0] & _EXC) == bool(cell.flowgraph.exceptions)
+    flags = _sections(record, _LIVE_LEVEL_ID + 1)[_LIVE_LEVEL_ID][0]
+    assert bool(flags & _EXC) == bool(cell.flowgraph.exceptions)
     return record
 
 
@@ -747,7 +886,7 @@ _KEY = st.tuples(_VALUE, _VALUE)
 def test_the_door_writes_a_record_that_reads_back_as_the_cell(
     live_cube, case, key, redundant, exceptions
 ):
-    ((_, vector, _), paths) = case
+    ((_, [(vector, _), *_]), paths) = case
     # The door takes a cell whose multiset weighs its record ids.
     pairs = [(paths[pid], min(weight, 128)) for pid, weight in vector]
     record_ids = tuple(range(sum(weight for _, weight in pairs)))
@@ -757,22 +896,24 @@ def test_the_door_writes_a_record_that_reads_back_as_the_cell(
 
 def test_a_record_carries_no_coordinates(live_cube):
     """Key, levels, ``n_paths`` and ``redundant`` are the index's: the
-    record is the ids, the vector and the exceptions, byte for byte what
-    the encoder makes of them alone."""
+    record is the ids and, per path level, the vector and the exceptions,
+    byte for byte what the encoder makes of them alone."""
     key = ("coordinate-one", "coordinate-two")
     pairs = [(_TWO_PATHS[0], 2), (_TWO_PATHS[1], 1)]
     cell = _live_cell(key, (3, 9, 12), True, pairs)
     record = _door_round_trip(live_cube, cell)
     assert b"coordinate" not in record
-    ids = live_cube.path_table.ids[_LIVE_LEVEL_ID]
-    vector = [(ids[path], weight) for path, weight in pairs]
-    assert record == encode_cell_payload((3, 9, 12), vector, [])
+    sections = [
+        ([(ids[path], weight) for path, weight in pairs], [])
+        for ids in live_cube.path_table.ids
+    ]
+    assert record == encode_cell_payload((3, 9, 12), sections)
 
 
 def _boundary_cell(n_labels: int, weight: int):
     """*n_labels* one-stage paths of *weight* each, in a level whose
     first three path ids other cells brought: ids 3 … n_labels + 2."""
-    return (), [(3 + i, weight) for i in range(n_labels)], []
+    return (), [([(3 + i, weight) for i in range(n_labels)], [])]
 
 
 @pytest.mark.parametrize(
@@ -793,8 +934,8 @@ def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
     by one ``list(bytes)``; the record says so by holding no
     continuation byte, not by a flag."""
     record = _assert_round_trip(_boundary_cell(n_labels, weight))
-    n_varints = struct.unpack_from("<II", record, 1)[0]
-    assert (max(record[9 : 9 + n_varints]) < 0x80) is pure
+    (_, start, end, _), = _sections(record)
+    assert (max(record[start:end]) < 0x80) is pure
 
 
 def _unstorable_cell(case: str):
@@ -863,77 +1004,133 @@ def _typed_or_decoded(read, says: str = "") -> str:
 
 def test_no_damaged_record_escapes_as_an_untyped_error():
     """Flip each byte and cut at each length of an exception-bearing
-    record: both readers decode (no checksum yet) or raise
-    ``StoreError`` — never ``IndexError`` / ``struct.error`` /
-    ``zlib.error`` from inside the codec."""
+    record: its CRC no longer matches, so both readers raise
+    ``StoreError`` for every path level — never ``IndexError`` /
+    ``struct.error`` / ``zlib.error`` from inside the codec, and never
+    another measure."""
     exceptions = exceptions_to_dicts(
         [FlowException(("a",), (), "duration", 2, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
-    record = _assert_round_trip(((4, 300, 70000), [(1, 128), (0, 2)], exceptions))
+    record = _assert_round_trip(
+        ((4, 300, 70000), [([(1, 128), (0, 2)], exceptions), ([(0, 130)], [])])
+    )
     damaged = [record[:length] for length in range(len(record))]
     for position in range(len(record)):
         for mask in (0x01, 0x80, 0xFF):
             flipped = bytearray(record)
             flipped[position] ^= mask
             damaged.append(bytes(flipped))
-    outcomes = {"typed": 0, "decoded": 0}
+    reads = (
+        lambda data: decode_cell_parts(data, (0, 1)),
+        lambda data: decode_cell_exceptions(data, 0),
+        lambda data: decode_cell_exceptions(data, 1),
+    )
     for data in damaged:
-        for read in (decode_cell_parts, decode_cell_exceptions):
-            outcomes[
-                _typed_or_decoded(lambda: read(data), "corrupt cell payload")
-            ] += 1
-    assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
+        for read in reads:
+            assert _typed_or_decoded(
+                lambda: read(data), "corrupt cell payload"
+            ) == "typed"
 
 
-def _with_runs(record: bytes, varints=lambda s: s, steps=lambda s: s) -> bytes:
-    """*record* with its varints and its id-step varints edited."""
-    n_varints, n_steps = struct.unpack_from("<II", record, 1)
-    steps_at = 9 + n_varints
-    new_varints = varints(record[9:steps_at])
-    new_steps = steps(record[steps_at : steps_at + n_steps])
-    return (
-        record[:1]
-        + struct.pack("<II", len(new_varints), len(new_steps))
-        + new_varints
+def test_every_flipped_byte_of_a_stored_record_is_typed_at_first_touch(
+    tmp_path, example_database
+):
+    """The record CRC over the heap: flip each byte of one stored record
+    in turn, in its heap file.  A cold handle still opens reading no heap
+    byte, and the first touch of the item cell's measure at every path
+    level is ``StoreError("corrupt cell payload: …")`` — never a
+    different cell."""
+    _built_binary_store(tmp_path, example_database)
+    directory = tmp_path / "s" / "cube"
+    heap = cube_files(tmp_path / "s")["segments"][0]
+    with CubeStore(directory, example_database.schema) as cube:
+        item_level, entries = next(iter(cube._index.items()))
+        key, (offset, length, *_) = next(iter(entries.items()))
+        lattice = cube.path_lattice
+    pristine = heap.read_bytes()
+    try:
+        for position in range(offset, offset + length):
+            damaged = bytearray(pristine)
+            damaged[position] ^= 0x01
+            heap.write_bytes(bytes(damaged))
+            with CubeStore(directory, example_database.schema) as cold:
+                assert cold.io_counters()["heap_bytes_read"] == 0
+                for level in lattice:
+                    cell = cold.cell(item_level, key, level)
+                    with pytest.raises(StoreError, match="corrupt cell payload"):
+                        cell.record_ids
+    finally:
+        heap.write_bytes(pristine)
+
+
+def _with_runs(record: bytes, ids=lambda s: s, steps=lambda s: s) -> bytes:
+    """*record* with its record-id varints and its steps edited, under a
+    CRC that matches."""
+    _, ids_len, steps_len = _HEAD.unpack_from(record)
+    steps_at = _HEAD.size + ids_len
+    end = steps_at + steps_len
+    new_ids = ids(record[_HEAD.size : steps_at])
+    new_steps = steps(record[steps_at:end])
+    return _resealed(
+        _HEAD.pack(0, len(new_ids), len(new_steps))
+        + new_ids
         + new_steps
-        + record[steps_at + n_steps :]
+        + record[end:]
+    )
+
+
+def _with_vector(record: bytes, edit) -> bytes:
+    """*record* with its first section's vector varints edited, under a
+    CRC that matches."""
+    flags, start, end, section_end = _sections(record)[0]
+    vector = edit(record[start:end])
+    head = _SECTION.pack(flags, len(vector), section_end - end)
+    return _resealed(
+        record[: start - _SECTION.size] + head + vector + record[end:]
     )
 
 
 def test_named_record_damage_is_named():
-    record = encode_cell_payload((4, 9, 300), [(1, 2), (0, 1)], [])
-    assert decode_cell_parts(record) == ((4, 9, 300), {1: 2, 0: 1})
-    assert decode_cell_parts(_with_runs(record)) == decode_cell_parts(record)
-    # The varints are n_pairs=2, 1, 2, 0, 1, n_ids=3, first id 4; the
-    # steps are 5, 291.
+    record = encode_cell_payload((4, 9, 300), [([(1, 2), (0, 1)], [])])
+    parts = decode_cell_parts(record, (0,))
+    assert parts == ((4, 9, 300), [{1: 2, 0: 1}])
+    assert decode_cell_parts(_with_runs(record), (0,)) == parts
+    assert decode_cell_parts(_with_vector(record, bytes), (0,)) == parts
+    flipped = record[:-1] + bytes((record[-1] ^ 0x01,))
+    with pytest.raises(StoreError, match="checksum mismatch"):
+        decode_cell_parts(flipped, (0,))
+    with pytest.raises(StoreError, match="truncated record"):
+        decode_cell_parts(record[: _HEAD.size - 1], (0,))
+    with pytest.raises(StoreError, match="truncated record"):
+        decode_cell_parts(_resealed(record[:-1]), (0,))  # a section short
+    # The id varints are n_ids=3 and the first id 4; the steps are 5,
+    # 291; the vector is 1, 2, 0, 1.
     for damaged in (
-        _with_runs(record, varints=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
+        _with_runs(record, ids=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
         _with_runs(record, steps=lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
+        _with_vector(record, lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
     ):
         with pytest.raises(StoreError, match="dangling varint"):
-            decode_cell_parts(damaged)
+            decode_cell_parts(damaged, (0,))
     repeated = _with_runs(record, steps=lambda s: b"\x00" + s[1:])
     with pytest.raises(StoreError, match="record ids do not ascend"):
-        decode_cell_parts(repeated)
+        decode_cell_parts(repeated, (0,))
     for damaged in (
         _with_runs(record, steps=lambda s: s[:1]),  # a step short
         _with_runs(record, steps=lambda s: s + b"\x01"),  # one too many
-        _with_runs(record, varints=lambda s: s[:-2] + b"\x09" + s[-1:]),
-        _with_runs(record, varints=lambda s: s + b"\x01"),
+        _with_runs(record, ids=lambda s: b"\x09" + s[1:]),  # n_ids says 9
+        _with_runs(record, ids=lambda s: s + b"\x01"),  # a third varint
     ):
         with pytest.raises(StoreError, match="record-id count mismatch"):
-            decode_cell_parts(damaged)
-    # n_pairs says more pairs than the varints hold.
-    overrun = _with_runs(record, varints=lambda s: b"\x09" + s[1:])
-    with pytest.raises(StoreError, match="truncated varints"):
-        decode_cell_parts(overrun)
+            decode_cell_parts(damaged, (0,))
+    # A path id whose weight is missing.
+    with pytest.raises(StoreError, match="a pid without its weight"):
+        decode_cell_parts(_with_vector(record, lambda s: s[:-1]), (0,))
     # A path id the level's table does not hold is damage, not IndexError,
     # wherever the cell's graph is expanded from.
+    record_ids, (vector,) = parts
     for level_paths in (_TWO_PATHS[:1], _TWO_PATHS):
-        cell = Cell(
-            ("k",), ItemLevel([1]), None, *decode_cell_parts(record),
-            level_paths,
-        )
+        cell = Cell(("k",), ItemLevel([1]), None, record_ids, vector, level_paths)
         if len(level_paths) < 2:
             with pytest.raises(StoreError, match="a path id past the path"):
                 cell.flowgraph
@@ -1101,8 +1298,9 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 # pinned on-disk bytes
 # ----------------------------------------------------------------------
 
-#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP04``
-#: dropped each record's copy of its cell's coordinates (exceptions off,
+#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP05``
+#: and ``FCCIDX02`` stored each item cell once, not once per path level,
+#: and sealed each record with a CRC-32 (exceptions off,
 #: so no zlib output — which may differ between zlib builds — is hashed;
 #: the lineage is fixed below).  A change here is a format change: bump
 #: the generation of the file that moved instead.  The files are found
@@ -1112,28 +1310,28 @@ PINNED_SHA256 = {
         "ef3894fde294bc607824b77e260c081712735577ba1d7bd9c0ae2e81d84028ef"
     ),
     "built heap": (
-        "0047ea55b1c6b225fc755669ca4c27d3b250c98aae325129c87b97829db8bfad"
+        "1cecd282ca7a6f95ae72aadf42e62f19816f7f1e2caeacf8826437c7c57e2a84"
     ),
     "built index": (
-        "87f095d42315f7249fe765e414bd3c2ce2bcef19c0cd11f3b0d5a940dac6bb2f"
+        "b02928dcb7d8c857d868ec98707ee8df96948955f9c55093796ea1abee961dd5"
     ),
     "appended paths": (
         "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
     "appended delta": (
-        "12b67044eb40b8729b960825728c2cd3e7b48921c18e6089c2ce5aee3ccb8262"
+        "f4ebc20a7c1f274b2a2004f7c9b240cbdb7cf3832ce99b87495f48d36880cd2d"
     ),
     "appended index": (
-        "e893d77744fa419423913852c107e3a5704063519426af3d612b2ea9c9333346"
+        "fa35534a54f97315c6ebcd55c7662baac2077bf2a596cd38de011a1661843176"
     ),
     "compacted paths": (
         "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
     ),
     "compacted heap": (
-        "e2cb55affe0b9b853762428ddcfec6959735c9662ea82073c8afd305970a36d2"
+        "fdec413083c41fa90934e221d8c54bac514e0cc5cddb42fb696d8c0063b7a2af"
     ),
     "compacted index": (
-        "06e53e182ab8d9377687b89377da7bdf6550829bbe82f4fe9113c2c85ed40465"
+        "64a1a7954db8bfb8471e44756e156e376600cefc87da201bccf1494f39b6ce47"
     ),
 }
 

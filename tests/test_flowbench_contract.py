@@ -198,7 +198,7 @@ def test_one_cell_class(tmp_path, monkeypatch):
     merge_cells = CubeStore.merge_cells
     monkeypatch.setattr(
         CubeStore, "merge_cells",
-        lambda cube, cells, layout: dirty.extend(cells.values())
+        lambda cube, cells, layout: dirty.extend(cells)
         or merge_cells(cube, cells, layout),
     )
     append_records(store, rows[-10:])

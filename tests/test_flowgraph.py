@@ -287,11 +287,13 @@ def _assert_links_agree(graph: FlowGraph) -> None:
 
 
 def _decoded(paths) -> FlowGraph:
-    """The graph of *paths* through the FCHEAP04 cell codec, as a store
+    """The graph of *paths* through the FCHEAP05 cell codec, as a store
     hands it out: expanded from the stored ``(pid, weight)`` vector."""
     table = list(dict.fromkeys(paths))
     vector = [(pid, paths.count(path)) for pid, path in enumerate(table)]
-    _, stored = decode_cell_parts(encode_cell_payload((1, 2), vector, []))
+    _, (stored,) = decode_cell_parts(
+        encode_cell_payload((1, 2), [(vector, [])]), (0,)
+    )
     return FlowGraph.expand(
         (table[pid], weight) for pid, weight in stored.items()
     )

@@ -492,7 +492,7 @@ def test_every_commit_sweeps_a_dead_writers_files(tmp_path, rows, starts):
             "cells.delta.000009.bin", "cells.000009.idx",
         ):
             (cube_dir / f"{name}.99999.tmp").write_bytes(b"half a file")
-        (cube_dir / "cells.delta.000009.bin").write_bytes(b"FCHEAP04")
+        (cube_dir / "cells.delta.000009.bin").write_bytes(b"FCHEAP05")
         (cube_dir / "paths.000009.bin").write_bytes(b"FCPATH01")
         # Serving processes publish query_stats.json concurrently with a
         # writer: neither the file nor its temps are the writer's to sweep.

@@ -50,6 +50,7 @@ from repro.store import BuildStats, PartitionedPathStore, append_records, build_
 from repro.store.cli import main
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.test_properties import path_databases
+from tests.conftest import item_cell
 
 CONFIG = GeneratorConfig(
     n_paths=120,
@@ -193,8 +194,8 @@ def test_store_cuboids_memoised_and_invalidated(store, database, cube):
     first = cube_store.cuboids
     assert cube_store.cuboids is first  # memoised, not rebuilt per access
     some_cell = next(iter(cube.cuboids[0]))
-    cube_store.put_cell(some_cell)
-    assert cube_store.cuboids is not first  # put_cell invalidates
+    cube_store.put_cuboid(item_cell(cube_store, some_cell))
+    assert cube_store.cuboids is not first  # a write invalidates
     second = cube_store.cuboids
     cube_store.flush()
     assert cube_store.cuboids is not second  # flush invalidates too
@@ -469,7 +470,9 @@ def test_a_store_never_built_refuses_to_plan(tmp_path, database, cube):
     path_level = cube.path_lattice[0]
     written = CubeStore(tmp_path / "cube", database.schema)
     written.create(cube.path_lattice, cube.min_support, cube.min_deviation)
-    written.put_cuboid(cube.cuboid(base, path_level))
+    written.put_cuboid(
+        cell for level in cube.path_lattice for cell in cube.cuboid(base, level)
+    )
     written.flush()
     assert written.n_records is None
     with pytest.raises(QueryError, match="no record count"):

@@ -2,15 +2,15 @@
 
 When another handle commits, a held-open reader reloads
 (``CubeStore.maybe_reload``) and computes the *changed set* — the
-``(item level, path-level id, key)`` coordinates added, removed or
-rewritten, by extent identity (``changed_coords``).  Its cell cache
-drops those coordinates only, and a tenant's response cache carries every
-``slice`` / ``exceptions`` answer whose cut selects none of them over to
-the new version.  The load-bearing assertions:
+``(item level, key)`` item cells added, removed or rewritten, by extent
+identity (``changed_coords``).  Its cell cache drops their cells at every
+path level only, and a tenant's response cache carries every ``slice`` /
+``exceptions`` answer whose cut selects none of them over to the new
+version.  The load-bearing assertions:
 
 * differential: after an append with promotions, an append under a
-  fractional δ that demotes cells, a compaction, a ``put_cell`` re-put of
-  a key with equal ``n_paths`` and a rebuild, every body a warm tenant
+  fractional δ that demotes cells, a compaction, a ``put_cuboid`` re-put
+  of a key with equal ``n_paths`` and a rebuild, every body a warm tenant
   serves — all six routes, with and without ``measure`` — equals a fresh
   mount's bytes (hypothesis over small ``repro.synth`` databases);
 * the hazards: the changed set compares the cube loaded with the one the
@@ -40,7 +40,7 @@ from repro.serve import CubeTenant, SlicerApp
 from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.cube_store import changed_coords, read_meta
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.conftest import cube_files
+from tests.conftest import cube_files, item_cell
 from tests.oracle import OracleCell
 from tests.test_plan import call
 
@@ -151,15 +151,18 @@ def re_put(handle) -> None:
     says it changed."""
     cuboid = next(c for c in handle.cuboids if len(c) > 1)
     first = next(iter(cuboid))
-    handle.put_cell(
-        OracleCell(
-            key=first.key,
-            item_level=first.item_level,
-            path_level=first.path_level,
-            record_ids=first.record_ids,
-            flowgraph=first.flowgraph,
-            paths=first.paths,
-            redundant=not first.redundant,
+    handle.put_cuboid(
+        item_cell(
+            handle,
+            OracleCell(
+                key=first.key,
+                item_level=first.item_level,
+                path_level=first.path_level,
+                record_ids=first.record_ids,
+                flowgraph=first.flowgraph,
+                paths=first.paths,
+                redundant=not first.redundant,
+            ),
         )
     )
     handle.flush()
@@ -274,8 +277,12 @@ def test_a_cuboid_whose_surviving_keys_reorder_counts_whole(tmp_path):
         item_levels=source.item_levels,
     )
     reverse.build_stats = source.build_stats
-    for cuboid in source.cuboids:
-        reverse.put_cuboid(list(cuboid)[::-1])
+    for item_level in source.item_levels:
+        reverse.put_cuboid(
+            cell
+            for cuboid in source.cuboids if cuboid.item_level == item_level
+            for cell in list(cuboid)[::-1]
+        )
     reverse.flush()
     source.close()
 
@@ -295,14 +302,14 @@ def test_a_cuboid_whose_surviving_keys_reorder_counts_whole(tmp_path):
     [changed] = changes
     after = tenant.cube_store._served[0]
     reordered = [
-        coords for coords, entries in after.items()
-        if [k for k in entries if k in before.get(coords, ())]
-        != [k for k in before.get(coords, ()) if k in entries]
+        item_level for item_level, entries in after.items()
+        if [k for k in entries if k in before.get(item_level, ())]
+        != [k for k in before.get(item_level, ()) if k in entries]
     ]
     assert reordered
-    for item_level, level_id in reordered:
-        keys = before[item_level, level_id].keys() | after[item_level, level_id].keys()
-        assert {(item_level, level_id, key) for key in keys} <= changed
+    for item_level in reordered:
+        keys = before[item_level].keys() | after[item_level].keys()
+        assert {(item_level, key) for key in keys} <= changed
     reverse.close()
     store.close()
     tenant.close()

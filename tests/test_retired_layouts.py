@@ -3,7 +3,7 @@
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
 predate the ``"format"`` field, and the ones that list no ``"files"``),
-``FCHEAP01``, ``FCHEAP02`` and ``FCHEAP03`` heaps,
+``FCHEAP01`` to ``FCHEAP04`` heaps, ``FCCIDX01`` indexes,
 ``FCPART01`` partitions, CSV partition files — has no reader left, so
 each case is hand-crafted here from bytes on top of a store the current
 writer made, and must surface as a :class:`~repro.errors.StoreError`
@@ -13,6 +13,7 @@ that names the layout and the last release that read it.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -22,13 +23,15 @@ from repro.errors import StoreError
 from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.binfmt import (
     HEAP_MAGIC,
+    INDEX_MAGIC,
     PARTITION_MAGIC_V2,
     RETIRED_HEAP_MAGICS,
+    RETIRED_INDEX_MAGIC,
     RETIRED_PARTITION_MAGIC,
     StringTable,
     unpack_partition,
 )
-from tests.conftest import cube_files
+from tests.conftest import cube_files, item_cell
 
 #: What every rejection says after naming the layout.
 LAST_READER = "the last one that did is PR 15"
@@ -132,8 +135,9 @@ def test_retired_heap_is_rejected_at_first_read(built_dir):
 def test_writes_into_a_retired_heap_fail_the_same_way(built_dir):
     with PartitionedPathStore.open(built_dir) as store:
         cube = store.cube_store()
-        cell = next(iter(cube.cuboids[0]))
-        cell.flowgraph  # decode now: the heap is about to be retired
+        cells = item_cell(cube, next(iter(cube.cuboids[0])))
+        for cell in cells:
+            cell.flowgraph  # decode now: the heap is about to be retired
         cube.close()
     heap = built_dir / "cube" / "cells.bin"
     _set_magic(heap, RETIRED_HEAP_MAGIC)
@@ -142,7 +146,7 @@ def test_writes_into_a_retired_heap_fail_the_same_way(built_dir):
     with PartitionedPathStore.open(built_dir) as store:
         cold = store.cube_store()
         with pytest.raises(StoreError, match=_retired("FCHEAP01")):
-            cold.put_cell(cell)  # nothing read yet: the write must check
+            cold.put_cuboid(cells)  # nothing read yet: the write must check
         with pytest.raises(StoreError, match=_retired("FCHEAP01")):
             cold.begin_delta()
         cold.close()
@@ -206,19 +210,9 @@ def test_a_flowgraph_heap_is_retired_too(built_dir):
     assert rebuilt_heap.read_bytes()[:8] == HEAP_MAGIC
 
 
-@pytest.mark.parametrize("file", ["heap", "delta segment"])
-def test_a_coordinate_bearing_heap_is_retired_too(built_dir, file):
-    """``FCHEAP03`` records repeated their cell's key, levels, ``n_paths``
-    and ``redundant`` flag — the index's fields — in front of the
-    measure.  A heap or delta segment in it is refused when first mapped,
-    so none of its records — the verbatim-JSON ones flagged ``0x01``
-    included — is ever decoded; the way out is a rebuild."""
-    assert RETIRED_HEAP_MAGICS == (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03")
-    assert HEAP_MAGIC == b"FCHEAP04"
-    pattern = (
-        r"retired FCHEAP03 layout.*the last one that did is the one at "
-        r"commit 234d306.*rebuild the cube"
-    )
+def _assert_heap_file_retired(built_dir, file: str, magic: bytes, pattern):
+    """A heap or delta segment leading with *magic* is refused when first
+    mapped, never decoded: the message matches *pattern*."""
     with PartitionedPathStore.open(built_dir) as store:
         if file == "delta segment":
             with store.cube_store() as cube:
@@ -228,7 +222,7 @@ def test_a_coordinate_bearing_heap_is_retired_too(built_dir, file):
                 )
         segments = cube_files(built_dir)["segments"]
         retired = segments[max(segments)]
-        _set_magic(retired, b"FCHEAP03")
+        _set_magic(retired, magic)
         cube = store.cube_store()  # a cold open reads the index only
         assert cube.n_cells() > 0
         assert cube.io_counters()["heap_bytes_read"] == 0
@@ -240,6 +234,61 @@ def test_a_coordinate_bearing_heap_is_retired_too(built_dir, file):
             with pytest.raises(StoreError, match=pattern):
                 cube.begin_delta()
         cube.close()
+
+
+@pytest.mark.parametrize("file", ["heap", "delta segment"])
+def test_a_coordinate_bearing_heap_is_retired_too(built_dir, file):
+    """``FCHEAP03`` records repeated their cell's key, levels, ``n_paths``
+    and ``redundant`` flag — the index's fields — in front of the
+    measure.  A heap or delta segment in it is refused when first mapped,
+    so none of its records — the verbatim-JSON ones flagged ``0x01``
+    included — is ever decoded; the way out is a rebuild."""
+    assert RETIRED_HEAP_MAGICS[:3] == (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03")
+    _assert_heap_file_retired(
+        built_dir, file, b"FCHEAP03",
+        r"retired FCHEAP03 layout.*the last one that did is the one at "
+        r"commit 234d306.*rebuild the cube",
+    )
+
+
+@pytest.mark.parametrize("file", ["heap", "delta segment"])
+def test_a_per_path_level_heap_is_retired_too(built_dir, file):
+    """``FCHEAP04`` held one record per cell and path level, each with its
+    own copy of the item cell's record ids.  A heap or delta segment in it
+    is refused when first mapped; the way out is a rebuild."""
+    assert RETIRED_HEAP_MAGICS[3:] == (b"FCHEAP04",)
+    assert HEAP_MAGIC == b"FCHEAP05"
+    _assert_heap_file_retired(
+        built_dir, file, b"FCHEAP04",
+        r"retired FCHEAP04 layout.*the last one that did is the one at "
+        r"commit 8ab866c.*rebuild the cube",
+    )
+
+
+def test_a_per_path_level_index_is_retired_too(built_dir):
+    """``FCCIDX01`` held one entry per cell and path level.  The index is
+    what a cold open reads, so the open refuses it, naming the file; the
+    way out is to remove the cube and rebuild it."""
+    assert RETIRED_INDEX_MAGIC == b"FCCIDX01" and INDEX_MAGIC == b"FCCIDX02"
+    index = cube_files(built_dir)["index"]
+    _set_magic(index, RETIRED_INDEX_MAGIC)
+    pattern = (
+        r"retired FCCIDX01 layout.*the last one that did is the one at "
+        r"commit 8ab866c.*remove the store's cube/ directory and rebuild"
+    )
+    with PartitionedPathStore.open(built_dir) as store:
+        with pytest.raises(StoreError, match=pattern):
+            store.cube_store()
+        with pytest.raises(StoreError, match=pattern):
+            append_records(store, list(example_path_database())[6:])
+        shutil.rmtree(built_dir / "cube")
+        build_cube(
+            store, min_support=2, compute_exceptions=False,
+            into=store.cube_store(),
+        ).close()
+        with store.cube_store() as rebuilt:
+            assert rebuilt.n_cells() > 0
+    assert cube_files(built_dir)["index"].read_bytes()[:8] == INDEX_MAGIC
 
 
 def test_a_cube_written_in_place_is_retired_too(built_dir):

@@ -9,7 +9,7 @@ The load-bearing assertions:
   roll-up planner and reports the plan;
 * the response/query/catalog cache layers invalidate on store mutation —
   hammered by concurrent reader threads interleaved with
-  ``put_cell``/``flush`` writes, no stale or torn answer is ever served;
+  ``put_cuboid``/``flush`` writes, no stale or torn answer is ever served;
 * ``merge_query_stats`` is atomic under concurrent writers: no lost
   increments, never partial JSON;
 * the ``/cubes/{name}`` payload carries the persisted build version, and
@@ -45,7 +45,7 @@ from repro.serve.http import encode_json
 from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.cli import _parse_cube_mounts
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.oracle import OracleCell
+from tests.conftest import item_cell
 
 CONFIG = GeneratorConfig(
     n_paths=120,
@@ -538,19 +538,6 @@ def test_socket_stats_and_errors(server):
 # invalidation under concurrent access (satellite)
 # ----------------------------------------------------------------------
 
-def _recoordinated(template, key) -> OracleCell:
-    """*template*'s measure re-keyed at an unoccupied coordinate."""
-    return OracleCell(
-        key=key,
-        item_level=template.item_level,
-        path_level=template.path_level,
-        record_ids=template.record_ids,
-        flowgraph=template.flowgraph,
-        paths=template.paths,
-        redundant=template.redundant,
-    )
-
-
 def test_no_stale_results_under_concurrent_mutation(tmp_path, database):
     directory = tmp_path / "hammer"
     store = PartitionedPathStore.init(directory, database.schema)
@@ -612,9 +599,9 @@ def test_no_stale_results_under_concurrent_mutation(tmp_path, database):
         thread.start()
     try:
         for key in candidates:
-            cube_store.put_cell(_recoordinated(template, key))
+            cube_store.put_cuboid(item_cell(cube_store, template, key))
             cube_store.flush()
-            # put_cell and flush leave identical observable content, so
+            # put_cuboid and flush leave identical observable content, so
             # one snapshot per mutation covers every in-between state.
             valid.add(canonical())
     finally:
@@ -629,7 +616,7 @@ def test_no_stale_results_under_concurrent_mutation(tmp_path, database):
     # After the dust settles the server must answer with the final state.
     final = post(app, "/cubes/wh/slice", {"path_level": level_id})
     assert final.body == canonical()
-    # put_cell and flush each push an invalidation to the tenant.
+    # put_cuboid and flush each push an invalidation to the tenant.
     assert tenant.invalidations >= 2 * len(candidates)
 
 
@@ -758,7 +745,7 @@ def test_maybe_reload_notices_external_flush(tmp_path, database):
     # A second handle — standing in for another process — rewrites meta.
     writer = PartitionedPathStore.open(directory).cube_store()
     template = next(iter(writer.cuboids[0]))
-    writer.put_cell(_recoordinated(template, template.key))
+    writer.put_cuboid(item_cell(writer, template, template.key))
     writer.flush()
 
     assert tenant.refresh() is True

@@ -30,6 +30,8 @@ import json
 import pickle
 import re
 import tempfile
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path as FsPath
 
 import pytest
@@ -120,19 +122,21 @@ def decodes(monkeypatch):
     calls: list[bytes] = []
     original = binfmt.decode_cell_parts
 
-    def counting(buffer):
+    def counting(buffer, level_ids):
         calls.append(bytes(buffer))
-        return original(buffer)
+        return original(buffer, level_ids)
 
     monkeypatch.setattr(binfmt, "decode_cell_parts", counting)
     return calls
 
 
 def stored_entries(cube: CubeStore):
-    """``(item_level, path_level, key, entry)`` for every persisted cell."""
-    for (item_level, level_id), entries in cube._index.items():
+    """``(item_level, path_level, key, entry)`` for every persisted cell:
+    an item cell's entry once per path level."""
+    for item_level, entries in cube._index.items():
         for key, entry in entries.items():
-            yield item_level, cube.path_lattice[level_id], key, entry
+            for path_level in cube.path_lattice:
+                yield item_level, path_level, key, entry
 
 
 # ----------------------------------------------------------------------
@@ -256,11 +260,13 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     seen = 0
     for item_level, path_level, key, entry in stored_entries(cube):
         record = cube._cells.record(entry)
-        record_ids, vector = binfmt.decode_cell_parts(record)
+        level_id = cube.path_lattice.index_of(path_level)
+        record_ids, (vector,) = binfmt.decode_cell_parts(record, (level_id,))
         paths = level_paths(cube, path_level)
         pairs = tuple((paths[pid], weight) for pid, weight in vector.items())
         graph = FlowGraph.expand(pairs)
-        graph.exceptions = binfmt.decode_cell_exceptions(record)
+        graph.exceptions = binfmt.decode_cell_exceptions(record, level_id)
+        redundant = entry_redundant(entry)[level_id]
         eager = OracleCell(
             key=key,
             item_level=item_level,
@@ -268,12 +274,12 @@ def assert_cells_match_records(cube: CubeStore) -> None:
             record_ids=record_ids,
             flowgraph=graph,
             paths=pairs,
-            redundant=entry_redundant(entry),
+            redundant=redundant,
         )
         stored = cube.cell(item_level, key, path_level)
         assert stored == eager and eager == stored
         assert stored.n_paths == entry_n_paths(entry) == len(record_ids)
-        assert stored.redundant == entry_redundant(entry)
+        assert stored.redundant == redundant
         seen += 1
     assert seen == cube.n_cells() > 0
 
@@ -336,7 +342,7 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         # ids past 2**31 are stored in the structured record
         first = next(stored_entries(cube))[3]
         record = cube._cells.record(first)
-        assert min(binfmt.decode_cell_parts(record)[0]) >= offset
+        assert min(binfmt.decode_cell_parts(record, ())[0]) >= offset
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
@@ -359,8 +365,8 @@ def test_index_redundant_marks_agree_with_the_record(tmp_path, database):
     assert prune_redundant(memory, threshold=0.6, metric=tv_similarity) > 0
     cube = CubeStore(tmp_path / "cube", database.schema)
     cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
-    for cuboid in memory.cuboids:
-        cube.put_cuboid(cuboid)
+    for _, cuboids in groupby(memory.cuboids, attrgetter("item_level")):
+        cube.put_cuboid(chain.from_iterable(cuboids))
     cube.flush()
     cold = CubeStore(tmp_path / "cube", database.schema)
     assert_cells_match_records(cold)
@@ -384,13 +390,24 @@ def test_index_redundant_marks_agree_with_the_record(tmp_path, database):
     cube.close()
 
 
+def _apex_item_cell(memory: FlowCube) -> list:
+    """The apex item cell of *memory*: its cell at every path level."""
+    apex = FlowCubeQuery(memory).cell()
+    return [
+        memory.cell(apex.item_level, apex.key, level)
+        for level in memory.path_lattice
+    ]
+
+
 def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
     """A stored cell's index ``n_paths`` counts its record ids and its
-    flowgraph weighs its multiset: a cell whose two disagree is refused,
-    not stored as a measure that contradicts its own index."""
+    flowgraph weighs its multiset: an item cell with a cell whose two
+    disagree is refused, not stored as a measure that contradicts its own
+    index."""
     example = example_path_database()
     memory = FlowCube.build(example, min_support=2)
-    apex = FlowCubeQuery(memory).cell()
+    item = _apex_item_cell(memory)
+    apex = item[1]
     (path, weight), *rest = apex.paths
     heavier = OracleCell(
         key=apex.key,
@@ -403,15 +420,48 @@ def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
     cube = CubeStore(tmp_path / "cube", example.schema)
     cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
     with pytest.raises(StoreError, match="weighs 13 paths but has 8 record"):
-        cube.put_cell(heavier)
+        cube.put_cuboid([item[0], heavier, *item[2:]])
     assert cube.n_cells() == 0
-    cube.put_cell(apex)
+    cube.put_cuboid(item)
     cube.flush()
     cold = CubeStore(tmp_path / "cube", example.schema)
-    (stored,) = cold.cells()
+    assert len(list(cold.cells())) == len(item)
+    stored = cold.cell(apex.item_level, apex.key, apex.path_level)
     assert stored.n_paths == len(stored.record_ids) == 8
     assert stored.flowgraph.n_paths == 8 and stored == apex
     cold.close()
+    cube.close()
+
+
+def test_put_cuboid_refuses_a_partial_or_disagreeing_item_cell(tmp_path):
+    """The store keeps an item cell whole: one missing path level, one
+    given twice, or levels that disagree on the record ids are each a
+    typed error, and nothing is written."""
+    example = example_path_database()
+    memory = FlowCube.build(example, min_support=2)
+    item = _apex_item_cell(memory)
+    apex = item[0]
+    fewer = OracleCell(
+        key=apex.key,
+        item_level=apex.item_level,
+        path_level=apex.path_level,
+        record_ids=apex.record_ids[1:],
+        flowgraph=apex.flowgraph,
+        paths=apex.paths,
+    )
+    cube = CubeStore(tmp_path / "cube", example.schema)
+    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    for cells, says in (
+        (item[1:], "lacks its cell at path level 0"),
+        (item[:-1], f"lacks its cell at path level {len(item) - 1}"),
+        ([*item, item[2]], "is given twice at path level 2"),
+        ([fewer, *item[1:]], "its path levels disagree on its record ids"),
+    ):
+        with pytest.raises(StoreError, match=re.escape(says)):
+            cube.put_cuboid(cells)
+        assert cube.n_cells() == 0
+    cube.put_cuboid(reversed(item))  # any order of the levels will do
+    assert cube.n_cells() == len(item)
     cube.close()
 
 
@@ -466,12 +516,12 @@ def test_held_cells_survive_append_compact_reload_and_close(
 # ----------------------------------------------------------------------
 
 def corrupt_every_record(directory: FsPath) -> None:
-    """Set a high bit in each record's varint-stream length, so every
-    record's head points past its end (same file size, index untouched)."""
-    # flags byte, then "<II": byte 4 is the top byte of the stream length
+    """Flip a bit of each record's record-id length, so no record matches
+    its CRC (same file size, index untouched)."""
+    # "<I" CRC, then "<II": byte 4 is the low byte of the record-id length
     with PartitionedPathStore.open(directory) as store:
         cube = store.cube_store()
-        offsets = [entry[0] for *_, entry in stored_entries(cube)]
+        offsets = {entry[0] for *_, entry in stored_entries(cube)}
         cube.close()
     heap = cube_files(directory)["segments"][0]
     data = bytearray(heap.read_bytes())
@@ -503,10 +553,10 @@ def test_flipped_heap_byte_is_a_store_error_at_first_touch(store_dir):
 
 
 def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
-    """Flip each byte of an exception-bearing record in turn: the touch
-    either decodes (no checksum yet) or raises ``StoreError`` — a flags
-    byte with a bit the layout does not define is damage too — never a
-    ``zlib.error`` / ``KeyError`` / ``TypeError`` from inside the codec."""
+    """Flip each byte of an exception-bearing record in turn: every touch
+    raises ``StoreError`` — the record's CRC no longer matches — never a
+    ``zlib.error`` / ``KeyError`` / ``TypeError`` from inside the codec,
+    and never another cell's measure."""
     example = example_path_database()
     store, cube = build_store(
         tmp_path / "wh", example.schema, list(example), min_support=2
@@ -544,7 +594,7 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
                     outcomes["typed"] += 1
                 else:
                     outcomes["decoded"] += 1
-    assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
+    assert outcomes["typed"] > 0 and outcomes["decoded"] == 0
     cube.close()
     store.close()
 

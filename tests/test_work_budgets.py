@@ -27,11 +27,18 @@ once.
 And the ones the columns-first promotion sweep makes true: an append
 rolls each distinct dims tuple up once per item level, and builds the
 paths of its promoted cells' members and no other.
+And the ones one record per item cell makes true: a build encodes each
+item cell once, an append reads, decodes and encodes each dirty item
+cell once, and a miss round builds one key catalog per item cuboid,
+whatever path levels it slices.  And the one an exception pass that
+owns its views makes true: derivations leave a handle's path table
+without a view.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -40,7 +47,9 @@ from pathlib import Path as FsPath
 
 import pytest
 
+import repro.perf.exception_kernel as exception_kernel
 import repro.perf.measure_rollup as measure_rollup
+import repro.perf.query_kernel as query_kernel
 import repro.store.append as append
 import repro.store.builder as builder
 import repro.store.partition as partition
@@ -51,6 +60,7 @@ from repro.core.flowgraph import FlowGraph
 from repro.core.lattice import ItemLevel, roll_up_key
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase
+from repro.query.api import FlowCubeQuery
 from repro.query.plan import Plan, parse_cut
 from repro.query.planner import derive_cell, derive_cuboid, plan_derivation
 from repro.serve import CubeTenant, SlicerApp
@@ -62,7 +72,7 @@ from repro.store import (
     build_cube,
 )
 from repro.store.cli import main
-from repro.store.cube_store import _RecordLoader
+from repro.store.cube_store import CubeStore, _RecordLoader
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
@@ -203,6 +213,32 @@ def test_a_build_with_exceptions_folds_each_vector_once(
     store.close()
 
 
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_build_encodes_each_item_cell_once(tmp_path, monkeypatch, n_paths):
+    """The store keeps an item cell — an (item level, key) with its cells
+    at every path level — as one record and one index entry: a build
+    encodes one record per item cell (parent: one per cell and path
+    level), and the index holds as many entries."""
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    encoded = Counted(monkeypatch, binfmt, "encode_cell_payload")
+    cube = build_cube(
+        store, min_support=MIN_SUPPORT, into=store.cube_store(),
+        stats=BuildStats(),
+    )
+    n_levels = len(cube.path_lattice)
+    item_cells = sum(
+        len(cuboid) for cuboid in cube.cuboids
+        if cuboid.path_level == cube.path_lattice[0]
+    )
+    assert len(encoded) == item_cells == cube.n_cells() // n_levels > 0
+    blob = cube_files(tmp_path / "wh")["index"].read_bytes()
+    entries = binfmt.unpack_cell_index(blob, binfmt.MaskArena(blob), n_levels)
+    assert sum(len(keys) for _, keys, _, _ in entries) == item_cells
+    cube.close()
+    store.close()
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "plain"])
 @pytest.mark.parametrize("n_paths", SIZES)
 def test_a_build_decodes_each_partition_once_per_pass(
@@ -316,6 +352,34 @@ def test_a_default_slice_expands_nothing_and_measure_expands_each_cell(
 
 
 @pytest.mark.parametrize("n_paths", SIZES)
+def test_a_miss_round_builds_one_catalog_per_item_cuboid(
+    tmp_path, monkeypatch, n_paths
+):
+    """A key catalog is a function of an item cuboid's keys, which no
+    path level changes: slicing every cut at every path level builds at
+    most one per item cuboid (parent: one per item cuboid and path
+    level)."""
+    database = generate_path_database(config(n_paths))
+    store, cube = built(tmp_path / "wh", database, list(database), False)
+    n_levels = len(cube.path_lattice)
+    cube.close()
+    store.close()
+    catalogs = Counted(monkeypatch, query_kernel.CuboidKeyCatalog, "__init__")
+    tenant = CubeTenant.mount("wh", tmp_path / "wh")
+    app = SlicerApp([tenant])
+    for level_id in range(n_levels):
+        for cut in one_concept_cuts(database.schema):
+            response = post(
+                app, "/cubes/wh/slice", {"cut": cut, "path_level": level_id}
+            )
+            assert response.status == 200
+    item_cuboids = {cuboid.item_level for cuboid in tenant.cube_store.cuboids}
+    assert 1 < len(catalogs) <= len(item_cuboids)
+    assert tenant.catalogs.stats()["builds"] == len(catalogs)
+    tenant.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
 def test_a_cold_open_maps_the_listed_index_and_nothing_else(
     tmp_path, monkeypatch, n_paths
 ):
@@ -363,7 +427,7 @@ def test_a_stored_cell_decodes_its_varints_once(
         cells = list(cold.cells())
         mined = 0
         for cell in cells:
-            binfmt.decode_cell_parts(cell._record)
+            binfmt.decode_cell_parts(cell._record, (cell._loader.level_id,))
             once = len(varints)
             del varints.calls[:]
             for name in TOUCHES[order]:
@@ -426,6 +490,46 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
     assert "derived from cuboid" in capsys.readouterr().out
     assert len(expand) == 2 * len(derived) + 1
     assert len(expanded) == len(graphs["merge"]) == len(rendered) == 0
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_derivations_leave_the_handles_postings_without_views(
+    tmp_path, n_paths
+):
+    """A derivation mines through an exception pass of its own, and the
+    pass holds the fingerprint map its cells share views through: many
+    distinct derivations through one façade leave the handle's path
+    table — which they all mine against — without a per-cell view
+    (parent: one view per distinct mined vector, kept until a reload)."""
+    database = generate_path_database(config(n_paths))
+    schema = database.schema
+    store = ingested(tmp_path / "wh", schema, list(database))
+    base = ItemLevel([h.depth for h in schema.dimensions])
+    build_cube(
+        store, item_levels=[base], min_support=MIN_SUPPORT,
+        into=store.cube_store(), stats=BuildStats(),
+    ).close()
+    def views() -> int:
+        gc.collect()
+        return sum(
+            isinstance(held, exception_kernel.CellExceptionIndex)
+            for held in gc.get_objects()
+        )
+
+    before = views()
+    with store.cube_store() as cube:
+        query = FlowCubeQuery(cube, derive=True, derive_exceptions=True)
+        derived = mined = 0
+        for item_level in cube.item_levels[0].parents() + (ItemLevel([1, 1]),):
+            for path_level in cube.path_lattice:
+                cuboid = query.derived_cuboid(item_level, path_level)
+                derived += len(cuboid)
+                mined += sum(bool(cell.exceptions) for cell in cuboid)
+        assert derived > 10 and mined > 0
+        postings = cube.path_table.postings
+        assert not any(level.indexes for level in postings)
+        assert views() == before
     store.close()
 
 
@@ -493,6 +597,36 @@ def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
     row = CRASH_TABLE["first append"][1]
     assert names[2:] in (row[2:], row[3:])  # with or without the table
     assert len(names) <= len(row) == 6
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("exceptions", [True, False], ids=["mined", "plain"])
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_append_reads_and_writes_each_dirty_item_cell_once(
+    tmp_path, monkeypatch, n_paths, exceptions
+):
+    """An append reads an item cell it adds to — or whose first record id
+    orders a promotion — once: one record read and one decode for its
+    ids and every path level's vector; and it encodes each dirty item
+    cell once (parent, flowbench ``dense``'s first batch: 1,059 decodes
+    and 624 encodes for 156 dirty item cells)."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, exceptions)
+    n_levels = len(cube.path_lattice)
+    read = Counted(monkeypatch, CubeStore, "item_parts")
+    decoded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    encoded = Counted(monkeypatch, binfmt, "encode_cell_payload")
+
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+
+    assert stats["updated"] > 0 and stats["promoted"] > 0
+    dirty = (stats["updated"] + stats["created"]) // n_levels
+    assert len(encoded) == dirty
+    item_cells = [(call[1], key) for call in read.calls for key in call[2]]
+    assert len(decoded) == len(item_cells) == len(set(item_cells))
+    assert stats["updated"] // n_levels <= len(item_cells)
     cube.close()
     store.close()
 
@@ -625,7 +759,8 @@ def test_a_reload_reruns_the_cuts_an_append_changed_and_no_other(
 ):
     """After another handle's append, replaying the warm cuts runs a plan
     once per cut that selects a changed cell and never otherwise, and the
-    reload took exactly the changed coordinates out of the cell cache."""
+    reload took exactly the changed item cells' cells — at every path
+    level — out of the cell cache."""
     database = generate_path_database(config(n_paths))
     base, batch = base_and_batch(database)
     store, cube = built(tmp_path / "wh", database, base, False)
@@ -647,20 +782,16 @@ def test_a_reload_reruns_the_cuts_an_append_changed_and_no_other(
         append_records(writer, batch, compact_after=0)
     assert tenant.refresh()
     [changed] = changes
-    assert set(cells._entries) == cached - changed
-    assert len(cells) == len(cached) - len(cached & changed) < len(cached)
+    stale = {coords for coords in cached if coords[:2] in changed}
+    assert set(cells._entries) == cached - stale
+    assert len(cells) == len(cached) - len(stale) < len(cached)
 
     runs = Counted(monkeypatch, Plan, "run")
     for cut in cuts:
         assert post(app, "/cubes/wh/slice", {"cut": cut}).status == 200
-    lattice = tenant.cube_store.path_lattice
-    level = lattice.index_of(tenant.query.default_path_level())
     rerun = [
         cut for cut in cuts
-        if any(
-            selects(schema, cut, key)
-            for _, level_id, key in changed if level_id == level
-        )
+        if any(selects(schema, cut, key) for _, key in changed)
     ]
     assert 0 < len(runs) == len(rerun) < len(cuts)
     assert [call[0].dims for call in runs.calls] == [

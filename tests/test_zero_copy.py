@@ -34,6 +34,7 @@ from repro.store.binfmt import (
     unpack_partition,
 )
 from repro.synth import GeneratorConfig, generate_path_database
+from tests.conftest import item_cell
 
 CONFIG = GeneratorConfig(
     n_paths=120,
@@ -181,7 +182,7 @@ def test_reload_materialises_live_mask_views(built_dir):
     # closing its superseded index map.
     writer = PartitionedPathStore.open(built_dir).cube_store()
     cell = next(iter(writer.cuboids[0]))
-    writer.put_cell(cell)
+    writer.put_cuboid(item_cell(writer, cell))
     writer.flush()
     writer.close()
     assert cube.maybe_reload()
