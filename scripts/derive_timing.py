@@ -3,10 +3,11 @@
 flowbench has no derive cut yet, so this is the derivation timing: per
 workload, the seed-1 database of ``make_inputs`` is built into a store
 that materialises only the base item level (δ = 2, exceptions off), and
-``derive_cuboid`` answers item level (1, 1, 1) at path level 0, reading
-every derived cell's flowgraph.  Each is timed on a cold handle (its
-first derivation) and again on the same, warm handle, with exceptions
-off and on.
+``derive_cuboid`` answers item level (1, 1, 1) at path level 0 (the
+leaves, durations kept) and at path level 3 (one location level up,
+durations ``*``; rows marked ``L3``), reading every derived cell's
+flowgraph.  Each is timed on a cold handle (its first derivation) and
+again on the same, warm handle, with exceptions off and on.
 
 To compare two source trees, pass each with ``--src``: every round runs
 one child process per tree, alternating which goes first, and the
@@ -30,6 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("dense", "iceberg", "records")
+#: The path levels derived: level 0 (the leaves, durations kept) and level
+#: 3 (one level up, durations ``*``), each row's label suffix.
+LEVELS = ((0, ""), (3, " L3"))
 
 
 def measure() -> dict[str, float]:
@@ -55,17 +59,19 @@ def measure() -> dict[str, float]:
                 store, item_levels=[base], min_support=2, compute_exceptions=False
             ).close()
             target = ItemLevel([1] * len(dimensions))
-            for exceptions in (False, True):
-                with store.cube_store() as cube:
-                    for handle in ("cold", "warm"):
-                        started = time.perf_counter()
-                        plan = plan_derivation(cube, target, cube.path_lattice[0])
-                        for cell in derive_cuboid(cube, plan, exceptions):
-                            cell.flowgraph
-                        label = "mined" if exceptions else "plain"
-                        timings[f"{name} {label} {handle}"] = (
-                            time.perf_counter() - started
-                        )
+            for level_id, suffix in LEVELS:
+                for exceptions in (False, True):
+                    with store.cube_store() as cube:
+                        path_level = cube.path_lattice[level_id]
+                        for handle in ("cold", "warm"):
+                            started = time.perf_counter()
+                            plan = plan_derivation(cube, target, path_level)
+                            for cell in derive_cuboid(cube, plan, exceptions):
+                                cell.flowgraph
+                            label = "mined" if exceptions else "plain"
+                            timings[f"{name} {label} {handle}{suffix}"] = (
+                                time.perf_counter() - started
+                            )
             store.close()
     return timings
 
@@ -102,7 +108,7 @@ def main() -> None:
                 statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             )
             cells.append(f"{median * 1e3:8.1f} ms [{q1 * 1e3:.1f}–{q3 * 1e3:.1f}]")
-        print(f"{row:24s}", " | ".join(cells))
+        print(f"{row:27s}", " | ".join(cells))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ threshold ε.  Redundancy pruning (Definition 4.4) lives in
 :mod:`repro.core.redundancy`.
 
 This module defines the cube's shape, its one cell class and its one
-builder.  A :class:`Cell` is its path multiset — a ``{pid: weight}``
-vector over its level of a path table — whose flowgraph is expanded when
-first read; the roll-up, an append, ``cube_from_json``, the query
-planner and a store read all hand out this class, a store's cells
-decoding their vector from a heap record on first touch.
+builder.  A :class:`Cell` is its item cell's ``{joint id: weight}``
+vector over a path table, mapped to its path level's multiset and
+expanded to a flowgraph when first read; the roll-up, an append,
+``cube_from_json``, the query planner and a store read all hand out
+this class, a store's cells decoding their vector from a heap record on
+first touch.
 :meth:`FlowCube.build` runs the roll-up of
 :mod:`repro.perf.measure_rollup` over the whole database and keeps what
 it hands out, every vector over the cube's :attr:`FlowCube.path_table`.
@@ -47,33 +48,38 @@ class Cell:
 
     ``key`` / ``item_level`` / ``path_level`` / ``n_paths`` /
     ``redundant`` are the *index fields*: selection (slice, dice,
-    listings) reads nothing else.  The measure is algebraic (Lemma 4.2):
-    the cell is its ``weights`` — ``{path id: weight}`` over
-    ``level_paths``, its level of the cube's path table — and its
-    flowgraph, expanded once at first read, a function of that vector;
-    ``paths`` renders the vector as ``(path, weight)`` pairs.
+    listings) reads nothing else.  The measure is algebraic (Lemma 4.2),
+    and a cell's paths at every level are functions of its records' raw
+    paths, so the cells of one item cell share one ``vector`` — ``{joint
+    id: weight}`` over ``table`` (a
+    :class:`~repro.perf.measure_rollup.PathTable`).  ``weights`` maps it
+    to the cell's level (``level_id``) on first read, keeping each path
+    id's first occurrence; ``paths`` renders that as ``(path, weight)``
+    pairs, and the flowgraph, expanded once at first read, is a function
+    of them.
 
-    ``record_ids`` and ``weights`` are held in hand (the roll-up, an
+    ``record_ids`` and ``vector`` are held in hand (the roll-up, an
     append, ``cube_from_json``) or decoded together from a heap *record*
     at the first touch of either through the *loader* of the store that
     read it (:mod:`repro.store.cube_store`), which also reads the path
-    list lazily — a cold open reads no path table — and the record's
-    exceptions.  Every cell expands its graph the same way, from its
-    ``(path, weight)`` pairs; a stored one then attaches its record's
-    exceptions.  A damaged record is a :class:`~repro.errors.StoreError`
-    at every touch.  ``weights`` is the cell's own dict: whoever adds to
-    a vector adds into a copy.
+    table lazily — a cold open reads none — and the record's exceptions.
+    Every cell expands its graph the same way; a stored one then attaches
+    its record's exceptions.  A damaged record is a
+    :class:`~repro.errors.StoreError` at every touch.  ``vector`` is
+    shared: whoever adds to one adds into a copy.
     """
 
     __slots__ = (
         "key",
         "item_level",
         "path_level",
+        "level_id",
         "n_paths",
         "redundant",
         "_record_ids",
+        "_vector",
+        "_table",
         "_weights",
-        "_level_paths",
         "_graph",
         "_record",
         "_loader",
@@ -85,8 +91,9 @@ class Cell:
         item_level: ItemLevel,
         path_level: PathLevel,
         record_ids: tuple[int, ...] | None = None,
-        weights: dict[int, int] | None = None,
-        level_paths: Sequence[AggregatedPath] | None = None,
+        vector: dict[int, int] | None = None,
+        table=None,
+        level_id: int = 0,
         redundant: bool = False,
         *,
         n_paths: int | None = None,
@@ -96,17 +103,19 @@ class Cell:
         self.key = key
         self.item_level = item_level
         self.path_level = path_level
+        self.level_id = level_id
         self.n_paths = len(record_ids) if n_paths is None else n_paths
         self.redundant = redundant
         self._record_ids = record_ids
-        self._weights = weights
-        self._level_paths = level_paths
+        self._vector = vector
+        self._table = table
+        self._weights: dict[int, int] | None = None
         self._graph: FlowGraph | None = None
         self._record = record
         self._loader = loader
 
     def _decode(self) -> None:
-        self._record_ids, self._weights = self._loader.vector(self._record)
+        self._record_ids, self._vector = self._loader.vector(self._record)
 
     @property
     def record_ids(self) -> tuple[int, ...]:
@@ -116,26 +125,50 @@ class Cell:
         return self._record_ids
 
     @property
-    def weights(self) -> dict[int, int]:
-        """The ``{path id: weight}`` vector, in first-seen order."""
-        if self._weights is None:
+    def vector(self) -> dict[int, int]:
+        """The item cell's ``{joint id: weight}``, in first-seen order."""
+        if self._vector is None:
             self._decode()
-        return self._weights
+        return self._vector
+
+    @property
+    def table(self):
+        """The path table the vector's joint ids index."""
+        table = self._table
+        if table is None:
+            table = self._table = self._loader.table()
+        return table
+
+    @property
+    def weights(self) -> dict[int, int]:
+        """The ``{path id: weight}`` multiset at the cell's path level,
+        mapped from the vector in its order."""
+        weights = self._weights
+        if weights is None:
+            vector = self.vector
+            weights = {}
+            try:
+                pids = map(self.table.joint[self.level_id].__getitem__, vector)
+                for pid, weight in zip(pids, vector.values()):
+                    weights[pid] = weights.get(pid, 0) + weight
+            except IndexError:
+                raise StoreError(
+                    "corrupt cell payload: a joint id past the path table"
+                ) from None
+            self._weights = weights
+        return weights
 
     @property
     def level_paths(self) -> Sequence[AggregatedPath]:
-        """The path list the vector's ids index."""
-        level_paths = self._level_paths
-        if level_paths is None:
-            level_paths = self._level_paths = self._loader.level_paths()
-        return level_paths
+        """The path list the level's ids index."""
+        return self.table.paths[self.level_id]
 
     def _pairs(self) -> list[WeightedPath]:
+        weights = self.weights
         level_paths = self.level_paths
         try:
             return [
-                (level_paths[pid], weight)
-                for pid, weight in self.weights.items()
+                (level_paths[pid], weight) for pid, weight in weights.items()
             ]
         except IndexError:
             raise StoreError(
@@ -289,7 +322,7 @@ class FlowCube:
         """Materialise an iceberg flowcube.
 
         Each distinct path is aggregated once per path level, ancestor
-        cuboids derive by adding their children's path multisets, and
+        cuboids derive by adding their children's joint vectors, and
         exceptions are mined with the bitmap kernel
         (:func:`repro.perf.measure_rollup.roll_up`, the roll-up the store
         build runs too).

@@ -178,16 +178,17 @@ def plan_by_budget(
     min_support: float = 0.01,
     sample_size: int = 2000,
 ) -> MaterializationPlan:
-    """Greedy cost-based plan: add levels (most general first) while the
+    """Greedy cost-based plan: add levels (finest first) while the
     estimated total cell count stays within *max_cells*.
 
-    The apex level is always included so every query has a fallback
-    ancestor cuboid.
+    Derivation only rolls up, so the finest (base) level is always
+    included: every level of the lattice is then materialised or
+    derivable from it, whatever the budget.
     """
     lattice = ItemLattice([h.depth for h in database.schema.dimensions])
     chosen: list[ItemLevel] = []
     total = 0
-    for level in lattice:  # iteration order: most general first
+    for level in reversed(list(lattice)):  # lattice order: most general first
         cost = estimate_cells(database, level, min_support, sample_size)
         if not chosen or total + cost <= max_cells:
             chosen.append(level)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from repro.core.aggregation import aggregate_path
 from repro.core.flowcube import Cell, Cuboid, FlowCube
 from repro.core.flowgraph import FlowGraph
 from repro.core.hierarchy import ConceptHierarchy
@@ -71,8 +70,8 @@ def exceptions_to_dicts(exceptions) -> list[dict]:
     """Plain-dict form of a flowgraph's exception list (sorted mappings).
 
     Shared by :func:`flowgraph_to_dict` and the store's write door, which
-    hands it to :func:`repro.store.binfmt.encode_cell_payload` to keep as
-    a JSON blob in a path-level section of the ``FCHEAP05`` record.
+    hands it to :func:`repro.store.binfmt.encode_cell_payload` to keep in
+    the JSON exception section of the ``FCHEAP06`` record.
     """
     return [
         {
@@ -122,7 +121,7 @@ def exceptions_from_dicts(data: list[dict]) -> list[FlowException]:
     """Rebuild :class:`FlowException` objects from their plain-dict form.
 
     Shared by :func:`flowgraph_from_dict` and a stored cell's reader,
-    which gets the list from the JSON blob inside the ``FCHEAP05`` record
+    which gets the list from the JSON blob inside the ``FCHEAP06`` record
     (:func:`repro.store.binfmt.decode_cell_exceptions`).
     """
     return [
@@ -190,10 +189,11 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
     The database must be the one (or an equal copy of the one) the cube was
     built from; cell ``record_ids`` index into it.  Each cell comes back
     as a build hands it out: a :class:`~repro.core.flowcube.Cell` whose
-    vector over the cube's ``path_table`` is rebuilt from its records,
-    with its stored exceptions attached to its graph.
+    joint vector over the cube's ``path_table`` — one per item cell — is
+    rebuilt from its records, with its stored exceptions attached to its
+    graph.
     """
-    from repro.perf.measure_rollup import PathTable
+    from repro.perf.measure_rollup import AggregationMemo, PathTable
 
     payload = json.loads(text)
     records = {record.record_id: record for record in database}
@@ -210,6 +210,9 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
         min_deviation=payload["min_deviation"],
     )
     table = cube.path_table = PathTable(len(path_lattice))
+    joint_id = AggregationMemo(path_lattice, table).joint_id
+    #: One joint vector per item cell, shared by its cells at every level.
+    vectors: dict[tuple, dict[int, int]] = {}
     for cuboid_data in payload["cuboids"]:
         item_level = ItemLevel(cuboid_data["item_level"])
         level_id = int(cuboid_data["path_level"])
@@ -224,13 +227,14 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
                     f"cube references record ids {missing!r} absent from "
                     "the supplied database"
                 )
-            weights = Counter(
-                table.intern(level_id, aggregate_path(records[rid].path, path_level))
-                for rid in record_ids
-            )
+            vector = vectors.get((item_level, key, record_ids))
+            if vector is None:
+                vector = vectors[item_level, key, record_ids] = dict(
+                    Counter(joint_id(records[rid].path) for rid in record_ids)
+                )
             cell = cuboid.cells[key] = Cell(
-                key, item_level, path_level, record_ids, weights,
-                table.paths[level_id], bool(cell_data["redundant"]),
+                key, item_level, path_level, record_ids, vector, table,
+                level_id, bool(cell_data["redundant"]),
             )
             exceptions = cell_data["flowgraph"].get("exceptions")
             if exceptions:

@@ -12,22 +12,21 @@ as one batch, :func:`~repro.store.builder.build_cube` one partition at a
 time.
 
 1. **Scan once** (:func:`scan_records`): one pass over the records computes
-   cell membership and weighted base paths for the *root* item levels only.
-   RFID items move in bulk, so a path database holds far fewer distinct
-   paths than records: an :class:`AggregationMemo` aggregates each
-   *distinct* path once per path level per build — shared across root
-   levels, records and partitions — and identical aggregated paths dedupe
-   into ``(path, weight)`` pairs as they are counted.
-2. **Paths become ids** (:func:`merge_scan`): partials fold into the
-   build's totals in partition order, and this is the single door where an
-   aggregated path — a nested ``((location, duration), …)`` tuple whose
-   hash is recomputed on every dict probe — is interned into a
-   :class:`PathTable` and replaced by a small int.  From here on a cell's
-   multiset is ``{path id: weight}``.
+   cell membership and one weighted vector per cell for the *root* item
+   levels only.  RFID items move in bulk, so a path database holds far
+   fewer distinct paths than records: an :class:`AggregationMemo` — the
+   one door from a raw path to an id — aggregates each *distinct* path
+   once per path level per build and interns the tuple of its level
+   paths as one *joint id* in the build's :class:`PathTable`.  A record
+   is counted once, whatever the number of path levels: a cell is one
+   ``{joint id: weight}`` vector.
+2. **Fold** (:func:`merge_scan`): partials fold into the build's totals
+   in partition order, which keeps every first-seen order of a single
+   scan.
 3. **Derive ancestors** (:func:`derive_levels`): every other requested item
    level's per-cell data is rolled up from an already-materialised strict
    descendant chosen by :func:`derivation_plan` — record ids concatenate
-   and path-id weights add, which is all of Lemma 4.2: the vector is the
+   and joint-id weights add, which is all of Lemma 4.2: the vector is the
    distributive part of the measure and the flowgraph a function of it.
    No record is touched again and no graph is built.
 4. **Prune** (:func:`prune_to_iceberg`): sub-iceberg cells, which
@@ -35,11 +34,13 @@ time.
 5. **Assemble** (:func:`assemble_cuboid`, per (item level, path level)
    pair): cell construction and the per-cell holistic exception pass.  A
    cell leaves the roll-up as a :class:`~repro.core.flowcube.Cell` — its
-   ``{pid: weight}`` over the level's path list — whose flowgraph is
-   expanded where one is consumed: by the exception pass (handed the
-   same vector and the level's postings, which the table owns too), at
-   its first read in an in-memory cube, and never by a store build
-   without exceptions, which persists the vector itself.  The query
+   item cell's joint vector, shared by the cells at every path level,
+   and its level of the table — whose ``{pid: weight}`` multiset at the
+   level is mapped from the vector, and whose flowgraph is expanded from
+   that, where one is consumed: by the exception pass (handed the
+   multiset and the level's postings, which the table owns too), at its
+   first read in an in-memory cube, and never by a store build without
+   exceptions, which persists the joint vector itself.  The query
    planner derives a cuboid nobody materialised with steps 3–5 over the
    source cells' vectors.
 
@@ -92,93 +93,130 @@ __all__ = [
     "roll_up",
 ]
 
-#: One cell's weighted path multiset as :func:`scan_records` returns it:
-#: distinct aggregated path -> multiplicity, insertion-ordered (first-seen
-#: record order).
-ScannedCell = dict[AggregatedPath, int]
-
-#: One cell's weighted path multiset inside the roll-up: path id (into the
-#: build's :class:`PathTable`, per path level) -> multiplicity, in the same
-#: first-seen order.  An int key hashes to itself; the tuple it stands for
-#: re-hashes every nested stage on every probe.
+#: One cell's weighted path multiset inside the roll-up: joint path id
+#: (into the build's :class:`PathTable`) -> multiplicity, in first-seen
+#: record order.  One vector serves the cell at every path level.
 WeightedCell = dict[int, int]
 
 
 class AggregationMemo:
-    """Each distinct path's aggregation at every level of one path lattice.
+    """The one door from a raw path to its joint id in a :class:`PathTable`.
 
     Items move in bulk, so records heavily share paths; aggregation depends
     on the path and the level only.  One memo serves one build (every
-    partition of a serial scan; one per worker process, rebound with the
-    store), so each distinct path is aggregated once per path
-    level however many records, root levels or partitions carry it.  It
-    holds one reference per distinct path seen — the same order of memory
-    as the finest level's multisets.
+    partition of its scan), one append or one ``cube_from_json``, so each
+    distinct path is aggregated once per path level, however many records,
+    root levels or partitions carry it.
     """
 
-    def __init__(self, path_lattice: PathLattice) -> None:
+    def __init__(self, path_lattice: PathLattice, table: "PathTable") -> None:
         self.path_levels: tuple[PathLevel, ...] = tuple(path_lattice)
-        self._by_path: dict[Path, list[AggregatedPath]] = {}
+        self.table = table
+        self._by_path: dict[Path, int] = {}
 
-    def aggregated(self, path: Path) -> list[AggregatedPath]:
-        """*path* aggregated to each path level, indexed by level id.
+    def joint_id(self, path: Path) -> int:
+        """*path*'s joint id, interning its aggregation at every level on
+        first sight.
 
         Goes through this module's :func:`aggregate_path` binding, which
         the tests monkeypatch to count calls.
         """
-        out = self._by_path.get(path)
-        if out is None:
-            out = self._by_path[path] = [
-                aggregate_path(path, path_level)
-                for path_level in self.path_levels
-            ]
-        return out
+        jid = self._by_path.get(path)
+        if jid is None:
+            jid = self._by_path[path] = self.table.intern_joint(
+                [aggregate_path(path, level) for level in self.path_levels]
+            )
+        return jid
 
 
 class PathTable:
-    """The roll-up's id space for aggregated paths, one per path level.
+    """The roll-up's id space: aggregated paths per path level, and the
+    *joint* ids a cell's one vector counts.
 
     ``paths[level_id][pid]`` is the aggregated path interned as ``pid`` at
-    that level and ``ids[level_id]`` the reverse map.  Ids are dense and
-    handed out in first-seen order (:func:`merge_scan`, :meth:`intern`);
-    nothing is ever ordered by id, so the insertion orders the parity
-    contract rests on are those of the multisets themselves.
+    that level.  A joint id stands for one distinct tuple of a raw path's
+    pids at every level — ``joint[level_id][jid]`` is its pid there — so a
+    ``{joint id: weight}`` vector maps onto the multiset at any level
+    (:attr:`~repro.core.flowcube.Cell.weights`).  Every lattice composes
+    this way: where a coarse level is no function of level 0 (float sums,
+    a level 0 that is not the finest), joint ids merely outnumber level-0
+    paths.  Ids are dense and handed out in first-seen order
+    (:class:`AggregationMemo`); nothing is ever ordered by id, so the
+    insertion orders the parity contract rests on are those of the
+    multisets themselves.
 
     The table owns the id space for both halves of the measure: the
-    algebraic roll-up counts ``{pid: weight}`` cells, and the holistic
-    pass reads the same cells as bit sets — ``postings[level_id]`` is the
-    level's :class:`~repro.perf.exception_kernel.PathPostings`, sharing
-    this table's ``paths`` / ``ids`` and indexing a path's stages the
-    first time a cell is mined after it was interned (never, with
-    exceptions off).  A persisted cube keeps the table's ``paths`` on
-    disk (:class:`~repro.store.cube_store.CubeStore`): its cell records
-    are vectors over these ids, and an append only ever extends them.
+    algebraic roll-up counts joint vectors, and the holistic pass reads a
+    level's multisets as bit sets — ``postings[level_id]`` is the level's
+    :class:`~repro.perf.exception_kernel.PathPostings`, sharing this
+    table's ``paths`` and indexing a path's stages the first time a cell
+    is mined after it was interned (never, with exceptions off).  The
+    postings and the reverse maps are built the first time a writer or a
+    miner asks, so a reader that only maps vectors builds none.  A
+    persisted cube keeps ``paths`` and ``joint`` on disk
+    (:class:`~repro.store.cube_store.CubeStore`), and an append only ever
+    extends them.
     """
 
     def __init__(self, n_path_levels: int) -> None:
-        self._bind([[] for _ in range(n_path_levels)])
+        self._bind(
+            [[] for _ in range(n_path_levels)],
+            [[] for _ in range(n_path_levels)],
+        )
 
     @classmethod
-    def over(cls, levels: list[list[AggregatedPath]]) -> "PathTable":
-        """The table whose id space is *levels* — path lists a store
-        loaded; they are shared, not copied, so interning extends them."""
+    def over(
+        cls, levels: list[list[AggregatedPath]], joint: list[list[int]]
+    ) -> "PathTable":
+        """The table over lists a store loaded — shared, not copied, so
+        interning extends them."""
         table = cls.__new__(cls)
-        table._bind(levels)
+        table._bind(levels, joint)
         return table
 
-    def _bind(self, levels: list[list[AggregatedPath]]) -> None:
+    def _bind(
+        self, levels: list[list[AggregatedPath]], joint: list[list[int]]
+    ) -> None:
         self.paths = levels
-        self.ids: list[dict[AggregatedPath, int]] = [
-            {path: pid for pid, path in enumerate(paths)} for paths in levels
-        ]
-        self.postings: list[PathPostings] = [
-            PathPostings(paths, ids)
-            for paths, ids in zip(self.paths, self.ids)
-        ]
+        self.joint = joint
+        self._postings: list[PathPostings] | None = None
+
+    def __reduce__(self):
+        # A copy carries the id space; its maps are rebuilt on demand.
+        return PathTable.over, (self.paths, self.joint)
+
+    @property
+    def postings(self) -> list[PathPostings]:
+        """Per level, the exception kernel's postings over ``paths``."""
+        if self._postings is None:
+            self._joint_ids = {
+                pids: jid for jid, pids in enumerate(zip(*self.joint))
+            }
+            self._postings = [
+                PathPostings(paths, {path: pid for pid, path in enumerate(paths)})
+                for paths in self.paths
+            ]
+        return self._postings
+
+    @property
+    def n_joint(self) -> int:
+        """How many joint ids the table holds."""
+        return len(self.joint[0]) if self.joint else 0
 
     def intern(self, level_id: int, path: AggregatedPath) -> int:
         """The id of *path* at path level *level_id* (next on first sight)."""
         return self.postings[level_id].intern(path)
+
+    def intern_joint(self, level_paths: Sequence[AggregatedPath]) -> int:
+        """The joint id of one path aggregated to *level_paths* (one per
+        level), interning each and the tuple on first sight."""
+        pids = tuple(map(self.intern, range(len(level_paths)), level_paths))
+        jid = self._joint_ids.get(pids)
+        if jid is None:
+            jid = self._joint_ids[pids] = self.n_joint
+            for column, pid in zip(self.joint, pids):
+                column.append(pid)
+        return jid
 
 
 @dataclass
@@ -187,18 +225,19 @@ class LevelData:
 
     ``groups`` and ``weighted`` carry *all* keys — including sub-iceberg
     ones — because an ancestor's cells must merge *every* child cell to
-    conserve weight.  Nothing here is threshold-aware and nothing is a
-    flowgraph: a graph is a function of a cell's vector, computed where
-    it is read (:class:`~repro.core.flowcube.Cell`).
+    conserve weight.  Nothing here is threshold-aware, nothing is per
+    path level and nothing is a flowgraph: a level's multiset and its
+    graph are functions of a cell's joint vector, computed where they are
+    read (:class:`~repro.core.flowcube.Cell`).
 
     Attributes:
         groups: Cell key -> member record ids.
-        weighted: Per path level: cell key -> weighted multiset of path
-            ids (``{pid: weight}``, see :class:`PathTable`).
+        weighted: Cell key -> weighted multiset of joint path ids
+            (``{jid: weight}``, see :class:`PathTable`).
     """
 
     groups: dict[CellKey, list[int]]
-    weighted: list[dict[CellKey, WeightedCell]]
+    weighted: dict[CellKey, WeightedCell]
 
 
 def requested_levels(
@@ -256,25 +295,22 @@ def scan_records(
     aggregation: AggregationMemo,
     root_levels: Sequence[ItemLevel],
     hierarchies: Sequence,
-) -> tuple[list[dict[CellKey, list[int]]], list[list[dict[CellKey, ScannedCell]]]]:
-    """One pass over *records*: membership and weighted paths per root level.
+) -> tuple[list[dict[CellKey, list[int]]], list[dict[CellKey, WeightedCell]]]:
+    """One pass over *records*: membership and joint vectors per root level.
 
-    Each *distinct* path is aggregated once per path level for the life of
-    *aggregation* — the memo a build shares across its partitions — and
-    the result is shared across all root levels.  Cell keys are memoised
-    per distinct ``record.dims``.  The partial is keyed by plain tuples, so
-    a worker can pickle it back; :func:`merge_scan` interns it.
+    Each record's path becomes its joint id through *aggregation* — the
+    memo a build shares across its partitions, so each distinct path is
+    aggregated and interned once — and is counted once per root level,
+    whatever the number of path levels.  Cell keys are memoised per
+    distinct ``record.dims``.
 
     Returns:
         ``(groups, weighted)`` lists indexed like *root_levels*: per-level
-        record-id groups and, per path level, the weighted path multisets.
+        record-id groups and joint vectors.
     """
-    n_path_levels = len(aggregation.path_levels)
-    aggregated_of = aggregation.aggregated
+    joint_id = aggregation.joint_id
     groups: list[dict[CellKey, list[int]]] = [{} for _ in root_levels]
-    weighted: list[list[dict[CellKey, ScannedCell]]] = [
-        [{} for _ in range(n_path_levels)] for _ in root_levels
-    ]
+    weighted: list[dict[CellKey, WeightedCell]] = [{} for _ in root_levels]
     keys_cache: dict[tuple, list[CellKey]] = {}
     for record in records:
         keys = keys_cache.get(record.dims)
@@ -284,48 +320,48 @@ def scan_records(
                 for root_level in root_levels
             ]
             keys_cache[record.dims] = keys
-        aggregated = aggregated_of(record.path)
-        for index, key in enumerate(keys):
-            groups[index].setdefault(key, []).append(record.record_id)
-            per_level = weighted[index]
-            for level_id, path in enumerate(aggregated):
-                cell = per_level[level_id].setdefault(key, {})
-                cell[path] = cell.get(path, 0) + 1
+        jid = joint_id(record.path)
+        for key, members, cells in zip(keys, groups, weighted):
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = {}
+                members[key] = [record.record_id]
+            else:
+                members[key].append(record.record_id)
+            cell[jid] = cell.get(jid, 0) + 1
     return groups, weighted
 
 
 def merge_scan(
     groups: list[dict[CellKey, list[int]]],
-    weighted: list[list[dict[CellKey, WeightedCell]]],
+    weighted: list[dict[CellKey, WeightedCell]],
     part_groups: list[dict[CellKey, list[int]]],
-    part_weighted: list[list[dict[CellKey, ScannedCell]]],
-    table: PathTable,
+    part_weighted: list[dict[CellKey, WeightedCell]],
 ) -> None:
-    """Fold one :func:`scan_records` partial into the totals, interning paths.
+    """Fold one :func:`scan_records` partial into the totals.
 
     Partitions preserve record order, so merging partials in partition
     order reproduces the single-scan first-seen key orders, record-id
-    orders, and path insertion orders exactly — the out-of-core roll-up
-    build is therefore bit-identical to the in-memory one, which folds its
-    one partial through here too.  This is where aggregated paths become
-    ids: each is looked up in *table* (interned on first sight) and the
-    totals count weights per id.
+    orders, and joint-id insertion orders exactly — the out-of-core
+    roll-up build is therefore bit-identical to the in-memory one, which
+    folds its one partial through here too.  A key the totals do not
+    hold yet adopts the partial's list and vector.
     """
     for merged, part in zip(groups, part_groups):
         for key, ids in part.items():
-            merged.setdefault(key, []).extend(ids)
-    for merged_levels, part_levels in zip(weighted, part_weighted):
-        for level_id, part_cells in enumerate(part_levels):
-            merged_cells = merged_levels[level_id]
-            ids = table.ids[level_id]
-            paths = table.paths[level_id]
-            for key, part_paths in part_cells.items():
-                cell = merged_cells.setdefault(key, {})
-                for path, weight in part_paths.items():
-                    pid = ids.setdefault(path, len(paths))
-                    if pid == len(paths):
-                        paths.append(path)
-                    cell[pid] = cell.get(pid, 0) + weight
+            held = merged.get(key)
+            if held is None:
+                merged[key] = ids
+            else:
+                held.extend(ids)
+    for merged, part in zip(weighted, part_weighted):
+        for key, part_cell in part.items():
+            cell = merged.get(key)
+            if cell is None:
+                merged[key] = part_cell
+                continue
+            for jid, weight in part_cell.items():
+                cell[jid] = cell.get(jid, 0) + weight
 
 
 def derive_level(
@@ -334,12 +370,13 @@ def derive_level(
     """Roll *source*'s per-cell data up to the ancestor *level*.
 
     Every source key maps to exactly one parent key, so parent cells are
-    disjoint unions of child cells: record ids concatenate and path-id
+    disjoint unions of child cells: record ids concatenate and joint-id
     weights add (Lemma 4.2 on its distributive part).  Iterating source
     keys in their first-seen record order makes each derived dict's key
-    order — and each vector's pid order — match what a direct record
-    scan at *level* would have produced.  The query planner runs it over
-    a materialised cuboid's cells, one path level wide.
+    order match what a direct record scan at *level* would have produced,
+    and each parent vector's order is its children's, concatenated — the
+    order every path level's multiset is mapped from.  The query planner
+    runs it over a materialised cuboid's cells.
     """
     key_map: dict[CellKey, CellKey] = {}
     groups: dict[CellKey, list[int]] = {}
@@ -347,21 +384,18 @@ def derive_level(
         parent_key = roll_up_key(child_key, level, hierarchies)
         key_map[child_key] = parent_key
         groups.setdefault(parent_key, []).extend(record_ids)
-    weighted: list[dict[CellKey, WeightedCell]] = []
-    for source_cells in source.weighted:
-        cells: dict[CellKey, WeightedCell] = {}
-        for child_key, weights in source_cells.items():
-            cell = cells.setdefault(key_map[child_key], {})
-            for pid, weight in weights.items():
-                cell[pid] = cell.get(pid, 0) + weight
-        weighted.append(cells)
-    return LevelData(groups=groups, weighted=weighted)
+    cells: dict[CellKey, WeightedCell] = {}
+    for child_key, weights in source.weighted.items():
+        cell = cells.setdefault(key_map[child_key], {})
+        for jid, weight in weights.items():
+            cell[jid] = cell.get(jid, 0) + weight
+    return LevelData(groups=groups, weighted=cells)
 
 
 def derive_levels(
     plan: Sequence[tuple[ItemLevel, ItemLevel | None]],
     groups_by_root: list[dict[CellKey, list[int]]],
-    weighted_by_root: list[list[dict[CellKey, WeightedCell]]],
+    weighted_by_root: list[dict[CellKey, WeightedCell]],
     root_levels: Sequence[ItemLevel],
     hierarchies: Sequence,
 ) -> dict[ItemLevel, LevelData]:
@@ -405,11 +439,9 @@ def prune_to_iceberg(
             for key, record_ids in level_data.groups.items()
             if not len(record_ids) < threshold
         }
+        cells = level_data.weighted
         level_data.groups = groups
-        level_data.weighted = [
-            {key: cells[key] for key in groups}
-            for cells in level_data.weighted
-        ]
+        level_data.weighted = {key: cells[key] for key in groups}
 
 
 def assemble_cuboid(
@@ -417,30 +449,33 @@ def assemble_cuboid(
     path_level: PathLevel,
     members: Mapping[CellKey, tuple[int, ...]],
     cells: Mapping[CellKey, WeightedCell],
-    paths: Sequence[AggregatedPath],
-    postings: PathPostings | None,
+    table: PathTable,
+    level_id: int,
     segments_by_cell: Mapping | None,
     exception_pass=None,
 ) -> Cuboid:
     """One finished cuboid: a :class:`~repro.core.flowcube.Cell` per key
-    of *members* (key -> sorted record ids) straight from its ``{pid:
-    weight}`` in *cells* over the path list *paths* — no path tuple is
-    touched and no graph built without an *exception_pass*: a
+    of *members* (key -> sorted record ids) straight from its joint
+    vector in *cells* over *table*, at path level *level_id* — no path
+    tuple is touched and no graph built without an *exception_pass*: a
     ``run(batch)`` callable over ``(graph, weights, postings, segments)``
     whose *graph* is the cell's, expanded for the pass, *weights* its
-    vector and *postings* the level's
+    multiset at the level and *postings* the level's
     (see :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`).
     """
     cuboid = Cuboid(item_level, path_level)
     batch = []
+    postings = None if exception_pass is None else table.postings[level_id]
     for key, record_ids in members.items():
-        weights = cells[key]
-        cell = Cell(key, item_level, path_level, record_ids, weights, paths)
+        cell = Cell(
+            key, item_level, path_level, record_ids, cells[key], table,
+            level_id,
+        )
         if exception_pass is not None:
             segments = None
             if segments_by_cell is not None:
                 segments = segments_by_cell.get((item_level, path_level, key))
-            batch.append((cell.flowgraph, weights, postings, segments))
+            batch.append((cell.flowgraph, cell.weights, postings, segments))
         cuboid.cells[key] = cell
     if batch:
         exception_pass(batch)
@@ -459,11 +494,11 @@ def assemble_cuboids(
     exception_pass=None,
 ) -> Iterator[Cuboid]:
     """Yield the cuboids of pruned *data* in (item level, path level)
-    order, each from :func:`assemble_cuboid` over *table*'s level.
+    order, each from :func:`assemble_cuboid` over *table*.
 
     Membership is path-level independent, so the member-id sort runs
-    once per item level and the level's cuboids share each cell's
-    ``record_ids`` tuple.
+    once per item level, and the level's cuboids share each cell's
+    ``record_ids`` tuple and joint vector.
     """
     for item_level in levels:
         level_data = data[item_level]
@@ -472,9 +507,8 @@ def assemble_cuboids(
         }
         for level_id, path_level in enumerate(path_lattice):
             yield assemble_cuboid(
-                item_level, path_level, members,
-                level_data.weighted[level_id], table.paths[level_id],
-                table.postings[level_id], segments_by_cell, exception_pass,
+                item_level, path_level, members, level_data.weighted, table,
+                level_id, segments_by_cell, exception_pass,
             )
 
 
@@ -520,10 +554,10 @@ def roll_up(
     root_levels = [level for level, source in plan if source is None]
 
     phase = perf_counter()
-    aggregation = AggregationMemo(path_lattice)
+    aggregation = AggregationMemo(path_lattice, table)
     groups_by_root: list[dict[CellKey, list[int]]] = [{} for _ in root_levels]
-    weighted_by_root: list[list[dict[CellKey, WeightedCell]]] = [
-        [{} for _ in path_lattice] for _ in root_levels
+    weighted_by_root: list[dict[CellKey, WeightedCell]] = [
+        {} for _ in root_levels
     ]
     n_records = 0
     for batch in batches:
@@ -531,7 +565,6 @@ def roll_up(
         merge_scan(
             groups_by_root, weighted_by_root,
             *scan_records(batch, aggregation, root_levels, hierarchies),
-            table,
         )
     batch = None  # the last partition is not held through assembly
     if stats is not None:

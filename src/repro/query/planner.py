@@ -9,7 +9,7 @@ The seed query layer turned every other coordinate into a hard
 descendants', so — exactly as Gray et al.'s Data Cube derives ROLLUP
 answers from the nearest materialised group-by — a missing cuboid can be
 *derived* at query time by summing a materialised descendant's
-``{path id: weight}`` vectors.
+``{joint id: weight}`` vectors.
 
 :func:`plan_derivation` picks the cheapest materialised source: among the
 cuboids at the *same path level* whose item level is a strict descendant
@@ -17,7 +17,7 @@ of the target, it minimises ``lattice distance × cell count`` — the cell
 count comes from the cuboid index (``cell_sizes``), so planning does zero
 cell-file IO.  :func:`derive_cuboid` / :func:`derive_cell` execute a plan
 with the build's own roll-up (:mod:`repro.perf.measure_rollup`): the
-source cells' record ids and vectors go through ``derive_level``, the
+source cells' record ids and joint vectors go through ``derive_level``, the
 iceberg threshold δ is re-applied, and ``assemble_cuboid`` hands out
 cells (:class:`~repro.core.flowcube.Cell`), each expanding its one
 flowgraph when first read.
@@ -35,9 +35,10 @@ sub-threshold children, in which case derived counts are lower bounds;
 kinds of cube know their record count (``n_records``), which δ resolves
 against; a store written cell by cell and never built does not, and
 planning over it is a :class:`~repro.errors.QueryError`.
-The path level is never re-aggregated: a cell's multiset holds paths
-already aggregated to its own path level, so only the item lattice is
-derivable — same-path-level sources only.
+The path level is never re-aggregated: a cell's joint vector maps to
+every path level, and an item cuboid is materialised at all of them, so
+only the item lattice needs deriving — from a source at the target's
+path level.
 
 Exceptions are holistic (Lemma 4.3) and cannot be merged; when asked
 for, they are re-mined from the summed vector as build and append mine
@@ -143,32 +144,28 @@ def plan_derivation(
 
 def _derive(cube, plan: DerivationPlan, children, mine_exceptions: bool):
     """Roll *children*, cells of the plan's source cuboid, up to the
-    plan's coordinate: the build's roll-up, one path level wide."""
+    plan's coordinate: the build's roll-up over their joint vectors."""
     derived = derive_level(
         plan.item_level,
         LevelData(
             groups={child.key: child.record_ids for child in children},
-            weighted=[{child.key: child.weights for child in children}],
+            weighted={child.key: child.vector for child in children},
         ),
         cube.schema.dimensions,
     )
     prune_to_iceberg({plan.item_level: derived}, plan.threshold)
-    if mine_exceptions:
-        # Read after the children, the cube's current table holds every
-        # id they name; its postings are the ones build and append use.
-        level_id = cube.path_lattice.index_of(plan.path_level)
-        table = cube.path_table
-        paths, postings = table.paths[level_id], table.postings[level_id]
-        runner = serial_exception_pass(cube.min_support, cube.min_deviation)
-    else:
-        # Ids are stable within a lineage, but cells read across a reload
-        # sit on lists of different lengths: the longest holds every id.
-        lists = [child.level_paths for child in children]
-        paths, postings, runner = max(lists, key=len, default=()), None, None
+    runner = (
+        serial_exception_pass(cube.min_support, cube.min_deviation)
+        if mine_exceptions
+        else None
+    )
     members = {key: tuple(sorted(ids)) for key, ids in derived.groups.items()}
+    # Read after the children, the cube's current table holds every id
+    # they name; its postings are the ones build and append use.
     return assemble_cuboid(
-        plan.item_level, plan.path_level, members, derived.weighted[0],
-        paths, postings, None, runner,
+        plan.item_level, plan.path_level, members, derived.weighted,
+        cube.path_table, cube.path_lattice.index_of(plan.path_level), None,
+        runner,
     )
 
 

@@ -4,12 +4,13 @@
 :class:`~repro.store.pathstore.PartitionedPathStore` and folds them into
 the store's *persisted* cube without rebuilding it:
 
-* **Algebraic counters** (Lemma 4.2) — a stored cell is its ``{path id:
-  weight}`` vector, the distributive part of the flowgraph measure, so an
-  updated cell is *stored vector + batch vector*: integer addition, with
+* **Algebraic counters** (Lemma 4.2) — a stored item cell is its one
+  ``{joint id: weight}`` vector, the distributive part of the flowgraph
+  measure at every path level, so an updated item cell is *stored vector
+  + batch vector*: integer addition, each batch member added once, with
   no graph decoded, merged or encoded.  A dirty item cell — one record
-  for its ids and every path level's vector — is read, decoded and
-  encoded once; untouched cells are never read, let alone rewritten.
+  for its ids and its vector — is read, decoded and encoded once;
+  untouched cells are never read, let alone rewritten.
 * **Iceberg frontier** — promotion candidates (batch keys the cube does
   not hold) are membership-counted through the partition catalog: the
   scan is Bloom-pruned to the partitions that might hold a candidate's
@@ -49,9 +50,8 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from collections.abc import Iterable
-from itertools import chain, compress
+from itertools import compress
 
-from repro.core.aggregation import aggregate_path
 from repro.core.flowcube import Cell, CellKey
 from repro.core.flowgraph_exceptions import (
     resolve_min_support,
@@ -61,6 +61,8 @@ from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
 from repro.perf import collector
+from repro.perf.measure_rollup import AggregationMemo
+from repro.store import binfmt
 from repro.store.cube_store import (
     CubeStore,
     _new_append_stats,
@@ -210,35 +212,27 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     # per item level: resolve the frontier, then materialise the dirty
     # item cells in canonical cuboid order
     # ------------------------------------------------------------------
-    # A dirty cell is a vector over the cube's own path table: the stored
-    # one plus the batch's for an updated cell, the members' for a
-    # promoted one.  Each distinct path is aggregated once per path level
-    # and interned once; only a path the cube has never seen extends the
-    # table (and its file, republished at the flush below).
+    # A dirty item cell is one joint vector over the cube's own path
+    # table: the stored one plus the batch's for an updated cell, the
+    # members' for a promoted one — each member counted once, whatever
+    # the number of path levels.  Each distinct path goes through the
+    # table's one door once; only a path the cube has never seen extends
+    # the table (and its file, republished at the flush below).
     dirty: list[Cell] = []
     layout: list[tuple[ItemLevel, list[CellKey]]] = []
     to_mine: list[tuple] = []
     updated_cells = created_cells = promoted_cells = demoted_cells = below = 0
-    table = None
-    pids_by_path: dict[Path, list[int]] = {}
-    pids_of: dict[int, list[int]] = {}
+    table = joint_id = None
+    joint_of: dict[int, int] = {}
 
-    def add(vectors: list[dict[int, int]], members) -> None:
-        """Count *members* — ``(record id, path)`` pairs — into the
-        vector of each path level.  A record's id finds its path's ids
-        without re-hashing the path."""
+    def add(vector: dict[int, int], members) -> None:
+        """Count *members* — ``(record id, path)`` pairs — into *vector*.
+        A record's id finds its joint id without re-hashing the path."""
         for record_id, path in members:
-            by_level = pids_of.get(record_id)
-            if by_level is None:
-                by_level = pids_by_path.get(path)
-                if by_level is None:
-                    by_level = pids_by_path[path] = [
-                        table.intern(level, aggregate_path(path, path_level))
-                        for level, path_level in enumerate(lattice)
-                    ]
-                pids_of[record_id] = by_level
-            for weights, pid in zip(vectors, by_level):
-                weights[pid] = weights.get(pid, 0) + 1
+            jid = joint_of.get(record_id)
+            if jid is None:
+                jid = joint_of[record_id] = joint_id(path)
+            vector[jid] = vector.get(jid, 0) + 1
 
     for i, (item_level, groups, entries) in enumerate(
         zip(levels, batch_groups, existing)
@@ -260,10 +254,13 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
                     updated.append(key)
             else:
                 demoted_cells += n_levels
-        # Each updated item cell's stored ids and vectors at every path
-        # level: one record read and one decode each.
+        # Each updated item cell's stored ids and joint vector: one record
+        # read and one decode each.
         stored = dict(
-            zip(updated, cube.item_parts(item_level, updated, range(n_levels)))
+            zip(
+                updated,
+                map(binfmt.decode_cell_parts, cube.item_records(item_level, updated)),
+            )
         )
         if promoted:
             # A rebuild lists cells in first-membership order; ids ascend
@@ -272,10 +269,10 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
             # decode without a vector.
             first_ids = {key: ids[0] for key, ids in promoted.items()}
             kept = [k for k in entries if k in survivors and k not in stored]
-            for key, (ids, _) in chain(
-                stored.items(), zip(kept, cube.item_parts(item_level, kept, ()))
-            ):
+            for key, (ids, _) in stored.items():
                 first_ids[key] = ids[0]
+            for key, record in zip(kept, cube.item_records(item_level, kept)):
+                first_ids[key] = binfmt.decode_cell_ids(record)[0]
             order = sorted(survivors, key=first_ids.__getitem__)
         else:
             order = [key for key in entries if key in survivors]
@@ -284,14 +281,14 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
 
         for key in order:
             if key in stored:
-                record_ids, vectors = stored[key]
+                record_ids, vector = stored[key]
                 members = [
                     (record.record_id, record.path) for record in groups[key]
                 ]
                 record_ids += tuple([record_id for record_id, _ in members])
                 updated_cells += n_levels
             elif key in promoted:
-                vectors = [{} for _ in lattice]
+                vector = {}
                 record_ids = tuple(promoted[key])
                 members = [(rid, paths[rid]) for rid in record_ids]
                 created_cells += n_levels
@@ -299,16 +296,17 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
                 continue  # untouched: keep the existing entry verbatim
             if table is None:
                 table = cube.path_table
-            add(vectors, members)
-            for level_id, weights in enumerate(vectors):
+                joint_id = AggregationMemo(lattice, table).joint_id
+            add(vector, members)
+            for level_id, path_level in enumerate(lattice):
                 cell = Cell(
-                    key, item_level, lattice[level_id], record_ids, weights,
-                    table.paths[level_id],
+                    key, item_level, path_level, record_ids, vector, table,
+                    level_id,
                 )
                 dirty.append(cell)
                 if mine:
                     to_mine.append(
-                        (cell.flowgraph, weights, table.postings[level_id], None)
+                        (cell.flowgraph, cell.weights, table.postings[level_id], None)
                     )
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
 The store reads and writes one layout — ``FCPART02`` partitions over a
-shared ``FCSTRS01`` string table, an ``FCHEAP05`` cell heap addressed
-through an ``FCCIDX02`` index, its records vectors over an ``FCPATH01``
+shared ``FCSTRS01`` string table, an ``FCHEAP06`` cell heap addressed
+through an ``FCCIDX02`` index, its records vectors over an ``FCPATH02``
 path table — and this module defines it (see DESIGN.md for byte
 diagrams).  The four sectioned containers are each one :class:`Layout`
 table that their writer and their reader both go through, and every
@@ -25,16 +25,14 @@ published file is opened by :func:`map_file`:
   partition carrying only a small local→global remap arena instead of
   a private copy of the location/product strings;
 * :func:`encode_cell_payload` / :func:`decode_cell_parts` — the
-  ``FCHEAP05`` item-cell record, the *distributive* part of the measure
-  and nothing else: the record ids once, then per path level the
-  ``(path id, weight)`` vector and an (optionally zlib'd) JSON exception
-  list, under a CRC-32 every reader checks first — a damaged record is a
-  :class:`StoreError`, never another measure.  :func:`decode_cell_parts`
-  decodes the ids and the asked levels' vectors in one pass,
-  :func:`decode_cell_exceptions` a level's exceptions; the reader
-  expands the flowgraph from a vector (Lemma 4.2);
+  ``FCHEAP06`` item-cell record, the *distributive* part of the measure
+  and nothing else: the record ids, the item cell's one ``(joint id,
+  weight)`` vector and, when anything was mined, every path level's
+  exceptions, under a CRC-32 every reader checks first — a damaged
+  record is a :class:`StoreError`, never another measure;
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
-  (``paths.bin``): the aggregated paths the vectors name, once per cube;
+  (``paths.bin``): every level's aggregated paths and the joint columns
+  that map a vector to each level;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
   masks: ``cells.idx`` stays mmap'd and each ``(item cuboid, dim,
   value)`` bitmap is decoded with one ``int.from_bytes`` over the map
@@ -43,19 +41,22 @@ published file is opened by :func:`map_file`:
 Earlier releases also wrote CSV partitions, one JSON file per cell and
 the ``RETIRED_*`` generations (``FCHEAP02`` each cell's serialised
 flowgraph, ``FCHEAP03`` a copy of its coordinates, ``FCHEAP04`` and
-``FCCIDX01`` a record and an entry per cell and path level).  No reader
+``FCCIDX01`` a record and an entry per cell and path level, ``FCHEAP05``
+a vector per path level in each item-cell record, ``FCPATH01`` a path
+table without joint columns).  No reader
 or writer for them survives: meeting one raises
 :func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
 Framing rules of the sectioned containers, which :meth:`Layout.pack`
 and :meth:`Layout.open` alone implement:
 
-* all integers are native-endian ``int64`` (``array('q')``), durations
+* all integers are native-endian ``int64`` (``array('q')``) — but for
+  the path table's joint columns, ``u32`` (``array('I')``) — durations
   native ``float64`` (``array('d')``); the header leads with
   :data:`ORDER_TAG`, whose bytes read back wrong on a foreign-endian
   host, turning silent corruption into a :class:`StoreError`;
-* every arena starts on an 8-byte boundary (the UTF-8 string blob is
-  zero-padded), and decoding slices **exactly** the bytes each arena
+* every arena starts on an 8-byte boundary (the UTF-8 string blob and a
+  ``u32`` column are zero-padded), and decoding slices **exactly** the bytes each arena
   owns before ``frombytes`` — never a full-buffer ``cast('q')``, which
   breaks the moment a variable-length blob is not a multiple of eight;
 * decode buffers may be ``bytes``, a ``memoryview``, or an ``mmap`` —
@@ -97,6 +98,7 @@ __all__ = [
     "RETIRED_HEAP_MAGICS",
     "RETIRED_INDEX_MAGIC",
     "RETIRED_PARTITION_MAGIC",
+    "RETIRED_PATHS_MAGICS",
     "STRINGS_FILENAME",
     "STRINGS_MAGIC",
     "LazyMaskMap",
@@ -106,6 +108,7 @@ __all__ = [
     "check_heap_magic",
     "check_layout_name",
     "decode_cell_exceptions",
+    "decode_cell_ids",
     "decode_cell_parts",
     "encode_cell_payload",
     "pack_cell_index",
@@ -151,16 +154,23 @@ RETIRED_INDEX_MAGIC = b"FCCIDX01"
 
 #: Leading 8 bytes of the retired cell-heap generations (JSON payloads;
 #: serialised flowgraphs; records that repeated their cell's
-#: coordinates; one record per cell and path level); compared against
-#: only to reject them.
-RETIRED_HEAP_MAGICS = (b"FCHEAP01", b"FCHEAP02", b"FCHEAP03", b"FCHEAP04")
+#: coordinates; one record per cell and path level; one record per item
+#: cell with a vector per path level); compared against only to reject
+#: them.
+RETIRED_HEAP_MAGICS = (
+    b"FCHEAP01", b"FCHEAP02", b"FCHEAP03", b"FCHEAP04", b"FCHEAP05"
+)
 
 #: Leading 8 bytes of a cell-heap blob (:func:`encode_cell_payload`
-#: records, one per item cell).
-HEAP_MAGIC = b"FCHEAP05"
+#: records, one per item cell, each one joint vector).
+HEAP_MAGIC = b"FCHEAP06"
+
+#: Leading 8 bytes of the retired path-table generation (no joint
+#: columns); compared against only to reject it.
+RETIRED_PATHS_MAGICS = (b"FCPATH01",)
 
 #: Leading 8 bytes of a cube's path table (``paths.bin``).
-PATHS_MAGIC = b"FCPATH01"
+PATHS_MAGIC = b"FCPATH02"
 
 #: Endianness sentinel: stored as the first header word; a reader on a
 #: host with the opposite byte order decodes a different value and
@@ -182,6 +192,9 @@ SEGMENT_OFFSET_MASK = (1 << SEGMENT_SHIFT) - 1
 MAX_SEGMENT_ID = (1 << (63 - SEGMENT_SHIFT)) - 1
 
 _I64 = 8
+#: Bytes per element of each :class:`Layout` section type (``"I"`` is
+#: ``array``'s 32-bit unsigned int on every platform CPython builds on).
+_WIDTHS = {"q": 8, "d": 8, "I": 4, "B": 1}
 
 
 def pack_segment_offset(segment_id: int, offset: int) -> int:
@@ -238,6 +251,8 @@ _LAST_READERS = {
     ),
     "FCHEAP03": ("the one at commit 234d306", _REBUILD),
     "FCHEAP04": ("the one at commit 8ab866c", _REBUILD),
+    "FCHEAP05": ("the one at commit 035cbc7", _REBUILD),
+    "FCPATH01": ("the one at commit 035cbc7", _REBUILD),
     "FCCIDX01": (
         "the one at commit 8ab866c",
         f"remove the store's cube/ directory and {_REBUILD}",
@@ -280,7 +295,7 @@ def _check_magic(
 
 
 def check_heap_magic(lead: bytes, path) -> None:
-    """Reject a cell heap (or delta segment) not written as ``FCHEAP05``."""
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP06``."""
     _check_magic(lead, HEAP_MAGIC, f"cell heap {path}", RETIRED_HEAP_MAGICS)
 
 
@@ -329,8 +344,8 @@ class Layout:
     *magic* | header (:data:`ORDER_TAG`, then one word per entry of
     *fields*; ``None`` is a reserved word, written as given and never
     interpreted) | *sections*.  A section is ``(name, type, count)``:
-    *type* is ``"q"``, ``"d"`` or ``"B"`` (bytes, zero-padded to 8) and
-    *count* an expression over the header fields and the sections before
+    *type* is ``"q"``, ``"d"``, ``"I"`` (``u32``) or ``"B"`` (bytes), every
+    section zero-padded to 8 bytes, and *count* an expression over the header fields and the sections before
     it (``sum(mask_counts)`` is why a count may read an earlier section).
     DESIGN.md §5 draws the same tables as byte diagrams;
     ``tests/test_binfmt.py`` holds the two together.
@@ -352,11 +367,9 @@ class Layout:
         object per section."""
         parts = [self.magic, array("q", [ORDER_TAG, *header]).tobytes()]
         for (_, code, _), section in zip(self.sections, sections, strict=True):
-            if code == "B":
-                parts.append(bytes(section))
-                parts.append(b"\x00" * _pad8(len(section)))
-            else:
-                parts.append(section.tobytes())
+            data = bytes(section) if code == "B" else section.tobytes()
+            parts.append(data)
+            parts.append(b"\x00" * _pad8(len(data)))
         return b"".join(parts)
 
     def open(self, buffer) -> dict:
@@ -391,15 +404,15 @@ class Layout:
         for (name, code, _), count in zip(self.sections, self._counts):
             offset = end
             n = eval(count, _COUNT_FUNCTIONS, out)  # noqa: S307 - our table
-            end = offset + (n if code == "B" else n * _I64)
+            end = offset + n * _WIDTHS[code]
             if n < 0 or end > size:
                 raise StoreError(f"corrupt {what}: truncated {name}")
             if code == "B":
                 out[name] = (offset, end)
-                end += _pad8(n)
             else:
                 section = out[name] = array(code)
                 section.frombytes(buffer[offset:end])
+            end += _pad8(end - offset)
         return out
 
 
@@ -559,20 +572,18 @@ class StringTable:
 
 
 # --------------------------------------------------------------------------
-# FCHEAP05 item-cell record codec
+# FCHEAP06 item-cell record codec
 # --------------------------------------------------------------------------
 
-_EXC = 0x02  # section carries a (JSON) exception list
+_EXC = 0x02  # the record carries a (JSON) exception section
 _EXC_ZLIB = 0x04  # ... and it is zlib-compressed
 _FLAGS = _EXC | _EXC_ZLIB
 
-#: A record's head: the CRC-32 of every byte after it, then the byte
-#: lengths of the record-id varints (count, first id) and of the steps.
-_HEAD = struct.Struct("<III")
+#: A record's head: the CRC-32 of every byte after it, the flags byte,
+#: then the byte lengths of the record-id varints (count, first id), of
+#: the steps and of the vector varints.
+_HEAD = struct.Struct("<IBIII")
 _CRC = struct.Struct("<I")
-#: One path level's section head: its flags byte, then the byte lengths
-#: of its vector varints and of its exception blob.
-_SECTION = struct.Struct("<BII")
 
 #: Record ids a record carries: ``[0, 2**63)``, ascending — every id a
 #: partition's ``int64`` column holds.
@@ -631,38 +642,38 @@ def _varint_stream(values: list[int]) -> bytes:
 
 
 def _unencodable(what: str) -> StoreError:
-    return StoreError(f"cell payload outside the FCHEAP05 record: {what}")
+    return StoreError(f"cell payload outside the FCHEAP06 record: {what}")
 
 
-def encode_cell_payload(record_ids, sections) -> bytes:
-    """Encode one item cell's measure as an ``FCHEAP05`` record — the
+def encode_cell_payload(record_ids, vector, exceptions=()) -> bytes:
+    """Encode one item cell's measure as an ``FCHEAP06`` record — the
     only code that assembles one.
 
-    *record_ids* are the item cell's ascending record ids, which no path
-    level changes, and *sections* one ``(vector, exceptions)`` pair per
-    path level of its cube's lattice, in order: the level's ``(pid,
-    weight)`` pairs in its path-id space and its plain-dict exception
-    list (:func:`~repro.core.serialization.exceptions_to_dicts`), taken as
-    given (lists or tuples), not copied.
+    *record_ids* are the item cell's ascending record ids, *vector* its
+    ``(joint id, weight)`` pairs and *exceptions* one plain-dict
+    exception list per path level
+    (:func:`~repro.core.serialization.exceptions_to_dicts`), or none;
+    sequences are taken as given (lists or tuples), not copied.
 
-    Layout: :data:`_HEAD` (the CRC-32 of every byte after it, the byte
-    lengths of the next two runs) | record-id varints (the count, the first id) | step
-    varints | per path level, :data:`_SECTION` (flags, the lengths of the
-    next two runs) | vector varints (``pid, weight`` per pair, in the
-    order given) | JSON exception blob, zlib'd when smaller.  Every later
-    record id is its distance from the one before, in a run of its own:
-    gaps are small, so that run is almost always single bytes, which
-    decode in one C pass however many members the cell has.  What the
-    layout cannot carry is a :class:`StoreError`: a field of the wrong
-    type, a counter that is not a non-negative true ``int``, record ids
-    that do not ascend strictly inside ``[0, 2**63)``.
+    Layout: :data:`_HEAD` (the CRC-32 of every byte after it, the flags,
+    the byte lengths of the next three runs) | record-id varints (the
+    count, the first id) | step varints | vector varints (``jid, weight``
+    per pair, in order) | when some level has an exception (:data:`_EXC`),
+    the JSON list of every level's list, zlib'd when smaller.  Every later
+    record id is its distance from the one before: gaps are small, so
+    that run is almost always single bytes, which decode in one C pass.
+    What the layout cannot carry is a :class:`StoreError`: a field of the
+    wrong type, a counter that is not a non-negative true ``int``, record
+    ids that do not ascend strictly inside ``[0, 2**63)``.
     """
     if (
         type(record_ids) not in _SEQUENCES
-        or type(sections) not in _SEQUENCES
+        or type(vector) not in _SEQUENCES
+        or type(exceptions) not in _SEQUENCES
         or set(map(type, record_ids)) - _INT
-        or set(map(type, sections)) - _PAIRS
-        or set(map(len, sections)) - _TWO
+        or set(map(type, vector)) - _PAIRS
+        or set(map(len, vector)) - _TWO
+        or set(map(type, exceptions)) - {list}
     ):
         raise _unencodable("a field of the wrong type")
     head = [len(record_ids), *record_ids[:1]]
@@ -677,95 +688,80 @@ def encode_cell_payload(record_ids, sections) -> bytes:
     if record_ids and record_ids[-1] > _MAX_RECORD_ID:
         raise _unencodable("a record id past 2**63 - 1")
     ids = _varint_stream(head)
-    parts = [b"", ids, steps]
-    for vector, exceptions in sections:
-        if (
-            type(vector) not in _SEQUENCES
-            or type(exceptions) is not list
-            or set(map(type, vector)) - _PAIRS
-            or set(map(len, vector)) - _TWO
-        ):
-            raise _unencodable("a field of the wrong type")
-        values = list(chain.from_iterable(vector))
-        # One C-level pass checks what came from outside (bool and float
-        # are not int).
-        if values and (set(map(type, values)) != _INT or min(values) < 0):
-            raise _unencodable("a counter that is not a non-negative int")
-        stream = _varint_stream(values) if values else b""
-        flags, blob = 0, b""
-        if exceptions:
-            flags = _EXC
-            blob = json.dumps(exceptions, separators=(",", ":")).encode()
-            packed = zlib.compress(blob, 6)
-            if len(packed) < len(blob):
-                flags |= _EXC_ZLIB
-                blob = packed
-        parts += (_SECTION.pack(flags, len(stream), len(blob)), stream, blob)
+    values = list(chain.from_iterable(vector))
+    # One C-level pass checks what came from outside (bool and float are
+    # not int).
+    if values and (set(map(type, values)) != _INT or min(values) < 0):
+        raise _unencodable("a counter that is not a non-negative int")
+    stream = _varint_stream(values) if values else b""
+    flags, blob = 0, b""
+    if any(exceptions):
+        flags = _EXC
+        blob = json.dumps(list(exceptions), separators=(",", ":")).encode()
+        packed = zlib.compress(blob, 6)
+        if len(packed) < len(blob):
+            flags |= _EXC_ZLIB
+            blob = packed
     try:
-        parts[0] = _HEAD.pack(0, len(ids), len(steps))[_CRC.size :]
+        head_bytes = _HEAD.pack(0, flags, len(ids), len(steps), len(stream))
     except struct.error:
-        raise _unencodable("a section past 4 GiB") from None
-    body = b"".join(parts)
+        raise _unencodable("a run past 4 GiB") from None
+    body = b"".join((head_bytes[_CRC.size :], ids, steps, stream, blob))
     return _CRC.pack(zlib.crc32(body)) + body
 
 
-def _open_record(buffer, last: int) -> tuple[int, int, list[tuple]]:
-    """Check a record's CRC, before anything is decoded, and frame it up
-    to path level *last*: ``(steps_at, sections_at, sections)``, each
-    section ``(flags, vector start, blob start, end)``."""
+def _open_record(buffer) -> tuple[int, int, int, int]:
+    """Check a record's CRC, before anything is decoded, and frame it:
+    ``(flags, steps start, vector start, exception section start)``."""
     size = len(buffer)
     if size < _HEAD.size:
         raise StoreError("corrupt cell payload: truncated record")
-    crc, ids_len, steps_len = _HEAD.unpack_from(buffer)
+    crc, flags, ids_len, steps_len, vector_len = _HEAD.unpack_from(buffer)
     if crc != zlib.crc32(buffer[_CRC.size :]):
         raise StoreError("corrupt cell payload: checksum mismatch")
+    if flags & ~_FLAGS:
+        raise StoreError(f"corrupt cell payload: unknown flags {flags:#04x}")
     steps_at = _HEAD.size + ids_len
-    at = sections_at = steps_at + steps_len
-    sections = []
-    for level_id in range(last + 1):
-        if at + _SECTION.size > size:
-            raise StoreError(f"corrupt cell payload: no section for level {level_id}")
-        flags, vector_len, blob_len = _SECTION.unpack_from(buffer, at)
-        if flags & ~_FLAGS:
-            raise StoreError(f"corrupt cell payload: unknown flags {flags:#04x}")
-        vector_at = at + _SECTION.size
-        at = vector_at + vector_len + blob_len
-        sections.append((flags, vector_at, vector_at + vector_len, at))
-    if max(at, sections_at) > size:
-        raise StoreError("corrupt cell payload: truncated record")
-    return steps_at, sections_at, sections
+    vector_at = steps_at + steps_len
+    blob_at = vector_at + vector_len
+    if blob_at > size or (blob_at < size) != bool(flags & _EXC):
+        raise StoreError("corrupt cell payload: runs disagree with the record")
+    return flags, steps_at, vector_at, blob_at
 
 
-def decode_cell_parts(
-    buffer, level_ids: Iterable[int]
-) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-    """A record's ``(record_ids, vectors)`` once its CRC checks out — the
-    one decode of its varints: per path level of *level_ids* that
-    level's ``{pid: weight}`` in the record's order, no other section
-    decoded, no path table read and no graph built (a reader expands the
-    flowgraph from a vector, Lemma 4.2)."""
+def _record_ids(buffer, steps_at: int, vector_at: int) -> tuple[int, ...]:
+    head = _decode_varints(buffer[_HEAD.size : steps_at])
+    gaps = _decode_varints(buffer[steps_at:vector_at])
+    n_ids = head[0]
+    expected = (2, n_ids - 1) if n_ids else (1, 0)
+    if (len(head), len(gaps)) != expected:
+        raise StoreError("corrupt cell payload: record-id count mismatch")
+    if 0 in gaps:
+        raise StoreError("corrupt cell payload: record ids do not ascend")
+    return tuple(accumulate(gaps, initial=head[1])) if n_ids else ()
+
+
+def decode_cell_parts(buffer) -> tuple[tuple[int, ...], dict[int, int]]:
+    """A record's ``(record_ids, {joint id: weight})`` once its CRC
+    checks out — the one decode of its varints: no exception decoded, no
+    path table read and no graph built."""
     try:
-        level_ids = tuple(level_ids)
-        steps_at, sections_at, sections = _open_record(
-            buffer, max(level_ids, default=-1)
-        )
-        head = _decode_varints(buffer[_HEAD.size : steps_at])
-        gaps = _decode_varints(buffer[steps_at:sections_at])
-        n_ids = head[0]
-        expected = (2, n_ids - 1) if n_ids else (1, 0)
-        if (len(head), len(gaps)) != expected:
-            raise StoreError("corrupt cell payload: record-id count mismatch")
-        if 0 in gaps:
-            raise StoreError("corrupt cell payload: record ids do not ascend")
-        record_ids = tuple(accumulate(gaps, initial=head[1])) if n_ids else ()
-        vectors = []
-        for level_id in level_ids:
-            _, start, end, _ = sections[level_id]
-            values = _decode_varints(buffer[start:end])
-            if len(values) % 2:
-                raise StoreError("corrupt cell payload: a pid without its weight")
-            vectors.append(dict(zip(values[::2], values[1::2])))
-        return record_ids, vectors
+        _, steps_at, vector_at, blob_at = _open_record(buffer)
+        record_ids = _record_ids(buffer, steps_at, vector_at)
+        values = _decode_varints(buffer[vector_at:blob_at])
+        if len(values) % 2:
+            raise StoreError("corrupt cell payload: a joint id without its weight")
+        return record_ids, dict(zip(values[::2], values[1::2]))
+    except _CORRUPT as exc:
+        raise StoreError(f"corrupt cell payload: {exc}") from None
+
+
+def decode_cell_ids(buffer) -> tuple[int, ...]:
+    """A record's record ids once its CRC checks out, its vector left
+    undecoded — what a writer orders promoted cells by."""
+    try:
+        _, steps_at, vector_at, _ = _open_record(buffer)
+        return _record_ids(buffer, steps_at, vector_at)
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
@@ -775,13 +771,16 @@ def decode_cell_exceptions(buffer, level_id: int) -> list:
     flowgraph_exceptions.FlowException` objects), after the record's CRC
     checks out, without decoding a varint."""
     try:
-        flags, _, start, end = _open_record(buffer, level_id)[2][level_id]
+        flags, _, _, start = _open_record(buffer)
         if not flags & _EXC:
             return []
-        blob = buffer[start:end]
-        return exceptions_from_dicts(
-            json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
-        )
+        blob = buffer[start:]
+        levels = json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
+        if type(levels) is not list or not 0 <= level_id < len(levels):
+            raise StoreError(
+                f"corrupt cell payload: no exception list for level {level_id}"
+            )
+        return exceptions_from_dicts(levels[level_id])
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
@@ -795,28 +794,32 @@ def decode_cell_exceptions(buffer, level_id: int) -> list:
 #: per cube.  Path *pid* of level *L* is path ``sum(level_counts[:L]) +
 #: pid`` of the file; its stages are ``stage_offsets[p] :
 #: stage_offsets[p + 1]`` of the two ref columns, each ref a string id.
+#: Joint id *j*'s pid at level *L* is ``joint[L * n_joint + j]``.
 #: ``lineage`` names the build the table belongs to (``cube.json``
 #: records the same number): a ``create()`` draws a new one, appends and
 #: compactions keep it.
 PATHS_LAYOUT = Layout(
     PATHS_MAGIC,
-    (),
+    RETIRED_PATHS_MAGICS,
     "path table",
-    ("n_levels", "n_paths", "n_stages", "n_strings", "blob_len"),
+    ("n_levels", "n_paths", "n_stages", "n_strings", "blob_len", "n_joint"),
     (
         ("lineage", "q", "1"),
         ("level_counts", "q", "n_levels"),
         ("stage_offsets", "q", "n_paths + 1"),
         ("location_refs", "q", "n_stages"),
         ("duration_refs", "q", "n_stages"),
+        ("joint_counts", "q", "n_levels"),
+        ("joint", "I", "sum(joint_counts)"),
         *_STRING_SECTIONS,
     ),
 )
 
 
-def pack_paths(lineage: int, levels) -> bytes:
+def pack_paths(lineage: int, levels, joint) -> bytes:
     """Encode a cube's path table — ``levels[level_id][pid]`` is an
-    aggregated path — as one ``paths.bin`` blob (:data:`PATHS_LAYOUT`)."""
+    aggregated path, ``joint[level_id][jid]`` a joint id's pid at the
+    level — as one ``paths.bin`` blob (:data:`PATHS_LAYOUT`)."""
     interned: dict[str, int] = {}
     stage_offsets = array("q", [0])
     location_refs = array("q")
@@ -829,29 +832,40 @@ def pack_paths(lineage: int, levels) -> bytes:
                 duration_refs.append(interned.setdefault(duration, len(interned)))
             n_stages += len(path)
             stage_offsets.append(n_stages)
+    try:
+        columns = array("I", chain.from_iterable(joint))
+    except OverflowError:
+        raise StoreError("path table: a path id past 2**32 - 1") from None
     str_offsets, blob = _pack_strings(interned)
     return PATHS_LAYOUT.pack(
-        (len(levels), len(stage_offsets) - 1, n_stages, len(interned), len(blob)),
+        (
+            len(levels), len(stage_offsets) - 1, n_stages, len(interned),
+            len(blob), len(joint[0]) if joint else 0,
+        ),
         array("q", [lineage]),
         array("q", map(len, levels)),
         stage_offsets,
         location_refs,
         duration_refs,
+        array("q", map(len, joint)),
+        columns,
         str_offsets,
         blob,
     )
 
 
-def unpack_paths(buffer) -> tuple[int, list[list[tuple]]]:
-    """Decode a :func:`pack_paths` blob → ``(lineage, levels)``.
+def unpack_paths(buffer) -> tuple[int, list[list[tuple]], list[list[int]]]:
+    """Decode a :func:`pack_paths` blob → ``(lineage, levels, joint)``.
 
     Everything the framing cannot see — counts that disagree, an offset
     that runs backwards or leaves a path empty, a ref past the string
-    section, bytes that are not UTF-8 — is a :class:`StoreError` too.
+    section or its level's paths, bytes that are not UTF-8 — is a
+    :class:`StoreError` too.
     """
     opened = PATHS_LAYOUT.open(buffer)
     level_counts = opened["level_counts"]
     offsets = opened["stage_offsets"]
+    n_joint = opened["n_joint"]
     try:
         if min(level_counts, default=0) < 0 or sum(level_counts) != opened["n_paths"]:
             raise ValueError("level counts disagree with n_paths")
@@ -859,6 +873,18 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]]]:
             raise ValueError("stage offsets disagree with n_stages")
         if any(map(ge, offsets, offsets[1:])):
             raise ValueError("stage offsets do not ascend")
+        if any(count != n_joint for count in opened["joint_counts"]):
+            raise ValueError(f"a joint column not {n_joint} ids long")
+        columns = opened["joint"]
+        joint = [
+            columns[level * n_joint : (level + 1) * n_joint].tolist()
+            for level in range(len(level_counts))
+        ]
+        for level, (column, count) in enumerate(zip(joint, level_counts)):
+            if column and max(column) >= count:
+                raise ValueError(
+                    f"a joint column ref past level {level}'s {count} paths"
+                )
         strings = _strings(opened, buffer)
         refs = (opened["location_refs"], opened["duration_refs"])
         if any(column and min(column) < 0 for column in refs):
@@ -872,7 +898,7 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]]]:
     for count in level_counts:
         levels.append(paths[position : position + count])
         position += count
-    return opened["lineage"][0], levels
+    return opened["lineage"][0], levels, joint
 
 
 # --------------------------------------------------------------------------

@@ -24,28 +24,31 @@ the commit does not list.  A writer killed anywhere leaves the old cube
 or the new one; a reader that loses the race with a sweep reloads.
 
 A cell's members, key and iceberg test depend on its item level and key
-alone (Definitions 4.1 and 4.5), so the heap holds one ``FCHEAP05``
-record per item cell — its record ids once, then per path level the
-cell's ``(path id, weight)`` vector and exceptions, under a CRC-32
+alone (Definitions 4.1 and 4.5), and its paths at every path level are a
+function of its records' raw paths, so the heap holds one ``FCHEAP06``
+record per item cell — its record ids and its one ``(joint id, weight)``
+vector once, and every level's exceptions, under a CRC-32
 (:func:`~repro.store.binfmt.encode_cell_payload`) — and the index one
 entry: key, ``n_paths``, the record's extent, one ``redundant`` mark per
 path level, and one set of catalog masks per item cuboid.  No flowgraph
-and no coordinate is in a record; its path ids resolve through the
-cube's path table (``paths.bin``), loaded at the first flowgraph a
-reader asks for.  The index is one packed, mmap'd arena: an open reads
-zero heap bytes, and the masks stay lazy byte spans until a query ANDs
-them.  This is the only layout the store reads or writes: a
-``cube.json`` naming another ``"format"`` (or none), an index or a heap
+and no coordinate is in a record; its joint ids resolve through the
+cube's path table (``paths.bin``: every level's paths and the columns
+that map a joint id to each), loaded at the first multiset a reader
+asks for.  The index is one packed, mmap'd arena: an open reads zero
+heap bytes, and the masks stay lazy byte spans until a query ANDs them.
+This is the only layout the store reads or writes: a ``cube.json``
+naming another ``"format"`` (or none), an index, a heap or a path table
 with a retired generation's magic is a :class:`~repro.errors.StoreError`,
 never decoded.  Writes take whole item cells
 (:meth:`CubeStore.put_cuboid`, :meth:`CubeStore.merge_cells`).  A read
 at path level *L* hands out a :class:`~repro.core.flowcube.Cell` — the
 one cell class — with the index fields (key, levels, ``n_paths``, level
 *L*'s ``redundant`` mark) plus a copy of the record and a
-:class:`_RecordLoader`: ``record_ids`` and ``weights`` decode from the
-ids and level *L*'s section at the first touch of either, and
-``flowgraph`` expands from that vector — slicing decodes nothing.  A
-bounded :class:`~repro.store.cache.LRUCache` fronts every read.
+:class:`_RecordLoader`: ``record_ids`` and ``vector`` decode together at
+the first touch of either, ``weights`` maps the vector to level *L*
+through the path table, and ``flowgraph`` expands from that — slicing
+decodes nothing.  A bounded :class:`~repro.store.cache.LRUCache` fronts
+every read.
 
 The store exposes the same lookup surface as
 :class:`~repro.core.flowcube.FlowCube` (``schema`` / ``cuboid`` /
@@ -577,36 +580,48 @@ class StoredPaths:
     """A cube's path table the way its meta file commits it.
 
     ``cube.json`` names the table by the *lineage* its ``create()`` drew
-    (appends and compactions keep it, a rebuild draws a new one) and by
-    the per-level path *counts* its cell records may reference.  The file
-    is read, and both are checked, the first time a cell expands its
-    flowgraph — never at open — and a table of another build, or one
-    shorter than committed, is a :class:`~repro.errors.StoreError`
-    rather than a wrong graph.  A *longer* table is the same cube: ids
-    are first-seen and an append only ever extends the table — into a
-    new file, so once this one is swept the one the committed meta lists
-    *now*, if of the same lineage, stands in for it.
+    (appends and compactions keep it, a rebuild draws a new one), by the
+    per-level path *counts* and by the number of joint ids (*n_joint*)
+    its cell records may reference.  The file is read, and all three are
+    checked, the first time a cell maps its vector — never at open — and
+    a table of another build, or one shorter than committed, is a
+    :class:`~repro.errors.StoreError` rather than a wrong graph.  A
+    *longer* table is the same cube: ids are first-seen and an append
+    only ever extends the table — into a new file, so once this one is
+    swept the one the committed meta lists *now*, if of the same lineage,
+    stands in for it.
     """
 
     def __init__(
-        self, path: FsPath, lineage: int | None, counts, levels=None
+        self, path: FsPath, lineage: int | None, counts, n_joint,
+        table: PathTable | None = None,
     ) -> None:
         self.path = path
         self.lineage = lineage
         self.counts = counts
-        self._levels = levels
+        self.n_joint = n_joint
+        self._table = table
 
-    def levels(self) -> list[list]:
-        """``[level_id][pid]`` → aggregated path, loading on first use."""
-        levels = self._levels
-        if levels is None:
+    @property
+    def loaded(self) -> bool:
+        """Whether :meth:`table` has been read (or handed in)."""
+        return self._table is not None
+
+    def table(self) -> PathTable:
+        """The :class:`PathTable` over the file's lists, loading on first
+        use; its reverse maps wait for a writer."""
+        table = self._table
+        if table is None:
             if self.lineage is None:
                 raise StoreError(
                     f"cube meta beside {self.path} names no path table; "
                     "rebuild the cube"
                 )
             with self._map() as mapped:
-                lineage, levels = binfmt.unpack_paths(mapped)
+                try:
+                    lineage, levels, joint = binfmt.unpack_paths(mapped)
+                except StoreError as exc:
+                    raise StoreError(f"{exc} ({self.path})") from None
             if lineage != self.lineage:
                 raise StoreError(
                     f"path table {self.path} belongs to another build of "
@@ -614,18 +629,24 @@ class StoredPaths:
                     f"{self.lineage}): a rebuild is in progress or was "
                     "interrupted — rebuild the cube"
                 )
-            if len(levels) != len(self.counts) or any(
-                len(paths) < count
-                for paths, count in zip(levels, self.counts)
+            n_joint = len(joint[0]) if joint else 0
+            if (
+                len(levels) != len(self.counts)
+                or any(
+                    len(paths) < count
+                    for paths, count in zip(levels, self.counts)
+                )
+                or n_joint < (self.n_joint or 0)
             ):
                 raise StoreError(
                     f"path table {self.path} holds "
-                    f"{[len(paths) for paths in levels]} paths per level, "
-                    f"fewer than the {list(self.counts)} the cube meta "
+                    f"{[len(paths) for paths in levels]} paths per level "
+                    f"and {n_joint} joint ids, fewer than the "
+                    f"{list(self.counts)} and {self.n_joint} the cube meta "
                     "commits; rebuild the cube"
                 )
-            self._levels = levels
-        return levels
+            table = self._table = PathTable.over(levels, joint)
+        return table
 
     def _map(self) -> mmap.mmap:
         """The table's file, or its successor's when a writer swept it."""
@@ -648,16 +669,15 @@ class _RecordLoader:
     """How the cells of one cuboid read decode the item-cell record each
     (a :class:`~repro.core.flowcube.Cell`) copied out under the store lock.
 
-    :meth:`vector` decodes the ids and the cuboid's path level's ``{pid:
-    weight}`` (no other section, no path table, no graph),
-    :meth:`exceptions` that level's mined list, :meth:`level_paths` is
-    the path list the vector's ids index, and :meth:`expanded` — the cell
-    has just expanded its graph — attaches the exceptions and counts
-    ``cells_decoded``.  It holds the path table the records name, so a
-    cell decodes the same measure after the store has reloaded, appended,
-    compacted or closed.  Two threads racing on a first touch both decode
-    equal measures (``cells_decoded``, unguarded telemetry, may then read
-    one short).
+    :meth:`vector` decodes the ids and the item cell's joint vector (no
+    exception, no path table, no graph), :meth:`exceptions` the cuboid's
+    path level's mined list, :meth:`table` is the path table the vector's
+    ids index, and :meth:`expanded` — the cell has just expanded its
+    graph — attaches the exceptions and counts ``cells_decoded``.  It
+    holds the path table the records name, so a cell decodes the same
+    measure after the store has reloaded, appended, compacted or closed.
+    Two threads racing on a first touch both decode equal measures
+    (``cells_decoded``, unguarded telemetry, may then read one short).
     """
 
     __slots__ = ("paths", "level_id", "counters")
@@ -670,11 +690,10 @@ class _RecordLoader:
         self.counters = counters
 
     def vector(self, record: bytes) -> tuple[tuple[int, ...], dict[int, int]]:
-        record_ids, (vector,) = binfmt.decode_cell_parts(record, (self.level_id,))
-        return record_ids, vector
+        return binfmt.decode_cell_parts(record)
 
-    def level_paths(self) -> list:
-        return self.paths.levels()[self.level_id]
+    def table(self) -> PathTable:
+        return self.paths.table()
 
     def exceptions(self, record: bytes) -> list:
         return binfmt.decode_cell_exceptions(record, self.level_id)
@@ -765,12 +784,10 @@ class CubeStore:
         #: :meth:`BuildStats.as_dict` snapshot of the build that produced
         #: the persisted cube, when the builder passed one to :meth:`flush`.
         self.build_stats: dict | None = None
-        #: The committed path table (file, lineage, per-level counts);
-        #: ``None`` until a cube is created or loaded.
+        #: The committed path table (file, lineage, counts) and, once
+        #: loaded, the id space readers map through and writers intern
+        #: into; ``None`` until a cube is created or loaded.
         self._paths: StoredPaths | None = None
-        #: The same table as the id space writers intern into; built
-        #: over ``_paths``' lists the first time a writer asks.
-        self._table: PathTable | None = None
         #: Held from the first staged byte to the sweep after the commit;
         #: the lockfile sits at the store root, beside ``catalog.json``.
         self._writer = publish.WriterLock(self.directory.parent)
@@ -876,27 +893,26 @@ class CubeStore:
                 self.directory / self._cells.fresh_name("paths", ".bin"),
                 new_lineage(),
                 None,
-                levels=[[] for _ in path_lattice],
+                None,
+                table=PathTable(len(path_lattice)),
             )
-            self._table = None
             self._bump_version()
         return self
 
     @property
     def path_table(self) -> PathTable:
-        """The id space the cube's cell vectors are written in.
+        """The id space the cube's cell vectors are written in — the same
+        table the cells this handle reads map their vectors through.
 
         Loaded from ``paths.bin`` (and checked against the meta file) the
-        first time a writer — an append, a ``put_cuboid`` — asks.  A build
-        that scanned into its own table assigns it right after
-        :meth:`create`, so its cells are persisted without translation.
+        first time a cell or a writer — an append, a ``put_cuboid`` —
+        asks.  A build that scanned into its own table assigns it right
+        after :meth:`create`, so its cells are persisted without
+        translation.
         """
         with self._lock:
-            table = self._table
-            if table is None:
-                self._require_built()
-                table = self._table = PathTable.over(self._paths.levels())
-            return table
+            self._require_built()
+            return self._paths.table()
 
     @path_table.setter
     def path_table(self, table: PathTable) -> None:
@@ -906,12 +922,10 @@ class CubeStore:
                     f"path table has {len(table.paths)} levels, the cube's "
                     f"path lattice {len(self.path_lattice)}"
                 )
-            self._table = table
-            # The table and the snapshot cells hold share the level lists.
             committed = self._paths
             self._paths = StoredPaths(
                 committed.path, committed.lineage, committed.counts,
-                levels=table.paths,
+                committed.n_joint, table=table,
             )
 
     def _require_built(self) -> PathLattice:
@@ -929,18 +943,25 @@ class CubeStore:
         """Whole item cells as heap ``(record, n_paths, redundant marks)``
         triples by ``(item level, key)``, in first-seen order — the one
         write door.  The store keeps an item cell as one record, so
-        *cells* must hold, per key, one cell at each path level of the
-        lattice, agreeing on ``record_ids`` and ``n_paths``; the record is
-        those ids once and, per level, the cell's vector in this cube's
-        path-id space (:meth:`_vector`) and exceptions.  Another shape, a
-        key part that is not a ``str``, a key or item level of another
-        width than the schema's, an ``n_paths`` that is not a non-negative
-        ``int`` or a ``redundant`` that is not a ``bool`` is a
-        :class:`~repro.errors.StoreError`, before a byte is written."""
+        *cells* must hold, per key, one :class:`Cell` at each path level
+        of the lattice, agreeing on ``record_ids`` and ``n_paths`` and
+        sharing one joint vector; the record is those ids and that vector
+        once, in this cube's path-id space (:meth:`_vector`), and every
+        level's exceptions.  Another shape, an object that is not a
+        :class:`Cell`, a key part that is not a ``str``, a key or item
+        level of another width than the schema's, an ``n_paths`` that is
+        not a non-negative ``int`` or a ``redundant`` that is not a
+        ``bool`` is a :class:`~repro.errors.StoreError`, before a byte is
+        written."""
         lattice = self._require_built()
         items: dict[Coords, list] = {}
         path_level = level_id = None
         for cell in cells:
+            if type(cell) is not Cell:
+                raise StoreError(
+                    f"{type(cell).__name__} {getattr(cell, 'key', cell)!r} is "
+                    "not a Cell: a store keeps the joint vector a Cell carries"
+                )
             if cell.path_level is not path_level:
                 path_level = cell.path_level
                 level_id = lattice.index_of(path_level)
@@ -967,6 +988,16 @@ class CubeStore:
                 for cell in levels
             ):
                 raise StoreError(f"{where}: its path levels disagree on its record ids")
+            vector = first.vector
+            if any(
+                cell.vector is not vector
+                and (
+                    cell.table is not first.table
+                    or list(cell.vector.items()) != list(vector.items())
+                )
+                for cell in levels
+            ):
+                raise StoreError(f"{where}: its path levels do not share one vector")
             if len(key) != n_dims or len(item_level.levels) != n_dims:
                 raise StoreError(
                     f"{where}: a key or item level that does not span {n_dims} "
@@ -977,55 +1008,62 @@ class CubeStore:
                 raise StoreError(f"{where}: a field of the wrong type")
             if type(first.n_paths) is not int or first.n_paths < 0:
                 raise StoreError(f"{where}: a counter that is not a non-negative int")
-            sections = [
-                (self._vector(cell, table, i), exceptions_to_dicts(cell.exceptions))
-                for i, cell in enumerate(levels)
-            ]
-            record = binfmt.encode_cell_payload(first.record_ids, sections)
+            record = binfmt.encode_cell_payload(
+                first.record_ids,
+                self._vector(first, table),
+                [exceptions_to_dicts(cell.exceptions) for cell in levels],
+            )
             records[item_level, key] = (record, first.n_paths, redundant)
         return records
 
     @staticmethod
-    def _vector(cell: Cell, table: PathTable, level_id: int):
-        """*cell*'s ``(pid, weight)`` pairs in *table*'s id space.
+    def _vector(cell: Cell, table: PathTable) -> list[tuple[int, int]]:
+        """*cell*'s ``(joint id, weight)`` pairs in *table*'s id space.
 
-        A :class:`Cell` already counted in it (one of the build or
-        append that owns the table, one this handle read) hands its
-        vector over as it is.  Any other multiset — a vector over another
-        table, the ``paths`` of any other cell-shaped object — is
-        interned path by path, and must weigh as many paths as the cell
-        has record ids.  A cell without a multiset, one that weighs
-        another count, or one with a stage that is not a pair of ``str``
-        is a :class:`~repro.errors.StoreError`.
+        A cell over *table* (one of the build or append that owns it, one
+        this handle read) hands its vector over as it is; one over
+        another handle's table is re-interned joint id by joint id, each
+        through its paths at every level.  A vector that weighs another
+        count than the cell's record ids, a table of another depth, or a
+        path with a stage that is not a pair of ``str`` is a
+        :class:`~repro.errors.StoreError`.
         """
-        if type(cell) is Cell and cell.level_paths is table.paths[level_id]:
-            return list(cell.weights.items())
-        pairs = cell.paths
-        total = sum(weight for _, weight in pairs)
+        vector = cell.vector
+        where = f"cell {cell.key!r} at item level {cell.item_level.levels}"
+        total = sum(vector.values())
         if total != len(cell.record_ids):
             raise StoreError(
-                f"cell {cell.key!r} at item level {cell.item_level.levels} "
-                f"weighs {total} paths but has {len(cell.record_ids)} record "
-                "ids: a stored cell carries the path multiset of its records"
+                f"{where} weighs {total} paths but has {len(cell.record_ids)} "
+                "record ids: a stored cell carries the path multiset of its "
+                "records"
             )
-        ids = table.ids[level_id]
-        vector: dict[int, int] = {}
-        for path, weight in pairs:
-            pid = ids.get(path)
-            if pid is None:
+        source = cell.table
+        if source is table:
+            return list(vector.items())
+        if len(source.paths) != len(table.paths):
+            raise StoreError(
+                f"{where}: a vector over {len(source.paths)} path levels, the "
+                f"cube's lattice has {len(table.paths)}"
+            )
+        moved: dict[int, int] = {}
+        levels = list(zip(source.paths, source.joint))
+        for jid, weight in vector.items():
+            try:
+                paths = [level[column[jid]] for level, column in levels]
+            except IndexError:
+                raise StoreError(f"{where}: a joint id past its path table") from None
+            for path in paths:
                 if not path or any(
                     type(location) is not str or type(duration) is not str
                     for location, duration in path
                 ):
                     raise StoreError(
-                        f"cell {cell.key!r}: path {path!r} has a stage that "
-                        "is not a pair of str"
+                        f"{where}: path {path!r} has a stage that is not a pair of str"
                     )
-                pid = table.intern(level_id, path)
             # A weight is stored as it came (a bool or float one is
-            # refused by the encoder); a repeated path adds.
-            vector[pid] = vector[pid] + weight if pid in vector else weight
-        return list(vector.items())
+            # refused by the encoder).
+            moved[table.intern_joint(paths)] = weight
+        return list(moved.items())
 
     def put_cuboid(self, cells) -> None:
         """Persist whole item cells — *cells* holds each key's cell at every
@@ -1095,17 +1133,13 @@ class CubeStore:
             self._cache.clear()
             self._bump_version()
 
-    def item_parts(self, item_level: ItemLevel, keys, level_ids) -> list[tuple]:
-        """The record ids and the ``{pid: weight}`` vectors at *level_ids*
-        of the item cells at *keys*: one record read and one decode each,
-        past the cell cache — what a writer adds a batch to."""
+    def item_records(self, item_level: ItemLevel, keys) -> list[bytes]:
+        """The records of the item cells at *keys* (one read each, past the
+        cell cache) — what a writer decodes and adds a batch to."""
         with self._lock:
             entries = self._index.get(item_level, {})
             record = self._cells.record
-            return [
-                binfmt.decode_cell_parts(record(entries[key]), level_ids)
-                for key in keys
-            ]
+            return [record(entries[key]) for key in keys]
 
     def compact(self) -> int:
         """Fold pending delta segments back into a clean base heap.
@@ -1216,18 +1250,23 @@ class CubeStore:
         the records that name it, and return what the meta file commits:
         the lineage and per-level counts."""
         paths = self._paths
-        if self._table is not None or paths.counts is None:
-            levels = self.path_table.paths
-            counts = [len(level) for level in levels]
-            if counts != paths.counts:
+        if paths.loaded:
+            table = paths.table()
+            counts = [len(level) for level in table.paths]
+            if (counts, table.n_joint) != (paths.counts, paths.n_joint):
                 paths.path = self.directory / self._cells.fresh_name(
                     "paths", ".bin"
                 )
                 publish.publish_file(
-                    paths.path, binfmt.pack_paths(paths.lineage, levels)
+                    paths.path,
+                    binfmt.pack_paths(paths.lineage, table.paths, table.joint),
                 )
-                paths.counts = counts
-        return {"lineage": paths.lineage, "counts": paths.counts}
+                paths.counts, paths.n_joint = counts, table.n_joint
+        return {
+            "lineage": paths.lineage,
+            "counts": paths.counts,
+            "joint": paths.n_joint,
+        }
 
     def _load_meta(self, signature: tuple[int, int], text: str) -> None:
         """Load the cube the meta file — *text*, read at *signature* —
@@ -1273,6 +1312,7 @@ class CubeStore:
                 self.directory / cells.files["paths"],
                 committed.get("lineage"),
                 committed.get("counts"),
+                committed.get("joint"),
             )
             served = (index, cells.files["segments"], paths.lineage)
             changed = None if before is None else changed_coords(before, served)
@@ -1284,7 +1324,6 @@ class CubeStore:
         self.path_lattice = lattice
         self.build_stats = payload.get("build_stats")
         self.item_levels = raw and [ItemLevel(levels) for levels in raw]
-        self._table = None
         self._cells.close()
         self._cells = cells
         self._index = index
@@ -1409,6 +1448,7 @@ class CubeStore:
                     )
                 cell = Cell(
                     key, item_level, path_level,
+                    level_id=level_id,
                     redundant=entry_redundant(entry)[level_id],
                     n_paths=entry_n_paths(entry),
                     record=record(entry),

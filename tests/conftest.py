@@ -13,9 +13,9 @@ from repro.core import (
     PathLattice,
     example_path_database,
 )
+from repro.core.flowcube import Cell
 from repro.core.serialization import cube_to_json
 from repro.synth import GeneratorConfig, generate_path_database
-from tests.oracle import OracleCell
 
 
 def cube_files(store_dir) -> dict:
@@ -39,30 +39,30 @@ def cube_files(store_dir) -> dict:
     }
 
 
-def item_cell(handle, cell, key=None) -> list:
-    """*cell*'s item cell the way ``CubeStore.put_cuboid`` takes it: *cell*
-    at its path level and, at every other level of *handle*'s lattice,
-    the cell *handle* holds at the same item level and key — each re-keyed
-    to *key* when one is given."""
-    cells = [
-        cell if level == cell.path_level
-        else handle.cell(cell.item_level, cell.key, level)
-        for level in handle.path_lattice
-    ]
-    if key is None:
-        return cells
-    return [
-        OracleCell(
-            key=key,
-            item_level=level_cell.item_level,
-            path_level=level_cell.path_level,
-            record_ids=level_cell.record_ids,
-            flowgraph=level_cell.flowgraph,
-            paths=level_cell.paths,
-            redundant=level_cell.redundant,
+def item_cell(handle, cell, key=None, redundant=None) -> list:
+    """*cell*'s item cell the way ``CubeStore.put_cuboid`` takes it: a
+    :class:`~repro.core.flowcube.Cell` at every path level of *handle*'s
+    lattice, each over *cell*'s record ids and joint vector, re-keyed to
+    *key* when one is given.  *cell*'s level keeps *cell*'s redundancy
+    mark — or *redundant*, when given — and exceptions; every other level
+    the mark and exceptions *handle* holds for the item cell."""
+    cells = []
+    for level_id, level in enumerate(handle.path_lattice):
+        held = (
+            cell if level == cell.path_level
+            else handle.cell(cell.item_level, cell.key, level)
         )
-        for level_cell in cells
-    ]
+        mark = held.redundant
+        if held is cell and redundant is not None:
+            mark = redundant
+        rekeyed = Cell(
+            cell.key if key is None else key, cell.item_level, level,
+            cell.record_ids, cell.vector, cell.table, level_id, mark,
+        )
+        if held.exceptions:
+            rekeyed.flowgraph.exceptions = held.exceptions
+        cells.append(rekeyed)
+    return cells
 
 
 def stored_cube_json(cube) -> str:

@@ -15,7 +15,6 @@ over orphaned files.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -186,9 +185,8 @@ def test_append_never_rewrites_the_base_heap(tmp_path, database, split):
     before = (heap.stat().st_mtime_ns, heap.read_bytes())
     writer, reader = store.cube_store(), store.cube_store()
     assert not reader.cell(*coords).redundant
-    writer.put_cuboid(
-        item_cell(writer, dataclasses.replace(cell, redundant=True))
-    )
+    cell = writer.cell(*coords)
+    writer.put_cuboid(item_cell(writer, cell, redundant=True))
     writer.flush()
     assert (heap.stat().st_mtime_ns, heap.read_bytes()) == before
     segment = cube_files(store.directory)["segments"][1]

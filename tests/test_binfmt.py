@@ -13,8 +13,8 @@ The contracts:
   and ``maybe_reload`` notices a cross-handle rebuild through the
   single-read meta signature;
 * **one record writer, one reader** (hypothesis): an item cell's
-  measure — its record ids and, per path level, a ``(pid, weight)``
-  vector and exceptions — round-trips through its ``FCHEAP05`` record,
+  measure — its record ids, its one ``(joint id, weight)`` vector and
+  every path level's exceptions — round-trips through its ``FCHEAP06`` record,
   which holds none of its coordinates; the store's write door, fed a
   live cell, writes a record that reads back as the cell's ids, multiset
   and expanded flowgraph, and what the record or the index cannot carry
@@ -40,7 +40,6 @@ import re
 import sys
 import zlib
 from array import array
-from dataclasses import replace
 from pathlib import Path as FsPath
 
 import pytest
@@ -57,6 +56,7 @@ from repro.core.path_database import PathDatabase, PathSchema
 from repro.core.serialization import exceptions_to_dicts, flowgraph_to_dict
 from repro.core.stage import Stage
 from repro.errors import StoreError
+from repro.perf.measure_rollup import PathTable
 from repro.store import (
     CubeStore,
     PartitionedPathStore,
@@ -69,7 +69,6 @@ from repro.store.binfmt import (
     _EXC,
     _EXC_ZLIB,
     _HEAD,
-    _SECTION,
     INDEX_LAYOUT,
     INDEX_MAGIC,
     ORDER_TAG,
@@ -80,6 +79,7 @@ from repro.store.binfmt import (
     StringTable,
     _open_record,
     decode_cell_exceptions,
+    decode_cell_ids,
     decode_cell_parts,
     encode_cell_payload,
     pack_cell_index,
@@ -336,6 +336,9 @@ def test_named_cell_index_damage_is_named(packed, section, index, value, message
 # one table per container: corruption, truncation, the DESIGN diagrams
 # ----------------------------------------------------------------------
 
+#: Each container's table, keyed by the magic its rows were first pinned
+#: under: the path table's rows keep the key "FCPATH01", though the table
+#: is written as FCPATH02 (with joint columns) now.
 LAYOUTS = {
     "FCSTRS01": STRINGS_LAYOUT,
     "FCPART02": PARTITION_LAYOUT,
@@ -391,6 +394,7 @@ def packed(tmp_path_factory, example_database):
                     [(("a", "1"), ("b", "2")), (("a", "*"),)],
                     [(("b", "1"),)],
                 ],
+                [[0, 1], [0, 0]],
             ),
             unpack_paths,
         ),
@@ -438,7 +442,7 @@ def section_ends(layout, blob) -> list[tuple[str, int]]:
             assert opened[name][0] == start
             end = opened[name][1]
         else:
-            end = start + 8 * len(opened[name])
+            end = start + opened[name].itemsize * len(opened[name])
         assert end > start, f"the example leaves {name} empty"
         ends.append((name, end))
     return ends
@@ -469,13 +473,13 @@ def test_foreign_files_are_refused_as_before(packed, magic):
     swapped = blob[:8] + blob[8:16][::-1] + blob[16:]
     with pytest.raises(StoreError, match="byte-order tag mismatch"):
         read(swapped)
-    for retired in layout.retired:  # FCPART01 and FCCIDX01 today
+    for retired in layout.retired:  # FCPART01, FCCIDX01 and FCPATH01 today
         name = retired.decode("ascii")
         with pytest.raises(StoreError, match=f"retired {name} layout"):
             read(retired + blob[8:])
 
 
-_TYPE_NAMES = {"q": "i64", "d": "f64", "B": "u8"}
+_TYPE_NAMES = {"q": "i64", "d": "f64", "I": "u32", "B": "u8"}
 
 
 def diagram_rows(layout) -> list[str]:
@@ -516,7 +520,7 @@ def test_design_diagrams_carry_the_tables_rows_in_order(magic):
 
 
 # ----------------------------------------------------------------------
-# FCHEAP05 item-cell record: one writer, one reader (hypothesis)
+# FCHEAP06 item-cell record: one writer, one reader (hypothesis)
 # ----------------------------------------------------------------------
 
 #: Path weights on both sides of the one-, two- and three-byte varints.
@@ -538,45 +542,35 @@ _EXCEPTION = st.builds(
 
 @st.composite
 def vector_cells(draw):
-    """``(encode_cell_payload arguments, level path list)``: ascending
-    record ids and, per path level (one to three of them), a ``(pid,
-    weight)`` vector in an order of its own over a path list and an
-    exception list."""
+    """``(encode_cell_payload arguments, path list)``: ascending record
+    ids, one ``(id, weight)`` vector in an order of its own over the path
+    list, and one exception list per path level (one to three)."""
     locations = draw(st.lists(_VALUE, min_size=1, max_size=4, unique=True))
     labels = draw(st.lists(_VALUE, min_size=1, max_size=5, unique=True))
     stage = st.tuples(st.sampled_from(locations), st.sampled_from(labels))
     paths = draw(
         st.lists(st.lists(stage, min_size=1, max_size=4).map(tuple), max_size=6)
     )
-    # A level with many paths: path ids on either side of 127.
+    # Many paths: ids on either side of 127.
     for i in range(draw(st.sampled_from([0, 0, 3, 120, 140]))):
         paths.append(((locations[0], f"d{i}"),))
     paths = list(dict.fromkeys(paths))
-    sections = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        pids = draw(st.permutations(range(len(paths))))
-        pids = pids[: draw(st.integers(min_value=0, max_value=len(pids)))]
-        sections.append(
-            (
-                [(pid, draw(_WEIGHT)) for pid in pids],
-                exceptions_to_dicts(draw(st.lists(_EXCEPTION, max_size=2))),
-            )
-        )
+    ids = draw(st.permutations(range(len(paths))))
+    ids = ids[: draw(st.integers(min_value=0, max_value=len(ids)))]
+    vector = [(jid, draw(_WEIGHT)) for jid in ids]
+    exceptions = [
+        exceptions_to_dicts(draw(st.lists(_EXCEPTION, max_size=2)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
     record_ids = sorted(
         set(draw(st.lists(st.integers(0, 2**63 - 1), max_size=6)))
     )
-    return (tuple(record_ids), sections), paths
+    return (tuple(record_ids), vector, exceptions), paths
 
 
 def _json_form(value):
     """*value* as JSON hands it back (tuples become lists)."""
     return json.loads(json.dumps(value))
-
-
-def _sections(record: bytes, n_levels: int = 1) -> list:
-    """*record*'s first *n_levels* path-level sections as ``(flags,
-    vector start, blob start, end)``, its CRC checked."""
-    return _open_record(record, n_levels - 1)[2]
 
 
 def _resealed(record: bytes) -> bytes:
@@ -586,22 +580,17 @@ def _resealed(record: bytes) -> bytes:
 
 
 def _assert_round_trip(cell) -> bytes:
-    """The one reader gives back what the writer was given: the ids, and
-    per path level the vector, in its order, and the exceptions — each
-    level alone as in one pass with the others."""
-    record_ids, sections = cell
+    """The one reader gives back what the writer was given: the ids, the
+    vector in its order, and every path level's exceptions."""
+    record_ids, vector, exceptions = cell
     record = encode_cell_payload(*cell)
-    decoded_ids, vectors = decode_cell_parts(record, range(len(sections)))
-    assert decoded_ids == tuple(record_ids)
-    assert decode_cell_parts(record, ()) == (decoded_ids, [])
-    for level_id, ((vector, exceptions), decoded) in enumerate(
-        zip(sections, vectors, strict=True)
-    ):
-        assert list(decoded.items()) == [tuple(pair) for pair in vector]
-        assert decode_cell_parts(record, (level_id,)) == (decoded_ids, [decoded])
+    decoded_ids, decoded = decode_cell_parts(record)
+    assert decoded_ids == tuple(record_ids) == decode_cell_ids(record)
+    assert list(decoded.items()) == [tuple(pair) for pair in vector]
+    for level_id, mined in enumerate(exceptions):
         assert exceptions_to_dicts(
             decode_cell_exceptions(record, level_id)
-        ) == _json_form(exceptions)
+        ) == _json_form(mined)
     return record
 
 
@@ -610,17 +599,16 @@ def _assert_round_trip(cell) -> bytes:
 def test_a_cell_round_trips_through_its_structured_record(case):
     cell, _ = case
     record = _assert_round_trip(cell)
-    sections = _sections(record, len(cell[1]))
-    for (flags, *_), (_, exceptions) in zip(sections, cell[1], strict=True):
-        assert flags & ~(_EXC | _EXC_ZLIB) == 0
-        assert bool(flags & _EXC) == bool(exceptions)
-    # A path level past the record's is damage, not an IndexError.
-    for read in (
-        lambda: decode_cell_parts(record, (len(sections),)),
-        lambda: decode_cell_exceptions(record, len(sections)),
-    ):
-        with pytest.raises(StoreError, match="no section for level"):
-            read()
+    flags = _open_record(record)[0]
+    assert flags & ~(_EXC | _EXC_ZLIB) == 0
+    assert bool(flags & _EXC) == any(cell[2])
+    # A path level past the record's exception section is damage, not an
+    # IndexError; a record that mined nothing has nothing at any level.
+    if any(cell[2]):
+        with pytest.raises(StoreError, match="no exception list for level"):
+            decode_cell_exceptions(record, len(cell[2]))
+    else:
+        assert decode_cell_exceptions(record, len(cell[2])) == []
 
 
 _ONE_STAGE = [(("L", f"d{i}"),) for i in range(16385)]
@@ -633,9 +621,7 @@ def test_record_id_varint_widths(field):
     lengths = []
     for value in (127, 128, 16383, 16384):
         record_ids = (value,) if field == "first record id" else (1, 1 + value)
-        lengths.append(
-            len(_assert_round_trip((record_ids, [([(0, 1)], [])])))
-        )
+        lengths.append(len(_assert_round_trip((record_ids, [(0, 1)], []))))
     assert [n - lengths[0] for n in lengths] == [0, 1, 1, 2]
 
 
@@ -643,13 +629,16 @@ def test_exception_blob_is_zlibbed_only_when_smaller():
     exceptions = exceptions_to_dicts(
         [FlowException(("a",), (), "duration", 1, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
-    record = _assert_round_trip(((3,), [([(0, 1)], []), ([(0, 1)], exceptions)]))
-    (plain, *_), (flags, *_) = _sections(record, 2)
-    assert plain == 0 and flags & _EXC and flags & _EXC_ZLIB
+    plain = _assert_round_trip(((3,), [(0, 1)], [[], []]))
+    assert _open_record(plain)[0] == 0
+    record = _assert_round_trip(((3,), [(0, 1)], [[], exceptions]))
+    flags = _open_record(record)[0]
+    assert flags & _EXC and flags & _EXC_ZLIB
+    assert decode_cell_exceptions(record, 0) == []
     # Only a hand-made list is too short to shrink — and is no exception
     # list, which the reader says.
-    record = encode_cell_payload((3,), [([(0, 1)], [0])])
-    (flags, *_), = _sections(record)
+    record = encode_cell_payload((3,), [(0, 1)], [[0]])
+    flags = _open_record(record)[0]
     assert flags & _EXC and not flags & _EXC_ZLIB
     with pytest.raises(StoreError, match="corrupt cell payload"):
         decode_cell_exceptions(record, 0)
@@ -668,11 +657,11 @@ def test_every_int64_record_id_is_stored_structured(live_cube, writer):
     whether the encoder or the store's door writes it."""
     for record_ids in ((2**31,), (0, 2**31, 2**32 + 7), (1, 2**63 - 1)):
         if writer == "encoder":
-            _assert_round_trip((record_ids, [([(1, 2), (0, 1)], [])]))
+            _assert_round_trip((record_ids, [(1, 2), (0, 1)], []))
         else:
             pairs = [(_TWO_PATHS[0], len(record_ids))]
-            cell = _live_cell(("x", "y"), record_ids, False, pairs)
-            _door_round_trip(live_cube, cell)
+            item = _live_cell(live_cube, ("x", "y"), record_ids, False, pairs)
+            _door_round_trip(live_cube, item)
 
 
 def _unencodable_record(case: str) -> tuple:
@@ -703,11 +692,20 @@ def _unencodable_record(case: str) -> tuple:
     return record_ids, vector, exceptions
 
 
-def _unindexable_cell(cube, case: str, path_level) -> Cell:
-    """A cell at *path_level* whose fields the index — key, item level,
+def _private_table(n_levels: int, paths) -> PathTable:
+    """A table whose joint id *i* is ``paths[i]`` at every one of
+    *n_levels* levels: the id space of a cell the cube did not build."""
+    table = PathTable(n_levels)
+    for path in paths:
+        table.intern_joint([path] * n_levels)
+    return table
+
+
+def _unindexable_item(cube, case: str) -> list[Cell]:
+    """An item cell whose fields the index — key, item level,
     ``n_paths``, ``redundant`` — or the door cannot carry."""
     key, levels, n_paths, redundant = ["x", "y"], [0, 1], 3, False
-    weights = {0: 2, 1: 1}
+    vector = {0: 2, 1: 1}
     if case == "non-str key part":
         key[1] = 7
     elif case == "str-subclass key part":
@@ -725,11 +723,15 @@ def _unindexable_cell(cube, case: str, path_level) -> Cell:
     elif case == "wrong key width":
         key = ["x"]
     elif case == "a cell without its multiset":
-        weights = {}
-    return Cell(
-        tuple(key), ItemLevel(levels), path_level,
-        (1, 2, 5), weights, list(_TWO_PATHS), redundant, n_paths=n_paths,
-    )
+        vector = {}
+    table = _private_table(len(cube.path_lattice), _TWO_PATHS)
+    return [
+        Cell(
+            tuple(key), ItemLevel(levels), path_level, (1, 2, 5), vector,
+            table, level_id, redundant, n_paths=n_paths,
+        )
+        for level_id, path_level in enumerate(cube.path_lattice)
+    ]
 
 
 #: The cases whose field only the index holds — and a cell without its
@@ -771,31 +773,28 @@ def test_every_payload_the_record_cannot_carry_is_a_typed_error(
 ):
     if case not in _DOOR_REFUSALS:
         record_ids, vector, exceptions = _unencodable_record(case)
-        with pytest.raises(StoreError, match="outside the FCHEAP05 record"):
-            encode_cell_payload(record_ids, [(vector, exceptions)])
+        with pytest.raises(StoreError, match="outside the FCHEAP06 record"):
+            encode_cell_payload(record_ids, vector, [exceptions])
         return
     before = live_cube.n_cells()
-    item = [
-        _unindexable_cell(live_cube, case, level)
-        for level in live_cube.path_lattice
-    ]
     with pytest.raises(StoreError, match=re.escape(_DOOR_REFUSALS[case])):
-        live_cube.put_cuboid(item)
+        live_cube.put_cuboid(_unindexable_item(live_cube, case))
     assert live_cube.n_cells() == before
 
 
 def test_an_unknown_flag_bit_is_damage():
-    """A section's flags byte defines two bits; a record with any other
+    """A record's flags byte defines two bits; a record with any other
     set — 0x01 marked the retired verbatim-JSON record — is refused by
-    both readers as a corrupt record, not read past, even under a CRC
+    every reader as a corrupt record, not read past, even under a CRC
     that matches."""
-    record = encode_cell_payload((4,), [([(0, 1)], []), ([(0, 1)], [])])
-    at = _sections(record, 2)[1][1] - _SECTION.size
+    record = encode_cell_payload((4,), [(0, 1)])
+    at = _CRC.size  # the flags byte follows the CRC
     for bit in (0x01, 0x08, 0x80):
         flagged = bytearray(record)
         flagged[at] |= bit
         for read in (
-            lambda data: decode_cell_parts(data, (1,)),
+            decode_cell_parts,
+            decode_cell_ids,
             lambda data: decode_cell_exceptions(data, 1),
         ):
             with pytest.raises(
@@ -813,10 +812,11 @@ def test_an_unknown_flag_bit_is_damage():
 # ----------------------------------------------------------------------
 #
 # ``CubeStore._encode`` is what every write goes through: it checks an
-# item cell's index fields, resolves each path level's multiset into the
-# cube's path-id space and hands ``encode_cell_payload`` the ids and, per
-# level, the vector and the exceptions.  What it writes must read back as
-# the cells.  The tests feed it one cell at every path level.
+# item cell's index fields and that its levels share one vector,
+# resolves that vector into the cube's path-id space and hands
+# ``encode_cell_payload`` the ids, the vector and every level's
+# exceptions.  What it writes must read back as the cells.  The tests
+# feed it cells over a table of their own, one at every path level.
 
 _LIVE_LEVEL_ID = 1
 
@@ -834,45 +834,52 @@ def live_cube(tmp_path_factory):
     cube.close()
 
 
-def _live_cell(key, record_ids, redundant, pairs, exceptions=()):
-    """An in-memory cell over *pairs* (``(path, weight)``…)."""
-    graph = FlowGraph()
-    for path, weight in pairs:
-        graph.add_path(path, int(weight) if weight > 0 else 1)
-    graph.exceptions = list(exceptions)
-    return OracleCell(
-        key=key,
-        item_level=ItemLevel([0] * len(key)),
-        path_level=None,
-        record_ids=record_ids,
-        flowgraph=graph,
-        paths=tuple(pairs),
-        redundant=redundant,
-    )
+def _live_cell(cube, key, record_ids, redundant, pairs, exceptions=()):
+    """An in-memory item cell over *pairs* (``(path, weight)``…), the
+    same paths at every path level of *cube*, each level's graph holding
+    *exceptions*."""
+    n_levels = len(cube.path_lattice)
+    table = _private_table(n_levels, [path for path, _ in pairs])
+    vector = {
+        table.intern_joint([path] * n_levels): weight for path, weight in pairs
+    }
+    item = [
+        Cell(
+            key, ItemLevel([0] * len(key)), path_level, record_ids, vector,
+            table, level_id, redundant,
+        )
+        for level_id, path_level in enumerate(cube.path_lattice)
+    ]
+    if exceptions:
+        for cell in item:
+            cell.flowgraph.exceptions = list(exceptions)
+    return item
 
 
-def _door(cube, cell) -> bytes:
-    cells = [replace(cell, path_level=level) for level in cube.path_lattice]
-    ((record, n_paths, redundant),) = cube._encode(cells).values()
-    assert n_paths == cell.n_paths
-    assert redundant == (cell.redundant,) * len(cells)
+def _door(cube, item) -> bytes:
+    ((record, n_paths, redundant),) = cube._encode(item).values()
+    assert n_paths == item[0].n_paths
+    assert redundant == tuple(cell.redundant for cell in item)
     return record
 
 
-def _door_round_trip(cube, cell) -> bytes:
-    """The door's record for *cell*, read back: its record ids, its
-    multiset in the cube's path-id space and the graph a reader expands
-    from them, with its exceptions."""
-    record = _door(cube, cell)
-    record_ids, (vector,) = decode_cell_parts(record, (_LIVE_LEVEL_ID,))
-    paths = cube.path_table.paths[_LIVE_LEVEL_ID]
-    pairs = [(paths[pid], weight) for pid, weight in vector.items()]
+def _door_round_trip(cube, item) -> bytes:
+    """The door's record for *item*, read back: its record ids, its
+    multiset at a path level in the cube's path-id space and the graph a
+    reader expands from them, with its exceptions."""
+    record = _door(cube, item)
+    cell = item[_LIVE_LEVEL_ID]
+    record_ids, vector = decode_cell_parts(record)
+    table = cube.path_table
+    paths = table.paths[_LIVE_LEVEL_ID]
+    column = table.joint[_LIVE_LEVEL_ID]
+    pairs = [(paths[column[jid]], weight) for jid, weight in vector.items()]
     assert record_ids == cell.record_ids
     assert dict(pairs) == dict(cell.paths)
     graph = FlowGraph.expand(pairs)
     graph.exceptions = decode_cell_exceptions(record, _LIVE_LEVEL_ID)
     assert flowgraph_to_dict(graph) == flowgraph_to_dict(cell.flowgraph)
-    flags = _sections(record, _LIVE_LEVEL_ID + 1)[_LIVE_LEVEL_ID][0]
+    flags = _open_record(record)[0]
     assert bool(flags & _EXC) == bool(cell.flowgraph.exceptions)
     return record
 
@@ -886,34 +893,35 @@ _KEY = st.tuples(_VALUE, _VALUE)
 def test_the_door_writes_a_record_that_reads_back_as_the_cell(
     live_cube, case, key, redundant, exceptions
 ):
-    ((_, [(vector, _), *_]), paths) = case
+    ((_, vector, _), paths) = case
     # The door takes a cell whose multiset weighs its record ids.
-    pairs = [(paths[pid], min(weight, 128)) for pid, weight in vector]
+    pairs = [(paths[jid], min(weight, 128)) for jid, weight in vector]
     record_ids = tuple(range(sum(weight for _, weight in pairs)))
-    cell = _live_cell(key, record_ids, redundant, pairs, exceptions)
-    _door_round_trip(live_cube, cell)
+    item = _live_cell(live_cube, key, record_ids, redundant, pairs, exceptions)
+    _door_round_trip(live_cube, item)
 
 
 def test_a_record_carries_no_coordinates(live_cube):
     """Key, levels, ``n_paths`` and ``redundant`` are the index's: the
-    record is the ids and, per path level, the vector and the exceptions,
-    byte for byte what the encoder makes of them alone."""
+    record is the ids, the one vector and the exceptions, byte for byte
+    what the encoder makes of them alone."""
     key = ("coordinate-one", "coordinate-two")
     pairs = [(_TWO_PATHS[0], 2), (_TWO_PATHS[1], 1)]
-    cell = _live_cell(key, (3, 9, 12), True, pairs)
-    record = _door_round_trip(live_cube, cell)
+    item = _live_cell(live_cube, key, (3, 9, 12), True, pairs)
+    record = _door_round_trip(live_cube, item)
     assert b"coordinate" not in record
-    sections = [
-        ([(ids[path], weight) for path, weight in pairs], [])
-        for ids in live_cube.path_table.ids
+    table = live_cube.path_table
+    n_levels = len(table.paths)
+    vector = [
+        (table.intern_joint([path] * n_levels), weight) for path, weight in pairs
     ]
-    assert record == encode_cell_payload((3, 9, 12), sections)
+    assert record == encode_cell_payload((3, 9, 12), vector)
 
 
 def _boundary_cell(n_labels: int, weight: int):
-    """*n_labels* one-stage paths of *weight* each, in a level whose
-    first three path ids other cells brought: ids 3 … n_labels + 2."""
-    return (), [([(3 + i, weight) for i in range(n_labels)], [])]
+    """*n_labels* ids of *weight* each, past three other cells brought:
+    ids 3 … n_labels + 2."""
+    return (), [(3 + i, weight) for i in range(n_labels)], []
 
 
 @pytest.mark.parametrize(
@@ -923,10 +931,10 @@ def _boundary_cell(n_labels: int, weight: int):
         (1, 128, False),  # a two-byte weight
         (1, 16383, False),
         (1, 16384, False),  # a three-byte weight
-        (125, 1, True),  # path ids up to 127: still one byte each
-        (126, 1, False),  # path id 128
-        (16381, 1, False),  # path id 16 383: two-byte ids
-        (16382, 1, False),  # path id 16 384: a three-byte id
+        (125, 1, True),  # ids up to 127: still one byte each
+        (126, 1, False),  # id 128
+        (16381, 1, False),  # id 16 383: two-byte ids
+        (16382, 1, False),  # id 16 384: a three-byte id
     ],
 )
 def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
@@ -934,11 +942,11 @@ def test_varint_widths_and_the_pure_flag(n_labels, weight, pure):
     by one ``list(bytes)``; the record says so by holding no
     continuation byte, not by a flag."""
     record = _assert_round_trip(_boundary_cell(n_labels, weight))
-    (_, start, end, _), = _sections(record)
+    _, _, start, end = _open_record(record)
     assert (max(record[start:end]) < 0x80) is pure
 
 
-def _unstorable_cell(case: str):
+def _unstorable_cell(cube, case: str) -> list[Cell]:
     pairs = [((("a", "1"), ("b", "2")), 2), ((("a", "2"),), 1)]
     key, record_ids, redundant = ("x", "y"), (1, 2, 5), False
     if case == "negative record id":
@@ -961,7 +969,7 @@ def _unstorable_cell(case: str):
         pairs = []
     elif case == "a multiset heavier than its record ids":
         pairs[0] = (pairs[0][0], 7)
-    return _live_cell(key, record_ids, redundant, pairs)
+    return _live_cell(cube, key, record_ids, redundant, pairs)
 
 
 #: What the door says about each cell it refuses.
@@ -984,7 +992,29 @@ def test_every_cell_the_record_cannot_carry_is_refused_at_the_door(
     live_cube, case
 ):
     with pytest.raises(StoreError, match=re.escape(_REFUSALS[case])):
-        _door(live_cube, _unstorable_cell(case))
+        _door(live_cube, _unstorable_cell(live_cube, case))
+
+
+def test_a_cell_that_is_not_a_cell_or_shares_no_vector_is_refused(live_cube):
+    """The door stores the one vector a :class:`Cell` carries: another
+    cell-shaped object, or levels over vectors that differ, are refused
+    before a byte is written."""
+    pairs = [(_TWO_PATHS[0], 2), (_TWO_PATHS[1], 1)]
+    item = _live_cell(live_cube, ("x", "y"), (1, 2, 5), False, pairs)
+    shaped = OracleCell(
+        key=item[0].key, item_level=item[0].item_level,
+        path_level=item[0].path_level, record_ids=item[0].record_ids,
+        flowgraph=item[0].flowgraph, paths=item[0].paths,
+    )
+    other = _live_cell(live_cube, ("x", "y"), (1, 2, 5), False, pairs[::-1])
+    before = live_cube.n_cells()
+    for cells, says in (
+        ([shaped, *item[1:]], "OracleCell"),
+        ([*item[:-1], other[-1]], "do not share one vector"),
+    ):
+        with pytest.raises(StoreError, match=says):
+            live_cube.put_cuboid(cells)
+    assert live_cube.n_cells() == before
 
 
 # ----------------------------------------------------------------------
@@ -1004,7 +1034,7 @@ def _typed_or_decoded(read, says: str = "") -> str:
 
 def test_no_damaged_record_escapes_as_an_untyped_error():
     """Flip each byte and cut at each length of an exception-bearing
-    record: its CRC no longer matches, so both readers raise
+    record: its CRC no longer matches, so every reader raises
     ``StoreError`` for every path level — never ``IndexError`` /
     ``struct.error`` / ``zlib.error`` from inside the codec, and never
     another measure."""
@@ -1012,7 +1042,7 @@ def test_no_damaged_record_escapes_as_an_untyped_error():
         [FlowException(("a",), (), "duration", 2, {"1": 1.0}, {"1": 0.5}, 0.5)]
     )
     record = _assert_round_trip(
-        ((4, 300, 70000), [([(1, 128), (0, 2)], exceptions), ([(0, 130)], [])])
+        ((4, 300, 70000), [(1, 128), (0, 2)], [exceptions, []])
     )
     damaged = [record[:length] for length in range(len(record))]
     for position in range(len(record)):
@@ -1021,7 +1051,8 @@ def test_no_damaged_record_escapes_as_an_untyped_error():
             flipped[position] ^= mask
             damaged.append(bytes(flipped))
     reads = (
-        lambda data: decode_cell_parts(data, (0, 1)),
+        decode_cell_parts,
+        decode_cell_ids,
         lambda data: decode_cell_exceptions(data, 0),
         lambda data: decode_cell_exceptions(data, 1),
     )
@@ -1039,10 +1070,13 @@ def test_every_flipped_byte_of_a_stored_record_is_typed_at_first_touch(
     in turn, in its heap file.  A cold handle still opens reading no heap
     byte, and the first touch of the item cell's measure at every path
     level is ``StoreError("corrupt cell payload: …")`` — never a
-    different cell."""
+    different cell.  The path table has no CRC: each byte of it flipped
+    in turn leaves every cell's first multiset a ``StoreError`` or a
+    decode, never an untyped exception."""
     _built_binary_store(tmp_path, example_database)
     directory = tmp_path / "s" / "cube"
-    heap = cube_files(tmp_path / "s")["segments"][0]
+    files = cube_files(tmp_path / "s")
+    heap = files["segments"][0]
     with CubeStore(directory, example_database.schema) as cube:
         item_level, entries = next(iter(cube._index.items()))
         key, (offset, length, *_) = next(iter(entries.items()))
@@ -1061,18 +1095,37 @@ def test_every_flipped_byte_of_a_stored_record_is_typed_at_first_touch(
                         cell.record_ids
     finally:
         heap.write_bytes(pristine)
+    table = files["paths"]
+    pristine = table.read_bytes()
+    outcomes = {"typed": 0, "decoded": 0}
+    try:
+        for position in range(len(pristine)):
+            damaged = bytearray(pristine)
+            damaged[position] ^= 0x01
+            table.write_bytes(bytes(damaged))
+            with CubeStore(directory, example_database.schema) as cold:
+                cells = list(cold.cells())
+
+                def read_all():
+                    for cell in cells:
+                        cell.flowgraph
+
+                outcomes[_typed_or_decoded(read_all)] += 1
+    finally:
+        table.write_bytes(pristine)
+    assert outcomes["typed"] > 0 and outcomes["decoded"] > 0
 
 
 def _with_runs(record: bytes, ids=lambda s: s, steps=lambda s: s) -> bytes:
     """*record* with its record-id varints and its steps edited, under a
     CRC that matches."""
-    _, ids_len, steps_len = _HEAD.unpack_from(record)
+    _, flags, ids_len, steps_len, vector_len = _HEAD.unpack_from(record)
     steps_at = _HEAD.size + ids_len
     end = steps_at + steps_len
     new_ids = ids(record[_HEAD.size : steps_at])
     new_steps = steps(record[steps_at:end])
     return _resealed(
-        _HEAD.pack(0, len(new_ids), len(new_steps))
+        _HEAD.pack(0, flags, len(new_ids), len(new_steps), vector_len)
         + new_ids
         + new_steps
         + record[end:]
@@ -1080,29 +1133,30 @@ def _with_runs(record: bytes, ids=lambda s: s, steps=lambda s: s) -> bytes:
 
 
 def _with_vector(record: bytes, edit) -> bytes:
-    """*record* with its first section's vector varints edited, under a
-    CRC that matches."""
-    flags, start, end, section_end = _sections(record)[0]
+    """*record* with its vector varints edited, under a CRC that
+    matches."""
+    _, flags, ids_len, steps_len, _ = _HEAD.unpack_from(record)
+    _, _, start, end = _open_record(record)
     vector = edit(record[start:end])
-    head = _SECTION.pack(flags, len(vector), section_end - end)
-    return _resealed(
-        record[: start - _SECTION.size] + head + vector + record[end:]
-    )
+    head = _HEAD.pack(0, flags, ids_len, steps_len, len(vector))
+    return _resealed(head + record[_HEAD.size : start] + vector + record[end:])
 
 
 def test_named_record_damage_is_named():
-    record = encode_cell_payload((4, 9, 300), [([(1, 2), (0, 1)], [])])
-    parts = decode_cell_parts(record, (0,))
-    assert parts == ((4, 9, 300), [{1: 2, 0: 1}])
-    assert decode_cell_parts(_with_runs(record), (0,)) == parts
-    assert decode_cell_parts(_with_vector(record, bytes), (0,)) == parts
+    record = encode_cell_payload((4, 9, 300), [(1, 2), (0, 1)])
+    parts = decode_cell_parts(record)
+    assert parts == ((4, 9, 300), {1: 2, 0: 1})
+    assert decode_cell_parts(_with_runs(record)) == parts
+    assert decode_cell_parts(_with_vector(record, bytes)) == parts
     flipped = record[:-1] + bytes((record[-1] ^ 0x01,))
     with pytest.raises(StoreError, match="checksum mismatch"):
-        decode_cell_parts(flipped, (0,))
+        decode_cell_parts(flipped)
     with pytest.raises(StoreError, match="truncated record"):
-        decode_cell_parts(record[: _HEAD.size - 1], (0,))
-    with pytest.raises(StoreError, match="truncated record"):
-        decode_cell_parts(_resealed(record[:-1]), (0,))  # a section short
+        decode_cell_parts(record[: _HEAD.size - 1])
+    with pytest.raises(StoreError, match="runs disagree with the record"):
+        decode_cell_parts(_resealed(record[:-1]))  # the vector a byte short
+    with pytest.raises(StoreError, match="runs disagree with the record"):
+        decode_cell_parts(_resealed(record + b"\x01"))  # a byte past it
     # The id varints are n_ids=3 and the first id 4; the steps are 5,
     # 291; the vector is 1, 2, 0, 1.
     for damaged in (
@@ -1111,10 +1165,10 @@ def test_named_record_damage_is_named():
         _with_vector(record, lambda s: s[:-1] + bytes((s[-1] | 0x80,))),
     ):
         with pytest.raises(StoreError, match="dangling varint"):
-            decode_cell_parts(damaged, (0,))
+            decode_cell_parts(damaged)
     repeated = _with_runs(record, steps=lambda s: b"\x00" + s[1:])
     with pytest.raises(StoreError, match="record ids do not ascend"):
-        decode_cell_parts(repeated, (0,))
+        decode_cell_parts(repeated)
     for damaged in (
         _with_runs(record, steps=lambda s: s[:1]),  # a step short
         _with_runs(record, steps=lambda s: s + b"\x01"),  # one too many
@@ -1122,17 +1176,23 @@ def test_named_record_damage_is_named():
         _with_runs(record, ids=lambda s: s + b"\x01"),  # a third varint
     ):
         with pytest.raises(StoreError, match="record-id count mismatch"):
-            decode_cell_parts(damaged, (0,))
-    # A path id whose weight is missing.
-    with pytest.raises(StoreError, match="a pid without its weight"):
-        decode_cell_parts(_with_vector(record, lambda s: s[:-1]), (0,))
-    # A path id the level's table does not hold is damage, not IndexError,
-    # wherever the cell's graph is expanded from.
-    record_ids, (vector,) = parts
-    for level_paths in (_TWO_PATHS[:1], _TWO_PATHS):
-        cell = Cell(("k",), ItemLevel([1]), None, record_ids, vector, level_paths)
-        if len(level_paths) < 2:
-            with pytest.raises(StoreError, match="a path id past the path"):
+            decode_cell_parts(damaged)
+    # A joint id whose weight is missing.
+    with pytest.raises(StoreError, match="a joint id without its weight"):
+        decode_cell_parts(_with_vector(record, lambda s: s[:-1]))
+    # A joint id the table does not hold — or one mapped to a path id its
+    # level does not hold — is damage, not IndexError, wherever the
+    # cell's graph is expanded from.
+    record_ids, vector = parts
+    for joint, level_paths, says in (
+        ([[0]], _TWO_PATHS, "a joint id past the path table"),
+        ([[0, 1]], _TWO_PATHS[:1], "a path id past the path table"),
+        ([[0, 1]], _TWO_PATHS, None),
+    ):
+        table = PathTable.over([list(level_paths)], joint)
+        cell = Cell(("k",), ItemLevel([1]), None, record_ids, vector, table, 0)
+        if says:
+            with pytest.raises(StoreError, match=says):
                 cell.flowgraph
         else:
             assert cell.flowgraph.n_paths == 3
@@ -1140,8 +1200,9 @@ def test_named_record_damage_is_named():
 
 def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):
     blob, read = packed["FCPATH01"]
-    lineage, levels = unpack_paths(blob)
+    lineage, levels, joint = unpack_paths(blob)
     assert lineage == 7 and [len(paths) for paths in levels] == [2, 1]
+    assert joint == [[0, 1], [0, 0]]
     outcomes = {"typed": 0, "decoded": 0}
     for position in range(len(blob)):
         for mask in (0x01, 0x80, 0xFF):
@@ -1157,9 +1218,12 @@ def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):
 def _with_section(blob: bytes, name: str, index: int, value: int) -> bytes:
     """*blob* (a path table) with one word of section *name* replaced."""
     opened = PATHS_LAYOUT.open(blob)
+    section = opened[name]
+    width = section.itemsize
     ends = dict(section_ends(PATHS_LAYOUT, blob))
-    at = ends[name] - 8 * len(opened[name]) + 8 * index
-    return blob[:at] + array("q", [value]).tobytes() + blob[at + 8 :]
+    at = ends[name] - width * len(section) + width * index
+    word = array(section.typecode, [value]).tobytes()
+    return blob[:at] + word + blob[at + width :]
 
 
 @pytest.mark.parametrize(
@@ -1173,12 +1237,25 @@ def _with_section(blob: bytes, name: str, index: int, value: int) -> bytes:
         ("location_refs", 0, 99, "list index out of range"),  # past the strings
         ("duration_refs", 1, -1, "negative string ref"),
         ("str_offsets", 1, 99, "string offsets disagree"),
+        ("joint", 1, 2, "a joint column ref past level 0's 2 paths"),
+        ("joint", 3, 1, "a joint column ref past level 1's 1 paths"),
     ],
 )
 def test_named_path_table_damage_is_named(packed, section, index, value, message):
     blob, read = packed["FCPATH01"]
     with pytest.raises(StoreError, match=f"corrupt path table: {message}"):
         read(_with_section(blob, section, index, value))
+
+
+def test_a_joint_column_shorter_than_the_joint_count_is_damage(packed):
+    """Every level's joint column holds ``n_joint`` ids: one of another
+    length — however the section's framing came out — is refused."""
+    levels = [[(("a", "1"), ("b", "2")), (("a", "*"),)], [(("b", "1"),)]]
+    blob = pack_paths(7, levels, [[0, 1], [0]])
+    with pytest.raises(StoreError, match="corrupt path table: a joint column not 2"):
+        unpack_paths(blob)
+    with pytest.raises(StoreError, match="a path id past 2\\*\\*32 - 1"):
+        pack_paths(7, levels, [[0, 2**32], [0, 0]])
 
 
 # ----------------------------------------------------------------------
@@ -1298,40 +1375,40 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 # pinned on-disk bytes
 # ----------------------------------------------------------------------
 
-#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP05``
-#: and ``FCCIDX02`` stored each item cell once, not once per path level,
-#: and sealed each record with a CRC-32 (exceptions off,
+#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP06``
+#: stored each item cell's one joint vector, not one vector per path
+#: level, and ``FCPATH02`` gained the joint columns (exceptions off,
 #: so no zlib output — which may differ between zlib builds — is hashed;
 #: the lineage is fixed below).  A change here is a format change: bump
 #: the generation of the file that moved instead.  The files are found
 #: through ``cube.json``'s listing: what they are *called* is not format.
 PINNED_SHA256 = {
     "built paths": (
-        "ef3894fde294bc607824b77e260c081712735577ba1d7bd9c0ae2e81d84028ef"
+        "f7f47345625f922b69ac46dd817f380c4e26a6bbc7b0b7c2ddf5c21c1880afab"
     ),
     "built heap": (
-        "1cecd282ca7a6f95ae72aadf42e62f19816f7f1e2caeacf8826437c7c57e2a84"
+        "9c9453f7cd5f7bb614977205b9df21d55c4a1ce0129f68d0326ec87518cef28c"
     ),
     "built index": (
-        "b02928dcb7d8c857d868ec98707ee8df96948955f9c55093796ea1abee961dd5"
+        "6a1f24cec918cbc0446774db5ec64b573b090dd9922c09cf4c5bbdec8fdcf712"
     ),
     "appended paths": (
-        "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
+        "0f221318624ac91b28c00ab9dfe91842d3a26387dd4280b5b09f9831cccc34b8"
     ),
     "appended delta": (
-        "f4ebc20a7c1f274b2a2004f7c9b240cbdb7cf3832ce99b87495f48d36880cd2d"
+        "4c213ead0a1de81fe875eb9cd67e7ce1dde9ad098472d04c47fe409f3fc00453"
     ),
     "appended index": (
-        "fa35534a54f97315c6ebcd55c7662baac2077bf2a596cd38de011a1661843176"
+        "713114064a2c943b57ca734958c10b17a452a9b0ceef669f42c9e0259eb17011"
     ),
     "compacted paths": (
-        "601316d2d0bee7f1d36688e8d29ab7df50058535b775506000821c2630c7231b"
+        "0f221318624ac91b28c00ab9dfe91842d3a26387dd4280b5b09f9831cccc34b8"
     ),
     "compacted heap": (
-        "fdec413083c41fa90934e221d8c54bac514e0cc5cddb42fb696d8c0063b7a2af"
+        "3736f8a260f0fe2df9d4ebd9cda0d3a3dd19361154cef221c5d761abd63d3dd6"
     ),
     "compacted index": (
-        "64a1a7954db8bfb8471e44756e156e376600cefc87da201bccf1494f39b6ce47"
+        "e1204d60283d2400773ecafa896ab73b60899f38ad37ca0eeeddcaaef8fac55a"
     ),
 }
 

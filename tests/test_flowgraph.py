@@ -287,13 +287,11 @@ def _assert_links_agree(graph: FlowGraph) -> None:
 
 
 def _decoded(paths) -> FlowGraph:
-    """The graph of *paths* through the FCHEAP05 cell codec, as a store
-    hands it out: expanded from the stored ``(pid, weight)`` vector."""
+    """The graph of *paths* through the FCHEAP06 cell codec, as a store
+    hands it out: expanded from the stored ``(id, weight)`` vector."""
     table = list(dict.fromkeys(paths))
     vector = [(pid, paths.count(path)) for pid, path in enumerate(table)]
-    _, (stored,) = decode_cell_parts(
-        encode_cell_payload((1, 2), [(vector, [])]), (0,)
-    )
+    _, stored = decode_cell_parts(encode_cell_payload((1, 2), vector))
     return FlowGraph.expand(
         (table[pid], weight) for pid, weight in stored.items()
     )

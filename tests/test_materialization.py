@@ -8,6 +8,7 @@ from repro.core import (
     plan_between_layers,
     plan_by_budget,
 )
+from repro.core.lattice import ItemLattice
 from repro.core.materialization import estimate_cells
 from repro.errors import CubeError
 
@@ -72,9 +73,28 @@ class TestBudgetPlan:
         tight = plan_by_budget(small_synth_db, max_cells=5, min_support=0.02)
         loose = plan_by_budget(small_synth_db, max_cells=10_000, min_support=0.02)
         assert len(tight) <= len(loose)
-        # Apex always present.
-        n_dims = small_synth_db.schema.n_dimensions
-        assert ItemLevel([0] * n_dims) in tight.item_levels
+        # The base level always present: derivation only rolls up.
+        depths = [h.depth for h in small_synth_db.schema.dimensions]
+        assert ItemLevel(depths) in tight.item_levels
+
+    @pytest.mark.parametrize("slack", [0, 1, 50, 1_000, 100_000])
+    def test_no_level_is_unreachable_within_a_base_budget(
+        self, small_synth_db, slack
+    ):
+        """Any budget the base level fits in leaves every lattice level
+        materialised or derivable (most general first, the base level
+        would come last and a tight budget would leave it unreachable)."""
+        depths = [h.depth for h in small_synth_db.schema.dimensions]
+        base = estimate_cells(small_synth_db, ItemLevel(depths), 0.02)
+        plan = plan_by_budget(
+            small_synth_db, max_cells=base + slack, min_support=0.02
+        )
+        verdicts = [
+            plan.derivability(level)
+            for level in ItemLattice(depths)
+        ]
+        assert "unreachable" not in verdicts
+        assert verdicts.count("materialised") == len(plan)
 
     def test_plan_builds_cube(self, paper_db):
         plan = plan_between_layers(ItemLevel((1, 0)), ItemLevel((2, 1)))

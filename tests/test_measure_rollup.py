@@ -405,3 +405,98 @@ def test_tuple_door_needs_no_path_table(monkeypatch):
         mined += len(lists[0])
     assert mined
     assert len(cache) == 1  # one private postings for the whole run
+
+
+# ----------------------------------------------------------------------
+# joint ids: a lattice whose coarse levels are no function of level 0
+# ----------------------------------------------------------------------
+
+#: Raw paths over the example's locations with float durations whose sums
+#: depend on how stages group (0.1 + 0.2 is not 0.3): the first two share
+#: their coarse path — transportation for 0.30000000000000004 — and
+#: differ at the leaves.
+_FLOAT_TEMPLATES = (
+    (("factory", 0.1), ("dist center", 0.1), ("truck", 0.2), ("shelf", 0.3)),
+    (("factory", 0.1), ("warehouse", 0.2), ("truck", 0.1), ("shelf", 0.3)),
+    (("factory", 0.1), ("dist center", 0.1), ("truck", 0.2),
+     ("warehouse", 0.3), ("backroom", 0.1), ("shelf", 0.2), ("checkout", 0.0)),
+    (("factory", 0.1), ("dist center", 0.3), ("truck", 0.3), ("backroom", 0.2)),
+    (("factory", 0.2), ("truck", 0.6), ("shelf", 0.3), ("checkout", 0.1)),
+)
+
+
+def _coarse_first_case():
+    """A database over :data:`_FLOAT_TEMPLATES` and a path lattice whose
+    level 0 is the coarse view: level 1 (the leaves) is no function of
+    level 0, so a cell's level-1 multiset cannot derive from its level-0
+    one."""
+    from repro.core.lattice import (
+        DURATION_ANY,
+        DURATION_VALUE,
+        LocationView,
+        PathLattice,
+        PathLevel,
+    )
+    from repro.core.path import Path, PathRecord
+    from repro.core.path_database import PathDatabase, example_path_database
+
+    example = example_path_database()
+    dims = [record.dims for record in example]
+    records = [
+        PathRecord(
+            i + 1, dims[i % len(dims)],
+            Path(_FLOAT_TEMPLATES[(i * 3) % len(_FLOAT_TEMPLATES)]),
+        )
+        for i in range(60)
+    ]
+    location = example.schema.location
+    coarse = LocationView.level_view(location, 1)
+    lattice = PathLattice(
+        [
+            PathLevel(coarse, DURATION_VALUE),
+            PathLevel(LocationView.leaf_view(location), DURATION_VALUE),
+            PathLevel(coarse, DURATION_ANY),
+        ]
+    )
+    return PathDatabase(example.schema, records), lattice
+
+
+def test_a_lattice_that_does_not_compose_builds_and_appends_exactly(tmp_path):
+    """Joint ids serve any lattice: over a coarse level 0 the store build,
+    the in-memory build and the per-cell oracle are byte-identical, the
+    cube holds more joint ids than level-0 paths, and an append equals a
+    rebuild over both batches."""
+    from repro.core.path_database import PathDatabase
+    from repro.store import PartitionedPathStore, append_records, build_cube
+
+    database, lattice = _coarse_first_case()
+    build = {"path_lattice": lattice, "min_support": 4, "min_deviation": 0.1}
+    memory = FlowCube.build(database, **build)
+    expected = cube_to_json(direct_cube(database, **build))
+    assert cube_to_json(memory) == expected
+    table = memory.path_table
+    assert table.n_joint > len(table.paths[0])
+    assert table.n_joint == len({record.path for record in database})
+
+    rows = list(database)
+    store = PartitionedPathStore.init(
+        tmp_path / "wh", database.schema, partition_size=15
+    )
+    store.ingest(database)
+    with build_cube(store, into=store.cube_store(), **build) as built:
+        assert stored_cube_json(built) == stored_cube_json(memory)
+    store.close()
+
+    base, batch = rows[:45], rows[45:]
+    store = PartitionedPathStore.init(
+        tmp_path / "appended", database.schema, partition_size=15
+    )
+    store.ingest(PathDatabase(database.schema, base, validate=False))
+    cube = build_cube(store, into=store.cube_store(), **build)
+    assert append_records(store, batch, cube=cube, compact_after=0)["updated"]
+    assert stored_cube_json(cube) == stored_cube_json(memory)
+    assert cube.path_table.n_joint > len(cube.path_table.paths[0])
+    cube.close()
+    with store.cube_store() as cold:
+        assert stored_cube_json(cold) == stored_cube_json(memory)
+    store.close()

@@ -41,7 +41,6 @@ from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.cube_store import changed_coords, read_meta
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files, item_cell
-from tests.oracle import OracleCell
 from tests.test_plan import call
 
 #: A fractional δ: an append that grows the store raises the threshold.
@@ -151,20 +150,7 @@ def re_put(handle) -> None:
     says it changed."""
     cuboid = next(c for c in handle.cuboids if len(c) > 1)
     first = next(iter(cuboid))
-    handle.put_cuboid(
-        item_cell(
-            handle,
-            OracleCell(
-                key=first.key,
-                item_level=first.item_level,
-                path_level=first.path_level,
-                record_ids=first.record_ids,
-                flowgraph=first.flowgraph,
-                paths=first.paths,
-                redundant=not first.redundant,
-            ),
-        )
-    )
+    handle.put_cuboid(item_cell(handle, first, redundant=not first.redundant))
     handle.flush()
 
 

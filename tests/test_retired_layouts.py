@@ -3,7 +3,8 @@
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
 predate the ``"format"`` field, and the ones that list no ``"files"``),
-``FCHEAP01`` to ``FCHEAP04`` heaps, ``FCCIDX01`` indexes,
+``FCHEAP01`` to ``FCHEAP05`` heaps, ``FCCIDX01`` indexes, ``FCPATH01``
+path tables,
 ``FCPART01`` partitions, CSV partition files — has no reader left, so
 each case is hand-crafted here from bytes on top of a store the current
 writer made, and must surface as a :class:`~repro.errors.StoreError`
@@ -25,9 +26,11 @@ from repro.store.binfmt import (
     HEAP_MAGIC,
     INDEX_MAGIC,
     PARTITION_MAGIC_V2,
+    PATHS_MAGIC,
     RETIRED_HEAP_MAGICS,
     RETIRED_INDEX_MAGIC,
     RETIRED_PARTITION_MAGIC,
+    RETIRED_PATHS_MAGICS,
     StringTable,
     unpack_partition,
 )
@@ -256,13 +259,59 @@ def test_a_per_path_level_heap_is_retired_too(built_dir, file):
     """``FCHEAP04`` held one record per cell and path level, each with its
     own copy of the item cell's record ids.  A heap or delta segment in it
     is refused when first mapped; the way out is a rebuild."""
-    assert RETIRED_HEAP_MAGICS[3:] == (b"FCHEAP04",)
-    assert HEAP_MAGIC == b"FCHEAP05"
+    assert RETIRED_HEAP_MAGICS[3] == b"FCHEAP04"
     _assert_heap_file_retired(
         built_dir, file, b"FCHEAP04",
         r"retired FCHEAP04 layout.*the last one that did is the one at "
         r"commit 8ab866c.*rebuild the cube",
     )
+
+
+@pytest.mark.parametrize("file", ["heap", "delta segment"])
+def test_a_vector_per_path_level_heap_is_retired_too(built_dir, file):
+    """``FCHEAP05`` held one record per item cell with one vector per
+    path level, each counting every member again.  A heap or delta
+    segment in it is refused when first mapped; the way out is a
+    rebuild."""
+    assert RETIRED_HEAP_MAGICS[4:] == (b"FCHEAP05",)
+    assert HEAP_MAGIC == b"FCHEAP06"
+    _assert_heap_file_retired(
+        built_dir, file, b"FCHEAP05",
+        r"retired FCHEAP05 layout.*the last one that did is the one at "
+        r"commit 035cbc7.*rebuild the cube",
+    )
+
+
+def test_a_path_table_without_joint_columns_is_retired_too(built_dir):
+    """``FCPATH01`` held every level's paths but no joint columns, so it
+    cannot map an ``FCHEAP06`` vector.  It is read at the first multiset
+    — never at open — and refused there, by a reader and by a writer;
+    the way out is a rebuild."""
+    assert RETIRED_PATHS_MAGICS == (b"FCPATH01",) and PATHS_MAGIC == b"FCPATH02"
+    table = cube_files(built_dir)["paths"]
+    _set_magic(table, b"FCPATH01")
+    pattern = (
+        r"retired FCPATH01 layout.*the last one that did is the one at "
+        r"commit 035cbc7.*rebuild the cube"
+    )
+    with PartitionedPathStore.open(built_dir) as store:
+        cube = store.cube_store()  # a cold open reads the index only
+        cuboid = cube.cuboids[0]
+        cell = cuboid.cell(cuboid.keys[0])
+        assert len(cell.record_ids) == cell.n_paths  # ids need no table
+        with pytest.raises(StoreError, match=pattern) as caught:
+            cell.flowgraph
+        assert table.name in str(caught.value)
+        cube.close()
+        with pytest.raises(StoreError, match=pattern):
+            append_records(store, list(example_path_database())[6:])
+        build_cube(
+            store, min_support=2, compute_exceptions=False,
+            into=store.cube_store(),
+        ).close()
+        with store.cube_store() as rebuilt:
+            assert json.loads(cube_to_json(rebuilt))["cuboids"]
+    assert cube_files(built_dir)["paths"].read_bytes()[:8] == PATHS_MAGIC
 
 
 def test_a_per_path_level_index_is_retired_too(built_dir):

@@ -122,9 +122,9 @@ def decodes(monkeypatch):
     calls: list[bytes] = []
     original = binfmt.decode_cell_parts
 
-    def counting(buffer, level_ids):
+    def counting(buffer):
         calls.append(bytes(buffer))
-        return original(buffer, level_ids)
+        return original(buffer)
 
     monkeypatch.setattr(binfmt, "decode_cell_parts", counting)
     return calls
@@ -207,7 +207,7 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         # alone: no graph is expanded (and no path table loaded).
         for cell in cells:
             assert len(cell.record_ids) == cell.n_paths
-            assert sum(cell.weights.values()) == cell.n_paths
+            assert sum(cell.vector.values()) == cell.n_paths
         assert decodes == [bytes(cell._record) for cell in cells]
         # The multiset names paths: the table is read, nothing decoded.
         for cell in cells:
@@ -261,9 +261,13 @@ def assert_cells_match_records(cube: CubeStore) -> None:
     for item_level, path_level, key, entry in stored_entries(cube):
         record = cube._cells.record(entry)
         level_id = cube.path_lattice.index_of(path_level)
-        record_ids, (vector,) = binfmt.decode_cell_parts(record, (level_id,))
+        record_ids, vector = binfmt.decode_cell_parts(record)
+        column = cube.path_table.joint[level_id]
+        weights: dict[int, int] = {}
+        for jid, weight in vector.items():
+            weights[column[jid]] = weights.get(column[jid], 0) + weight
         paths = level_paths(cube, path_level)
-        pairs = tuple((paths[pid], weight) for pid, weight in vector.items())
+        pairs = tuple((paths[pid], weight) for pid, weight in weights.items())
         graph = FlowGraph.expand(pairs)
         graph.exceptions = binfmt.decode_cell_exceptions(record, level_id)
         redundant = entry_redundant(entry)[level_id]
@@ -342,7 +346,7 @@ def test_stored_cells_equal_eager_decode_across_store_states(
         # ids past 2**31 are stored in the structured record
         first = next(stored_entries(cube))[3]
         record = cube._cells.record(first)
-        assert min(binfmt.decode_cell_parts(record, ())[0]) >= offset
+        assert min(binfmt.decode_cell_ids(record)) >= offset
 
         append_records(store, rows[split:], cube=cube, compact_after=0)
         assert_cells_match_records(cube)  # appended (delta segment)
@@ -401,26 +405,31 @@ def _apex_item_cell(memory: FlowCube) -> list:
 
 def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
     """A stored cell's index ``n_paths`` counts its record ids and its
-    flowgraph weighs its multiset: an item cell with a cell whose two
-    disagree is refused, not stored as a measure that contradicts its own
-    index."""
+    flowgraph weighs its multiset: an item cell whose vector weighs
+    another count — or whose levels do not share one vector — is
+    refused, not stored as a measure that contradicts its own index."""
     example = example_path_database()
     memory = FlowCube.build(example, min_support=2)
     item = _apex_item_cell(memory)
     apex = item[1]
-    (path, weight), *rest = apex.paths
-    heavier = OracleCell(
-        key=apex.key,
-        item_level=apex.item_level,
-        path_level=apex.path_level,
-        record_ids=apex.record_ids,
-        flowgraph=apex.flowgraph,
-        paths=((path, weight + 5), *rest),
-    )
+    (jid, weight), *rest = apex.vector.items()
+    vector = {jid: weight + 5, **dict(rest)}
+    heavier = [
+        Cell(
+            cell.key, cell.item_level, cell.path_level, cell.record_ids,
+            vector, cell.table, cell.level_id,
+        )
+        for cell in item
+    ]
+    cube = CubeStore(tmp_path / "cube", example.schema)
+    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    with pytest.raises(StoreError, match="do not share one vector"):
+        cube.put_cuboid([item[0], heavier[1], *item[2:]])
+    assert cube.n_cells() == 0
     cube = CubeStore(tmp_path / "cube", example.schema)
     cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
     with pytest.raises(StoreError, match="weighs 13 paths but has 8 record"):
-        cube.put_cuboid([item[0], heavier, *item[2:]])
+        cube.put_cuboid(heavier)
     assert cube.n_cells() == 0
     cube.put_cuboid(item)
     cube.flush()
@@ -441,13 +450,9 @@ def test_put_cuboid_refuses_a_partial_or_disagreeing_item_cell(tmp_path):
     memory = FlowCube.build(example, min_support=2)
     item = _apex_item_cell(memory)
     apex = item[0]
-    fewer = OracleCell(
-        key=apex.key,
-        item_level=apex.item_level,
-        path_level=apex.path_level,
-        record_ids=apex.record_ids[1:],
-        flowgraph=apex.flowgraph,
-        paths=apex.paths,
+    fewer = Cell(
+        apex.key, apex.item_level, apex.path_level, apex.record_ids[1:],
+        apex.vector, apex.table, apex.level_id,
     )
     cube = CubeStore(tmp_path / "cube", example.schema)
     cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
@@ -650,20 +655,23 @@ def test_a_path_table_shorter_than_committed_is_never_expanded(store_dir):
     )["paths"]
     assert committed["counts"] and max(committed["counts"]) > 1
     file = cube_files(store_dir)["paths"]
-    lineage, levels = binfmt.unpack_paths(file.read_bytes())
+    lineage, levels, joint = binfmt.unpack_paths(file.read_bytes())
     assert lineage == committed["lineage"]
     assert [len(paths) for paths in levels] == committed["counts"]
-    longest = max(range(len(levels)), key=lambda level: len(levels[level]))
-    levels[longest].pop()
-    file.write_bytes(binfmt.pack_paths(lineage, levels))
+    assert [len(column) for column in joint] == [committed["joint"]] * len(levels)
+    file.write_bytes(
+        binfmt.pack_paths(lineage, levels, [column[:-1] for column in joint])
+    )
     store, cube, cell = _measure_touches(store_dir)
     with pytest.raises(StoreError, match="fewer than the .* the cube meta"):
         cell.flowgraph
     cube.close()
     store.close()
     # A *longer* table is the same cube: ids are first-seen, never reordered.
+    longest = max(range(len(levels)), key=lambda level: len(levels[level]))
     levels[longest] += [((("nowhere", "*"),)), ((("nowhere", "1"),))]
-    file.write_bytes(binfmt.pack_paths(lineage, levels))
+    joint = [column + [len(levels[level]) - 1] for level, column in enumerate(joint)]
+    file.write_bytes(binfmt.pack_paths(lineage, levels, joint))
     store, cube, cell = _measure_touches(store_dir)
     assert cell.flowgraph.n_paths == cell.n_paths
     cube.close()
@@ -686,18 +694,13 @@ def test_a_missing_or_unnamed_path_table_is_typed(store_dir):
 
 
 def test_a_path_id_past_the_table_is_a_corrupt_payload(store_dir):
-    """A record naming a path its level does not hold (here: the meta and
-    the table both cut back by hand) is damage, not ``IndexError``."""
+    """A record naming a joint id the table does not hold (here: the meta
+    and the table both cut back by hand) is damage, not ``IndexError``."""
     file = cube_files(store_dir)["paths"]
-    lineage, levels = binfmt.unpack_paths(file.read_bytes())
-    cut = [paths[:1] for paths in levels]
-    file.write_bytes(binfmt.pack_paths(lineage, cut))
-    _rewrite_meta(
-        store_dir,
-        lambda payload: payload["paths"].update(
-            counts=[len(paths) for paths in cut]
-        ),
-    )
+    lineage, levels, joint = binfmt.unpack_paths(file.read_bytes())
+    cut = [column[:1] for column in joint]
+    file.write_bytes(binfmt.pack_paths(lineage, levels, cut))
+    _rewrite_meta(store_dir, lambda payload: payload["paths"].update(joint=1))
     store = PartitionedPathStore.open(store_dir)
     cube = store.cube_store()
     typed = 0

@@ -8,7 +8,7 @@ count against a bound computed from the input, at two ``repro.synth``
 sizes, so what is asserted is how the work *scales*, not a constant.
 
 The rows are the ones the stored-vector layout makes true: a store build
-persists each cell's ``{pid: weight}`` and never builds a flowgraph it
+persists each item cell's ``{joint id: weight}`` and never builds a flowgraph it
 does not mine; a default slice expands nothing and never opens the
 path table; an append adds vectors, reads only the partitions its
 promotion candidates might live in, and expands a graph only to mine it.
@@ -29,7 +29,7 @@ rolls each distinct dims tuple up once per item level, and builds the
 paths of its promoted cells' members and no other.
 And the ones one record per item cell makes true: a build encodes each
 item cell once, an append reads, decodes and encodes each dirty item
-cell once, and a miss round builds one key catalog per item cuboid,
+cell once — one vector each, whatever the number of path levels — and a miss round builds one key catalog per item cuboid,
 whatever path levels it slices.  And the one an exception pass that
 owns its views makes true: derivations leave a handle's path table
 without a view.
@@ -239,6 +239,33 @@ def test_a_build_encodes_each_item_cell_once(tmp_path, monkeypatch, n_paths):
     store.close()
 
 
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_build_hands_the_encoder_one_vector_per_item_cell(
+    tmp_path, monkeypatch, n_paths
+):
+    """Every path level of an item cell maps from one joint vector: each
+    record a build encodes carries one ``(joint id, weight)`` list that
+    weighs the item cell's record ids (parent: one vector per path
+    level), and no path level's exceptions are dropped."""
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    encoded = Counted(monkeypatch, binfmt, "encode_cell_payload")
+    cube = build_cube(
+        store, min_support=MIN_SUPPORT, into=store.cube_store(),
+        stats=BuildStats(),
+    )
+    n_levels = len(cube.path_lattice)
+    assert len(encoded) == cube.n_cells() // n_levels > 0
+    for record_ids, vector, exceptions in encoded.calls:
+        assert all(type(jid) is int and type(w) is int for jid, w in vector)
+        assert sum(weight for _, weight in vector) == len(record_ids)
+        assert len(exceptions) == n_levels
+    table = cube.path_table
+    assert len(table.paths[0]) <= table.n_joint
+    cube.close()
+    store.close()
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "plain"])
 @pytest.mark.parametrize("n_paths", SIZES)
 def test_a_build_decodes_each_partition_once_per_pass(
@@ -427,7 +454,7 @@ def test_a_stored_cell_decodes_its_varints_once(
         cells = list(cold.cells())
         mined = 0
         for cell in cells:
-            binfmt.decode_cell_parts(cell._record, (cell._loader.level_id,))
+            binfmt.decode_cell_parts(cell._record)
             once = len(varints)
             del varints.calls[:]
             for name in TOUCHES[order]:
@@ -608,15 +635,16 @@ def test_an_append_reads_and_writes_each_dirty_item_cell_once(
 ):
     """An append reads an item cell it adds to — or whose first record id
     orders a promotion — once: one record read and one decode for its
-    ids and every path level's vector; and it encodes each dirty item
-    cell once (parent, flowbench ``dense``'s first batch: 1,059 decodes
-    and 624 encodes for 156 dirty item cells)."""
+    ids and its one vector, or its ids alone; and it encodes each dirty
+    item cell once (parent, flowbench ``dense``'s first batch: 1,059
+    decodes and 624 encodes for 156 dirty item cells)."""
     database = generate_path_database(config(n_paths))
     base, batch = base_and_batch(database)
     store, cube = built(tmp_path / "wh", database, base, exceptions)
     n_levels = len(cube.path_lattice)
-    read = Counted(monkeypatch, CubeStore, "item_parts")
+    read = Counted(monkeypatch, CubeStore, "item_records")
     decoded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+    ids_only = Counted(monkeypatch, binfmt, "decode_cell_ids")
     encoded = Counted(monkeypatch, binfmt, "encode_cell_payload")
 
     stats = append_records(store, batch, cube=cube, compact_after=0)
@@ -625,8 +653,35 @@ def test_an_append_reads_and_writes_each_dirty_item_cell_once(
     dirty = (stats["updated"] + stats["created"]) // n_levels
     assert len(encoded) == dirty
     item_cells = [(call[1], key) for call in read.calls for key in call[2]]
-    assert len(decoded) == len(item_cells) == len(set(item_cells))
+    assert len(decoded) + len(ids_only) == len(item_cells) == len(set(item_cells))
     assert stats["updated"] // n_levels <= len(item_cells)
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("exceptions", [True, False], ids=["mined", "plain"])
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_append_decodes_one_vector_per_dirty_item_cell(
+    tmp_path, monkeypatch, n_paths, exceptions
+):
+    """An updated item cell's every path level is a function of its one
+    joint vector: the append decodes one vector per updated item cell —
+    no other record's — and adds each batch member to it once (parent:
+    one vector per path level, and a decode for every survivor a
+    promotion orders)."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, exceptions)
+    n_levels = len(cube.path_lattice)
+    decoded = Counted(monkeypatch, binfmt, "decode_cell_parts")
+
+    stats = append_records(store, batch, cube=cube, compact_after=0)
+
+    assert stats["promoted"] > 0
+    assert len(decoded) == stats["updated"] // n_levels > 0
+    for (record,) in list(decoded.calls):
+        record_ids, vector = binfmt.decode_cell_parts(record)
+        assert type(vector) is dict and sum(vector.values()) == len(record_ids)
     cube.close()
     store.close()
 
