@@ -1,13 +1,21 @@
-"""Time the query planner's derivation on the flowbench workloads.
+"""Time the query planner's derivation and the first read of exceptions.
 
 flowbench has no derive cut yet, so this is the derivation timing: per
 workload, the seed-1 database of ``make_inputs`` is built into a store
-that materialises only the base item level (δ = 2, exceptions off), and
+that materialises only the base item level (δ = 2), once with exceptions
+off (``plain`` rows) and once with them on (``mined``), and
 ``derive_cuboid`` answers item level (1, 1, 1) at path level 0 (the
 leaves, durations kept) and at path level 3 (one location level up,
 durations ``*``; rows marked ``L3``), reading every derived cell's
-flowgraph.  Each is timed on a cold handle (its first derivation) and
-again on the same, warm handle, with exceptions off and on.
+flowgraph — which, on the ``mined`` store, mines its exceptions.  Each
+is timed on a cold handle (its first derivation) and again on the same,
+warm handle.  The ``exceptions read`` rows time a fresh handle of the
+``mined`` store reading the exceptions of every cell of the base cuboid
+at path level 0 (``cold``), then reading them again from its cell cache
+(``warm``).
+
+Every timed window starts from a collected heap with the cyclic collector
+paused, so the rows compare code, not where a collection happened to land.
 
 To compare two source trees, pass each with ``--src``: every round runs
 one child process per tree, alternating which goes first, and the
@@ -20,6 +28,7 @@ Usage (from the repository root):
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -27,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
+from inspect import signature
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +45,21 @@ WORKLOADS = ("dense", "iceberg", "records")
 #: The path levels derived: level 0 (the leaves, durations kept) and level
 #: 3 (one level up, durations ``*``), each row's label suffix.
 LEVELS = ((0, ""), (3, " L3"))
+#: Cells the ``exceptions read`` handle keeps: more than any base cuboid.
+READ_CACHE = 100_000
+
+
+@contextmanager
+def timed(timings: dict[str, float], row: str):
+    """Time the block into ``timings[row]``, collector collected and off."""
+    gc.collect()
+    gc.disable()
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[row] = time.perf_counter() - started
+        gc.enable()
 
 
 def measure() -> dict[str, float]:
@@ -47,32 +73,45 @@ def measure() -> dict[str, float]:
     from benchmarks.flowbench.workloads import WORKLOADS as SPECS
     from benchmarks.flowbench.workloads import make_inputs
 
+    # A tree whose cells do not mine at first read mines derived cells
+    # when asked to.
+    on_request = "mine_exceptions" in signature(derive_cuboid).parameters
     timings: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name in WORKLOADS:
             database = make_inputs(SPECS[name], 1).database
             dimensions = database.schema.dimensions
-            store = PartitionedPathStore.init(Path(workdir) / name, database.schema)
-            store.ingest(database)
             base = ItemLevel([h.depth for h in dimensions])
-            build_cube(
-                store, item_levels=[base], min_support=2, compute_exceptions=False
-            ).close()
             target = ItemLevel([1] * len(dimensions))
-            for level_id, suffix in LEVELS:
-                for exceptions in (False, True):
+            for exceptions in (False, True):
+                label = "mined" if exceptions else "plain"
+                mine = {"mine_exceptions": exceptions} if on_request else {}
+                store = PartitionedPathStore.init(
+                    Path(workdir) / f"{name}-{label}", database.schema
+                )
+                store.ingest(database)
+                build_cube(
+                    store, item_levels=[base], min_support=2,
+                    compute_exceptions=exceptions,
+                ).close()
+                for level_id, suffix in LEVELS:
                     with store.cube_store() as cube:
                         path_level = cube.path_lattice[level_id]
                         for handle in ("cold", "warm"):
-                            started = time.perf_counter()
-                            plan = plan_derivation(cube, target, path_level)
-                            for cell in derive_cuboid(cube, plan, exceptions):
-                                cell.flowgraph
-                            label = "mined" if exceptions else "plain"
-                            timings[f"{name} {label} {handle}{suffix}"] = (
-                                time.perf_counter() - started
-                            )
-            store.close()
+                            with timed(timings, f"{name} {label} {handle}{suffix}"):
+                                plan = plan_derivation(cube, target, path_level)
+                                for cell in derive_cuboid(cube, plan, **mine):
+                                    cell.flowgraph
+                if exceptions:
+                    # A cache that keeps the whole cuboid: the warm read
+                    # finds every cell it read cold.
+                    with store.cube_store(cache_size=READ_CACHE) as cube:
+                        cuboid = cube.cuboid(base, cube.path_lattice[0])
+                        for handle in ("cold", "warm"):
+                            with timed(timings, f"{name} exceptions read {handle}"):
+                                for cell in cuboid.cells_for(cuboid.keys):
+                                    cell.exceptions
+                store.close()
     return timings
 
 
@@ -108,7 +147,7 @@ def main() -> None:
                 statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             )
             cells.append(f"{median * 1e3:8.1f} ms [{q1 * 1e3:.1f}–{q3 * 1e3:.1f}]")
-        print(f"{row:27s}", " | ".join(cells))
+        print(f"{row:30s}", " | ".join(cells))
 
 
 if __name__ == "__main__":

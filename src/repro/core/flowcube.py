@@ -16,7 +16,8 @@ vector over a path table, mapped to its path level's multiset and
 expanded to a flowgraph when first read; the roll-up, an append,
 ``cube_from_json``, the query planner and a store read all hand out
 this class, a store's cells decoding their vector from a heap record on
-first touch.
+first touch.  Exceptions are stored nowhere: a cell of a cube built with
+them mines its own the first time its graph or ``exceptions`` is read.
 :meth:`FlowCube.build` runs the roll-up of
 :mod:`repro.perf.measure_rollup` over the whole database and keeps what
 it hands out, every vector over the cube's :attr:`FlowCube.path_table`.
@@ -27,12 +28,12 @@ compared against, byte for byte.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.aggregation import AggregatedPath, WeightedPath, WeightedPaths
 from repro.core.flowgraph import FlowGraph
-from repro.core.flowgraph_exceptions import Segment
+from repro.core.flowgraph_exceptions import serial_exception_pass
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import CubeError, StoreError
@@ -62,9 +63,17 @@ class Cell:
     append, ``cube_from_json``) or decoded together from a heap *record*
     at the first touch of either through the *loader* of the store that
     read it (:mod:`repro.store.cube_store`), which also reads the path
-    table lazily — a cold open reads none — and the record's exceptions.
-    Every cell expands its graph the same way; a stored one then attaches
-    its record's exceptions.  A damaged record is a
+    table lazily — a cold open reads none.  Every cell expands its graph
+    the same way.
+
+    Exceptions are holistic (Lemma 4.3) and a pure function of the
+    multiset, so no cell carries them: *mining* is the cube's ``(δ, ε)``
+    when it was built with exceptions, and such a cell mines its own —
+    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass` over
+    its level's postings in ``table`` — the first time its flowgraph or
+    ``exceptions`` is read, and keeps them on the graph.  With ``None``
+    (exceptions off) a cell never mines: ``exceptions`` reads ``[]``, or
+    what ``cube_from_json`` attached to its graph.  A damaged record is a
     :class:`~repro.errors.StoreError` at every touch.  ``vector`` is
     shared: whoever adds to one adds into a copy.
     """
@@ -83,6 +92,7 @@ class Cell:
         "_graph",
         "_record",
         "_loader",
+        "_mining",
     )
 
     def __init__(
@@ -99,6 +109,7 @@ class Cell:
         n_paths: int | None = None,
         record: bytes | None = None,
         loader=None,
+        mining: tuple[float, float] | None = None,
     ) -> None:
         self.key = key
         self.item_level = item_level
@@ -113,6 +124,7 @@ class Cell:
         self._graph: FlowGraph | None = None
         self._record = record
         self._loader = loader
+        self._mining = mining
 
     def _decode(self) -> None:
         self._record_ids, self._vector = self._loader.vector(self._record)
@@ -182,26 +194,28 @@ class Cell:
 
     @property
     def flowgraph(self) -> FlowGraph:
-        """The measure's graph, expanded from the vector at first read."""
+        """The measure's graph, expanded from the vector at first read and
+        carrying the cell's exceptions, mined then when the cube has them."""
         graph = self._graph
         if graph is None:
             graph = FlowGraph.expand(self._pairs())
+            if self._mining is not None:
+                serial_exception_pass(*self._mining)(
+                    [(graph, self.weights, self.table.postings[self.level_id])]
+                )
             if self._loader is not None:
-                self._loader.expanded(graph, self._record)
+                self._loader.counters["cells_decoded"] += 1
             self._graph = graph
         return graph
 
     @property
     def exceptions(self) -> list:
-        """The mined exceptions, without expanding a graph to ask: a
-        stored cell reads its record's, and a graph held in hand that
-        nobody read cannot have been mined."""
+        """The (ε, δ) exceptions: mined with the graph when the cube has
+        them, else ``[]`` — or what was attached to a graph in hand."""
         graph = self._graph
-        if graph is not None:
-            return graph.exceptions
-        return [] if self._loader is None else self._loader.exceptions(
-            self._record
-        )
+        if graph is None and self._mining is None:
+            return []
+        return self.flowgraph.exceptions
 
     def __eq__(self, other: object) -> bool:
         """Field-wise equality with any cell, index fields first (cells
@@ -291,6 +305,10 @@ class FlowCube:
         self.path_lattice = path_lattice
         self.min_support = min_support
         self.min_deviation = min_deviation
+        #: Whether the cells mine (ε, δ) exceptions when first read (set
+        #: by :meth:`build`; a ``cube_from_json`` cube's graphs carry the
+        #: ones it was saved with).
+        self.compute_exceptions = False
         self._cuboids: dict[tuple[ItemLevel, PathLevel], Cuboid] = {}
         #: The ``PathTable`` the cells' vectors are over (set by
         #: :meth:`build` and ``cube_from_json``), as on a ``CubeStore``.
@@ -300,6 +318,15 @@ class FlowCube:
         #: cell changes of :mod:`repro.core.redundancy`: ``prune_redundant``
         #: and ``drop_redundant`` bump it when they mark or remove a cell.
         self.version = 0
+
+    @property
+    def mining(self) -> tuple[float, float] | None:
+        """The ``(δ, ε)`` a cell of this cube mines its exceptions with at
+        first read, or ``None`` when the cube has none (as on a
+        ``CubeStore``)."""
+        if not self.compute_exceptions:
+            return None
+        return self.min_support, self.min_deviation
 
     # ------------------------------------------------------------------
     # construction
@@ -313,19 +340,18 @@ class FlowCube:
         min_support: float = 0.01,
         min_deviation: float = 0.1,
         compute_exceptions: bool = True,
-        segments_by_cell: Mapping[
-            tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
-        ]
-        | None = None,
+        # Shim: benchmarks/flowbench/gates.py passes Shared's segments;
+        # the keyword goes with the [benchmark] PR that stops passing it.
+        segments_by_cell: object = None,
         stats: object | None = None,
     ) -> "FlowCube":
         """Materialise an iceberg flowcube.
 
-        Each distinct path is aggregated once per path level, ancestor
-        cuboids derive by adding their children's joint vectors, and
-        exceptions are mined with the bitmap kernel
+        Each distinct path is aggregated once per path level and ancestor
+        cuboids derive by adding their children's joint vectors
         (:func:`repro.perf.measure_rollup.roll_up`, the roll-up the store
-        build runs too).
+        build runs too).  No graph is built and nothing is mined here: a
+        cell expands its graph, and mines its exceptions, when first read.
 
         Args:
             database: The path database.
@@ -337,16 +363,15 @@ class FlowCube:
             min_support: δ for both the iceberg condition and exceptions;
                 a fraction of the database (<1) or an absolute path count.
             min_deviation: ε for exceptions.
-            compute_exceptions: Skip the (holistic) exception pass when
-                only the algebraic part of the measure is needed.
-            segments_by_cell: Pre-mined frequent segments per cell, e.g.
-                from :func:`repro.mining.shared.shared_mine` — avoids the
-                per-cell local mining pass.
+            compute_exceptions: Whether the cells carry the (holistic)
+                exceptions, mined per cell at first read, or only the
+                algebraic part of the measure.
+            segments_by_cell: Accepted and ignored (see
+                :func:`~repro.store.builder.build_cube`).
             stats: Optional stats sink with an ``add_phase(name, seconds)``
                 method (e.g. :class:`repro.mining.stats.MiningStats`); the
-                record scan lands in its ``aggregate`` bucket, the measure
-                construction in ``materialize`` and the exception pass in
-                ``exceptions``.
+                record scan lands in its ``aggregate`` bucket and the
+                measure construction in ``materialize``.
         """
         from repro.perf.measure_rollup import (
             PathTable,
@@ -361,6 +386,7 @@ class FlowCube:
         cube = cls(
             database, item_lattice, path_lattice, min_support, min_deviation
         )
+        cube.compute_exceptions = compute_exceptions
         cube.path_table = PathTable(len(path_lattice))
         for cuboid in roll_up(
             [database],
@@ -369,9 +395,7 @@ class FlowCube:
             path_lattice,
             schema.dimensions,
             min_support,
-            min_deviation,
-            compute_exceptions,
-            segments_by_cell,
+            cube.mining,
             stats,
         ):
             cube._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid

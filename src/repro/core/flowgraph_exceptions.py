@@ -16,15 +16,18 @@ Exceptions are a *holistic* measure (Lemma 4.3): they require the frequent
 path segments of the cell.  :func:`mine_exceptions` accepts those segments
 from the Shared algorithm's output, or mines them locally with the built-in
 level-wise miner (:func:`mine_frequent_segments`) when none are supplied.
+A cube stores none of this: a cell built with exceptions mines its own,
+locally, the first time it is read (:func:`serial_exception_pass`).
 
 Two interchangeable kernels implement the pass (``kernel=`` on the
 ``mine_exceptions*`` entry points): ``"bitmap"`` (the default) indexes each
 distinct path once into big-int bit sets over path ids and answers every
 support and conditional count with an AND + weighted popcount
 (:mod:`repro.perf.exception_kernel`);
-``"scan"`` is the direct per-path implementation in this module.  Both
-produce identical exception lists — same supports, distributions, and
-canonical order — enforced by the parity property tests.
+``"scan"`` is the direct per-path implementation in this module, and the
+one that probes pre-mined segments.  Both produce identical exception
+lists — same supports, distributions, and canonical order — enforced by
+the parity property tests.
 """
 
 from __future__ import annotations
@@ -298,8 +301,8 @@ def mine_exceptions(
         paths: The aggregated paths the graph was built from.
         min_support: δ — fraction (<1) or absolute count.
         min_deviation: ε — minimum absolute probability change to record.
-        segments: Frequent segments from a shared mining run; mined locally
-            when omitted.
+        segments: Frequent segments from a shared mining run, probed by
+            the scan kernel; mined locally when omitted.
         max_segment_length: Bound for the local miner.
         kernel: ``"bitmap"`` (AND+popcount over tid-sets, the default) or
             ``"scan"`` (per-path re-scan) — identical results.
@@ -335,13 +338,15 @@ def mine_exceptions_weighted(
     deviations — are exactly those of the expanded path multiset while the
     holistic pass touches each distinct path once.  *index_cache* (bitmap
     kernel) keeps the postings plain pairs are interned into across calls.
+    The bitmap kernel mines the cell's own segments; pre-mined *segments*
+    are probed by the scan kernel, whatever *kernel* says.
     """
     if kernel not in EXCEPTION_KERNELS:
         raise ValueError(
             f"unknown exception kernel {kernel!r}; expected one of "
             f"{EXCEPTION_KERNELS}"
         )
-    if kernel == "bitmap":
+    if kernel == "bitmap" and segments is None:
         from repro.perf.exception_kernel import (
             intern_pairs,
             mine_exceptions_bitmap,
@@ -354,7 +359,6 @@ def mine_exceptions_weighted(
             postings,
             min_support,
             min_deviation,
-            segments=segments,
             max_segment_length=max_segment_length,
         )
     threshold = resolve_min_support(min_support, total_weight(weighted))
@@ -491,38 +495,32 @@ class _ExceptionPass:
 
     def __init__(self, min_support: float, min_deviation: float) -> None:
         self.thresholds = (min_support, min_deviation)
-        self.seconds = 0.0
         self.views: dict = {}
 
     def __call__(self, batch) -> None:
-        from time import perf_counter
-
         from repro.perf.exception_kernel import mine_exceptions_bitmap
 
-        started = perf_counter()
-        for graph, weights, postings, segments in batch:
+        for graph, weights, postings in batch:
             mine_exceptions_bitmap(
-                graph, weights, postings, *self.thresholds, segments=segments,
+                graph, weights, postings, *self.thresholds,
                 views=self.views.setdefault(postings, {}),
             )
-        self.seconds += perf_counter() - started
 
 
 def serial_exception_pass(min_support: float, min_deviation: float):
     """The in-process runner for every per-cell exception phase.
 
     Returns a callable ``run(batch)`` where *batch* is a list of
-    ``(graph, weights, postings, segments)``: a cell's flowgraph, its
-    ``{pid: weight}`` vector and its path level's
+    ``(graph, weights, postings)``: a cell's flowgraph, its ``{pid:
+    weight}`` vector and its path level's
     :class:`~repro.perf.exception_kernel.PathPostings`, which the bitmap
     kernel indexes without touching a path — so a distinct path's stages
-    are walked once per level, and lattice cells that roll up to
-    identical vectors share an index across cuboids through the runner's
-    own fingerprint map.  It mines each cell in place (attaching
-    ``graph.exceptions``) and accumulates wall time in ``run.seconds``
-    for the builders' ``"exceptions"`` phase bucket.  The roll-up build,
-    the store build, the store append and the query planner's derivation
-    all mine through it, always with the bitmap kernel (the test suite's
-    per-cell oracle calls the scan kernel itself).
+    are walked once per level, and cells of one batch with identical
+    vectors share an index through the runner's own fingerprint map.  It
+    mines each cell's own segments and attaches ``graph.exceptions``.  A
+    cell of a cube with exceptions mines through it at the first read of
+    its graph (:attr:`~repro.core.flowcube.Cell.flowgraph`), always with
+    the bitmap kernel (the test suite's per-cell oracle calls the scan
+    kernel itself).
     """
     return _ExceptionPass(min_support, min_deviation)

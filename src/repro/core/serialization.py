@@ -69,9 +69,8 @@ def flowgraph_to_dict(graph: FlowGraph) -> dict:
 def exceptions_to_dicts(exceptions) -> list[dict]:
     """Plain-dict form of a flowgraph's exception list (sorted mappings).
 
-    Shared by :func:`flowgraph_to_dict` and the store's write door, which
-    hands it to :func:`repro.store.binfmt.encode_cell_payload` to keep in
-    the JSON exception section of the ``FCHEAP06`` record.
+    Shared by :func:`flowgraph_to_dict` and the slicer's ``/exceptions``
+    report.
     """
     return [
         {
@@ -120,9 +119,7 @@ def flowgraph_from_dict(data: dict) -> FlowGraph:
 def exceptions_from_dicts(data: list[dict]) -> list[FlowException]:
     """Rebuild :class:`FlowException` objects from their plain-dict form.
 
-    Shared by :func:`flowgraph_from_dict` and a stored cell's reader,
-    which gets the list from the JSON blob inside the ``FCHEAP06`` record
-    (:func:`repro.store.binfmt.decode_cell_exceptions`).
+    Shared by :func:`flowgraph_from_dict` and :func:`cube_from_json`.
     """
     return [
         FlowException(
@@ -190,8 +187,10 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
     built from; cell ``record_ids`` index into it.  Each cell comes back
     as a build hands it out: a :class:`~repro.core.flowcube.Cell` whose
     joint vector over the cube's ``path_table`` — one per item cell — is
-    rebuilt from its records, with its stored exceptions attached to its
-    graph.
+    rebuilt from its records, with its saved exceptions attached to its
+    graph.  The JSON does not record whether the cube was built with
+    exceptions, so the restored cube's ``compute_exceptions`` is off: set
+    it for the cells the query planner derives from it to mine theirs.
     """
     from repro.perf.measure_rollup import AggregationMemo, PathTable
 

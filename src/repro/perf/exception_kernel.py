@@ -37,11 +37,11 @@ the stage walk is paid once per path, not once per cell:
   AND-ed with the cell mask once, at a segment's first constraint; every
   mask derived from it stays inside the cell.
 
-There are two doors and one kernel.  The roll-up, the store append and
-the planner's derivation hand the pass a cell's ``{pid: weight}``
+There are two doors and one kernel.  A cell of a cube with exceptions,
+at the first read of its graph, hands the pass its ``{pid: weight}``
 vector (:attr:`~repro.core.flowcube.Cell.weights`) with its level's
-postings, and share those postings across every cell of the level (and
-the planner across threads).  Plain ``mine_exceptions_weighted(graph,
+postings, which every cell over one path table shares (a serving
+handle's across threads).  Plain ``mine_exceptions_weighted(graph,
 [(path, weight), …])`` comes through the tuple door of
 :func:`intern_pairs`, which interns its pairs into a private postings,
 and runs the same code.
@@ -65,13 +65,12 @@ derived float distributions, deviations, and the canonically-sorted
 exception lists are identical — and serialised cubes stay byte-identical
 (property-tested in ``tests/test_exception_kernel.py``).
 
-Views are shared across the cells of one exception pass — a build, an
-append, a derivation — through the pass's fingerprint map, keyed by
-``frozenset({pid: weight}.items())`` (int pairs, not nested tuples):
-lattice cells that roll up to identical multisets, common near the apex,
-reuse one view, its mined segment masks and (when segments are mined
-locally) whole exception lists.  The map goes with the pass, so a
-long-lived path table — a serving handle's — keeps no view.  A view
+Views are shared across the cells of one exception pass through the
+pass's fingerprint map, keyed by ``frozenset({pid: weight}.items())``
+(int pairs, not nested tuples): cells with identical multisets reuse one
+view, its mined segment masks and its whole exception list.  The map
+goes with the pass, so a long-lived path table — a serving handle's —
+keeps no view.  A view
 holds no reference back, so a path table and everything indexed under
 it is freed by reference count — the write side pauses the cyclic
 collector (:mod:`repro.perf.collector`) and must not need it.
@@ -80,7 +79,7 @@ collector (:mod:`repro.perf.collector`) and must not need it.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.core.aggregation import (
     DURATION_ANY_LABEL,
@@ -300,7 +299,7 @@ class CellExceptionIndex:
         mining_cache: ``(min_support, max_length)`` → mined
             ``(segments, masks)`` pair (see :func:`mine_segments_bitmap`).
         result_cache: ``(min_support, min_deviation, max_length)`` → the
-            finished exception tuple, for locally-mined runs.
+            finished exception tuple.
 
     Counting never walks the weights — paths are grouped by multiplicity
     into per-weight class masks, so a weighted popcount is a handful of
@@ -512,7 +511,6 @@ def mine_exceptions_bitmap(
     postings: PathPostings,
     min_support: float,
     min_deviation: float,
-    segments: Iterable[Segment] | None = None,
     max_segment_length: int = 4,
     views: dict | None = None,
 ) -> list[FlowException]:
@@ -520,30 +518,25 @@ def mine_exceptions_bitmap(
     the cell ``{pid: weight}`` in *postings*' id space, its view shared
     through *views* (see :meth:`PathPostings.index`).
 
-    Semantics and output are exactly the scan kernel's — including
-    attaching the sorted list to ``graph.exceptions``.  With
-    locally-mined segments the finished exception list itself is memoised
-    on the cell's index per ``(δ, ε, max length)``: the exceptions are a
-    pure function of the path multiset (the graph's distributions are
-    derived from the same multiset), so cells sharing an index — through
-    one exception pass, or through a shared ``index_cache`` at the tuple
-    door — share the result outright.
+    Semantics and output are exactly the scan kernel's over locally-mined
+    segments — including attaching the sorted list to ``graph.exceptions``.
+    The finished exception list is memoised on the cell's index per
+    ``(δ, ε, max length)``: the exceptions are a pure function of the
+    path multiset (the graph's distributions are derived from the same
+    multiset), so cells sharing an index — through one exception pass,
+    or through a shared ``index_cache`` at the tuple door — share the
+    result outright.
     """
     index = cell_index(weights, postings, views)
-    local = segments is None
     result_key = (min_support, min_deviation, max_segment_length)
-    supports: dict[Segment, int] = {}
-    masks: dict[Segment, int] = {}
-    if local:
-        cached = index.result_cache.get(result_key)
-        if cached is not None:
-            exceptions = list(cached)
-            graph.exceptions = exceptions
-            return exceptions
-        supports, masks = mine_segments_bitmap(
-            postings, index, min_support, max_length=max_segment_length
-        )
-        segments = supports
+    cached = index.result_cache.get(result_key)
+    if cached is not None:
+        exceptions = list(cached)
+        graph.exceptions = exceptions
+        return exceptions
+    supports, masks = mine_segments_bitmap(
+        postings, index, min_support, max_length=max_segment_length
+    )
     threshold = resolve_min_support(min_support, index.total)
     count = index.count
     # When every path has the same multiplicity, a weighted popcount is
@@ -560,40 +553,27 @@ def mine_exceptions_bitmap(
     #: differs — and duplicate probes dominate dense lattices, so the
     #: counting work is done once per distinct (node, mask) pair.
     probe_cache: dict[tuple[tuple[str, ...], int], list] = {}
-    for segment in segments:
-        if not segment:
-            continue
-        if local:
-            # Mined segments are already canonical (sorted by prefix
-            # length) with known ≥-threshold supports and memoised masks.
-            ordered = segment
-        else:
-            ordered = tuple(sorted(segment, key=lambda c: len(c[0])))
-        deepest_prefix = ordered[-1][0]
+    # Mined segments are already canonical (sorted by prefix length) with
+    # known ≥-threshold supports and memoised masks.
+    for segment, support in supports.items():
+        deepest_prefix = segment[-1][0]
         at_node = node_cache.get(deepest_prefix, _MISSING)
         if at_node is _MISSING:
             at_node = _node_invariants(graph, postings, deepest_prefix)
             node_cache[deepest_prefix] = at_node
         if at_node is None:
             continue  # the graph has no such node
-        if local:
-            if star_mixed and any(
-                duration == DURATION_ANY_LABEL for _, duration in ordered
-            ):
-                # The mined mask counted "*" as an exact stage; the pass
-                # treats it as a wildcard.  The wildcard mask is a
-                # superset of the exact one, so the segment stays
-                # frequent — just recount through the prefix masks.
-                mask = index.segment_mask(postings, ordered)
-                support = count(mask)
-            else:
-                mask = masks[ordered]
-                support = supports[ordered]
-        else:
-            mask = index.segment_mask(postings, ordered)
+        if star_mixed and any(
+            duration == DURATION_ANY_LABEL for _, duration in segment
+        ):
+            # The mined mask counted "*" as an exact stage; the pass
+            # treats it as a wildcard.  The wildcard mask is a superset of
+            # the exact one, so the segment stays frequent — just recount
+            # through the prefix masks.
+            mask = index.segment_mask(postings, segment)
             support = count(mask)
-            if support < threshold:
-                continue
+        else:
+            mask = masks[segment]
         probe_key = (deepest_prefix, mask)
         templates = probe_cache.get(probe_key)
         if templates is None:
@@ -606,7 +586,7 @@ def mine_exceptions_bitmap(
             exceptions.append(
                 FlowException(
                     node_prefix=prefix,
-                    condition=ordered,
+                    condition=segment,
                     kind=kind,
                     support=probe_support,
                     baseline=baseline,
@@ -615,8 +595,7 @@ def mine_exceptions_bitmap(
                 )
             )
     exceptions.sort(key=exception_sort_key)
-    if local:
-        index.result_cache[result_key] = tuple(exceptions)
+    index.result_cache[result_key] = tuple(exceptions)
     graph.exceptions = exceptions
     return exceptions
 

@@ -6,7 +6,8 @@ path multiset is exactly the disjoint union of its children's — the classic
 algebraic roll-up of Gray et al.'s Data Cube, which the paper exploits in
 §4.2 by splitting the measure into an algebraic flowgraph part (Lemma 4.2)
 and a holistic exception part (Lemma 4.3).  One function, :func:`roll_up`,
-does the split end to end for both builds:
+builds the algebraic part for both builds, and leaves the holistic part
+to each cell's first read:
 :meth:`~repro.core.flowcube.FlowCube.build` hands it the whole database
 as one batch, :func:`~repro.store.builder.build_cube` one partition at a
 time.
@@ -32,20 +33,18 @@ time.
 4. **Prune** (:func:`prune_to_iceberg`): sub-iceberg cells, which
    derivation needed, are dropped.
 5. **Assemble** (:func:`assemble_cuboid`, per (item level, path level)
-   pair): cell construction and the per-cell holistic exception pass.  A
-   cell leaves the roll-up as a :class:`~repro.core.flowcube.Cell` — its
-   item cell's joint vector, shared by the cells at every path level,
-   and its level of the table — whose ``{pid: weight}`` multiset at the
-   level is mapped from the vector, and whose flowgraph is expanded from
-   that, where one is consumed: by the exception pass (handed the
-   multiset and the level's postings, which the table owns too), at its
-   first read in an in-memory cube, and never by a store build without
-   exceptions, which persists the joint vector itself.  The query
-   planner derives a cuboid nobody materialised with steps 3–5 over the
-   source cells' vectors.
+   pair): cell construction, nothing else.  A cell leaves the roll-up as
+   a :class:`~repro.core.flowcube.Cell` — its item cell's joint vector,
+   shared by the cells at every path level, its level of the table and
+   the cube's exception thresholds — whose ``{pid: weight}`` multiset at
+   the level is mapped from the vector, and whose flowgraph is expanded
+   from that, and its exceptions mined, at its first read: never by a
+   build, which persists the joint vector itself.  The query planner
+   derives a cuboid nobody materialised with steps 3–5 over the source
+   cells' vectors.
 
 Parity with a per-cell build is exact: counts are integers, distributions
-are ratios of identical integers, and exceptions are re-mined per cell from
+are ratios of identical integers, and exceptions are mined per cell from
 the weighted paths then canonically sorted, so serialised cubes are
 byte-identical to the per-cell oracle the test suite keeps.  Batches fold
 in order, which reproduces the single-scan insertion orders exactly (ids
@@ -61,11 +60,7 @@ from time import perf_counter
 
 from repro.core.aggregation import AggregatedPath, aggregate_path
 from repro.core.flowcube import Cell, CellKey, Cuboid
-from repro.core.flowgraph_exceptions import (
-    Segment,
-    resolve_min_support,
-    serial_exception_pass,
-)
+from repro.core.flowgraph_exceptions import resolve_min_support
 from repro.core.lattice import (
     ItemLattice,
     ItemLevel,
@@ -150,7 +145,7 @@ class PathTable:
     level's multisets as bit sets — ``postings[level_id]`` is the level's
     :class:`~repro.perf.exception_kernel.PathPostings`, sharing this
     table's ``paths`` and indexing a path's stages the first time a cell
-    is mined after it was interned (never, with exceptions off).  The
+    mines after it was interned (at a read; never, with exceptions off).  The
     postings and the reverse maps are built the first time a writer or a
     miner asks, so a reader that only maps vectors builds none.  A
     persisted cube keeps ``paths`` and ``joint`` on disk
@@ -424,14 +419,9 @@ def prune_to_iceberg(
     Derivation needs *all* child cells to conserve ancestor weights, but
     once every level is derived only iceberg-surviving cells are ever
     read again.  The sub-threshold tail is the bulk of the keys on
-    realistic workloads, so it is dropped here.  In an in-memory build
-    (:meth:`FlowCube.build <repro.core.flowcube.FlowCube.build>`, which
-    runs on the default collector) keeping it alive through assembly
-    makes the holistic exception pass measurably slower just by inflating
-    the heap the cyclic GC has to traverse; a store build pauses that
-    collector (:mod:`repro.perf.collector`), and there the prune only
-    releases the memory early.  Pruning keeps each dict's insertion order
-    (a subset of it), leaving assembly's cell order untouched.
+    realistic workloads, so it is dropped here, and its memory released
+    before assembly.  Pruning keeps each dict's insertion order (a subset
+    of it), leaving assembly's cell order untouched.
     """
     for level_data in data.values():
         groups = {
@@ -451,34 +441,20 @@ def assemble_cuboid(
     cells: Mapping[CellKey, WeightedCell],
     table: PathTable,
     level_id: int,
-    segments_by_cell: Mapping | None,
-    exception_pass=None,
+    mining: tuple[float, float] | None,
 ) -> Cuboid:
     """One finished cuboid: a :class:`~repro.core.flowcube.Cell` per key
     of *members* (key -> sorted record ids) straight from its joint
-    vector in *cells* over *table*, at path level *level_id* — no path
-    tuple is touched and no graph built without an *exception_pass*: a
-    ``run(batch)`` callable over ``(graph, weights, postings, segments)``
-    whose *graph* is the cell's, expanded for the pass, *weights* its
-    multiset at the level and *postings* the level's
-    (see :func:`~repro.core.flowgraph_exceptions.serial_exception_pass`).
+    vector in *cells* over *table*, at path level *level_id*, mining
+    its exceptions with *mining* — the cube's ``(δ, ε)``, or ``None`` —
+    when first read.  No path tuple is touched and no graph built.
     """
     cuboid = Cuboid(item_level, path_level)
-    batch = []
-    postings = None if exception_pass is None else table.postings[level_id]
     for key, record_ids in members.items():
-        cell = Cell(
+        cuboid.cells[key] = Cell(
             key, item_level, path_level, record_ids, cells[key], table,
-            level_id,
+            level_id, mining=mining,
         )
-        if exception_pass is not None:
-            segments = None
-            if segments_by_cell is not None:
-                segments = segments_by_cell.get((item_level, path_level, key))
-            batch.append((cell.flowgraph, cell.weights, postings, segments))
-        cuboid.cells[key] = cell
-    if batch:
-        exception_pass(batch)
     return cuboid
 
 
@@ -487,11 +463,7 @@ def assemble_cuboids(
     path_lattice: PathLattice,
     data: Mapping[ItemLevel, LevelData],
     table: PathTable,
-    segments_by_cell: Mapping[
-        tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
-    ]
-    | None,
-    exception_pass=None,
+    mining: tuple[float, float] | None,
 ) -> Iterator[Cuboid]:
     """Yield the cuboids of pruned *data* in (item level, path level)
     order, each from :func:`assemble_cuboid` over *table*.
@@ -508,7 +480,7 @@ def assemble_cuboids(
         for level_id, path_level in enumerate(path_lattice):
             yield assemble_cuboid(
                 item_level, path_level, members, level_data.weighted, table,
-                level_id, segments_by_cell, exception_pass,
+                level_id, mining,
             )
 
 
@@ -519,12 +491,7 @@ def roll_up(
     path_lattice: PathLattice,
     hierarchies: Sequence,
     min_support: float,
-    min_deviation: float,
-    compute_exceptions: bool,
-    segments_by_cell: Mapping[
-        tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
-    ]
-    | None,
+    mining: tuple[float, float] | None,
     stats: object | None = None,
 ) -> Iterator[Cuboid]:
     """The roll-up build: scan, merge, derive, prune, and yield cuboids.
@@ -540,15 +507,15 @@ def roll_up(
         levels: The item levels to build, from :func:`requested_levels`.
         min_support: δ, fractional (<1) or absolute, resolved against the
             number of records the batches held.
+        mining: The ``(δ, ε)`` the cells mine their exceptions with at
+            first read, or ``None`` for a cube without them.
         stats: Optional sink with ``add_phase(name, seconds)``: the scan
-            lands in ``aggregate``, the holistic pass in ``exceptions``,
-            and derivation plus assembly in ``materialize`` — a phase
-            that ends when the last cuboid has been consumed, so it holds
-            what the caller does with each cuboid too.
+            lands in ``aggregate``, and derivation plus assembly in
+            ``materialize`` — a phase that ends when the last cuboid has
+            been consumed, so it holds what the caller does with each
+            cuboid too.
 
-    The remaining arguments are :meth:`FlowCube.build
-    <repro.core.flowcube.FlowCube.build>`'s.  Cuboids come out as
-    :func:`assemble_cuboids` yields them.
+    Cuboids come out as :func:`assemble_cuboids` yields them.
     """
     plan = derivation_plan(levels)
     root_levels = [level for level, source in plan if source is None]
@@ -577,19 +544,6 @@ def roll_up(
     )
     prune_to_iceberg(data, threshold)
     del groups_by_root, weighted_by_root
-    runner = (
-        serial_exception_pass(min_support, min_deviation)
-        if compute_exceptions
-        else None
-    )
-    yield from assemble_cuboids(
-        levels, path_lattice, data, table, segments_by_cell,
-        exception_pass=runner,
-    )
+    yield from assemble_cuboids(levels, path_lattice, data, table, mining)
     if stats is not None:
-        exception_seconds = runner.seconds if runner is not None else 0.0
-        if compute_exceptions:
-            stats.add_phase("exceptions", exception_seconds)
-        stats.add_phase(
-            "materialize", perf_counter() - phase - exception_seconds
-        )
+        stats.add_phase("materialize", perf_counter() - phase)

@@ -70,10 +70,6 @@ class FlowCubeQuery:
             are answered by the roll-up planner — merged from the
             cheapest materialised descendant cuboid — instead of raising
             :class:`~repro.errors.QueryError`.
-        derive_exceptions: Re-mine (ε, δ) exceptions on derived cells.
-            Exceptions are holistic (Lemma 4.3): they are mined from the
-            derived cell's path multiset — the sum of its sources',
-            which every cell carries, in memory or in a store.
         cache_size: Capacity of the per-query-object answer cache.
         catalogs: Optional shared :class:`CatalogPool`.  A server keeps
             one pool per tenant so the bitmap key catalogs survive across
@@ -93,7 +89,6 @@ class FlowCubeQuery:
         cube: FlowCube,
         kernel: str = "index",
         derive: bool = False,
-        derive_exceptions: bool = False,
         cache_size: int = 128,
         catalogs: CatalogPool | None = None,
     ) -> None:
@@ -105,7 +100,6 @@ class FlowCubeQuery:
         self.cube = cube
         self.kernel = kernel
         self.derive = derive
-        self.derive_exceptions = derive_exceptions
         self._schema = cube.schema
         self._hierarchies = self._schema.dimensions
         self._dims: dict[str, int] = {}
@@ -192,9 +186,7 @@ class FlowCubeQuery:
         if cached is not None:
             return cached
         plan = self._require_plan(item_level, level)
-        cell = derive_cell(
-            self.cube, plan, key, mine_exceptions=self.derive_exceptions
-        )
+        cell = derive_cell(self.cube, plan, key)
         self._cache.note_derivation()
         self._cache.put(cache_key, cell)
         return cell
@@ -214,9 +206,7 @@ class FlowCubeQuery:
         if cached is not None:
             return cached
         plan = self._require_plan(item_level, level)
-        cuboid = derive_cuboid(
-            self.cube, plan, mine_exceptions=self.derive_exceptions
-        )
+        cuboid = derive_cuboid(self.cube, plan)
         self._cache.note_derivation()
         self._cache.put(cache_key, cuboid)
         return cuboid

@@ -40,9 +40,10 @@ every path level, and an item cuboid is materialised at all of them, so
 only the item lattice needs deriving — from a source at the target's
 path level.
 
-Exceptions are holistic (Lemma 4.3) and cannot be merged; when asked
-for, they are re-mined from the summed vector as build and append mine
-theirs: by ``serial_exception_pass`` over the cube's path table postings.
+Exceptions are holistic (Lemma 4.3) and cannot be merged: a derived
+cell of a cube with exceptions mines its own from the summed vector at
+first read, as a stored or built cell does, so derivation and a direct
+build agree on them too.
 """
 
 from __future__ import annotations
@@ -50,10 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.flowcube import Cell, CellKey, Cuboid
-from repro.core.flowgraph_exceptions import (
-    resolve_min_support,
-    serial_exception_pass,
-)
+from repro.core.flowgraph_exceptions import resolve_min_support
 from repro.core.lattice import ItemLevel, PathLevel, roll_up_key
 from repro.errors import QueryError
 from repro.perf.measure_rollup import (
@@ -142,7 +140,7 @@ def plan_derivation(
     )
 
 
-def _derive(cube, plan: DerivationPlan, children, mine_exceptions: bool):
+def _derive(cube, plan: DerivationPlan, children):
     """Roll *children*, cells of the plan's source cuboid, up to the
     plan's coordinate: the build's roll-up over their joint vectors."""
     derived = derive_level(
@@ -154,24 +152,17 @@ def _derive(cube, plan: DerivationPlan, children, mine_exceptions: bool):
         cube.schema.dimensions,
     )
     prune_to_iceberg({plan.item_level: derived}, plan.threshold)
-    runner = (
-        serial_exception_pass(cube.min_support, cube.min_deviation)
-        if mine_exceptions
-        else None
-    )
     members = {key: tuple(sorted(ids)) for key, ids in derived.groups.items()}
     # Read after the children, the cube's current table holds every id
-    # they name; its postings are the ones build and append use.
+    # they name; its postings are the ones its stored cells mine with.
     return assemble_cuboid(
         plan.item_level, plan.path_level, members, derived.weighted,
-        cube.path_table, cube.path_lattice.index_of(plan.path_level), None,
-        runner,
+        cube.path_table, cube.path_lattice.index_of(plan.path_level),
+        cube.mining,
     )
 
 
-def derive_cuboid(
-    cube, plan: DerivationPlan, mine_exceptions: bool = False
-) -> Cuboid:
+def derive_cuboid(cube, plan: DerivationPlan) -> Cuboid:
     """Execute *plan*: the whole derived cuboid, in build order.
 
     Children roll up in source-cuboid order — the same first-seen order a
@@ -180,15 +171,10 @@ def derive_cuboid(
     flowgraph is expanded from its summed vector when it is first read.
     """
     source = cube.cuboid(plan.source, plan.path_level)
-    return _derive(cube, plan, source.cells_for(source.keys), mine_exceptions)
+    return _derive(cube, plan, source.cells_for(source.keys))
 
 
-def derive_cell(
-    cube,
-    plan: DerivationPlan,
-    key: CellKey,
-    mine_exceptions: bool = False,
-) -> Cell:
+def derive_cell(cube, plan: DerivationPlan, key: CellKey) -> Cell:
     """Execute *plan* for a single cell.
 
     Source children are selected by rolling their *keys* up first — pure
@@ -202,7 +188,7 @@ def derive_cell(
         for child_key in source_cuboid.keys
         if roll_up_key(child_key, plan.item_level, hierarchies) == key
     )
-    derived = _derive(cube, plan, children, mine_exceptions)
+    derived = _derive(cube, plan, children)
     if key not in derived:
         raise QueryError(
             f"derived cell {key!r} is below the iceberg threshold "

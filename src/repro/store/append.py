@@ -23,12 +23,10 @@ the store's *persisted* cube without rebuilding it:
   resolves against the grown record count, so untouched cells can fall
   below the frontier — they are demoted from the index without any heap
   IO, exactly as a rebuild would drop them.
-* **Exceptions** (Lemma 4.3, holistic) — re-mined only for the dirty
-  cells, from their vectors over the cube's own path table (whose
-  postings serve every dirty cell of a level) and a flowgraph expanded
-  from the same vector, through the per-cell kernel and runner the
-  builder uses, so an appended cube is byte-identical
-  (``cube_to_json``) to a from-scratch rebuild over the extended store.
+* **Exceptions** (Lemma 4.3, holistic) — not touched: no record holds
+  any, and a cell of a cube with exceptions mines its own from its vector
+  at first read, so an appended cube is byte-identical (``cube_to_json``)
+  to a from-scratch rebuild over the extended store.
 * **Durability** — dirty item cells land in a new append-only segment
   (``cells.delta.G.bin``) plus a new full index (``cells.delta.G.idx``),
   after a new, longer path table when the batch brought a path the cube
@@ -53,10 +51,7 @@ from collections.abc import Iterable
 from itertools import compress
 
 from repro.core.flowcube import Cell, CellKey
-from repro.core.flowgraph_exceptions import (
-    resolve_min_support,
-    serial_exception_pass,
-)
+from repro.core.flowgraph_exceptions import resolve_min_support
 from repro.core.lattice import ItemLattice, ItemLevel, roll_up_key
 from repro.core.path import Path, PathRecord
 from repro.errors import StoreError
@@ -147,12 +142,8 @@ def append_records(
                 "delta_segments": len(cube.delta_segments),
                 "compacted": 0,
             }
-        # The cube was built with exceptions iff the build ran that
-        # phase: its dirty cells are re-mined exactly when a rebuild
-        # (with the same flags) would mine them.
-        mine = "exceptions" in build_stats.get("phase_seconds", {})
         written = store.ingest(rows)  # raises before the cube is touched
-        result = _merge_batch(store, cube, rows, build_stats, mine)
+        result = _merge_batch(store, cube, rows, build_stats)
         result["partitions"] = len(written)
         result["compacted"] = 0
         if compact_after and len(cube.delta_segments) >= compact_after:
@@ -164,7 +155,7 @@ def append_records(
             cube.close()
 
 
-def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
+def _merge_batch(store, cube, rows, build_stats) -> dict:
     hierarchies = store.schema.dimensions
     lattice = cube.path_lattice
     n_levels = len(lattice)
@@ -220,7 +211,6 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
     # the table (and its file, republished at the flush below).
     dirty: list[Cell] = []
     layout: list[tuple[ItemLevel, list[CellKey]]] = []
-    to_mine: list[tuple] = []
     updated_cells = created_cells = promoted_cells = demoted_cells = below = 0
     table = joint_id = None
     joint_of: dict[int, int] = {}
@@ -298,22 +288,13 @@ def _merge_batch(store, cube, rows, build_stats, mine) -> dict:
                 table = cube.path_table
                 joint_id = AggregationMemo(lattice, table).joint_id
             add(vector, members)
-            for level_id, path_level in enumerate(lattice):
-                cell = Cell(
+            dirty.extend(
+                Cell(
                     key, item_level, path_level, record_ids, vector, table,
                     level_id,
                 )
-                dirty.append(cell)
-                if mine:
-                    to_mine.append(
-                        (cell.flowgraph, cell.weights, table.postings[level_id], None)
-                    )
-
-    # ------------------------------------------------------------------
-    # re-mine exceptions in the dirty cells only (Lemma 4.3)
-    # ------------------------------------------------------------------
-    if mine and to_mine:
-        serial_exception_pass(cube.min_support, cube.min_deviation)(to_mine)
+                for level_id, path_level in enumerate(lattice)
+            )
 
     # ------------------------------------------------------------------
     # publish: delta segment -> index -> meta (the commit point)

@@ -1,8 +1,8 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
 The store reads and writes one layout — ``FCPART02`` partitions over a
-shared ``FCSTRS01`` string table, an ``FCHEAP06`` cell heap addressed
-through an ``FCCIDX02`` index, its records vectors over an ``FCPATH02``
+shared ``FCSTRS01`` string table, an ``FCHEAP07`` cell heap addressed
+through an ``FCCIDX02`` index, its records vectors over an ``FCPATH03``
 path table — and this module defines it (see DESIGN.md for byte
 diagrams).  The four sectioned containers are each one :class:`Layout`
 table that their writer and their reader both go through, and every
@@ -25,14 +25,14 @@ published file is opened by :func:`map_file`:
   partition carrying only a small local→global remap arena instead of
   a private copy of the location/product strings;
 * :func:`encode_cell_payload` / :func:`decode_cell_parts` — the
-  ``FCHEAP06`` item-cell record, the *distributive* part of the measure
-  and nothing else: the record ids, the item cell's one ``(joint id,
-  weight)`` vector and, when anything was mined, every path level's
-  exceptions, under a CRC-32 every reader checks first — a damaged
-  record is a :class:`StoreError`, never another measure;
+  ``FCHEAP07`` item-cell record, the *distributive* part of the measure
+  and nothing else: the record ids and the item cell's one ``(joint id,
+  weight)`` vector, under a CRC-32 every reader checks first — a damaged
+  record is a :class:`StoreError`, never another measure (exceptions
+  are mined from the vector when a cell is read, never stored);
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
   (``paths.bin``): every level's aggregated paths and the joint columns
-  that map a vector to each level;
+  that map a vector to each level, under a CRC-32 of the whole file;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
   masks: ``cells.idx`` stays mmap'd and each ``(item cuboid, dim,
   value)`` bitmap is decoded with one ``int.from_bytes`` over the map
@@ -42,8 +42,9 @@ Earlier releases also wrote CSV partitions, one JSON file per cell and
 the ``RETIRED_*`` generations (``FCHEAP02`` each cell's serialised
 flowgraph, ``FCHEAP03`` a copy of its coordinates, ``FCHEAP04`` and
 ``FCCIDX01`` a record and an entry per cell and path level, ``FCHEAP05``
-a vector per path level in each item-cell record, ``FCPATH01`` a path
-table without joint columns).  No reader
+a vector per path level in each item-cell record, ``FCHEAP06`` every
+path level's exceptions in each record, ``FCPATH01`` a path table
+without joint columns, ``FCPATH02`` one without a checksum).  No reader
 or writer for them survives: meeting one raises
 :func:`retired_layout`'s :class:`StoreError` instead of decoding it.
 
@@ -71,7 +72,6 @@ offsets.
 
 from __future__ import annotations
 
-import json
 import mmap
 import struct
 import zlib
@@ -84,7 +84,6 @@ from pathlib import Path as FsPath
 from repro import publish
 from repro.core.path import Path, PathRecord
 from repro.core.path_database import PathDatabase, PathSchema
-from repro.core.serialization import exceptions_from_dicts
 from repro.core.stage import Stage
 from repro.errors import MissingFileError, StoreError
 
@@ -107,7 +106,6 @@ __all__ = [
     "StringTable",
     "check_heap_magic",
     "check_layout_name",
-    "decode_cell_exceptions",
     "decode_cell_ids",
     "decode_cell_parts",
     "encode_cell_payload",
@@ -155,22 +153,23 @@ RETIRED_INDEX_MAGIC = b"FCCIDX01"
 #: Leading 8 bytes of the retired cell-heap generations (JSON payloads;
 #: serialised flowgraphs; records that repeated their cell's
 #: coordinates; one record per cell and path level; one record per item
-#: cell with a vector per path level); compared against only to reject
-#: them.
+#: cell with a vector per path level; records that carried every path
+#: level's mined exceptions); compared against only to reject them.
 RETIRED_HEAP_MAGICS = (
-    b"FCHEAP01", b"FCHEAP02", b"FCHEAP03", b"FCHEAP04", b"FCHEAP05"
+    b"FCHEAP01", b"FCHEAP02", b"FCHEAP03", b"FCHEAP04", b"FCHEAP05",
+    b"FCHEAP06",
 )
 
 #: Leading 8 bytes of a cell-heap blob (:func:`encode_cell_payload`
 #: records, one per item cell, each one joint vector).
-HEAP_MAGIC = b"FCHEAP06"
+HEAP_MAGIC = b"FCHEAP07"
 
-#: Leading 8 bytes of the retired path-table generation (no joint
-#: columns); compared against only to reject it.
-RETIRED_PATHS_MAGICS = (b"FCPATH01",)
+#: Leading 8 bytes of the retired path-table generations (no joint
+#: columns; no checksum); compared against only to reject them.
+RETIRED_PATHS_MAGICS = (b"FCPATH01", b"FCPATH02")
 
 #: Leading 8 bytes of a cube's path table (``paths.bin``).
-PATHS_MAGIC = b"FCPATH02"
+PATHS_MAGIC = b"FCPATH03"
 
 #: Endianness sentinel: stored as the first header word; a reader on a
 #: host with the opposite byte order decodes a different value and
@@ -253,6 +252,8 @@ _LAST_READERS = {
     "FCHEAP04": ("the one at commit 8ab866c", _REBUILD),
     "FCHEAP05": ("the one at commit 035cbc7", _REBUILD),
     "FCPATH01": ("the one at commit 035cbc7", _REBUILD),
+    "FCHEAP06": ("the one at commit c64931e", _REBUILD),
+    "FCPATH02": ("the one at commit c64931e", _REBUILD),
     "FCCIDX01": (
         "the one at commit 8ab866c",
         f"remove the store's cube/ directory and {_REBUILD}",
@@ -295,7 +296,7 @@ def _check_magic(
 
 
 def check_heap_magic(lead: bytes, path) -> None:
-    """Reject a cell heap (or delta segment) not written as ``FCHEAP06``."""
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP07``."""
     _check_magic(lead, HEAP_MAGIC, f"cell heap {path}", RETIRED_HEAP_MAGICS)
 
 
@@ -341,7 +342,8 @@ _COUNT_FUNCTIONS = {"__builtins__": {}, "sum": sum, "mask_bytes": _mask_bytes}
 class Layout:
     """One sectioned container file, written down once as data.
 
-    *magic* | header (:data:`ORDER_TAG`, then one word per entry of
+    *magic* | (with *checksum*) the CRC-32 of every byte after it, as one
+    ``i64`` word | header (:data:`ORDER_TAG`, then one word per entry of
     *fields*; ``None`` is a reserved word, written as given and never
     interpreted) | *sections*.  A section is ``(name, type, count)``:
     *type* is ``"q"``, ``"d"``, ``"I"`` (``u32``) or ``"B"`` (bytes), every
@@ -351,12 +353,17 @@ class Layout:
     ``tests/test_binfmt.py`` holds the two together.
     """
 
-    def __init__(self, magic, retired, what, fields, sections) -> None:
+    def __init__(
+        self, magic, retired, what, fields, sections, checksum=False
+    ) -> None:
         self.magic = magic
         self.retired = retired
         self.what = what
         self.fields = fields
         self.sections = sections
+        self.checksum = checksum
+        #: Where the header (its order tag) starts.
+        self.header_start = len(magic) + (_I64 if checksum else 0)
         self._counts = [
             compile(count, f"<{what} {name}>", "eval")
             for name, _, count in sections
@@ -365,12 +372,15 @@ class Layout:
     def pack(self, header, *sections) -> bytes:
         """Frame *header* (one value per field) and one array or bytes
         object per section."""
-        parts = [self.magic, array("q", [ORDER_TAG, *header]).tobytes()]
+        parts = [array("q", [ORDER_TAG, *header]).tobytes()]
         for (_, code, _), section in zip(self.sections, sections, strict=True):
             data = bytes(section) if code == "B" else section.tobytes()
             parts.append(data)
             parts.append(b"\x00" * _pad8(len(data)))
-        return b"".join(parts)
+        body = b"".join(parts)
+        if self.checksum:
+            body = array("q", [zlib.crc32(body)]).tobytes() + body
+        return self.magic + body
 
     def open(self, buffer) -> dict:
         """Check and decode *buffer* (``bytes``, ``memoryview`` or map)
@@ -378,14 +388,16 @@ class Layout:
 
         A byte section comes back as its ``(start, end)`` span, so a
         mapped reader touches no page it does not decode.  A wrong or
-        retired magic, a foreign byte order, a negative header field and
-        a count that overruns the buffer are each a :class:`StoreError`;
-        nothing past the failing field or section is read.
+        retired magic, a foreign byte order, a negative header field, a
+        count that overruns the buffer and a checksum that does not match
+        are each a :class:`StoreError`; nothing past the failing field or
+        section is read, and no section is handed back before the checksum
+        matches (framing reads the sections a later count names).
         """
         what = self.what
         _check_magic(buffer, self.magic, what, self.retired)
         size = len(buffer)
-        offset = len(self.magic)
+        offset = self.header_start
         end = offset + (1 + len(self.fields)) * _I64
         if end > size:
             raise StoreError(f"corrupt {what}: truncated header")
@@ -413,6 +425,11 @@ class Layout:
                 section = out[name] = array(code)
                 section.frombytes(buffer[offset:end])
             end += _pad8(end - offset)
+        if self.checksum:
+            crc = array("q")
+            crc.frombytes(buffer[len(self.magic) : self.header_start])
+            if crc[0] != zlib.crc32(buffer[self.header_start :]):
+                raise StoreError(f"corrupt {what}: checksum mismatch")
         return out
 
 
@@ -572,17 +589,13 @@ class StringTable:
 
 
 # --------------------------------------------------------------------------
-# FCHEAP06 item-cell record codec
+# FCHEAP07 item-cell record codec
 # --------------------------------------------------------------------------
 
-_EXC = 0x02  # the record carries a (JSON) exception section
-_EXC_ZLIB = 0x04  # ... and it is zlib-compressed
-_FLAGS = _EXC | _EXC_ZLIB
-
-#: A record's head: the CRC-32 of every byte after it, the flags byte,
-#: then the byte lengths of the record-id varints (count, first id), of
-#: the steps and of the vector varints.
-_HEAD = struct.Struct("<IBIII")
+#: A record's head: the CRC-32 of every byte after it, then the byte
+#: lengths of the record-id varints (count, first id) and of the steps;
+#: the vector varints run to the record's end.
+_HEAD = struct.Struct("<III")
 _CRC = struct.Struct("<I")
 
 #: Record ids a record carries: ``[0, 2**63)``, ascending — every id a
@@ -597,9 +610,7 @@ _INT, _TWO, _PAIRS = {int}, {2}, set(_SEQUENCES)
 
 #: What decoding a damaged record can raise: every one is reported as the
 #: typed ``StoreError("corrupt cell payload: …")``.
-_CORRUPT = (
-    AttributeError, IndexError, KeyError, TypeError, ValueError, struct.error, zlib.error
-)
+_CORRUPT = (AttributeError, IndexError, KeyError, TypeError, ValueError, struct.error)
 
 
 def _decode_varints(stream: bytes) -> list[int]:
@@ -642,38 +653,33 @@ def _varint_stream(values: list[int]) -> bytes:
 
 
 def _unencodable(what: str) -> StoreError:
-    return StoreError(f"cell payload outside the FCHEAP06 record: {what}")
+    return StoreError(f"cell payload outside the FCHEAP07 record: {what}")
 
 
-def encode_cell_payload(record_ids, vector, exceptions=()) -> bytes:
-    """Encode one item cell's measure as an ``FCHEAP06`` record — the
+def encode_cell_payload(record_ids, vector) -> bytes:
+    """Encode one item cell's measure as an ``FCHEAP07`` record — the
     only code that assembles one.
 
-    *record_ids* are the item cell's ascending record ids, *vector* its
-    ``(joint id, weight)`` pairs and *exceptions* one plain-dict
-    exception list per path level
-    (:func:`~repro.core.serialization.exceptions_to_dicts`), or none;
-    sequences are taken as given (lists or tuples), not copied.
+    *record_ids* are the item cell's ascending record ids and *vector*
+    its ``(joint id, weight)`` pairs; sequences are taken as given (lists
+    or tuples), not copied.
 
-    Layout: :data:`_HEAD` (the CRC-32 of every byte after it, the flags,
-    the byte lengths of the next three runs) | record-id varints (the
-    count, the first id) | step varints | vector varints (``jid, weight``
-    per pair, in order) | when some level has an exception (:data:`_EXC`),
-    the JSON list of every level's list, zlib'd when smaller.  Every later
-    record id is its distance from the one before: gaps are small, so
-    that run is almost always single bytes, which decode in one C pass.
-    What the layout cannot carry is a :class:`StoreError`: a field of the
-    wrong type, a counter that is not a non-negative true ``int``, record
-    ids that do not ascend strictly inside ``[0, 2**63)``.
+    Layout: :data:`_HEAD` (the CRC-32 of every byte after it, the byte
+    lengths of the next two runs) | record-id varints (the count, the
+    first id) | step varints | vector varints (``jid, weight`` per pair,
+    in order) to the end.  Every later record id is its distance from the
+    one before: gaps are small, so that run is almost always single
+    bytes, which decode in one C pass.  What the layout cannot carry is a
+    :class:`StoreError`: a field of the wrong type, a counter that is not
+    a non-negative true ``int``, record ids that do not ascend strictly
+    inside ``[0, 2**63)``.
     """
     if (
         type(record_ids) not in _SEQUENCES
         or type(vector) not in _SEQUENCES
-        or type(exceptions) not in _SEQUENCES
         or set(map(type, record_ids)) - _INT
         or set(map(type, vector)) - _PAIRS
         or set(map(len, vector)) - _TWO
-        or set(map(type, exceptions)) - {list}
     ):
         raise _unencodable("a field of the wrong type")
     head = [len(record_ids), *record_ids[:1]]
@@ -694,39 +700,27 @@ def encode_cell_payload(record_ids, vector, exceptions=()) -> bytes:
     if values and (set(map(type, values)) != _INT or min(values) < 0):
         raise _unencodable("a counter that is not a non-negative int")
     stream = _varint_stream(values) if values else b""
-    flags, blob = 0, b""
-    if any(exceptions):
-        flags = _EXC
-        blob = json.dumps(list(exceptions), separators=(",", ":")).encode()
-        packed = zlib.compress(blob, 6)
-        if len(packed) < len(blob):
-            flags |= _EXC_ZLIB
-            blob = packed
     try:
-        head_bytes = _HEAD.pack(0, flags, len(ids), len(steps), len(stream))
+        head_bytes = _HEAD.pack(0, len(ids), len(steps))
     except struct.error:
         raise _unencodable("a run past 4 GiB") from None
-    body = b"".join((head_bytes[_CRC.size :], ids, steps, stream, blob))
+    body = b"".join((head_bytes[_CRC.size :], ids, steps, stream))
     return _CRC.pack(zlib.crc32(body)) + body
 
 
-def _open_record(buffer) -> tuple[int, int, int, int]:
+def _open_record(buffer) -> tuple[int, int]:
     """Check a record's CRC, before anything is decoded, and frame it:
-    ``(flags, steps start, vector start, exception section start)``."""
-    size = len(buffer)
-    if size < _HEAD.size:
+    ``(steps start, vector start)``."""
+    if len(buffer) < _HEAD.size:
         raise StoreError("corrupt cell payload: truncated record")
-    crc, flags, ids_len, steps_len, vector_len = _HEAD.unpack_from(buffer)
+    crc, ids_len, steps_len = _HEAD.unpack_from(buffer)
     if crc != zlib.crc32(buffer[_CRC.size :]):
         raise StoreError("corrupt cell payload: checksum mismatch")
-    if flags & ~_FLAGS:
-        raise StoreError(f"corrupt cell payload: unknown flags {flags:#04x}")
     steps_at = _HEAD.size + ids_len
     vector_at = steps_at + steps_len
-    blob_at = vector_at + vector_len
-    if blob_at > size or (blob_at < size) != bool(flags & _EXC):
+    if vector_at > len(buffer):
         raise StoreError("corrupt cell payload: runs disagree with the record")
-    return flags, steps_at, vector_at, blob_at
+    return steps_at, vector_at
 
 
 def _record_ids(buffer, steps_at: int, vector_at: int) -> tuple[int, ...]:
@@ -743,12 +737,12 @@ def _record_ids(buffer, steps_at: int, vector_at: int) -> tuple[int, ...]:
 
 def decode_cell_parts(buffer) -> tuple[tuple[int, ...], dict[int, int]]:
     """A record's ``(record_ids, {joint id: weight})`` once its CRC
-    checks out — the one decode of its varints: no exception decoded, no
-    path table read and no graph built."""
+    checks out — the one decode of its varints: no path table read and
+    no graph built."""
     try:
-        _, steps_at, vector_at, blob_at = _open_record(buffer)
+        steps_at, vector_at = _open_record(buffer)
         record_ids = _record_ids(buffer, steps_at, vector_at)
-        values = _decode_varints(buffer[vector_at:blob_at])
+        values = _decode_varints(buffer[vector_at:])
         if len(values) % 2:
             raise StoreError("corrupt cell payload: a joint id without its weight")
         return record_ids, dict(zip(values[::2], values[1::2]))
@@ -760,27 +754,7 @@ def decode_cell_ids(buffer) -> tuple[int, ...]:
     """A record's record ids once its CRC checks out, its vector left
     undecoded — what a writer orders promoted cells by."""
     try:
-        _, steps_at, vector_at, _ = _open_record(buffer)
-        return _record_ids(buffer, steps_at, vector_at)
-    except _CORRUPT as exc:
-        raise StoreError(f"corrupt cell payload: {exc}") from None
-
-
-def decode_cell_exceptions(buffer, level_id: int) -> list:
-    """Path level *level_id*'s exception list (:class:`~repro.core.
-    flowgraph_exceptions.FlowException` objects), after the record's CRC
-    checks out, without decoding a varint."""
-    try:
-        flags, _, _, start = _open_record(buffer)
-        if not flags & _EXC:
-            return []
-        blob = buffer[start:]
-        levels = json.loads(zlib.decompress(blob) if flags & _EXC_ZLIB else blob)
-        if type(levels) is not list or not 0 <= level_id < len(levels):
-            raise StoreError(
-                f"corrupt cell payload: no exception list for level {level_id}"
-            )
-        return exceptions_from_dicts(levels[level_id])
+        return _record_ids(buffer, *_open_record(buffer))
     except _CORRUPT as exc:
         raise StoreError(f"corrupt cell payload: {exc}") from None
 
@@ -797,7 +771,8 @@ def decode_cell_exceptions(buffer, level_id: int) -> list:
 #: Joint id *j*'s pid at level *L* is ``joint[L * n_joint + j]``.
 #: ``lineage`` names the build the table belongs to (``cube.json``
 #: records the same number): a ``create()`` draws a new one, appends and
-#: compactions keep it.
+#: compactions keep it.  A CRC-32 of everything after it leads the file
+#: (after the magic), checked at the table's first load.
 PATHS_LAYOUT = Layout(
     PATHS_MAGIC,
     RETIRED_PATHS_MAGICS,
@@ -813,6 +788,7 @@ PATHS_LAYOUT = Layout(
         ("joint", "I", "sum(joint_counts)"),
         *_STRING_SECTIONS,
     ),
+    checksum=True,
 )
 
 

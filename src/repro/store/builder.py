@@ -29,8 +29,10 @@ partition at a time*:
   derived by adding child cells — and persists each item level's
   cuboids together as they come: the store keeps an item cell whole.
   Partitions preserve record order, so group insertion order,
-  ``record_ids`` tuples, path order, and the exception-mining inputs
-  coincide with the in-memory build's.
+  ``record_ids`` tuples and path order coincide with the in-memory
+  build's.  It mines no exception and expands no graph: a cube built
+  with exceptions records that in ``cube.json``, and each cell mines its
+  own at its first read (:class:`~repro.core.flowcube.Cell`).
 
 What is resident.  A mine holds, next to the one decoded + encoded
 partition, the interned D': one ``array('i')`` per record (4 B per item
@@ -68,14 +70,13 @@ import hashlib
 import time
 from array import array
 from datetime import datetime, timezone
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import attrgetter
 
-from repro.core.flowcube import CellKey
-from repro.core.flowgraph_exceptions import Segment, resolve_min_support
-from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
+from repro.core.flowgraph_exceptions import resolve_min_support
+from repro.core.lattice import ItemLattice, ItemLevel, PathLattice
 from repro.encoding.transactions import EncodingMemo, TransactionDatabase
 from repro.errors import StoreError
 from repro.mining.result import FlowMiningResult, item_sort_key
@@ -112,10 +113,10 @@ class BuildStats:
             cube carries build provenance.
         elapsed_seconds: Wall-clock time of the build.
         phase_seconds: Wall-clock per build phase — ``aggregate`` (record
-            scanning / path aggregation), ``materialize`` (measure
-            derivation and cell assembly), and ``exceptions`` (the
-            per-cell holistic exception pass) — alongside the mining
-            phases a :class:`~repro.mining.stats.MiningStats` tracks.
+            scanning / path aggregation) and ``materialize`` (measure
+            derivation, cell assembly and persisting) — alongside the
+            mining phases a :class:`~repro.mining.stats.MiningStats`
+            tracks.
         pool: Always empty; never persisted.
     """
 
@@ -310,11 +311,9 @@ def build_cube(
     min_support: float = 0.01,
     min_deviation: float = 0.1,
     compute_exceptions: bool = True,
-    segments_by_cell: Mapping[
-        tuple[ItemLevel, PathLevel, CellKey], Sequence[Segment]
-    ]
-    | None = None,
-    use_shared: bool = False,
+    # Shim: benchmarks/flowbench/stages.py passes Shared's segments; the
+    # keyword goes with the [benchmark] PR that stops passing it.
+    segments_by_cell: object = None,
     into=None,
     stats: BuildStats | None = None,
     jobs: int = 1,
@@ -322,9 +321,9 @@ def build_cube(
     """Materialise and persist the iceberg flowcube of a partitioned store.
 
     Persists exactly the cube :meth:`FlowCube.build` would produce over
-    the concatenated store (same cuboids, cell keys, record ids,
-    flowgraphs, and exceptions; the store keeps no empty cuboid) while
-    reading one partition at a time.
+    the concatenated store (same cuboids, cell keys, record ids, vectors
+    and so flowgraphs and exceptions; the store keeps no empty cuboid)
+    while reading one partition at a time.
 
     It runs :meth:`FlowCube.build`'s roll-up,
     :func:`~repro.perf.measure_rollup.roll_up`: each partition is read
@@ -345,13 +344,12 @@ def build_cube(
         min_support: δ, fractional (<1) or absolute, resolved against the
             store's total record count.
         min_deviation: ε for exceptions.
-        compute_exceptions: Skip exception mining when only the algebraic
-            measure is needed.
-        segments_by_cell: Pre-mined frequent segments, as from
-            :meth:`FlowMiningResult.segments_by_cell`.
-        use_shared: Run :func:`shared_mine_store` first and feed its
-            segments into exception mining (ignored when
-            ``segments_by_cell`` is given or exceptions are off).
+        compute_exceptions: Whether the cube has (ε, δ) exceptions —
+            recorded in ``cube.json`` and mined per cell at first read,
+            never here — or only the algebraic measure.  Either way the
+            build writes the same heap and index bytes.
+        segments_by_cell: Accepted and ignored: a cell mines its own
+            segments (under an absolute δ, the ones Shared finds).
         into: The :class:`~repro.store.cube_store.CubeStore` handle to
             write through; ``None`` opens ``store.cube_store()``.  Each
             item level's cuboids are persisted and dropped as soon as
@@ -379,23 +377,12 @@ def build_cube(
         timespec="seconds"
     )
 
-    if (
-        use_shared
-        and compute_exceptions
-        and segments_by_cell is None
-    ):
-        segments_by_cell = shared_mine_store(
-            store,
-            path_lattice,
-            min_support=min_support,
-            build_stats=build_stats,
-        ).segments_by_cell()
-
     cube = store.cube_store() if into is None else into
     try:
         # The writer lock is taken before the first partition is read.
         cube.create(
-            path_lattice, min_support, min_deviation, item_levels=levels
+            path_lattice, min_support, min_deviation, item_levels=levels,
+            compute_exceptions=compute_exceptions,
         )
         # The cube's records are vectors over the scan's path ids.
         table = cube.path_table = PathTable(len(path_lattice))
@@ -407,9 +394,7 @@ def build_cube(
             path_lattice,
             schema.dimensions,
             min_support,
-            min_deviation,
-            compute_exceptions,
-            segments_by_cell,
+            cube.mining,
             build_stats,
         )
         # The roll-up yields an item level's cuboids one after another;

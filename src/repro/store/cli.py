@@ -168,12 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--no-exceptions",
         action="store_true",
-        help="skip flowgraph exception mining",
-    )
-    build.add_argument(
-        "--shared",
-        action="store_true",
-        help="pre-mine segments with out-of-core Shared (Algorithm 1)",
+        help="build without flowgraph exceptions (no cell mines any)",
     )
 
     query = sub.add_parser("query", help="render one cell's flowgraph")
@@ -403,7 +398,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         min_support=args.min_support,
         min_deviation=args.min_deviation,
         compute_exceptions=not args.no_exceptions,
-        use_shared=args.shared,
         into=cube_store,
         stats=stats,
     )

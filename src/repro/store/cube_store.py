@@ -25,9 +25,9 @@ or the new one; a reader that loses the race with a sweep reloads.
 
 A cell's members, key and iceberg test depend on its item level and key
 alone (Definitions 4.1 and 4.5), and its paths at every path level are a
-function of its records' raw paths, so the heap holds one ``FCHEAP06``
+function of its records' raw paths, so the heap holds one ``FCHEAP07``
 record per item cell — its record ids and its one ``(joint id, weight)``
-vector once, and every level's exceptions, under a CRC-32
+vector once, under a CRC-32
 (:func:`~repro.store.binfmt.encode_cell_payload`) — and the index one
 entry: key, ``n_paths``, the record's extent, one ``redundant`` mark per
 path level, and one set of catalog masks per item cuboid.  No flowgraph
@@ -47,7 +47,9 @@ one cell class — with the index fields (key, levels, ``n_paths``, level
 :class:`_RecordLoader`: ``record_ids`` and ``vector`` decode together at
 the first touch of either, ``weights`` maps the vector to level *L*
 through the path table, and ``flowgraph`` expands from that — slicing
-decodes nothing.  A bounded :class:`~repro.store.cache.LRUCache` fronts
+decodes nothing.  No record holds an exception: ``cube.json`` records
+whether the cube was built with them, and a cell of such a cube mines its
+own at the first read of its graph.  A bounded :class:`~repro.store.cache.LRUCache` fronts
 every read.
 
 The store exposes the same lookup surface as
@@ -79,11 +81,7 @@ from pathlib import Path as FsPath
 from repro.core.flowcube import Cell, CellKey
 from repro.core.lattice import ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathSchema
-from repro.core.serialization import (
-    exceptions_to_dicts,
-    path_level_from_dict,
-    path_level_to_dict,
-)
+from repro.core.serialization import path_level_from_dict, path_level_to_dict
 from repro import publish
 from repro.errors import CubeError, MissingFileError, StoreError
 from repro.perf.measure_rollup import PathTable
@@ -670,23 +668,19 @@ class _RecordLoader:
     (a :class:`~repro.core.flowcube.Cell`) copied out under the store lock.
 
     :meth:`vector` decodes the ids and the item cell's joint vector (no
-    exception, no path table, no graph), :meth:`exceptions` the cuboid's
-    path level's mined list, :meth:`table` is the path table the vector's
-    ids index, and :meth:`expanded` — the cell has just expanded its
-    graph — attaches the exceptions and counts ``cells_decoded``.  It
-    holds the path table the records name, so a cell decodes the same
-    measure after the store has reloaded, appended, compacted or closed.
-    Two threads racing on a first touch both decode equal measures
+    path table, no graph), :meth:`table` is the path table the vector's
+    ids index, and ``counters`` is the backend's telemetry, where a cell
+    that expands its graph counts ``cells_decoded``.  It holds the path
+    table the records name, so a cell decodes the same measure after the
+    store has reloaded, appended, compacted or closed.  Two threads
+    racing on a first touch both decode equal measures
     (``cells_decoded``, unguarded telemetry, may then read one short).
     """
 
-    __slots__ = ("paths", "level_id", "counters")
+    __slots__ = ("paths", "counters")
 
-    def __init__(
-        self, paths: StoredPaths, level_id: int, counters: dict[str, int]
-    ) -> None:
+    def __init__(self, paths: StoredPaths, counters: dict[str, int]) -> None:
         self.paths = paths
-        self.level_id = level_id
         self.counters = counters
 
     def vector(self, record: bytes) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -694,13 +688,6 @@ class _RecordLoader:
 
     def table(self) -> PathTable:
         return self.paths.table()
-
-    def exceptions(self, record: bytes) -> list:
-        return binfmt.decode_cell_exceptions(record, self.level_id)
-
-    def expanded(self, graph, record: bytes) -> None:
-        graph.exceptions = self.exceptions(record)
-        self.counters["cells_decoded"] += 1
 
 
 class StoredCuboid:
@@ -776,6 +763,9 @@ class CubeStore:
         self.schema = schema
         self.min_support: float | None = None
         self.min_deviation: float | None = None
+        #: Whether the cells mine (ε, δ) exceptions at first read
+        #: (``cube.json``'s ``"exceptions"``).
+        self.compute_exceptions = False
         self.path_lattice: PathLattice | None = None
         #: The item levels the build materialised (``None`` for cubes
         #: persisted before this was recorded = the full item lattice).
@@ -866,6 +856,7 @@ class CubeStore:
         min_support: float,
         min_deviation: float,
         item_levels=None,
+        compute_exceptions: bool = False,
     ) -> "CubeStore":
         """Start a fresh cube in this handle; the one on disk stands,
         untouched, until :meth:`flush` commits this one over it.
@@ -873,6 +864,9 @@ class CubeStore:
         Args:
             item_levels: The item levels this build materialises;
                 persisted so later appends know the cube's extent.
+            compute_exceptions: Whether the cube has (ε, δ) exceptions,
+                which its cells mine when first read; persisted beside
+                δ and ε.
         """
         with self._lock:
             cells = self._new_heap()
@@ -882,6 +876,7 @@ class CubeStore:
             self.path_lattice = path_lattice
             self.min_support = min_support
             self.min_deviation = min_deviation
+            self.compute_exceptions = compute_exceptions
             self.item_levels = (
                 None if item_levels is None else list(item_levels)
             )
@@ -928,6 +923,15 @@ class CubeStore:
                 committed.n_joint, table=table,
             )
 
+    @property
+    def mining(self) -> tuple[float, float] | None:
+        """The ``(δ, ε)`` a cell of this cube mines its exceptions with at
+        first read, or ``None`` when the cube has none (as on a
+        :class:`~repro.core.flowcube.FlowCube`)."""
+        if not self.compute_exceptions:
+            return None
+        return self.min_support, self.min_deviation
+
     def _require_built(self) -> PathLattice:
         if self.path_lattice is None:
             raise StoreError(
@@ -946,8 +950,7 @@ class CubeStore:
         *cells* must hold, per key, one :class:`Cell` at each path level
         of the lattice, agreeing on ``record_ids`` and ``n_paths`` and
         sharing one joint vector; the record is those ids and that vector
-        once, in this cube's path-id space (:meth:`_vector`), and every
-        level's exceptions.  Another shape, an object that is not a
+        once, in this cube's path-id space (:meth:`_vector`).  Another shape, an object that is not a
         :class:`Cell`, a key part that is not a ``str``, a key or item
         level of another width than the schema's, an ``n_paths`` that is
         not a non-negative ``int`` or a ``redundant`` that is not a
@@ -1009,9 +1012,7 @@ class CubeStore:
             if type(first.n_paths) is not int or first.n_paths < 0:
                 raise StoreError(f"{where}: a counter that is not a non-negative int")
             record = binfmt.encode_cell_payload(
-                first.record_ids,
-                self._vector(first, table),
-                [exceptions_to_dicts(cell.exceptions) for cell in levels],
+                first.record_ids, self._vector(first, table)
             )
             records[item_level, key] = (record, first.n_paths, redundant)
         return records
@@ -1199,8 +1200,8 @@ class CubeStore:
         Args:
             build_stats: Optional :class:`~repro.store.builder.BuildStats`
                 of the build being flushed; its :meth:`~BuildStats.as_dict`
-                snapshot (records, cells, per-phase seconds — including the
-                ``exceptions`` bucket) is persisted alongside the index so
+                snapshot (records, cells, per-phase seconds) is persisted
+                alongside the index so
                 ``flowcube-store stats`` can report it later.
         """
         with self._lock:
@@ -1211,6 +1212,7 @@ class CubeStore:
                 "format": LAYOUT_NAME,
                 "min_support": self.min_support,
                 "min_deviation": self.min_deviation,
+                "exceptions": self.compute_exceptions,
                 "path_lattice": [
                     path_level_to_dict(level) for level in lattice
                 ],
@@ -1299,6 +1301,12 @@ class CubeStore:
             f"cube meta {self.directory / META_FILENAME}",
         )
         thresholds = payload["min_support"], payload["min_deviation"]
+        compute_exceptions = payload.get("exceptions", False)
+        if type(compute_exceptions) is not bool:
+            raise StoreError(
+                f"cube meta {self.directory / META_FILENAME}: "
+                f"\"exceptions\" is {compute_exceptions!r}, not a bool"
+            )
         lattice = PathLattice(
             path_level_from_dict(level, self.schema.location)
             for level in payload["path_lattice"]
@@ -1321,6 +1329,7 @@ class CubeStore:
             raise
         self._meta_signature = signature
         self.min_support, self.min_deviation = thresholds
+        self.compute_exceptions = compute_exceptions
         self.path_lattice = lattice
         self.build_stats = payload.get("build_stats")
         self.item_levels = raw and [ItemLevel(levels) for levels in raw]
@@ -1434,7 +1443,8 @@ class CubeStore:
         level_id, entries = self._cuboid_entries(item_level, path_level)
         cache = self._cache
         record = self._cells.record
-        loader = _RecordLoader(self._paths, level_id, self._cells.io_counters)
+        loader = _RecordLoader(self._paths, self._cells.io_counters)
+        mining = self.mining
         cells: list[Cell] = []
         for key in keys:
             coords = (item_level, key, level_id)
@@ -1453,6 +1463,7 @@ class CubeStore:
                     n_paths=entry_n_paths(entry),
                     record=record(entry),
                     loader=loader,
+                    mining=mining,
                 )
                 cache.put(coords, cell)
             cells.append(cell)

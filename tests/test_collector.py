@@ -170,12 +170,14 @@ def test_collector_state_is_the_callers_on_every_exit(
 def test_nested_entry_points_stay_paused_until_the_outermost_returns(
     tmp_path, database
 ):
-    """``build_cube(use_shared=True)`` calls ``shared_mine_store``: if the
-    inner pause re-enabled the collector on its way out, the rest of the
-    build would run collected.  No collector run may start while
-    ``build_cube``'s body is on the stack (the un-paused build makes
-    hundreds); the debt the pause ran up is collected after the body has
-    returned, which is the caller's collector doing the caller's work."""
+    """A caller that pauses around ``shared_mine_store`` and
+    ``build_cube`` (Algorithm 1, then the cube) keeps the collector off
+    until its own pause ends: if an inner pause re-enabled it on its way
+    out, the rest of the caller's batch would run collected.  No
+    collector run may start while ``build_cube``'s body is on the stack
+    (the un-paused build makes hundreds); the debt the pause ran up is
+    collected after the outermost pause has returned, which is the
+    caller's collector doing the caller's work."""
     store = _store(tmp_path / "wh", database, 300)
     body = inspect.unwrap(build_cube).__code__
     runs = []
@@ -192,10 +194,14 @@ def test_nested_entry_points_stay_paused_until_the_outermost_returns(
         gc.collect()
         gc.callbacks.append(probe)
         try:
-            cube = build_cube(
-                store, min_support=MIN_SUPPORT, use_shared=True,
-                compute_exceptions=True, into=store.cube_store(),
-            )
+            with collector.paused():
+                shared_mine_store(store, min_support=MIN_SUPPORT)
+                assert not gc.isenabled()
+                cube = build_cube(
+                    store, min_support=MIN_SUPPORT, compute_exceptions=True,
+                    into=store.cube_store(),
+                )
+                assert not gc.isenabled()
         finally:
             gc.callbacks.remove(probe)
         cube.close()
@@ -216,16 +222,10 @@ def _unreachable_after_store_lifecycle(directory, n_paths, exceptions):
     found = []
     with collector_state(False):
         gc.collect()
-        segments = None
-        if exceptions:
-            segments = shared_mine_store(
-                store, min_support=MIN_SUPPORT
-            ).segments_by_cell()
         build_cube(
             store, min_support=MIN_SUPPORT, compute_exceptions=exceptions,
-            segments_by_cell=segments, into=store.cube_store(),
+            into=store.cube_store(),
         ).close()
-        del segments
         found.append(gc.collect())
         for start in (n_paths, n_paths + BATCH):
             append_records(store, rows[start:start + BATCH])

@@ -224,7 +224,8 @@ def test_mixed_star_durations_parity(min_support, min_deviation):
 
 def test_external_segments_parity():
     """Pre-mined segments — including unsatisfiable and absent-node ones —
-    probe identically under both kernels."""
+    are probed by the scan kernel, whichever kernel is asked for: the
+    bitmap kernel mines every cell's own."""
     weighted = [
         ((("f", "1"), ("w", "2"), ("s", "1")), 7),
         ((("f", "1"), ("w", "1")), 5),
@@ -292,24 +293,20 @@ def test_index_cache_sums_duplicate_pairs():
 # sub-multisets of one level through one shared postings
 # ----------------------------------------------------------------------
 
-def _assert_three_way_parity(
-    weights, table, level_id, min_support, min_deviation, segments
-):
+def _assert_three_way_parity(weights, table, level_id, min_support, min_deviation):
     """Shared postings, tuple door and scan kernel agree on one cell."""
     paths = table.paths[level_id]
     pairs = [(paths[pid], weight) for pid, weight in weights.items()]
     graphs = [_build_graph(pairs) for _ in range(3)]
     scan = mine_exceptions_weighted(
-        graphs[0], pairs, min_support, min_deviation,
-        segments=segments, kernel="scan",
+        graphs[0], pairs, min_support, min_deviation, kernel="scan",
     )
     door = mine_exceptions_weighted(
-        graphs[1], pairs, min_support, min_deviation,
-        segments=segments, kernel="bitmap",
+        graphs[1], pairs, min_support, min_deviation, kernel="bitmap",
     )
     shared = mine_exceptions_bitmap(
         graphs[2], weights, table.postings[level_id],
-        min_support, min_deviation, segments=segments,
+        min_support, min_deviation,
     )
     assert door == scan
     assert shared == scan
@@ -354,17 +351,10 @@ def test_sub_multisets_of_one_level_parity(db, min_support, min_deviation, data)
             {pid: data.draw(weight) for pid in rest},     # disjoint from it
             {pid: data.draw(weight) for pid in some[::2] + rest[::2]},
         ]
-        shared_segments = list(
-            mine_frequent_segments_weighted(
-                [(path, 1) for path in paths], min_support
-            )
-        )
         for weights in multisets:
-            for segments in (None, shared_segments):
-                _assert_three_way_parity(
-                    weights, table, level_id, min_support, min_deviation,
-                    segments,
-                )
+            _assert_three_way_parity(
+                weights, table, level_id, min_support, min_deviation
+            )
         # A tuple-door input may repeat a (path, weight) pair; the door
         # sums the weights, so it still equals the scan kernel.
         repeated = [(paths[pid], 1) for pid in pids + some]

@@ -77,6 +77,11 @@ CALL_SHAPES = [
             "jobs": 2,
         },
     ),
+    (
+        FlowCube.build,
+        1,
+        {"min_support": 2, "compute_exceptions": True, "segments_by_cell": None},
+    ),
     (shared_mine_store, 1, {"min_support": 2, "build_stats": None, "jobs": 2}),
     (append_records, 2, {"cube": None, "compact_after": 0}),
     (FlowCubeQuery, 1, {"kernel": "scan"}),
@@ -156,17 +161,38 @@ def test_every_cell_carries_its_multiset():
 
 def test_one_roll_up_algebra():
     """Derivation is the build's roll-up, every in-memory graph expands
-    the way a stored one does, and an exception cube's append always
-    re-mines: no ``expanded`` or path-by-path fold in the roll-up, no
-    graph, tuple-door miner or cell constructor in the planner, and no
+    the way a stored one does, and neither the roll-up nor an append
+    mines: no ``expanded`` or path-by-path fold in the roll-up, no
+    graph, tuple-door miner or cell constructor in the planner, no
+    exception pass in the roll-up or ``append_records``, and no
     ``recompute_exceptions`` on ``append_records``."""
     rollup = repro.perf.measure_rollup
     assert not hasattr(rollup, "expanded")
     assert "add_path" not in inspect.getsource(rollup)
     assert not {"FlowGraph", "mine_exceptions_weighted"} & set(vars(planner))
     assert "Cell(" not in inspect.getsource(planner)
+    for module in (rollup, repro.store.append):
+        source = inspect.getsource(module)
+        for name in ("serial_exception_pass", "mine_exceptions", "exception_pass"):
+            assert name not in source, (module.__name__, name)
     parameters = inspect.signature(append_records).parameters
     assert "recompute_exceptions" not in parameters
+
+
+def test_exceptions_are_mined_at_first_read_only():
+    """No switch asks for exceptions anywhere but the cube's own
+    ``compute_exceptions``, no record carries them, and the bitmap kernel
+    mines every cell's own segments."""
+    for function, name in (
+        (build_cube, "use_shared"),
+        (FlowCubeQuery, "derive_exceptions"),
+        (derive_cuboid, "mine_exceptions"),
+        (derive_cell, "mine_exceptions"),
+        (repro.perf.exception_kernel.mine_exceptions_bitmap, "segments"),
+        (binfmt.encode_cell_payload, "exceptions"),
+    ):
+        assert name not in inspect.signature(function).parameters, name
+    assert not hasattr(binfmt, "decode_cell_exceptions")
 
 
 def test_one_cell_class(tmp_path, monkeypatch):

@@ -323,9 +323,10 @@ def _level_stages(table):
 
 
 def test_exception_pass_indexes_once_per_path_level(tmp_path, monkeypatch):
-    """A path's stages are walked once per path level per build and per
-    append — however many cells hold the path — through exactly one
-    postings object per level."""
+    """Neither a build nor an append indexes a path.  Reading every cell's
+    exceptions walks a path's stages once per path level — however many
+    cells hold the path — through exactly one postings object per level
+    of the cube's own table."""
     from repro.core.path_database import PathDatabase
     from repro.store import PartitionedPathStore, append_records, build_cube
 
@@ -335,41 +336,38 @@ def test_exception_pass_indexes_once_per_path_level(tmp_path, monkeypatch):
     store = PartitionedPathStore.init(
         tmp_path / "wh", database.schema, partition_size=30
     )
-    base_db = PathDatabase(database.schema, base, validate=False)
-    store.ingest(base_db)
-    # What indexing cell by cell walks: every cell's every path.
-    per_cell_stages = sum(
-        len(path)
-        for cell in FlowCube.build(
-            base_db, min_support=0.05, compute_exceptions=False
-        ).cells()
-        for path, _ in cell.paths
-    )
+    store.ingest(PathDatabase(database.schema, base, validate=False))
     seen = _kernel_hooks(monkeypatch)
 
     cube = store.cube_store()
     build_cube(store, min_support=0.05, into=cube)
     n_path_levels = len(cube.path_lattice)
     (table,) = seen["tables"]
-    assert seen["postings"] == n_path_levels
-    assert 0 < seen["interned"] <= _level_stages(table)
-    assert cube.n_cells() > n_path_levels
-    assert per_cell_stages > 2 * seen["interned"]
-
-    # An append mines over the cube's own table — loaded from paths.bin
-    # by a cold handle, one postings per level — never a private one.
     cube.close()
-    seen.update(interned=0, postings=0, tables=[])
-    cold = store.cube_store()
-    stats = append_records(store, batch, cube=cold, compact_after=0)
-    assert seen["tables"] == []
+    stats = append_records(store, batch, compact_after=0)
     assert stats["updated"] + stats["created"] > n_path_levels
+    assert seen["interned"] == 0  # the writers' postings only hand out ids
+
+    # The cells of a cold handle mine over the cube's own table, loaded
+    # from paths.bin: one postings per level, never a private one.
+    seen["postings"] = 0
+    cold = store.cube_store()
+    cells = list(cold.cells())
+    assert len(cells) > n_path_levels
+    assert sum(len(cell.exceptions) for cell in cells)
+    assert seen["tables"] == [table]
     assert seen["postings"] == n_path_levels
     assert 0 < seen["interned"] <= _level_stages(cold.path_table)
+    # What indexing cell by cell would walk: every cell's every path.
+    per_cell_stages = sum(
+        len(path) for cell in cells for path, _ in cell.paths
+    )
+    assert per_cell_stages > 2 * seen["interned"]
     assert all(
         appended[: len(built)] == built
         for appended, built in zip(cold.path_table.paths, table.paths)
     )  # ids are first-seen: an append only ever extends the table
+    cold.close()
 
 
 def test_tuple_door_needs_no_path_table(monkeypatch):

@@ -221,26 +221,6 @@ def test_build_cube_equals_the_in_memory_reference(store, database):
     built.close()
 
 
-def test_use_shared_build_matches_premined_segments(store):
-    """``use_shared`` is the pre-mine plus the build, nothing else."""
-    premined = build_cube(
-        store,
-        min_support=MIN_SUPPORT,
-        segments_by_cell=shared_mine_store(
-            store, min_support=MIN_SUPPORT
-        ).segments_by_cell(),
-    )
-    expected = stored_cube_json(premined), exception_lists(premined)
-    premined.close()
-    stats = BuildStats()
-    shared = build_cube(
-        store, min_support=MIN_SUPPORT, use_shared=True, stats=stats
-    )
-    assert (stored_cube_json(shared), exception_lists(shared)) == expected
-    assert stats.max_live_transaction_dbs == 1
-    shared.close()
-
-
 # ----------------------------------------------------------------------
 # interning + bitmap primitives
 # ----------------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_derived_cuboid_byte_identical_when_unpruned(database):
     for path_level in partial.path_lattice:
         plan = plan_derivation(partial, target, path_level)
         assert plan.exact is True
-        derived.append(derive_cuboid(partial, plan, mine_exceptions=True))
+        derived.append(derive_cuboid(partial, plan))
     assert cube_to_json(_shell(database, partial, derived)) == cube_to_json(
         direct
     )
@@ -482,17 +482,17 @@ def test_a_store_never_built_refuses_to_plan(tmp_path, database, cube):
 
 def test_store_derived_cuboid_byte_identical_to_direct_build(store, database):
     """With exceptions off and on: stored cells carry their multisets, so
-    a derivation over a store re-mines exceptions (Lemma 4.3) exactly as
-    a direct build mines them."""
+    a derived cell of a store built with exceptions mines them (Lemma 4.3)
+    at first read exactly as a direct build's cells do."""
     levels = _levels(database)
     base = levels[-1]
     target = next(lv for lv in levels if lv != base and lv.parents())
-    build_cube(
-        store, item_levels=[base], min_support=1,
-        compute_exceptions=False, into=store.cube_store(),
-    )
-    cube_store = store.cube_store()
     for exceptions in (False, True):
+        build_cube(
+            store, item_levels=[base], min_support=1,
+            compute_exceptions=exceptions, into=store.cube_store(),
+        ).close()
+        cube_store = store.cube_store()
         direct = FlowCube.build(
             database, item_levels=[target], min_support=1,
             compute_exceptions=exceptions,
@@ -501,12 +501,11 @@ def test_store_derived_cuboid_byte_identical_to_direct_build(store, database):
         derived = []
         for path_level in cube_store.path_lattice:
             plan = plan_derivation(cube_store, target, path_level)
-            derived.append(
-                derive_cuboid(cube_store, plan, mine_exceptions=exceptions)
-            )
+            derived.append(derive_cuboid(cube_store, plan))
         assert cube_to_json(_shell(database, direct, derived)) == (
             cube_to_json(direct)
         )
+        cube_store.close()
 
 
 # ----------------------------------------------------------------------
@@ -651,7 +650,10 @@ def _grid_source(kind, db, base, exceptions, directory):
     if kind == "memory":
         return memory
     if kind == "restored":
-        return cube_from_json(cube_to_json(memory), db)
+        # The JSON does not say whether the cube mines; its restorer does.
+        restored = cube_from_json(cube_to_json(memory), db)
+        restored.compute_exceptions = exceptions
+        return restored
     store = PartitionedPathStore.init(directory / "wh", db.schema)
     store.ingest(db)
     cube = build_cube(
@@ -695,9 +697,7 @@ def test_derived_rollup_byte_identity_grid(db, pick):
                 for path_level in source.path_lattice:
                     plan = plan_derivation(source, target, path_level)
                     assert plan.exact is True
-                    derived.append(
-                        derive_cuboid(source, plan, mine_exceptions=exceptions)
-                    )
+                    derived.append(derive_cuboid(source, plan))
                 if kind == "store":
                     source.close()
             assert cube_to_json(_shell(db, direct, derived)) == cube_to_json(
@@ -731,10 +731,7 @@ def test_derivation_across_a_reload_that_extended_the_path_table(
 
     def derived(cube):
         return [
-            derive_cuboid(
-                cube, plan_derivation(cube, target, path_level),
-                mine_exceptions=exceptions,
-            )
+            derive_cuboid(cube, plan_derivation(cube, target, path_level))
             for path_level in lattice
         ]
 
@@ -760,16 +757,16 @@ def test_derivation_across_a_reload_that_extended_the_path_table(
 
 
 def test_threads_deriving_with_exceptions_get_the_serial_answers(database):
-    """One façade, more threads than cores, exceptions re-mined on the
-    cube's shared postings — cold, so the threads race to index them."""
+    """One façade, more threads than cores, derived cells mining their
+    exceptions on the cube's shared postings — cold, so the threads race
+    to index them."""
     levels = _levels(database)
 
     def query():
         cube = FlowCube.build(
             database, item_levels=[levels[-1]], min_support=MIN_SUPPORT,
-            compute_exceptions=False,
         )
-        return FlowCubeQuery(cube, derive=True, derive_exceptions=True)
+        return FlowCubeQuery(cube, derive=True)
 
     def answers(q, order):
         return {

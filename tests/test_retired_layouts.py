@@ -3,8 +3,8 @@
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
 predate the ``"format"`` field, and the ones that list no ``"files"``),
-``FCHEAP01`` to ``FCHEAP05`` heaps, ``FCCIDX01`` indexes, ``FCPATH01``
-path tables,
+``FCHEAP01`` to ``FCHEAP06`` heaps, ``FCCIDX01`` indexes, ``FCPATH01``
+and ``FCPATH02`` path tables,
 ``FCPART01`` partitions, CSV partition files — has no reader left, so
 each case is hand-crafted here from bytes on top of a store the current
 writer made, and must surface as a :class:`~repro.errors.StoreError`
@@ -273,8 +273,7 @@ def test_a_vector_per_path_level_heap_is_retired_too(built_dir, file):
     path level, each counting every member again.  A heap or delta
     segment in it is refused when first mapped; the way out is a
     rebuild."""
-    assert RETIRED_HEAP_MAGICS[4:] == (b"FCHEAP05",)
-    assert HEAP_MAGIC == b"FCHEAP06"
+    assert RETIRED_HEAP_MAGICS[4] == b"FCHEAP05"
     _assert_heap_file_retired(
         built_dir, file, b"FCHEAP05",
         r"retired FCHEAP05 layout.*the last one that did is the one at "
@@ -282,18 +281,27 @@ def test_a_vector_per_path_level_heap_is_retired_too(built_dir, file):
     )
 
 
-def test_a_path_table_without_joint_columns_is_retired_too(built_dir):
-    """``FCPATH01`` held every level's paths but no joint columns, so it
-    cannot map an ``FCHEAP06`` vector.  It is read at the first multiset
-    — never at open — and refused there, by a reader and by a writer;
-    the way out is a rebuild."""
-    assert RETIRED_PATHS_MAGICS == (b"FCPATH01",) and PATHS_MAGIC == b"FCPATH02"
-    table = cube_files(built_dir)["paths"]
-    _set_magic(table, b"FCPATH01")
-    pattern = (
-        r"retired FCPATH01 layout.*the last one that did is the one at "
-        r"commit 035cbc7.*rebuild the cube"
+@pytest.mark.parametrize("file", ["heap", "delta segment"])
+def test_an_exception_bearing_heap_is_retired_too(built_dir, file):
+    """``FCHEAP06`` records carried every path level's mined exceptions
+    after the vector, behind a flags byte; cells now mine theirs when
+    first read.  A heap or delta segment in it is refused when first
+    mapped; the way out is a rebuild."""
+    assert RETIRED_HEAP_MAGICS[5:] == (b"FCHEAP06",)
+    assert HEAP_MAGIC == b"FCHEAP07"
+    _assert_heap_file_retired(
+        built_dir, file, b"FCHEAP06",
+        r"retired FCHEAP06 layout.*the last one that did is the one at "
+        r"commit c64931e.*rebuild the cube",
     )
+
+
+def _assert_path_table_retired(built_dir, magic: bytes, pattern: str) -> None:
+    """A path table leading with *magic* is read at the first multiset —
+    never at open — and refused there, by a reader and by a writer; a
+    rebuild writes the current one."""
+    table = cube_files(built_dir)["paths"]
+    _set_magic(table, magic)
     with PartitionedPathStore.open(built_dir) as store:
         cube = store.cube_store()  # a cold open reads the index only
         cuboid = cube.cuboids[0]
@@ -312,6 +320,30 @@ def test_a_path_table_without_joint_columns_is_retired_too(built_dir):
         with store.cube_store() as rebuilt:
             assert json.loads(cube_to_json(rebuilt))["cuboids"]
     assert cube_files(built_dir)["paths"].read_bytes()[:8] == PATHS_MAGIC
+
+
+def test_a_path_table_without_joint_columns_is_retired_too(built_dir):
+    """``FCPATH01`` held every level's paths but no joint columns, so it
+    cannot map a vector; the way out is a rebuild."""
+    assert RETIRED_PATHS_MAGICS[0] == b"FCPATH01"
+    _assert_path_table_retired(
+        built_dir, b"FCPATH01",
+        r"retired FCPATH01 layout.*the last one that did is the one at "
+        r"commit 035cbc7.*rebuild the cube",
+    )
+
+
+def test_a_path_table_without_a_checksum_is_retired_too(built_dir):
+    """``FCPATH02`` had no CRC: a flipped byte could map a vector to
+    another multiset without an error.  It is refused like ``FCPATH01``;
+    the way out is a rebuild."""
+    assert RETIRED_PATHS_MAGICS[1:] == (b"FCPATH02",)
+    assert PATHS_MAGIC == b"FCPATH03"
+    _assert_path_table_retired(
+        built_dir, b"FCPATH02",
+        r"retired FCPATH02 layout.*the last one that did is the one at "
+        r"commit c64931e.*rebuild the cube",
+    )
 
 
 def test_a_per_path_level_index_is_retired_too(built_dir):

@@ -355,13 +355,19 @@ def test_build_cube_matches_flowcube_build(store, reference_cube):
     cube.close()
 
 
-def test_build_cube_with_shared_segments(store):
+def test_build_cube_with_shared_segments(store, reference_cube):
+    """Shared's segments, which flowbench still passes, change nothing: a
+    cell mines its own at first read, the ones Shared finds."""
+    segments = shared_mine_store(store, min_support=MIN_SUPPORT)
     stats = BuildStats()
     cube = build_cube(
-        store, min_support=MIN_SUPPORT, use_shared=True, stats=stats
+        store, min_support=MIN_SUPPORT,
+        segments_by_cell=segments.segments_by_cell(), stats=stats,
     )
     assert stats.max_live_transaction_dbs == 1
     assert cube.n_cells() > 0
+    assert stored_cube_json(cube) == stored_cube_json(reference_cube)
+    assert exception_lists(cube) == exception_lists(reference_cube)
     cube.close()
 
 

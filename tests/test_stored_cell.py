@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 from repro.core.flowcube import Cell, FlowCube
 from repro.core.flowgraph import FlowGraph
+from repro.core.flowgraph_exceptions import mine_exceptions_weighted
 from repro.core.lattice import ItemLattice
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, example_path_database
@@ -212,11 +213,12 @@ def test_index_fields_never_touch_the_measure(store_dir, decodes):
         # The multiset names paths: the table is read, nothing decoded.
         for cell in cells:
             assert sum(weight for _, weight in cell.paths) == cell.n_paths
-        # The mined exceptions come from the record too: no graph.
+        assert cube.io_counters()["cells_decoded"] == 0
+        # The exceptions are mined from the multiset with the graph they
+        # condition, which expands from the vector already decoded.
         mined = [cell.exceptions for cell in cells]
         assert len(decodes) == len(cells) and any(mined)
-        assert cube.io_counters()["cells_decoded"] == 0
-        # The graphs expand from the vectors already decoded.
+        assert cube.io_counters()["cells_decoded"] == len(cells)
         assert mined == [cell.flowgraph.exceptions for cell in cells]
         assert len(decodes) == len(cells)
         assert cube.io_counters()["cells_decoded"] == len(cells)
@@ -269,7 +271,11 @@ def assert_cells_match_records(cube: CubeStore) -> None:
         paths = level_paths(cube, path_level)
         pairs = tuple((paths[pid], weight) for pid, weight in weights.items())
         graph = FlowGraph.expand(pairs)
-        graph.exceptions = binfmt.decode_cell_exceptions(record, level_id)
+        if cube.compute_exceptions:
+            mine_exceptions_weighted(
+                graph, pairs, cube.min_support, cube.min_deviation,
+                kernel="scan",
+            )
         redundant = entry_redundant(entry)[level_id]
         eager = OracleCell(
             key=key,
@@ -368,7 +374,10 @@ def test_index_redundant_marks_agree_with_the_record(tmp_path, database):
     memory = FlowCube.build(database, min_support=0.05)
     assert prune_redundant(memory, threshold=0.6, metric=tv_similarity) > 0
     cube = CubeStore(tmp_path / "cube", database.schema)
-    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    cube.create(
+        memory.path_lattice, memory.min_support, memory.min_deviation,
+        compute_exceptions=memory.compute_exceptions,
+    )
     for _, cuboids in groupby(memory.cuboids, attrgetter("item_level")):
         cube.put_cuboid(chain.from_iterable(cuboids))
     cube.flush()
@@ -422,12 +431,18 @@ def test_put_cell_refuses_a_multiset_its_record_ids_disagree_with(tmp_path):
         for cell in item
     ]
     cube = CubeStore(tmp_path / "cube", example.schema)
-    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    cube.create(
+        memory.path_lattice, memory.min_support, memory.min_deviation,
+        compute_exceptions=memory.compute_exceptions,
+    )
     with pytest.raises(StoreError, match="do not share one vector"):
         cube.put_cuboid([item[0], heavier[1], *item[2:]])
     assert cube.n_cells() == 0
     cube = CubeStore(tmp_path / "cube", example.schema)
-    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    cube.create(
+        memory.path_lattice, memory.min_support, memory.min_deviation,
+        compute_exceptions=memory.compute_exceptions,
+    )
     with pytest.raises(StoreError, match="weighs 13 paths but has 8 record"):
         cube.put_cuboid(heavier)
     assert cube.n_cells() == 0
@@ -455,7 +470,10 @@ def test_put_cuboid_refuses_a_partial_or_disagreeing_item_cell(tmp_path):
         apex.vector, apex.table, apex.level_id,
     )
     cube = CubeStore(tmp_path / "cube", example.schema)
-    cube.create(memory.path_lattice, memory.min_support, memory.min_deviation)
+    cube.create(
+        memory.path_lattice, memory.min_support, memory.min_deviation,
+        compute_exceptions=memory.compute_exceptions,
+    )
     for cells, says in (
         (item[1:], "lacks its cell at path level 0"),
         (item[:-1], f"lacks its cell at path level {len(item) - 1}"),
@@ -558,10 +576,11 @@ def test_flipped_heap_byte_is_a_store_error_at_first_touch(store_dir):
 
 
 def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
-    """Flip each byte of an exception-bearing record in turn: every touch
-    raises ``StoreError`` — the record's CRC no longer matches — never a
-    ``zlib.error`` / ``KeyError`` / ``TypeError`` from inside the codec,
-    and never another cell's measure."""
+    """Flip each byte of the record of an exception-bearing cell in turn:
+    every touch — its exceptions, which it mines, too — raises
+    ``StoreError`` — the record's CRC no longer matches — never a
+    ``KeyError`` / ``TypeError`` from inside the codec, and never another
+    cell's measure."""
     example = example_path_database()
     store, cube = build_store(
         tmp_path / "wh", example.schema, list(example), min_support=2
@@ -572,18 +591,17 @@ def test_no_flipped_byte_escapes_as_an_untyped_error(tmp_path):
     else:
         pytest.fail("the example cube has no exception-bearing cell")
     record = cube._cells.record(entry)
-    level_id = cube.path_lattice.index_of(path_level)
     outcomes = {"decoded": 0, "typed": 0}
     for position in range(len(record)):
         for mask in (0x01, 0x80, 0xFF):
             damaged = bytearray(record)
             damaged[position] ^= mask
             cell = Cell(
-                key, item_level, path_level, n_paths=1,
+                key, item_level, path_level,
+                level_id=cube.path_lattice.index_of(path_level), n_paths=1,
                 record=bytes(damaged),
-                loader=_RecordLoader(
-                    cube._paths, level_id, {"cells_decoded": 0}
-                ),
+                loader=_RecordLoader(cube._paths, {"cells_decoded": 0}),
+                mining=cube.mining,
             )
             for touch in (
                 lambda: cell.record_ids,

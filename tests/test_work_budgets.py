@@ -8,10 +8,14 @@ count against a bound computed from the input, at two ``repro.synth``
 sizes, so what is asserted is how the work *scales*, not a constant.
 
 The rows are the ones the stored-vector layout makes true: a store build
-persists each item cell's ``{joint id: weight}`` and never builds a flowgraph it
-does not mine; a default slice expands nothing and never opens the
-path table; an append adds vectors, reads only the partitions its
-promotion candidates might live in, and expands a graph only to mine it.
+persists each item cell's ``{joint id: weight}`` and never builds a
+flowgraph; a default slice expands nothing and never opens the path
+table; an append adds vectors, reads only the partitions its promotion
+candidates might live in, and expands no graph.
+And the ones exceptions mined at first read make true: neither a build
+nor an append calls the exception kernel, an exceptions build writes the
+plain build's heap and index bytes, and reading k cells' exceptions
+mines k cells, once.
 And the ones the immutable-files rule must not cost: every operation
 publishes as many files as it did when it replaced them in place,
 unlinks only what the committed meta no longer lists, and a cold open
@@ -70,9 +74,10 @@ from repro.store import (
     append_records,
     binfmt,
     build_cube,
+    shared_mine_store,
 )
 from repro.store.cli import main
-from repro.store.cube_store import CubeStore, _RecordLoader
+from repro.store.cube_store import CubeStore
 from repro.synth import GeneratorConfig, generate_path_database
 from tests.conftest import cube_files
 from tests.test_publish_points import EXPECTED as CRASH_TABLE
@@ -194,8 +199,9 @@ def test_an_exception_free_build_builds_no_graph(tmp_path, monkeypatch, n_paths)
 def test_a_build_with_exceptions_folds_each_vector_once(
     tmp_path, monkeypatch, n_paths
 ):
-    """One ``FlowGraph.expand`` per built cell, over exactly its vector:
-    the routine a stored cell expands with, not a path-by-path fold."""
+    """One ``FlowGraph.expand`` per built cell, over exactly its vector —
+    at the cell's first read, not in the build: the routine every cell
+    expands with, not a path-by-path fold."""
     database = generate_path_database(config(n_paths))
     store = ingested(tmp_path / "wh", database.schema, list(database))
     graphs = graph_counters(monkeypatch)
@@ -204,12 +210,68 @@ def test_a_build_with_exceptions_folds_each_vector_once(
         store, min_support=MIN_SUPPORT, into=store.cube_store(),
         stats=BuildStats(),
     )
-    built_graphs = len(graphs["__init__"])
-    vectors = [list(cell.paths) for cell in cube.cells()]
-    assert built_graphs == len(expand) == len(vectors) == cube.n_cells()
+    assert len(graphs["__init__"]) == len(expand) == 0
+    cells = list(cube.cells())
+    for cell in cells:
+        cell.flowgraph
+    vectors = [list(cell.paths) for cell in cells]
+    assert len(graphs["__init__"]) == len(expand) == len(vectors)
+    assert len(vectors) == cube.n_cells()
     assert sorted(list(call[0]) for call in expand.calls) == sorted(vectors)
     assert len(graphs["add_path"]) == len(graphs["merge"]) == 0
     cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_exceptions_build_mines_and_expands_nothing(
+    tmp_path, monkeypatch, n_paths
+):
+    """Exceptions are mined at a cell's first read: a store build and an
+    in-memory build with them on call the exception kernel 0 times and
+    expand 0 flowgraphs (parent: one kernel call and one graph per
+    cell)."""
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    mined = Counted(monkeypatch, exception_kernel, "mine_exceptions_bitmap")
+    expand = Counted(monkeypatch, FlowGraph, "expand")
+    graphs = graph_counters(monkeypatch)
+    cube = build_cube(
+        store, min_support=MIN_SUPPORT, compute_exceptions=True,
+        into=store.cube_store(), stats=BuildStats(),
+    )
+    memory = FlowCube.build(database, min_support=MIN_SUPPORT)
+    assert cube.compute_exceptions and memory.compute_exceptions
+    assert cube.n_cells() > n_paths // 10
+    assert len(mined) == len(expand) == len(graphs["__init__"]) == 0
+    assert "exceptions" not in cube.build_stats["phase_seconds"]
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_an_exceptions_build_writes_the_plain_builds_bytes(
+    tmp_path, monkeypatch, n_paths
+):
+    """No record holds an exception: an exceptions build and a plain
+    build of one store write byte-identical heap, index and path table
+    files; only ``cube.json`` says which the cube is."""
+    monkeypatch.setattr("repro.store.cube_store.new_lineage", lambda: 2006)
+    database = generate_path_database(config(n_paths))
+    store = ingested(tmp_path / "wh", database.schema, list(database))
+    written = {}
+    for exceptions in (False, True):
+        build_cube(
+            store, min_support=MIN_SUPPORT, compute_exceptions=exceptions,
+        ).close()
+        files = cube_files(tmp_path / "wh")
+        written[exceptions] = [
+            path.read_bytes()
+            for path in (files["paths"], *files["segments"].values(), files["index"])
+        ]
+        meta = json.loads((tmp_path / "wh" / "cube" / "cube.json").read_text())
+        assert meta["exceptions"] is exceptions
+    assert written[True] == written[False]
     store.close()
 
 
@@ -245,8 +307,7 @@ def test_a_build_hands_the_encoder_one_vector_per_item_cell(
 ):
     """Every path level of an item cell maps from one joint vector: each
     record a build encodes carries one ``(joint id, weight)`` list that
-    weighs the item cell's record ids (parent: one vector per path
-    level), and no path level's exceptions are dropped."""
+    weighs the item cell's record ids, and nothing else."""
     database = generate_path_database(config(n_paths))
     store = ingested(tmp_path / "wh", database.schema, list(database))
     encoded = Counted(monkeypatch, binfmt, "encode_cell_payload")
@@ -256,10 +317,9 @@ def test_a_build_hands_the_encoder_one_vector_per_item_cell(
     )
     n_levels = len(cube.path_lattice)
     assert len(encoded) == cube.n_cells() // n_levels > 0
-    for record_ids, vector, exceptions in encoded.calls:
+    for record_ids, vector in encoded.calls:
         assert all(type(jid) is int and type(w) is int for jid, w in vector)
         assert sum(weight for _, weight in vector) == len(record_ids)
-        assert len(exceptions) == n_levels
     table = cube.path_table
     assert len(table.paths[0]) <= table.n_joint
     cube.close()
@@ -275,9 +335,10 @@ def test_a_build_decodes_each_partition_once_per_pass(
     store = ingested(tmp_path / "wh", database.schema, list(database))
     decoded = Counted(monkeypatch, partition, "unpack_partition")
     stats = BuildStats()
+    if shared:  # the paper's pipeline: Algorithm 1, then the cube
+        shared_mine_store(store, min_support=MIN_SUPPORT, build_stats=stats)
     cube = build_cube(
-        store, min_support=MIN_SUPPORT, use_shared=shared,
-        into=store.cube_store(), stats=stats,
+        store, min_support=MIN_SUPPORT, into=store.cube_store(), stats=stats,
     )
     # The Shared pre-mine is one pass, the roll-up scan the other.
     passes = 2 if shared else 1
@@ -444,7 +505,8 @@ def test_a_stored_cell_decodes_its_varints_once(
     """Ids, vector, graph and exceptions of a stored cell, read in either
     order, decode its record's varints as often as one
     ``decode_cell_parts`` does — the graph expands from the vector the
-    ids came with — and exceptions read before the graph expand none."""
+    ids came with, and the exceptions are mined with the graph, read
+    first or after it."""
     database = generate_path_database(config(n_paths))
     store, cube = built(tmp_path / "wh", database, list(database), True)
     cube.close()
@@ -461,8 +523,8 @@ def test_a_stored_cell_decodes_its_varints_once(
                 graphs = len(expand)
                 mined += bool(getattr(cell, name)) and name == "exceptions"
                 if name == "exceptions" and order == "exceptions first":
-                    assert len(expand) == graphs
-                    assert cold.io_counters()["cells_decoded"] == graphs
+                    assert len(expand) == graphs + 1
+                    assert cold.io_counters()["cells_decoded"] == graphs + 1
             assert len(varints) == once
             del varints.calls[:]
         assert len(expand) == cold.io_counters()["cells_decoded"] == len(cells)
@@ -492,7 +554,6 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
         compute_exceptions=False, into=store.cube_store(), stats=BuildStats(),
     ).close()
     value = sorted(schema.dimensions[0].concepts_at_level(1))[0]
-    expanded = Counted(monkeypatch, _RecordLoader, "expanded")
     expand = Counted(monkeypatch, FlowGraph, "expand")
     graphs = graph_counters(monkeypatch)
     rendered = []
@@ -512,11 +573,12 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
         for key in derived.cells:
             assert derive_cell(cube, plan, key).flowgraph.n_paths > 0
         assert len(expand) == 2 * len(derived)
+        assert cube.io_counters()["cells_decoded"] == 0  # no child graph
     directory = str(tmp_path / "wh")
     assert main(["query", directory, "-d", f"d0={value}", "--derive"]) == 0
     assert "derived from cuboid" in capsys.readouterr().out
     assert len(expand) == 2 * len(derived) + 1
-    assert len(expanded) == len(graphs["merge"]) == len(rendered) == 0
+    assert len(graphs["merge"]) == len(rendered) == 0
     store.close()
 
 
@@ -524,11 +586,10 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
 def test_derivations_leave_the_handles_postings_without_views(
     tmp_path, n_paths
 ):
-    """A derivation mines through an exception pass of its own, and the
-    pass holds the fingerprint map its cells share views through: many
+    """A derived cell mines through an exception pass of its own, and the
+    pass holds the fingerprint map views are shared through: many
     distinct derivations through one façade leave the handle's path
-    table — which they all mine against — without a per-cell view
-    (parent: one view per distinct mined vector, kept until a reload)."""
+    table — which they all mine against — without a per-cell view."""
     database = generate_path_database(config(n_paths))
     schema = database.schema
     store = ingested(tmp_path / "wh", schema, list(database))
@@ -546,7 +607,7 @@ def test_derivations_leave_the_handles_postings_without_views(
 
     before = views()
     with store.cube_store() as cube:
-        query = FlowCubeQuery(cube, derive=True, derive_exceptions=True)
+        query = FlowCubeQuery(cube, derive=True)
         derived = mined = 0
         for item_level in cube.item_levels[0].parents() + (ItemLevel([1, 1]),):
             for path_level in cube.path_lattice:
@@ -557,6 +618,42 @@ def test_derivations_leave_the_handles_postings_without_views(
         postings = cube.path_table.postings
         assert not any(level.indexes for level in postings)
         assert views() == before
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_reading_k_cells_exceptions_mines_k_cells_once(
+    tmp_path, monkeypatch, n_paths
+):
+    """A cell mines at the first read of its exceptions and keeps them:
+    reading k cells' exceptions mines exactly k cells, reading them again
+    mines none, and a plain cube's cells mine nothing at all."""
+    database = generate_path_database(config(n_paths))
+    store, cube = built(tmp_path / "wh", database, list(database), True)
+    cube.close()
+    mined = Counted(monkeypatch, exception_kernel, "mine_exceptions_bitmap")
+    with store.cube_store(cache_size=100_000) as cold:
+        cells = list(cold.cells())
+        k = len(cells) // 2
+        first = [cell.exceptions for cell in cells[:k]]
+        assert len(mined) == k > 1
+        for cell in cells[:k]:
+            assert cell.flowgraph.exceptions is cell.exceptions
+        again = [
+            cold.cell(cell.item_level, cell.key, cell.path_level).exceptions
+            for cell in cells[:k]
+        ]
+        assert again == first and len(mined) == k
+        assert any([cell.exceptions for cell in cold.cells()])
+        assert len(mined) == len(cells)
+    build_cube(
+        store, min_support=MIN_SUPPORT, compute_exceptions=False
+    ).close()
+    del mined.calls[:]
+    with store.cube_store() as plain:
+        assert not any(cell.exceptions for cell in plain.cells())
+        assert all(cell.flowgraph.exceptions == [] for cell in plain.cells())
+    assert len(mined) == 0
     store.close()
 
 
@@ -603,23 +700,23 @@ def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
     held = held_keys(cube)
     levels = list(cube.item_levels)
     graphs = graph_counters(monkeypatch)
-    expanded = Counted(monkeypatch, _RecordLoader, "expanded")
     reads = Counted(monkeypatch, pathstore, "read_partition")
     published = Counted(monkeypatch, publish, "publish_file")
+    mined = Counted(monkeypatch, exception_kernel, "mine_exceptions_bitmap")
 
     stats = append_records(store, batch, cube=cube, compact_after=0)
 
+    # An exceptions cube's append mines no cell (parent: every dirty one).
+    assert len(mined) == 0
     dirty = stats["updated"] + stats["created"]
     assert stats["updated"] > 0 and stats["promoted"] > 0
     selected = candidate_partitions(store, levels, held, batch)
     assert 0 < len(reads) <= len(selected)
-    assert len(expanded) == 0  # no stored graph is decoded to be merged
     assert len(graphs["merge"]) == 0
+    # No stored graph is decoded to be merged.
     assert cube.io_counters()["cells_decoded"] == 0
-    if exceptions:
-        assert 0 < len(graphs["__init__"]) <= dirty
-    else:
-        assert len(graphs["__init__"]) == len(graphs["add_path"]) == 0
+    assert dirty > 0
+    assert len(graphs["__init__"]) == len(graphs["add_path"]) == 0
     names = published_as(published, tmp_path / "wh")
     row = CRASH_TABLE["first append"][1]
     assert names[2:] in (row[2:], row[3:])  # with or without the table
@@ -765,8 +862,7 @@ def test_an_append_without_a_candidate_reads_no_partition(
 
     assert stats["updated"] > 0 and stats["promoted"] == 0
     assert len(reads) == 0  # parent: every partition of the store
-    assert len(graphs["merge"]) == 0
-    assert 0 < len(graphs["__init__"]) <= stats["updated"]
+    assert len(graphs["merge"]) == len(graphs["__init__"]) == 0
     # Paths the cube already holds: the table is not republished.
     assert "paths" not in published_as(published, tmp_path / "wh")
     cube.close()
@@ -892,8 +988,7 @@ def test_compaction_copies_bytes(tmp_path, monkeypatch, n_paths):
     graphs = graph_counters(monkeypatch)
     decoded = [
         Counted(monkeypatch, binfmt, name)
-        for name in ("decode_cell_parts", "decode_cell_exceptions",
-                     "encode_cell_payload")
+        for name in ("decode_cell_parts", "decode_cell_ids", "encode_cell_payload")
     ]
     published = Counted(monkeypatch, publish, "publish_file")
     assert cube.compact() == cube.n_cells()
