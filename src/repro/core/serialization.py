@@ -157,6 +157,7 @@ def cube_to_json(cube: FlowCube) -> str:
     payload = {
         "min_support": cube.min_support,
         "min_deviation": cube.min_deviation,
+        "exceptions": cube.compute_exceptions,
         "path_lattice": [
             path_level_to_dict(level) for level in cube.path_lattice
         ],
@@ -188,9 +189,10 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
     as a build hands it out: a :class:`~repro.core.flowcube.Cell` whose
     joint vector over the cube's ``path_table`` — one per item cell — is
     rebuilt from its records, with its saved exceptions attached to its
-    graph.  The JSON does not record whether the cube was built with
-    exceptions, so the restored cube's ``compute_exceptions`` is off: set
-    it for the cells the query planner derives from it to mine theirs.
+    graph.  The restored cube's ``compute_exceptions`` is the JSON's
+    ``"exceptions"`` (off in a JSON written before the field), so the
+    cells the query planner derives from it mine theirs as the saved
+    cube's did.
     """
     from repro.perf.measure_rollup import AggregationMemo, PathTable
 
@@ -208,6 +210,7 @@ def cube_from_json(text: str, database: PathDatabase) -> FlowCube:
         min_support=payload["min_support"],
         min_deviation=payload["min_deviation"],
     )
+    cube.compute_exceptions = bool(payload.get("exceptions", False))
     table = cube.path_table = PathTable(len(path_lattice))
     joint_id = AggregationMemo(path_lattice, table).joint_id
     #: One joint vector per item cell, shared by its cells at every level.

@@ -1,19 +1,21 @@
 """Binary on-disk codecs: columnar partitions and the packed cell index.
 
-The store reads and writes one layout — ``FCPART02`` partitions over a
-shared ``FCSTRS01`` string table, an ``FCHEAP07`` cell heap addressed
-through an ``FCCIDX02`` index, its records vectors over an ``FCPATH03``
+The store reads and writes one layout — ``FCPART03`` partitions over a
+shared ``FCSTRS02`` string table, an ``FCHEAP08`` cell heap addressed
+through an ``FCCIDX03`` index, its records vectors over an ``FCPATH04``
 path table — and this module defines it (see DESIGN.md for byte
 diagrams).  The four sectioned containers are each one :class:`Layout`
 table that their writer and their reader both go through, and every
 published file is opened by :func:`map_file`:
 
 * :func:`pack_partition` / :func:`unpack_partition` — a columnar
-  partition file (``part-XXXXX.bin``): ``int64`` reference/offset arenas
-  and a ``float64`` duration arena, so
+  partition file (``part-XXXXX.bin``): narrow reference/offset arenas,
+  each stage one ref into the partition's table of distinct
+  ``(location, duration)`` pairs, so
   :func:`~repro.store.partition.read_partition` rebuilds a
   :class:`~repro.core.path_database.PathDatabase` with bulk
-  ``array.frombytes`` decodes instead of per-field text parsing;
+  ``array.frombytes`` decodes and one :class:`Stage` per distinct pair
+  instead of per-field text parsing;
 * :func:`pack_cell_index` / :func:`unpack_cell_index` — the cell-heap
   index (``cells.idx``): per *item cell* (an item level and key, whose
   members no path level changes) its key and ``(offset, length,
@@ -25,14 +27,15 @@ published file is opened by :func:`map_file`:
   partition carrying only a small local→global remap arena instead of
   a private copy of the location/product strings;
 * :func:`encode_cell_payload` / :func:`decode_cell_parts` — the
-  ``FCHEAP07`` item-cell record, the *distributive* part of the measure
+  ``FCHEAP08`` item-cell record, the *distributive* part of the measure
   and nothing else: the record ids and the item cell's one ``(joint id,
   weight)`` vector, under a CRC-32 every reader checks first — a damaged
   record is a :class:`StoreError`, never another measure (exceptions
   are mined from the vector when a cell is read, never stored);
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
-  (``paths.bin``): every level's aggregated paths and the joint columns
-  that map a vector to each level, under a CRC-32 of the whole file;
+  (``paths.bin``): every level's aggregated paths, each stage one ref
+  into a table of distinct ``(location, duration)`` pairs, and the joint
+  columns that map a vector to each level;
 * :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
   masks: ``cells.idx`` stays mmap'd and each ``(item cuboid, dim,
   value)`` bitmap is decoded with one ``int.from_bytes`` over the map
@@ -44,30 +47,39 @@ flowgraph, ``FCHEAP03`` a copy of its coordinates, ``FCHEAP04`` and
 ``FCCIDX01`` a record and an entry per cell and path level, ``FCHEAP05``
 a vector per path level in each item-cell record, ``FCHEAP06`` every
 path level's exceptions in each record, ``FCPATH01`` a path table
-without joint columns, ``FCPATH02`` one without a checksum).  No reader
-or writer for them survives: meeting one raises
-:func:`retired_layout`'s :class:`StoreError` instead of decoding it.
+without joint columns, ``FCPATH02`` one without a checksum;
+``FCPART02``, ``FCSTRS01``, ``FCCIDX02``, ``FCPATH03`` and ``FCHEAP07``
+``int64`` columns, two words per stage, no checksum on the first three
+and a length prefix per heap record).  No reader or writer for them
+survives: meeting one raises :func:`retired_layout`'s
+:class:`StoreError` instead of decoding it.
 
 Framing rules of the sectioned containers, which :meth:`Layout.pack`
 and :meth:`Layout.open` alone implement:
 
-* all integers are native-endian ``int64`` (``array('q')``) — but for
-  the path table's joint columns, ``u32`` (``array('I')``) — durations
-  native ``float64`` (``array('d')``); the header leads with
-  :data:`ORDER_TAG`, whose bytes read back wrong on a foreign-endian
-  host, turning silent corruption into a :class:`StoreError`;
-* every arena starts on an 8-byte boundary (the UTF-8 string blob and a
-  ``u32`` column are zero-padded), and decoding slices **exactly** the bytes each arena
-  owns before ``frombytes`` — never a full-buffer ``cast('q')``, which
-  breaks the moment a variable-length blob is not a multiple of eight;
+* every file leads with its magic and the CRC-32 of every byte after
+  it, checked before any section is handed back, so a flipped byte is a
+  :class:`StoreError`, never another decode;
+* header words are native-endian ``int64``, led by :data:`ORDER_TAG`,
+  whose bytes read back wrong on a foreign-endian host, turning silent
+  corruption into a :class:`StoreError`; one width code per integer
+  section follows them;
+* an integer section is stored as narrow as its values: ``B`` / ``H`` /
+  ``I`` / ``Q`` (unsigned 8 … 64 bits) by its maximum, chosen at pack
+  time and recorded in the header — ``q`` (``int64``) only when a value
+  is negative; durations are native ``float64`` (``array('d')``);
+* every arena starts on an 8-byte boundary (narrow columns and the
+  UTF-8 string blob are zero-padded), and decoding slices **exactly**
+  the bytes each arena owns before ``frombytes`` — never a full-buffer
+  ``cast``, which breaks the moment an arena is not a multiple of its
+  neighbour's width;
 * decode buffers may be ``bytes``, a ``memoryview``, or an ``mmap`` —
   every slice taken is exactly the bytes an arena owns, so an mmap'd
-  reader touches only the pages it needs.
+  reader decodes only what it asks for (the CRC reads every byte once).
 
-The cell heap (``cells.bin``) is an append-only blob of
-``<q``-length-prefixed :func:`encode_cell_payload` records after
-:data:`HEAP_MAGIC`, one per item cell, addressed only through the index
-offsets.
+The cell heap (``cells.bin``) is :data:`HEAP_MAGIC` followed by
+:func:`encode_cell_payload` records back to back, one per item cell,
+addressed only through the index's ``(offset, length)`` entries.
 """
 
 from __future__ import annotations
@@ -78,6 +90,7 @@ import zlib
 from array import array
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, chain
+from math import copysign
 from operator import ge, gt, sub
 from pathlib import Path as FsPath
 
@@ -91,13 +104,14 @@ __all__ = [
     "HEAP_MAGIC",
     "INDEX_MAGIC",
     "LAYOUT_NAME",
-    "PARTITION_MAGIC_V2",
+    "PARTITION_MAGIC",
     "PATHS_LAYOUT",
     "PATHS_MAGIC",
     "RETIRED_HEAP_MAGICS",
-    "RETIRED_INDEX_MAGIC",
-    "RETIRED_PARTITION_MAGIC",
+    "RETIRED_INDEX_MAGICS",
+    "RETIRED_PARTITION_MAGICS",
     "RETIRED_PATHS_MAGICS",
+    "RETIRED_STRINGS_MAGICS",
     "STRINGS_FILENAME",
     "STRINGS_MAGIC",
     "LazyMaskMap",
@@ -125,18 +139,23 @@ __all__ = [
 #: marks a store written in a retired layout.
 LAYOUT_NAME = "binary"
 
-#: Leading 8 bytes of a retired columnar partition file (private
-#: per-partition string table); compared against only to reject it.
-RETIRED_PARTITION_MAGIC = b"FCPART01"
+#: Leading 8 bytes of the retired columnar partition generations (a
+#: private per-partition string table; ``int64`` columns and two words
+#: per stage); compared against only to reject them.
+RETIRED_PARTITION_MAGICS = (b"FCPART01", b"FCPART02")
 
 #: Leading 8 bytes of a columnar partition file: string references
 #: resolve through the shared store table via a local→global remap
-#: arena.
-PARTITION_MAGIC_V2 = b"FCPART02"
+#: arena, each stage is one ref into the partition's stage table.
+PARTITION_MAGIC = b"FCPART03"
+
+#: Leading 8 bytes of the retired string-table generation (``int64``
+#: offsets, no checksum); compared against only to reject it.
+RETIRED_STRINGS_MAGICS = (b"FCSTRS01",)
 
 #: Leading 8 bytes of the shared per-store string table
 #: (``strings.bin``).
-STRINGS_MAGIC = b"FCSTRS01"
+STRINGS_MAGIC = b"FCSTRS02"
 
 #: File name of the shared string table inside the partitions
 #: directory.
@@ -144,42 +163,40 @@ STRINGS_FILENAME = "strings.bin"
 
 #: Leading 8 bytes of a cell-heap index file (``cells.idx``): one entry
 #: per item cell.
-INDEX_MAGIC = b"FCCIDX02"
+INDEX_MAGIC = b"FCCIDX03"
 
-#: Leading 8 bytes of the retired index generation (one entry per cell
-#: and path level); compared against only to reject it.
-RETIRED_INDEX_MAGIC = b"FCCIDX01"
+#: Leading 8 bytes of the retired index generations (one entry per cell
+#: and path level; ``int64`` columns without a checksum); compared
+#: against only to reject them.
+RETIRED_INDEX_MAGICS = (b"FCCIDX01", b"FCCIDX02")
 
 #: Leading 8 bytes of the retired cell-heap generations (JSON payloads;
 #: serialised flowgraphs; records that repeated their cell's
 #: coordinates; one record per cell and path level; one record per item
 #: cell with a vector per path level; records that carried every path
-#: level's mined exceptions); compared against only to reject them.
+#: level's mined exceptions; records behind an unread length prefix);
+#: compared against only to reject them.
 RETIRED_HEAP_MAGICS = (
     b"FCHEAP01", b"FCHEAP02", b"FCHEAP03", b"FCHEAP04", b"FCHEAP05",
-    b"FCHEAP06",
+    b"FCHEAP06", b"FCHEAP07",
 )
 
 #: Leading 8 bytes of a cell-heap blob (:func:`encode_cell_payload`
-#: records, one per item cell, each one joint vector).
-HEAP_MAGIC = b"FCHEAP07"
+#: records back to back, one per item cell, each one joint vector).
+HEAP_MAGIC = b"FCHEAP08"
 
 #: Leading 8 bytes of the retired path-table generations (no joint
-#: columns; no checksum); compared against only to reject them.
-RETIRED_PATHS_MAGICS = (b"FCPATH01", b"FCPATH02")
+#: columns; no checksum; ``int64`` columns and two words per stage);
+#: compared against only to reject them.
+RETIRED_PATHS_MAGICS = (b"FCPATH01", b"FCPATH02", b"FCPATH03")
 
 #: Leading 8 bytes of a cube's path table (``paths.bin``).
-PATHS_MAGIC = b"FCPATH03"
+PATHS_MAGIC = b"FCPATH04"
 
 #: Endianness sentinel: stored as the first header word; a reader on a
 #: host with the opposite byte order decodes a different value and
 #: rejects the file instead of mis-addressing every arena.
 ORDER_TAG = 0x0102030405060708
-
-#: Length prefix framing one heap payload (always little-endian — the
-#: heap is only ever addressed through index offsets; the prefix frames
-#: each record so the blob can be walked without the index).
-HEAP_LENGTH_STRUCT = struct.Struct("<q")
 
 #: Delta-segment addressing: an index offset is a plain i64, so the high
 #: bits carry the segment id — a *slot* ``cube.json`` maps to a file:
@@ -191,9 +208,27 @@ SEGMENT_OFFSET_MASK = (1 << SEGMENT_SHIFT) - 1
 MAX_SEGMENT_ID = (1 << (63 - SEGMENT_SHIFT)) - 1
 
 _I64 = 8
-#: Bytes per element of each :class:`Layout` section type (``"I"`` is
-#: ``array``'s 32-bit unsigned int on every platform CPython builds on).
-_WIDTHS = {"q": 8, "d": 8, "I": 4, "B": 1}
+#: The ``array`` codes an integer section may be stored as below ``Q``,
+#: narrowest first, each with the largest value it holds (``H`` is 16
+#: bits, ``I`` 32 and ``Q`` 64 on every platform CPython builds on).
+_NARROW = (("B", 0xFF), ("H", 0xFFFF), ("I", 0xFFFFFFFF))
+#: Bytes per element of every code a section can be read as: the narrow
+#: ones, ``q``, ``d`` (``float64``) and ``B`` (a byte section's).
+_WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8, "q": 8, "d": 8}
+#: What a narrow section's recorded width code may be.
+_WIDTH_CODES = frozenset(b"BHIQq")
+
+
+def _narrow(values) -> array:
+    """*values* (ints) as the narrowest array that holds them: ``B`` /
+    ``H`` / ``I`` / ``Q`` by the maximum, ``q`` when one is negative
+    (an unsigned array refuses it)."""
+    top = max(values, default=0)
+    code = next((code for code, largest in _NARROW if top <= largest), "Q")
+    try:
+        return array(code, values)
+    except OverflowError:
+        return array("q", values)
 
 
 def pack_segment_offset(segment_id: int, offset: int) -> int:
@@ -222,18 +257,18 @@ def _pad8(n: int) -> int:
     return (-n) % 8
 
 
-def _pack_strings(strings: Iterable[str]) -> tuple[array, bytes]:
+def _pack_strings(strings: Iterable[str]) -> tuple[list[int], bytes]:
     """Intern table → the :data:`_STRING_SECTIONS` pair (offsets, blob)."""
     encoded = [s.encode("utf-8") for s in strings]
-    offsets = array("q", [0])
-    position = 0
-    for chunk in encoded:
-        position += len(chunk)
-        offsets.append(position)
-    return offsets, b"".join(encoded)
+    return list(accumulate(map(len, encoded), initial=0)), b"".join(encoded)
 
 
 _REBUILD = "rebuild the cube with `flowcube-store build` (the partitions are unchanged)"
+_REINGEST = (
+    "read the store's records with that release "
+    "(`PartitionedPathStore.open(...).load_all().to_csv()`) and re-ingest "
+    "them into a new store with `flowcube-store ingest --csv`"
+)
 
 #: Retired layout → (the last release that read it, the way out of it);
 #: every layout not listed here went with the first pair.
@@ -258,6 +293,14 @@ _LAST_READERS = {
         "the one at commit 8ab866c",
         f"remove the store's cube/ directory and {_REBUILD}",
     ),
+    "FCHEAP07": ("the one at commit f3a84f9", _REBUILD),
+    "FCPATH03": ("the one at commit f3a84f9", _REBUILD),
+    "FCCIDX02": (
+        "the one at commit f3a84f9",
+        f"remove the store's cube/ directory and {_REBUILD}",
+    ),
+    "FCPART02": ("the one at commit f3a84f9", _REINGEST),
+    "FCSTRS01": ("the one at commit f3a84f9", _REINGEST),
 }
 
 
@@ -296,7 +339,7 @@ def _check_magic(
 
 
 def check_heap_magic(lead: bytes, path) -> None:
-    """Reject a cell heap (or delta segment) not written as ``FCHEAP07``."""
+    """Reject a cell heap (or delta segment) not written as ``FCHEAP08``."""
     _check_magic(lead, HEAP_MAGIC, f"cell heap {path}", RETIRED_HEAP_MAGICS)
 
 
@@ -326,7 +369,7 @@ def _mask_width(n_cells: int) -> int:
 
 
 def _mask_bytes(cuboid_table: array, mask_counts: array, n_dims: int) -> int:
-    """Total bytes of ``FCCIDX02``'s mask bits: every (item cuboid,
+    """Total bytes of ``FCCIDX03``'s mask bits: every (item cuboid,
     dimension, value) mask at its cuboid's :func:`_mask_width`."""
     total = 0
     for row, n_cells in enumerate(cuboid_table[:: 1 + n_dims]):
@@ -342,67 +385,81 @@ _COUNT_FUNCTIONS = {"__builtins__": {}, "sum": sum, "mask_bytes": _mask_bytes}
 class Layout:
     """One sectioned container file, written down once as data.
 
-    *magic* | (with *checksum*) the CRC-32 of every byte after it, as one
-    ``i64`` word | header (:data:`ORDER_TAG`, then one word per entry of
-    *fields*; ``None`` is a reserved word, written as given and never
-    interpreted) | *sections*.  A section is ``(name, type, count)``:
-    *type* is ``"q"``, ``"d"``, ``"I"`` (``u32``) or ``"B"`` (bytes), every
-    section zero-padded to 8 bytes, and *count* an expression over the header fields and the sections before
-    it (``sum(mask_counts)`` is why a count may read an earlier section).
-    DESIGN.md §5 draws the same tables as byte diagrams;
-    ``tests/test_binfmt.py`` holds the two together.
+    *magic* | header (:data:`ORDER_TAG`, then one ``i64`` word per entry
+    of *fields* — ``None`` is a reserved word, written as given and never
+    interpreted) | the CRC-32 of every byte after the magic but its own,
+    as one ``i64`` word | one width code byte per ``"u"`` section,
+    zero-padded to 8 | *sections*.  A section is ``(name, type, count)``:
+    *type* is ``"u"`` (integers, stored as the narrowest of ``B`` /
+    ``H`` / ``I`` / ``Q`` that holds them, ``q`` when one is negative —
+    the code is the header's), ``"d"`` (``float64``) or ``"B"`` (bytes),
+    every section zero-padded to 8 bytes, and *count* an expression over
+    the header fields and the sections before it (``sum(mask_counts)``
+    is why a count may read an earlier section).  DESIGN.md §5 draws the
+    same tables as byte diagrams; ``tests/test_binfmt.py`` holds the two
+    together.
     """
 
-    def __init__(
-        self, magic, retired, what, fields, sections, checksum=False
-    ) -> None:
+    def __init__(self, magic, retired, what, fields, sections) -> None:
         self.magic = magic
         self.retired = retired
         self.what = what
         self.fields = fields
         self.sections = sections
-        self.checksum = checksum
-        #: Where the header (its order tag) starts.
-        self.header_start = len(magic) + (_I64 if checksum else 0)
+        #: Where the header (its order tag) starts, where the CRC word
+        #: follows it, where the width codes start and where the first
+        #: section does.
+        self.header_start = len(magic)
+        self.crc_at = self.header_start + (1 + len(fields)) * _I64
+        self.codes_start = self.crc_at + _I64
+        n_codes = sum(kind == "u" for _, kind, _ in sections)
+        self.sections_start = self.codes_start + n_codes + _pad8(n_codes)
         self._counts = [
             compile(count, f"<{what} {name}>", "eval")
             for name, _, count in sections
         ]
 
     def pack(self, header, *sections) -> bytes:
-        """Frame *header* (one value per field) and one array or bytes
-        object per section."""
-        parts = [array("q", [ORDER_TAG, *header]).tobytes()]
-        for (_, code, _), section in zip(self.sections, sections, strict=True):
-            data = bytes(section) if code == "B" else section.tobytes()
+        """Frame *header* (one value per field) and one section each: a
+        sequence of ints for a ``"u"`` section, an ``array('d')`` for a
+        ``"d"`` one, a bytes-like object for a ``"B"`` one."""
+        codes = bytearray()
+        parts = []
+        for (_, kind, _), section in zip(self.sections, sections, strict=True):
+            if kind == "B":
+                data = bytes(section)
+            else:
+                if kind == "u":
+                    section = _narrow(section)
+                    codes.append(ord(section.typecode))
+                data = section.tobytes()
             parts.append(data)
             parts.append(b"\x00" * _pad8(len(data)))
-        body = b"".join(parts)
-        if self.checksum:
-            body = array("q", [zlib.crc32(body)]).tobytes() + body
-        return self.magic + body
+        head = array("q", [ORDER_TAG, *header]).tobytes()
+        body = b"".join((codes, b"\x00" * _pad8(len(codes)), *parts))
+        crc = array("q", [zlib.crc32(body, zlib.crc32(head))]).tobytes()
+        return b"".join((self.magic, head, crc, body))
 
     def open(self, buffer) -> dict:
         """Check and decode *buffer* (``bytes``, ``memoryview`` or map)
         into ``{field: value, section: array}``.
 
         A byte section comes back as its ``(start, end)`` span, so a
-        mapped reader touches no page it does not decode.  A wrong or
-        retired magic, a foreign byte order, a negative header field, a
-        count that overruns the buffer and a checksum that does not match
-        are each a :class:`StoreError`; nothing past the failing field or
-        section is read, and no section is handed back before the checksum
-        matches (framing reads the sections a later count names).
+        mapped reader decodes none of it until asked.  A wrong or
+        retired magic, a foreign byte order, a negative header field, an
+        unknown width code, a count that overruns the buffer and a
+        checksum that does not match are each a :class:`StoreError`;
+        nothing past the failing field or section is read, and no section
+        is handed back before the checksum matches (framing reads the
+        sections a later count names).
         """
         what = self.what
         _check_magic(buffer, self.magic, what, self.retired)
         size = len(buffer)
-        offset = self.header_start
-        end = offset + (1 + len(self.fields)) * _I64
-        if end > size:
+        if self.sections_start > size:
             raise StoreError(f"corrupt {what}: truncated header")
         header = array("q")
-        header.frombytes(buffer[offset:end])
+        header.frombytes(buffer[self.header_start : self.crc_at])
         if header[0] != ORDER_TAG:
             raise StoreError(
                 f"cannot read {what}: byte-order tag mismatch "
@@ -413,29 +470,40 @@ class Layout:
         for field, value in out.items():
             if value < 0:
                 raise StoreError(f"corrupt {what}: negative {field}")
-        for (name, code, _), count in zip(self.sections, self._counts):
+        codes = iter(bytes(buffer[self.codes_start : self.sections_start]))
+        end = self.sections_start
+        for (name, kind, _), count in zip(self.sections, self._counts):
+            code = kind
+            if kind == "u":
+                code = next(codes)
+                if code not in _WIDTH_CODES:
+                    raise StoreError(
+                        f"corrupt {what}: unknown width code {code} of {name}"
+                    )
+                code = chr(code)
             offset = end
             n = eval(count, _COUNT_FUNCTIONS, out)  # noqa: S307 - our table
             end = offset + n * _WIDTHS[code]
             if n < 0 or end > size:
                 raise StoreError(f"corrupt {what}: truncated {name}")
-            if code == "B":
+            if kind == "B":
                 out[name] = (offset, end)
             else:
                 section = out[name] = array(code)
                 section.frombytes(buffer[offset:end])
             end += _pad8(end - offset)
-        if self.checksum:
-            crc = array("q")
-            crc.frombytes(buffer[len(self.magic) : self.header_start])
-            if crc[0] != zlib.crc32(buffer[self.header_start :]):
-                raise StoreError(f"corrupt {what}: checksum mismatch")
+        crc = array("q")
+        crc.frombytes(buffer[self.crc_at : self.codes_start])
+        head = zlib.crc32(buffer[self.header_start : self.crc_at])
+        if crc[0] != zlib.crc32(buffer[self.codes_start :], head):
+            raise StoreError(f"corrupt {what}: checksum mismatch")
         return out
 
 
-#: The string-table pair of sections ``FCSTRS01`` and ``FCCIDX02`` share.
+#: The string-table pair of sections ``FCSTRS02``, ``FCCIDX03`` and
+#: ``FCPATH04`` share.
 _STRING_SECTIONS = (
-    ("str_offsets", "q", "n_strings + 1"),
+    ("str_offsets", "u", "n_strings + 1"),
     ("blob", "B", "blob_len"),
 )
 
@@ -467,7 +535,7 @@ def _rows(values: Sequence, width: int, n_rows: int) -> list[tuple]:
 #: str_offsets[id + 1]]``.
 STRINGS_LAYOUT = Layout(
     STRINGS_MAGIC,
-    (),
+    RETIRED_STRINGS_MAGICS,
     "string table",
     ("n_strings", "blob_len"),
     _STRING_SECTIONS,
@@ -475,18 +543,19 @@ STRINGS_LAYOUT = Layout(
 
 
 class StringTable:
-    """The shared per-store intern table backing ``FCPART02`` partitions.
+    """The shared per-store intern table backing ``FCPART03`` partitions.
 
     On disk (``strings.bin``) it is :data:`STRINGS_LAYOUT`.  The table is
     **append-only**: global ids are stable across saves, so a reader
     holding an older map keeps resolving every id it has ever seen while
     a writer interns new vocabulary and atomically replaces the file.
 
-    Loaded tables are mmap'd and decoded lazily — :meth:`get` slices one
-    string out of the map the first time its id is referenced and
-    memoises the result, so every partition sharing a location ends up
-    with the *same* ``str`` object (identity-friendly hashing downstream)
-    and an open touches only the vocabulary it actually resolves.
+    Loaded tables are mmap'd, checked whole against their CRC, and
+    decoded lazily — :meth:`get` slices one string out of the map the
+    first time its id is referenced and memoises the result, so every
+    partition sharing a location ends up with the *same* ``str`` object
+    (identity-friendly hashing downstream) and an open builds strings
+    only for the vocabulary it actually resolves.
     """
 
     __slots__ = (
@@ -589,7 +658,7 @@ class StringTable:
 
 
 # --------------------------------------------------------------------------
-# FCHEAP07 item-cell record codec
+# FCHEAP08 item-cell record codec
 # --------------------------------------------------------------------------
 
 #: A record's head: the CRC-32 of every byte after it, then the byte
@@ -653,11 +722,11 @@ def _varint_stream(values: list[int]) -> bytes:
 
 
 def _unencodable(what: str) -> StoreError:
-    return StoreError(f"cell payload outside the FCHEAP07 record: {what}")
+    return StoreError(f"cell payload outside the FCHEAP08 record: {what}")
 
 
 def encode_cell_payload(record_ids, vector) -> bytes:
-    """Encode one item cell's measure as an ``FCHEAP07`` record — the
+    """Encode one item cell's measure as an ``FCHEAP08`` record — the
     only code that assembles one.
 
     *record_ids* are the item cell's ascending record ids and *vector*
@@ -767,28 +836,34 @@ def decode_cell_ids(buffer) -> tuple[int, ...]:
 #: ``paths.bin``: the aggregated paths a cube's cell vectors name, once
 #: per cube.  Path *pid* of level *L* is path ``sum(level_counts[:L]) +
 #: pid`` of the file; its stages are ``stage_offsets[p] :
-#: stage_offsets[p + 1]`` of the two ref columns, each ref a string id.
-#: Joint id *j*'s pid at level *L* is ``joint[L * n_joint + j]``.
-#: ``lineage`` names the build the table belongs to (``cube.json``
-#: records the same number): a ``create()`` draws a new one, appends and
-#: compactions keep it.  A CRC-32 of everything after it leads the file
-#: (after the magic), checked at the table's first load.
+#: stage_offsets[p + 1]`` of ``stage_refs``, each a row of the stage
+#: table — one ``(location_refs, duration_refs)`` pair of string ids per
+#: distinct stage.  Joint id *j*'s pid at level *L* is ``joint[(L -
+#: joint_identity) * n_joint + j]``; with ``joint_identity`` set, level
+#: 0's column is the identity (joint id = level-0 pid, as on every
+#: lattice whose level 0 is the finest) and is not written.  ``lineage``
+#: names the build the table belongs to (``cube.json`` records the same
+#: number): a ``create()`` draws a new one, appends and compactions keep
+#: it.
 PATHS_LAYOUT = Layout(
     PATHS_MAGIC,
     RETIRED_PATHS_MAGICS,
     "path table",
-    ("n_levels", "n_paths", "n_stages", "n_strings", "blob_len", "n_joint"),
     (
-        ("lineage", "q", "1"),
-        ("level_counts", "q", "n_levels"),
-        ("stage_offsets", "q", "n_paths + 1"),
-        ("location_refs", "q", "n_stages"),
-        ("duration_refs", "q", "n_stages"),
-        ("joint_counts", "q", "n_levels"),
-        ("joint", "I", "sum(joint_counts)"),
+        "n_levels", "n_paths", "n_stages", "n_strings", "blob_len", "n_joint",
+        "n_pairs", "joint_identity",
+    ),
+    (
+        ("lineage", "u", "1"),
+        ("level_counts", "u", "n_levels"),
+        ("stage_offsets", "u", "n_paths + 1"),
+        ("stage_refs", "u", "n_stages"),
+        ("location_refs", "u", "n_pairs"),
+        ("duration_refs", "u", "n_pairs"),
+        ("joint_counts", "u", "n_levels"),
+        ("joint", "u", "sum(joint_counts) - joint_identity * n_joint"),
         *_STRING_SECTIONS,
     ),
-    checksum=True,
 )
 
 
@@ -796,35 +871,32 @@ def pack_paths(lineage: int, levels, joint) -> bytes:
     """Encode a cube's path table — ``levels[level_id][pid]`` is an
     aggregated path, ``joint[level_id][jid]`` a joint id's pid at the
     level — as one ``paths.bin`` blob (:data:`PATHS_LAYOUT`)."""
-    interned: dict[str, int] = {}
-    stage_offsets = array("q", [0])
-    location_refs = array("q")
-    duration_refs = array("q")
-    n_stages = 0
+    pairs: dict[tuple[str, str], int] = {}
+    stage_refs: list[int] = []
+    stage_offsets = [0]
     for paths in levels:
         for path in paths:
-            for location, duration in path:
-                location_refs.append(interned.setdefault(location, len(interned)))
-                duration_refs.append(interned.setdefault(duration, len(interned)))
-            n_stages += len(path)
-            stage_offsets.append(n_stages)
-    try:
-        columns = array("I", chain.from_iterable(joint))
-    except OverflowError:
-        raise StoreError("path table: a path id past 2**32 - 1") from None
+            stage_refs.extend(pairs.setdefault(stage, len(pairs)) for stage in path)
+            stage_offsets.append(len(stage_refs))
+    interned: dict[str, int] = {}
+    location_refs = [interned.setdefault(loc, len(interned)) for loc, _ in pairs]
+    duration_refs = [interned.setdefault(dur, len(interned)) for _, dur in pairs]
+    n_joint = len(joint[0]) if joint else 0
+    identity = int(bool(joint) and list(joint[0]) == list(range(n_joint)))
     str_offsets, blob = _pack_strings(interned)
     return PATHS_LAYOUT.pack(
         (
-            len(levels), len(stage_offsets) - 1, n_stages, len(interned),
-            len(blob), len(joint[0]) if joint else 0,
+            len(levels), len(stage_offsets) - 1, len(stage_refs), len(interned),
+            len(blob), n_joint, len(pairs), identity,
         ),
-        array("q", [lineage]),
-        array("q", map(len, levels)),
+        [lineage],
+        list(map(len, levels)),
         stage_offsets,
+        stage_refs,
         location_refs,
         duration_refs,
-        array("q", map(len, joint)),
-        columns,
+        list(map(len, joint)),
+        list(chain.from_iterable(joint[identity:])),
         str_offsets,
         blob,
     )
@@ -835,13 +907,14 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]], list[list[int]]]:
 
     Everything the framing cannot see — counts that disagree, an offset
     that runs backwards or leaves a path empty, a ref past the string
-    section or its level's paths, bytes that are not UTF-8 — is a
-    :class:`StoreError` too.
+    section, the stage table or its level's paths, bytes that are not
+    UTF-8 — is a :class:`StoreError` too.
     """
     opened = PATHS_LAYOUT.open(buffer)
     level_counts = opened["level_counts"]
     offsets = opened["stage_offsets"]
     n_joint = opened["n_joint"]
+    identity = opened["joint_identity"]
     try:
         if min(level_counts, default=0) < 0 or sum(level_counts) != opened["n_paths"]:
             raise ValueError("level counts disagree with n_paths")
@@ -851,13 +924,15 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]], list[list[int]]]:
             raise ValueError("stage offsets do not ascend")
         if any(count != n_joint for count in opened["joint_counts"]):
             raise ValueError(f"a joint column not {n_joint} ids long")
+        if identity > min(1, len(level_counts)):
+            raise ValueError(f"joint identity flag {identity}")
         columns = opened["joint"]
-        joint = [
+        joint = [list(range(n_joint))] * identity + [
             columns[level * n_joint : (level + 1) * n_joint].tolist()
-            for level in range(len(level_counts))
+            for level in range(len(level_counts) - identity)
         ]
         for level, (column, count) in enumerate(zip(joint, level_counts)):
-            if column and max(column) >= count:
+            if column and (min(column) < 0 or max(column) >= count):
                 raise ValueError(
                     f"a joint column ref past level {level}'s {count} paths"
                 )
@@ -865,7 +940,11 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]], list[list[int]]]:
         refs = (opened["location_refs"], opened["duration_refs"])
         if any(column and min(column) < 0 for column in refs):
             raise ValueError("negative string ref")
-        stages = list(zip(*(map(strings.__getitem__, column) for column in refs)))
+        table = list(zip(*(map(strings.__getitem__, column) for column in refs)))
+        stage_refs = opened["stage_refs"]
+        if stage_refs and min(stage_refs) < 0:
+            raise ValueError("negative stage ref")
+        stages = list(map(table.__getitem__, stage_refs))
     except (IndexError, ValueError) as exc:
         raise StoreError(f"corrupt path table: {exc}") from None
     paths = [tuple(stages[start:end]) for start, end in zip(offsets, offsets[1:])]
@@ -995,22 +1074,24 @@ class LazyMaskMap:
 
 
 #: ``part-XXXXX.bin``.  ``remap`` resolves the partition-local string
-#: refs (dense, decode-once: a repeated concept or location costs 8
-#: bytes per reference) to global ids in the store's shared table;
+#: refs (dense, decode-once) to global ids in the store's shared table;
 #: ``dim_refs`` is row-major, ``path_offsets`` each record's range of
-#: stages, ``durations`` exact IEEE doubles (no ``repr`` round-trip).
+#: ``stage_refs``, and each stage ref a row of the stage table: one
+#: ``(stage_locs, durations)`` pair per distinct ``(location, duration)``
+#: — a local ref and an exact IEEE double (no ``repr`` round-trip).
 PARTITION_LAYOUT = Layout(
-    PARTITION_MAGIC_V2,
-    (RETIRED_PARTITION_MAGIC,),
+    PARTITION_MAGIC,
+    RETIRED_PARTITION_MAGICS,
     "columnar partition",
-    ("n_records", "n_dims", "n_locals", None, "total_stages"),
+    ("n_records", "n_dims", "n_locals", None, "total_stages", "n_pairs"),
     (
-        ("remap", "q", "n_locals"),
-        ("record_ids", "q", "n_records"),
-        ("dim_refs", "q", "n_records * n_dims"),
-        ("path_offsets", "q", "n_records + 1"),
-        ("stage_locs", "q", "total_stages"),
-        ("durations", "d", "total_stages"),
+        ("remap", "u", "n_locals"),
+        ("record_ids", "u", "n_records"),
+        ("dim_refs", "u", "n_records * n_dims"),
+        ("path_offsets", "u", "n_records + 1"),
+        ("stage_refs", "u", "total_stages"),
+        ("stage_locs", "u", "n_pairs"),
+        ("durations", "d", "n_pairs"),
     ),
 )
 
@@ -1022,36 +1103,43 @@ def pack_partition(database: PathDatabase, strings: StringTable) -> bytes:
     Every dimension value and stage location is interned into *strings*,
     the store's shared table (which the caller saves as ``strings.bin``
     before the partition lands); the file carries only the local→global
-    remap arena into it.
+    remap arena into it.  A stage-table row is a distinct ``(location,
+    duration)`` as the float compares, except that a zero duration's
+    key carries its sign: ``0.0`` and ``-0.0`` (equal as floats) stay two
+    rows, a NaN (equal to nothing) one row per object, so every duration
+    reads back bit for bit.
     """
     interned: dict[str, int] = {}
-    record_ids = array("q")
-    dim_refs = array("q")
-    path_offsets = array("q", [0])
-    location_refs = array("q")
-    durations = array("d")
-    total_stages = 0
+    record_ids = []
+    dim_refs = []
+    path_offsets = [0]
+    stage_refs = []
+    pairs: dict[tuple, int] = {}
     for record in database:
         record_ids.append(record.record_id)
         for value in record.dims:
             dim_refs.append(interned.setdefault(value, len(interned)))
-        for stage in record.path:
-            location_refs.append(
-                interned.setdefault(stage.location, len(interned))
+        for stage in record.path.stages:
+            duration = stage.duration
+            key = (
+                (stage.location, duration)
+                if duration
+                else (stage.location, duration, copysign(1.0, duration))
             )
-            durations.append(stage.duration)
-        total_stages += len(record.path)
-        path_offsets.append(total_stages)
-    remap = array("q", [strings.intern(value) for value in interned])
+            stage_refs.append(pairs.setdefault(key, len(pairs)))
+        path_offsets.append(len(stage_refs))
+    locations = [interned.setdefault(key[0], len(interned)) for key in pairs]
+    remap = [strings.intern(value) for value in interned]
     n_dims = database.schema.n_dimensions
     return PARTITION_LAYOUT.pack(
-        (len(database), n_dims, len(interned), 0, total_stages),
+        (len(database), n_dims, len(interned), 0, len(stage_refs), len(pairs)),
         remap,
         record_ids,
         dim_refs,
         path_offsets,
-        location_refs,
-        durations,
+        stage_refs,
+        locations,
+        array("d", [key[1] for key in pairs]),
     )
 
 
@@ -1062,27 +1150,26 @@ class PartitionColumns:
     ``record_ids`` (ascending, in row order) and ``dims`` (one key tuple
     per row) are the columns a scan that only *counts* reads;
     :meth:`paths` builds :class:`Path` objects for the rows a caller
-    picks, from the stage arenas the same read copied out of the file.
-    Nothing here pins the file: every arena is an owned ``array``.
+    picks, over the partition's one :class:`Stage` per distinct
+    ``(location, duration)`` pair.  Nothing here pins the file: every
+    arena is an owned ``array``.
     """
 
-    __slots__ = ("record_ids", "dims", "_names", "_offsets", "_locs", "_durations")
+    __slots__ = ("record_ids", "dims", "_stages", "_offsets", "_refs")
 
     def __init__(
         self,
         record_ids: array,
         dims: list[tuple[str, ...]],
-        names: list[str],
+        stages: list[Stage],
         offsets: array,
-        locs: array,
-        durations: array,
+        refs: array,
     ) -> None:
         self.record_ids = record_ids
         self.dims = dims
-        self._names = names
+        self._stages = stages
         self._offsets = offsets
-        self._locs = locs
-        self._durations = durations
+        self._refs = refs
 
     def __len__(self) -> int:
         return len(self.record_ids)
@@ -1091,40 +1178,21 @@ class PartitionColumns:
         """The paths of *rows* (positions, in the order given), or of every
         row when ``None``.
 
-        A whole partition maps its stage arena to :class:`Stage` objects
-        in one pass and slices per row.  Chosen rows build one
-        :class:`Stage` per distinct ``(location, duration)`` pair and
-        share it — stages are immutable — so a few rows of a large
-        partition cost only their own stages.
+        Every path shares the partition's stage objects — stages are
+        immutable — so a few rows of a large partition cost only their
+        own refs, and a whole one maps its ref arena in one pass and
+        slices per row.
         """
-        names = self._names
+        stage = self._stages.__getitem__
         offsets = self._offsets
+        refs = self._refs
         if rows is None:
-            locations = map(names.__getitem__, self._locs)
-            stages = list(map(Stage, locations, self._durations))
+            stages = list(map(stage, refs))
             runs = (
                 stages[offsets[i] : offsets[i + 1]] for i in range(len(self))
             )
         else:
-            shared: dict[tuple[int, float], Stage] = {}
-
-            def stage(pair: tuple[int, float]) -> Stage:
-                found = shared.get(pair)
-                if found is None:
-                    found = shared[pair] = Stage(names[pair[0]], pair[1])
-                return found
-
-            locs, durations = self._locs, self._durations
-            runs = (
-                map(
-                    stage,
-                    zip(
-                        locs[offsets[i] : offsets[i + 1]],
-                        durations[offsets[i] : offsets[i + 1]],
-                    ),
-                )
-                for i in rows
-            )
+            runs = (map(stage, refs[offsets[i] : offsets[i + 1]]) for i in rows)
         out = []
         append = out.append
         for run in runs:
@@ -1147,16 +1215,19 @@ def unpack_partition(
     *strings* is the store's shared :class:`StringTable` (``None`` when
     the store has no ``strings.bin``, which is an error here).  *buffer*
     may be ``bytes`` or a ``memoryview`` over an mmap'd file — every
-    arena is sliced exactly, so a mapped read touches only the pages the
-    decode needs.
+    arena is sliced exactly, and the CRC is checked before any is handed
+    back.
 
     The whole decode is bulk work — ``frombytes`` per arena, one
-    ``zip`` transpose for the dim tuples, one ``map`` over
-    :class:`Stage` — with the only per-record Python being the final
+    ``zip`` transpose for the dim tuples, one :class:`Stage` per row of
+    the stage table — with the only per-record Python being the final
     :class:`Path` / :class:`PathRecord` construction, which the column
     form leaves to :meth:`PartitionColumns.paths`.  Validation against
     the schema is skipped: partitions are written by
-    :func:`pack_partition` from an already-validated database.
+    :func:`pack_partition` from an already-validated database.  What the
+    framing cannot see — a ref that is negative or past its table, path
+    offsets that run backwards or disagree with the stage refs — is a
+    :class:`StoreError` before anything is handed back.
     """
     opened = PARTITION_LAYOUT.open(buffer)
     n_records = opened["n_records"]
@@ -1172,14 +1243,26 @@ def unpack_partition(
             "store has no strings.bin"
         )
     names = list(map(strings.get, opened["remap"]))
-    decoded = PartitionColumns(
-        opened["record_ids"],
-        _rows(list(map(names.__getitem__, opened["dim_refs"])), n_dims, n_records),
-        names,
-        opened["path_offsets"],
-        opened["stage_locs"],
-        opened["durations"],
-    )
+    offsets, refs = opened["path_offsets"], opened["stage_refs"]
+    try:
+        # Only a ``q`` column can hold a negative ref.
+        for column in (opened["dim_refs"], opened["stage_locs"], refs):
+            if column.typecode == "q" and min(column) < 0:
+                raise ValueError("a negative ref")
+        if refs and max(refs) >= opened["n_pairs"]:
+            raise ValueError("a stage ref past the stage table")
+        if offsets[0] != 0 or offsets[-1] != len(refs) or any(map(gt, offsets, offsets[1:])):
+            raise ValueError("path offsets disagree with the stage refs")
+        locations = map(names.__getitem__, opened["stage_locs"])
+        decoded = PartitionColumns(
+            opened["record_ids"],
+            _rows(list(map(names.__getitem__, opened["dim_refs"])), n_dims, n_records),
+            list(map(Stage, locations, opened["durations"])),
+            offsets,
+            refs,
+        )
+    except (IndexError, ValueError) as exc:
+        raise StoreError(f"corrupt columnar partition: {exc}") from None
     if columns:
         return decoded
     rows = map(PathRecord, decoded.record_ids, decoded.dims, decoded.paths())
@@ -1211,19 +1294,19 @@ def unpack_partition(
 #: ``int.from_bytes`` per value instead of a Python pass over every cell.
 INDEX_LAYOUT = Layout(
     INDEX_MAGIC,
-    (RETIRED_INDEX_MAGIC,),
+    RETIRED_INDEX_MAGICS,
     "cell index",
     ("n_cuboids", "n_cells", "n_dims", "n_strings", "blob_len", "n_levels"),
     (
         *_STRING_SECTIONS,
-        ("cuboid_table", "q", "n_cuboids * (1 + n_dims)"),
-        ("key_refs", "q", "n_cells * n_dims"),
-        ("offsets", "q", "n_cells"),
-        ("lengths", "q", "n_cells"),
-        ("n_paths", "q", "n_cells"),
+        ("cuboid_table", "u", "n_cuboids * (1 + n_dims)"),
+        ("key_refs", "u", "n_cells * n_dims"),
+        ("offsets", "u", "n_cells"),
+        ("lengths", "u", "n_cells"),
+        ("n_paths", "u", "n_cells"),
         ("redundant", "B", "n_cells * n_levels"),
-        ("mask_counts", "q", "n_cuboids * n_dims"),
-        ("mask_refs", "q", "sum(mask_counts)"),
+        ("mask_counts", "u", "n_cuboids * n_dims"),
+        ("mask_refs", "u", "sum(mask_counts)"),
         ("mask_bits", "B", "mask_bytes(cuboid_table, mask_counts, n_dims)"),
     ),
 )
@@ -1238,14 +1321,14 @@ def pack_cell_index(cuboids: Iterable, n_dims: int, n_levels: int) -> bytes:
     *redundant* holds one mark per path level, *n_levels* of them.
     """
     interned: dict[str, int] = {}
-    cuboid_table = array("q")
-    key_refs = array("q")
-    offsets = array("q")
-    lengths = array("q")
-    n_paths_column = array("q")
+    cuboid_table: list[int] = []
+    key_refs: list[int] = []
+    offsets: list[int] = []
+    lengths: list[int] = []
+    n_paths_column: list[int] = []
     redundant_column = bytearray()
-    mask_counts = array("q")
-    mask_refs = array("q")
+    mask_counts: list[int] = []
+    mask_refs: list[int] = []
     mask_bits: list[bytes] = []
     n_cuboids = n_cells = 0
     for item_level, cells in cuboids:
@@ -1262,8 +1345,7 @@ def pack_cell_index(cuboids: Iterable, n_dims: int, n_levels: int) -> bytes:
             lengths.append(length)
             n_paths_column.append(n_paths)
             redundant_column.extend(1 if mark else 0 for mark in redundant)
-        row = array("q", [count])
-        row.extend(item_level)
+        row = [count, *item_level]
         if len(row) != 1 + n_dims:
             raise StoreError(
                 f"item level width {len(row) - 1} does not match "

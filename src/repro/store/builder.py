@@ -60,7 +60,7 @@ scan is cheap enough that shipping tuples to workers cost more than
 scanning them (DESIGN §6, "Why the write side is one process").
 
 Every scan goes through :func:`~repro.store.partition.read_partition`:
-partitions deserialise from columnar ``FCPART02`` arenas with bulk
+partitions deserialise from columnar ``FCPART03`` arenas with bulk
 ``array.frombytes``.
 """
 

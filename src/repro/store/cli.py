@@ -47,13 +47,19 @@ from pathlib import Path as FsPath
 from repro.core.path import PathRecord
 from repro.core.path_database import PathDatabase, example_path_database
 from repro.errors import FlowCubeError, StoreError
-from repro.perf.query_kernel import load_query_stats, merge_query_stats
+from repro.perf.query_kernel import (
+    QUERY_STATS_FILENAME,
+    load_query_stats,
+    merge_query_stats,
+)
 from repro.query.api import FlowCubeQuery
 from repro.query.plan import Plan
 from repro.query.render import render_text
 from repro.store.append import append_records
+from repro.store.binfmt import STRINGS_FILENAME
 from repro.store.builder import BuildStats, build_cube
-from repro.store.pathstore import PartitionedPathStore
+from repro.store.cube_store import META_FILENAME
+from repro.store.pathstore import PARTITIONS_DIR, PartitionedPathStore
 from repro.synth.generator import GeneratorConfig, generate_path_database
 
 __all__ = ["main"]
@@ -453,6 +459,52 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def _size(path: FsPath) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
+def file_bytes(store: PartitionedPathStore, cube_store) -> dict[str, object]:
+    """The store's bytes per file role, from ``stat`` calls alone: the
+    partitions (total and count), ``strings.bin``, the cube's path table,
+    index, heap and each delta segment (as the cube meta lists them), and
+    the JSON meta files; ``total`` is their sum."""
+    partitions = store.directory / PARTITIONS_DIR
+    parts = [_size(partitions / meta.filename) for meta in store.catalog.partitions]
+    cube_dir = cube_store.directory
+    out: dict[str, object] = {
+        "partitions": {"count": len(parts), "bytes": sum(parts)},
+        "strings": _size(partitions / STRINGS_FILENAME),
+        "paths": 0,
+        "index": 0,
+        "heap": 0,
+        "delta_segments": {},
+        "meta": sum(
+            _size(path)
+            for path in (
+                store.catalog.path,
+                cube_dir / META_FILENAME,
+                cube_dir / QUERY_STATS_FILENAME,
+            )
+        ),
+    }
+    if cube_store.is_built:
+        files = cube_store.describe()["files"]
+        segments = dict(files["segments"])
+        out["paths"] = _size(cube_dir / files["paths"])
+        out["index"] = _size(cube_dir / files["index"])
+        out["heap"] = _size(cube_dir / segments.pop(0))
+        out["delta_segments"] = {
+            name: _size(cube_dir / name) for _, name in sorted(segments.items())
+        }
+    out["total"] = sum(parts) + sum(out["delta_segments"].values()) + sum(
+        out[role] for role in ("strings", "paths", "index", "heap", "meta")
+    )
+    return out
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     store = PartitionedPathStore.open(args.store)
     report: dict[str, object] = {"store": store.describe()}
@@ -463,6 +515,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if query_stats is not None:
             cube_report["query_cache"] = query_stats
         report["cube"] = cube_report
+    report["bytes"] = file_bytes(store, cube_store)
     print(json.dumps(report, indent=2))
     return 0
 

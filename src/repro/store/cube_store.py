@@ -7,8 +7,8 @@ cell* — an (item level, key) and its cells at every path level::
       cube.json               δ/ε, the path lattice, build provenance,
                               "generation" g and the "files" it commits
       paths[.G].bin           the aggregated paths the cell records name
-      cells[.G].bin           slot 0: a whole heap of length-prefixed
-                              item-cell records (a build's or a compaction's)
+      cells[.G].bin           slot 0: a whole heap of item-cell records,
+                              back to back (a build's or a compaction's)
       cells.delta.G.bin       slot n ≥ 1: the item cells an append rewrote
       cells[.delta].G.idx     columnar key/offset index (binfmt codec)
 
@@ -25,7 +25,7 @@ or the new one; a reader that loses the race with a sweep reloads.
 
 A cell's members, key and iceberg test depend on its item level and key
 alone (Definitions 4.1 and 4.5), and its paths at every path level are a
-function of its records' raw paths, so the heap holds one ``FCHEAP07``
+function of its records' raw paths, so the heap holds one ``FCHEAP08``
 record per item cell — its record ids and its one ``(joint id, weight)``
 vector once, under a CRC-32
 (:func:`~repro.store.binfmt.encode_cell_payload`) — and the index one
@@ -86,7 +86,7 @@ from repro import publish
 from repro.errors import CubeError, MissingFileError, StoreError
 from repro.perf.measure_rollup import PathTable
 from repro.store import binfmt
-from repro.store.binfmt import HEAP_LENGTH_STRUCT, HEAP_MAGIC, LAYOUT_NAME
+from repro.store.binfmt import HEAP_MAGIC, LAYOUT_NAME
 from repro.store.cache import LRUCache
 
 __all__ = ["CubeStore", "StoredCuboid"]
@@ -247,26 +247,20 @@ class _Segment:
             self._end = len(HEAP_MAGIC)
 
     def append(self, records) -> list[Entry]:
-        """Frame ``(record, n_paths, redundant)`` item-cell records and
-        append them as one joined buffer.
+        """Append ``(record, n_paths, redundant)`` item-cell records back
+        to back, as one joined buffer.
 
         The entries carry the segment id in the offset's high bits
         (:func:`~repro.store.binfmt.pack_segment_offset`).
         """
         position = self._end
         tag = binfmt.pack_segment_offset(self.segment_id, 0)
-        frame = HEAP_LENGTH_STRUCT.pack
-        chunks: list[bytes] = []
         entries: list[Entry] = []
         for data, n_paths, redundant in records:
-            length = len(data)
-            position += HEAP_LENGTH_STRUCT.size
-            chunks.append(frame(length))
-            chunks.append(data)
-            entries.append((tag | position, length, n_paths, redundant))
-            position += length
+            entries.append((tag | position, len(data), n_paths, redundant))
+            position += len(data)
         binfmt.pack_segment_offset(self.segment_id, position)  # span check
-        self._handle.write(b"".join(chunks))
+        self._handle.write(b"".join([data for data, _, _ in records]))
         self._end = position
         return entries
 
@@ -326,7 +320,7 @@ class _HeapCells:
     tells heap files apart, and ``cube.json`` maps each live slot to a
     file, so the backend is that listing plus at most one segment being
     written; a load, a rebuild and a compaction each start from a fresh
-    object.  Writes append length-prefixed payloads — a whole batch of
+    object.  Writes append records back to back — a whole batch of
     cells as one joined buffer — to the staged segment: slot 0 for a
     build or a compaction, the next free slot for an append
     (:meth:`begin_delta`, which a write to a published cube implies).

@@ -7,7 +7,7 @@ A :class:`PartitionedPathStore` is a directory::
       partitions/
         strings.bin           the shared string table
         part-00000.bin        <= partition_size rows each; columnar
-        part-00001.bin           binary (FCPART02)
+        part-00001.bin           binary (FCPART03)
         ...
       cube/                   (optional) the persisted flowcube, see
         ...                   :mod:`repro.store.cube_store`

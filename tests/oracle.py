@@ -101,6 +101,7 @@ def direct_cube(
     cube = FlowCube(
         database, item_lattice, path_lattice, min_support, min_deviation
     )
+    cube.compute_exceptions = compute_exceptions
     levels = list(item_levels) if item_levels is not None else list(item_lattice)
     threshold = resolve_min_support(min_support, len(database))
     for item_level in levels:

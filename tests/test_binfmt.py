@@ -14,21 +14,23 @@ The contracts:
   single-read meta signature;
 * **one record writer, one reader** (hypothesis): an item cell's
   measure — its record ids and its one ``(joint id, weight)`` vector —
-  round-trips through its ``FCHEAP07`` record, which holds none of its
+  round-trips through its ``FCHEAP08`` record, which holds none of its
   coordinates and no exception; the store's write door, fed a live cell,
   writes a record that reads back as the cell's ids, multiset and
   expanded flowgraph, and what the record or the index cannot carry is a
   typed error;
 * **every damaged byte is typed**: flipping each byte and cutting at
-  each length of a record or of a path table — whose CRC then fails, in
-  a buffer and in a file — is a ``StoreError``, and of a cell index a
-  decode or a ``StoreError``, never an untyped exception;
-* **pinned bytes**: the path table, heap, index and delta segment of the
-  paper example hash to constants, so format drift cannot pass unnoticed;
+  each length of a record or of any container — whose CRC then fails, in
+  a buffer and in a file — is a ``StoreError``, never an untyped
+  exception and never another decode;
+* **pinned bytes**: the partitions, string table, path table, heap,
+  index and delta segment of the paper example hash to constants, so
+  format drift cannot pass unnoticed;
 * **one table per container** (generated from ``binfmt``'s four
   :class:`~repro.store.binfmt.Layout` tables): every corrupt header
-  count and every truncation is a typed ``StoreError`` naming the field
-  or section, and DESIGN.md's byte diagrams carry the tables' rows.
+  count or width code and every truncation is a typed ``StoreError``
+  naming the field or section, every integer column is as narrow as its
+  values, and DESIGN.md's byte diagrams carry the tables' rows.
 """
 
 from __future__ import annotations
@@ -176,6 +178,143 @@ def test_partition_codec_rejects_garbage_and_foreign_endianness():
 
 
 # ----------------------------------------------------------------------
+# narrow columns and bit-exact durations
+# ----------------------------------------------------------------------
+
+
+def _flat_database(records) -> PathDatabase:
+    """*records* (``(record id, [(location, duration)…])``) over one
+    dimension, unvalidated: durations the schema's labels do not name."""
+    schema = PathSchema(
+        dimensions=(ConceptHierarchy.flat("d0", ["x"]),),
+        location=ConceptHierarchy.flat("location", ["a", "b"]),
+        duration=ConceptHierarchy.flat("duration", ["0"]),
+    )
+    rows = [
+        PathRecord(record_id, ("x",), Path([Stage(*stage) for stage in stages]))
+        for record_id, stages in records
+    ]
+    return PathDatabase(schema, rows, validate=False)
+
+
+@pytest.mark.parametrize(
+    ("value", "code"),
+    [
+        (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
+        (2**32 - 1, "I"), (2**32, "Q"), (2**63 - 1, "Q"),
+        (-1, "q"), (-(2**63), "q"),
+    ],
+)
+def test_every_width_boundary_round_trips(value, code):
+    """A column takes the narrowest code its values fit — by its maximum,
+    ``q`` once a value is negative (``PathRecord`` takes negative ids) —
+    and reads back as written on either side of every boundary."""
+    database = _flat_database([(value, [("a", 1.0)])])
+    table = StringTable()
+    blob = pack_partition(database, table)
+    assert PARTITION_LAYOUT.open(blob)["record_ids"].typecode == code
+    decoded = unpack_partition(blob, database.schema, table)
+    assert list(decoded) == list(database)
+    if value >= 0:  # the same boundary in an index column
+        index = pack_cell_index([((0,), [(("k",), value, 4, 2, (True,))])], 1, 1)
+        assert INDEX_LAYOUT.open(index)["offsets"].typecode == code
+        ((_, _, entries, _),) = unpack_cell_index(index, MaskArena(index), 1)
+        assert entries == [(value, 4, 2, (True,))]
+
+
+def test_a_delta_offset_carries_its_segment_bits_in_q():
+    from repro.store.binfmt import pack_segment_offset
+
+    offset = pack_segment_offset(3, 40)
+    blob = pack_cell_index([((0,), [(("k",), offset, 4, 2, ())])], 1, 0)
+    assert INDEX_LAYOUT.open(blob)["offsets"].typecode == "Q"
+    ((_, _, entries, _),) = unpack_cell_index(blob, MaskArena(blob), 0)
+    assert entries == [(offset, 4, 2, ())]
+
+
+def _bits(value: float) -> bytes:
+    return array("d", [value]).tobytes()
+
+
+def test_durations_round_trip_bit_for_bit():
+    """A partition's stage table keeps every duration's bits: ``0.0`` and
+    ``-0.0`` at one location stay two stages, a NaN keeps its payload, the
+    smallest subnormal and a huge double are exact, and an int duration
+    reads back as the double it was stored as."""
+    nan = array("d")
+    nan.frombytes(bytes.fromhex("0100000000f8ff7f"))  # a NaN with a payload
+    durations = [0.0, -0.0, nan[0], 5e-324, 1e308, 7]
+    database = _flat_database(
+        [(1, [("a", d) for d in durations]), (2, [("a", -0.0), ("b", 0.0)])]
+    )
+    table = StringTable()
+    blob = pack_partition(database, table)
+    opened = PARTITION_LAYOUT.open(blob)
+    assert opened["n_pairs"] == len(durations) + 1  # (b, 0.0) is new
+    for columns in (False, True):
+        decoded = unpack_partition(blob, database.schema, table, columns=columns)
+        paths = decoded.paths() if columns else [r.path for r in decoded]
+        got = [_bits(stage.duration) for path in paths for stage in path]
+        want = [_bits(d) for d in durations] + [_bits(-0.0), _bits(0.0)]
+        assert got == want
+    # Stages are shared per distinct pair, never merged across one.
+    first, second = unpack_partition(
+        blob, database.schema, table, columns=True
+    ).paths()
+    assert second.stages[0] is first.stages[1]
+    assert first.stages[0] is not first.stages[1]
+
+
+@pytest.mark.parametrize("magic", ["FCSTRS01", "FCPART02", "FCCIDX02", "FCPATH01"])
+@pytest.mark.parametrize("code", [b"x", b"d", b"\x00"])
+def test_a_corrupt_width_code_is_typed(packed, magic, code):
+    """A width code that is not ``B`` / ``H`` / ``I`` / ``Q`` / ``q`` is
+    refused under a CRC that matches — never read at another width."""
+    layout = LAYOUTS[magic]
+    blob, read = packed[magic]
+    at = layout.codes_start
+    damaged = _resealed_file(layout, blob[:at] + code + blob[at + 1 :])
+    with pytest.raises(StoreError, match="unknown width code .* of "):
+        read(damaged)
+
+
+def _narrowest(column) -> str:
+    """The code a column of these values should be stored as."""
+    if len(column) and min(column) < 0:
+        return "q"
+    top = max(column, default=0)
+    return next(
+        code for code, bits in (("B", 8), ("H", 16), ("I", 32), ("Q", 64))
+        if top < 2**bits
+    )
+
+
+def test_every_stored_column_is_as_narrow_as_its_values(tmp_path, example_database):
+    """No integer column of any store file is wider than its values: the
+    partitions, the string table, the index and the path table of a built
+    store each pick the narrowest code per column."""
+    _built_binary_store(tmp_path, example_database)
+    directory = tmp_path / "s"
+    files = cube_files(directory)
+    containers = [
+        (STRINGS_LAYOUT, directory / "partitions" / "strings.bin"),
+        (INDEX_LAYOUT, files["index"]),
+        (PATHS_LAYOUT, files["paths"]),
+        *(
+            (PARTITION_LAYOUT, path)
+            for path in sorted((directory / "partitions").glob("part-*.bin"))
+        ),
+    ]
+    for layout, path in containers:
+        opened = layout.open(path.read_bytes())
+        for name, kind, _ in layout.sections:
+            if kind == "u":
+                assert opened[name].typecode == _narrowest(opened[name]), (
+                    path.name, name,
+                )
+
+
+# ----------------------------------------------------------------------
 # cell-index codec (hypothesis)
 # ----------------------------------------------------------------------
 
@@ -296,12 +435,23 @@ def test_no_damaged_index_byte_escapes_as_an_untyped_error(small_store, data):
         index.write_bytes(pristine)
 
 
-def _with_index_word(blob: bytes, section: str, index: int, value: int):
-    """*blob* (a cell index) with one word of *section* replaced."""
-    opened = INDEX_LAYOUT.open(blob)
-    ends = dict(section_ends(INDEX_LAYOUT, blob))
-    at = ends[section] - 8 * len(opened[section]) + 8 * index
-    return blob[:at] + array("q", [value]).tobytes() + blob[at + 8 :]
+def _repacked(layout, blob: bytes, section: str, index: int, value: int):
+    """*blob* packed again by *layout* with word *index* of *section* set
+    to *value*: the width codes (``q`` for a negative value) and the CRC
+    match, so only the decoder's own checks can see the change."""
+    opened = layout.open(blob)
+    header = [0 if field is None else opened[field] for field in layout.fields]
+    sections = []
+    for name, kind, _ in layout.sections:
+        if kind == "B":
+            sections.append(blob[slice(*opened[name])])
+        elif name == section:
+            column = opened[name].tolist()
+            column[index] = value
+            sections.append(column)
+        else:
+            sections.append(opened[name])
+    return layout.pack(header, *sections)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +473,7 @@ def test_named_cell_index_damage_is_named(packed, section, index, value, message
     blob, read = packed["FCCIDX02"]
     read(blob)
     with pytest.raises(StoreError, match=f"corrupt cell index: {message}"):
-        read(_with_index_word(blob, section, index, value))
+        read(_repacked(INDEX_LAYOUT, blob, section, index, value))
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +481,8 @@ def test_named_cell_index_damage_is_named(packed, section, index, value, message
 # ----------------------------------------------------------------------
 
 #: Each container's table, keyed by the magic its rows were first pinned
-#: under: the path table's rows keep the key "FCPATH01", though the table
-#: is written as FCPATH03 (with joint columns and a checksum) now.
+#: under: the tables are written as FCSTRS02, FCPART03, FCCIDX03 and
+#: FCPATH04 (narrow, checksummed columns) now.
 LAYOUTS = {
     "FCSTRS01": STRINGS_LAYOUT,
     "FCPART02": PARTITION_LAYOUT,
@@ -387,7 +537,7 @@ def packed(tmp_path_factory, example_database):
                     [(("a", "1"), ("b", "2")), (("a", "*"),)],
                     [(("b", "1"),)],
                 ],
-                [[0, 1], [0, 0]],
+                [[1, 0], [0, 0]],  # level 0 not the identity: written
             ),
             unpack_paths,
         ),
@@ -415,6 +565,15 @@ def test_a_corrupt_header_count_is_typed_never_decoded(
         read(patched)
 
 
+def _resealed_file(layout, blob: bytes) -> bytes:
+    """*blob* (a *layout* container) with its CRC recomputed over every
+    byte after the magic but its own."""
+    at = layout.crc_at
+    head = zlib.crc32(blob[layout.header_start : at])
+    crc = array("q", [zlib.crc32(blob[at + 8 :], head)]).tobytes()
+    return blob[:at] + crc + blob[at + 8 :]
+
+
 def test_the_reserved_partition_word_is_written_zero_and_not_read(packed):
     blob, read = packed["FCPART02"]
     at = PARTITION_LAYOUT.header_start + 8 * (
@@ -422,14 +581,17 @@ def test_the_reserved_partition_word_is_written_zero_and_not_read(packed):
     )
     assert blob[at : at + 8] == bytes(8)
     patched = blob[:at] + array("q", [-3]).tobytes() + blob[at + 8 :]
-    assert read(patched).to_csv() == read(blob).to_csv()
+    with pytest.raises(StoreError, match="checksum mismatch"):
+        read(patched)  # the CRC covers the word
+    resealed = _resealed_file(PARTITION_LAYOUT, patched)
+    assert read(resealed).to_csv() == read(blob).to_csv()
 
 
 def section_ends(layout, blob) -> list[tuple[str, int]]:
     """``(name, offset one past its last byte)`` for the header and every
     section of *blob*, from the table and the decoded sections alone."""
     opened = layout.open(blob)
-    end = layout.header_start + 8 * (1 + len(layout.fields))
+    end = layout.sections_start  # the width codes are the header's
     ends = [("header", end)]
     for name, code, _ in layout.sections:
         start = end + (-end) % 8  # byte sections are zero-padded to 8
@@ -452,12 +614,12 @@ def test_every_truncation_names_the_section_it_cuts(packed, magic):
     for _, boundary in ends:
         for length in (boundary - 1, boundary):
             cut = next((name for name, end in ends if end > length), None)
-            if cut is None and length < len(blob) and layout.checksum:
+            if cut is None and length < len(blob):
                 # Every section is whole; the checksum misses the padding.
                 with pytest.raises(StoreError, match="checksum mismatch$"):
                     layout.open(blob[:length])
             elif cut is None:
-                layout.open(blob[:length])  # the last section is whole
+                layout.open(blob[:length])  # the whole file
             else:
                 with pytest.raises(StoreError, match=f"truncated {cut}$"):
                     layout.open(blob[:length])
@@ -479,19 +641,24 @@ def test_foreign_files_are_refused_as_before(packed, magic):
             read(retired + blob[8:])
 
 
-_TYPE_NAMES = {"q": "i64", "d": "f64", "I": "u32", "B": "u8"}
+#: ``uN``: an integer column as narrow as its values (the header's width
+#: code says which ``N``).
+_TYPE_NAMES = {"u": "uN", "d": "f64", "B": "u8"}
 
 
 def diagram_rows(layout) -> list[str]:
     """The table as DESIGN.md draws it: one ``name  type[count]`` row per
-    section under the magic and the header row."""
+    section under the magic, the checksum and the header rows."""
     fields = ", ".join(
         "0 (reserved)" if field is None else field for field in layout.fields
     )
-    rows = [f'"{layout.magic.decode("ascii")}"']
-    if layout.checksum:
-        rows.append("crc i64[1]")
-    rows.append(f"header i64[{1 + len(layout.fields)}] order tag, {fields}")
+    n_codes = sum(kind == "u" for _, kind, _ in layout.sections)
+    rows = [
+        f'"{layout.magic.decode("ascii")}"',
+        f"header i64[{1 + len(layout.fields)}] order tag, {fields}",
+        "crc i64[1]",
+        f"widths u8[{n_codes}]",
+    ]
     rows += [
         f"{name} {_TYPE_NAMES[code]}[{count}]"
         for name, code, count in layout.sections
@@ -520,7 +687,7 @@ def test_design_diagrams_carry_the_tables_rows_in_order(magic):
 
 
 # ----------------------------------------------------------------------
-# FCHEAP07 item-cell record: one writer, one reader (hypothesis)
+# FCHEAP08 item-cell record: one writer, one reader (hypothesis)
 # ----------------------------------------------------------------------
 
 #: Path weights on both sides of the one-, two- and three-byte varints.
@@ -723,7 +890,7 @@ def test_every_payload_the_record_cannot_carry_is_a_typed_error(
 ):
     if case not in _DOOR_REFUSALS:
         record_ids, vector = _unencodable_record(case)
-        with pytest.raises(StoreError, match="outside the FCHEAP07 record"):
+        with pytest.raises(StoreError, match="outside the FCHEAP08 record"):
             encode_cell_payload(record_ids, vector)
         return
     before = live_cube.n_cells()
@@ -1013,6 +1180,26 @@ def test_every_flipped_byte_of_a_stored_record_is_typed_at_first_touch(
                         cell.weights
     finally:
         table.write_bytes(pristine)
+    # Every other container is sealed the same way: with each byte of a
+    # partition, of the string table or of the index flipped in turn, its
+    # first read — a partition load, a cube open — is a StoreError.
+    partitions = tmp_path / "s" / "partitions"
+    for path, read in (
+        (partitions / "part-00000.bin", lambda store: store.load_partition(0)),
+        (partitions / "strings.bin", lambda store: store.load_partition(1)),
+        (files["index"], lambda store: store.cube_store().close()),
+    ):
+        pristine = path.read_bytes()
+        try:
+            for position in range(len(pristine)):
+                damaged = bytearray(pristine)
+                damaged[position] ^= 0x01
+                path.write_bytes(bytes(damaged))
+                with PartitionedPathStore.open(tmp_path / "s") as store:
+                    with pytest.raises(StoreError):
+                        read(store)
+        finally:
+            path.write_bytes(pristine)
 
 
 def _with_runs(record: bytes, ids=lambda s: s, steps=lambda s: s) -> bytes:
@@ -1101,7 +1288,7 @@ def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):
     blob, read = packed["FCPATH01"]
     lineage, levels, joint = unpack_paths(blob)
     assert lineage == 7 and [len(paths) for paths in levels] == [2, 1]
-    assert joint == [[0, 1], [0, 0]]
+    assert joint == [[1, 0], [0, 0]]
     for position in range(len(blob)):
         for mask in (0x01, 0x80, 0xFF):
             flipped = bytearray(blob)
@@ -1109,25 +1296,6 @@ def test_no_damaged_path_table_escapes_as_an_untyped_error(packed):
             assert _typed_or_decoded(lambda: read(bytes(flipped))) == "typed"
     for length in range(len(blob)):
         assert _typed_or_decoded(lambda: read(blob[:length])) == "typed"
-
-
-def _resealed_table(blob: bytes) -> bytes:
-    """*blob* (a path table) with its CRC recomputed over what follows."""
-    at = PATHS_LAYOUT.header_start
-    crc = array("q", [zlib.crc32(blob[at:])]).tobytes()
-    return blob[: at - len(crc)] + crc + blob[at:]
-
-
-def _with_section(blob: bytes, name: str, index: int, value: int) -> bytes:
-    """*blob* (a path table) with one word of section *name* replaced,
-    under a CRC that matches."""
-    opened = PATHS_LAYOUT.open(blob)
-    section = opened[name]
-    width = section.itemsize
-    ends = dict(section_ends(PATHS_LAYOUT, blob))
-    at = ends[name] - width * len(section) + width * index
-    word = array(section.typecode, [value]).tobytes()
-    return _resealed_table(blob[:at] + word + blob[at + width :])
 
 
 @pytest.mark.parametrize(
@@ -1148,7 +1316,28 @@ def _with_section(blob: bytes, name: str, index: int, value: int) -> bytes:
 def test_named_path_table_damage_is_named(packed, section, index, value, message):
     blob, read = packed["FCPATH01"]
     with pytest.raises(StoreError, match=f"corrupt path table: {message}"):
-        read(_with_section(blob, section, index, value))
+        read(_repacked(PATHS_LAYOUT, blob, section, index, value))
+
+
+@pytest.mark.parametrize(
+    ("section", "index", "value", "message"),
+    [
+        ("stage_refs", 0, 99, "a stage ref past the stage table"),
+        ("stage_refs", 1, -1, "a negative ref"),
+        ("stage_locs", 0, -1, "a negative ref"),
+        ("stage_locs", 0, 99, "list index out of range"),  # past the remap
+        ("dim_refs", 0, 99, "list index out of range"),
+        ("path_offsets", 0, 1, "path offsets disagree with the stage refs"),
+        ("path_offsets", 1, 99, "path offsets disagree with the stage refs"),
+    ],
+)
+def test_named_partition_damage_is_named(packed, section, index, value, message):
+    """A partition's refs and offsets under a CRC that matches: a ref past
+    its table or negative, offsets that run backwards or leave the stage
+    refs, are each named at decode — never a path of other stages."""
+    blob, read = packed["FCPART02"]
+    with pytest.raises(StoreError, match=f"corrupt columnar partition: {message}"):
+        read(_repacked(PARTITION_LAYOUT, blob, section, index, value))
 
 
 def test_a_joint_column_shorter_than_the_joint_count_is_damage(packed):
@@ -1158,8 +1347,10 @@ def test_a_joint_column_shorter_than_the_joint_count_is_damage(packed):
     blob = pack_paths(7, levels, [[0, 1], [0]])
     with pytest.raises(StoreError, match="corrupt path table: a joint column not 2"):
         unpack_paths(blob)
-    with pytest.raises(StoreError, match="a path id past 2\\*\\*32 - 1"):
-        pack_paths(7, levels, [[0, 2**32], [0, 0]])
+    # A column is as wide as its largest id: past 2**32 - 1 it is stored,
+    # and read back as the damage it is here.
+    with pytest.raises(StoreError, match="a joint column ref past level 0's"):
+        unpack_paths(pack_paths(7, levels, [[0, 2**32], [0, 0]]))
 
 
 # ----------------------------------------------------------------------
@@ -1279,39 +1470,75 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 # pinned on-disk bytes
 # ----------------------------------------------------------------------
 
-#: SHA-256 of the paper example's cube files, re-pinned when ``FCHEAP07``
-#: records lost their flags byte and exception section (so every offset
-#: in the index moved) and ``FCPATH03`` gained its leading CRC (the
-#: lineage is fixed below).  A change here is a format change: bump
-#: the generation of the file that moved instead.  The files are found
-#: through ``cube.json``'s listing: what they are *called* is not format.
+#: SHA-256 of the paper example's store files — the cube's path table,
+#: heap, index and delta segment and the partitions and string table
+#: beside them — re-pinned when every integer column went narrow, a stage
+#: became one ref into a stage table, every container got a CRC and heap
+#: records lost their length prefix (``FCPART03``, ``FCSTRS02``,
+#: ``FCCIDX03``, ``FCPATH04``, ``FCHEAP08``; the lineage is fixed
+#: below).  A change here is a format change: bump the generation of the
+#: file that moved instead.  The cube files are found through
+#: ``cube.json``'s listing: what they are *called* is not format.
 PINNED_SHA256 = {
     "built paths": (
-        "77a499f50d6086e0a4438dd3917a47cf073a94e2476d6a7561b638f1018eb04e"
+        "ee9579f20311aae5867d4ca856b77993d4e2475b7c1b487044b08bec91be7248"
     ),
     "built heap": (
-        "9d36952a79a49eddb13dd6a95cc028e3f2fca7fd88df6876ebde546ca28cc341"
+        "e13ecc39fd945737ac13931a4081482dc6bdc2eb7afc10b7d6dabd32ce787a7d"
     ),
     "built index": (
-        "e442269ec5ef76b5d650dbcedc6973147f7eb25d44a93e473f550cb648a2a90e"
+        "a01b82d4d9330841ffbbebb211ce4986e382f0652c8d3f9155d90803edb77cc1"
+    ),
+    "built part-00000.bin": (
+        "17c3f31ce44f7242e5cbedf3c629f7b3d1a53d8a622c71cdaff82c3988902892"
+    ),
+    "built part-00001.bin": (
+        "01165cf4f07ec7a41d4a9fb8e7accfdf5e367dcbfc0ff1fc518fa65c0199ca61"
+    ),
+    "built strings.bin": (
+        "c2a7219aa9cad7b14f597be0b934bf48d4eaa34e1697b892afc8a57627ffd669"
     ),
     "appended paths": (
-        "a90f7a9a140f9795f2287ae7173287c9b1ebc63ad5154711fadcfa7ebe957e69"
+        "184cd3f1522651092f49a4a9206db7ad8794f353c37fc20344a7eecfa3e8ac86"
     ),
     "appended delta": (
-        "a1fa41c9be0edc6ea37f55fcc220b83c47b4c156db3e8ab7f22fd69442f48b6d"
+        "61810f5ebc4594ffc0ffa118f8271ac4b26f994683b6fa20bd0401ba4898b832"
     ),
     "appended index": (
-        "b3bf7f57f02a853f912e00cad463442b060b52336235ca18a7b980bbef115d32"
+        "40f146567b4ea80b07369dd070402791109e4b82f69e2c9c88b6353e6cadd3d6"
+    ),
+    "appended part-00000.bin": (
+        "17c3f31ce44f7242e5cbedf3c629f7b3d1a53d8a622c71cdaff82c3988902892"
+    ),
+    "appended part-00001.bin": (
+        "01165cf4f07ec7a41d4a9fb8e7accfdf5e367dcbfc0ff1fc518fa65c0199ca61"
+    ),
+    "appended part-00002.bin": (
+        "efab4ba7893421a4bcde896a8e2940b34d6fd7b8b61e51e0184867d29e450b1d"
+    ),
+    "appended strings.bin": (
+        "d0b328a3cb52b2f1cb43b7aa2af446efba4f4b1dd238fd8fe41596ed0692061d"
     ),
     "compacted paths": (
-        "a90f7a9a140f9795f2287ae7173287c9b1ebc63ad5154711fadcfa7ebe957e69"
+        "184cd3f1522651092f49a4a9206db7ad8794f353c37fc20344a7eecfa3e8ac86"
     ),
     "compacted heap": (
-        "29f4863fab45a4ba1da64bda40d2153347d2e55d386e3ea50cb14b8d0b24671c"
+        "1fdc779aa78c80cbaadf7659eb7545a20cab554ddd5a14204ce88e5631141919"
     ),
     "compacted index": (
-        "c12f2373576c7c65466d07a3985922283e8dee73bf4b24c0204ef20829756474"
+        "ec621b5776e14c21343e0a5d534a3fa957f634fe6ebba8bb6d04bdced79308bd"
+    ),
+    "compacted part-00000.bin": (
+        "17c3f31ce44f7242e5cbedf3c629f7b3d1a53d8a622c71cdaff82c3988902892"
+    ),
+    "compacted part-00001.bin": (
+        "01165cf4f07ec7a41d4a9fb8e7accfdf5e367dcbfc0ff1fc518fa65c0199ca61"
+    ),
+    "compacted part-00002.bin": (
+        "efab4ba7893421a4bcde896a8e2940b34d6fd7b8b61e51e0184867d29e450b1d"
+    ),
+    "compacted strings.bin": (
+        "d0b328a3cb52b2f1cb43b7aa2af446efba4f4b1dd238fd8fe41596ed0692061d"
     ),
 }
 
@@ -1338,10 +1565,12 @@ def test_cube_files_hash_to_the_pinned_digests(
     def digest(stage, slot, segment):
         files = cube_files(tmp_path / "wh")
         assert sorted(files["segments"]) == list(range(slot + 1))
+        partitions = sorted((tmp_path / "wh" / "partitions").iterdir())
         for role, path in (
             ("paths", files["paths"]),
             (segment, files["segments"][slot]),
             ("index", files["index"]),
+            *((path.name, path) for path in partitions),
         ):
             seen[f"{stage} {role}"] = hashlib.sha256(
                 path.read_bytes()

@@ -287,7 +287,7 @@ def _assert_links_agree(graph: FlowGraph) -> None:
 
 
 def _decoded(paths) -> FlowGraph:
-    """The graph of *paths* through the FCHEAP07 cell codec, as a store
+    """The graph of *paths* through the FCHEAP08 cell codec, as a store
     hands it out: expanded from the stored ``(id, weight)`` vector."""
     table = list(dict.fromkeys(paths))
     vector = [(pid, paths.count(path)) for pid, path in enumerate(table)]

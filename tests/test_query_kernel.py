@@ -294,6 +294,7 @@ def _shell(database, template, cuboids):
         template.min_support,
         template.min_deviation,
     )
+    shell.compute_exceptions = template.compute_exceptions
     for cuboid in cuboids:
         shell._cuboids[(cuboid.item_level, cuboid.path_level)] = cuboid
     return shell
@@ -650,10 +651,7 @@ def _grid_source(kind, db, base, exceptions, directory):
     if kind == "memory":
         return memory
     if kind == "restored":
-        # The JSON does not say whether the cube mines; its restorer does.
-        restored = cube_from_json(cube_to_json(memory), db)
-        restored.compute_exceptions = exceptions
-        return restored
+        return cube_from_json(cube_to_json(memory), db)
     store = PartitionedPathStore.init(directory / "wh", db.schema)
     store.ingest(db)
     cube = build_cube(

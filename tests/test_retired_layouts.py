@@ -3,9 +3,10 @@
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
 predate the ``"format"`` field, and the ones that list no ``"files"``),
-``FCHEAP01`` to ``FCHEAP06`` heaps, ``FCCIDX01`` indexes, ``FCPATH01``
-and ``FCPATH02`` path tables,
-``FCPART01`` partitions, CSV partition files — has no reader left, so
+``FCHEAP01`` to ``FCHEAP07`` heaps, ``FCCIDX01`` and ``FCCIDX02``
+indexes, ``FCPATH01`` to ``FCPATH03`` path tables, ``FCPART01`` and
+``FCPART02`` partitions, ``FCSTRS01`` string tables, CSV partition
+files — has no reader left, so
 each case is hand-crafted here from bytes on top of a store the current
 writer made, and must surface as a :class:`~repro.errors.StoreError`
 that names the layout and the last release that read it.
@@ -25,12 +26,14 @@ from repro.store import PartitionedPathStore, append_records, build_cube
 from repro.store.binfmt import (
     HEAP_MAGIC,
     INDEX_MAGIC,
-    PARTITION_MAGIC_V2,
+    PARTITION_MAGIC,
     PATHS_MAGIC,
     RETIRED_HEAP_MAGICS,
-    RETIRED_INDEX_MAGIC,
-    RETIRED_PARTITION_MAGIC,
+    RETIRED_INDEX_MAGICS,
+    RETIRED_PARTITION_MAGICS,
     RETIRED_PATHS_MAGICS,
+    RETIRED_STRINGS_MAGICS,
+    STRINGS_MAGIC,
     StringTable,
     unpack_partition,
 )
@@ -287,8 +290,7 @@ def test_an_exception_bearing_heap_is_retired_too(built_dir, file):
     after the vector, behind a flags byte; cells now mine theirs when
     first read.  A heap or delta segment in it is refused when first
     mapped; the way out is a rebuild."""
-    assert RETIRED_HEAP_MAGICS[5:] == (b"FCHEAP06",)
-    assert HEAP_MAGIC == b"FCHEAP07"
+    assert RETIRED_HEAP_MAGICS[5] == b"FCHEAP06"
     _assert_heap_file_retired(
         built_dir, file, b"FCHEAP06",
         r"retired FCHEAP06 layout.*the last one that did is the one at "
@@ -337,8 +339,7 @@ def test_a_path_table_without_a_checksum_is_retired_too(built_dir):
     """``FCPATH02`` had no CRC: a flipped byte could map a vector to
     another multiset without an error.  It is refused like ``FCPATH01``;
     the way out is a rebuild."""
-    assert RETIRED_PATHS_MAGICS[1:] == (b"FCPATH02",)
-    assert PATHS_MAGIC == b"FCPATH03"
+    assert RETIRED_PATHS_MAGICS[1] == b"FCPATH02"
     _assert_path_table_retired(
         built_dir, b"FCPATH02",
         r"retired FCPATH02 layout.*the last one that did is the one at "
@@ -346,17 +347,12 @@ def test_a_path_table_without_a_checksum_is_retired_too(built_dir):
     )
 
 
-def test_a_per_path_level_index_is_retired_too(built_dir):
-    """``FCCIDX01`` held one entry per cell and path level.  The index is
-    what a cold open reads, so the open refuses it, naming the file; the
-    way out is to remove the cube and rebuild it."""
-    assert RETIRED_INDEX_MAGIC == b"FCCIDX01" and INDEX_MAGIC == b"FCCIDX02"
+def _assert_index_retired(built_dir, magic: bytes, pattern: str) -> None:
+    """An index leading with *magic* is refused by the open that reads
+    it and by an append; removing the cube and rebuilding is the way
+    out."""
     index = cube_files(built_dir)["index"]
-    _set_magic(index, RETIRED_INDEX_MAGIC)
-    pattern = (
-        r"retired FCCIDX01 layout.*the last one that did is the one at "
-        r"commit 8ab866c.*remove the store's cube/ directory and rebuild"
-    )
+    _set_magic(index, magic)
     with PartitionedPathStore.open(built_dir) as store:
         with pytest.raises(StoreError, match=pattern):
             store.cube_store()
@@ -370,6 +366,64 @@ def test_a_per_path_level_index_is_retired_too(built_dir):
         with store.cube_store() as rebuilt:
             assert rebuilt.n_cells() > 0
     assert cube_files(built_dir)["index"].read_bytes()[:8] == INDEX_MAGIC
+
+
+def test_a_per_path_level_index_is_retired_too(built_dir):
+    """``FCCIDX01`` held one entry per cell and path level.  The index is
+    what a cold open reads, so the open refuses it; the way out is to
+    remove the cube and rebuild it."""
+    assert RETIRED_INDEX_MAGICS[0] == b"FCCIDX01"
+    _assert_index_retired(
+        built_dir, b"FCCIDX01",
+        r"retired FCCIDX01 layout.*the last one that did is the one at "
+        r"commit 8ab866c.*remove the store's cube/ directory and rebuild",
+    )
+
+
+# ----------------------------------------------------------------------
+# the int64 generation: FCHEAP07, FCPATH03, FCCIDX02 (FCPART02 and
+# FCSTRS01 below, with the partitions)
+# ----------------------------------------------------------------------
+
+#: What the int64 generation's cube files say: its last reader, then a
+#: rebuild.
+_INT64_CUBE = r"the last one that did is the one at commit f3a84f9.*"
+
+
+@pytest.mark.parametrize("file", ["heap", "delta segment"])
+def test_a_length_prefixed_heap_is_retired_too(built_dir, file):
+    """``FCHEAP07`` framed each record with an 8-byte length prefix that
+    nothing read.  A heap or delta segment in it is refused when first
+    mapped; the way out is a rebuild."""
+    assert RETIRED_HEAP_MAGICS[6:] == (b"FCHEAP07",)
+    assert HEAP_MAGIC == b"FCHEAP08"
+    _assert_heap_file_retired(
+        built_dir, file, b"FCHEAP07",
+        rf"retired FCHEAP07 layout.*{_INT64_CUBE}rebuild the cube",
+    )
+
+
+def test_a_two_word_stage_path_table_is_retired_too(built_dir):
+    """``FCPATH03`` spent two ``int64`` refs on every stage; the way out
+    is a rebuild."""
+    assert RETIRED_PATHS_MAGICS[2:] == (b"FCPATH03",)
+    assert PATHS_MAGIC == b"FCPATH04"
+    _assert_path_table_retired(
+        built_dir, b"FCPATH03",
+        rf"retired FCPATH03 layout.*{_INT64_CUBE}rebuild the cube",
+    )
+
+
+def test_an_unsealed_int64_index_is_retired_too(built_dir):
+    """``FCCIDX02`` had ``int64`` columns and no checksum; the open
+    refuses it and the way out is to remove the cube and rebuild it."""
+    assert RETIRED_INDEX_MAGICS[1:] == (b"FCCIDX02",)
+    assert INDEX_MAGIC == b"FCCIDX03"
+    _assert_index_retired(
+        built_dir, b"FCCIDX02",
+        rf"retired FCCIDX02 layout.*{_INT64_CUBE}"
+        r"remove the store's cube/ directory and rebuild",
+    )
 
 
 def test_a_cube_written_in_place_is_retired_too(built_dir):
@@ -396,8 +450,8 @@ def test_a_cube_written_in_place_is_retired_too(built_dir):
 
 def test_retired_partition_magic_is_rejected_at_first_read(built_dir):
     part = built_dir / "partitions" / "part-00000.bin"
-    assert part.read_bytes()[:8] == PARTITION_MAGIC_V2
-    _set_magic(part, RETIRED_PARTITION_MAGIC)
+    assert part.read_bytes()[:8] == PARTITION_MAGIC
+    _set_magic(part, RETIRED_PARTITION_MAGICS[0])
     with PartitionedPathStore.open(built_dir) as store:  # the catalog is fine
         with pytest.raises(StoreError, match=_retired("FCPART01")):
             store.load_partition(0)
@@ -425,3 +479,45 @@ def test_csv_partition_entry_is_rejected_at_first_read(built_dir):
         assert "part-00000.csv" in str(caught.value)
         with pytest.raises(StoreError, match=_retired("CSV partition")):
             store.load_all()
+
+
+#: What the int64 generation's partition files say: its last reader,
+#: then a re-ingest — the records are in no file this release reads.
+_INT64_RECORDS = (
+    r"the last one that did is the one at commit f3a84f9.*"
+    r"read the store's records with that release.*re-ingest them"
+)
+
+
+def test_a_two_column_stage_partition_is_retired_too(built_dir):
+    """``FCPART02`` held an ``int64`` location ref and a ``float64``
+    duration per stage and no checksum.  It is refused at its first read;
+    the records it holds are read with the last release that reads it
+    and re-ingested."""
+    assert RETIRED_PARTITION_MAGICS == (b"FCPART01", b"FCPART02")
+    part = built_dir / "partitions" / "part-00000.bin"
+    _set_magic(part, b"FCPART02")
+    pattern = rf"retired FCPART02 layout.*{_INT64_RECORDS}"
+    with PartitionedPathStore.open(built_dir) as store:
+        with pytest.raises(StoreError, match=pattern):
+            store.load_partition(0)
+        assert len(store.load_partition(1)) == 3  # its neighbour still reads
+        with pytest.raises(StoreError, match=pattern):
+            build_cube(store, min_support=2, compute_exceptions=False)
+
+
+def test_an_unsealed_string_table_is_retired_too(built_dir):
+    """``FCSTRS01`` had ``int64`` offsets and no checksum.  Every
+    partition resolves its strings through it, so the first partition
+    read refuses it; the way out is a re-ingest."""
+    assert RETIRED_STRINGS_MAGICS == (b"FCSTRS01",)
+    assert STRINGS_MAGIC == b"FCSTRS02"
+    strings = built_dir / "partitions" / "strings.bin"
+    _set_magic(strings, b"FCSTRS01")
+    pattern = rf"retired FCSTRS01 layout.*{_INT64_RECORDS}"
+    with PartitionedPathStore.open(built_dir) as store:  # the catalog is fine
+        with pytest.raises(StoreError, match=pattern):
+            store.load_partition(0)
+    with PartitionedPathStore.open(built_dir) as store:
+        with pytest.raises(StoreError, match=pattern):
+            build_cube(store, min_support=2, compute_exceptions=False)

@@ -513,6 +513,36 @@ def test_cli_full_lifecycle(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["store"]["partitions"] == 4
     assert report["cube"]["built"] is True
+    assert_byte_rows(report["bytes"], tmp_path / "wh", n_partitions=4, n_deltas=0)
+    assert main([
+        "append", target, "--synthetic", "--n-paths", "20", "--seed", "4",
+        "--compact-after", "0",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["stats", target]) == 0
+    rows = json.loads(capsys.readouterr().out)["bytes"]
+    assert_byte_rows(rows, tmp_path / "wh", n_partitions=5, n_deltas=1)
+
+
+def assert_byte_rows(rows: dict, directory, n_partitions: int, n_deltas: int):
+    """``stats``'s bytes per file role: every role present, one row per
+    delta segment, and a total that is every regular file of the store."""
+    assert set(rows) == {
+        "partitions", "strings", "paths", "index", "heap", "delta_segments",
+        "meta", "total",
+    }
+    assert rows["partitions"]["count"] == n_partitions
+    assert len(rows["delta_segments"]) == n_deltas
+    assert all(rows[role] > 0 for role in ("strings", "paths", "index", "heap"))
+    on_disk = sum(
+        path.stat().st_size
+        for path in directory.rglob("*")
+        if path.is_file() and not path.is_symlink()
+    )
+    assert rows["total"] == on_disk == (
+        rows["partitions"]["bytes"] + sum(rows["delta_segments"].values())
+        + sum(rows[role] for role in ("strings", "paths", "index", "heap", "meta"))
+    )
 
 
 def test_cli_csv_roundtrip_and_errors(tmp_path, capsys, database):

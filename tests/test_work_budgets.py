@@ -472,7 +472,9 @@ def test_a_cold_open_maps_the_listed_index_and_nothing_else(
     tmp_path, monkeypatch, n_paths
 ):
     """Bytes mapped at cold open = the index only, with or without
-    delta segments pending."""
+    delta segments pending: no byte of the path table, of a heap file,
+    of a partition or of ``strings.bin``, through a handle on the open
+    store and through a fresh one alike."""
     database = generate_path_database(config(n_paths))
     base, batch = base_and_batch(database)
     store, cube = built(tmp_path / "wh", database, base, False)
@@ -480,12 +482,14 @@ def test_a_cold_open_maps_the_listed_index_and_nothing_else(
         store, batch, cube=cube, compact_after=0
     ), cube.compact):
         grow()
+        index = cube_files(tmp_path / "wh")["index"]
         mapped = Counted(monkeypatch, binfmt, "map_file")
         with store.cube_store() as cold:
             assert cold.n_cells() == cube.n_cells()
-        assert [FsPath(call[0]) for call in mapped.calls] == [
-            cube_files(tmp_path / "wh")["index"]
-        ]
+        with PartitionedPathStore.open(tmp_path / "wh") as fresh:
+            with fresh.cube_store() as cold:
+                assert cold.n_cells() == cube.n_cells()
+        assert [FsPath(call[0]) for call in mapped.calls] == [index, index]
     cube.close()
     store.close()
 
