@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.core.aggregation import AggregatedPath, WeightedPath, WeightedPaths
 from repro.core.flowgraph import FlowGraph
-from repro.core.flowgraph_exceptions import serial_exception_pass
+from repro.core.flowgraph_exceptions import mine_exceptions_weighted
 from repro.core.lattice import ItemLattice, ItemLevel, PathLattice, PathLevel
 from repro.core.path_database import PathDatabase, PathSchema
 from repro.errors import CubeError, StoreError
@@ -69,11 +69,12 @@ class Cell:
     Exceptions are holistic (Lemma 4.3) and a pure function of the
     multiset, so no cell carries them: *mining* is the cube's ``(δ, ε)``
     when it was built with exceptions, and such a cell mines its own —
-    :func:`~repro.core.flowgraph_exceptions.serial_exception_pass` over
-    its level's postings in ``table`` — the first time its flowgraph or
-    ``exceptions`` is read, and keeps them on the graph.  With ``None``
-    (exceptions off) a cell never mines: ``exceptions`` reads ``[]``, or
-    what ``cube_from_json`` attached to its graph.  A damaged record is a
+    :func:`~repro.core.flowgraph_exceptions.mine_exceptions_weighted` over
+    the ``(path, weight)`` pairs its graph expands from, in the cell's own
+    id space — the first time its flowgraph or ``exceptions`` is read, and
+    keeps them on the graph.  With ``None`` (exceptions off) a cell never
+    mines: ``exceptions`` reads ``[]``, or what ``cube_from_json``
+    attached to its graph.  A damaged record is a
     :class:`~repro.errors.StoreError` at every touch.  ``vector`` is
     shared: whoever adds to one adds into a copy.
     """
@@ -198,11 +199,10 @@ class Cell:
         carrying the cell's exceptions, mined then when the cube has them."""
         graph = self._graph
         if graph is None:
-            graph = FlowGraph.expand(self._pairs())
+            pairs = self._pairs()
+            graph = FlowGraph.expand(pairs)
             if self._mining is not None:
-                serial_exception_pass(*self._mining)(
-                    [(graph, self.weights, self.table.postings[self.level_id])]
-                )
+                mine_exceptions_weighted(graph, pairs, *self._mining)
             if self._loader is not None:
                 self._loader.counters["cells_decoded"] += 1
             self._graph = graph

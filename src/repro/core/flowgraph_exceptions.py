@@ -17,13 +17,14 @@ path segments of the cell.  :func:`mine_exceptions` accepts those segments
 from the Shared algorithm's output, or mines them locally with the built-in
 level-wise miner (:func:`mine_frequent_segments`) when none are supplied.
 A cube stores none of this: a cell built with exceptions mines its own,
-locally, the first time it is read (:func:`serial_exception_pass`).
+locally, the first time it is read, through
+:func:`mine_exceptions_weighted` over its own ``(path, weight)`` pairs.
 
 Two interchangeable kernels implement the pass (``kernel=`` on the
 ``mine_exceptions*`` entry points): ``"bitmap"`` (the default) indexes each
-distinct path once into big-int bit sets over path ids and answers every
-support and conditional count with an AND + weighted popcount
-(:mod:`repro.perf.exception_kernel`);
+of the cell's distinct paths once into big-int bit sets over the cell's own
+path ids and answers every support and conditional count with an AND +
+weighted popcount (:mod:`repro.perf.exception_kernel`);
 ``"scan"`` is the direct per-path implementation in this module, and the
 one that probes pre-mined segments.  Both produce identical exception
 lists — same supports, distributions, and canonical order — enforced by
@@ -56,7 +57,6 @@ __all__ = [
     "mine_frequent_segments_weighted",
     "mine_exceptions",
     "mine_exceptions_weighted",
-    "serial_exception_pass",
 ]
 
 #: Interchangeable exception-pass implementations; first entry is the default.
@@ -329,17 +329,15 @@ def mine_exceptions_weighted(
     segments: Iterable[Segment] | None = None,
     max_segment_length: int = 4,
     kernel: str = "bitmap",
-    index_cache: dict | None = None,
 ) -> list[FlowException]:
     """:func:`mine_exceptions` over the cell's ``(path, weight)`` pairs.
 
     Every support and every conditional count weighs each distinct path by
     its multiplicity, so the exceptions — supports, distributions, and
     deviations — are exactly those of the expanded path multiset while the
-    holistic pass touches each distinct path once.  *index_cache* (bitmap
-    kernel) keeps the postings plain pairs are interned into across calls.
-    The bitmap kernel mines the cell's own segments; pre-mined *segments*
-    are probed by the scan kernel, whatever *kernel* says.
+    holistic pass touches each distinct path once.  The bitmap kernel
+    mines the cell's own segments over the cell's own path ids; pre-mined
+    *segments* are probed by the scan kernel, whatever *kernel* says.
     """
     if kernel not in EXCEPTION_KERNELS:
         raise ValueError(
@@ -352,7 +350,7 @@ def mine_exceptions_weighted(
             mine_exceptions_bitmap,
         )
 
-        weights, postings = intern_pairs(weighted, index_cache)
+        weights, postings = intern_pairs(weighted)
         return mine_exceptions_bitmap(
             graph,
             weights,
@@ -487,40 +485,3 @@ def _max_deviation(baseline: dict[str, float], conditional: dict[str, float]) ->
         abs(baseline.get(k, 0.0) - conditional.get(k, 0.0)) for k in keys
     )
 
-
-class _ExceptionPass:
-    """:func:`serial_exception_pass`'s runner: its views map (postings ->
-    fingerprint -> view) goes with it, by reference count — the runner
-    holds no reference to itself."""
-
-    def __init__(self, min_support: float, min_deviation: float) -> None:
-        self.thresholds = (min_support, min_deviation)
-        self.views: dict = {}
-
-    def __call__(self, batch) -> None:
-        from repro.perf.exception_kernel import mine_exceptions_bitmap
-
-        for graph, weights, postings in batch:
-            mine_exceptions_bitmap(
-                graph, weights, postings, *self.thresholds,
-                views=self.views.setdefault(postings, {}),
-            )
-
-
-def serial_exception_pass(min_support: float, min_deviation: float):
-    """The in-process runner for every per-cell exception phase.
-
-    Returns a callable ``run(batch)`` where *batch* is a list of
-    ``(graph, weights, postings)``: a cell's flowgraph, its ``{pid:
-    weight}`` vector and its path level's
-    :class:`~repro.perf.exception_kernel.PathPostings`, which the bitmap
-    kernel indexes without touching a path — so a distinct path's stages
-    are walked once per level, and cells of one batch with identical
-    vectors share an index through the runner's own fingerprint map.  It
-    mines each cell's own segments and attaches ``graph.exceptions``.  A
-    cell of a cube with exceptions mines through it at the first read of
-    its graph (:attr:`~repro.core.flowcube.Cell.flowgraph`), always with
-    the bitmap kernel (the test suite's per-cell oracle calls the scan
-    kernel itself).
-    """
-    return _ExceptionPass(min_support, min_deviation)

@@ -18,14 +18,13 @@ Shared's and Cubing's counting runs on:
   scan materialises the base item levels' weighted paths (each distinct
   path aggregated once, then interned to an int id), every ancestor
   cuboid's cells derive by adding child cells' path-id vectors along the
-  item lattice, and the holistic exception pass re-runs per cell over the
-  same ids;
+  item lattice;
 * :mod:`repro.perf.exception_kernel` — the holistic pass itself as
-  AND+popcount over the roll-up's path ids: per-path-level postings
-  (bit *pid* ⇔ path *pid*) built once per level, a cell a ``{pid: weight}``
-  view over them answering segment supports and every conditional
-  transition/duration count, with views shared across cells by
-  path-multiset fingerprint;
+  AND+popcount over one cell's own path ids: postings over the cell's
+  distinct paths (bit *pid* ⇔ its *pid*-th path), each stage walked once,
+  and a ``{pid: weight}`` index over them answering segment supports and
+  every conditional transition/duration count — nothing shared with the
+  roll-up's id space or with another cell;
 * :mod:`repro.perf.query_kernel` — the read path's counterpart: per-cuboid
   key catalogs packing cell ordinals into (dimension, concept) bitmaps
   with hierarchy descendant-closure masks, so slice/dice predicates are

@@ -5,46 +5,38 @@ Python loop per (segment × path) pair twice over: the level-wise segment
 miner subset-tests every candidate against every transaction, and the
 exception pass re-walks every weighted path per frequent segment to count
 conditional outcomes.  Both are counting problems over the *same* small
-universe — distinct aggregated paths — which is exactly the shape the PR 2
-bitmap kernel (:mod:`repro.perf.bitmap`) solves with big-int tid-sets.
+universe — the cell's distinct aggregated paths — which is exactly the
+shape the miners' bitmap kernel (:mod:`repro.perf.bitmap`) solves with
+big-int tid-sets.
 
-The bit space is the path-id space of the roll-up
-(:class:`~repro.perf.measure_rollup.PathTable`): bit *pid* of every mask
-is the path interned as *pid* at its path level.  Items move in bulk, so a
-level holds far fewer distinct paths than its cells hold between them, and
-the stage walk is paid once per path, not once per cell:
+Exceptions are holistic: no cell's pass can reuse another's, so the bit
+space is the cell's own.  Bit *pid* of every mask is the cell's *pid*-th
+distinct path, in first-seen order:
 
-* :class:`PathPostings` — **level-wide**, built once per path level (and
-  extended when more pids are interned).  It owns the stage interner and
-  the four mask families that cover the whole pass:
+* :class:`PathPostings` — the cell's distinct paths, each stage walked
+  once, as the four mask families that cover the whole pass:
 
   * **exact stage constraints** ``(location prefix, duration)`` — the
-    Apriori alphabet, interned to dense ids with the PR 2
-    :class:`~repro.perf.interning.ItemInterner`; ``rows[pid]`` is the
-    path's item-id row;
+    Apriori alphabet, in first-seen order;
   * **location prefixes** — what a ``*``-duration constraint matches;
   * **per-(depth, next location) / per-(depth, duration) outcomes** — the
     conditional counts of transition/duration exceptions;
   * **cumulative path-length masks** — the ``TERMINATE`` outcome.
 
-* :class:`CellExceptionIndex` — **per cell**, a view over the postings:
-  the cell's mask, its per-weight class masks (multiplicities are grouped,
-  so every count is an AND followed by a weighted popcount —
+* :class:`CellExceptionIndex` — the cell's weights over those bits: its
+  mask, its per-weight class masks (multiplicities are grouped, so every
+  count is an AND followed by a weighted popcount —
   :meth:`CellExceptionIndex.count`: one ``weight * bit_count()`` term per
   distinct multiplicity, collapsing to a single term when all weights are
-  equal), its total, and its mining / result caches.  Indexing a cell is
-  one ``classes[w] |= 1 << pid`` per distinct path.  A level-wide mask is
-  AND-ed with the cell mask once, at a segment's first constraint; every
-  mask derived from it stays inside the cell.
+  equal) and its total.
 
-There are two doors and one kernel.  A cell of a cube with exceptions,
-at the first read of its graph, hands the pass its ``{pid: weight}``
-vector (:attr:`~repro.core.flowcube.Cell.weights`) with its level's
-postings, which every cell over one path table shares (a serving
-handle's across threads).  Plain ``mine_exceptions_weighted(graph,
-[(path, weight), …])`` comes through the tuple door of
-:func:`intern_pairs`, which interns its pairs into a private postings,
-and runs the same code.
+There is one door: ``mine_exceptions_weighted(graph, [(path, weight),
+…])`` with the default ``kernel="bitmap"`` hands its pairs to
+:func:`intern_pairs`, which sums the weights of a repeated path and
+builds the cell's postings, then runs :func:`mine_exceptions_bitmap`.  A
+cell of a cube with exceptions mines through it at the first read of its
+graph (:attr:`~repro.core.flowcube.Cell.flowgraph`), as does the test
+suite's oracle under ``kernel="scan"``.
 
 :func:`mine_segments_bitmap` reruns the level-wise miner on tid-sets: a
 candidate is a frequent segment extended by one frequent 1-constraint
@@ -63,22 +55,12 @@ conditional counts are identical integers (same candidate universe, same
 thresholds via ``resolve_min_support``), so the
 derived float distributions, deviations, and the canonically-sorted
 exception lists are identical — and serialised cubes stay byte-identical
-(property-tested in ``tests/test_exception_kernel.py``).
-
-Views are shared across the cells of one exception pass through the
-pass's fingerprint map, keyed by ``frozenset({pid: weight}.items())``
-(int pairs, not nested tuples): cells with identical multisets reuse one
-view, its mined segment masks and its whole exception list.  The map
-goes with the pass, so a long-lived path table — a serving handle's —
-keeps no view.  A view
-holds no reference back, so a path table and everything indexed under
-it is freed by reference count — the write side pauses the cyclic
-collector (:mod:`repro.perf.collector`) and must not need it.
+(property-tested in ``tests/test_exception_kernel.py``).  Nothing here
+outlives the call that mined: the postings and the index go with it.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 
 from repro.core.aggregation import (
@@ -94,7 +76,6 @@ from repro.core.flowgraph_exceptions import (
     exception_sort_key,
     resolve_min_support,
 )
-from repro.perf.interning import ItemInterner
 
 __all__ = [
     "PathPostings",
@@ -107,147 +88,65 @@ __all__ = [
 
 
 class PathPostings:
-    """One path level's distinct paths as big-int bitmaps over path ids.
+    """One cell's distinct paths as big-int bitmaps over their ids.
 
-    Bit *pid* of every mask is ``paths[pid]``.  *paths* and *ids* are the
-    level's id space — a :class:`~repro.perf.measure_rollup.PathTable`
-    shares its own lists and dicts in, so ids it hands out are indexed
-    here the next time a cell asks (:meth:`index`); left out, the postings
-    own a private id space (the tuple door).  Masks only ever gain bits,
-    so a view taken before an extension stays valid.
+    Bit *pid* of every mask is ``paths[pid]`` of the *paths* it is built
+    from; each path's stages are walked once, here.
 
     Attributes:
-        paths: Path id → aggregated path.
-        ids: The reverse map (see :meth:`intern`).
-        interner: Exact stage constraint → dense id (the Apriori alphabet).
-        rows: Per indexed pid, the item ids of the path's stages.
-        exact: Per interned constraint id, the mask of paths satisfying it.
+        exact: Exact stage constraint → mask of paths satisfying it, in
+            first-seen order (the Apriori alphabet).
         prefixes: Location prefix → mask of paths whose own location
             chain starts with it — what a ``*``-duration constraint tests.
         transitions: Stage depth → {next location → mask of paths whose
             stage at that depth is the location}.
         durations: Stage depth → {duration label → mask of paths with
             that label at the depth}.
-        star_mixed: Paths carrying a concrete duration at a prefix where
-            some path of the level carries ``*`` (see
-            :class:`CellExceptionIndex`).
-        indexes: Fingerprint → shared :class:`CellExceptionIndex` of a
-            private postings (the tuple door, which its caller's cache
-            scopes); ``None`` for a table's, whose views an exception
-            pass's map holds (:meth:`index`).
-
-    Threads may mine against one postings: :meth:`index` grows it under
-    a lock, and a mask only gains bits no earlier view holds.
+        star_mixed: Whether some prefix carries ``*`` on one path and a
+            concrete duration on another.  The segment miners count a
+            ``*``-duration stage as an exact item, but the exception pass
+            treats the constraint as a wildcard (``_satisfies``); the two
+            agree unless the paths mix, and then a mined mask cannot stand
+            in for the wildcard one.
     """
 
     __slots__ = (
-        "paths",
-        "ids",
-        "interner",
-        "rows",
         "exact",
         "prefixes",
         "transitions",
         "durations",
         "star_mixed",
-        "indexes",
-        "_lock",
-        "_star_prefixes",
-        "_lengths",
         "_terminate",
     )
 
-    def __init__(
-        self,
-        paths: list[AggregatedPath] | None = None,
-        ids: dict[AggregatedPath, int] | None = None,
-    ) -> None:
-        self.paths = [] if paths is None else paths
-        self.ids = {} if ids is None else ids
-        self.interner = ItemInterner()
-        self.rows: list[list[int]] = []
-        self.exact: list[int] = []
-        self.prefixes: dict[tuple[str, ...], int] = {}
-        self.transitions: dict[int, dict[str, int]] = {}
-        self.durations: dict[int, dict[str, int]] = {}
-        self.star_mixed = 0
-        self.indexes: dict[frozenset, CellExceptionIndex] | None = (
-            {} if paths is None else None
-        )
-        self._lock = threading.Lock()
-        self._star_prefixes: set[tuple[str, ...]] = set()
-        self._lengths: dict[int, int] = {}
-        self._terminate: list[int] = [0]
-
-    def intern(self, path: AggregatedPath) -> int:
-        """*path*'s id, handing out the next dense one on first sight."""
-        paths = self.paths
-        pid = self.ids.setdefault(path, len(paths))
-        if pid == len(paths):
-            paths.append(path)
-        return pid
-
-    def index(
-        self, weights: dict[int, int], views: dict | None = None
-    ) -> CellExceptionIndex:
-        """The view of the cell ``{pid: weight}``, shared by fingerprint
-        through *views* (a pass's map) or :attr:`indexes`, else fresh.
-
-        Cells store each distinct path once, so the frozenset of the
-        multiset's items determines it exactly, and every count the pass
-        derives is invariant to their order.
-        """
-        if views is None:
-            views = self.indexes
-        with self._lock:
-            if len(self.rows) < len(self.paths):
-                self._index_new_paths()
-            if views is None:
-                return CellExceptionIndex(self, weights)
-            key = frozenset(weights.items())
-            index = views.get(key)
-            if index is None:
-                index = views[key] = CellExceptionIndex(self, weights)
-            return index
-
-    def _index_new_paths(self) -> None:
-        """Walk the stages of every path interned since the last call."""
-        paths = self.paths
-        rows = self.rows
-        intern = self.interner.intern
-        exact = self.exact
-        prefixes = self.prefixes
-        transitions = self.transitions
-        durations = self.durations
-        star_prefixes = self._star_prefixes
-        lengths = self._lengths
-        for pid in range(len(rows), len(paths)):
+    def __init__(self, paths: Sequence[AggregatedPath]) -> None:
+        exact: dict[SegmentConstraint, int] = {}
+        prefixes: dict[tuple[str, ...], int] = {}
+        transitions: dict[int, dict[str, int]] = {}
+        durations: dict[int, dict[str, int]] = {}
+        lengths: dict[int, int] = {}
+        for pid, path in enumerate(paths):
             bit = 1 << pid
-            row: list[int] = []
             prefix: tuple[str, ...] = ()
-            for depth, (location, duration) in enumerate(paths[pid]):
+            for depth, (location, duration) in enumerate(path):
                 prefix += (location,)
-                item_id = intern((prefix, duration))
-                row.append(item_id)
-                if item_id < len(exact):
-                    exact[item_id] |= bit
-                else:
-                    exact.append(bit)
-                if duration == DURATION_ANY_LABEL:
-                    if prefix not in star_prefixes:
-                        # The first "*" here: every path already through
-                        # the prefix carries a concrete duration at it.
-                        star_prefixes.add(prefix)
-                        self.star_mixed |= prefixes.get(prefix, 0)
-                elif star_prefixes and prefix in star_prefixes:
-                    self.star_mixed |= bit
+                constraint = (prefix, duration)
+                exact[constraint] = exact.get(constraint, 0) | bit
                 prefixes[prefix] = prefixes.get(prefix, 0) | bit
                 at_depth = transitions.setdefault(depth, {})
                 at_depth[location] = at_depth.get(location, 0) | bit
                 labels = durations.setdefault(depth, {})
                 labels[duration] = labels.get(duration, 0) | bit
-            rows.append(row)
-            lengths[len(row)] = lengths.get(len(row), 0) | bit
+            lengths[len(path)] = lengths.get(len(path), 0) | bit
+        self.exact = exact
+        self.prefixes = prefixes
+        self.transitions = transitions
+        self.durations = durations
+        self.star_mixed = any(
+            prefixes[prefix] != mask
+            for (prefix, duration), mask in exact.items()
+            if duration == DURATION_ANY_LABEL
+        )
         # terminate[d] = paths of length <= d: a path "terminates at" the
         # node of depth d exactly when it has no stage at index d.
         terminate: list[int] = []
@@ -273,76 +172,40 @@ class PathPostings:
         prefix, duration = constraint
         if duration == DURATION_ANY_LABEL:
             return self.prefixes.get(prefix, 0)
-        interner = self.interner
-        if constraint in interner:
-            return self.exact[interner.id_of(constraint)]
-        return 0
+        return self.exact.get(constraint, 0)
 
 
 class CellExceptionIndex:
-    """One cell as a view over its level's :class:`PathPostings`.
+    """One cell's weights over its :class:`PathPostings`.
 
-    Built once per distinct multiset; every question the exception pass
-    asks — segment support, conditional transition counts, conditional
-    duration counts — becomes an AND of masks plus a weighted popcount.
-
-    The view keeps no reference to *postings* (they cache it, and a
-    back-edge would leave a build's whole path table to the cyclic
-    collector); whoever counts against the level-wide masks — the pass
-    has them in hand — passes them in.
+    Every question the exception pass asks — segment support, conditional
+    transition counts, conditional duration counts — becomes an AND of
+    masks plus a weighted popcount.
 
     Attributes:
-        weights: The cell's ``{pid: weight}``.
-        mask: The cell's paths.  Level-wide masks are AND-ed with it
-            once, at a segment's first constraint.
+        mask: The cell's paths.
         total: Sum of all weights (the cell's path count).
-        mining_cache: ``(min_support, max_length)`` → mined
-            ``(segments, masks)`` pair (see :func:`mine_segments_bitmap`).
-        result_cache: ``(min_support, min_deviation, max_length)`` → the
-            finished exception tuple.
 
     Counting never walks the weights — paths are grouped by multiplicity
     into per-weight class masks, so a weighted popcount is a handful of
     ``weight * (mask & class).bit_count()`` terms.
     """
 
-    __slots__ = (
-        "weights",
-        "mask",
-        "total",
-        "_uniform",
-        "_classes",
-        "_star_mixed",
-        "mining_cache",
-        "result_cache",
-    )
+    __slots__ = ("mask", "total", "_uniform", "_classes")
 
-    def __init__(self, postings: PathPostings, weights: dict[int, int]) -> None:
+    def __init__(self, weights: dict[int, int]) -> None:
         classes: dict[int, int] = {}
         for pid, weight in weights.items():
             classes[weight] = classes.get(weight, 0) | (1 << pid)
         mask = 0
         for class_mask in classes.values():
             mask |= class_mask
-        self.weights = weights
         self.mask = mask
         self.total = sum(weights.values())
         self._uniform = next(iter(classes)) if len(classes) == 1 else (
             1 if not classes else None
         )
         self._classes = list(classes.items())
-        # The segment miners count a "*"-duration stage as an exact item,
-        # but the exception pass treats the constraint as a wildcard
-        # (``_satisfies``).  The two agree unless the multiset mixes "*"
-        # with concrete durations at the same prefix — flag that case so
-        # the pass knows when a mined mask can't stand in for the
-        # wildcard one.  The level-wide mask may flag a cell whose own
-        # paths never carry the "*" (the flagged branch recounts through
-        # the wildcard masks, which is always right); it cannot miss one,
-        # because both of a mixing cell's paths are indexed by now.
-        self._star_mixed = bool(postings.star_mixed & mask)
-        self.mining_cache: dict = {}
-        self.result_cache: dict = {}
 
     # ------------------------------------------------------------------
     # counting
@@ -376,33 +239,20 @@ class CellExceptionIndex:
 
 
 def intern_pairs(
-    weighted: Sequence[WeightedPath], cache: dict | None = None
+    weighted: Sequence[WeightedPath],
 ) -> tuple[dict[int, int], PathPostings]:
-    """``(path, weight)`` pairs as a ``{pid: weight}`` vector over a
-    private postings — kept in *cache* when the caller shares one across
-    cells, so a path's stages are walked once however many cells carry
-    it — with the weights of a repeated path (legal for the public
-    ``mine_exceptions`` entry points) summed."""
-    if cache is None:
-        postings = PathPostings()
-    else:
-        postings = cache.get("postings")
-        if postings is None:
-            postings = cache["postings"] = PathPostings()
-    intern = postings.intern
-    weights: dict[int, int] = {}
+    """One cell's ``(path, weight)`` pairs as a ``{pid: weight}`` vector
+    over the postings of its distinct paths, the weights of a repeated
+    path (legal for the public ``mine_exceptions`` entry points) summed."""
+    weights: dict[AggregatedPath, int] = {}
     for path, weight in weighted:
-        pid = intern(path)
-        weights[pid] = weights.get(pid, 0) + weight
-    return weights, postings
+        weights[path] = weights.get(path, 0) + weight
+    return dict(enumerate(weights.values())), PathPostings(list(weights))
 
 
-def cell_index(
-    weights: dict[int, int], postings: PathPostings, views: dict | None = None
-) -> CellExceptionIndex:
-    """The index of the cell ``{pid: weight}``: a view over *postings*,
-    shared through *views* (see :meth:`PathPostings.index`)."""
-    return postings.index(weights, views)
+def cell_index(weights: dict[int, int]) -> CellExceptionIndex:
+    """The index of the cell ``{pid: weight}``."""
+    return CellExceptionIndex(weights)
 
 
 def mine_segments_bitmap(
@@ -413,7 +263,7 @@ def mine_segments_bitmap(
 ) -> tuple[dict[Segment, int], dict[Segment, int]]:
     """Bitmap twin of ``mine_frequent_segments_weighted`` over one index.
 
-    *index* is a view over *postings* (``postings.index(weights)``).
+    *index* is :func:`cell_index` of the cell's weights over *postings*.
 
     Same thresholds, same frequent segments, but both candidate generation
     and counting exploit the chain structure.  A segment is a chain of
@@ -433,14 +283,7 @@ def mine_segments_bitmap(
         frequent segment so the exception pass reuses them directly, and
         the segments are already in canonical (prefix-length) order.
     """
-    cache_key = (min_support, max_length)
-    cached = index.mining_cache.get(cache_key)
-    if cached is not None:
-        return cached
     threshold = resolve_min_support(min_support, index.total)
-    exact = postings.exact
-    items = postings.interner.items
-    rows = postings.rows
     cell_mask = index.mask
     # Inline the weighted popcount (see ``CellExceptionIndex.count``):
     # the candidate loops below are the hottest counting site in the
@@ -450,10 +293,8 @@ def mine_segments_bitmap(
     result: dict[Segment, int] = {}
     masks: dict[Segment, int] = {}
     frequent_items: list[tuple[SegmentConstraint, int]] = []
-    # The cell's alphabet: the items of its own paths, not the level's.
-    for item_id in sorted(set().union(*[rows[pid] for pid in index.weights])):
-        item = items[item_id]
-        mask = exact[item_id] & cell_mask
+    for item, item_mask in postings.exact.items():
+        mask = item_mask & cell_mask
         if uniform is not None:
             support = uniform * mask.bit_count()
         else:
@@ -466,13 +307,13 @@ def mine_segments_bitmap(
             segment = (item,)
             result[segment] = support
             masks[segment] = mask
-            frequent_items.append((item, item_id))
+            frequent_items.append((item, mask))
     # extensions[p] = frequent constraints whose prefix strictly extends p.
     extensions: dict[tuple[str, ...], list[tuple[SegmentConstraint, int]]] = {}
-    for item, item_id in frequent_items:
+    for item, item_mask in frequent_items:
         prefix = item[0]
         for cut in range(1, len(prefix)):
-            extensions.setdefault(prefix[:cut], []).append((item, item_id))
+            extensions.setdefault(prefix[:cut], []).append((item, item_mask))
     frontier: list[Segment] = list(result)
     length = 1
     while frontier and length < max_length:
@@ -482,8 +323,8 @@ def mine_segments_bitmap(
             if not grow:
                 continue
             segment_mask = masks[segment]
-            for item, item_id in grow:
-                mask = segment_mask & exact[item_id]
+            for item, item_mask in grow:
+                mask = segment_mask & item_mask
                 if not mask:
                     continue
                 if uniform is not None:
@@ -501,7 +342,6 @@ def mine_segments_bitmap(
                     next_frontier.append(candidate)
         frontier = next_frontier
         length += 1
-    index.mining_cache[cache_key] = (result, masks)
     return result, masks
 
 
@@ -512,28 +352,14 @@ def mine_exceptions_bitmap(
     min_support: float,
     min_deviation: float,
     max_segment_length: int = 4,
-    views: dict | None = None,
 ) -> list[FlowException]:
     """``mine_exceptions_weighted``'s body under ``kernel="bitmap"``, over
-    the cell ``{pid: weight}`` in *postings*' id space, its view shared
-    through *views* (see :meth:`PathPostings.index`).
+    the cell ``{pid: weight}`` in *postings*' id space.
 
     Semantics and output are exactly the scan kernel's over locally-mined
     segments — including attaching the sorted list to ``graph.exceptions``.
-    The finished exception list is memoised on the cell's index per
-    ``(δ, ε, max length)``: the exceptions are a pure function of the
-    path multiset (the graph's distributions are derived from the same
-    multiset), so cells sharing an index — through one exception pass,
-    or through a shared ``index_cache`` at the tuple door — share the
-    result outright.
     """
-    index = cell_index(weights, postings, views)
-    result_key = (min_support, min_deviation, max_segment_length)
-    cached = index.result_cache.get(result_key)
-    if cached is not None:
-        exceptions = list(cached)
-        graph.exceptions = exceptions
-        return exceptions
+    index = cell_index(weights)
     supports, masks = mine_segments_bitmap(
         postings, index, min_support, max_length=max_segment_length
     )
@@ -543,7 +369,7 @@ def mine_exceptions_bitmap(
     # just ``uniform * bit_count()`` — inline it in the hot loops to skip
     # the method dispatch on every AND.
     uniform = index._uniform
-    star_mixed = index._star_mixed
+    star_mixed = postings.star_mixed
     exceptions: list[FlowException] = []
     #: deepest prefix -> per-node invariants, or None for absent nodes.
     node_cache: dict[tuple[str, ...], tuple | None] = {}
@@ -595,7 +421,6 @@ def mine_exceptions_bitmap(
                 )
             )
     exceptions.sort(key=exception_sort_key)
-    index.result_cache[result_key] = tuple(exceptions)
     graph.exceptions = exceptions
     return exceptions
 

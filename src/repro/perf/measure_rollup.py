@@ -70,7 +70,6 @@ from repro.core.lattice import (
 )
 from repro.core.path import Path
 from repro.errors import CubeError
-from repro.perf.exception_kernel import PathPostings
 
 __all__ = [
     "AggregationMemo",
@@ -140,14 +139,11 @@ class PathTable:
     insertion orders the parity contract rests on are those of the
     multisets themselves.
 
-    The table owns the id space for both halves of the measure: the
-    algebraic roll-up counts joint vectors, and the holistic pass reads a
-    level's multisets as bit sets — ``postings[level_id]`` is the level's
-    :class:`~repro.perf.exception_kernel.PathPostings`, sharing this
-    table's ``paths`` and indexing a path's stages the first time a cell
-    mines after it was interned (at a read; never, with exceptions off).  The
-    postings and the reverse maps are built the first time a writer or a
-    miner asks, so a reader that only maps vectors builds none.  A
+    The table is the algebraic roll-up's id space only: the holistic
+    exception pass mines each cell over its own paths
+    (:mod:`repro.perf.exception_kernel`).  The reverse maps — per level
+    path → pid, and pid tuple → joint id — are built at a writer's first
+    :meth:`intern`, so a reader that only maps vectors builds none.  A
     persisted cube keeps ``paths`` and ``joint`` on disk
     (:class:`~repro.store.cube_store.CubeStore`), and an append only ever
     extends them.
@@ -174,24 +170,21 @@ class PathTable:
     ) -> None:
         self.paths = levels
         self.joint = joint
-        self._postings: list[PathPostings] | None = None
+        self._ids: list[dict[AggregatedPath, int]] | None = None
 
     def __reduce__(self):
         # A copy carries the id space; its maps are rebuilt on demand.
         return PathTable.over, (self.paths, self.joint)
 
-    @property
-    def postings(self) -> list[PathPostings]:
-        """Per level, the exception kernel's postings over ``paths``."""
-        if self._postings is None:
-            self._joint_ids = {
-                pids: jid for jid, pids in enumerate(zip(*self.joint))
-            }
-            self._postings = [
-                PathPostings(paths, {path: pid for pid, path in enumerate(paths)})
-                for paths in self.paths
-            ]
-        return self._postings
+    def _reverse_maps(self) -> list[dict[AggregatedPath, int]]:
+        self._joint_ids = {
+            pids: jid for jid, pids in enumerate(zip(*self.joint))
+        }
+        self._ids = [
+            {path: pid for pid, path in enumerate(paths)}
+            for paths in self.paths
+        ]
+        return self._ids
 
     @property
     def n_joint(self) -> int:
@@ -200,7 +193,14 @@ class PathTable:
 
     def intern(self, level_id: int, path: AggregatedPath) -> int:
         """The id of *path* at path level *level_id* (next on first sight)."""
-        return self.postings[level_id].intern(path)
+        ids = self._ids
+        if ids is None:
+            ids = self._reverse_maps()
+        paths = self.paths[level_id]
+        pid = ids[level_id].setdefault(path, len(paths))
+        if pid == len(paths):
+            paths.append(path)
+        return pid
 
     def intern_joint(self, level_paths: Sequence[AggregatedPath]) -> int:
         """The joint id of one path aggregated to *level_paths* (one per

@@ -154,7 +154,7 @@ def _derive(cube, plan: DerivationPlan, children):
     prune_to_iceberg({plan.item_level: derived}, plan.threshold)
     members = {key: tuple(sorted(ids)) for key, ids in derived.groups.items()}
     # Read after the children, the cube's current table holds every id
-    # they name; its postings are the ones its stored cells mine with.
+    # they name.
     return assemble_cuboid(
         plan.item_level, plan.path_level, members, derived.weighted,
         cube.path_table, cube.path_lattice.index_of(plan.path_level),

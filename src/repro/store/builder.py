@@ -195,14 +195,15 @@ def _check_jobs(value) -> None:
 def _partitions(
     store: PartitionedPathStore,
     tracker: _LiveTracker,
-    build_stats: BuildStats,
+    build_stats: BuildStats | None,
 ) -> Iterator:
     """Every partition's records, in order, one loaded at a time inside
-    the tracker bracket."""
+    the tracker bracket, each counted as a scan in *build_stats*."""
     for _, database in store.iter_partitions():
         tracker.enter()
         try:
-            build_stats.scans += 1
+            if build_stats is not None:
+                build_stats.scans += 1
             yield database
         finally:
             tracker.exit()
@@ -264,20 +265,14 @@ def shared_mine_store(
     interner = ItemInterner(sort_key=item_sort_key)
     rows: list[array] = []
     memo = EncodingMemo()
-    for _, database in store.iter_partitions():
-        tracker.enter()
-        try:
-            if build_stats is not None:
-                build_stats.scans += 1
-            encoded = TransactionDatabase(
-                database, path_lattice, include_top_level=False, memo=memo
-            )
-            rows.extend(
-                interner.encode(transaction.items)
-                for transaction in encoded.transactions
-            )
-        finally:
-            tracker.exit()
+    for database in _partitions(store, tracker, build_stats):
+        encoded = TransactionDatabase(
+            database, path_lattice, include_top_level=False, memo=memo
+        )
+        rows.extend(
+            interner.encode(transaction.items)
+            for transaction in encoded.transactions
+        )
     stats.add_phase("encode", time.perf_counter() - started)
 
     supports_by_ids = mine_interned(

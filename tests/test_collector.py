@@ -254,8 +254,8 @@ def _unreachable_after_rollup(n_paths):
 
 
 def test_rollup_engine_frees_its_path_table_by_reference_count():
-    """The in-memory roll-up is not paused, but it shares the postings:
-    dropping the cube must free them without a collector pass."""
+    """The in-memory roll-up is not paused: dropping the cube must free
+    its path table and cells without a collector pass."""
     small = _unreachable_after_rollup(300)
     large = _unreachable_after_rollup(1200)
     assert small <= GARBAGE_BUDGET and large <= small, (small, large)

@@ -15,16 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FlowCube, FlowGraph, PathLattice, aggregate_path
+from repro.core.flowcube import Cell
 from repro.core.flowgraph_exceptions import (
     mine_exceptions_weighted,
     mine_frequent_segments_weighted,
 )
 from repro.core.serialization import cube_to_json
 from repro.perf.exception_kernel import (
-    CellExceptionIndex,
     cell_index,
     intern_pairs,
-    mine_exceptions_bitmap,
     mine_segments_bitmap,
 )
 from repro.perf.measure_rollup import PathTable
@@ -96,7 +95,7 @@ def test_segment_miner_matches_scan_miner(db, min_support):
         expected = mine_frequent_segments_weighted(weighted, min_support)
         weights, postings = intern_pairs(weighted)
         supports, masks = mine_segments_bitmap(
-            postings, cell_index(weights, postings), min_support
+            postings, cell_index(weights), min_support
         )
         assert supports == expected
         assert set(masks) == set(supports)
@@ -169,10 +168,19 @@ NO_STAR = [
 ]
 
 
-def _vector(table, weighted, level_id=0):
-    """*weighted* as a ``{pid: weight}`` vector of *table*, interning its
-    paths on the way."""
-    return {table.intern(level_id, path): weight for path, weight in weighted}
+def _vector(table, weighted):
+    """*weighted* as a ``{joint id: weight}`` vector of the one-level
+    *table*, interning its paths on the way."""
+    return {table.intern_joint([path]): weight for path, weight in weighted}
+
+
+def _cell(table, vector, mining, level_id=0):
+    """The cell of *table* holding *vector*, mining its exceptions with
+    *mining* at first read — the door a built or stored cell mines by."""
+    return Cell(
+        ("k",), None, None, tuple(range(sum(vector.values()))), vector,
+        table, level_id, mining=mining,
+    )
 
 
 @pytest.mark.parametrize("min_support", [0.05, 0.2, 2, 4, 1.0, 0.999])
@@ -188,11 +196,11 @@ def test_mixed_star_durations_parity(min_support, min_deviation):
     )
     assert scan == bitmap
 
-    # The same cell next to one that does not mix, through one shared
-    # postings: the mixed flag is a per-cell fact read off level-wide
-    # masks.  Either mining order, with the level interned up front (the
-    # build) or as the cells arrive (the postings extend under a live
-    # view), must reproduce the scan kernel cell by cell.
+    # The same cell next to one that does not mix, as cells of one path
+    # table: each mines in its own id space at its first read.  Either
+    # mining order, with the level interned up front (the build) or as
+    # the cells arrive (an append), must reproduce the scan kernel cell
+    # by cell.
     cells = (MIXED_STAR, NO_STAR)
     expected = (
         scan,
@@ -208,18 +216,16 @@ def test_mixed_star_durations_parity(min_support, min_deviation):
                 for weighted in cells:
                     _vector(table, weighted)
             for i in order:
-                weights = _vector(table, cells[i])
-                graph = _build_graph(cells[i])
-                mined = mine_exceptions_bitmap(
-                    graph, weights, table.postings[0],
-                    min_support, min_deviation,
+                cell = _cell(
+                    table, _vector(table, cells[i]),
+                    (min_support, min_deviation),
                 )
-                assert mined == expected[i], (order, up_front, i)
-                assert graph.exceptions == expected[i]
-            # Over-flagging NO_STAR is safe; missing MIXED_STAR is not.
-            assert cell_index(
-                _vector(table, MIXED_STAR), table.postings[0]
-            )._star_mixed
+                assert cell.exceptions == expected[i], (order, up_front, i)
+                assert cell.flowgraph.exceptions == expected[i]
+    # The mixed flag is a per-cell fact: set for the cell that mixes,
+    # clear for the one that does not.
+    assert intern_pairs(MIXED_STAR)[1].star_mixed
+    assert not intern_pairs(NO_STAR)[1].star_mixed
 
 
 def test_external_segments_parity():
@@ -262,55 +268,23 @@ def test_unknown_kernel_rejected():
 
 
 # ----------------------------------------------------------------------
-# index fingerprint sharing
+# sub-multisets of one level, read as cells of one path table
 # ----------------------------------------------------------------------
 
-def test_index_cache_shares_by_multiset():
-    weighted = [((("f", "1"),), 2), ((("s", "2"),), 1)]
-    cache: dict = {}
-    first = cell_index(*intern_pairs(weighted, cache))
-    second = cell_index(*intern_pairs(list(reversed(weighted)), cache))
-    assert first is second  # pair order doesn't matter
-    assert cell_index(*intern_pairs(weighted, None)) is not first
-
-
-def test_index_cache_sums_duplicate_pairs():
-    """Inputs that repeat a (path, weight) pair must not collapse under
-    the fingerprint: the tuple door sums weights per distinct path, so the
-    repeat shares a view with the pair written once at the summed weight —
-    and with nothing lighter."""
-    weighted = [((("f", "1"),), 1), ((("f", "1"),), 1)]
-    cache: dict = {}
-    index = cell_index(*intern_pairs(weighted, cache))
-    assert index.total == 2
-    assert isinstance(index, CellExceptionIndex)
-    assert cell_index(*intern_pairs([((("f", "1"),), 2)], cache)) is index
-    lighter = cell_index(*intern_pairs([((("f", "1"),), 1)], cache))
-    assert lighter is not index and lighter.total == 1
-
-
-# ----------------------------------------------------------------------
-# sub-multisets of one level through one shared postings
-# ----------------------------------------------------------------------
-
-def _assert_three_way_parity(weights, table, level_id, min_support, min_deviation):
-    """Shared postings, tuple door and scan kernel agree on one cell."""
-    paths = table.paths[level_id]
-    pairs = [(paths[pid], weight) for pid, weight in weights.items()]
-    graphs = [_build_graph(pairs) for _ in range(3)]
+def _assert_three_way_parity(cell, min_support, min_deviation):
+    """A cell's first read, the tuple door and the scan kernel agree."""
+    pairs = list(cell.paths)
+    graphs = [_build_graph(pairs) for _ in range(2)]
     scan = mine_exceptions_weighted(
         graphs[0], pairs, min_support, min_deviation, kernel="scan",
     )
     door = mine_exceptions_weighted(
         graphs[1], pairs, min_support, min_deviation, kernel="bitmap",
     )
-    shared = mine_exceptions_bitmap(
-        graphs[2], weights, table.postings[level_id],
-        min_support, min_deviation,
-    )
     assert door == scan
-    assert shared == scan
-    assert graphs[0].exceptions == graphs[1].exceptions == graphs[2].exceptions
+    assert cell.exceptions == scan
+    assert graphs[0].exceptions == graphs[1].exceptions == scan
+    assert cell.flowgraph.exceptions == scan
 
 
 @given(
@@ -325,42 +299,46 @@ def _assert_three_way_parity(weights, table, level_id, min_support, min_deviatio
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_sub_multisets_of_one_level_parity(db, min_support, min_deviation, data):
-    """Any ``{pid: weight}`` drawn from a level mines the same through the
-    level's shared postings, through the tuple door, and under the scan
-    kernel — whatever else the postings hold and whatever was mined
-    through them before."""
+    """Any ``{joint id: weight}`` drawn from a path table mines the same at
+    a cell's first read at every level, through the tuple door, and under
+    the scan kernel — whatever else the table holds and whatever was
+    mined over it before."""
     lattice = PathLattice.paper_default(db.schema.location)
     table = PathTable(len(lattice))
-    for level_id, path_level in enumerate(lattice):
-        for record in db:
-            table.intern(level_id, aggregate_path(record.path, path_level))
+    jids = list(dict.fromkeys(
+        table.intern_joint(
+            [aggregate_path(record.path, level) for level in lattice]
+        )
+        for record in db
+    ))
+    mining = (min_support, min_deviation)
     for level_id in range(len(lattice)):
-        paths = table.paths[level_id]
-        pids = list(range(len(paths)))
         some = data.draw(
-            st.lists(st.sampled_from(pids), min_size=1, unique=True),
+            st.lists(st.sampled_from(jids), min_size=1, unique=True),
             label="some",
         )
-        rest = [pid for pid in pids if pid not in some]
+        rest = [jid for jid in jids if jid not in some]
         weight = st.integers(min_value=1, max_value=4)
         multisets = [
-            dict.fromkeys(pids, 1),                       # the whole level
-            {pid: data.draw(weight) for pid in pids},     # ... mixed weights
-            {data.draw(st.sampled_from(pids)): data.draw(weight)},
+            dict.fromkeys(jids, 1),                       # the whole table
+            {jid: data.draw(weight) for jid in jids},     # ... mixed weights
+            {data.draw(st.sampled_from(jids)): data.draw(weight)},
             dict.fromkeys(some, data.draw(weight)),       # uniform subset
-            {pid: data.draw(weight) for pid in rest},     # disjoint from it
-            {pid: data.draw(weight) for pid in some[::2] + rest[::2]},
+            {jid: data.draw(weight) for jid in rest},     # disjoint from it
+            {jid: data.draw(weight) for jid in some[::2] + rest[::2]},
         ]
-        for weights in multisets:
+        for vector in multisets:
             _assert_three_way_parity(
-                weights, table, level_id, min_support, min_deviation
+                _cell(table, vector, mining, level_id),
+                min_support, min_deviation,
             )
         # A tuple-door input may repeat a (path, weight) pair; the door
         # sums the weights, so it still equals the scan kernel.
-        repeated = [(paths[pid], 1) for pid in pids + some]
+        paths, pids = table.paths[level_id], table.joint[level_id]
+        repeated = [(paths[pids[jid]], 1) for jid in jids + some]
         assert mine_exceptions_weighted(
             _build_graph(repeated), repeated, min_support, min_deviation,
-            kernel="bitmap", index_cache={},
+            kernel="bitmap",
         ) == mine_exceptions_weighted(
             _build_graph(repeated), repeated, min_support, min_deviation,
             kernel="scan",

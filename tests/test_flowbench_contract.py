@@ -14,6 +14,7 @@ is never entered reads 0 in the benchmark without failing anything.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -193,6 +194,26 @@ def test_exceptions_are_mined_at_first_read_only():
     ):
         assert name not in inspect.signature(function).parameters, name
     assert not hasattr(binfmt, "decode_cell_exceptions")
+
+
+def test_exceptions_mine_in_the_cells_own_id_space():
+    """The exception kernel has one door and the roll-up's path table owns
+    no postings: ``measure_rollup`` imports nothing from the kernel,
+    ``PathTable`` has no ``postings``, no runner shares a view across
+    cells, and the tuple door keeps no cache across calls."""
+    rollup = repro.perf.measure_rollup
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(rollup))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.perf.exception_kernel" not in imported
+    assert not hasattr(rollup.PathTable, "postings")
+    assert not hasattr(rollup.PathTable(1), "postings")
+    assert not hasattr(repro.core.flowgraph_exceptions, "serial_exception_pass")
+    parameters = inspect.signature(mine_exceptions_weighted).parameters
+    assert "index_cache" not in parameters
 
 
 def test_one_cell_class(tmp_path, monkeypatch):

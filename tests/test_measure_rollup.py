@@ -285,94 +285,13 @@ def test_out_of_core_rollup_aggregates_once(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the index-once guarantee: the holistic pass works per level, not per cell
+# the tuple door: the exception kernel needs no roll-up id space
 # ----------------------------------------------------------------------
 
 
-def _kernel_hooks(monkeypatch):
-    """Count the kernel's stage interning and postings; keep the tables."""
-    import repro.perf.exception_kernel as exception_kernel
-    import repro.store.builder as store_builder
-
-    seen = {"interned": 0, "postings": 0, "tables": []}
-
-    class CountingInterner(exception_kernel.ItemInterner):
-        def intern(self, item):
-            seen["interned"] += 1
-            return super().intern(item)
-
-    real_init = exception_kernel.PathPostings.__init__
-
-    def counted_init(self, *args, **kwargs):
-        seen["postings"] += 1
-        real_init(self, *args, **kwargs)
-
-    class RecordedTable(measure_rollup.PathTable):
-        def __init__(self, n_path_levels):
-            super().__init__(n_path_levels)
-            seen["tables"].append(self)
-
-    monkeypatch.setattr(exception_kernel, "ItemInterner", CountingInterner)
-    monkeypatch.setattr(exception_kernel.PathPostings, "__init__", counted_init)
-    monkeypatch.setattr(store_builder, "PathTable", RecordedTable)
-    return seen
-
-
-def _level_stages(table):
-    return sum(len(path) for paths in table.paths for path in paths)
-
-
-def test_exception_pass_indexes_once_per_path_level(tmp_path, monkeypatch):
-    """Neither a build nor an append indexes a path.  Reading every cell's
-    exceptions walks a path's stages once per path level — however many
-    cells hold the path — through exactly one postings object per level
-    of the cube's own table."""
-    from repro.core.path_database import PathDatabase
-    from repro.store import PartitionedPathStore, append_records, build_cube
-
-    database = generate_path_database(STORE_CONFIG)
-    rows = list(database)
-    base, batch = rows[:100], rows[100:]
-    store = PartitionedPathStore.init(
-        tmp_path / "wh", database.schema, partition_size=30
-    )
-    store.ingest(PathDatabase(database.schema, base, validate=False))
-    seen = _kernel_hooks(monkeypatch)
-
-    cube = store.cube_store()
-    build_cube(store, min_support=0.05, into=cube)
-    n_path_levels = len(cube.path_lattice)
-    (table,) = seen["tables"]
-    cube.close()
-    stats = append_records(store, batch, compact_after=0)
-    assert stats["updated"] + stats["created"] > n_path_levels
-    assert seen["interned"] == 0  # the writers' postings only hand out ids
-
-    # The cells of a cold handle mine over the cube's own table, loaded
-    # from paths.bin: one postings per level, never a private one.
-    seen["postings"] = 0
-    cold = store.cube_store()
-    cells = list(cold.cells())
-    assert len(cells) > n_path_levels
-    assert sum(len(cell.exceptions) for cell in cells)
-    assert seen["tables"] == [table]
-    assert seen["postings"] == n_path_levels
-    assert 0 < seen["interned"] <= _level_stages(cold.path_table)
-    # What indexing cell by cell would walk: every cell's every path.
-    per_cell_stages = sum(
-        len(path) for cell in cells for path, _ in cell.paths
-    )
-    assert per_cell_stages > 2 * seen["interned"]
-    assert all(
-        appended[: len(built)] == built
-        for appended, built in zip(cold.path_table.paths, table.paths)
-    )  # ids are first-seen: an append only ever extends the table
-    cold.close()
-
-
 def test_tuple_door_needs_no_path_table(monkeypatch):
-    """``mine_exceptions_weighted`` over plain pairs interns them into a
-    private postings: same kernel, no ``PathTable`` in sight."""
+    """``mine_exceptions_weighted`` over plain pairs interns them into the
+    cell's own postings: same kernel, no ``PathTable`` in sight."""
     from repro.core.flowgraph_exceptions import mine_exceptions_weighted
 
     def refuse(self, n_path_levels):
@@ -384,25 +303,21 @@ def test_tuple_door_needs_no_path_table(monkeypatch):
         compute_exceptions=False,
     )
     mined = 0
-    cache: dict = {}
     for cell in cube.cells():
         pairs = list(cell.paths)
         lists = []
-        for kwargs in (
-            {"kernel": "scan"},
-            {"kernel": "bitmap"},
-            {"kernel": "bitmap", "index_cache": cache},
-        ):
+        for kernel in ("scan", "bitmap"):
             graph = FlowGraph()
             for path, weight in pairs:
                 graph.add_path(path, weight)
             lists.append(
-                mine_exceptions_weighted(graph, pairs, 0.1, 0.05, **kwargs)
+                mine_exceptions_weighted(
+                    graph, pairs, 0.1, 0.05, kernel=kernel
+                )
             )
-        assert lists[0] == lists[1] == lists[2]
+        assert lists[0] == lists[1]
         mined += len(lists[0])
     assert mined
-    assert len(cache) == 1  # one private postings for the whole run
 
 
 # ----------------------------------------------------------------------

@@ -34,9 +34,10 @@ paths of its promoted cells' members and no other.
 And the ones one record per item cell makes true: a build encodes each
 item cell once, an append reads, decodes and encodes each dirty item
 cell once — one vector each, whatever the number of path levels — and a miss round builds one key catalog per item cuboid,
-whatever path levels it slices.  And the one an exception pass that
-owns its views makes true: derivations leave a handle's path table
-without a view.
+whatever path levels it slices.  And the ones mining in the cell's own
+id space makes true: a build and an append construct no postings,
+reading k cells' exceptions constructs k, and no cell index outlives
+its read.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
@@ -228,12 +229,13 @@ def test_an_exceptions_build_mines_and_expands_nothing(
     tmp_path, monkeypatch, n_paths
 ):
     """Exceptions are mined at a cell's first read: a store build and an
-    in-memory build with them on call the exception kernel 0 times and
-    expand 0 flowgraphs (parent: one kernel call and one graph per
-    cell)."""
+    in-memory build with them on call the exception kernel 0 times,
+    construct 0 postings and expand 0 flowgraphs (parent: one kernel call
+    and one graph per cell)."""
     database = generate_path_database(config(n_paths))
     store = ingested(tmp_path / "wh", database.schema, list(database))
     mined = Counted(monkeypatch, exception_kernel, "mine_exceptions_bitmap")
+    postings = Counted(monkeypatch, exception_kernel, "PathPostings")
     expand = Counted(monkeypatch, FlowGraph, "expand")
     graphs = graph_counters(monkeypatch)
     cube = build_cube(
@@ -244,6 +246,7 @@ def test_an_exceptions_build_mines_and_expands_nothing(
     assert cube.compute_exceptions and memory.compute_exceptions
     assert cube.n_cells() > n_paths // 10
     assert len(mined) == len(expand) == len(graphs["__init__"]) == 0
+    assert len(postings) == 0
     assert "exceptions" not in cube.build_stats["phase_seconds"]
     cube.close()
     store.close()
@@ -586,14 +589,22 @@ def test_a_derived_cell_adds_vectors_and_expands_one_graph(
     store.close()
 
 
+def live_indexes() -> int:
+    """How many exception-kernel cell indexes are alive, after a collection."""
+    gc.collect()
+    return sum(
+        isinstance(held, exception_kernel.CellExceptionIndex)
+        for held in gc.get_objects()
+    )
+
+
 @pytest.mark.parametrize("n_paths", SIZES)
 def test_derivations_leave_the_handles_postings_without_views(
     tmp_path, n_paths
 ):
-    """A derived cell mines through an exception pass of its own, and the
-    pass holds the fingerprint map views are shared through: many
-    distinct derivations through one façade leave the handle's path
-    table — which they all mine against — without a per-cell view."""
+    """A derived cell mines in its own id space, through postings and an
+    index that go with the call: many distinct derivations through one
+    façade leave no cell index alive."""
     database = generate_path_database(config(n_paths))
     schema = database.schema
     store = ingested(tmp_path / "wh", schema, list(database))
@@ -602,14 +613,7 @@ def test_derivations_leave_the_handles_postings_without_views(
         store, item_levels=[base], min_support=MIN_SUPPORT,
         into=store.cube_store(), stats=BuildStats(),
     ).close()
-    def views() -> int:
-        gc.collect()
-        return sum(
-            isinstance(held, exception_kernel.CellExceptionIndex)
-            for held in gc.get_objects()
-        )
-
-    before = views()
+    before = live_indexes()
     with store.cube_store() as cube:
         query = FlowCubeQuery(cube, derive=True)
         derived = mined = 0
@@ -619,9 +623,7 @@ def test_derivations_leave_the_handles_postings_without_views(
                 derived += len(cuboid)
                 mined += sum(bool(cell.exceptions) for cell in cuboid)
         assert derived > 10 and mined > 0
-        postings = cube.path_table.postings
-        assert not any(level.indexes for level in postings)
-        assert views() == before
+        assert live_indexes() == before
     store.close()
 
 
@@ -629,25 +631,31 @@ def test_derivations_leave_the_handles_postings_without_views(
 def test_reading_k_cells_exceptions_mines_k_cells_once(
     tmp_path, monkeypatch, n_paths
 ):
-    """A cell mines at the first read of its exceptions and keeps them:
-    reading k cells' exceptions mines exactly k cells, reading them again
-    mines none, and a plain cube's cells mine nothing at all."""
+    """A cell mines at the first read of its exceptions, over postings of
+    its own, and keeps them: reading k cells' exceptions mines exactly k
+    cells and constructs exactly k postings (parent: one per path level
+    of the cube's table), reading them again mines and constructs none,
+    no cell index outlives the reads, and a plain cube's cells mine
+    nothing at all."""
     database = generate_path_database(config(n_paths))
     store, cube = built(tmp_path / "wh", database, list(database), True)
     cube.close()
     mined = Counted(monkeypatch, exception_kernel, "mine_exceptions_bitmap")
+    postings = Counted(monkeypatch, exception_kernel, "PathPostings")
+    before = live_indexes()
     with store.cube_store(cache_size=100_000) as cold:
         cells = list(cold.cells())
         k = len(cells) // 2
         first = [cell.exceptions for cell in cells[:k]]
-        assert len(mined) == k > 1
+        assert len(mined) == len(postings) == k > 1
         for cell in cells[:k]:
             assert cell.flowgraph.exceptions is cell.exceptions
         again = [
             cold.cell(cell.item_level, cell.key, cell.path_level).exceptions
             for cell in cells[:k]
         ]
-        assert again == first and len(mined) == k
+        assert again == first and len(mined) == len(postings) == k
+        assert live_indexes() == before
         assert any([cell.exceptions for cell in cold.cells()])
         assert len(mined) == len(cells)
     build_cube(
@@ -707,11 +715,13 @@ def test_an_append_reads_its_candidates_partitions_and_adds_vectors(
     reads = Counted(monkeypatch, pathstore, "read_partition")
     published = Counted(monkeypatch, publish, "publish_file")
     mined = Counted(monkeypatch, exception_kernel, "mine_exceptions_bitmap")
+    postings = Counted(monkeypatch, exception_kernel, "PathPostings")
 
     stats = append_records(store, batch, cube=cube, compact_after=0)
 
-    # An exceptions cube's append mines no cell (parent: every dirty one).
-    assert len(mined) == 0
+    # An exceptions cube's append mines no cell (parent: every dirty one)
+    # and constructs no postings.
+    assert len(mined) == len(postings) == 0
     dirty = stats["updated"] + stats["created"]
     assert stats["updated"] > 0 and stats["promoted"] > 0
     selected = candidate_partitions(store, levels, held, batch)
