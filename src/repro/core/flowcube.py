@@ -252,8 +252,6 @@ class Cuboid:
     item_level: ItemLevel
     path_level: PathLevel
     cells: dict[CellKey, Cell] = field(default_factory=dict)
-    #: A stored cuboid's key-catalog masks; none precomputed in memory.
-    value_masks = None
 
     @property
     def keys(self) -> tuple[CellKey, ...]:

@@ -9,8 +9,9 @@ counting kernel (:mod:`repro.perf.bitmap`):
 
 * :class:`CuboidKeyCatalog` packs one cuboid's cell *ordinals* into
   bitmaps per ``(dimension, concept)`` — bit *i* is set iff the *i*-th
-  cell key holds that concept on that dimension — built from the key
-  index alone, with **zero cell-file IO**;
+  cell key holds that concept on that dimension — built from the keys
+  alone, with **zero cell-file IO**, at the first slice that needs it
+  (a store holds no masks: they are a function of the keys);
 * a slice constraint ``(dimension, wanted)`` becomes the OR of the
   concept masks over ``wanted``'s hierarchy descendant closure (a cell
   matches when its value *is* the wanted concept or a descendant of it —
@@ -76,57 +77,43 @@ class CuboidKeyCatalog:
             set bits of a match mask yields cells in cuboid order.
         hierarchies: One :class:`ConceptHierarchy` per dimension (the
             schema's ``dimensions``), used for descendant closures.
-        value_masks: Optional precomputed per-dimension ``{value:
-            ordinal bitmap}`` mappings over exactly these *keys* —
-            plain dicts, or the lazy mmap-backed
-            :class:`~repro.store.binfmt.LazyMaskMap` views a binary
-            cube's cell index hands out (each bitmap is decoded on
-            first access, so building the catalog reads no mask
-            bytes).  When given, the per-cell index pass is skipped
-            entirely.  Ownership transfers to the catalog — do not
-            mutate afterwards.
+
+    A catalog holds plain ints, so it keeps answering whatever happens
+    to the store its keys came from.
     """
 
     def __init__(
         self,
         keys: Sequence[CellKey],
         hierarchies: Sequence[ConceptHierarchy],
-        value_masks: list[dict[str, int]] | None = None,
     ) -> None:
         self.keys = tuple(keys)
         self._hierarchies = tuple(hierarchies)
-        n_dims = len(self._hierarchies)
         n_cells = len(self.keys)
-        if value_masks is not None:
-            self._value_masks = value_masks
-        else:
-            # Bucket each (dimension, value)'s cell ordinals first, then
-            # materialise every mask with byte-level bit stores and one
-            # ``int.from_bytes`` — O(cells) small-int work, where OR-ing
-            # a growing big-int per key re-copies ~n_cells/64 words per
-            # cell.  This is the cube-open hot path: the binary cell
-            # index hands over a million keys (and their precomputed
-            # masks) in milliseconds, so the fallback construction must
-            # not dwarf the decode it follows.
-            buckets: list[dict[str, list[int]]] = [{} for _ in range(n_dims)]
-            for ordinal, key in enumerate(self.keys):
-                for dim, value in enumerate(key):
-                    bucket = buckets[dim].get(value)
-                    if bucket is None:
-                        buckets[dim][value] = [ordinal]
-                    else:
-                        bucket.append(ordinal)
-            n_bytes = (n_cells + 7) >> 3
-            masks: list[dict[str, int]] = []
-            for per_dim in buckets:
-                dim_masks: dict[str, int] = {}
-                for value, positions in per_dim.items():
-                    bits = bytearray(n_bytes)
-                    for position in positions:
-                        bits[position >> 3] |= 1 << (position & 7)
-                    dim_masks[value] = int.from_bytes(bits, "little")
-                masks.append(dim_masks)
-            self._value_masks = masks
+        # Bucket each (dimension, value)'s cell ordinals first, then
+        # materialise every mask with byte-level bit stores and one
+        # ``int.from_bytes`` — linear small-int work, where OR-ing a
+        # growing big-int per key re-copies ~n_cells/64 words per cell
+        # (quadratic at 100k-path scale).
+        buckets: list[dict[str, list[int]]] = [{} for _ in self._hierarchies]
+        for ordinal, key in enumerate(self.keys):
+            for dim, value in enumerate(key):
+                bucket = buckets[dim].get(value)
+                if bucket is None:
+                    buckets[dim][value] = [ordinal]
+                else:
+                    bucket.append(ordinal)
+        n_bytes = (n_cells + 7) >> 3
+        masks: list[dict[str, int]] = []
+        for per_dim in buckets:
+            dim_masks: dict[str, int] = {}
+            for value, positions in per_dim.items():
+                bits = bytearray(n_bytes)
+                for position in positions:
+                    bits[position >> 3] |= 1 << (position & 7)
+                dim_masks[value] = int.from_bytes(bits, "little")
+            masks.append(dim_masks)
+        self._masks = masks
         self._all_mask = (1 << n_cells) - 1
         #: (dimension, wanted concept) -> descendant-closure mask.
         self._closure_cache: dict[tuple[int, str], int] = {}
@@ -141,7 +128,7 @@ class CuboidKeyCatalog:
 
     def value_mask(self, dim: int, value: str) -> int:
         """Cells whose key holds exactly *value* on dimension *dim*."""
-        return self._value_masks[dim].get(value, 0)
+        return self._masks[dim].get(value, 0)
 
     def closure_mask(self, dim: int, wanted: str) -> int:
         """Cells matching the slice constraint ``(dim, wanted)``.
@@ -154,7 +141,7 @@ class CuboidKeyCatalog:
         cached = self._closure_cache.get((dim, wanted))
         if cached is not None:
             return cached
-        per_dim = self._value_masks[dim]
+        per_dim = self._masks[dim]
         hierarchy = self._hierarchies[dim]
         mask = 0
         # Walk whichever side is smaller: a narrow closure ORs its few
@@ -165,14 +152,10 @@ class CuboidKeyCatalog:
             for concept in closure:
                 mask |= per_dim.get(concept, 0)
         else:
-            # Probe by key and fetch only the members' masks: with a
-            # lazy mmap-backed mask map (binary stores) this decodes
-            # just the bitmaps the slice actually ANDs, instead of
-            # materialising every value's mask via ``items()``.
             members = set(closure)
-            for value in per_dim.keys():
+            for value, value_mask in per_dim.items():
                 if value in members:
-                    mask |= per_dim.get(value, 0)
+                    mask |= value_mask
         self._closure_cache[(dim, wanted)] = mask
         return mask
 
@@ -195,47 +178,45 @@ class CuboidKeyCatalog:
 
 
 class CatalogPool:
-    """Shared, versioned registry of :class:`CuboidKeyCatalog` instances.
+    """Shared registry of :class:`CuboidKeyCatalog` instances.
 
     A long-lived server answers many requests over the same cuboids;
     rebuilding the key catalog per :class:`~repro.query.api.FlowCubeQuery`
     object (or per request) would redo the same index pass.  A catalog is
     a function of the keys alone, which no path level changes, so the
-    pool memoises one per *item* cuboid, keyed by the cube's mutation
-    *version* and the keys, so a store rebuild
-    naturally replaces stale entries instead of leaking them.  All
-    methods are thread-safe; catalog construction happens outside the
-    lock (two racing builders do redundant work, never corrupt state).
+    pool files one per *item* cuboid under its keys: a reload or an
+    append that leaves an item cuboid's keys as they were keeps its
+    catalog (and its closure cache), and one that changes them replaces
+    the entry instead of leaking it.  All methods are thread-safe;
+    catalog construction happens outside the lock (two racing builders
+    do redundant work, never corrupt state).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: item level -> (version, keys, catalog).
-        self._entries: dict[Any, tuple[Any, tuple, CuboidKeyCatalog]] = {}
+        #: item level -> (keys, catalog).
+        self._entries: dict[Any, tuple[tuple, CuboidKeyCatalog]] = {}
         self.hits = 0
         self.builds = 0
 
     def catalog(
-        self,
-        cuboid,
-        hierarchies: Sequence[ConceptHierarchy],
-        version: Any = 0,
+        self, cuboid, hierarchies: Sequence[ConceptHierarchy]
     ) -> CuboidKeyCatalog:
-        """The cuboid's catalog, built at most once per item level,
-        version and key sequence."""
+        """The cuboid's catalog, built at most once per item level and
+        key sequence."""
         keys = cuboid.keys
+        item_level = cuboid.item_level
         with self._lock:
-            entry = self._entries.get(cuboid.item_level)
-            if (
-                entry is not None
-                and entry[0] == version
-                and (entry[1] is keys or entry[1] == keys)
-            ):
+            entry = self._entries.get(item_level)
+            if entry is not None and (entry[0] is keys or entry[0] == keys):
+                # Equal keys in a new tuple (a reload, a FlowCube cuboid)
+                # are re-filed under it, so the next look is by identity.
+                self._entries[item_level] = (keys, entry[1])
                 self.hits += 1
-                return entry[2]
-        catalog = CuboidKeyCatalog(keys, hierarchies, cuboid.value_masks)
+                return entry[1]
+        catalog = CuboidKeyCatalog(keys, hierarchies)
         with self._lock:
-            self._entries[cuboid.item_level] = (version, keys, catalog)
+            self._entries[item_level] = (keys, catalog)
             self.builds += 1
         return catalog
 

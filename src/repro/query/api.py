@@ -318,27 +318,18 @@ class FlowCubeQuery:
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
-        out = tuple(self._slice_cells(level, constraints, version))
+        out = tuple(self._slice_cells(level, constraints))
         self._cache.put(cache_key, out)
         return out
 
     def _slice_cells(
-        self,
-        level: PathLevel,
-        constraints: list[tuple[int, str]],
-        version: int,
+        self, level: PathLevel, constraints: list[tuple[int, str]]
     ) -> Iterator[Cell]:
         for cuboid in self.cube.cuboids:
             if cuboid.path_level != level:
                 continue
             if self.kernel == "index":
-                # The pool rebuilds a catalog when the cube's version or
-                # the cuboid's size changes.  *version* was read before
-                # the cuboids, so it is never newer than the cuboid: a
-                # catalog of a superseded cube is never filed as current.
-                catalog = self._pool.catalog(
-                    cuboid, self._hierarchies, version
-                )
+                catalog = self._pool.catalog(cuboid, self._hierarchies)
                 yield from cuboid.cells_for(catalog.matching_keys(constraints))
             else:
                 for cell in cuboid:

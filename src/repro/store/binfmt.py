@@ -2,7 +2,7 @@
 
 The store reads and writes one layout — ``FCPART03`` partitions over a
 shared ``FCSTRS02`` string table, an ``FCHEAP08`` cell heap addressed
-through an ``FCCIDX03`` index, its records vectors over an ``FCPATH04``
+through an ``FCCIDX04`` index, its records vectors over an ``FCPATH04``
 path table — and this module defines it (see DESIGN.md for byte
 diagrams).  The four sectioned containers are each one :class:`Layout`
 table that their writer and their reader both go through, and every
@@ -19,9 +19,8 @@ published file is opened by :func:`map_file`:
 * :func:`pack_cell_index` / :func:`unpack_cell_index` — the cell-heap
   index (``cells.idx``): per *item cell* (an item level and key, whose
   members no path level changes) its key and ``(offset, length,
-  n_paths, redundant marks)``, per item cuboid one set of catalog masks,
-  in columnar arenas a reader decodes with a few C-speed ``zip`` passes
-  and *zero* cell-payload IO;
+  n_paths, redundant marks)``, in columnar arenas a reader decodes with
+  a few C-speed ``zip`` passes and *zero* cell-payload IO;
 * :class:`StringTable` — the shared per-store intern table
   (``strings.bin``): one mmap'd vocabulary for every partition, each
   partition carrying only a small local→global remap arena instead of
@@ -35,11 +34,11 @@ published file is opened by :func:`map_file`:
 * :func:`pack_paths` / :func:`unpack_paths` — the cube's path table
   (``paths.bin``): every level's aggregated paths, each stage one ref
   into a table of distinct ``(location, duration)`` pairs, and the joint
-  columns that map a vector to each level;
-* :class:`MaskArena` / :class:`LazyMaskMap` — lazily-sliced catalog
-  masks: ``cells.idx`` stays mmap'd and each ``(item cuboid, dim,
-  value)`` bitmap is decoded with one ``int.from_bytes`` over the map
-  the first time a query actually ANDs it, never during open.
+  columns that map a vector to each level.
+
+A slice's key catalog is not stored: it is a function of an item
+cuboid's keys, which :class:`~repro.perf.query_kernel.CuboidKeyCatalog`
+derives at the first slice that needs it.
 
 Earlier releases also wrote CSV partitions, one JSON file per cell and
 the ``RETIRED_*`` generations (``FCHEAP02`` each cell's serialised
@@ -50,7 +49,8 @@ path level's exceptions in each record, ``FCPATH01`` a path table
 without joint columns, ``FCPATH02`` one without a checksum;
 ``FCPART02``, ``FCSTRS01``, ``FCCIDX02``, ``FCPATH03`` and ``FCHEAP07``
 ``int64`` columns, two words per stage, no checksum on the first three
-and a length prefix per heap record).  No reader or writer for them
+and a length prefix per heap record, ``FCCIDX03`` every item cuboid's
+catalog masks beside its keys).  No reader or writer for them
 survives: meeting one raises :func:`retired_layout`'s
 :class:`StoreError` instead of decoding it.
 
@@ -114,8 +114,6 @@ __all__ = [
     "RETIRED_STRINGS_MAGICS",
     "STRINGS_FILENAME",
     "STRINGS_MAGIC",
-    "LazyMaskMap",
-    "MaskArena",
     "PartitionColumns",
     "StringTable",
     "check_heap_magic",
@@ -163,12 +161,12 @@ STRINGS_FILENAME = "strings.bin"
 
 #: Leading 8 bytes of a cell-heap index file (``cells.idx``): one entry
 #: per item cell.
-INDEX_MAGIC = b"FCCIDX03"
+INDEX_MAGIC = b"FCCIDX04"
 
 #: Leading 8 bytes of the retired index generations (one entry per cell
-#: and path level; ``int64`` columns without a checksum); compared
-#: against only to reject them.
-RETIRED_INDEX_MAGICS = (b"FCCIDX01", b"FCCIDX02")
+#: and path level; ``int64`` columns without a checksum; stored catalog
+#: masks); compared against only to reject them.
+RETIRED_INDEX_MAGICS = (b"FCCIDX01", b"FCCIDX02", b"FCCIDX03")
 
 #: Leading 8 bytes of the retired cell-heap generations (JSON payloads;
 #: serialised flowgraphs; records that repeated their cell's
@@ -299,6 +297,10 @@ _LAST_READERS = {
         "the one at commit f3a84f9",
         f"remove the store's cube/ directory and {_REBUILD}",
     ),
+    "FCCIDX03": (
+        "the one at commit 6a2762c",
+        f"remove the store's cube/ directory and {_REBUILD}",
+    ),
     "FCPART02": ("the one at commit f3a84f9", _REINGEST),
     "FCSTRS01": ("the one at commit f3a84f9", _REINGEST),
 }
@@ -362,24 +364,8 @@ def map_file(path, what: str) -> mmap.mmap:
         raise StoreError(f"cannot map {what} {path}: {exc}") from None
 
 
-def _mask_width(n_cells: int) -> int:
-    """Bytes one catalog mask of an *n_cells* cuboid occupies (⌈8⌉)."""
-    n_bytes = (n_cells + 7) >> 3
-    return n_bytes + _pad8(n_bytes)
-
-
-def _mask_bytes(cuboid_table: array, mask_counts: array, n_dims: int) -> int:
-    """Total bytes of ``FCCIDX03``'s mask bits: every (item cuboid,
-    dimension, value) mask at its cuboid's :func:`_mask_width`."""
-    total = 0
-    for row, n_cells in enumerate(cuboid_table[:: 1 + n_dims]):
-        n_masks = sum(mask_counts[row * n_dims : (row + 1) * n_dims])
-        total += n_masks * _mask_width(n_cells)
-    return total
-
-
 #: What a section's count expression may call besides arithmetic.
-_COUNT_FUNCTIONS = {"__builtins__": {}, "sum": sum, "mask_bytes": _mask_bytes}
+_COUNT_FUNCTIONS = {"__builtins__": {}, "sum": sum}
 
 
 class Layout:
@@ -394,7 +380,7 @@ class Layout:
     ``H`` / ``I`` / ``Q`` that holds them, ``q`` when one is negative —
     the code is the header's), ``"d"`` (``float64``) or ``"B"`` (bytes),
     every section zero-padded to 8 bytes, and *count* an expression over
-    the header fields and the sections before it (``sum(mask_counts)``
+    the header fields and the sections before it (``sum(joint_counts)``
     is why a count may read an earlier section).  DESIGN.md §5 draws the
     same tables as byte diagrams; ``tests/test_binfmt.py`` holds the two
     together.
@@ -500,7 +486,7 @@ class Layout:
         return out
 
 
-#: The string-table pair of sections ``FCSTRS02``, ``FCCIDX03`` and
+#: The string-table pair of sections ``FCSTRS02``, ``FCCIDX04`` and
 #: ``FCPATH04`` share.
 _STRING_SECTIONS = (
     ("str_offsets", "u", "n_strings + 1"),
@@ -957,118 +943,6 @@ def unpack_paths(buffer) -> tuple[int, list[list[tuple]], list[list[int]]]:
 
 
 # --------------------------------------------------------------------------
-# Lazily-sliced catalog masks
-# --------------------------------------------------------------------------
-
-
-class MaskArena:
-    """Owner of the masks region of an mmap'd ``cells.idx``.
-
-    Hands out :class:`LazyMaskMap` views whose bitmaps are decoded from
-    the map — one ``int.from_bytes`` over exactly the mask's bytes — the
-    first time a query ANDs them, and memoised after that.  ``counters``
-    (shared with the owning store backend) tallies every decode so the
-    benchmark tripwire can prove masks really stream from the index.
-
-    :meth:`close` materialises whatever the outstanding maps have *not*
-    decoded yet before the buffer is dropped, so a catalog built against
-    a superseded map keeps answering queries after ``maybe_reload()``
-    swapped the backend underneath it.
-    """
-
-    __slots__ = ("_buffer", "_maps", "counters")
-
-    def __init__(self, buffer, counters: dict | None = None) -> None:
-        self._buffer = buffer
-        self._maps: list[LazyMaskMap] = []
-        self.counters = counters if counters is not None else {}
-
-    def new_map(self, spans: dict[str, tuple[int, int]]) -> "LazyMaskMap":
-        mask_map = LazyMaskMap(self, spans)
-        self._maps.append(mask_map)
-        return mask_map
-
-    def read(self, start: int, end: int) -> int:
-        buffer = self._buffer
-        if buffer is None:
-            raise StoreError("cell index is closed")
-        self.counters["mask_bits_decoded"] = (
-            self.counters.get("mask_bits_decoded", 0) + 1
-        )
-        return int.from_bytes(buffer[start:end], "little")
-
-    def close(self, materialise: bool = True) -> None:
-        """Drop the buffer, first decoding what live maps still need.
-
-        *materialise* is False for a final (user-initiated) store close,
-        where later mask reads are a caller bug and should raise rather
-        than silently pay a full eager decode.
-        """
-        if self._buffer is None:
-            return
-        if materialise:
-            for mask_map in self._maps:
-                mask_map.materialise()
-        # The maps keep pointing here (a read after close must raise);
-        # letting go of them is what lets a closed index die by reference
-        # count instead of waiting, arena <-> maps, for the cyclic collector.
-        self._maps = []
-        self._buffer = None
-
-
-class LazyMaskMap:
-    """One cuboid dimension's ``{value: cell-ordinal bitmap}``, lazily.
-
-    Quacks like the plain dict
-    :class:`~repro.perf.query_kernel.CuboidKeyCatalog` used to copy the
-    masks into — ``get`` / ``items`` / ``keys`` / iteration / ``len`` —
-    but each bitmap stays a ``(start, end)`` span over the mmap'd index
-    until the first access decodes it.
-    """
-
-    __slots__ = ("_arena", "_masks", "_spans")
-
-    def __init__(self, arena: MaskArena, spans: dict[str, tuple[int, int]]) -> None:
-        self._arena = arena
-        self._spans = spans
-        self._masks: dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __contains__(self, value) -> bool:
-        return value in self._spans
-
-    def __iter__(self):
-        return iter(self._spans)
-
-    def keys(self):
-        return self._spans.keys()
-
-    def get(self, value, default=0):
-        mask = self._masks.get(value)
-        if mask is None:
-            span = self._spans.get(value)
-            if span is None:
-                return default
-            mask = self._arena.read(span[0], span[1])
-            self._masks[value] = mask
-        return mask
-
-    def items(self):
-        if len(self._masks) != len(self._spans):
-            self.materialise()
-        return self._masks.items()
-
-    def materialise(self) -> None:
-        """Decode every remaining span (used by :meth:`MaskArena.close`)."""
-        masks = self._masks
-        for value, span in self._spans.items():
-            if value not in masks:
-                masks[value] = self._arena.read(span[0], span[1])
-
-
-# --------------------------------------------------------------------------
 # Columnar partitions
 # --------------------------------------------------------------------------
 
@@ -1283,15 +1157,6 @@ def unpack_partition(
 #: slices each item cuboid's run without per-cell bookkeeping, and
 #: ``redundant`` holds one byte per (cell, path level) — ``n_levels``,
 #: the width of the cube's path lattice — row by row.
-#:
-#: The trailing three sections precompute what
-#: :class:`~repro.perf.query_kernel.CuboidKeyCatalog` would otherwise
-#: derive cell by cell, once per item cuboid for every path level:
-#: ``mask_counts`` holds, per (item cuboid, dimension), the number of
-#: distinct values; ``mask_refs`` each one's string ref; ``mask_bits``
-#: each one's little-endian bitmap of the cell *ordinals* holding it,
-#: ``⌈cuboid cells / 8⌉`` bytes zero-padded to 8 — one
-#: ``int.from_bytes`` per value instead of a Python pass over every cell.
 INDEX_LAYOUT = Layout(
     INDEX_MAGIC,
     RETIRED_INDEX_MAGICS,
@@ -1305,9 +1170,6 @@ INDEX_LAYOUT = Layout(
         ("lengths", "u", "n_cells"),
         ("n_paths", "u", "n_cells"),
         ("redundant", "B", "n_cells * n_levels"),
-        ("mask_counts", "u", "n_cuboids * n_dims"),
-        ("mask_refs", "u", "sum(mask_counts)"),
-        ("mask_bits", "B", "mask_bytes(cuboid_table, mask_counts, n_dims)"),
     ),
 )
 
@@ -1327,19 +1189,13 @@ def pack_cell_index(cuboids: Iterable, n_dims: int, n_levels: int) -> bytes:
     lengths: list[int] = []
     n_paths_column: list[int] = []
     redundant_column = bytearray()
-    mask_counts: list[int] = []
-    mask_refs: list[int] = []
-    mask_bits: list[bytes] = []
     n_cuboids = n_cells = 0
     for item_level, cells in cuboids:
         n_cuboids += 1
         count = 0
-        buckets: list[dict[int, list[int]]] = [{} for _ in range(n_dims)]
         for key, offset, length, n_paths, redundant in cells:
-            for dim, part in enumerate(key):
-                ref = interned.setdefault(part, len(interned))
-                key_refs.append(ref)
-                buckets[dim].setdefault(ref, []).append(count)
+            for part in key:
+                key_refs.append(interned.setdefault(part, len(interned)))
             count += 1
             offsets.append(offset)
             lengths.append(length)
@@ -1353,15 +1209,6 @@ def pack_cell_index(cuboids: Iterable, n_dims: int, n_levels: int) -> bytes:
             )
         cuboid_table.extend(row)
         n_cells += count
-        width = _mask_width(count)
-        for per_dim in buckets:
-            mask_counts.append(len(per_dim))
-            for ref, positions in per_dim.items():
-                mask_refs.append(ref)
-                bits = bytearray(width)
-                for position in positions:
-                    bits[position >> 3] |= 1 << (position & 7)
-                mask_bits.append(bytes(bits))
     string_offsets, blob = _pack_strings(interned)
     return INDEX_LAYOUT.pack(
         (n_cuboids, n_cells, n_dims, len(interned), len(blob), n_levels),
@@ -1373,36 +1220,27 @@ def pack_cell_index(cuboids: Iterable, n_dims: int, n_levels: int) -> bytes:
         lengths,
         n_paths_column,
         redundant_column,
-        mask_counts,
-        mask_refs,
-        b"".join(mask_bits),
     )
 
 
-def unpack_cell_index(buffer, mask_arena: MaskArena, n_levels: int) -> list[tuple]:
-    """Decode ``cells.idx`` → ``[(item_level_ids, keys, entries, masks)]``
-    with entries as ``(offset, length, n_paths, redundant)`` — one
-    *redundant* mark per path level — and masks as one ``{value: ordinal
-    bitmap}`` mapping per dimension.
+def unpack_cell_index(buffer, n_levels: int) -> list[tuple]:
+    """Decode ``cells.idx`` → ``[(item_level_ids, keys, entries)]`` with
+    entries as ``(offset, length, n_paths, redundant)`` — one *redundant*
+    mark per path level.
 
     Everything per-cell happens inside C loops: one ``map`` decodes the
     key refs, one ``zip`` transpose rebuilds the key tuples, one
-    four-column ``zip`` materialises the entry tuples.  What the framing
-    cannot see is a :class:`StoreError` before anything is handed out:
-    another path-lattice width than *n_levels*, string offsets that
-    disagree with the blob, a string or mask ref past the string table,
-    item-cuboid counts that do not sum to ``n_cells``, a negative item
-    level.
-
-    *mask_arena* wraps the same (typically mmap'd) *buffer*: masks come
-    back as its :class:`LazyMaskMap` views holding only byte spans, so
-    the open does **zero** mask decoding and each bitmap streams out of
-    the map the first time a query ANDs it.
+    four-column ``zip`` materialises the entry tuples.  Nothing handed
+    back refers to *buffer*, so a mapped caller may close it at once.
+    What the framing cannot see is a :class:`StoreError` before anything
+    is handed out: another path-lattice width than *n_levels*, string
+    offsets that disagree with the blob, a string ref past the string
+    table, item-cuboid counts that do not sum to ``n_cells``, a negative
+    item level.
     """
     opened = INDEX_LAYOUT.open(buffer)
     n_dims, n_cells = opened["n_dims"], opened["n_cells"]
     cuboid_table = opened["cuboid_table"]
-    mask_counts, mask_refs = opened["mask_counts"], opened["mask_refs"]
     key_refs = opened["key_refs"]
     width = 1 + n_dims
     try:
@@ -1412,9 +1250,8 @@ def unpack_cell_index(buffer, mask_arena: MaskArena, n_levels: int) -> list[tupl
                 f"lattice has {n_levels}"
             )
         strings = _strings(opened, buffer)
-        for refs in (key_refs, mask_refs):
-            if refs and (min(refs) < 0 or max(refs) >= len(strings)):
-                raise ValueError("a string ref past the string table")
+        if key_refs and (min(key_refs) < 0 or max(key_refs) >= len(strings)):
+            raise ValueError("a string ref past the string table")
         counts = cuboid_table[::width]
         if min(cuboid_table, default=0) < 0:
             raise ValueError("a negative cell count or item level")
@@ -1431,23 +1268,13 @@ def unpack_cell_index(buffer, mask_arena: MaskArena, n_levels: int) -> list[tupl
             _rows(marks, n_levels, n_cells),
         )
     )
-    out, position, mask_at, offset = [], 0, 0, opened["mask_bits"][0]
+    out, position = [], 0
     for row, count in enumerate(counts):
-        padded = _mask_width(count)
-        masks = []
-        for n_values in mask_counts[row * n_dims : (row + 1) * n_dims]:
-            spans: dict[str, tuple[int, int]] = {}
-            for ref in mask_refs[mask_at : mask_at + n_values]:
-                spans[strings[ref]] = (offset, offset + padded)
-                offset += padded
-            masks.append(mask_arena.new_map(spans))
-            mask_at += n_values
         out.append(
             (
                 tuple(cuboid_table[row * width + 1 : (row + 1) * width]),
                 keys[position : position + count],
                 entries[position : position + count],
-                masks,
             )
         )
         position += count

@@ -163,7 +163,8 @@ class Catalog:
         }
         self.directory.mkdir(parents=True, exist_ok=True)
         publish.publish_file(
-            self.path, json.dumps(payload, indent=1).encode("utf-8")
+            self.path,
+            json.dumps(payload, separators=(",", ":")).encode("utf-8"),
         )
 
     @classmethod

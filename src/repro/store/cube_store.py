@@ -29,13 +29,14 @@ function of its records' raw paths, so the heap holds one ``FCHEAP08``
 record per item cell — its record ids and its one ``(joint id, weight)``
 vector once, under a CRC-32
 (:func:`~repro.store.binfmt.encode_cell_payload`) — and the index one
-entry: key, ``n_paths``, the record's extent, one ``redundant`` mark per
-path level, and one set of catalog masks per item cuboid.  No flowgraph
+entry: key, ``n_paths``, the record's extent and one ``redundant`` mark
+per path level.  No flowgraph
 and no coordinate is in a record; its joint ids resolve through the
 cube's path table (``paths.bin``: every level's paths and the columns
 that map a joint id to each), loaded at the first multiset a reader
-asks for.  The index is one packed, mmap'd arena: an open reads zero
-heap bytes, and the masks stay lazy byte spans until a query ANDs them.
+asks for.  The index is one packed arena, mapped, decoded and closed at
+open: an open reads zero heap bytes.  A slice's key catalog is derived
+from an item cuboid's keys, never stored.
 This is the only layout the store reads or writes: a ``cube.json``
 naming another ``"format"`` (or none), an index, a heap or a path table
 with a retired generation's magic is a :class:`~repro.errors.StoreError`,
@@ -219,6 +220,9 @@ def changed_coords(before: Served, after: Served) -> frozenset[Coords] | None:
 
 def _new_io_counters() -> dict[str, int]:
     """Fresh read-path telemetry (see :meth:`CubeStore.io_counters`)."""
+    # Shim: benchmarks/flowbench/layers.py reads "mask_bits_decoded", a
+    # structural 0 (catalog masks are derived from keys, never decoded);
+    # the key goes with the [benchmark] PR.
     return {"heap_bytes_read": 0, "mask_bits_decoded": 0, "cells_decoded": 0}
 
 
@@ -314,7 +318,7 @@ class _Segment:
 
 
 class _HeapCells:
-    """The cube's files: heap segments, the mmap'd index, their names.
+    """The cube's files: heap segments, the index, their names.
 
     The *slot* packed into every index entry is the only thing that
     tells heap files apart, and ``cube.json`` maps each live slot to a
@@ -328,11 +332,9 @@ class _HeapCells:
     ever replaced; :meth:`finalise` publishes segment → index, the
     caller the meta file — the commit point — and :meth:`sweep` follows.
 
-    A cold open touches the index file only, which is itself mmap'd
-    with the catalog masks left as
-    :class:`~repro.store.binfmt.LazyMaskMap` spans.  ``io_counters``
-    tallies heap bytes read, mask bitmaps decoded and cells decoded;
-    the first two stay zero across an open.
+    A cold open touches the index file only: it maps it, decodes it
+    and closes the map.  ``io_counters`` tallies heap bytes read and
+    cells decoded; both stay zero across an open.
     """
 
     def __init__(
@@ -353,13 +355,8 @@ class _HeapCells:
         self._segments: dict[int, _Segment] = {}
         #: The staged segment writes go to, if any (also in _segments).
         self._writing: _Segment | None = None
-        self._index_mmap: mmap.mmap | None = None
-        self._mask_arena: binfmt.MaskArena | None = None
-        #: item level -> per-dimension catalog masks for every path level:
-        #: lazy mmap-backed views handed out by :meth:`load`.
-        self.cell_masks: dict = {}
-        #: Read-path telemetry (shared with the mask arena and with
-        #: every :class:`_RecordLoader` of a read through this backend).
+        #: Read-path telemetry (shared with every :class:`_RecordLoader`
+        #: of a read through this backend).
         self.io_counters = _new_io_counters()
 
     @property
@@ -510,11 +507,9 @@ class _HeapCells:
         """Rebuild the whole index from the listed index file — zero
         heap IO.
 
-        The index file is mmap'd and stays mapped: keys and entries are
-        decoded eagerly (cheap columnar ``zip`` passes), while the
-        catalog masks remain byte spans over the map, each bitmap
-        decoded the first time a query ANDs it.  Slot-tagged entries
-        resolve through the listed segments' maps on first touch.
+        The index file is mapped, decoded (cheap columnar ``zip``
+        passes) and closed.  Slot-tagged entries resolve through the
+        listed segments' maps on first touch.
         """
         files = payload.get("files")
         if files is None:
@@ -527,40 +522,22 @@ class _HeapCells:
         self.generation = int(payload["generation"])
         slots = {int(slot): name for slot, name in files["segments"].items()}
         self.files = {**files, "segments": slots}
-        self._index_mmap = binfmt.map_file(
+        with binfmt.map_file(
             self.directory / files["index"], "cell index"
-        )
-        self._mask_arena = binfmt.MaskArena(
-            self._index_mmap, self.io_counters
-        )
-        index: dict[ItemLevel, dict[CellKey, Entry]] = {}
-        self.cell_masks = {}
-        for levels, keys, entries, masks in binfmt.unpack_cell_index(
-            self._index_mmap, self._mask_arena, n_levels
-        ):
-            item_level = ItemLevel(levels)
-            index[item_level] = dict(zip(keys, entries))
-            self.cell_masks[item_level] = masks
-        return index
+        ) as mapped:
+            return {
+                ItemLevel(levels): dict(zip(keys, entries))
+                for levels, keys, entries in binfmt.unpack_cell_index(
+                    mapped, n_levels
+                )
+            }
 
-    def close(self, materialise: bool = True) -> None:
-        """Release every map and handle; abandon a staged segment.
-
-        With *materialise* (the reload path), masks still referenced by
-        live catalogs are decoded out of the index map before it is
-        closed, so an in-flight query keeps answering; a final
-        (user-initiated) close passes False and later mask reads raise.
-        """
+    def close(self) -> None:
+        """Release every map and handle; abandon a staged segment."""
         segments, self._segments = self._segments, {}
         self._writing = self._drawn = None
         for segment in segments.values():
             segment.close()
-        arena, self._mask_arena = self._mask_arena, None
-        if arena is not None:
-            arena.close(materialise)
-        if self._index_mmap is not None:
-            self._index_mmap.close()
-            self._index_mmap = None
 
 
 def new_lineage() -> int:
@@ -698,17 +675,12 @@ class StoredCuboid:
         item_level: ItemLevel,
         path_level: PathLevel,
         keys: tuple[CellKey, ...],
-        value_masks: list[dict[str, int]] | None = None,
     ) -> None:
         self._store = store
         self.item_level = item_level
         self.path_level = path_level
         self._keys = keys
         self._key_set = frozenset(keys)
-        #: Per-dimension ``{value: cell-ordinal bitmap}`` decoded from
-        #: the cell index (``None`` once an in-memory merge superseded
-        #: it); lets key catalogs skip their per-cell index pass.
-        self.value_masks = value_masks
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -1121,10 +1093,6 @@ class CubeStore:
                 }
             self._index = new_index
             self._served = None
-            # The catalog masks decoded from the superseded index no
-            # longer describe the merged layout; drop them so catalogs
-            # derive from keys until the next load maps the new index.
-            self._cells.cell_masks = {}
             self._cache.clear()
             self._bump_version()
 
@@ -1182,7 +1150,7 @@ class CubeStore:
                     "cells": done,
                 }
             self.flush()
-            old.close(materialise=False)  # maps of files the flush swept
+            old.close()  # maps of files the flush swept
             return done
 
     def flush(self, build_stats=None) -> None:
@@ -1228,7 +1196,7 @@ class CubeStore:
                 # from the stat publish_file took before the rename.
                 stat = publish.publish_file(
                     self.directory / META_FILENAME,
-                    json.dumps(payload, indent=1).encode("utf-8"),
+                    json.dumps(payload, separators=(",", ":")).encode("utf-8"),
                 )
                 self._meta_signature = (stat.st_mtime_ns, stat.st_size)
                 self._served = (
@@ -1319,7 +1287,7 @@ class CubeStore:
             served = (index, cells.files["segments"], paths.lineage)
             changed = None if before is None else changed_coords(before, served)
         except BaseException:
-            cells.close(materialise=False)
+            cells.close()
             raise
         self._meta_signature = signature
         self.min_support, self.min_deviation = thresholds
@@ -1365,16 +1333,13 @@ class CubeStore:
     def close(self) -> None:
         """Release every backend file handle and map (idempotent).
 
-        Unlike a reload (which decodes still-referenced lazy masks out
-        of the index map before dropping it), a final close drops the
-        maps outright — subsequent mask or heap reads raise
-        :class:`~repro.errors.StoreError`.  The handle itself stays
-        usable: the next :meth:`maybe_reload` / :meth:`_load_meta`
-        reopens the files.  A write that was staged and not flushed is
-        abandoned, and the writer lock released.
+        The handle itself stays usable: a later cell read maps its heap
+        file again, and the next :meth:`maybe_reload` /
+        :meth:`_load_meta` reopens the index.  A write that was staged
+        and not flushed is abandoned, and the writer lock released.
         """
         with self._lock:
-            self._cells.close(materialise=False)
+            self._cells.close()
             self._cache.clear()
             self._writer.release()
 
@@ -1388,8 +1353,8 @@ class CubeStore:
         """Snapshot of the backend's read-path telemetry.
 
         ``heap_bytes_read`` counts payload bytes pulled out of the heap
-        segments; ``mask_bits_decoded`` counts catalog bitmaps decoded
-        from the index map.  Both stay zero across a cold open.
+        segments, and stays zero across a cold open.  ``mask_bits_decoded``
+        is always 0: catalog masks are derived from keys, never decoded.
         ``cells_decoded`` counts cells whose flowgraph was expanded (first
         read of a stored cell's graph): a cell can be *read* — its
         bytes copied, ``heap_bytes_read`` moved — and never decoded.
@@ -1483,8 +1448,7 @@ class CubeStore:
         self, item_level: ItemLevel, path_level: PathLevel
     ) -> StoredCuboid:
         _, entries = self._cuboid_entries(item_level, path_level)
-        masks = self._cells.cell_masks.get(item_level)
-        return StoredCuboid(self, item_level, path_level, tuple(entries), masks)
+        return StoredCuboid(self, item_level, path_level, tuple(entries))
 
     @property
     def version(self) -> int:
@@ -1523,18 +1487,17 @@ class CubeStore:
     @property
     def cuboids(self) -> tuple[StoredCuboid, ...]:
         """Every cuboid, memoised per version; an item cuboid's cuboids
-        share its keys and catalog masks."""
+        share its keys."""
         with self._lock:
             lattice = self._require_built()
             cached = self._cuboids_cache
             if cached is not None and cached[0] == self._version:
                 return cached[1]
-            masks = self._cells.cell_masks
             cuboids = []
             for item_level, entries in self._index.items():
                 keys = tuple(entries)
                 cuboids += (
-                    StoredCuboid(self, item_level, level, keys, masks.get(item_level))
+                    StoredCuboid(self, item_level, level, keys)
                     for level in lattice
                 )
             self._cuboids_cache = (self._version, tuple(cuboids))

@@ -72,7 +72,6 @@ from repro.store.binfmt import (
     PARTITION_LAYOUT,
     PATHS_LAYOUT,
     STRINGS_LAYOUT,
-    MaskArena,
     StringTable,
     _open_record,
     decode_cell_ids,
@@ -218,7 +217,7 @@ def test_every_width_boundary_round_trips(value, code):
     if value >= 0:  # the same boundary in an index column
         index = pack_cell_index([((0,), [(("k",), value, 4, 2, (True,))])], 1, 1)
         assert INDEX_LAYOUT.open(index)["offsets"].typecode == code
-        ((_, _, entries, _),) = unpack_cell_index(index, MaskArena(index), 1)
+        ((_, _, entries),) = unpack_cell_index(index, 1)
         assert entries == [(value, 4, 2, (True,))]
 
 
@@ -228,7 +227,7 @@ def test_a_delta_offset_carries_its_segment_bits_in_q():
     offset = pack_segment_offset(3, 40)
     blob = pack_cell_index([((0,), [(("k",), offset, 4, 2, ())])], 1, 0)
     assert INDEX_LAYOUT.open(blob)["offsets"].typecode == "Q"
-    ((_, _, entries, _),) = unpack_cell_index(blob, MaskArena(blob), 0)
+    ((_, _, entries),) = unpack_cell_index(blob, 0)
     assert entries == [(offset, 4, 2, ())]
 
 
@@ -356,22 +355,13 @@ def cell_indexes(draw):
 def test_cell_index_codec_is_a_fixed_point(case):
     cuboids, n_dims, n_levels = case
     blob = pack_cell_index(cuboids, n_dims, n_levels)
-    decoded = unpack_cell_index(blob, MaskArena(blob), n_levels)
+    decoded = unpack_cell_index(blob, n_levels)
     assert len(decoded) == len(cuboids)
     for (item_level, cells), got in zip(cuboids, decoded):
-        got_levels, got_keys, got_entries, got_masks = got
+        got_levels, got_keys, got_entries = got
         assert got_levels == item_level
         assert got_keys == [cell[0] for cell in cells]
         assert got_entries == [cell[1:] for cell in cells]
-        # The precomputed catalog masks are exactly what a per-cell
-        # index pass over the keys would produce.
-        expected: list[dict[str, int]] = [{} for _ in range(n_dims)]
-        for ordinal, key in enumerate(got_keys):
-            for dim, value in enumerate(key):
-                expected[dim][value] = expected[dim].get(value, 0) | (
-                    1 << ordinal
-                )
-        assert [dict(masks.items()) for masks in got_masks] == expected
     # Deterministic encode.
     assert pack_cell_index(cuboids, n_dims, n_levels) == blob
 
@@ -380,17 +370,17 @@ def test_cell_index_rejects_corruption():
     blob = pack_cell_index([((0,), [(("a",), 8, 4, 2, (False, True))])], 1, 2)
     assert blob[:8] == INDEX_MAGIC
     with pytest.raises(StoreError):
-        unpack_cell_index(blob[: len(blob) - 8], MaskArena(blob), 2)
+        unpack_cell_index(blob[: len(blob) - 8], 2)
     with pytest.raises(StoreError):
-        unpack_cell_index(b"FCWRONG!" + blob[8:], MaskArena(blob), 2)
+        unpack_cell_index(b"FCWRONG!" + blob[8:], 2)
     swapped = bytearray(blob)
     swapped[8:16] = blob[8:16][::-1]
     assert int.from_bytes(blob[8:16], "little") == ORDER_TAG
     with pytest.raises(StoreError):
-        unpack_cell_index(bytes(swapped), MaskArena(blob), 2)
+        unpack_cell_index(bytes(swapped), 2)
     # An index of another path-lattice width than the cube's.
     with pytest.raises(StoreError, match="2 path levels per cell, the cube's"):
-        unpack_cell_index(blob, MaskArena(blob), 4)
+        unpack_cell_index(blob, 4)
 
 
 @pytest.fixture(scope="module")
@@ -459,7 +449,6 @@ def _repacked(layout, blob: bytes, section: str, index: int, value: int):
     [
         ("key_refs", 0, 99, "a string ref past the string table"),
         ("key_refs", 1, -1, "a string ref past the string table"),
-        ("mask_refs", 2, 99, "a string ref past the string table"),
         ("cuboid_table", 0, 1, "cuboid rows disagree with n_cells"),
         ("cuboid_table", 3, 5, "cuboid rows disagree with n_cells"),
         ("cuboid_table", 1, -1, "a negative cell count or item level"),
@@ -481,7 +470,7 @@ def test_named_cell_index_damage_is_named(packed, section, index, value, message
 # ----------------------------------------------------------------------
 
 #: Each container's table, keyed by the magic its rows were first pinned
-#: under: the tables are written as FCSTRS02, FCPART03, FCCIDX03 and
+#: under: the tables are written as FCSTRS02, FCPART03, FCCIDX04 and
 #: FCPATH04 (narrow, checksummed columns) now.
 LAYOUTS = {
     "FCSTRS01": STRINGS_LAYOUT,
@@ -528,7 +517,7 @@ def packed(tmp_path_factory, example_database):
         ),
         "FCCIDX02": (
             index,
-            lambda blob: unpack_cell_index(blob, MaskArena(blob), 2),
+            lambda blob: unpack_cell_index(blob, 2),
         ),
         "FCPATH01": (
             pack_paths(
@@ -1424,26 +1413,51 @@ def test_cell_sizes_and_describe_need_no_heap(tmp_path, example_database):
     )
 
 
-def test_cold_open_serves_precomputed_catalog_masks(
+def test_cold_open_catalogs_equal_the_in_memory_cubes(
     tmp_path, example_database
 ):
+    """The index stores no catalog masks: every item cuboid of a cold
+    open — as built, and with a delta pending after an append — derives
+    the catalog the in-memory build's cuboid does, mask for mask."""
+    from repro.core.flowcube import FlowCube
     from repro.perf.query_kernel import CuboidKeyCatalog
 
-    _built_binary_store(tmp_path, example_database)
-    cold = PartitionedPathStore.open(tmp_path / "s").cube_store()
-    hierarchies = example_database.schema.dimensions
-    for cuboid in cold.cuboids:
-        assert cuboid.value_masks is not None
-        fast = CuboidKeyCatalog(
-            cuboid.keys, hierarchies, cuboid.value_masks
+    rows = list(example_database)
+    schema = example_database.schema
+    hierarchies = schema.dimensions
+    store = PartitionedPathStore.init(tmp_path / "s", schema, partition_size=3)
+    store.ingest(PathDatabase(schema, rows[:6], validate=False))
+    cube = build_cube(
+        store, min_support=2, compute_exceptions=False, into=store.cube_store()
+    )
+    for held, pending in ((rows[:6], []), (rows, [1])):
+        if pending:
+            append_records(store, rows[6:], cube=cube, compact_after=0)
+        memory = FlowCube.build(
+            PathDatabase(schema, held, validate=False),
+            min_support=2,
+            compute_exceptions=False,
         )
-        derived = CuboidKeyCatalog(cuboid.keys, hierarchies)
-        for dim in range(len(hierarchies)):
-            for key in cuboid.keys:
-                value = key[dim]
-                assert fast.value_mask(dim, value) == derived.value_mask(
-                    dim, value
-                )
+        with store.cube_store() as cold:
+            assert cold.delta_segments == pending
+            base = cold.path_lattice[0]
+            stored = [c for c in cold.cuboids if c.path_level == base]
+            assert stored
+            for cuboid in stored:
+                expected = memory.cuboid(cuboid.item_level, base)
+                assert cuboid.keys == expected.keys
+                got = CuboidKeyCatalog(cuboid.keys, hierarchies)
+                want = CuboidKeyCatalog(expected.keys, hierarchies)
+                for dim, hierarchy in enumerate(hierarchies):
+                    for value in hierarchy:
+                        assert got.value_mask(dim, value) == want.value_mask(
+                            dim, value
+                        )
+                        assert got.closure_mask(
+                            dim, value
+                        ) == want.closure_mask(dim, value)
+    cube.close()
+    store.close()
 
 
 def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
@@ -1476,7 +1490,8 @@ def test_maybe_reload_sees_cross_handle_rebuild(tmp_path, example_database):
 #: became one ref into a stage table, every container got a CRC and heap
 #: records lost their length prefix (``FCPART03``, ``FCSTRS02``,
 #: ``FCCIDX03``, ``FCPATH04``, ``FCHEAP08``; the lineage is fixed
-#: below).  A change here is a format change: bump the generation of the
+#: below), and the index digests again when it stopped storing catalog
+#: masks (``FCCIDX04``).  A change here is a format change: bump the generation of the
 #: file that moved instead.  The cube files are found through
 #: ``cube.json``'s listing: what they are *called* is not format.
 PINNED_SHA256 = {
@@ -1487,7 +1502,7 @@ PINNED_SHA256 = {
         "e13ecc39fd945737ac13931a4081482dc6bdc2eb7afc10b7d6dabd32ce787a7d"
     ),
     "built index": (
-        "a01b82d4d9330841ffbbebb211ce4986e382f0652c8d3f9155d90803edb77cc1"
+        "b995bdc9a309898a2a2ab233130f0af5b9d60d65bf83183a730abf263bc82a2a"
     ),
     "built part-00000.bin": (
         "17c3f31ce44f7242e5cbedf3c629f7b3d1a53d8a622c71cdaff82c3988902892"
@@ -1505,7 +1520,7 @@ PINNED_SHA256 = {
         "61810f5ebc4594ffc0ffa118f8271ac4b26f994683b6fa20bd0401ba4898b832"
     ),
     "appended index": (
-        "40f146567b4ea80b07369dd070402791109e4b82f69e2c9c88b6353e6cadd3d6"
+        "e0716bfce334ddaf593e2ac6601b4d37328898a9272f77db45be880cb379541e"
     ),
     "appended part-00000.bin": (
         "17c3f31ce44f7242e5cbedf3c629f7b3d1a53d8a622c71cdaff82c3988902892"
@@ -1526,7 +1541,7 @@ PINNED_SHA256 = {
         "1fdc779aa78c80cbaadf7659eb7545a20cab554ddd5a14204ce88e5631141919"
     ),
     "compacted index": (
-        "ec621b5776e14c21343e0a5d534a3fa957f634fe6ebba8bb6d04bdced79308bd"
+        "a1773fb3acd52706fa7fe6fd8ffd0f38e5fb67f646bef2d58c3f25660bd75e1b"
     ),
     "compacted part-00000.bin": (
         "17c3f31ce44f7242e5cbedf3c629f7b3d1a53d8a622c71cdaff82c3988902892"

@@ -81,6 +81,7 @@ def store(tmp_path_factory, database):
 @settings(
     max_examples=10,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_bitmap_and_scan_apriori_agree(db, threshold):

@@ -3,7 +3,7 @@
 The store reads and writes one layout.  What earlier releases also
 wrote — json-format catalogs and cube metas (including the ones that
 predate the ``"format"`` field, and the ones that list no ``"files"``),
-``FCHEAP01`` to ``FCHEAP07`` heaps, ``FCCIDX01`` and ``FCCIDX02``
+``FCHEAP01`` to ``FCHEAP07`` heaps, ``FCCIDX01`` to ``FCCIDX03``
 indexes, ``FCPATH01`` to ``FCPATH03`` path tables, ``FCPART01`` and
 ``FCPART02`` partitions, ``FCSTRS01`` string tables, CSV partition
 files — has no reader left, so
@@ -417,12 +417,28 @@ def test_a_two_word_stage_path_table_is_retired_too(built_dir):
 def test_an_unsealed_int64_index_is_retired_too(built_dir):
     """``FCCIDX02`` had ``int64`` columns and no checksum; the open
     refuses it and the way out is to remove the cube and rebuild it."""
-    assert RETIRED_INDEX_MAGICS[1:] == (b"FCCIDX02",)
-    assert INDEX_MAGIC == b"FCCIDX03"
+    assert RETIRED_INDEX_MAGICS[1] == b"FCCIDX02"
     _assert_index_retired(
         built_dir, b"FCCIDX02",
         rf"retired FCCIDX02 layout.*{_INT64_CUBE}"
         r"remove the store's cube/ directory and rebuild",
+    )
+
+
+# ----------------------------------------------------------------------
+# the stored-mask generation: FCCIDX03
+# ----------------------------------------------------------------------
+
+def test_a_mask_bearing_index_is_retired_too(built_dir):
+    """``FCCIDX03`` stored every item cuboid's catalog masks beside its
+    keys, which a catalog derives from the keys alone.  The open refuses
+    it; the way out is to remove the cube and rebuild it."""
+    assert RETIRED_INDEX_MAGICS[2:] == (b"FCCIDX03",)
+    assert INDEX_MAGIC == b"FCCIDX04"
+    _assert_index_retired(
+        built_dir, b"FCCIDX03",
+        r"retired FCCIDX03 layout.*the last one that did is the one at "
+        r"commit 6a2762c.*remove the store's cube/ directory and rebuild",
     )
 
 

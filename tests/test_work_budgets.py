@@ -37,7 +37,9 @@ cell once — one vector each, whatever the number of path levels — and a miss
 whatever path levels it slices.  And the ones mining in the cell's own
 id space makes true: a build and an append construct no postings,
 reading k cells' exceptions constructs k, and no cell index outlives
-its read.
+its read.  And the ones catalogs derived from keys make true: a cold
+open maps the index once and holds no map of it, and after an append a
+re-slice builds one catalog per item cuboid whose keys changed.
 A PR that claims a layer moved adds or tightens a row here.
 """
 
@@ -298,8 +300,8 @@ def test_a_build_encodes_each_item_cell_once(tmp_path, monkeypatch, n_paths):
     )
     assert len(encoded) == item_cells == cube.n_cells() // n_levels > 0
     blob = cube_files(tmp_path / "wh")["index"].read_bytes()
-    entries = binfmt.unpack_cell_index(blob, binfmt.MaskArena(blob), n_levels)
-    assert sum(len(keys) for _, keys, _, _ in entries) == item_cells
+    entries = binfmt.unpack_cell_index(blob, n_levels)
+    assert sum(len(keys) for _, keys, _ in entries) == item_cells
     cube.close()
     store.close()
 
@@ -493,6 +495,37 @@ def test_a_cold_open_maps_the_listed_index_and_nothing_else(
             with fresh.cube_store() as cold:
                 assert cold.n_cells() == cube.n_cells()
         assert [FsPath(call[0]) for call in mapped.calls] == [index, index]
+    cube.close()
+    store.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_cold_open_maps_the_index_once_and_holds_no_map(
+    tmp_path, monkeypatch, n_paths
+):
+    """A cold open decodes the index out of one map and closes it —
+    nothing reads the index after the open — with or without delta
+    segments pending."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    real = binfmt.map_file
+    for grow in (lambda: None, lambda: append_records(
+        store, batch, cube=cube, compact_after=0
+    )):
+        grow()
+        maps = []
+
+        def mapping(path, what):
+            maps.append((FsPath(path), real(path, what)))
+            return maps[-1][1]
+
+        monkeypatch.setattr(binfmt, "map_file", mapping)
+        with store.cube_store() as cold:
+            assert cold.n_cells() == cube.n_cells()
+            [(path, mapped)] = maps
+            assert path == cube_files(tmp_path / "wh")["index"]
+            assert mapped.closed
     cube.close()
     store.close()
 
@@ -964,6 +997,48 @@ def test_a_reload_reruns_the_cuts_an_append_changed_and_no_other(
     ]
     stats = tenant.stats()
     assert stats["responses_kept"] == len(cuts) - len(rerun)
+    tenant.close()
+
+
+@pytest.mark.parametrize("n_paths", SIZES)
+def test_a_reload_rebuilds_the_catalogs_whose_keys_changed_and_no_other(
+    tmp_path, n_paths
+):
+    """A key catalog is a function of an item cuboid's keys, and the pool
+    files it under them: after another handle's append, re-slicing a
+    mounted tenant builds one catalog per item cuboid whose keys the
+    append changed, and keeps every other one."""
+    database = generate_path_database(config(n_paths))
+    base, batch = base_and_batch(database)
+    store, cube = built(tmp_path / "wh", database, base, False)
+    cube.close()
+    store.close()
+    cuts = one_concept_cuts(database.schema)
+    tenant, app = warm_tenant(tmp_path / "wh", cuts)
+
+    def keys_by_item_level() -> dict:
+        level = tenant.cube_store.path_lattice[0]
+        return {
+            cuboid.item_level: cuboid.keys
+            for cuboid in tenant.cube_store.cuboids
+            if cuboid.path_level == level
+        }
+
+    before = keys_by_item_level()
+    builds = tenant.catalogs.stats()["builds"]
+    assert builds == len(before)
+
+    with PartitionedPathStore.open(tmp_path / "wh") as writer:
+        append_records(writer, batch, compact_after=0)
+    assert tenant.refresh()
+    for cut in cuts:
+        assert post(app, "/cubes/wh/slice", {"cut": cut}).status == 200
+    after = keys_by_item_level()
+    changed = [
+        level for level, keys in after.items() if before.get(level) != keys
+    ]
+    assert 0 < len(changed) < len(after)
+    assert tenant.catalogs.stats()["builds"] == builds + len(changed)
     tenant.close()
 
 

@@ -1,16 +1,15 @@
-"""The zero-copy read path: lazy masks, lifecycle, admin.
+"""The zero-copy read path: derived catalogs, lifecycle, admin.
 
 The load-bearing assertions:
 
-* a cold binary open reads **zero** cell-heap bytes and decodes **zero**
-  catalog masks (``CubeStore.io_counters``); the first slice decodes
-  only the masks it ANDs, and heap bytes are paid only per materialised
-  cell;
-* a reload (``maybe_reload``) materialises still-referenced lazy mask
-  views out of the superseded index map before closing it, so catalogs
-  built against the old build keep answering;
+* a cold binary open reads **zero** cell-heap bytes
+  (``CubeStore.io_counters``), and neither does building a key catalog
+  (it is derived from the keys); heap bytes are paid only per
+  materialised cell;
+* a key catalog built before a reload (``maybe_reload``) keeps
+  answering, and equals one built over the reloaded cube;
 * open/close cycles leak no file descriptors (``/proc/self/fd``), and a
-  closed store fails loudly instead of returning garbage;
+  closed handle re-maps its heap at the next cell read;
 * ``strings.bin`` written on a foreign-endian host is rejected, and a
   truncated ``cells.idx`` refuses to load.
 """
@@ -79,21 +78,14 @@ def test_cold_open_reads_zero_heap_bytes_and_masks(built_dir):
     cube = store.cube_store()
     assert cube.io_counters() == UNTOUCHED
 
-    # Enumerating cuboids and building a key catalog from the lazy mask
-    # views still reads nothing: the masks stay byte spans over the map.
+    # Enumerating cuboids, deriving a key catalog from their keys and
+    # ANDing a constraint read nothing.
     cuboids = cube.cuboids
     biggest = max(cuboids, key=len)
-    catalog = CuboidKeyCatalog(
-        biggest.keys, store.schema.dimensions, biggest.value_masks
-    )
-    assert cube.io_counters() == UNTOUCHED
-
-    # ANDing a constraint decodes masks; the heap is still untouched.
+    catalog = CuboidKeyCatalog(biggest.keys, store.schema.dimensions)
     value = biggest.keys[0][0]
     assert catalog.match_mask([(0, value)]) != 0
-    counters = cube.io_counters()
-    assert counters["mask_bits_decoded"] > 0
-    assert counters["heap_bytes_read"] == 0
+    assert cube.io_counters() == UNTOUCHED
 
     # Reading cells finally pays heap IO — per cell, not per open — and
     # still decodes nothing until a measure is touched.
@@ -114,9 +106,9 @@ def test_cold_open_with_pending_deltas_reads_zero_heap_bytes(
     """The zero-copy contract holds for delta-bearing cubes.
 
     A store with pending delta segments lists an index that addresses
-    them — which must be just as lazy as a whole heap's: the cold open
-    mmaps it, decodes no masks, and reads zero heap bytes from the base
-    heap *or* any segment.
+    them — which must be read just as a whole heap's is: the cold open
+    decodes it and reads zero heap bytes from the base heap *or* any
+    segment, and neither does a key catalog.
     """
     from repro.store import append_records
 
@@ -134,14 +126,9 @@ def test_cold_open_with_pending_deltas_reads_zero_heap_bytes(
 
     cuboids = cold.cuboids
     biggest = max(cuboids, key=len)
-    catalog = CuboidKeyCatalog(
-        biggest.keys, store.schema.dimensions, biggest.value_masks
-    )
-    assert cold.io_counters() == UNTOUCHED
+    catalog = CuboidKeyCatalog(biggest.keys, store.schema.dimensions)
     assert catalog.match_mask([(0, biggest.keys[0][0])]) != 0
-    counters = cold.io_counters()
-    assert counters["mask_bits_decoded"] > 0
-    assert counters["heap_bytes_read"] == 0
+    assert cold.io_counters() == UNTOUCHED
 
     # Materialising a delta-resident cell pays segment IO, per cell.
     query = FlowCubeQuery(cold)
@@ -163,23 +150,28 @@ def test_describe_reports_shared_strings_and_io(built_dir):
 
 
 # ----------------------------------------------------------------------
-# reload safety: live mask views survive the map swap
+# reload safety: a catalog outlives the index it was built over
 # ----------------------------------------------------------------------
 
-def test_reload_materialises_live_mask_views(built_dir):
+def _every_closure(catalog, hierarchies) -> dict:
+    return {
+        (dim, concept): catalog.closure_mask(dim, concept)
+        for dim, hierarchy in enumerate(hierarchies)
+        for concept in hierarchy
+    }
+
+
+def test_a_catalog_built_before_a_reload_keeps_answering(built_dir):
     store = PartitionedPathStore.open(built_dir)
+    hierarchies = store.schema.dimensions
     cube = store.cube_store()
     cuboid = max(cube.cuboids, key=len)
-    masks = cuboid.value_masks
-    assert masks is not None
-    # Decode one mask eagerly; leave the rest as spans over the mmap.
-    expected = {
-        dim: dict(per_dim.items()) for dim, per_dim in enumerate(masks)
-    }
-    _ = masks[0].get(next(iter(masks[0])), 0)
+    catalog = CuboidKeyCatalog(cuboid.keys, hierarchies)
+    # Answer one constraint now; leave every other closure to after.
+    value = cuboid.keys[0][0]
+    assert catalog.match_mask([(0, value)]) != 0
 
-    # Another handle republished the cube: the first handle reloads,
-    # closing its superseded index map.
+    # Another handle republished the cube: the first handle reloads.
     writer = PartitionedPathStore.open(built_dir).cube_store()
     cell = next(iter(writer.cuboids[0]))
     writer.put_cuboid(item_cell(writer, cell))
@@ -187,13 +179,13 @@ def test_reload_materialises_live_mask_views(built_dir):
     writer.close()
     assert cube.maybe_reload()
 
-    # The pre-reload views still answer every value, and agree with the
-    # fresh index.
-    for dim, per_dim in enumerate(masks):
-        assert dict(per_dim.items()) == expected[dim]
-    fresh = max(cube.cuboids, key=len).value_masks
-    for dim, per_dim in enumerate(fresh):
-        assert dict(per_dim.items()) == expected[dim]
+    # The pre-reload catalog answers every constraint, and equals one
+    # built over the reloaded cube's keys.
+    fresh = max(cube.cuboids, key=len)
+    assert fresh.keys == cuboid.keys
+    assert _every_closure(catalog, hierarchies) == _every_closure(
+        CuboidKeyCatalog(fresh.keys, hierarchies), hierarchies
+    )
     cube.close()
     store.close()
 
@@ -233,13 +225,8 @@ def test_closed_store_raises_clearly(built_dir):
     cuboid = max(cube.cuboids, key=len)
     cube.close()
     store.close()
-    # A final close drops the index map without materialising, so
-    # undecoded lazy masks refuse loudly instead of returning garbage.
-    with pytest.raises(StoreError):
-        for per_dim in cuboid.value_masks:
-            dict(per_dim.items())
-    # Cell reads, by contrast, reopen the heap lazily: the handle stays
-    # usable after close (close releases resources, it does not poison).
+    # Cell reads reopen the heap lazily: the handle stays usable after
+    # close (close releases resources, it does not poison).
     cell = cube.cell(cuboid.item_level, cuboid.keys[0], cuboid.path_level)
     assert cell.key == cuboid.keys[0]
     cube.close()
